@@ -64,16 +64,41 @@ impl<'a> ExactScan<'a> {
     }
 }
 
+/// Rank order of the exact answer: inner product descending, ties by id
+/// ascending. Ids are unique, so this is a strict total order and the top-k
+/// of a chunk is one well-defined list.
+fn by_rank(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
+    b.ip.total_cmp(&a.ip).then(a.id.cmp(&b.id))
+}
+
+/// Top-k of rows `lo..hi` in [`by_rank`] order. Scoring runs through the
+/// blocked dot4 loop (`Matrix::dot_rows`, the verify shape); selection
+/// keeps a buffer of at most `2k` rows, cut back to the best `k` by
+/// `select_nth_unstable_by` whenever it fills — O(n) comparisons in total,
+/// against the O(n log n) of sorting every score — and rows ranking after
+/// the last cut's k-th are not buffered at all.
 fn scan_chunk(data: &Matrix, lo: usize, hi: usize, q: &[f32], k: usize) -> Vec<Neighbor> {
-    // Keep a small sorted buffer; for chunk scans a full sort at the end is
-    // simpler and fast enough (k ≤ 100 in all experiments). Scoring runs
-    // through the blocked dot4 loop (`Matrix::dot_rows`, the verify shape).
-    let mut items: Vec<Neighbor> = Vec::with_capacity(hi - lo);
+    debug_assert!(k > 0, "top_k returns early for k = 0");
+    let cap = k.saturating_mul(2).min(hi - lo);
+    let mut items: Vec<Neighbor> = Vec::with_capacity(cap);
+    let mut kth: Option<Neighbor> = None;
     data.dot_rows(lo, hi, q, |row, ip| {
-        items.push(Neighbor { id: row as u64, ip })
+        let cand = Neighbor { id: row as u64, ip };
+        if kth.is_some_and(|kth| by_rank(&cand, &kth).is_gt()) {
+            return;
+        }
+        items.push(cand);
+        if items.len() == 2 * k {
+            items.select_nth_unstable_by(k - 1, by_rank);
+            items.truncate(k);
+            kth = Some(items[k - 1]);
+        }
     });
-    items.sort_by(|a, b| b.ip.total_cmp(&a.ip).then(a.id.cmp(&b.id)));
-    items.truncate(k);
+    if items.len() > k {
+        items.select_nth_unstable_by(k - 1, by_rank);
+        items.truncate(k);
+    }
+    items.sort_by(by_rank);
     items
 }
 
@@ -116,6 +141,39 @@ mod tests {
                 a.iter().map(|n| n.id).collect::<Vec<_>>(),
                 b.iter().map(|n| n.id).collect::<Vec<_>>()
             );
+        }
+    }
+
+    /// The bounded selection must return exactly what sorting every score
+    /// returns — same rows, same order — including when many rows tie on
+    /// the score and the tie is broken by id across a cut of the buffer.
+    #[test]
+    fn bounded_selection_matches_full_sort_on_duplicated_scores() {
+        let mut rng = Xoshiro256pp::seed_from_u64(5);
+        // 40 distinct rows repeated over 1 000 positions: every score
+        // occurs ~25 times.
+        let distinct = random_data(40, 6, 6);
+        let data = Matrix::from_rows(
+            6,
+            (0..1_000).map(|_| distinct.row(rng.below(40) as usize).to_vec()),
+        );
+        for _ in 0..10 {
+            let q: Vec<f32> = (0..6).map(|_| rng.normal() as f32).collect();
+            let mut want: Vec<Neighbor> = Vec::new();
+            data.dot_rows(0, data.rows(), &q, |row, ip| {
+                want.push(Neighbor { id: row as u64, ip })
+            });
+            want.sort_by(|a, b| b.ip.total_cmp(&a.ip).then(a.id.cmp(&b.id)));
+            for k in [1, 7, 10, 26, 100, 999, 1_000] {
+                assert_eq!(
+                    scan_chunk(&data, 0, data.rows(), &q, k),
+                    want[..k],
+                    "k = {k}"
+                );
+            }
+            // A chunk that does not start at row 0 keeps global row ids.
+            let mid: Vec<Neighbor> = want.iter().filter(|n| n.id >= 300).copied().collect();
+            assert_eq!(scan_chunk(&data, 300, data.rows(), &q, 10), mid[..10]);
         }
     }
 

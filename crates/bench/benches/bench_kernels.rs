@@ -55,6 +55,112 @@ fn pair(simd_ns: f64, scalar_ns: f64) -> Json {
 /// loop throughput rather than harness boundaries.
 const ROWS: usize = 32;
 
+/// The `small_m` section: the projected-space kernels at the paper's
+/// m = 6–10 and the screen kernel at d = 64 / 300, on every tier the host
+/// can execute. Per m and tier it reports ns/row of the whole-column
+/// kernels (`sq_dist_col`, `sq_dist_col_i8`, one call per 50-row
+/// sub-partition column) beside the call shape they replaced: the tier's
+/// long-vector `sq_dist4` / `sq_dist4_i8` body once per four rows, which at
+/// these lengths runs zero vector iterations and finishes in its tail.
+fn small_m_section() -> Json {
+    const COLUMN_ROWS: usize = 48;
+    const COLUMNS: usize = 16;
+    let rows = COLUMN_ROWS * COLUMNS;
+    println!("\nsmall-m kernels (ns/row, {COLUMN_ROWS}-row columns):");
+    let mut rng = Xoshiro256pp::seed_from_u64(0x5A11);
+    let mut section: Vec<(String, Json)> =
+        vec![("rows_per_column".to_string(), Json::Num(COLUMN_ROWS as f64))];
+    for m in [6usize, 7, 8, 10] {
+        let arena: Vec<f32> = (0..rows * m).map(|_| rng.normal() as f32).collect();
+        let codes: Vec<u8> = (0..rows * m).map(|_| rng.below(256) as u8).collect();
+        let q: Vec<f32> = (0..m).map(|_| rng.normal() as f32).collect();
+        let qc: Vec<u8> = (0..m).map(|_| rng.below(256) as u8).collect();
+        let mut d2 = vec![0.0f64; COLUMN_ROWS];
+        let mut d2c = vec![0u32; COLUMN_ROWS];
+        let per_row = |ns: f64| ns / rows as f64;
+        let mut tiers: Vec<(String, Json)> = Vec::new();
+        for k in available_backends() {
+            let col_f32 = per_row(ns_per_op(|| {
+                let mut s = 0.0;
+                for column in std::hint::black_box(&arena).chunks_exact(COLUMN_ROWS * m) {
+                    (k.sq_dist_col)(column, m, &q, &mut d2);
+                    s += d2[0] + d2[COLUMN_ROWS - 1];
+                }
+                s
+            }));
+            let block4_f32 = per_row(ns_per_op(|| {
+                let mut s = [0.0f64; 4];
+                for b in std::hint::black_box(&arena).chunks_exact(4 * m) {
+                    let r = (k.sq_dist4)(&b[..m], &b[m..2 * m], &b[2 * m..3 * m], &b[3 * m..], &q);
+                    for (s, r) in s.iter_mut().zip(r) {
+                        *s += r;
+                    }
+                }
+                s
+            }));
+            let col_u8 = per_row(ns_per_op(|| {
+                let mut s = 0u32;
+                for column in std::hint::black_box(&codes).chunks_exact(COLUMN_ROWS * m) {
+                    (k.sq_dist_col_i8)(column, m, &qc, &mut d2c);
+                    s = s.wrapping_add(d2c[0]).wrapping_add(d2c[COLUMN_ROWS - 1]);
+                }
+                s
+            }));
+            let block4_u8 = per_row(ns_per_op(|| {
+                let mut s = [0u32; 4];
+                for b in std::hint::black_box(&codes).chunks_exact(4 * m) {
+                    let r =
+                        (k.sq_dist4_i8)(&b[..m], &b[m..2 * m], &b[2 * m..3 * m], &b[3 * m..], &qc);
+                    for (s, r) in s.iter_mut().zip(r) {
+                        *s = s.wrapping_add(r);
+                    }
+                }
+                s
+            }));
+            println!(
+                "  m={m:2} [{}]: f32 column {col_f32:.2} (4-row calls {block4_f32:.2})  \
+                 u8 column {col_u8:.2} (4-row calls {block4_u8:.2})",
+                k.name
+            );
+            tiers.push((
+                k.name.to_string(),
+                Json::obj(vec![
+                    ("col_f32_ns_row", Json::Num(col_f32)),
+                    ("block4_f32_ns_row", Json::Num(block4_f32)),
+                    ("col_u8_ns_row", Json::Num(col_u8)),
+                    ("block4_u8_ns_row", Json::Num(block4_u8)),
+                ]),
+            ));
+        }
+        section.push((format!("m{m}"), Json::Obj(tiers)));
+    }
+
+    // The screen shape: four d-long code rows per `dot4_i8` call.
+    let mut screen: Vec<(String, Json)> = Vec::new();
+    for d in [64usize, 300] {
+        let codes: Vec<u8> = (0..rows * d).map(|_| rng.below(256) as u8).collect();
+        let qc: Vec<i8> = (0..d).map(|_| rng.below(256) as u8 as i8).collect();
+        let mut tiers: Vec<(String, Json)> = Vec::new();
+        for k in available_backends() {
+            let ns = ns_per_op(|| {
+                let mut s = [0i32; 4];
+                for b in std::hint::black_box(&codes).chunks_exact(4 * d) {
+                    let r = (k.dot4_i8)(&b[..d], &b[d..2 * d], &b[2 * d..3 * d], &b[3 * d..], &qc);
+                    for (s, r) in s.iter_mut().zip(r) {
+                        *s = s.wrapping_add(r);
+                    }
+                }
+                s
+            }) / rows as f64;
+            println!("  dot4_i8 d={d} [{}]: {ns:.2}", k.name);
+            tiers.push((k.name.to_string(), Json::Num(ns)));
+        }
+        screen.push((format!("d{d}"), Json::Obj(tiers)));
+    }
+    section.push(("dot4_i8".to_string(), Json::Obj(screen)));
+    Json::Obj(section)
+}
+
 fn main() {
     let backend = active_backend();
     println!("kernel backend: {backend}");
@@ -358,6 +464,8 @@ fn main() {
         ));
     }
 
+    let small_m = small_m_section();
+
     // --- projection: blocked matvec vs the pre-SIMD shape -------------------
     let a: Vec<f32> = am.row(0).to_vec();
     let projection = promips_core::projection::Projection::generate(M, D, 11);
@@ -391,12 +499,12 @@ fn main() {
     });
     println!("  project_all_2000x128_to_16 (scalar rowwise): {gemm_scalar_ns:.1} ns/op");
 
-    // --- projected scan: legacy per-record decode vs arena + sq_dist4 -------
+    // --- projected scan: legacy per-record decode vs arena + column kernel --
     // Sweeps every sub-partition of a realistic index with an annulus
     // filter. The legacy shape is what `scan_subpart` shipped as before the
     // arena: decode each record into a fresh `Vec<f32>`, then a single-row
     // `dist` per record. The arena shape is the deployed path: one
-    // `ProjScratch` decode per sub-partition, blocked `sq_dist4` filter.
+    // `ProjScratch` decode per sub-partition, one `sq_dist_col` call over it.
     let scan_n = 8_000;
     let scan_m = 16;
     let scan_data = random_matrix(scan_n, scan_m, 51);
@@ -1223,6 +1331,7 @@ fn main() {
             ]),
         ),
         ("backends", Json::Obj(backend_rows.clone())),
+        ("small_m", small_m),
         (
             "project",
             Json::obj(vec![

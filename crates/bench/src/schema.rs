@@ -45,6 +45,7 @@ impl Value {
 pub const REQUIRED_SECTIONS: &[(&str, &[&str])] = &[
     ("kernels", &["dot", "sq_dist4", "sq_dist4_i8"]),
     ("backends", &["scalar"]),
+    ("small_m", &["m6", "m7", "m8", "m10", "dot4_i8"]),
     ("project", &["single", "dataset_2000"]),
     ("scan", &["arena_ns_per_record", "speedup"]),
     ("quantized_scan", &["dense", "selective"]),

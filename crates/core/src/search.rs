@@ -1024,11 +1024,13 @@ impl ProMips {
     /// corruption instead of a panic.
     ///
     /// The returned radius is inflated by a few ulps: the annulus scan
-    /// measures distances with the blocked `sq_dist4` kernel, whose rounding
-    /// can differ from the single-row `dist` used here in the last ulp, and
-    /// the located point itself must always fall inside its own range
-    /// (`pd <= r`). The inflation only ever *enlarges* the searched range,
-    /// so the probability guarantee is untouched.
+    /// measures distances with the `sq_dist_col` column kernel, which for
+    /// projected rows longer than `promips_linalg::scalar::SHORT_MAX` can
+    /// differ from the single-row `dist` used here in the last ulp (up to
+    /// that length the two agree to the bit), and the located point itself
+    /// must always fall inside its own range (`pd <= r`). The inflation
+    /// only ever *enlarges* the searched range, so the probability
+    /// guarantee is untouched.
     fn located_radius(
         &self,
         located: &crate::quickprobe::Located,

@@ -16,8 +16,8 @@ pub struct IDistanceConfig {
     pub seed: u64,
     /// Whether to build the SQ8 quantized filter tier: a dense u8 code
     /// column per sub-partition (1 byte per projected coordinate instead of
-    /// 4) that the annulus scan filters first, decoding only surviving
-    /// 4-row blocks through the exact f32 path. The quantized filter is
+    /// 4) that the annulus scan filters first, decoding only the surviving
+    /// runs of 4-row blocks through the exact f32 path. The quantized filter is
     /// padded by the per-sub-partition quantization error bound, so scan
     /// results are **bit-identical** with the tier on or off — `false` only
     /// trades scan speed for a slightly smaller file (and writes the

@@ -4,7 +4,7 @@ use std::io;
 use std::sync::Arc;
 
 use promips_btree::BTree;
-use promips_linalg::{dist, scalar, sq_dist, sq_dist4, sq_dist4_i8};
+use promips_linalg::{dist, sq_dist_col, sq_dist_col_i8};
 use promips_storage::{AccessStatsSnapshot, PageBuf, PageId, Pager};
 
 use crate::knn::NnIter;
@@ -80,14 +80,48 @@ pub struct ProjScratch {
     rows: Vec<f32>,
     m: usize,
     /// Quantized-stage buffers (SQ8 filter tier): the current
-    /// sub-partition's u8 code column, the query quantized into the
-    /// sub-partition's code space, and the 4-row block indices that
-    /// survived the integer filter. Like the f32 arena, these grow to the
-    /// largest sub-partition seen and are never reallocated afterwards, so
-    /// the quantized pass is allocation-free at steady state.
+    /// sub-partition's u8 code column (only when it straddles pages), the
+    /// query quantized into the sub-partition's code space, every row's
+    /// code-space squared distance, and the `(first_row, rows)` runs of
+    /// consecutive 4-row blocks that survived the integer filter. Like the
+    /// f32 arena, these grow to the largest sub-partition seen and are never
+    /// reallocated afterwards, so the quantized pass is allocation-free at
+    /// steady state.
     codes: Vec<u8>,
     qcodes: Vec<u8>,
-    qblocks: Vec<u32>,
+    code_d2: Vec<u32>,
+    runs: Vec<(u32, u32)>,
+}
+
+/// Rows per block of the two-level scan: the unit in which the integer
+/// filter's survivors are decoded and re-tested exactly.
+const BLOCK: usize = 4;
+
+/// The one distance-and-emit loop: calls `f(first + i, ids[i], proj_dist)`
+/// for every row of the flat arena `rows`, distances coming from the
+/// whole-column [`sq_dist_col`] kernel — one dispatch per `CHUNK` rows,
+/// through a stack buffer, so no caller needs a distance scratch. The
+/// kernel's per-row result does not depend on a row's position in the call,
+/// so every caller — full scan, quantized re-test of any run, incremental
+/// NN — computes bit-identical distances for the same point.
+fn emit_dists(
+    ids: &[u64],
+    rows: &[f32],
+    m: usize,
+    pq: &[f32],
+    first: usize,
+    f: &mut impl FnMut(usize, u64, f64),
+) {
+    const CHUNK: usize = 256;
+    let mut d2 = [0.0f64; CHUNK];
+    for (c, ids) in ids.chunks(CHUNK).enumerate() {
+        let at = c * CHUNK;
+        let d2 = &mut d2[..ids.len()];
+        sq_dist_col(&rows[at * m..(at + ids.len()) * m], m, pq, d2);
+        for (i, (&id, &v)) in ids.iter().zip(d2.iter()).enumerate() {
+            f(first + at + i, id, v.sqrt());
+        }
+    }
 }
 
 impl ProjScratch {
@@ -140,37 +174,21 @@ impl ProjScratch {
     }
 
     /// Calls `f(offset, id, proj_dist)` for every decoded record with its
-    /// Euclidean distance to `pq`, four contiguous rows per blocked
-    /// [`sq_dist4`] call (the tail runs the single-row kernel).
+    /// Euclidean distance to `pq`, the whole arena going through the
+    /// [`sq_dist_col`] column kernel.
     ///
-    /// A record's position in the block structure is fixed by the
-    /// sub-partition layout, so repeated scans — and the range-search and
-    /// incremental-NN paths, which both come through here — compute
-    /// bit-identical distances for the same point.
+    /// A record's distance does not depend on its position in the arena,
+    /// so repeated scans — and the range-search and incremental-NN paths,
+    /// which both come through here — compute bit-identical distances for
+    /// the same point.
     pub fn for_each_dist(&self, pq: &[f32], mut f: impl FnMut(usize, u64, f64)) {
-        let m = self.m;
-        let n = self.len();
-        let rows = &self.rows;
-        let mut i = 0;
-        while i + 4 <= n {
-            let base = i * m;
-            let d2 = sq_dist4(
-                &rows[base..base + m],
-                &rows[base + m..base + 2 * m],
-                &rows[base + 2 * m..base + 3 * m],
-                &rows[base + 3 * m..base + 4 * m],
-                pq,
-            );
-            f(i, self.ids[i], d2[0].sqrt());
-            f(i + 1, self.ids[i + 1], d2[1].sqrt());
-            f(i + 2, self.ids[i + 2], d2[2].sqrt());
-            f(i + 3, self.ids[i + 3], d2[3].sqrt());
-            i += 4;
-        }
-        for j in i..n {
-            f(j, self.ids[j], sq_dist(self.row(j), pq).sqrt());
-        }
+        emit_dists(&self.ids, &self.rows, self.m, pq, 0, &mut f);
     }
+}
+
+/// Decodes one little-endian `f32` from a 4-byte chunk.
+fn le_f32(c: &[u8]) -> f32 {
+    f32::from_le_bytes(c.try_into().expect("4-byte chunk"))
 }
 
 /// A cursor over one packed byte region: fetches covering pages on demand,
@@ -463,12 +481,13 @@ impl IDistanceIndex {
 
     /// Scans one sub-partition, appending candidates in the annulus. With
     /// the quantized tier present this is the two-level path (integer
-    /// filter, then exact f32 re-test of surviving blocks); otherwise one
-    /// arena decode plus the blocked `sq_dist4` filter over four contiguous
-    /// rows at a time. Both paths emit **identical** candidates: the
+    /// filter over the code column, then exact f32 re-test of the surviving
+    /// runs of blocks); otherwise one arena decode of the whole
+    /// sub-partition. Both paths emit **identical** candidates: the
     /// quantized filter is padded by the sub-partition's quantization error
     /// bound so it never drops a true candidate, and survivors' distances
-    /// come from the same f32 kernels over the same 4-row blocks.
+    /// come from the same column kernel, whose per-row result does not
+    /// depend on which rows share the call.
     fn scan_subpart(
         &self,
         sub: u32,
@@ -478,11 +497,7 @@ impl IDistanceIndex {
         out: &mut Vec<RangeCandidate>,
         scratch: &mut ProjScratch,
     ) -> io::Result<()> {
-        if self.quant_region.is_some() {
-            return self.scan_subpart_quantized(sub, pq, r_lo, r_hi, out, scratch);
-        }
-        self.read_subpart_proj_into(sub, scratch)?;
-        scratch.for_each_dist(pq, |offset, id, pd| {
+        let mut emit = |offset: usize, id: u64, pd: f64| {
             if pd > r_lo && pd <= r_hi {
                 out.push(RangeCandidate {
                     id,
@@ -491,20 +506,46 @@ impl IDistanceIndex {
                     offset: offset as u32,
                 });
             }
-        });
+        };
+        if self.quant_region.is_none() {
+            self.read_subpart_proj_into(sub, scratch)?;
+            scratch.for_each_dist(pq, emit);
+            return Ok(());
+        }
+
+        // Level 2 of the quantized scan: exact re-test of surviving runs.
+        self.quantized_survivor_runs(sub, pq, r_lo, r_hi, scratch)?;
+        let ProjScratch {
+            ids, rows, runs, ..
+        } = scratch;
+        let m = self.m;
+        let rec = 8 + 4 * m;
+        let proj_off = self.subparts[sub as usize].proj_off as usize;
+        let mut pages = PageCursor::new(&self.pager, self.proj_region.0);
+        for &(first, n) in runs.iter() {
+            let (first, n) = (first as usize, n as usize);
+            ids.clear();
+            rows.clear();
+            Self::decode_proj_fields(&mut pages, proj_off + first * rec, n, m, ids, rows)?;
+            emit_dists(ids, rows, m, pq, first, &mut emit);
+        }
         Ok(())
     }
 
-    /// Two-level quantized scan of one sub-partition.
+    /// Level 1 of the two-level quantized scan: fills `scratch.runs` with
+    /// the `(first_row, rows)` runs of consecutive blocks that may hold a
+    /// point of the annulus.
     ///
-    /// **Level 1 (integer):** the sub-partition's u8 code column (1 byte
-    /// per coordinate — a quarter of the f32 record bytes, and no id
-    /// column) is filtered with the blocked [`sq_dist4_i8`] kernel against
-    /// the query quantized into the sub-partition's code space. A code-space
-    /// distance `Dq = scale·√(Σ (aⱼ−bⱼ)²)` is the exact distance between
-    /// the *dequantized* row and the *dequantized* query, so by two triangle
-    /// inequalities the true distance satisfies `|pd − Dq| ≤ err_total`
-    /// where `err_total = err_subpart + err_query` (the stored build-time
+    /// The sub-partition's u8 code column (1 byte per coordinate — a
+    /// quarter of the f32 record bytes, and no id column) goes through the
+    /// whole-column [`sq_dist_col_i8`] kernel in one call against the query
+    /// quantized into the sub-partition's code space — straight off the
+    /// page when the column sits inside one, through a staging copy when it
+    /// straddles pages. A code-space distance `Dq = scale·√(Σ (aⱼ−bⱼ)²)` is
+    /// the exact distance between the *dequantized* row and the
+    /// *dequantized* query, so by two triangle inequalities the true
+    /// distance satisfies `|pd − Dq| ≤ err_total` where
+    /// `err_total = err_subpart + err_query` (the stored build-time
     /// dequantization bound plus the query's own quantization error,
     /// computed exactly per call — which also covers query coordinates
     /// clamped outside the code range). Rows are kept when `Dq` falls in
@@ -513,39 +554,33 @@ impl IDistanceIndex {
     /// 1e-9 inflation that swamps the few-ulp f64 rounding differences
     /// between this filter and the exact kernel.
     ///
-    /// **Level 2 (exact):** only 4-row blocks containing at least one
-    /// survivor are decoded from the f32 projected region and re-tested
-    /// with the same blocked `sq_dist4` (tail rows: single-row `sq_dist`)
-    /// the full scan uses — identical block shapes, hence bit-identical
-    /// distances. Quantized non-survivors inside a surviving block are
-    /// guaranteed by the bound to fail the exact test, so re-testing the
-    /// whole block changes nothing and keeps the kernel shape fixed.
-    fn scan_subpart_quantized(
+    /// Survival is per [`BLOCK`] of rows (the last block may be short): a
+    /// block with at least one surviving row is re-tested whole, and
+    /// consecutive surviving blocks merge into one run — one record decode
+    /// and one exact kernel call each. Quantized non-survivors inside a
+    /// surviving block are guaranteed by the bound to fail the exact test,
+    /// so re-testing them changes nothing.
+    fn quantized_survivor_runs(
         &self,
         sub: u32,
         pq: &[f32],
         r_lo: f64,
         r_hi: f64,
-        out: &mut Vec<RangeCandidate>,
         scratch: &mut ProjScratch,
     ) -> io::Result<()> {
-        let sp = &self.subparts[sub as usize];
         let qt = &self.quants[sub as usize];
         let m = self.m;
-        let count = sp.count as usize;
+        let count = self.subparts[sub as usize].count as usize;
         let (quant_start, _) = self.quant_region.expect("quantized scan requires the tier");
-
         let ProjScratch {
-            ids,
-            rows,
             m: scratch_m,
             codes,
             qcodes,
-            qblocks,
+            code_d2,
+            runs,
+            ..
         } = scratch;
         *scratch_m = m;
-        ids.clear();
-        rows.clear();
 
         // --- Quantize the query; measure its quantization error exactly. --
         let scale = qt.scale as f64;
@@ -572,92 +607,37 @@ impl IDistanceIndex {
         } else {
             -1.0
         };
-        let in_window = |d2_codes: u32| {
+        let in_window = |&d2_codes: &u32| {
             let d2 = d2_codes as f64 * scale2;
             d2 > lo2 && d2 <= hi2
         };
 
-        // --- Level 1: integer filter over the code column. -----------------
+        // --- One kernel call over the code column. -------------------------
+        code_d2.resize(count, 0);
         codes.clear();
-        codes.reserve(count * m);
+        let column_bytes = count * m;
         let mut pages = PageCursor::new(&self.pager, quant_start);
-        pages.walk(qt.off as usize, count * m, |chunk| {
-            codes.extend_from_slice(chunk)
+        pages.walk(qt.off as usize, column_bytes, |chunk| {
+            if chunk.len() == column_bytes {
+                sq_dist_col_i8(chunk, m, qcodes, code_d2);
+            } else {
+                codes.extend_from_slice(chunk);
+            }
         })?;
-
-        qblocks.clear();
-        let full_blocks = count / 4;
-        for b in 0..full_blocks {
-            let base = b * 4 * m;
-            let d2 = sq_dist4_i8(
-                &codes[base..base + m],
-                &codes[base + m..base + 2 * m],
-                &codes[base + 2 * m..base + 3 * m],
-                &codes[base + 3 * m..base + 4 * m],
-                qcodes,
-            );
-            if d2.iter().copied().any(in_window) {
-                qblocks.push(b as u32);
-            }
+        if !codes.is_empty() {
+            sq_dist_col_i8(codes, m, qcodes, code_d2);
         }
-        let tail_start = full_blocks * 4;
-        let tail_survives = (tail_start..count)
-            .any(|i| in_window(scalar::sq_dist_i8(&codes[i * m..(i + 1) * m], qcodes)));
 
-        // --- Level 2: exact re-test of surviving blocks only. --------------
-        let rec = 8 + 4 * m;
-        let mut pages = PageCursor::new(&self.pager, self.proj_region.0);
-        for &b in qblocks.iter() {
-            let p = ids.len();
-            Self::decode_proj_fields(
-                &mut pages,
-                sp.proj_off as usize + b as usize * 4 * rec,
-                4,
-                m,
-                ids,
-                rows,
-            )?;
-            let base = p * m;
-            let d2 = sq_dist4(
-                &rows[base..base + m],
-                &rows[base + m..base + 2 * m],
-                &rows[base + 2 * m..base + 3 * m],
-                &rows[base + 3 * m..base + 4 * m],
-                pq,
-            );
-            for (j, &v) in d2.iter().enumerate() {
-                let pd = v.sqrt();
-                if pd > r_lo && pd <= r_hi {
-                    out.push(RangeCandidate {
-                        id: ids[p + j],
-                        proj_dist: pd,
-                        subpart: sub,
-                        offset: b * 4 + j as u32,
-                    });
-                }
+        // --- Surviving blocks, merged into runs. ---------------------------
+        runs.clear();
+        for (b, block) in code_d2.chunks(BLOCK).enumerate() {
+            if !block.iter().any(in_window) {
+                continue;
             }
-        }
-        if tail_survives {
-            let p = ids.len();
-            Self::decode_proj_fields(
-                &mut pages,
-                sp.proj_off as usize + tail_start * rec,
-                count - tail_start,
-                m,
-                ids,
-                rows,
-            )?;
-            for (j, offset) in (tail_start..count).enumerate() {
-                let base = (p + j) * m;
-                let pd = sq_dist(&rows[base..base + m], pq).sqrt();
-                if pd > r_lo && pd <= r_hi {
-                    out.push(RangeCandidate {
-                        id: ids[p + j],
-                        proj_dist: pd,
-                        subpart: sub,
-                        offset: offset as u32,
-                    });
-                }
+            let first = (b * BLOCK) as u32;
+            match runs.last_mut() {
+                Some((start, n)) if *start + *n == first => *n += block.len() as u32,
+                _ => runs.push((first, block.len() as u32)),
             }
         }
         Ok(())
@@ -728,12 +708,20 @@ impl IDistanceIndex {
         let mut floats_left = 0usize;
         pages.walk(start, count * rec, |mut chunk| {
             while !chunk.is_empty() {
+                // Bulk path: whole records straight off the page.
+                if have == 0 && need == 8 && chunk.len() >= rec {
+                    let whole = chunk.len() / rec * rec;
+                    for r in chunk[..whole].chunks_exact(rec) {
+                        ids.push(u64::from_le_bytes(r[..8].try_into().expect("8-byte id")));
+                        rows.extend(r[8..].chunks_exact(4).map(le_f32));
+                    }
+                    chunk = &chunk[whole..];
+                    continue;
+                }
                 // Bulk path: decode whole floats straight off the page.
                 if have == 0 && need == 4 && chunk.len() >= 4 {
                     let take = floats_left.min(chunk.len() / 4);
-                    for c in chunk[..take * 4].chunks_exact(4) {
-                        rows.push(f32::from_le_bytes(c.try_into().expect("4-byte chunk")));
-                    }
+                    rows.extend(chunk[..take * 4].chunks_exact(4).map(le_f32));
                     floats_left -= take;
                     if floats_left == 0 {
                         need = 8;

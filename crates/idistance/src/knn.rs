@@ -112,7 +112,7 @@ impl Iterator for NnIter<'_> {
                         self.error = Some(e);
                         return None;
                     }
-                    // Distances come from the same blocked sq_dist4 pass the
+                    // Distances come from the same column-kernel pass the
                     // range scan uses, so both paths agree bit-for-bit on a
                     // point's projected distance.
                     let Self {

@@ -11,6 +11,11 @@ use promips_stats::Xoshiro256pp;
 use promips_storage::Pager;
 use proptest::prelude::*;
 
+/// Projected dimensions the scan-parity properties sweep: the small cases
+/// the page-straddle tests always used, the paper's settings (6–10), the
+/// last short-kernel length (16) and the first long one (17).
+const M_SHAPES: [usize; 10] = [2, 3, 4, 5, 6, 7, 8, 10, 16, 17];
+
 fn random_matrix(n: usize, d: usize, seed: u64) -> Matrix {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     Matrix::from_rows(
@@ -89,15 +94,16 @@ proptest! {
         }
     }
 
-    /// The blocked-kernel range scan returns exactly the brute-force annulus
+    /// The column-kernel range scan returns exactly the brute-force annulus
     /// over the stored records, including on record-straddling page sizes.
     #[test]
     fn range_scan_matches_brute_force_on_straddling_pages(
         n in 60usize..200,
-        m in 2usize..6,
+        m_pick in 0usize..M_SHAPES.len(),
         ps_pick in 0usize..3,
         seed in 0u64..1_000,
     ) {
+        let m = M_SHAPES[m_pick];
         let page_size = [70usize, 130, 64][ps_pick];
         let idx = build(n, m, page_size, seed);
         let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xABC);
@@ -132,7 +138,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The two-level quantized scan must return candidates **bit-identical**
     /// to the pure-f32 scan — same ids, same offsets, same `proj_dist`
@@ -148,14 +154,20 @@ proptest! {
     ///   padding and the exact kernel would surface;
     /// * an out-of-range query (scaled ×50) whose coordinates clamp in
     ///   code space, exercising the query-side error compensation.
+    ///
+    /// The quantized scan re-tests arbitrary runs of blocks while the f32
+    /// scan sends the whole sub-partition through the kernel in one call,
+    /// so equality here also says a row's distance does not depend on its
+    /// position in a kernel call — for every `m` in [`M_SHAPES`].
     #[test]
     fn quantized_scan_matches_f32_scan_bit_for_bit(
         n in 40usize..220,
-        m in 2usize..7,
+        m_pick in 0usize..M_SHAPES.len(),
         ps_pick in 0usize..4,
         seed in 0u64..1_000,
         mode in 0usize..3,
     ) {
+        let m = M_SHAPES[m_pick];
         let page_size = [4096usize, 64, 70, 130][ps_pick];
         let quant = build_quant(n, m, page_size, seed, true);
         let f32_only = build_quant(n, m, page_size, seed, false);

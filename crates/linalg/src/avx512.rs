@@ -16,6 +16,9 @@
 
 use std::arch::x86_64::*;
 
+use crate::scalar::{self, check_col_shape, col_long, SHORT_MAX};
+use crate::x86::{min_len5, query_dwords};
+
 /// Widens 8 packed `f32`s to one 8-wide `f64` vector.
 #[inline]
 #[target_feature(enable = "avx512f")]
@@ -155,13 +158,7 @@ unsafe fn dot4_body(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -
         a0.len() == b.len() && a1.len() == b.len() && a2.len() == b.len() && a3.len() == b.len(),
         "dot4: dimension mismatch"
     );
-    // Soundness: clamp to the shortest operand (see dot_body).
-    let n = b
-        .len()
-        .min(a0.len())
-        .min(a1.len())
-        .min(a2.len())
-        .min(a3.len());
+    let n = min_len5(a0, a1, a2, a3, b);
     let bp = b.as_ptr();
     let rows = [a0.as_ptr(), a1.as_ptr(), a2.as_ptr(), a3.as_ptr()];
     // One widened load of `b` feeds four FMAs.
@@ -194,13 +191,7 @@ unsafe fn sq_dist4_body(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32
         a0.len() == b.len() && a1.len() == b.len() && a2.len() == b.len() && a3.len() == b.len(),
         "sq_dist4: dimension mismatch"
     );
-    // Soundness: clamp to the shortest operand (see dot_body).
-    let n = b
-        .len()
-        .min(a0.len())
-        .min(a1.len())
-        .min(a2.len())
-        .min(a3.len());
+    let n = min_len5(a0, a1, a2, a3, b);
     let bp = b.as_ptr();
     let rows = [a0.as_ptr(), a1.as_ptr(), a2.as_ptr(), a3.as_ptr()];
     // One widened load of `b` feeds four sub+FMA chains.
@@ -229,22 +220,197 @@ unsafe fn sq_dist4_body(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32
     out
 }
 
-// --- 8-bit quantized (SQ8) kernels ------------------------------------------
+// --- Projected-space column kernels (short operands) -------------------------
 //
-// 512-bit versions of the integer tier in [`crate::x86`]: 32 u8 codes widen
-// to i16 per `vpmovzxbw`, reduce through the non-saturating `vpmaddwd`
-// (see the AVX2 file for why `maddubs` is rejected), and accumulate in i32
-// lanes. These need AVX-512BW (512-bit integer widen/madd), which the
-// dispatcher's `avx512f` gate does not imply — `dispatch` detects BW once
-// at table-selection time and installs these only when present (the AVX2
-// bodies otherwise), so hypothetical F-without-BW silicon stays sound with
-// zero per-call cost.
+// Rows of `m ≤ SHORT_MAX` coordinates are shorter than one vector, so the
+// column bodies put *rows* in the lanes: a strided gather fetches coordinate
+// `j` of sixteen consecutive rows, and the loop over `j` is the same
+// left-to-right sum the scalar reference runs (see `scalar::sq_dist_seq`) —
+// separate multiply and add, no FMA, so every lane reproduces it to the bit.
 
-/// Widens 32 packed u8 codes to 32 i16 lanes.
+/// Lane `r` holds `r · stride`: row `r`'s offset from the first row of a
+/// sixteen-row block.
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn row_offsets(stride: usize) -> __m512i {
+    _mm512_mullo_epi32(
+        _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        _mm512_set1_epi32(stride as i32),
+    )
+}
+
+/// Mask selecting the first `live` of sixteen lanes.
+#[inline]
+fn lane_mask(live: usize) -> __mmask16 {
+    if live >= 16 {
+        0xFFFF
+    } else {
+        (1u16 << live) - 1
+    }
+}
+
+/// # Safety
+/// Requires avx512f, `q.len() == m ≤ SHORT_MAX` and
+/// `rows.len() == out.len() * m` (checked by the safe wrapper).
+#[target_feature(enable = "avx512f")]
+unsafe fn sq_dist_col_short(rows: &[f32], m: usize, q: &[f32], out: &mut [f64]) {
+    let n = out.len();
+    let idx = row_offsets(m);
+    let mut i = 0;
+    while i < n {
+        let live = n - i;
+        let k = lane_mask(live);
+        // SAFETY: lane r < live reads rows[(i + r)·m + j], inside the
+        // arena; masked-off lanes are not accessed.
+        let base = rows.as_ptr().add(i * m);
+        let mut lo = _mm512_setzero_pd();
+        let mut hi = _mm512_setzero_pd();
+        for (j, &qj) in q.iter().enumerate() {
+            let x = _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), k, idx, base.add(j));
+            let qj = _mm512_set1_pd(qj as f64);
+            let x_hi = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(x)));
+            let d_lo = _mm512_sub_pd(_mm512_cvtps_pd(_mm512_castps512_ps256(x)), qj);
+            let d_hi = _mm512_sub_pd(_mm512_cvtps_pd(x_hi), qj);
+            lo = _mm512_add_pd(lo, _mm512_mul_pd(d_lo, d_lo));
+            hi = _mm512_add_pd(hi, _mm512_mul_pd(d_hi, d_hi));
+        }
+        let op = out.as_mut_ptr().add(i);
+        _mm512_mask_storeu_pd(op, k as u8, lo);
+        if live > 8 {
+            _mm512_mask_storeu_pd(op.add(8), (k >> 8) as u8, hi);
+        }
+        i += 16;
+    }
+}
+
+/// Adds the four squared byte differences of each dword lane of `g` against
+/// `q` to the lane's i32 accumulator.
 #[inline]
 #[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn widen32_u8(p: *const u8) -> __m512i {
-    _mm512_cvtepu8_epi16(_mm256_loadu_si256(p as *const __m256i))
+unsafe fn acc_sq_diff_bytes(acc: __m512i, g: __m512i, q: __m512i) -> __m512i {
+    let ad = _mm512_sub_epi8(_mm512_max_epu8(g, q), _mm512_min_epu8(g, q));
+    // |a − b| ≤ 255 sits in a u16 lane as a non-negative i16, so `vpmaddwd`
+    // squares and pair-sums it exactly.
+    let even = _mm512_and_si512(ad, _mm512_set1_epi16(0x00FF));
+    let odd = _mm512_srli_epi16::<8>(ad);
+    let acc = _mm512_add_epi32(acc, _mm512_madd_epi16(even, even));
+    _mm512_add_epi32(acc, _mm512_madd_epi16(odd, odd))
+}
+
+/// # Safety
+/// Requires avx512f+bw, `q.len() == m`, `4 ≤ m ≤ SHORT_MAX` and
+/// `rows.len() == out.len() * m` (checked by the safe wrapper).
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn sq_dist_col_i8_short(rows: &[u8], m: usize, q: &[u8], out: &mut [u32]) {
+    let n = out.len();
+    let idx = row_offsets(m);
+    // The query four codes to a dword, like the gathered row dwords. A
+    // ragged last dword (m % 4 codes) is gathered from the row's *last*
+    // four bytes and shifted down, so no lane reads past its own row.
+    let full = m / 4;
+    let ragged = m % 4;
+    let qd = query_dwords(q).map(|w| _mm512_set1_epi32(w));
+    let shift = _mm_cvtsi32_si128(8 * (4 - ragged as i32));
+    let mut i = 0;
+    while i < n {
+        let k = lane_mask(n - i);
+        // SAFETY: lane r < live reads four bytes inside row i + r;
+        // masked-off lanes are not accessed.
+        let base = rows.as_ptr().add(i * m);
+        let zero = _mm512_setzero_si512();
+        let mut acc = zero;
+        for (c, &qc) in qd[..full].iter().enumerate() {
+            let g = _mm512_mask_i32gather_epi32::<1>(zero, k, idx, base.add(4 * c) as *const i32);
+            acc = acc_sq_diff_bytes(acc, g, qc);
+        }
+        if ragged != 0 {
+            let g = _mm512_mask_i32gather_epi32::<1>(zero, k, idx, base.add(m - 4) as *const i32);
+            acc = acc_sq_diff_bytes(acc, _mm512_srl_epi32(g, shift), qd[full]);
+        }
+        _mm512_mask_storeu_epi32(out.as_mut_ptr().add(i) as *mut i32, k, acc);
+        i += 16;
+    }
+}
+
+// --- 8-bit quantized (SQ8) kernels ------------------------------------------
+//
+// 512-bit versions of the integer tier in [`crate::x86`]. The BW bodies
+// widen 32 u8 codes to i16 per `vpmovzxbw` and reduce through the
+// non-saturating `vpmaddwd` (see the AVX2 file for why `maddubs` is
+// rejected); the VNNI bodies multiply 64 u8 × i8 codes per `vpdpbusd`,
+// which sums each dword's four products in i32 — also without saturation
+// (the saturating form is `vpdpbusds`). Every body ends in one masked load
+// of the ragged tail instead of a scalar loop. `dispatch` detects BW and
+// VNNI once at table-selection time and installs the widest bodies present
+// (the AVX2 ones without BW), so F-only silicon stays sound with zero
+// per-call cost.
+
+/// The next up-to-64 codes at `p`: a plain load while at least 64 remain,
+/// else a masked one — lanes past `live` read as zero and are not touched.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn load64(p: *const u8, live: usize) -> __m512i {
+    if live >= 64 {
+        _mm512_loadu_si512(p as *const __m512i)
+    } else {
+        _mm512_maskz_loadu_epi8((1u64 << live) - 1, p as *const i8)
+    }
+}
+
+/// The next up-to-32 codes at `p`, like [`load64`].
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn load32(p: *const u8, live: usize) -> __m256i {
+    if live >= 32 {
+        _mm256_loadu_si256(p as *const __m256i)
+    } else {
+        _mm512_castsi512_si256(_mm512_maskz_loadu_epi8((1u64 << live) - 1, p as *const i8))
+    }
+}
+
+/// The next up-to-32 u8 codes at `p` widened to i16 lanes.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn widen32_u8(p: *const u8, live: usize) -> __m512i {
+    _mm512_cvtepu8_epi16(load32(p, live))
+}
+
+/// The next up-to-32 i8 codes at `p` sign-extended to i16 lanes.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn widen32_i8(p: *const i8, live: usize) -> __m512i {
+    _mm512_cvtepi8_epi16(load32(p as *const u8, live))
+}
+
+/// Horizontal sums of four i32 accumulators at once: two unpack-and-add
+/// rounds transpose the partial sums inside each 128-bit lane, then the four
+/// lanes fold — 13 µops against four `reduce_add` shuffle trees.
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn reduce4_epi32(acc: [__m512i; 4]) -> [i32; 4] {
+    let t01 = _mm512_add_epi32(
+        _mm512_unpacklo_epi32(acc[0], acc[1]),
+        _mm512_unpackhi_epi32(acc[0], acc[1]),
+    );
+    let t23 = _mm512_add_epi32(
+        _mm512_unpacklo_epi32(acc[2], acc[3]),
+        _mm512_unpackhi_epi32(acc[2], acc[3]),
+    );
+    let lanes = _mm512_add_epi32(
+        _mm512_unpacklo_epi64(t01, t23),
+        _mm512_unpackhi_epi64(t01, t23),
+    );
+    let half = _mm256_add_epi32(
+        _mm512_castsi512_si256(lanes),
+        _mm512_extracti64x4_epi64::<1>(lanes),
+    );
+    let sums = _mm_add_epi32(
+        _mm256_castsi256_si128(half),
+        _mm256_extracti128_si256::<1>(half),
+    );
+    let mut out = [0i32; 4];
+    _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, sums);
+    out
 }
 
 #[target_feature(enable = "avx512f,avx512bw")]
@@ -253,38 +419,20 @@ unsafe fn sq_dist4_i8_body(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[u8])
         a0.len() == b.len() && a1.len() == b.len() && a2.len() == b.len() && a3.len() == b.len(),
         "sq_dist4_i8: dimension mismatch"
     );
-    // Soundness: clamp to the shortest operand (see dot_body).
-    let n = b
-        .len()
-        .min(a0.len())
-        .min(a1.len())
-        .min(a2.len())
-        .min(a3.len());
+    let n = min_len5(a0, a1, a2, a3, b);
     let bp = b.as_ptr();
     let rows = [a0.as_ptr(), a1.as_ptr(), a2.as_ptr(), a3.as_ptr()];
     let mut acc = [_mm512_setzero_si512(); 4];
-    let chunks = n / 32;
-    for i in 0..chunks {
-        let vb = widen32_u8(bp.add(i * 32));
+    let mut i = 0;
+    while i < n {
+        let vb = widen32_u8(bp.add(i), n - i);
         for (r, &rp) in rows.iter().enumerate() {
-            let d = _mm512_sub_epi16(widen32_u8(rp.add(i * 32)), vb);
+            let d = _mm512_sub_epi16(widen32_u8(rp.add(i), n - i), vb);
             acc[r] = _mm512_add_epi32(acc[r], _mm512_madd_epi16(d, d));
         }
+        i += 32;
     }
-    let mut out = [
-        _mm512_reduce_add_epi32(acc[0]) as u32,
-        _mm512_reduce_add_epi32(acc[1]) as u32,
-        _mm512_reduce_add_epi32(acc[2]) as u32,
-        _mm512_reduce_add_epi32(acc[3]) as u32,
-    ];
-    for i in chunks * 32..n {
-        let x = *bp.add(i) as i32;
-        for (r, &rp) in rows.iter().enumerate() {
-            let d = *rp.add(i) as i32 - x;
-            out[r] += (d * d) as u32;
-        }
-    }
-    out
+    reduce4_epi32(acc).map(|s| s as u32)
 }
 
 #[target_feature(enable = "avx512f,avx512bw")]
@@ -293,36 +441,20 @@ unsafe fn dot4_i8_body(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8]) -> 
         a0.len() == b.len() && a1.len() == b.len() && a2.len() == b.len() && a3.len() == b.len(),
         "dot4_i8: dimension mismatch"
     );
-    // Soundness: clamp to the shortest operand (see dot_body).
-    let n = b
-        .len()
-        .min(a0.len())
-        .min(a1.len())
-        .min(a2.len())
-        .min(a3.len());
+    let n = min_len5(a0, a1, a2, a3, b);
     let bp = b.as_ptr();
     let rows = [a0.as_ptr(), a1.as_ptr(), a2.as_ptr(), a3.as_ptr()];
     let mut acc = [_mm512_setzero_si512(); 4];
-    let chunks = n / 32;
-    for i in 0..chunks {
-        let vb = _mm512_cvtepi8_epi16(_mm256_loadu_si256(bp.add(i * 32) as *const __m256i));
+    let mut i = 0;
+    while i < n {
+        let vb = widen32_i8(bp.add(i), n - i);
         for (r, &rp) in rows.iter().enumerate() {
-            acc[r] = _mm512_add_epi32(acc[r], _mm512_madd_epi16(widen32_u8(rp.add(i * 32)), vb));
+            let va = widen32_u8(rp.add(i), n - i);
+            acc[r] = _mm512_add_epi32(acc[r], _mm512_madd_epi16(va, vb));
         }
+        i += 32;
     }
-    let mut out = [
-        _mm512_reduce_add_epi32(acc[0]),
-        _mm512_reduce_add_epi32(acc[1]),
-        _mm512_reduce_add_epi32(acc[2]),
-        _mm512_reduce_add_epi32(acc[3]),
-    ];
-    for i in chunks * 32..n {
-        let x = *bp.add(i) as i32;
-        for (r, &rp) in rows.iter().enumerate() {
-            out[r] += *rp.add(i) as i32 * x;
-        }
-    }
-    out
+    reduce4_epi32(acc)
 }
 
 #[target_feature(enable = "avx512f,avx512bw")]
@@ -333,24 +465,60 @@ unsafe fn dot_i8_body(a: &[u8], b: &[i8]) -> i32 {
     let ap = a.as_ptr();
     let bp = b.as_ptr();
     let mut acc = _mm512_setzero_si512();
-    let chunks = n / 32;
-    for i in 0..chunks {
-        let vb = _mm512_cvtepi8_epi16(_mm256_loadu_si256(bp.add(i * 32) as *const __m256i));
-        acc = _mm512_add_epi32(acc, _mm512_madd_epi16(widen32_u8(ap.add(i * 32)), vb));
+    let mut i = 0;
+    while i < n {
+        let va = widen32_u8(ap.add(i), n - i);
+        acc = _mm512_add_epi32(acc, _mm512_madd_epi16(va, widen32_i8(bp.add(i), n - i)));
+        i += 32;
     }
-    let mut out = _mm512_reduce_add_epi32(acc);
-    for i in chunks * 32..n {
-        out += *ap.add(i) as i32 * *bp.add(i) as i32;
+    _mm512_reduce_add_epi32(acc)
+}
+
+#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+unsafe fn dot4_i8_vnni_body(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8]) -> [i32; 4] {
+    debug_assert!(
+        a0.len() == b.len() && a1.len() == b.len() && a2.len() == b.len() && a3.len() == b.len(),
+        "dot4_i8: dimension mismatch"
+    );
+    let n = min_len5(a0, a1, a2, a3, b);
+    let bp = b.as_ptr();
+    let rows = [a0.as_ptr(), a1.as_ptr(), a2.as_ptr(), a3.as_ptr()];
+    // One load of 64 query codes feeds four `vpdpbusd`s.
+    let mut acc = [_mm512_setzero_si512(); 4];
+    let mut i = 0;
+    while i < n {
+        let vb = load64(bp.add(i) as *const u8, n - i);
+        for (r, &rp) in rows.iter().enumerate() {
+            acc[r] = _mm512_dpbusd_epi32(acc[r], load64(rp.add(i), n - i), vb);
+        }
+        i += 64;
     }
-    out
+    reduce4_epi32(acc)
+}
+
+#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+unsafe fn dot_i8_vnni_body(a: &[u8], b: &[i8]) -> i32 {
+    debug_assert_eq!(a.len(), b.len(), "dot_i8: dimension mismatch");
+    // Soundness: clamp to the shortest operand (see dot_body).
+    let n = b.len().min(a.len());
+    let ap = a.as_ptr();
+    let bp = b.as_ptr();
+    let mut acc = _mm512_setzero_si512();
+    let mut i = 0;
+    while i < n {
+        let vb = load64(bp.add(i) as *const u8, n - i);
+        acc = _mm512_dpbusd_epi32(acc, load64(ap.add(i), n - i), vb);
+        i += 64;
+    }
+    _mm512_reduce_add_epi32(acc)
 }
 
 // Safe wrappers installed into the dispatch table. Soundness: the table
 // selects these only after runtime detection of avx512f (see
-// `dispatch::select`); the i8 wrappers additionally require avx512bw,
-// which `dispatch` verifies before installing them (hosts without BW get
-// the AVX2 bodies instead — the check happens once at table selection,
-// not per call).
+// `dispatch::select`); the i8 wrappers additionally require avx512bw and
+// the `_vnni` ones avx512vnni, which `dispatch` verifies before installing
+// them (hosts without BW get the AVX2 bodies instead — the check happens
+// once at table selection, not per call).
 
 pub(crate) fn dot(a: &[f32], b: &[f32]) -> f64 {
     unsafe { dot_body(a, b) }
@@ -386,4 +554,34 @@ pub(crate) fn dot4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8]) -> [
 
 pub(crate) fn dot_i8(a: &[u8], b: &[i8]) -> i32 {
     unsafe { dot_i8_body(a, b) }
+}
+
+pub(crate) fn dot4_i8_vnni(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8]) -> [i32; 4] {
+    unsafe { dot4_i8_vnni_body(a0, a1, a2, a3, b) }
+}
+
+pub(crate) fn dot_i8_vnni(a: &[u8], b: &[i8]) -> i32 {
+    unsafe { dot_i8_vnni_body(a, b) }
+}
+
+pub(crate) fn sq_dist_col(rows: &[f32], m: usize, q: &[f32], out: &mut [f64]) {
+    check_col_shape(rows.len(), m, q.len(), out.len());
+    if m <= SHORT_MAX {
+        // SAFETY: shape checked above, 1 ≤ m ≤ SHORT_MAX.
+        unsafe { sq_dist_col_short(rows, m, q, out) }
+    } else {
+        col_long(rows, m, q, out, sq_dist4)
+    }
+}
+
+/// The u8 column kernel; needs avx512bw like the other i8 wrappers.
+pub(crate) fn sq_dist_col_i8(rows: &[u8], m: usize, q: &[u8], out: &mut [u32]) {
+    check_col_shape(rows.len(), m, q.len(), out.len());
+    match m {
+        // Rows shorter than one gathered dword: the unrolled scalar loop.
+        1..=3 => scalar::sq_dist_col_i8(rows, m, q, out),
+        // SAFETY: shape checked above, 4 ≤ m ≤ SHORT_MAX.
+        4..=SHORT_MAX => unsafe { sq_dist_col_i8_short(rows, m, q, out) },
+        _ => col_long(rows, m, q, out, sq_dist4_i8),
+    }
 }

@@ -15,6 +15,19 @@
 //! | `avx2`   | x86-64 with runtime-detected AVX2 + FMA        |
 //! | `scalar` | everything else                                |
 //!
+//! The `avx512` table carries the widest integer bodies the host has: the
+//! AVX-512VNNI `vpdpbusd` screen kernels, else the AVX-512BW ones, else
+//! the AVX2 ones. Kernel choice is this one-time CPU detection plus, inside
+//! a kernel, the operand length — nothing else.
+//!
+//! ## Kernel shapes
+//!
+//! | operands                                   | kernel                          |
+//! |--------------------------------------------|---------------------------------|
+//! | projected space, `m ≤ 16` floats or codes  | `sq_dist_col` / `sq_dist_col_i8`: one call per sub-partition column, rows in the vector lanes |
+//! | screen, `d`-long u8 × i8 code rows         | `dot4_i8` / `dot_i8`: 64 (VNNI), 32 (BW) or 16 (AVX2) codes per step, masked or overlapped tail |
+//! | verification, `d`-long f32 rows            | `dot4` / `dot`: widened `f64` FMA lanes |
+//!
 //! ## Numerical contract
 //!
 //! Every backend widens `f32` inputs to `f64` exactly and accumulates in
@@ -55,6 +68,14 @@ pub type Dot4I8Fn = fn(&[u8], &[u8], &[u8], &[u8], &[i8]) -> [i32; 4];
 /// [`SqDist4I8Fn`].
 pub type DotI8Fn = fn(&[u8], &[i8]) -> i32;
 
+/// Signature of the f32 column kernel (`sq_dist_col`): `(rows, m, q, out)`
+/// — squared distances of every `m`-float row of a flat arena to `q`.
+pub type SqDistColFn = fn(&[f32], usize, &[f32], &mut [f64]);
+
+/// Signature of the u8 column kernel (`sq_dist_col_i8`): `(rows, m, q, out)`
+/// — exact quantized squared distances of every `m`-code row to `q`.
+pub type SqDistColI8Fn = fn(&[u8], usize, &[u8], &mut [u32]);
+
 /// The dispatch table: one entry per kernel.
 #[derive(Clone, Copy)]
 pub struct Kernels {
@@ -79,6 +100,10 @@ pub struct Kernels {
     pub dot4_i8: Dot4I8Fn,
     /// One quantized inner product (u8 code row × i8 query).
     pub dot_i8: DotI8Fn,
+    /// Squared distances of a whole column of projected rows.
+    pub sq_dist_col: SqDistColFn,
+    /// Quantized squared distances of a whole u8 code column.
+    pub sq_dist_col_i8: SqDistColI8Fn,
 }
 
 /// The portable table (also the fallback backend).
@@ -93,6 +118,8 @@ pub static SCALAR: Kernels = Kernels {
     sq_dist4_i8: scalar::sq_dist4_i8,
     dot4_i8: scalar::dot4_i8,
     dot_i8: scalar::dot_i8,
+    sq_dist_col: scalar::sq_dist_col,
+    sq_dist_col_i8: scalar::sq_dist_col_i8,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -107,6 +134,8 @@ static AVX2: Kernels = Kernels {
     sq_dist4_i8: crate::x86::sq_dist4_i8,
     dot4_i8: crate::x86::dot4_i8,
     dot_i8: crate::x86::dot_i8,
+    sq_dist_col: crate::x86::sq_dist_col,
+    sq_dist_col_i8: crate::x86::sq_dist_col_i8,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -121,21 +150,29 @@ static AVX512: Kernels = Kernels {
     // Sound default for the i8 entries: the 512-bit integer bodies need
     // AVX-512BW, which the `avx512f` gate does not imply, so the static
     // table carries the AVX2 bodies and `avx512_table()` swaps in the
-    // 512-bit versions after a one-time BW detection.
+    // 512-bit versions after a one-time BW / VNNI detection.
     sq_dist4_i8: crate::x86::sq_dist4_i8,
     dot4_i8: crate::x86::dot4_i8,
     dot_i8: crate::x86::dot_i8,
+    sq_dist_col: crate::avx512::sq_dist_col,
+    sq_dist_col_i8: crate::x86::sq_dist_col_i8,
 };
 
-/// The avx512 table with the widest i8 kernels the host supports — BW is
-/// detected once here, at table-construction time, never per call.
+/// The avx512 table with the widest i8 kernels the host supports — BW and
+/// (when `vnni` allows it) VNNI are detected once here, at
+/// table-construction time, never per call.
 #[cfg(target_arch = "x86_64")]
-fn avx512_table() -> Kernels {
+fn avx512_table(vnni: bool) -> Kernels {
     let mut k = AVX512;
     if std::arch::is_x86_feature_detected!("avx512bw") {
         k.sq_dist4_i8 = crate::avx512::sq_dist4_i8;
         k.dot4_i8 = crate::avx512::dot4_i8;
         k.dot_i8 = crate::avx512::dot_i8;
+        k.sq_dist_col_i8 = crate::avx512::sq_dist_col_i8;
+        if vnni && std::arch::is_x86_feature_detected!("avx512vnni") {
+            k.dot4_i8 = crate::avx512::dot4_i8_vnni;
+            k.dot_i8 = crate::avx512::dot_i8_vnni;
+        }
     }
     k
 }
@@ -149,7 +186,7 @@ fn select() -> Kernels {
         if std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("fma")
         {
-            return avx512_table();
+            return avx512_table(true);
         }
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
@@ -180,9 +217,11 @@ pub fn active_backend() -> &'static str {
 
 /// Every backend the current host can execute, scalar first. Parity tests
 /// and benchmarks iterate this so each SIMD tier is exercised — not just
-/// the one the dispatcher would pick. (Tables are returned by value —
-/// `Kernels` is `Copy` — because the avx512 entry's i8 kernels depend on
-/// the host's AVX-512BW support.)
+/// the one the dispatcher would pick. On a VNNI host the avx512 tier is
+/// listed twice: `avx512-novnni` with the AVX-512BW screen bodies (what a
+/// BW-only host dispatches to) and `avx512` with the VNNI ones. (Tables are
+/// returned by value — `Kernels` is `Copy` — because the avx512 entries'
+/// i8 kernels depend on the host's feature set.)
 pub fn available_backends() -> Vec<Kernels> {
     #[allow(unused_mut)]
     let mut v: Vec<Kernels> = vec![SCALAR];
@@ -195,7 +234,15 @@ pub fn available_backends() -> Vec<Kernels> {
         if std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("fma")
         {
-            v.push(avx512_table());
+            if std::arch::is_x86_feature_detected!("avx512bw")
+                && std::arch::is_x86_feature_detected!("avx512vnni")
+            {
+                v.push(Kernels {
+                    name: "avx512-novnni",
+                    ..avx512_table(false)
+                });
+            }
+            v.push(avx512_table(true));
         }
     }
     v
@@ -211,6 +258,30 @@ mod tests {
         let k2 = kernels();
         assert_eq!(k1.name, k2.name, "dispatch must be cached");
         assert!(["avx512", "avx2", "scalar"].contains(&k1.name));
+    }
+
+    /// Parity tests iterate `available_backends()`; on a VNNI host that
+    /// must exercise the BW screen bodies too, not only the dispatched
+    /// VNNI ones.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn vnni_host_lists_avx512_with_and_without_vnni() {
+        let names: Vec<&str> = available_backends().iter().map(|k| k.name).collect();
+        assert_eq!(names[0], "scalar");
+        let vnni = std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("fma")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512vnni");
+        assert_eq!(names.contains(&"avx512-novnni"), vnni, "{names:?}");
+        if vnni {
+            assert_eq!(names.last(), Some(&"avx512"));
+            let tables = available_backends();
+            let [.., bw, widest] = tables.as_slice() else {
+                panic!("two avx512 tables expected");
+            };
+            assert!(bw.dot4_i8 as usize != widest.dot4_i8 as usize);
+            assert!(bw.dot_i8 as usize != widest.dot_i8 as usize);
+        }
     }
 
     #[cfg(target_arch = "x86_64")]

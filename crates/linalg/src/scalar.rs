@@ -84,8 +84,8 @@ pub fn dot4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -> [f64; 
 }
 
 /// Four simultaneous squared distances `dis²(aᵢ, b)` — the blocked primitive
-/// behind the projected-arena annulus scan, where four contiguous rows are
-/// filtered against one projected query per call. All five slices must have
+/// for rows longer than [`SHORT_MAX`] (the column kernels run it over
+/// such rows; shorter ones have their own bodies). All five slices must have
 /// equal length.
 ///
 /// Like [`dot4`], the portable version runs the well-shaped single-row
@@ -130,9 +130,8 @@ pub fn dot_i8(a: &[u8], b: &[i8]) -> i32 {
 }
 
 /// Four simultaneous quantized squared distances `Σ (aᵢⱼ − bⱼ)²` — the
-/// blocked primitive behind the quantized annulus filter (four contiguous
-/// code rows against one quantized query per call). All five slices must
-/// have equal length.
+/// blocked primitive [`sq_dist_col_i8`] runs over code rows longer than
+/// [`SHORT_MAX`]. All five slices must have equal length.
 pub fn sq_dist4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[u8]) -> [u32; 4] {
     [
         sq_dist_i8(a0, b),
@@ -146,4 +145,184 @@ pub fn sq_dist4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[u8]) -> [u32
 /// signed query code vector. All five slices must have equal length.
 pub fn dot4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8]) -> [i32; 4] {
     [dot_i8(a0, b), dot_i8(a1, b), dot_i8(a2, b), dot_i8(a3, b)]
+}
+
+// --- Projected-space column kernels -----------------------------------------
+//
+// The annulus scan works in the projected space, where rows are `m` = 6–10
+// coordinates long (paper Section V-B) — shorter than one SIMD vector, so
+// the long-vector kernels above run zero vector iterations on them. The
+// column kernels take a whole sub-partition column per call and, for
+// operands up to [`SHORT_MAX`], share one per-row arithmetic on every
+// backend and entry point (see [`sq_dist_seq`]).
+
+/// Longest operand the projected-space kernels treat as *short*. Up to this
+/// length `sq_dist`, `sq_dist4` and `sq_dist_col` — on every backend —
+/// compute [`sq_dist_seq`]'s sum, so a row's distance depends neither on the
+/// entry point nor on its position in a batch; longer operands keep the
+/// long-vector accumulation shapes of their backend.
+pub const SHORT_MAX: usize = 16;
+
+/// The short-operand arithmetic: `Σ (aⱼ − bⱼ)²` accumulated left to right in
+/// one `f64`, one rounding per subtract, multiply and add (no FMA). The
+/// SIMD column bodies put rows — not coordinates — in the vector lanes, so
+/// each lane performs exactly this sequence and all backends agree to the
+/// bit.
+#[inline(always)]
+pub fn sq_dist_seq(a: &[f32], b: &[f32]) -> f64 {
+    debug_assert_eq!(a.len(), b.len(), "sq_dist: dimension mismatch");
+    let mut s = 0.0f64;
+    for (&x, &y) in a.iter().zip(b) {
+        let d = x as f64 - y as f64;
+        s += d * d;
+    }
+    s
+}
+
+/// Panics unless `rows` holds exactly `out.len()` rows of `q.len() == m > 0`
+/// coordinates — the condition the raw-pointer column bodies rely on.
+#[inline]
+pub(crate) fn check_col_shape(rows: usize, m: usize, q: usize, out: usize) {
+    assert!(m > 0, "column kernel: rows have no coordinates");
+    assert_eq!(q, m, "column kernel: query length is not m");
+    assert_eq!(rows, out * m, "column kernel: rows is not out.len() × m");
+}
+
+/// Expands to a `match` over `m` that calls `$f::<M>($args)` for
+/// `M ∈ 1..=SHORT_MAX` and evaluates `$long` for everything else.
+macro_rules! match_short_m {
+    ($m:expr, $f:ident($($arg:expr),*), $long:expr) => {
+        match $m {
+            1 => $f::<1>($($arg),*),
+            2 => $f::<2>($($arg),*),
+            3 => $f::<3>($($arg),*),
+            4 => $f::<4>($($arg),*),
+            5 => $f::<5>($($arg),*),
+            6 => $f::<6>($($arg),*),
+            7 => $f::<7>($($arg),*),
+            8 => $f::<8>($($arg),*),
+            9 => $f::<9>($($arg),*),
+            10 => $f::<10>($($arg),*),
+            11 => $f::<11>($($arg),*),
+            12 => $f::<12>($($arg),*),
+            13 => $f::<13>($($arg),*),
+            14 => $f::<14>($($arg),*),
+            15 => $f::<15>($($arg),*),
+            16 => $f::<16>($($arg),*),
+            _ => $long,
+        }
+    };
+}
+
+/// [`sq_dist_seq`] of one `M`-float row against a pre-widened `b`, fully
+/// unrolled.
+#[inline(always)]
+fn seq_row<const M: usize>(row: &[f32], b: &[f64; M]) -> f64 {
+    let row: &[f32; M] = row.try_into().expect("sq_dist: dimension mismatch");
+    let mut s = 0.0f64;
+    for j in 0..M {
+        let d = row[j] as f64 - b[j];
+        s += d * d;
+    }
+    s
+}
+
+/// `b` widened to `f64` (exact), as a fixed-size array.
+#[inline(always)]
+fn widen<const M: usize>(b: &[f32]) -> [f64; M] {
+    let b: &[f32; M] = b.try_into().expect("sq_dist: dimension mismatch");
+    b.map(|x| x as f64)
+}
+
+/// [`sq_dist_seq`] of four `M`-float rows.
+fn seq4<const M: usize>(rows: [&[f32]; 4], b: &[f32]) -> [f64; 4] {
+    let b = widen::<M>(b);
+    [
+        seq_row(rows[0], &b),
+        seq_row(rows[1], &b),
+        seq_row(rows[2], &b),
+        seq_row(rows[3], &b),
+    ]
+}
+
+/// [`sq_dist_seq`] of four rows of up to [`SHORT_MAX`] floats against one
+/// `b` — what `sq_dist4` computes for short operands on every backend.
+///
+/// # Panics
+/// Panics if a row's length differs from `b`'s.
+#[inline]
+pub fn sq_dist4_seq(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -> [f64; 4] {
+    let rows = [a0, a1, a2, a3];
+    match_short_m!(b.len(), seq4(rows, b), rows.map(|row| sq_dist_seq(row, b)))
+}
+
+/// [`sq_dist_seq`] over every `M`-float row of a column.
+fn col_short<const M: usize>(rows: &[f32], q: &[f32], out: &mut [f64]) {
+    let q = widen::<M>(q);
+    for (row, o) in rows.chunks_exact(M).zip(out) {
+        *o = seq_row(row, &q);
+    }
+}
+
+/// [`sq_dist_i8`] over every `M`-code row, fully unrolled per row.
+fn col_short_i8<const M: usize>(rows: &[u8], q: &[u8], out: &mut [u32]) {
+    let q: [i32; M] = std::array::from_fn(|j| q[j] as i32);
+    for (row, o) in rows.chunks_exact(M).zip(out) {
+        let mut s = 0u32;
+        for j in 0..M {
+            let d = row[j] as i32 - q[j];
+            s += (d * d) as u32;
+        }
+        *o = s;
+    }
+}
+
+/// Long-operand column loop shared by the backends: four rows per call of
+/// the backend's blocked kernel `k4`, the last partial block padded by
+/// repeating its final row — so every row goes through `k4`'s per-row
+/// arithmetic whatever its position or the column's length.
+pub(crate) fn col_long<T, O: Copy>(
+    rows: &[T],
+    m: usize,
+    q: &[T],
+    out: &mut [O],
+    k4: impl Fn(&[T], &[T], &[T], &[T], &[T]) -> [O; 4],
+) {
+    for (block, o) in rows.chunks(4 * m).zip(out.chunks_mut(4)) {
+        let row = |i: usize| {
+            let i = i.min(o.len() - 1);
+            &block[i * m..(i + 1) * m]
+        };
+        let d = k4(row(0), row(1), row(2), row(3), q);
+        o.copy_from_slice(&d[..o.len()]);
+    }
+}
+
+/// Squared distances `dis²(rowᵢ, q)` of every `m`-float row of the flat
+/// arena `rows` into `out` — one call per sub-partition column.
+///
+/// # Panics
+/// Panics unless `q.len() == m > 0` and `rows.len() == out.len() * m`.
+pub fn sq_dist_col(rows: &[f32], m: usize, q: &[f32], out: &mut [f64]) {
+    check_col_shape(rows.len(), m, q.len(), out.len());
+    match_short_m!(
+        m,
+        col_short(rows, q, out),
+        col_long(rows, m, q, out, sq_dist4)
+    )
+}
+
+/// Quantized squared distances `Σⱼ (rowᵢⱼ − qⱼ)²` of every `m`-code row of
+/// the u8 code column `rows` into `out` — one call per sub-partition
+/// column. Exact integer arithmetic.
+///
+/// # Panics
+/// Panics unless `q.len() == m > 0` and `rows.len() == out.len() * m`.
+pub fn sq_dist_col_i8(rows: &[u8], m: usize, q: &[u8], out: &mut [u32]) {
+    check_col_shape(rows.len(), m, q.len(), out.len());
+    match_short_m!(
+        m,
+        col_short_i8(rows, q, out),
+        col_long(rows, m, q, out, sq_dist4_i8)
+    )
 }

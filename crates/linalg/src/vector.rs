@@ -6,6 +6,7 @@
 //! [`crate::scalar`] implementations elsewhere.
 
 use crate::dispatch::kernels;
+use crate::scalar::{self, sq_dist_seq, SHORT_MAX};
 
 /// Inner product `⟨a, b⟩` with `f64` accumulation.
 ///
@@ -36,8 +37,16 @@ pub fn norm1(a: &[f32]) -> f64 {
 }
 
 /// Squared Euclidean distance `dis²(a, b)`.
+///
+/// Operands of up to [`SHORT_MAX`] coordinates — projected-space rows — skip
+/// the dispatched long-vector kernel for [`sq_dist_seq`], the arithmetic
+/// [`sq_dist4`] and [`sq_dist_col`] also use at that length: the same row
+/// gets the same bits from all three, on every backend.
 #[inline]
 pub fn sq_dist(a: &[f32], b: &[f32]) -> f64 {
+    if b.len() <= SHORT_MAX {
+        return sq_dist_seq(a, b);
+    }
     (kernels().sq_dist)(a, b)
 }
 
@@ -56,27 +65,65 @@ pub fn dot4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -> [f64; 
 }
 
 /// Four squared distances `dis²(aᵢ, b)` sharing one pass over `b` — the
-/// blocked primitive behind the projected-arena annulus scan (four
-/// contiguous decoded rows filtered against one projected query per call).
+/// blocked primitive for rows longer than [`SHORT_MAX`]; shorter ones take
+/// the per-row arithmetic of [`sq_dist`] (a whole column of them belongs
+/// in one [`sq_dist_col`] call instead).
 #[inline]
 pub fn sq_dist4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -> [f64; 4] {
+    if b.len() <= SHORT_MAX {
+        return scalar::sq_dist4_seq(a0, a1, a2, a3, b);
+    }
     (kernels().sq_dist4)(a0, a1, a2, a3, b)
 }
 
+/// Squared distances `dis²(rowᵢ, q)` of every `m`-float row of the flat
+/// arena `rows` into `out` — the projected-space scan kernel, one dispatch
+/// per sub-partition column. For `m ≤` [`SHORT_MAX`] the rows ride the
+/// vector lanes and each gets [`sq_dist`]'s bits, whatever its position in
+/// the column; longer rows get [`sq_dist4`]'s.
+///
+/// # Panics
+/// Panics unless `q.len() == m > 0` and `rows.len() == out.len() * m`.
+#[inline]
+pub fn sq_dist_col(rows: &[f32], m: usize, q: &[f32], out: &mut [f64]) {
+    (kernels().sq_dist_col)(rows, m, q, out)
+}
+
+/// Quantized squared distances `Σⱼ (rowᵢⱼ − qⱼ)²` of every `m`-code row of
+/// the u8 code column `rows` into `out` — the SQ8 annulus filter's kernel,
+/// one dispatch per sub-partition column.
+///
+/// Exact integer arithmetic: every backend returns identical sums. Valid
+/// for `m` up to 2¹⁵ (i32 lane accumulation bound).
+///
+/// # Panics
+/// Panics unless `q.len() == m > 0` and `rows.len() == out.len() * m`.
+#[inline]
+pub fn sq_dist_col_i8(rows: &[u8], m: usize, q: &[u8], out: &mut [u32]) {
+    (kernels().sq_dist_col_i8)(rows, m, q, out)
+}
+
 /// Four quantized squared distances `Σⱼ (aᵢⱼ − bⱼ)²` over u8 codes sharing
-/// one pass over `b` — the blocked primitive behind the SQ8 annulus filter
-/// (four contiguous code rows against one quantized query per call).
+/// one pass over `b` — the blocked form of [`sq_dist_col_i8`] for callers
+/// whose rows are not contiguous. Operands of up to [`SHORT_MAX`] codes
+/// skip the dispatched vector kernel.
 ///
 /// Exact integer arithmetic: every backend returns identical sums. Valid
 /// for lengths up to 2¹⁵ (i32 lane accumulation bound).
 #[inline]
 pub fn sq_dist4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[u8]) -> [u32; 4] {
+    if b.len() <= SHORT_MAX {
+        return scalar::sq_dist4_i8(a0, a1, a2, a3, b);
+    }
     (kernels().sq_dist4_i8)(a0, a1, a2, a3, b)
 }
 
 /// Four quantized inner products `Σⱼ aᵢⱼ·bⱼ` (u8 code rows × i8 query)
-/// sharing one pass over `b`. Exact integer arithmetic, same length bound
-/// as [`sq_dist4_i8`].
+/// sharing one pass over `b` — the verification screen's kernel over
+/// `d`-long code rows: each step of the widest tier multiplies 64 codes of
+/// every row against one load of the query (`vpdpbusd` on AVX-512VNNI
+/// hosts), and the ragged tail is one more masked step, not a scalar loop.
+/// Exact integer arithmetic, same length bound as [`sq_dist4_i8`].
 #[inline]
 pub fn dot4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8]) -> [i32; 4] {
     (kernels().dot4_i8)(a0, a1, a2, a3, b)
@@ -233,7 +280,7 @@ mod tests {
     /// loops; magnitudes up to 1e3 stress cancellation in `sq_dist`.
     mod backend_parity {
         use super::*;
-        use crate::dispatch::available_backends;
+        use crate::dispatch::{available_backends, Dot4Fn};
         use crate::scalar;
 
         fn close(got: f64, reference: f64) -> bool {
@@ -339,6 +386,117 @@ mod tests {
                 let want = scalar::dot_i8(&a, &q);
                 for k in available_backends() {
                     prop_assert_eq!((k.dot_i8)(&a, &q), want, "backend {}", k.name);
+                }
+            }
+
+            /// The screen kernels at the lengths that straddle every tier's
+            /// step (16 / 32 / 64 codes) and at the benchmark's d = 300,
+            /// on codes drawn from the extremes as well as the full range:
+            /// 255 × ±127/−128 in every lane is the case a saturating
+            /// multiply-add (`maddubs`, `vpdpbusds`) gets wrong.
+            #[test]
+            fn i8_kernels_parity_at_step_boundaries(
+                len_pick in 0usize..7,
+                seed in 0u64..1 << 32,
+                extreme in 0usize..3,
+            ) {
+                let len = [31usize, 32, 33, 63, 64, 65, 300][len_pick];
+                let mut rng = proptest::test_runner::TestRng::from_name(&format!("i8-{seed}"));
+                let mut code = |signed: bool| -> u8 {
+                    let r = rng.below(256) as u8;
+                    match (extreme, signed) {
+                        (0, _) => r,
+                        (1, false) => 255,
+                        (1, true) => if r & 1 == 0 { 127 } else { 0x80 },
+                        (_, false) => if r & 1 == 0 { 255 } else { 0 },
+                        (_, true) => 0x80,
+                    }
+                };
+                let rows: Vec<Vec<u8>> = (0..4).map(|_| (0..len).map(|_| code(false)).collect()).collect();
+                let qu: Vec<u8> = (0..len).map(|_| code(false)).collect();
+                let qi: Vec<i8> = (0..len).map(|_| code(true) as i8).collect();
+                let want_sq = scalar::sq_dist4_i8(&rows[0], &rows[1], &rows[2], &rows[3], &qu);
+                let want_dot = scalar::dot4_i8(&rows[0], &rows[1], &rows[2], &rows[3], &qi);
+                for k in available_backends() {
+                    prop_assert_eq!(
+                        (k.sq_dist4_i8)(&rows[0], &rows[1], &rows[2], &rows[3], &qu),
+                        want_sq, "backend {} len {}", k.name, len
+                    );
+                    prop_assert_eq!(
+                        (k.dot4_i8)(&rows[0], &rows[1], &rows[2], &rows[3], &qi),
+                        want_dot, "backend {} len {}", k.name, len
+                    );
+                    for r in 0..4 {
+                        prop_assert_eq!((k.dot_i8)(&rows[r], &qi), want_dot[r], "backend {} len {}", k.name, len);
+                    }
+                }
+            }
+
+            /// The u8 column kernel is exact on every backend, for every
+            /// short `m`, past `SHORT_MAX`, and for column lengths covering
+            /// every vector remainder.
+            #[test]
+            fn sq_dist_col_i8_parity(
+                m in 1usize..21,
+                n in 0usize..70,
+                seed in 0u64..1 << 32,
+            ) {
+                let mut rng = proptest::test_runner::TestRng::from_name(&format!("col8-{seed}"));
+                let rows: Vec<u8> = (0..n * m).map(|_| rng.below(256) as u8).collect();
+                let q: Vec<u8> = (0..m).map(|_| rng.below(256) as u8).collect();
+                let want: Vec<u32> = rows.chunks_exact(m).map(|r| scalar::sq_dist_i8(r, &q)).collect();
+                for k in available_backends() {
+                    let mut got = vec![u32::MAX; n];
+                    (k.sq_dist_col_i8)(&rows, m, &q, &mut got);
+                    prop_assert_eq!(&got, &want, "backend {} m {} n {}", k.name, m, n);
+                }
+            }
+
+            /// Up to `SHORT_MAX` coordinates a row's squared distance is one
+            /// number: the column kernel of every backend, the public
+            /// `sq_dist4` in any of its four slots and the public `sq_dist`
+            /// return the bits of the sequential reference, wherever the row
+            /// sits in the column and whatever the column's length mod 4
+            /// (or mod the vector width). Past `SHORT_MAX` the column kernel
+            /// returns its backend's `sq_dist4` bits, again at any position.
+            #[test]
+            fn sq_dist_col_is_position_independent(
+                m in 1usize..21,
+                n in 1usize..70,
+                seed in 0u64..1 << 32,
+            ) {
+                let mut rng = proptest::test_runner::TestRng::from_name(&format!("col-{seed}"));
+                let mut coord = || ((rng.unit_f64() - 0.5) * 2e2) as f32;
+                let rows: Vec<f32> = (0..n * m).map(|_| coord()).collect();
+                let q: Vec<f32> = (0..m).map(|_| coord()).collect();
+                let row = |i: usize| &rows[i * m..(i + 1) * m];
+                for k in available_backends() {
+                    let mut got = vec![f64::NAN; n];
+                    (k.sq_dist_col)(&rows, m, &q, &mut got);
+                    for (i, got) in got.iter().enumerate() {
+                        let filler = row((i + 1) % n);
+                        let slot = i % 4;
+                        let block = |kernel: Dot4Fn| {
+                            let mut r = [filler; 4];
+                            r[slot] = row(i);
+                            kernel(r[0], r[1], r[2], r[3], &q)[slot]
+                        };
+                        if m <= SHORT_MAX {
+                            let want = scalar::sq_dist_seq(row(i), &q).to_bits();
+                            prop_assert_eq!(got.to_bits(), want, "backend {} m {} row {}/{}", k.name, m, i, n);
+                            prop_assert_eq!(sq_dist(row(i), &q).to_bits(), want);
+                            prop_assert_eq!(block(sq_dist4).to_bits(), want);
+                        } else {
+                            let want = block(k.sq_dist4);
+                            prop_assert_eq!(got.to_bits(), want.to_bits(), "backend {} m {} row {}/{}", k.name, m, i, n);
+                            prop_assert!(close(want, scalar::sq_dist(row(i), &q)));
+                        }
+                    }
+                    // A row keeps its bits when the column around it changes.
+                    let cut = n / 2;
+                    let mut tail = vec![f64::NAN; n - cut];
+                    (k.sq_dist_col)(&rows[cut * m..], m, &q, &mut tail);
+                    prop_assert!(tail.iter().zip(&got[cut..]).all(|(a, b)| a.to_bits() == b.to_bits()));
                 }
             }
 

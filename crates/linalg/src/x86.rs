@@ -16,6 +16,8 @@
 
 use std::arch::x86_64::*;
 
+use crate::scalar::{self, check_col_shape, col_long, SHORT_MAX};
+
 /// Horizontal sum of a 4-wide `f64` vector.
 #[inline]
 #[target_feature(enable = "avx2,fma")]
@@ -191,13 +193,7 @@ unsafe fn dot4_body(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -
         a0.len() == b.len() && a1.len() == b.len() && a2.len() == b.len() && a3.len() == b.len(),
         "dot4: dimension mismatch"
     );
-    // Soundness: clamp to the shortest operand (see dot_body).
-    let n = b
-        .len()
-        .min(a0.len())
-        .min(a1.len())
-        .min(a2.len())
-        .min(a3.len());
+    let n = min_len5(a0, a1, a2, a3, b);
     let bp = b.as_ptr();
     let rows = [a0.as_ptr(), a1.as_ptr(), a2.as_ptr(), a3.as_ptr()];
     // One widened load of `b` feeds four FMAs — the register-blocking that
@@ -232,13 +228,7 @@ unsafe fn sq_dist4_body(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32
         a0.len() == b.len() && a1.len() == b.len() && a2.len() == b.len() && a3.len() == b.len(),
         "sq_dist4: dimension mismatch"
     );
-    // Soundness: clamp to the shortest operand (see dot_body).
-    let n = b
-        .len()
-        .min(a0.len())
-        .min(a1.len())
-        .min(a2.len())
-        .min(a3.len());
+    let n = min_len5(a0, a1, a2, a3, b);
     let bp = b.as_ptr();
     let rows = [a0.as_ptr(), a1.as_ptr(), a2.as_ptr(), a3.as_ptr()];
     // One widened load of `b` feeds four sub+FMA chains — the same
@@ -268,6 +258,98 @@ unsafe fn sq_dist4_body(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32
     out
 }
 
+// --- Projected-space column kernels (short operands) -------------------------
+//
+// Rows of `m ≤ SHORT_MAX` codes are shorter than one vector, so the u8
+// column body puts *rows* in the lanes: a strided gather fetches four codes
+// of eight consecutive rows per dword lane. The f32 column has no AVX2 body:
+// eight-lane float gathers measured level with the scalar unrolled loop on
+// an AVX-512 host (2.4–3.7 vs 2.7–3.7 ns/row at m = 7, 3.6–4.4 vs 3.8–4.0
+// at m = 10) and are slower than that on AVX2-only parts, so short f32
+// columns take `scalar::sq_dist_col` here.
+
+/// Lane `r` holds `r · stride`: row `r`'s offset from the first row of an
+/// eight-row block.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn row_offsets(stride: usize) -> __m256i {
+    _mm256_mullo_epi32(
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        _mm256_set1_epi32(stride as i32),
+    )
+}
+
+/// All-ones in the first `live` of eight dword lanes, zero in the rest.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn lane_mask(live: usize) -> __m256i {
+    _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(live.min(8) as i32),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+    )
+}
+
+/// The (up to 16) query codes of a short column packed four to a
+/// little-endian dword, zero-padded — the layout of a gathered row dword.
+pub(crate) fn query_dwords(q: &[u8]) -> [i32; 4] {
+    let mut dwords = [0i32; 4];
+    for (dword, codes) in dwords.iter_mut().zip(q.chunks(4)) {
+        let mut w = [0u8; 4];
+        w[..codes.len()].copy_from_slice(codes);
+        *dword = i32::from_le_bytes(w);
+    }
+    dwords
+}
+
+/// Adds the four squared byte differences of each dword lane of `g` against
+/// `q` to the lane's i32 accumulator.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn acc_sq_diff_bytes(acc: __m256i, g: __m256i, q: __m256i) -> __m256i {
+    let ad = _mm256_sub_epi8(_mm256_max_epu8(g, q), _mm256_min_epu8(g, q));
+    // |a − b| ≤ 255 sits in a u16 lane as a non-negative i16, so `vpmaddwd`
+    // squares and pair-sums it exactly.
+    let even = _mm256_and_si256(ad, _mm256_set1_epi16(0x00FF));
+    let odd = _mm256_srli_epi16::<8>(ad);
+    let acc = _mm256_add_epi32(acc, _mm256_madd_epi16(even, even));
+    _mm256_add_epi32(acc, _mm256_madd_epi16(odd, odd))
+}
+
+/// # Safety
+/// Requires avx2, `q.len() == m`, `4 ≤ m ≤ SHORT_MAX` and
+/// `rows.len() == out.len() * m` (checked by the safe wrapper).
+#[target_feature(enable = "avx2")]
+unsafe fn sq_dist_col_i8_short(rows: &[u8], m: usize, q: &[u8], out: &mut [u32]) {
+    let n = out.len();
+    let idx = row_offsets(m);
+    // The query four codes to a dword, like the gathered row dwords. A
+    // ragged last dword (m % 4 codes) is gathered from the row's *last*
+    // four bytes and shifted down, so no lane reads past its own row.
+    let full = m / 4;
+    let ragged = m % 4;
+    let qd = query_dwords(q).map(|w| _mm256_set1_epi32(w));
+    let shift = _mm_cvtsi32_si128(8 * (4 - ragged as i32));
+    let mut i = 0;
+    while i < n {
+        let k = lane_mask(n - i);
+        // SAFETY: lane r < live reads four bytes inside row i + r;
+        // masked-off lanes are not accessed.
+        let base = rows.as_ptr().add(i * m);
+        let zero = _mm256_setzero_si256();
+        let mut acc = zero;
+        for (c, &qc) in qd[..full].iter().enumerate() {
+            let g = _mm256_mask_i32gather_epi32::<1>(zero, base.add(4 * c) as *const i32, idx, k);
+            acc = acc_sq_diff_bytes(acc, g, qc);
+        }
+        if ragged != 0 {
+            let g = _mm256_mask_i32gather_epi32::<1>(zero, base.add(m - 4) as *const i32, idx, k);
+            acc = acc_sq_diff_bytes(acc, _mm256_srl_epi32(g, shift), qd[full]);
+        }
+        _mm256_maskstore_epi32(out.as_mut_ptr().add(i) as *mut i32, k, acc);
+        i += 8;
+    }
+}
+
 // --- 8-bit quantized (SQ8) kernels ------------------------------------------
 //
 // Integer kernels for the quantized filter tier: u8 codes are widened to
@@ -279,6 +361,11 @@ unsafe fn sq_dist4_body(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32
 // exact-integer parity contract these kernels carry. Accumulation stays in
 // i32 lanes — exact for lengths up to 2¹⁵ at worst-case magnitudes, far
 // beyond the m ≤ 64 projected dimensionality served here.
+//
+// A ragged tail of operands at least one chunk long is one more *overlapped*
+// chunk — the operands' last 16 codes, with the lanes already summed masked
+// off — not a scalar loop; only operands shorter than a chunk finish in
+// scalar code.
 
 /// Horizontal sum of the eight i32 lanes of a 256-bit vector.
 #[inline]
@@ -292,11 +379,86 @@ unsafe fn hsum_epi32(v: __m256i) -> i32 {
     _mm_cvtsi128_si32(sum1)
 }
 
-/// Widens 16 packed u8 codes to 16 i16 lanes.
+/// Horizontal sums of four i32 accumulators at once: two unpack-and-add
+/// rounds transpose the partial sums inside each 128-bit lane, then the two
+/// lanes fold — 10 µops against four [`hsum_epi32`] shuffle chains.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn widen16_u8(p: *const u8) -> __m256i {
-    _mm256_cvtepu8_epi16(_mm_loadu_si128(p as *const __m128i))
+unsafe fn reduce4_epi32(acc: [__m256i; 4]) -> [i32; 4] {
+    let t01 = _mm256_add_epi32(
+        _mm256_unpacklo_epi32(acc[0], acc[1]),
+        _mm256_unpackhi_epi32(acc[0], acc[1]),
+    );
+    let t23 = _mm256_add_epi32(
+        _mm256_unpacklo_epi32(acc[2], acc[3]),
+        _mm256_unpackhi_epi32(acc[2], acc[3]),
+    );
+    let lanes = _mm256_add_epi32(
+        _mm256_unpacklo_epi64(t01, t23),
+        _mm256_unpackhi_epi64(t01, t23),
+    );
+    let sums = _mm_add_epi32(
+        _mm256_castsi256_si128(lanes),
+        _mm256_extracti128_si256::<1>(lanes),
+    );
+    let mut out = [0i32; 4];
+    _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, sums);
+    out
+}
+
+/// A window sliding over 16 zero bytes then 16 one bytes: the 16 bytes at
+/// offset `r` have their last `r` lanes set.
+static TAIL_WINDOW: [u8; 32] = [
+    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+    0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+];
+
+/// The 16-code steps covering `n ≥ 16` codes: every full chunk, then — for
+/// a ragged operand — one overlapped chunk at `n − 16` whose `keep` mask
+/// clears the lanes an earlier chunk already summed.
+macro_rules! for_chunks16 {
+    ($n:expr, |$off:ident, $keep:ident| $step:block) => {{
+        let n: usize = $n;
+        let ragged = n % 16;
+        let mut $off = 0;
+        let $keep = _mm_set1_epi8(-1);
+        while $off + 16 <= n {
+            $step
+            $off += 16;
+        }
+        if ragged != 0 {
+            let $off = n - 16;
+            // SAFETY: ragged < 16, so the 16-byte load stays inside the window.
+            let $keep = _mm_loadu_si128(TAIL_WINDOW.as_ptr().add(ragged) as *const __m128i);
+            $step
+        }
+    }};
+}
+
+/// 16 u8 codes at `p`, masked by `keep`, widened to i16 lanes.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn widen16_u8(p: *const u8, keep: __m128i) -> __m256i {
+    _mm256_cvtepu8_epi16(_mm_and_si128(_mm_loadu_si128(p as *const __m128i), keep))
+}
+
+/// 16 i8 codes at `p`, masked by `keep`, sign-extended to i16 lanes.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn widen16_i8(p: *const i8, keep: __m128i) -> __m256i {
+    _mm256_cvtepi8_epi16(_mm_and_si128(_mm_loadu_si128(p as *const __m128i), keep))
+}
+
+/// Length of the shortest of the five operands of a blocked kernel.
+/// Soundness: the bodies do raw pointer reads, so they clamp to it (see
+/// `dot_body`).
+#[inline]
+pub(crate) fn min_len5<T, U>(a0: &[T], a1: &[T], a2: &[T], a3: &[T], b: &[U]) -> usize {
+    b.len()
+        .min(a0.len())
+        .min(a1.len())
+        .min(a2.len())
+        .min(a3.len())
 }
 
 #[target_feature(enable = "avx2")]
@@ -305,41 +467,24 @@ unsafe fn sq_dist4_i8_body(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[u8])
         a0.len() == b.len() && a1.len() == b.len() && a2.len() == b.len() && a3.len() == b.len(),
         "sq_dist4_i8: dimension mismatch"
     );
-    // Soundness: clamp to the shortest operand (see dot_body).
-    let n = b
-        .len()
-        .min(a0.len())
-        .min(a1.len())
-        .min(a2.len())
-        .min(a3.len());
+    let n = min_len5(a0, a1, a2, a3, b);
+    if n < 16 {
+        return scalar::sq_dist4_i8(&a0[..n], &a1[..n], &a2[..n], &a3[..n], &b[..n]);
+    }
     let bp = b.as_ptr();
     let rows = [a0.as_ptr(), a1.as_ptr(), a2.as_ptr(), a3.as_ptr()];
     // One widened load of `b` feeds four sub+madd chains, 16 codes each —
     // the same register-blocking as the f32 sq_dist4, at a quarter of the
     // memory traffic.
     let mut acc = [_mm256_setzero_si256(); 4];
-    let chunks = n / 16;
-    for i in 0..chunks {
-        let vb = widen16_u8(bp.add(i * 16));
+    for_chunks16!(n, |off, keep| {
+        let vb = widen16_u8(bp.add(off), keep);
         for (r, &rp) in rows.iter().enumerate() {
-            let d = _mm256_sub_epi16(widen16_u8(rp.add(i * 16)), vb);
+            let d = _mm256_sub_epi16(widen16_u8(rp.add(off), keep), vb);
             acc[r] = _mm256_add_epi32(acc[r], _mm256_madd_epi16(d, d));
         }
-    }
-    let mut out = [
-        hsum_epi32(acc[0]) as u32,
-        hsum_epi32(acc[1]) as u32,
-        hsum_epi32(acc[2]) as u32,
-        hsum_epi32(acc[3]) as u32,
-    ];
-    for i in chunks * 16..n {
-        let x = *bp.add(i) as i32;
-        for (r, &rp) in rows.iter().enumerate() {
-            let d = *rp.add(i) as i32 - x;
-            out[r] += (d * d) as u32;
-        }
-    }
-    out
+    });
+    reduce4_epi32(acc).map(|s| s as u32)
 }
 
 #[target_feature(enable = "avx2")]
@@ -348,39 +493,24 @@ unsafe fn dot4_i8_body(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8]) -> 
         a0.len() == b.len() && a1.len() == b.len() && a2.len() == b.len() && a3.len() == b.len(),
         "dot4_i8: dimension mismatch"
     );
-    // Soundness: clamp to the shortest operand (see dot_body).
-    let n = b
-        .len()
-        .min(a0.len())
-        .min(a1.len())
-        .min(a2.len())
-        .min(a3.len());
+    let n = min_len5(a0, a1, a2, a3, b);
+    if n < 16 {
+        return scalar::dot4_i8(&a0[..n], &a1[..n], &a2[..n], &a3[..n], &b[..n]);
+    }
     let bp = b.as_ptr();
     let rows = [a0.as_ptr(), a1.as_ptr(), a2.as_ptr(), a3.as_ptr()];
     let mut acc = [_mm256_setzero_si256(); 4];
-    let chunks = n / 16;
-    for i in 0..chunks {
+    for_chunks16!(n, |off, keep| {
         // Sign-extend the query codes; products (u8 as i16) × (i8 as i16)
-        // fit i16 × i16 → i32 exactly under vpmaddwd.
-        let vb = _mm256_cvtepi8_epi16(_mm_loadu_si128(bp.add(i * 16) as *const __m128i));
+        // fit i16 × i16 → i32 exactly under vpmaddwd. Masking the query
+        // alone zeroes an overlapped lane's product.
+        let vb = widen16_i8(bp.add(off), keep);
         for (r, &rp) in rows.iter().enumerate() {
-            let va = widen16_u8(rp.add(i * 16));
+            let va = _mm256_cvtepu8_epi16(_mm_loadu_si128(rp.add(off) as *const __m128i));
             acc[r] = _mm256_add_epi32(acc[r], _mm256_madd_epi16(va, vb));
         }
-    }
-    let mut out = [
-        hsum_epi32(acc[0]),
-        hsum_epi32(acc[1]),
-        hsum_epi32(acc[2]),
-        hsum_epi32(acc[3]),
-    ];
-    for i in chunks * 16..n {
-        let x = *bp.add(i) as i32;
-        for (r, &rp) in rows.iter().enumerate() {
-            out[r] += *rp.add(i) as i32 * x;
-        }
-    }
-    out
+    });
+    reduce4_epi32(acc)
 }
 
 #[target_feature(enable = "avx2")]
@@ -388,21 +518,17 @@ unsafe fn dot_i8_body(a: &[u8], b: &[i8]) -> i32 {
     debug_assert_eq!(a.len(), b.len(), "dot_i8: dimension mismatch");
     // Soundness: clamp to the shortest operand (see dot_body).
     let n = b.len().min(a.len());
+    if n < 16 {
+        return scalar::dot_i8(&a[..n], &b[..n]);
+    }
     let ap = a.as_ptr();
     let bp = b.as_ptr();
     let mut acc = _mm256_setzero_si256();
-    let chunks = n / 16;
-    for i in 0..chunks {
-        // Sign-extend the query codes; products (u8 as i16) × (i8 as i16)
-        // fit i16 × i16 → i32 exactly under vpmaddwd.
-        let vb = _mm256_cvtepi8_epi16(_mm_loadu_si128(bp.add(i * 16) as *const __m128i));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(widen16_u8(ap.add(i * 16)), vb));
-    }
-    let mut out = hsum_epi32(acc);
-    for i in chunks * 16..n {
-        out += *ap.add(i) as i32 * *bp.add(i) as i32;
-    }
-    out
+    for_chunks16!(n, |off, keep| {
+        let va = _mm256_cvtepu8_epi16(_mm_loadu_si128(ap.add(off) as *const __m128i));
+        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(va, widen16_i8(bp.add(off), keep)));
+    });
+    hsum_epi32(acc)
 }
 
 // Safe wrappers installed into the dispatch table. Soundness: the table
@@ -443,4 +569,23 @@ pub(crate) fn dot4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8]) -> [
 
 pub(crate) fn dot_i8(a: &[u8], b: &[i8]) -> i32 {
     unsafe { dot_i8_body(a, b) }
+}
+
+pub(crate) fn sq_dist_col(rows: &[f32], m: usize, q: &[f32], out: &mut [f64]) {
+    if m <= SHORT_MAX {
+        return scalar::sq_dist_col(rows, m, q, out);
+    }
+    check_col_shape(rows.len(), m, q.len(), out.len());
+    col_long(rows, m, q, out, sq_dist4)
+}
+
+pub(crate) fn sq_dist_col_i8(rows: &[u8], m: usize, q: &[u8], out: &mut [u32]) {
+    check_col_shape(rows.len(), m, q.len(), out.len());
+    match m {
+        // Rows shorter than one gathered dword: the unrolled scalar loop.
+        1..=3 => scalar::sq_dist_col_i8(rows, m, q, out),
+        // SAFETY: shape checked above, 4 ≤ m ≤ SHORT_MAX.
+        4..=SHORT_MAX => unsafe { sq_dist_col_i8_short(rows, m, q, out) },
+        _ => col_long(rows, m, q, out, sq_dist4_i8),
+    }
 }
