@@ -24,7 +24,7 @@ use promips_linalg::{
 };
 use promips_shard::{
     CompactionPolicy, DegradationPolicy, QueryBudget, QueryError, ShardedConfig, ShardedProMips,
-    ShardedScratch, SyncPolicy,
+    ShardedQuery, ShardedScratch, ShardedSearchResult, SyncPolicy,
 };
 use promips_stats::Xoshiro256pp;
 use promips_storage::durability::faults;
@@ -32,6 +32,19 @@ use promips_storage::{AccessStats, MemStorage, PageBuf, Pager};
 
 const D: usize = 128;
 const M: usize = 16;
+
+/// The plain sharded request (all cores, no budget) on held scratch.
+fn sharded_search(
+    index: &ShardedProMips,
+    q: &[f32],
+    k: usize,
+    scratch: &ShardedScratch,
+) -> ShardedSearchResult {
+    index
+        .execute(ShardedQuery::new(q, k), scratch)
+        .expect("sharded search")
+        .0
+}
 
 fn random_matrix(n: usize, d: usize, seed: u64) -> Matrix {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
@@ -751,19 +764,13 @@ fn main() {
         let mut pruned = 0usize;
         let mut verified = 0usize;
         for i in 0..nq {
-            let res = sharded
-                .search_with_scratch(shard_queries.row(i), k, &scratch)
-                .unwrap();
+            let res = sharded_search(&sharded, shard_queries.row(i), k, &scratch);
             pruned += res.shards_pruned();
             verified += res.verified;
         }
         let fan_ns = ns_per_op(|| {
             for i in 0..nq {
-                std::hint::black_box(
-                    sharded
-                        .search_with_scratch(shard_queries.row(i), k, &scratch)
-                        .unwrap(),
-                );
+                std::hint::black_box(sharded_search(&sharded, shard_queries.row(i), k, &scratch));
             }
         }) / nq as f64;
         if shards == 1 {
@@ -808,9 +815,7 @@ fn main() {
             let mut verified = 0usize;
             let mut hits = 0usize;
             for (i, truth_row) in gt.iter().enumerate() {
-                let res = sharded
-                    .search_with_scratch(shard_queries.row(i), k, &scratch)
-                    .unwrap();
+                let res = sharded_search(&sharded, shard_queries.row(i), k, &scratch);
                 verified += res.verified;
                 let truth: Vec<u64> = truth_row.iter().map(|&(id, _)| id).collect();
                 hits += res.items.iter().filter(|it| truth.contains(&it.id)).count();
@@ -875,9 +880,7 @@ fn main() {
                 let mut verified = 0usize;
                 let mut screened = 0usize;
                 for i in 0..nq {
-                    let res = sharded
-                        .search_with_scratch(shard_queries.row(i), k, &scratch)
-                        .unwrap();
+                    let res = sharded_search(&sharded, shard_queries.row(i), k, &scratch);
                     verified += res.verified;
                     screened += res.screened;
                     // The tier's contract: bit-identical top-k on vs off.
@@ -892,11 +895,12 @@ fn main() {
                 }
                 let query_ns = ns_per_op(|| {
                     for i in 0..nq {
-                        std::hint::black_box(
-                            sharded
-                                .search_with_scratch(shard_queries.row(i), k, &scratch)
-                                .unwrap(),
-                        );
+                        std::hint::black_box(sharded_search(
+                            &sharded,
+                            shard_queries.row(i),
+                            k,
+                            &scratch,
+                        ));
                     }
                 }) / nq as f64;
                 let verified_avg = verified as f64 / nq as f64;
@@ -1013,10 +1017,7 @@ fn main() {
         let scratch = ShardedScratch::for_index(&idx);
         let q_ns = ns_per_op(|| {
             for i in 0..nq {
-                std::hint::black_box(
-                    idx.search_with_scratch(maint_queries.row(i), k, &scratch)
-                        .unwrap(),
-                );
+                std::hint::black_box(sharded_search(&idx, maint_queries.row(i), k, &scratch));
             }
         }) / nq as f64;
         let label = format!("delta_{:02}pct", (frac * 100.0) as u32);
@@ -1120,10 +1121,7 @@ fn main() {
             for _ in 0..conc_passes {
                 for i in 0..conc_nq {
                     let t = std::time::Instant::now();
-                    std::hint::black_box(
-                        idx.search_with_scratch(conc_queries.row(i), k, &scratch)
-                            .unwrap(),
-                    );
+                    std::hint::black_box(sharded_search(&idx, conc_queries.row(i), k, &scratch));
                     lat_ns.push(t.elapsed().as_nanos() as f64);
                 }
             }
@@ -1208,9 +1206,7 @@ fn main() {
     for pass in 0..dd_passes {
         for (qi, lat) in base_lat.iter_mut().enumerate() {
             let t = std::time::Instant::now();
-            let res = dd_idx
-                .search_with_scratch(dd_queries.row(qi), dd_k, &dd_scratch)
-                .unwrap();
+            let res = sharded_search(&dd_idx, dd_queries.row(qi), dd_k, &dd_scratch);
             *lat = lat.min(t.elapsed().as_nanos() as f64);
             if pass == 0 {
                 base_ids.push(res.ids());
@@ -1231,15 +1227,16 @@ fn main() {
         for _ in 0..dd_passes {
             for (qi, base) in base_ids.iter().enumerate() {
                 let t = std::time::Instant::now();
-                let out = dd_idx.search_budgeted(
-                    dd_queries.row(qi),
-                    dd_k,
+                let out = dd_idx.execute(
+                    ShardedQuery {
+                        budget: Some(&QueryBudget::with_deadline(budget)),
+                        ..ShardedQuery::new(dd_queries.row(qi), dd_k)
+                    },
                     &dd_scratch,
-                    &QueryBudget::with_deadline(budget),
                 );
                 lat.push(t.elapsed().as_nanos() as f64);
                 match out {
-                    Ok(res) => {
+                    Ok((res, _)) => {
                         if res.degraded {
                             ok_degraded += 1;
                         } else {
@@ -1296,7 +1293,7 @@ fn main() {
                 let mut shed = 0u64;
                 for i in 0..shed_attempts_per_thread {
                     let q = queries.row((w + i) % dd_nq);
-                    match idx.search_budgeted(q, dd_k, scratch, &QueryBudget::unlimited()) {
+                    match idx.execute(ShardedQuery::new(q, dd_k), scratch) {
                         Ok(_) => {}
                         Err(QueryError::Overloaded { .. }) => shed += 1,
                         Err(e) => panic!("unexpected query error: {e}"),

@@ -1,10 +1,8 @@
 //! Typed mutation errors.
 //!
-//! Mutations used to answer with `bool`s (`delete`) and kind-only
-//! `io::Error`s (`save`), which forced callers to either ignore failures
-//! or match on strings. [`MutationError`] names the three refusals a
-//! mutable index can issue — plus the IO failures a durable one can hit —
-//! so callers can degrade gracefully: a replicated writer skips
+//! [`MutationError`] names the three refusals the shard layer's mutable
+//! overlay can issue — plus the IO failures a durable one can hit — so
+//! callers can degrade gracefully without matching on strings: a replicated writer skips
 //! [`MutationError::DeadId`], surfaces [`MutationError::UnknownId`] to the
 //! client, and treats only [`MutationError::Io`] as a storage incident.
 
@@ -20,8 +18,8 @@ pub enum MutationError {
     DeadId(u64),
     /// The id has never existed in this index.
     UnknownId(u64),
-    /// `save`/`snapshot` refused because unfolded delta inserts or
-    /// tombstones are pending; compact or rebuild first.
+    /// `snapshot` refused because unfolded delta inserts or tombstones
+    /// are pending; compact first.
     PendingMutations { delta: usize, tombstones: usize },
     /// The write-ahead log or index file failed underneath the mutation.
     Io(io::Error),

@@ -8,7 +8,6 @@ use promips_linalg::Matrix;
 use promips_storage::{AccessStatsSnapshot, Pager};
 
 use crate::config::ProMipsConfig;
-use crate::maintenance::DeltaSegment;
 use crate::norms::NormTable;
 use crate::optimize::optimized_projection_dim;
 use crate::projection::Projection;
@@ -36,8 +35,11 @@ impl BuildTimings {
 ///
 /// See the crate docs for the architecture; construction happens in
 /// [`ProMips::build_in_memory`] / [`ProMips::build_with_pager`], searching
-/// in [`ProMips::search`] (Quick-Probe + MIP-Search-II) and
-/// [`ProMips::search_incremental`] (MIP-Search-I, kept for the ablation).
+/// in [`ProMips::execute`] (Quick-Probe + MIP-Search-II; [`ProMips::search`]
+/// is its plain form) and [`ProMips::search_incremental`] (MIP-Search-I,
+/// kept for the ablation). The handle is immutable once built: inserts and
+/// deletes live in the shard layer's overlay, which reaches a query as the
+/// request's tombstone mask.
 pub struct ProMips {
     pub(crate) config: ProMipsConfig,
     pub(crate) projection: Projection,
@@ -51,12 +53,6 @@ pub struct ProMips {
     timings: BuildTimings,
     /// Page holding the iDistance footer (needed by [`ProMips::save`]).
     idist_footer_page: u64,
-    /// In-memory delta segment for incremental inserts.
-    pub(crate) delta: DeltaSegment,
-    /// Tombstoned (deleted) ids.
-    pub(crate) tombstones: std::collections::HashSet<u64>,
-    /// Next id to assign on insert (= base n + delta inserts so far).
-    pub(crate) next_id: u64,
 }
 
 impl ProMips {
@@ -144,9 +140,6 @@ impl ProMips {
                 index_ms,
             },
             idist_footer_page,
-            delta: DeltaSegment::default(),
-            tombstones: std::collections::HashSet::new(),
-            next_id: n as u64,
         })
     }
 
@@ -164,7 +157,6 @@ impl ProMips {
         timings: BuildTimings,
         idist_footer_page: u64,
     ) -> Self {
-        let next_id = index.len();
         Self {
             config,
             projection,
@@ -176,9 +168,6 @@ impl ProMips {
             d,
             timings,
             idist_footer_page,
-            delta: DeltaSegment::default(),
-            tombstones: std::collections::HashSet::new(),
-            next_id,
         }
     }
 

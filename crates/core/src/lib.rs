@@ -26,8 +26,16 @@
 //!    extended once to `r' = sqrt(Ψm⁻¹(p)·(‖oM‖² + ‖q‖² − 2⟨omax,q⟩/c))`
 //!    (compensation), guaranteeing the c-AMIP result with probability ≥ p.
 //!
-//! [`search::ProMips::search_incremental`] implements the pre-Quick-Probe
+//! [`ProMips::execute`] is that search: one request value
+//! ([`Query`]: vector, `k`, and the floor / tombstone mask / budget / span
+//! a per-shard caller attaches) in, one [`SearchResult`] out.
+//! [`ProMips::search`] and [`ProMips::search_with_scratch`] are its plain
+//! forms. [`ProMips::search_incremental`] implements the pre-Quick-Probe
 //! MIP-Search-I (Algorithm 1) for the ablation study.
+//!
+//! A built index is immutable. Inserts, deletes and compaction live in the
+//! shard layer (`promips_shard`), whose overlay reaches a query only as
+//! the request's tombstone mask.
 
 pub mod binary;
 pub mod conditions;
@@ -48,4 +56,4 @@ pub use error::MutationError;
 pub use index::ProMips;
 pub use optimize::optimized_projection_dim;
 pub use result::{SearchItem, SearchResult};
-pub use search::SearchScratch;
+pub use search::{Query, SearchScratch};

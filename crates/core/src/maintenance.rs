@@ -1,189 +1,24 @@
-//! Incremental maintenance: inserts and deletes without rebuilding.
+//! Compaction support: reading a built index's live rows back out.
 //!
-//! The paper's introduction motivates the lightweight index with exactly
-//! this workload: "in commonly used mobile devices or IoT devices, a huge
-//! amount of data will be frequently inserted or deleted in a short time,
-//! where the heavyweight index requiring more maintenance overhead may
-//! cause delays." The hash-table baselines must touch every table per
-//! insert; ProMIPS's single-tree design admits a classic LSM-flavoured
-//! scheme:
-//!
-//! * **inserts** go to an in-memory *delta segment* (projected vector,
-//!   original vector, norms, and a Quick-Probe group update) — O(m·d) work,
-//!   zero page writes;
-//! * **deletes** are tombstones filtered during verification;
-//! * queries verify the (small) delta segment exhaustively before testing
-//!   the searching conditions, so Theorems 1–2 stay sound: every live point
-//!   within any tested frontier has been verified;
-//! * [`ProMips::rebuild`] folds the delta and tombstones into a fresh,
-//!   fully-packed index when the delta grows past the caller's threshold.
+//! A [`ProMips`] is immutable once built. Inserts and deletes live in the
+//! shard layer's overlay (`promips_shard`: delta rows, tombstone set, WAL,
+//! shadow-build compaction), which reaches a query as the request's
+//! tombstone mask ([`crate::search::Query::mask`]) and reaches a rebuild
+//! through [`ProMips::live_rows_snapshot`]. A one-shard `ShardedProMips`
+//! is bit-identical to the unsharded index and is the way to mutate one.
 
 use std::io;
-use std::sync::Arc;
 
-use promips_linalg::{norm1, sq_norm2, Matrix};
-use promips_storage::Pager;
+use promips_linalg::Matrix;
 
-use crate::config::ProMipsConfig;
-use crate::error::MutationError;
 use crate::index::ProMips;
 
-/// One freshly inserted point, held in memory until the next rebuild.
-#[derive(Debug, Clone)]
-pub(crate) struct DeltaEntry {
-    pub id: u64,
-    pub proj: Vec<f32>,
-    pub orig: Vec<f32>,
-}
-
-/// The in-memory delta segment.
-#[derive(Debug, Default)]
-pub(crate) struct DeltaSegment {
-    pub entries: Vec<DeltaEntry>,
-    /// Max ‖o‖² among delta entries (keeps Condition A/B sound after
-    /// inserting a new maximum-norm point).
-    pub max_sq_norm: f64,
-}
-
 impl ProMips {
-    /// Inserts a point, returning its id. The point lives in the in-memory
-    /// delta segment (searchable immediately) until [`ProMips::rebuild`].
-    pub fn insert(&mut self, point: &[f32]) -> u64 {
-        assert_eq!(point.len(), self.d, "insert dimensionality mismatch");
-        let id = self.next_id;
-        self.next_id += 1;
-        let proj = self.projection.project(point);
-        // Quick-Probe sees the new point so the located searching range
-        // accounts for it.
-        self.quickprobe.insert(id, &proj, norm1(point));
-        let sq = sq_norm2(point);
-        if sq > self.delta.max_sq_norm {
-            self.delta.max_sq_norm = sq;
-        }
-        self.delta.entries.push(DeltaEntry {
-            id,
-            proj,
-            orig: point.to_vec(),
-        });
-        id
-    }
-
-    /// Marks a live point (base or delta) as deleted. Refusals are typed:
-    /// [`MutationError::UnknownId`] for ids that never existed
-    /// (`id ≥ next_id`) and [`MutationError::DeadId`] for ids already
-    /// tombstoned, so replayed or duplicated deletes — a WAL can
-    /// legitimately carry a delete for a point compacted away in a previous
-    /// generation — can never corrupt [`ProMips::live_len`] or grow the
-    /// tombstone set past the points it names, and callers can tell the two
-    /// refusals apart without string matching. Deleted points never appear
-    /// in results; the searching conditions stay conservative (the max-norm
-    /// bound may still reference a deleted point, which only enlarges the
-    /// searching range).
-    pub fn delete(&mut self, id: u64) -> Result<(), MutationError> {
-        if id >= self.next_id {
-            return Err(MutationError::UnknownId(id));
-        }
-        if self.tombstones.contains(&id) {
-            return Err(MutationError::DeadId(id));
-        }
-        self.tombstones.insert(id);
-        Ok(())
-    }
-
-    /// Whether an id is tombstoned.
-    pub fn is_deleted(&self, id: u64) -> bool {
-        self.tombstones.contains(&id)
-    }
-
-    /// Number of points in the in-memory delta segment.
-    pub fn delta_len(&self) -> usize {
-        self.delta.entries.len()
-    }
-
-    /// Number of tombstoned points.
-    pub fn tombstone_count(&self) -> usize {
-        self.tombstones.len()
-    }
-
-    /// Number of live (non-deleted) points, base + delta.
-    pub fn live_len(&self) -> u64 {
-        self.next_id - self.tombstones.len() as u64
-    }
-
-    /// The effective `‖oM‖²` including delta inserts — the bound the
-    /// searching conditions (Theorems 1–2) must use once the index is
-    /// mutable, and the per-shard norm bound a sharded fan-out prunes with.
-    pub fn effective_max_sq_norm(&self) -> f64 {
-        self.norms.max_sq_norm2().max(self.delta.max_sq_norm)
-    }
-
-    /// Drains every live point out of the index: base rows are read back
-    /// from the index file one sub-partition at a time (live offsets only,
-    /// decoded straight into one flat row buffer), delta entries are taken
-    /// **by value** and freed as they are copied — at no point does a
-    /// second `Vec<Vec<f32>>` copy of the dataset exist alongside the
-    /// result. Returns the surviving old ids (sub-partition order, then
-    /// delta order) and their rows.
-    ///
-    /// Tombstones are *consumed*: every tombstone must name a point seen
-    /// during the drain (the invariant [`ProMips::delete`] maintains), and
-    /// the set is cleared because the ids it names do not exist in any
-    /// index rebuilt from the returned rows. The drained handle keeps
-    /// serving base-only queries but has lost its delta; callers are
-    /// expected to swap in the rebuilt index.
-    pub fn take_live_rows(&mut self) -> io::Result<(Vec<u64>, Matrix)> {
-        let live = self.live_len() as usize;
-        let mut old_ids: Vec<u64> = Vec::with_capacity(live);
-        let mut flat: Vec<f32> = Vec::with_capacity(live * self.d);
-        let mut scratch = promips_idistance::ProjScratch::new();
-        let mut offsets: Vec<u32> = Vec::new();
-        let mut arena: Vec<f32> = Vec::new();
-        let mut dead_seen = 0usize;
-        for sub in 0..self.index.subparts().len() as u32 {
-            self.index.read_subpart_proj_into(sub, &mut scratch)?;
-            offsets.clear();
-            for (off, &id) in scratch.ids().iter().enumerate() {
-                if self.is_deleted(id) {
-                    dead_seen += 1;
-                } else {
-                    offsets.push(off as u32);
-                    old_ids.push(id);
-                }
-            }
-            self.index.fetch_originals(sub, &offsets, &mut arena)?;
-            flat.extend_from_slice(&arena);
-        }
-        // Delta entries move out of the segment; each row buffer is freed
-        // right after its copy lands in the flat matrix.
-        for e in std::mem::take(&mut self.delta).entries {
-            if self.is_deleted(e.id) {
-                dead_seen += 1;
-            } else {
-                old_ids.push(e.id);
-                flat.extend_from_slice(&e.orig);
-            }
-        }
-        // The delete() guard means every tombstone names exactly one point
-        // we just scanned; a mismatch is namespace confusion (deletes from
-        // a previous generation applied to this index).
-        assert_eq!(
-            dead_seen,
-            self.tombstones.len(),
-            "tombstone set names {} points the index does not hold",
-            self.tombstones.len() - dead_seen
-        );
-        self.tombstones.clear();
-        let rows = Matrix::from_vec(old_ids.len(), self.d, flat);
-        Ok((old_ids, rows))
-    }
-
-    /// Read-only counterpart of [`ProMips::take_live_rows`] for shadow
-    /// rebuilds: copies out every live point — internal tombstones *and*
-    /// the caller's `is_dead` overlay both filter — without consuming the
-    /// delta or the tombstone set, so the index keeps serving queries
+    /// Copies out every point the caller's `is_dead` overlay does not
+    /// kill, without touching the index — it keeps serving queries
     /// unchanged while a background thread builds its successor from the
-    /// returned rows. Returns the surviving ids (sub-partition order, then
-    /// delta order) and their rows.
+    /// returned rows. Returns the surviving ids (sub-partition order) and
+    /// their rows.
     pub fn live_rows_snapshot(
         &self,
         is_dead: &dyn Fn(u64) -> bool,
@@ -197,7 +32,7 @@ impl ProMips {
             self.index.read_subpart_proj_into(sub, &mut scratch)?;
             offsets.clear();
             for (off, &id) in scratch.ids().iter().enumerate() {
-                if !self.is_deleted(id) && !is_dead(id) {
+                if !is_dead(id) {
                     offsets.push(off as u32);
                     old_ids.push(id);
                 }
@@ -205,248 +40,44 @@ impl ProMips {
             self.index.fetch_originals(sub, &offsets, &mut arena)?;
             flat.extend_from_slice(&arena);
         }
-        for e in &self.delta.entries {
-            if !self.is_deleted(e.id) && !is_dead(e.id) {
-                old_ids.push(e.id);
-                flat.extend_from_slice(&e.orig);
-            }
-        }
         let rows = Matrix::from_vec(old_ids.len(), self.d, flat);
         Ok((old_ids, rows))
-    }
-
-    /// Rebuilds a fresh, fully-packed index over all live points (reads the
-    /// base points back from the index file, merges the delta, drops
-    /// tombstones). Returns the new index and the mapping from new ids to
-    /// the old ids.
-    ///
-    /// The delta segment is consumed (see [`ProMips::take_live_rows`] —
-    /// this is what keeps rebuild from double-holding the dataset); on
-    /// success callers swap in the rebuilt index, and on error the drained
-    /// handle should be discarded or reopened from its file.
-    pub fn rebuild(
-        &mut self,
-        pager: Arc<Pager>,
-        config: ProMipsConfig,
-    ) -> io::Result<(ProMips, Vec<u64>)> {
-        let (old_ids, data) = self.take_live_rows()?;
-        let rebuilt = ProMips::build_with_pager(&data, config, pager)?;
-        Ok((rebuilt, old_ids))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use promips_linalg::dot;
+    use crate::config::ProMipsConfig;
     use promips_stats::Xoshiro256pp;
-
-    fn random_data(n: usize, d: usize, seed: u64) -> Matrix {
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        Matrix::from_rows(
-            d,
-            (0..n).map(|_| (0..d).map(|_| rng.normal() as f32).collect::<Vec<f32>>()),
-        )
-    }
-
-    fn build(n: usize, seed: u64) -> (ProMips, Matrix) {
-        let data = random_data(n, 16, seed);
-        let idx =
-            ProMips::build_in_memory(&data, ProMipsConfig::builder().seed(seed).build()).unwrap();
-        (idx, data)
-    }
-
-    #[test]
-    fn inserted_point_is_searchable() {
-        let (mut idx, _) = build(400, 1);
-        // A point strongly aligned with the query dominates every IP.
-        let strong = vec![10.0f32; 16];
-        let id = idx.insert(&strong);
-        assert_eq!(id, 400);
-        assert_eq!(idx.delta_len(), 1);
-        let q = vec![1.0f32; 16];
-        let res = idx.search(&q, 3).unwrap();
-        assert_eq!(res.items[0].id, id, "fresh insert must win");
-        assert!((res.items[0].ip - dot(&strong, &q)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn deleted_point_never_returned() {
-        let (mut idx, data) = build(300, 2);
-        let q: Vec<f32> = data.row(7).to_vec();
-        let top = idx.search(&q, 1).unwrap().items[0].id;
-        idx.delete(top).unwrap();
-        let res = idx.search(&q, 5).unwrap();
-        assert!(
-            res.items.iter().all(|i| i.id != top),
-            "tombstoned id returned"
-        );
-        assert_eq!(idx.live_len(), 299);
-    }
-
-    #[test]
-    fn delete_then_insert_round() {
-        let (mut idx, _) = build(200, 3);
-        for i in 0..50u64 {
-            idx.delete(i).unwrap();
-        }
-        let mut rng = Xoshiro256pp::seed_from_u64(77);
-        for _ in 0..30 {
-            let p: Vec<f32> = (0..16).map(|_| rng.normal() as f32).collect();
-            idx.insert(&p);
-        }
-        assert_eq!(idx.live_len(), 200 - 50 + 30);
-        let q = vec![0.5f32; 16];
-        let res = idx.search(&q, 10).unwrap();
-        assert_eq!(res.items.len(), 10);
-        assert!(res.items.iter().all(|i| !idx.is_deleted(i.id)));
-    }
-
-    #[test]
-    fn incremental_search_sees_delta_and_tombstones() {
-        let (mut idx, _) = build(250, 4);
-        let strong = vec![8.0f32; 16];
-        let id = idx.insert(&strong);
-        let q = vec![1.0f32; 16];
-        let res = idx.search_incremental(&q, 2).unwrap();
-        assert_eq!(res.items[0].id, id);
-        idx.delete(id).unwrap();
-        let res = idx.search_incremental(&q, 2).unwrap();
-        assert!(res.items.iter().all(|i| i.id != id));
-    }
-
-    #[test]
-    fn rebuild_folds_delta_and_tombstones() {
-        let (mut idx, data) = build(300, 5);
-        idx.delete(0).unwrap();
-        idx.delete(299).unwrap();
-        let strong = vec![9.0f32; 16];
-        idx.insert(&strong);
-        let pager = Arc::new(Pager::in_memory(4096, 1024));
-        let (rebuilt, old_ids) = idx
-            .rebuild(pager, ProMipsConfig::builder().seed(9).build())
-            .unwrap();
-        assert_eq!(rebuilt.len(), 299); // 300 − 2 + 1
-        assert_eq!(old_ids.len(), 299);
-        assert_eq!(rebuilt.delta_len(), 0);
-        // Tombstoned ids are gone from the mapping; the delta insert is in.
-        assert!(!old_ids.contains(&0));
-        assert!(!old_ids.contains(&299));
-        assert!(old_ids.contains(&300));
-        // Deterministic check of the id mapping: a full-k search verifies
-        // everything (the k-th-best inner product stays −∞ until all points
-        // are seen), so the inserted point must surface with its exact ip.
-        let q = vec![1.0f32; 16];
-        let res = rebuilt.search(&q, 299).unwrap();
-        let winner = &res.items[0];
-        assert_eq!(old_ids[winner.id as usize], 300, "delta insert should win");
-        assert!((winner.ip - 144.0).abs() < 1e-6);
-        // And surviving base rows kept their vectors: spot-check one.
-        let new_of_old_5 = old_ids.iter().position(|&o| o == 5).unwrap() as u64;
-        let base_ip = dot(data.row(5), &q);
-        let found = res.items.iter().find(|i| i.id == new_of_old_5).unwrap();
-        assert!((found.ip - base_ip).abs() < 1e-6);
-    }
-
-    #[test]
-    fn delete_rejects_unknown_and_duplicate_ids() {
-        let (mut idx, _) = build(100, 7);
-        // Unknown id: never existed, must not be tombstoned.
-        assert!(matches!(
-            idx.delete(100),
-            Err(MutationError::UnknownId(100))
-        ));
-        assert!(matches!(
-            idx.delete(u64::MAX),
-            Err(MutationError::UnknownId(_))
-        ));
-        assert_eq!(idx.tombstone_count(), 0);
-        assert_eq!(idx.live_len(), 100);
-        // First delete of a live point succeeds; the duplicate is refused,
-        // so live_len can never drift below the true live count.
-        idx.delete(4).unwrap();
-        assert!(matches!(idx.delete(4), Err(MutationError::DeadId(4))));
-        assert_eq!(idx.tombstone_count(), 1);
-        assert_eq!(idx.live_len(), 99);
-        // Same for a delta insert deleted twice.
-        let id = idx.insert(&[1.0f32; 16]);
-        idx.delete(id).unwrap();
-        assert!(matches!(idx.delete(id), Err(MutationError::DeadId(_))));
-        assert_eq!(idx.live_len(), 99);
-    }
-
-    #[test]
-    fn rebuild_consumes_delta_and_tombstones() {
-        let (mut idx, _) = build(120, 8);
-        idx.insert(&[2.0f32; 16]);
-        idx.delete(3).unwrap();
-        let pager = Arc::new(Pager::in_memory(4096, 1024));
-        let (rebuilt, old_ids) = idx
-            .rebuild(pager, ProMipsConfig::builder().seed(8).build())
-            .unwrap();
-        assert_eq!(rebuilt.len(), 120);
-        assert_eq!(old_ids.len(), 120);
-        // The drained handle gave up its delta and its tombstones: every
-        // tombstone was matched against a point during the drain (the
-        // invariant take_live_rows asserts), and the folded sets are empty.
-        assert_eq!(idx.delta_len(), 0);
-        assert_eq!(idx.tombstone_count(), 0);
-    }
-
-    #[test]
-    fn take_live_rows_matches_search_view() {
-        let (mut idx, data) = build(200, 9);
-        idx.delete(10).unwrap();
-        idx.delete(199).unwrap();
-        let big = vec![5.0f32; 16];
-        let kept = idx.insert(&big);
-        let gone = idx.insert(&[6.0f32; 16]);
-        idx.delete(gone).unwrap();
-        let (old_ids, rows) = idx.take_live_rows().unwrap();
-        assert_eq!(rows.rows(), 200 - 2 + 2 - 1);
-        assert_eq!(old_ids.len(), rows.rows());
-        assert!(!old_ids.contains(&10));
-        assert!(!old_ids.contains(&199));
-        assert!(!old_ids.contains(&gone));
-        // Row payloads survived the flat-buffer path bit-for-bit.
-        let pos = old_ids.iter().position(|&o| o == kept).unwrap();
-        assert_eq!(rows.row(pos), &big[..]);
-        let pos5 = old_ids.iter().position(|&o| o == 5).unwrap();
-        assert_eq!(rows.row(pos5), data.row(5));
-    }
 
     #[test]
     fn live_rows_snapshot_is_read_only_and_honours_overlay() {
-        let (mut idx, data) = build(180, 10);
-        idx.delete(2).unwrap();
-        let kept = idx.insert(&[3.0f32; 16]);
-        let overlay_dead = |id: u64| id == 5 || id == kept;
+        let mut rng = Xoshiro256pp::seed_from_u64(10);
+        let data = Matrix::from_rows(
+            16,
+            (0..180).map(|_| (0..16).map(|_| rng.normal() as f32).collect::<Vec<f32>>()),
+        );
+        let idx =
+            ProMips::build_in_memory(&data, ProMipsConfig::builder().seed(10).build()).unwrap();
+        let q = vec![0.5f32; 16];
+        let before = idx.search(&q, 180).unwrap();
+
+        let overlay_dead = |id: u64| id == 2 || id == 5;
         let (ids, rows) = idx.live_rows_snapshot(&overlay_dead).unwrap();
-        // 180 base − 1 internal tombstone − 1 overlay dead (+1 insert,
-        // overlay-dead too).
         assert_eq!(ids.len(), 178);
         assert_eq!(rows.rows(), 178);
         assert!(!ids.contains(&2));
         assert!(!ids.contains(&5));
-        assert!(!ids.contains(&kept));
         let pos7 = ids.iter().position(|&o| o == 7).unwrap();
         assert_eq!(rows.row(pos7), data.row(7));
-        // Nothing was consumed: delta, tombstones, and live count intact.
-        assert_eq!(idx.delta_len(), 1);
-        assert_eq!(idx.tombstone_count(), 1);
-        assert_eq!(idx.live_len(), 180);
-        // A second snapshot without the overlay sees the overlay ids again.
+
+        // Nothing was consumed: a second snapshot without the overlay sees
+        // the overlay ids again, and the index answers as before.
         let (ids2, _) = idx.live_rows_snapshot(&|_| false).unwrap();
         assert_eq!(ids2.len(), 180);
-        assert!(ids2.contains(&5) && ids2.contains(&kept));
-    }
-
-    #[test]
-    fn max_norm_tracks_delta_inserts() {
-        let (mut idx, _) = build(150, 6);
-        let before = idx.effective_max_sq_norm();
-        idx.insert(&[100.0f32; 16]);
-        assert!(idx.effective_max_sq_norm() > before);
-        assert!((idx.effective_max_sq_norm() - 160_000.0).abs() < 1.0);
+        assert!(ids2.contains(&2) && ids2.contains(&5));
+        assert_eq!(idx.len(), 180);
+        assert_eq!(idx.search(&q, 180).unwrap().items, before.items);
     }
 }

@@ -37,17 +37,6 @@ impl ProMips {
     /// file-backed pager; afterwards [`ProMips::open`] can reconstruct the
     /// index from the file alone.
     pub fn save(&self) -> io::Result<()> {
-        // The aux blob has no delta/tombstone sections: Quick-Probe state
-        // would reference delta ids the reopened locator doesn't hold.
-        // Refusing here turns a silent search-time corruption into an
-        // actionable error (rebuild first, then save).
-        if self.delta_len() > 0 || self.tombstone_count() > 0 {
-            return Err(crate::error::MutationError::PendingMutations {
-                delta: self.delta_len(),
-                tombstones: self.tombstone_count(),
-            }
-            .into());
-        }
         let pager = self.idistance().pager();
 
         let mut aux = Vec::new();

@@ -90,29 +90,6 @@ impl QuickProbe {
             .sum::<usize>()
     }
 
-    /// Inserts a point into its code group (incremental maintenance); the
-    /// group list stays sorted by code, members stay sorted by `‖o‖₁`.
-    pub fn insert(&mut self, id: u64, projected: &[f32], norm1: f64) {
-        debug_assert_eq!(projected.len(), self.m);
-        let code = code_of(projected);
-        match self.groups.binary_search_by_key(&code, |g| g.code) {
-            Ok(gi) => {
-                let members = &mut self.groups[gi].members;
-                let pos = members.partition_point(|&(n1, _)| n1 <= norm1);
-                members.insert(pos, (norm1, id));
-            }
-            Err(gi) => {
-                self.groups.insert(
-                    gi,
-                    Group {
-                        code,
-                        members: vec![(norm1, id)],
-                    },
-                );
-            }
-        }
-    }
-
     /// Serializes the directory (for full-index persistence).
     pub fn encode(&self, buf: &mut Vec<u8>) {
         use promips_idistance::layout::enc::*;

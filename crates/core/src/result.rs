@@ -11,7 +11,7 @@ pub struct SearchItem {
 
 /// Result of a c-k-AMIP search, plus diagnostics the experiment harness
 /// reports (candidate counts, radii, termination cause).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchResult {
     /// Top-k items by inner product, descending.
     pub items: Vec<SearchItem>,

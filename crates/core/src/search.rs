@@ -2,6 +2,13 @@
 //! the production path) and MIP-Search-I (Algorithm 1, the incremental
 //! baseline kept for the paper's design rationale and our ablation).
 //!
+//! The paper's one search procedure has one entry point here:
+//! [`ProMips::execute`] takes a [`Query`] — the vector and `k`, plus the
+//! options a per-shard caller attaches (inner-product floor, tombstone
+//! mask, budget, span) — and every other `search*` name is a one-line
+//! wrapper around it. [`ProMips::search_batch`] and
+//! [`ProMips::search_incremental`] are different operations, not options.
+//!
 //! The production path is allocation-lean: every per-query buffer (the
 //! projected query, the candidate list, the offset list, and the original
 //! vector arena) lives in a reusable [`SearchScratch`], and
@@ -197,6 +204,89 @@ impl TopK {
     }
 }
 
+/// One search request: the query vector and `k`, plus every option a
+/// per-shard caller can attach. [`Query::new`] is the plain search; set
+/// the other fields with struct-update syntax:
+///
+/// ```
+/// use promips_core::{ProMips, ProMipsConfig, Query, SearchScratch};
+/// use promips_linalg::Matrix;
+///
+/// let mut rng = promips_stats::Xoshiro256pp::seed_from_u64(1);
+/// let data = Matrix::from_rows(
+///     16,
+///     (0..500).map(|_| (0..16).map(|_| rng.normal() as f32).collect::<Vec<f32>>()),
+/// );
+/// let index = ProMips::build_in_memory(&data, ProMipsConfig::default()).unwrap();
+/// let mut scratch = SearchScratch::new();
+/// let q = vec![0.5f32; 16];
+///
+/// let plain = index.execute(Query::new(&q, 5), &mut scratch).unwrap();
+/// // The same search with its best hit tombstoned by the caller.
+/// let best = plain.items[0].id;
+/// let masked = Query {
+///     mask: Some((&|id| id == best, 1)),
+///     ..Query::new(&q, 5)
+/// };
+/// let res = index.execute(masked, &mut scratch).unwrap();
+/// assert!(res.items.iter().all(|item| item.id != best));
+/// ```
+pub struct Query<'a> {
+    /// The query vector (length `d`).
+    pub q: &'a [f32],
+    /// Result size; clamped to the number of live points.
+    pub k: usize,
+    /// **Inner-product floor** (`-∞` = none): asserts that `k` points with
+    /// inner product at least `floor` have already been verified *outside*
+    /// this index — one shard of a fan-out where another shard already
+    /// produced a global top-k. Candidates strictly below the floor are
+    /// discarded, and the searching conditions (Theorems 1–2) treat the
+    /// floor as the current k-th best, so the search stops as soon as this
+    /// index cannot improve on it. The result may hold fewer than `k`
+    /// items, and a floored search never verifies more candidates than the
+    /// floor-less one (its running k-th is never smaller, so every
+    /// termination test fires no later, and the shortfall-extension loop
+    /// is skipped outright).
+    pub floor: f64,
+    /// **Tombstone mask** `(dead, dead_count)` — the only source of
+    /// deadness: ids for which `dead` returns true are never verified into
+    /// the top-k, while the norm bounds they may define stay in force
+    /// (which only enlarges the searching range, keeping Theorems 1–2
+    /// conservative). This is the read path of the shard layer's MVCC
+    /// overlay: delta/tombstone state lives *outside* the immutable index
+    /// and is snapshotted per query. `dead_count` must be the number of
+    /// this index's ids the mask kills (an overcount truncates results; an
+    /// undercount can make a shortfall pass scan further than needed) — it
+    /// tightens the `k` clamp.
+    pub mask: Option<(&'a dyn Fn(u64) -> bool, usize)>,
+    /// Cooperative deadline/cancellation: the scan/verify loops check it
+    /// every few block iterations (`None` costs a single branch per check
+    /// site) and stop with a typed [`obs::BudgetExceeded`], recoverable
+    /// from the returned `io::Error` via [`obs::budget_error`].
+    pub budget: Option<&'a QueryBudget>,
+    /// Receives the per-stage wall-time breakdown (scan → screen → verify)
+    /// and the scanned/screened/verified row counts of this search — on
+    /// success *and* on failure, where it covers the work done before the
+    /// error. The caller owns the span's identity fields (`shard`, `seed`,
+    /// `elapsed_ns`); the stage clocks honour the global
+    /// [`obs::set_timing_enabled`] kill-switch (all zeros when disabled).
+    pub span: Option<&'a mut ShardSpan>,
+}
+
+impl<'a> Query<'a> {
+    /// The plain top-`k` search for `q`: no floor, mask, budget or span.
+    pub fn new(q: &'a [f32], k: usize) -> Self {
+        Self {
+            q,
+            k,
+            floor: f64::NEG_INFINITY,
+            mask: None,
+            budget: None,
+            span: None,
+        }
+    }
+}
+
 impl ProMips {
     /// c-k-AMIP search (Algorithm 3 + Quick-Probe).
     ///
@@ -208,7 +298,7 @@ impl ProMips {
     /// should hold one and use [`ProMips::search_with_scratch`], or batch
     /// through [`ProMips::search_batch`].
     pub fn search(&self, q: &[f32], k: usize) -> io::Result<SearchResult> {
-        self.search_with_scratch(q, k, &mut SearchScratch::new())
+        self.execute(Query::new(q, k), &mut SearchScratch::new())
     }
 
     /// [`ProMips::search`] with caller-provided scratch buffers.
@@ -218,72 +308,12 @@ impl ProMips {
         k: usize,
         scratch: &mut SearchScratch,
     ) -> io::Result<SearchResult> {
-        self.search_with_floor(q, k, f64::NEG_INFINITY, scratch)
+        self.execute(Query::new(q, k), scratch)
     }
 
-    /// Per-shard search entry point: [`ProMips::search_with_scratch`] with a
-    /// caller-supplied **inner-product floor**.
-    ///
-    /// The floor asserts that `k` points with inner product at least
-    /// `ip_floor` have already been verified *outside* this index — the
-    /// situation of one shard in a sharded fan-out, where another shard has
-    /// already produced a global top-k candidate set. The search then:
-    ///
-    /// * discards candidates strictly below the floor (they cannot enter the
-    ///   merged global top-k, so verifying bookkeeping for them is wasted),
-    /// * lets the searching conditions (Theorems 1–2) treat the floor as the
-    ///   current k-th best inner product, terminating earlier when this
-    ///   shard cannot improve on it.
-    ///
-    /// The result may therefore hold fewer than `k` items: exactly those
-    /// whose inner product reaches the floor — and a floored search never
-    /// verifies more candidates than the floor-less one (its running k-th
-    /// is never smaller, so every termination test fires no later, and the
-    /// shortfall-extension loop is skipped outright). With
-    /// `ip_floor = -∞` this is bit-identical to
-    /// [`ProMips::search_with_scratch`].
-    pub fn search_with_floor(
-        &self,
-        q: &[f32],
-        k: usize,
-        ip_floor: f64,
-        scratch: &mut SearchScratch,
-    ) -> io::Result<SearchResult> {
-        self.search_inner(q, k, ip_floor, None, 0, scratch)
-    }
-
-    /// [`ProMips::search_with_floor`] with an **external tombstone mask**:
-    /// ids for which `dead` returns true are treated exactly like
-    /// internally tombstoned points — never verified into the top-k, while
-    /// the norm bounds they may define stay in force (which only enlarges
-    /// the searching range, keeping Theorems 1–2 conservative).
-    ///
-    /// This is the read path of an MVCC-style overlay: the caller keeps
-    /// delta/tombstone state *outside* an immutable index generation and
-    /// snapshots it per query, so concurrent deletes never need `&mut`
-    /// access here. `dead_count` must be the number of this index's ids the
-    /// mask kills (an overcount truncates results; an undercount can make a
-    /// shortfall pass scan further than needed) — it tightens the `k` clamp
-    /// the same way internal tombstones do via [`ProMips::live_len`].
-    pub fn search_masked(
-        &self,
-        q: &[f32],
-        k: usize,
-        ip_floor: f64,
-        dead: &dyn Fn(u64) -> bool,
-        dead_count: usize,
-        scratch: &mut SearchScratch,
-    ) -> io::Result<SearchResult> {
-        self.search_inner(q, k, ip_floor, Some(dead), dead_count, scratch)
-    }
-
-    /// [`ProMips::search_masked`] that additionally fills `span` with the
-    /// per-stage wall-time breakdown (scan → screen → verify) and the
-    /// scanned/screened/verified row counts of this search — the per-shard
-    /// slice of an [`obs::QueryTrace`]. The caller owns the span's
-    /// identity fields (`shard`, `seed`, `elapsed_ns`); the stage clocks
-    /// honour the global [`obs::set_timing_enabled`] kill-switch (all
-    /// zeros when disabled).
+    /// [`ProMips::execute`] with a floor, a mask and a span, spelled as
+    /// positional arguments. Frozen by `benchmark/`, which compiles against
+    /// this name; everything else builds a [`Query`].
     #[allow(clippy::too_many_arguments)]
     pub fn search_masked_traced(
         &self,
@@ -295,142 +325,81 @@ impl ProMips {
         scratch: &mut SearchScratch,
         span: &mut ShardSpan,
     ) -> io::Result<SearchResult> {
-        self.search_observed(
-            q,
-            k,
-            ip_floor,
-            Some(dead),
-            dead_count,
+        self.execute(
+            Query {
+                floor: ip_floor,
+                mask: Some((dead, dead_count)),
+                span: Some(span),
+                ..Query::new(q, k)
+            },
             scratch,
-            Some(span),
-            None,
         )
     }
 
-    /// [`ProMips::search_masked_traced`] under a cooperative
-    /// [`QueryBudget`]: the scan/verify loops check the budget every few
-    /// block iterations (amortized — a `None` or unlimited budget costs a
-    /// single branch per check site) and stop with a typed
-    /// [`obs::BudgetExceeded`] error, recoverable from the returned
-    /// `io::Error` via [`obs::budget_error`]. Partial work done before the
-    /// budget fired is discarded by this layer; the sharded fan-out is
-    /// what turns per-shard budget hits into a degraded merged result.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_masked_budgeted(
-        &self,
-        q: &[f32],
-        k: usize,
-        ip_floor: f64,
-        dead: &dyn Fn(u64) -> bool,
-        dead_count: usize,
-        scratch: &mut SearchScratch,
-        span: Option<&mut ShardSpan>,
-        budget: Option<&QueryBudget>,
-    ) -> io::Result<SearchResult> {
-        self.search_observed(
-            q,
-            k,
-            ip_floor,
-            Some(dead),
-            dead_count,
-            scratch,
-            span,
-            budget,
-        )
-    }
-
-    fn search_inner(
-        &self,
-        q: &[f32],
-        k: usize,
-        ip_floor: f64,
-        mask: Option<&dyn Fn(u64) -> bool>,
-        mask_dead_count: usize,
-        scratch: &mut SearchScratch,
-    ) -> io::Result<SearchResult> {
-        self.search_observed(q, k, ip_floor, mask, mask_dead_count, scratch, None, None)
-    }
-
-    /// Runs the timed search body, feeds the global metrics registry
-    /// (row counters always; stage histograms only while timing is
-    /// enabled), and optionally exports the breakdown into `span`.
+    /// The one search path: runs `query` and feeds the global metrics
+    /// registry (row counters always; stage histograms only while timing
+    /// is enabled) and the request's span with the work done — whether the
+    /// search finished or an IO fault or the budget stopped it.
     /// Query-level metrics (`promips_queries_total`, end-to-end latency)
     /// are owned by the sharded layer so a fan-out is counted once, not
     /// once per shard.
-    #[allow(clippy::too_many_arguments)]
-    fn search_observed(
+    pub fn execute(
         &self,
-        q: &[f32],
-        k: usize,
-        ip_floor: f64,
-        mask: Option<&dyn Fn(u64) -> bool>,
-        mask_dead_count: usize,
+        mut query: Query<'_>,
         scratch: &mut SearchScratch,
-        span: Option<&mut ShardSpan>,
-        budget: Option<&QueryBudget>,
     ) -> io::Result<SearchResult> {
-        let mut stages = StageNanos::default();
-        let mut scanned = 0u64;
-        let res = self.search_core(
-            q,
-            k,
-            ip_floor,
-            mask,
-            mask_dead_count,
-            scratch,
-            &mut stages,
-            &mut scanned,
-            budget,
-        )?;
+        let mut work = ShardSpan::default();
+        let res = self.mip_search_ii(&query, scratch, &mut work);
         let reg = obs::global();
-        reg.counter(CounterId::QueryScanned).add(scanned);
-        reg.counter(CounterId::QueryScreened)
-            .add(res.screened as u64);
-        reg.counter(CounterId::QueryVerified)
-            .add(res.verified as u64);
+        reg.counter(CounterId::QueryScanned).add(work.scanned);
+        reg.counter(CounterId::QueryScreened).add(work.screened);
+        reg.counter(CounterId::QueryVerified).add(work.verified);
         if obs::timing_enabled() {
-            reg.histogram(HistoId::StageScanNs).record(stages.scan_ns);
+            reg.histogram(HistoId::StageScanNs)
+                .record(work.stages.scan_ns);
             reg.histogram(HistoId::StageScreenNs)
-                .record(stages.screen_ns);
+                .record(work.stages.screen_ns);
             reg.histogram(HistoId::StageVerifyNs)
-                .record(stages.verify_ns);
+                .record(work.stages.verify_ns);
         }
-        if let Some(span) = span {
-            span.stages = stages;
-            span.scanned = scanned;
-            span.screened = res.screened as u64;
-            span.verified = res.verified as u64;
+        if let Some(span) = query.span.take() {
+            span.stages = work.stages;
+            span.scanned = work.scanned;
+            span.screened = work.screened;
+            span.verified = work.verified;
         }
-        Ok(res)
+        res
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn search_core(
+    /// MIP-Search-II (Algorithm 3) with Quick-Probe — the body of
+    /// [`ProMips::execute`]. Stage time and row counts go to `work` as
+    /// they accrue, so they survive an early `?`.
+    fn mip_search_ii(
         &self,
-        q: &[f32],
-        k: usize,
-        ip_floor: f64,
-        mask: Option<&dyn Fn(u64) -> bool>,
-        mask_dead_count: usize,
+        query: &Query<'_>,
         scratch: &mut SearchScratch,
-        stages: &mut StageNanos,
-        scanned: &mut u64,
-        budget: Option<&QueryBudget>,
+        work: &mut ShardSpan,
     ) -> io::Result<SearchResult> {
+        let &Query {
+            q,
+            k,
+            floor: ip_floor,
+            budget,
+            ..
+        } = query;
+        let (mask, mask_dead_count) = query.mask.unzip();
         assert_eq!(q.len(), self.d, "query dimensionality mismatch");
         assert!(k >= 1, "k must be at least 1");
         // Cooperative budget checker shared by every loop below. With no
         // budget this is one branch per tick site — the no-budget path
         // stays bit-identical and clock-free.
         let mut checker = BudgetChecker::new(budget);
-        let k = k.min((self.live_len() as usize).saturating_sub(mask_dead_count));
+        let k = k.min((self.len() as usize).saturating_sub(mask_dead_count.unwrap_or(0)));
         if k == 0 {
-            // Every point is dead (internally or via the mask): nothing to
-            // verify, nothing to return.
-            return Ok(self.finish(
+            // The mask kills every point: nothing to verify or return.
+            return Ok(finish(
                 TopK::new(0),
-                0,
-                0,
+                work,
                 None,
                 None,
                 false,
@@ -444,7 +413,7 @@ impl ProMips {
             c: self.config.c,
             p: self.config.p,
             m: self.m as u32,
-            max_sq_norm: self.effective_max_sq_norm(),
+            max_sq_norm: self.norms.max_sq_norm2(),
             q_sq_norm: sq_norm2(q),
         };
 
@@ -453,20 +422,11 @@ impl ProMips {
             .quickprobe
             .locate(&scratch.pq, norm1(q), self.config.c, self.config.p);
         let r = self.located_radius(&located, &scratch.pq, &mut scratch.proj);
-        stages.scan_ns += obs::elapsed_since(t_scan);
+        work.stages.scan_ns += obs::elapsed_since(t_scan);
         let r = r?;
         checker.tick()?;
 
         let mut top = TopK::with_floor(k, ip_floor);
-        let mut verified = 0usize;
-        let mut screened = 0usize;
-
-        // Fresh inserts live in the in-memory delta segment; verify them
-        // all up-front so the searching conditions' premise (everything
-        // nearer than a tested frontier is verified) covers them.
-        let t_delta = obs::clock_start();
-        self.verify_delta(q, mask, &mut top, &mut verified);
-        stages.verify_ns += obs::elapsed_since(t_delta);
 
         // --- Range search within r; verify per sub-partition batch. -------
         let t_range = obs::clock_start();
@@ -477,9 +437,9 @@ impl ProMips {
             &mut scratch.cands,
             &mut scratch.proj,
         );
-        stages.scan_ns += obs::elapsed_since(t_range);
+        work.stages.scan_ns += obs::elapsed_since(t_range);
         ranged?;
-        *scanned += scratch.cands.len() as u64;
+        work.scanned += scratch.cands.len() as u64;
         checker.tick()?;
         if let Some(term) = self.verify_groups(
             &scratch.cands,
@@ -487,13 +447,11 @@ impl ProMips {
             &ctx,
             mask,
             &mut top,
-            &mut verified,
-            &mut screened,
             &mut scratch.fetch,
-            stages,
+            work,
             &mut checker,
         )? {
-            return Ok(self.finish(top, verified, screened, Some(r), Some(r), false, term));
+            return Ok(finish(top, work, Some(r), Some(r), false, term));
         }
 
         // --- Rare shortfall: fewer than k candidates inside r. ------------
@@ -514,7 +472,7 @@ impl ProMips {
             let mut shortfall = || -> io::Result<()> {
                 for cand in iter.by_ref() {
                     checker.tick()?;
-                    if cand.proj_dist <= r || self.is_dead(cand.id, mask) {
+                    if cand.proj_dist <= r || is_dead(cand.id, mask) {
                         continue; // already verified by the range pass / deleted
                     }
                     self.index.fetch_originals(
@@ -523,7 +481,7 @@ impl ProMips {
                         &mut scratch.fetch.arena,
                     )?;
                     top.push(cand.id, dot(&scratch.fetch.arena, q));
-                    verified += 1;
+                    work.verified += 1;
                     r_final = cand.proj_dist;
                     extended = true;
                     if top.len() >= k {
@@ -533,7 +491,7 @@ impl ProMips {
                 Ok(())
             };
             let shorted = shortfall();
-            stages.verify_ns += obs::elapsed_since(t_short);
+            work.stages.verify_ns += obs::elapsed_since(t_short);
             shorted?;
             if let Some(e) = iter.take_error() {
                 return Err(e);
@@ -542,10 +500,9 @@ impl ProMips {
 
         // --- Termination tests at the searched radius. ---------------------
         if ctx.condition_a(top.kth_ip()) {
-            return Ok(self.finish(
+            return Ok(finish(
                 top,
-                verified,
-                screened,
+                work,
                 Some(r),
                 Some(r_final),
                 extended,
@@ -553,10 +510,9 @@ impl ProMips {
             ));
         }
         if ctx.condition_b(r_final * r_final, top.kth_ip()) {
-            return Ok(self.finish(
+            return Ok(finish(
                 top,
-                verified,
-                screened,
+                work,
                 Some(r),
                 Some(r_final),
                 extended,
@@ -575,9 +531,9 @@ impl ProMips {
                     &mut scratch.cands,
                     &mut scratch.proj,
                 );
-                stages.scan_ns += obs::elapsed_since(t_comp);
+                work.stages.scan_ns += obs::elapsed_since(t_comp);
                 ranged?;
-                *scanned += scratch.cands.len() as u64;
+                work.scanned += scratch.cands.len() as u64;
                 checker.tick()?;
                 if let Some(term) = self.verify_groups(
                     &scratch.cands,
@@ -585,30 +541,19 @@ impl ProMips {
                     &ctx,
                     mask,
                     &mut top,
-                    &mut verified,
-                    &mut screened,
                     &mut scratch.fetch,
-                    stages,
+                    work,
                     &mut checker,
                 )? {
-                    return Ok(self.finish(
-                        top,
-                        verified,
-                        screened,
-                        Some(r),
-                        Some(r_prime),
-                        true,
-                        term,
-                    ));
+                    return Ok(finish(top, work, Some(r), Some(r_prime), true, term));
                 }
                 r_final = r_prime;
                 extended = true;
             }
         }
-        Ok(self.finish(
+        Ok(finish(
             top,
-            verified,
-            screened,
+            work,
             Some(r),
             Some(r_final),
             extended,
@@ -691,30 +636,26 @@ impl ProMips {
     pub fn search_incremental(&self, q: &[f32], k: usize) -> io::Result<SearchResult> {
         assert_eq!(q.len(), self.d, "query dimensionality mismatch");
         assert!(k >= 1, "k must be at least 1");
-        let k = k.min(self.live_len() as usize);
+        let k = k.min(self.len() as usize);
 
         let pq = self.projection.project(q);
         let ctx = ConditionContext {
             c: self.config.c,
             p: self.config.p,
             m: self.m as u32,
-            max_sq_norm: self.effective_max_sq_norm(),
+            max_sq_norm: self.norms.max_sq_norm2(),
             q_sq_norm: sq_norm2(q),
         };
 
         let mut top = TopK::new(k);
-        let mut verified = 0usize;
+        let mut work = ShardSpan::default();
         let mut termination = Termination::DatasetExhausted;
-        self.verify_delta(q, None, &mut top, &mut verified);
 
         let mut iter = self.index.nn_iter(&pq);
         for cand in iter.by_ref() {
-            if self.is_deleted(cand.id) {
-                continue;
-            }
             let orig = self.index.fetch_original(&cand)?;
             top.push(cand.id, dot(&orig, q));
-            verified += 1;
+            work.verified += 1;
             if ctx.condition_a(top.kth_ip()) {
                 termination = Termination::ConditionA;
                 break;
@@ -727,7 +668,7 @@ impl ProMips {
         if let Some(e) = iter.take_error() {
             return Err(e);
         }
-        Ok(self.finish(top, verified, 0, None, None, false, termination))
+        Ok(finish(top, &work, None, None, false, termination))
     }
 
     /// Verifies candidates one sub-partition batch at a time (each batch is
@@ -773,10 +714,8 @@ impl ProMips {
         ctx: &ConditionContext,
         mask: Option<&dyn Fn(u64) -> bool>,
         top: &mut TopK,
-        verified: &mut usize,
-        screened: &mut usize,
         buf: &mut FetchBuffers,
-        stages: &mut StageNanos,
+        work: &mut ShardSpan,
         checker: &mut BudgetChecker<'_>,
     ) -> io::Result<Option<Termination>> {
         // Candidates arrive grouped by sub-partition (directory order);
@@ -840,7 +779,7 @@ impl ProMips {
             // fetch entirely and take the plain path.
             let screen_now = qs.is_some() && top.kth_ip() > f64::NEG_INFINITY;
             if screen_now != lap_screened {
-                flush(lap_screened, &mut t_lap, stages);
+                flush(lap_screened, &mut t_lap, &mut work.stages);
                 lap_screened = screen_now;
             }
             let res = if screen_now {
@@ -850,8 +789,8 @@ impl ProMips {
                     qs.as_ref().unwrap(),
                     mask,
                     top,
-                    verified,
-                    screened,
+                    &mut work.verified,
+                    &mut work.screened,
                     buf,
                 )
             } else {
@@ -859,7 +798,7 @@ impl ProMips {
                     self.index
                         .fetch_originals(group[0].subpart, &buf.offsets, &mut buf.arena);
                 if res.is_ok() {
-                    self.rescore_group(group, q, mask, top, verified, &buf.arena);
+                    self.rescore_group(group, q, mask, top, &mut work.verified, &buf.arena);
                 }
                 res
             };
@@ -878,7 +817,7 @@ impl ProMips {
                 }
             }
         }
-        flush(lap_screened, &mut t_lap, stages);
+        flush(lap_screened, &mut t_lap, &mut work.stages);
         outcome
     }
 
@@ -896,7 +835,7 @@ impl ProMips {
         q: &[f32],
         mask: Option<&dyn Fn(u64) -> bool>,
         top: &mut TopK,
-        verified: &mut usize,
+        verified: &mut u64,
         arena: &[f32],
     ) {
         let d = self.d;
@@ -912,7 +851,7 @@ impl ProMips {
             );
             for (j, &ip) in ips.iter().enumerate() {
                 let cand = &cands[slot + j];
-                if !self.is_dead(cand.id, mask) {
+                if !is_dead(cand.id, mask) {
                     top.push(cand.id, ip);
                     *verified += 1;
                 }
@@ -920,7 +859,7 @@ impl ProMips {
             slot += 4;
         }
         for (cand, row) in cands[slot..].iter().zip(arena[slot * d..].chunks_exact(d)) {
-            if !self.is_dead(cand.id, mask) {
+            if !is_dead(cand.id, mask) {
                 top.push(cand.id, dot(row, q));
                 *verified += 1;
             }
@@ -955,8 +894,8 @@ impl ProMips {
         qs: &QueryScreen,
         mask: Option<&dyn Fn(u64) -> bool>,
         top: &mut TopK,
-        verified: &mut usize,
-        screened: &mut usize,
+        verified: &mut u64,
+        screened: &mut u64,
         buf: &mut FetchBuffers,
     ) -> io::Result<()> {
         let FetchBuffers {
@@ -1006,7 +945,7 @@ impl ProMips {
             if base + step * idot as f64 + pad >= top.kth_ip() {
                 self.index
                     .fetch_originals(sub, &offsets[slot + j..slot + j + 1], arena)?;
-                if !self.is_dead(cand.id, mask) {
+                if !is_dead(cand.id, mask) {
                     top.push(cand.id, dot(&arena[..d], q));
                     *verified += 1;
                 }
@@ -1017,10 +956,9 @@ impl ProMips {
         Ok(())
     }
 
-    /// Resolves the Quick-Probe point's projected distance. The located id
-    /// can refer to a delta insert, whose projection is in memory; an id
-    /// outside the locator (possible only if Quick-Probe state and the index
-    /// ever disagree, e.g. after a partial reload) is reported as data
+    /// Resolves the Quick-Probe point's projected distance. An id outside
+    /// the locator (possible only if Quick-Probe state and the index ever
+    /// disagree, e.g. after a partial reload) is reported as data
     /// corruption instead of a panic.
     ///
     /// The returned radius is inflated by a few ulps: the annulus scan
@@ -1039,9 +977,6 @@ impl ProMips {
     ) -> io::Result<f64> {
         fn ulp_pad(r: f64) -> f64 {
             r * (1.0 + 4.0 * f64::EPSILON)
-        }
-        if let Some(entry) = self.delta.entries.iter().find(|e| e.id == located.id) {
-            return Ok(ulp_pad(dist(&entry.proj, pq)));
         }
         let Some(&(sub, off)) = self.locator.get(located.id as usize) else {
             return Err(io::Error::new(
@@ -1065,49 +1000,29 @@ impl ProMips {
         self.index.fetch_proj_record_into(sub, off, proj)?;
         Ok(ulp_pad(dist(proj.row(0), pq)))
     }
+}
 
-    /// Whether `id` is dead for this query: internally tombstoned or
-    /// killed by the caller's external mask.
-    fn is_dead(&self, id: u64, mask: Option<&dyn Fn(u64) -> bool>) -> bool {
-        self.is_deleted(id) || mask.is_some_and(|m| m(id))
-    }
+/// Whether the request's mask kills `id`.
+fn is_dead(id: u64, mask: Option<&dyn Fn(u64) -> bool>) -> bool {
+    mask.is_some_and(|m| m(id))
+}
 
-    /// Verifies every live delta entry (in memory, no page cost).
-    fn verify_delta(
-        &self,
-        q: &[f32],
-        mask: Option<&dyn Fn(u64) -> bool>,
-        top: &mut TopK,
-        verified: &mut usize,
-    ) {
-        for entry in &self.delta.entries {
-            if !self.is_dead(entry.id, mask) {
-                top.push(entry.id, dot(&entry.orig, q));
-                *verified += 1;
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        top: TopK,
-        verified: usize,
-        screened: usize,
-        probe_radius: Option<f64>,
-        final_radius: Option<f64>,
-        compensated: bool,
-        termination: Termination,
-    ) -> SearchResult {
-        SearchResult {
-            items: top.into_sorted(),
-            verified,
-            screened,
-            probe_radius,
-            final_radius,
-            compensated,
-            termination,
-        }
+fn finish(
+    top: TopK,
+    work: &ShardSpan,
+    probe_radius: Option<f64>,
+    final_radius: Option<f64>,
+    compensated: bool,
+    termination: Termination,
+) -> SearchResult {
+    SearchResult {
+        items: top.into_sorted(),
+        verified: work.verified as usize,
+        screened: work.screened as usize,
+        probe_radius,
+        final_radius,
+        compensated,
+        termination,
     }
 }
 
@@ -1145,6 +1060,31 @@ mod tests {
             .build();
         let idx = ProMips::build_in_memory(&data, cfg).unwrap();
         (idx, data)
+    }
+
+    fn at_floor(q: &[f32], k: usize, floor: f64) -> Query<'_> {
+        Query {
+            floor,
+            ..Query::new(q, k)
+        }
+    }
+
+    fn masked<'a>(
+        q: &'a [f32],
+        k: usize,
+        mask: Option<(&'a dyn Fn(u64) -> bool, usize)>,
+    ) -> Query<'a> {
+        Query {
+            mask,
+            ..Query::new(q, k)
+        }
+    }
+
+    fn budgeted<'a>(q: &'a [f32], k: usize, budget: Option<&'a QueryBudget>) -> Query<'a> {
+        Query {
+            budget,
+            ..Query::new(q, k)
+        }
     }
 
     #[test]
@@ -1232,7 +1172,7 @@ mod tests {
             // exact top-k over the unmasked points.
             let k = 600 - dead_count;
             let res = idx
-                .search_masked(&q, k, f64::NEG_INFINITY, &dead, dead_count, &mut scratch)
+                .execute(masked(&q, k, Some((&dead, dead_count))), &mut scratch)
                 .unwrap();
             assert_eq!(res.items.len(), k);
             assert!(res.items.iter().all(|i| !dead(i.id)), "masked id returned");
@@ -1256,7 +1196,7 @@ mod tests {
             let q: Vec<f32> = (0..16).map(|_| rng.normal() as f32).collect();
             let plain = idx.search(&q, 5).unwrap();
             let masked = idx
-                .search_masked(&q, 5, f64::NEG_INFINITY, &|_| false, 0, &mut scratch)
+                .execute(masked(&q, 5, Some((&|_| false, 0))), &mut scratch)
                 .unwrap();
             assert_eq!(plain.items, masked.items);
             assert_eq!(plain.verified, masked.verified);
@@ -1269,17 +1209,36 @@ mod tests {
         let (idx, _) = build(200, 16, 43, 0.9, 0.5);
         let q = vec![1.0f32; 16];
         let res = idx
-            .search_masked(
-                &q,
-                5,
-                f64::NEG_INFINITY,
-                &|_| true,
-                200,
+            .execute(
+                masked(&q, 5, Some((&|_| true, 200))),
                 &mut SearchScratch::new(),
             )
             .unwrap();
         assert!(res.items.is_empty());
         assert_eq!(res.verified, 0);
+    }
+
+    #[test]
+    fn k_clamps_to_the_points_the_mask_leaves_alive() {
+        // The mask is the only source of deadness: with all but three ids
+        // dead, any k returns exactly those three, exhaustively verified.
+        let (idx, data) = build(200, 16, 43, 0.9, 0.5);
+        let alive = [3u64, 77, 150];
+        let dead = |id: u64| !alive.contains(&id);
+        let q = vec![1.0f32; 16];
+        let res = idx
+            .execute(
+                masked(&q, 10, Some((&dead, 200 - alive.len()))),
+                &mut SearchScratch::new(),
+            )
+            .unwrap();
+        let mut want: Vec<(u64, f64)> = alive
+            .iter()
+            .map(|&id| (id, dot(data.row(id as usize), &q)))
+            .collect();
+        want.sort_by(|a, b| b.1.total_cmp(&a.1));
+        assert_eq!(res.ids(), want.iter().map(|w| w.0).collect::<Vec<_>>());
+        assert_eq!(res.verified, alive.len());
     }
 
     #[test]
@@ -1300,20 +1259,82 @@ mod tests {
     }
 
     #[test]
-    fn floor_of_negative_infinity_is_bit_identical() {
+    fn every_wrapper_is_bit_identical_to_execute() {
         let (idx, _) = build(700, 20, 37, 0.9, 0.5);
         let mut rng = Xoshiro256pp::seed_from_u64(91);
         let mut scratch = SearchScratch::new();
+        let dead = |id: u64| id.is_multiple_of(7);
+        let dead_count = 100;
         for _ in 0..8 {
             let q: Vec<f32> = (0..20).map(|_| rng.normal() as f32).collect();
-            let plain = idx.search(&q, 6).unwrap();
-            let floored = idx
-                .search_with_floor(&q, 6, f64::NEG_INFINITY, &mut scratch)
-                .unwrap();
-            assert_eq!(plain.items, floored.items);
-            assert_eq!(plain.verified, floored.verified);
-            assert_eq!(plain.termination, floored.termination);
+            let plain = idx.execute(Query::new(&q, 6), &mut scratch).unwrap();
+            assert_eq!(idx.search(&q, 6).unwrap(), plain);
+            assert_eq!(idx.search_with_scratch(&q, 6, &mut scratch).unwrap(), plain);
+            // The frozen positional name, with the options it can carry.
+            for floor in [f64::NEG_INFINITY, plain.items[2].ip] {
+                let mut want_span = ShardSpan::default();
+                let want = idx
+                    .execute(
+                        Query {
+                            floor,
+                            mask: Some((&dead, dead_count)),
+                            span: Some(&mut want_span),
+                            ..Query::new(&q, 6)
+                        },
+                        &mut scratch,
+                    )
+                    .unwrap();
+                let mut span = ShardSpan::default();
+                let got = idx
+                    .search_masked_traced(&q, 6, floor, &dead, dead_count, &mut scratch, &mut span)
+                    .unwrap();
+                assert_eq!(got, want);
+                assert_eq!(
+                    (span.scanned, span.screened, span.verified),
+                    (want_span.scanned, want_span.screened, want_span.verified)
+                );
+                assert_eq!(span.verified as usize, got.verified);
+                assert_eq!(span.screened as usize, got.screened);
+            }
         }
+    }
+
+    #[test]
+    fn failed_search_reports_the_work_done_before_the_error() {
+        use promips_obs::QueryBudget;
+        let (idx, _) = build(600, 16, 59, 0.9, 0.5);
+        let q = vec![0.3f32; 16];
+        let mut scratch = SearchScratch::new();
+        // A full run for reference, then the same query cancelled by an
+        // expired deadline: the span is filled either way, and a failed
+        // search never reports more work than the finished one.
+        let mut full = ShardSpan::default();
+        idx.execute(
+            Query {
+                span: Some(&mut full),
+                ..Query::new(&q, 5)
+            },
+            &mut scratch,
+        )
+        .unwrap();
+        assert!(full.scanned > 0 && full.verified > 0);
+        let mut cut = ShardSpan {
+            scanned: u64::MAX,
+            verified: u64::MAX,
+            ..ShardSpan::default()
+        };
+        let expired = QueryBudget::with_deadline_at(0);
+        idx.execute(
+            Query {
+                budget: Some(&expired),
+                span: Some(&mut cut),
+                ..Query::new(&q, 5)
+            },
+            &mut scratch,
+        )
+        .unwrap_err();
+        assert!(cut.scanned <= full.scanned, "span must be overwritten");
+        assert!(cut.verified <= full.verified);
     }
 
     #[test]
@@ -1327,7 +1348,7 @@ mod tests {
             // Floor at the plain search's 3rd-best: at most 3 items can
             // reach it, and all of them must sit at or above the floor.
             let floor = plain.items[2].ip;
-            let floored = idx.search_with_floor(&q, 5, floor, &mut scratch).unwrap();
+            let floored = idx.execute(at_floor(&q, 5, floor), &mut scratch).unwrap();
             assert!(floored.items.len() <= plain.items.len());
             assert!(floored.items.iter().all(|it| it.ip >= floor));
             assert!(
@@ -1347,7 +1368,7 @@ mod tests {
         let (idx, _) = build(400, 12, 53, 0.9, 0.5);
         let q = vec![0.2f32; 12];
         let mut scratch = SearchScratch::new();
-        let res = idx.search_with_floor(&q, 5, 1e12, &mut scratch).unwrap();
+        let res = idx.execute(at_floor(&q, 5, 1e12), &mut scratch).unwrap();
         assert!(res.items.is_empty());
         // The floor stands in for the k-th best, so Condition A fires at
         // the first group boundary instead of the search crawling the
@@ -1371,16 +1392,7 @@ mod tests {
         // the typed cause survives the io::Error plumbing.
         let expired = QueryBudget::with_deadline_at(0);
         let err = idx
-            .search_masked_budgeted(
-                &q,
-                5,
-                f64::NEG_INFINITY,
-                &|_| false,
-                0,
-                &mut scratch,
-                None,
-                Some(&expired),
-            )
+            .execute(budgeted(&q, 5, Some(&expired)), &mut scratch)
             .unwrap_err();
         assert_eq!(budget_error(&err), Some(BudgetExceeded::Deadline));
 
@@ -1389,16 +1401,7 @@ mod tests {
         tok.cancel();
         let cancelled = QueryBudget::unlimited().cancellable(tok);
         let err = idx
-            .search_masked_budgeted(
-                &q,
-                5,
-                f64::NEG_INFINITY,
-                &|_| false,
-                0,
-                &mut scratch,
-                None,
-                Some(&cancelled),
-            )
+            .execute(budgeted(&q, 5, Some(&cancelled)), &mut scratch)
             .unwrap_err();
         assert_eq!(budget_error(&err), Some(BudgetExceeded::Cancelled));
 
@@ -1410,16 +1413,7 @@ mod tests {
             QueryBudget::with_deadline(std::time::Duration::from_secs(3600)),
         ] {
             let budgeted = idx
-                .search_masked_budgeted(
-                    &q,
-                    5,
-                    f64::NEG_INFINITY,
-                    &|_| false,
-                    0,
-                    &mut scratch,
-                    None,
-                    Some(&b),
-                )
+                .execute(budgeted(&q, 5, Some(&b)), &mut scratch)
                 .unwrap();
             assert_eq!(plain.items, budgeted.items);
             assert_eq!(plain.verified, budgeted.verified);
@@ -1497,6 +1491,20 @@ mod tests {
             }
         }
         assert!(hold as f64 / total as f64 >= 0.5, "{hold}/{total}");
+    }
+
+    #[test]
+    #[should_panic(expected = "query dimensionality mismatch")]
+    fn a_query_of_the_wrong_dimension_is_refused() {
+        let (idx, _) = build(50, 8, 5, 0.9, 0.5);
+        let _ = idx.search(&[0.5f32; 7], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be at least 1")]
+    fn a_request_for_zero_results_is_refused() {
+        let (idx, _) = build(50, 8, 5, 0.9, 0.5);
+        let _ = idx.search(&[0.5f32; 8], 0);
     }
 
     #[test]

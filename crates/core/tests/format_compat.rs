@@ -1,16 +1,12 @@
-//! On-disk format compatibility for the verification tier.
+//! The one on-disk format across the tier matrix.
 //!
-//! The SQ8 screen+rescore tier introduced format v3: a u8 code column for
-//! the original vectors plus per-sub-partition `OrigQuant` directories.
-//! Files written by older builds must keep working:
-//!
-//! * **v1** (no quantized tiers at all) and **v2** (scan tier only) files
-//!   reopen and search correctly with the verification tier **silently
-//!   disabled** — no config flag, no error, just pure-f32 verification.
-//! * Because the screen is bit-identical by construction, a reopened
-//!   v1/v2 file must return exactly the same items as a fresh v3 build of
-//!   the same data — only the `screened`/`verified` accounting differs.
-//! * v3 files roundtrip with the tier intact.
+//! The SQ8 scan tier and the SQ8 screen+rescore verification tier are each
+//! optional at build time; a file records an absent tier as a sentinel
+//! region. All four `quantize × verify_quantize` builds must round-trip
+//! through save/open with exactly their tiers, answer like a fresh build,
+//! and — because both tiers are bit-identical by construction — return the
+//! same items as each other; only the `screened`/`verified` accounting
+//! differs.
 
 use std::sync::Arc;
 
@@ -58,106 +54,62 @@ fn save_reopen(data: &Matrix, dir: &std::path::Path, name: &str, cfg: ProMipsCon
 }
 
 #[test]
-fn v1_and_v2_files_search_with_verify_tier_silently_disabled() {
+fn every_tier_combination_roundtrips_and_agrees() {
     let d = 18;
     let data = random_data(700, d, 55);
     let dir = std::env::temp_dir().join(format!("promips-fmt-compat-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
 
-    // The reference: a current-format build with both tiers on.
-    let v3 = ProMips::build_in_memory(&data, config_for(true, true)).unwrap();
-    assert!(v3.idistance().quantized());
-    assert!(v3.idistance().verify_quantized());
-
-    // v1: no quantized region at all. v2: scan tier only.
-    let v1 = save_reopen(&data, &dir, "v1.pmx", config_for(false, false));
-    let v2 = save_reopen(&data, &dir, "v2.pmx", config_for(true, false));
-    assert!(!v1.idistance().quantized());
-    assert!(!v1.idistance().verify_quantized());
-    assert!(v2.idistance().quantized());
-    assert!(!v2.idistance().verify_quantized());
+    let combos = [(true, true), (false, false), (true, false), (false, true)];
+    let reopened: Vec<ProMips> = combos
+        .iter()
+        .map(|&(scan, verify)| {
+            let name = format!("scan{scan}-verify{verify}.pmx");
+            let idx = save_reopen(&data, &dir, &name, config_for(scan, verify));
+            assert_eq!(idx.idistance().quantized(), scan, "{name}");
+            assert_eq!(idx.idistance().verify_quantized(), verify, "{name}");
+            idx
+        })
+        .collect();
+    let fresh: Vec<ProMips> = combos
+        .iter()
+        .map(|&(scan, verify)| ProMips::build_in_memory(&data, config_for(scan, verify)).unwrap())
+        .collect();
 
     let mut rng = Xoshiro256pp::seed_from_u64(56);
-    let mut v3_screened = 0usize;
+    let mut screened = 0usize;
     for _ in 0..10 {
         let q: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
         for k in [1usize, 7, 20] {
-            let want = v3.search(&q, k).unwrap();
-            v3_screened += want.screened;
-            for (legacy, label) in [(&v1, "v1"), (&v2, "v2")] {
-                let got = legacy.search(&q, k).unwrap();
-                assert_eq!(got.items, want.items, "{label}: items diverged from v3");
+            // combos[0] is the default build: both tiers on.
+            let want = reopened[0].search(&q, k).unwrap();
+            screened += want.screened;
+            for ((got, fresh), (scan, verify)) in reopened.iter().zip(&fresh).zip(combos) {
+                let label = format!("scan={scan}, verify={verify}, k={k}");
+                let got = got.search(&q, k).unwrap();
+                assert_eq!(
+                    got,
+                    fresh.search(&q, k).unwrap(),
+                    "{label}: reopen changed it"
+                );
+                assert_eq!(got.items, want.items, "{label}: items");
                 assert_eq!(got.termination, want.termination, "{label}: termination");
                 assert_eq!(got.probe_radius, want.probe_radius, "{label}: probe radius");
                 assert_eq!(got.final_radius, want.final_radius, "{label}: final radius");
-                assert_eq!(
-                    got.screened, 0,
-                    "{label}: legacy formats must never screen — the tier \
-                     has no codes to screen with"
-                );
-                assert!(
-                    got.verified >= want.verified,
-                    "{label}: pure-f32 verification can only do more exact \
-                     inner products, not fewer"
-                );
+                if !verify {
+                    assert_eq!(got.screened, 0, "{label}: no codes to screen with");
+                    assert!(
+                        got.verified >= want.verified,
+                        "{label}: pure-f32 verification can only do more exact \
+                         inner products, not fewer"
+                    );
+                }
             }
         }
     }
     assert!(
-        v3_screened > 0,
-        "the v3 reference never screened — the comparison is vacuous"
+        screened > 0,
+        "the both-tiers file never screened — tier lost, comparison vacuous"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn v3_files_roundtrip_with_verify_tier_intact() {
-    let d = 16;
-    let data = random_data(600, d, 81);
-    let dir = std::env::temp_dir().join(format!("promips-fmt-v3-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-
-    let fresh = ProMips::build_in_memory(&data, config_for(true, true)).unwrap();
-    let reopened = save_reopen(&data, &dir, "v3.pmx", config_for(true, true));
-    assert!(reopened.idistance().verify_quantized());
-
-    let mut rng = Xoshiro256pp::seed_from_u64(82);
-    let mut screened = 0usize;
-    for _ in 0..8 {
-        let q: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
-        let a = fresh.search(&q, 9).unwrap();
-        let b = reopened.search(&q, 9).unwrap();
-        assert_eq!(a.items, b.items);
-        assert_eq!(a.verified, b.verified);
-        assert_eq!(a.screened, b.screened);
-        screened += b.screened;
-    }
-    assert!(screened > 0, "reopened v3 file never screened — tier lost");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// The odd combination: verification tier on, scan tier off. The v3
-/// footer must encode the *absence* of the scan-quant region and reopen
-/// with exactly that tier mix.
-#[test]
-fn verify_only_builds_roundtrip() {
-    let d = 14;
-    let data = random_data(400, d, 33);
-    let dir = std::env::temp_dir().join(format!("promips-fmt-vonly-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-
-    let reopened = save_reopen(&data, &dir, "vonly.pmx", config_for(false, true));
-    assert!(!reopened.idistance().quantized());
-    assert!(reopened.idistance().verify_quantized());
-
-    let fresh = ProMips::build_in_memory(&data, config_for(false, true)).unwrap();
-    let mut rng = Xoshiro256pp::seed_from_u64(34);
-    for _ in 0..6 {
-        let q: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
-        let a = fresh.search(&q, 5).unwrap();
-        let b = reopened.search(&q, 5).unwrap();
-        assert_eq!(a.items, b.items);
-        assert_eq!(a.screened, b.screened);
-    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

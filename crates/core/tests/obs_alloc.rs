@@ -15,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use promips_core::{ProMips, ProMipsConfig, SearchScratch};
+use promips_core::{ProMips, ProMipsConfig, Query, SearchScratch};
 use promips_linalg::Matrix;
 use promips_stats::Xoshiro256pp;
 
@@ -60,10 +60,10 @@ fn warm_search_allocs(
     scratch: &mut SearchScratch,
 ) -> (u64, usize) {
     for _ in 0..3 {
-        index.search_with_scratch(q, k, scratch).unwrap();
+        index.execute(Query::new(q, k), scratch).unwrap();
     }
     let before = allocs();
-    let res = index.search_with_scratch(q, k, scratch).unwrap();
+    let res = index.execute(Query::new(q, k), scratch).unwrap();
     (allocs() - before, res.verified)
 }
 
@@ -109,6 +109,29 @@ fn instrumented_warm_search_does_not_allocate() {
         timed, untimed,
         "stage timing changes the warm-path allocation count"
     );
+    // A request with every option set allocates no more than the plain
+    // one: the request value, the mask, the budget checks and the span are
+    // all allocation-free.
+    let budget = promips_obs::QueryBudget::with_deadline(std::time::Duration::from_secs(3600));
+    let mut span = promips_obs::ShardSpan::default();
+    let before = allocs();
+    index
+        .execute(
+            Query {
+                floor: f64::MIN,
+                mask: Some((&|id| id == 0, 1)),
+                budget: Some(&budget),
+                span: Some(&mut span),
+                ..Query::new(&q, k)
+            },
+            &mut scratch,
+        )
+        .unwrap();
+    assert!(
+        allocs() - before <= timed,
+        "a fully optioned request allocates more than the plain one"
+    );
+    assert!(span.verified > 0);
     // And it stays a tiny per-search constant, not per-candidate.
     assert!(
         (timed as usize) * 16 < verified,

@@ -17,7 +17,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use promips_core::{ProMips, ProMipsConfig, SearchScratch};
+use promips_core::{ProMips, ProMipsConfig, Query, SearchScratch};
 use promips_idistance::IDistanceConfig;
 use promips_linalg::Matrix;
 use promips_stats::Xoshiro256pp;
@@ -63,10 +63,10 @@ fn warm_search_allocs(
     scratch: &mut SearchScratch,
 ) -> (u64, usize, usize) {
     for _ in 0..3 {
-        index.search_with_scratch(q, k, scratch).unwrap();
+        index.execute(Query::new(q, k), scratch).unwrap();
     }
     let before = allocs();
-    let res = index.search_with_scratch(q, k, scratch).unwrap();
+    let res = index.execute(Query::new(q, k), scratch).unwrap();
     (allocs() - before, res.verified, res.screened)
 }
 

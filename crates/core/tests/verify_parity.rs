@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use promips_core::{ProMips, ProMipsConfig, SearchResult, SearchScratch};
+use promips_core::{ProMips, ProMipsConfig, Query, SearchResult, SearchScratch};
 use promips_idistance::IDistanceConfig;
 use promips_linalg::Matrix;
 use promips_stats::Xoshiro256pp;
@@ -108,8 +108,12 @@ proptest! {
             // A floor taken from the plain result's own items sits exactly
             // on the screen threshold — the nastiest near-boundary case.
             if let Some(mid) = b.items.get(b.items.len() / 2) {
-                let fa = tiered.search_with_floor(&q, k, mid.ip, &mut sa).unwrap();
-                let fb = plain.search_with_floor(&q, k, mid.ip, &mut sb).unwrap();
+                let floored = || Query {
+                    floor: mid.ip,
+                    ..Query::new(&q, k)
+                };
+                let fa = tiered.execute(floored(), &mut sa).unwrap();
+                let fb = plain.execute(floored(), &mut sb).unwrap();
                 assert_bit_identical(&fa, &fb, &format!("floored query {qi}, k={k}"));
             }
         }

@@ -155,7 +155,7 @@ pub fn build_index(
     }
     let orig_region = writer.finish()?;
 
-    // --- Packed SQ8 quantized region (format v2). ---------------------------
+    // --- Packed SQ8 quantized region. ---------------------------------------
     // Each sub-partition's projected rows are scalar-quantized to u8 codes
     // with one affine (min, scale) per sub-partition; the exact
     // dequantization error bound max ‖x − x̂‖ is computed here so the
@@ -209,7 +209,7 @@ pub fn build_index(
         quant_region = Some(writer.finish()?);
     }
 
-    // --- Packed SQ8 verification-quant region (format v3). ------------------
+    // --- Packed SQ8 verification-quant region. ------------------------------
     // Same scheme over the **original** d-dim rows: one affine quantizer per
     // sub-partition, d code bytes per record in original-region order. The
     // verification screen needs two bounds per sub-partition — max ‖x − x̂‖

@@ -20,8 +20,7 @@ pub struct IDistanceConfig {
     /// runs of 4-row blocks through the exact f32 path. The quantized filter is
     /// padded by the per-sub-partition quantization error bound, so scan
     /// results are **bit-identical** with the tier on or off — `false` only
-    /// trades scan speed for a slightly smaller file (and writes the
-    /// version-1 on-disk format, which current builds can still open).
+    /// trades scan speed for a slightly smaller file.
     pub quantize: bool,
     /// Whether to build the SQ8 verification tier: a dense u8 code column
     /// over the **original** d-dim vectors (one affine quantizer per
@@ -31,9 +30,7 @@ pub struct IDistanceConfig {
     /// exact error-bound padding can still reach the running top-k are
     /// rescored exactly. Screening never drops a true top-k member, so
     /// search results are **bit-identical** with the tier on or off;
-    /// `false` trades verification speed for a smaller file. Builds with
-    /// this tier write the version-3 on-disk format (v1/v2 files still
-    /// open, verifying pure-f32).
+    /// `false` trades verification speed for a smaller file.
     pub verify_quantize: bool,
 }
 

@@ -14,33 +14,23 @@ use crate::meta::{OrigQuant, PartitionMeta, SubPartMeta, SubPartQuant};
 /// A packed byte region: `(start_page, byte_len)`; pages are consecutive.
 pub type Region = (PageId, u64);
 
-/// Format v1: projected + original regions only (no quantized tier).
-const FOOTER_MAGIC: u64 = 0x1D15_7A4C_E01D_F007;
-/// Format v2: v1 plus the SQ8 quantized region and its per-sub-partition
-/// quantizer directory. [`IDistanceIndex::open_at`] accepts both; v1 files
-/// simply open with the quantized filter tier disabled.
-const FOOTER_MAGIC_V2: u64 = 0x1D15_7A4C_E01D_F008;
-/// Format v3: v2 plus the SQ8 **verification** code column over original
-/// vectors. The footer layout is unchanged (17 fields — the scan-quant
-/// region slots hold [`REGION_ABSENT`] when `quantize: false`); the
-/// verification region and its [`OrigQuant`] directory ride the directory
-/// blob, so the footer's page span stays version-independent and v1/v2
-/// files keep opening. v1/v2 files open with the verification tier
-/// disabled (pure-f32 verification).
-const FOOTER_MAGIC_V3: u64 = 0x1D15_7A4C_E01D_F009;
+/// The one on-disk format. The footer has 17 fixed fields, among them the
+/// SQ8 scan-code region; the SQ8 **verification** code region over the
+/// original vectors and both per-sub-partition quantizer directories ride
+/// the directory blob. A tier that was not built
+/// ([`crate::IDistanceConfig::quantize`] /
+/// [`crate::IDistanceConfig::verify_quantize`] off) leaves
+/// [`REGION_ABSENT`] in its region slot; any other magic is rejected.
+const FOOTER_MAGIC: u64 = 0x1D15_7A4C_E01D_F009;
 
-/// Sentinel start-page marking an absent region inside a v3 footer (a real
-/// region can never start there: the file would exceed every address
-/// space).
+/// Sentinel start-page marking an absent region (a real region can never
+/// start there: the file would exceed every address space).
 const REGION_ABSENT: u64 = u64::MAX;
 
-/// Fixed on-disk footer length: the 17 8-byte fields of a v2/v3 footer. v1
-/// footers (15 fields) are zero-padded to the same length, so the footer's
-/// page span is version-independent and callers can locate its start
-/// without knowing the version (see [`footer_span_pages`]). For any page
-/// size ≥ 136 this is one zero-padded page — byte-identical to the
-/// pre-quantization single-page footer; smaller (test-only) page sizes
-/// spill onto consecutive pages instead of silently truncating.
+/// Fixed on-disk footer length: its 17 8-byte fields. For any page size
+/// ≥ 136 this is one zero-padded page; smaller (test-only) page sizes
+/// spill onto consecutive pages instead of silently truncating (see
+/// [`footer_span_pages`]).
 const FOOTER_BYTES: usize = 17 * 8;
 
 /// Number of trailing pages the iDistance footer occupies for a given page
@@ -245,12 +235,12 @@ pub struct IDistanceIndex {
     ring_c: u64,
     proj_region: Region,
     orig_region: Region,
-    /// The packed SQ8 code region (format v2); `None` on v1 files and
-    /// `quantize: false` builds, which scan through the f32 path alone.
+    /// The packed SQ8 code region; `None` on `quantize: false` builds,
+    /// which scan through the f32 path alone.
     quant_region: Option<Region>,
-    /// The packed SQ8 verification code region over original vectors
-    /// (format v3); `None` on v1/v2 files and `verify_quantize: false`
-    /// builds, which verify through the f32 path alone.
+    /// The packed SQ8 verification code region over original vectors;
+    /// `None` on `verify_quantize: false` builds, which verify through the
+    /// f32 path alone.
     vquant_region: Option<Region>,
     partitions: Vec<PartitionMeta>,
     subparts: Vec<SubPartMeta>,
@@ -907,13 +897,7 @@ impl IDistanceIndex {
 
     /// Writes the directory blob and a footer page at the end of the file so
     /// [`Self::open`] can reconstruct the handle. Called by the builder.
-    /// Indexes carrying the verification tier write the v3 format (the
-    /// verification region and its quantizer directory travel in the
-    /// directory blob, keeping the footer's span version-independent);
-    /// scan-quantized-only indexes write v2; others write v1,
-    /// byte-identical to pre-quantization builds.
     pub(crate) fn write_footer(&self) -> io::Result<()> {
-        let v3 = self.vquant_region.is_some();
         let mut dir = Vec::new();
         enc::put_u32(&mut dir, self.partitions.len() as u32);
         for p in &self.partitions {
@@ -929,9 +913,10 @@ impl IDistanceIndex {
                 q.encode(&mut dir);
             }
         }
-        if let Some((vs, vl)) = self.vquant_region {
-            enc::put_u64(&mut dir, vs);
-            enc::put_u64(&mut dir, vl);
+        let (vs, vl) = self.vquant_region.unwrap_or((REGION_ABSENT, 0));
+        enc::put_u64(&mut dir, vs);
+        enc::put_u64(&mut dir, vl);
+        if self.vquant_region.is_some() {
             enc::put_u32(&mut dir, self.vquants.len() as u32);
             for q in &self.vquants {
                 q.encode(&mut dir);
@@ -941,16 +926,7 @@ impl IDistanceIndex {
 
         let ps = self.pager.page_size();
         let mut footer = Vec::with_capacity(ps);
-        enc::put_u64(
-            &mut footer,
-            if v3 {
-                FOOTER_MAGIC_V3
-            } else if self.quant_region.is_some() {
-                FOOTER_MAGIC_V2
-            } else {
-                FOOTER_MAGIC
-            },
-        );
+        enc::put_u64(&mut footer, FOOTER_MAGIC);
         enc::put_u64(&mut footer, self.m as u64);
         enc::put_u64(&mut footer, self.d as u64);
         enc::put_f64(&mut footer, self.epsilon);
@@ -959,23 +935,16 @@ impl IDistanceIndex {
         enc::put_u64(&mut footer, self.proj_region.1);
         enc::put_u64(&mut footer, self.orig_region.0);
         enc::put_u64(&mut footer, self.orig_region.1);
-        if let Some((qs, ql)) = self.quant_region {
-            enc::put_u64(&mut footer, qs);
-            enc::put_u64(&mut footer, ql);
-        } else if v3 {
-            // A v3 footer always carries the two scan-quant slots so its
-            // field layout is fixed; absence is the sentinel.
-            enc::put_u64(&mut footer, REGION_ABSENT);
-            enc::put_u64(&mut footer, 0);
-        }
+        let (qs, ql) = self.quant_region.unwrap_or((REGION_ABSENT, 0));
+        enc::put_u64(&mut footer, qs);
+        enc::put_u64(&mut footer, ql);
         enc::put_u64(&mut footer, dir_start);
         enc::put_u64(&mut footer, dir.len() as u64);
         enc::put_u64(&mut footer, self.tree.root());
         enc::put_u64(&mut footer, self.tree.height() as u64);
         enc::put_u64(&mut footer, self.tree.len());
         enc::put_u64(&mut footer, self.n_points);
-        debug_assert!(footer.len() <= FOOTER_BYTES, "footer outgrew FOOTER_BYTES");
-        footer.resize(FOOTER_BYTES, 0);
+        debug_assert_eq!(footer.len(), FOOTER_BYTES);
         let start = write_blob(&self.pager, &footer)?;
         debug_assert_eq!(
             start + footer_span_pages(ps),
@@ -1003,37 +972,20 @@ impl IDistanceIndex {
         let buf = read_blob_range(&pager, footer_page, 0, FOOTER_BYTES)?;
         let buf = &buf[..];
         let mut pos = 0;
-        let magic = enc::get_u64(buf, &mut pos);
-        let version = match magic {
-            FOOTER_MAGIC => 1,
-            FOOTER_MAGIC_V2 => 2,
-            FOOTER_MAGIC_V3 => 3,
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "bad iDistance footer magic",
-                ))
-            }
-        };
+        if enc::get_u64(buf, &mut pos) != FOOTER_MAGIC {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "bad iDistance footer magic",
+            ));
+        }
         let m = enc::get_u64(buf, &mut pos) as usize;
         let d = enc::get_u64(buf, &mut pos) as usize;
         let epsilon = enc::get_f64(buf, &mut pos);
         let ring_c = enc::get_u64(buf, &mut pos);
         let proj_region = (enc::get_u64(buf, &mut pos), enc::get_u64(buf, &mut pos));
         let orig_region = (enc::get_u64(buf, &mut pos), enc::get_u64(buf, &mut pos));
-        let quant_region = if version >= 2 {
-            let qs = enc::get_u64(buf, &mut pos);
-            let ql = enc::get_u64(buf, &mut pos);
-            // v3 footers always carry the slots; sentinel means the scan
-            // tier was not built (v2 footers only exist when it was).
-            if qs == REGION_ABSENT {
-                None
-            } else {
-                Some((qs, ql))
-            }
-        } else {
-            None
-        };
+        let region = |start: u64, len: u64| (start != REGION_ABSENT).then_some((start, len));
+        let quant_region = region(enc::get_u64(buf, &mut pos), enc::get_u64(buf, &mut pos));
         let dir_start = enc::get_u64(buf, &mut pos);
         let dir_len = enc::get_u64(buf, &mut pos) as usize;
         let tree_root = enc::get_u64(buf, &mut pos);
@@ -1065,8 +1017,8 @@ impl IDistanceIndex {
         } else {
             Vec::new()
         };
-        let (vquant_region, vquants) = if version >= 3 {
-            let region = (enc::get_u64(&dir, &mut dpos), enc::get_u64(&dir, &mut dpos));
+        let vquant_region = region(enc::get_u64(&dir, &mut dpos), enc::get_u64(&dir, &mut dpos));
+        let vquants: Vec<OrigQuant> = if vquant_region.is_some() {
             let n_vquants = enc::get_u32(&dir, &mut dpos) as usize;
             if n_vquants != n_subs {
                 return Err(io::Error::new(
@@ -1075,12 +1027,11 @@ impl IDistanceIndex {
                      directory",
                 ));
             }
-            let vquants: Vec<OrigQuant> = (0..n_vquants)
+            (0..n_vquants)
                 .map(|_| OrigQuant::decode(&dir, &mut dpos))
-                .collect();
-            (Some(region), vquants)
+                .collect()
         } else {
-            (None, Vec::new())
+            Vec::new()
         };
 
         let tree = BTree::open(Arc::clone(&pager), tree_root, tree_height, tree_len);
@@ -1330,8 +1281,8 @@ mod tests {
 
     #[test]
     fn persistence_roundtrip_keeps_quantized_tier() {
-        // The default build writes format v3; reopening must restore both
-        // quantized regions and their per-sub-partition quantizers exactly.
+        // Reopening a default build must restore both quantized regions
+        // and their per-sub-partition quantizers exactly.
         let (idx, _, _) = build_small();
         assert!(idx.quantized());
         assert!(idx.verify_quantized());
@@ -1379,55 +1330,15 @@ mod tests {
     }
 
     #[test]
-    fn v1_format_files_open_without_quant_tier() {
-        // Both tiers off writes the v1 footer (byte-compatible with
-        // pre-quantization builds); open must accept it, run the pure-f32
-        // scan, and return the same candidates as a quantized twin.
-        let proj = random_matrix(400, 5, 31);
-        let orig = random_matrix(400, 12, 32);
-        let cfg = IDistanceConfig {
-            kp: 3,
-            nkey: 6,
-            ksp: 2,
-            quantize: false,
-            verify_quantize: false,
-            ..Default::default()
-        };
-        let pager = Arc::new(Pager::in_memory(512, 1 << 16));
-        let v1 = build_index(Arc::clone(&pager), &proj, &orig, &cfg).unwrap();
-        assert!(!v1.quantized());
-        assert!(v1.quants().is_empty());
-        assert!(!v1.verify_quantized());
-        assert!(v1.vquants().is_empty());
-        let reopened = IDistanceIndex::open(pager).unwrap();
-        assert!(!reopened.quantized());
-        assert!(!reopened.verify_quantized());
-
-        let cfg_v2 = IDistanceConfig {
-            quantize: true,
-            ..cfg
-        };
-        let pager2 = Arc::new(Pager::in_memory(512, 1 << 16));
-        let v2 = build_index(pager2, &proj, &orig, &cfg_v2).unwrap();
-        let pq = vec![0.1f32; 5];
-        for &(r_lo, r_hi) in &[(-1.0, 2.0), (0.8, 2.5)] {
-            assert_eq!(
-                reopened.range_candidates(&pq, r_lo, r_hi).unwrap(),
-                v2.range_candidates(&pq, r_lo, r_hi).unwrap(),
-                "r = ({r_lo}, {r_hi})"
-            );
-        }
-    }
-
-    #[test]
-    fn every_footer_variant_reopens_with_its_tiers() {
-        // The four (quantize, verify_quantize) combinations map onto the
-        // three footer versions — v1 (off/off), v2 (on/off), v3 (either
-        // with verify on, where scan-quant absence is footer-sentinel
-        // encoded). Each must reopen with exactly its tiers and return
-        // identical candidates and code fetches.
+    fn every_tier_combination_reopens_with_its_tiers() {
+        // The four (quantize, verify_quantize) builds share one format (an
+        // absent tier is a sentinel region); each must reopen with exactly
+        // its tiers and the same code fetches, and all four return the same
+        // candidates.
         let proj = random_matrix(300, 5, 41);
         let orig = random_matrix(300, 9, 42);
+        let pq = vec![0.1f32; 5];
+        let mut reference = None;
         for (quantize, verify_quantize) in
             [(false, false), (true, false), (false, true), (true, true)]
         {
@@ -1454,11 +1365,14 @@ mod tests {
             );
             assert_eq!(reopened.quants(), built.quants());
             assert_eq!(reopened.vquants(), built.vquants());
-            let pq = vec![0.1f32; 5];
-            assert_eq!(
-                reopened.range_candidates(&pq, -1.0, 2.0).unwrap(),
-                built.range_candidates(&pq, -1.0, 2.0).unwrap()
-            );
+            for &(r_lo, r_hi) in &[(-1.0, 2.0), (0.8, 2.5)] {
+                let got = reopened.range_candidates(&pq, r_lo, r_hi).unwrap();
+                assert_eq!(got, built.range_candidates(&pq, r_lo, r_hi).unwrap());
+                if r_lo < 0.0 {
+                    let want = reference.get_or_insert_with(|| got.clone());
+                    assert_eq!(&got, want, "({quantize}, {verify_quantize})");
+                }
+            }
             if verify_quantize {
                 let sub = (0..built.subparts().len() as u32)
                     .find(|&s| built.subparts()[s as usize].count >= 3)
@@ -1471,6 +1385,22 @@ mod tests {
                 assert_eq!(a.len(), offsets.len() * built.orig_dim());
             }
         }
+    }
+
+    #[test]
+    fn foreign_footer_magic_is_rejected() {
+        let (idx, _, _) = build_small();
+        let pager = Arc::clone(idx.pager());
+        let footer = pager.num_pages() - footer_span_pages(pager.page_size());
+        let mut page = PageBuf::zeroed(pager.page_size());
+        page.as_mut_slice()
+            .copy_from_slice(pager.read(footer).unwrap().as_slice());
+        // The retired v1 magic: same family, one of the values no longer
+        // accepted.
+        page.as_mut_slice()[..8].copy_from_slice(&0x1D15_7A4C_E01D_F007u64.to_le_bytes());
+        pager.write(footer, page).unwrap();
+        let err = IDistanceIndex::open(pager).err().expect("must be rejected");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub struct SubPartMeta {
     pub orig_off: u64,
 }
 
-/// Per-sub-partition SQ8 quantizer (format v2): the sub-partition's
+/// Per-sub-partition SQ8 quantizer: the sub-partition's
 /// projected rows are scalar-quantized to u8 codes
 /// (`code = round((x − min) / scale)`, one shared affine per sub-partition)
 /// and stored as a dense code column in the quantized region.
@@ -87,7 +87,7 @@ impl SubPartQuant {
     }
 }
 
-/// Per-sub-partition SQ8 quantizer for **original** vectors (format v3):
+/// Per-sub-partition SQ8 quantizer for **original** vectors:
 /// the sub-partition's original d-dim rows are scalar-quantized with one
 /// shared affine (`code = round((x − min) / scale)`) and stored as a dense
 /// code column in the verification-quant region, in the same record order

@@ -5,7 +5,7 @@
 //! selected once per process and cached in a [`OnceLock`]. Callers pay one
 //! atomic load per call (the `OnceLock` fast path) — no per-call feature
 //! detection, no generic bloat, and the choice is overridable for tests and
-//! benchmarks via [`force_scalar`].
+//! benchmarks via `PROMIPS_FORCE_SCALAR=1`.
 //!
 //! ## Backends
 //!

@@ -4,10 +4,10 @@
 //! verdict (degraded? how many shards failed? budget left?), and a
 //! flight-recorder excerpt captured at retention time.
 //!
-//! Entries arrive from two paths: explicitly traced queries
-//! (`search_traced*`) and the 1-in-N exemplars the always-on sampler
-//! promotes out of the ordinary search path ([`crate::sampling`]); the
-//! untraced hot path never touches this module's mutex. Keeping the
+//! Entries arrive from two paths: explicitly traced requests and the
+//! 1-in-N exemplars the always-on sampler promotes out of the ordinary
+//! search path ([`crate::sampling`]); the untraced hot path never touches
+//! this module's mutex. Keeping the
 //! worst-N (rather than the latest-N) means a burst of mildly-slow
 //! queries cannot evict the one pathological trace you actually want
 //! to inspect.

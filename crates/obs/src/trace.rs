@@ -44,8 +44,8 @@ pub struct ShardSpan {
     /// Searched in phase 1 to seed the cross-shard floor.
     pub seed: bool,
     /// The shard's search failed (IO fault, deadline, poisoned worker)
-    /// and a best-effort merge excluded it; count fields cover whatever
-    /// completed before the failure was detected (usually zero).
+    /// and a best-effort merge excluded it; the timing and count fields
+    /// cover the work done before the failure was detected.
     pub failed: bool,
     /// Wall time of this shard's search call.
     pub elapsed_ns: u64,
@@ -150,15 +150,18 @@ impl QueryTrace {
         for s in &self.shards {
             if s.pruned {
                 writeln!(out, "  shard {:>3}: pruned (norm bound)", s.shard).unwrap();
-            } else if s.failed {
-                writeln!(out, "  shard {:>3}: FAILED (excluded from merge)", s.shard).unwrap();
             } else {
                 writeln!(
                     out,
-                    "  shard {:>3}: {}us{} scanned={} screened={} verified={}",
+                    "  shard {:>3}: {}us{}{} scanned={} screened={} verified={}",
                     s.shard,
                     s.elapsed_ns / 1_000,
                     if s.seed { " [seed]" } else { "" },
+                    if s.failed {
+                        " FAILED (excluded from merge)"
+                    } else {
+                        ""
+                    },
                     s.scanned,
                     s.screened,
                     s.verified,

@@ -15,8 +15,8 @@
 //!
 //! Ticking is driven either manually (tests, embedders with their own
 //! scheduler) or by the optional background [`Aggregator`] thread, which
-//! ticks the process-global registry into [`global`]'s window once per
-//! interval. A tick costs one registry snapshot plus a fixed-size
+//! ticks the process-global registry into [`MetricsWindow::global`]'s
+//! window once per interval. A tick costs one registry snapshot plus a fixed-size
 //! subtraction — roughly a microsecond (measured by the
 //! `windowed_metrics` bench section) — so a 1 s cadence is far below
 //! the `obs_overhead` noise floor.

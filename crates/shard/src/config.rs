@@ -27,7 +27,7 @@ pub struct ShardedConfig {
     pub prune: bool,
     /// Whether surviving shards are searched with the seed shard's k-th
     /// inner product as a termination floor
-    /// ([`promips_core::ProMips::search_with_floor`]): each shard then
+    /// ([`promips_core::Query::floor`]): each shard then
     /// stops verifying as soon as it cannot improve the global result.
     /// **Approximate** — it can cost recall (the searching conditions fire
     /// earlier), which is why it defaults to off; shard pruning alone is

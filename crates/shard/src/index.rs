@@ -6,13 +6,13 @@
 //! Each [`Shard`] splits its state into an **immutable generation** and a
 //! small **mutable overlay**:
 //!
-//! * [`ShardGeneration`] — the index (or exact-scan matrix) as of the
+//! * `ShardGeneration` — the index (or exact-scan matrix) as of the
 //!   shard's last (re)build, plus its committed id map and norm bound.
 //!   Generations are never mutated; they are *replaced*, wholesale, behind
 //!   an atomically swappable `RwLock<Arc<ShardGeneration>>` handle (the
 //!   poor man's arc-swap — the write lock is held only for the pointer
 //!   swap, never for IO).
-//! * [`DeltaState`] — everything since that build: appended rows, the
+//! * `DeltaState` — everything since that build: appended rows, the
 //!   copy-on-write tombstone set, and the live norm bound. Guarded by a
 //!   per-shard `RwLock` that readers hold only long enough to clone the
 //!   overlay (rows are `Arc<[f32]>`, the tombstone set an `Arc<HashSet>`),

@@ -40,7 +40,9 @@
 //! A one-shard [`ShardedProMips`] returns **bit-identical** results to the
 //! unsharded [`promips_core::ProMips`] built from the same
 //! [`promips_core::ProMipsConfig`] — the compatibility contract the tests
-//! pin down.
+//! pin down, and what makes it the way to mutate an index: a built
+//! `ProMips` is immutable, and inserts, deletes and compaction exist only
+//! in this layer's overlay.
 
 pub mod compaction;
 pub mod config;
@@ -56,7 +58,7 @@ pub use compaction::{CompactionPolicy, CompactionReport, Compactor};
 pub use config::{ShardedConfig, ShardedConfigBuilder};
 pub use error::{DegradationPolicy, QueryError, ShardError, ShardErrorKind};
 pub use index::{Shard, ShardedProMips};
-// Budgets are built by callers and handed to `search_budgeted`; re-export
+// Budgets are built by callers and attached to a `ShardedQuery`; re-export
 // them so callers don't need a direct `promips_obs` dependency.
 pub use promips_obs::{CancelToken, QueryBudget};
 // Mutations report typed refusals; re-export the error so callers don't
@@ -64,7 +66,7 @@ pub use promips_obs::{CancelToken, QueryBudget};
 pub use partition::{HashPartitioner, NormRangePartitioner, PartitionStrategy, Partitioner};
 pub use promips_core::MutationError;
 pub use result::{CompactionOutcome, ShardMaintenance, ShardQueryStats, ShardedSearchResult};
-pub use search::ShardedScratch;
+pub use search::{ShardedQuery, ShardedScratch};
 // The WAL group-commit knob appears in `ShardedConfig`; re-export it so
 // callers don't need a direct `promips_wal` dependency.
 pub use promips_wal::SyncPolicy;
@@ -235,10 +237,8 @@ mod tests {
                 .unwrap();
         let shared = ShardedScratch::for_index(&idx);
         for q in random_queries(10, 12, 29) {
-            let reused = idx.search_with_scratch(&q, 5, &shared).unwrap();
-            let fresh = idx.search(&q, 5).unwrap();
-            assert_eq!(reused.items, fresh.items);
-            assert_eq!(reused.verified, fresh.verified);
+            let (reused, _) = idx.execute(ShardedQuery::new(&q, 5), &shared).unwrap();
+            assert_eq!(reused, idx.search(&q, 5).unwrap());
         }
     }
 

@@ -21,7 +21,8 @@ pub struct ShardQueryStats {
     /// ProMIPS index.
     pub exact: bool,
     /// Candidates whose exact inner product was computed in this shard
-    /// (zero for pruned shards).
+    /// (zero for pruned shards; for a failed shard, those verified before
+    /// it failed).
     pub verified: usize,
     /// Candidates the shard's SQ8 verification screen dropped without an
     /// exact rescore (zero for pruned or exact-scan shards, and for shards
@@ -105,7 +106,7 @@ pub struct ShardMaintenance {
 
 /// Result of a sharded c-k-AMIP search: the merged global top-k plus what
 /// each shard did.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardedSearchResult {
     /// Top-k items by exact inner product, descending; ids are **global**
     /// dataset row ids.

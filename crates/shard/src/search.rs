@@ -2,9 +2,9 @@
 //! shard snapshots** so queries never block on (or get torn by) concurrent
 //! mutations.
 //!
-//! Before any scoring, the query takes a [`crate::index::ShardSnapshot`]
-//! of every shard: the generation `Arc`, a clone of the delta overlay
-//! (`Arc`ed rows, copy-on-write tombstone set), and the live norm bound.
+//! Before any scoring, the query takes a `ShardSnapshot` of every shard:
+//! the generation `Arc`, a clone of the delta overlay (`Arc`ed rows,
+//! copy-on-write tombstone set), and the live norm bound.
 //! Everything after — seed probe, pruning, fan-out, merge — runs against
 //! those frozen views, so a compaction swapping a generation mid-query or
 //! a writer appending to a delta is simply invisible to this query and
@@ -23,17 +23,16 @@
 //!    [`SearchScratch`].
 //!
 //! Per shard, the committed generation is searched through
-//! [`promips_core::ProMips::search_masked`] with the snapshot's tombstone
-//! set as the external dead mask (an exact generation runs a blocked
-//! scan), and the delta overlay is verified exhaustively — the same
-//! two-level read an LSM tree does, with the tombstone set filtering both
-//! levels.
+//! [`promips_core::ProMips::execute`] with the snapshot's tombstone set as
+//! the request's dead mask (an exact generation runs a blocked scan), and
+//! the delta overlay is verified exhaustively — the same two-level read an
+//! LSM tree does, with the tombstone set filtering both levels.
 //!
 //! Pruning is exact, never approximate: a pruned shard's best possible
 //! inner product is beaten by k already-verified points, so the merged
 //! top-k is identical with pruning on or off. With
 //! [`crate::ShardedConfig::cross_shard_floor`] enabled, the floor is
-//! additionally passed down to each shard's masked search, letting it stop
+//! additionally passed down as each shard request's floor, letting it stop
 //! verifying as soon as it cannot improve the global result — a
 //! latency/recall trade that is therefore **off by default**.
 //!
@@ -41,6 +40,13 @@
 //! results are **deterministic**: the same query against the same snapshot
 //! returns the same items, ranks, and per-shard counts regardless of
 //! thread count or scheduling.
+//!
+//! ## One entry point
+//!
+//! [`ShardedProMips::execute`] takes a [`ShardedQuery`] — the vector and
+//! `k`, plus the fan-out's options (worker count, budget, whether to
+//! return the trace) — and is the only search body; every `search*` name
+//! is a one-line wrapper around it.
 //!
 //! ## Query lifecycle
 //!
@@ -51,7 +57,7 @@
 //!   searches running concurrently against the index; the excess is
 //!   refused up front with [`QueryError::Overloaded`] instead of piling
 //!   onto a saturated box (counted by `promips_queries_shed_total`).
-//! * **Budgets** — the `*_budgeted` entry points carry a
+//! * **Budgets** — a request's [`ShardedQuery::budget`] carries a
 //!   [`QueryBudget`] (deadline and/or cancellation token) down into every
 //!   shard's scan and verify loops, which check it cooperatively once per
 //!   block of work. An exceeded budget surfaces as
@@ -64,18 +70,20 @@
 //!   `BestEffort` drops the failed shard from the merge and returns the
 //!   exact top-k over the survivors with
 //!   [`crate::ShardedSearchResult::degraded`] set (counted by
-//!   `promips_partial_results_total`, visible per shard in traces).
+//!   `promips_partial_results_total`, visible per shard in traces, where
+//!   the failed shard's span keeps its wall time and the work it did
+//!   before failing).
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
-use promips_core::{SearchItem, SearchScratch};
+use promips_core::{Query, SearchItem, SearchScratch};
 use promips_linalg::{dot, sq_norm2};
 use promips_obs::{
     self as obs, budget_error, recorder, sampling, slow, BudgetChecker, BudgetExceeded, CounterId,
-    HistoId, QueryBudget, QueryTrace, ShardSpan, StageNanos,
+    HistoId, QueryBudget, QueryTrace, ShardSpan,
 };
 
 use crate::error::{DegradationPolicy, QueryError, ShardError, ShardErrorKind};
@@ -112,20 +120,9 @@ impl ShardedScratch {
     }
 }
 
-/// What one searched shard contributed.
-struct ShardOutcome {
-    /// Shard items mapped to **global** ids, best first.
-    items: Vec<SearchItem>,
-    verified: usize,
-    screened: usize,
-    /// Candidate rows the index stage emitted (0 for exact-scan shards).
-    scanned: u64,
-    /// Per-stage wall time inside this shard (all zero when the
-    /// [`obs::set_timing_enabled`] kill-switch is off).
-    stages: StageNanos,
-    /// Wall time of the whole shard search call (0 with timing off).
-    elapsed_ns: u64,
-}
+/// What one searched shard did — its span, filled whether or not the
+/// search finished — and its top-k under **global** ids, or why it failed.
+type ShardOutcome = (ShardSpan, Result<Vec<SearchItem>, ShardError>);
 
 /// RAII admission permit: holds one slot of the index's in-flight gauge
 /// and releases it on every exit path (success, error, panic unwind).
@@ -180,36 +177,94 @@ fn fail_query(se: ShardError) -> QueryError {
     qe
 }
 
+/// One sharded search request: the query vector and `k`, plus the
+/// options of the fan-out. [`ShardedQuery::new`] is the plain search; set
+/// the other fields with struct-update syntax:
+///
+/// ```
+/// use std::time::Duration;
+/// use promips_linalg::Matrix;
+/// use promips_shard::{QueryBudget, ShardedConfig, ShardedProMips, ShardedQuery, ShardedScratch};
+///
+/// let mut rng = promips_stats::Xoshiro256pp::seed_from_u64(1);
+/// let data = Matrix::from_rows(
+///     16,
+///     (0..1200).map(|_| (0..16).map(|_| rng.normal() as f32).collect::<Vec<f32>>()),
+/// );
+/// let index =
+///     ShardedProMips::build_in_memory(&data, ShardedConfig::builder().shards(4).build()).unwrap();
+/// let scratch = ShardedScratch::for_index(&index);
+/// let q = vec![0.5f32; 16];
+///
+/// // Sequential fan-out, 50 ms deadline, and the per-stage trace back.
+/// let budget = QueryBudget::with_deadline(Duration::from_millis(50));
+/// let request = ShardedQuery {
+///     threads: Some(1),
+///     budget: Some(&budget),
+///     traced: true,
+///     ..ShardedQuery::new(&q, 10)
+/// };
+/// let (res, trace) = index.execute(request, &scratch).unwrap();
+/// assert_eq!(res.items.len(), 10);
+/// assert_eq!(trace.unwrap().shards.len(), 4);
+/// ```
+#[derive(Clone, Copy)]
+pub struct ShardedQuery<'a> {
+    /// The query vector (length `d`).
+    pub q: &'a [f32],
+    /// Result size.
+    pub k: usize,
+    /// Worker count of the fan-out phase; `None` uses every available
+    /// core. Results are identical for every thread count (see the module
+    /// docs on determinism). With one worker the per-shard stage times of
+    /// a trace are disjoint slices of the wall clock, so
+    /// [`QueryTrace::coverage`] accounts for the end-to-end latency; with
+    /// more, stage time is CPU time across threads and can exceed it.
+    pub threads: Option<usize>,
+    /// Deadline and/or cancellation token, checked cooperatively inside
+    /// every shard's scan and verify loops; failures come back typed.
+    /// Under [`DegradationPolicy::BestEffort`] a budget that expires after
+    /// some shards finished degrades the result instead of erroring.
+    pub budget: Option<&'a QueryBudget>,
+    /// Return the per-query [`QueryTrace`]: stage wall time per shard
+    /// (scan → screen → verify), the cross-shard merge, every prune
+    /// decision, the remaining budget and every failed shard with the work
+    /// it did before failing. The trace is also offered to the
+    /// process-global slow-query log ([`promips_obs::slow`]). It costs one
+    /// small allocation and a handful of clock reads; its stage timings
+    /// are all zero while the [`obs::set_timing_enabled`] kill-switch is
+    /// off. Untraced requests are still traced 1-in-N (deterministic
+    /// arrival counting, see [`promips_obs::sampling`]) and offered to the
+    /// slow log as exemplars; results never depend on tracing — it only
+    /// observes.
+    pub traced: bool,
+}
+
+impl<'a> ShardedQuery<'a> {
+    /// The plain top-`k` search for `q`: all cores, no budget, untraced.
+    pub fn new(q: &'a [f32], k: usize) -> Self {
+        Self {
+            q,
+            k,
+            threads: None,
+            budget: None,
+            traced: false,
+        }
+    }
+}
+
 impl ShardedProMips {
     /// c-k-AMIP search across all shards (allocates a fresh scratch set;
     /// high-throughput callers should hold a [`ShardedScratch`] and use
-    /// [`ShardedProMips::search_with_scratch`]).
+    /// [`ShardedProMips::execute`]).
     pub fn search(&self, q: &[f32], k: usize) -> io::Result<ShardedSearchResult> {
-        self.search_with_scratch(q, k, &ShardedScratch::for_index(self))
+        let (res, _) = self.execute(ShardedQuery::new(q, k), &ShardedScratch::for_index(self))?;
+        Ok(res)
     }
 
-    /// [`ShardedProMips::search`] with caller-provided per-shard scratch
-    /// buffers, fanning out over all available cores.
-    pub fn search_with_scratch(
-        &self,
-        q: &[f32],
-        k: usize,
-        scratch: &ShardedScratch,
-    ) -> io::Result<ShardedSearchResult> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.search_threaded(q, k, threads, scratch)
-    }
-
-    /// [`ShardedProMips::search_with_scratch`] with an explicit worker
-    /// count for the fan-out phase. Results are identical for every thread
-    /// count (see the module docs on determinism).
-    ///
-    /// Every `1-in-N`-th call (deterministic arrival counting, see
-    /// [`promips_obs::sampling`]) is transparently routed through the
-    /// tracing machinery and its trace offered to the slow-query log as
-    /// an exemplar; results are unaffected — tracing only observes.
+    /// [`ShardedProMips::execute`] with an explicit worker count and
+    /// `io::Error` failures. Frozen by `benchmark/`, which compiles
+    /// against this name; everything else builds a [`ShardedQuery`].
     pub fn search_threaded(
         &self,
         q: &[f32],
@@ -217,93 +272,18 @@ impl ShardedProMips {
         threads: usize,
         scratch: &ShardedScratch,
     ) -> io::Result<ShardedSearchResult> {
-        if sampling::should_sample() {
-            let mut trace = self.sampled_trace(k);
-            let res = self
-                .search_observed(q, k, threads, scratch, Some(&mut trace), None)
-                .map_err(io::Error::from)?;
-            slow::offer_sampled(&trace);
-            return Ok(res);
-        }
-        self.search_observed(q, k, threads, scratch, None, None)
-            .map_err(io::Error::from)
+        let (res, _) = self.execute(
+            ShardedQuery {
+                threads: Some(threads),
+                ..ShardedQuery::new(q, k)
+            },
+            scratch,
+        )?;
+        Ok(res)
     }
 
-    /// [`ShardedProMips::search_with_scratch`] under a [`QueryBudget`]:
-    /// the deadline/cancellation token is checked cooperatively inside
-    /// every shard's scan and verify loops, and failures come back typed.
-    /// Under [`DegradationPolicy::BestEffort`] a budget that expires after
-    /// some shards finished degrades the result instead of erroring.
-    pub fn search_budgeted(
-        &self,
-        q: &[f32],
-        k: usize,
-        scratch: &ShardedScratch,
-        budget: &QueryBudget,
-    ) -> Result<ShardedSearchResult, QueryError> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.search_budgeted_threaded(q, k, threads, scratch, budget)
-    }
-
-    /// [`ShardedProMips::search_budgeted`] with an explicit fan-out worker
-    /// count. Participates in 1-in-N trace sampling exactly like
-    /// [`ShardedProMips::search_threaded`].
-    pub fn search_budgeted_threaded(
-        &self,
-        q: &[f32],
-        k: usize,
-        threads: usize,
-        scratch: &ShardedScratch,
-        budget: &QueryBudget,
-    ) -> Result<ShardedSearchResult, QueryError> {
-        if sampling::should_sample() {
-            let mut trace = self.sampled_trace(k);
-            let res =
-                self.search_observed(q, k, threads, scratch, Some(&mut trace), Some(budget))?;
-            slow::offer_sampled(&trace);
-            return Ok(res);
-        }
-        self.search_observed(q, k, threads, scratch, None, Some(budget))
-    }
-
-    /// A fresh trace for a sampler-selected query (books the sampled
-    /// counter so the exemplar rate is itself observable).
-    fn sampled_trace(&self, k: usize) -> QueryTrace {
-        obs::global().counter(CounterId::QueriesSampled).inc();
-        QueryTrace {
-            k,
-            started_at_ns: obs::now_ns(),
-            ..QueryTrace::default()
-        }
-    }
-
-    /// [`ShardedProMips::search_with_scratch`] that additionally returns a
-    /// per-query [`QueryTrace`]: stage wall time per shard (scan → screen
-    /// → verify), the cross-shard merge, and every prune decision. The
-    /// trace is also offered to the process-global slow-query log
-    /// ([`promips_obs::slow`]). Tracing costs one small allocation and a
-    /// handful of clock reads on top of the untraced path; stage timings
-    /// inside it are all zero while the [`obs::set_timing_enabled`]
-    /// kill-switch is off.
-    pub fn search_traced(
-        &self,
-        q: &[f32],
-        k: usize,
-        scratch: &ShardedScratch,
-    ) -> io::Result<(ShardedSearchResult, QueryTrace)> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.search_traced_threaded(q, k, threads, scratch)
-    }
-
-    /// [`ShardedProMips::search_traced`] with an explicit fan-out worker
-    /// count. With `threads == 1` the per-shard stage times are disjoint
-    /// slices of the wall clock, so [`QueryTrace::coverage`] accounts for
-    /// the end-to-end latency; with more workers, stage time is CPU time
-    /// across threads and can exceed it.
+    /// [`ShardedProMips::search_threaded`] that also returns the trace.
+    /// Frozen by `benchmark/` like it.
     pub fn search_traced_threaded(
         &self,
         q: &[f32],
@@ -311,39 +291,15 @@ impl ShardedProMips {
         threads: usize,
         scratch: &ShardedScratch,
     ) -> io::Result<(ShardedSearchResult, QueryTrace)> {
-        let mut trace = QueryTrace {
-            k,
-            started_at_ns: obs::now_ns(),
-            ..QueryTrace::default()
-        };
-        let res = self
-            .search_observed(q, k, threads, scratch, Some(&mut trace), None)
-            .map_err(io::Error::from)?;
-        slow::offer(&trace);
-        Ok((res, trace))
-    }
-
-    /// [`ShardedProMips::search_budgeted`] with a [`QueryTrace`]: the
-    /// trace carries the remaining budget at completion and flags every
-    /// failed (excluded) shard, so a degraded answer is auditable.
-    pub fn search_traced_budgeted(
-        &self,
-        q: &[f32],
-        k: usize,
-        scratch: &ShardedScratch,
-        budget: &QueryBudget,
-    ) -> Result<(ShardedSearchResult, QueryTrace), QueryError> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let mut trace = QueryTrace {
-            k,
-            started_at_ns: obs::now_ns(),
-            ..QueryTrace::default()
-        };
-        let res = self.search_observed(q, k, threads, scratch, Some(&mut trace), Some(budget))?;
-        slow::offer(&trace);
-        Ok((res, trace))
+        let (res, trace) = self.execute(
+            ShardedQuery {
+                threads: Some(threads),
+                traced: true,
+                ..ShardedQuery::new(q, k)
+            },
+            scratch,
+        )?;
+        Ok((res, trace.expect("a traced request returns its trace")))
     }
 
     /// Takes an admission slot, or sheds the query when the configured
@@ -365,18 +321,39 @@ impl ShardedProMips {
         })
     }
 
-    /// The one search path: phases and results are identical whether or
-    /// not a trace is requested; tracing only *observes*. A `None` budget
-    /// is the historical unbounded path, bit for bit.
-    fn search_observed(
+    /// The one search path: phases and results are identical whatever the
+    /// request's `threads`, `budget` and `traced` say — a `None` budget is
+    /// the unbounded path bit for bit, and tracing only *observes*.
+    /// Returns the trace exactly when the request asked for one.
+    pub fn execute(
         &self,
-        q: &[f32],
-        k: usize,
-        threads: usize,
+        query: ShardedQuery<'_>,
         scratch: &ShardedScratch,
-        trace: Option<&mut QueryTrace>,
-        budget: Option<&QueryBudget>,
-    ) -> Result<ShardedSearchResult, QueryError> {
+    ) -> Result<(ShardedSearchResult, Option<QueryTrace>), QueryError> {
+        let ShardedQuery {
+            q,
+            k,
+            threads,
+            budget,
+            traced,
+        } = query;
+        // The one sampling decision: every N-th untraced arrival is traced
+        // anyway and its trace kept as a slow-log exemplar (the counter
+        // makes the exemplar rate itself observable).
+        let sampled = !traced && sampling::should_sample();
+        if sampled {
+            obs::global().counter(CounterId::QueriesSampled).inc();
+        }
+        let mut trace = (traced || sampled).then(|| QueryTrace {
+            k,
+            started_at_ns: obs::now_ns(),
+            ..QueryTrace::default()
+        });
+        let threads = threads.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        });
         assert_eq!(q.len(), self.d, "query dimensionality mismatch");
         assert!(k >= 1, "k must be at least 1");
         assert_eq!(
@@ -406,18 +383,31 @@ impl ShardedProMips {
         // shard, taken up front. Everything below reads only these.
         let snaps: Vec<ShardSnapshot> = self.shards.iter().map(|s| s.snapshot()).collect();
 
-        let mut outcomes: Vec<Option<ShardOutcome>> = (0..ns).map(|_| None).collect();
-        let mut pruned = vec![false; ns];
-        let mut failed = vec![false; ns];
+        // What each shard did (a pruned shard's span stays all zero) and,
+        // for the shards that answered, their items under **global** ids,
+        // best first.
+        let mut spans: Vec<ShardSpan> = (0..ns)
+            .map(|shard| ShardSpan {
+                shard,
+                ..ShardSpan::default()
+            })
+            .collect();
+        let mut items: Vec<Option<Vec<SearchItem>>> = vec![None; ns];
         let mut failures: Vec<ShardError> = Vec::new();
         let mut attempted = 0usize;
-        let mut seed_shard: Option<usize> = None;
 
         // One shard, fully contained: IO errors are re-typed, budget
         // expiries recovered, and a panicking worker is caught here (the
         // scratch and snapshot it held are query-local; shared state is
-        // lock-free or guarded by non-poisoning locks).
-        let search_one = |si: usize, floor: f64| -> Result<ShardOutcome, ShardError> {
+        // lock-free or guarded by non-poisoning locks). The span is an
+        // out-parameter of the search, so a failed shard still reports its
+        // wall time and the work it did before failing.
+        let search_one = |si: usize, floor: f64| -> ShardOutcome {
+            let mut span = ShardSpan {
+                shard: si,
+                ..ShardSpan::default()
+            };
+            let t0 = obs::clock_start();
             let res = catch_unwind(AssertUnwindSafe(|| {
                 search_snapshot(
                     &snaps[si],
@@ -426,16 +416,20 @@ impl ShardedProMips {
                     floor,
                     &mut scratch.per_shard[si].lock(),
                     budget,
+                    &mut span,
                 )
             }));
-            match res {
-                Ok(Ok(outcome)) => Ok(outcome),
+            span.elapsed_ns = obs::elapsed_since(t0);
+            let res = match res {
+                Ok(Ok(items)) => Ok(items),
                 Ok(Err(e)) => Err(classify_shard_error(si, e)),
                 Err(_) => Err(ShardError {
                     shard: si as u32,
                     kind: ShardErrorKind::Poisoned,
                 }),
-            }
+            };
+            span.failed = res.is_err();
+            (span, res)
         };
 
         // --- Phase 1: seed probe of the highest-norm-bound shard. ---------
@@ -449,12 +443,14 @@ impl ShardedProMips {
                 .map(|(i, _)| i)
                 .expect("at least one shard");
             attempted += 1;
-            match search_one(seed, f64::NEG_INFINITY) {
-                Ok(outcome) => {
-                    if outcome.items.len() >= k {
-                        kth_floor = outcome.items[k - 1].ip;
+            let (span, res) = search_one(seed, f64::NEG_INFINITY);
+            spans[seed] = ShardSpan { seed: true, ..span };
+            match res {
+                Ok(found) => {
+                    if found.len() >= k {
+                        kth_floor = found[k - 1].ip;
                     }
-                    outcomes[seed] = Some(outcome);
+                    items[seed] = Some(found);
                 }
                 Err(se) => {
                     if policy == DegradationPolicy::FailFast {
@@ -462,17 +458,15 @@ impl ShardedProMips {
                     }
                     // Degraded probe: no floor, so nothing is pruned and
                     // every other shard gets its chance to contribute.
-                    failed[seed] = true;
                     failures.push(se);
                 }
             }
-            seed_shard = Some(seed);
             for (si, snap) in snaps.iter().enumerate() {
                 if si == seed {
                     continue;
                 }
                 if q_norm * snap.max_norm < kth_floor {
-                    pruned[si] = true; // cannot beat k verified points
+                    spans[si].pruned = true; // cannot beat k verified points
                 } else {
                     fan_out.push(si);
                 }
@@ -494,8 +488,10 @@ impl ShardedProMips {
         let threads = threads.clamp(1, fan_out.len().max(1));
         if threads == 1 {
             for &si in &fan_out {
-                match search_one(si, floor) {
-                    Ok(outcome) => outcomes[si] = Some(outcome),
+                let (span, res) = search_one(si, floor);
+                spans[si] = span;
+                match res {
+                    Ok(found) => items[si] = Some(found),
                     Err(se) => {
                         // Sequential fan-out visits shards in ascending
                         // index order, so this early return already
@@ -503,7 +499,6 @@ impl ShardedProMips {
                         if policy == DegradationPolicy::FailFast {
                             return Err(fail_query(se));
                         }
-                        failed[si] = true;
                         failures.push(se);
                     }
                 }
@@ -512,39 +507,35 @@ impl ShardedProMips {
             let next = AtomicUsize::new(0);
             let fan_out_ref = &fan_out;
             let search_one = &search_one;
-            let collected: Vec<(usize, Result<ShardOutcome, ShardError>)> =
-                std::thread::scope(|s| {
-                    let workers: Vec<_> = (0..threads)
-                        .map(|_| {
-                            s.spawn(|| {
-                                let mut local: Vec<(usize, Result<ShardOutcome, ShardError>)> =
-                                    Vec::new();
-                                loop {
-                                    let i = next.fetch_add(1, Ordering::Relaxed);
-                                    if i >= fan_out_ref.len() {
-                                        break;
-                                    }
-                                    let si = fan_out_ref[i];
-                                    local.push((si, search_one(si, floor)));
+            let collected: Vec<ShardOutcome> = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..threads)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let mut local: Vec<ShardOutcome> = Vec::new();
+                            loop {
+                                let i = next.fetch_add(1, Ordering::Relaxed);
+                                if i >= fan_out_ref.len() {
+                                    break;
                                 }
-                                local
-                            })
+                                local.push(search_one(fan_out_ref[i], floor));
+                            }
+                            local
                         })
-                        .collect();
-                    let mut out = Vec::with_capacity(fan_out_ref.len());
-                    for w in workers {
-                        out.extend(w.join().expect("shard fan-out worker panicked"));
-                    }
-                    out
-                });
+                    })
+                    .collect();
+                let mut out = Vec::with_capacity(fan_out_ref.len());
+                for w in workers {
+                    out.extend(w.join().expect("shard fan-out worker panicked"));
+                }
+                out
+            });
             let mut fan_failures: Vec<ShardError> = Vec::new();
-            for (si, res) in collected {
+            for (span, res) in collected {
+                let si = span.shard;
+                spans[si] = span;
                 match res {
-                    Ok(outcome) => outcomes[si] = Some(outcome),
-                    Err(se) => {
-                        failed[si] = true;
-                        fan_failures.push(se);
-                    }
+                    Ok(found) => items[si] = Some(found),
+                    Err(se) => fan_failures.push(se),
                 }
             }
             if policy == DegradationPolicy::FailFast && !fan_failures.is_empty() {
@@ -588,29 +579,26 @@ impl ShardedProMips {
 
         // --- Merge: one global top-k over every contributed item. ---------
         let t_merge = if t_query != 0 { obs::now_ns() } else { 0 };
-        let mut merged: Vec<SearchItem> = outcomes
-            .iter()
-            .flatten()
-            .flat_map(|o| o.items.iter().copied())
-            .collect();
+        let mut merged: Vec<SearchItem> = items.iter().flatten().flatten().copied().collect();
         merged.sort_by(|a, b| b.ip.total_cmp(&a.ip).then(a.id.cmp(&b.id)));
         merged.truncate(k);
 
-        let verified = outcomes.iter().flatten().map(|o| o.verified).sum();
-        let screened = outcomes.iter().flatten().map(|o| o.screened).sum();
-        let per_shard = (0..ns)
-            .map(|si| ShardQueryStats {
-                shard: si as u32,
-                points: snaps[si].stored() as u64,
-                pruned: pruned[si],
-                failed: failed[si],
-                exact: snaps[si].gen.is_exact(),
-                verified: outcomes[si].as_ref().map_or(0, |o| o.verified),
-                screened: outcomes[si].as_ref().map_or(0, |o| o.screened),
-                returned: outcomes[si].as_ref().map_or(0, |o| o.items.len()),
-                delta_len: snaps[si].inserts.len(),
-                tombstones: snaps[si].tombstones.len(),
-                wal_bytes: self.wal_bytes(si),
+        let per_shard: Vec<ShardQueryStats> = spans
+            .iter()
+            .zip(&snaps)
+            .zip(&items)
+            .map(|((span, snap), found)| ShardQueryStats {
+                shard: span.shard as u32,
+                points: snap.stored() as u64,
+                pruned: span.pruned,
+                failed: span.failed,
+                exact: snap.gen.is_exact(),
+                verified: span.verified as usize,
+                screened: span.screened as usize,
+                returned: found.as_ref().map_or(0, Vec::len),
+                delta_len: snap.inserts.len(),
+                tombstones: snap.tombstones.len(),
+                wal_bytes: self.wal_bytes(span.shard),
             })
             .collect();
         // The merge span covers the top-k merge *and* result assembly, so
@@ -626,68 +614,58 @@ impl ShardedProMips {
         // row counters while the shards ran.
         let reg = obs::global();
         reg.counter(CounterId::Queries).inc();
-        let searched = outcomes.iter().flatten().count() as u64;
-        reg.counter(CounterId::ShardsSearched).add(searched);
+        let answered = |s: &&ShardSpan| !s.pruned && !s.failed;
+        reg.counter(CounterId::ShardsSearched)
+            .add(spans.iter().filter(answered).count() as u64);
         reg.counter(CounterId::ShardsPruned)
-            .add(pruned.iter().filter(|&&p| p).count() as u64);
+            .add(spans.iter().filter(|s| s.pruned).count() as u64);
         if timing {
             reg.histogram(HistoId::QueryLatencyNs)
                 .record(obs::now_ns().saturating_sub(t_query));
             reg.histogram(HistoId::StageMergeNs).record(merge_ns);
-            for o in outcomes.iter().flatten() {
-                reg.histogram(HistoId::ShardSearchNs).record(o.elapsed_ns);
+            for s in spans.iter().filter(answered) {
+                reg.histogram(HistoId::ShardSearchNs).record(s.elapsed_ns);
             }
         }
         let budget_remaining_ns = budget.and_then(|b| b.remaining_ns());
         if let Some(rem) = budget_remaining_ns {
             reg.histogram(HistoId::BudgetRemainingNs).record(rem);
         }
-        if let Some(trace) = trace {
+        let result = ShardedSearchResult {
+            items: merged,
+            verified: per_shard.iter().map(|s| s.verified).sum(),
+            screened: per_shard.iter().map(|s| s.screened).sum(),
+            per_shard,
+            degraded,
+        };
+        if let Some(trace) = &mut trace {
             trace.merge_ns = merge_ns;
             trace.degraded = degraded;
             trace.budget_remaining_ns = budget_remaining_ns;
-            trace.shards = (0..ns)
-                .map(|si| {
-                    let mut span = ShardSpan {
-                        shard: si,
-                        pruned: pruned[si],
-                        failed: failed[si],
-                        seed: seed_shard == Some(si),
-                        ..ShardSpan::default()
-                    };
-                    if let Some(o) = &outcomes[si] {
-                        span.elapsed_ns = o.elapsed_ns;
-                        span.stages = o.stages;
-                        span.scanned = o.scanned;
-                        span.screened = o.screened as u64;
-                        span.verified = o.verified as u64;
-                    }
-                    span
-                })
-                .collect();
+            trace.shards = spans;
             trace.total_ns = obs::now_ns().saturating_sub(trace.started_at_ns);
+            if sampled {
+                slow::offer_sampled(trace);
+            } else {
+                slow::offer(trace);
+            }
         }
-
-        Ok(ShardedSearchResult {
-            items: merged,
-            verified,
-            screened,
-            per_shard,
-            degraded,
-        })
+        Ok((result, trace.filter(|_| traced)))
     }
 }
 
-/// Searches one shard snapshot with the given floor, mapping item ids to
-/// global ids. The committed generation is searched under the snapshot's
-/// tombstone mask; the delta overlay is verified exhaustively on top.
+/// Searches one shard snapshot with the given floor, returning its top-k
+/// under global ids. The committed generation is searched under the
+/// snapshot's tombstone mask; the delta overlay is verified exhaustively
+/// on top.
 ///
 /// A budget rides down into the indexed generation's scan/verify loops
 /// (checked per page block and verification group there); the exact-scan
 /// and delta-overlay loops here check it every [`EXACT_TICK_ROWS`] rows.
 ///
-/// Observability: an indexed generation's stage breakdown comes from the
-/// core search's span; exact-scan and delta-overlay scoring book to
+/// Observability: `span` receives the work as it happens, so it is valid
+/// on the error path too. An indexed generation's stage breakdown comes
+/// from the core search; exact-scan and delta-overlay scoring book to
 /// `verify_ns` here (the core layer never sees those rows, so this layer
 /// also tops up the verified-row counter for them).
 fn search_snapshot(
@@ -697,43 +675,42 @@ fn search_snapshot(
     floor: f64,
     scratch: &mut SearchScratch,
     budget: Option<&QueryBudget>,
-) -> io::Result<ShardOutcome> {
-    let t0 = obs::clock_start();
-    let mut checker = BudgetChecker::new(budget);
-    let mut stages = StageNanos::default();
-    let mut scanned = 0u64;
+    span: &mut ShardSpan,
+) -> io::Result<Vec<SearchItem>> {
     let dead = &snap.tombstones;
     let gen_ids = &snap.gen.ids;
-    let (mut items, mut verified, screened) = match &snap.gen.kind {
+    let mut items: Vec<SearchItem> = match &snap.gen.kind {
         GenKind::Indexed(pm) => {
             let mask = |local: u64| dead.contains(&gen_ids[local as usize]);
-            let mut span = ShardSpan::default();
-            let res = pm.search_masked_budgeted(
-                q,
-                k,
-                floor,
-                &mask,
-                snap.dead_base,
+            let res = pm.execute(
+                Query {
+                    floor,
+                    mask: Some((&mask, snap.dead_base)),
+                    budget,
+                    span: Some(&mut *span),
+                    ..Query::new(q, k)
+                },
                 scratch,
-                Some(&mut span),
-                budget,
             )?;
-            stages = span.stages;
-            scanned = span.scanned;
-            let items: Vec<SearchItem> = res
-                .items
+            res.items
                 .iter()
                 .map(|it| SearchItem {
                     id: gen_ids[it.id as usize],
                     ip: it.ip,
                 })
-                .collect();
-            (items, res.verified, res.screened)
+                .collect()
         }
-        GenKind::Exact(rows) => {
-            let tv = obs::clock_start();
-            let mut items: Vec<SearchItem> = Vec::with_capacity(rows.rows());
-            let mut verified = 0usize;
+        GenKind::Exact(rows) => Vec::with_capacity(rows.rows()),
+    };
+    // Rows the core layer doesn't see: an exact generation's, then the
+    // delta overlay's — every live appended row is verified exhaustively
+    // (this is the drag compaction removes — see the bench's
+    // query_vs_delta section).
+    let core_verified = span.verified;
+    let tv = obs::clock_start();
+    let mut checker = BudgetChecker::new(budget);
+    let mut score_rest = || -> io::Result<()> {
+        if let GenKind::Exact(rows) = &snap.gen.kind {
             let n = rows.rows();
             let mut lo = 0usize;
             while lo < n {
@@ -741,7 +718,7 @@ fn search_snapshot(
                 let hi = (lo + EXACT_TICK_ROWS).min(n);
                 rows.dot_rows(lo, hi, q, |i, ip| {
                     if !dead.contains(&gen_ids[i]) {
-                        verified += 1;
+                        span.verified += 1;
                         if ip >= floor {
                             items.push(SearchItem { id: gen_ids[i], ip });
                         }
@@ -749,51 +726,32 @@ fn search_snapshot(
                 });
                 lo = hi;
             }
-            stages.verify_ns += obs::elapsed_since(tv);
-            (items, verified, 0)
         }
+        for (i, e) in snap.inserts.iter().enumerate() {
+            if i % EXACT_TICK_ROWS == 0 {
+                checker.tick()?;
+            }
+            if dead.contains(&e.gid) {
+                continue;
+            }
+            let ip = dot(q, &e.row);
+            span.verified += 1;
+            if ip >= floor {
+                items.push(SearchItem { id: e.gid, ip });
+            }
+        }
+        items.sort_by(|a, b| b.ip.total_cmp(&a.ip).then(a.id.cmp(&b.id)));
+        items.truncate(k);
+        Ok(())
     };
-    let base_verified = verified;
-    // Delta overlay: every live appended row is verified exhaustively
-    // (this is the drag compaction removes — see the bench's
-    // query_vs_delta section).
-    let tv = obs::clock_start();
-    for (i, e) in snap.inserts.iter().enumerate() {
-        if i % EXACT_TICK_ROWS == 0 {
-            checker.tick()?;
-        }
-        if dead.contains(&e.gid) {
-            continue;
-        }
-        let ip = dot(q, &e.row);
-        verified += 1;
-        if ip >= floor {
-            items.push(SearchItem { id: e.gid, ip });
-        }
-    }
-    items.sort_by(|a, b| b.ip.total_cmp(&a.ip).then(a.id.cmp(&b.id)));
-    items.truncate(k);
-    stages.verify_ns += obs::elapsed_since(tv);
-    // Rows the core layer didn't see: exact-scan rows plus the delta
-    // overlay (for an indexed generation, `base_verified` was already
-    // booked by the core search).
-    let extra = match &snap.gen.kind {
-        GenKind::Indexed(_) => verified - base_verified,
-        GenKind::Exact(_) => verified,
-    };
+    let scored = score_rest();
+    span.stages.verify_ns += obs::elapsed_since(tv);
+    let extra = span.verified - core_verified;
     if extra > 0 {
-        obs::global()
-            .counter(CounterId::QueryVerified)
-            .add(extra as u64);
+        obs::global().counter(CounterId::QueryVerified).add(extra);
     }
-    Ok(ShardOutcome {
-        items,
-        verified,
-        screened,
-        scanned,
-        stages,
-        elapsed_ns: obs::elapsed_since(t0),
-    })
+    scored?;
+    Ok(items)
 }
 
 #[cfg(test)]
@@ -851,13 +809,26 @@ mod tests {
         // And at the limit the search itself is shed with a typed error.
         let _held2 = idx.admit().unwrap();
         let scratch = ShardedScratch::for_index(&idx);
-        let err = idx
-            .search_budgeted(&q, 3, &scratch, &QueryBudget::unlimited())
-            .unwrap_err();
+        let err = idx.execute(ShardedQuery::new(&q, 3), &scratch).unwrap_err();
         assert!(matches!(err, QueryError::Overloaded { .. }));
         // The io::Result entry points surface the shed as WouldBlock.
         let ioerr = idx.search(&q, 3).unwrap_err();
         assert_eq!(ioerr.kind(), io::ErrorKind::WouldBlock);
+    }
+
+    #[test]
+    #[should_panic(expected = "scratch sized for 3 shards, index has 2")]
+    fn execute_rejects_a_scratch_set_sized_for_another_index() {
+        let idx = tiny_index(0);
+        let q = [0.5f32; 8];
+        let _ = idx.execute(ShardedQuery::new(&q, 3), &ShardedScratch::new(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "query dimensionality mismatch")]
+    fn execute_rejects_a_query_of_the_wrong_dimension() {
+        let idx = tiny_index(0);
+        let _ = idx.search(&[0.5f32; 7], 3);
     }
 
     #[test]

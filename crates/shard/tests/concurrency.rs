@@ -15,10 +15,22 @@ use std::time::Duration;
 use promips_core::ProMipsConfig;
 use promips_linalg::{dot, sq_norm2, Matrix};
 use promips_shard::{
-    CompactionPolicy, MutationError, ShardedConfig, ShardedProMips, ShardedScratch, SyncPolicy,
+    CompactionPolicy, MutationError, QueryError, ShardedConfig, ShardedProMips, ShardedQuery,
+    ShardedScratch, ShardedSearchResult, SyncPolicy,
 };
 use promips_stats::Xoshiro256pp;
 use promips_storage::durability::faults::{self, FaultPlan, IoOp};
+
+/// The plain request against a held scratch set.
+fn run(
+    idx: &ShardedProMips,
+    q: &[f32],
+    k: usize,
+    scratch: &ShardedScratch,
+) -> Result<ShardedSearchResult, QueryError> {
+    idx.execute(ShardedQuery::new(q, k), scratch)
+        .map(|(res, _)| res)
+}
 
 fn random_rows(n: usize, d: usize, seed: u64, scale: f64) -> Vec<Vec<f32>> {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
@@ -113,7 +125,7 @@ fn torture_queries_race_mutations_and_background_compaction() {
                 let mut i = 0usize;
                 while !stop.load(Ordering::Acquire) {
                     let q: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
-                    let res = idx.search_with_scratch(&q, 10, scratch).unwrap();
+                    let res = run(idx, &q, 10, scratch).unwrap();
                     let q_norm = sq_norm2(&q).sqrt();
                     let mut seen = BTreeSet::new();
                     for w in res.items.windows(2) {
@@ -134,9 +146,7 @@ fn torture_queries_race_mutations_and_background_compaction() {
                     if i.is_multiple_of(8) {
                         let qs: Vec<f32> =
                             (0..d).map(|_| 1.0 + 0.01 * rng.normal() as f32).collect();
-                        let full = idx
-                            .search_with_scratch(&qs, usize::MAX / 2, scratch)
-                            .unwrap();
+                        let full = run(idx, &qs, usize::MAX / 2, scratch).unwrap();
                         assert_eq!(full.items[0].id, 0, "strong row lost under churn");
                         let want = dot(&qs, strong);
                         assert!(
@@ -203,9 +213,7 @@ fn torture_queries_race_mutations_and_background_compaction() {
     // The quiesced live id set matches the ledger exactly.
     let scratch = ShardedScratch::for_index(&idx);
     let q = vec![1.0f32; d];
-    let all = idx
-        .search_with_scratch(&q, usize::MAX / 2, &scratch)
-        .unwrap();
+    let all = run(&idx, &q, usize::MAX / 2, &scratch).unwrap();
     let got: BTreeSet<u64> = all.items.iter().map(|it| it.id).collect();
     assert_eq!(got, live, "live id set diverged from the writer's ledger");
 
@@ -216,9 +224,7 @@ fn torture_queries_race_mutations_and_background_compaction() {
     let reopened = ShardedProMips::open(&dir).unwrap();
     assert_eq!(reopened.len(), live.len() as u64);
     let scratch = ShardedScratch::for_index(&reopened);
-    let all = reopened
-        .search_with_scratch(&q, usize::MAX / 2, &scratch)
-        .unwrap();
+    let all = run(&reopened, &q, usize::MAX / 2, &scratch).unwrap();
     let got: BTreeSet<u64> = all.items.iter().map(|it| it.id).collect();
     assert_eq!(
         got, live,
@@ -321,7 +327,7 @@ impl FaultRig {
 
     fn live_ids(idx: &ShardedProMips) -> BTreeSet<u64> {
         let scratch = ShardedScratch::for_index(idx);
-        idx.search_with_scratch(&[1.0f32; 8], usize::MAX / 2, &scratch)
+        run(idx, &[1.0f32; 8], usize::MAX / 2, &scratch)
             .unwrap()
             .items
             .iter()
@@ -585,7 +591,7 @@ fn torture_best_effort_queries_survive_probabilistic_read_faults() {
                 let (mut degraded, mut refused) = (0u64, 0u64);
                 while !stop.load(Ordering::Acquire) {
                     let q: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
-                    match idx.search_with_scratch(&q, 10, scratch) {
+                    match run(idx, &q, 10, scratch) {
                         Ok(res) => {
                             degraded += u64::from(res.degraded);
                             let q_norm = sq_norm2(&q).sqrt();
@@ -606,6 +612,7 @@ fn torture_best_effort_queries_survive_probabilistic_read_faults() {
                         // refusal must carry the injected marker — never
                         // a panic, never a fabricated answer.
                         Err(e) => {
+                            let e = std::io::Error::from(e);
                             assert!(faults::is_injected(&e), "unexpected error: {e}");
                             refused += 1;
                         }
@@ -648,9 +655,7 @@ fn torture_best_effort_queries_survive_probabilistic_read_faults() {
     assert_eq!(idx.len(), live.len() as u64, "liveness ledger diverged");
     let scratch = ShardedScratch::for_index(&idx);
     let q = vec![1.0f32; d];
-    let all = idx
-        .search_with_scratch(&q, usize::MAX / 2, &scratch)
-        .unwrap();
+    let all = run(&idx, &q, usize::MAX / 2, &scratch).unwrap();
     let got: BTreeSet<u64> = all.items.iter().map(|it| it.id).collect();
     assert_eq!(got, live, "live id set diverged from the writer's ledger");
     assert_eq!(all.items[0].id, 0, "strong row lost under faulted churn");
@@ -660,9 +665,7 @@ fn torture_best_effort_queries_survive_probabilistic_read_faults() {
     let reopened = ShardedProMips::open(&dir).unwrap();
     assert_eq!(reopened.len(), live.len() as u64);
     let scratch = ShardedScratch::for_index(&reopened);
-    let all = reopened
-        .search_with_scratch(&q, usize::MAX / 2, &scratch)
-        .unwrap();
+    let all = run(&reopened, &q, usize::MAX / 2, &scratch).unwrap();
     let got: BTreeSet<u64> = all.items.iter().map(|it| it.id).collect();
     assert_eq!(
         got, live,

@@ -14,9 +14,10 @@ use std::sync::Mutex;
 
 use promips_core::ProMipsConfig;
 use promips_linalg::Matrix;
-use promips_obs::{self as obs, recorder, sampling, slow, CounterId, GaugeId};
+use promips_obs::{self as obs, recorder, sampling, slow, CounterId, GaugeId, HistoId};
 use promips_shard::{
-    CompactionOutcome, DegradationPolicy, ShardedConfig, ShardedProMips, ShardedScratch, SyncPolicy,
+    CompactionOutcome, DegradationPolicy, ShardedConfig, ShardedProMips, ShardedQuery,
+    ShardedScratch, SyncPolicy,
 };
 use promips_stats::Xoshiro256pp;
 use promips_storage::durability::faults::{self, FaultPlan, IoOp, Recurrence};
@@ -192,7 +193,9 @@ fn prometheus_exposition_covers_the_pipeline() {
 /// degraded by an injected read fault lands in the slow-query log with
 /// the degradation flagged first-class — `degraded`, the failed-shard
 /// count — and the flight-recorder excerpt attached, showing both the
-/// injected fault and the degradation event that explain it.
+/// injected fault and the degradation event that explain it. The failed
+/// shard's span keeps its wall time and whatever the core layer booked to
+/// the registry before the fault fired.
 #[test]
 fn degraded_best_effort_query_is_flagged_in_slow_log() {
     let _guard = reg_lock();
@@ -230,11 +233,41 @@ fn degraded_best_effort_query_is_flagged_in_slow_log() {
         Recurrence::EveryNth(1),
         io::ErrorKind::Other,
     );
+    let before = obs::global().snapshot();
     let (res, trace) = idx.search_traced_threaded(q, 10, 1, &scratch).unwrap();
     faults::disarm();
+    let booked = obs::global().snapshot().saturating_diff(&before);
 
     assert!(res.degraded, "the injected fault must degrade the query");
     assert!(trace.degraded, "the trace carries the verdict");
+    let failed = &trace.shards[0];
+    assert!(failed.failed && trace.shards_failed() == 1);
+    assert!(failed.elapsed_ns > 0, "a failed shard still took wall time");
+    assert!(trace.coverage() > 0.0);
+    // Every searched shard — the failed one included — booked one stage
+    // sample and its row counts, and the spans carry exactly those
+    // (`verify_ns` also holds this layer's overlay scoring, so it is not
+    // compared).
+    let sum = |f: &dyn Fn(&obs::ShardSpan) -> u64| trace.shards.iter().map(f).sum::<u64>();
+    assert_eq!(booked.histogram(HistoId::StageScanNs).count(), 3);
+    assert_eq!(
+        booked.histogram(HistoId::StageScanNs).sum,
+        trace.stages().scan_ns
+    );
+    assert_eq!(
+        booked.histogram(HistoId::StageScreenNs).sum,
+        trace.stages().screen_ns
+    );
+    assert_eq!(booked.counter(CounterId::QueryScanned), sum(&|s| s.scanned));
+    assert_eq!(
+        booked.counter(CounterId::QueryScreened),
+        sum(&|s| s.screened)
+    );
+    assert_eq!(
+        booked.counter(CounterId::QueryVerified),
+        sum(&|s| s.verified)
+    );
+    assert_eq!(res.per_shard[0].verified as u64, failed.verified);
 
     let kept = slow::snapshot();
     let entry = kept
@@ -312,6 +345,94 @@ fn sampler_promotes_plain_searches_into_the_slow_log() {
 
     slow::configure(0, 16);
     slow::clear();
+}
+
+/// The one sampling decision: a traced request bypasses the sampler (it
+/// neither consumes an arrival nor is flagged an exemplar), an untraced
+/// one is sampled at the cadence yet never hands its trace back.
+#[test]
+fn traced_requests_bypass_the_sampler_and_untraced_ones_return_no_trace() {
+    let _guard = reg_lock();
+    let d = 12;
+    let idx = build_index(1200, d, 2);
+    let scratch = ShardedScratch::for_index(&idx);
+    let sampled = || obs::global().counter(CounterId::QueriesSampled).get();
+
+    slow::configure(0, 32);
+    slow::clear();
+    sampling::set_sample_every(1);
+    let before = sampled();
+    for q in random_rows(3, d, 73) {
+        let traced = ShardedQuery {
+            traced: true,
+            ..ShardedQuery::new(&q, 7)
+        };
+        let (_, trace) = idx.execute(traced, &scratch).unwrap();
+        assert!(trace.is_some());
+    }
+    assert_eq!(sampled() - before, 0, "traced requests are not arrivals");
+    assert!(slow::snapshot().iter().all(|e| !e.sampled));
+    for q in random_rows(3, d, 79) {
+        let (_, trace) = idx.execute(ShardedQuery::new(&q, 7), &scratch).unwrap();
+        assert!(trace.is_none(), "sampling never changes what is returned");
+    }
+    sampling::set_sample_every(sampling::DEFAULT_SAMPLE_EVERY);
+    assert_eq!(sampled() - before, 3);
+    assert_eq!(slow::snapshot().iter().filter(|e| e.sampled).count(), 3);
+
+    slow::configure(0, 16);
+    slow::clear();
+}
+
+/// Rows the core layer never sees — an exact generation's and the delta
+/// overlay's — are verified and booked by the shard layer: every span
+/// carries them, and the registry's verified-row counter moves by exactly
+/// the spans' total.
+#[test]
+fn exact_and_delta_rows_are_booked_once_and_carried_by_the_spans() {
+    let _guard = reg_lock();
+    let d = 8;
+    let verified = || obs::global().counter(CounterId::QueryVerified).get();
+    let traced = |idx: &ShardedProMips, q: &[f32]| {
+        let scratch = ShardedScratch::for_index(idx);
+        let before = verified();
+        let request = ShardedQuery {
+            threads: Some(1),
+            traced: true,
+            ..ShardedQuery::new(q, 5)
+        };
+        let (res, trace) = idx.execute(request, &scratch).unwrap();
+        let trace = trace.unwrap();
+        let spans: u64 = trace.shards.iter().map(|s| s.verified).sum();
+        assert_eq!(verified() - before, spans, "booked exactly once");
+        assert_eq!(res.verified as u64, spans);
+        trace
+    };
+    let q = &random_rows(1, d, 83)[0];
+
+    // All-exact index, pruning off: every shard scans every row it holds.
+    let data = Matrix::from_rows(d, random_rows(300, d, 81));
+    let cfg = ShardedConfig::builder()
+        .shards(3)
+        .exact_threshold(1_000)
+        .prune(false)
+        .build();
+    let exact = ShardedProMips::build_in_memory(&data, cfg).unwrap();
+    let trace = traced(&exact, q);
+    assert_eq!(trace.shards.iter().map(|s| s.verified).sum::<u64>(), 300);
+    assert!(trace.shards.iter().all(|s| s.scanned == 0));
+    assert!(trace.stages().verify_ns > 0);
+
+    // Indexed shards with a live delta: the overlay rows ride on top of
+    // whatever the core search verified.
+    let cfg = ShardedConfig::builder().shards(2).prune(false).build();
+    let idx = ShardedProMips::build_in_memory(&data, cfg).unwrap();
+    let base: u64 = traced(&idx, q).shards.iter().map(|s| s.verified).sum();
+    for row in random_rows(25, d, 85) {
+        idx.insert(&row).unwrap();
+    }
+    let with_delta: u64 = traced(&idx, q).shards.iter().map(|s| s.verified).sum();
+    assert_eq!(with_delta, base + 25);
 }
 
 /// The delta/tombstone gauges move strictly incrementally with the

@@ -132,7 +132,7 @@ fn one_shard_snapshot_matches_unsharded_index() {
 #[test]
 fn shard_files_carry_the_quantized_column() {
     // Each indexed shard's self-contained .pmx file must persist the SQ8
-    // quantized region (format v2): opened directly with `ProMips::open`,
+    // quantized region: opened directly with `ProMips::open`,
     // the shard reports the tier active, and the reloaded sharded index
     // keeps returning bit-identical results through the two-level scan.
     let dir = temp_dir("quantcol");

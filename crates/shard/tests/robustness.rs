@@ -1,18 +1,19 @@
-//! Query-lifecycle robustness: deadlines and cancellation surface as
-//! typed errors (fast, not after the full scan), degraded best-effort
-//! answers are *exactly* the top-k over the surviving shards, and
-//! transient IO faults on the write path are absorbed by bounded retry
-//! without losing an acknowledged write.
+//! Query-lifecycle robustness: every retained `search*` name is its
+//! `execute` request, the request's options are orthogonal, deadlines and
+//! cancellation surface as typed errors (fast, not after the full scan),
+//! degraded best-effort answers are *exactly* the top-k over the surviving
+//! shards, and transient IO faults on the write path are absorbed by
+//! bounded retry without losing an acknowledged write.
 
 use std::io;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use promips_core::ProMipsConfig;
+use promips_core::{ProMips, ProMipsConfig, Query, SearchScratch};
 use promips_linalg::{dot, Matrix};
 use promips_shard::{
     CancelToken, DegradationPolicy, QueryBudget, QueryError, ShardErrorKind, ShardedConfig,
-    ShardedProMips, ShardedScratch,
+    ShardedProMips, ShardedQuery, ShardedScratch, ShardedSearchResult,
 };
 use promips_stats::Xoshiro256pp;
 use promips_storage::durability::faults::{self, FaultPlan, IoOp, Recurrence};
@@ -36,6 +37,25 @@ fn random_queries(nq: usize, d: usize, seed: u64) -> Vec<Vec<f32>> {
     (0..nq)
         .map(|_| (0..d).map(|_| rng.normal() as f32).collect())
         .collect()
+}
+
+/// The plain request against a held scratch set.
+fn run(idx: &ShardedProMips, q: &[f32], k: usize, scratch: &ShardedScratch) -> ShardedSearchResult {
+    idx.execute(ShardedQuery::new(q, k), scratch).unwrap().0
+}
+
+/// `q` under `budget`, on the default worker count or `threads`.
+fn budgeted<'a>(
+    q: &'a [f32],
+    k: usize,
+    budget: &'a QueryBudget,
+    threads: Option<usize>,
+) -> ShardedQuery<'a> {
+    ShardedQuery {
+        budget: Some(budget),
+        threads,
+        ..ShardedQuery::new(q, k)
+    }
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -65,8 +85,9 @@ fn expired_deadline_returns_typed_error_fast() {
     let q = &random_queries(1, 16, 7)[0];
 
     let t = Instant::now();
+    let expired = QueryBudget::with_deadline_at(1);
     let err = idx
-        .search_budgeted(q, 10, &scratch, &QueryBudget::with_deadline_at(1))
+        .execute(budgeted(q, 10, &expired, None), &scratch)
         .unwrap_err();
     assert!(matches!(err, QueryError::DeadlineExceeded));
     assert!(
@@ -77,7 +98,7 @@ fn expired_deadline_returns_typed_error_fast() {
 
     // Threaded fan-out classifies identically.
     let err = idx
-        .search_budgeted_threaded(q, 10, 4, &scratch, &QueryBudget::with_deadline_at(1))
+        .execute(budgeted(q, 10, &expired, Some(4)), &scratch)
         .unwrap_err();
     assert!(matches!(err, QueryError::DeadlineExceeded));
 }
@@ -95,14 +116,19 @@ fn cancelled_token_returns_typed_error() {
     let token = CancelToken::new();
     token.cancel();
     let budget = QueryBudget::with_deadline(Duration::from_secs(60)).cancellable(token);
-    let err = idx.search_budgeted(q, 5, &scratch, &budget).unwrap_err();
+    let err = idx
+        .execute(budgeted(q, 5, &budget, None), &scratch)
+        .unwrap_err();
     assert!(matches!(err, QueryError::Cancelled), "got {err}");
 }
 
-/// A budget nobody exhausts is invisible: items, ranks, and per-shard
-/// counters are bit-identical to the un-budgeted entry points.
+/// The request's options are orthogonal — the combinations method names
+/// never reached included. A budget nobody exhausts is invisible (items,
+/// ranks and per-shard counters bit-identical to the un-budgeted request),
+/// an expired one is typed, and neither `traced` nor `threads` changes
+/// either outcome.
 #[test]
-fn generous_budget_is_bit_identical_to_unbudgeted_search() {
+fn results_depend_on_neither_traced_nor_threads_nor_an_unfired_budget() {
     let data = promips_data::gen::norm_skewed(2500, 14, 17);
     let idx = ShardedProMips::build_in_memory(
         &data,
@@ -113,28 +139,54 @@ fn generous_budget_is_bit_identical_to_unbudgeted_search() {
     )
     .unwrap();
     let scratch = ShardedScratch::for_index(&idx);
-    for (budget, label) in [
-        (QueryBudget::unlimited(), "unlimited"),
-        (QueryBudget::with_deadline(Duration::from_secs(120)), "2min"),
-    ] {
-        for q in random_queries(8, 14, 23) {
-            let plain = idx.search_with_scratch(&q, 10, &scratch).unwrap();
-            let budgeted = idx.search_budgeted(&q, 10, &scratch, &budget).unwrap();
-            assert_eq!(plain.items, budgeted.items, "{label}: items diverged");
-            assert_eq!(plain.verified, budgeted.verified, "{label}");
-            assert_eq!(plain.screened, budgeted.screened, "{label}");
-            assert!(!budgeted.degraded, "{label}: nothing failed");
-            assert_eq!(budgeted.shards_failed(), 0, "{label}");
-            let threaded = idx
-                .search_budgeted_threaded(&q, 10, 4, &scratch, &budget)
-                .unwrap();
-            assert_eq!(plain.items, threaded.items, "{label}: threaded diverged");
+    let budgets = [
+        (None, "none", false),
+        (Some(QueryBudget::unlimited()), "unlimited", false),
+        (
+            Some(QueryBudget::with_deadline(Duration::from_secs(120))),
+            "2min",
+            false,
+        ),
+        (Some(QueryBudget::with_deadline_at(1)), "expired", true),
+    ];
+    for q in random_queries(8, 14, 23) {
+        let plain = run(&idx, &q, 10, &scratch);
+        assert!(!plain.degraded && plain.shards_failed() == 0);
+        for (budget, label, fires) in &budgets {
+            for traced in [false, true] {
+                for threads in [None, Some(1), Some(4)] {
+                    let case = format!("{label}, traced={traced}, threads={threads:?}");
+                    let out = idx.execute(
+                        ShardedQuery {
+                            threads,
+                            budget: budget.as_ref(),
+                            traced,
+                            ..ShardedQuery::new(&q, 10)
+                        },
+                        &scratch,
+                    );
+                    if *fires {
+                        assert!(
+                            matches!(out, Err(QueryError::DeadlineExceeded)),
+                            "{case}: {out:?}"
+                        );
+                        continue;
+                    }
+                    let (res, trace) = out.unwrap();
+                    assert_eq!(res, plain, "{case}: diverged");
+                    assert_eq!(trace.is_some(), traced, "{case}");
+                    if let Some(trace) = trace {
+                        let finite = budget.as_ref().is_some_and(|b| !b.is_unlimited());
+                        assert_eq!(trace.budget_remaining_ns.is_some(), finite, "{case}");
+                    }
+                }
+            }
         }
     }
 }
 
-/// The traced budgeted entry point records the remaining budget and
-/// returns the same answer.
+/// A traced budgeted request records the remaining budget and returns the
+/// same answer.
 #[test]
 fn traced_budgeted_search_carries_remaining_budget() {
     let data = random_data(600, 10, 29);
@@ -143,11 +195,110 @@ fn traced_budgeted_search_carries_remaining_budget() {
     let scratch = ShardedScratch::for_index(&idx);
     let q = &random_queries(1, 10, 31)[0];
     let budget = QueryBudget::with_deadline(Duration::from_secs(300));
-    let (res, trace) = idx.search_traced_budgeted(q, 6, &scratch, &budget).unwrap();
+    let (res, trace) = idx
+        .execute(
+            ShardedQuery {
+                traced: true,
+                ..budgeted(q, 6, &budget, None)
+            },
+            &scratch,
+        )
+        .unwrap();
+    let trace = trace.expect("a traced request returns its trace");
     assert_eq!(res.items, idx.search(q, 6).unwrap().items);
     assert!(!trace.degraded);
     let remaining = trace.budget_remaining_ns.expect("deadline was set");
     assert!(remaining > 0 && remaining <= 300 * 1_000_000_000);
+}
+
+// --- the request surface ------------------------------------------------
+
+#[test]
+fn every_wrapper_is_bit_identical_to_execute() {
+    let data = promips_data::gen::norm_skewed(1500, 16, 131);
+    for shards in [1usize, 4] {
+        let idx = ShardedProMips::build_in_memory(
+            &data,
+            ShardedConfig::builder()
+                .shards(shards)
+                .base(ProMipsConfig::builder().seed(133).build())
+                .build(),
+        )
+        .unwrap();
+        let scratch = ShardedScratch::for_index(&idx);
+        for q in random_queries(6, 16, 137) {
+            let (plain, trace) = idx.execute(ShardedQuery::new(&q, 8), &scratch).unwrap();
+            assert!(trace.is_none(), "an untraced request returns no trace");
+            assert_eq!(idx.search(&q, 8).unwrap(), plain);
+            for threads in [1usize, 4] {
+                let request = ShardedQuery {
+                    threads: Some(threads),
+                    ..ShardedQuery::new(&q, 8)
+                };
+                let (want, _) = idx.execute(request, &scratch).unwrap();
+                assert_eq!(want, plain, "threads={threads}");
+                let got = idx.search_threaded(&q, 8, threads, &scratch).unwrap();
+                assert_eq!(got, want, "threads={threads}");
+
+                let traced = ShardedQuery {
+                    traced: true,
+                    ..request
+                };
+                let (want, want_trace) = idx.execute(traced, &scratch).unwrap();
+                let want_trace = want_trace.expect("a traced request returns its trace");
+                let (got, got_trace) = idx
+                    .search_traced_threaded(&q, 8, threads, &scratch)
+                    .unwrap();
+                assert_eq!(want, plain, "tracing only observes");
+                assert_eq!(got, want, "threads={threads}");
+                let counts = |t: &promips_obs::QueryTrace| -> Vec<_> {
+                    t.shards
+                        .iter()
+                        .map(|s| (s.shard, s.pruned, s.seed, s.failed))
+                        .zip(t.shards.iter().map(|s| (s.scanned, s.screened, s.verified)))
+                        .collect()
+                };
+                assert_eq!(counts(&got_trace), counts(&want_trace));
+                assert_eq!(got_trace.k, 8);
+            }
+        }
+    }
+}
+
+#[test]
+fn one_shard_tombstones_match_unsharded_masked_execute() {
+    // The shard overlay reaches the core search only as the request's
+    // mask, so deleting through a 1-shard index (the way to mutate an
+    // index) is bit-identical to masking the unsharded one.
+    let data = random_data(900, 24, 11);
+    let base = ProMipsConfig::builder().c(0.9).p(0.5).seed(42).build();
+    let unsharded = ProMips::build_in_memory(&data, base.clone()).unwrap();
+    let sharded = ShardedProMips::build_in_memory(
+        &data,
+        ShardedConfig::builder()
+            .shards(1)
+            .exact_threshold(0)
+            .base(base)
+            .build(),
+    )
+    .unwrap();
+    let gone: Vec<u64> = (0..900).step_by(9).collect();
+    for &gid in &gone {
+        sharded.delete(gid).unwrap();
+    }
+    let dead = |id: u64| gone.contains(&id);
+    let mut scratch = SearchScratch::new();
+    for q in random_queries(12, 24, 7) {
+        let masked = Query {
+            mask: Some((&dead, gone.len())),
+            ..Query::new(&q, 10)
+        };
+        let a = unsharded.execute(masked, &mut scratch).unwrap();
+        let b = sharded.search(&q, 10).unwrap();
+        assert_eq!(a.items, b.items);
+        assert_eq!((a.verified, a.screened), (b.verified, b.screened));
+        assert!(b.items.iter().all(|it| !dead(it.id)));
+    }
 }
 
 // --- degraded-mode invariants (property) ---------------------------------
@@ -179,25 +330,25 @@ proptest! {
         .unwrap();
         let scratch = ShardedScratch::for_index(&idx);
         for q in random_queries(3, d, seed ^ 0x5A) {
-            let plain = idx.search_with_scratch(&q, k, &scratch).unwrap();
-            let budgeted = idx
-                .search_budgeted(&q, k, &scratch, &QueryBudget::unlimited())
+            let plain = run(&idx, &q, k, &scratch);
+            let (bounded, _) = idx
+                .execute(budgeted(&q, k, &QueryBudget::unlimited(), None), &scratch)
                 .unwrap();
-            prop_assert_eq!(&plain.items, &budgeted.items);
-            prop_assert!(!budgeted.degraded);
+            prop_assert_eq!(&plain.items, &bounded.items);
+            prop_assert!(!bounded.degraded);
 
             // Ground truth: ids match the exact scan, ips are real dots.
             let truth: Vec<u64> = promips_data::exact_topk(&data, &q, k)
                 .into_iter()
                 .map(|(id, _)| id)
                 .collect();
-            prop_assert_eq!(budgeted.ids(), truth);
-            for w in budgeted.items.windows(2) {
+            prop_assert_eq!(bounded.ids(), truth);
+            for w in bounded.items.windows(2) {
                 prop_assert!(
                     w[0].ip > w[1].ip || (w[0].ip == w[1].ip && w[0].id < w[1].id)
                 );
             }
-            for it in &budgeted.items {
+            for it in &bounded.items {
                 let want = dot(&q, data.row(it.id as usize));
                 prop_assert!(
                     (it.ip - want).abs() <= 1e-6 * want.abs().max(1.0),
@@ -207,7 +358,7 @@ proptest! {
 
             // Expired budget: typed, never a partial Ok.
             let err = idx
-                .search_budgeted(&q, k, &scratch, &QueryBudget::with_deadline_at(1))
+                .execute(budgeted(&q, k, &QueryBudget::with_deadline_at(1), None), &scratch)
                 .unwrap_err();
             prop_assert!(matches!(err, QueryError::DeadlineExceeded));
         }
@@ -223,7 +374,7 @@ proptest! {
 /// fault on shard 0's pages:
 ///
 /// * `FailFast` (default): the query aborts with a typed error naming
-///   shard 0, on both the `io::Result` and the typed entry points.
+///   shard 0, through the `io::Result` wrapper and through `execute`.
 /// * `BestEffort`: the query succeeds degraded — per-shard status flags
 ///   shard 0, and the items equal twin B's items exactly (the merge over
 ///   survivors is still the true top-k over every reachable point).
@@ -270,9 +421,7 @@ fn read_fault_degrades_exactly_to_survivor_topk() {
     );
 
     // FailFast: typed abort naming the shard, injected marker intact.
-    let err = idx
-        .search_with_scratch(&queries[0], 10, &scratch)
-        .unwrap_err();
+    let err = idx.search(&queries[0], 10).unwrap_err();
     assert!(faults::is_injected(&err), "unexpected error: {err}");
     match err.get_ref().and_then(|e| e.downcast_ref::<QueryError>()) {
         Some(QueryError::Shard(se)) => {
@@ -282,7 +431,7 @@ fn read_fault_degrades_exactly_to_survivor_topk() {
         other => panic!("expected a shard error, got {other:?}"),
     }
     let err = idx
-        .search_budgeted(&queries[0], 10, &scratch, &QueryBudget::unlimited())
+        .execute(ShardedQuery::new(&queries[0], 10), &scratch)
         .unwrap_err();
     assert!(
         matches!(&err, QueryError::Shard(se) if se.shard == 0),
@@ -293,7 +442,7 @@ fn read_fault_degrades_exactly_to_survivor_topk() {
     idx.set_degradation(DegradationPolicy::BestEffort);
     let twin_scratch = ShardedScratch::for_index(&twin);
     for q in &queries {
-        let res = idx.search_with_scratch(q, 10, &scratch).unwrap();
+        let res = run(&idx, q, 10, &scratch);
         assert!(res.degraded, "a shard failed: result must say so");
         assert_eq!(res.shards_failed(), 1);
         assert!(
@@ -301,7 +450,7 @@ fn read_fault_degrades_exactly_to_survivor_topk() {
             "per-shard status must flag shard 0"
         );
         assert_eq!(res.per_shard[0].returned, 0);
-        let want = twin.search_with_scratch(q, 10, &twin_scratch).unwrap();
+        let want = run(&twin, q, 10, &twin_scratch);
         assert_eq!(
             res.items, want.items,
             "degraded answer must be the exact survivor top-k"
@@ -313,15 +462,12 @@ fn read_fault_degrades_exactly_to_survivor_topk() {
     // fault-free open of the same directory.
     let fresh = ShardedProMips::open(&dir_a).unwrap();
     let fresh_scratch = ShardedScratch::for_index(&fresh);
-    let res = idx.search_with_scratch(&queries[0], 10, &scratch).unwrap();
+    let res = run(&idx, &queries[0], 10, &scratch);
     assert!(!res.degraded);
     assert_eq!(res.shards_failed(), 0);
     assert_eq!(
         res.items,
-        fresh
-            .search_with_scratch(&queries[0], 10, &fresh_scratch)
-            .unwrap()
-            .items
+        run(&fresh, &queries[0], 10, &fresh_scratch).items
     );
     drop(fresh);
     std::fs::remove_dir_all(&dir_a).unwrap();
@@ -357,12 +503,7 @@ fn best_effort_with_every_shard_failed_is_an_error() {
         io::ErrorKind::Other,
     );
     let err = idx
-        .search_budgeted(
-            &random_queries(1, d, 61)[0],
-            5,
-            &scratch,
-            &QueryBudget::unlimited(),
-        )
+        .execute(ShardedQuery::new(&random_queries(1, d, 61)[0], 5), &scratch)
         .unwrap_err();
     assert!(matches!(err, QueryError::Shard(_)), "got {err}");
     faults::disarm();
@@ -438,9 +579,7 @@ fn transient_fault_at_every_write_step_is_absorbed_by_retry() {
     let reopened = ShardedProMips::open(&dir).unwrap();
     assert_eq!(reopened.len(), 100 + live.len() as u64);
     let scratch = ShardedScratch::for_index(&reopened);
-    let all = reopened
-        .search_with_scratch(&[1.0f32; 8], usize::MAX / 2, &scratch)
-        .unwrap();
+    let all = run(&reopened, &[1.0f32; 8], usize::MAX / 2, &scratch);
     for gid in &live {
         assert!(
             all.items.iter().any(|it| it.id == *gid),

@@ -109,7 +109,7 @@ impl Wal {
 
     /// Opens an existing log and streams its records, in append order, into
     /// `apply` — one call per complete record, parsed out of a bounded
-    /// sliding window (see [`REPLAY_CHUNK`]) so replay memory does not grow
+    /// sliding window (`REPLAY_CHUNK` bytes) so replay memory does not grow
     /// with log size. Everything from the first incomplete or corrupt
     /// record onward — an incomplete length prefix, an incomplete payload,
     /// or a CRC mismatch — is truncated off the file, so the log is clean

@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use promips::linalg::Matrix;
 use promips::obs::{self, health, recorder, sampling, slow, window, HistogramStyle};
-use promips::shard::{ShardedConfig, ShardedProMips, ShardedScratch, SyncPolicy};
+use promips::shard::{ShardedConfig, ShardedProMips, ShardedQuery, ShardedScratch, SyncPolicy};
 use promips::stats::Xoshiro256pp;
 
 fn main() -> std::io::Result<()> {
@@ -60,8 +60,12 @@ fn main() -> std::io::Result<()> {
     let queries: Vec<Vec<f32>> = (0..32)
         .map(|_| (0..d).map(|_| rng.normal() as f32).collect())
         .collect();
+    let sequential = |q| ShardedQuery {
+        threads: Some(1),
+        ..ShardedQuery::new(q, 10)
+    };
     for q in &queries {
-        index.search_threaded(q, 10, 1, &scratch)?;
+        index.execute(sequential(q), &scratch)?;
     }
     index.compact_all()?;
 
@@ -71,7 +75,12 @@ fn main() -> std::io::Result<()> {
     aggregator.stop();
 
     // Per-query stage trace: where did this one search spend its time?
-    let (res, trace) = index.search_traced_threaded(&queries[0], 10, 1, &scratch)?;
+    let traced = ShardedQuery {
+        traced: true,
+        ..sequential(&queries[0])
+    };
+    let (res, trace) = index.execute(traced, &scratch)?;
+    let trace = trace.expect("a traced request returns its trace");
     println!("--- one traced query (top ip {:.3}) ---", res.items[0].ip);
     print!("{}", trace.render());
 

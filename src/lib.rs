@@ -51,6 +51,11 @@
 //! assert_eq!(result.items.len(), 10);
 //! ```
 //!
+//! `search` is the plain form of the one search path, `execute`: a
+//! request value ([`core::Query`], [`shard::ShardedQuery`]) carries every
+//! option — floor, tombstone mask, budget, span; worker count, budget,
+//! trace — and each layer has one `execute` that runs it.
+//!
 //! ## Scaling out
 //!
 //! ```
@@ -73,6 +78,10 @@
 //! ```
 //!
 //! ## Mutating durably
+//!
+//! A built [`core::ProMips`] is immutable; inserts, deletes and compaction
+//! live in the shard layer only (a one-shard index is bit-identical to the
+//! unsharded one).
 //!
 //! ```no_run
 //! use promips::shard::{ShardedConfig, ShardedProMips};
