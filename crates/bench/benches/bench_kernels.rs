@@ -719,6 +719,40 @@ fn main() {
         promips_storage::DEFAULT_SHARDS
     );
 
+    // --- page_hit: one thread, every read a pool hit -------------------------
+    // The cost a query pays ≈ 12 k times. Sequential ids walk the stripes
+    // and the frame arrays in order; a query's reads hop between regions,
+    // so the shuffled order is the honest figure once the pool outgrows
+    // the caches (64 k frames) and the sequential sweep under-reads it.
+    let page_hit = |pool_pages: u64, shuffled: bool| -> f64 {
+        let pager = Pager::in_memory(256, pool_pages as usize);
+        for _ in 0..pool_pages {
+            pager.append(PageBuf::zeroed(256)).unwrap();
+        }
+        let mut ids: Vec<u64> = (0..pool_pages).collect();
+        if shuffled {
+            let mut rng = Xoshiro256pp::seed_from_u64(0x417);
+            for i in (1..ids.len()).rev() {
+                ids.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+        }
+        let ns = ns_per_op(|| {
+            for &id in &ids {
+                std::hint::black_box(pager.read(id).unwrap());
+            }
+        });
+        assert_eq!(pager.stats().snapshot().cache_misses, 0, "page_hit missed");
+        ns / pool_pages as f64
+    };
+    let mut page_hit_rows: Vec<(String, Json)> = Vec::new();
+    for (pool, label) in [(1u64 << 10, "1k"), (1 << 16, "64k")] {
+        for (shuffled, order) in [(false, "sequential"), (true, "random")] {
+            let ns = page_hit(pool, shuffled);
+            println!("  page_hit_pool_{label}_{order} (per read): {ns:.1} ns");
+            page_hit_rows.push((format!("pool_{label}_{order}_ns"), Json::Num(ns)));
+        }
+    }
+
     // --- query pipeline: sequential vs batched ------------------------------
     let n = 8_000;
     let nq = 64;
@@ -1371,6 +1405,7 @@ fn main() {
                 ("striped_ns_per_read", Json::Num(pool_striped_ns)),
                 ("shards", Json::Num(promips_storage::DEFAULT_SHARDS as f64)),
                 ("speedup", Json::Num(pool_1shard_ns / pool_striped_ns)),
+                ("page_hit", Json::Obj(page_hit_rows)),
             ]),
         ),
         (

@@ -49,7 +49,7 @@ pub const REQUIRED_SECTIONS: &[(&str, &[&str])] = &[
     ("project", &["single", "dataset_2000"]),
     ("scan", &["arena_ns_per_record", "speedup"]),
     ("quantized_scan", &["dense", "selective"]),
-    ("pager_contention", &["striped_ns_per_read"]),
+    ("pager_contention", &["striped_ns_per_read", "page_hit"]),
     ("search", &["sequential_ns_per_query"]),
     ("sharded_fanout", &["per_shard_count"]),
     ("floor_tradeoff", &["configs"]),

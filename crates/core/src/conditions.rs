@@ -17,15 +17,42 @@
 
 use promips_stats::{chi2_cdf, chi2_inv_cdf};
 
+/// `Ψm⁻¹(p)` as the threshold of Condition B: an `f64` `x*` with
+/// `chi2_cdf(m, x*) ≥ p` and `chi2_cdf(m, prev(x*)) < p`. `Ψm` is monotone,
+/// so `x ≥ x*` is the *same predicate* as `chi2_cdf(m, x) ≥ p` — found by
+/// bisecting that very function — at the price of one comparison instead
+/// of an incomplete-gamma evaluation per test. (The computed CDF is
+/// monotone only down to its rounding noise: within ≈ 60 ulps of the
+/// crossing, a relative 1e-14, its answer flickers and this threshold is
+/// its monotone completion.) `m` and `p` are fixed per index, so this runs
+/// once, at build or open: ≈ 60 `chi2_cdf` calls, a bisection over the bit
+/// patterns of the positive floats, which order like the floats.
+pub fn chi2_threshold(m: u32, p: f64) -> f64 {
+    let mut above = chi2_inv_cdf(m, p).max(f64::MIN_POSITIVE);
+    while chi2_cdf(m, above) < p {
+        above *= 2.0;
+    }
+    // Invariant: chi2_cdf(lo) < p ≤ chi2_cdf(hi); Ψm(0) = 0 < p.
+    let (mut lo, mut hi) = (0u64, above.to_bits());
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if chi2_cdf(m, f64::from_bits(mid)) >= p {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    f64::from_bits(hi)
+}
+
 /// Per-query context for evaluating the conditions.
 #[derive(Debug, Clone)]
 pub struct ConditionContext {
     /// Approximation ratio `c`.
     pub c: f64,
-    /// Guarantee probability `p`.
-    pub p: f64,
-    /// Projected dimensionality `m`.
-    pub m: u32,
+    /// [`chi2_threshold`] of the index's projected dimensionality `m` and
+    /// guarantee probability `p`.
+    pub chi2_threshold: f64,
     /// `‖oM‖²` — max squared norm over the dataset.
     pub max_sq_norm: f64,
     /// `‖q‖²` — squared norm of this query.
@@ -50,7 +77,9 @@ impl ConditionContext {
     }
 
     /// Condition B (Theorem 2): probabilistic termination given the squared
-    /// projected distance of the most recently returned point.
+    /// projected distance of the most recently returned point —
+    /// `Ψm(dis²/Δ) ≥ p`, tested as `dis²/Δ ≥ Ψm⁻¹(p)`.
+    #[inline]
     pub fn condition_b(&self, proj_dist_sq: f64, best_ip: f64) -> bool {
         let slack = self.slack(best_ip);
         if slack <= 0.0 {
@@ -60,7 +89,7 @@ impl ConditionContext {
         if !slack.is_finite() {
             return false; // fewer than k candidates yet
         }
-        chi2_cdf(self.m, proj_dist_sq / slack) >= self.p
+        proj_dist_sq / slack >= self.chi2_threshold
     }
 
     /// The compensated searching radius
@@ -74,7 +103,7 @@ impl ConditionContext {
         if slack <= 0.0 || !slack.is_finite() {
             return None;
         }
-        Some((chi2_inv_cdf(self.m, self.p) * slack).sqrt())
+        Some((self.chi2_threshold * slack).sqrt())
     }
 }
 
@@ -82,14 +111,17 @@ impl ConditionContext {
 mod tests {
     use super::*;
 
-    fn ctx() -> ConditionContext {
+    fn ctx_at(p: f64) -> ConditionContext {
         ConditionContext {
             c: 0.9,
-            p: 0.5,
-            m: 6,
+            chi2_threshold: chi2_threshold(6, p),
             max_sq_norm: 100.0,
             q_sq_norm: 50.0,
         }
+    }
+
+    fn ctx() -> ConditionContext {
+        ctx_at(0.5)
     }
 
     #[test]
@@ -148,10 +180,8 @@ mod tests {
 
     #[test]
     fn higher_p_demands_larger_radius() {
-        let mut a = ctx();
-        a.p = 0.3;
-        let mut b = ctx();
-        b.p = 0.9;
+        let a = ctx_at(0.3);
+        let b = ctx_at(0.9);
         let ra = a.compensation_radius(40.0).unwrap();
         let rb = b.compensation_radius(40.0).unwrap();
         assert!(rb > ra, "p=0.9 radius {rb} must exceed p=0.3 radius {ra}");

@@ -7,6 +7,7 @@ use promips_idistance::{build_index, IDistanceIndex};
 use promips_linalg::Matrix;
 use promips_storage::{AccessStatsSnapshot, Pager};
 
+use crate::conditions::chi2_threshold;
 use crate::config::ProMipsConfig;
 use crate::norms::NormTable;
 use crate::optimize::optimized_projection_dim;
@@ -50,6 +51,8 @@ pub struct ProMips {
     pub(crate) locator: Vec<(u32, u32)>,
     pub(crate) m: usize,
     pub(crate) d: usize,
+    /// Condition B's threshold `Ψm⁻¹(p)`: fixed by `m` and `config.p`.
+    pub(crate) chi2_threshold: f64,
     timings: BuildTimings,
     /// Page holding the iDistance footer (needed by [`ProMips::save`]).
     idist_footer_page: u64,
@@ -125,7 +128,12 @@ impl ProMips {
         debug_assert!(locator.iter().all(|&(s, _)| s != u32::MAX));
         let index_ms = t2.elapsed().as_secs_f64() * 1e3;
 
-        Ok(Self {
+        let timings = BuildTimings {
+            project_ms,
+            quickprobe_ms,
+            index_ms,
+        };
+        Ok(Self::reassemble(
             config,
             projection,
             index,
@@ -134,13 +142,9 @@ impl ProMips {
             locator,
             m,
             d,
-            timings: BuildTimings {
-                project_ms,
-                quickprobe_ms,
-                index_ms,
-            },
+            timings,
             idist_footer_page,
-        })
+        ))
     }
 
     /// Reconstructs a handle from persisted parts (see [`crate::persist`]).
@@ -158,6 +162,7 @@ impl ProMips {
         idist_footer_page: u64,
     ) -> Self {
         Self {
+            chi2_threshold: chi2_threshold(m as u32, config.p),
             config,
             projection,
             index,

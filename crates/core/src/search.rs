@@ -21,7 +21,7 @@ use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use promips_idistance::{ProjScratch, RangeCandidate};
-use promips_linalg::{dist, dot, dot4, dot4_i8, dot_i8, norm1, sq_norm2};
+use promips_linalg::{dist, dot, dot4, norm1, sq_norm2};
 use promips_obs::{
     self as obs, BudgetChecker, CounterId, HistoId, QueryBudget, ShardSpan, StageNanos,
 };
@@ -60,23 +60,25 @@ struct FetchBuffers {
     /// O(G log G) instead of the O(G² · |group|) of recomputing the key
     /// inside the comparator.
     groups: Vec<(f64, usize, usize)>,
-    /// SQ8 code rows of the group being screened (record `i` at
-    /// `codes[i*d..(i+1)*d]`), fetched from the verification-quant region.
-    codes: Vec<u8>,
-    /// Symmetrically quantized query (length d), shared by every group of
-    /// the query — the screen's integer kernels take it as the i8 operand.
-    qcodes: Vec<i8>,
+    /// Integer inner products `Σ codeⱼ·bⱼ` of the group being screened
+    /// (candidate `i` at `idots[i]`), computed by the index on the pinned
+    /// code pages.
+    idots: Vec<i32>,
+    /// The query side of the screen, rebuilt once per `execute`.
+    screen: QueryScreen,
 }
 
-/// Precomputed per-query pieces of the SQ8 verification screen: the
-/// symmetric query quantizer `q̂ⱼ = sq·bⱼ` (codes live in
-/// [`FetchBuffers::qcodes`]) plus the exact scalars the per-group bound
-/// needs. With `idot = Σ codeⱼ·bⱼ` (exact integer arithmetic), the screen
-/// estimate unfolds as
+/// Per-query pieces of the SQ8 verification screen, shared by every group
+/// and pass of the query: the symmetric query quantizer `q̂ⱼ = sq·bⱼ` plus
+/// the exact scalars the per-group bound needs. With `idot = Σ codeⱼ·bⱼ`
+/// (exact integer arithmetic), the screen estimate unfolds as
 /// `⟨x̂, q̂⟩ = sq·(min·Σbⱼ + scale·idot)`, and Cauchy–Schwarz bounds the
 /// true inner product by
 /// `|⟨x, q⟩ − ⟨x̂, q̂⟩| ≤ err·‖q‖ + xnorm·‖q − q̂‖`.
+#[derive(Debug, Default)]
 struct QueryScreen {
+    /// The codes `bⱼ` (length d) — the integer kernels' i8 operand.
+    qcodes: Vec<i8>,
     /// Query quantization step `max|qⱼ|/127` (1.0 for the zero query).
     sq: f64,
     /// `Σ bⱼ` — exact, pairs with the data quantizer's `min`.
@@ -88,31 +90,29 @@ struct QueryScreen {
 }
 
 impl QueryScreen {
-    /// Quantizes `q` symmetrically into `qcodes` and gathers the bound
-    /// scalars. `q_sq_norm` is the caller's already-computed `‖q‖²`.
-    fn build(q: &[f32], q_sq_norm: f64, qcodes: &mut Vec<i8>) -> Self {
+    /// Quantizes `q` symmetrically and gathers the bound scalars, reusing
+    /// the code buffer. `q_sq_norm` is the caller's already-computed `‖q‖²`.
+    fn rebuild(&mut self, q: &[f32], q_sq_norm: f64) {
         let mut amax = 0.0f32;
         for &x in q {
             amax = amax.max(x.abs());
         }
         let sq = if amax > 0.0 { amax as f64 / 127.0 } else { 1.0 };
-        qcodes.clear();
-        qcodes.reserve(q.len());
+        self.qcodes.clear();
+        self.qcodes.reserve(q.len());
         let mut sum_b = 0i64;
         let mut q_err_sq = 0.0f64;
         for &x in q {
             let b = (x as f64 / sq).round().clamp(-127.0, 127.0);
-            qcodes.push(b as i8);
+            self.qcodes.push(b as i8);
             sum_b += b as i64;
             let e = x as f64 - sq * b;
             q_err_sq += e * e;
         }
-        Self {
-            sq,
-            sum_b,
-            q_err: q_err_sq.sqrt(),
-            q_norm: q_sq_norm.sqrt(),
-        }
+        self.sq = sq;
+        self.sum_b = sum_b;
+        self.q_err = q_err_sq.sqrt();
+        self.q_norm = q_sq_norm.sqrt();
     }
 }
 
@@ -371,6 +371,16 @@ impl ProMips {
         res
     }
 
+    /// The searching conditions for query `q` on this index.
+    fn conditions(&self, q: &[f32]) -> ConditionContext {
+        ConditionContext {
+            c: self.config.c,
+            chi2_threshold: self.chi2_threshold,
+            max_sq_norm: self.norms.max_sq_norm2(),
+            q_sq_norm: sq_norm2(q),
+        }
+    }
+
     /// MIP-Search-II (Algorithm 3) with Quick-Probe — the body of
     /// [`ProMips::execute`]. Stage time and row counts go to `work` as
     /// they accrue, so they survive an early `?`.
@@ -409,13 +419,10 @@ impl ProMips {
 
         let t_scan = obs::clock_start();
         self.projection.project_into(q, &mut scratch.pq);
-        let ctx = ConditionContext {
-            c: self.config.c,
-            p: self.config.p,
-            m: self.m as u32,
-            max_sq_norm: self.norms.max_sq_norm2(),
-            q_sq_norm: sq_norm2(q),
-        };
+        let ctx = self.conditions(q);
+        if self.index.verify_quantized() {
+            scratch.fetch.screen.rebuild(q, ctx.q_sq_norm);
+        }
 
         // --- Quick-Probe: locate the range-defining point (Algorithm 2). --
         let located = self
@@ -639,13 +646,7 @@ impl ProMips {
         let k = k.min(self.len() as usize);
 
         let pq = self.projection.project(q);
-        let ctx = ConditionContext {
-            c: self.config.c,
-            p: self.config.p,
-            m: self.m as u32,
-            max_sq_norm: self.norms.max_sq_norm2(),
-            q_sq_norm: sq_norm2(q),
-        };
+        let ctx = self.conditions(q);
 
         let mut top = TopK::new(k);
         let mut work = ShardSpan::default();
@@ -687,11 +688,12 @@ impl ProMips {
     /// When the index carries the SQ8 verification tier
     /// ([`promips_idistance::IDistanceConfig::verify_quantize`]) and the
     /// running k-th best is finite, each group runs through a **two-level**
-    /// path instead: the group's 1-byte code rows are fetched and every
-    /// 4-candidate block is *screened* with the integer `dot4_i8` kernel —
-    /// only blocks whose quantized inner product plus the exact error-bound
-    /// padding can still reach the running k-th best get their f32 rows
-    /// fetched and rescored through the same `dot4` call the plain path
+    /// path instead: the group's 1-byte code rows are dotted with the
+    /// quantized query where they sit, on their pinned pages, and every
+    /// 4-candidate block is *screened* on those integer dots — only blocks
+    /// whose quantized inner product plus the exact error-bound padding can
+    /// still reach the running k-th best get their f32 rows fetched and
+    /// rescored through the same `dot4` call the plain path
     /// uses. A screened-out candidate is proven strictly below the k-th
     /// best, and a surviving block is rescored with bitwise the same rows,
     /// block shape, and kernel as the plain path — so the returned top-k,
@@ -699,7 +701,7 @@ impl ProMips {
     /// While the collector still reports `-∞` (fewer than k finite
     /// verifications, no floor), screening cannot drop anything and the
     /// plain path runs.
-    /// Stage attribution: the whole screened call (code fetch + integer
+    /// Stage attribution: the whole screened call (code pages + integer
     /// screen + survivor rescore) books to `screen_ns` — that is the
     /// two-level verification tier as a unit — while the plain f32 path
     /// books to `verify_ns`. Timing at group granularity (two clock
@@ -735,10 +737,7 @@ impl ProMips {
         }
         buf.groups.sort_by(|a, b| a.0.total_cmp(&b.0));
 
-        // The query-side quantization is subpart-independent; build it once
-        // per verify pass if any group could be screened.
-        let tier = self.index.verify_quantized() && !cands.is_empty();
-        let qs = tier.then(|| QueryScreen::build(q, ctx.q_sq_norm, &mut buf.qcodes));
+        let tier = self.index.verify_quantized();
 
         // Lap-style stage timing: a query visits hundreds of tiny groups,
         // so reading the clock around every group would dominate the very
@@ -777,7 +776,7 @@ impl ProMips {
             // Screening can only drop candidates proven below a finite
             // k-th best; with `-∞` it is a no-op, so skip the code
             // fetch entirely and take the plain path.
-            let screen_now = qs.is_some() && top.kth_ip() > f64::NEG_INFINITY;
+            let screen_now = tier && top.kth_ip() > f64::NEG_INFINITY;
             if screen_now != lap_screened {
                 flush(lap_screened, &mut t_lap, &mut work.stages);
                 lap_screened = screen_now;
@@ -786,7 +785,6 @@ impl ProMips {
                 self.verify_group_screened(
                     group,
                     q,
-                    qs.as_ref().unwrap(),
                     mask,
                     top,
                     &mut work.verified,
@@ -869,10 +867,12 @@ impl ProMips {
     /// The two-level screen+rescore for one sub-partition group (caller has
     /// filled `buf.offsets` and guaranteed `top.kth_ip()` is finite).
     ///
-    /// Level 1 fetches the group's SQ8 code rows (1 byte per coordinate —
-    /// 4× fewer pages than the f32 rows) and estimates each candidate's
-    /// inner product with exact integer arithmetic:
-    /// `⟨x̂, q̂⟩ = sq·(min·Σb + scale·dot_i8(codes, b))`. A 4-candidate
+    /// Level 1 has the index compute every candidate's integer dot on the
+    /// group's pinned SQ8 code pages (1 byte per coordinate — 4× fewer
+    /// pages than the f32 rows, and no row is copied out of them;
+    /// [`promips_idistance::IDistanceIndex::screen_dots`]) and estimates
+    /// each inner product with exact integer arithmetic:
+    /// `⟨x̂, q̂⟩ = sq·(min·Σb + scale·idot)`. A 4-candidate
     /// block whose every member satisfies `⟨x̂, q̂⟩ + pad < kth` is dropped
     /// whole; `pad` is the Cauchy–Schwarz bound
     /// `err·‖q‖ + xnorm·‖q − q̂‖` inflated by a relative `1e-9` (covers the
@@ -881,17 +881,18 @@ impl ProMips {
     /// kernels, which is O(d·ε·‖x‖·‖q‖)), so no candidate whose exact
     /// kernel inner product could reach the k-th best is ever dropped.
     ///
-    /// Level 2 fetches only the surviving blocks' f32 rows and rescores
-    /// them through [`ProMips::rescore_group`] — the same 4 rows per block,
-    /// in the same order, through the same kernel as the plain path.
-    /// Screening against the *current* `kth` (which only rises as blocks
-    /// are pushed) keeps later blocks' thresholds fresh.
+    /// Level 2 decodes only the surviving blocks' f32 rows — through one
+    /// cursor per group, so neighbouring survivors share their page read —
+    /// and rescores each at once through [`ProMips::rescore_group`]: the
+    /// same 4 rows per block, in the same order, through the same kernel
+    /// as the plain path. Screening against the *current* `kth` (which
+    /// only rises as blocks are pushed) keeps later blocks' thresholds
+    /// fresh.
     #[allow(clippy::too_many_arguments)]
     fn verify_group_screened(
         &self,
         group: &[RangeCandidate],
         q: &[f32],
-        qs: &QueryScreen,
         mask: Option<&dyn Fn(u64) -> bool>,
         top: &mut TopK,
         verified: &mut u64,
@@ -901,12 +902,13 @@ impl ProMips {
         let FetchBuffers {
             offsets,
             arena,
-            codes,
-            qcodes,
+            idots,
+            screen: qs,
             ..
         } = buf;
         let sub = group[0].subpart;
-        self.index.fetch_codes(sub, offsets, codes)?;
+        self.index.screen_dots(sub, offsets, &qs.qcodes, idots)?;
+        let mut rows = self.index.orig_cursor(sub);
         let vq = &self.index.vquants()[sub as usize];
         let min = vq.min as f64;
         let scale = vq.scale as f64;
@@ -918,33 +920,21 @@ impl ProMips {
         let d = self.d;
         let mut slot = 0;
         while slot + 4 <= group.len() {
-            let crows = &codes[slot * d..(slot + 4) * d];
-            let idots = dot4_i8(
-                &crows[..d],
-                &crows[d..2 * d],
-                &crows[2 * d..3 * d],
-                &crows[3 * d..],
-                qcodes,
-            );
             let kth = top.kth_ip();
-            if idots
+            if idots[slot..slot + 4]
                 .iter()
                 .any(|&idot| base + step * idot as f64 + pad >= kth)
             {
-                self.index
-                    .fetch_originals(sub, &offsets[slot..slot + 4], arena)?;
+                rows.decode_into(&offsets[slot..slot + 4], arena)?;
                 self.rescore_group(&group[slot..slot + 4], q, mask, top, verified, arena);
             } else {
                 *screened += 4;
             }
             slot += 4;
         }
-        for (j, cand) in group[slot..].iter().enumerate() {
-            let crow = &codes[(slot + j) * d..(slot + j + 1) * d];
-            let idot = dot_i8(crow, qcodes);
-            if base + step * idot as f64 + pad >= top.kth_ip() {
-                self.index
-                    .fetch_originals(sub, &offsets[slot + j..slot + j + 1], arena)?;
+        for (at, cand) in (slot..).zip(&group[slot..]) {
+            if base + step * idots[at] as f64 + pad >= top.kth_ip() {
+                rows.decode_into(&offsets[at..at + 1], arena)?;
                 if !is_dead(cand.id, mask) {
                     top.push(cand.id, dot(&arena[..d], q));
                     *verified += 1;

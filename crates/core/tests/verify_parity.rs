@@ -1,9 +1,10 @@
 //! Property tests: the SQ8 screen+rescore verification tier must be
 //! **bit-identical** to pure-f32 verification — same items (ids *and*
 //! inner-product bits), same radii, same termination cause — across page
-//! sizes that straddle record and field boundaries, floor mode on and off,
-//! the shortfall loop, and degenerate or near-boundary queries. Screening
-//! may only ever *reduce* the number of exact inner products computed.
+//! sizes that straddle record and field boundaries (down to one where every
+//! code row spans pages), floor mode on and off, a tombstone mask, the
+//! shortfall loop, and degenerate or near-boundary queries. Screening may
+//! only ever *reduce* the number of exact inner products computed.
 
 use std::sync::Arc;
 
@@ -154,6 +155,45 @@ fn boundary_queries_are_bit_identical() {
         total_screened > 0,
         "the screen never fired — the tier is inert"
     );
+}
+
+/// Rows longer than a page (d = 70 on 64-byte pages): every code row's
+/// integer dot is a sum of per-page partial dots and every survivor's f32
+/// row is decoded across five pages — with a tombstone mask on top, whose
+/// dead candidates sit inside screened and rescored blocks alike. Tier on
+/// must equal tier off item for item.
+#[test]
+fn rows_spanning_pages_under_a_mask_are_bit_identical() {
+    let (n, d) = (300usize, 70usize);
+    let dead = |id: u64| id % 5 == 2;
+    let dead_count = (0..n as u64).filter(|&id| dead(id)).count();
+    let mut screened = 0;
+    for seed in [5u64, 6, 7] {
+        let data = random_data(n, d, seed);
+        let (tiered, plain) = build_pair(&data, 64, seed);
+        let mut sa = SearchScratch::new();
+        let mut sb = SearchScratch::new();
+        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x5EED);
+        for k in [1usize, 5, 16, n - dead_count] {
+            let q: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
+            for mask in [None, Some((&dead as &dyn Fn(u64) -> bool, dead_count))] {
+                let request = || Query {
+                    mask,
+                    ..Query::new(&q, k)
+                };
+                let a = tiered.execute(request(), &mut sa).unwrap();
+                let b = plain.execute(request(), &mut sb).unwrap();
+                let what = format!("seed {seed}, k={k}, masked={}", mask.is_some());
+                assert_eq!(a.items, b.items, "{what}: items diverged");
+                assert_eq!(a.termination, b.termination, "{what}: termination");
+                assert_eq!(a.final_radius, b.final_radius, "{what}: final radius");
+                assert!(a.verified <= b.verified, "{what}: screen verified more");
+                assert!(a.items.iter().all(|it| mask.is_none() || !dead(it.id)));
+                screened += a.screened;
+            }
+        }
+    }
+    assert!(screened > 0, "the screen never fired — the tier is inert");
 }
 
 /// The shortfall loop (fewer than k candidates inside the probe radius)

@@ -4,7 +4,7 @@ use std::io;
 use std::sync::Arc;
 
 use promips_btree::BTree;
-use promips_linalg::{dist, sq_dist_col, sq_dist_col_i8};
+use promips_linalg::{dist, dot4_i8, dot_i8, sq_dist_col, sq_dist_col_i8};
 use promips_storage::{AccessStatsSnapshot, PageBuf, PageId, Pager};
 
 use crate::knn::NnIter;
@@ -182,9 +182,9 @@ fn le_f32(c: &[u8]) -> f32 {
 }
 
 /// A cursor over one packed byte region: fetches covering pages on demand,
-/// caches the current page across ranges, and hands the caller maximal
-/// in-page byte chunks. Both record decoders ([`IDistanceIndex::
-/// fetch_originals`] and the projected-record decoder) walk their ranges
+/// keeps the current page pinned across ranges, and hands the caller maximal
+/// in-page byte chunks. Every record reader — the projected-record decoder,
+/// [`OrigCursor`] and [`IDistanceIndex::screen_dots`] — walks its ranges
 /// through this, so the page-boundary discipline lives in one place.
 struct PageCursor<'a> {
     pager: &'a Pager,
@@ -203,23 +203,85 @@ impl<'a> PageCursor<'a> {
         }
     }
 
+    /// The bytes of region page `pid`, pinned until another page is asked
+    /// for: one logical read, none when it already is the current page.
+    fn page(&mut self, pid: u64) -> io::Result<&[u8]> {
+        if self.cur.as_ref().map(|c| c.0) != Some(pid) {
+            self.cur = Some((pid, self.pager.read(self.region_start + pid)?));
+        }
+        Ok(self.cur.as_ref().expect("page just loaded").1.as_slice())
+    }
+
     /// Calls `f` with each maximal in-page chunk of region bytes
-    /// `[start, start + len)`, in order. The current page stays cached
+    /// `[start, start + len)`, in order. The current page stays pinned
     /// across calls, so consecutive ranges touching the same page read it
     /// once (the sequential-read page count the packed layout is for).
     fn walk(&mut self, start: usize, len: usize, mut f: impl FnMut(&[u8])) -> io::Result<()> {
         let mut cursor = start;
         let end = start + len;
         while cursor < end {
-            let pid = (cursor / self.ps) as u64;
-            if self.cur.as_ref().map(|c| c.0) != Some(pid) {
-                self.cur = Some((pid, self.pager.read(self.region_start + pid)?));
-            }
-            let slice = self.cur.as_ref().expect("page just loaded").1.as_slice();
-            let in_page = cursor % self.ps;
-            let n = (self.ps - in_page).min(end - cursor);
-            f(&slice[in_page..in_page + n]);
+            let (ps, in_page) = (self.ps, cursor % self.ps);
+            let page = self.page((cursor / ps) as u64)?;
+            let n = (ps - in_page).min(end - cursor);
+            f(&page[in_page..in_page + n]);
             cursor += n;
+        }
+        Ok(())
+    }
+}
+
+/// A reader of one sub-partition's original vectors that keeps its current
+/// page pinned between calls: several [`OrigCursor::decode_into`] calls over
+/// ascending offsets read each covering page once *together*, where separate
+/// [`IDistanceIndex::fetch_originals`] calls would each re-read the page
+/// they share with the previous one.
+pub struct OrigCursor<'a> {
+    pages: PageCursor<'a>,
+    /// Byte offset of the sub-partition's first record in the region.
+    base: usize,
+    d: usize,
+    count: u32,
+}
+
+impl OrigCursor<'_> {
+    /// Decodes the records at `offsets` into the flat arena: record `i` of
+    /// the request lands at `arena[i*d .. (i+1)*d]`. The arena is cleared
+    /// first, so buffers can be reused across calls and queries without
+    /// per-query allocation.
+    ///
+    /// Ascending offsets visit the covering pages monotonically and read
+    /// each exactly once — the sequential-read page count the paper's
+    /// layout is designed for. Out-of-order offsets stay correct (a page
+    /// may just be re-read).
+    pub fn decode_into(&mut self, offsets: &[u32], arena: &mut Vec<f32>) -> io::Result<()> {
+        let rec = 4 * self.d;
+        arena.clear();
+        arena.reserve(offsets.len() * self.d);
+        // Partial f32 carried across a page boundary (only possible when the
+        // page size is not a multiple of 4; real configurations never hit it).
+        let mut word = [0u8; 4];
+        let mut have = 0usize;
+        for &o in offsets {
+            debug_assert!(o < self.count, "offset out of range");
+            let start = self.base + o as usize * rec;
+            self.pages.walk(start, rec, |mut chunk| {
+                if have > 0 {
+                    let need = (4 - have).min(chunk.len());
+                    word[have..have + need].copy_from_slice(&chunk[..need]);
+                    have += need;
+                    chunk = &chunk[need..];
+                    if have < 4 {
+                        return; // chunk exhausted while the word is partial
+                    }
+                    arena.push(f32::from_le_bytes(word));
+                }
+                let whole = chunk.len() / 4 * 4;
+                arena.extend(chunk[..whole].chunks_exact(4).map(le_f32));
+                let rem = &chunk[whole..];
+                word[..rem.len()].copy_from_slice(rem);
+                have = rem.len();
+            })?;
+            debug_assert_eq!(have, 0, "record length is a multiple of 4 bytes");
         }
         Ok(())
     }
@@ -775,88 +837,91 @@ impl IDistanceIndex {
 
     // --- Original-vector fetches ------------------------------------------
 
+    /// A pinned-page reader over sub-partition `sub`'s original vectors.
+    pub fn orig_cursor(&self, sub: u32) -> OrigCursor<'_> {
+        let sp = &self.subparts[sub as usize];
+        OrigCursor {
+            pages: PageCursor::new(&self.pager, self.orig_region.0),
+            base: sp.orig_off as usize,
+            d: self.d,
+            count: sp.count,
+        }
+    }
+
     /// Fetches the original vectors at the given record offsets of one
-    /// sub-partition, decoding them into a flat caller-provided arena:
-    /// record `i` of the request lands at `arena[i*d .. (i+1)*d]`. The arena
-    /// is cleared first, so buffers can be reused across calls and queries
-    /// without per-query allocation.
-    ///
-    /// Offsets from the search path arrive in ascending record order, so the
-    /// covering pages are visited monotonically and each is read exactly
-    /// once per call — the sequential-read page count the paper's layout is
-    /// designed for. Out-of-order offsets stay correct (a page may just be
-    /// re-read).
+    /// sub-partition through a fresh [`OrigCursor`] (see
+    /// [`OrigCursor::decode_into`] for the arena layout and page counts).
     pub fn fetch_originals(
         &self,
         sub: u32,
         offsets: &[u32],
         arena: &mut Vec<f32>,
     ) -> io::Result<()> {
-        let sp = &self.subparts[sub as usize];
-        let rec = 4 * self.d;
-        let base = sp.orig_off as usize;
-        arena.clear();
-        arena.reserve(offsets.len() * self.d);
-
-        let mut pages = PageCursor::new(&self.pager, self.orig_region.0);
-        // Partial f32 carried across a page boundary (only possible when the
-        // page size is not a multiple of 4; real configurations never hit it).
-        let mut word = [0u8; 4];
-        let mut have = 0usize;
-        for &o in offsets {
-            debug_assert!(o < sp.count, "offset out of range");
-            pages.walk(base + o as usize * rec, rec, |mut chunk| {
-                if have > 0 {
-                    let need = (4 - have).min(chunk.len());
-                    word[have..have + need].copy_from_slice(&chunk[..need]);
-                    have += need;
-                    chunk = &chunk[need..];
-                    if have < 4 {
-                        return; // chunk exhausted while the word is partial
-                    }
-                    arena.push(f32::from_le_bytes(word));
-                }
-                let whole = chunk.len() / 4 * 4;
-                for c in chunk[..whole].chunks_exact(4) {
-                    arena.push(f32::from_le_bytes(c.try_into().expect("4-byte chunk")));
-                }
-                let rem = &chunk[whole..];
-                word[..rem.len()].copy_from_slice(rem);
-                have = rem.len();
-            })?;
-            debug_assert_eq!(have, 0, "record length is a multiple of 4 bytes");
-        }
-        Ok(())
+        self.orig_cursor(sub).decode_into(offsets, arena)
     }
 
-    /// Fetches the SQ8 verification code rows at the given record offsets
-    /// of one sub-partition into a flat caller-provided byte arena: record
-    /// `i` of the request lands at `arena[i*d .. (i+1)*d]`. The arena is
-    /// cleared first, so buffers can be reused across calls and queries
-    /// without per-candidate allocation.
+    /// The verification screen's integer inner products, computed where
+    /// the rows sit: clears `dots` and pushes `Σⱼ codeⱼ·qcodesⱼ` for the SQ8
+    /// verification code row at each of `offsets` in sub-partition `sub`,
+    /// in request order (`qcodes` is the `d`-long quantized query).
     ///
-    /// Like [`Self::fetch_originals`], ascending offsets visit the covering
-    /// pages monotonically through one cached-page cursor — and each code
-    /// row is `d` bytes instead of `4d`, which is the point of the screen.
+    /// No code byte is copied. The rows of the request that lie inside one
+    /// page go through [`dot4_i8`] (and [`dot_i8`] for the last one to
+    /// three) as slices of the pinned page; a row that straddles a page
+    /// boundary is the sum of its per-page partial [`dot_i8`]s — integer
+    /// arithmetic, so the sum is the whole row's dot exactly, whichever
+    /// kernel or grouping produced it.
+    ///
+    /// Page reads are those of one cursor walking the rows in request
+    /// order: ascending offsets read each covering page exactly once.
     ///
     /// # Panics
-    /// Panics in debug builds if the verification tier is absent.
-    pub fn fetch_codes(&self, sub: u32, offsets: &[u32], arena: &mut Vec<u8>) -> io::Result<()> {
-        let sp = &self.subparts[sub as usize];
-        let vq = &self.vquants[sub as usize];
+    /// In every build: if the index has no verification tier
+    /// ([`Self::verify_quantized`] is false) or `qcodes.len() != d`.
+    pub fn screen_dots(
+        &self,
+        sub: u32,
+        offsets: &[u32],
+        qcodes: &[i8],
+        dots: &mut Vec<i32>,
+    ) -> io::Result<()> {
         let (vq_start, _) = self
             .vquant_region
-            .expect("fetch_codes requires the verification tier");
-        let rec = self.d;
-        let base = vq.off as usize;
-        arena.clear();
-        arena.reserve(offsets.len() * rec);
+            .expect("screen_dots requires the verification tier");
+        let (d, ps) = (self.d, self.pager.page_size());
+        assert_eq!(qcodes.len(), d, "quantized query has wrong dimension");
+        let base = self.vquants[sub as usize].off as usize;
+        let row_start = |o: u32| {
+            debug_assert!(o < self.subparts[sub as usize].count, "offset out of range");
+            base + o as usize * d
+        };
+        dots.clear();
+        dots.reserve(offsets.len());
         let mut pages = PageCursor::new(&self.pager, vq_start);
-        for &o in offsets {
-            debug_assert!(o < sp.count, "offset out of range");
-            pages.walk(base + o as usize * rec, rec, |chunk| {
-                arena.extend_from_slice(chunk)
-            })?;
+        let mut i = 0;
+        while i < offsets.len() {
+            let start = row_start(offsets[i]);
+            let page_lo = start / ps * ps;
+            let inside = |&&o: &&u32| row_start(o) >= page_lo && row_start(o) + d <= page_lo + ps;
+            let run = offsets[i..].iter().take_while(inside).count();
+            if run == 0 {
+                let (mut dot, mut at) = (0i32, 0usize);
+                pages.walk(start, d, |chunk| {
+                    dot += dot_i8(chunk, &qcodes[at..at + chunk.len()]);
+                    at += chunk.len();
+                })?;
+                dots.push(dot);
+                i += 1;
+                continue;
+            }
+            let page = pages.page((page_lo / ps) as u64)?;
+            let row = |o: u32| &page[row_start(o) - page_lo..][..d];
+            let mut blocks = offsets[i..i + run].chunks_exact(4);
+            for b in &mut blocks {
+                dots.extend(dot4_i8(row(b[0]), row(b[1]), row(b[2]), row(b[3]), qcodes));
+            }
+            dots.extend(blocks.remainder().iter().map(|&o| dot_i8(row(o), qcodes)));
+            i += run;
         }
         Ok(())
     }
@@ -1378,11 +1443,14 @@ mod tests {
                     .find(|&s| built.subparts()[s as usize].count >= 3)
                     .expect("a sub-partition with >= 3 points");
                 let offsets = [0u32, 2];
+                let qcodes = [3i8, -7, 0, 127, -128, 1, 64, -2, 9];
                 let (mut a, mut b) = (Vec::new(), Vec::new());
-                built.fetch_codes(sub, &offsets, &mut a).unwrap();
-                reopened.fetch_codes(sub, &offsets, &mut b).unwrap();
+                built.screen_dots(sub, &offsets, &qcodes, &mut a).unwrap();
+                reopened
+                    .screen_dots(sub, &offsets, &qcodes, &mut b)
+                    .unwrap();
                 assert_eq!(a, b);
-                assert_eq!(a.len(), offsets.len() * built.orig_dim());
+                assert_eq!(a.len(), offsets.len());
             }
         }
     }
@@ -1401,45 +1469,6 @@ mod tests {
         pager.write(footer, page).unwrap();
         let err = IDistanceIndex::open(pager).err().expect("must be rejected");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn fetched_codes_dequantize_to_originals_within_bound() {
-        // Codes fetched through the verification region must dequantize
-        // back to the stored original vectors within the sub-partition's
-        // recorded error bound — the inequality the screen's padding
-        // discipline rests on.
-        let (idx, _, orig) = build_small();
-        assert!(idx.verify_quantized());
-        let d = idx.orig_dim();
-        let mut codes = Vec::new();
-        let mut scratch = ProjScratch::new();
-        for sub in 0..idx.subparts().len() as u32 {
-            let count = idx.subparts()[sub as usize].count;
-            let vq = &idx.vquants()[sub as usize];
-            let offsets: Vec<u32> = (0..count).collect();
-            idx.fetch_codes(sub, &offsets, &mut codes).unwrap();
-            assert_eq!(codes.len(), offsets.len() * d);
-            idx.read_subpart_proj_into(sub, &mut scratch).unwrap();
-            for (slot, &id) in scratch.ids().iter().enumerate() {
-                let row = orig.row(id as usize);
-                let mut err_sq = 0.0f64;
-                let mut xnorm_sq = 0.0f64;
-                for (j, &x) in row.iter().enumerate() {
-                    let xhat = vq.min as f64 + vq.scale as f64 * codes[slot * d + j] as f64;
-                    err_sq += (x as f64 - xhat) * (x as f64 - xhat);
-                    xnorm_sq += xhat * xhat;
-                }
-                assert!(
-                    err_sq.sqrt() <= vq.err as f64,
-                    "sub {sub} slot {slot}: ‖x − x̂‖ exceeds the stored bound"
-                );
-                assert!(
-                    xnorm_sq.sqrt() <= vq.xnorm as f64,
-                    "sub {sub} slot {slot}: ‖x̂‖ exceeds the stored bound"
-                );
-            }
-        }
     }
 
     #[test]

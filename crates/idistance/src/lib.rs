@@ -34,5 +34,5 @@ pub mod meta;
 
 pub use build::build_index;
 pub use config::IDistanceConfig;
-pub use index::{footer_span_pages, IDistanceIndex, ProjScratch, RangeCandidate};
+pub use index::{footer_span_pages, IDistanceIndex, OrigCursor, ProjScratch, RangeCandidate};
 pub use knn::NnIter;

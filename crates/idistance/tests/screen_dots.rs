@@ -1,0 +1,192 @@
+//! Property tests: `IDistanceIndex::screen_dots` — the verification screen
+//! run on the pinned code pages — must return, for every requested row,
+//! exactly `dot_i8` of that row's bytes read the slow way (a whole-blob
+//! copy), and must touch exactly the pages a cursor walking the rows in
+//! request order touches: rows inside a page, rows straddling one boundary
+//! and rows longer than several pages alike.
+
+use std::sync::Arc;
+
+use promips_idistance::layout::read_blob_range;
+use promips_idistance::{build_index, IDistanceConfig, IDistanceIndex, ProjScratch};
+use promips_linalg::{dot_i8, Matrix};
+use promips_stats::Xoshiro256pp;
+use promips_storage::Pager;
+use proptest::prelude::*;
+
+/// Code-row lengths: one byte, shorter than a kernel step, odd, one VNNI
+/// step, the benchmark's, and longer than every page size below.
+const D_SHAPES: [usize; 6] = [1, 3, 13, 64, 300, 5_000];
+/// 64 and 100 make most 13-byte rows straddle and every longer row span
+/// pages; 4 096 is the default geometry (300-byte rows: 1 in 13.65
+/// straddles).
+const PAGE_SIZES: [usize; 4] = [64, 100, 256, 4_096];
+
+fn random_matrix(n: usize, d: usize, seed: u64) -> Matrix {
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    Matrix::from_rows(
+        d,
+        (0..n).map(|_| (0..d).map(|_| rng.normal() as f32).collect::<Vec<f32>>()),
+    )
+}
+
+fn build(n: usize, d: usize, page_size: usize, seed: u64) -> IDistanceIndex {
+    let proj = random_matrix(n, 4, seed);
+    let orig = random_matrix(n, d, seed ^ 0xFF);
+    let pager = Arc::new(Pager::in_memory(page_size, 1 << 20));
+    // Few, long sub-partitions: in-page runs of more than one 4-block.
+    let cfg = IDistanceConfig {
+        kp: 2,
+        nkey: 2,
+        ksp: 1,
+        ..Default::default()
+    };
+    build_index(pager, &proj, &orig, &cfg).unwrap()
+}
+
+/// The sub-partition's whole code column, copied out page by page.
+fn codes_the_slow_way(idx: &IDistanceIndex, sub: u32) -> Vec<u8> {
+    let count = idx.subparts()[sub as usize].count as usize;
+    let (start, _) = idx.vquant_region().expect("default builds carry the tier");
+    let off = idx.vquants()[sub as usize].off as usize;
+    read_blob_range(idx.pager(), start, off, count * idx.orig_dim()).unwrap()
+}
+
+/// Logical reads of the cursor `fetch_codes` used to walk the same rows
+/// with: one per page change along the rows' bytes, in request order.
+fn cursor_reads(idx: &IDistanceIndex, sub: u32, offsets: &[u32]) -> u64 {
+    let (d, ps) = (idx.orig_dim(), idx.pager().page_size());
+    let base = idx.vquants()[sub as usize].off as usize;
+    let (mut cur, mut reads) = (None, 0);
+    for &o in offsets {
+        let start = base + o as usize * d;
+        for page in start / ps..=(start + d - 1) / ps {
+            if cur != Some(page) {
+                (cur, reads) = (Some(page), reads + 1);
+            }
+        }
+    }
+    reads
+}
+
+fn naive_dot(row: &[u8], q: &[i8]) -> i32 {
+    row.iter().zip(q).map(|(&a, &b)| a as i32 * b as i32).sum()
+}
+
+/// The offset patterns of the issue: every row, a seeded sparse subset,
+/// the first row alone, the last row alone — and a descending request, the
+/// order no search issues but the contract allows.
+fn offset_patterns(count: u32, rng: &mut Xoshiro256pp) -> Vec<Vec<u32>> {
+    let dense: Vec<u32> = (0..count).collect();
+    let sparse: Vec<u32> = dense
+        .iter()
+        .copied()
+        .filter(|_| rng.below(3) == 0)
+        .collect();
+    let descending: Vec<u32> = dense.iter().rev().copied().step_by(2).collect();
+    vec![dense, sparse, vec![0], vec![count - 1], descending, vec![]]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn screen_dots_equals_per_row_dot_and_reads_each_page_once(
+        d_pick in 0usize..D_SHAPES.len(),
+        ps_pick in 0usize..PAGE_SIZES.len(),
+        seed in 0u64..1_000,
+    ) {
+        let (d, page_size) = (D_SHAPES[d_pick], PAGE_SIZES[ps_pick]);
+        // Fewer rows when a row is many pages long, to keep the build quick.
+        let n = if d > 1_000 { 40 } else { 160 };
+        let idx = build(n, d, page_size, seed);
+        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xD075);
+        let qcodes: Vec<i8> = (0..d).map(|_| rng.below(256) as u8 as i8).collect();
+        let mut dots = vec![7; 3]; // stale content must be cleared
+        for sub in 0..idx.subparts().len() as u32 {
+            let codes = codes_the_slow_way(&idx, sub);
+            let count = idx.subparts()[sub as usize].count;
+            for offsets in offset_patterns(count, &mut rng) {
+                idx.pager().stats().reset();
+                idx.screen_dots(sub, &offsets, &qcodes, &mut dots).unwrap();
+                let reads = idx.access_stats().logical_reads;
+                let want: Vec<i32> = offsets
+                    .iter()
+                    .map(|&o| {
+                        let row = &codes[o as usize * d..][..d];
+                        assert_eq!(dot_i8(row, &qcodes), naive_dot(row, &qcodes));
+                        naive_dot(row, &qcodes)
+                    })
+                    .collect();
+                prop_assert_eq!(&dots, &want, "d={} ps={} sub={}", d, page_size, sub);
+                prop_assert_eq!(
+                    reads,
+                    cursor_reads(&idx, sub, &offsets),
+                    "d={} ps={} sub={} offsets={:?}", d, page_size, sub, offsets
+                );
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "screen_dots requires the verification tier")]
+fn screen_dots_without_the_tier_panics_in_every_build() {
+    let proj = random_matrix(50, 4, 1);
+    let orig = random_matrix(50, 8, 2);
+    let cfg = IDistanceConfig {
+        kp: 2,
+        nkey: 3,
+        ksp: 2,
+        verify_quantize: false,
+        ..Default::default()
+    };
+    let idx = build_index(Arc::new(Pager::in_memory(256, 1 << 12)), &proj, &orig, &cfg).unwrap();
+    let _ = idx.screen_dots(0, &[0], &[0; 8], &mut Vec::new());
+}
+
+/// The codes the screen dots must dequantize back to the stored original
+/// vectors within the sub-partition's recorded error bound — the inequality
+/// the screen's padding discipline rests on.
+#[test]
+fn stored_codes_dequantize_to_originals_within_bound() {
+    let (n, d) = (600, 24);
+    let proj = random_matrix(n, 6, 10);
+    let orig = random_matrix(n, d, 11);
+    let cfg = IDistanceConfig {
+        kp: 4,
+        nkey: 10,
+        ksp: 3,
+        ..Default::default()
+    };
+    let idx = build_index(
+        Arc::new(Pager::in_memory(1024, 1 << 16)),
+        &proj,
+        &orig,
+        &cfg,
+    )
+    .unwrap();
+    let mut scratch = ProjScratch::new();
+    for sub in 0..idx.subparts().len() as u32 {
+        let vq = &idx.vquants()[sub as usize];
+        let codes = codes_the_slow_way(&idx, sub);
+        idx.read_subpart_proj_into(sub, &mut scratch).unwrap();
+        for (slot, &id) in scratch.ids().iter().enumerate() {
+            let mut err_sq = 0.0f64;
+            let mut xnorm_sq = 0.0f64;
+            for (&x, &code) in orig.row(id as usize).iter().zip(&codes[slot * d..]) {
+                let xhat = vq.min as f64 + vq.scale as f64 * code as f64;
+                err_sq += (x as f64 - xhat) * (x as f64 - xhat);
+                xnorm_sq += xhat * xhat;
+            }
+            assert!(
+                err_sq.sqrt() <= vq.err as f64,
+                "sub {sub} slot {slot}: ‖x − x̂‖ exceeds the stored bound"
+            );
+            assert!(
+                xnorm_sq.sqrt() <= vq.xnorm as f64,
+                "sub {sub} slot {slot}: ‖x̂‖ exceeds the stored bound"
+            );
+        }
+    }
+}

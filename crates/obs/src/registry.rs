@@ -46,8 +46,7 @@ metric_ids! {
         QueryVerified => "promips_query_verified_rows_total", "Candidate rows verified against original f32 vectors";
         ShardsSearched => "promips_shards_searched_total", "Shards actually searched during fan-out";
         ShardsPruned => "promips_shards_pruned_total", "Shards skipped by the Cauchy-Schwarz norm bound";
-        PageReads => "promips_page_reads_total", "Pager page reads (cache hits + misses)";
-        PageCacheHits => "promips_page_cache_hits_total", "Pager reads served from the buffer pool";
+        PageReads => "promips_page_reads_total", "Pager page reads (pool hits = reads - cache misses)";
         PageCacheMisses => "promips_page_cache_misses_total", "Pager reads that went to the backing file";
         PageWrites => "promips_page_writes_total", "Pager page writes";
         IoFsyncs => "promips_io_fsyncs_total", "File and directory fsync calls through storage::durability";

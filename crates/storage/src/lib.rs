@@ -8,8 +8,8 @@
 //! * [`page`]: page identifiers and a fixed-size page buffer;
 //! * [`pager`]: the [`pager::Storage`] trait with file-backed and in-memory
 //!   implementations;
-//! * [`buffer`]: a lock-striped LRU buffer pool (the paper relies on OS
-//!   buffering; we model it explicitly so cold/warm behaviour is
+//! * [`buffer`]: a lock-striped second-chance buffer pool (the paper relies
+//!   on OS buffering; we model it explicitly so cold/warm behaviour is
 //!   measurable, and stripe it so parallel query workers don't convoy on
 //!   one cache mutex);
 //! * [`metrics`]: shared logical/physical access counters.

@@ -16,13 +16,14 @@ use std::sync::Arc;
 ///   whether or not it was cached. This matches the paper's "number of disk
 ///   pages to be accessed during the searching process" (their Java
 ///   implementation counts page fetches and leaves caching to the OS).
-/// * `cache_hits` / `cache_misses` — buffer-pool behaviour, reported
-///   separately so cold-cache (physical) I/O can also be studied.
+/// * `cache_misses` — reads that went to the backing storage, reported
+///   separately so cold-cache (physical) I/O can also be studied. Hits are
+///   not counted — a hit is the pager's hot path — but derived at snapshot
+///   time as `logical_reads − cache_misses`.
 /// * `writes` — pages written (pre-processing cost).
 #[derive(Debug, Default)]
 pub struct AccessStats {
     logical_reads: AtomicU64,
-    cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     writes: AtomicU64,
 }
@@ -40,12 +41,6 @@ impl AccessStats {
     }
 
     #[inline]
-    pub(crate) fn record_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        Registry::global().counter(CounterId::PageCacheHits).inc();
-    }
-
-    #[inline]
     pub(crate) fn record_miss(&self) {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
         Registry::global().counter(CounterId::PageCacheMisses).inc();
@@ -57,12 +52,14 @@ impl AccessStats {
         Registry::global().counter(CounterId::PageWrites).inc();
     }
 
-    /// Atomically reads all counters.
+    /// Reads all counters (each on its own, not atomically across them).
     pub fn snapshot(&self) -> AccessStatsSnapshot {
+        let cache_misses = self.cache_misses.load(Ordering::Relaxed);
+        let logical_reads = self.logical_reads.load(Ordering::Relaxed);
         AccessStatsSnapshot {
-            logical_reads: self.logical_reads.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
+            logical_reads,
+            cache_hits: logical_reads.saturating_sub(cache_misses),
+            cache_misses,
             writes: self.writes.load(Ordering::Relaxed),
         }
     }
@@ -71,7 +68,6 @@ impl AccessStats {
     /// per-query page accesses).
     pub fn reset(&self) {
         self.logical_reads.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
         self.cache_misses.store(0, Ordering::Relaxed);
         self.writes.store(0, Ordering::Relaxed);
     }
@@ -93,10 +89,15 @@ pub struct AccessStatsSnapshot {
 impl AccessStatsSnapshot {
     /// Difference of two snapshots (self − earlier), for per-query deltas.
     pub fn delta_since(&self, earlier: &AccessStatsSnapshot) -> AccessStatsSnapshot {
+        let logical_reads = self.logical_reads - earlier.logical_reads;
+        let cache_misses = self.cache_misses - earlier.cache_misses;
         AccessStatsSnapshot {
-            logical_reads: self.logical_reads - earlier.logical_reads,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            cache_misses: self.cache_misses - earlier.cache_misses,
+            logical_reads,
+            // Re-derived, not subtracted: a snapshot taken between a read's
+            // two counts is one hit high, and the difference could go below
+            // zero.
+            cache_hits: logical_reads.saturating_sub(cache_misses),
+            cache_misses,
             writes: self.writes - earlier.writes,
         }
     }
@@ -111,7 +112,6 @@ mod tests {
         let s = AccessStats::new_shared();
         s.record_read();
         s.record_read();
-        s.record_hit();
         s.record_miss();
         s.record_write();
         let snap = s.snapshot();

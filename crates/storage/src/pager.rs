@@ -199,9 +199,8 @@ impl Pager {
         }
     }
 
-    /// As [`Pager::new`] with an explicit buffer-pool shard count — `1`
-    /// reproduces the old single-mutex pool (the contention benchmark's
-    /// baseline).
+    /// As [`Pager::new`] with an explicit buffer-pool stripe count — `1`
+    /// is a single-mutex pool (the contention benchmark's baseline).
     pub fn with_pool_shards(
         storage: Arc<dyn Storage>,
         capacity: usize,
@@ -258,7 +257,6 @@ impl Pager {
     pub fn read(&self, id: PageId) -> io::Result<Arc<PageBuf>> {
         self.stats.record_read();
         if let Some(page) = self.pool.get(id) {
-            self.stats.record_hit();
             return Ok(page);
         }
         self.stats.record_miss();

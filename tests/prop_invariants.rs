@@ -2,7 +2,7 @@
 //! Theorems 1–4, Lemma 2, the condition algebra, and index-vs-brute-force
 //! agreement on random instances.
 
-use promips::core::conditions::ConditionContext;
+use promips::core::conditions::{chi2_threshold, ConditionContext};
 use promips::core::{ProMips, ProMipsConfig};
 use promips::linalg::{dist, dot, norm1, sq_dist, sq_norm2, Matrix};
 use promips::stats::{chi2_cdf, chi2_inv_cdf, Xoshiro256pp};
@@ -11,10 +11,31 @@ use proptest::prelude::*;
 fn ctx(c: f64, p: f64, m: u32, max_sq: f64, q_sq: f64) -> ConditionContext {
     ConditionContext {
         c,
-        p,
-        m,
+        chi2_threshold: chi2_threshold(m, p),
         max_sq_norm: max_sq,
         q_sq_norm: q_sq,
+    }
+}
+
+/// `chi2_threshold` is the first float at which the χ² CDF reaches `p` —
+/// the crossing of the function Condition B is defined by, not of an
+/// approximation to it.
+#[test]
+fn chi2_threshold_is_the_first_float_reaching_p() {
+    for m in [1u32, 2, 6, 7, 8, 33, 64] {
+        for p in [1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-12] {
+            let x = chi2_threshold(m, p);
+            let below = f64::from_bits(x.to_bits() - 1);
+            assert!(chi2_cdf(m, x) >= p, "m={m} p={p}");
+            assert!(chi2_cdf(m, below) < p, "m={m} p={p}");
+            // `chi2_inv_cdf` stops at 1e-13 in p space, which at the
+            // extreme p is far from the crossing in x.
+            let inv = chi2_inv_cdf(m, p);
+            assert!(
+                !(0.1..=0.9).contains(&p) || (x - inv).abs() <= 1e-9 * inv,
+                "m={m} p={p}: {x} vs {inv}"
+            );
+        }
     }
 }
 
@@ -65,6 +86,30 @@ proptest! {
         prop_assert!(!ctx.condition_b(r * r * 0.999, ip));
         // Monotonicity in distance.
         prop_assert!(!ctx.condition_b(0.0, ip) || p <= 0.0);
+    }
+
+    /// The precomputed threshold is the χ² test itself, not an
+    /// approximation of it: Condition B answers what `Ψm(dis²/Δ) ≥ p`
+    /// answers at any distance, up to the band of a relative 1e-13 around
+    /// the crossing where the computed CDF's own rounding noise decides.
+    #[test]
+    fn condition_b_is_the_chi2_predicate(
+        p in 0.05f64..0.95,
+        m in 1u32..65,
+        slack in 0.01f64..1000.0,
+        far in 0.0f64..4.0,
+        near in 1e-13f64..1e-9,
+    ) {
+        // max_sq + q_sq − 2·0/c = slack exactly.
+        let ctx = ctx(0.9, p, m, slack, 0.0);
+        let crossing = chi2_threshold(m, p) * slack;
+        for d2 in [far * crossing, crossing * (1.0 + near), crossing * (1.0 - near)] {
+            prop_assert_eq!(
+                ctx.condition_b(d2, 0.0),
+                chi2_cdf(m, d2 / slack) >= p,
+                "m={} p={} d2={}", m, p, d2
+            );
+        }
     }
 
     /// χ² CDF/quantile are inverse, monotone, and bounded.
