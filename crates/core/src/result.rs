@@ -21,13 +21,18 @@ pub struct SearchResult {
     /// an exact rescore (always 0 when the index has no verification tier).
     /// A screened candidate is proven — via the quantized inner product plus
     /// the exact error-bound padding — to fall strictly below the running
-    /// k-th best, so skipping it never changes the returned top-k.
+    /// k-th best, so skipping it never changes the returned top-k. On the
+    /// column pass every row of the index is a candidate: `screened` +
+    /// `verified` + the masked rows that survived the screen = `len()`.
     pub screened: usize,
     /// The Quick-Probe radius `r` (squared distance **not** applied — this
     /// is the Euclidean radius in the projected space). `None` for
     /// [`crate::ProMips::search_incremental`].
     pub probe_radius: Option<f64>,
-    /// The final radius after optional compensation.
+    /// The final radius after optional compensation: every point within it
+    /// was a candidate. `None` when no radius bounds what was searched — a
+    /// column pass (the whole index was), a floor that met Condition A
+    /// before it (nothing was), or [`crate::ProMips::search_incremental`].
     pub final_radius: Option<f64>,
     /// Whether the compensation extension `r → r'` was triggered.
     pub compensated: bool,
@@ -44,7 +49,10 @@ pub enum Termination {
     ConditionB,
     /// The (possibly compensated) range was exhausted.
     RangeExhausted,
-    /// The whole dataset was scanned (incremental search ran dry).
+    /// Every live row was considered, so the items are the exact top-k
+    /// (over rows at or above the floor): the column pass of the
+    /// index-or-scan rule ([`crate::search`] module docs), a mask that
+    /// leaves no row alive, or an incremental search that ran dry.
     DatasetExhausted,
 }
 

@@ -9,6 +9,55 @@
 //! wrapper around it. [`ProMips::search_batch`] and
 //! [`ProMips::search_incremental`] are different operations, not options.
 //!
+//! # Index or scan, decided per query
+//!
+//! An index beats a scan only while it prunes ("To Index or Not to Index",
+//! arXiv:1706.01449: estimate both costs before running either, take the
+//! cheaper). `execute` makes that choice once per query, right after
+//! Quick-Probe has located the radius `r`, from one number:
+//!
+//! * **Input.** `covered` = the rows held by the sub-partitions whose pivot
+//!   sphere meets the ball `B(P(q), r)` — `Σ SubPartMeta::count` over the
+//!   directory ([`promips_idistance::IDistanceIndex::covered_rows`]). No
+//!   page is read; the rule's own time (≈ 10–30 µs for ~1 k
+//!   sub-partitions) is booked to the scan stage.
+//! * **Rule.** If the index carries the SQ8 verification tier and
+//!   `covered ≥ COLUMN_PASS_MIN_COVERAGE · len()` (0.6), the query is
+//!   answered by the **column pass**: one cursor over the whole code
+//!   column in storage order, each row screened against the running k-th
+//!   best with its sub-partition's bound, the few survivors scored exactly
+//!   (`ProMips::column_pass`). Otherwise — and always on an index without
+//!   the tier — the **annulus path** of Algorithm 3 runs: range scan, then
+//!   screen and rescore group by group under Conditions A and B, with the
+//!   shortfall loop and the compensation radius, bit-identical tier on or
+//!   off.
+//! * **Cost derivation.** The annulus path's time is proportional to the
+//!   rows it covers (decode and measure the projected row, fetch and dot
+//!   the code row in group order), the column pass's to `len()` (one
+//!   sequential read of the code column — the memory stream — plus the
+//!   kernel). Measured per row on the two benchmark shapes (`--trace 1`,
+//!   seed 1, two runs each side: `scan + screen + verify` of the parent
+//!   commit over its covered rows against the pass of this one over all
+//!   rows): **d = 300** (`lf300_hot`, 100 000 rows, 99 810 covered) 39.2 and
+//!   41.5 ns per covered row against 23.3 and 23.5 ns per row, crossover at
+//!   0.57–0.59 of the rows; **d = 64** (`skew64_shard4`, the 50 000-row
+//!   shard every query searches, 47 555 covered) 43.7 and 43.6 against 12.5
+//!   and 12.9, crossover at 0.29–0.30. The constant sits at the larger
+//!   crossover, rounded up: the pass runs only where it wins on both
+//!   shapes, and the annulus path is kept wherever it is within 2× on
+//!   short rows. Every query of the four
+//!   benchmark workloads covers ≥ 0.80 of its index (`lf300` mean 0.998,
+//!   `skew64` 0.951), so nothing measured there depends on where between
+//!   0.3 and 0.8 the constant is; it is a constant, not a knob.
+//! * **What the caller sees.** A column pass returns the *exact* top-`k`
+//!   over the live rows at or above the floor — ties to the smaller id,
+//!   `ip` the single-row [`dot`] of the f32 row — so the (c, p) contract
+//!   holds trivially. It reports [`Termination::DatasetExhausted`],
+//!   `probe_radius = Some(r)`, `final_radius = None`, `compensated = false`;
+//!   the request's span carries `covered_rows` and the `column_pass` flag,
+//!   and `promips_query_column_passes_total` counts the verdicts. A floor
+//!   no row can reach still ends by Condition A before any row is read.
+//!
 //! The production path is allocation-lean: every per-query buffer (the
 //! projected query, the candidate list, the offset list, and the original
 //! vector arena) lives in a reusable [`SearchScratch`], and
@@ -20,6 +69,7 @@ use std::collections::BinaryHeap;
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use promips_idistance::meta::OrigQuant;
 use promips_idistance::{ProjScratch, RangeCandidate};
 use promips_linalg::{dist, dot, dot4, norm1, sq_norm2};
 use promips_obs::{
@@ -29,6 +79,15 @@ use promips_obs::{
 use crate::conditions::ConditionContext;
 use crate::index::ProMips;
 use crate::result::{SearchItem, SearchResult, Termination};
+
+/// The index-or-scan rule's one constant (module docs): the column pass
+/// answers a query whose Quick-Probe ball covers at least this share of the
+/// index's rows. Derived from four measured per-row costs — annulus path
+/// 39.2–41.5 ns per covered row against 23.3–23.5 ns per row for the pass
+/// at d = 300 (crossover 0.57–0.59), 43.6–43.7 against 12.5–12.9 at d = 64
+/// (crossover 0.29–0.30) — as the larger crossover rounded up; not a
+/// configuration field.
+const COLUMN_PASS_MIN_COVERAGE: f64 = 0.6;
 
 /// Reusable per-query buffers. One scratch serves any number of sequential
 /// searches against any index; [`ProMips::search_batch`] keeps one per
@@ -113,6 +172,39 @@ impl QueryScreen {
         self.sum_b = sum_b;
         self.q_err = q_err_sq.sqrt();
         self.q_norm = q_sq_norm.sqrt();
+    }
+}
+
+/// The screen's test for the code rows of one sub-partition: with
+/// `idot = Σ codeⱼ·bⱼ`, a row's inner product is at most
+/// `base + step·idot + pad`.
+///
+/// `base + step·idot` is the estimate `⟨x̂, q̂⟩ = sq·(min·Σb + scale·idot)`;
+/// `pad` is the Cauchy–Schwarz bound `err·‖q‖ + xnorm·‖q − q̂‖` inflated by
+/// a relative `1e-9` (covers the f64 rounding of the bound itself) plus an
+/// absolute `1e-12·xnorm·‖q‖` (dominates the f64 rounding of the estimate
+/// and of the exact kernels, which is O(d·ε·‖x‖·‖q‖)), so no row whose
+/// exact kernel inner product could reach the k-th best is ever dropped.
+struct ScreenBound {
+    base: f64,
+    step: f64,
+    pad: f64,
+}
+
+impl ScreenBound {
+    fn new(vq: &OrigQuant, qs: &QueryScreen) -> Self {
+        Self {
+            base: qs.sq * vq.min as f64 * qs.sum_b as f64,
+            step: qs.sq * vq.scale as f64,
+            pad: (vq.err as f64 * qs.q_norm + vq.xnorm as f64 * qs.q_err) * (1.0 + 1e-9)
+                + 1e-12 * (vq.xnorm as f64 * qs.q_norm),
+        }
+    }
+
+    /// Whether a row with integer dot `idot` can still reach `kth`.
+    #[inline]
+    fn may_reach(&self, idot: i32, kth: f64) -> bool {
+        self.base + self.step * idot as f64 + self.pad >= kth
     }
 }
 
@@ -354,6 +446,8 @@ impl ProMips {
         reg.counter(CounterId::QueryScanned).add(work.scanned);
         reg.counter(CounterId::QueryScreened).add(work.screened);
         reg.counter(CounterId::QueryVerified).add(work.verified);
+        reg.counter(CounterId::QueryColumnPasses)
+            .add(work.column_pass as u64);
         if obs::timing_enabled() {
             reg.histogram(HistoId::StageScanNs)
                 .record(work.stages.scan_ns);
@@ -367,6 +461,8 @@ impl ProMips {
             span.scanned = work.scanned;
             span.screened = work.screened;
             span.verified = work.verified;
+            span.covered_rows = work.covered_rows;
+            span.column_pass = work.column_pass;
         }
         res
     }
@@ -429,24 +525,57 @@ impl ProMips {
             .quickprobe
             .locate(&scratch.pq, norm1(q), self.config.c, self.config.p);
         let r = self.located_radius(&located, &scratch.pq, &mut scratch.proj);
+        // --- Index or scan (module docs): directory only, no page read. ---
+        if let (Ok(r), true) = (&r, self.index.verify_quantized()) {
+            work.covered_rows = self.index.covered_rows(&scratch.pq, *r);
+            work.column_pass =
+                work.covered_rows as f64 >= COLUMN_PASS_MIN_COVERAGE * self.len() as f64;
+        }
         work.stages.scan_ns += obs::elapsed_since(t_scan);
         let r = r?;
         checker.tick()?;
 
         let mut top = TopK::with_floor(k, ip_floor);
 
+        if work.column_pass {
+            // A floor no row can reach ends the search before a row is read.
+            if ctx.condition_a(top.kth_ip()) {
+                return Ok(finish(
+                    top,
+                    work,
+                    Some(r),
+                    None,
+                    false,
+                    Termination::ConditionA,
+                ));
+            }
+            let t_pass = obs::clock_start();
+            let passed = self.column_pass(q, mask, &mut top, scratch, work, &mut checker);
+            work.stages.screen_ns += obs::elapsed_since(t_pass);
+            passed?;
+            return Ok(finish(
+                top,
+                work,
+                Some(r),
+                None,
+                false,
+                Termination::DatasetExhausted,
+            ));
+        }
+
         // --- Range search within r; verify per sub-partition batch. -------
         let t_range = obs::clock_start();
-        let ranged = self.index.range_candidates_into(
+        let ranged = self.index.range_candidates_ticked(
             &scratch.pq,
             -1.0,
             r,
             &mut scratch.cands,
             &mut scratch.proj,
+            || Ok(checker.tick()?),
         );
         work.stages.scan_ns += obs::elapsed_since(t_range);
-        ranged?;
         work.scanned += scratch.cands.len() as u64;
+        ranged?;
         checker.tick()?;
         if let Some(term) = self.verify_groups(
             &scratch.cands,
@@ -531,16 +660,17 @@ impl ProMips {
         if let Some(r_prime) = ctx.compensation_radius(top.kth_ip()) {
             if r_prime > r_final {
                 let t_comp = obs::clock_start();
-                let ranged = self.index.range_candidates_into(
+                let ranged = self.index.range_candidates_ticked(
                     &scratch.pq,
                     r_final,
                     r_prime,
                     &mut scratch.cands,
                     &mut scratch.proj,
+                    || Ok(checker.tick()?),
                 );
                 work.stages.scan_ns += obs::elapsed_since(t_comp);
-                ranged?;
                 work.scanned += scratch.cands.len() as u64;
+                ranged?;
                 checker.tick()?;
                 if let Some(term) = self.verify_groups(
                     &scratch.cands,
@@ -874,12 +1004,8 @@ impl ProMips {
     /// each inner product with exact integer arithmetic:
     /// `⟨x̂, q̂⟩ = sq·(min·Σb + scale·idot)`. A 4-candidate
     /// block whose every member satisfies `⟨x̂, q̂⟩ + pad < kth` is dropped
-    /// whole; `pad` is the Cauchy–Schwarz bound
-    /// `err·‖q‖ + xnorm·‖q − q̂‖` inflated by a relative `1e-9` (covers the
-    /// f64 rounding of the bound itself) plus an absolute `1e-12·xnorm·‖q‖`
-    /// (dominates the f64 rounding of the estimate and of the exact
-    /// kernels, which is O(d·ε·‖x‖·‖q‖)), so no candidate whose exact
-    /// kernel inner product could reach the k-th best is ever dropped.
+    /// whole (the sub-partition's [`ScreenBound`]), so no candidate whose
+    /// exact kernel inner product could reach the k-th best is ever dropped.
     ///
     /// Level 2 decodes only the surviving blocks' f32 rows — through one
     /// cursor per group, so neighbouring survivors share their page read —
@@ -909,13 +1035,7 @@ impl ProMips {
         let sub = group[0].subpart;
         self.index.screen_dots(sub, offsets, &qs.qcodes, idots)?;
         let mut rows = self.index.orig_cursor(sub);
-        let vq = &self.index.vquants()[sub as usize];
-        let min = vq.min as f64;
-        let scale = vq.scale as f64;
-        let base = qs.sq * min * qs.sum_b as f64;
-        let step = qs.sq * scale;
-        let pad = (vq.err as f64 * qs.q_norm + vq.xnorm as f64 * qs.q_err) * (1.0 + 1e-9)
-            + 1e-12 * (vq.xnorm as f64 * qs.q_norm);
+        let bound = ScreenBound::new(&self.index.vquants()[sub as usize], qs);
 
         let d = self.d;
         let mut slot = 0;
@@ -923,7 +1043,7 @@ impl ProMips {
             let kth = top.kth_ip();
             if idots[slot..slot + 4]
                 .iter()
-                .any(|&idot| base + step * idot as f64 + pad >= kth)
+                .any(|&idot| bound.may_reach(idot, kth))
             {
                 rows.decode_into(&offsets[slot..slot + 4], arena)?;
                 self.rescore_group(&group[slot..slot + 4], q, mask, top, verified, arena);
@@ -933,7 +1053,7 @@ impl ProMips {
             slot += 4;
         }
         for (at, cand) in (slot..).zip(&group[slot..]) {
-            if base + step * idots[at] as f64 + pad >= top.kth_ip() {
+            if bound.may_reach(idots[at], top.kth_ip()) {
                 rows.decode_into(&offsets[at..at + 1], arena)?;
                 if !is_dead(cand.id, mask) {
                     top.push(cand.id, dot(&arena[..d], q));
@@ -944,6 +1064,73 @@ impl ProMips {
             }
         }
         Ok(())
+    }
+
+    /// The scan side of the index-or-scan rule: one storage-order pass over
+    /// the SQ8 code column ([`promips_idistance::IDistanceIndex::screen_column`]),
+    /// every row tested against the running k-th best with its own
+    /// sub-partition's [`ScreenBound`] — the annulus path's screen, minus
+    /// the groups. A row the bound cannot rule out has its id read from its
+    /// projected record and, unless the mask kills it, its f32 row decoded
+    /// and scored by the single-row [`dot`]; both readers move forward only,
+    /// so survivors sharing a page share its read. Every live row is either
+    /// proven strictly below the final k-th best or scored exactly, so `top`
+    /// ends as the exact top-k over live rows at or above the floor.
+    ///
+    /// Books as it goes (valid on the error path): `scanned` code rows read,
+    /// `screened` rows ruled out, `verified` rows scored. One budget tick
+    /// per run of rows.
+    fn column_pass(
+        &self,
+        q: &[f32],
+        mask: Option<&dyn Fn(u64) -> bool>,
+        top: &mut TopK,
+        scratch: &mut SearchScratch,
+        work: &mut ShardSpan,
+        checker: &mut BudgetChecker<'_>,
+    ) -> io::Result<()> {
+        let FetchBuffers {
+            arena,
+            idots,
+            screen: qs,
+            ..
+        } = &mut scratch.fetch;
+        let (subparts, vquants) = (self.index.subparts(), self.index.vquants());
+        let mut ids = self.index.id_cursor();
+        let mut rows = self.index.orig_cursor(0);
+        // The sub-partition holding the current row: its number, the
+        // storage-order numbers of its first row and of the row after its
+        // last, and its bound.
+        let (mut sub, mut sub_first, mut sub_end) = (0usize, 0u64, subparts[0].count as u64);
+        let mut bound = ScreenBound::new(&vquants[0], qs);
+        let mut kth = top.kth_ip();
+        self.index.screen_column(&qs.qcodes, idots, |first, run| {
+            checker.tick()?;
+            work.scanned += run.len() as u64;
+            for (row, &idot) in (first..).zip(run) {
+                while row >= sub_end {
+                    sub += 1;
+                    sub_first = sub_end;
+                    sub_end += subparts[sub].count as u64;
+                    bound = ScreenBound::new(&vquants[sub], qs);
+                }
+                if !bound.may_reach(idot, kth) {
+                    work.screened += 1;
+                    continue;
+                }
+                let offset = (row - sub_first) as u32;
+                let id = ids.id(sub as u32, offset)?;
+                if is_dead(id, mask) {
+                    continue;
+                }
+                rows.seek(sub as u32);
+                rows.decode_into(&[offset], arena)?;
+                top.push(id, dot(arena, q));
+                work.verified += 1;
+                kth = top.kth_ip();
+            }
+            Ok(())
+        })
     }
 
     /// Resolves the Quick-Probe point's projected distance. An id outside
@@ -1355,20 +1542,44 @@ mod tests {
 
     #[test]
     fn floor_above_everything_returns_empty_without_crawling() {
-        let (idx, _) = build(400, 12, 53, 0.9, 0.5);
-        let q = vec![0.2f32; 12];
+        // A few small-norm rows for Quick-Probe to locate put the short
+        // query's ball on the annulus side of the rule.
+        let mut data = random_data(400, 12, 53);
+        for i in (0..400).step_by(50) {
+            data.row_mut(i).iter_mut().for_each(|x| *x *= 0.05);
+        }
+        let cfg = ProMipsConfig::builder().seed(53 ^ 0xABCD).build();
+        let idx = ProMips::build_in_memory(&data, cfg).unwrap();
         let mut scratch = SearchScratch::new();
-        let res = idx.execute(at_floor(&q, 5, 1e12), &mut scratch).unwrap();
-        assert!(res.items.is_empty());
-        // The floor stands in for the k-th best, so Condition A fires at
-        // the first group boundary instead of the search crawling the
-        // whole dataset chasing items that can never beat the floor.
-        assert_eq!(res.termination, Termination::ConditionA);
-        assert!(
-            res.verified < 400,
-            "floored search verified {} candidates",
-            res.verified
-        );
+        // The floor stands in for the k-th best, so Condition A ends the
+        // search instead of it crawling the whole dataset chasing items
+        // that can never beat the floor — at the first group boundary on
+        // the annulus path (the short query), before any row is read when
+        // the rule had picked the column pass (the long one).
+        let mut paths = [0, 0];
+        for len in [0.1f32, 1.0] {
+            let q = vec![len; 12];
+            let mut span = ShardSpan::default();
+            let request = Query {
+                span: Some(&mut span),
+                ..at_floor(&q, 5, 1e12)
+            };
+            let res = idx.execute(request, &mut scratch).unwrap();
+            assert!(res.items.is_empty());
+            assert_eq!(res.termination, Termination::ConditionA);
+            paths[span.column_pass as usize] += 1;
+            if span.column_pass {
+                assert_eq!((span.scanned, res.verified, res.screened), (0, 0, 0));
+                assert_eq!(res.final_radius, None);
+            } else {
+                assert!(
+                    res.verified < 400,
+                    "floored search verified {} candidates",
+                    res.verified
+                );
+            }
+        }
+        assert_eq!(paths, [1, 1], "one query on each side of the rule");
     }
 
     #[test]

@@ -1,0 +1,325 @@
+//! The scan side of the index-or-scan rule (`promips_core::search` module
+//! docs): a query whose Quick-Probe ball covers most of the index is
+//! answered by one storage-order pass over the SQ8 code column, and that
+//! answer is the **exact** top-k over the live rows at or above the floor.
+//!
+//! Checked here against `baselines::ExactScan` over random shapes — rows
+//! that straddle pages, sub-partitions that share pages, masks down to
+//! all-dead, `k` beyond the live rows, a finite floor, one shard and four —
+//! plus the pass's page accounting and a clustered dataset on which the
+//! rule keeps the annulus path because it reads less.
+
+use std::sync::Arc;
+
+use promips_baselines::ExactScan;
+use promips_core::result::Termination;
+use promips_core::{ProMips, ProMipsConfig, Query, SearchItem, SearchResult, SearchScratch};
+use promips_linalg::{dot, Matrix};
+use promips_obs::ShardSpan;
+use promips_shard::{ShardedConfig, ShardedProMips, ShardedQuery, ShardedScratch};
+use promips_stats::Xoshiro256pp;
+use promips_storage::Pager;
+use proptest::prelude::*;
+
+fn gaussian(n: usize, d: usize, seed: u64) -> Matrix {
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    Matrix::from_rows(
+        d,
+        (0..n).map(|_| (0..d).map(|_| rng.normal() as f32).collect::<Vec<f32>>()),
+    )
+}
+
+fn config(page_size: usize, seed: u64) -> ProMipsConfig {
+    ProMipsConfig::builder()
+        .c(0.9)
+        .p(0.5)
+        .seed(seed ^ 0xC01)
+        .page_size(page_size)
+        .build()
+}
+
+fn build(data: &Matrix, page_size: usize, seed: u64) -> ProMips {
+    let pager = Arc::new(Pager::in_memory(page_size, (1 << 25) / page_size));
+    ProMips::build_with_pager(data, config(page_size, seed), pager).unwrap()
+}
+
+/// `ExactScan` over the rows `dead` spares, cut at `floor`: `(id, ip)` with
+/// the ip recomputed by the single-row kernel the column pass scores with.
+fn exact(
+    data: &Matrix,
+    q: &[f32],
+    k: usize,
+    floor: f64,
+    dead: &dyn Fn(u64) -> bool,
+) -> Vec<(u64, f64)> {
+    let live: Vec<u64> = (0..data.rows() as u64).filter(|&id| !dead(id)).collect();
+    if live.is_empty() {
+        return Vec::new();
+    }
+    let rows = Matrix::from_rows(
+        data.cols(),
+        live.iter().map(|&id| data.row(id as usize).to_vec()),
+    );
+    ExactScan::new(&rows, 1)
+        .top_k(q, k)
+        .into_iter()
+        .map(|nb| live[nb.id as usize])
+        .map(|id| (id, dot(data.row(id as usize), q)))
+        .filter(|&(_, ip)| ip >= floor)
+        .collect()
+}
+
+/// A request's tombstone mask: the predicate and how many ids it kills.
+type Mask<'a> = Option<(&'a dyn Fn(u64) -> bool, usize)>;
+
+fn pairs(items: &[SearchItem]) -> Vec<(u64, f64)> {
+    items.iter().map(|it| (it.id, it.ip)).collect()
+}
+
+/// Runs `request` and returns the result with the span the search filled.
+fn traced(
+    index: &ProMips,
+    request: Query<'_>,
+    scratch: &mut SearchScratch,
+) -> (SearchResult, ShardSpan) {
+    let mut span = ShardSpan::default();
+    let res = index
+        .execute(
+            Query {
+                span: Some(&mut span),
+                ..request
+            },
+            scratch,
+        )
+        .unwrap();
+    (res, span)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Column-path results equal the exact scan over the live rows, for
+    /// every mask and floor, unsharded and through the shard layer.
+    #[test]
+    fn column_pass_equals_exact_scan(
+        n in 200usize..3_000,
+        d_pick in 0usize..3,
+        ps_pick in 0usize..4,
+        seed in 0u64..1_000,
+    ) {
+        let d = [5usize, 64, 300][d_pick];
+        // 4096 / 1000: rows straddle pages and sub-partitions share them;
+        // 130 / 70: at d = 300 (and 64-byte rows on 70) every row spans pages.
+        let page_size = [4096usize, 1000, 130, 70][ps_pick];
+        // The widest rows on the smallest pages would spend the test's time
+        // allocating 64-byte pages, not searching.
+        let n = if d == 300 { n.min(1_200) } else { n };
+        let data = gaussian(n, d, seed);
+        let index = build(&data, page_size, seed);
+        let mut scratch = SearchScratch::new();
+        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x5EED);
+
+        let third = |id: u64| id % 3 == 1;
+        let all = |_: u64| true;
+        let survivors = [7u64, 8, n as u64 - 1];
+        let but_three = |id: u64| !survivors.contains(&id);
+        let masks: [Mask<'_>; 4] = [
+            None,
+            Some((&third, (0..n as u64).filter(|&id| third(id)).count())),
+            Some((&all, n)),
+            Some((&but_three, n - 3)),
+        ];
+        let mut on_column = 0;
+        for mask in masks {
+            let dead = |id: u64| mask.is_some_and(|(dead, _)| dead(id));
+            let live = n - mask.map_or(0, |(_, count)| count);
+            for k in [1usize, 10, live + 5] {
+                let q: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
+                let plain = Query { mask, ..Query::new(&q, k) };
+                let (res, span) = traced(&index, plain, &mut scratch);
+                // The path is the index's choice; the span says which.
+                prop_assert_eq!(
+                    span.column_pass,
+                    live > 0 && res.termination == Termination::DatasetExhausted
+                );
+                if !span.column_pass {
+                    continue;
+                }
+                on_column += 1;
+                let want = exact(&data, &q, k, f64::NEG_INFINITY, &dead);
+                prop_assert_eq!(pairs(&res.items), want.clone());
+                prop_assert_eq!(res.final_radius, None);
+                prop_assert!(res.probe_radius.is_some() && !res.compensated);
+                prop_assert_eq!(span.scanned, n as u64);
+                prop_assert_eq!(res.screened as u64, span.screened);
+                prop_assert!(span.screened + span.verified <= span.scanned);
+
+                // A finite floor on one of the answer's own scores: the
+                // rows from there up, nothing else, never more work.
+                let Some(&(_, floor)) = want.get(want.len() / 2) else {
+                    continue;
+                };
+                let at_floor = Query { floor, mask, ..Query::new(&q, k) };
+                let (floored, fspan) = traced(&index, at_floor, &mut scratch);
+                prop_assert!(fspan.column_pass);
+                prop_assert_eq!(pairs(&floored.items), exact(&data, &q, k, floor, &dead));
+                prop_assert!(floored.verified <= res.verified);
+            }
+        }
+        prop_assert!(on_column > 0, "no query of this case took the column path");
+
+        // Through the shard layer: one shard is the unsharded index; four
+        // shards merge four exact answers (a shard on the annulus side of
+        // its own rule makes the comparison void for that query).
+        let gone: Vec<u64> = (0..n as u64).filter(|&id| third(id)).collect();
+        for shards in [1usize, 4] {
+            let sharded = ShardedProMips::build_in_memory(
+                &data,
+                ShardedConfig::builder()
+                    .shards(shards)
+                    .exact_threshold(0)
+                    .base(config(page_size, seed))
+                    .build(),
+            )
+            .unwrap();
+            let sscratch = ShardedScratch::for_index(&sharded);
+            for deleted in [false, true] {
+                if deleted {
+                    for &gid in &gone {
+                        sharded.delete(gid).unwrap();
+                    }
+                }
+                let dead = |id: u64| deleted && third(id);
+                let mask: Mask<'_> = Some((&dead, if deleted { gone.len() } else { 0 }));
+                let mut compared = 0;
+                for _ in 0..6 {
+                    let q: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
+                    let request = ShardedQuery {
+                        traced: true,
+                        threads: Some(1),
+                        ..ShardedQuery::new(&q, 10)
+                    };
+                    let (got, trace) = sharded.execute(request, &sscratch).unwrap();
+                    let trace = trace.expect("traced request returns its trace");
+                    if !trace.shards.iter().all(|s| s.pruned || s.column_pass) {
+                        continue;
+                    }
+                    compared += 1;
+                    let got = pairs(&got.items);
+                    let want = exact(&data, &q, 10, f64::NEG_INFINITY, &dead);
+                    prop_assert_eq!(got.clone(), want);
+                    let masked = Query { mask, ..Query::new(&q, 10) };
+                    let (single, span) = traced(&index, masked, &mut scratch);
+                    if span.column_pass {
+                        prop_assert_eq!(got, pairs(&single.items));
+                    }
+                }
+                prop_assert!(compared > 0, "{shards} shard(s): no all-column query");
+            }
+        }
+    }
+}
+
+/// Page accounting of one pass: every page of the code column exactly once,
+/// plus the pages its survivors' ids and f32 rows sit on, each of those
+/// once too (the survivor readers only move forward) — and nothing else
+/// after the Quick-Probe point's own record: no B+-tree, no projected scan.
+#[test]
+fn the_pass_reads_the_column_once_plus_its_survivors() {
+    let (n, d, page_size) = (2_500usize, 64usize, 1_000usize);
+    let data = gaussian(n, d, 31);
+    let index = build(&data, page_size, 31);
+    let idist = index.idistance();
+    let (_, column_bytes) = idist.vquant_region().expect("default build has the tier");
+    assert_eq!(column_bytes, (n * d) as u64);
+    let column_pages = column_bytes.div_ceil(page_size as u64);
+
+    let mut rng = Xoshiro256pp::seed_from_u64(32);
+    let mut scratch = SearchScratch::new();
+    let mut seen = 0;
+    for _ in 0..12 {
+        let q: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
+        index.clear_cache();
+        let before = index.access_stats();
+        let (res, span) = traced(&index, Query::new(&q, 10), &mut scratch);
+        let reads = index.access_stats().delta_since(&before);
+        if !span.column_pass {
+            continue;
+        }
+        seen += 1;
+        // On a cleared pool a page read twice still misses once only, so
+        // reads − misses counts re-reads: none, but for the located point's
+        // projected page, which a survivor's id may sit on too.
+        assert!(
+            reads.logical_reads - reads.cache_misses <= 1,
+            "a column or survivor page was re-read"
+        );
+        // Survivors: at most two pages each for the id (8 bytes) and the
+        // f32 row (256 bytes on 1000-byte pages); one page for the located
+        // point's projected record.
+        let survivor_pages = reads.logical_reads - column_pages;
+        assert!(
+            (1..=1 + 4 * res.verified as u64).contains(&survivor_pages),
+            "{survivor_pages} pages beside the column for {} survivors",
+            res.verified
+        );
+        assert!(
+            res.verified < n / 4,
+            "the screen let {} rows through",
+            res.verified
+        );
+    }
+    assert!(seen > 0, "no query took the column path");
+}
+
+/// Tight, well-separated clusters, two of them near the origin: Quick-Probe
+/// locates a small-norm point, the ball around a far cluster's centre meets
+/// a small share of the sub-partitions, the rule keeps the annulus path,
+/// and that path reads fewer pages than the code column has.
+#[test]
+fn a_clustered_dataset_stays_on_the_annulus_path_and_reads_less() {
+    let (clusters, per, d) = (24usize, 120usize, 300usize);
+    let mut rng = Xoshiro256pp::seed_from_u64(90);
+    let centers: Vec<Vec<f32>> = (0..clusters)
+        .map(|c| {
+            let scale = if c < 2 { 0.4 } else { 40.0 };
+            (0..d).map(|_| scale * rng.normal() as f32).collect()
+        })
+        .collect();
+    let data = Matrix::from_rows(
+        d,
+        (0..clusters * per).map(|i| {
+            let c = &centers[i % clusters];
+            c.iter()
+                .map(|x| x + 0.05 * rng.normal() as f32)
+                .collect::<Vec<f32>>()
+        }),
+    );
+    let index = build(&data, 4096, 90);
+    let (_, column_bytes) = index.idistance().vquant_region().unwrap();
+    let column_pages = column_bytes.div_ceil(4096);
+
+    let mut scratch = SearchScratch::new();
+    let mut reads_less = 0;
+    for c in &centers[2..] {
+        index.clear_cache();
+        let before = index.access_stats();
+        let (res, span) = traced(&index, Query::new(c, 10), &mut scratch);
+        let reads = index.access_stats().delta_since(&before).logical_reads;
+        assert!(span.covered_rows > 0, "the rule ran");
+        if span.column_pass {
+            assert!(reads >= column_pages);
+            continue;
+        }
+        assert!((span.covered_rows as usize) < clusters * per * 6 / 10);
+        assert_ne!(res.termination, Termination::DatasetExhausted);
+        assert!(res.final_radius.is_some());
+        reads_less += (reads < column_pages) as usize;
+    }
+    assert!(
+        reads_less * 2 > clusters,
+        "only {reads_less} of {} far-cluster queries took the annulus path and read \
+         fewer pages than the column's {column_pages}",
+        clusters - 2
+    );
+}

@@ -1,0 +1,55 @@
+//! Shared by the integration tests that hold an index to both halves of
+//! its query contract (`promips_core::search` module docs): data and
+//! queries that land on either side of the index-or-scan rule, and the
+//! exact oracle the column pass is held to.
+#![allow(dead_code)] // each test binary uses its own subset
+
+use promips_linalg::{dot, Matrix};
+use promips_stats::Xoshiro256pp;
+
+/// i.i.d. Gaussian rows.
+pub fn random_data(n: usize, d: usize, seed: u64) -> Matrix {
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    Matrix::from_rows(
+        d,
+        (0..n).map(|_| (0..d).map(|_| rng.normal() as f32).collect::<Vec<f32>>()),
+    )
+}
+
+/// Gaussian rows with every fiftieth shrunk to a twentieth: Quick-Probe
+/// locates small-norm points, so the ball of a short query (see [`short`])
+/// covers well under half of such an index and the query stays on the
+/// annulus path, while full-length queries still cover most of it and are
+/// answered by the column pass.
+pub fn skewed_data(n: usize, d: usize, seed: u64) -> Matrix {
+    let mut data = random_data(n, d, seed);
+    for i in (0..n).step_by(50) {
+        data.row_mut(i).iter_mut().for_each(|x| *x *= 0.05);
+    }
+    data
+}
+
+/// `q` at a tenth of its length.
+pub fn short(q: &[f32]) -> Vec<f32> {
+    q.iter().map(|x| 0.1 * x).collect()
+}
+
+/// The exact oracle: top-`k` over the rows `dead` spares whose inner
+/// product reaches `floor`, scored by the single-row kernel, ties to the
+/// smaller id.
+pub fn oracle(
+    data: &Matrix,
+    q: &[f32],
+    k: usize,
+    floor: f64,
+    dead: Option<&dyn Fn(u64) -> bool>,
+) -> Vec<(u64, f64)> {
+    let mut all: Vec<(u64, f64)> = (0..data.rows() as u64)
+        .filter(|&id| !dead.is_some_and(|dead| dead(id)))
+        .map(|id| (id, dot(data.row(id as usize), q)))
+        .filter(|&(_, ip)| ip >= floor)
+        .collect();
+    all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    all.truncate(k);
+    all
+}

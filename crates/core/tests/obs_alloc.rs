@@ -4,19 +4,20 @@
 //! The metrics registry is fixed atomic arrays and the stage timers are
 //! plain `u64` reads, so instrumentation must add **zero** allocations to
 //! a warm search — with timing enabled (the default) or disabled (the
-//! kill-switch path the `obs_overhead` bench compares against). A warm
-//! search still pays only the per-search constants (the `TopK` heap and
-//! the sorted result vector), exactly as before the observability layer
-//! landed.
+//! kill-switch path the `obs_overhead` bench compares against), on the
+//! annulus path and on the column pass alike. A warm search still pays
+//! only the per-search constants (the `TopK` heap and the sorted result
+//! vector), exactly as before the observability layer landed.
 //!
 //! One test per file: the counting allocator is process-global (see
 //! `verify_alloc.rs`).
+
+mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use promips_core::{ProMips, ProMipsConfig, Query, SearchScratch};
-use promips_linalg::Matrix;
 use promips_stats::Xoshiro256pp;
 
 struct CountingAlloc;
@@ -52,19 +53,25 @@ fn allocs() -> u64 {
 }
 
 /// Warms the scratch, then returns the allocation count of one fully
-/// warm search and its verified-candidate count.
+/// warm search, the rows it went through (annulus candidates or column
+/// rows) and whether the column pass answered it.
 fn warm_search_allocs(
     index: &ProMips,
     q: &[f32],
     k: usize,
     scratch: &mut SearchScratch,
-) -> (u64, usize) {
+) -> (u64, u64, bool) {
     for _ in 0..3 {
         index.execute(Query::new(q, k), scratch).unwrap();
     }
+    let mut span = promips_obs::ShardSpan::default();
     let before = allocs();
-    let res = index.execute(Query::new(q, k), scratch).unwrap();
-    (allocs() - before, res.verified)
+    let request = Query {
+        span: Some(&mut span),
+        ..Query::new(q, k)
+    };
+    index.execute(request, scratch).unwrap();
+    (allocs() - before, span.scanned, span.column_pass)
 }
 
 #[test]
@@ -72,14 +79,14 @@ fn instrumented_warm_search_does_not_allocate() {
     let n = 3_000;
     let d = 24;
     let k = 16;
-    let mut rng = Xoshiro256pp::seed_from_u64(64);
-    let data = Matrix::from_rows(
-        d,
-        (0..n).map(|_| (0..d).map(|_| rng.normal() as f32).collect::<Vec<f32>>()),
-    );
+    let mut rng = Xoshiro256pp::seed_from_u64(64 ^ 0x5EED); // queries
+                                                            // Every fiftieth row shrunk: the full-length query below is answered by
+                                                            // the column pass, the short one by the annulus path (checked).
+    let data = common::skewed_data(n, d, 64);
     let cfg = ProMipsConfig::builder().c(0.9).p(0.5).seed(17).build();
     let index = ProMips::build_in_memory(&data, cfg).unwrap();
-    let q: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
+    let full: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
+    let short = common::short(&full);
     let mut scratch = SearchScratch::new();
 
     // Touch the registry and the clock epoch up front so their one-time
@@ -88,54 +95,57 @@ fn instrumented_warm_search_does_not_allocate() {
     let _ = promips_obs::now_ns();
     let _ = promips_obs::global().snapshot();
 
-    let (timed, verified) = warm_search_allocs(&index, &q, k, &mut scratch);
-    assert!(
-        verified > 100,
-        "workload too small to distinguish per-search from per-candidate \
-         ({verified} verified)"
-    );
-    // Steady state with timing on.
-    let (timed_again, _) = warm_search_allocs(&index, &q, k, &mut scratch);
-    assert_eq!(
-        timed, timed_again,
-        "instrumented warm search is not in allocation steady state"
-    );
-    // The kill-switch path allocates exactly as much: recording into the
-    // registry and skipping the clock are both allocation-free.
-    promips_obs::set_timing_enabled(false);
-    let (untimed, _) = warm_search_allocs(&index, &q, k, &mut scratch);
-    promips_obs::set_timing_enabled(true);
-    assert_eq!(
-        timed, untimed,
-        "stage timing changes the warm-path allocation count"
-    );
-    // A request with every option set allocates no more than the plain
-    // one: the request value, the mask, the budget checks and the span are
-    // all allocation-free.
-    let budget = promips_obs::QueryBudget::with_deadline(std::time::Duration::from_secs(3600));
-    let mut span = promips_obs::ShardSpan::default();
-    let before = allocs();
-    index
-        .execute(
-            Query {
-                floor: f64::MIN,
-                mask: Some((&|id| id == 0, 1)),
-                budget: Some(&budget),
-                span: Some(&mut span),
-                ..Query::new(&q, k)
-            },
-            &mut scratch,
-        )
-        .unwrap();
-    assert!(
-        allocs() - before <= timed,
-        "a fully optioned request allocates more than the plain one"
-    );
-    assert!(span.verified > 0);
-    // And it stays a tiny per-search constant, not per-candidate.
-    assert!(
-        (timed as usize) * 16 < verified,
-        "{timed} warm allocations against {verified} verified candidates — \
-         the instrumented search path is allocating per candidate"
-    );
+    for (q, want_column) in [(&full, true), (&short, false)] {
+        let (timed, rows, column) = warm_search_allocs(&index, q, k, &mut scratch);
+        assert_eq!(column, want_column, "query landed on the other path");
+        assert!(
+            rows > 100,
+            "workload too small to distinguish per-search from per-row ({rows} rows)"
+        );
+        // Steady state with timing on.
+        let (timed_again, _, _) = warm_search_allocs(&index, q, k, &mut scratch);
+        assert_eq!(
+            timed, timed_again,
+            "instrumented warm search is not in allocation steady state"
+        );
+        // The kill-switch path allocates exactly as much: recording into the
+        // registry and skipping the clock are both allocation-free.
+        promips_obs::set_timing_enabled(false);
+        let (untimed, _, _) = warm_search_allocs(&index, q, k, &mut scratch);
+        promips_obs::set_timing_enabled(true);
+        assert_eq!(
+            timed, untimed,
+            "stage timing changes the warm-path allocation count"
+        );
+        // A request with every option set allocates no more than the plain
+        // one: the request value, the mask, the budget checks and the span
+        // are all allocation-free.
+        let budget = promips_obs::QueryBudget::with_deadline(std::time::Duration::from_secs(3600));
+        let mut span = promips_obs::ShardSpan::default();
+        let before = allocs();
+        index
+            .execute(
+                Query {
+                    floor: f64::MIN,
+                    mask: Some((&|id| id == 0, 1)),
+                    budget: Some(&budget),
+                    span: Some(&mut span),
+                    ..Query::new(q, k)
+                },
+                &mut scratch,
+            )
+            .unwrap();
+        assert!(
+            allocs() - before <= timed,
+            "a fully optioned request allocates more than the plain one"
+        );
+        assert!(span.verified > 0);
+        // And it stays a tiny per-search constant (the `TopK` heap and the
+        // sorted result), not per-row — on either path.
+        assert!(
+            timed * 16 < rows,
+            "{timed} warm allocations against {rows} rows — the instrumented \
+             search path is allocating per row"
+        );
+    }
 }

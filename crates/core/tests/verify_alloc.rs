@@ -1,25 +1,26 @@
 //! Steady-state allocation accounting for the **screen+rescore**
-//! verification tier.
+//! verification tier, on both paths a tiered index answers by.
 //!
-//! The tier adds two buffers to the verify path (`FetchBuffers::codes`
-//! for the fetched u8 code rows, `FetchBuffers::qcodes` for the i8
-//! quantized query). Like the f32 fetch arena they live in
-//! `SearchScratch`, grow once to their high-water mark, and must never
-//! allocate again: a warm search performs only the per-*search* constant
-//! allocations every search pays (the `TopK` heap and the sorted result
-//! vector) — **zero** allocations per screened or rescored candidate.
+//! The tier's buffers (the integer dots of the rows being screened, the i8
+//! quantized query) live in `SearchScratch` like the f32 fetch arena, grow
+//! once to their high-water mark, and must never allocate again: a warm
+//! search performs only the per-*search* constant allocations every search
+//! pays (the `TopK` heap and the sorted result vector) — **zero**
+//! allocations per screened or rescored candidate on the annulus path, and
+//! zero per row on the column pass.
 //!
 //! This file holds exactly one test on purpose: the counting allocator is
 //! process-global, and a sibling test running in another thread would
 //! pollute the counter. (`scan_alloc.rs` / `quant_scan_alloc.rs` in
 //! `promips_idistance` are the scan-path twins.)
 
+mod common;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use promips_core::{ProMips, ProMipsConfig, Query, SearchScratch};
 use promips_idistance::IDistanceConfig;
-use promips_linalg::Matrix;
 use promips_stats::Xoshiro256pp;
 
 struct CountingAlloc;
@@ -75,11 +76,11 @@ fn warm_screen_rescore_does_not_allocate_per_candidate() {
     let n = 3_000;
     let d = 24;
     let k = 16;
-    let mut rng = Xoshiro256pp::seed_from_u64(63);
-    let data = Matrix::from_rows(
-        d,
-        (0..n).map(|_| (0..d).map(|_| rng.normal() as f32).collect::<Vec<f32>>()),
-    );
+    let mut rng = Xoshiro256pp::seed_from_u64(63 ^ 0x5EED); // queries
+                                                            // Every fiftieth row shrunk: the short query below stays on the annulus
+                                                            // path (screen + rescore per group), the full-length one is answered by
+                                                            // the column pass — both checked through `SearchResult::final_radius`.
+    let data = common::skewed_data(n, d, 63);
     let mk = |verify_quantize: bool| {
         let cfg = ProMipsConfig::builder()
             .c(0.9)
@@ -94,8 +95,13 @@ fn warm_screen_rescore_does_not_allocate_per_candidate() {
     };
     let tiered = mk(true);
     let plain = mk(false);
-    let q: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
+    let full: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
+    let q = common::short(&full);
     let mut scratch = SearchScratch::new();
+    assert!(
+        tiered.search(&q, k).unwrap().final_radius.is_some(),
+        "the short query must take the annulus path"
+    );
 
     let (tier_allocs, verified, screened) = warm_search_allocs(&tiered, &q, k, &mut scratch);
     assert!(
@@ -130,5 +136,22 @@ fn warm_screen_rescore_does_not_allocate_per_candidate() {
         (tier_allocs as usize) * 16 < candidates,
         "{tier_allocs} warm allocations against {candidates} candidates — \
          the verify path is allocating per candidate"
+    );
+
+    // The column pass: every row of the index screened, its survivors'
+    // ids and f32 rows read through two cursors, and still nothing beyond
+    // the per-search constants — no more than the annulus path pays.
+    assert_eq!(tiered.search(&full, k).unwrap().final_radius, None);
+    let (column_allocs, verified, screened) = warm_search_allocs(&tiered, &full, k, &mut scratch);
+    assert!(verified >= k && verified + screened == n);
+    let (again, _, _) = warm_search_allocs(&tiered, &full, k, &mut scratch);
+    assert_eq!(
+        column_allocs, again,
+        "warm column pass is not in steady state"
+    );
+    assert!(
+        column_allocs <= tier_allocs,
+        "the column pass allocates more ({column_allocs}) than the annulus path \
+         ({tier_allocs})"
     );
 }

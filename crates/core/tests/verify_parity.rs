@@ -1,27 +1,34 @@
-//! Property tests: the SQ8 screen+rescore verification tier must be
-//! **bit-identical** to pure-f32 verification — same items (ids *and*
-//! inner-product bits), same radii, same termination cause — across page
-//! sizes that straddle record and field boundaries (down to one where every
-//! code row spans pages), floor mode on and off, a tombstone mask, the
-//! shortfall loop, and degenerate or near-boundary queries. Screening may
-//! only ever *reduce* the number of exact inner products computed.
+//! The verification tier's contract, stated for the two paths a tiered
+//! index can answer a query by (`promips_core::search` module docs):
+//!
+//! * **column path** (`termination == DatasetExhausted`): the items are the
+//!   exact oracle's — the top-k over live rows at or above the floor, ids
+//!   *and* `ip == linalg::dot(row, q)` to the bit, ties to the smaller id;
+//! * **annulus path** (anything else): the SQ8 screen+rescore must be
+//!   **bit-identical** to pure-f32 verification — same items (ids *and*
+//!   inner-product bits), same radii, same termination cause — and
+//!   screening may only ever *reduce* the number of exact inner products
+//!   computed.
+//!
+//! Both hold across page sizes that straddle record and field boundaries
+//! (down to one where every code row spans pages), floor mode on and off, a
+//! tombstone mask, the shortfall loop, and degenerate or near-boundary
+//! queries. The path is the index's own choice per query, so every test
+//! counts the queries it saw on each side and fails if either half of the
+//! contract went unexercised.
+
+mod common;
 
 use std::sync::Arc;
 
+use common::{oracle, random_data, short, skewed_data};
+
+use promips_core::result::Termination;
 use promips_core::{ProMips, ProMipsConfig, Query, SearchResult, SearchScratch};
 use promips_idistance::IDistanceConfig;
 use promips_linalg::Matrix;
 use promips_stats::Xoshiro256pp;
 use promips_storage::Pager;
-use proptest::prelude::*;
-
-fn random_data(n: usize, d: usize, seed: u64) -> Matrix {
-    let mut rng = Xoshiro256pp::seed_from_u64(seed);
-    Matrix::from_rows(
-        d,
-        (0..n).map(|_| (0..d).map(|_| rng.normal() as f32).collect::<Vec<f32>>()),
-    )
-}
 
 /// Builds the same dataset twice: once with the verification tier, once
 /// pure-f32. Everything else — projection seed, clustering, layout — is
@@ -48,7 +55,10 @@ fn build_pair(data: &Matrix, page_size: usize, seed: u64) -> (ProMips, ProMips) 
     (tiered, plain)
 }
 
-fn assert_bit_identical(a: &SearchResult, b: &SearchResult, what: &str) {
+/// `masked`: the request carried a tombstone mask. A dead candidate inside
+/// a screened-out block counts as screened but would not have counted as
+/// verified, so the screened + verified balance holds only without one.
+fn assert_bit_identical(a: &SearchResult, b: &SearchResult, masked: bool, what: &str) {
     assert_eq!(a.items, b.items, "{what}: items diverged");
     assert_eq!(a.termination, b.termination, "{what}: termination diverged");
     assert_eq!(a.probe_radius, b.probe_radius, "{what}: probe radius");
@@ -61,11 +71,59 @@ fn assert_bit_identical(a: &SearchResult, b: &SearchResult, what: &str) {
         b.verified
     );
     assert_eq!(b.screened, 0, "{what}: pure-f32 path must not screen");
-    assert_eq!(
-        a.screened + a.verified,
-        b.screened + b.verified,
-        "{what}: every candidate is either screened or verified"
-    );
+    if !masked {
+        assert_eq!(
+            a.screened + a.verified,
+            b.screened + b.verified,
+            "{what}: every candidate is either screened or verified"
+        );
+    }
+}
+
+/// Queries seen on each side of the index-or-scan rule.
+#[derive(Default)]
+struct Sides {
+    column: usize,
+    annulus: usize,
+}
+
+impl Sides {
+    /// Holds the tiered result `a` of `request` to its path's half of the
+    /// contract (`b` is the pure-f32 twin's result of the same request).
+    fn check(
+        &mut self,
+        data: &Matrix,
+        request: &Query<'_>,
+        a: &SearchResult,
+        b: &SearchResult,
+        what: &str,
+    ) {
+        if a.termination != Termination::DatasetExhausted {
+            self.annulus += 1;
+            return assert_bit_identical(a, b, request.mask.is_some(), what);
+        }
+        self.column += 1;
+        let dead = request.mask.map(|(dead, _)| dead);
+        let want = oracle(data, request.q, request.k, request.floor, dead);
+        let got: Vec<(u64, f64)> = a.items.iter().map(|it| (it.id, it.ip)).collect();
+        assert_eq!(got, want, "{what}: column pass is not the exact top-k");
+        assert_eq!(a.probe_radius, b.probe_radius, "{what}: probe radius");
+        assert_eq!(
+            a.final_radius, None,
+            "{what}: no radius bounds a column pass"
+        );
+        assert!(!a.compensated, "{what}: a column pass never compensates");
+    }
+
+    fn assert_both(&self, what: &str) {
+        assert!(
+            self.column > 0 && self.annulus > 0,
+            "{what}: {} column-path and {} annulus-path queries — one half of the \
+             contract went untested",
+            self.column,
+            self.annulus
+        );
+    }
 }
 
 /// Case count for the random parity sweep: the default keeps `cargo test`
@@ -78,22 +136,21 @@ fn parity_cases() -> u32 {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(parity_cases()))]
-
-    /// Random datasets and queries across the page sizes that exercise
-    /// clean alignment (4096), tiny pages (64), and sizes that are not
-    /// multiples of 4 (70, 130) so code rows and f32 rows straddle page
-    /// boundaries mid-field. k sweeps from 1 to n (the latter forces the
-    /// shortfall loop and exhaustive verification).
-    #[test]
-    fn screen_rescore_is_bit_identical(
-        n in 120usize..320,
-        d in 6usize..20,
-        ps_pick in 0usize..4,
-        seed in 0u64..1_000,
-    ) {
-        let page_size = [4096usize, 64, 70, 130][ps_pick];
+/// Random datasets and queries across the page sizes that exercise clean
+/// alignment (4096), tiny pages (64), and sizes that are not multiples of
+/// 4 (70, 130) so code rows and f32 rows straddle page boundaries
+/// mid-field. k sweeps from 1 to n (the latter forces exhaustive
+/// verification, and the shortfall loop on the annulus path). A seeded loop
+/// rather than a `proptest!` so the both-sides check can close it.
+#[test]
+fn screen_rescore_is_bit_identical() {
+    let mut cases = Xoshiro256pp::seed_from_u64(0x5C2EE);
+    let mut sides = Sides::default();
+    for _ in 0..parity_cases() {
+        let n = 120 + cases.below(200) as usize;
+        let d = 6 + cases.below(14) as usize;
+        let page_size = [4096usize, 64, 70, 130][cases.below(4) as usize];
+        let seed = cases.below(1_000);
         let data = random_data(n, d, seed);
         let (tiered, plain) = build_pair(&data, page_size, seed);
         let mut sa = SearchScratch::new();
@@ -103,7 +160,8 @@ proptest! {
             let q: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
             let a = tiered.search_with_scratch(&q, k, &mut sa).unwrap();
             let b = plain.search_with_scratch(&q, k, &mut sb).unwrap();
-            assert_bit_identical(&a, &b, &format!("query {qi}, k={k}"));
+            let what = format!("n={n} d={d} ps={page_size} seed={seed}, query {qi}, k={k}");
+            sides.check(&data, &Query::new(&q, k), &a, &b, &what);
 
             // Floor mode: screen against an externally verified k-th best.
             // A floor taken from the plain result's own items sits exactly
@@ -115,10 +173,11 @@ proptest! {
                 };
                 let fa = tiered.execute(floored(), &mut sa).unwrap();
                 let fb = plain.execute(floored(), &mut sb).unwrap();
-                assert_bit_identical(&fa, &fb, &format!("floored query {qi}, k={k}"));
+                sides.check(&data, &floored(), &fa, &fb, &format!("floored: {what}"));
             }
         }
     }
+    sides.assert_both("random sweep");
 }
 
 /// Deterministic near-boundary and degenerate queries: data rows
@@ -128,7 +187,7 @@ proptest! {
 #[test]
 fn boundary_queries_are_bit_identical() {
     let d = 16;
-    let data = random_data(500, d, 404);
+    let data = skewed_data(500, d, 404);
     let (tiered, plain) = build_pair(&data, 4096, 404);
     let mut sa = SearchScratch::new();
     let mut sb = SearchScratch::new();
@@ -136,21 +195,25 @@ fn boundary_queries_are_bit_identical() {
     let mut queries: Vec<Vec<f32>> = Vec::new();
     for i in [0usize, 13, 255, 499] {
         queries.push(data.row(i).to_vec());
+        queries.push(short(data.row(i)));
         queries.push(data.row(i).iter().map(|x| x * 1000.0).collect());
         queries.push(data.row(i).iter().map(|x| x * 1e-6).collect());
     }
     queries.push(vec![0.0; d]);
     queries.push(vec![1.0; d]);
 
+    let mut sides = Sides::default();
     let mut total_screened = 0usize;
     for (qi, q) in queries.iter().enumerate() {
         for k in [1usize, 3, 10] {
             let a = tiered.search_with_scratch(q, k, &mut sa).unwrap();
             let b = plain.search_with_scratch(q, k, &mut sb).unwrap();
-            assert_bit_identical(&a, &b, &format!("boundary query {qi}, k={k}"));
+            let what = format!("boundary query {qi}, k={k}");
+            sides.check(&data, &Query::new(q, k), &a, &b, &what);
             total_screened += a.screened;
         }
     }
+    sides.assert_both("boundary queries");
     assert!(
         total_screened > 0,
         "the screen never fired — the tier is inert"
@@ -160,22 +223,24 @@ fn boundary_queries_are_bit_identical() {
 /// Rows longer than a page (d = 70 on 64-byte pages): every code row's
 /// integer dot is a sum of per-page partial dots and every survivor's f32
 /// row is decoded across five pages — with a tombstone mask on top, whose
-/// dead candidates sit inside screened and rescored blocks alike. Tier on
-/// must equal tier off item for item.
+/// dead candidates sit inside screened and rescored blocks alike (annulus
+/// path) or survive the column pass's screen only to be skipped by id.
 #[test]
 fn rows_spanning_pages_under_a_mask_are_bit_identical() {
     let (n, d) = (300usize, 70usize);
     let dead = |id: u64| id % 5 == 2;
     let dead_count = (0..n as u64).filter(|&id| dead(id)).count();
+    let mut sides = Sides::default();
     let mut screened = 0;
     for seed in [5u64, 6, 7] {
-        let data = random_data(n, d, seed);
+        let data = skewed_data(n, d, seed);
         let (tiered, plain) = build_pair(&data, 64, seed);
         let mut sa = SearchScratch::new();
         let mut sb = SearchScratch::new();
         let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x5EED);
-        for k in [1usize, 5, 16, n - dead_count] {
+        for (qi, k) in [1usize, 5, 16, n - dead_count].into_iter().enumerate() {
             let q: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
+            let q = if qi % 2 == 0 { q } else { short(&q) };
             for mask in [None, Some((&dead as &dyn Fn(u64) -> bool, dead_count))] {
                 let request = || Query {
                     mask,
@@ -184,39 +249,47 @@ fn rows_spanning_pages_under_a_mask_are_bit_identical() {
                 let a = tiered.execute(request(), &mut sa).unwrap();
                 let b = plain.execute(request(), &mut sb).unwrap();
                 let what = format!("seed {seed}, k={k}, masked={}", mask.is_some());
-                assert_eq!(a.items, b.items, "{what}: items diverged");
-                assert_eq!(a.termination, b.termination, "{what}: termination");
-                assert_eq!(a.final_radius, b.final_radius, "{what}: final radius");
-                assert!(a.verified <= b.verified, "{what}: screen verified more");
+                sides.check(&data, &request(), &a, &b, &what);
                 assert!(a.items.iter().all(|it| mask.is_none() || !dead(it.id)));
                 screened += a.screened;
             }
         }
     }
+    sides.assert_both("rows spanning pages");
     assert!(screened > 0, "the screen never fired — the tier is inert");
 }
 
 /// The shortfall loop (fewer than k candidates inside the probe radius)
 /// must stay pure-f32 and bit-identical: while the heap is short the
-/// running k-th is −∞, so screening is provably inert there.
+/// running k-th is −∞, so screening is provably inert there. (A ball that
+/// covers most of this tiny index takes the column path instead, where
+/// `k` close to `n` means nearly every row is scored.)
 #[test]
 fn shortfall_loop_is_bit_identical() {
     let d = 12;
     // Tiny dataset + large k: the range pass almost never finds k
-    // candidates, so the shortfall loop runs on most queries.
+    // candidates, so the shortfall loop runs on most annulus-path queries.
     let data = random_data(60, d, 77);
     let (tiered, plain) = build_pair(&data, 64, 77);
     let mut sa = SearchScratch::new();
     let mut sb = SearchScratch::new();
     let mut rng = Xoshiro256pp::seed_from_u64(78);
+    let mut sides = Sides::default();
     for _ in 0..20 {
         let q: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
         for k in [25usize, 50, 60] {
             let a = tiered.search_with_scratch(&q, k, &mut sa).unwrap();
             let b = plain.search_with_scratch(&q, k, &mut sb).unwrap();
-            assert_bit_identical(&a, &b, &format!("shortfall k={k}"));
+            sides.check(
+                &data,
+                &Query::new(&q, k),
+                &a,
+                &b,
+                &format!("shortfall k={k}"),
+            );
         }
     }
+    sides.assert_both("shortfall");
 }
 
 /// Batch search must equal sequential search item-for-item with the tier

@@ -4,7 +4,7 @@ use std::io;
 use std::sync::Arc;
 
 use promips_btree::BTree;
-use promips_linalg::{dist, dot4_i8, dot_i8, sq_dist_col, sq_dist_col_i8};
+use promips_linalg::{dist, dot4_i8, dot_i8, prefetch, sq_dist_col, sq_dist_col_i8};
 use promips_storage::{AccessStatsSnapshot, PageBuf, PageId, Pager};
 
 use crate::knn::NnIter;
@@ -191,6 +191,10 @@ struct PageCursor<'a> {
     region_start: PageId,
     ps: usize,
     cur: Option<(u64, Arc<PageBuf>)>,
+    /// Region pages below this number are read one ahead of their turn
+    /// ([`Self::sequential`]); 0 when the cursor reads on demand only.
+    ahead_below: u64,
+    ahead: Option<(u64, Arc<PageBuf>)>,
 }
 
 impl<'a> PageCursor<'a> {
@@ -200,16 +204,55 @@ impl<'a> PageCursor<'a> {
             region_start,
             ps: pager.page_size(),
             cur: None,
+            ahead_below: 0,
+            ahead: None,
+        }
+    }
+
+    /// A cursor for one forward pass over the region's first `pages` pages:
+    /// whenever a page becomes current, the one after it is read as well —
+    /// its one logical read, a turn early — and stays pinned beside it, so
+    /// that [`run_dots`] can ask the CPU for its bytes meanwhile. A pool page
+    /// lives at an address of its own, where no hardware prefetcher follows
+    /// a pass across the page boundary. Only pages the buffer pool holds
+    /// are read early — a copy from storage lands in the CPU's caches
+    /// anyway — and the first one it does not hold ends the looking ahead,
+    /// so a pass over a region the pool cannot keep pays for one failed
+    /// lookup, not one per page.
+    fn sequential(pager: &'a Pager, region_start: PageId, pages: u64) -> Self {
+        Self {
+            ahead_below: pages,
+            ..Self::new(pager, region_start)
         }
     }
 
     /// The bytes of region page `pid`, pinned until another page is asked
     /// for: one logical read, none when it already is the current page.
     fn page(&mut self, pid: u64) -> io::Result<&[u8]> {
+        Ok(self.page_and_ahead(pid)?.0)
+    }
+
+    /// [`Self::page`], plus the bytes of the page pinned ahead, if one is.
+    fn page_and_ahead(&mut self, pid: u64) -> io::Result<(&[u8], Option<&[u8]>)> {
         if self.cur.as_ref().map(|c| c.0) != Some(pid) {
-            self.cur = Some((pid, self.pager.read(self.region_start + pid)?));
+            self.cur = if self.ahead.as_ref().map(|a| a.0) == Some(pid) {
+                self.ahead.take()
+            } else {
+                Some((pid, self.pager.read(self.region_start + pid)?))
+            };
+            if pid + 1 < self.ahead_below {
+                match self.pager.read_cached(self.region_start + pid + 1) {
+                    Some(page) => self.ahead = Some((pid + 1, page)),
+                    // A pool that does not hold the region: stop looking.
+                    None => self.ahead_below = 0,
+                }
+            }
         }
-        Ok(self.cur.as_ref().expect("page just loaded").1.as_slice())
+        let cur = self.cur.as_ref().expect("page just loaded");
+        Ok((
+            cur.1.as_slice(),
+            self.ahead.as_ref().map(|a| a.1.as_slice()),
+        ))
     }
 
     /// Calls `f` with each maximal in-page chunk of region bytes
@@ -237,13 +280,22 @@ impl<'a> PageCursor<'a> {
 /// they share with the previous one.
 pub struct OrigCursor<'a> {
     pages: PageCursor<'a>,
+    index: &'a IDistanceIndex,
     /// Byte offset of the sub-partition's first record in the region.
     base: usize,
-    d: usize,
     count: u32,
 }
 
 impl OrigCursor<'_> {
+    /// Re-aims the cursor at sub-partition `sub`, keeping the pinned page:
+    /// a reader moving through sub-partitions in directory order still
+    /// reads every covering page once.
+    pub fn seek(&mut self, sub: u32) {
+        let sp = &self.index.subparts[sub as usize];
+        self.base = sp.orig_off as usize;
+        self.count = sp.count;
+    }
+
     /// Decodes the records at `offsets` into the flat arena: record `i` of
     /// the request lands at `arena[i*d .. (i+1)*d]`. The arena is cleared
     /// first, so buffers can be reused across calls and queries without
@@ -254,9 +306,10 @@ impl OrigCursor<'_> {
     /// layout is designed for. Out-of-order offsets stay correct (a page
     /// may just be re-read).
     pub fn decode_into(&mut self, offsets: &[u32], arena: &mut Vec<f32>) -> io::Result<()> {
-        let rec = 4 * self.d;
+        let d = self.index.d;
+        let rec = 4 * d;
         arena.clear();
-        arena.reserve(offsets.len() * self.d);
+        arena.reserve(offsets.len() * d);
         // Partial f32 carried across a page boundary (only possible when the
         // page size is not a multiple of 4; real configurations never hit it).
         let mut word = [0u8; 4];
@@ -284,6 +337,89 @@ impl OrigCursor<'_> {
             debug_assert_eq!(have, 0, "record length is a multiple of 4 bytes");
         }
         Ok(())
+    }
+}
+
+/// The verification screen's kernel loop over one *run* of SQ8 code rows,
+/// shared by [`IDistanceIndex::screen_dots`] (a group's candidate rows) and
+/// [`IDistanceIndex::screen_column`] (every row, in storage order): pushes
+/// `Σⱼ codeⱼ·qcodesⱼ` for the rows starting at region bytes `start_of(0)`,
+/// `start_of(1)`, … — as many of the `n` on offer as form one run — and
+/// returns how many that was (at least one).
+///
+/// A run is either the maximal prefix of rows lying inside the first row's
+/// page — [`dot4_i8`] four at a time and [`dot_i8`] for the last one to
+/// three, on slices of the pinned page — or, when the first row itself
+/// straddles a page boundary, that single row as the sum of its per-page
+/// partial [`dot_i8`]s (integer arithmetic, so exactly the whole row's dot).
+///
+/// When the cursor holds a page pinned ahead ([`PageCursor::sequential`] —
+/// the column pass does, the group screen does not), each [`dot4_i8`] block
+/// first [`prefetch`]es that page's bytes at the block's own offsets, so the
+/// next page streams in behind the kernel at the kernel's pace.
+fn run_dots(
+    pages: &mut PageCursor<'_>,
+    d: usize,
+    n: usize,
+    start_of: impl Fn(usize) -> usize,
+    qcodes: &[i8],
+    dots: &mut Vec<i32>,
+) -> io::Result<usize> {
+    let ps = pages.ps;
+    let start = start_of(0);
+    let page_lo = start / ps * ps;
+    let inside = |i: usize| start_of(i) >= page_lo && start_of(i) + d <= page_lo + ps;
+    let run = (0..n).take_while(|&i| inside(i)).count();
+    if run == 0 {
+        let (mut dot, mut at) = (0i32, 0usize);
+        pages.walk(start, d, |chunk| {
+            dot += dot_i8(chunk, &qcodes[at..at + chunk.len()]);
+            at += chunk.len();
+        })?;
+        dots.push(dot);
+        return Ok(1);
+    }
+    let (page, ahead) = pages.page_and_ahead((page_lo / ps) as u64)?;
+    let row = |i: usize| &page[start_of(i) - page_lo..][..d];
+    let (mut i, mut asked) = (0, 0);
+    while i + 4 <= run {
+        if let Some(next) = ahead {
+            // The last block asks for the rest of the page.
+            let upto = if i + 8 <= run {
+                (start_of(i + 4) - page_lo).max(asked)
+            } else {
+                next.len()
+            };
+            prefetch(&next[asked..upto]);
+            asked = upto;
+        }
+        dots.extend(dot4_i8(row(i), row(i + 1), row(i + 2), row(i + 3), qcodes));
+        i += 4;
+    }
+    dots.extend((i..run).map(|i| dot_i8(row(i), qcodes)));
+    Ok(run)
+}
+
+/// A reader of point ids — the first 8 bytes of each projected record —
+/// that keeps its current page pinned between calls, so ascending
+/// `(sub, offset)` requests read each covering page once.
+pub struct IdCursor<'a> {
+    pages: PageCursor<'a>,
+    index: &'a IDistanceIndex,
+}
+
+impl IdCursor<'_> {
+    /// The id of the record at `offset` in sub-partition `sub`.
+    pub fn id(&mut self, sub: u32, offset: u32) -> io::Result<u64> {
+        let sp = &self.index.subparts[sub as usize];
+        debug_assert!(offset < sp.count, "offset out of range");
+        let start = sp.proj_off as usize + offset as usize * (8 + 4 * self.index.m);
+        let (mut id, mut at) = ([0u8; 8], 0usize);
+        self.pages.walk(start, 8, |chunk| {
+            id[at..at + chunk.len()].copy_from_slice(chunk);
+            at += chunk.len();
+        })?;
+        Ok(u64::from_le_bytes(id))
     }
 }
 
@@ -500,6 +636,22 @@ impl IDistanceIndex {
         out: &mut Vec<RangeCandidate>,
         scratch: &mut ProjScratch,
     ) -> io::Result<()> {
+        self.range_candidates_ticked(pq, r_lo, r_hi, out, scratch, || Ok(()))
+    }
+
+    /// [`Self::range_candidates_into`] calling `tick` before each
+    /// sub-partition it scans — where a budgeted caller checks its deadline.
+    /// An error from `tick` stops the scan; `out` then holds the candidates
+    /// of the sub-partitions scanned so far.
+    pub fn range_candidates_ticked(
+        &self,
+        pq: &[f32],
+        r_lo: f64,
+        r_hi: f64,
+        out: &mut Vec<RangeCandidate>,
+        scratch: &mut ProjScratch,
+        mut tick: impl FnMut() -> io::Result<()>,
+    ) -> io::Result<()> {
         assert_eq!(pq.len(), self.m, "query has wrong projected dimension");
         out.clear();
         for (part_idx, part) in self.partitions.iter().enumerate() {
@@ -525,6 +677,7 @@ impl IDistanceIndex {
                 if dp - sp.radius > r_hi || dp + sp.radius <= r_lo {
                     continue;
                 }
+                tick()?;
                 self.scan_subpart(sub_id as u32, pq, r_lo, r_hi, out, scratch)?;
             }
         }
@@ -839,12 +992,21 @@ impl IDistanceIndex {
 
     /// A pinned-page reader over sub-partition `sub`'s original vectors.
     pub fn orig_cursor(&self, sub: u32) -> OrigCursor<'_> {
-        let sp = &self.subparts[sub as usize];
-        OrigCursor {
+        let mut cursor = OrigCursor {
             pages: PageCursor::new(&self.pager, self.orig_region.0),
-            base: sp.orig_off as usize,
-            d: self.d,
-            count: sp.count,
+            index: self,
+            base: 0,
+            count: 0,
+        };
+        cursor.seek(sub);
+        cursor
+    }
+
+    /// A pinned-page reader of point ids out of the projected records.
+    pub fn id_cursor(&self) -> IdCursor<'_> {
+        IdCursor {
+            pages: PageCursor::new(&self.pager, self.proj_region.0),
+            index: self,
         }
     }
 
@@ -888,7 +1050,7 @@ impl IDistanceIndex {
         let (vq_start, _) = self
             .vquant_region
             .expect("screen_dots requires the verification tier");
-        let (d, ps) = (self.d, self.pager.page_size());
+        let d = self.d;
         assert_eq!(qcodes.len(), d, "quantized query has wrong dimension");
         let base = self.vquants[sub as usize].off as usize;
         let row_start = |o: u32| {
@@ -900,30 +1062,75 @@ impl IDistanceIndex {
         let mut pages = PageCursor::new(&self.pager, vq_start);
         let mut i = 0;
         while i < offsets.len() {
-            let start = row_start(offsets[i]);
-            let page_lo = start / ps * ps;
-            let inside = |&&o: &&u32| row_start(o) >= page_lo && row_start(o) + d <= page_lo + ps;
-            let run = offsets[i..].iter().take_while(inside).count();
-            if run == 0 {
-                let (mut dot, mut at) = (0i32, 0usize);
-                pages.walk(start, d, |chunk| {
-                    dot += dot_i8(chunk, &qcodes[at..at + chunk.len()]);
-                    at += chunk.len();
-                })?;
-                dots.push(dot);
-                i += 1;
-                continue;
-            }
-            let page = pages.page((page_lo / ps) as u64)?;
-            let row = |o: u32| &page[row_start(o) - page_lo..][..d];
-            let mut blocks = offsets[i..i + run].chunks_exact(4);
-            for b in &mut blocks {
-                dots.extend(dot4_i8(row(b[0]), row(b[1]), row(b[2]), row(b[3]), qcodes));
-            }
-            dots.extend(blocks.remainder().iter().map(|&o| dot_i8(row(o), qcodes)));
-            i += run;
+            let rest = &offsets[i..];
+            i += run_dots(
+                &mut pages,
+                d,
+                rest.len(),
+                |j| row_start(rest[j]),
+                qcodes,
+                dots,
+            )?;
         }
         Ok(())
+    }
+
+    /// One pass over the **whole** SQ8 verification code column in storage
+    /// order — the read path of a query whose ball covers most of the
+    /// index, for which going through sub-partition groups only re-reads,
+    /// in group order, what one sequential cursor reads once.
+    ///
+    /// Rows are numbered as they are stored (sub-partitions in directory
+    /// order, records in sub-partition order; row `i` starts at region byte
+    /// `i·d`). For each run of rows — those inside one page, or one row
+    /// straddling a page boundary; runs cross sub-partition boundaries
+    /// freely, because the integer dot depends on no quantizer — `visit`
+    /// gets the run's first row number and its integer dots
+    /// `Σⱼ codeⱼ·qcodesⱼ` (`dots` is the reused buffer they are computed
+    /// into). The kernel loop is [`Self::screen_dots`]' own; every page of
+    /// the region is read exactly once — a page the buffer pool holds one
+    /// turn early ([`Pager::read_cached`]), so that its bytes are on their
+    /// way while the kernels work on the page before it: a query that
+    /// finds the column gone from the CPU's caches (after a burst of
+    /// writes, or a neighbour's) then runs the pass at the speed of the
+    /// memory stream rather than one page's load latency at a time.
+    /// An error from `visit` stops the pass.
+    ///
+    /// # Panics
+    /// As [`Self::screen_dots`].
+    pub fn screen_column(
+        &self,
+        qcodes: &[i8],
+        dots: &mut Vec<i32>,
+        mut visit: impl FnMut(u64, &[i32]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let (vq_start, _) = self
+            .vquant_region
+            .expect("screen_column requires the verification tier");
+        let (d, n) = (self.d, self.n_points as usize);
+        assert_eq!(qcodes.len(), d, "quantized query has wrong dimension");
+        let page_count = (n * d).div_ceil(self.pager.page_size()) as u64;
+        let mut pages = PageCursor::sequential(&self.pager, vq_start, page_count);
+        let mut row = 0;
+        while row < n {
+            dots.clear();
+            let run = run_dots(&mut pages, d, n - row, |j| (row + j) * d, qcodes, dots)?;
+            visit(row as u64, dots)?;
+            row += run;
+        }
+        Ok(())
+    }
+
+    /// Rows held by the sub-partitions whose pivot sphere meets the ball of
+    /// radius `r` around `pq` — the sphere filter of
+    /// [`Self::range_candidates_into`] applied to the directory alone (no
+    /// page is read), i.e. an upper bound on the rows a ball query decodes.
+    pub fn covered_rows(&self, pq: &[f32], r: f64) -> u64 {
+        self.subparts
+            .iter()
+            .filter(|sp| dist(pq, &sp.pivot) - sp.radius <= r)
+            .map(|sp| sp.count as u64)
+            .sum()
     }
 
     /// Fetches a single original vector.
@@ -1194,6 +1401,89 @@ mod tests {
             .collect();
         expected.sort_unstable();
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn a_failing_tick_stops_the_scan_after_the_subparts_already_scanned() {
+        let (idx, _, _) = build_small();
+        let pq: Vec<f32> = vec![0.0; 6];
+        let full = idx.range_candidates(&pq, -1.0, 2.5).unwrap();
+        let mut ticks = 0;
+        let (mut out, mut scratch) = (Vec::new(), ProjScratch::new());
+        idx.range_candidates_ticked(&pq, -1.0, 2.5, &mut out, &mut scratch, || {
+            ticks += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(out, full, "a passing tick changes nothing");
+        assert!(ticks > 3, "one tick per scanned sub-partition");
+
+        // Failing on the third tick: exactly the candidates of the first
+        // two scanned sub-partitions are left in `out`.
+        let mut left = 2;
+        let err = idx
+            .range_candidates_ticked(&pq, -1.0, 2.5, &mut out, &mut scratch, || {
+                if left == 0 {
+                    return Err(io::Error::other("budget"));
+                }
+                left -= 1;
+                Ok(())
+            })
+            .unwrap_err();
+        assert_eq!(err.to_string(), "budget");
+        assert!(out.len() < full.len());
+        assert_eq!(out[..], full[..out.len()], "a prefix of the full scan");
+        let mut subs: Vec<u32> = out.iter().map(|c| c.subpart).collect();
+        subs.dedup();
+        assert!(subs.len() <= 2);
+    }
+
+    #[test]
+    fn covered_rows_bounds_what_a_ball_query_returns() {
+        let (idx, _, _) = build_small();
+        let mut rng = Xoshiro256pp::seed_from_u64(5);
+        let mut below_all = false;
+        for _ in 0..10 {
+            let pq: Vec<f32> = (0..6).map(|_| rng.normal() as f32).collect();
+            let r = rng.uniform_range(0.2, 3.0);
+            let covered = idx.covered_rows(&pq, r);
+            let found = idx.range_candidates(&pq, -1.0, r).unwrap().len() as u64;
+            assert!(found <= covered && covered <= idx.len(), "r={r}");
+            below_all |= covered < idx.len();
+        }
+        assert!(below_all, "every ball covered every sub-partition");
+        assert_eq!(idx.covered_rows(&[0.0; 6], 1e9), idx.len());
+    }
+
+    #[test]
+    fn id_and_orig_cursors_follow_rows_across_subparts() {
+        let (idx, _, orig) = build_small();
+        let mut ids = idx.id_cursor();
+        let mut rows = idx.orig_cursor(0);
+        let mut scratch = ProjScratch::new();
+        let mut arena = Vec::new();
+        idx.pager().stats().reset();
+        for sub in 0..idx.subparts().len() as u32 {
+            rows.seek(sub);
+            let last = idx.subparts()[sub as usize].count - 1;
+            for offset in [0, last] {
+                let id = ids.id(sub, offset).unwrap();
+                rows.decode_into(&[offset], &mut arena).unwrap();
+                assert_eq!(arena, orig.row(id as usize), "sub {sub} offset {offset}");
+            }
+        }
+        let pinned = idx.access_stats().logical_reads;
+        // The same requests through fresh readers re-read shared pages.
+        idx.pager().stats().reset();
+        for sub in 0..idx.subparts().len() as u32 {
+            idx.read_subpart_proj_into(sub, &mut scratch).unwrap();
+            let last = idx.subparts()[sub as usize].count - 1;
+            for offset in [0, last] {
+                idx.fetch_originals(sub, &[offset], &mut arena).unwrap();
+                assert_eq!(arena, orig.row(scratch.id(offset as usize) as usize));
+            }
+        }
+        assert!(pinned < idx.access_stats().logical_reads);
     }
 
     #[test]

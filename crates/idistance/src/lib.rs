@@ -34,5 +34,7 @@ pub mod meta;
 
 pub use build::build_index;
 pub use config::IDistanceConfig;
-pub use index::{footer_span_pages, IDistanceIndex, OrigCursor, ProjScratch, RangeCandidate};
+pub use index::{
+    footer_span_pages, IDistanceIndex, IdCursor, OrigCursor, ProjScratch, RangeCandidate,
+};
 pub use knn::NnIter;

@@ -3,7 +3,10 @@
 //! exactly `dot_i8` of that row's bytes read the slow way (a whole-blob
 //! copy), and must touch exactly the pages a cursor walking the rows in
 //! request order touches: rows inside a page, rows straddling one boundary
-//! and rows longer than several pages alike.
+//! and rows longer than several pages alike. `screen_column`, the same
+//! kernel loop run once over the whole column, must hand out the same dots
+//! in storage order, across sub-partition boundaries, reading every page
+//! of the region once.
 
 use std::sync::Arc;
 
@@ -103,10 +106,11 @@ proptest! {
         let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xD075);
         let qcodes: Vec<i8> = (0..d).map(|_| rng.below(256) as u8 as i8).collect();
         let mut dots = vec![7; 3]; // stale content must be cleared
+        let mut column_want: Vec<i32> = Vec::new();
         for sub in 0..idx.subparts().len() as u32 {
             let codes = codes_the_slow_way(&idx, sub);
             let count = idx.subparts()[sub as usize].count;
-            for offsets in offset_patterns(count, &mut rng) {
+            for (pattern, offsets) in offset_patterns(count, &mut rng).into_iter().enumerate() {
                 idx.pager().stats().reset();
                 idx.screen_dots(sub, &offsets, &qcodes, &mut dots).unwrap();
                 let reads = idx.access_stats().logical_reads;
@@ -119,6 +123,9 @@ proptest! {
                     })
                     .collect();
                 prop_assert_eq!(&dots, &want, "d={} ps={} sub={}", d, page_size, sub);
+                if pattern == 0 {
+                    column_want.extend(&want); // the dense pattern: every row
+                }
                 prop_assert_eq!(
                     reads,
                     cursor_reads(&idx, sub, &offsets),
@@ -126,6 +133,55 @@ proptest! {
                 );
             }
         }
+
+        // The column pass: runs arrive in storage order without gaps, and
+        // together they are the sub-partitions' dense dots laid end to end.
+        let mut column: Vec<i32> = Vec::new();
+        idx.pager().stats().reset();
+        idx.screen_column(&qcodes, &mut dots, |first, run| {
+            assert_eq!(first as usize, column.len(), "runs must be contiguous");
+            assert!(!run.is_empty());
+            column.extend(run);
+            Ok(())
+        })
+        .unwrap();
+        prop_assert_eq!(&column, &column_want, "d={} ps={}", d, page_size);
+        prop_assert_eq!(
+            idx.access_stats().logical_reads,
+            ((n * d) as u64).div_ceil(page_size as u64),
+            "every page of the column exactly once"
+        );
+        // An error from the visitor stops the pass where it is.
+        let mut visits = 0;
+        let stopped = idx.screen_column(&qcodes, &mut dots, |_, _| {
+            visits += 1;
+            Err(std::io::Error::other("stop"))
+        });
+        prop_assert!(stopped.is_err() && visits == 1);
+        // A pool holding only the head of the column — what a pass stopped
+        // a third of the way in reads into an emptied pool: the next pass
+        // reads ahead while the pool has the next page and on demand from
+        // there — same dots, every page still once.
+        idx.pager().clear_cache();
+        let _ = idx.screen_column(&qcodes, &mut dots, |first, _| {
+            if first as usize >= n / 3 {
+                return Err(std::io::Error::other("stop"));
+            }
+            Ok(())
+        });
+        let before = idx.access_stats();
+        column.clear();
+        idx.screen_column(&qcodes, &mut dots, |_, run| {
+            column.extend(run);
+            Ok(())
+        })
+        .unwrap();
+        let reads = idx.access_stats().delta_since(&before);
+        prop_assert_eq!(&column, &column_want, "d={} ps={}", d, page_size);
+        prop_assert_eq!(
+            reads.logical_reads,
+            ((n * d) as u64).div_ceil(page_size as u64)
+        );
     }
 }
 

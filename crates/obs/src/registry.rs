@@ -41,9 +41,10 @@ metric_ids! {
     /// Monotonic counters. Prometheus convention: names end in `_total`.
     pub enum CounterId {
         Queries => "promips_queries_total", "Top-k searches served by the sharded index";
-        QueryScanned => "promips_query_scanned_rows_total", "Candidate rows produced by annulus range scans";
+        QueryScanned => "promips_query_scanned_rows_total", "Candidate rows produced by annulus range scans, plus code rows read by column passes";
         QueryScreened => "promips_query_screened_rows_total", "Candidate rows rejected by the SQ8 screen without f32 rescore";
         QueryVerified => "promips_query_verified_rows_total", "Candidate rows verified against original f32 vectors";
+        QueryColumnPasses => "promips_query_column_passes_total", "Per-index searches answered by the sequential SQ8 column pass instead of the annulus scan";
         ShardsSearched => "promips_shards_searched_total", "Shards actually searched during fan-out";
         ShardsPruned => "promips_shards_pruned_total", "Shards skipped by the Cauchy-Schwarz norm bound";
         PageReads => "promips_page_reads_total", "Pager page reads (pool hits = reads - cache misses)";

@@ -47,7 +47,9 @@ impl SlowQueryEntry {
         self.trace.total_ns
     }
 
-    /// The trace rendering plus the lifecycle verdict and the attached
+    /// The trace rendering — per shard: time, row counts, the rows the
+    /// index-or-scan rule found covered and whether the column pass
+    /// answered — plus the lifecycle verdict and the attached
     /// flight-recorder excerpt.
     pub fn render(&self) -> String {
         let mut out = self.trace.render();
@@ -231,6 +233,8 @@ mod tests {
             },
             ShardSpan {
                 shard: 1,
+                covered_rows: 900,
+                column_pass: true,
                 ..Default::default()
             },
         ];
@@ -255,6 +259,9 @@ mod tests {
             "render flags degradation: {text}"
         );
         assert!(text.contains("sampled exemplar"));
+        // The entry explains each shard's path: the index-or-scan rule's
+        // input on every searched shard, its verdict where it was "scan".
+        assert!(text.contains("covered=0\n") && text.contains("covered=900 [column pass]"));
         assert!(text.contains("flight recorder"));
         clear();
     }

@@ -50,9 +50,18 @@ pub struct ShardSpan {
     /// Wall time of this shard's search call.
     pub elapsed_ns: u64,
     pub stages: StageNanos,
+    /// Rows the cheap tier looked at: candidates produced by the annulus
+    /// range scans, or — on the column pass — code rows the pass has read.
     pub scanned: u64,
     pub screened: u64,
     pub verified: u64,
+    /// Input of the index-or-scan rule: rows held by the sub-partitions
+    /// whose pivot sphere meets the Quick-Probe ball (0 when the rule did
+    /// not run: no verification tier, an exact generation, a pruned shard).
+    pub covered_rows: u64,
+    /// The rule's verdict: this search was answered by one sequential pass
+    /// over the SQ8 code column (exact) instead of the annulus scan.
+    pub column_pass: bool,
 }
 
 /// Full per-query trace, assembled by the sharded search layer.
@@ -153,7 +162,7 @@ impl QueryTrace {
             } else {
                 writeln!(
                     out,
-                    "  shard {:>3}: {}us{}{} scanned={} screened={} verified={}",
+                    "  shard {:>3}: {}us{}{} scanned={} screened={} verified={} covered={}{}",
                     s.shard,
                     s.elapsed_ns / 1_000,
                     if s.seed { " [seed]" } else { "" },
@@ -165,6 +174,8 @@ impl QueryTrace {
                     s.scanned,
                     s.screened,
                     s.verified,
+                    s.covered_rows,
+                    if s.column_pass { " [column pass]" } else { "" },
                 )
                 .unwrap();
             }
@@ -216,6 +227,8 @@ mod tests {
                     scanned: 20,
                     screened: 12,
                     verified: 8,
+                    covered_rows: 19,
+                    column_pass: true,
                     ..Default::default()
                 },
             ],
@@ -243,5 +256,9 @@ mod tests {
         assert!(text.contains("[seed]"));
         assert!(text.contains("pruned (norm bound)"));
         assert!(text.contains("coverage=98.0%"));
+        // The index-or-scan rule's input on every searched shard, its
+        // verdict only where the column pass ran.
+        assert!(text.contains("verified=10 covered=0\n"));
+        assert!(text.contains("verified=8 covered=19 [column pass]"));
     }
 }

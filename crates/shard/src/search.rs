@@ -80,7 +80,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 use promips_core::{Query, SearchItem, SearchScratch};
-use promips_linalg::{dot, sq_norm2};
+use promips_linalg::{dot, prefetch, sq_norm2};
 use promips_obs::{
     self as obs, budget_error, recorder, sampling, slow, BudgetChecker, BudgetExceeded, CounterId,
     HistoId, QueryBudget, QueryTrace, ShardSpan,
@@ -95,6 +95,14 @@ use crate::result::{ShardQueryStats, ShardedSearchResult};
 /// With the checker's default clock stride this reads the clock every few
 /// thousand rows — far below a page of verification work.
 const EXACT_TICK_ROWS: usize = 256;
+
+/// How many overlay rows ahead of the one being scored the next one is
+/// [`prefetch`]ed. Every appended row is a heap block of its own, so a query
+/// that finds them gone from the CPU's caches (they are written, then not
+/// touched until the next query) pays one load latency per row without the
+/// hint: 8 000 rows of d = 300 took 1.6 ms cold without it, 0.95 ms two
+/// rows ahead (no gain from four or eight), 0.5 ms warm either way.
+const DELTA_PREFETCH_ROWS: usize = 2;
 
 /// Reusable per-shard search buffers: one [`SearchScratch`] per shard,
 /// individually locked so fan-out workers (at most one per shard) take
@@ -730,6 +738,9 @@ fn search_snapshot(
         for (i, e) in snap.inserts.iter().enumerate() {
             if i % EXACT_TICK_ROWS == 0 {
                 checker.tick()?;
+            }
+            if let Some(ahead) = snap.inserts.get(i + DELTA_PREFETCH_ROWS) {
+                prefetch(&ahead.row);
             }
             if dead.contains(&e.gid) {
                 continue;

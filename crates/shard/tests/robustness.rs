@@ -122,6 +122,104 @@ fn cancelled_token_returns_typed_error() {
     assert!(matches!(err, QueryError::Cancelled), "got {err}");
 }
 
+/// Cancellation is cooperative to the unit of work on both of an index's
+/// query paths — one tick per sub-partition scanned and per group verified
+/// on the annulus path, one per run of code rows on the column pass — so a
+/// cancelled search stops within `DEFAULT_STRIDE` units of where it was,
+/// and its span keeps the rows it had been through. Deterministic: the
+/// token is cancelled before the call, or by the request's own mask at its
+/// fifth call (the mask sees the rows being scored, in order).
+#[test]
+fn cancellation_stops_either_path_within_a_stride_of_work() {
+    use promips_obs::{budget_error, BudgetChecker, BudgetExceeded, ShardSpan};
+    use std::cell::Cell;
+
+    let (n, d, k) = (3_000usize, 24usize, 10usize);
+    // Every fiftieth row shrunk, so Quick-Probe has small-norm points to
+    // locate: the full-length query's ball covers most of the index (column
+    // pass), the short one's well under half (annulus path) — checked.
+    let mut data = random_data(n, d, 17);
+    for i in (0..n).step_by(50) {
+        data.row_mut(i).iter_mut().for_each(|x| *x *= 0.05);
+    }
+    let index = ProMips::build_in_memory(&data, ProMipsConfig::builder().seed(19).build()).unwrap();
+    let idist = index.idistance();
+    let full = &random_queries(1, d, 23)[0];
+    let short: Vec<f32> = full.iter().map(|x| 0.1 * x).collect();
+    let stride = BudgetChecker::DEFAULT_STRIDE as u64;
+    // The largest unit of work on each path, in rows.
+    let run_rows = idist.pager().page_size().div_ceil(d) as u64;
+    let group_rows = idist.subparts().iter().map(|sp| sp.count).max().unwrap() as u64;
+    let mut scratch = SearchScratch::new();
+
+    for (q, column) in [(full.as_slice(), true), (short.as_slice(), false)] {
+        let run = |mask: Option<(&dyn Fn(u64) -> bool, usize)>,
+                   budget: Option<&QueryBudget>,
+                   scratch: &mut SearchScratch| {
+            let mut span = ShardSpan::default();
+            let request = Query {
+                mask,
+                budget,
+                span: Some(&mut span),
+                ..Query::new(q, k)
+            };
+            (index.execute(request, scratch), span)
+        };
+        let (whole, done) = run(None, None, &mut scratch);
+        whole.unwrap();
+        assert_eq!(done.column_pass, column, "query landed on the other path");
+
+        // Cancelled before the call: the rule has run (the span says which
+        // path it would have been), no row has been touched.
+        let token = CancelToken::new();
+        token.cancel();
+        let budget = QueryBudget::unlimited().cancellable(token);
+        let (res, cut) = run(None, Some(&budget), &mut scratch);
+        assert_eq!(
+            budget_error(&res.unwrap_err()),
+            Some(BudgetExceeded::Cancelled)
+        );
+        assert_eq!((cut.scanned, cut.screened, cut.verified), (0, 0, 0));
+        assert_eq!(cut.covered_rows, done.covered_rows);
+        assert_eq!(cut.column_pass, column);
+
+        // Cancelled mid-query, from inside the fifth mask call.
+        let token = CancelToken::new();
+        let budget = QueryBudget::unlimited().cancellable(token.clone());
+        let calls = Cell::new(0u32);
+        let mask = |_: u64| {
+            calls.set(calls.get() + 1);
+            if calls.get() == 5 {
+                token.cancel();
+            }
+            false
+        };
+        let (res, cut) = run(Some((&mask, 0)), Some(&budget), &mut scratch);
+        assert_eq!(
+            budget_error(&res.unwrap_err()),
+            Some(BudgetExceeded::Cancelled)
+        );
+        let (seen, seen_whole) = (cut.screened + cut.verified, done.screened + done.verified);
+        assert!(
+            cut.verified >= 5 && seen < seen_whole,
+            "{cut:?} vs {done:?}"
+        );
+        if column {
+            // The fifth survivor sits in the first run: rows stop arriving
+            // within a stride of runs, and the rows of the runs read are
+            // booked — scanned, and screened or scored.
+            assert!(cut.scanned <= stride * run_rows, "{cut:?}");
+            assert!(cut.scanned < done.scanned && cut.screened > 0, "{cut:?}");
+            assert!(seen <= cut.scanned);
+        } else {
+            // The range scan had finished; verification stops within a
+            // stride of groups of the fifth scored candidate's.
+            assert!(0 < cut.scanned && cut.scanned <= done.scanned);
+            assert!(seen <= stride * group_rows, "{cut:?}");
+        }
+    }
+}
+
 /// The request's options are orthogonal — the combinations method names
 /// never reached included. A budget nobody exhausts is invisible (items,
 /// ranks and per-shard counters bit-identical to the un-budgeted request),

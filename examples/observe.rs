@@ -159,6 +159,15 @@ fn main() -> std::io::Result<()> {
         eprintln!("health exposition failed format check: {errors:?}");
         std::process::exit(1);
     }
+    // The index-or-scan rule's counter rides the same checked exposition:
+    // how many per-shard searches the column pass answered (the traced
+    // query above prints the rule's input and verdict per shard).
+    let column_passes = snap.counter(obs::CounterId::QueryColumnPasses);
+    let series = format!("promips_query_column_passes_total {column_passes}");
+    if !snap.render_prometheus().lines().any(|l| l == series) {
+        eprintln!("exposition lacks `{series}`");
+        std::process::exit(1);
+    }
     println!("\n--- prometheus exposition: both styles pass promcheck ---");
     for line in snap
         .render_prometheus_style(HistogramStyle::CumulativeBuckets)
@@ -167,6 +176,7 @@ fn main() -> std::io::Result<()> {
         .filter(|l| {
             [
                 "queries_total",
+                "query_column_passes",
                 "query_latency_ns_bucket",
                 "wal_appends",
                 "compactions",
