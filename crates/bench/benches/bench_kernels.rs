@@ -46,6 +46,113 @@ fn sharded_search(
         .0
 }
 
+/// The `deadline_degradation` sweep on one index: the unbudgeted p50
+/// (per-query fastest of `passes`), the share of its shard searches the
+/// column pass answered, and per budget of 100 / 50 / 25 % of that p50 the
+/// latency p50, recall against the unbudgeted answer and outcome mix.
+fn deadline_budgets(
+    idx: &ShardedProMips,
+    scratch: &ShardedScratch,
+    queries: &Matrix,
+    k: usize,
+    passes: usize,
+) -> (f64, f64, Vec<(String, Json)>) {
+    let nq = queries.rows();
+    // Unbudgeted baseline: per-query min latency over the passes, and the
+    // reference answer recall is scored against.
+    let mut base_lat = vec![f64::INFINITY; nq];
+    let mut base_ids: Vec<Vec<u64>> = Vec::with_capacity(nq);
+    for pass in 0..passes {
+        for (qi, lat) in base_lat.iter_mut().enumerate() {
+            let t = std::time::Instant::now();
+            let res = sharded_search(idx, queries.row(qi), k, scratch);
+            *lat = lat.min(t.elapsed().as_nanos() as f64);
+            if pass == 0 {
+                base_ids.push(res.ids());
+            }
+        }
+    }
+    let mut sorted = base_lat.clone();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let p50_unbudgeted = sorted[sorted.len() / 2];
+    let (mut searched, mut on_column) = (0u64, 0u64);
+    for qi in 0..nq {
+        let traced = ShardedQuery {
+            traced: true,
+            ..ShardedQuery::new(queries.row(qi), k)
+        };
+        let (_, trace) = idx.execute(traced, scratch).expect("traced search");
+        for span in trace.expect("a traced request returns its trace").shards {
+            searched += !span.pruned as u64;
+            on_column += span.column_pass as u64;
+        }
+    }
+    let column_frac = on_column as f64 / searched.max(1) as f64;
+    println!("  unbudgeted p50: {p50_unbudgeted:.0} ns, column-pass share {column_frac:.3}");
+
+    let mut rows: Vec<(String, Json)> = Vec::new();
+    for frac in [1.0f64, 0.5, 0.25] {
+        let budget = std::time::Duration::from_nanos((p50_unbudgeted * frac) as u64);
+        let (mut ok_full, mut ok_degraded, mut deadline_hits) = (0u64, 0u64, 0u64);
+        let mut recall_sum = 0.0f64;
+        let mut lat: Vec<f64> = Vec::with_capacity(passes * nq);
+        for _ in 0..passes {
+            for (qi, base) in base_ids.iter().enumerate() {
+                let t = std::time::Instant::now();
+                let out = idx.execute(
+                    ShardedQuery {
+                        budget: Some(&QueryBudget::with_deadline(budget)),
+                        ..ShardedQuery::new(queries.row(qi), k)
+                    },
+                    scratch,
+                );
+                lat.push(t.elapsed().as_nanos() as f64);
+                match out {
+                    Ok((res, _)) => {
+                        if res.degraded {
+                            ok_degraded += 1;
+                        } else {
+                            ok_full += 1;
+                        }
+                        let hits = res.ids().iter().filter(|id| base.contains(id)).count();
+                        recall_sum += hits as f64 / k as f64;
+                    }
+                    Err(QueryError::DeadlineExceeded) => deadline_hits += 1,
+                    Err(e) => panic!("unexpected query error: {e}"),
+                }
+            }
+        }
+        let total = (passes * nq) as f64;
+        let answered = ok_full + ok_degraded;
+        lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let p50 = lat[lat.len() / 2];
+        let recall = if answered > 0 {
+            recall_sum / answered as f64
+        } else {
+            0.0
+        };
+        let label = format!("budget_{}pct_of_p50", (frac * 100.0) as u32);
+        println!(
+            "  {label}: p50 {p50:.0} ns ({:.2}x the budget), recall {recall:.3}, \
+             {ok_full} full / {ok_degraded} degraded / {deadline_hits} expired",
+            p50 / (p50_unbudgeted * frac)
+        );
+        rows.push((
+            label,
+            Json::obj(vec![
+                ("budget_ns", Json::Num(p50_unbudgeted * frac)),
+                ("p50_ns", Json::Num(p50)),
+                ("p50_over_budget", Json::Num(p50 / (p50_unbudgeted * frac))),
+                ("recall_vs_unbudgeted", Json::Num(recall)),
+                ("full_rate", Json::Num(ok_full as f64 / total)),
+                ("degraded_rate", Json::Num(ok_degraded as f64 / total)),
+                ("deadline_rate", Json::Num(deadline_hits as f64 / total)),
+            ]),
+        ));
+    }
+    (p50_unbudgeted, column_frac, rows)
+}
+
 fn random_matrix(n: usize, d: usize, seed: u64) -> Matrix {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     Matrix::from_rows(
@@ -69,8 +176,8 @@ fn pair(simd_ns: f64, scalar_ns: f64) -> Json {
 const ROWS: usize = 32;
 
 /// The `small_m` section: the projected-space kernels at the paper's
-/// m = 6–10 and the screen kernel at d = 64 / 300, on every tier the host
-/// can execute. Per m and tier it reports ns/row of the whole-column
+/// m = 6–10, the screen kernel at d = 64 / 300 and the screen's column
+/// kernel at w = 64 / 128 / 320, on every tier the host can execute. Per m and tier it reports ns/row of the whole-column
 /// kernels (`sq_dist_col`, `sq_dist_col_i8`, one call per 50-row
 /// sub-partition column) beside the call shape they replaced: the tier's
 /// long-vector `sq_dist4` / `sq_dist4_i8` body once per four rows, which at
@@ -171,6 +278,51 @@ fn small_m_section() -> Json {
         screen.push((format!("d{d}"), Json::Obj(tiers)));
     }
     section.push(("dot4_i8".to_string(), Json::Obj(screen)));
+
+    // The column shape: one `dot_col_i8` call per 64-row run of w-byte
+    // rows (a 4 KB page of 64-byte heads), beside the 4-row calls it
+    // replaces on the same bytes.
+    let mut column: Vec<(String, Json)> = Vec::new();
+    for w in [64usize, 128, 320] {
+        const RUN: usize = 64;
+        let codes: Vec<u8> = (0..rows * w).map(|_| rng.below(256) as u8).collect();
+        let qc: Vec<i8> = (0..w).map(|_| rng.below(256) as u8 as i8).collect();
+        let mut dots = vec![0i32; RUN];
+        let mut tiers: Vec<(String, Json)> = Vec::new();
+        for k in available_backends() {
+            let col = ns_per_op(|| {
+                let mut s = 0i32;
+                for run in std::hint::black_box(&codes).chunks_exact(RUN * w) {
+                    (k.dot_col_i8)(run, w, &qc, &mut dots);
+                    s = s.wrapping_add(dots[0]).wrapping_add(dots[RUN - 1]);
+                }
+                s
+            }) / rows as f64;
+            let block4 = ns_per_op(|| {
+                let mut s = [0i32; 4];
+                for b in std::hint::black_box(&codes).chunks_exact(4 * w) {
+                    let r = (k.dot4_i8)(&b[..w], &b[w..2 * w], &b[2 * w..3 * w], &b[3 * w..], &qc);
+                    for (s, r) in s.iter_mut().zip(r) {
+                        *s = s.wrapping_add(r);
+                    }
+                }
+                s
+            }) / rows as f64;
+            println!(
+                "  dot_col_i8 w={w} [{}]: {col:.2} (4-row calls {block4:.2})",
+                k.name
+            );
+            tiers.push((
+                k.name.to_string(),
+                Json::obj(vec![
+                    ("col_ns_row", Json::Num(col)),
+                    ("block4_ns_row", Json::Num(block4)),
+                ]),
+            ));
+        }
+        column.push((format!("w{w}"), Json::Obj(tiers)));
+    }
+    section.push(("dot_col_i8".to_string(), Json::Obj(column)));
     Json::Obj(section)
 }
 
@@ -885,8 +1037,10 @@ fn main() {
     // f32. Same skewed workload and shard counts as `floor_tradeoff`, tier
     // off vs on: `verified_avg` is exact f32 rows read per query (the
     // bytes the screen exists to save), `screened_fraction` is the share
-    // of candidates the integer screen retired, and the items are asserted
-    // bit-identical between the two builds on every query.
+    // of candidates the integer screen retired. A shard the tiered build
+    // answers by the annulus path returns bit-identical items tier on or
+    // off, one it answers by the column pass the exact top-k — so rank by
+    // rank the tiered items are asserted at least as good on every query.
     let mut rescore_rows: Vec<(String, Json)> = Vec::new();
     let mut rescore_reductions: Vec<(String, Json)> = Vec::new();
     for &shards in &[4usize, 16] {
@@ -917,11 +1071,18 @@ fn main() {
                     let res = sharded_search(&sharded, shard_queries.row(i), k, &scratch);
                     verified += res.verified;
                     screened += res.screened;
-                    // The tier's contract: bit-identical top-k on vs off.
+                    // The tier's contract: identical, or exact where the
+                    // pure-f32 index is approximate.
                     if tier_on {
-                        assert_eq!(
-                            res.items, items_off[i],
-                            "screen+rescore diverged from pure-f32 verification"
+                        assert_eq!(res.items.len(), items_off[i].len());
+                        assert!(
+                            res.items
+                                .iter()
+                                .zip(&items_off[i])
+                                // (to the last bits: the pass scores with
+                                // `dot`, the annulus path with `dot4`)
+                                .all(|(on, off)| on.ip >= off.ip - 1e-9 * off.ip.abs()),
+                            "screen+rescore fell behind pure-f32 verification"
                         );
                     } else {
                         items_off.push(res.items);
@@ -1215,8 +1376,10 @@ fn main() {
     // --- deadline degradation -----------------------------------------------
     // The query-lifecycle trade: latency, recall-vs-unbudgeted, and
     // outcome mix as the deadline shrinks to 100/50/25% of the unbudgeted
-    // p50 on a BestEffort index, plus the shed rate when 4 threads hammer
-    // an admission limit of 2 (offered load = 2× the limit).
+    // p50 on a BestEffort index — once where the column pass answers (four
+    // norm-skewed shards) and once where the annulus path does (clustered
+    // rows) — plus the shed rate when 4 threads hammer an admission limit
+    // of 2 (offered load = 2× the limit).
     let dd_n = 20_000usize;
     let dd_d = 32usize;
     let dd_k = 10usize;
@@ -1233,83 +1396,31 @@ fn main() {
     let dd_scratch = ShardedScratch::for_index(&dd_idx);
     let dd_queries = random_matrix(dd_nq, dd_d, 139);
 
-    // Unbudgeted baseline: per-query min latency over the passes, and the
-    // reference answer recall is scored against.
-    let mut base_lat = vec![f64::INFINITY; dd_nq];
-    let mut base_ids: Vec<Vec<u64>> = Vec::with_capacity(dd_nq);
-    for pass in 0..dd_passes {
-        for (qi, lat) in base_lat.iter_mut().enumerate() {
-            let t = std::time::Instant::now();
-            let res = sharded_search(&dd_idx, dd_queries.row(qi), dd_k, &dd_scratch);
-            *lat = lat.min(t.elapsed().as_nanos() as f64);
-            if pass == 0 {
-                base_ids.push(res.ids());
-            }
-        }
-    }
-    let mut sorted = base_lat.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let dd_p50 = sorted[sorted.len() / 2];
-    println!("  unbudgeted p50: {dd_p50:.0} ns");
+    let (dd_p50, dd_column_frac, dd_rows) =
+        deadline_budgets(&dd_idx, &dd_scratch, &dd_queries, dd_k, dd_passes);
 
-    let mut dd_rows: Vec<(String, Json)> = Vec::new();
-    for frac in [1.0f64, 0.5, 0.25] {
-        let budget = std::time::Duration::from_nanos((dd_p50 * frac) as u64);
-        let (mut ok_full, mut ok_degraded, mut deadline_hits) = (0u64, 0u64, 0u64);
-        let mut recall_sum = 0.0f64;
-        let mut lat: Vec<f64> = Vec::with_capacity(dd_passes * dd_nq);
-        for _ in 0..dd_passes {
-            for (qi, base) in base_ids.iter().enumerate() {
-                let t = std::time::Instant::now();
-                let out = dd_idx.execute(
-                    ShardedQuery {
-                        budget: Some(&QueryBudget::with_deadline(budget)),
-                        ..ShardedQuery::new(dd_queries.row(qi), dd_k)
-                    },
-                    &dd_scratch,
-                );
-                lat.push(t.elapsed().as_nanos() as f64);
-                match out {
-                    Ok((res, _)) => {
-                        if res.degraded {
-                            ok_degraded += 1;
-                        } else {
-                            ok_full += 1;
-                        }
-                        let hits = res.ids().iter().filter(|id| base.contains(id)).count();
-                        recall_sum += hits as f64 / dd_k as f64;
-                    }
-                    Err(QueryError::DeadlineExceeded) => deadline_hits += 1,
-                    Err(e) => panic!("unexpected query error: {e}"),
-                }
-            }
-        }
-        let total = (dd_passes * dd_nq) as f64;
-        let answered = ok_full + ok_degraded;
-        lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let p50 = lat[lat.len() / 2];
-        let recall = if answered > 0 {
-            recall_sum / answered as f64
-        } else {
-            0.0
-        };
-        let label = format!("budget_{}pct_of_p50", (frac * 100.0) as u32);
-        println!(
-            "  {label}: p50 {p50:.0} ns, recall {recall:.3}, \
-             {ok_full} full / {ok_degraded} degraded / {deadline_hits} expired"
-        );
-        dd_rows.push((
-            label,
-            Json::obj(vec![
-                ("budget_ns", Json::Num(dd_p50 * frac)),
-                ("p50_ns", Json::Num(p50)),
-                ("recall_vs_unbudgeted", Json::Num(recall)),
-                ("full_rate", Json::Num(ok_full as f64 / total)),
-                ("degraded_rate", Json::Num(ok_degraded as f64 / total)),
-                ("deadline_rate", Json::Num(deadline_hits as f64 / total)),
-            ]),
-        ));
-    }
+    // The same sweep on the annulus path: tight clusters, two of them near
+    // the origin, and unit-length queries whose Quick-Probe ball meets few
+    // of them.
+    let dd_clustered = promips_data::gen::clustered(40, dd_n / 40, dd_d, 141);
+    let dd_annulus_cfg = ShardedConfig::builder()
+        .shards(1)
+        .exact_threshold(0)
+        .degradation(DegradationPolicy::BestEffort)
+        .base(ProMipsConfig::builder().c(0.9).p(0.5).seed(137).build())
+        .build();
+    let dd_annulus_idx =
+        ShardedProMips::build_in_memory(&dd_clustered, dd_annulus_cfg).expect("build");
+    let dd_annulus_scratch = ShardedScratch::for_index(&dd_annulus_idx);
+    println!("  annulus path (clustered rows, one shard):");
+    let (dd_annulus_p50, dd_annulus_column_frac, dd_annulus_rows) = deadline_budgets(
+        &dd_annulus_idx,
+        &dd_annulus_scratch,
+        &dd_queries,
+        dd_k,
+        dd_passes,
+    );
+    drop(dd_annulus_idx);
 
     // Admission shedding at 2× the limit: 4 worker threads against
     // max_in_flight = 2; a shed attempt returns `Overloaded` immediately
@@ -1528,7 +1639,16 @@ fn main() {
                 ("k", Json::Num(dd_k as f64)),
                 ("queries", Json::Num((dd_passes * dd_nq) as f64)),
                 ("unbudgeted_p50_ns", Json::Num(dd_p50)),
+                ("column_pass_frac", Json::Num(dd_column_frac)),
                 ("budgets", Json::Obj(dd_rows.clone())),
+                (
+                    "annulus_path",
+                    Json::obj(vec![
+                        ("unbudgeted_p50_ns", Json::Num(dd_annulus_p50)),
+                        ("column_pass_frac", Json::Num(dd_annulus_column_frac)),
+                        ("budgets", Json::Obj(dd_annulus_rows.clone())),
+                    ]),
+                ),
                 ("max_in_flight", Json::Num(2.0)),
                 ("offered_threads", Json::Num(4.0)),
                 ("shed_rate_at_2x_limit", Json::Num(shed_rate)),

@@ -45,7 +45,10 @@ impl Value {
 pub const REQUIRED_SECTIONS: &[(&str, &[&str])] = &[
     ("kernels", &["dot", "sq_dist4", "sq_dist4_i8"]),
     ("backends", &["scalar"]),
-    ("small_m", &["m6", "m7", "m8", "m10", "dot4_i8"]),
+    (
+        "small_m",
+        &["m6", "m7", "m8", "m10", "dot4_i8", "dot_col_i8"],
+    ),
     ("project", &["single", "dataset_2000"]),
     ("scan", &["arena_ns_per_record", "speedup"]),
     ("quantized_scan", &["dense", "selective"]),
@@ -72,7 +75,12 @@ pub const REQUIRED_SECTIONS: &[(&str, &[&str])] = &[
     ("windowed_metrics", &["tick_ns", "window_merge_ns"]),
     (
         "deadline_degradation",
-        &["unbudgeted_p50_ns", "budgets", "shed_rate_at_2x_limit"],
+        &[
+            "unbudgeted_p50_ns",
+            "budgets",
+            "annulus_path",
+            "shed_rate_at_2x_limit",
+        ],
     ),
 ];
 

@@ -22,7 +22,7 @@
 //!   page is read; the rule's own time (≈ 10–30 µs for ~1 k
 //!   sub-partitions) is booked to the scan stage.
 //! * **Rule.** If the index carries the SQ8 verification tier and
-//!   `covered ≥ COLUMN_PASS_MIN_COVERAGE · len()` (0.6), the query is
+//!   `covered ≥ COLUMN_PASS_MIN_COVERAGE · len()` (0.25), the query is
 //!   answered by the **column pass**: one cursor over the whole code
 //!   column in storage order, each row screened against the running k-th
 //!   best with its sub-partition's bound, the few survivors scored exactly
@@ -34,21 +34,21 @@
 //! * **Cost derivation.** The annulus path's time is proportional to the
 //!   rows it covers (decode and measure the projected row, fetch and dot
 //!   the code row in group order), the column pass's to `len()` (one
-//!   sequential read of the code column — the memory stream — plus the
-//!   kernel). Measured per row on the two benchmark shapes (`--trace 1`,
-//!   seed 1, two runs each side: `scan + screen + verify` of the parent
-//!   commit over its covered rows against the pass of this one over all
-//!   rows): **d = 300** (`lf300_hot`, 100 000 rows, 99 810 covered) 39.2 and
-//!   41.5 ns per covered row against 23.3 and 23.5 ns per row, crossover at
-//!   0.57–0.59 of the rows; **d = 64** (`skew64_shard4`, the 50 000-row
-//!   shard every query searches, 47 555 covered) 43.7 and 43.6 against 12.5
-//!   and 12.9, crossover at 0.29–0.30. The constant sits at the larger
+//!   sequential read of the code column plus the kernel). Measured per row
+//!   on the two benchmark shapes (`--trace 1`, seed 1, two runs each side:
+//!   `scan + screen + verify` of this commit with the rule switched off
+//!   over its covered rows, against the pass of this commit over all
+//!   rows): **d = 300** (`lf300_hot`, 100 000 rows, 99 810 covered, 64-byte
+//!   head codes) 37.0 and 36.9 ns per covered row against 7.94 and 8.02 ns
+//!   per row, crossover at 0.215–0.217 of the rows; **d = 64**
+//!   (`skew64_shard4`, the 50 000-row shard every query searches, 47 555
+//!   covered, full-width codes — 64 bytes too) 53.6 and 55.4 against 7.34
+//!   and 6.99, crossover at 0.126–0.137. The constant sits at the larger
 //!   crossover, rounded up: the pass runs only where it wins on both
-//!   shapes, and the annulus path is kept wherever it is within 2× on
-//!   short rows. Every query of the four
-//!   benchmark workloads covers ≥ 0.80 of its index (`lf300` mean 0.998,
-//!   `skew64` 0.951), so nothing measured there depends on where between
-//!   0.3 and 0.8 the constant is; it is a constant, not a knob.
+//!   shapes. Every query of the four benchmark workloads covers ≥ 0.80 of its index
+//!   (`lf300` mean 0.998, `skew64` 0.951), so nothing measured there
+//!   depends on where under 0.8 the constant is; it is a constant, not a
+//!   knob.
 //! * **What the caller sees.** A column pass returns the *exact* top-`k`
 //!   over the live rows at or above the floor — ties to the smaller id,
 //!   `ip` the single-row [`dot`] of the f32 row — so the (c, p) contract
@@ -57,6 +57,78 @@
 //!   the request's span carries `covered_rows` and the `column_pass` flag,
 //!   and `promips_query_column_passes_total` counts the verdicts. A floor
 //!   no row can reach still ends by Condition A before any row is read.
+//!
+//! # The head bound
+//!
+//! The pass is bound by the bytes it reads, so where the rows' energy sits
+//! in few directions the code column holds `h`-byte **heads** in place of
+//! `d`-byte rows: the SQ8 codes of `Vo`, for an `h × d` basis `V` of
+//! top-energy directions estimated at build time
+//! ([`promips_idistance::HeadBasis`]). The query is taken into the same
+//! space once per `execute` (`d·h` multiply-adds), and the screen tests
+//!
+//! ```text
+//! ⟨o, q⟩ ≤ base + step·idot + pad,
+//! pad = err·‖Vq‖ + xnorm·‖Vq − q̂‖            (the quantizer, as before)
+//!     + tail·‖q − Vᵀ(Vq)‖                     (what the head leaves out)
+//!     + δ(1 + δ)·(xnorm + err + tail)·max(‖q‖, ‖Vq‖)     (the basis as stored)
+//! ```
+//!
+//! Proof sketch. Let `a = Vo`, `b = Vq` be the heads as computed (rounded
+//! to `f32`), `r_o = o − Vᵀa`, `r_q = q − Vᵀb`. Expanding
+//! `⟨Vᵀa + r_o, Vᵀb + r_q⟩` gives
+//! `⟨o, q⟩ = ⟨a, b⟩ + ⟨r_o, r_q⟩ + ⟨a, Vq − b⟩ + ⟨V·r_o, b⟩`.
+//! (1) *Orthogonal split*: for an exactly orthonormal `V` in exact
+//! arithmetic the last two terms vanish (`b = Vq`, and `r_o ⟂ span Vᵀ`), and
+//! Cauchy–Schwarz bounds the second by `‖r_o‖·‖r_q‖ ≤ tail·‖r_q‖`, `tail`
+//! the sub-partition's stored maximum. (2) *Defect of the stored basis*:
+//! with `G = VVᵀ ≠ I`, `V·r_o = (I − G)a − (a − Vo)`, so the last two terms
+//! are at most `(‖G − I‖ + ρ)·max(‖a‖, ‖o‖)·max(‖b‖, ‖q‖)`, `ρ` the relative
+//! rounding of the two projections; the index stores
+//! `δ = ‖G − I‖_F + 2⁻²²` — measured on the `f32` rows as stored, plus `f32`
+//! rounding of `a` and of `b` and as much again for the `f64` accumulations
+//! — and `max(‖a‖, ‖o‖) ≤ (1 + δ)(xnorm + err + tail)`. (3) *Rounding of
+//! `Vo`*: the residual norms are not formed (`d·h` more multiply-adds per
+//! vector) but bounded by Pythagoras with the same `δ`:
+//! `‖r_o‖² ≤ max(0, ‖o‖² − ‖a‖²) + δ·max(‖o‖², ‖a‖²)`, likewise `‖r_q‖`.
+//! Every quantity on the right is measured, none assumed, so *any* `V`
+//! keeps the bound exact; a poor one only makes `tail` large. Full-width
+//! codes are the case `V = I`: `tail = δ = 0` and `pad` is what it was, to
+//! the bit.
+//!
+//! **Width.** `h` is the smallest multiple of 64 up to `min(d/2, 256)`
+//! whose tail energy (the share of a 1 024-row sample's `‖X‖_F²` outside
+//! the span of a basis fitted to `8·h` other rows) is at most ε = 0.02;
+//! otherwise the
+//! index keeps full-width codes and its file is byte for byte what it was
+//! before heads existed. ε is derived like the coverage constant, from
+//! query times of one index per row (100 000 rows, k = 10, queries beside a
+//! data row, in-memory pager; full-width codes against a forced 64-byte
+//! head; `verified` = rows the screen let through):
+//!
+//! | rows | tail energy at h = 64 | full-width p50, verified | 64-byte head p50, verified |
+//! |---|---|---|---|
+//! | `latent_factor` d = 300, rank 48 | 0.000 | 2 904 µs, 168 | 835 µs, 191 |
+//! | … + 0.02·N(0,1) per coordinate | 0.004 | 3 164 µs, 178 | 902 µs, 282 |
+//! | … + 0.04 | 0.015 | 3 011 µs, 174 | 1 011 µs, 399 |
+//! | … + 0.07 | 0.045 | 3 029 µs, 172 | 1 171 µs, 736 |
+//! | … + 0.10 | 0.087 | 2 972 µs, 173 | 1 430 µs, 1 635 |
+//! | … + 0.15 | 0.174 | 2 960 µs, 170 | 3 444 µs, 6 985 |
+//! | `latent_factor` d = 128, rank 32, + 0.04 | 0.007 | 1 099 µs, 177 | 830 µs, 293 |
+//! | … + 0.06 | 0.016 | 1 091 µs, 177 | 840 µs, 357 |
+//! | … + 0.09 | 0.034 | 1 090 µs, 172 | 881 µs, 499 |
+//! | … + 0.12 | 0.057 | 1 092 µs, 172 | 991 µs, 796 |
+//! | … + 0.15 | 0.085 | 1 088 µs, 169 | 1 080 µs, 1 307 |
+//! | `sift_histogram` d = 128 (slow spectrum) | 0.070 | 1 079 µs, 187 | 2 180 µs, 6 941 |
+//! | `bio_feature` d = 256 | 0.393 | 2 094 µs, 278 | 23 503 µs, 84 483 |
+//!
+//! The share alone does not say how the residuals compare with the gap
+//! below the k-th score — 0.070 loses 2× on `sift_histogram` where 0.085
+//! is still level on low-rank rows plus noise — so the constant sits under
+//! half of the smallest losing share, where every generator measured wins
+//! by 19 % or more (a 128-byte head at d = 300 is never the better width
+//! in these rows: 1 279 and 1 468 µs where the 64-byte one reads 835 and
+//! 1 171).
 //!
 //! The production path is allocation-lean: every per-query buffer (the
 //! projected query, the candidate list, the offset list, and the original
@@ -70,7 +142,7 @@ use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use promips_idistance::meta::OrigQuant;
-use promips_idistance::{ProjScratch, RangeCandidate};
+use promips_idistance::{HeadBasis, ProjScratch, RangeCandidate};
 use promips_linalg::{dist, dot, dot4, norm1, sq_norm2};
 use promips_obs::{
     self as obs, BudgetChecker, CounterId, HistoId, QueryBudget, ShardSpan, StageNanos,
@@ -83,11 +155,11 @@ use crate::result::{SearchItem, SearchResult, Termination};
 /// The index-or-scan rule's one constant (module docs): the column pass
 /// answers a query whose Quick-Probe ball covers at least this share of the
 /// index's rows. Derived from four measured per-row costs — annulus path
-/// 39.2–41.5 ns per covered row against 23.3–23.5 ns per row for the pass
-/// at d = 300 (crossover 0.57–0.59), 43.6–43.7 against 12.5–12.9 at d = 64
-/// (crossover 0.29–0.30) — as the larger crossover rounded up; not a
-/// configuration field.
-const COLUMN_PASS_MIN_COVERAGE: f64 = 0.6;
+/// 36.9–37.0 ns per covered row against 7.94–8.02 ns per row for the pass
+/// at d = 300 (crossover 0.215–0.217), 53.6–55.4 against 6.99–7.34 at
+/// d = 64 (crossover 0.126–0.137) — as the larger crossover rounded up; not
+/// a configuration field.
+const COLUMN_PASS_MIN_COVERAGE: f64 = 0.25;
 
 /// Reusable per-query buffers. One scratch serves any number of sequential
 /// searches against any index; [`ProMips::search_batch`] keeps one per
@@ -128,15 +200,20 @@ struct FetchBuffers {
 }
 
 /// Per-query pieces of the SQ8 verification screen, shared by every group
-/// and pass of the query: the symmetric query quantizer `q̂ⱼ = sq·bⱼ` plus
-/// the exact scalars the per-group bound needs. With `idot = Σ codeⱼ·bⱼ`
-/// (exact integer arithmetic), the screen estimate unfolds as
+/// and pass of the query. The codes live in the **coded space** — the
+/// original coordinates, or under a [`HeadBasis`] the `h` head coordinates,
+/// where the query is its head `Vq` — so `q` below is the query *there*:
+/// the symmetric query quantizer `q̂ⱼ = sq·bⱼ` plus the exact scalars the
+/// per-group bound needs. With `idot = Σ codeⱼ·bⱼ` (exact integer
+/// arithmetic), the screen estimate unfolds as
 /// `⟨x̂, q̂⟩ = sq·(min·Σbⱼ + scale·idot)`, and Cauchy–Schwarz bounds the
-/// true inner product by
-/// `|⟨x, q⟩ − ⟨x̂, q̂⟩| ≤ err·‖q‖ + xnorm·‖q − q̂‖`.
+/// coded-space inner product by
+/// `|⟨x, q⟩ − ⟨x̂, q̂⟩| ≤ err·‖q‖ + xnorm·‖q − q̂‖`. What a head leaves out
+/// is bounded by the last two fields (module docs, "The head bound").
 #[derive(Debug, Default)]
 struct QueryScreen {
-    /// The codes `bⱼ` (length d) — the integer kernels' i8 operand.
+    /// The codes `bⱼ` (one per coded coordinate) — the integer kernels' i8
+    /// operand.
     qcodes: Vec<i8>,
     /// Query quantization step `max|qⱼ|/127` (1.0 for the zero query).
     sq: f64,
@@ -144,14 +221,37 @@ struct QueryScreen {
     sum_b: i64,
     /// `‖q − q̂‖` computed in f64 from the actual codes (not a bound).
     q_err: f64,
-    /// `‖q‖`.
+    /// `‖q‖` in the coded space.
     q_norm: f64,
+    /// The query's head `Vq` (unused without a basis).
+    head: Vec<f32>,
+    /// Upper bound on the original query's residual `‖q − Vᵀ(Vq)‖`; 0
+    /// without a basis.
+    q_tail: f64,
+    /// `δ(1 + δ)·max(‖q‖, ‖Vq‖)`, the query's factor of the leak term; 0
+    /// without a basis.
+    leak: f64,
 }
 
 impl QueryScreen {
-    /// Quantizes `q` symmetrically and gathers the bound scalars, reusing
-    /// the code buffer. `q_sq_norm` is the caller's already-computed `‖q‖²`.
-    fn rebuild(&mut self, q: &[f32], q_sq_norm: f64) {
+    /// Takes `q` into the coded space, quantizes it symmetrically and
+    /// gathers the bound scalars, reusing the buffers. `q_sq_norm` is the
+    /// caller's already-computed `‖q‖²`.
+    fn rebuild(&mut self, q: &[f32], q_sq_norm: f64, basis: Option<&HeadBasis>) {
+        let (q, q_sq_norm) = match basis {
+            Some(basis) => {
+                self.head.resize(basis.width(), 0.0);
+                let head_sq_norm = basis.project(q, &mut self.head);
+                self.q_tail = basis.residual_bound(q_sq_norm, head_sq_norm);
+                self.leak =
+                    basis.defect() * (1.0 + basis.defect()) * q_sq_norm.max(head_sq_norm).sqrt();
+                (&self.head[..], head_sq_norm)
+            }
+            None => {
+                (self.q_tail, self.leak) = (0.0, 0.0);
+                (q, q_sq_norm)
+            }
+        };
         let mut amax = 0.0f32;
         for &x in q {
             amax = amax.max(x.abs());
@@ -183,8 +283,13 @@ impl QueryScreen {
 /// `pad` is the Cauchy–Schwarz bound `err·‖q‖ + xnorm·‖q − q̂‖` inflated by
 /// a relative `1e-9` (covers the f64 rounding of the bound itself) plus an
 /// absolute `1e-12·xnorm·‖q‖` (dominates the f64 rounding of the estimate
-/// and of the exact kernels, which is O(d·ε·‖x‖·‖q‖)), so no row whose
-/// exact kernel inner product could reach the k-th best is ever dropped.
+/// and of the exact kernels, which is O(d·ε·‖x‖·‖q‖)) — and, for head
+/// codes, the two terms of the head bound (module docs):
+/// `tail·‖q − Vᵀ(Vq)‖` for what the head leaves out and
+/// `δ(1 + δ)·(xnorm + err + tail)·max(‖q‖, ‖Vq‖)` for the stored basis'
+/// defect and the rounding of the projections, both absent for full-width
+/// codes — so no row whose exact kernel inner product could reach the k-th
+/// best is ever dropped.
 struct ScreenBound {
     base: f64,
     step: f64,
@@ -193,11 +298,17 @@ struct ScreenBound {
 
 impl ScreenBound {
     fn new(vq: &OrigQuant, qs: &QueryScreen) -> Self {
+        let (err, xnorm, tail) = (vq.err as f64, vq.xnorm as f64, vq.tail as f64);
+        let mut pad =
+            (err * qs.q_norm + xnorm * qs.q_err) * (1.0 + 1e-9) + 1e-12 * (xnorm * qs.q_norm);
+        // Positive exactly for a non-zero query against head codes.
+        if qs.leak > 0.0 {
+            pad += tail * qs.q_tail + (xnorm + err + tail) * qs.leak;
+        }
         Self {
             base: qs.sq * vq.min as f64 * qs.sum_b as f64,
             step: qs.sq * vq.scale as f64,
-            pad: (vq.err as f64 * qs.q_norm + vq.xnorm as f64 * qs.q_err) * (1.0 + 1e-9)
-                + 1e-12 * (vq.xnorm as f64 * qs.q_norm),
+            pad,
         }
     }
 
@@ -205,6 +316,38 @@ impl ScreenBound {
     #[inline]
     fn may_reach(&self, idot: i32, kth: f64) -> bool {
         self.base + self.step * idot as f64 + self.pad >= kth
+    }
+
+    /// The smallest integer dot that [`Self::may_reach`] `kth` —
+    /// `i32::MAX`, which no code row's dot attains, when none does. The
+    /// test is monotone in `idot` (`step > 0`, and every rounding in it is
+    /// monotone), so comparing a row's dot with this integer *is* the test,
+    /// to the bit: what lets a pass over a run of rows be one integer
+    /// compare per row.
+    fn threshold(&self, kth: f64) -> i32 {
+        // `as` saturates, and takes a NaN (opposite infinities) to 0.
+        let mut t = ((kth - self.pad - self.base) / self.step).ceil() as i32;
+        // The quotient is within a few roundings of the answer.
+        for _ in 0..4 {
+            if t > i32::MIN && self.may_reach(t - 1, kth) {
+                t -= 1;
+            } else if t < i32::MAX && !self.may_reach(t, kth) {
+                t += 1;
+            } else {
+                return t;
+            }
+        }
+        // Unless `step` all but vanishes against `base + pad`: bisect.
+        let (mut lo, mut hi) = (i32::MIN as i64, i32::MAX as i64);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.may_reach(mid as i32, kth) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo as i32
     }
 }
 
@@ -516,8 +659,18 @@ impl ProMips {
         let t_scan = obs::clock_start();
         self.projection.project_into(q, &mut scratch.pq);
         let ctx = self.conditions(q);
+        if !ctx.q_sq_norm.is_finite() {
+            // Every bound below would be NaN and no row could pass it.
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "‖q‖² is not finite: a NaN, infinite or overflowing query coordinate",
+            ));
+        }
         if self.index.verify_quantized() {
-            scratch.fetch.screen.rebuild(q, ctx.q_sq_norm);
+            scratch
+                .fetch
+                .screen
+                .rebuild(q, ctx.q_sq_norm, self.index.head());
         }
 
         // --- Quick-Probe: locate the range-defining point (Algorithm 2). --
@@ -1070,7 +1223,10 @@ impl ProMips {
     /// the SQ8 code column ([`promips_idistance::IDistanceIndex::screen_column`]),
     /// every row tested against the running k-th best with its own
     /// sub-partition's [`ScreenBound`] — the annulus path's screen, minus
-    /// the groups. A row the bound cannot rule out has its id read from its
+    /// the groups, and as one integer compare per row: the bound is turned
+    /// into the least dot that passes it ([`ScreenBound::threshold`]) once
+    /// per sub-partition and whenever the k-th best moves. A row the bound
+    /// cannot rule out has its id read from its
     /// projected record and, unless the mask kills it, its f32 row decoded
     /// and scored by the single-row [`dot`]; both readers move forward only,
     /// so survivors sharing a page share its read. Every live row is either
@@ -1100,34 +1256,49 @@ impl ProMips {
         let mut rows = self.index.orig_cursor(0);
         // The sub-partition holding the current row: its number, the
         // storage-order numbers of its first row and of the row after its
-        // last, and its bound.
+        // last, its bound, and the least integer dot that passes it.
         let (mut sub, mut sub_first, mut sub_end) = (0usize, 0u64, subparts[0].count as u64);
         let mut bound = ScreenBound::new(&vquants[0], qs);
-        let mut kth = top.kth_ip();
+        let mut reach = bound.threshold(top.kth_ip());
         self.index.screen_column(&qs.qcodes, idots, |first, run| {
             checker.tick()?;
             work.scanned += run.len() as u64;
-            for (row, &idot) in (first..).zip(run) {
+            let mut at = 0;
+            while at < run.len() {
+                let row = first + at as u64;
                 while row >= sub_end {
                     sub += 1;
                     sub_first = sub_end;
                     sub_end += subparts[sub].count as u64;
                     bound = ScreenBound::new(&vquants[sub], qs);
+                    reach = bound.threshold(top.kth_ip());
                 }
-                if !bound.may_reach(idot, kth) {
-                    work.screened += 1;
+                // The run's rows of this sub-partition: nearly always none
+                // of them passes, which one vectorized sweep settles.
+                let upto = run.len().min((sub_end - first) as usize);
+                let part = &run[at..upto];
+                if part.iter().all(|&idot| idot < reach) {
+                    work.screened += part.len() as u64;
+                    at = upto;
                     continue;
                 }
-                let offset = (row - sub_first) as u32;
-                let id = ids.id(sub as u32, offset)?;
-                if is_dead(id, mask) {
-                    continue;
+                for (row, &idot) in (row..).zip(part) {
+                    if idot < reach {
+                        work.screened += 1;
+                        continue;
+                    }
+                    let offset = (row - sub_first) as u32;
+                    let id = ids.id(sub as u32, offset)?;
+                    if is_dead(id, mask) {
+                        continue;
+                    }
+                    rows.seek(sub as u32);
+                    rows.decode_into(&[offset], arena)?;
+                    top.push(id, dot(arena, q));
+                    work.verified += 1;
+                    reach = bound.threshold(top.kth_ip());
                 }
-                rows.seek(sub as u32);
-                rows.decode_into(&[offset], arena)?;
-                top.push(id, dot(arena, q));
-                work.verified += 1;
-                kth = top.kth_ip();
+                at = upto;
             }
             Ok(())
         })
@@ -1542,12 +1713,10 @@ mod tests {
 
     #[test]
     fn floor_above_everything_returns_empty_without_crawling() {
-        // A few small-norm rows for Quick-Probe to locate put the short
-        // query's ball on the annulus side of the rule.
-        let mut data = random_data(400, 12, 53);
-        for i in (0..400).step_by(50) {
-            data.row_mut(i).iter_mut().for_each(|x| *x *= 0.05);
-        }
+        // Ten tight clusters, two of them near the origin for Quick-Probe
+        // to locate: the short query's ball meets few of them (the annulus
+        // side of the rule), the long one's most.
+        let data = promips_data::gen::clustered(10, 40, 12, 53);
         let cfg = ProMipsConfig::builder().seed(53 ^ 0xABCD).build();
         let idx = ProMips::build_in_memory(&data, cfg).unwrap();
         let mut scratch = SearchScratch::new();
@@ -1557,7 +1726,7 @@ mod tests {
         // the annulus path (the short query), before any row is read when
         // the rule had picked the column pass (the long one).
         let mut paths = [0, 0];
-        for len in [0.1f32, 1.0] {
+        for len in [0.1f32, 40.0] {
             let q = vec![len; 12];
             let mut span = ShardSpan::default();
             let request = Query {
@@ -1580,6 +1749,42 @@ mod tests {
             }
         }
         assert_eq!(paths, [1, 1], "one query on each side of the rule");
+    }
+
+    /// A query with a NaN or infinite coordinate used to make the screen's
+    /// bound NaN — the column pass then dropped every row and reported an
+    /// exhausted, empty dataset — or came back with NaN scores; both paths
+    /// refuse it.
+    #[test]
+    fn a_non_finite_query_is_invalid_input_on_both_paths() {
+        let data = random_data(300, 12, 61);
+        // With the verification tier Gaussian rows take the column pass,
+        // without it every query takes the annulus path.
+        for verify_quantize in [true, false] {
+            let cfg = ProMipsConfig::builder()
+                .seed(61)
+                .idistance(promips_idistance::IDistanceConfig {
+                    verify_quantize,
+                    ..Default::default()
+                })
+                .build();
+            let idx = ProMips::build_in_memory(&data, cfg).unwrap();
+            let mut scratch = SearchScratch::new();
+            let mut span = ShardSpan::default();
+            let finite = vec![0.5f32; 12];
+            let request = Query {
+                span: Some(&mut span),
+                ..Query::new(&finite, 5)
+            };
+            assert_eq!(idx.execute(request, &mut scratch).unwrap().items.len(), 5);
+            assert_eq!(span.column_pass, verify_quantize);
+            for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+                let mut q = finite.clone();
+                q[3] = bad;
+                let err = idx.execute(Query::new(&q, 5), &mut scratch).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{bad}");
+            }
+        }
     }
 
     #[test]

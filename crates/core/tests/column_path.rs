@@ -6,10 +6,16 @@
 //! Checked here against `baselines::ExactScan` over random shapes — rows
 //! that straddle pages, sub-partitions that share pages, masks down to
 //! all-dead, `k` beyond the live rows, a finite floor, one shard and four —
-//! plus the pass's page accounting and a clustered dataset on which the
-//! rule keeps the annulus path because it reads less.
+//! plus the pass's page accounting, a clustered dataset on which the
+//! rule keeps the annulus path because it reads less, and spectra on both
+//! sides of the width rule: code columns that are 64-byte heads and ones
+//! that stay full-width answer alike.
+
+mod common;
 
 use std::sync::Arc;
+
+use common::{clustered, low_rank, without_head};
 
 use promips_baselines::ExactScan;
 use promips_core::result::Termination;
@@ -272,54 +278,124 @@ fn the_pass_reads_the_column_once_plus_its_survivors() {
     assert!(seen > 0, "no query took the column path");
 }
 
-/// Tight, well-separated clusters, two of them near the origin: Quick-Probe
-/// locates a small-norm point, the ball around a far cluster's centre meets
-/// a small share of the sub-partitions, the rule keeps the annulus path,
-/// and that path reads fewer pages than the code column has.
+/// Tight, well-separated clusters, two of them near the origin
+/// (`common::clustered`): Quick-Probe locates a small-norm point, and the
+/// ball around a far cluster's row meets a small share of the
+/// sub-partitions for some clusters and most of them for others. The rule
+/// is the documented one — a quarter of the rows — and where it keeps the
+/// annulus path, that path reads fewer pages than the passes over the same
+/// index do (their survivors' rows included: the rows are of rank 24, so
+/// the column itself is a 64-byte head, 45 pages).
 #[test]
 fn a_clustered_dataset_stays_on_the_annulus_path_and_reads_less() {
     let (clusters, per, d) = (24usize, 120usize, 300usize);
-    let mut rng = Xoshiro256pp::seed_from_u64(90);
-    let centers: Vec<Vec<f32>> = (0..clusters)
-        .map(|c| {
-            let scale = if c < 2 { 0.4 } else { 40.0 };
-            (0..d).map(|_| scale * rng.normal() as f32).collect()
-        })
-        .collect();
-    let data = Matrix::from_rows(
-        d,
-        (0..clusters * per).map(|i| {
-            let c = &centers[i % clusters];
-            c.iter()
-                .map(|x| x + 0.05 * rng.normal() as f32)
-                .collect::<Vec<f32>>()
-        }),
-    );
+    let n = clusters * per;
+    let data = clustered(clusters, per, d, 90);
     let index = build(&data, 4096, 90);
-    let (_, column_bytes) = index.idistance().vquant_region().unwrap();
-    let column_pages = column_bytes.div_ceil(4096);
+    assert_eq!(index.idistance().code_width(), 64);
 
     let mut scratch = SearchScratch::new();
-    let mut reads_less = 0;
-    for c in &centers[2..] {
+    let (mut annulus, mut column) = (Vec::new(), Vec::new());
+    // Row c is a row of cluster c; the first two clusters are the near ones.
+    for q in (2..clusters).map(|c| data.row(c)) {
         index.clear_cache();
         let before = index.access_stats();
-        let (res, span) = traced(&index, Query::new(c, 10), &mut scratch);
+        let (res, span) = traced(&index, Query::new(q, 10), &mut scratch);
         let reads = index.access_stats().delta_since(&before).logical_reads;
         assert!(span.covered_rows > 0, "the rule ran");
+        assert_eq!(span.column_pass, span.covered_rows * 4 >= n as u64);
         if span.column_pass {
-            assert!(reads >= column_pages);
+            column.push(reads);
             continue;
         }
-        assert!((span.covered_rows as usize) < clusters * per * 6 / 10);
         assert_ne!(res.termination, Termination::DatasetExhausted);
         assert!(res.final_radius.is_some());
-        reads_less += (reads < column_pages) as usize;
+        annulus.push(reads);
     }
     assert!(
-        reads_less * 2 > clusters,
-        "only {reads_less} of {} far-cluster queries took the annulus path and read \
-         fewer pages than the column's {column_pages}",
-        clusters - 2
+        annulus.len() >= 6 && column.len() >= 6,
+        "{} annulus-path and {} column-path queries",
+        annulus.len(),
+        column.len()
     );
+    let mean = |reads: &[u64]| reads.iter().sum::<u64>() as f64 / reads.len() as f64;
+    assert!(
+        mean(&annulus) < mean(&column),
+        "annulus path read {annulus:?} pages, the column pass {column:?}"
+    );
+}
+
+/// Whatever the spectrum makes of the code column — a 64-byte head (rows
+/// exactly low-rank, or with noise just under the width rule's ε, or with
+/// heavy-residual rows in otherwise low-rank sub-partitions) or full-width codes (noise
+/// just over ε, isotropic rows) — the pass returns the exact top-k: for
+/// queries beside a data row, for a query lying entirely in the subspace
+/// the head leaves out (every inner product is then the tail's), and for
+/// the zero query.
+#[test]
+fn head_and_full_width_columns_answer_exactly() {
+    let (n, d) = (1_500usize, 160usize);
+    let mut rng = Xoshiro256pp::seed_from_u64(45);
+    // More rows far outside the span the rest share than the head has
+    // directions to spare for them (64 − 20): some stay outside it.
+    let mut outliers = low_rank(n, d, 20, 0.0, 44);
+    for i in (10..n).step_by(25) {
+        for x in outliers.row_mut(i) {
+            *x += 2.0 * rng.normal() as f32;
+        }
+    }
+    let cases = [
+        ("exactly low-rank", low_rank(n, d, 20, 0.0, 41), true),
+        ("noise just under ε", low_rank(n, d, 20, 0.7, 42), true),
+        ("noise just over ε", low_rank(n, d, 20, 1.2, 43), false),
+        ("isotropic", gaussian(n, d, 46), false),
+        ("heavy-residual rows", outliers, true),
+    ];
+    for (what, data, head) in cases {
+        let index = build(&data, 4096, 47);
+        let idist = index.idistance();
+        assert_eq!(idist.head().is_some(), head, "{what}");
+        let width = if head { 64 } else { d };
+        assert_eq!(idist.code_width(), width, "{what}");
+        assert_eq!(idist.vquant_region().unwrap().1, (n * width) as u64);
+        if what == "heavy-residual rows" {
+            let tails = idist.vquants().iter().map(|vq| vq.tail);
+            assert!(tails.clone().any(|t| t > 5.0), "{what}: none left outside");
+            assert!(
+                tails.clone().any(|t| t < 0.1),
+                "{what}: no clean sub-partition"
+            );
+        }
+
+        let mut queries: Vec<Vec<f32>> = (0..8)
+            .map(|_| {
+                let row = data.row(rng.below(n as u64) as usize);
+                row.iter().map(|x| x + 0.1 * rng.normal() as f32).collect()
+            })
+            .collect();
+        queries.push(data.row(10).to_vec());
+        queries.push(vec![0.0; d]);
+        // A Gaussian vector with its head taken out (as is, without one).
+        let gaussian: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
+        queries.push(match idist.head() {
+            Some(basis) => without_head(basis, &gaussian),
+            None => gaussian,
+        });
+
+        let mut scratch = SearchScratch::new();
+        let mut on_column = 0;
+        for (qi, q) in queries.iter().enumerate() {
+            for k in [1usize, 10] {
+                let (res, span) = traced(&index, Query::new(q, k), &mut scratch);
+                if !span.column_pass {
+                    continue;
+                }
+                on_column += 1;
+                let want = exact(&data, q, k, f64::NEG_INFINITY, &|_| false);
+                assert_eq!(pairs(&res.items), want, "{what}: query {qi}, k={k}");
+                assert_eq!(span.screened + span.verified, n as u64);
+            }
+        }
+        assert!(on_column >= 12, "{what}: {on_column} column-path queries");
+    }
 }

@@ -2,8 +2,9 @@
 //! its query contract (`promips_core::search` module docs): data and
 //! queries that land on either side of the index-or-scan rule, and the
 //! exact oracle the column pass is held to.
-#![allow(dead_code)] // each test binary uses its own subset
+#![allow(dead_code, unused_imports)] // each test binary uses its own subset
 
+pub use promips_data::gen::{clustered, low_rank};
 use promips_linalg::{dot, Matrix};
 use promips_stats::Xoshiro256pp;
 
@@ -16,17 +17,34 @@ pub fn random_data(n: usize, d: usize, seed: u64) -> Matrix {
     )
 }
 
-/// Gaussian rows with every fiftieth shrunk to a twentieth: Quick-Probe
-/// locates small-norm points, so the ball of a short query (see [`short`])
-/// covers well under half of such an index and the query stays on the
-/// annulus path, while full-length queries still cover most of it and are
-/// answered by the column pass.
+/// Gaussian rows with every fiftieth shrunk to a twentieth: a spread of
+/// norms for the screen's bounds to meet. The ball of every query still
+/// covers a third of such an index or more, so the column pass answers
+/// all of them; [`clustered`] rows have the other side of the rule.
 pub fn skewed_data(n: usize, d: usize, seed: u64) -> Matrix {
-    let mut data = random_data(n, d, seed);
-    for i in (0..n).step_by(50) {
+    skew(random_data(n, d, seed))
+}
+
+/// `data` with every fiftieth row shrunk to a twentieth.
+pub fn skew(mut data: Matrix) -> Matrix {
+    for i in (0..data.rows()).step_by(50) {
         data.row_mut(i).iter_mut().for_each(|x| *x *= 0.05);
     }
     data
+}
+
+/// `q` with its head under `basis` taken out: a query lying entirely in
+/// the subspace the head codes leave to the tail bound.
+pub fn without_head(basis: &promips_idistance::HeadBasis, q: &[f32]) -> Vec<f32> {
+    let mut coeffs = vec![0.0f32; basis.width()];
+    basis.project(q, &mut coeffs);
+    let mut rest = q.to_vec();
+    for (j, c) in coeffs.iter().enumerate() {
+        for (x, v) in rest.iter_mut().zip(basis.rows().row(j)) {
+            *x -= c * v;
+        }
+    }
+    rest
 }
 
 /// `q` at a tenth of its length.

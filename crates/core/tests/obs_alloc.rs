@@ -80,13 +80,13 @@ fn instrumented_warm_search_does_not_allocate() {
     let d = 24;
     let k = 16;
     let mut rng = Xoshiro256pp::seed_from_u64(64 ^ 0x5EED); // queries
-                                                            // Every fiftieth row shrunk: the full-length query below is answered by
-                                                            // the column pass, the short one by the annulus path (checked).
-    let data = common::skewed_data(n, d, 64);
+                                                            // Clustered rows: the query beside a far cluster's row below is answered
+                                                            // by the column pass, the unit-length one by the annulus path (checked).
+    let data = common::clustered(30, n / 30, d, 64);
     let cfg = ProMipsConfig::builder().c(0.9).p(0.5).seed(17).build();
     let index = ProMips::build_in_memory(&data, cfg).unwrap();
-    let full: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
-    let short = common::short(&full);
+    let short: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
+    let full: Vec<f32> = short.iter().zip(data.row(7)).map(|(x, r)| x + r).collect();
     let mut scratch = SearchScratch::new();
 
     // Touch the registry and the clock epoch up front so their one-time

@@ -77,10 +77,11 @@ fn warm_screen_rescore_does_not_allocate_per_candidate() {
     let d = 24;
     let k = 16;
     let mut rng = Xoshiro256pp::seed_from_u64(63 ^ 0x5EED); // queries
-                                                            // Every fiftieth row shrunk: the short query below stays on the annulus
-                                                            // path (screen + rescore per group), the full-length one is answered by
-                                                            // the column pass — both checked through `SearchResult::final_radius`.
-    let data = common::skewed_data(n, d, 63);
+                                                            // Clustered rows: the unit-length query below stays on the annulus path
+                                                            // (screen + rescore per group), the one beside a far cluster's row is
+                                                            // answered by the column pass — both checked through
+                                                            // `SearchResult::final_radius`.
+    let data = common::clustered(30, n / 30, d, 63);
     let mk = |verify_quantize: bool| {
         let cfg = ProMipsConfig::builder()
             .c(0.9)
@@ -95,12 +96,17 @@ fn warm_screen_rescore_does_not_allocate_per_candidate() {
     };
     let tiered = mk(true);
     let plain = mk(false);
-    let full: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
-    let q = common::short(&full);
+    let q: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
+    // Beside the first far cluster whose ball covers enough of the index.
+    let beside = |c: usize| -> Vec<f32> { q.iter().zip(data.row(c)).map(|(x, r)| x + r).collect() };
+    let full = (2..30)
+        .map(beside)
+        .find(|full| tiered.search(full, k).unwrap().final_radius.is_none())
+        .expect("some far cluster's query takes the column pass");
     let mut scratch = SearchScratch::new();
     assert!(
         tiered.search(&q, k).unwrap().final_radius.is_some(),
-        "the short query must take the annulus path"
+        "the unit-length query must take the annulus path"
     );
 
     let (tier_allocs, verified, screened) = warm_search_allocs(&tiered, &q, k, &mut scratch);
@@ -141,7 +147,6 @@ fn warm_screen_rescore_does_not_allocate_per_candidate() {
     // The column pass: every row of the index screened, its survivors'
     // ids and f32 rows read through two cursors, and still nothing beyond
     // the per-search constants — no more than the annulus path pays.
-    assert_eq!(tiered.search(&full, k).unwrap().final_radius, None);
     let (column_allocs, verified, screened) = warm_search_allocs(&tiered, &full, k, &mut scratch);
     assert!(verified >= k && verified + screened == n);
     let (again, _, _) = warm_search_allocs(&tiered, &full, k, &mut scratch);

@@ -21,7 +21,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{oracle, random_data, short, skewed_data};
+use common::{clustered, oracle, random_data, short, without_head};
 
 use promips_core::result::Termination;
 use promips_core::{ProMips, ProMipsConfig, Query, SearchResult, SearchScratch};
@@ -140,18 +140,26 @@ fn parity_cases() -> u32 {
 /// alignment (4096), tiny pages (64), and sizes that are not multiples of
 /// 4 (70, 130) so code rows and f32 rows straddle page boundaries
 /// mid-field. k sweeps from 1 to n (the latter forces exhaustive
-/// verification, and the shortfall loop on the annulus path). A seeded loop
-/// rather than a `proptest!` so the both-sides check can close it.
+/// verification, and the shortfall loop on the annulus path). Every other
+/// dataset is Gaussian (unit-length queries cover most of it: the column
+/// pass), the rest clustered (they cover little: the annulus path). A
+/// seeded loop rather than a `proptest!` so the both-sides check can close
+/// it.
 #[test]
 fn screen_rescore_is_bit_identical() {
     let mut cases = Xoshiro256pp::seed_from_u64(0x5C2EE);
     let mut sides = Sides::default();
-    for _ in 0..parity_cases() {
-        let n = 120 + cases.below(200) as usize;
+    for case in 0..parity_cases() {
+        let clusters = 6 + cases.below(10) as usize;
+        let n = clusters * (20 + cases.below(14) as usize);
         let d = 6 + cases.below(14) as usize;
         let page_size = [4096usize, 64, 70, 130][cases.below(4) as usize];
         let seed = cases.below(1_000);
-        let data = random_data(n, d, seed);
+        let data = if case % 2 == 0 {
+            random_data(n, d, seed)
+        } else {
+            clustered(clusters, n / clusters, d, seed)
+        };
         let (tiered, plain) = build_pair(&data, page_size, seed);
         let mut sa = SearchScratch::new();
         let mut sb = SearchScratch::new();
@@ -183,11 +191,13 @@ fn screen_rescore_is_bit_identical() {
 /// Deterministic near-boundary and degenerate queries: data rows
 /// themselves (their own inner product is exactly the k-th best — the
 /// screen threshold lands *on* a candidate), scaled rows, the zero query
-/// (degenerate symmetric quantizer), and a constant query.
+/// (degenerate symmetric quantizer), and a constant query — over clustered
+/// rows, where the rows of the far clusters are long queries (column pass)
+/// and everything scaled down is a short one (annulus path).
 #[test]
 fn boundary_queries_are_bit_identical() {
     let d = 16;
-    let data = skewed_data(500, d, 404);
+    let data = clustered(10, 50, d, 404);
     let (tiered, plain) = build_pair(&data, 4096, 404);
     let mut sa = SearchScratch::new();
     let mut sb = SearchScratch::new();
@@ -233,14 +243,18 @@ fn rows_spanning_pages_under_a_mask_are_bit_identical() {
     let mut sides = Sides::default();
     let mut screened = 0;
     for seed in [5u64, 6, 7] {
-        let data = skewed_data(n, d, seed);
+        let data = clustered(10, n / 10, d, seed);
         let (tiered, plain) = build_pair(&data, 64, seed);
         let mut sa = SearchScratch::new();
         let mut sb = SearchScratch::new();
         let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x5EED);
         for (qi, k) in [1usize, 5, 16, n - dead_count].into_iter().enumerate() {
-            let q: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
-            let q = if qi % 2 == 0 { q } else { short(&q) };
+            // Unit length (annulus path), or beside a far cluster's row.
+            let mut q: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
+            if qi % 2 == 1 {
+                let row = data.row(2 + rng.below(8) as usize);
+                q.iter_mut().zip(row).for_each(|(x, r)| *x += r);
+            }
             for mask in [None, Some((&dead as &dyn Fn(u64) -> bool, dead_count))] {
                 let request = || Query {
                     mask,
@@ -269,7 +283,7 @@ fn shortfall_loop_is_bit_identical() {
     let d = 12;
     // Tiny dataset + large k: the range pass almost never finds k
     // candidates, so the shortfall loop runs on most annulus-path queries.
-    let data = random_data(60, d, 77);
+    let data = clustered(6, 10, d, 77);
     let (tiered, plain) = build_pair(&data, 64, 77);
     let mut sa = SearchScratch::new();
     let mut sb = SearchScratch::new();
@@ -290,6 +304,54 @@ fn shortfall_loop_is_bit_identical() {
         }
     }
     sides.assert_both("shortfall");
+}
+
+/// Head codes: clustered rows in 160 dimensions span 12 of them (plus a
+/// little noise), so the tiered index screens on 64-byte heads `Vo` — on
+/// 4 KB pages, which they fill exactly, and on 100-byte pages, where two in
+/// three straddle. Unit-length queries stay on the annulus path (bit
+/// identical to the pure-f32 twin), queries beside a far cluster's row take
+/// the column pass (the exact oracle) — and so must the two queries a head
+/// bound could get wrong: one with no component inside the head's span,
+/// whose every inner product comes from the tails, and the zero query.
+#[test]
+fn head_codes_keep_both_paths_contracts() {
+    let (clusters, per, d) = (12usize, 50usize, 160usize);
+    let mut sides = Sides::default();
+    let mut screened = 0;
+    for (seed, page_size) in [(31u64, 4096usize), (32, 100)] {
+        let data = clustered(clusters, per, d, seed);
+        let (tiered, plain) = build_pair(&data, page_size, seed);
+        let basis = tiered.idistance().head().expect("rank-12 rows get a head");
+        assert_eq!(tiered.idistance().code_width(), 64);
+        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x5EED);
+        let mut gaussian = || -> Vec<f32> { (0..d).map(|_| rng.normal() as f32).collect() };
+
+        let mut queries: Vec<Vec<f32>> = (0..6).map(|_| gaussian()).collect();
+        for c in 2..8 {
+            let mut q = gaussian();
+            q.iter_mut().zip(data.row(c)).for_each(|(x, r)| *x += r);
+            queries.push(q);
+        }
+        let tail_only = without_head(basis, &gaussian());
+        queries.push(tail_only.iter().map(|x| 200.0 * x).collect());
+        queries.push(tail_only);
+        queries.push(vec![0.0; d]);
+
+        let mut sa = SearchScratch::new();
+        let mut sb = SearchScratch::new();
+        for (qi, q) in queries.iter().enumerate() {
+            for k in [1usize, 10] {
+                let a = tiered.search_with_scratch(q, k, &mut sa).unwrap();
+                let b = plain.search_with_scratch(q, k, &mut sb).unwrap();
+                let what = format!("ps={page_size}, query {qi}, k={k}");
+                sides.check(&data, &Query::new(q, k), &a, &b, &what);
+                screened += a.screened;
+            }
+        }
+    }
+    sides.assert_both("head codes");
+    assert!(screened > 0, "the screen never fired — the tier is inert");
 }
 
 /// Batch search must equal sequential search item-for-item with the tier

@@ -1,4 +1,5 @@
-//! The three generator families.
+//! The three generator families, and two synthetic shapes for tests and
+//! microbenchmarks (low rank plus noise; tight clusters).
 //!
 //! Each generator is deterministic in its seed and produces an
 //! `(n × d)` matrix. See DESIGN.md §3 for why each family is a faithful
@@ -135,6 +136,60 @@ pub fn sift_histogram(n: usize, d: usize, seed: u64) -> Matrix {
         }
     }
     Matrix::from_vec(n, d, out)
+}
+
+/// Rows inside a `rank`-dimensional subspace of `d` dimensions (Gaussian
+/// mixing directions, unit Gaussian latents) plus `noise`·N(0, 1) per
+/// coordinate — a spectrum with a knee, for everything that orders
+/// coordinates by energy. With `d ≥ 128` and `rank ≤ 64` the verification
+/// codes of an index over such rows are a 64-byte head as long as the noise
+/// leaves at most a fiftieth of the energy outside it (roughly
+/// `0.87·(d − 64)·noise²` against `rank·d + d·noise²`): for d = 160 and
+/// rank 20, up to `noise ≈ 0.9`.
+pub fn low_rank(n: usize, d: usize, rank: usize, noise: f64, seed: u64) -> Matrix {
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    let mix: Vec<Vec<f64>> = (0..rank)
+        .map(|_| (0..d).map(|_| rng.normal()).collect())
+        .collect();
+    Matrix::from_rows(
+        d,
+        (0..n).map(|_| {
+            let mut row = vec![0.0f64; d];
+            for m in &mix {
+                let z = rng.normal();
+                row.iter_mut().zip(m).for_each(|(o, w)| *o += z * w);
+            }
+            row.iter()
+                .map(|x| (x + noise * rng.normal()) as f32)
+                .collect::<Vec<f32>>()
+        }),
+    )
+}
+
+/// `clusters` tight, well-separated clusters of `per` rows each (row `i` in
+/// cluster `i % clusters`), the first two near the origin: Quick-Probe
+/// locates a small-norm point, so the ball of a unit-length query meets a
+/// tenth of the sub-partitions or so and the query stays on the annulus
+/// path, while the ball of a query as long as the far clusters' centres
+/// (any row past the first two) covers most of the index and the column
+/// pass answers it.
+pub fn clustered(clusters: usize, per: usize, d: usize, seed: u64) -> Matrix {
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    let centers: Vec<Vec<f32>> = (0..clusters)
+        .map(|c| {
+            let scale = if c < 2 { 0.4 } else { 40.0 };
+            (0..d).map(|_| scale * rng.normal() as f32).collect()
+        })
+        .collect();
+    Matrix::from_rows(
+        d,
+        (0..clusters * per).map(|i| {
+            centers[i % clusters]
+                .iter()
+                .map(|x| x + 0.05 * rng.normal() as f32)
+                .collect::<Vec<f32>>()
+        }),
+    )
 }
 
 #[cfg(test)]

@@ -13,10 +13,11 @@ use std::sync::Arc;
 
 use promips_btree::BTree;
 use promips_cluster::{kmeans, KMeansConfig};
-use promips_linalg::{dist, Matrix};
+use promips_linalg::{dist, sq_norm2, Matrix};
 use promips_storage::Pager;
 
 use crate::config::IDistanceConfig;
+use crate::head::HeadBasis;
 use crate::index::IDistanceIndex;
 use crate::layout::{enc, RegionWriter};
 use crate::meta::{OrigQuant, PartitionMeta, SubPartMeta, SubPartQuant};
@@ -37,6 +38,15 @@ pub fn build_index(
     let n = proj.rows();
     let m = proj.cols();
     let d = orig.cols();
+
+    // The verification codes' head basis, if the rows have one. Estimated
+    // before anything else is allocated: its sample matrices are the
+    // build's largest transients after the inputs, and freed here they do
+    // not add to its peak.
+    let head = config
+        .verify_quantize
+        .then(|| HeadBasis::estimate(orig, config.seed))
+        .flatten();
 
     // --- Stage 1: kp-means over the projected points. --------------------
     let all: Vec<usize> = (0..n).collect();
@@ -210,22 +220,40 @@ pub fn build_index(
     }
 
     // --- Packed SQ8 verification-quant region. ------------------------------
-    // Same scheme over the **original** d-dim rows: one affine quantizer per
-    // sub-partition, d code bytes per record in original-region order. The
-    // verification screen needs two bounds per sub-partition — max ‖x − x̂‖
-    // (data-side error) and max ‖x̂‖ (the factor on the query-side error) —
-    // both computed exactly here in f64 and rounded up into f32.
+    // Same scheme over the **original** rows: one affine quantizer per
+    // sub-partition, one code row per record in original-region order. When
+    // the rows' energy sits in few directions the coded row is the `h`-dim
+    // head `Vo` ([`HeadBasis`]), else the d-dim row itself. The screen needs
+    // the bounds of [`OrigQuant`] per sub-partition — max ‖x − x̂‖, max ‖x̂‖
+    // over the coded rows `x`, and max ‖o − Vᵀ(Vo)‖ for a head — all
+    // computed here in f64 and rounded up into f32. Heads are projected one
+    // sub-partition at a time: the only transient is that sub-partition's.
     let mut vquants: Vec<OrigQuant> = Vec::new();
     let mut vquant_region = None;
     if config.verify_quantize {
+        let w = head.as_ref().map_or(d, HeadBasis::width);
         vquants.reserve(defs.len());
         let mut writer = RegionWriter::new(&pager);
-        let mut rec = Vec::with_capacity(d);
+        let mut rec = Vec::with_capacity(w);
+        let mut heads: Vec<f32> = Vec::new();
         for def in &defs {
+            let mut tail_max = 0.0f64;
+            if let Some(basis) = &head {
+                heads.resize(def.ids.len() * w, 0.0);
+                for (&id, out) in def.ids.iter().zip(heads.chunks_exact_mut(w)) {
+                    let o = orig.row(id);
+                    let head_sq = basis.project(o, out);
+                    tail_max = tail_max.max(basis.residual_bound(sq_norm2(o), head_sq));
+                }
+            }
+            let coded = |slot: usize| match &head {
+                Some(_) => &heads[slot * w..(slot + 1) * w],
+                None => orig.row(def.ids[slot]),
+            };
             let mut lo = f32::INFINITY;
             let mut hi = f32::NEG_INFINITY;
-            for &id in &def.ids {
-                for &x in orig.row(id) {
+            for slot in 0..def.ids.len() {
+                for &x in coded(slot) {
                     lo = lo.min(x);
                     hi = hi.max(x);
                 }
@@ -235,11 +263,11 @@ pub fn build_index(
             let mut err_sq_max = 0.0f64;
             let mut xnorm_sq_max = 0.0f64;
             let mut first = None;
-            for &id in &def.ids {
+            for slot in 0..def.ids.len() {
                 rec.clear();
                 let mut err_sq = 0.0f64;
                 let mut xnorm_sq = 0.0f64;
-                for &x in orig.row(id) {
+                for &x in coded(slot) {
                     let code = ((x - lo) * inv_scale).round().clamp(0.0, 255.0) as u8;
                     rec.push(code);
                     let xhat = lo as f64 + scale as f64 * code as f64;
@@ -256,10 +284,11 @@ pub fn build_index(
                 off: first.expect("sub-partition is non-empty"),
                 scale,
                 min: lo,
-                // Round both f32 narrowings up so the stored bounds stay
+                // Round the f32 narrowings up so the stored bounds stay
                 // upper bounds (1e-6 relative dwarfs the f32 epsilon).
                 err: (err_sq_max.sqrt() * (1.0 + 1e-6)) as f32,
                 xnorm: (xnorm_sq_max.sqrt() * (1.0 + 1e-6)) as f32,
+                tail: (tail_max * (1.0 + 1e-6)) as f32,
             });
         }
         vquant_region = Some(writer.finish()?);
@@ -299,6 +328,7 @@ pub fn build_index(
         subparts,
         quants,
         vquants,
+        head,
         n as u64,
     );
     index.write_footer()?;

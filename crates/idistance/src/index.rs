@@ -4,9 +4,10 @@ use std::io;
 use std::sync::Arc;
 
 use promips_btree::BTree;
-use promips_linalg::{dist, dot4_i8, dot_i8, prefetch, sq_dist_col, sq_dist_col_i8};
+use promips_linalg::{dist, dot4_i8, dot_col_i8, dot_i8, sq_dist_col, sq_dist_col_i8};
 use promips_storage::{AccessStatsSnapshot, PageBuf, PageId, Pager};
 
+use crate::head::HeadBasis;
 use crate::knn::NnIter;
 use crate::layout::{enc, read_blob, read_blob_range, write_blob};
 use crate::meta::{OrigQuant, PartitionMeta, SubPartMeta, SubPartQuant};
@@ -17,7 +18,9 @@ pub type Region = (PageId, u64);
 /// The one on-disk format. The footer has 17 fixed fields, among them the
 /// SQ8 scan-code region; the SQ8 **verification** code region over the
 /// original vectors and both per-sub-partition quantizer directories ride
-/// the directory blob. A tier that was not built
+/// the directory blob, which ends — only when the verification codes are
+/// heads — with the [`HeadBasis`] (width `h`, defect `δ`, the `h·d` basis
+/// floats behind their count) and one residual bound per sub-partition. A tier that was not built
 /// ([`crate::IDistanceConfig::quantize`] /
 /// [`crate::IDistanceConfig::verify_quantize`] off) leaves
 /// [`REGION_ABSENT`] in its region slot; any other magic is rejected.
@@ -191,10 +194,6 @@ struct PageCursor<'a> {
     region_start: PageId,
     ps: usize,
     cur: Option<(u64, Arc<PageBuf>)>,
-    /// Region pages below this number are read one ahead of their turn
-    /// ([`Self::sequential`]); 0 when the cursor reads on demand only.
-    ahead_below: u64,
-    ahead: Option<(u64, Arc<PageBuf>)>,
 }
 
 impl<'a> PageCursor<'a> {
@@ -204,55 +203,16 @@ impl<'a> PageCursor<'a> {
             region_start,
             ps: pager.page_size(),
             cur: None,
-            ahead_below: 0,
-            ahead: None,
-        }
-    }
-
-    /// A cursor for one forward pass over the region's first `pages` pages:
-    /// whenever a page becomes current, the one after it is read as well —
-    /// its one logical read, a turn early — and stays pinned beside it, so
-    /// that [`run_dots`] can ask the CPU for its bytes meanwhile. A pool page
-    /// lives at an address of its own, where no hardware prefetcher follows
-    /// a pass across the page boundary. Only pages the buffer pool holds
-    /// are read early — a copy from storage lands in the CPU's caches
-    /// anyway — and the first one it does not hold ends the looking ahead,
-    /// so a pass over a region the pool cannot keep pays for one failed
-    /// lookup, not one per page.
-    fn sequential(pager: &'a Pager, region_start: PageId, pages: u64) -> Self {
-        Self {
-            ahead_below: pages,
-            ..Self::new(pager, region_start)
         }
     }
 
     /// The bytes of region page `pid`, pinned until another page is asked
     /// for: one logical read, none when it already is the current page.
     fn page(&mut self, pid: u64) -> io::Result<&[u8]> {
-        Ok(self.page_and_ahead(pid)?.0)
-    }
-
-    /// [`Self::page`], plus the bytes of the page pinned ahead, if one is.
-    fn page_and_ahead(&mut self, pid: u64) -> io::Result<(&[u8], Option<&[u8]>)> {
         if self.cur.as_ref().map(|c| c.0) != Some(pid) {
-            self.cur = if self.ahead.as_ref().map(|a| a.0) == Some(pid) {
-                self.ahead.take()
-            } else {
-                Some((pid, self.pager.read(self.region_start + pid)?))
-            };
-            if pid + 1 < self.ahead_below {
-                match self.pager.read_cached(self.region_start + pid + 1) {
-                    Some(page) => self.ahead = Some((pid + 1, page)),
-                    // A pool that does not hold the region: stop looking.
-                    None => self.ahead_below = 0,
-                }
-            }
+            self.cur = Some((pid, self.pager.read(self.region_start + pid)?));
         }
-        let cur = self.cur.as_ref().expect("page just loaded");
-        Ok((
-            cur.1.as_slice(),
-            self.ahead.as_ref().map(|a| a.1.as_slice()),
-        ))
+        Ok(self.cur.as_ref().expect("page just loaded").1.as_slice())
     }
 
     /// Calls `f` with each maximal in-page chunk of region bytes
@@ -343,23 +303,21 @@ impl OrigCursor<'_> {
 /// The verification screen's kernel loop over one *run* of SQ8 code rows,
 /// shared by [`IDistanceIndex::screen_dots`] (a group's candidate rows) and
 /// [`IDistanceIndex::screen_column`] (every row, in storage order): pushes
-/// `Σⱼ codeⱼ·qcodesⱼ` for the rows starting at region bytes `start_of(0)`,
-/// `start_of(1)`, … — as many of the `n` on offer as form one run — and
-/// returns how many that was (at least one).
+/// `Σⱼ codeⱼ·qcodesⱼ` for the `w`-byte rows starting at region bytes
+/// `start_of(0)`, `start_of(1)`, … — as many of the `n` on offer as form one
+/// run — and returns how many that was (at least one).
 ///
 /// A run is either the maximal prefix of rows lying inside the first row's
-/// page — [`dot4_i8`] four at a time and [`dot_i8`] for the last one to
-/// three, on slices of the pinned page — or, when the first row itself
-/// straddles a page boundary, that single row as the sum of its per-page
-/// partial [`dot_i8`]s (integer arithmetic, so exactly the whole row's dot).
-///
-/// When the cursor holds a page pinned ahead ([`PageCursor::sequential`] —
-/// the column pass does, the group screen does not), each [`dot4_i8`] block
-/// first [`prefetch`]es that page's bytes at the block's own offsets, so the
-/// next page streams in behind the kernel at the kernel's pace.
+/// page or, when the first row itself straddles a page boundary, that
+/// single row as the sum of its per-page partial [`dot_i8`]s (integer
+/// arithmetic, so exactly the whole row's dot). An in-page run whose rows
+/// are adjacent — every run of the column pass, and a group that asks for
+/// neighbouring records — is one [`dot_col_i8`] call on a slice of the
+/// pinned page; scattered rows go through [`dot4_i8`] four at a time and
+/// [`dot_i8`] for the last one to three.
 fn run_dots(
     pages: &mut PageCursor<'_>,
-    d: usize,
+    w: usize,
     n: usize,
     start_of: impl Fn(usize) -> usize,
     qcodes: &[i8],
@@ -368,31 +326,28 @@ fn run_dots(
     let ps = pages.ps;
     let start = start_of(0);
     let page_lo = start / ps * ps;
-    let inside = |i: usize| start_of(i) >= page_lo && start_of(i) + d <= page_lo + ps;
+    let inside = |i: usize| start_of(i) >= page_lo && start_of(i) + w <= page_lo + ps;
     let run = (0..n).take_while(|&i| inside(i)).count();
     if run == 0 {
         let (mut dot, mut at) = (0i32, 0usize);
-        pages.walk(start, d, |chunk| {
+        pages.walk(start, w, |chunk| {
             dot += dot_i8(chunk, &qcodes[at..at + chunk.len()]);
             at += chunk.len();
         })?;
         dots.push(dot);
         return Ok(1);
     }
-    let (page, ahead) = pages.page_and_ahead((page_lo / ps) as u64)?;
-    let row = |i: usize| &page[start_of(i) - page_lo..][..d];
-    let (mut i, mut asked) = (0, 0);
+    let page = pages.page((page_lo / ps) as u64)?;
+    if (1..run).all(|i| start_of(i) == start + i * w) {
+        let at = dots.len();
+        dots.resize(at + run, 0);
+        let rows = &page[start - page_lo..][..run * w];
+        dot_col_i8(rows, w, qcodes, &mut dots[at..]);
+        return Ok(run);
+    }
+    let row = |i: usize| &page[start_of(i) - page_lo..][..w];
+    let mut i = 0;
     while i + 4 <= run {
-        if let Some(next) = ahead {
-            // The last block asks for the rest of the page.
-            let upto = if i + 8 <= run {
-                (start_of(i + 4) - page_lo).max(asked)
-            } else {
-                next.len()
-            };
-            prefetch(&next[asked..upto]);
-            asked = upto;
-        }
         dots.extend(dot4_i8(row(i), row(i + 1), row(i + 2), row(i + 3), qcodes));
         i += 4;
     }
@@ -448,6 +403,9 @@ pub struct IDistanceIndex {
     /// Per-sub-partition verification quantizers, parallel to `subparts`
     /// (empty when `vquant_region` is `None`).
     vquants: Vec<OrigQuant>,
+    /// The basis the verification codes are heads under; `None` when they
+    /// cover all `d` coordinates (and always when `vquant_region` is).
+    head: Option<HeadBasis>,
     n_points: u64,
 }
 
@@ -469,6 +427,7 @@ impl IDistanceIndex {
         subparts: Vec<SubPartMeta>,
         quants: Vec<SubPartQuant>,
         vquants: Vec<OrigQuant>,
+        head: Option<HeadBasis>,
         n_points: u64,
     ) -> Self {
         debug_assert!(
@@ -502,6 +461,7 @@ impl IDistanceIndex {
             subparts,
             quants,
             vquants,
+            head,
             n_points,
         }
     }
@@ -602,6 +562,17 @@ impl IDistanceIndex {
     /// [`Self::subparts`]; empty when the verification tier is absent).
     pub fn vquants(&self) -> &[OrigQuant] {
         &self.vquants
+    }
+
+    /// The basis the verification codes are heads under, if they are.
+    pub fn head(&self) -> Option<&HeadBasis> {
+        self.head.as_ref()
+    }
+
+    /// Bytes per verification code row: the head width `h` under a
+    /// [`HeadBasis`], else `d`.
+    pub fn code_width(&self) -> usize {
+        self.head.as_ref().map_or(self.d, HeadBasis::width)
     }
 
     // --- Range search ----------------------------------------------------
@@ -1025,21 +996,23 @@ impl IDistanceIndex {
     /// The verification screen's integer inner products, computed where
     /// the rows sit: clears `dots` and pushes `Σⱼ codeⱼ·qcodesⱼ` for the SQ8
     /// verification code row at each of `offsets` in sub-partition `sub`,
-    /// in request order (`qcodes` is the `d`-long quantized query).
+    /// in request order (`qcodes` is the quantized query in the coded
+    /// space, [`Self::code_width`] long).
     ///
     /// No code byte is copied. The rows of the request that lie inside one
-    /// page go through [`dot4_i8`] (and [`dot_i8`] for the last one to
-    /// three) as slices of the pinned page; a row that straddles a page
-    /// boundary is the sum of its per-page partial [`dot_i8`]s — integer
-    /// arithmetic, so the sum is the whole row's dot exactly, whichever
-    /// kernel or grouping produced it.
+    /// page go through the integer kernels as slices of the pinned page
+    /// ([`dot_col_i8`] when they are adjacent, else [`dot4_i8`] and
+    /// [`dot_i8`]); a row that straddles a page boundary is the sum of its
+    /// per-page partial [`dot_i8`]s — integer arithmetic, so the sum is the
+    /// whole row's dot exactly, whichever kernel or grouping produced it.
     ///
     /// Page reads are those of one cursor walking the rows in request
     /// order: ascending offsets read each covering page exactly once.
     ///
     /// # Panics
     /// In every build: if the index has no verification tier
-    /// ([`Self::verify_quantized`] is false) or `qcodes.len() != d`.
+    /// ([`Self::verify_quantized`] is false) or `qcodes` is not
+    /// [`Self::code_width`] long.
     pub fn screen_dots(
         &self,
         sub: u32,
@@ -1050,12 +1023,12 @@ impl IDistanceIndex {
         let (vq_start, _) = self
             .vquant_region
             .expect("screen_dots requires the verification tier");
-        let d = self.d;
-        assert_eq!(qcodes.len(), d, "quantized query has wrong dimension");
+        let w = self.code_width();
+        assert_eq!(qcodes.len(), w, "quantized query has wrong dimension");
         let base = self.vquants[sub as usize].off as usize;
         let row_start = |o: u32| {
             debug_assert!(o < self.subparts[sub as usize].count, "offset out of range");
-            base + o as usize * d
+            base + o as usize * w
         };
         dots.clear();
         dots.reserve(offsets.len());
@@ -1065,7 +1038,7 @@ impl IDistanceIndex {
             let rest = &offsets[i..];
             i += run_dots(
                 &mut pages,
-                d,
+                w,
                 rest.len(),
                 |j| row_start(rest[j]),
                 qcodes,
@@ -1082,19 +1055,14 @@ impl IDistanceIndex {
     ///
     /// Rows are numbered as they are stored (sub-partitions in directory
     /// order, records in sub-partition order; row `i` starts at region byte
-    /// `i·d`). For each run of rows — those inside one page, or one row
+    /// `i·w`, `w` = [`Self::code_width`]). For each run of rows — those inside one page, or one row
     /// straddling a page boundary; runs cross sub-partition boundaries
     /// freely, because the integer dot depends on no quantizer — `visit`
     /// gets the run's first row number and its integer dots
     /// `Σⱼ codeⱼ·qcodesⱼ` (`dots` is the reused buffer they are computed
     /// into). The kernel loop is [`Self::screen_dots`]' own; every page of
-    /// the region is read exactly once — a page the buffer pool holds one
-    /// turn early ([`Pager::read_cached`]), so that its bytes are on their
-    /// way while the kernels work on the page before it: a query that
-    /// finds the column gone from the CPU's caches (after a burst of
-    /// writes, or a neighbour's) then runs the pass at the speed of the
-    /// memory stream rather than one page's load latency at a time.
-    /// An error from `visit` stops the pass.
+    /// the region is read exactly once. An error from `visit` stops the
+    /// pass.
     ///
     /// # Panics
     /// As [`Self::screen_dots`].
@@ -1107,14 +1075,13 @@ impl IDistanceIndex {
         let (vq_start, _) = self
             .vquant_region
             .expect("screen_column requires the verification tier");
-        let (d, n) = (self.d, self.n_points as usize);
-        assert_eq!(qcodes.len(), d, "quantized query has wrong dimension");
-        let page_count = (n * d).div_ceil(self.pager.page_size()) as u64;
-        let mut pages = PageCursor::sequential(&self.pager, vq_start, page_count);
+        let (w, n) = (self.code_width(), self.n_points as usize);
+        assert_eq!(qcodes.len(), w, "quantized query has wrong dimension");
+        let mut pages = PageCursor::new(&self.pager, vq_start);
         let mut row = 0;
         while row < n {
             dots.clear();
-            let run = run_dots(&mut pages, d, n - row, |j| (row + j) * d, qcodes, dots)?;
+            let run = run_dots(&mut pages, w, n - row, |j| (row + j) * w, qcodes, dots)?;
             visit(row as u64, dots)?;
             row += run;
         }
@@ -1192,6 +1159,14 @@ impl IDistanceIndex {
             enc::put_u32(&mut dir, self.vquants.len() as u32);
             for q in &self.vquants {
                 q.encode(&mut dir);
+            }
+        }
+        // Only a head column has anything past here: the basis, then each
+        // sub-partition's residual bound.
+        if let Some(head) = &self.head {
+            head.encode(&mut dir);
+            for q in &self.vquants {
+                enc::put_f32(&mut dir, q.tail);
             }
         }
         let dir_start = write_blob(&self.pager, &dir)?;
@@ -1290,7 +1265,7 @@ impl IDistanceIndex {
             Vec::new()
         };
         let vquant_region = region(enc::get_u64(&dir, &mut dpos), enc::get_u64(&dir, &mut dpos));
-        let vquants: Vec<OrigQuant> = if vquant_region.is_some() {
+        let mut vquants: Vec<OrigQuant> = if vquant_region.is_some() {
             let n_vquants = enc::get_u32(&dir, &mut dpos) as usize;
             if n_vquants != n_subs {
                 return Err(io::Error::new(
@@ -1305,6 +1280,23 @@ impl IDistanceIndex {
         } else {
             Vec::new()
         };
+        let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
+        let head = if vquant_region.is_some() && dpos < dir.len() {
+            let head = HeadBasis::decode(&dir, &mut dpos, d)?;
+            if (dir.len() - dpos) / 4 < vquants.len() {
+                return Err(bad("head residual bounds are truncated"));
+            }
+            for q in &mut vquants {
+                q.tail = enc::get_f32(&dir, &mut dpos);
+            }
+            Some(head)
+        } else {
+            None
+        };
+        let width = head.as_ref().map_or(d, HeadBasis::width) as u64;
+        if vquant_region.is_some_and(|(_, len)| len != n_points * width) {
+            return Err(bad("verification code region length disagrees with n·h"));
+        }
 
         let tree = BTree::open(Arc::clone(&pager), tree_root, tree_height, tree_len);
         Ok(Self::assemble(
@@ -1322,6 +1314,7 @@ impl IDistanceIndex {
             subparts,
             quants,
             vquants,
+            head,
             n_points,
         ))
     }

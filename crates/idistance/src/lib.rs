@@ -19,6 +19,39 @@
 //! vectors in parallel blobs in sub-partition order, all inside one paged
 //! file together with the single B+-tree — the paper's "lightweight index".
 //!
+//! # File layout
+//!
+//! Four packed regions (records never page-aligned, so adjacent
+//! sub-partitions share pages), in sub-partition order, then the tree, the
+//! directory blob and the footer:
+//!
+//! | region | record | bytes |
+//! |---|---|---|
+//! | projected | point id + projected vector | `8 + 4m` |
+//! | original | the f32 row | `4d` |
+//! | scan codes (optional) | SQ8 of the projected vector | `m` |
+//! | verification codes (optional) | SQ8 of the coded row | `w` |
+//!
+//! The verification code width `w` ([`IDistanceIndex::code_width`]) is
+//! chosen per index at build time ([`head`]): `d`, the row itself, unless
+//! the rows' energy sits in few directions — then the coded row is the
+//! **head** `Vo` under an `h × d` orthonormal basis `V` and `w = h`, the
+//! smallest multiple of 64 up to `min(d/2, 256)` that leaves at most 2 % of
+//! a sample's energy outside its span (64-byte rows: a 4 KB page holds 64
+//! of them and none straddles a page). Each sub-partition's [`meta::OrigQuant`]
+//! then also carries `tail`, the largest `‖o − Vᵀ(Vo)‖` among its rows,
+//! which is what lets the screen bound the coordinates it never reads.
+//!
+//! The directory blob holds the partition and sub-partition metadata, the
+//! scan quantizers, the verification region `(start page, byte length)`
+//! and its quantizers `(off, scale, min, err, xnorm)`, and — only for head
+//! codes, so that any other index's file is byte for byte what it was
+//! before heads existed — `h: u32`, the basis defect `δ: f32`, the basis
+//! length `h·d: u32`, the `h·d` basis floats, and one `tail: f32` per
+//! sub-partition. [`IDistanceIndex::open`] refuses a basis whose length
+//! disagrees with `d·h` and a code region whose length disagrees with
+//! `n·w`.
+//!
 //! Two search primitives are exposed:
 //! * [`IDistanceIndex::range_candidates`] — annulus range search in the
 //!   projected space (drives MIP-Search-II / Quick-Probe);
@@ -27,6 +60,7 @@
 
 pub mod build;
 pub mod config;
+pub mod head;
 pub mod index;
 pub mod knn;
 pub mod layout;
@@ -34,6 +68,7 @@ pub mod meta;
 
 pub use build::build_index;
 pub use config::IDistanceConfig;
+pub use head::HeadBasis;
 pub use index::{
     footer_span_pages, IDistanceIndex, IdCursor, OrigCursor, ProjScratch, RangeCandidate,
 };

@@ -87,22 +87,27 @@ impl SubPartQuant {
     }
 }
 
-/// Per-sub-partition SQ8 quantizer for **original** vectors:
-/// the sub-partition's original d-dim rows are scalar-quantized with one
-/// shared affine (`code = round((x − min) / scale)`) and stored as a dense
-/// code column in the verification-quant region, in the same record order
-/// as the original region.
+/// Per-sub-partition SQ8 quantizer for **original** vectors: the
+/// sub-partition's coded rows `x` — the original d-dim rows, or their
+/// `h`-dim heads `Vo` when the index carries a [`crate::HeadBasis`] — are
+/// scalar-quantized with one shared affine
+/// (`code = round((x − min) / scale)`) and stored as a dense code column in
+/// the verification-quant region, in the same record order as the original
+/// region.
 ///
-/// The two bounds make the verification screen exact: for any member `x`
-/// with dequantization `x̂`, Cauchy–Schwarz gives
-/// `|⟨x, q⟩ − ⟨x̂, q̂⟩| ≤ err·‖q‖ + xnorm·‖q − q̂‖`, so a candidate block
-/// whose quantized inner product plus that padding still falls below the
-/// running k-th best can be skipped without ever reading its f32 rows.
+/// The bounds make the verification screen exact: for any member's coded
+/// row `x` with dequantization `x̂`, Cauchy–Schwarz gives
+/// `|⟨x, q⟩ − ⟨x̂, q̂⟩| ≤ err·‖q‖ + xnorm·‖q − q̂‖` (`q` in the coded space),
+/// and `tail` bounds what a head leaves out of the original row (see
+/// [`crate::head`]), so a candidate block whose quantized inner product
+/// plus that padding still falls below the running k-th best can be skipped
+/// without ever reading its f32 rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrigQuant {
     /// Byte offset of this sub-partition's code rows inside the packed
-    /// verification-quant region (`count` rows of `d` bytes each, same
-    /// record order as the original region).
+    /// verification-quant region (`count` rows of
+    /// [`crate::IDistanceIndex::code_width`] bytes each, same record order
+    /// as the original region).
     pub off: u64,
     /// Quantization step (`> 0`; degenerate single-value sub-partitions
     /// store 1.0 with all codes 0).
@@ -116,6 +121,11 @@ pub struct OrigQuant {
     /// narrowed to f32) — the factor multiplying the query's own
     /// quantization error in the screen bound.
     pub xnorm: f32,
+    /// Upper bound on any member's residual `‖o − Vᵀ(Vo)‖` outside the head
+    /// (rounded up when narrowed to f32); 0 for full-width codes. Stored
+    /// with the head basis, not by [`Self::encode`]: a directory without a
+    /// basis is byte for byte what it was before heads existed.
+    pub tail: f32,
 }
 
 impl OrigQuant {
@@ -141,6 +151,7 @@ impl OrigQuant {
             min,
             err,
             xnorm,
+            tail: 0.0,
         }
     }
 }
@@ -258,6 +269,7 @@ mod tests {
             min: -2.5,
             err: 0.031,
             xnorm: 12.75,
+            tail: 0.0,
         };
         let mut buf = Vec::new();
         q.encode(&mut buf);

@@ -6,10 +6,14 @@
 //! and rows longer than several pages alike. `screen_column`, the same
 //! kernel loop run once over the whole column, must hand out the same dots
 //! in storage order, across sub-partition boundaries, reading every page
-//! of the region once.
+//! of the region once. Code rows are [`IDistanceIndex::code_width`] bytes:
+//! `d` for the isotropic rows most tests here build over, 64 for the
+//! low-rank ones of the head-column tests, whose rows fill 4 KB pages
+//! exactly.
 
 use std::sync::Arc;
 
+use promips_data::gen::low_rank;
 use promips_idistance::layout::read_blob_range;
 use promips_idistance::{build_index, IDistanceConfig, IDistanceIndex, ProjScratch};
 use promips_linalg::{dot_i8, Matrix};
@@ -52,13 +56,13 @@ fn codes_the_slow_way(idx: &IDistanceIndex, sub: u32) -> Vec<u8> {
     let count = idx.subparts()[sub as usize].count as usize;
     let (start, _) = idx.vquant_region().expect("default builds carry the tier");
     let off = idx.vquants()[sub as usize].off as usize;
-    read_blob_range(idx.pager(), start, off, count * idx.orig_dim()).unwrap()
+    read_blob_range(idx.pager(), start, off, count * idx.code_width()).unwrap()
 }
 
 /// Logical reads of the cursor `fetch_codes` used to walk the same rows
 /// with: one per page change along the rows' bytes, in request order.
 fn cursor_reads(idx: &IDistanceIndex, sub: u32, offsets: &[u32]) -> u64 {
-    let (d, ps) = (idx.orig_dim(), idx.pager().page_size());
+    let (d, ps) = (idx.code_width(), idx.pager().page_size());
     let base = idx.vquants()[sub as usize].off as usize;
     let (mut cur, mut reads) = (None, 0);
     for &o in offsets {
@@ -103,6 +107,9 @@ proptest! {
         // Fewer rows when a row is many pages long, to keep the build quick.
         let n = if d > 1_000 { 40 } else { 160 };
         let idx = build(n, d, page_size, seed);
+        // Gaussian rows, but fewer of them than coordinates when d is
+        // large: what rank they have may fit a head.
+        let d = idx.code_width();
         let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xD075);
         let qcodes: Vec<i8> = (0..d).map(|_| rng.below(256) as u8 as i8).collect();
         let mut dots = vec![7; 3]; // stale content must be cleared
@@ -158,10 +165,9 @@ proptest! {
             Err(std::io::Error::other("stop"))
         });
         prop_assert!(stopped.is_err() && visits == 1);
-        // A pool holding only the head of the column — what a pass stopped
+        // A pool holding only the start of the column — what a pass stopped
         // a third of the way in reads into an emptied pool: the next pass
-        // reads ahead while the pool has the next page and on demand from
-        // there — same dots, every page still once.
+        // hits, then misses — same dots, every page still once.
         idx.pager().clear_cache();
         let _ = idx.screen_column(&qcodes, &mut dots, |first, _| {
             if first as usize >= n / 3 {
@@ -245,4 +251,123 @@ fn stored_codes_dequantize_to_originals_within_bound() {
             );
         }
     }
+}
+
+fn build_over(orig: &Matrix, page_size: usize, seed: u64) -> IDistanceIndex {
+    let proj = random_matrix(orig.rows(), 4, seed);
+    let cfg = IDistanceConfig {
+        kp: 2,
+        nkey: 3,
+        ksp: 2,
+        ..Default::default()
+    };
+    build_index(
+        Arc::new(Pager::in_memory(page_size, 1 << 16)),
+        &proj,
+        orig,
+        &cfg,
+    )
+    .unwrap()
+}
+
+/// Page accounting at the head width: 64-byte rows fill a 4 KB page
+/// exactly, so no row straddles one, every run of the column pass is a
+/// whole page of 64 rows (the last one what is left), each region page is
+/// read once, and a group's dense request is one run per page.
+#[test]
+fn head_rows_fill_pages_exactly_and_each_page_is_read_once() {
+    let (n, d) = (1_000usize, 300usize);
+    let idx = build_over(&low_rank(n, d, 48, 0.0, 21), 4_096, 22);
+    assert_eq!(idx.code_width(), 64);
+    assert_eq!(idx.head().map(|basis| basis.rows().cols()), Some(d));
+    let (_, region_bytes) = idx.vquant_region().unwrap();
+    assert_eq!(region_bytes, (n * 64) as u64);
+    let pages = (n * 64).div_ceil(4_096) as u64;
+
+    let mut rng = Xoshiro256pp::seed_from_u64(23);
+    let qcodes: Vec<i8> = (0..64).map(|_| rng.below(256) as u8 as i8).collect();
+    let mut want: Vec<i32> = Vec::new();
+    for sub in 0..idx.subparts().len() as u32 {
+        let codes = codes_the_slow_way(&idx, sub);
+        want.extend(codes.chunks_exact(64).map(|row| naive_dot(row, &qcodes)));
+    }
+    let (mut dots, mut column) = (Vec::new(), Vec::<i32>::new());
+    idx.pager().stats().reset();
+    idx.screen_column(&qcodes, &mut dots, |first, run| {
+        assert_eq!(first % 64, 0, "a run starts on a page boundary");
+        assert_eq!(
+            run.len(),
+            (n - first as usize).min(64),
+            "and is the whole page"
+        );
+        column.extend(run);
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(column, want);
+    assert_eq!(idx.access_stats().logical_reads, pages);
+
+    // A group asking for every record: the pages its rows sit on, once.
+    for sub in 0..idx.subparts().len() as u32 {
+        let count = idx.subparts()[sub as usize].count;
+        let offsets: Vec<u32> = (0..count).collect();
+        idx.pager().stats().reset();
+        idx.screen_dots(sub, &offsets, &qcodes, &mut dots).unwrap();
+        let first_byte = idx.vquants()[sub as usize].off as usize;
+        let last_byte = first_byte + count as usize * 64 - 1;
+        assert_eq!(
+            idx.access_stats().logical_reads,
+            (last_byte / 4_096 - first_byte / 4_096 + 1) as u64
+        );
+    }
+}
+
+/// Head codes dequantize to the rows' heads `Vo` within the sub-partition's
+/// recorded bounds, and what the head leaves out of a row — computed the
+/// long way, `o − Vᵀ(Vo)` — is within the recorded `tail`: the three
+/// inequalities the head screen's padding rests on. With noise, so that
+/// the tails are the data's and not rounding.
+#[test]
+fn head_codes_dequantize_to_projected_rows_within_bounds() {
+    let (n, d) = (800usize, 160usize);
+    let orig = low_rank(n, d, 20, 0.3, 31);
+    let idx = build_over(&orig, 1_000, 32);
+    let basis = idx
+        .head()
+        .expect("rank-20 rows with little noise get a head");
+    let w = basis.width();
+    assert_eq!((w, idx.code_width()), (64, 64));
+    let mut scratch = ProjScratch::new();
+    let mut head = vec![0.0f32; w];
+    let mut tails_used = 0;
+    for sub in 0..idx.subparts().len() as u32 {
+        let vq = &idx.vquants()[sub as usize];
+        let codes = codes_the_slow_way(&idx, sub);
+        idx.read_subpart_proj_into(sub, &mut scratch).unwrap();
+        for (slot, &id) in scratch.ids().iter().enumerate() {
+            let o = orig.row(id as usize);
+            basis.project(o, &mut head);
+            let (mut err_sq, mut xnorm_sq) = (0.0f64, 0.0f64);
+            for (&a, &code) in head.iter().zip(&codes[slot * w..]) {
+                let xhat = vq.min as f64 + vq.scale as f64 * code as f64;
+                err_sq += (a as f64 - xhat) * (a as f64 - xhat);
+                xnorm_sq += xhat * xhat;
+            }
+            assert!(err_sq.sqrt() <= vq.err as f64, "sub {sub} slot {slot}: err");
+            assert!(
+                xnorm_sq.sqrt() <= vq.xnorm as f64,
+                "sub {sub} slot {slot}: xnorm"
+            );
+            let mut rest: Vec<f64> = o.iter().map(|&x| x as f64).collect();
+            for (j, &a) in head.iter().enumerate() {
+                for (r, &v) in rest.iter_mut().zip(basis.rows().row(j)) {
+                    *r -= a as f64 * v as f64;
+                }
+            }
+            let residual = rest.iter().map(|r| r * r).sum::<f64>().sqrt();
+            assert!(residual <= vq.tail as f64, "sub {sub} slot {slot}: tail");
+            tails_used += (residual > 0.5 * vq.tail as f64) as usize;
+        }
+    }
+    assert!(tails_used > 0, "the recorded tails are far from any row's");
 }

@@ -25,7 +25,8 @@
 //! | operands                                   | kernel                          |
 //! |--------------------------------------------|---------------------------------|
 //! | projected space, `m ≤ 16` floats or codes  | `sq_dist_col` / `sq_dist_col_i8`: one call per sub-partition column, rows in the vector lanes |
-//! | screen, `d`-long u8 × i8 code rows         | `dot4_i8` / `dot_i8`: 64 (VNNI), 32 (BW) or 16 (AVX2) codes per step, masked or overlapped tail |
+//! | screen, a run of contiguous `w`-code rows  | `dot_col_i8`: `w` = 64 or 128 on AVX-512 — sixteen rows per step and per store; otherwise `dot4_i8` over every four rows |
+//! | screen, scattered u8 × i8 code rows        | `dot4_i8` / `dot_i8`: 64 (VNNI), 32 (BW) or 16 (AVX2) codes per step, masked or overlapped tail |
 //! | verification, `d`-long f32 rows            | `dot4` / `dot`: widened `f64` FMA lanes |
 //!
 //! ## Numerical contract
@@ -76,6 +77,11 @@ pub type SqDistColFn = fn(&[f32], usize, &[f32], &mut [f64]);
 /// — exact quantized squared distances of every `m`-code row to `q`.
 pub type SqDistColI8Fn = fn(&[u8], usize, &[u8], &mut [u32]);
 
+/// Signature of the screen's column kernel (`dot_col_i8`): `(rows, w, q,
+/// out)` — exact quantized inner products of every `w`-code u8 row with the
+/// i8 query `q`.
+pub type DotColI8Fn = fn(&[u8], usize, &[i8], &mut [i32]);
+
 /// The dispatch table: one entry per kernel.
 #[derive(Clone, Copy)]
 pub struct Kernels {
@@ -104,6 +110,8 @@ pub struct Kernels {
     pub sq_dist_col: SqDistColFn,
     /// Quantized squared distances of a whole u8 code column.
     pub sq_dist_col_i8: SqDistColI8Fn,
+    /// Quantized inner products of a whole u8 code column (u8 × i8).
+    pub dot_col_i8: DotColI8Fn,
 }
 
 /// The portable table (also the fallback backend).
@@ -120,6 +128,7 @@ pub static SCALAR: Kernels = Kernels {
     dot_i8: scalar::dot_i8,
     sq_dist_col: scalar::sq_dist_col,
     sq_dist_col_i8: scalar::sq_dist_col_i8,
+    dot_col_i8: scalar::dot_col_i8,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -136,6 +145,7 @@ static AVX2: Kernels = Kernels {
     dot_i8: crate::x86::dot_i8,
     sq_dist_col: crate::x86::sq_dist_col,
     sq_dist_col_i8: crate::x86::sq_dist_col_i8,
+    dot_col_i8: crate::x86::dot_col_i8,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -156,6 +166,7 @@ static AVX512: Kernels = Kernels {
     dot_i8: crate::x86::dot_i8,
     sq_dist_col: crate::avx512::sq_dist_col,
     sq_dist_col_i8: crate::x86::sq_dist_col_i8,
+    dot_col_i8: crate::x86::dot_col_i8,
 };
 
 /// The avx512 table with the widest i8 kernels the host supports — BW and
@@ -169,9 +180,11 @@ fn avx512_table(vnni: bool) -> Kernels {
         k.dot4_i8 = crate::avx512::dot4_i8;
         k.dot_i8 = crate::avx512::dot_i8;
         k.sq_dist_col_i8 = crate::avx512::sq_dist_col_i8;
+        k.dot_col_i8 = crate::avx512::dot_col_i8;
         if vnni && std::arch::is_x86_feature_detected!("avx512vnni") {
             k.dot4_i8 = crate::avx512::dot4_i8_vnni;
             k.dot_i8 = crate::avx512::dot_i8_vnni;
+            k.dot_col_i8 = crate::avx512::dot_col_i8_vnni;
         }
     }
     k

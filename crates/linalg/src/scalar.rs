@@ -281,12 +281,12 @@ fn col_short_i8<const M: usize>(rows: &[u8], q: &[u8], out: &mut [u32]) {
 /// the backend's blocked kernel `k4`, the last partial block padded by
 /// repeating its final row — so every row goes through `k4`'s per-row
 /// arithmetic whatever its position or the column's length.
-pub(crate) fn col_long<T, O: Copy>(
+pub(crate) fn col_long<T, Q, O: Copy>(
     rows: &[T],
     m: usize,
-    q: &[T],
+    q: &[Q],
     out: &mut [O],
-    k4: impl Fn(&[T], &[T], &[T], &[T], &[T]) -> [O; 4],
+    k4: impl Fn(&[T], &[T], &[T], &[T], &[Q]) -> [O; 4],
 ) {
     for (block, o) in rows.chunks(4 * m).zip(out.chunks_mut(4)) {
         let row = |i: usize| {
@@ -325,4 +325,15 @@ pub fn sq_dist_col_i8(rows: &[u8], m: usize, q: &[u8], out: &mut [u32]) {
         col_short_i8(rows, q, out),
         col_long(rows, m, q, out, sq_dist4_i8)
     )
+}
+
+/// Quantized inner products `Σⱼ rowᵢⱼ·qⱼ` of every `w`-code row of the u8
+/// code column `rows` against the i8 query `q` into `out` — one call per
+/// run of contiguous code rows. Exact integer arithmetic.
+///
+/// # Panics
+/// Panics unless `q.len() == w > 0` and `rows.len() == out.len() * w`.
+pub fn dot_col_i8(rows: &[u8], w: usize, q: &[i8], out: &mut [i32]) {
+    check_col_shape(rows.len(), w, q.len(), out.len());
+    col_long(rows, w, q, out, dot4_i8)
 }

@@ -138,12 +138,30 @@ pub fn dot_i8(a: &[u8], b: &[i8]) -> i32 {
     (kernels().dot_i8)(a, b)
 }
 
+/// Quantized inner products `Σⱼ rowᵢⱼ·qⱼ` of every `w`-code row of the u8
+/// code column `rows` against the i8 query `q` into `out` — the
+/// verification screen's kernel over a run of contiguous code rows, one
+/// dispatch per run. When `w` is 64 or 128 (rows are one or two whole cache
+/// lines — the widths of a head column) the AVX-512 tiers take sixteen rows
+/// per step, each step's query codes loaded once, and reduce the sixteen
+/// sums in one transposing pass with one store; any other width is
+/// [`dot4_i8`] over every four rows.
+///
+/// Exact integer arithmetic: every backend returns [`dot_i8`]'s sums. Same
+/// length bound as [`sq_dist4_i8`].
+///
+/// # Panics
+/// Panics unless `q.len() == w > 0` and `rows.len() == out.len() * w`.
+#[inline]
+pub fn dot_col_i8(rows: &[u8], w: usize, q: &[i8], out: &mut [i32]) {
+    (kernels().dot_col_i8)(rows, w, q, out)
+}
+
 /// Asks the CPU to start loading every cache line of `data` — a hint for a
 /// reader that knows which memory it will want a few hundred nanoseconds
 /// from now and whose next block the hardware prefetcher cannot guess (the
-/// next buffer-pool page of a sequential pass, the next heap row of an
-/// overlay: each lives at an address of its own). Never changes a result;
-/// does nothing off x86-64.
+/// next heap row of an overlay, at an address of its own). Never changes a
+/// result; does nothing off x86-64.
 #[inline]
 pub fn prefetch<T>(data: &[T]) {
     #[cfg(target_arch = "x86_64")]
@@ -471,6 +489,40 @@ mod tests {
                     let mut got = vec![u32::MAX; n];
                     (k.sq_dist_col_i8)(&rows, m, &q, &mut got);
                     prop_assert_eq!(&got, &want, "backend {} m {} n {}", k.name, m, n);
+                }
+            }
+
+            /// The screen's column kernel is exact on every backend: widths
+            /// that are whole cache lines (the sixteen-row bodies) and
+            /// widths that are not (the blocked loop), row counts covering
+            /// every remainder of sixteen and of four, and the extreme
+            /// codes a saturating multiply-add gets wrong.
+            #[test]
+            fn dot_col_i8_parity(
+                w_pick in 0usize..5,
+                n in 0usize..70,
+                seed in 0u64..1 << 32,
+                extreme in 0usize..3,
+            ) {
+                let w = [64usize, 128, 192, 300, 5][w_pick];
+                let mut rng = proptest::test_runner::TestRng::from_name(&format!("dotcol-{seed}"));
+                let mut code = |signed: bool| -> u8 {
+                    let r = rng.below(256) as u8;
+                    match (extreme, signed) {
+                        (0, _) => r,
+                        (1, false) => if r & 1 == 0 { 255 } else { 0 },
+                        (1, true) => if r & 2 == 0 { 127 } else { 0x81 },
+                        (_, false) => 255,
+                        (_, true) => if r & 1 == 0 { 127 } else { 0x81 },
+                    }
+                };
+                let rows: Vec<u8> = (0..n * w).map(|_| code(false)).collect();
+                let q: Vec<i8> = (0..w).map(|_| code(true) as i8).collect();
+                let want: Vec<i32> = rows.chunks_exact(w).map(|r| scalar::dot_i8(r, &q)).collect();
+                for k in available_backends() {
+                    let mut got = vec![i32::MIN; n];
+                    (k.dot_col_i8)(&rows, w, &q, &mut got);
+                    prop_assert_eq!(&got, &want, "backend {} w {} n {}", k.name, w, n);
                 }
             }
 

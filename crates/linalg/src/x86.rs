@@ -589,3 +589,10 @@ pub(crate) fn sq_dist_col_i8(rows: &[u8], m: usize, q: &[u8], out: &mut [u32]) {
         _ => col_long(rows, m, q, out, sq_dist4_i8),
     }
 }
+
+/// The screen's column kernel: the blocked [`dot4_i8`] over every four rows
+/// — the 256-bit tier has no wider reduction to offer a whole column.
+pub(crate) fn dot_col_i8(rows: &[u8], w: usize, q: &[i8], out: &mut [i32]) {
+    check_col_shape(rows.len(), w, q.len(), out.len());
+    col_long(rows, w, q, out, dot4_i8)
+}

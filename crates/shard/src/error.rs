@@ -3,7 +3,7 @@
 //! The fan-out used to ride plain `io::Result`: the first shard failure
 //! aborted the whole query with whatever `io::Error` the shard produced,
 //! and there was no way to tell a storage fault from an expired deadline,
-//! a cancelled query, or a crashed worker. [`QueryError`] names the four
+//! a cancelled query, or a crashed worker. [`QueryError`] names the
 //! ways a sharded search can refuse to answer — and [`ShardError`] pins a
 //! shard-level failure to the shard that produced it — so a serving layer
 //! can route each one differently: retry elsewhere on
@@ -102,6 +102,10 @@ pub enum QueryError {
     /// already running against a limit of `limit`. Purely a load
     /// condition — retrying after backoff is reasonable.
     Overloaded { in_flight: usize, limit: usize },
+    /// The request itself cannot be answered: a query vector whose `‖q‖²`
+    /// is not finite (a NaN, infinite or overflowing coordinate) has no
+    /// inner-product order to return.
+    InvalidInput(&'static str),
     /// A shard failed and the policy said not to degrade (or every shard
     /// failed).
     Shard(ShardError),
@@ -116,6 +120,7 @@ impl fmt::Display for QueryError {
                 f,
                 "query shed by admission control: {in_flight} in flight, limit {limit}"
             ),
+            Self::InvalidInput(why) => write!(f, "invalid query: {why}"),
             Self::Shard(e) => write!(f, "{e}"),
         }
     }
@@ -146,14 +151,15 @@ impl From<ShardError> for QueryError {
 impl From<QueryError> for io::Error {
     /// Kind mapping for callers on the plain `io::Result` search paths:
     /// deadline → `TimedOut`, overload → `WouldBlock` (both retryable
-    /// conditions under [`promips_storage::retry`]'s transiency rules),
-    /// shard IO keeps the underlying kind. The typed error stays
+    /// conditions under [`promips_storage::retry`]'s transiency rules), a
+    /// refused request → `InvalidInput`, shard IO keeps the underlying kind. The typed error stays
     /// downcastable via [`io::Error::get_ref`].
     fn from(e: QueryError) -> Self {
         let kind = match &e {
             QueryError::DeadlineExceeded => io::ErrorKind::TimedOut,
             QueryError::Cancelled => io::ErrorKind::Other,
             QueryError::Overloaded { .. } => io::ErrorKind::WouldBlock,
+            QueryError::InvalidInput(_) => io::ErrorKind::InvalidInput,
             QueryError::Shard(se) => match &se.kind {
                 ShardErrorKind::Io(inner) => inner.kind(),
                 ShardErrorKind::DeadlineExceeded => io::ErrorKind::TimedOut,

@@ -135,17 +135,15 @@ fn cancellation_stops_either_path_within_a_stride_of_work() {
     use std::cell::Cell;
 
     let (n, d, k) = (3_000usize, 24usize, 10usize);
-    // Every fiftieth row shrunk, so Quick-Probe has small-norm points to
-    // locate: the full-length query's ball covers most of the index (column
-    // pass), the short one's well under half (annulus path) — checked.
-    let mut data = random_data(n, d, 17);
-    for i in (0..n).step_by(50) {
-        data.row_mut(i).iter_mut().for_each(|x| *x *= 0.05);
-    }
+    // Thirty tight clusters, two of them near the origin, so Quick-Probe
+    // has small-norm points to locate: the ball of a query beside a far
+    // cluster's row covers most of the index (column pass), a unit-length
+    // query's under a quarter (annulus path) — checked.
+    let data = promips_data::gen::clustered(30, n / 30, d, 17);
     let index = ProMips::build_in_memory(&data, ProMipsConfig::builder().seed(19).build()).unwrap();
     let idist = index.idistance();
-    let full = &random_queries(1, d, 23)[0];
-    let short: Vec<f32> = full.iter().map(|x| 0.1 * x).collect();
+    let short = &random_queries(1, d, 23)[0];
+    let full: Vec<f32> = short.iter().zip(data.row(7)).map(|(x, r)| x + r).collect();
     let stride = BudgetChecker::DEFAULT_STRIDE as u64;
     // The largest unit of work on each path, in rows.
     let run_rows = idist.pager().page_size().div_ceil(d) as u64;

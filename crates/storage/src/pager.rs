@@ -267,16 +267,6 @@ impl Pager {
         Ok(page)
     }
 
-    /// [`Pager::read`] if the buffer pool can serve it — one logical read —
-    /// and `None`, with nothing read and nothing counted, if it cannot. For
-    /// a reader that wants a page early only to warm the CPU's caches with
-    /// it: a page that has to come from storage arrives in them anyway.
-    pub fn read_cached(&self, id: PageId) -> Option<Arc<PageBuf>> {
-        let page = self.pool.get(id)?;
-        self.stats.record_read();
-        Some(page)
-    }
-
     /// Writes a page through to storage (write-through; the cached copy is
     /// replaced so readers never observe stale data).
     pub fn write(&self, id: PageId, buf: PageBuf) -> io::Result<()> {
@@ -377,15 +367,6 @@ mod tests {
         let snap = pager.stats().snapshot();
         assert_eq!(snap.logical_reads, 2);
         assert_eq!(snap.cache_misses, 1);
-
-        // `read_cached`: a read when the pool holds the page, nothing when
-        // it does not — no storage read, no count, no pool entry.
-        assert_eq!(pager.read_cached(id).unwrap().as_slice()[7], 9);
-        pager.clear_cache();
-        assert!(pager.read_cached(id).is_none());
-        assert!(pager.read_cached(id).is_none());
-        let snap = pager.stats().snapshot();
-        assert_eq!((snap.logical_reads, snap.cache_misses), (3, 1));
     }
 
     #[test]
