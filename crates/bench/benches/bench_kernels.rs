@@ -10,24 +10,19 @@
 //! `BENCH_kernels.json` in the working directory; override with
 //! `PROMIPS_BENCH_OUT`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use promips_bench::micro::{ns_per_op, Json, MicroBench};
 use promips_core::{ProMips, ProMipsConfig, SearchScratch};
 use promips_data::ground_truth::exact_topk_batch;
-use promips_idistance::layout::{enc, read_blob_range};
 use promips_idistance::{build_index, IDistanceConfig, ProjScratch, RangeCandidate};
 use promips_linalg::dispatch::available_backends;
-use promips_linalg::{
-    active_backend, dist, dot, norm1, scalar, sq_dist, sq_dist4_i8, sq_norm2, Matrix,
-};
+use promips_linalg::{active_backend, dot, norm1, scalar, sq_dist, sq_dist4_i8, sq_norm2, Matrix};
 use promips_shard::{
-    CompactionPolicy, DegradationPolicy, QueryBudget, QueryError, ShardedConfig, ShardedProMips,
-    ShardedQuery, ShardedScratch, ShardedSearchResult, SyncPolicy,
+    DegradationPolicy, QueryBudget, QueryError, ShardedConfig, ShardedProMips, ShardedQuery,
+    ShardedScratch, ShardedSearchResult,
 };
 use promips_stats::Xoshiro256pp;
-use promips_storage::durability::faults;
 use promips_storage::{AccessStats, MemStorage, PageBuf, Pager};
 
 const D: usize = 128;
@@ -331,142 +326,6 @@ fn main() {
     println!("kernel backend: {backend}");
     let mut b = MicroBench::new();
 
-    // --- observability overhead ---------------------------------------------
-    // The same sharded query under three observation regimes: the timing
-    // kill-switch off (no clock reads, no latency histograms — the
-    // baseline), the default instrumented path, and full per-query
-    // tracing. The acceptance bar is the default path within 2% of the
-    // baseline; tracing is opt-in and may cost more. This section runs
-    // FIRST: the regimes differ by ~1%, and ten minutes of prior bench
-    // sections leave enough thermal/allocator residue to swamp that.
-    let obs_n = 4_000usize;
-    let obs_d = 32usize;
-    let obs_k = 10usize;
-    println!("\nobservability overhead ({obs_n} rows, d = {obs_d}):");
-    let obs_cfg = ShardedConfig::builder()
-        .shards(3)
-        .base(ProMipsConfig::builder().c(0.9).p(0.5).seed(97).build())
-        .build();
-    let obs_data = promips_data::gen::norm_skewed(obs_n, obs_d, 91);
-    let obs_idx = ShardedProMips::build_in_memory(&obs_data, obs_cfg).expect("build");
-    let obs_scratch = ShardedScratch::for_index(&obs_idx);
-    let obs_nq = 16usize;
-    let obs_queries = random_matrix(obs_nq, obs_d, 505);
-    promips_obs::slow::configure(u64::MAX, 0); // keep the traced loop log-free
-
-    // The three regimes differ by well under the run-to-run drift of a
-    // ~200 us query, so measuring them as three back-to-back ns_per_op
-    // blocks would attribute frequency/scheduler drift between blocks to
-    // the instrumentation. Instead: calibrate one rep size, then
-    // interleave the regimes round-robin and keep each regime's fastest
-    // rep — drift hits all three equally and the min filters it out.
-    let run_query = |traced: bool, i: usize| -> usize {
-        let q = obs_queries.row(i % obs_nq);
-        if traced {
-            obs_idx
-                .search_traced_threaded(q, obs_k, 1, &obs_scratch)
-                .unwrap()
-                .0
-                .items
-                .len()
-        } else {
-            obs_idx
-                .search_threaded(q, obs_k, 1, &obs_scratch)
-                .unwrap()
-                .items
-                .len()
-        }
-    };
-    let rep_iters = {
-        let warm = std::time::Instant::now();
-        for i in 0..(2 * obs_nq) {
-            std::hint::black_box(run_query(false, i));
-        }
-        let per_call = warm.elapsed().as_secs_f64() / (2 * obs_nq) as f64;
-        ((0.015 / per_call).ceil() as u64).max(obs_nq as u64)
-    };
-    // (timing, traced, sample_every, aggregator) per regime; the order
-    // rotates every round so any periodic interference spreads evenly.
-    // The last two regimes are the serving defaults under test: 1-in-64
-    // sampled tracing, then sampling plus a live background aggregator
-    // ticking the windowed-metrics ring (at an aggressive 5 ms cadence —
-    // 200x the production 1 s default, so the bar is conservative).
-    let regimes: [(bool, bool, u64, bool); 5] = [
-        (false, false, 0, false), // kill-switch baseline
-        (true, false, 0, false),  // default instrumented path
-        (true, true, 0, false),   // explicit per-query tracing
-        (true, false, 64, false), // + 1-in-64 sampled tracing
-        (true, false, 64, true),  // + background aggregator
-    ];
-    let rep = |(timing, traced, sample_every, aggregator): (bool, bool, u64, bool)| -> f64 {
-        promips_obs::set_timing_enabled(timing);
-        promips_obs::sampling::set_sample_every(sample_every);
-        let agg = aggregator.then(|| {
-            promips_obs::window::start_global_aggregator(std::time::Duration::from_millis(5))
-                .expect("spawn aggregator")
-        });
-        let start = std::time::Instant::now();
-        for i in 0..rep_iters {
-            std::hint::black_box(run_query(traced, i as usize));
-        }
-        let ns = start.elapsed().as_secs_f64() * 1e9 / rep_iters as f64;
-        drop(agg);
-        promips_obs::set_timing_enabled(true);
-        promips_obs::sampling::set_sample_every(0);
-        ns
-    };
-    let mut mins = [f64::INFINITY; 5];
-    for round in 0..24 {
-        for j in 0..regimes.len() {
-            let ri = (round + j) % regimes.len();
-            mins[ri] = mins[ri].min(rep(regimes[ri]));
-        }
-    }
-    let (untimed_ns, timed_ns, traced_ns, sampled_ns, aggregated_ns) =
-        (mins[0], mins[1], mins[2], mins[3], mins[4]);
-    promips_obs::slow::configure(0, 16);
-    promips_obs::sampling::set_sample_every(promips_obs::sampling::DEFAULT_SAMPLE_EVERY);
-    let pct = |ns: f64| (ns - untimed_ns) / untimed_ns * 100.0;
-    let obs_overhead_pct = pct(timed_ns);
-    let traced_overhead_pct = pct(traced_ns);
-    let sampling_overhead_pct = pct(sampled_ns);
-    let aggregator_overhead_pct = pct(aggregated_ns);
-    println!(
-        "  timing off {untimed_ns:.0} ns, on {timed_ns:.0} ns ({obs_overhead_pct:+.2}%), \
-         traced {traced_ns:.0} ns ({traced_overhead_pct:+.2}%)"
-    );
-    println!(
-        "  sampled(1/64) {sampled_ns:.0} ns ({sampling_overhead_pct:+.2}%), \
-         + aggregator {aggregated_ns:.0} ns ({aggregator_overhead_pct:+.2}%)"
-    );
-    drop(obs_idx);
-    drop(obs_scratch);
-
-    // --- windowed metrics ---------------------------------------------------
-    // Fixed costs of the aggregation tier itself: one tick (registry
-    // snapshot + saturating diff + ring push) and one 60 s window merge
-    // over a full 64-interval ring.
-    println!("\nwindowed metrics:");
-    let win_reg = promips_obs::Registry::new();
-    for i in 0..1000u64 {
-        win_reg.counter(promips_obs::CounterId::Queries).inc();
-        win_reg
-            .histogram(promips_obs::HistoId::QueryLatencyNs)
-            .record(i * 997);
-    }
-    let win = promips_obs::MetricsWindow::new();
-    win.tick(&win_reg); // baseline
-    let window_tick_ns = ns_per_op(|| {
-        win.tick(std::hint::black_box(&win_reg));
-        0.0
-    });
-    // The ring is full (capacity 64) after the calibration above; merge
-    // the whole thing.
-    let window_merge_ns = ns_per_op(|| {
-        std::hint::black_box(win.window(promips_obs::window::HORIZON_60S).intervals as f64)
-    });
-    println!("  tick {window_tick_ns:.0} ns, 60s window merge {window_merge_ns:.0} ns");
-
     // --- kernels at d = 128 -------------------------------------------------
     let am = random_matrix(ROWS, D, 7);
     let cm = random_matrix(ROWS, D, 8);
@@ -664,12 +523,10 @@ fn main() {
     });
     println!("  project_all_2000x128_to_16 (scalar rowwise): {gemm_scalar_ns:.1} ns/op");
 
-    // --- projected scan: legacy per-record decode vs arena + column kernel --
+    // --- projected scan: arena + column kernel -----------------------------
     // Sweeps every sub-partition of a realistic index with an annulus
-    // filter. The legacy shape is what `scan_subpart` shipped as before the
-    // arena: decode each record into a fresh `Vec<f32>`, then a single-row
-    // `dist` per record. The arena shape is the deployed path: one
-    // `ProjScratch` decode per sub-partition, one `sq_dist_col` call over it.
+    // filter, the deployed way: one `ProjScratch` decode per sub-partition,
+    // one `sq_dist_col` call over it.
     let scan_n = 8_000;
     let scan_m = 16;
     let scan_data = random_matrix(scan_n, scan_m, 51);
@@ -705,41 +562,7 @@ fn main() {
         }
         cands.len()
     }));
-    // The true pre-arena shape, hand-rolled (the owning decode it measures
-    // — the old read_subpart_proj — has been removed from the library):
-    // one blob read per sub-partition, one fresh Vec<f32> per record,
-    // single-row dist filter.
-    let rec_bytes = 8 + 4 * scan_m;
-    let legacy_scan_ns = per_record(ns_per_op(|| {
-        cands.clear();
-        for sub in 0..n_subs {
-            let sp = &scan_idx.subparts()[sub as usize];
-            let blob = read_blob_range(
-                scan_idx.pager(),
-                scan_idx.proj_region().0,
-                sp.proj_off as usize,
-                sp.count as usize * rec_bytes,
-            )
-            .unwrap();
-            let mut pos = 0;
-            for offset in 0..sp.count {
-                let id = enc::get_u64(&blob, &mut pos);
-                let pv = enc::get_f32s(&blob, &mut pos, scan_m);
-                let pd = dist(&pv, std::hint::black_box(&scan_q));
-                if pd > r_lo && pd <= r_hi {
-                    cands.push(RangeCandidate {
-                        id,
-                        proj_dist: pd,
-                        subpart: sub,
-                        offset,
-                    });
-                }
-            }
-        }
-        cands.len()
-    }));
     println!("  scan_arena (per record): {arena_scan_ns:.1} ns");
-    println!("  scan_legacy_decode (per record): {legacy_scan_ns:.1} ns");
 
     // --- quantized two-level scan vs pure-f32 scan --------------------------
     // The deployed annulus entry point (`range_candidates_into`) over two
@@ -932,115 +755,27 @@ fn main() {
     }) / nq as f64;
     println!("  search_batch_{threads}t (per query): {batch_ns:.1} ns");
 
-    // --- sharded fan-out: 1 / 4 / 16 norm-range shards ----------------------
+    // --- verified_rescore: SQ8 screen+rescore on the verify path ------------
     // Norm-skewed rows (log-uniform scales over ~3 decades) — the regime
     // where norm-range partitioning and Cauchy–Schwarz shard pruning bite;
     // i.i.d. Gaussian rows concentrate all norms near √d and never prune.
     let shard_data = promips_data::gen::norm_skewed(n, D, 61);
     let shard_queries = random_matrix(nq, D, 71);
-    let mut shard_rows: Vec<(String, Json)> = Vec::new();
-    let mut one_shard_ns = f64::NAN;
-    for &shards in &[1usize, 4, 16] {
-        let cfg = ShardedConfig::builder()
-            .shards(shards)
-            .base(ProMipsConfig::builder().c(0.9).p(0.5).seed(77).build())
-            .build();
-        let sharded = ShardedProMips::build_in_memory(&shard_data, cfg).expect("sharded build");
-        let scratch = ShardedScratch::for_index(&sharded);
-        let mut pruned = 0usize;
-        let mut verified = 0usize;
-        for i in 0..nq {
-            let res = sharded_search(&sharded, shard_queries.row(i), k, &scratch);
-            pruned += res.shards_pruned();
-            verified += res.verified;
-        }
-        let fan_ns = ns_per_op(|| {
-            for i in 0..nq {
-                std::hint::black_box(sharded_search(&sharded, shard_queries.row(i), k, &scratch));
-            }
-        }) / nq as f64;
-        if shards == 1 {
-            one_shard_ns = fan_ns;
-        }
-        let pruned_avg = pruned as f64 / nq as f64;
-        let verified_avg = verified as f64 / nq as f64;
-        println!(
-            "  sharded_search_{shards} (per query): {fan_ns:.1} ns  \
-             (avg {pruned_avg:.1} shards pruned, {verified_avg:.0} verified)"
-        );
-        shard_rows.push((
-            format!("shards_{shards}"),
-            Json::obj(vec![
-                ("ns_per_query", Json::Num(fan_ns)),
-                ("pruned_avg", Json::Num(pruned_avg)),
-                ("verified_avg", Json::Num(verified_avg)),
-                ("speedup_vs_1_shard", Json::Num(one_shard_ns / fan_ns)),
-            ]),
-        ));
-    }
-
-    // --- floor_tradeoff: recall vs verified count, cross_shard_floor --------
-    // The shard layer's opt-in `cross_shard_floor` mode passes the seed
-    // shard's k-th inner product into every surviving shard as a
-    // termination floor — fewer verified candidates, but the searching
-    // conditions can fire early enough to cost recall. This quantifies the
-    // trade on the same norm-skewed workload as `sharded_fanout`: recall
-    // against the exact ground truth and the average verified count, floor
-    // off vs on, at 4 and 16 shards.
     let gt = exact_topk_batch(&shard_data, &shard_queries, k, 1);
-    let mut floor_rows: Vec<(String, Json)> = Vec::new();
-    for &shards in &[4usize, 16] {
-        for &floor_on in &[false, true] {
-            let cfg = ShardedConfig::builder()
-                .shards(shards)
-                .cross_shard_floor(floor_on)
-                .base(ProMipsConfig::builder().c(0.9).p(0.5).seed(77).build())
-                .build();
-            let sharded = ShardedProMips::build_in_memory(&shard_data, cfg).expect("sharded build");
-            let scratch = ShardedScratch::for_index(&sharded);
-            let mut verified = 0usize;
-            let mut hits = 0usize;
-            for (i, truth_row) in gt.iter().enumerate() {
-                let res = sharded_search(&sharded, shard_queries.row(i), k, &scratch);
-                verified += res.verified;
-                let truth: Vec<u64> = truth_row.iter().map(|&(id, _)| id).collect();
-                hits += res.items.iter().filter(|it| truth.contains(&it.id)).count();
-            }
-            let recall = hits as f64 / (nq * k) as f64;
-            let verified_avg = verified as f64 / nq as f64;
-            let label = format!(
-                "shards_{shards}_floor_{}",
-                if floor_on { "on" } else { "off" }
-            );
-            println!(
-                "  floor_tradeoff {label}: recall {recall:.4}, avg verified {verified_avg:.0}"
-            );
-            floor_rows.push((
-                label,
-                Json::obj(vec![
-                    ("shards", Json::Num(shards as f64)),
-                    (
-                        "cross_shard_floor",
-                        Json::Str(if floor_on { "on" } else { "off" }.into()),
-                    ),
-                    ("recall", Json::Num(recall)),
-                    ("verified_avg", Json::Num(verified_avg)),
-                ]),
-            ));
-        }
-    }
-
-    // --- verified_rescore: SQ8 screen+rescore on the verify path ------------
     // The verification tier screens each candidate block with `dot4_i8`
     // against the running k-th inner product (padded by the exact
     // quantization error bound) and fetches + rescores only survivors in
-    // f32. Same skewed workload and shard counts as `floor_tradeoff`, tier
-    // off vs on: `verified_avg` is exact f32 rows read per query (the
-    // bytes the screen exists to save), `screened_fraction` is the share
-    // of candidates the integer screen retired. A shard the tiered build
-    // answers by the annulus path returns bit-identical items tier on or
-    // off, one it answers by the column pass the exact top-k — so rank by
-    // rank the tiered items are asserted at least as good on every query.
+    // f32. Tier off vs on and `cross_shard_floor` off vs on (the seed
+    // shard's k-th inner product passed into every surviving shard as a
+    // termination floor — fewer verified candidates, but the searching
+    // conditions can fire early enough to cost recall), at 4 and 16
+    // shards: `verified_avg` is exact f32 rows read per query (the bytes
+    // the screen exists to save), `screened_fraction` the share of
+    // candidates the integer screen retired, `recall` against the exact
+    // ground truth. A shard the tiered build answers by the annulus path
+    // returns bit-identical items tier on or off, one it answers by the
+    // column pass the exact top-k — so rank by rank the tiered items are
+    // asserted at least as good on every query.
     let mut rescore_rows: Vec<(String, Json)> = Vec::new();
     let mut rescore_reductions: Vec<(String, Json)> = Vec::new();
     for &shards in &[4usize, 16] {
@@ -1067,10 +802,16 @@ fn main() {
                 let scratch = ShardedScratch::for_index(&sharded);
                 let mut verified = 0usize;
                 let mut screened = 0usize;
-                for i in 0..nq {
+                let mut hits = 0usize;
+                for (i, truth) in gt.iter().enumerate() {
                     let res = sharded_search(&sharded, shard_queries.row(i), k, &scratch);
                     verified += res.verified;
                     screened += res.screened;
+                    hits += res
+                        .items
+                        .iter()
+                        .filter(|it| truth.iter().any(|&(id, _)| id == it.id))
+                        .count();
                     // The tier's contract: identical, or exact where the
                     // pure-f32 index is approximate.
                     if tier_on {
@@ -1098,6 +839,7 @@ fn main() {
                         ));
                     }
                 }) / nq as f64;
+                let recall = hits as f64 / (nq * k) as f64;
                 let verified_avg = verified as f64 / nq as f64;
                 let screened_avg = screened as f64 / nq as f64;
                 let candidates_avg = verified_avg + screened_avg;
@@ -1111,7 +853,7 @@ fn main() {
                 println!(
                     "  verified_rescore {label}: {query_ns:.0} ns/query, \
                      {verified_avg:.0} f32 rows verified, \
-                     {screened_fraction:.2} screened out"
+                     {screened_fraction:.2} screened out, recall {recall:.4}"
                 );
                 rescore_rows.push((
                     label,
@@ -1126,6 +868,7 @@ fn main() {
                             Json::Str(if tier_on { "on" } else { "off" }.into()),
                         ),
                         ("us_per_query", Json::Num(query_ns / 1e3)),
+                        ("recall", Json::Num(recall)),
                         ("verified_avg", Json::Num(verified_avg)),
                         ("screened_avg", Json::Num(screened_avg)),
                         ("screened_fraction", Json::Num(screened_fraction)),
@@ -1142,236 +885,6 @@ fn main() {
             rescore_reductions.push((rlabel, Json::Num(reduction)));
         }
     }
-
-    // --- maintenance: WAL throughput, delta drag, compaction cost -----------
-    // The durable mutation lifecycle in numbers: (1) insert throughput
-    // through the per-shard WAL under each group-commit policy; (2) query
-    // latency as the uncompacted delta fraction grows (delta points are
-    // verified exhaustively per query, so this is the drag compaction
-    // removes); (3) the cost of a full compaction pass and of a whole-index
-    // re-partition, the two knobs of the CompactionPolicy.
-    let maint_n = 4_000usize;
-    let maint_d = 32usize;
-    let maint_data = promips_data::gen::norm_skewed(maint_n, maint_d, 91);
-    let maint_queries = random_matrix(nq, maint_d, 93);
-    let maint_base = ProMipsConfig::builder().c(0.9).p(0.5).seed(97).build();
-    let bench_root =
-        std::env::temp_dir().join(format!("promips-bench-maint-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&bench_root);
-
-    let mut rng = Xoshiro256pp::seed_from_u64(101);
-    let insert_batch: Vec<Vec<f32>> = (0..512)
-        .map(|_| (0..maint_d).map(|_| rng.normal() as f32).collect())
-        .collect();
-    let mut insert_rows: Vec<(String, Json)> = Vec::new();
-    for (label, sync) in [
-        ("fsync_always", SyncPolicy::Always),
-        ("fsync_every_64", SyncPolicy::EveryN(64)),
-        ("fsync_never", SyncPolicy::Never),
-    ] {
-        let dir = bench_root.join(label);
-        let cfg = ShardedConfig::builder()
-            .shards(2)
-            .wal_sync(sync)
-            .base(maint_base.clone())
-            .build();
-        let idx = ShardedProMips::build_in_dir(&maint_data, cfg, &dir).expect("durable build");
-        // Mutations are stateful: one timed pass over the batch (plus a
-        // closing group-commit sync so policies are comparable end-to-end).
-        let t = std::time::Instant::now();
-        for v in &insert_batch {
-            idx.insert(v).unwrap();
-        }
-        idx.sync_wal().unwrap();
-        let ns = t.elapsed().as_nanos() as f64 / insert_batch.len() as f64;
-        println!(
-            "  wal_insert {label}: {ns:.0} ns/insert ({:.0} inserts/s)",
-            1e9 / ns
-        );
-        insert_rows.push((
-            label.to_string(),
-            Json::obj(vec![
-                ("ns_per_insert", Json::Num(ns)),
-                ("inserts_per_sec", Json::Num(1e9 / ns)),
-            ]),
-        ));
-    }
-
-    let mut delta_rows: Vec<(String, Json)> = Vec::new();
-    for &frac in &[0.0f64, 0.1, 0.25] {
-        let cfg = ShardedConfig::builder()
-            .shards(4)
-            .base(maint_base.clone())
-            .build();
-        let idx = ShardedProMips::build_in_memory(&maint_data, cfg).expect("build");
-        let extra = (maint_n as f64 * frac) as usize;
-        for _ in 0..extra {
-            let v: Vec<f32> = (0..maint_d).map(|_| rng.normal() as f32).collect();
-            idx.insert(&v).unwrap();
-        }
-        let scratch = ShardedScratch::for_index(&idx);
-        let q_ns = ns_per_op(|| {
-            for i in 0..nq {
-                std::hint::black_box(sharded_search(&idx, maint_queries.row(i), k, &scratch));
-            }
-        }) / nq as f64;
-        let label = format!("delta_{:02}pct", (frac * 100.0) as u32);
-        println!("  query_vs_delta {label}: {q_ns:.0} ns/query");
-        delta_rows.push((
-            label,
-            Json::obj(vec![
-                ("delta_points", Json::Num(extra as f64)),
-                ("ns_per_query", Json::Num(q_ns)),
-            ]),
-        ));
-    }
-
-    // Compaction pass: 25% delta + ~10% tombstones over a durable index.
-    let compact_dir = bench_root.join("compact");
-    let cfg = ShardedConfig::builder()
-        .shards(4)
-        .wal_sync(SyncPolicy::EveryN(64))
-        .base(maint_base.clone())
-        .build();
-    let idx = ShardedProMips::build_in_dir(&maint_data, cfg, &compact_dir).expect("build");
-    for _ in 0..maint_n / 4 {
-        let v: Vec<f32> = (0..maint_d).map(|_| rng.normal() as f32).collect();
-        idx.insert(&v).unwrap();
-    }
-    for gid in (0..maint_n as u64).step_by(10) {
-        idx.delete(gid).unwrap();
-    }
-    let t = std::time::Instant::now();
-    let compacted = idx.compact_all().unwrap();
-    let compact_ms = t.elapsed().as_secs_f64() * 1e3;
-    println!(
-        "  compact_all: {compact_ms:.1} ms ({} shards folded)",
-        compacted.len()
-    );
-    // Re-partition after a skewed insert burst (high norms pile into the
-    // top shard; the rebalance rebuilds every shard over fresh boundaries).
-    for _ in 0..maint_n / 4 {
-        let v: Vec<f32> = (0..maint_d).map(|_| (rng.normal() * 8.0) as f32).collect();
-        idx.insert(&v).unwrap();
-    }
-    let skew = idx.shard_skew();
-    let t = std::time::Instant::now();
-    idx.repartition().unwrap();
-    let repart_ms = t.elapsed().as_secs_f64() * 1e3;
-    println!(
-        "  repartition: {repart_ms:.1} ms (skew {skew:.2} -> {:.2})",
-        idx.shard_skew()
-    );
-    drop(idx);
-    let _ = std::fs::remove_dir_all(&bench_root);
-
-    // --- concurrent mutation: isolation + group commit in numbers -----------
-    // (1) Query latency percentiles while a writer thread churns
-    // inserts/deletes, with the background compactor off vs folding
-    // generations underneath the readers. Queries run against MVCC
-    // snapshots, so a concurrent shadow rebuild should show up as a modest
-    // tail cost, never a stall. (2) WAL fsyncs per 1 000 inserts for a
-    // single-insert loop vs group-committed `insert_batch`, metered by the
-    // storage shim's process-wide IO counters.
-    let conc_root = std::env::temp_dir().join(format!("promips-bench-conc-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&conc_root);
-    let conc_nq = 256usize;
-    let conc_passes = 4usize;
-    let conc_queries = random_matrix(conc_nq, maint_d, 95);
-    let mut latency_rows: Vec<(String, Json)> = Vec::new();
-    for (label, background) in [("compaction_off", false), ("compaction_background", true)] {
-        let cfg = ShardedConfig::builder()
-            .shards(4)
-            .wal_sync(SyncPolicy::EveryN(64))
-            .compaction(CompactionPolicy {
-                max_delta_fraction: 0.02,
-                max_tombstone_fraction: 0.02,
-                min_mutations: 32,
-                repartition_skew: f64::INFINITY,
-            })
-            .base(maint_base.clone())
-            .build();
-        let dir = conc_root.join(label);
-        let idx = Arc::new(ShardedProMips::build_in_dir(&maint_data, cfg, &dir).expect("build"));
-        let compactor = background.then(|| {
-            idx.start_compactor(std::time::Duration::from_millis(2))
-                .expect("spawn")
-        });
-        let stop = AtomicBool::new(false);
-        let mut lat_ns: Vec<f64> = Vec::with_capacity(conc_passes * conc_nq);
-        std::thread::scope(|s| {
-            let widx = &idx;
-            let stop = &stop;
-            s.spawn(move || {
-                let mut rng = Xoshiro256pp::seed_from_u64(103);
-                while !stop.load(Ordering::Acquire) {
-                    let v: Vec<f32> = (0..maint_d).map(|_| rng.normal() as f32).collect();
-                    let gid = widx.insert(&v).unwrap();
-                    if gid.is_multiple_of(2) {
-                        let _ = widx.delete(gid);
-                    }
-                }
-            });
-            let scratch = ShardedScratch::for_index(&idx);
-            for _ in 0..conc_passes {
-                for i in 0..conc_nq {
-                    let t = std::time::Instant::now();
-                    std::hint::black_box(sharded_search(&idx, conc_queries.row(i), k, &scratch));
-                    lat_ns.push(t.elapsed().as_nanos() as f64);
-                }
-            }
-            stop.store(true, Ordering::Release);
-        });
-        if let Some(c) = compactor {
-            assert!(c.stop().is_none(), "background compactor hit an IO error");
-        }
-        lat_ns.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let p50 = lat_ns[lat_ns.len() / 2];
-        let p99 = lat_ns[(lat_ns.len() * 99) / 100];
-        println!("  concurrent_query {label}: p50 {p50:.0} ns, p99 {p99:.0} ns");
-        latency_rows.push((
-            label.to_string(),
-            Json::obj(vec![("p50_ns", Json::Num(p50)), ("p99_ns", Json::Num(p99))]),
-        ));
-    }
-
-    let burst: Vec<Vec<f32>> = (0..1000)
-        .map(|_| (0..maint_d).map(|_| rng.normal() as f32).collect())
-        .collect();
-    let mut gc_rows: Vec<(String, Json)> = Vec::new();
-    for (label, batched) in [("insert_loop", false), ("insert_batch_64", true)] {
-        let cfg = ShardedConfig::builder()
-            .shards(2)
-            .wal_sync(SyncPolicy::Always)
-            .base(maint_base.clone())
-            .build();
-        let dir = conc_root.join(format!("gc_{label}"));
-        let idx = ShardedProMips::build_in_dir(&maint_data, cfg, &dir).expect("build");
-        let before = faults::counters();
-        let t = std::time::Instant::now();
-        if batched {
-            for chunk in burst.chunks(64) {
-                idx.insert_batch(chunk.iter().map(|v| v.as_slice()))
-                    .unwrap();
-            }
-        } else {
-            for v in &burst {
-                idx.insert(v).unwrap();
-            }
-        }
-        let ins_ns = t.elapsed().as_nanos() as f64 / burst.len() as f64;
-        let fsyncs = (faults::counters().fsyncs - before.fsyncs) as f64;
-        let per_1k = fsyncs * 1000.0 / burst.len() as f64;
-        println!("  group_commit {label}: {per_1k:.0} fsyncs/1k inserts, {ins_ns:.0} ns/insert");
-        gc_rows.push((
-            label.to_string(),
-            Json::obj(vec![
-                ("fsyncs_per_1k_inserts", Json::Num(per_1k)),
-                ("ns_per_insert", Json::Num(ins_ns)),
-            ]),
-        ));
-    }
-    let _ = std::fs::remove_dir_all(&conc_root);
 
     // --- deadline degradation -----------------------------------------------
     // The query-lifecycle trade: latency, recall-vs-unbudgeted, and
@@ -1489,8 +1002,6 @@ fn main() {
                 ("m", Json::Num(scan_m as f64)),
                 ("subparts", Json::Num(n_subs as f64)),
                 ("arena_ns_per_record", Json::Num(arena_scan_ns)),
-                ("legacy_decode_ns_per_record", Json::Num(legacy_scan_ns)),
-                ("speedup", Json::Num(legacy_scan_ns / arena_scan_ns)),
             ]),
         ),
         (
@@ -1532,27 +1043,6 @@ fn main() {
             ]),
         ),
         (
-            "sharded_fanout",
-            Json::obj(vec![
-                ("n", Json::Num(n as f64)),
-                ("d", Json::Num(D as f64)),
-                ("queries", Json::Num(nq as f64)),
-                ("k", Json::Num(k as f64)),
-                ("partitioner", Json::Str("norm-range (skewed norms)".into())),
-                ("per_shard_count", Json::Obj(shard_rows.clone())),
-            ]),
-        ),
-        (
-            "floor_tradeoff",
-            Json::obj(vec![
-                ("n", Json::Num(n as f64)),
-                ("queries", Json::Num(nq as f64)),
-                ("k", Json::Num(k as f64)),
-                ("partitioner", Json::Str("norm-range (skewed norms)".into())),
-                ("configs", Json::Obj(floor_rows.clone())),
-            ]),
-        ),
-        (
             "verified_rescore",
             Json::obj(vec![
                 ("n", Json::Num(n as f64)),
@@ -1561,74 +1051,6 @@ fn main() {
                 ("partitioner", Json::Str("norm-range (skewed norms)".into())),
                 ("configs", Json::Obj(rescore_rows.clone())),
                 ("verified_reduction", Json::Obj(rescore_reductions.clone())),
-            ]),
-        ),
-        (
-            "maintenance",
-            Json::obj(vec![
-                ("n", Json::Num(maint_n as f64)),
-                ("d", Json::Num(maint_d as f64)),
-                ("insert_batch", Json::Num(insert_batch.len() as f64)),
-                (
-                    "insert_throughput",
-                    Json::Obj(insert_rows.into_iter().collect()),
-                ),
-                (
-                    "query_vs_delta",
-                    Json::Obj(delta_rows.into_iter().collect()),
-                ),
-                (
-                    "compaction",
-                    Json::obj(vec![
-                        ("compact_all_ms", Json::Num(compact_ms)),
-                        ("shards_folded", Json::Num(compacted.len() as f64)),
-                        ("repartition_ms", Json::Num(repart_ms)),
-                        ("pre_repartition_skew", Json::Num(skew)),
-                    ]),
-                ),
-            ]),
-        ),
-        (
-            "concurrent_mutation",
-            Json::obj(vec![
-                ("n", Json::Num(maint_n as f64)),
-                ("d", Json::Num(maint_d as f64)),
-                ("queries", Json::Num((conc_passes * conc_nq) as f64)),
-                ("k", Json::Num(k as f64)),
-                (
-                    "query_latency",
-                    Json::Obj(latency_rows.into_iter().collect()),
-                ),
-                ("group_commit", Json::Obj(gc_rows.into_iter().collect())),
-            ]),
-        ),
-        (
-            "obs_overhead",
-            Json::obj(vec![
-                ("n", Json::Num(obs_n as f64)),
-                ("d", Json::Num(obs_d as f64)),
-                ("k", Json::Num(obs_k as f64)),
-                ("untimed_ns_per_query", Json::Num(untimed_ns)),
-                ("timed_ns_per_query", Json::Num(timed_ns)),
-                ("traced_ns_per_query", Json::Num(traced_ns)),
-                ("sampled_ns_per_query", Json::Num(sampled_ns)),
-                ("aggregated_ns_per_query", Json::Num(aggregated_ns)),
-                ("overhead_pct", Json::Num(obs_overhead_pct)),
-                ("traced_overhead_pct", Json::Num(traced_overhead_pct)),
-                ("sampling_overhead_pct", Json::Num(sampling_overhead_pct)),
-                (
-                    "aggregator_overhead_pct",
-                    Json::Num(aggregator_overhead_pct),
-                ),
-                ("sample_every", Json::Num(64.0)),
-            ]),
-        ),
-        (
-            "windowed_metrics",
-            Json::obj(vec![
-                ("tick_ns", Json::Num(window_tick_ns)),
-                ("window_merge_ns", Json::Num(window_merge_ns)),
-                ("intervals", Json::Num(64.0)),
             ]),
         ),
         (

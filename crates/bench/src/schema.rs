@@ -50,29 +50,11 @@ pub const REQUIRED_SECTIONS: &[(&str, &[&str])] = &[
         &["m6", "m7", "m8", "m10", "dot4_i8", "dot_col_i8"],
     ),
     ("project", &["single", "dataset_2000"]),
-    ("scan", &["arena_ns_per_record", "speedup"]),
+    ("scan", &["arena_ns_per_record"]),
     ("quantized_scan", &["dense", "selective"]),
     ("pager_contention", &["striped_ns_per_read", "page_hit"]),
     ("search", &["sequential_ns_per_query"]),
-    ("sharded_fanout", &["per_shard_count"]),
-    ("floor_tradeoff", &["configs"]),
     ("verified_rescore", &["configs", "verified_reduction"]),
-    (
-        "maintenance",
-        &["insert_throughput", "query_vs_delta", "compaction"],
-    ),
-    ("concurrent_mutation", &["query_latency", "group_commit"]),
-    (
-        "obs_overhead",
-        &[
-            "overhead_pct",
-            "traced_ns_per_query",
-            "untimed_ns_per_query",
-            "sampling_overhead_pct",
-            "aggregator_overhead_pct",
-        ],
-    ),
-    ("windowed_metrics", &["tick_ns", "window_merge_ns"]),
     (
         "deadline_degradation",
         &[

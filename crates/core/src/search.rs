@@ -503,8 +503,7 @@ pub struct Query<'a> {
     /// and the scanned/screened/verified row counts of this search — on
     /// success *and* on failure, where it covers the work done before the
     /// error. The caller owns the span's identity fields (`shard`, `seed`,
-    /// `elapsed_ns`); the stage clocks honour the global
-    /// [`obs::set_timing_enabled`] kill-switch (all zeros when disabled).
+    /// `elapsed_ns`).
     pub span: Option<&'a mut ShardSpan>,
 }
 
@@ -572,9 +571,9 @@ impl ProMips {
     }
 
     /// The one search path: runs `query` and feeds the global metrics
-    /// registry (row counters always; stage histograms only while timing
-    /// is enabled) and the request's span with the work done — whether the
-    /// search finished or an IO fault or the budget stopped it.
+    /// registry (row counters and stage histograms) and the request's
+    /// span with the work done — whether the search finished or an IO
+    /// fault or the budget stopped it.
     /// Query-level metrics (`promips_queries_total`, end-to-end latency)
     /// are owned by the sharded layer so a fan-out is counted once, not
     /// once per shard.
@@ -591,14 +590,12 @@ impl ProMips {
         reg.counter(CounterId::QueryVerified).add(work.verified);
         reg.counter(CounterId::QueryColumnPasses)
             .add(work.column_pass as u64);
-        if obs::timing_enabled() {
-            reg.histogram(HistoId::StageScanNs)
-                .record(work.stages.scan_ns);
-            reg.histogram(HistoId::StageScreenNs)
-                .record(work.stages.screen_ns);
-            reg.histogram(HistoId::StageVerifyNs)
-                .record(work.stages.verify_ns);
-        }
+        reg.histogram(HistoId::StageScanNs)
+            .record(work.stages.scan_ns);
+        reg.histogram(HistoId::StageScreenNs)
+            .record(work.stages.screen_ns);
+        reg.histogram(HistoId::StageVerifyNs)
+            .record(work.stages.verify_ns);
         if let Some(span) = query.span.take() {
             span.stages = work.stages;
             span.scanned = work.scanned;
@@ -641,7 +638,7 @@ impl ProMips {
         assert!(k >= 1, "k must be at least 1");
         // Cooperative budget checker shared by every loop below. With no
         // budget this is one branch per tick site — the no-budget path
-        // stays bit-identical and clock-free.
+        // stays bit-identical.
         let mut checker = BudgetChecker::new(budget);
         let k = k.min((self.len() as usize).saturating_sub(mask_dead_count.unwrap_or(0)));
         if k == 0 {
@@ -656,7 +653,7 @@ impl ProMips {
             ));
         }
 
-        let t_scan = obs::clock_start();
+        let t_scan = obs::now_ns();
         self.projection.project_into(q, &mut scratch.pq);
         let ctx = self.conditions(q);
         if !ctx.q_sq_norm.is_finite() {
@@ -684,7 +681,7 @@ impl ProMips {
             work.column_pass =
                 work.covered_rows as f64 >= COLUMN_PASS_MIN_COVERAGE * self.len() as f64;
         }
-        work.stages.scan_ns += obs::elapsed_since(t_scan);
+        work.stages.scan_ns += obs::now_ns().saturating_sub(t_scan);
         let r = r?;
         checker.tick()?;
 
@@ -702,9 +699,9 @@ impl ProMips {
                     Termination::ConditionA,
                 ));
             }
-            let t_pass = obs::clock_start();
+            let t_pass = obs::now_ns();
             let passed = self.column_pass(q, mask, &mut top, scratch, work, &mut checker);
-            work.stages.screen_ns += obs::elapsed_since(t_pass);
+            work.stages.screen_ns += obs::now_ns().saturating_sub(t_pass);
             passed?;
             return Ok(finish(
                 top,
@@ -717,7 +714,7 @@ impl ProMips {
         }
 
         // --- Range search within r; verify per sub-partition batch. -------
-        let t_range = obs::clock_start();
+        let t_range = obs::now_ns();
         let ranged = self.index.range_candidates_ticked(
             &scratch.pq,
             -1.0,
@@ -726,7 +723,7 @@ impl ProMips {
             &mut scratch.proj,
             || Ok(checker.tick()?),
         );
-        work.stages.scan_ns += obs::elapsed_since(t_range);
+        work.stages.scan_ns += obs::now_ns().saturating_sub(t_range);
         work.scanned += scratch.cands.len() as u64;
         ranged?;
         checker.tick()?;
@@ -755,7 +752,7 @@ impl ProMips {
         let mut r_final = r;
         let mut extended = false;
         if top.len() < k && ip_floor == f64::NEG_INFINITY {
-            let t_short = obs::clock_start();
+            let t_short = obs::now_ns();
             let mut iter = self.index.nn_iter(&scratch.pq);
             let checker = &mut checker;
             let mut shortfall = || -> io::Result<()> {
@@ -780,7 +777,7 @@ impl ProMips {
                 Ok(())
             };
             let shorted = shortfall();
-            work.stages.verify_ns += obs::elapsed_since(t_short);
+            work.stages.verify_ns += obs::now_ns().saturating_sub(t_short);
             shorted?;
             if let Some(e) = iter.take_error() {
                 return Err(e);
@@ -812,7 +809,7 @@ impl ProMips {
         // --- Compensation: extend once to r' (paper Section V-A). ---------
         if let Some(r_prime) = ctx.compensation_radius(top.kth_ip()) {
             if r_prime > r_final {
-                let t_comp = obs::clock_start();
+                let t_comp = obs::now_ns();
                 let ranged = self.index.range_candidates_ticked(
                     &scratch.pq,
                     r_final,
@@ -821,7 +818,7 @@ impl ProMips {
                     &mut scratch.proj,
                     || Ok(checker.tick()?),
                 );
-                work.stages.scan_ns += obs::elapsed_since(t_comp);
+                work.stages.scan_ns += obs::now_ns().saturating_sub(t_comp);
                 work.scanned += scratch.cands.len() as u64;
                 ranged?;
                 checker.tick()?;
@@ -1028,19 +1025,17 @@ impl ProMips {
         // vs plain) flips at most once per pass — plain until the k-th
         // best becomes finite, screened after — so one lap per *branch
         // run* gives exact attribution with O(1) clock reads per call.
-        let mut t_lap = obs::clock_start();
+        let mut t_lap = obs::now_ns();
         let mut lap_screened = false;
         let flush = |screened_lap: bool, t_lap: &mut u64, stages: &mut StageNanos| {
-            if *t_lap != 0 {
-                let now = obs::now_ns();
-                let slot = if screened_lap {
-                    &mut stages.screen_ns
-                } else {
-                    &mut stages.verify_ns
-                };
-                *slot += now.saturating_sub(*t_lap);
-                *t_lap = now;
-            }
+            let now = obs::now_ns();
+            let slot = if screened_lap {
+                &mut stages.screen_ns
+            } else {
+                &mut stages.verify_ns
+            };
+            *slot += now.saturating_sub(*t_lap);
+            *t_lap = now;
         };
         let mut outcome = Ok(None);
         for gi in 0..buf.groups.len() {

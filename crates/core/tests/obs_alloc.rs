@@ -3,9 +3,8 @@
 //!
 //! The metrics registry is fixed atomic arrays and the stage timers are
 //! plain `u64` reads, so instrumentation must add **zero** allocations to
-//! a warm search — with timing enabled (the default) or disabled (the
-//! kill-switch path the `obs_overhead` bench compares against), on the
-//! annulus path and on the column pass alike. A warm search still pays
+//! a warm search, on the annulus path and on the column pass alike. A
+//! warm search still pays
 //! only the per-search constants (the `TopK` heap and the sorted result
 //! vector), exactly as before the observability layer landed.
 //!
@@ -91,7 +90,6 @@ fn instrumented_warm_search_does_not_allocate() {
 
     // Touch the registry and the clock epoch up front so their one-time
     // lazy initialisation doesn't charge the first measured search.
-    promips_obs::set_timing_enabled(true);
     let _ = promips_obs::now_ns();
     let _ = promips_obs::global().snapshot();
 
@@ -102,20 +100,11 @@ fn instrumented_warm_search_does_not_allocate() {
             rows > 100,
             "workload too small to distinguish per-search from per-row ({rows} rows)"
         );
-        // Steady state with timing on.
+        // Steady state.
         let (timed_again, _, _) = warm_search_allocs(&index, q, k, &mut scratch);
         assert_eq!(
             timed, timed_again,
             "instrumented warm search is not in allocation steady state"
-        );
-        // The kill-switch path allocates exactly as much: recording into the
-        // registry and skipping the clock are both allocation-free.
-        promips_obs::set_timing_enabled(false);
-        let (untimed, _, _) = warm_search_allocs(&index, q, k, &mut scratch);
-        promips_obs::set_timing_enabled(true);
-        assert_eq!(
-            timed, untimed,
-            "stage timing changes the warm-path allocation count"
         );
         // A request with every option set allocates no more than the plain
         // one: the request value, the mask, the budget checks and the span

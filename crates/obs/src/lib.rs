@@ -17,28 +17,23 @@
 //!   configurable latency threshold, each with its trace, lifecycle
 //!   verdict, and a flight-recorder excerpt.
 //!
-//! On top of the registry sits the aggregation-and-diagnosis tier the
-//! serving layer consumes:
+//! Beside them, smaller pieces the layers above call:
 //!
-//! - [`window`]: a ring of per-interval snapshot deltas exposing
-//!   rates/s and sliding-window quantiles over 1 s / 10 s / 60 s
-//!   horizons, optionally fed by a background aggregator thread.
+//! - [`budget`]: per-query deadlines and cancellation, checked
+//!   cooperatively inside the scan and verify loops.
 //! - [`recorder`]: a lock-light bounded flight recorder of structured
 //!   lifecycle events (compactions, WAL replay, faults, shed/degraded
 //!   queries, generation swaps).
 //! - [`sampling`]: deterministic counter-based 1-in-N sampling that
 //!   routes ordinary searches through the trace machinery.
-//! - [`health`]: an SLO evaluator over windowed snapshots producing a
-//!   typed [`health::HealthReport`] with JSON/Prometheus rendering.
-//! - [`promcheck`]: a small Prometheus text-format checker used by CI
-//!   and the render tests.
+//! - [`promcheck`]: a small Prometheus text-format checker, the oracle
+//!   of the one exposition [`RegistrySnapshot::render_prometheus`] emits.
 //!
-//! Timing itself has a global kill-switch ([`set_timing_enabled`]) so
-//! benchmarks can measure the instrumented path against a clock-free
-//! baseline.
+//! Stage timing is always on: a query pays a handful of clock reads and
+//! histogram records (`obs.trace_overhead_frac` in `benchmark/` is the
+//! check at scale).
 
 pub mod budget;
-pub mod health;
 mod metrics;
 pub mod promcheck;
 pub mod recorder;
@@ -47,17 +42,12 @@ mod render;
 pub mod sampling;
 pub mod slow;
 pub mod trace;
-pub mod window;
 
 pub use budget::{budget_error, BudgetChecker, BudgetExceeded, CancelToken, QueryBudget};
-pub use health::{HealthCheck, HealthReport, HealthStatus, SloPolicy};
 pub use metrics::{bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{CounterId, GaugeId, HistoId, Registry, RegistrySnapshot};
-pub use render::HistogramStyle;
 pub use trace::{QueryTrace, ShardSpan, StageNanos};
-pub use window::{MetricsWindow, WindowedSnapshot};
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -77,48 +67,6 @@ pub fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-static TIMING: AtomicBool = AtomicBool::new(true);
-
-/// Global kill-switch for stage timing (default: enabled).
-///
-/// With timing disabled the query path skips every clock read and every
-/// latency-histogram record; event counters (queries, scanned rows,
-/// WAL appends, ...) still tick. This exists so the `obs_overhead`
-/// bench can compare the default instrumented path against a clock-free
-/// baseline.
-pub fn set_timing_enabled(enabled: bool) {
-    TIMING.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether stage timing is currently enabled. A single relaxed load.
-#[inline]
-pub fn timing_enabled() -> bool {
-    TIMING.load(Ordering::Relaxed)
-}
-
-/// `now_ns()` if timing is enabled, else 0. Call sites pair this with
-/// [`elapsed_since`] so the disabled path performs no clock reads.
-#[inline]
-pub fn clock_start() -> u64 {
-    if timing_enabled() {
-        now_ns()
-    } else {
-        0
-    }
-}
-
-/// Nanoseconds since a [`clock_start`] value; 0 when timing was off at
-/// the start (start == 0 means "not measured", and a genuine 0-ns start
-/// only occurs on the very first clock read in the process).
-#[inline]
-pub fn elapsed_since(start: u64) -> u64 {
-    if start == 0 || !timing_enabled() {
-        0
-    } else {
-        now_ns().saturating_sub(start)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,18 +76,5 @@ mod tests {
         let a = now_ns();
         let b = now_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn kill_switch_suppresses_clock_reads() {
-        set_timing_enabled(false);
-        let start = clock_start();
-        assert_eq!(start, 0);
-        assert_eq!(elapsed_since(start), 0);
-        set_timing_enabled(true);
-        let start = clock_start();
-        // The process epoch was initialised above, so an enabled start
-        // is strictly positive.
-        assert!(start > 0);
     }
 }

@@ -1,5 +1,5 @@
 //! A small in-repo Prometheus text-exposition checker, used by CI (via
-//! `examples/observe.rs`) and by render tests to keep the exposition
+//! `examples/observe.rs`) and by the render test to keep the exposition
 //! valid as metrics are added.
 //!
 //! Checked invariants, per the text-format spec:
@@ -8,9 +8,8 @@
 //!   `name{labels} value` with a parseable float value;
 //! - every `# TYPE` declaration is followed by at least one sample of
 //!   that family, and every sample belongs to a declared family whose
-//!   type admits its shape (`_sum`/`_count` only for summary and
-//!   histogram, `quantile` labels only for summaries, `_bucket`+`le`
-//!   only for histograms, bare series for counters/gauges);
+//!   type admits its shape (`_bucket`+`le`, `_sum` and `_count` only
+//!   for histograms, bare series for counters/gauges);
 //! - label values are properly quoted with only `\\`, `\"` and `\n`
 //!   escapes;
 //! - every histogram's `_bucket` series has non-decreasing cumulative
@@ -52,7 +51,7 @@ pub fn check_exposition(text: &str) -> Result<(), Vec<String>> {
                 errors.push(format!("line {ln}: malformed TYPE line: {line:?}"));
                 continue;
             }
-            if !matches!(kind.as_str(), "counter" | "gauge" | "summary" | "histogram") {
+            if !matches!(kind.as_str(), "counter" | "gauge" | "histogram") {
                 errors.push(format!("line {ln}: unknown metric type {kind:?}"));
             }
             let fam = families.entry(name.clone()).or_default();
@@ -213,8 +212,7 @@ fn parse_value(s: &str) -> Result<f64, String> {
     }
 }
 
-/// The family a sample belongs to, given the histogram/summary series
-/// suffixes.
+/// The family a sample belongs to, given the histogram series suffixes.
 fn family_of(name: &str) -> (&str, &str) {
     for suffix in ["_bucket", "_sum", "_count"] {
         if let Some(base) = name.strip_suffix(suffix) {
@@ -232,10 +230,10 @@ fn record_sample(
 ) {
     let (base, suffix) = family_of(&sample.name);
     // A `_sum`/`_count`/`_bucket` suffix only binds to a declared
-    // summary/histogram family; otherwise the full name is the family
-    // (a counter legitimately named `x_count` stays series `x_count`).
+    // histogram family; otherwise the full name is the family (a counter
+    // legitimately named `x_count` stays series `x_count`).
     let (family_name, suffix) = match families.get(base).and_then(|f| f.kind.as_deref()) {
-        Some("summary") | Some("histogram") if !suffix.is_empty() => (base.to_string(), suffix),
+        Some("histogram") if !suffix.is_empty() => (base.to_string(), suffix),
         _ => (sample.name.clone(), ""),
     };
     let fam = families.entry(family_name.clone()).or_default();
@@ -252,19 +250,6 @@ fn record_sample(
                 errors.push(format!("line {ln}: counter {family_name} is negative"));
             }
         }
-        "summary" => match suffix {
-            "" => {
-                if !sample.labels.iter().any(|(k, _)| k == "quantile") {
-                    errors.push(format!(
-                        "line {ln}: summary {family_name} sample without quantile label"
-                    ));
-                }
-            }
-            "_sum" | "_count" => {}
-            _ => errors.push(format!(
-                "line {ln}: summary {family_name} cannot have a {suffix} series"
-            )),
-        },
         "histogram" => match suffix {
             "_bucket" => {
                 let le = sample.labels.iter().find(|(k, _)| k == "le");
@@ -342,18 +327,12 @@ mod tests {
 promips_queries_total 42\n\
 # TYPE promips_delta_rows gauge\n\
 promips_delta_rows -3\n\
-# TYPE promips_query_latency_ns summary\n\
-promips_query_latency_ns{quantile=\"0.5\"} 1000\n\
-promips_query_latency_ns_sum 5000\n\
-promips_query_latency_ns_count 5\n\
 # TYPE promips_lat histogram\n\
 promips_lat_bucket{le=\"0\"} 1\n\
 promips_lat_bucket{le=\"1\"} 2\n\
 promips_lat_bucket{le=\"+Inf\"} 4\n\
 promips_lat_sum 37\n\
-promips_lat_count 4\n\
-# TYPE promips_health_check gauge\n\
-promips_health_check{check=\"p99 \\\"tail\\\"\",extra=\"a\\nb\"} 0\n";
+promips_lat_count 4\n";
         assert_eq!(errs(text), Vec::<String>::new());
     }
 

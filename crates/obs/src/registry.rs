@@ -223,7 +223,7 @@ impl RegistrySnapshot {
     /// gauges — levels, not flows — keep their value at `self`, the
     /// later snapshot. Saturating subtraction guards against snapshot
     /// pairs torn by concurrent writers; genuinely ordered pairs never
-    /// clamp. This is the per-interval delta `obs::window` accumulates.
+    /// clamp.
     pub fn saturating_diff(&self, earlier: &RegistrySnapshot) -> RegistrySnapshot {
         let mut out = self.clone();
         for (dst, was) in out.counters.iter_mut().zip(&earlier.counters) {

@@ -5,24 +5,6 @@ use crate::metrics::bucket_upper_bound;
 use crate::registry::{CounterId, GaugeId, HistoId, RegistrySnapshot};
 use std::fmt::Write;
 
-/// How histograms are published in the Prometheus exposition.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HistogramStyle {
-    /// `{quantile="..."}` sample lines plus `_sum`/`_count`
-    /// (pre-computed factor-of-2 quantile estimates; cheap to scrape,
-    /// not aggregatable across instances).
-    Summary,
-    /// Native `_bucket{le="..."}` series with cumulative counts ending
-    /// in `+Inf`, plus `_sum`/`_count` — the log2 bucket boundaries
-    /// published directly, so Prometheus can aggregate across
-    /// instances and compute `histogram_quantile` server-side.
-    CumulativeBuckets,
-}
-
-/// Quantiles published per histogram. Log2 buckets make any of these a
-/// factor-of-2 estimate; p50/p90/p99 is the conventional trio.
-const QUANTILES: [(f64, &str); 3] = [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")];
-
 fn fmt_f64(v: f64) -> String {
     // Prometheus accepts plain decimal; avoid exponent noise for the
     // integral values that dominate (bucket bounds, counts).
@@ -34,17 +16,12 @@ fn fmt_f64(v: f64) -> String {
 }
 
 impl RegistrySnapshot {
-    /// Prometheus text exposition format, version 0.0.4, with
-    /// histograms published summary-style (see
-    /// [`render_prometheus_style`] for the native-histogram variant).
-    ///
-    /// [`render_prometheus_style`]: RegistrySnapshot::render_prometheus_style
+    /// Prometheus text exposition format, version 0.0.4. Histograms are
+    /// native `_bucket{le="..."}` series with cumulative counts ending in
+    /// `+Inf`, plus `_sum`/`_count` — the log2 bucket boundaries published
+    /// directly, so Prometheus can aggregate across instances and compute
+    /// `histogram_quantile` server-side.
     pub fn render_prometheus(&self) -> String {
-        self.render_prometheus_style(HistogramStyle::Summary)
-    }
-
-    /// Prometheus text exposition with the chosen histogram style.
-    pub fn render_prometheus_style(&self, style: HistogramStyle) -> String {
         let mut out = String::with_capacity(4096);
         for &id in CounterId::ALL {
             let name = id.name();
@@ -62,39 +39,23 @@ impl RegistrySnapshot {
             let name = id.name();
             let h = self.histogram(id);
             writeln!(out, "# HELP {name} {}", id.help()).unwrap();
-            match style {
-                HistogramStyle::Summary => {
-                    writeln!(out, "# TYPE {name} summary").unwrap();
-                    for (p, label) in QUANTILES {
-                        writeln!(
-                            out,
-                            "{name}{{quantile=\"{label}\"}} {}",
-                            fmt_f64(h.quantile(p))
-                        )
-                        .unwrap();
-                    }
-                }
-                HistogramStyle::CumulativeBuckets => {
-                    writeln!(out, "# TYPE {name} histogram").unwrap();
-                    // Cumulative counts over the log2 bucket bounds.
-                    // Trailing all-zero buckets collapse into +Inf so an
-                    // idle histogram is 2 lines, not 66; the bounds are
-                    // exact for integer samples (bucket b holds values
-                    // <= 2^b - 1).
-                    let highest = h.buckets.iter().rposition(|&n| n != 0).map_or(0, |b| b + 1);
-                    let mut cum = 0u64;
-                    for (b, &n) in h.buckets.iter().enumerate().take(highest) {
-                        cum += n;
-                        writeln!(
-                            out,
-                            "{name}_bucket{{le=\"{}\"}} {cum}",
-                            bucket_upper_bound(b)
-                        )
-                        .unwrap();
-                    }
-                    writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count()).unwrap();
-                }
+            writeln!(out, "# TYPE {name} histogram").unwrap();
+            // Cumulative counts over the log2 bucket bounds. Trailing
+            // all-zero buckets collapse into +Inf so an idle histogram is
+            // 2 lines, not 66; the bounds are exact for integer samples
+            // (bucket b holds values <= 2^b - 1).
+            let highest = h.buckets.iter().rposition(|&n| n != 0).map_or(0, |b| b + 1);
+            let mut cum = 0u64;
+            for (b, &n) in h.buckets.iter().enumerate().take(highest) {
+                cum += n;
+                writeln!(
+                    out,
+                    "{name}_bucket{{le=\"{}\"}} {cum}",
+                    bucket_upper_bound(b)
+                )
+                .unwrap();
             }
+            writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count()).unwrap();
             writeln!(out, "{name}_sum {}", h.sum).unwrap();
             writeln!(out, "{name}_count {}", h.count()).unwrap();
         }
@@ -140,19 +101,19 @@ impl RegistrySnapshot {
 
 #[cfg(test)]
 mod tests {
-    use super::HistogramStyle;
     use crate::registry::{CounterId, HistoId, Registry};
 
     #[test]
     fn cumulative_bucket_style_is_cumulative_and_ends_in_inf() {
         let r = Registry::new();
+        r.counter(CounterId::Queries).add(7);
         // Samples 0, 1, 3, 3, 9: buckets 0->1, 1->1, 2->2, 4->1.
         for v in [0u64, 1, 3, 3, 9] {
             r.histogram(HistoId::QueryLatencyNs).record(v);
         }
-        let text = r
-            .snapshot()
-            .render_prometheus_style(HistogramStyle::CumulativeBuckets);
+        let text = r.render_prometheus();
+        assert!(text.contains("# TYPE promips_queries_total counter"));
+        assert!(text.contains("promips_queries_total 7"));
         assert!(text.contains("# TYPE promips_query_latency_ns histogram"));
         assert!(text.contains("promips_query_latency_ns_bucket{le=\"0\"} 1"));
         assert!(text.contains("promips_query_latency_ns_bucket{le=\"1\"} 2"));
@@ -165,40 +126,9 @@ mod tests {
         // An untouched histogram collapses to just the +Inf bucket.
         assert!(text.contains("promips_compaction_ns_bucket{le=\"+Inf\"} 0"));
         assert!(!text.contains("promips_compaction_ns_bucket{le=\"0\"}"));
-        // No summary-style series in this rendering.
-        assert!(!text.contains("quantile="));
-    }
-
-    #[test]
-    fn both_styles_pass_the_format_checker() {
-        let r = Registry::new();
-        r.counter(CounterId::Queries).add(3);
-        for v in [100u64, 2000, 30_000] {
-            r.histogram(HistoId::QueryLatencyNs).record(v);
+        if let Err(errors) = crate::promcheck::check_exposition(&text) {
+            panic!("exposition invalid: {errors:#?}");
         }
-        for style in [HistogramStyle::Summary, HistogramStyle::CumulativeBuckets] {
-            let text = r.snapshot().render_prometheus_style(style);
-            if let Err(errors) = crate::promcheck::check_exposition(&text) {
-                panic!("{style:?} exposition invalid: {errors:#?}");
-            }
-        }
-    }
-
-    #[test]
-    fn prometheus_has_types_quantiles_and_values() {
-        let r = Registry::new();
-        r.counter(CounterId::Queries).add(7);
-        for v in [100u64, 200, 400, 800] {
-            r.histogram(HistoId::QueryLatencyNs).record(v);
-        }
-        let text = r.render_prometheus();
-        assert!(text.contains("# TYPE promips_queries_total counter"));
-        assert!(text.contains("promips_queries_total 7"));
-        assert!(text.contains("# TYPE promips_query_latency_ns summary"));
-        assert!(text.contains("promips_query_latency_ns{quantile=\"0.5\"}"));
-        assert!(text.contains("promips_query_latency_ns{quantile=\"0.99\"}"));
-        assert!(text.contains("promips_query_latency_ns_sum 1500"));
-        assert!(text.contains("promips_query_latency_ns_count 4"));
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! The default configuration keeps `cargo test` quick; the CI stress
 //! job sets `PROMIPS_STRESS=1` to scale writers, readers, and ops up.
 
-use promips_obs::window::MetricsWindow;
 use promips_obs::{recorder, CounterId, GaugeId, HistoId, Registry};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
@@ -123,84 +122,6 @@ fn counts_conserved_under_concurrent_snapshots() {
         h.buckets[21..].iter().sum::<u64>(),
         0,
         "no sample can land above the 2^20 bucket"
-    );
-}
-
-/// Window ticks racing with writers and concurrent windowed readers:
-/// every interval delta is non-negative (saturating diffs never
-/// underflow mid-write), concurrent views never over-count, and once
-/// the writers join, the intervals sum to exactly the written total.
-#[test]
-fn window_ticks_conserve_counts_under_concurrent_writers() {
-    static REG: Registry = Registry::new();
-    // Capacity comfortably above any tick count this test performs, so
-    // conservation is exact (nothing rotates out).
-    static WINDOW: MetricsWindow = MetricsWindow::with_capacity(1 << 16);
-    let t = config();
-    let done = AtomicBool::new(false);
-    let total_ops = t.writers as u64 * t.ops_per_writer;
-
-    // Baseline before any writer starts, so every write falls inside
-    // some interval.
-    WINDOW.tick(&REG);
-
-    thread::scope(|s| {
-        for _ in 0..t.writers {
-            let reg = &REG;
-            s.spawn(move || {
-                for i in 0..t.ops_per_writer {
-                    reg.counter(CounterId::Queries).inc();
-                    reg.histogram(HistoId::QueryLatencyNs).record(i % 4096);
-                }
-            });
-        }
-
-        // The ticker closes intervals as fast as it can while writers
-        // run — the adversarial version of the 1 s aggregator cadence.
-        let reg = &REG;
-        let done = &done;
-        s.spawn(move || {
-            while !done.load(Ordering::Acquire) {
-                WINDOW.tick(reg);
-                thread::yield_now();
-            }
-        });
-
-        for _ in 0..t.readers {
-            s.spawn(move || {
-                // View first, test `done` after (see the snapshot readers).
-                loop {
-                    let v = WINDOW.window(u64::MAX);
-                    assert!(
-                        v.count(CounterId::Queries) <= total_ops,
-                        "window over-counts: {} > {total_ops}",
-                        v.count(CounterId::Queries)
-                    );
-                    assert!(v.snapshot.histogram(HistoId::QueryLatencyNs).count() <= total_ops);
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                }
-            });
-        }
-
-        let reg = &REG;
-        s.spawn(move || {
-            while reg.counter(CounterId::Queries).get() < total_ops {
-                thread::yield_now();
-            }
-            done.store(true, Ordering::Release);
-        });
-    });
-
-    // One final tick captures whatever the last racing tick missed.
-    WINDOW.tick(&REG);
-    let v = WINDOW.window(u64::MAX);
-    assert_eq!(v.count(CounterId::Queries), total_ops);
-    assert_eq!(
-        v.snapshot.histogram(HistoId::QueryLatencyNs).count(),
-        total_ops,
-        "interval deltas conserve every histogram record"
     );
 }
 

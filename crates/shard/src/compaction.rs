@@ -320,16 +320,14 @@ impl ShardedProMips {
     /// new delta. The exact-scan-vs-index decision and the shard's norm
     /// bound are both re-taken over the live rows.
     pub fn compact_shard(&self, si: usize) -> io::Result<bool> {
-        let t0 = obs::clock_start();
+        let t0 = obs::now_ns();
         let res = self.compact_shard_inner(si);
         match &res {
             Ok(true) => {
                 let reg = Registry::global();
                 reg.counter(CounterId::Compactions).inc();
-                if obs::timing_enabled() {
-                    reg.histogram(HistoId::CompactionNs)
-                        .record(obs::elapsed_since(t0));
-                }
+                reg.histogram(HistoId::CompactionNs)
+                    .record(obs::now_ns().saturating_sub(t0));
                 let generation = self.shards[si].generation.read().generation;
                 recorder::emit(recorder::EventKind::CompactionCompleted {
                     shard: si as u32,
@@ -536,13 +534,8 @@ impl ShardedProMips {
         sort_rows_by_ids(&mut all_gids, &mut all_rows);
 
         // Fresh equal-count boundaries over the live distribution.
-        let assign = self.config.strategy.partitioner().assign(&all_rows, ns);
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); ns];
-        for (i, &s) in assign.iter().enumerate() {
-            assert!(
-                (s as usize) < ns,
-                "partitioner assigned row {i} to shard {s}"
-            );
+        for (i, &s) in crate::partition::assign(&all_rows, ns).iter().enumerate() {
             members[s as usize].push(i);
         }
 

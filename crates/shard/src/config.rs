@@ -1,19 +1,19 @@
-//! Configuration for the sharded index.
+//! Configuration for the sharded index: the shard count (placement is
+//! always by norm range), the fan-out's pruning and floor switches, and
+//! the durability, compaction, degradation and admission policies.
 
 use promips_core::ProMipsConfig;
 use promips_wal::SyncPolicy;
 
 use crate::compaction::CompactionPolicy;
 use crate::error::DegradationPolicy;
-use crate::partition::PartitionStrategy;
 
 /// Build- and search-time parameters of a [`crate::ShardedProMips`].
 #[derive(Debug, Clone)]
 pub struct ShardedConfig {
-    /// Number of shards `N ≥ 1`.
+    /// Number of shards `N ≥ 1`: equal-count norm ranges, shard `N − 1`
+    /// holding the largest norms.
     pub shards: usize,
-    /// How points are distributed across shards.
-    pub strategy: PartitionStrategy,
     /// Shards with fewer points than this skip index construction and fall
     /// back to a blocked exact scan ("To Index or Not to Index", Abuzaid et
     /// al., arXiv:1706.01449: below a size/selectivity threshold a scan
@@ -59,7 +59,6 @@ impl Default for ShardedConfig {
     fn default() -> Self {
         Self {
             shards: 4,
-            strategy: PartitionStrategy::NormRange,
             exact_threshold: 128,
             prune: true,
             cross_shard_floor: false,
@@ -104,12 +103,6 @@ impl ShardedConfigBuilder {
     /// Sets the shard count.
     pub fn shards(mut self, n: usize) -> Self {
         self.config.shards = n;
-        self
-    }
-
-    /// Sets the partition strategy.
-    pub fn strategy(mut self, s: PartitionStrategy) -> Self {
-        self.config.strategy = s;
         self
     }
 
@@ -177,7 +170,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = ShardedConfig::default();
         assert_eq!(c.shards, 4);
-        assert_eq!(c.strategy, PartitionStrategy::NormRange);
         assert!(c.prune);
         c.validate();
     }
@@ -186,12 +178,10 @@ mod tests {
     fn builder_sets_fields() {
         let c = ShardedConfig::builder()
             .shards(8)
-            .strategy(PartitionStrategy::Hash)
             .exact_threshold(10)
             .prune(false)
             .build();
         assert_eq!(c.shards, 8);
-        assert_eq!(c.strategy, PartitionStrategy::Hash);
         assert_eq!(c.exact_threshold, 10);
         assert!(!c.prune);
     }

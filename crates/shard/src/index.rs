@@ -40,7 +40,7 @@ use promips_storage::{AccessStatsSnapshot, Pager};
 use promips_wal::Wal;
 
 use crate::config::ShardedConfig;
-use crate::partition::Partitioner;
+use crate::partition;
 
 /// Golden-ratio stride for deriving per-shard seeds; shard 0 keeps the base
 /// seed so a one-shard build reproduces the unsharded index exactly.
@@ -300,31 +300,16 @@ pub struct ShardedProMips {
     /// Home directory of a durable index; `None` for in-memory builds,
     /// whose mutations are volatile.
     pub(crate) dir: Option<std::path::PathBuf>,
-    /// Name of the partitioner that built the assignment (for reporting).
-    pub(crate) partitioner_name: String,
     /// Searches currently running (admission-control gauge; see
     /// [`ShardedConfig::max_in_flight`]).
     pub(crate) in_flight: AtomicUsize,
 }
 
 impl ShardedProMips {
-    /// Builds the sharded index with one in-memory page device per shard,
-    /// using the partitioner named by `config.strategy`.
+    /// Builds the sharded index with one in-memory page device per shard.
     pub fn build_in_memory(data: &Matrix, config: ShardedConfig) -> io::Result<Self> {
-        let strategy = config.strategy;
-        Self::build_with_partitioner(data, config, strategy.partitioner())
-    }
-
-    /// As [`ShardedProMips::build_in_memory`] with a caller-supplied
-    /// [`Partitioner`] (`config.strategy` is ignored for the assignment but
-    /// still recorded in snapshots).
-    pub fn build_with_partitioner(
-        data: &Matrix,
-        config: ShardedConfig,
-        partitioner: &dyn Partitioner,
-    ) -> io::Result<Self> {
         let base = config.base.clone();
-        Self::build_impl(data, config, partitioner, |_si| {
+        Self::build_impl(data, config, |_si| {
             Ok(Arc::new(Pager::in_memory(base.page_size, base.pool_pages)))
         })
     }
@@ -335,7 +320,6 @@ impl ShardedProMips {
     pub(crate) fn build_impl(
         data: &Matrix,
         config: ShardedConfig,
-        partitioner: &dyn Partitioner,
         mut pager_for: impl FnMut(usize) -> io::Result<Arc<Pager>>,
     ) -> io::Result<Self> {
         config.validate();
@@ -345,23 +329,10 @@ impl ShardedProMips {
         );
         let n = data.rows();
         let d = data.cols();
-        let assign = partitioner.assign(data, config.shards);
-        assert_eq!(
-            assign.len(),
-            n,
-            "partitioner returned {} assignments for {n} rows",
-            assign.len()
-        );
-
         // Membership lists in ascending global-id order (the id-map order
         // every tie-break rule depends on).
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); config.shards];
-        for (i, &s) in assign.iter().enumerate() {
-            assert!(
-                (s as usize) < config.shards,
-                "partitioner assigned row {i} to shard {s} of {}",
-                config.shards
-            );
+        for (i, &s) in partition::assign(data, config.shards).iter().enumerate() {
             members[s as usize].push(i);
         }
 
@@ -398,7 +369,6 @@ impl ShardedProMips {
             mut_order: Mutex::new(()),
             manifest_lock: Mutex::new(()),
             dir: None,
-            partitioner_name: partitioner.name().to_string(),
             in_flight: AtomicUsize::new(0),
         })
     }
@@ -463,16 +433,6 @@ impl ShardedProMips {
             .collect()
     }
 
-    /// Age of the stalest shard generation, in nanoseconds — the value
-    /// the SLO health evaluator compares against its
-    /// `max_generation_age_ns` bound. `None` for an empty index.
-    pub fn max_generation_age_ns(&self) -> Option<u64> {
-        self.maintenance_stats()
-            .iter()
-            .map(|m| m.generation_age_ns)
-            .max()
-    }
-
     /// Original dimensionality `d`.
     pub fn d(&self) -> usize {
         self.d
@@ -501,7 +461,7 @@ impl ShardedProMips {
 
     /// Name of the partitioner that built the shard assignment.
     pub fn partitioner_name(&self) -> &str {
-        &self.partitioner_name
+        partition::NAME
     }
 
     /// Switches the shard-failure degradation policy at runtime. The policy

@@ -49,7 +49,7 @@ pub mod config;
 pub mod error;
 pub mod index;
 pub mod mutation;
-pub mod partition;
+mod partition;
 pub mod persist;
 pub mod result;
 pub mod search;
@@ -63,7 +63,6 @@ pub use index::{Shard, ShardedProMips};
 pub use promips_obs::{CancelToken, QueryBudget};
 // Mutations report typed refusals; re-export the error so callers don't
 // need a direct `promips_core` dependency to match on it.
-pub use partition::{HashPartitioner, NormRangePartitioner, PartitionStrategy, Partitioner};
 pub use promips_core::MutationError;
 pub use result::{CompactionOutcome, ShardMaintenance, ShardQueryStats, ShardedSearchResult};
 pub use search::{ShardedQuery, ShardedScratch};
@@ -264,10 +263,8 @@ mod tests {
 
     #[test]
     fn mixed_exact_and_indexed_shards_cover_all_points() {
-        // Hash partitioning + a threshold between the smallest and largest
-        // shard sizes would need a skewed partitioner; instead force the
-        // mix by thresholding between the (equal-count) norm-range shard
-        // size and the full dataset.
+        // Norm-range shards are equal-count, so a threshold cannot split
+        // them into exact and indexed: threshold 0 indexes every one.
         let data = random_data(700, 14, 51);
         let idx = ShardedProMips::build_in_memory(
             &data,
@@ -367,25 +364,6 @@ mod tests {
                 assert_eq!(s.verified, 0);
                 assert_eq!(s.returned, 0);
             }
-        }
-    }
-
-    #[test]
-    fn hash_partitioner_works_end_to_end() {
-        let data = random_data(900, 12, 101);
-        let idx = ShardedProMips::build_in_memory(
-            &data,
-            ShardedConfig::builder()
-                .shards(4)
-                .strategy(PartitionStrategy::Hash)
-                .build(),
-        )
-        .unwrap();
-        assert_eq!(idx.partitioner_name(), "hash");
-        for q in random_queries(6, 12, 103) {
-            let res = idx.search(&q, 8).unwrap();
-            assert_eq!(res.items.len(), 8);
-            assert!(res.items.windows(2).all(|w| w[0].ip >= w[1].ip));
         }
     }
 }

@@ -1,5 +1,5 @@
-//! The durable mutation path: inserts and deletes that route through the
-//! partitioner, hit the owning shard's write-ahead log **before** touching
+//! The durable mutation path: inserts and deletes that are routed by norm
+//! range, hit the owning shard's write-ahead log **before** touching
 //! memory, and are visible to the very next query — all through `&self`,
 //! so readers keep running while writers commit.
 //!
@@ -49,11 +49,11 @@ use crate::persist::wal_path;
 
 impl ShardedProMips {
     /// Inserts a point, returning its global id. The point is routed to a
-    /// shard by [`crate::Partitioner::route`] (norm-range placement under
-    /// the default strategy), logged to that shard's WAL when the index is
-    /// directory-backed, and entered into the shard's in-memory delta —
-    /// searchable immediately, folded into the shard's index file at the
-    /// next compaction. Concurrent readers are never blocked.
+    /// shard by norm range (the shard whose bound covers it most tightly),
+    /// logged to that shard's WAL when the index is directory-backed, and
+    /// entered into the shard's in-memory delta — searchable immediately,
+    /// folded into the shard's index file at the next compaction.
+    /// Concurrent readers are never blocked.
     pub fn insert(&self, point: &[f32]) -> Result<u64, MutationError> {
         self.insert_inner(point, true).map(|(gid, _)| gid)
     }
@@ -92,7 +92,7 @@ impl ShardedProMips {
         assert_eq!(point.len(), self.d, "insert dimensionality mismatch");
         let order = self.mut_order.lock();
         let gid = self.next_global_id.fetch_add(1, Ordering::AcqRel);
-        let si = self.route(point, gid);
+        let si = self.route(point);
         let shard = &self.shards[si];
         let mut wal = shard.wal.lock();
         drop(order); // WAL order for this shard is now fixed
@@ -195,25 +195,15 @@ impl ShardedProMips {
         })
     }
 
-    /// Routes a point via the configured partition strategy, against the
-    /// shards' current (insert-raised) norm bounds.
-    fn route(&self, point: &[f32], gid: u64) -> usize {
+    /// Routes a point by norm range, against the shards' current
+    /// (insert-raised) norm bounds.
+    fn route(&self, point: &[f32]) -> usize {
         let bounds: Vec<f64> = self
             .shards
             .iter()
             .map(|s| s.delta.read().max_norm)
             .collect();
-        let si = self
-            .config
-            .strategy
-            .partitioner()
-            .route(point, gid, &bounds) as usize;
-        assert!(
-            si < self.shards.len(),
-            "partitioner routed to shard {si} of {}",
-            self.shards.len()
-        );
-        si
+        crate::partition::route(point, &bounds) as usize
     }
 
     /// Appends a record to shard `si`'s WAL (no-op for in-memory indexes).

@@ -1,161 +1,73 @@
-//! Partitioners: how points are distributed across shards.
+//! How points are distributed across shards: by norm range.
 //!
-//! The interesting implementation is [`NormRangePartitioner`], following
 //! Norm-Range Partition (Yan et al., NeurIPS 2018, arXiv:1810.09104): MIPS
 //! candidate quality is dominated by vector norms, so cutting the dataset
 //! into contiguous **norm ranges** concentrates the likely winners in the
 //! high-norm shards and gives every shard a tight inner-product upper bound
 //! `‖q‖ · max_norm(shard)` (Cauchy–Schwarz) that the fan-out search uses to
-//! prune whole shards. [`HashPartitioner`] is the neutral baseline: uniform
-//! spread, no exploitable bound ordering.
+//! prune whole shards. It is the only partitioner: no other placement
+//! leaves a shard bound the fan-out can prune with.
+//!
+//! Both functions are deterministic in their inputs (the sharded index's
+//! reproducibility tests depend on it), and with one shard every row goes
+//! to shard 0, so a one-shard [`crate::ShardedProMips`] reproduces the
+//! unsharded index bit for bit.
 
 use promips_linalg::{sq_norm2, Matrix};
 
-/// Assigns every dataset row to one of `n_shards` shards.
+/// Display name, recorded in the manifest and reported by
+/// [`crate::ShardedProMips::partitioner_name`].
+pub(crate) const NAME: &str = "norm-range";
+
+/// Manifest tag of norm-range partitioning — the only one
+/// [`crate::ShardedProMips::open`] accepts.
+pub(crate) const TAG: u64 = 0;
+
+/// One shard id in `0..n_shards` per row of `data`, by equal-count norm
+/// ranges: rows are ranked by 2-norm (ascending, ties by row id) and rank
+/// `r` of `n` goes to shard `r · n_shards / n`. Shard `n_shards − 1`
+/// therefore holds the largest norms — the shard the fan-out search probes
+/// first.
+pub(crate) fn assign(data: &Matrix, n_shards: usize) -> Vec<u32> {
+    let n = data.rows();
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.sort_by(|&a, &b| {
+        sq_norm2(data.row(a as usize))
+            .total_cmp(&sq_norm2(data.row(b as usize)))
+            .then(a.cmp(&b))
+    });
+    let mut assign = vec![0u32; n];
+    for (rank, &row) in order.iter().enumerate() {
+        assign[row as usize] = (rank * n_shards / n) as u32;
+    }
+    assign
+}
+
+/// Routes a *single* freshly inserted point to a shard, given the current
+/// per-shard norm bounds (`max ‖o‖₂`, indexed by shard id) — the
+/// mutation-time counterpart of [`assign`]: bulk builds see the whole
+/// dataset and can rank it, inserts must be placed against the boundaries
+/// the build left behind.
 ///
-/// Implementations must be deterministic in `data` (the sharded index's
-/// reproducibility tests depend on it) and must keep the assignment stable
-/// under `n_shards = 1` — every row to shard 0 — so a one-shard
-/// [`crate::ShardedProMips`] reproduces the unsharded index bit-for-bit.
-pub trait Partitioner: Send + Sync {
-    /// Display name (recorded in snapshots and benchmark artifacts).
-    fn name(&self) -> &'static str;
-
-    /// Returns one shard id in `0..n_shards` per row of `data`.
-    fn assign(&self, data: &Matrix, n_shards: usize) -> Vec<u32>;
-
-    /// Routes a *single* freshly inserted point to a shard, given the
-    /// current per-shard norm bounds (`max ‖o‖₂`, indexed by shard id).
-    /// This is the mutation-time counterpart of [`Partitioner::assign`]:
-    /// bulk builds see the whole dataset and can rank it, inserts must be
-    /// placed against the boundaries the build left behind. The default
-    /// routes everything to shard 0 (correct for one shard; custom
-    /// partitioners should override).
-    fn route(&self, point: &[f32], id: u64, shard_max_norms: &[f64]) -> u32 {
-        let _ = (point, id, shard_max_norms);
-        0
-    }
-}
-
-/// Equal-count norm-range partitioning: rows are ranked by 2-norm
-/// (ascending, ties by row id) and rank `r` of `n` goes to shard
-/// `r · n_shards / n`. Shard `n_shards − 1` therefore holds the largest
-/// norms — the shard the fan-out search probes first.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NormRangePartitioner;
-
-impl Partitioner for NormRangePartitioner {
-    fn name(&self) -> &'static str {
-        "norm-range"
-    }
-
-    fn assign(&self, data: &Matrix, n_shards: usize) -> Vec<u32> {
-        let n = data.rows();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by(|&a, &b| {
-            sq_norm2(data.row(a as usize))
-                .total_cmp(&sq_norm2(data.row(b as usize)))
-                .then(a.cmp(&b))
-        });
-        let mut assign = vec![0u32; n];
-        for (rank, &row) in order.iter().enumerate() {
-            assign[row as usize] = (rank * n_shards / n) as u32;
+/// An insert goes to the shard whose norm range it falls in: among shards
+/// whose bound covers the point (`max_norm ≥ ‖p‖`), the one with the
+/// **tightest** bound — that is the norm-range cell the point belongs to,
+/// and routing there leaves every other shard's Cauchy–Schwarz bound
+/// untouched. A point above every bound extends the highest-norm shard
+/// (ties break toward the smaller shard id, so routing is deterministic).
+pub(crate) fn route(point: &[f32], shard_max_norms: &[f64]) -> u32 {
+    let norm = sq_norm2(point).sqrt();
+    let mut best_cover: Option<(f64, usize)> = None; // tightest covering bound
+    let mut best_any = (f64::NEG_INFINITY, 0usize); // highest bound overall
+    for (si, &b) in shard_max_norms.iter().enumerate() {
+        if b > best_any.0 {
+            best_any = (b, si);
         }
-        assign
-    }
-
-    /// An insert goes to the shard whose norm range it falls in: among
-    /// shards whose bound covers the point (`max_norm ≥ ‖p‖`), the one
-    /// with the **tightest** bound — that is the norm-range cell the point
-    /// belongs to, and routing there leaves every other shard's
-    /// Cauchy–Schwarz bound untouched. A point above every bound extends
-    /// the highest-norm shard (ties break toward the smaller shard id, so
-    /// routing is deterministic).
-    fn route(&self, point: &[f32], _id: u64, shard_max_norms: &[f64]) -> u32 {
-        let norm = sq_norm2(point).sqrt();
-        let mut best_cover: Option<(f64, usize)> = None; // tightest covering bound
-        let mut best_any = (f64::NEG_INFINITY, 0usize); // highest bound overall
-        for (si, &b) in shard_max_norms.iter().enumerate() {
-            if b > best_any.0 {
-                best_any = (b, si);
-            }
-            if b >= norm && best_cover.is_none_or(|(cb, _)| b < cb) {
-                best_cover = Some((b, si));
-            }
-        }
-        best_cover.map_or(best_any.1, |(_, si)| si) as u32
-    }
-}
-
-/// Norm-oblivious spread: a Fibonacci hash of the row id modulo the shard
-/// count. Balances load without any norm ordering — the control arm for the
-/// norm-range pruning experiments.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HashPartitioner;
-
-impl Partitioner for HashPartitioner {
-    fn name(&self) -> &'static str {
-        "hash"
-    }
-
-    fn assign(&self, data: &Matrix, n_shards: usize) -> Vec<u32> {
-        (0..data.rows() as u64)
-            .map(|id| {
-                let h = id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-                (h % n_shards as u64) as u32
-            })
-            .collect()
-    }
-
-    /// Inserts hash exactly like builds (same Fibonacci hash of the global
-    /// id), so a dataset built in bulk and one grown by inserts agree on
-    /// placement.
-    fn route(&self, _point: &[f32], id: u64, shard_max_norms: &[f64]) -> u32 {
-        let h = id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        (h % shard_max_norms.len().max(1) as u64) as u32
-    }
-}
-
-/// The built-in partitioner choices, as persistable configuration.
-///
-/// [`crate::ShardedProMips::build_with_partitioner`] accepts any
-/// [`Partitioner`]; this enum names the two shipped ones so they can be
-/// selected from a [`crate::ShardedConfig`] and recorded in a snapshot
-/// manifest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartitionStrategy {
-    /// [`NormRangePartitioner`] (the default).
-    #[default]
-    NormRange,
-    /// [`HashPartitioner`].
-    Hash,
-}
-
-impl PartitionStrategy {
-    /// The partitioner this strategy names.
-    pub fn partitioner(&self) -> &'static dyn Partitioner {
-        match self {
-            PartitionStrategy::NormRange => &NormRangePartitioner,
-            PartitionStrategy::Hash => &HashPartitioner,
+        if b >= norm && best_cover.is_none_or(|(cb, _)| b < cb) {
+            best_cover = Some((b, si));
         }
     }
-
-    /// Stable tag used by the snapshot manifest.
-    pub(crate) fn tag(&self) -> u64 {
-        match self {
-            PartitionStrategy::NormRange => 0,
-            PartitionStrategy::Hash => 1,
-        }
-    }
-
-    /// Inverse of [`PartitionStrategy::tag`].
-    pub(crate) fn from_tag(tag: u64) -> Option<Self> {
-        match tag {
-            0 => Some(PartitionStrategy::NormRange),
-            1 => Some(PartitionStrategy::Hash),
-            _ => None,
-        }
-    }
+    best_cover.map_or(best_any.1, |(_, si)| si) as u32
 }
 
 #[cfg(test)]
@@ -174,7 +86,7 @@ mod tests {
     #[test]
     fn norm_range_counts_are_balanced() {
         let data = random_data(1003, 12, 1);
-        let assign = NormRangePartitioner.assign(&data, 4);
+        let assign = assign(&data, 4);
         let mut counts = [0usize; 4];
         for &s in &assign {
             counts[s as usize] += 1;
@@ -186,7 +98,7 @@ mod tests {
     #[test]
     fn norm_range_orders_shards_by_norm() {
         let data = random_data(600, 8, 2);
-        let assign = NormRangePartitioner.assign(&data, 3);
+        let assign = assign(&data, 3);
         // Every point in a higher shard has norm >= every point in a lower
         // shard (up to rank ties, which equal norms make unobservable).
         let max_per: Vec<f64> = (0..3)
@@ -212,33 +124,6 @@ mod tests {
     #[test]
     fn single_shard_maps_everything_to_zero() {
         let data = random_data(100, 6, 3);
-        assert!(NormRangePartitioner
-            .assign(&data, 1)
-            .iter()
-            .all(|&s| s == 0));
-        assert!(HashPartitioner.assign(&data, 1).iter().all(|&s| s == 0));
-    }
-
-    #[test]
-    fn hash_spreads_reasonably() {
-        let data = random_data(4000, 4, 4);
-        let assign = HashPartitioner.assign(&data, 8);
-        let mut counts = [0usize; 8];
-        for &s in &assign {
-            counts[s as usize] += 1;
-        }
-        // Fibonacci hashing over sequential ids is near-uniform.
-        assert!(
-            counts.iter().all(|&c| c > 300 && c < 700),
-            "skewed: {counts:?}"
-        );
-    }
-
-    #[test]
-    fn strategy_tags_roundtrip() {
-        for s in [PartitionStrategy::NormRange, PartitionStrategy::Hash] {
-            assert_eq!(PartitionStrategy::from_tag(s.tag()), Some(s));
-        }
-        assert_eq!(PartitionStrategy::from_tag(99), None);
+        assert!(assign(&data, 1).iter().all(|&s| s == 0));
     }
 }

@@ -54,7 +54,7 @@ use promips_wal::{SyncPolicy, Wal, WalConfig};
 
 use crate::config::ShardedConfig;
 use crate::index::{GenKind, Shard, ShardGeneration, ShardedProMips};
-use crate::partition::PartitionStrategy;
+use crate::partition;
 
 const MANIFEST_MAGIC: u64 = 0x5AA2_D1CE_5059_0001;
 const MANIFEST_VERSION: u64 = 2;
@@ -62,8 +62,7 @@ const EXACT_MAGIC: u64 = 0x5AA2_D1CE_E7AC_0001;
 const MANIFEST_NAME: &str = "MANIFEST.pms";
 
 /// Data-file path of shard `si` at `generation` (generation 0 keeps the
-/// original `shard_NNNN.pmx` / `.exact` names, so v1 directories read
-/// unchanged).
+/// original `shard_NNNN.pmx` / `.exact` names).
 pub(crate) fn shard_path(dir: &Path, si: usize, exact: bool, generation: u64) -> PathBuf {
     let ext = if exact { "exact" } else { "pmx" };
     if generation == 0 {
@@ -166,9 +165,8 @@ impl ShardedProMips {
     ) -> io::Result<Self> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
-        let strategy = config.strategy;
         let base = config.base.clone();
-        let mut built = Self::build_impl(data, config, strategy.partitioner(), |si| {
+        let mut built = Self::build_impl(data, config, |si| {
             let storage = Arc::new(FileStorage::create(
                 shard_path(dir, si, false, 0),
                 base.page_size,
@@ -333,7 +331,7 @@ impl ShardedProMips {
         enc::put_u64(&mut buf, self.config.exact_threshold as u64);
         enc::put_u64(&mut buf, u64::from(self.config.prune));
         enc::put_u64(&mut buf, u64::from(self.config.cross_shard_floor));
-        enc::put_u64(&mut buf, self.config.strategy.tag());
+        enc::put_u64(&mut buf, partition::TAG);
         enc::put_f64(&mut buf, self.config.base.c);
         enc::put_f64(&mut buf, self.config.base.p);
         enc::put_u64(&mut buf, self.config.base.m.map_or(u64::MAX, |m| m as u64));
@@ -342,9 +340,8 @@ impl ShardedProMips {
         enc::put_u64(&mut buf, self.config.base.seed);
         enc::put_u64(&mut buf, self.next_global_id.load(Ordering::Acquire));
         enc::put_u64(&mut buf, sync_policy_tag(self.config.wal_sync));
-        let name = self.partitioner_name.as_bytes();
-        enc::put_u64(&mut buf, name.len() as u64);
-        buf.extend_from_slice(name);
+        enc::put_u64(&mut buf, partition::NAME.len() as u64);
+        buf.extend_from_slice(partition::NAME.as_bytes());
         for (si, gen) in gens.iter().enumerate() {
             enc::put_u64(&mut buf, u64::from(gen.is_exact()));
             enc::put_u64(&mut buf, gen.ids.len() as u64);
@@ -399,24 +396,28 @@ impl ShardedProMips {
             ));
         }
         let version = enc::get_u64(&buf, &mut pos);
-        if version != 1 && version != MANIFEST_VERSION {
+        if version != MANIFEST_VERSION {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("unsupported manifest version {version}"),
             ));
         }
-        // Fixed-size header: magic..seed, v2's next-id/wal-sync words, and
+        // Fixed-size header: magic..seed, the next-id/wal-sync words, and
         // the partitioner-name length (little-endian 8-byte fields).
-        let header_bytes = if version == 1 { 16 * 8 } else { 18 * 8 };
-        need(0, header_bytes)?;
+        need(0, 18 * 8)?;
         let n_shards = enc::get_u64(&buf, &mut pos) as usize;
         let d = enc::get_u64(&buf, &mut pos) as usize;
         let n_points = enc::get_u64(&buf, &mut pos);
         let exact_threshold = enc::get_u64(&buf, &mut pos) as usize;
         let prune = enc::get_u64(&buf, &mut pos) != 0;
         let cross_shard_floor = enc::get_u64(&buf, &mut pos) != 0;
-        let strategy = PartitionStrategy::from_tag(enc::get_u64(&buf, &mut pos))
-            .unwrap_or(PartitionStrategy::NormRange);
+        let tag = enc::get_u64(&buf, &mut pos);
+        if tag != partition::TAG {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("unknown partitioner tag {tag} in sharded-index manifest"),
+            ));
+        }
         let c = enc::get_f64(&buf, &mut pos);
         let p = enc::get_f64(&buf, &mut pos);
         let m = match enc::get_u64(&buf, &mut pos) {
@@ -426,22 +427,15 @@ impl ShardedProMips {
         let page_size = enc::get_u64(&buf, &mut pos) as usize;
         let pool_pages = enc::get_u64(&buf, &mut pos) as usize;
         let seed = enc::get_u64(&buf, &mut pos);
-        let (mut next_global_id, wal_sync) = if version >= 2 {
-            let next = enc::get_u64(&buf, &mut pos);
-            let sync = sync_policy_from_tag(enc::get_u64(&buf, &mut pos));
-            (next, sync)
-        } else {
-            // v1 manifests predate mutations: ids are dense 0..n.
-            (n_points, SyncPolicy::Always)
-        };
+        let mut next_global_id = enc::get_u64(&buf, &mut pos);
+        let wal_sync = sync_policy_from_tag(enc::get_u64(&buf, &mut pos));
+        // The partitioner's display name: the tag above is what decides.
         let name_len = enc::get_u64(&buf, &mut pos) as usize;
         need(pos, name_len)?;
-        let partitioner_name = String::from_utf8_lossy(&buf[pos..pos + name_len]).into_owned();
         pos += name_len;
 
         let config = ShardedConfig {
             shards: n_shards,
-            strategy,
             exact_threshold,
             prune,
             cross_shard_floor,
@@ -462,16 +456,12 @@ impl ShardedProMips {
 
         let mut shards = Vec::with_capacity(n_shards.min(1 << 16));
         for si in 0..n_shards {
-            // kind + count + max_norm (+ generation in v2).
-            need(pos, if version >= 2 { 32 } else { 24 })?;
+            // kind + count + max_norm + generation.
+            need(pos, 32)?;
             let exact = enc::get_u64(&buf, &mut pos) != 0;
             let count = enc::get_u64(&buf, &mut pos) as usize;
             let max_norm = enc::get_f64(&buf, &mut pos);
-            let generation = if version >= 2 {
-                enc::get_u64(&buf, &mut pos)
-            } else {
-                0
-            };
+            let generation = enc::get_u64(&buf, &mut pos);
             need(pos, count.saturating_mul(8))?;
             let ids: Vec<u64> = (0..count).map(|_| enc::get_u64(&buf, &mut pos)).collect();
             if let Some(&max_id) = ids.last() {
@@ -524,7 +514,6 @@ impl ShardedProMips {
             mut_order: Mutex::new(()),
             manifest_lock: Mutex::new(()),
             dir: Some(dir.to_path_buf()),
-            partitioner_name,
             in_flight: std::sync::atomic::AtomicUsize::new(0),
         };
 

@@ -60,7 +60,9 @@
 //! * **Budgets** — a request's [`ShardedQuery::budget`] carries a
 //!   [`QueryBudget`] (deadline and/or cancellation token) down into every
 //!   shard's scan and verify loops, which check it cooperatively once per
-//!   block of work. An exceeded budget surfaces as
+//!   block of work, and the fan-out checks it once before it starts: a
+//!   budget the seed probe spent fails the remaining shards on the spot
+//!   instead of starting workers for them. An exceeded budget surfaces as
 //!   [`QueryError::DeadlineExceeded`] / [`QueryError::Cancelled`].
 //! * **Degradation** — [`crate::DegradationPolicy`] decides what one
 //!   shard's failure (injected or real IO fault, per-shard deadline
@@ -77,6 +79,7 @@
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 use promips_core::{Query, SearchItem, SearchScratch};
@@ -243,12 +246,10 @@ pub struct ShardedQuery<'a> {
     /// decision, the remaining budget and every failed shard with the work
     /// it did before failing. The trace is also offered to the
     /// process-global slow-query log ([`promips_obs::slow`]). It costs one
-    /// small allocation and a handful of clock reads; its stage timings
-    /// are all zero while the [`obs::set_timing_enabled`] kill-switch is
-    /// off. Untraced requests are still traced 1-in-N (deterministic
-    /// arrival counting, see [`promips_obs::sampling`]) and offered to the
-    /// slow log as exemplars; results never depend on tracing — it only
-    /// observes.
+    /// small allocation and a handful of clock reads. Untraced requests
+    /// are still traced 1-in-N (deterministic arrival counting, see
+    /// [`promips_obs::sampling`]) and offered to the slow log as exemplars;
+    /// results never depend on tracing — it only observes.
     pub traced: bool,
 }
 
@@ -263,6 +264,13 @@ impl<'a> ShardedQuery<'a> {
             traced: false,
         }
     }
+}
+
+/// Worker count of a request that names none: every available core,
+/// resolved once per process (the lookup parses cgroup files).
+fn default_workers() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 impl ShardedProMips {
@@ -361,11 +369,6 @@ impl ShardedProMips {
             started_at_ns: obs::now_ns(),
             ..QueryTrace::default()
         });
-        let threads = threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
         assert_eq!(q.len(), self.d, "query dimensionality mismatch");
         assert!(k >= 1, "k must be at least 1");
         assert_eq!(
@@ -389,14 +392,7 @@ impl ShardedProMips {
             ));
         }
         let policy = self.config.degradation;
-        // A trace must measure wall time even when the aggregate-histogram
-        // timing switch is off — the caller explicitly asked for it.
-        let timing = obs::timing_enabled();
-        let t_query = if timing || trace.is_some() {
-            obs::now_ns()
-        } else {
-            0
-        };
+        let t_query = obs::now_ns();
 
         // The query's isolation boundary: one consistent snapshot per
         // shard, taken up front. Everything below reads only these.
@@ -426,7 +422,7 @@ impl ShardedProMips {
                 shard: si,
                 ..ShardSpan::default()
             };
-            let t0 = obs::clock_start();
+            let t0 = obs::now_ns();
             let res = catch_unwind(AssertUnwindSafe(|| {
                 search_snapshot(
                     &snaps[si],
@@ -438,7 +434,7 @@ impl ShardedProMips {
                     &mut span,
                 )
             }));
-            span.elapsed_ns = obs::elapsed_since(t0);
+            span.elapsed_ns = obs::now_ns().saturating_sub(t0);
             let res = match res {
                 Ok(Ok(items)) => Ok(items),
                 Ok(Err(e)) => Err(classify_shard_error(si, e)),
@@ -502,77 +498,79 @@ impl ShardedProMips {
             f64::NEG_INFINITY
         };
 
-        // --- Phase 2: parallel fan-out over surviving shards. -------------
+        // --- Phase 2: fan-out over surviving shards. ----------------------
         attempted += fan_out.len();
-        let threads = threads.clamp(1, fan_out.len().max(1));
-        if threads == 1 {
-            for &si in &fan_out {
-                let (span, res) = search_one(si, floor);
-                spans[si] = span;
-                match res {
-                    Ok(found) => items[si] = Some(found),
-                    Err(se) => {
-                        // Sequential fan-out visits shards in ascending
-                        // index order, so this early return already
-                        // reports the lowest failing shard.
-                        if policy == DegradationPolicy::FailFast {
-                            return Err(fail_query(se));
-                        }
-                        failures.push(se);
-                    }
-                }
-            }
+        let collected: Vec<ShardOutcome> = if let Some(Err(spent)) = budget.map(QueryBudget::check)
+        {
+            // Spent or cancelled before the fan-out (an expired seed probe
+            // leaves no floor, so nothing was pruned): every shard still to
+            // search fails with that kind here — no worker is started to
+            // find it out on its first tick.
+            fan_out
+                .iter()
+                .map(|&si| {
+                    let span = ShardSpan {
+                        shard: si,
+                        failed: true,
+                        ..ShardSpan::default()
+                    };
+                    (span, Err(classify_shard_error(si, spent.into())))
+                })
+                .collect()
         } else {
+            // One worker loop hands out `fan_out` in ascending shard order.
+            // A failure under fail-fast ends the hand-out: every lower
+            // shard is already taken, so the lowest failing shard is always
+            // among the outcomes and the reported error is the same for
+            // every worker count and schedule.
             let next = AtomicUsize::new(0);
-            let fan_out_ref = &fan_out;
-            let search_one = &search_one;
-            let collected: Vec<ShardOutcome> = std::thread::scope(|s| {
-                let workers: Vec<_> = (0..threads)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut local: Vec<ShardOutcome> = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= fan_out_ref.len() {
-                                    break;
-                                }
-                                local.push(search_one(fan_out_ref[i], floor));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                let mut out = Vec::with_capacity(fan_out_ref.len());
-                for w in workers {
-                    out.extend(w.join().expect("shard fan-out worker panicked"));
+            let worker = || {
+                let mut local: Vec<ShardOutcome> = Vec::new();
+                while let Some(&si) = fan_out.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let outcome = search_one(si, floor);
+                    if outcome.1.is_err() && policy == DegradationPolicy::FailFast {
+                        next.store(fan_out.len(), Ordering::Relaxed);
+                    }
+                    local.push(outcome);
                 }
-                out
-            });
-            let mut fan_failures: Vec<ShardError> = Vec::new();
-            for (span, res) in collected {
-                let si = span.shard;
-                spans[si] = span;
-                match res {
-                    Ok(found) => items[si] = Some(found),
-                    Err(se) => fan_failures.push(se),
-                }
+                local
+            };
+            // The default worker count is only worth resolving (cgroup
+            // files, ≈ 16 µs) when pruning left more than one shard.
+            let workers = match fan_out.len() {
+                0 | 1 => 1,
+                n => threads.unwrap_or_else(default_workers).clamp(1, n),
+            };
+            if workers == 1 {
+                worker()
+            } else {
+                std::thread::scope(|s| {
+                    let handles: Vec<_> = (0..workers).map(|_| s.spawn(worker)).collect();
+                    handles
+                        .into_iter()
+                        .flat_map(|h| h.join().expect("shard fan-out worker panicked"))
+                        .collect()
+                })
             }
-            if policy == DegradationPolicy::FailFast && !fan_failures.is_empty() {
-                // Workers finish in scheduling order; report the lowest
-                // shard index so the error is thread-count invariant.
-                fan_failures.sort_by_key(|e| e.shard);
-                return Err(fail_query(fan_failures.remove(0)));
+        };
+        for (span, res) in collected {
+            let si = span.shard;
+            spans[si] = span;
+            match res {
+                Ok(found) => items[si] = Some(found),
+                Err(se) => failures.push(se),
             }
-            failures.extend(fan_failures);
         }
 
-        // --- Degradation decision (BestEffort only from here on). ----------
+        // --- Degradation decision. ------------------------------------------
         let mut degraded = false;
         if !failures.is_empty() {
+            // Workers finish in scheduling order; the lowest shard index is
+            // what is reported.
             failures.sort_by_key(|e| e.shard);
-            if failures.len() == attempted {
-                // Nothing survived to merge — degrading to an empty answer
-                // would hide a total outage. Error like fail-fast would.
+            if policy == DegradationPolicy::FailFast || failures.len() == attempted {
+                // Fail-fast, or nothing survived to merge — degrading to an
+                // empty answer would hide a total outage.
                 return Err(fail_query(failures.swap_remove(0)));
             }
             degraded = true;
@@ -597,7 +595,7 @@ impl ShardedProMips {
         }
 
         // --- Merge: one global top-k over every contributed item. ---------
-        let t_merge = if t_query != 0 { obs::now_ns() } else { 0 };
+        let t_merge = obs::now_ns();
         let mut merged: Vec<SearchItem> = items.iter().flatten().flatten().copied().collect();
         merged.sort_by(|a, b| b.ip.total_cmp(&a.ip).then(a.id.cmp(&b.id)));
         merged.truncate(k);
@@ -622,11 +620,7 @@ impl ShardedProMips {
             .collect();
         // The merge span covers the top-k merge *and* result assembly, so
         // a sequential trace's stages sum to (nearly) the wall clock.
-        let merge_ns = if t_merge != 0 {
-            obs::now_ns().saturating_sub(t_merge)
-        } else {
-            0
-        };
+        let merge_ns = obs::now_ns().saturating_sub(t_merge);
 
         // Aggregate accounting. The per-shard layer owns the query-level
         // metrics; the core layer booked the in-shard stage histograms and
@@ -638,13 +632,11 @@ impl ShardedProMips {
             .add(spans.iter().filter(answered).count() as u64);
         reg.counter(CounterId::ShardsPruned)
             .add(spans.iter().filter(|s| s.pruned).count() as u64);
-        if timing {
-            reg.histogram(HistoId::QueryLatencyNs)
-                .record(obs::now_ns().saturating_sub(t_query));
-            reg.histogram(HistoId::StageMergeNs).record(merge_ns);
-            for s in spans.iter().filter(answered) {
-                reg.histogram(HistoId::ShardSearchNs).record(s.elapsed_ns);
-            }
+        reg.histogram(HistoId::QueryLatencyNs)
+            .record(obs::now_ns().saturating_sub(t_query));
+        reg.histogram(HistoId::StageMergeNs).record(merge_ns);
+        for s in spans.iter().filter(answered) {
+            reg.histogram(HistoId::ShardSearchNs).record(s.elapsed_ns);
         }
         let budget_remaining_ns = budget.and_then(|b| b.remaining_ns());
         if let Some(rem) = budget_remaining_ns {
@@ -726,7 +718,7 @@ fn search_snapshot(
     // (this is the drag compaction removes — see the bench's
     // query_vs_delta section).
     let core_verified = span.verified;
-    let tv = obs::clock_start();
+    let tv = obs::now_ns();
     let mut checker = BudgetChecker::new(budget);
     let mut score_rest = || -> io::Result<()> {
         if let GenKind::Exact(rows) = &snap.gen.kind {
@@ -767,7 +759,7 @@ fn search_snapshot(
         Ok(())
     };
     let scored = score_rest();
-    span.stages.verify_ns += obs::elapsed_since(tv);
+    span.stages.verify_ns += obs::now_ns().saturating_sub(tv);
     let extra = span.verified - core_verified;
     if extra > 0 {
         obs::global().counter(CounterId::QueryVerified).add(extra);

@@ -5,7 +5,7 @@
 
 use promips_core::{ProMips, ProMipsConfig};
 use promips_linalg::Matrix;
-use promips_shard::{PartitionStrategy, ShardedConfig, ShardedProMips};
+use promips_shard::{ShardedConfig, ShardedProMips};
 use promips_stats::Xoshiro256pp;
 
 fn random_data(n: usize, d: usize, seed: u64) -> Matrix {
@@ -54,7 +54,6 @@ fn snapshot_reload_is_bit_identical() {
     assert_eq!(reopened.shard_count(), 4);
     assert_eq!(reopened.shard_points(), points_before);
     assert_eq!(reopened.partitioner_name(), "norm-range");
-    assert_eq!(reopened.config().strategy, PartitionStrategy::NormRange);
 
     for (q, b) in queries.iter().zip(&before) {
         let a = reopened.search(q, 10).unwrap();
@@ -250,6 +249,55 @@ fn open_rejects_truncated_manifest() {
     std::fs::write(dir.join("MANIFEST.pms"), &manifest).unwrap();
     assert!(ShardedProMips::open(&dir).is_ok());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Snapshots a small 2-shard index, overwrites manifest word `word`
+/// (little-endian `u64`s: magic, version, shards, d, points, exact
+/// threshold, prune, floor, partitioner tag, …) with `value`, and returns
+/// what `open` makes of it.
+fn open_with_manifest_word(tag: &str, word: usize, value: u64) -> std::io::Error {
+    let dir = temp_dir(tag);
+    let data = random_data(200, 8, 61);
+    let built =
+        ShardedProMips::build_in_memory(&data, ShardedConfig::builder().shards(2).build()).unwrap();
+    built.snapshot(&dir).unwrap();
+    let path = dir.join("MANIFEST.pms");
+    let mut manifest = std::fs::read(&path).unwrap();
+    manifest[word * 8..word * 8 + 8].copy_from_slice(&value.to_le_bytes());
+    std::fs::write(&path, &manifest).unwrap();
+    let err = match ShardedProMips::open(&dir) {
+        Ok(_) => panic!("manifest word {word} = {value} was accepted"),
+        Err(e) => e,
+    };
+    std::fs::remove_dir_all(&dir).unwrap();
+    err
+}
+
+/// The partitioner tag is checked, not guessed: 1 (the deleted hash
+/// spread) and a tag nobody ever wrote are both refused by name instead of
+/// being opened as norm-range shards, whose pruning bound their rows would
+/// not obey.
+#[test]
+fn open_rejects_an_unknown_partitioner_tag() {
+    for tag in [1u64, 7] {
+        let err = open_with_manifest_word(&format!("tag{tag}"), 8, tag);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(
+            err.to_string().contains(&format!("partitioner tag {tag}")),
+            "{err}"
+        );
+    }
+}
+
+/// Version 1 (no generations, no next-id word) is no longer read.
+#[test]
+fn open_rejects_manifest_version_1() {
+    let err = open_with_manifest_word("v1", 1, 1);
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(
+        err.to_string().contains("unsupported manifest version 1"),
+        "{err}"
+    );
 }
 
 #[test]

@@ -1,13 +1,14 @@
 //! Query-lifecycle robustness: every retained `search*` name is its
 //! `execute` request, the request's options are orthogonal, deadlines and
-//! cancellation surface as typed errors (fast, not after the full scan),
+//! cancellation surface as typed errors (before a row is read, not after
+//! the full scan),
 //! degraded best-effort answers are *exactly* the top-k over the surviving
 //! shards, and transient IO faults on the write path are absorbed by
 //! bounded retry without losing an acknowledged write.
 
 use std::io;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use promips_core::{ProMips, ProMipsConfig, Query, SearchScratch};
 use promips_linalg::{dot, Matrix};
@@ -66,9 +67,16 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 
 // --- budgets -------------------------------------------------------------
 
+/// Pages a query may read before its first budget check: Quick-Probe's
+/// located point is one projected record of the seed shard, which can
+/// straddle a page boundary. Every row scanned, screened or verified after
+/// it costs further reads.
+const LOCATE_PAGES: u64 = 2;
+
 /// An already-expired deadline refuses the query with the typed error
-/// before doing the scan work — well inside the budget + 10ms contract
-/// (the generous bound here only absorbs CI scheduling noise).
+/// before doing the scan work: every shard is pager-backed here, so the
+/// index's own page counter says how far the query got — the seed shard's
+/// located record and not one row more, on no other shard.
 #[test]
 fn expired_deadline_returns_typed_error_fast() {
     let data = random_data(4000, 16, 3);
@@ -83,24 +91,79 @@ fn expired_deadline_returns_typed_error_fast() {
     .unwrap();
     let scratch = ShardedScratch::for_index(&idx);
     let q = &random_queries(1, 16, 7)[0];
+    run(&idx, q, 10, &scratch);
+    let whole = idx.access_stats().logical_reads;
+    assert!(whole > 10 * LOCATE_PAGES, "the query itself reads {whole}");
 
-    let t = Instant::now();
+    // Default workers, then a threaded fan-out: classified identically.
     let expired = QueryBudget::with_deadline_at(1);
-    let err = idx
-        .execute(budgeted(q, 10, &expired, None), &scratch)
-        .unwrap_err();
-    assert!(matches!(err, QueryError::DeadlineExceeded));
-    assert!(
-        t.elapsed() < Duration::from_millis(250),
-        "expired budget took {:?} to surface",
-        t.elapsed()
-    );
+    for threads in [None, Some(4)] {
+        idx.reset_stats();
+        let err = idx
+            .execute(budgeted(q, 10, &expired, threads), &scratch)
+            .unwrap_err();
+        assert!(matches!(err, QueryError::DeadlineExceeded));
+        let reads = idx.access_stats().logical_reads;
+        assert!(reads <= LOCATE_PAGES, "threads={threads:?}: {reads} reads");
+    }
+}
 
-    // Threaded fan-out classifies identically.
-    let err = idx
-        .execute(budgeted(q, 10, &expired, Some(4)), &scratch)
-        .unwrap_err();
-    assert!(matches!(err, QueryError::DeadlineExceeded));
+/// A budget that is already spent (or cancelled) gives the same typed
+/// error under either degradation policy and any worker count, having
+/// started the seed shard only; a live one is invisible. An expired seed
+/// probe leaves no floor, so nothing is pruned: without the budget check
+/// before the fan-out, best effort starts every remaining shard only for
+/// it to expire on its first tick (each past its own located record), and
+/// a shard with nothing to tick over "answers" — with the empty shard
+/// below, a spent budget comes back as a degraded, empty `Ok`.
+#[test]
+fn spent_budget_fails_alike_under_every_policy_and_thread_count() {
+    let skewed = promips_data::gen::norm_skewed(2000, 12, 211);
+    // Three rows over four shards: shard 0 is empty.
+    let sparse = random_data(3, 12, 213);
+    for (data, label) in [(&skewed, "skewed"), (&sparse, "sparse")] {
+        let mut idx = ShardedProMips::build_in_memory(
+            data,
+            ShardedConfig::builder()
+                .shards(4)
+                .base(ProMipsConfig::builder().seed(215).build())
+                .build(),
+        )
+        .unwrap();
+        let scratch = ShardedScratch::for_index(&idx);
+        let queries = random_queries(4, 12, 217);
+        let plain: Vec<_> = queries.iter().map(|q| run(&idx, q, 5, &scratch)).collect();
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let spent = [
+            (QueryBudget::with_deadline_at(1), false),
+            (QueryBudget::unlimited().cancellable(cancelled), true),
+        ];
+        let live = QueryBudget::with_deadline(Duration::from_secs(120));
+        for policy in [DegradationPolicy::FailFast, DegradationPolicy::BestEffort] {
+            idx.set_degradation(policy);
+            for threads in [None, Some(1), Some(4)] {
+                let case = format!("{label}, {policy:?}, threads={threads:?}");
+                for (q, want) in queries.iter().zip(&plain) {
+                    for (budget, is_cancel) in &spent {
+                        idx.reset_stats();
+                        let out = idx.execute(budgeted(q, 5, budget, threads), &scratch);
+                        match (out, is_cancel) {
+                            (Err(QueryError::DeadlineExceeded), false) => {}
+                            (Err(QueryError::Cancelled), true) => {}
+                            (other, _) => panic!("{case}: {other:?}"),
+                        }
+                        let reads = idx.access_stats().logical_reads;
+                        assert!(reads <= LOCATE_PAGES, "{case}: {reads} reads");
+                    }
+                    let (res, _) = idx
+                        .execute(budgeted(q, 5, &live, threads), &scratch)
+                        .unwrap();
+                    assert_eq!(&res, want, "{case}: a live budget changed the answer");
+                }
+            }
+        }
+    }
 }
 
 /// A pre-cancelled token surfaces as `Cancelled`, distinct from a

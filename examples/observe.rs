@@ -1,21 +1,17 @@
 //! The observability stack on a sharded workload: the global metrics
-//! registry, windowed rates and quantiles fed by a background
-//! aggregator, sampled query traces, the slow-query log, the flight
-//! recorder, and the SLO health report.
+//! registry, sampled and explicit query traces, the slow-query log and the
+//! flight recorder.
 //!
 //! ```sh
 //! cargo run --release --example observe
 //! ```
 //!
-//! CI runs this example and it self-checks: both Prometheus exposition
-//! styles are piped through the in-repo format checker
-//! ([`promips::obs::promcheck`]) and the process exits non-zero if
-//! either fails.
-
-use std::time::Duration;
+//! CI runs this example and it self-checks: the Prometheus exposition is
+//! piped through the in-repo format checker ([`promips::obs::promcheck`])
+//! and the process exits non-zero if it fails.
 
 use promips::linalg::Matrix;
-use promips::obs::{self, health, recorder, sampling, slow, window, HistogramStyle};
+use promips::obs::{self, recorder, sampling, slow};
 use promips::shard::{ShardedConfig, ShardedProMips, ShardedQuery, ShardedScratch, SyncPolicy};
 use promips::stats::Xoshiro256pp;
 
@@ -45,10 +41,6 @@ fn main() -> std::io::Result<()> {
     slow::configure(0, 8);
     sampling::set_sample_every(4);
 
-    // A background aggregator turns the cumulative registry into
-    // per-interval deltas for windowed rates and quantiles.
-    let aggregator = window::start_global_aggregator(Duration::from_millis(25))?;
-
     // A mixed workload: inserts, deletes, queries, one compaction pass.
     for _ in 0..300 {
         let v: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
@@ -68,11 +60,6 @@ fn main() -> std::io::Result<()> {
         index.execute(sequential(q), &scratch)?;
     }
     index.compact_all()?;
-
-    // Let the aggregator capture the workload in at least one interval,
-    // then stop it (final tick included).
-    std::thread::sleep(Duration::from_millis(60));
-    aggregator.stop();
 
     // Per-query stage trace: where did this one search spend its time?
     let traced = ShardedQuery {
@@ -103,35 +90,6 @@ fn main() -> std::io::Result<()> {
         );
     }
 
-    // Windowed view: per-second rates and sliding quantiles over the
-    // last second of intervals.
-    let w = window::MetricsWindow::global().window(window::HORIZON_1S);
-    println!(
-        "\n--- windowed metrics ({} intervals, {:.0} ms) ---",
-        w.intervals,
-        w.elapsed_ns as f64 / 1e6
-    );
-    println!(
-        "  queries/s   {:8.1}",
-        w.rate_per_sec(obs::CounterId::Queries)
-    );
-    println!(
-        "  inserts/s   {:8.1}",
-        w.rate_per_sec(obs::CounterId::Inserts)
-    );
-    println!(
-        "  p99 latency {:8.1} us",
-        w.quantile(obs::HistoId::QueryLatencyNs, 0.99) / 1e3
-    );
-
-    // SLO health over the windowed view.
-    let report = health::SloPolicy::default().evaluate_with_generation_age(
-        &window::MetricsWindow::global().window(window::HORIZON_10S),
-        index.max_generation_age_ns(),
-    );
-    println!("\n--- health report ---");
-    print!("{}", report.render());
-
     // The flight recorder holds the maintenance/lifecycle trail.
     println!(
         "\n--- flight recorder ({} events) ---",
@@ -141,22 +99,16 @@ fn main() -> std::io::Result<()> {
         println!("{line}");
     }
 
-    // Both Prometheus exposition styles must pass the in-repo format
-    // checker: TYPE<->sample agreement, label escaping, cumulative
-    // buckets ending in +Inf. CI runs this example for exactly this.
+    // The Prometheus exposition must pass the in-repo format checker:
+    // TYPE<->sample agreement, label escaping, cumulative buckets ending
+    // in +Inf. CI runs this example for exactly this.
     let snap = obs::global().snapshot();
-    for style in [HistogramStyle::Summary, HistogramStyle::CumulativeBuckets] {
-        let text = snap.render_prometheus_style(style);
-        if let Err(errors) = obs::promcheck::check_exposition(&text) {
-            eprintln!("exposition ({style:?}) failed format check:");
-            for e in errors {
-                eprintln!("  {e}");
-            }
-            std::process::exit(1);
+    let text = snap.render_prometheus();
+    if let Err(errors) = obs::promcheck::check_exposition(&text) {
+        eprintln!("exposition failed format check:");
+        for e in errors {
+            eprintln!("  {e}");
         }
-    }
-    if let Err(errors) = obs::promcheck::check_exposition(&report.render_prometheus()) {
-        eprintln!("health exposition failed format check: {errors:?}");
         std::process::exit(1);
     }
     // The index-or-scan rule's counter rides the same checked exposition:
@@ -164,13 +116,12 @@ fn main() -> std::io::Result<()> {
     // query above prints the rule's input and verdict per shard).
     let column_passes = snap.counter(obs::CounterId::QueryColumnPasses);
     let series = format!("promips_query_column_passes_total {column_passes}");
-    if !snap.render_prometheus().lines().any(|l| l == series) {
+    if !text.lines().any(|l| l == series) {
         eprintln!("exposition lacks `{series}`");
         std::process::exit(1);
     }
-    println!("\n--- prometheus exposition: both styles pass promcheck ---");
-    for line in snap
-        .render_prometheus_style(HistogramStyle::CumulativeBuckets)
+    println!("\n--- prometheus exposition: passes promcheck ---");
+    for line in text
         .lines()
         .filter(|l| !l.starts_with('#'))
         .filter(|l| {
