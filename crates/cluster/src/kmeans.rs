@@ -1,9 +1,10 @@
 //! Lloyd's algorithm with k-means++ seeding and empty-cluster repair.
 
-use promips_linalg::{add_scaled, sq_dist, Matrix};
+use promips_linalg::scalar::SHORT_MAX;
+use promips_linalg::{add_scaled, sq_dist, sq_dist_col, Matrix};
 use promips_stats::Xoshiro256pp;
 
-use crate::seed::kmeanspp_indices;
+use crate::seed::kmeanspp_positions;
 
 /// Configuration for a k-means run.
 #[derive(Debug, Clone)]
@@ -55,76 +56,122 @@ impl KMeansResult {
     }
 }
 
+/// Rows per block of [`for_each_dist`]: a block of short rows and its
+/// distances stay in L1 while every centroid passes over them.
+const BLOCK_ROWS: usize = 1024;
+
+/// `dis²(rowᵢ, center)` for every row of `rows` (flat, `m` floats each).
+/// Up to [`SHORT_MAX`] floats — every index this workspace builds — the
+/// column kernel computes [`sq_dist`]'s own sum at a third of its per-pair
+/// cost; longer rows (PQ codebooks) have no column body that does.
+fn dists_to(rows: &[f32], m: usize, center: &[f32], out: &mut [f64]) {
+    if (1..=SHORT_MAX).contains(&m) {
+        sq_dist_col(rows, m, center, out);
+    } else {
+        for (row, o) in rows.chunks_exact(m.max(1)).zip(out) {
+            *o = sq_dist(row, center);
+        }
+    }
+}
+
+/// Calls `f(first, c, dists)` for every block of up to [`BLOCK_ROWS`]
+/// points and every centroid `c` (ascending within a block): `dists[i]` is
+/// `dis²(points.row(first + i), centroids.row(c))`.
+pub(crate) fn for_each_dist(
+    points: &Matrix,
+    centroids: &Matrix,
+    mut f: impl FnMut(usize, usize, &[f64]),
+) {
+    let m = points.cols();
+    let mut dist = [0.0f64; BLOCK_ROWS];
+    let blocks = points.as_slice().chunks(BLOCK_ROWS * m.max(1));
+    for (block, rows) in blocks.enumerate() {
+        let dist = &mut dist[..rows.len() / m.max(1)];
+        for c in 0..centroids.rows() {
+            dists_to(rows, m, centroids.row(c), dist);
+            f(block * BLOCK_ROWS, c, dist);
+        }
+    }
+}
+
 /// Runs k-means over `subset` (row indices into `data`).
 ///
 /// If `subset.len() < k`, the effective `k` is reduced to the subset size so
 /// every centroid is a real point — this happens routinely for tiny rings in
 /// iDistance's second clustering stage.
+///
+/// The subset is gathered into one contiguous block up front: seeding,
+/// assignment and the radii then run one distance pass per centroid over
+/// it, a block of rows at a time, ties going to the lowest centroid index.
 pub fn kmeans(data: &Matrix, subset: &[usize], config: &KMeansConfig) -> KMeansResult {
     assert!(!subset.is_empty(), "kmeans on empty subset");
     let k = config.k.min(subset.len()).max(1);
     let d = data.cols();
     let mut rng = Xoshiro256pp::seed_from_u64(config.seed);
+    let points = &data.gather(subset);
+    let n = points.rows();
 
     // Seed with k-means++ and materialize centroid vectors.
-    let seeds = kmeanspp_indices(data, subset, k, &mut rng);
-    let mut centroids = Matrix::from_rows(d, seeds.iter().map(|&i| data.row(i).to_vec()));
+    let mut centroids = points.gather(&kmeanspp_positions(points, k, &mut rng));
 
-    let mut assignment = vec![0u32; subset.len()];
+    let mut assignment = vec![0u32; n];
+    // A block's nearest centroid so far, and its distance.
+    let mut nearest = [0u32; BLOCK_ROWS];
+    let mut nearest_d = [0.0f64; BLOCK_ROWS];
     let mut iterations = 0;
     for iter in 0..config.max_iters.max(1) {
         iterations = iter + 1;
         // Assignment step.
         let mut changed = false;
-        for (pos, &row) in subset.iter().enumerate() {
-            let point = data.row(row);
-            let mut best = 0u32;
-            let mut best_d = f64::INFINITY;
-            for c in 0..k {
-                let dist = sq_dist(point, centroids.row(c));
-                if dist < best_d {
-                    best_d = dist;
-                    best = c as u32;
-                }
+        for_each_dist(points, &centroids, |first, c, dists| {
+            if c == 0 {
+                nearest.fill(0);
+                nearest_d.fill(f64::INFINITY);
             }
-            if assignment[pos] != best {
-                assignment[pos] = best;
-                changed = true;
+            // Mask arithmetic, not `if`: which centroid is nearer is a coin
+            // toss for the first few, and the compiler turns a select on a
+            // stored value back into a branch — 3 ns a pair mispredicted,
+            // against 0.8 this way. `min` returns `dist` exactly when
+            // `dist < *best_d` (a NaN loses either way).
+            for ((best, best_d), &dist) in nearest.iter_mut().zip(&mut nearest_d).zip(dists) {
+                let nearer = ((dist < *best_d) as u32).wrapping_neg();
+                *best = (c as u32 & nearer) | (*best & !nearer);
+                *best_d = best_d.min(dist);
             }
-        }
+            if c + 1 == k {
+                let block = &mut assignment[first..first + dists.len()];
+                changed |= *block != nearest[..dists.len()];
+                block.copy_from_slice(&nearest[..dists.len()]);
+            }
+        });
         if !changed && iter > 0 {
             break;
         }
 
         // Update step with f64 accumulators.
-        let mut sums = vec![vec![0.0f64; d]; k];
+        let mut sums = vec![0.0f64; k * d];
         let mut counts = vec![0usize; k];
-        for (pos, &row) in subset.iter().enumerate() {
-            let c = assignment[pos] as usize;
-            add_scaled(&mut sums[c], 1.0, data.row(row));
+        for (row, &c) in points.iter_rows().zip(&assignment) {
+            let c = c as usize;
+            add_scaled(&mut sums[c * d..(c + 1) * d], 1.0, row);
             counts[c] += 1;
         }
         for c in 0..k {
             if counts[c] == 0 {
                 // Empty-cluster repair: re-seed from the point farthest from
                 // its assigned centroid.
-                let (far_pos, _) = subset
-                    .iter()
+                let (far_pos, _) = points
+                    .iter_rows()
+                    .zip(&assignment)
+                    .map(|(row, &a)| sq_dist(row, centroids.row(a as usize)))
                     .enumerate()
-                    .map(|(pos, &row)| {
-                        (
-                            pos,
-                            sq_dist(data.row(row), centroids.row(assignment[pos] as usize)),
-                        )
-                    })
                     .max_by(|a, b| a.1.total_cmp(&b.1))
                     .expect("subset non-empty");
-                let row = subset[far_pos];
-                centroids.row_mut(c).copy_from_slice(data.row(row));
+                centroids.row_mut(c).copy_from_slice(points.row(far_pos));
                 assignment[far_pos] = c as u32;
             } else {
                 let inv = 1.0 / counts[c] as f64;
-                for (dst, &s) in centroids.row_mut(c).iter_mut().zip(&sums[c]) {
+                for (dst, &s) in centroids.row_mut(c).iter_mut().zip(&sums[c * d..]) {
                     *dst = (s * inv) as f32;
                 }
             }
@@ -133,15 +180,17 @@ pub fn kmeans(data: &Matrix, subset: &[usize], config: &KMeansConfig) -> KMeansR
 
     // Final statistics.
     let mut sizes = vec![0usize; k];
-    let mut radii = vec![0.0f64; k];
-    for (pos, &row) in subset.iter().enumerate() {
-        let c = assignment[pos] as usize;
-        sizes[c] += 1;
-        let dist = sq_dist(data.row(row), centroids.row(c)).sqrt();
-        if dist > radii[c] {
-            radii[c] = dist;
-        }
+    for &c in &assignment {
+        sizes[c as usize] += 1;
     }
+    let mut radii = vec![0.0f64; k];
+    for_each_dist(points, &centroids, |first, c, dists| {
+        for (&a, &dist) in assignment[first..].iter().zip(dists) {
+            if a as usize == c {
+                radii[c] = radii[c].max(dist.sqrt());
+            }
+        }
+    });
 
     KMeansResult {
         centroids,

@@ -1,48 +1,45 @@
 //! k-means++ seeding (Arthur & Vassilvitskii, 2007).
 
-use promips_linalg::{sq_dist, Matrix};
+use promips_linalg::Matrix;
 use promips_stats::Xoshiro256pp;
 
-/// Picks `k` initial centroids with the k-means++ D² weighting: the first
-/// centroid is uniform, each subsequent one is drawn with probability
-/// proportional to its squared distance from the nearest centroid chosen so
-/// far. Returns centroid row indices into `data` (distinct).
-pub fn kmeanspp_indices(
-    data: &Matrix,
-    subset: &[usize],
-    k: usize,
-    rng: &mut Xoshiro256pp,
-) -> Vec<usize> {
-    assert!(k >= 1, "k must be >= 1");
-    assert!(
-        subset.len() >= k,
-        "cannot pick {k} centroids from {} points",
-        subset.len()
-    );
+use crate::kmeans::for_each_dist;
 
+/// Picks `k` initial centroids among the rows of `points` with the
+/// k-means++ D² weighting: the first centroid is uniform, each subsequent
+/// one is drawn with probability proportional to its squared distance from
+/// the nearest centroid chosen so far. Returns their row positions
+/// (distinct), one distance pass over `points` per pick.
+pub fn kmeanspp_positions(points: &Matrix, k: usize, rng: &mut Xoshiro256pp) -> Vec<usize> {
+    let n = points.rows();
+    assert!(k >= 1, "k must be >= 1");
+    assert!(n >= k, "cannot pick {k} centroids from {n} points");
     let mut chosen = Vec::with_capacity(k);
-    let first = subset[rng.below(subset.len() as u64) as usize];
+    let first = rng.below(n as u64) as usize;
     chosen.push(first);
 
-    // d2[i] = squared distance of subset[i] to nearest chosen centroid.
-    let mut d2: Vec<f64> = subset
-        .iter()
-        .map(|&i| sq_dist(data.row(i), data.row(first)))
-        .collect();
+    // d2[i] = squared distance of row i to the nearest chosen centroid.
+    let mut d2 = vec![f64::INFINITY; n];
+    let fold_in = |center: usize, d2: &mut [f64]| {
+        for_each_dist(points, &points.gather(&[center]), |first, _, dists| {
+            for (near, &d) in d2[first..].iter_mut().zip(dists) {
+                if d < *near {
+                    *near = d;
+                }
+            }
+        })
+    };
+    fold_in(first, &mut d2);
 
     while chosen.len() < k {
         let total: f64 = d2.iter().sum();
         let next = if total <= 0.0 {
             // All remaining points coincide with chosen centroids; pick any
             // not-yet-chosen point to keep the centroid count.
-            subset
-                .iter()
-                .copied()
-                .find(|i| !chosen.contains(i))
-                .unwrap_or(subset[0])
+            (0..n).find(|i| !chosen.contains(i)).unwrap_or(0)
         } else {
             let mut target = rng.uniform() * total;
-            let mut pick = subset.len() - 1;
+            let mut pick = n - 1;
             for (j, &w) in d2.iter().enumerate() {
                 target -= w;
                 if target <= 0.0 {
@@ -50,15 +47,10 @@ pub fn kmeanspp_indices(
                     break;
                 }
             }
-            subset[pick]
+            pick
         };
         chosen.push(next);
-        for (j, &i) in subset.iter().enumerate() {
-            let d = sq_dist(data.row(i), data.row(next));
-            if d < d2[j] {
-                d2[j] = d;
-            }
-        }
+        fold_in(next, &mut d2);
     }
     chosen
 }
@@ -81,9 +73,8 @@ mod tests {
     #[test]
     fn picks_k_distinct_rows() {
         let data = grid_data();
-        let subset: Vec<usize> = (0..data.rows()).collect();
         let mut rng = Xoshiro256pp::seed_from_u64(5);
-        let picks = kmeanspp_indices(&data, &subset, 3, &mut rng);
+        let picks = kmeanspp_positions(&data, 3, &mut rng);
         assert_eq!(picks.len(), 3);
         let mut sorted = picks.clone();
         sorted.sort_unstable();
@@ -94,9 +85,8 @@ mod tests {
     #[test]
     fn spreads_across_blobs() {
         let data = grid_data();
-        let subset: Vec<usize> = (0..data.rows()).collect();
         let mut rng = Xoshiro256pp::seed_from_u64(9);
-        let picks = kmeanspp_indices(&data, &subset, 3, &mut rng);
+        let picks = kmeanspp_positions(&data, 3, &mut rng);
         // One pick per blob, overwhelmingly likely given the separation.
         let mut blobs: Vec<usize> = picks.iter().map(|&i| i / 20).collect();
         blobs.sort_unstable();
@@ -106,18 +96,18 @@ mod tests {
     #[test]
     fn handles_duplicate_points() {
         let data = Matrix::from_rows(1, (0..10).map(|_| vec![1.0f32]));
-        let subset: Vec<usize> = (0..10).collect();
         let mut rng = Xoshiro256pp::seed_from_u64(1);
-        let picks = kmeanspp_indices(&data, &subset, 3, &mut rng);
+        let picks = kmeanspp_positions(&data, 3, &mut rng);
         assert_eq!(picks.len(), 3);
     }
 
     #[test]
     fn works_on_subset() {
         let data = grid_data();
-        let subset: Vec<usize> = (0..20).collect(); // first blob only
+        // First blob only: positions are into the gathered rows.
+        let subset = data.gather(&(0..20).collect::<Vec<_>>());
         let mut rng = Xoshiro256pp::seed_from_u64(2);
-        let picks = kmeanspp_indices(&data, &subset, 2, &mut rng);
+        let picks = kmeanspp_positions(&subset, 2, &mut rng);
         assert!(picks.iter().all(|&i| i < 20));
     }
 }

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use promips_idistance::layout::{enc, read_blob, write_blob};
 use promips_idistance::IDistanceIndex;
 use promips_linalg::Matrix;
-use promips_storage::{PageBuf, Pager};
+use promips_storage::Pager;
 
 use crate::config::ProMipsConfig;
 use crate::index::{BuildTimings, ProMips};
@@ -61,16 +61,13 @@ impl ProMips {
         }
         let aux_start = write_blob(pager, &aux)?;
 
-        let ps = pager.page_size();
-        let mut footer = Vec::with_capacity(ps);
+        // One zero-padded page: `open` finds it as the file's last.
+        let mut footer = Vec::with_capacity(32);
         enc::put_u64(&mut footer, PROMIPS_MAGIC);
         enc::put_u64(&mut footer, self.idist_footer_page());
         enc::put_u64(&mut footer, aux_start);
         enc::put_u64(&mut footer, aux.len() as u64);
-        footer.resize(ps, 0);
-        let mut page = PageBuf::zeroed(ps);
-        page.as_mut_slice().copy_from_slice(&footer);
-        pager.append(page)?;
+        write_blob(pager, &footer)?;
         pager.sync()
     }
 

@@ -13,13 +13,13 @@ use std::sync::Arc;
 
 use promips_btree::BTree;
 use promips_cluster::{kmeans, KMeansConfig};
-use promips_linalg::{dist, sq_norm2, Matrix};
+use promips_linalg::{dist, Matrix};
 use promips_storage::Pager;
 
 use crate::config::IDistanceConfig;
 use crate::head::HeadBasis;
 use crate::index::IDistanceIndex;
-use crate::layout::{enc, RegionWriter};
+use crate::layout::RegionWriter;
 use crate::meta::{OrigQuant, PartitionMeta, SubPartMeta, SubPartQuant};
 
 /// Builds an [`IDistanceIndex`] over `proj` (n × m projected points) and
@@ -135,85 +135,48 @@ pub fn build_index(
     // --- Packed projected region. ------------------------------------------
     let mut proj_offs = Vec::with_capacity(defs.len());
     let mut writer = RegionWriter::new(&pager);
-    let mut rec = Vec::with_capacity(8 + 4 * m);
     for def in &defs {
-        let mut first = None;
+        proj_offs.push(writer.position());
         for &id in &def.ids {
-            rec.clear();
-            enc::put_u64(&mut rec, id as u64);
-            enc::put_f32s(&mut rec, proj.row(id));
-            let off = writer.append(&rec)?;
-            first.get_or_insert(off);
+            writer.append(&(id as u64).to_le_bytes())?;
+            writer.append_f32s(proj.row(id))?;
         }
-        proj_offs.push(first.expect("sub-partition is non-empty"));
     }
     let proj_region = writer.finish()?;
 
     // --- Packed original region. -------------------------------------------
     let mut orig_offs = Vec::with_capacity(defs.len());
     let mut writer = RegionWriter::new(&pager);
-    let mut rec = Vec::with_capacity(4 * d);
     for def in &defs {
-        let mut first = None;
+        orig_offs.push(writer.position());
         for &id in &def.ids {
-            rec.clear();
-            enc::put_f32s(&mut rec, orig.row(id));
-            let off = writer.append(&rec)?;
-            first.get_or_insert(off);
+            writer.append_f32s(orig.row(id))?;
         }
-        orig_offs.push(first.expect("sub-partition is non-empty"));
     }
     let orig_region = writer.finish()?;
 
     // --- Packed SQ8 quantized region. ---------------------------------------
     // Each sub-partition's projected rows are scalar-quantized to u8 codes
-    // with one affine (min, scale) per sub-partition; the exact
-    // dequantization error bound max ‖x − x̂‖ is computed here so the
-    // two-level scan can pad the annulus radii and never drop a true
-    // candidate. Codes are m bytes per record (no id column) in the same
+    // with one affine (min, scale) per sub-partition ([`sq8_encode`]); the
+    // exact dequantization error bound max ‖x − x̂‖ comes out of the same
+    // pass, so the two-level scan can pad the annulus radii and never drop a
+    // true candidate. Codes are m bytes per record (no id column) in the same
     // record order as the projected region — the quantized filter touches a
     // quarter of the bytes the f32 scan would.
     let mut quants: Vec<SubPartQuant> = Vec::new();
     let mut quant_region = None;
+    let mut codes: Vec<u8> = Vec::new();
     if config.quantize {
         quants.reserve(defs.len());
         let mut writer = RegionWriter::new(&pager);
-        let mut rec = Vec::with_capacity(m);
         for def in &defs {
-            let mut lo = f32::INFINITY;
-            let mut hi = f32::NEG_INFINITY;
-            for &id in &def.ids {
-                for &x in proj.row(id) {
-                    lo = lo.min(x);
-                    hi = hi.max(x);
-                }
-            }
-            // Degenerate sub-partitions (single repeated value) quantize
-            // exactly with any positive step: every code is 0, x̂ = min.
-            let scale = if hi > lo { (hi - lo) / 255.0 } else { 1.0 };
-            let inv_scale = 1.0 / scale;
-            let mut err_sq_max = 0.0f64;
-            let mut first = None;
-            for &id in &def.ids {
-                rec.clear();
-                let mut err_sq = 0.0f64;
-                for &x in proj.row(id) {
-                    let code = ((x - lo) * inv_scale).round().clamp(0.0, 255.0) as u8;
-                    rec.push(code);
-                    let e = x as f64 - (lo as f64 + scale as f64 * code as f64);
-                    err_sq += e * e;
-                }
-                err_sq_max = err_sq_max.max(err_sq);
-                let off = writer.append(&rec)?;
-                first.get_or_insert(off);
-            }
+            let rows = proj.gather(&def.ids);
+            let q = sq8_encode(rows.as_slice(), m, &mut codes);
             quants.push(SubPartQuant {
-                off: first.expect("sub-partition is non-empty"),
-                scale,
-                min: lo,
-                // Round the f32 narrowing up so the stored bound stays an
-                // upper bound (1e-6 relative dwarfs the f32 epsilon).
-                err: (err_sq_max.sqrt() * (1.0 + 1e-6)) as f32,
+                off: writer.append(&codes)?,
+                scale: q.scale,
+                min: q.min,
+                err: q.err,
             });
         }
         quant_region = Some(writer.finish()?);
@@ -225,70 +188,26 @@ pub fn build_index(
     // the rows' energy sits in few directions the coded row is the `h`-dim
     // head `Vo` ([`HeadBasis`]), else the d-dim row itself. The screen needs
     // the bounds of [`OrigQuant`] per sub-partition — max ‖x − x̂‖, max ‖x̂‖
-    // over the coded rows `x`, and max ‖o − Vᵀ(Vo)‖ for a head — all
-    // computed here in f64 and rounded up into f32. Heads are projected one
-    // sub-partition at a time: the only transient is that sub-partition's.
+    // over the coded rows `x`, and max ‖o − Vᵀ(Vo)‖ for a head. Heads are
+    // projected one sub-partition at a time, as one blocked `rows · Vᵀ`: the
+    // only transients are that sub-partition's rows and heads.
     let mut vquants: Vec<OrigQuant> = Vec::new();
     let mut vquant_region = None;
     if config.verify_quantize {
-        let w = head.as_ref().map_or(d, HeadBasis::width);
         vquants.reserve(defs.len());
         let mut writer = RegionWriter::new(&pager);
-        let mut rec = Vec::with_capacity(w);
-        let mut heads: Vec<f32> = Vec::new();
         for def in &defs {
-            let mut tail_max = 0.0f64;
-            if let Some(basis) = &head {
-                heads.resize(def.ids.len() * w, 0.0);
-                for (&id, out) in def.ids.iter().zip(heads.chunks_exact_mut(w)) {
-                    let o = orig.row(id);
-                    let head_sq = basis.project(o, out);
-                    tail_max = tail_max.max(basis.residual_bound(sq_norm2(o), head_sq));
-                }
-            }
-            let coded = |slot: usize| match &head {
-                Some(_) => &heads[slot * w..(slot + 1) * w],
-                None => orig.row(def.ids[slot]),
+            let rows = orig.gather(&def.ids);
+            let (coded, tail_max) = match &head {
+                Some(basis) => basis.project_rows(&rows),
+                None => (rows, 0.0),
             };
-            let mut lo = f32::INFINITY;
-            let mut hi = f32::NEG_INFINITY;
-            for slot in 0..def.ids.len() {
-                for &x in coded(slot) {
-                    lo = lo.min(x);
-                    hi = hi.max(x);
-                }
-            }
-            let scale = if hi > lo { (hi - lo) / 255.0 } else { 1.0 };
-            let inv_scale = 1.0 / scale;
-            let mut err_sq_max = 0.0f64;
-            let mut xnorm_sq_max = 0.0f64;
-            let mut first = None;
-            for slot in 0..def.ids.len() {
-                rec.clear();
-                let mut err_sq = 0.0f64;
-                let mut xnorm_sq = 0.0f64;
-                for &x in coded(slot) {
-                    let code = ((x - lo) * inv_scale).round().clamp(0.0, 255.0) as u8;
-                    rec.push(code);
-                    let xhat = lo as f64 + scale as f64 * code as f64;
-                    let e = x as f64 - xhat;
-                    err_sq += e * e;
-                    xnorm_sq += xhat * xhat;
-                }
-                err_sq_max = err_sq_max.max(err_sq);
-                xnorm_sq_max = xnorm_sq_max.max(xnorm_sq);
-                let off = writer.append(&rec)?;
-                first.get_or_insert(off);
-            }
+            let q = sq8_encode(coded.as_slice(), coded.cols(), &mut codes);
             vquants.push(OrigQuant {
-                off: first.expect("sub-partition is non-empty"),
-                scale,
-                min: lo,
-                // Round the f32 narrowings up so the stored bounds stay
-                // upper bounds (1e-6 relative dwarfs the f32 epsilon).
-                err: (err_sq_max.sqrt() * (1.0 + 1e-6)) as f32,
-                xnorm: (xnorm_sq_max.sqrt() * (1.0 + 1e-6)) as f32,
+                off: writer.append(&codes)?,
+                // Rounded up into f32 like the bounds of `sq8_encode`.
                 tail: (tail_max * (1.0 + 1e-6)) as f32,
+                ..q
             });
         }
         vquant_region = Some(writer.finish()?);
@@ -333,6 +252,62 @@ pub fn build_index(
     );
     index.write_footer()?;
     Ok(index)
+}
+
+/// Quantizes the `w`-float rows of `rows` to one u8 code per coordinate,
+/// `code = round((x − min) / scale)` with `min` and `scale = (max − min) /
+/// 255` taken over all of them, into `codes` (cleared first) — a
+/// sub-partition's whole code column, ready for one region append.
+/// Returns the quantizer and its `err` and `xnorm` bounds, computed in f64
+/// from the codes as written and rounded up into f32 (1e-6 relative dwarfs
+/// the f32 epsilon) so they stay upper bounds; `off` and `tail` are the
+/// caller's to fill.
+pub fn sq8_encode(rows: &[f32], w: usize, codes: &mut Vec<u8>) -> OrigQuant {
+    let mut lo = f32::INFINITY;
+    let mut hi = f32::NEG_INFINITY;
+    for &x in rows {
+        lo = lo.min(x);
+        hi = hi.max(x);
+    }
+    // Degenerate sub-partitions (single repeated value) quantize exactly
+    // with any positive step: every code is 0, x̂ = min.
+    let scale = if hi > lo { (hi - lo) / 255.0 } else { 1.0 };
+    let inv_scale = 1.0 / scale;
+    // `v.round().clamp(0.0, 255.0) as u8` without the libm call `round` is
+    // on the baseline target: truncate (`as` saturates, NaN is 0), carry
+    // when the fraction left — exact below 2²³, zero above — is at least a
+    // half. A negative `v` lands at or below zero either way.
+    codes.clear();
+    codes.extend(rows.iter().map(|&x| {
+        let v = (x - lo) * inv_scale;
+        let whole = v as i32;
+        let carry = i32::from(v - whole as f32 >= 0.5);
+        whole.saturating_add(carry).clamp(0, 255) as u8
+    }));
+    let (lo64, scale64) = (lo as f64, scale as f64);
+    let mut err_sq_max = 0.0f64;
+    let mut xnorm_sq_max = 0.0f64;
+    let w = w.max(1);
+    for (row, codes) in rows.chunks_exact(w).zip(codes.chunks_exact(w)) {
+        let mut err_sq = 0.0f64;
+        let mut xnorm_sq = 0.0f64;
+        for (&x, &code) in row.iter().zip(codes) {
+            let xhat = lo64 + scale64 * code as f64;
+            let e = x as f64 - xhat;
+            err_sq += e * e;
+            xnorm_sq += xhat * xhat;
+        }
+        err_sq_max = err_sq_max.max(err_sq);
+        xnorm_sq_max = xnorm_sq_max.max(xnorm_sq);
+    }
+    OrigQuant {
+        off: 0,
+        scale,
+        min: lo,
+        err: (err_sq_max.sqrt() * (1.0 + 1e-6)) as f32,
+        xnorm: (xnorm_sq_max.sqrt() * (1.0 + 1e-6)) as f32,
+        tail: 0.0,
+    }
 }
 
 #[cfg(test)]

@@ -150,6 +150,19 @@ impl HeadBasis {
         sq_norm2(out)
     }
 
+    /// [`Self::project`] for every row of `rows` in one blocked `rows · Vᵀ`
+    /// — each head to the bit what `project` writes for that row — beside
+    /// the largest [`Self::residual_bound`] among the rows (0 for none).
+    pub fn project_rows(&self, rows: &Matrix) -> (Matrix, f64) {
+        let heads = rows.gemm_nt(&self.v);
+        let tail = rows
+            .iter_rows()
+            .zip(heads.iter_rows())
+            .map(|(x, a)| self.residual_bound(sq_norm2(x), sq_norm2(a)))
+            .fold(0.0, f64::max);
+        (heads, tail)
+    }
+
     /// An upper bound on `‖x − Vᵀa‖` given `‖x‖²` and `‖a‖²`, where `a` is
     /// [`Self::project`]'s output for `x`.
     pub fn residual_bound(&self, sq_norm: f64, head_sq_norm: f64) -> f64 {

@@ -185,6 +185,59 @@ unsafe fn dot4_body(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -
     out
 }
 
+/// [`dot4_body`] for four right-hand sides at once: accumulator `[i][j]`
+/// runs `dot4_body(b[0], .., b[3], a[i])`'s chain `j` — the same lanes, the
+/// same fused multiply-adds in the same order (a product does not depend on
+/// the order of its factors), the same reduction and the same scalar tail —
+/// so every output has that call's bits. Each step widens eight vectors for
+/// sixteen FMAs where four `dot4`s widen twenty.
+///
+/// # Safety
+/// Requires avx512f; reads are clamped to the shortest of the eight rows.
+#[target_feature(enable = "avx512f")]
+unsafe fn dot4x4_body(a: [&[f32]; 4], b: [&[f32]; 4]) -> [[f64; 4]; 4] {
+    debug_assert!(
+        a.iter().chain(&b).all(|r| r.len() == a[0].len()),
+        "dot4x4: dimension mismatch"
+    );
+    // Soundness: clamp to the shortest operand (see dot_body).
+    let n = a.iter().chain(&b).map(|r| r.len()).min().unwrap_or(0);
+    let (ap, bp) = (a.map(<[f32]>::as_ptr), b.map(<[f32]>::as_ptr));
+    let mut acc = [[_mm512_setzero_pd(); 4]; 4];
+    let chunks = n / 8;
+    for c in 0..chunks {
+        let vb = [
+            widen8(bp[0].add(c * 8)),
+            widen8(bp[1].add(c * 8)),
+            widen8(bp[2].add(c * 8)),
+            widen8(bp[3].add(c * 8)),
+        ];
+        for (i, &p) in ap.iter().enumerate() {
+            let va = widen8(p.add(c * 8));
+            for j in 0..4 {
+                acc[i][j] = _mm512_fmadd_pd(vb[j], va, acc[i][j]);
+            }
+        }
+    }
+    // Plain loops, not `map`: its closures compile to calls that take each
+    // accumulator through memory, which doubles the time of a d = 300 tile.
+    let mut out = [[0.0f64; 4]; 4];
+    for i in 0..4 {
+        for j in 0..4 {
+            out[i][j] = _mm512_reduce_add_pd(acc[i][j]);
+        }
+    }
+    for t in chunks * 8..n {
+        for (i, &p) in ap.iter().enumerate() {
+            let x = *p.add(t) as f64;
+            for j in 0..4 {
+                out[i][j] += *bp[j].add(t) as f64 * x;
+            }
+        }
+    }
+    out
+}
+
 #[target_feature(enable = "avx512f")]
 unsafe fn sq_dist4_body(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -> [f64; 4] {
     debug_assert!(
@@ -222,11 +275,13 @@ unsafe fn sq_dist4_body(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32
 
 // --- Projected-space column kernels (short operands) -------------------------
 //
-// Rows of `m ≤ SHORT_MAX` coordinates are shorter than one vector, so the
-// column bodies put *rows* in the lanes: a strided gather fetches coordinate
-// `j` of sixteen consecutive rows, and the loop over `j` is the same
-// left-to-right sum the scalar reference runs (see `scalar::sq_dist_seq`) —
-// separate multiply and add, no FMA, so every lane reproduces it to the bit.
+// Rows of `m ≤ SHORT_MAX` codes are shorter than one vector, so the u8
+// column body puts *rows* in the lanes: a strided gather fetches four codes
+// of sixteen consecutive rows per dword lane. The f32 column has no body
+// here, as it has none in [`crate::x86`]: sixteen-lane float gathers took
+// 5.6 / 6.5 / 7.4 / 9.3 ns a row (m = 6 / 7 / 8 / 10) against 2.4 / 2.7 /
+// 3.2 / 3.9 for the scalar unrolled loop, at 48-row and at 100 000-row
+// columns alike, so short f32 columns take `scalar::sq_dist_col`.
 
 /// Lane `r` holds `r · stride`: row `r`'s offset from the first row of a
 /// sixteen-row block.
@@ -246,40 +301,6 @@ fn lane_mask(live: usize) -> __mmask16 {
         0xFFFF
     } else {
         (1u16 << live) - 1
-    }
-}
-
-/// # Safety
-/// Requires avx512f, `q.len() == m ≤ SHORT_MAX` and
-/// `rows.len() == out.len() * m` (checked by the safe wrapper).
-#[target_feature(enable = "avx512f")]
-unsafe fn sq_dist_col_short(rows: &[f32], m: usize, q: &[f32], out: &mut [f64]) {
-    let n = out.len();
-    let idx = row_offsets(m);
-    let mut i = 0;
-    while i < n {
-        let live = n - i;
-        let k = lane_mask(live);
-        // SAFETY: lane r < live reads rows[(i + r)·m + j], inside the
-        // arena; masked-off lanes are not accessed.
-        let base = rows.as_ptr().add(i * m);
-        let mut lo = _mm512_setzero_pd();
-        let mut hi = _mm512_setzero_pd();
-        for (j, &qj) in q.iter().enumerate() {
-            let x = _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), k, idx, base.add(j));
-            let qj = _mm512_set1_pd(qj as f64);
-            let x_hi = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(x)));
-            let d_lo = _mm512_sub_pd(_mm512_cvtps_pd(_mm512_castps512_ps256(x)), qj);
-            let d_hi = _mm512_sub_pd(_mm512_cvtps_pd(x_hi), qj);
-            lo = _mm512_add_pd(lo, _mm512_mul_pd(d_lo, d_lo));
-            hi = _mm512_add_pd(hi, _mm512_mul_pd(d_hi, d_hi));
-        }
-        let op = out.as_mut_ptr().add(i);
-        _mm512_mask_storeu_pd(op, k as u8, lo);
-        if live > 8 {
-            _mm512_mask_storeu_pd(op.add(8), (k >> 8) as u8, hi);
-        }
-        i += 16;
     }
 }
 
@@ -653,6 +674,10 @@ pub(crate) fn dot4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) ->
     unsafe { dot4_body(a0, a1, a2, a3, b) }
 }
 
+pub(crate) fn dot4x4(a: [&[f32]; 4], b: [&[f32]; 4]) -> [[f64; 4]; 4] {
+    unsafe { dot4x4_body(a, b) }
+}
+
 pub(crate) fn sq_dist4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -> [f64; 4] {
     unsafe { sq_dist4_body(a0, a1, a2, a3, b) }
 }
@@ -678,13 +703,7 @@ pub(crate) fn dot_i8_vnni(a: &[u8], b: &[i8]) -> i32 {
 }
 
 pub(crate) fn sq_dist_col(rows: &[f32], m: usize, q: &[f32], out: &mut [f64]) {
-    check_col_shape(rows.len(), m, q.len(), out.len());
-    if m <= SHORT_MAX {
-        // SAFETY: shape checked above, 1 ≤ m ≤ SHORT_MAX.
-        unsafe { sq_dist_col_short(rows, m, q, out) }
-    } else {
-        col_long(rows, m, q, out, sq_dist4)
-    }
+    scalar::sq_dist_col_with(sq_dist4, rows, m, q, out)
 }
 
 /// The u8 column kernel; needs avx512bw like the other i8 wrappers.

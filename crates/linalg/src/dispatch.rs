@@ -24,10 +24,11 @@
 //!
 //! | operands                                   | kernel                          |
 //! |--------------------------------------------|---------------------------------|
-//! | projected space, `m ≤ 16` floats or codes  | `sq_dist_col` / `sq_dist_col_i8`: one call per sub-partition column, rows in the vector lanes |
+//! | projected space, `m ≤ 16` floats or codes  | `sq_dist_col` / `sq_dist_col_i8`: one call per sub-partition column — floats through the unrolled scalar body on every backend, codes with rows in the vector lanes |
 //! | screen, a run of contiguous `w`-code rows  | `dot_col_i8`: `w` = 64 or 128 on AVX-512 — sixteen rows per step and per store; otherwise `dot4_i8` over every four rows |
 //! | screen, scattered u8 × i8 code rows        | `dot4_i8` / `dot_i8`: 64 (VNNI), 32 (BW) or 16 (AVX2) codes per step, masked or overlapped tail |
 //! | verification, `d`-long f32 rows            | `dot4` / `dot`: widened `f64` FMA lanes |
+//! | build, rows × rows (`Matrix::gemm_nt`)     | `dot4x4`: sixteen `dot4`-identical sums per pass over eight rows |
 //!
 //! ## Numerical contract
 //!
@@ -51,6 +52,11 @@ use crate::scalar;
 /// Signature of the blocked four-row kernels (`dot4`, `sq_dist4`): four rows
 /// against one shared right-hand side.
 pub type Dot4Fn = fn(&[f32], &[f32], &[f32], &[f32], &[f32]) -> [f64; 4];
+
+/// Signature of the 4 × 4 blocked kernel (`dot4x4`): entry `[i][j]` is
+/// `⟨a[i], b[j]⟩`, with the bits the backend's `dot4(b[0], b[1], b[2], b[3],
+/// a[i])[j]` has.
+pub type Dot4x4Fn = fn([&[f32]; 4], [&[f32]; 4]) -> [[f64; 4]; 4];
 
 /// Signature of the blocked quantized squared-distance kernel
 /// (`sq_dist4_i8`): four u8 code rows against one shared u8 code query.
@@ -98,6 +104,8 @@ pub struct Kernels {
     pub norm1: fn(&[f32]) -> f64,
     /// Four inner products against a shared right-hand side.
     pub dot4: Dot4Fn,
+    /// Sixteen inner products of four rows against four rows.
+    pub dot4x4: Dot4x4Fn,
     /// Four squared Euclidean distances against a shared right-hand side.
     pub sq_dist4: Dot4Fn,
     /// Four quantized squared distances over u8 codes (SQ8 filter tier).
@@ -122,6 +130,7 @@ pub static SCALAR: Kernels = Kernels {
     sq_norm2: scalar::sq_norm2,
     norm1: scalar::norm1,
     dot4: scalar::dot4,
+    dot4x4: scalar::dot4x4,
     sq_dist4: scalar::sq_dist4,
     sq_dist4_i8: scalar::sq_dist4_i8,
     dot4_i8: scalar::dot4_i8,
@@ -139,6 +148,7 @@ static AVX2: Kernels = Kernels {
     sq_norm2: crate::x86::sq_norm2,
     norm1: crate::x86::norm1,
     dot4: crate::x86::dot4,
+    dot4x4: crate::x86::dot4x4,
     sq_dist4: crate::x86::sq_dist4,
     sq_dist4_i8: crate::x86::sq_dist4_i8,
     dot4_i8: crate::x86::dot4_i8,
@@ -156,6 +166,7 @@ static AVX512: Kernels = Kernels {
     sq_norm2: crate::avx512::sq_norm2,
     norm1: crate::avx512::norm1,
     dot4: crate::avx512::dot4,
+    dot4x4: crate::avx512::dot4x4,
     sq_dist4: crate::avx512::sq_dist4,
     // Sound default for the i8 entries: the 512-bit integer bodies need
     // AVX-512BW, which the `avx512f` gate does not imply, so the static

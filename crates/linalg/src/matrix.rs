@@ -1,6 +1,7 @@
 //! Row-major dense matrix, used for datasets (n × d), projection matrices
 //! (m × d), and PQ codebooks.
 
+use crate::dispatch::kernels;
 use crate::vector::{dot, dot4};
 
 /// A row-major dense `f32` matrix.
@@ -156,18 +157,39 @@ impl Matrix {
 
     /// `self · otherᵀ` — both operands row-major, result `n × m` where
     /// `self` is `n × d` and `other` is `m × d`. Entry `(i, j)` is
-    /// `⟨self.row(i), other.row(j)⟩` with `f64` accumulation.
+    /// `⟨self.row(i), other.row(j)⟩` with `f64` accumulation, to the bit
+    /// what `other.matvec_into(self.row(i), ..)` writes at `j`.
     ///
-    /// This is the batched form of [`Matrix::matvec`]: projecting a whole
-    /// dataset is `data.gemm_nt(projection)` — one output buffer, the
-    /// projection rows streamed through the blocked kernel per data row —
-    /// instead of n independent allocating matvecs.
+    /// This is the batched form of [`Matrix::matvec`] — projecting a whole
+    /// dataset is `data.gemm_nt(projection)` — register-blocked four rows
+    /// by four: each 4 × 4 tile of the result is one `dot4x4` call, so a
+    /// pass over `other` serves four rows of `self`. The last `m % 4`
+    /// columns and `n % 4` rows take [`dot`] and [`dot4`] as `matvec_into`
+    /// does.
     pub fn gemm_nt(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "gemm_nt: inner dimension mismatch");
         let (n, m) = (self.rows, other.rows);
+        let dot4x4 = kernels().dot4x4;
         let mut out = vec![0.0f32; n * m];
-        for (i, chunk) in out.chunks_exact_mut(m.max(1)).enumerate().take(n) {
-            other.matvec_into(self.row(i), &mut chunk[..m]);
+        let blocked = (n / 4 * 4, m / 4 * 4);
+        for i in (0..blocked.0).step_by(4) {
+            let a: [&[f32]; 4] = std::array::from_fn(|r| self.row(i + r));
+            for j in (0..blocked.1).step_by(4) {
+                let tile = dot4x4(a, std::array::from_fn(|r| other.row(j + r)));
+                for (r, sums) in tile.iter().enumerate() {
+                    for (c, &sum) in sums.iter().enumerate() {
+                        out[(i + r) * m + j + c] = sum as f32;
+                    }
+                }
+            }
+            for j in blocked.1..m {
+                for (r, row) in a.iter().enumerate() {
+                    out[(i + r) * m + j] = dot(other.row(j), row) as f32;
+                }
+            }
+        }
+        for i in blocked.0..n {
+            other.matvec_into(self.row(i), &mut out[i * m..(i + 1) * m]);
         }
         Matrix::from_vec(n, m, out)
     }

@@ -83,6 +83,12 @@ pub fn dot4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -> [f64; 
     [dot(a0, b), dot(a1, b), dot(a2, b), dot(a3, b)]
 }
 
+/// Sixteen inner products `⟨aᵢ, bⱼ⟩` — the tile [`crate::Matrix::gemm_nt`]
+/// is made of — as four [`dot4`]s, one per row of `a`.
+pub fn dot4x4(a: [&[f32]; 4], b: [&[f32]; 4]) -> [[f64; 4]; 4] {
+    a.map(|ai| dot4(b[0], b[1], b[2], b[3], ai))
+}
+
 /// Four simultaneous squared distances `dis²(aᵢ, b)` — the blocked primitive
 /// for rows longer than [`SHORT_MAX`] (the column kernels run it over
 /// such rows; shorter ones have their own bodies). All five slices must have
@@ -164,10 +170,10 @@ pub fn dot4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8]) -> [i32; 4]
 pub const SHORT_MAX: usize = 16;
 
 /// The short-operand arithmetic: `Σ (aⱼ − bⱼ)²` accumulated left to right in
-/// one `f64`, one rounding per subtract, multiply and add (no FMA). The
-/// SIMD column bodies put rows — not coordinates — in the vector lanes, so
-/// each lane performs exactly this sequence and all backends agree to the
-/// bit.
+/// one `f64`, one rounding per subtract, multiply and add (no FMA). Every
+/// backend's short column takes the unrolled body below (strided-gather
+/// bodies with rows in the lanes measured slower on AVX2 and on AVX-512),
+/// so all backends agree to the bit by running the same code.
 #[inline(always)]
 pub fn sq_dist_seq(a: &[f32], b: &[f32]) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "sq_dist: dimension mismatch");
@@ -304,12 +310,20 @@ pub(crate) fn col_long<T, Q, O: Copy>(
 /// # Panics
 /// Panics unless `q.len() == m > 0` and `rows.len() == out.len() * m`.
 pub fn sq_dist_col(rows: &[f32], m: usize, q: &[f32], out: &mut [f64]) {
+    sq_dist_col_with(sq_dist4, rows, m, q, out)
+}
+
+/// [`sq_dist_col`] with a backend's own blocked kernel `k4` for rows longer
+/// than [`SHORT_MAX`]; short ones take the unrolled body on every backend.
+pub(crate) fn sq_dist_col_with(
+    k4: crate::dispatch::Dot4Fn,
+    rows: &[f32],
+    m: usize,
+    q: &[f32],
+    out: &mut [f64],
+) {
     check_col_shape(rows.len(), m, q.len(), out.len());
-    match_short_m!(
-        m,
-        col_short(rows, q, out),
-        col_long(rows, m, q, out, sq_dist4)
-    )
+    match_short_m!(m, col_short(rows, q, out), col_long(rows, m, q, out, k4))
 }
 
 /// Quantized squared distances `Σⱼ (rowᵢⱼ − qⱼ)²` of every `m`-code row of

@@ -78,9 +78,9 @@ pub fn sq_dist4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -> [f
 
 /// Squared distances `dis²(rowᵢ, q)` of every `m`-float row of the flat
 /// arena `rows` into `out` — the projected-space scan kernel, one dispatch
-/// per sub-partition column. For `m ≤` [`SHORT_MAX`] the rows ride the
-/// vector lanes and each gets [`sq_dist`]'s bits, whatever its position in
-/// the column; longer rows get [`sq_dist4`]'s.
+/// per sub-partition column (and per centroid of a k-means pass). For
+/// `m ≤` [`SHORT_MAX`] each row gets [`sq_dist`]'s bits, whatever its
+/// position in the column; longer rows get [`sq_dist4`]'s.
 ///
 /// # Panics
 /// Panics unless `q.len() == m > 0` and `rows.len() == out.len() * m`.
@@ -184,7 +184,9 @@ pub fn sub(a: &[f32], b: &[f32]) -> Vec<f32> {
     a.iter().zip(b).map(|(&x, &y)| x - y).collect()
 }
 
-/// `out += alpha * x` (the BLAS `axpy`), used by k-means centroid updates.
+/// `out += alpha * x` (the BLAS `axpy`), used by k-means centroid updates
+/// — once per point per iteration on 6–10 floats, so inlined.
+#[inline]
 pub fn add_scaled(out: &mut [f64], alpha: f64, x: &[f32]) {
     debug_assert_eq!(out.len(), x.len());
     for (o, &v) in out.iter_mut().zip(x) {

@@ -555,6 +555,12 @@ pub(crate) fn dot4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) ->
     unsafe { dot4_body(a0, a1, a2, a3, b) }
 }
 
+/// Sixteen accumulators do not fit the sixteen `ymm` registers beside
+/// their operands: the tile is four [`dot4`]s.
+pub(crate) fn dot4x4(a: [&[f32]; 4], b: [&[f32]; 4]) -> [[f64; 4]; 4] {
+    a.map(|ai| dot4(b[0], b[1], b[2], b[3], ai))
+}
+
 pub(crate) fn sq_dist4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -> [f64; 4] {
     unsafe { sq_dist4_body(a0, a1, a2, a3, b) }
 }
@@ -572,11 +578,7 @@ pub(crate) fn dot_i8(a: &[u8], b: &[i8]) -> i32 {
 }
 
 pub(crate) fn sq_dist_col(rows: &[f32], m: usize, q: &[f32], out: &mut [f64]) {
-    if m <= SHORT_MAX {
-        return scalar::sq_dist_col(rows, m, q, out);
-    }
-    check_col_shape(rows.len(), m, q.len(), out.len());
-    col_long(rows, m, q, out, sq_dist4)
+    scalar::sq_dist_col_with(sq_dist4, rows, m, q, out)
 }
 
 pub(crate) fn sq_dist_col_i8(rows: &[u8], m: usize, q: &[u8], out: &mut [u32]) {

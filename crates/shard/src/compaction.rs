@@ -78,7 +78,7 @@ use promips_storage::{AccessStats, FileStorage, Pager};
 use promips_wal::WalRecord;
 
 use crate::index::{
-    shard_seed, DeltaState, GenKind, ShardGeneration, ShardSnapshot, ShardedProMips,
+    shard_seed, DeltaInsert, DeltaState, GenKind, ShardGeneration, ShardSnapshot, ShardedProMips,
 };
 use crate::persist::shard_path;
 use crate::result::CompactionOutcome;
@@ -138,14 +138,13 @@ pub struct CompactionReport {
 }
 
 /// Sorts `ids` ascending and applies the same permutation (one gather
-/// pass) to the rows of `rows` — restoring the "shard id maps are
-/// ascending" invariant after a gather that returned rows in
-/// sub-partition order.
+/// pass) to the rows of `rows` — what a re-partition does to the rows of
+/// all shards laid end to end, each shard's ascending on its own.
 pub(crate) fn sort_rows_by_ids(ids: &mut [u64], rows: &mut Matrix) {
     let n = ids.len();
     debug_assert_eq!(rows.rows(), n);
     if ids.windows(2).all(|w| w[0] < w[1]) {
-        return; // already ascending (exact shards gather in id order)
+        return; // already ascending (one shard holds every row)
     }
     let mut perm: Vec<u32> = (0..n as u32).collect();
     perm.sort_by_key(|&i| ids[i as usize]);
@@ -160,34 +159,45 @@ pub(crate) fn sort_rows_by_ids(ids: &mut [u64], rows: &mut Matrix) {
     *rows = Matrix::from_vec(n, d, flat);
 }
 
-/// Copies the live committed rows of a generation (everything the frozen
-/// tombstone set doesn't kill) without consuming anything — the read side
-/// of a shadow rebuild. Returns ids + flat rows (sub-partition order for
-/// indexed generations; callers re-sort).
-fn committed_live_rows(
+/// Copies out what a rebuild of `gen` keeps, without consuming anything —
+/// the read side of a shadow rebuild: the committed rows `tombs` does not
+/// kill, then the surviving rows of `delta`. Ids ascending (a generation's
+/// id map ascends, and a delta's ids ascend past it), rows in that order,
+/// in one buffer sized once — each row is copied to its final place as it
+/// is read.
+fn live_rows(
     gen: &ShardGeneration,
     tombs: &HashSet<u64>,
-) -> io::Result<(Vec<u64>, Vec<f32>)> {
-    match &gen.kind {
+    delta: &[DeltaInsert],
+    d: usize,
+) -> io::Result<(Vec<u64>, Matrix)> {
+    let live_delta = || delta.iter().filter(|e| !tombs.contains(&e.gid));
+    let spare_rows = live_delta().count();
+    let (mut gids, mut flat) = match &gen.kind {
         GenKind::Indexed(pm) => {
-            let gen_ids = &gen.ids;
-            let (locals, rows) =
-                pm.live_rows_snapshot(&|l| tombs.contains(&gen_ids[l as usize]))?;
-            let gids = locals.iter().map(|&l| gen_ids[l as usize]).collect();
-            Ok((gids, rows.as_slice().to_vec()))
+            let dead = |l: u64| tombs.contains(&gen.ids[l as usize]);
+            let (locals, rows) = pm.live_rows_snapshot(&dead, spare_rows)?;
+            let gids: Vec<u64> = locals.iter().map(|&l| gen.ids[l as usize]).collect();
+            (gids, rows.into_vec())
         }
         GenKind::Exact(rows) => {
-            let mut gids: Vec<u64> = Vec::with_capacity(gen.ids.len());
-            let mut flat: Vec<f32> = Vec::with_capacity(rows.as_slice().len());
+            let mut gids: Vec<u64> = Vec::with_capacity(gen.ids.len() + spare_rows);
+            let mut flat: Vec<f32> = Vec::with_capacity((gen.ids.len() + spare_rows) * d);
             for (i, &gid) in gen.ids.iter().enumerate() {
                 if !tombs.contains(&gid) {
                     gids.push(gid);
                     flat.extend_from_slice(rows.row(i));
                 }
             }
-            Ok((gids, flat))
+            (gids, flat)
         }
+    };
+    for e in live_delta() {
+        gids.push(e.gid);
+        flat.extend_from_slice(&e.row);
     }
+    let rows = Matrix::from_vec(gids.len(), d, flat);
+    Ok((gids, rows))
 }
 
 /// Handle to the background compaction thread: wakes every `interval`,
@@ -367,15 +377,7 @@ impl ShardedProMips {
         let split = frozen.len();
 
         // ---- Shadow build: no locks held, readers and writers run free. --
-        let (mut gids, mut flat) = committed_live_rows(&old_gen, &frozen_tombs)?;
-        for e in &frozen {
-            if !frozen_tombs.contains(&e.gid) {
-                gids.push(e.gid);
-                flat.extend_from_slice(&e.row);
-            }
-        }
-        let mut rows = Matrix::from_vec(gids.len(), self.d, flat);
-        sort_rows_by_ids(&mut gids, &mut rows);
+        let (gids, rows) = live_rows(&old_gen, &frozen_tombs, &frozen, self.d)?;
         let new_gen = self.build_generation(si, gids, rows, old_gen.generation + 1)?;
 
         // ---- Commit: manifest swap, WAL rewrite, handle swap. ------------
@@ -520,16 +522,11 @@ impl ShardedProMips {
         let mut all_gids: Vec<u64> = Vec::with_capacity(live_total);
         let mut flat: Vec<f32> = Vec::with_capacity(live_total * self.d);
         for snap in &snaps {
-            let (gids, rows) = committed_live_rows(&snap.gen, &snap.tombstones)?;
+            let (gids, rows) = live_rows(&snap.gen, &snap.tombstones, &snap.inserts, self.d)?;
             all_gids.extend(gids);
-            flat.extend_from_slice(&rows);
-            for e in &snap.inserts {
-                if !snap.tombstones.contains(&e.gid) {
-                    all_gids.push(e.gid);
-                    flat.extend_from_slice(&e.row);
-                }
-            }
+            flat.extend_from_slice(rows.as_slice());
         }
+        // Each shard's rows ascend; across shards they interleave.
         let mut all_rows = Matrix::from_vec(all_gids.len(), self.d, flat);
         sort_rows_by_ids(&mut all_gids, &mut all_rows);
 

@@ -358,8 +358,8 @@ impl FaultRig {
 #[test]
 fn fault_on_generation_build_write_aborts_cleanly() {
     let _serial = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // High threshold ⇒ exact generations, whose blob writes go through
-    // the shim's Write path.
+    // High threshold ⇒ exact generations, written as one blob (the indexed
+    // twin is `fault_on_indexed_generation_build_aborts_cleanly`).
     let rig = fault_rig("genwrite", 10_000);
     let pending = rig.idx.pending_mutations();
     rig.arm(IoOp::Write, 1, "shard_");
@@ -375,6 +375,50 @@ fn fault_on_generation_build_write_aborts_cleanly() {
     assert!(!rig.idx.compact_all().unwrap().is_empty());
     assert_eq!(rig.idx.pending_mutations(), 0);
     rig.assert_intact_and_reopenable();
+}
+
+/// Step 1 again, for the common case — an **indexed** shadow build, whose
+/// page file is written in runs and single pages and fsynced once the
+/// footer is in place. Failing a run write (the first write of the new
+/// generation's file), a later page write (the B+-tree's, past the packed
+/// regions) or a data fsync each abort the pass with zero footprint: the
+/// error is the injected one, the overlay is not drained, no generation
+/// advanced, the orphan file is gone, the old generation still answers,
+/// and a retry folds everything.
+#[test]
+fn fault_on_indexed_generation_build_aborts_cleanly() {
+    let _serial = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for (tag, op, nth) in [
+        ("genrun", IoOp::Write, 1),
+        ("genpage", IoOp::Write, 6),
+        ("gensync", IoOp::Fsync, 1),
+        ("gensync2", IoOp::Fsync, 2),
+    ] {
+        let rig = fault_rig(tag, 40);
+        let pending = rig.idx.pending_mutations();
+        rig.arm(op, nth, "shard_0000.g1.pmx");
+        let err = rig.idx.compact_all().unwrap_err();
+        assert!(faults::is_injected(&err), "{tag}: unexpected error: {err}");
+        assert!(!faults::disarm(), "{tag}: the armed fault never fired");
+        assert_eq!(
+            rig.idx.pending_mutations(),
+            pending,
+            "{tag}: a failed shadow build must not drain the overlay"
+        );
+        for st in rig.idx.maintenance_stats() {
+            assert_eq!(st.generation, 0, "{tag}: no generation may advance");
+        }
+        assert!(
+            !rig.dir.join("shard_0000.g1.pmx").exists(),
+            "{tag}: the orphan file must be removed"
+        );
+        assert_eq!(FaultRig::live_ids(&rig.idx), rig.live, "{tag}: live view");
+        // The retry folds everything the fault interrupted.
+        assert!(!rig.idx.compact_all().unwrap().is_empty());
+        assert_eq!(rig.idx.pending_mutations(), 0);
+        assert!(rig.dir.join("shard_0000.g1.pmx").exists());
+        rig.assert_intact_and_reopenable();
+    }
 }
 
 /// Step 2 (the commit point): failing the manifest's tmp-file fsync means
@@ -431,9 +475,9 @@ fn fault_on_manifest_rename_keeps_old_generation_authoritative() {
 fn fault_on_wal_rewrite_after_manifest_swap_loses_nothing() {
     let _serial = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let rig = fault_rig("walrewrite", 40);
-    // Only WAL IO routes through the shim on shard-named paths (the page
-    // files write directly), so this fails the rewrite's rename into
-    // place — the first shard-scoped rename of the commit.
+    // Page files are written and fsynced through the shim but never
+    // renamed, so this fails the WAL rewrite's rename into place — the
+    // first shard-scoped rename of the commit.
     rig.arm(IoOp::Rename, 1, "shard_");
     let err = rig.idx.compact_all().unwrap_err();
     assert!(faults::is_injected(&err), "unexpected error: {err}");

@@ -8,9 +8,10 @@
 //! durable only after `fsync` on the file itself. The manifest-swap
 //! protocol of the sharded index (write `MANIFEST.pms.tmp`, fsync it,
 //! rename over `MANIFEST.pms`, fsync the directory) rides these helpers,
-//! and the WAL crate routes its own fsyncs and renames through the same
-//! shim so a single fault plan covers every durability-relevant syscall
-//! in the process.
+//! the WAL crate routes its own fsyncs and renames through the same shim,
+//! and so do the page files' reads, writes and data fsync
+//! (`FileStorage`), so a single fault plan covers every
+//! durability-relevant syscall in the process.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};

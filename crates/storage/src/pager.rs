@@ -11,6 +11,7 @@ use parking_lot::Mutex;
 
 use crate::buffer::BufferPool;
 use crate::durability::faults::{self, IoOp};
+use crate::durability::sync_file_data;
 use crate::metrics::AccessStats;
 use crate::page::{PageBuf, PageId};
 
@@ -27,6 +28,10 @@ pub trait Storage: Send + Sync {
     fn write_page(&self, id: PageId, buf: &[u8]) -> io::Result<()>;
     /// Allocates a fresh zeroed page and returns its id.
     fn allocate(&self) -> io::Result<PageId>;
+    /// Appends `bytes` — a non-empty whole number of pages — as fresh
+    /// consecutive pages in one device write and returns the first one's
+    /// id. On error no page was allocated.
+    fn append_pages(&self, bytes: &[u8]) -> io::Result<PageId>;
     /// Flushes to durable media (no-op for memory).
     fn sync(&self) -> io::Result<()>;
 }
@@ -83,6 +88,18 @@ impl Storage for MemStorage {
         Ok(pages.len() as u64 - 1)
     }
 
+    fn append_pages(&self, bytes: &[u8]) -> io::Result<PageId> {
+        assert!(!bytes.is_empty() && bytes.len().is_multiple_of(self.page_size));
+        let mut pages = self.pages.lock();
+        let start = pages.len() as u64;
+        pages.extend(
+            bytes
+                .chunks_exact(self.page_size)
+                .map(|page| PageBuf::from_vec(page.to_vec())),
+        );
+        Ok(start)
+    }
+
     fn sync(&self) -> io::Result<()> {
         Ok(())
     }
@@ -92,8 +109,9 @@ impl Storage for MemStorage {
 pub struct FileStorage {
     page_size: usize,
     file: File,
-    /// Kept for fault-plan scoping: page reads route through the
-    /// durability shim so tests can fault one shard's data file.
+    /// Kept for fault-plan scoping: page reads, page writes and the data
+    /// fsync route through the durability shim so tests can fault one
+    /// shard's data file.
     path: PathBuf,
     num_pages: Mutex<u64>,
 }
@@ -159,6 +177,7 @@ impl Storage for FileStorage {
 
     fn write_page(&self, id: PageId, buf: &[u8]) -> io::Result<()> {
         assert_eq!(buf.len(), self.page_size);
+        faults::check(IoOp::Write, &self.path)?;
         self.file.write_all_at(buf, id * self.page_size as u64)
     }
 
@@ -171,8 +190,22 @@ impl Storage for FileStorage {
         Ok(id)
     }
 
+    fn append_pages(&self, bytes: &[u8]) -> io::Result<PageId> {
+        assert!(!bytes.is_empty() && bytes.len().is_multiple_of(self.page_size));
+        let mut n = self.num_pages.lock();
+        let start = *n;
+        let at = start * self.page_size as u64;
+        faults::check(IoOp::Write, &self.path)?;
+        self.file.set_len(at + bytes.len() as u64)?;
+        self.file.write_all_at(bytes, at)?;
+        // Only now do the pages exist: a failed write leaves the count
+        // where it was, and the next allocation cuts the file back to it.
+        *n += (bytes.len() / self.page_size) as u64;
+        Ok(start)
+    }
+
     fn sync(&self) -> io::Result<()> {
-        self.file.sync_data()
+        sync_file_data(&self.file, &self.path)
     }
 }
 
@@ -287,6 +320,20 @@ impl Pager {
         let id = self.allocate()?;
         self.write(id, buf)?;
         Ok(id)
+    }
+
+    /// Appends `bytes` — a non-empty whole number of pages — as fresh
+    /// consecutive pages through one [`Storage::append_pages`] call and
+    /// returns the first one's id. Counted and cached page by page, in
+    /// file order, exactly as that many [`Pager::append`] calls would be.
+    pub fn append_run(&self, bytes: &[u8]) -> io::Result<PageId> {
+        let start = self.storage.append_pages(bytes)?;
+        for (id, page) in (start..).zip(bytes.chunks_exact(self.page_size())) {
+            self.stats.record_write();
+            self.pool
+                .insert(id, Arc::new(PageBuf::from_vec(page.to_vec())));
+        }
+        Ok(start)
     }
 
     /// Drops all cached pages (used to measure cold-cache behaviour).
