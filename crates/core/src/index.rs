@@ -3,13 +3,12 @@
 use std::io;
 use std::sync::Arc;
 
-use promips_idistance::{build_index, IDistanceIndex};
-use promips_linalg::Matrix;
+use promips_idistance::{build_index, footer_span_pages, IDistanceIndex};
+use promips_linalg::{norm1, sq_norm2, Matrix};
 use promips_storage::{AccessStatsSnapshot, Pager};
 
 use crate::conditions::chi2_threshold;
 use crate::config::ProMipsConfig;
-use crate::norms::NormTable;
 use crate::optimize::optimized_projection_dim;
 use crate::projection::Projection;
 use crate::quickprobe::QuickProbe;
@@ -19,7 +18,8 @@ use crate::quickprobe::QuickProbe;
 pub struct BuildTimings {
     /// Projecting the dataset (2-stable random projections).
     pub project_ms: f64,
-    /// Norm tables + binary codes + Quick-Probe groups.
+    /// One pass over the rows for `‖o‖₁` and `max ‖o‖²`, then binary
+    /// codes and one Quick-Probe representative per code group.
     pub quickprobe_ms: f64,
     /// iDistance construction (clustering, layout, B+-tree).
     pub index_ms: f64,
@@ -45,17 +45,17 @@ pub struct ProMips {
     pub(crate) config: ProMipsConfig,
     pub(crate) projection: Projection,
     pub(crate) index: IDistanceIndex,
-    pub(crate) norms: NormTable,
+    /// `‖oM‖²`: the largest squared 2-norm among the rows (Conditions A
+    /// and B).
+    pub(crate) max_sq_norm: f64,
     pub(crate) quickprobe: QuickProbe,
-    /// id → (sub-partition, record offset).
-    pub(crate) locator: Vec<(u32, u32)>,
     pub(crate) m: usize,
     pub(crate) d: usize,
     /// Condition B's threshold `Ψm⁻¹(p)`: fixed by `m` and `config.p`.
     pub(crate) chi2_threshold: f64,
     timings: BuildTimings,
     /// Page holding the iDistance footer (needed by [`ProMips::save`]).
-    idist_footer_page: u64,
+    pub(crate) idist_footer_page: u64,
 }
 
 impl ProMips {
@@ -99,10 +99,18 @@ impl ProMips {
 
         // Stage 2: norms + binary codes for Quick-Probe.
         let t1 = std::time::Instant::now();
-        let norms = NormTable::compute(data);
+        let mut max_sq_norm = 0.0f64;
+        let norm1s: Vec<f64> = data
+            .iter_rows()
+            .map(|row| {
+                max_sq_norm = max_sq_norm.max(sq_norm2(row));
+                norm1(row)
+            })
+            .collect();
         let quickprobe = QuickProbe::build(m, (0..n).map(|i| (i as u64, proj.row(i))), |id| {
-            norms.norm1(id)
+            norm1s[id as usize]
         });
+        drop(norm1s);
         let quickprobe_ms = t1.elapsed().as_secs_f64() * 1e3;
 
         // Stage 3: iDistance over the projected points, originals alongside.
@@ -112,20 +120,7 @@ impl ProMips {
         let index = build_index(Arc::clone(&pager), &proj, data, &id_cfg)?;
         // build_index ends by writing the iDistance footer as the file's
         // last pages (one page at any realistic page size).
-        let idist_footer_page =
-            pager.num_pages() - promips_idistance::footer_span_pages(pager.page_size());
-
-        // Locator: where did each id land? (One reused decode arena across
-        // sub-partitions — this pass touches every projected record.)
-        let mut locator = vec![(u32::MAX, u32::MAX); n];
-        let mut scratch = promips_idistance::ProjScratch::new();
-        for sub in 0..index.subparts().len() as u32 {
-            index.read_subpart_proj_into(sub, &mut scratch)?;
-            for (offset, &id) in scratch.ids().iter().enumerate() {
-                locator[id as usize] = (sub, offset as u32);
-            }
-        }
-        debug_assert!(locator.iter().all(|&(s, _)| s != u32::MAX));
+        let idist_footer_page = pager.num_pages() - footer_span_pages(pager.page_size());
         let index_ms = t2.elapsed().as_secs_f64() * 1e3;
 
         let timings = BuildTimings {
@@ -137,48 +132,36 @@ impl ProMips {
             config,
             projection,
             index,
-            norms,
+            max_sq_norm,
             quickprobe,
-            locator,
-            m,
-            d,
             timings,
             idist_footer_page,
         ))
     }
 
     /// Reconstructs a handle from persisted parts (see [`crate::persist`]).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn reassemble(
         config: ProMipsConfig,
         projection: Projection,
         index: IDistanceIndex,
-        norms: NormTable,
+        max_sq_norm: f64,
         quickprobe: QuickProbe,
-        locator: Vec<(u32, u32)>,
-        m: usize,
-        d: usize,
         timings: BuildTimings,
         idist_footer_page: u64,
     ) -> Self {
+        let (m, d) = (projection.m(), projection.d());
         Self {
             chi2_threshold: chi2_threshold(m as u32, config.p),
             config,
             projection,
             index,
-            norms,
+            max_sq_norm,
             quickprobe,
-            locator,
             m,
             d,
             timings,
             idist_footer_page,
         }
-    }
-
-    /// The page holding the iDistance footer.
-    pub(crate) fn idist_footer_page(&self) -> u64 {
-        self.idist_footer_page
     }
 
     /// The effective projected dimensionality `m`.
@@ -189,6 +172,13 @@ impl ProMips {
     /// Original dimensionality `d`.
     pub fn d(&self) -> usize {
         self.d
+    }
+
+    /// `‖oM‖²`, the largest squared 2-norm among the indexed rows — what
+    /// the searching conditions use, and what the shard layer's pruning
+    /// bound is the square root of.
+    pub fn max_sq_norm(&self) -> f64 {
+        self.max_sq_norm
     }
 
     /// Number of indexed points.
@@ -234,14 +224,16 @@ impl ProMips {
 
     /// The paper's **Index Size** metric: everything except the raw
     /// original vectors — i.e. the projected blobs + B+-tree + directory
-    /// pages, plus the in-memory Quick-Probe groups, norm table and locator.
+    /// pages up to the iDistance footer, plus the projection matrix and the
+    /// Quick-Probe representatives. Those two are counted from memory and
+    /// the pages [`ProMips::save`] appends for them are not, so the figure
+    /// is the same before a save, after it and on a reopened handle.
     pub fn index_size_bytes(&self) -> u64 {
         let ps = self.index.pager().page_size() as u64;
         let orig_pages = self.index.orig_region().1.div_ceil(ps).max(1);
-        let file = self.index.size_bytes();
-        let aux = (self.quickprobe.size_bytes() + self.norms.size_bytes() + self.locator.len() * 8)
-            as u64;
-        file - orig_pages * ps + aux
+        let built_pages = self.idist_footer_page + footer_span_pages(ps as usize);
+        let aux = self.quickprobe.size_bytes() + 4 * self.m * self.d;
+        (built_pages - orig_pages) * ps + aux as u64
     }
 
     /// Total bytes on disk including the original vectors (data + index).
@@ -277,20 +269,6 @@ mod tests {
         let cfg = ProMipsConfig::builder().m(9).build();
         let idx = ProMips::build_in_memory(&data, cfg).unwrap();
         assert_eq!(idx.m(), 9);
-    }
-
-    #[test]
-    fn locator_is_consistent() {
-        let data = random_data(400, 12, 3);
-        let idx = ProMips::build_in_memory(&data, ProMipsConfig::default()).unwrap();
-        let mut scratch = promips_idistance::ProjScratch::new();
-        for id in (0..400u64).step_by(37) {
-            let (sub, off) = idx.locator[id as usize];
-            idx.index
-                .fetch_proj_record_into(sub, off, &mut scratch)
-                .unwrap();
-            assert_eq!(scratch.id(0), id);
-        }
     }
 
     #[test]

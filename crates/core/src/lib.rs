@@ -10,8 +10,10 @@
 //! 1. choose the projected dimension `m` (Section V-B, [`optimize`]);
 //! 2. draw an `m × d` 2-stable (Gaussian) projection ([`projection`]) and
 //!    project every point;
-//! 3. compute per-point norms and sign binary codes for Quick-Probe
-//!    ([`norms`], [`binary`], [`quickprobe`]);
+//! 3. in one pass over the rows take each point's `‖o‖₁` and the dataset's
+//!    `max ‖o‖²`, and keep one Quick-Probe representative per sign binary
+//!    code ([`binary`], [`quickprobe`]) — nothing per row outlives the
+//!    build;
 //! 4. build the iDistance index over the projected points, storing projected
 //!    and original vectors in sub-partition order on disk.
 //!
@@ -43,7 +45,6 @@ pub mod config;
 pub mod error;
 pub mod index;
 pub mod maintenance;
-pub mod norms;
 pub mod optimize;
 pub mod persist;
 pub mod projection;

@@ -5,14 +5,21 @@
 //!
 //! ```text
 //! … iDistance regions + B+-tree + directory + iDistance footer …
-//! [aux blob]     config scalars, projection matrix, norm table,
-//!                Quick-Probe directory, id→(sub-partition, offset) locator
+//! [aux blob]     c, p, seed, page size, pool pages, m, d   7 × 8 bytes
+//!                projection matrix                         4·m·d
+//!                max ‖o‖²                                  8
+//!                Quick-Probe: m, groups                    8 + 4
+//!                  per group: code, ‖o‖₁, id, P(o)         24 + 4·m each
 //! [footer page]  magic, iDistance-footer page id, aux (start, len)
 //! ```
 //!
-//! [`ProMips::open`] reads the last page, locates both the aux blob and the
-//! iDistance footer, and reassembles the handle. All content addressing is
-//! page-relative, so the file can be copied or memory-mapped freely.
+//! Nothing in the blob has one entry per row: its length is fixed by `m`,
+//! `d` and the number of non-empty sign codes (≤ 2^m) — about 15 KB at
+//! m = 7, d = 300. [`ProMips::open`] reads the last page, checks that the
+//! blob lies inside the file and is exactly as long as its own header says,
+//! opens the iDistance footer and reassembles the handle; anything that
+//! disagrees is `InvalidData`. All content addressing is page-relative, so
+//! the file can be copied or memory-mapped freely.
 
 use std::io;
 use std::sync::Arc;
@@ -24,23 +31,31 @@ use promips_storage::Pager;
 
 use crate::config::ProMipsConfig;
 use crate::index::{BuildTimings, ProMips};
-use crate::norms::NormTable;
 use crate::projection::Projection;
 use crate::quickprobe::QuickProbe;
 
-const PROMIPS_MAGIC: u64 = 0x9120_6D19_50F1_1E00;
+/// Footer magic of the layout above. The one before it (`…1E00`, whose
+/// blob held 40 bytes a row) is refused as any other unknown value is.
+const PROMIPS_MAGIC: u64 = 0x9120_6D19_50F1_1E01;
+
+/// Bytes of the aux blob's leading scalars (`c` … `d`).
+const AUX_SCALARS: usize = 7 * 8;
+
+fn bad(what: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
+}
 
 impl ProMips {
-    /// Persists everything the search path needs (projection, norms,
-    /// Quick-Probe directory, locator) into the index's paged file and
-    /// finishes with a footer page. Call once after building into a
-    /// file-backed pager; afterwards [`ProMips::open`] can reconstruct the
-    /// index from the file alone.
+    /// Persists what the search path needs beyond the iDistance file
+    /// (config scalars, projection, `max ‖o‖²`, the Quick-Probe
+    /// representatives) into the index's paged file and finishes with a
+    /// footer page. Call once after building into a file-backed pager;
+    /// afterwards [`ProMips::open`] can reconstruct the index from the file
+    /// alone.
     pub fn save(&self) -> io::Result<()> {
         let pager = self.idistance().pager();
 
         let mut aux = Vec::new();
-        // Config scalars.
         enc::put_f64(&mut aux, self.config.c);
         enc::put_f64(&mut aux, self.config.p);
         enc::put_u64(&mut aux, self.config.seed);
@@ -48,67 +63,99 @@ impl ProMips {
         enc::put_u64(&mut aux, self.config.pool_pages as u64);
         enc::put_u64(&mut aux, self.m as u64);
         enc::put_u64(&mut aux, self.d as u64);
-        // Projection matrix (m × d).
         enc::put_f32s(&mut aux, self.projection.matrix().as_slice());
-        // Norm table + Quick-Probe directory.
-        self.norms.encode(&mut aux);
+        enc::put_f64(&mut aux, self.max_sq_norm);
         self.quickprobe.encode(&mut aux);
-        // Locator.
-        enc::put_u64(&mut aux, self.locator.len() as u64);
-        for &(sub, off) in &self.locator {
-            enc::put_u32(&mut aux, sub);
-            enc::put_u32(&mut aux, off);
-        }
         let aux_start = write_blob(pager, &aux)?;
 
         // One zero-padded page: `open` finds it as the file's last.
         let mut footer = Vec::with_capacity(32);
         enc::put_u64(&mut footer, PROMIPS_MAGIC);
-        enc::put_u64(&mut footer, self.idist_footer_page());
+        enc::put_u64(&mut footer, self.idist_footer_page);
         enc::put_u64(&mut footer, aux_start);
         enc::put_u64(&mut footer, aux.len() as u64);
         write_blob(pager, &footer)?;
         pager.sync()
     }
 
-    /// Reopens a fully persisted index (see [`ProMips::save`]).
+    /// Reopens a fully persisted index (see [`ProMips::save`]). A file
+    /// whose footer, aux blob or iDistance directory disagree with one
+    /// another or with the file's length is refused with
+    /// [`io::ErrorKind::InvalidData`] naming what disagreed.
     pub fn open(pager: Arc<Pager>) -> io::Result<Self> {
         let last = pager
             .num_pages()
             .checked_sub(1)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty ProMIPS file"))?;
+            .ok_or_else(|| bad("empty ProMIPS file".into()))?;
+        let ps = pager.page_size();
         let page = pager.read(last)?;
-        let mut pos = 0;
         let buf = page.as_slice();
-        if enc::get_u64(buf, &mut pos) != PROMIPS_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bad ProMIPS footer magic (file saved without ProMips::save?)",
+        let mut pos = 0;
+        if buf.len() < 32 || enc::get_u64(buf, &mut pos) != PROMIPS_MAGIC {
+            return Err(bad(
+                "bad ProMIPS footer magic (no save(), or another format?)".into(),
             ));
         }
         let idist_footer = enc::get_u64(buf, &mut pos);
         let aux_start = enc::get_u64(buf, &mut pos);
-        let aux_len = enc::get_u64(buf, &mut pos) as usize;
+        let aux_len = enc::get_u64(buf, &mut pos);
+        // The blob sits between the iDistance footer and this page: bound
+        // its length by the file before allocating for it.
+        let aux_end = aux_start.checked_add(aux_len.div_ceil(ps as u64).max(1));
+        if idist_footer >= aux_start || aux_end.is_none_or(|end| end > last) {
+            return Err(bad(format!(
+                "aux blob (page {aux_start}, {aux_len} bytes) after iDistance footer page \
+                 {idist_footer} does not fit the file's {last} pages before the footer"
+            )));
+        }
+        let aux = read_blob(&pager, aux_start, aux_len as usize)?;
 
-        let aux = read_blob(&pager, aux_start, aux_len)?;
+        if aux.len() < AUX_SCALARS {
+            return Err(bad(format!(
+                "aux blob of {aux_len} bytes has no room for its header"
+            )));
+        }
         let mut pos = 0;
         let c = enc::get_f64(&aux, &mut pos);
         let p = enc::get_f64(&aux, &mut pos);
         let seed = enc::get_u64(&aux, &mut pos);
         let page_size = enc::get_u64(&aux, &mut pos) as usize;
         let pool_pages = enc::get_u64(&aux, &mut pos) as usize;
-        let m = enc::get_u64(&aux, &mut pos) as usize;
-        let d = enc::get_u64(&aux, &mut pos) as usize;
+        let m = enc::get_u64(&aux, &mut pos);
+        let d = enc::get_u64(&aux, &mut pos);
+        // The projection and `max ‖o‖²` must fit what is left; the
+        // Quick-Probe directory checks its own share.
+        let fixed = m
+            .checked_mul(d)
+            .and_then(|md| md.checked_mul(4))
+            .and_then(|bytes| bytes.checked_add(8));
+        if !(1..=64).contains(&m) || d == 0 || fixed.is_none_or(|f| f > (aux.len() - pos) as u64) {
+            return Err(bad(format!(
+                "aux blob of {aux_len} bytes cannot hold a {m} × {d} projection (1 ≤ m ≤ 64, d ≥ 1)"
+            )));
+        }
+        let (m, d) = (m as usize, d as usize);
         let proj_data = enc::get_f32s(&aux, &mut pos, m * d);
         let projection = Projection::from_matrix(Matrix::from_vec(m, d, proj_data));
-        let norms = NormTable::decode(&aux, &mut pos);
-        let quickprobe = QuickProbe::decode(&aux, &mut pos);
-        let n = enc::get_u64(&aux, &mut pos) as usize;
-        let locator: Vec<(u32, u32)> = (0..n)
-            .map(|_| (enc::get_u32(&aux, &mut pos), enc::get_u32(&aux, &mut pos)))
-            .collect();
+        let max_sq_norm = enc::get_f64(&aux, &mut pos);
+        let quickprobe = QuickProbe::decode(&aux, &mut pos)?;
+        if pos != aux.len() {
+            return Err(bad(format!(
+                "aux blob is {aux_len} bytes, its contents end at {pos}"
+            )));
+        }
 
         let index = IDistanceIndex::open_at(Arc::clone(&pager), idist_footer)?;
+        let (groups, n) = (quickprobe.num_groups() as u64, index.len());
+        if (index.proj_dim(), index.orig_dim(), quickprobe.m()) != (m, d, m) || groups > n {
+            return Err(bad(format!(
+                "a {m} × {d} projection and {groups} Quick-Probe groups at m = {} over an \
+                 iDistance index of {n} rows, {} × {}",
+                quickprobe.m(),
+                index.proj_dim(),
+                index.orig_dim()
+            )));
+        }
         let config = ProMipsConfig {
             c,
             p,
@@ -122,11 +169,8 @@ impl ProMips {
             config,
             projection,
             index,
-            norms,
+            max_sq_norm,
             quickprobe,
-            locator,
-            m,
-            d,
             BuildTimings::default(),
             idist_footer,
         ))

@@ -2,8 +2,7 @@
 //!
 //! Goal: pick the searching radius for MIP-Search-II **without** the
 //! incremental NN search of Algorithm 1. During pre-processing the projected
-//! points are grouped by their sign binary codes; each group keeps its
-//! members sorted by original-space 1-norm. At query time:
+//! points are grouped by their sign binary codes. At query time:
 //!
 //! 1. every group gets a lower bound `LB` on the projected distance between
 //!    any member and the query (Theorem 3);
@@ -15,37 +14,65 @@
 //!    the scan continues. If no group passes, the best-recorded member is
 //!    returned.
 //!
-//! The located point's *actual* projected distance to the query (fetched
-//! from the index) becomes the range-search radius.
+//! The located point's *actual* projected distance to the query becomes the
+//! range-search radius.
+//!
+//! # One representative per group
+//!
+//! The paper keeps every group's members sorted by `‖o‖₁` so that its own
+//! updates can advance to the next member when the smallest one is deleted.
+//! A [`crate::ProMips`] handle is immutable — deletes reach a query as the
+//! request's tombstone mask, which Quick-Probe does not consult (the probe
+//! only says where the range search starts; Condition B and the
+//! compensation radius, not the probe, carry the guarantee) — so step 2
+//! only ever reads a group's *first* member. The directory therefore holds
+//! that one representative per non-empty code: its code, `‖o‖₁`, id and `m`
+//! projected floats, copied from the row the index build writes to the
+//! projected region. At most `2^m` entries whatever `n` is, and the radius
+//! is arithmetic on memory the handle already holds: no page is read.
+
+use std::collections::BTreeMap;
+use std::io;
 
 use promips_stats::chi2_cdf;
 
 use crate::binary::{code_of, theorem3_lower_bound, BinaryCode};
 
-/// A code group: members sorted ascending by `‖o‖₁`.
+/// A non-empty code group's representative: the member smallest under
+/// `(‖o‖₁, id)`.
 #[derive(Debug, Clone)]
-struct Group {
+struct Representative {
     code: BinaryCode,
-    /// `(norm1, id)` sorted ascending by `norm1`.
-    members: Vec<(f64, u64)>,
+    norm1: f64,
+    id: u64,
 }
 
 /// The Quick-Probe directory (built once per index).
 #[derive(Debug, Clone)]
 pub struct QuickProbe {
     m: usize,
-    groups: Vec<Group>,
+    /// Ascending by code.
+    groups: Vec<Representative>,
+    /// `groups[i]`'s projected vector at `[i·m, (i+1)·m)`.
+    projected: Vec<f32>,
 }
 
 /// Outcome of a Quick-Probe location.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Located {
+pub struct Located<'a> {
     /// Id of the located point.
     pub id: u64,
     /// Whether Test A was satisfied (`false` → fallback best-value point).
     pub test_a_passed: bool,
     /// Number of groups inspected before returning.
     pub groups_probed: usize,
+    /// The located point's projected vector, as the index stores it.
+    pub projected: &'a [f32],
+}
+
+/// Encoded bytes of one representative: code, `‖o‖₁`, id, `m` floats.
+const fn entry_bytes(m: usize) -> usize {
+    24 + 4 * m
 }
 
 impl QuickProbe {
@@ -59,22 +86,36 @@ impl QuickProbe {
         projected: impl IntoIterator<Item = (u64, &'a [f32])>,
         norm1_of: impl Fn(u64) -> f64,
     ) -> Self {
-        use std::collections::HashMap;
-        let mut map: HashMap<BinaryCode, Vec<(f64, u64)>> = HashMap::new();
+        let mut best: BTreeMap<BinaryCode, (f64, u64, &'a [f32])> = BTreeMap::new();
         for (id, pv) in projected {
             debug_assert_eq!(pv.len(), m);
-            map.entry(code_of(pv)).or_default().push((norm1_of(id), id));
+            let norm1 = norm1_of(id);
+            best.entry(code_of(pv))
+                .and_modify(|rep| {
+                    if norm1.total_cmp(&rep.0).then(id.cmp(&rep.1)).is_lt() {
+                        *rep = (norm1, id, pv);
+                    }
+                })
+                .or_insert((norm1, id, pv));
         }
-        let mut groups: Vec<Group> = map
+        let mut flat = Vec::with_capacity(best.len() * m);
+        let groups = best
             .into_iter()
-            .map(|(code, mut members)| {
-                members.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                Group { code, members }
+            .map(|(code, (norm1, id, pv))| {
+                flat.extend_from_slice(pv);
+                Representative { code, norm1, id }
             })
             .collect();
-        // Deterministic group order (HashMap iteration is not).
-        groups.sort_by_key(|g| g.code);
-        Self { m, groups }
+        Self {
+            m,
+            groups,
+            projected: flat,
+        }
+    }
+
+    /// The projected dimensionality the directory was built for.
+    pub(crate) fn m(&self) -> usize {
+        self.m
     }
 
     /// Number of non-empty code groups (≤ 2^m).
@@ -82,12 +123,10 @@ impl QuickProbe {
         self.groups.len()
     }
 
-    /// Approximate in-memory footprint in bytes.
+    /// In-memory footprint in bytes, which is also what
+    /// [`QuickProbe::encode`] writes per group.
     pub fn size_bytes(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|g| 8 + g.members.len() * 16)
-            .sum::<usize>()
+        self.groups.len() * entry_bytes(self.m)
     }
 
     /// Serializes the directory (for full-index persistence).
@@ -95,32 +134,53 @@ impl QuickProbe {
         use promips_idistance::layout::enc::*;
         put_u64(buf, self.m as u64);
         put_u32(buf, self.groups.len() as u32);
-        for g in &self.groups {
+        for (g, pv) in self.groups.iter().zip(self.projected.chunks_exact(self.m)) {
             put_u64(buf, g.code);
-            put_u32(buf, g.members.len() as u32);
-            for &(norm1, id) in &g.members {
-                put_f64(buf, norm1);
-                put_u64(buf, id);
-            }
+            put_f64(buf, g.norm1);
+            put_u64(buf, g.id);
+            put_f32s(buf, pv);
         }
     }
 
-    /// Deserializes a directory written by [`QuickProbe::encode`].
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Self {
+    /// Deserializes a directory written by [`QuickProbe::encode`], refusing
+    /// one whose header and the bytes behind it disagree: `1 ≤ m ≤ 64`,
+    /// `1 ≤ groups ≤ 2^m`, every group present in full.
+    pub fn decode(buf: &[u8], pos: &mut usize) -> io::Result<Self> {
         use promips_idistance::layout::enc::*;
+        let bad = |what: String| Err(io::Error::new(io::ErrorKind::InvalidData, what));
+        if buf.len().saturating_sub(*pos) < 12 {
+            return bad("Quick-Probe directory is cut short of its 12-byte header".into());
+        }
         let m = get_u64(buf, pos) as usize;
         let n_groups = get_u32(buf, pos) as usize;
+        let rest = buf.len() - *pos;
+        if !(1..=64).contains(&m)
+            || n_groups == 0
+            || (m < 32 && n_groups > 1 << m)
+            || rest / entry_bytes(m) < n_groups
+        {
+            return bad(format!(
+                "Quick-Probe directory claims m = {m} (1..=64) and {n_groups} groups (1..=2^m) \
+                 of 24 + 4m bytes each, with {rest} bytes behind it"
+            ));
+        }
+        let mut projected = Vec::with_capacity(n_groups * m);
         let groups = (0..n_groups)
             .map(|_| {
-                let code = get_u64(buf, pos);
-                let len = get_u32(buf, pos) as usize;
-                let members = (0..len)
-                    .map(|_| (get_f64(buf, pos), get_u64(buf, pos)))
-                    .collect();
-                Group { code, members }
+                let rep = Representative {
+                    code: get_u64(buf, pos),
+                    norm1: get_f64(buf, pos),
+                    id: get_u64(buf, pos),
+                };
+                projected.extend(get_f32s(buf, pos, m));
+                rep
             })
             .collect();
-        Self { m, groups }
+        Ok(Self {
+            m,
+            groups,
+            projected,
+        })
     }
 
     /// Algorithm 2: locates the point whose projected distance will serve as
@@ -129,7 +189,7 @@ impl QuickProbe {
     /// * `pq` — projected query;
     /// * `q_norm1` — `‖q‖₁` of the original query;
     /// * `c`, `p` — approximation ratio and guarantee probability.
-    pub fn locate(&self, pq: &[f32], q_norm1: f64, c: f64, p: f64) -> Located {
+    pub fn locate(&self, pq: &[f32], q_norm1: f64, c: f64, p: f64) -> Located<'_> {
         assert_eq!(pq.len(), self.m, "projected query dimension mismatch");
         assert!(!self.groups.is_empty(), "Quick-Probe over an empty index");
         let q_code = code_of(pq);
@@ -145,30 +205,27 @@ impl QuickProbe {
             .collect();
         order.sort_by(|a, b| a.0.total_cmp(&b.0));
 
+        let located = |gi: usize, test_a_passed, groups_probed| Located {
+            id: self.groups[gi].id,
+            test_a_passed,
+            groups_probed,
+            projected: &self.projected[gi * self.m..][..self.m],
+        };
         let mut best_value = f64::NEG_INFINITY;
-        let mut best_id = self.groups[order[0].1].members[0].1;
+        let mut best_gi = order[0].1;
         for (probed, &(lb, gi)) in order.iter().enumerate() {
-            let &(norm1, id) = &self.groups[gi].members[0];
-            let denom = c * (norm1 + q_norm1).powi(2);
+            let denom = c * (self.groups[gi].norm1 + q_norm1).powi(2);
             let value = if denom > 0.0 { (lb * lb) / denom } else { 0.0 };
             // Test A.
             if chi2_cdf(self.m as u32, value) >= p {
-                return Located {
-                    id,
-                    test_a_passed: true,
-                    groups_probed: probed + 1,
-                };
+                return located(gi, true, probed + 1);
             }
             if value >= best_value {
                 best_value = value;
-                best_id = id;
+                best_gi = gi;
             }
         }
-        Located {
-            id: best_id,
-            test_a_passed: false,
-            groups_probed: order.len(),
-        }
+        located(best_gi, false, order.len())
     }
 }
 
@@ -177,6 +234,7 @@ mod tests {
     use super::*;
     use promips_linalg::norm1 as l1;
     use promips_stats::Xoshiro256pp;
+    use proptest::prelude::*;
 
     /// Builds a random scenario: n points in m-dim projected space with
     /// synthetic original 1-norms.
@@ -199,21 +257,129 @@ mod tests {
         )
     }
 
+    /// The directory as the paper keeps it — every member of every group,
+    /// each group sorted by `(‖o‖₁, id)`, groups by code — and Algorithm 2
+    /// reading it: the reference the one-representative directory is held
+    /// to.
+    struct SortedMembers(Vec<(BinaryCode, Vec<(f64, u64)>)>);
+
+    impl SortedMembers {
+        fn build(proj: &[Vec<f32>], norms: &[f64]) -> Self {
+            let mut map: BTreeMap<BinaryCode, Vec<(f64, u64)>> = BTreeMap::new();
+            for (id, pv) in proj.iter().enumerate() {
+                map.entry(code_of(pv))
+                    .or_default()
+                    .push((norms[id], id as u64));
+            }
+            let mut groups: Vec<_> = map.into_iter().collect();
+            for (_, members) in &mut groups {
+                members.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            }
+            Self(groups)
+        }
+
+        /// `(id, test_a_passed, groups_probed)`.
+        fn locate(&self, pq: &[f32], q_norm1: f64, c: f64, p: f64) -> (u64, bool, usize) {
+            let q_code = code_of(pq);
+            let q_abs: Vec<f64> = pq.iter().map(|&v| v.abs() as f64).collect();
+            let mut order: Vec<(f64, usize)> = (self.0.iter().enumerate())
+                .map(|(gi, g)| (theorem3_lower_bound(g.0, q_code, &q_abs), gi))
+                .collect();
+            order.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let mut best = (f64::NEG_INFINITY, self.0[order[0].1].1[0].1);
+            for (probed, &(lb, gi)) in order.iter().enumerate() {
+                let (norm1, id) = self.0[gi].1[0];
+                let denom = c * (norm1 + q_norm1).powi(2);
+                let value = if denom > 0.0 { (lb * lb) / denom } else { 0.0 };
+                if chi2_cdf(pq.len() as u32, value) >= p {
+                    return (id, true, probed + 1);
+                }
+                if value >= best.0 {
+                    best = (value, id);
+                }
+            }
+            (best.1, false, order.len())
+        }
+    }
+
     #[test]
     fn groups_cover_all_points() {
         let (proj, norms) = scenario(300, 5, 1);
         let qp = build(&proj, &norms, 5);
         assert!(qp.num_groups() <= 32);
-        let total: usize = qp.groups.iter().map(|g| g.members.len()).sum();
-        assert_eq!(total, 300);
+        assert!(qp.groups.windows(2).all(|w| w[0].code < w[1].code));
+        for pv in &proj {
+            let code = code_of(pv);
+            assert!(qp.groups.iter().any(|g| g.code == code));
+        }
     }
 
+    /// Each group's representative is the head of its members sorted by
+    /// `‖o‖₁`, and carries that point's projected row.
     #[test]
     fn members_sorted_by_norm1() {
         let (proj, norms) = scenario(200, 4, 2);
         let qp = build(&proj, &norms, 4);
-        for g in &qp.groups {
-            assert!(g.members.windows(2).all(|w| w[0].0 <= w[1].0));
+        let sorted = SortedMembers::build(&proj, &norms);
+        assert_eq!(qp.num_groups(), sorted.0.len());
+        for ((g, pv), (code, members)) in
+            qp.groups.iter().zip(qp.projected.chunks(4)).zip(&sorted.0)
+        {
+            assert_eq!((g.code, g.norm1, g.id), (*code, members[0].0, members[0].1));
+            assert_eq!(pv, proj[g.id as usize].as_slice());
+        }
+    }
+
+    proptest! {
+        /// `locate` over one representative per group is `locate` over the
+        /// sorted member lists: duplicate `‖o‖₁` values throughout, and by
+        /// `shape` one group, all 2^m groups, fewer points than codes.
+        #[test]
+        fn locate_matches_the_sorted_members_reference(
+            shape in 0u32..4,
+            m in 1usize..7,
+            rows in proptest::collection::vec(
+                (proptest::collection::vec(-2.0f32..2.0, 6..7), 0u32..4),
+                1..48,
+            ),
+            pq in proptest::collection::vec(-3.0f32..3.0, 6..7),
+            q_norm1 in 0.0f64..8.0,
+            c in 0.5f64..1.0,
+            p in 0.0f64..1.0,
+        ) {
+            let m = match shape {
+                1 => m.min(3),
+                2 => 6,
+                _ => m,
+            };
+            let mut proj: Vec<Vec<f32>> = rows.iter().map(|(v, _)| v[..m].to_vec()).collect();
+            let mut norms: Vec<f64> = rows.iter().map(|&(_, n1)| n1 as f64).collect();
+            match shape {
+                0 => proj.iter_mut().flatten().for_each(|x| *x = x.abs()),
+                1 => for code in 0..1u32 << m {
+                    proj.push((0..m).map(|i| if code >> i & 1 == 1 { 1.0 } else { -1.0 }).collect());
+                    norms.push((code % 3) as f64);
+                },
+                _ => {}
+            }
+            let qp = build(&proj, &norms, m);
+            match shape {
+                0 => prop_assert_eq!(qp.num_groups(), 1),
+                1 => prop_assert_eq!(qp.num_groups(), 1 << m),
+                2 => prop_assert!(proj.len() < 1 << m),
+                _ => {}
+            }
+            let mut bytes = Vec::new();
+            qp.encode(&mut bytes);
+            prop_assert_eq!(bytes.len(), 12 + qp.size_bytes());
+            let reopened = QuickProbe::decode(&bytes, &mut 0).unwrap();
+
+            let want = SortedMembers::build(&proj, &norms).locate(&pq[..m], q_norm1, c, p);
+            for qp in [&qp, &reopened] {
+                let got = qp.locate(&pq[..m], q_norm1, c, p);
+                prop_assert_eq!((got.id, got.test_a_passed, got.groups_probed), want);
+                prop_assert_eq!(got.projected, proj[got.id as usize].as_slice());
+            }
         }
     }
 

@@ -56,7 +56,7 @@
 //!   `probe_radius = Some(r)`, `final_radius = None`, `compensated = false`;
 //!   the request's span carries `covered_rows` and the `column_pass` flag,
 //!   and `promips_query_column_passes_total` counts the verdicts. A floor
-//!   no row can reach still ends by Condition A before any row is read.
+//!   no row can reach still ends by Condition A before any page is read.
 //!
 //! # The head bound
 //!
@@ -171,10 +171,10 @@ pub struct SearchScratch {
     pq: Vec<f32>,
     /// Range-search candidates, grouped by sub-partition.
     cands: Vec<RangeCandidate>,
-    /// Projected-record decode arena for the annulus scan and the
-    /// Quick-Probe located-point read (id column + flat `f32` rows), which
-    /// also carries the quantized-stage buffers (code column, quantized
-    /// query, surviving blocks) of the SQ8 two-level filter.
+    /// Projected-record decode arena for the annulus scan (id column +
+    /// flat `f32` rows), which also carries the quantized-stage buffers
+    /// (code column, quantized query, surviving blocks) of the SQ8
+    /// two-level filter.
     proj: ProjScratch,
     /// Buffers for batched original-vector verification.
     fetch: FetchBuffers,
@@ -607,14 +607,23 @@ impl ProMips {
         res
     }
 
-    /// The searching conditions for query `q` on this index.
-    fn conditions(&self, q: &[f32]) -> ConditionContext {
-        ConditionContext {
+    /// The searching conditions for query `q` on this index; a query with
+    /// a NaN, infinite or overflowing coordinate is `InvalidInput`.
+    fn conditions(&self, q: &[f32]) -> io::Result<ConditionContext> {
+        let q_sq_norm = sq_norm2(q);
+        if !q_sq_norm.is_finite() {
+            // Every bound would be NaN and no row could pass it.
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "‖q‖² is not finite: a NaN, infinite or overflowing query coordinate",
+            ));
+        }
+        Ok(ConditionContext {
             c: self.config.c,
             chi2_threshold: self.chi2_threshold,
-            max_sq_norm: self.norms.max_sq_norm2(),
-            q_sq_norm: sq_norm2(q),
-        }
+            max_sq_norm: self.max_sq_norm,
+            q_sq_norm,
+        })
     }
 
     /// MIP-Search-II (Algorithm 3) with Quick-Probe — the body of
@@ -655,14 +664,7 @@ impl ProMips {
 
         let t_scan = obs::now_ns();
         self.projection.project_into(q, &mut scratch.pq);
-        let ctx = self.conditions(q);
-        if !ctx.q_sq_norm.is_finite() {
-            // Every bound below would be NaN and no row could pass it.
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "‖q‖² is not finite: a NaN, infinite or overflowing query coordinate",
-            ));
-        }
+        let ctx = self.conditions(q)?;
         if self.index.verify_quantized() {
             scratch
                 .fetch
@@ -674,21 +676,20 @@ impl ProMips {
         let located = self
             .quickprobe
             .locate(&scratch.pq, norm1(q), self.config.c, self.config.p);
-        let r = self.located_radius(&located, &scratch.pq, &mut scratch.proj);
+        let r = located_radius(located.projected, &scratch.pq);
         // --- Index or scan (module docs): directory only, no page read. ---
-        if let (Ok(r), true) = (&r, self.index.verify_quantized()) {
-            work.covered_rows = self.index.covered_rows(&scratch.pq, *r);
+        if self.index.verify_quantized() {
+            work.covered_rows = self.index.covered_rows(&scratch.pq, r);
             work.column_pass =
                 work.covered_rows as f64 >= COLUMN_PASS_MIN_COVERAGE * self.len() as f64;
         }
         work.stages.scan_ns += obs::now_ns().saturating_sub(t_scan);
-        let r = r?;
         checker.tick()?;
 
         let mut top = TopK::with_floor(k, ip_floor);
 
         if work.column_pass {
-            // A floor no row can reach ends the search before a row is read.
+            // A floor no row can reach ends the search before a page is read.
             if ctx.condition_a(top.kth_ip()) {
                 return Ok(finish(
                     top,
@@ -926,7 +927,7 @@ impl ProMips {
         let k = k.min(self.len() as usize);
 
         let pq = self.projection.project(q);
-        let ctx = self.conditions(q);
+        let ctx = self.conditions(q)?;
 
         let mut top = TopK::new(k);
         let mut work = ShardSpan::default();
@@ -1298,51 +1299,21 @@ impl ProMips {
             Ok(())
         })
     }
+}
 
-    /// Resolves the Quick-Probe point's projected distance. An id outside
-    /// the locator (possible only if Quick-Probe state and the index ever
-    /// disagree, e.g. after a partial reload) is reported as data
-    /// corruption instead of a panic.
-    ///
-    /// The returned radius is inflated by a few ulps: the annulus scan
-    /// measures distances with the `sq_dist_col` column kernel, which for
-    /// projected rows longer than `promips_linalg::scalar::SHORT_MAX` can
-    /// differ from the single-row `dist` used here in the last ulp (up to
-    /// that length the two agree to the bit), and the located point itself
-    /// must always fall inside its own range (`pd <= r`). The inflation
-    /// only ever *enlarges* the searched range, so the probability
-    /// guarantee is untouched.
-    fn located_radius(
-        &self,
-        located: &crate::quickprobe::Located,
-        pq: &[f32],
-        proj: &mut ProjScratch,
-    ) -> io::Result<f64> {
-        fn ulp_pad(r: f64) -> f64 {
-            r * (1.0 + 4.0 * f64::EPSILON)
-        }
-        let Some(&(sub, off)) = self.locator.get(located.id as usize) else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "quick-probe located id {} outside the index (n = {})",
-                    located.id,
-                    self.locator.len()
-                ),
-            ));
-        };
-        if sub == u32::MAX {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "quick-probe located id {} has no index location",
-                    located.id
-                ),
-            ));
-        }
-        self.index.fetch_proj_record_into(sub, off, proj)?;
-        Ok(ulp_pad(dist(proj.row(0), pq)))
-    }
+/// The searching radius: the projected distance from the Quick-Probe
+/// point (its projected vector as the index stores it, held by the
+/// directory) to the projected query.
+///
+/// The radius is inflated by a few ulps: the annulus scan measures
+/// distances with the `sq_dist_col` column kernel, which for projected rows
+/// longer than `promips_linalg::scalar::SHORT_MAX` can differ from the
+/// single-row `dist` used here in the last ulp (up to that length the two
+/// agree to the bit), and the located point itself must always fall inside
+/// its own range (`pd <= r`). The inflation only ever *enlarges* the
+/// searched range, so the probability guarantee is untouched.
+fn located_radius(located: &[f32], pq: &[f32]) -> f64 {
+    dist(located, pq) * (1.0 + 4.0 * f64::EPSILON)
 }
 
 /// Whether the request's mask kills `id`.
@@ -1718,8 +1689,8 @@ mod tests {
         // The floor stands in for the k-th best, so Condition A ends the
         // search instead of it crawling the whole dataset chasing items
         // that can never beat the floor — at the first group boundary on
-        // the annulus path (the short query), before any row is read when
-        // the rule had picked the column pass (the long one).
+        // the annulus path (the short query), before any page is read
+        // when the rule had picked the column pass (the long one).
         let mut paths = [0, 0];
         for len in [0.1f32, 40.0] {
             let q = vec![len; 12];
@@ -1728,6 +1699,7 @@ mod tests {
                 span: Some(&mut span),
                 ..at_floor(&q, 5, 1e12)
             };
+            idx.reset_stats();
             let res = idx.execute(request, &mut scratch).unwrap();
             assert!(res.items.is_empty());
             assert_eq!(res.termination, Termination::ConditionA);
@@ -1735,6 +1707,7 @@ mod tests {
             if span.column_pass {
                 assert_eq!((span.scanned, res.verified, res.screened), (0, 0, 0));
                 assert_eq!(res.final_radius, None);
+                assert_eq!(idx.access_stats().logical_reads, 0);
             } else {
                 assert!(
                     res.verified < 400,
@@ -1778,6 +1751,12 @@ mod tests {
                 q[3] = bad;
                 let err = idx.execute(Query::new(&q, 5), &mut scratch).unwrap_err();
                 assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{bad}");
+                let err = idx.search_incremental(&q, 5).unwrap_err();
+                assert_eq!(
+                    err.kind(),
+                    io::ErrorKind::InvalidInput,
+                    "{bad}, Algorithm 1"
+                );
             }
         }
     }

@@ -15,6 +15,10 @@
 //! the directory: reopening restores the width, the basis and its defect
 //! bit for bit, and a directory whose basis or code region has the wrong
 //! length is refused, not trusted.
+//!
+//! What `save` appends — footer page and aux blob — is read the same way:
+//! a length, a count or a magic the rest of the file does not back is
+//! `InvalidData` from `ProMips::open` and from `ShardedProMips::open`.
 
 mod common;
 
@@ -22,10 +26,13 @@ use std::sync::Arc;
 
 use common::{clustered, oracle};
 
+use promips_core::projection::Projection;
+use promips_core::quickprobe::QuickProbe;
 use promips_core::result::Termination;
-use promips_core::{ProMips, ProMipsConfig};
-use promips_idistance::IDistanceConfig;
-use promips_linalg::Matrix;
+use promips_core::{ProMips, ProMipsConfig, Query, SearchScratch};
+use promips_idistance::{IDistanceConfig, ProjScratch};
+use promips_linalg::{dist, norm1, Matrix};
+use promips_shard::{ShardedConfig, ShardedProMips};
 use promips_stats::Xoshiro256pp;
 use promips_storage::{AccessStats, FileStorage, Pager};
 
@@ -160,6 +167,97 @@ fn patched(path: &std::path::Path, pattern: &[u8], with: &[u8]) -> Vec<u8> {
     bytes
 }
 
+/// The error `ProMips::open` gives for a file holding `bytes`.
+fn open_error(bad: &std::path::Path, bytes: Vec<u8>, page_size: usize) -> std::io::Error {
+    std::fs::write(bad, bytes).unwrap();
+    let storage = Arc::new(FileStorage::open(bad, page_size).unwrap());
+    let pager = Arc::new(Pager::new(storage, 1024, AccessStats::new_shared()));
+    ProMips::open(pager)
+        .err()
+        .expect("a damaged file is refused")
+}
+
+/// `save`'s footer page — magic, iDistance footer page, aux `(start, len)`
+/// — and the aux blob's group count are outside input to `open`: each way
+/// of their disagreeing with the file is an error that names it, reached
+/// without a panic and without allocating what a wild length asks for.
+#[test]
+fn a_damaged_footer_or_aux_blob_is_invalid_data_not_a_panic() {
+    let (d, m) = (18, 6);
+    let data = clustered(8, 40, d, 61);
+    let dir = std::env::temp_dir().join(format!("promips-fmt-damaged-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfg = ProMipsConfig::builder().seed(62).m(m).build();
+    let page_size = cfg.page_size;
+    drop(save_reopen(&data, &dir, "good.pmx", cfg.clone()));
+    let good = dir.join("good.pmx");
+
+    let file = std::fs::read(&good).unwrap();
+    let footer = &file[file.len() - page_size..][..32];
+    let word = |i: usize| u64::from_le_bytes(footer[8 * i..][..8].try_into().unwrap());
+    let (aux_start, aux_len) = (word(2), word(3));
+    let with_len = |len: u64| [&footer[..24], &len.to_le_bytes()[..]].concat();
+    // The blob: config scalars, projection, max ‖o‖², then the
+    // Quick-Probe directory's header — m and the group count.
+    let qp_at = 7 * 8 + 4 * m * d + 8;
+    let qp_header = &file[aux_start as usize * page_size + qp_at..][..12];
+    assert_eq!(qp_header[..8], (m as u64).to_le_bytes());
+    let with_m = |m: u64| [&m.to_le_bytes()[..], &qp_header[8..]].concat();
+    let with_groups = |g: u32| [&qp_header[..8], &g.to_le_bytes()[..]].concat();
+    let parent_magic = 0x9120_6D19_50F1_1E00u64.to_le_bytes();
+
+    let footer_with = |with: &[u8]| patched(&good, footer, with);
+    let damaged = [
+        ("truncated length", footer_with(&with_len(aux_len - 1))),
+        ("one trailing byte", footer_with(&with_len(aux_len + 1))),
+        (
+            "length ends before the directory",
+            footer_with(&with_len(qp_at as u64)),
+        ),
+        (
+            "length past the file",
+            footer_with(&with_len(file.len() as u64)),
+        ),
+        ("length past any file", footer_with(&with_len(u64::MAX))),
+        ("the parent's magic", footer_with(&parent_magic)),
+        ("zero groups", patched(&good, qp_header, &with_groups(0))),
+        (
+            "more groups than codes",
+            patched(&good, qp_header, &with_groups(65)),
+        ),
+        ("m = 0", patched(&good, qp_header, &with_m(0))),
+        ("m = 65", patched(&good, qp_header, &with_m(65))),
+    ];
+    for (what, bytes) in &damaged {
+        let err = open_error(&dir.join("bad.pmx"), bytes.clone(), page_size);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+    }
+
+    // The same files as a shard's: the sharded open surfaces the error.
+    let sharded = dir.join("sharded");
+    let shard_cfg = ShardedConfig::builder()
+        .shards(1)
+        .exact_threshold(0)
+        .base(cfg)
+        .build();
+    drop(ShardedProMips::build_in_dir(&data, shard_cfg, &sharded).unwrap());
+    let shard_file = sharded.join("shard_0000.pmx");
+    assert_eq!(
+        std::fs::read(&shard_file).unwrap(),
+        file,
+        "one shard, same seed"
+    );
+    assert!(ShardedProMips::open(&sharded).is_ok());
+    for (what, bytes) in damaged {
+        std::fs::write(&shard_file, bytes).unwrap();
+        let err = ShardedProMips::open(&sharded)
+            .err()
+            .expect("a damaged shard is refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn a_head_column_roundtrips_bit_for_bit_and_a_wrong_shape_is_refused() {
     let d = 160;
@@ -231,14 +329,101 @@ fn a_head_column_roundtrips_bit_for_bit_and_a_wrong_shape_is_refused() {
         ("basis length", patched(&path, &header, &wrong_basis)),
         ("region length", patched(&path, &region, &wrong_region)),
     ] {
-        let bad = dir.join("bad.pmx");
-        std::fs::write(&bad, bytes).unwrap();
-        let storage = Arc::new(FileStorage::open(&bad, page_size).unwrap());
-        let pager = Arc::new(Pager::new(storage, 1024, AccessStats::new_shared()));
-        let err = ProMips::open(pager)
-            .err()
-            .expect("a wrong shape is refused");
+        let err = open_error(&dir.join("bad.pmx"), bytes, page_size);
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The Quick-Probe directory of `idx` over `data`, rebuilt the way the
+/// index build makes it, and the projection it was made with.
+fn directory_of(idx: &ProMips, data: &Matrix) -> (Projection, QuickProbe) {
+    let projection = Projection::generate(idx.m(), idx.d(), idx.config().seed);
+    let projected = projection.project_all(data);
+    let rows = (0..data.rows()).map(|i| (i as u64, projected.row(i)));
+    let probe = QuickProbe::build(idx.m(), rows, |id| norm1(data.row(id as usize)));
+    (projection, probe)
+}
+
+/// The radius `execute` reports is the ulp-padded distance from `P(q)` to
+/// the projected record of Quick-Probe's point *as the index file holds
+/// it*, to the bit — the directory's copy of that row is the row — on a
+/// fresh and on a reopened handle, on both sides of the index-or-scan rule.
+#[test]
+fn probe_radius_is_the_distance_to_the_stored_record_to_the_bit() {
+    // Tight clusters, two near the origin: the short query's ball meets
+    // few of them, the long one's most.
+    let data = clustered(10, 40, 12, 53);
+    let cfg = ProMipsConfig::builder().seed(53 ^ 0xABCD).build();
+    let pager = Arc::new(Pager::in_memory(cfg.page_size, 256));
+    let fresh = ProMips::build_with_pager(&data, cfg, Arc::clone(&pager)).unwrap();
+    fresh.save().unwrap();
+    let reopened = ProMips::open(pager).unwrap();
+    let (projection, probe) = directory_of(&fresh, &data);
+
+    let mut scratch = SearchScratch::new();
+    let mut records = ProjScratch::new();
+    let mut column_passes = 0;
+    for len in [0.1f32, 40.0] {
+        let q = vec![len; 12];
+        let pq = projection.project(&q);
+        let located = probe.locate(&pq, norm1(&q), fresh.config().c, fresh.config().p);
+        for idx in [&fresh, &reopened] {
+            let mut stored = None;
+            for sub in 0..idx.idistance().subparts().len() as u32 {
+                (idx.idistance().read_subpart_proj_into(sub, &mut records)).unwrap();
+                if let Some(at) = records.ids().iter().position(|&id| id == located.id) {
+                    stored = Some(records.row(at).to_vec());
+                }
+            }
+            let stored = stored.expect("every id has a projected record");
+            assert_eq!(located.projected, stored.as_slice());
+            let want = dist(&stored, &pq) * (1.0 + 4.0 * f64::EPSILON);
+
+            let mut span = promips_obs::ShardSpan::default();
+            let request = Query {
+                span: Some(&mut span),
+                ..Query::new(&q, 5)
+            };
+            let res = idx.execute(request, &mut scratch).unwrap();
+            assert_eq!(res.probe_radius.map(f64::to_bits), Some(want.to_bits()));
+            column_passes += span.column_pass as usize;
+        }
+    }
+    assert_eq!(column_passes, 2, "one query on each side of the rule");
+}
+
+/// Nothing `save` appends has one entry per row: eight times the rows at
+/// the same `m` and `d` cost the pages of the extra sign-code groups and no
+/// more, and the Index Size figure counts the aux state once — before the
+/// save, after it and on the reopened handle.
+#[test]
+fn what_save_appends_does_not_grow_with_n() {
+    let (m, d) = (6, 24);
+    let saved = |n: usize| {
+        let data = common::random_data(n, d, 7);
+        let cfg = ProMipsConfig::builder().seed(8).m(m).page_size(512).build();
+        let pager = Arc::new(Pager::in_memory(cfg.page_size, 256));
+        let built = ProMips::build_with_pager(&data, cfg, Arc::clone(&pager)).unwrap();
+        let (pages, size) = (pager.num_pages(), built.index_size_bytes());
+        built.save().unwrap();
+        assert_eq!(built.index_size_bytes(), size, "n = {n}: saving recounts");
+        let appended = pager.num_pages() - pages;
+        let reopened = ProMips::open(pager).unwrap();
+        assert_eq!(reopened.index_size_bytes(), size, "n = {n}: reopened");
+        let probe = directory_of(&built, &data).1;
+        assert!(probe.size_bytes() <= probe.num_groups() * (24 + 4 * m));
+        (appended, probe.num_groups())
+    };
+    let (small_pages, small_groups) = saved(500);
+    let (large_pages, large_groups) = saved(4_000);
+    let group_pages = (large_groups.abs_diff(small_groups) * (24 + 4 * m)).div_ceil(512);
+    assert!(
+        large_pages.abs_diff(small_pages) <= group_pages as u64,
+        "{small_pages} pages at n = 500 ({small_groups} groups), \
+         {large_pages} at n = 4 000 ({large_groups} groups)"
+    );
+    // Config scalars, projection, max ‖o‖², the directory; one footer page.
+    let aux = 7 * 8 + 4 * m * d + 8 + 12 + large_groups * (24 + 4 * m);
+    assert_eq!(large_pages, aux.div_ceil(512) as u64 + 1);
 }

@@ -835,29 +835,18 @@ impl IDistanceIndex {
         scratch: &mut ProjScratch,
     ) -> io::Result<()> {
         scratch.reset(self.m, sp.count as usize);
-        self.decode_proj_records(sp.proj_off as usize, sp.count as usize, scratch)?;
-        debug_assert_eq!(scratch.ids.len(), sp.count as usize);
-        debug_assert_eq!(scratch.rows.len(), sp.count as usize * self.m);
-        Ok(())
-    }
-
-    /// Streams `count` projected records starting at byte `start` of the
-    /// projected region into `scratch`, straight from the covering pages.
-    fn decode_proj_records(
-        &self,
-        start: usize,
-        count: usize,
-        scratch: &mut ProjScratch,
-    ) -> io::Result<()> {
         let mut pages = PageCursor::new(&self.pager, self.proj_region.0);
         Self::decode_proj_fields(
             &mut pages,
-            start,
-            count,
+            sp.proj_off as usize,
+            sp.count as usize,
             self.m,
             &mut scratch.ids,
             &mut scratch.rows,
-        )
+        )?;
+        debug_assert_eq!(scratch.ids.len(), sp.count as usize);
+        debug_assert_eq!(scratch.rows.len(), sp.count as usize * self.m);
+        Ok(())
     }
 
     /// Decodes `count` projected records at byte `start` through a
@@ -941,22 +930,6 @@ impl IDistanceIndex {
         })?;
         debug_assert_eq!(have, 0, "record stream ends on a field boundary");
         Ok(())
-    }
-
-    /// Decodes a single projected record into `scratch` (which afterwards
-    /// holds exactly that record at index 0) — used by Quick-Probe to read
-    /// the located point without allocating a blob per query.
-    pub fn fetch_proj_record_into(
-        &self,
-        sub: u32,
-        offset: u32,
-        scratch: &mut ProjScratch,
-    ) -> io::Result<()> {
-        let sp = &self.subparts[sub as usize];
-        debug_assert!(offset < sp.count);
-        let rec = 8 + 4 * self.m;
-        scratch.reset(self.m, 1);
-        self.decode_proj_records(sp.proj_off as usize + offset as usize * rec, 1, scratch)
     }
 
     // --- Original-vector fetches ------------------------------------------

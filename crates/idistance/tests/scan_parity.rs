@@ -230,21 +230,3 @@ fn scratch_reuse_across_subparts_is_transparent() {
         }
     }
 }
-
-/// `fetch_proj_record_into` must agree with the full sub-partition decode
-/// at every offset, including straddling page sizes.
-#[test]
-fn fetch_proj_record_into_matches_full_decode() {
-    let idx = build(150, 4, 70, 7);
-    let mut one = ProjScratch::new();
-    for sub in 0..idx.subparts().len() as u32 {
-        let legacy = legacy_decode(&idx, sub);
-        for (off, (id, row)) in legacy.iter().enumerate() {
-            idx.fetch_proj_record_into(sub, off as u32, &mut one)
-                .unwrap();
-            assert_eq!(one.len(), 1);
-            assert_eq!(one.id(0), *id, "sub {sub} off {off}");
-            assert_eq!(one.row(0), row.as_slice(), "sub {sub} off {off}");
-        }
-    }
-}

@@ -72,7 +72,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use promips_core::{ProMips, ProMipsConfig};
-use promips_linalg::{sq_norm2, Matrix};
+use promips_linalg::Matrix;
 use promips_obs::{self as obs, recorder, CounterId, GaugeId, HistoId, Registry};
 use promips_storage::{AccessStats, FileStorage, Pager};
 use promips_wal::WalRecord;
@@ -633,7 +633,6 @@ impl ShardedProMips {
         generation: u64,
     ) -> io::Result<ShardGeneration> {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must ascend");
-        let built_max_norm = rows.iter_rows().map(sq_norm2).fold(0.0f64, f64::max).sqrt();
         let n = rows.rows();
         let kind = if n == 0 || n < self.config.exact_threshold {
             if let Some(dir) = &self.dir {
@@ -675,12 +674,7 @@ impl ShardedProMips {
                 }
             }
         };
-        Ok(ShardGeneration {
-            ids,
-            built_max_norm,
-            generation,
-            kind,
-        })
+        Ok(ShardGeneration::new(ids, generation, kind))
     }
 }
 

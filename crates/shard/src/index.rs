@@ -79,6 +79,22 @@ pub(crate) struct ShardGeneration {
 }
 
 impl ShardGeneration {
+    /// A freshly built generation. An indexed one takes its norm bound
+    /// from the index, which took `max ‖o‖²` over the same rows while it
+    /// was built; an exact one makes the pass here.
+    pub(crate) fn new(ids: Vec<u64>, generation: u64, kind: GenKind) -> Self {
+        let max_sq_norm = match &kind {
+            GenKind::Indexed(pm) => pm.max_sq_norm(),
+            GenKind::Exact(rows) => rows.iter_rows().map(sq_norm2).fold(0.0f64, f64::max),
+        };
+        Self {
+            ids,
+            built_max_norm: max_sq_norm.sqrt(),
+            generation,
+            kind,
+        }
+    }
+
     pub(crate) fn is_exact(&self) -> bool {
         matches!(self.kind, GenKind::Exact(_))
     }
@@ -340,7 +356,6 @@ impl ShardedProMips {
         for (si, m) in members.iter().enumerate() {
             let ids: Vec<u64> = m.iter().map(|&i| i as u64).collect();
             let rows = data.gather(m);
-            let max_norm = rows.iter_rows().map(sq_norm2).fold(0.0f64, f64::max).sqrt();
             let kind = if m.is_empty() || m.len() < config.exact_threshold {
                 GenKind::Exact(rows)
             } else {
@@ -352,12 +367,7 @@ impl ShardedProMips {
                     pager_for(si)?,
                 )?))
             };
-            shards.push(Shard::new(ShardGeneration {
-                ids,
-                built_max_norm: max_norm,
-                generation: 0,
-                kind,
-            }));
+            shards.push(Shard::new(ShardGeneration::new(ids, 0, kind)));
         }
 
         Ok(Self {

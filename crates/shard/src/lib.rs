@@ -122,6 +122,14 @@ mod tests {
         .unwrap();
         assert_eq!(sharded.shard_count(), 1);
         assert!(!sharded.shards()[0].is_exact());
+        // The shard's pruning bound comes from the index build's own pass
+        // over the rows: the same maximum, the same root, the same bits.
+        let max_sq_norm = (data.iter_rows().map(promips_linalg::sq_norm2)).fold(0.0f64, f64::max);
+        assert_eq!(unsharded.max_sq_norm().to_bits(), max_sq_norm.to_bits());
+        assert_eq!(
+            sharded.shards()[0].max_norm().to_bits(),
+            max_sq_norm.sqrt().to_bits()
+        );
 
         for q in random_queries(12, 24, 7) {
             let a = unsharded.search(&q, 10).unwrap();

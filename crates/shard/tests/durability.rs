@@ -5,7 +5,7 @@
 //! to the read-only path.
 
 use promips_core::{ProMips, ProMipsConfig};
-use promips_linalg::Matrix;
+use promips_linalg::{sq_norm2, Matrix};
 use promips_shard::{CompactionPolicy, MutationError, ShardedConfig, ShardedProMips};
 use promips_stats::Xoshiro256pp;
 use proptest::prelude::*;
@@ -281,9 +281,11 @@ fn compaction_folds_truncates_and_preserves_results() {
     let idx = ShardedProMips::build_in_dir(&data, cfg, &dir).unwrap();
     let mut rng = Xoshiro256pp::seed_from_u64(17);
     let mut inserted = Vec::new();
+    let mut inserted_rows = Vec::new();
     for _ in 0..60 {
         let v: Vec<f32> = (0..d).map(|_| (rng.normal() * 2.0) as f32).collect();
         inserted.push(idx.insert(&v).unwrap());
+        inserted_rows.push(v);
     }
     for gid in (0..400).step_by(7) {
         idx.delete(gid).unwrap();
@@ -309,8 +311,23 @@ fn compaction_folds_truncates_and_preserves_results() {
     for (q, b) in queries.iter().zip(&before) {
         assert_equivalent_full(&full_search_map(&idx, q), b, "compaction");
     }
-    // Old generation files of compacted shards are gone, new ones exist.
+    // Old generation files of compacted shards are gone, new ones exist,
+    // and each rebuilt generation's norm bound is the maximum over exactly
+    // its rows (an indexed one takes it from the index build).
     for &si in &compacted {
+        let shard = &idx.shards()[si];
+        let max_sq_norm = (shard.global_ids().iter())
+            .map(|&gid| match (gid as usize).checked_sub(400) {
+                Some(i) => sq_norm2(&inserted_rows[i]),
+                None => sq_norm2(data.row(gid as usize)),
+            })
+            .fold(0.0f64, f64::max);
+        assert!(!shard.is_exact());
+        assert_eq!(
+            shard.max_norm().to_bits(),
+            max_sq_norm.sqrt().to_bits(),
+            "shard {si}: norm bound"
+        );
         let st = &idx.maintenance_stats()[si];
         assert!(st.generation >= 1, "shard {si} generation not bumped");
         let old_pmx = dir.join(format!("shard_{si:04}.pmx"));
