@@ -690,10 +690,10 @@ fn search_snapshot(
 ) -> io::Result<Vec<SearchItem>> {
     let dead = &snap.tombstones;
     let gen_ids = &snap.gen.ids;
-    let mut items: Vec<SearchItem> = match &snap.gen.kind {
+    let mut best = match &snap.gen.kind {
         GenKind::Indexed(pm) => {
             let mask = |local: u64| dead.contains(&gen_ids[local as usize]);
-            let res = pm.execute(
+            let mut res = pm.execute(
                 Query {
                     floor,
                     mask: Some((&mask, snap.dead_base)),
@@ -703,15 +703,22 @@ fn search_snapshot(
                 },
                 scratch,
             )?;
-            res.items
-                .iter()
-                .map(|it| SearchItem {
-                    id: gen_ids[it.id as usize],
-                    ip: it.ip,
-                })
-                .collect()
+            // The core's top-k, already in the merge order and at or above
+            // the floor: it seeds the running top-k as it stands.
+            for it in &mut res.items {
+                it.id = gen_ids[it.id as usize];
+            }
+            Best {
+                items: res.items,
+                k,
+                floor,
+            }
         }
-        GenKind::Exact(rows) => Vec::with_capacity(rows.rows()),
+        GenKind::Exact(_) => Best {
+            items: Vec::with_capacity(k.min(snap.stored())),
+            k,
+            floor,
+        },
     };
     // Rows the core layer doesn't see: an exact generation's, then the
     // delta overlay's — every live appended row is verified exhaustively
@@ -730,9 +737,7 @@ fn search_snapshot(
                 rows.dot_rows(lo, hi, q, |i, ip| {
                     if !dead.contains(&gen_ids[i]) {
                         span.verified += 1;
-                        if ip >= floor {
-                            items.push(SearchItem { id: gen_ids[i], ip });
-                        }
+                        best.push(gen_ids[i], ip);
                     }
                 });
                 lo = hi;
@@ -748,14 +753,9 @@ fn search_snapshot(
             if dead.contains(&e.gid) {
                 continue;
             }
-            let ip = dot(q, &e.row);
             span.verified += 1;
-            if ip >= floor {
-                items.push(SearchItem { id: e.gid, ip });
-            }
+            best.push(e.gid, dot(q, &e.row));
         }
-        items.sort_by(|a, b| b.ip.total_cmp(&a.ip).then(a.id.cmp(&b.id)));
-        items.truncate(k);
         Ok(())
     };
     let scored = score_rest();
@@ -765,7 +765,40 @@ fn search_snapshot(
         obs::global().counter(CounterId::QueryVerified).add(extra);
     }
     scored?;
-    Ok(items)
+    Ok(best.items)
+}
+
+/// A shard's running top-k: at most `k` items at or above the floor, best
+/// first in the merge's order (ip descending, then id ascending). A row
+/// enters only by ranking before the k-th, so nothing below it is ever
+/// collected, and the items are the first `k` of every row pushed sorted
+/// in that order.
+struct Best {
+    items: Vec<SearchItem>,
+    k: usize,
+    floor: f64,
+}
+
+impl Best {
+    fn push(&mut self, id: u64, ip: f64) {
+        if ip < self.floor || ip.is_nan() {
+            return;
+        }
+        let item = SearchItem { id, ip };
+        if self.items.len() == self.k {
+            if !ranks_before(&item, &self.items[self.k - 1]) {
+                return;
+            }
+            self.items.pop();
+        }
+        let at = self.items.partition_point(|it| ranks_before(it, &item));
+        self.items.insert(at, item);
+    }
+}
+
+/// The merge order: ip descending under `total_cmp`, ties to the smaller id.
+fn ranks_before(a: &SearchItem, b: &SearchItem) -> bool {
+    b.ip.total_cmp(&a.ip).then(a.id.cmp(&b.id)).is_lt()
 }
 
 #[cfg(test)]
