@@ -50,6 +50,7 @@ pub mod persist;
 pub mod projection;
 pub mod quickprobe;
 pub mod result;
+pub mod screen;
 pub mod search;
 
 pub use config::{ProMipsConfig, ProMipsConfigBuilder};

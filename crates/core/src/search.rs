@@ -141,8 +141,7 @@ use std::collections::BinaryHeap;
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use promips_idistance::meta::OrigQuant;
-use promips_idistance::{HeadBasis, ProjScratch, RangeCandidate};
+use promips_idistance::{ProjScratch, RangeCandidate};
 use promips_linalg::{dist, dot, dot4, norm1, sq_norm2};
 use promips_obs::{
     self as obs, BudgetChecker, CounterId, HistoId, QueryBudget, ShardSpan, StageNanos,
@@ -151,6 +150,7 @@ use promips_obs::{
 use crate::conditions::ConditionContext;
 use crate::index::ProMips;
 use crate::result::{SearchItem, SearchResult, Termination};
+use crate::screen::{QueryScreen, ScreenBound};
 
 /// The index-or-scan rule's one constant (module docs): the column pass
 /// answers a query whose Quick-Probe ball covers at least this share of the
@@ -197,158 +197,6 @@ struct FetchBuffers {
     idots: Vec<i32>,
     /// The query side of the screen, rebuilt once per `execute`.
     screen: QueryScreen,
-}
-
-/// Per-query pieces of the SQ8 verification screen, shared by every group
-/// and pass of the query. The codes live in the **coded space** — the
-/// original coordinates, or under a [`HeadBasis`] the `h` head coordinates,
-/// where the query is its head `Vq` — so `q` below is the query *there*:
-/// the symmetric query quantizer `q̂ⱼ = sq·bⱼ` plus the exact scalars the
-/// per-group bound needs. With `idot = Σ codeⱼ·bⱼ` (exact integer
-/// arithmetic), the screen estimate unfolds as
-/// `⟨x̂, q̂⟩ = sq·(min·Σbⱼ + scale·idot)`, and Cauchy–Schwarz bounds the
-/// coded-space inner product by
-/// `|⟨x, q⟩ − ⟨x̂, q̂⟩| ≤ err·‖q‖ + xnorm·‖q − q̂‖`. What a head leaves out
-/// is bounded by the last two fields (module docs, "The head bound").
-#[derive(Debug, Default)]
-struct QueryScreen {
-    /// The codes `bⱼ` (one per coded coordinate) — the integer kernels' i8
-    /// operand.
-    qcodes: Vec<i8>,
-    /// Query quantization step `max|qⱼ|/127` (1.0 for the zero query).
-    sq: f64,
-    /// `Σ bⱼ` — exact, pairs with the data quantizer's `min`.
-    sum_b: i64,
-    /// `‖q − q̂‖` computed in f64 from the actual codes (not a bound).
-    q_err: f64,
-    /// `‖q‖` in the coded space.
-    q_norm: f64,
-    /// The query's head `Vq` (unused without a basis).
-    head: Vec<f32>,
-    /// Upper bound on the original query's residual `‖q − Vᵀ(Vq)‖`; 0
-    /// without a basis.
-    q_tail: f64,
-    /// `δ(1 + δ)·max(‖q‖, ‖Vq‖)`, the query's factor of the leak term; 0
-    /// without a basis.
-    leak: f64,
-}
-
-impl QueryScreen {
-    /// Takes `q` into the coded space, quantizes it symmetrically and
-    /// gathers the bound scalars, reusing the buffers. `q_sq_norm` is the
-    /// caller's already-computed `‖q‖²`.
-    fn rebuild(&mut self, q: &[f32], q_sq_norm: f64, basis: Option<&HeadBasis>) {
-        let (q, q_sq_norm) = match basis {
-            Some(basis) => {
-                self.head.resize(basis.width(), 0.0);
-                let head_sq_norm = basis.project(q, &mut self.head);
-                self.q_tail = basis.residual_bound(q_sq_norm, head_sq_norm);
-                self.leak =
-                    basis.defect() * (1.0 + basis.defect()) * q_sq_norm.max(head_sq_norm).sqrt();
-                (&self.head[..], head_sq_norm)
-            }
-            None => {
-                (self.q_tail, self.leak) = (0.0, 0.0);
-                (q, q_sq_norm)
-            }
-        };
-        let mut amax = 0.0f32;
-        for &x in q {
-            amax = amax.max(x.abs());
-        }
-        let sq = if amax > 0.0 { amax as f64 / 127.0 } else { 1.0 };
-        self.qcodes.clear();
-        self.qcodes.reserve(q.len());
-        let mut sum_b = 0i64;
-        let mut q_err_sq = 0.0f64;
-        for &x in q {
-            let b = (x as f64 / sq).round().clamp(-127.0, 127.0);
-            self.qcodes.push(b as i8);
-            sum_b += b as i64;
-            let e = x as f64 - sq * b;
-            q_err_sq += e * e;
-        }
-        self.sq = sq;
-        self.sum_b = sum_b;
-        self.q_err = q_err_sq.sqrt();
-        self.q_norm = q_sq_norm.sqrt();
-    }
-}
-
-/// The screen's test for the code rows of one sub-partition: with
-/// `idot = Σ codeⱼ·bⱼ`, a row's inner product is at most
-/// `base + step·idot + pad`.
-///
-/// `base + step·idot` is the estimate `⟨x̂, q̂⟩ = sq·(min·Σb + scale·idot)`;
-/// `pad` is the Cauchy–Schwarz bound `err·‖q‖ + xnorm·‖q − q̂‖` inflated by
-/// a relative `1e-9` (covers the f64 rounding of the bound itself) plus an
-/// absolute `1e-12·xnorm·‖q‖` (dominates the f64 rounding of the estimate
-/// and of the exact kernels, which is O(d·ε·‖x‖·‖q‖)) — and, for head
-/// codes, the two terms of the head bound (module docs):
-/// `tail·‖q − Vᵀ(Vq)‖` for what the head leaves out and
-/// `δ(1 + δ)·(xnorm + err + tail)·max(‖q‖, ‖Vq‖)` for the stored basis'
-/// defect and the rounding of the projections, both absent for full-width
-/// codes — so no row whose exact kernel inner product could reach the k-th
-/// best is ever dropped.
-struct ScreenBound {
-    base: f64,
-    step: f64,
-    pad: f64,
-}
-
-impl ScreenBound {
-    fn new(vq: &OrigQuant, qs: &QueryScreen) -> Self {
-        let (err, xnorm, tail) = (vq.err as f64, vq.xnorm as f64, vq.tail as f64);
-        let mut pad =
-            (err * qs.q_norm + xnorm * qs.q_err) * (1.0 + 1e-9) + 1e-12 * (xnorm * qs.q_norm);
-        // Positive exactly for a non-zero query against head codes.
-        if qs.leak > 0.0 {
-            pad += tail * qs.q_tail + (xnorm + err + tail) * qs.leak;
-        }
-        Self {
-            base: qs.sq * vq.min as f64 * qs.sum_b as f64,
-            step: qs.sq * vq.scale as f64,
-            pad,
-        }
-    }
-
-    /// Whether a row with integer dot `idot` can still reach `kth`.
-    #[inline]
-    fn may_reach(&self, idot: i32, kth: f64) -> bool {
-        self.base + self.step * idot as f64 + self.pad >= kth
-    }
-
-    /// The smallest integer dot that [`Self::may_reach`] `kth` —
-    /// `i32::MAX`, which no code row's dot attains, when none does. The
-    /// test is monotone in `idot` (`step > 0`, and every rounding in it is
-    /// monotone), so comparing a row's dot with this integer *is* the test,
-    /// to the bit: what lets a pass over a run of rows be one integer
-    /// compare per row.
-    fn threshold(&self, kth: f64) -> i32 {
-        // `as` saturates, and takes a NaN (opposite infinities) to 0.
-        let mut t = ((kth - self.pad - self.base) / self.step).ceil() as i32;
-        // The quotient is within a few roundings of the answer.
-        for _ in 0..4 {
-            if t > i32::MIN && self.may_reach(t - 1, kth) {
-                t -= 1;
-            } else if t < i32::MAX && !self.may_reach(t, kth) {
-                t += 1;
-            } else {
-                return t;
-            }
-        }
-        // Unless `step` all but vanishes against `base + pad`: bisect.
-        let (mut lo, mut hi) = (i32::MIN as i64, i32::MAX as i64);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.may_reach(mid as i32, kth) {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        lo as i32
-    }
 }
 
 impl SearchScratch {
@@ -1182,7 +1030,7 @@ impl ProMips {
             ..
         } = buf;
         let sub = group[0].subpart;
-        self.index.screen_dots(sub, offsets, &qs.qcodes, idots)?;
+        self.index.screen_dots(sub, offsets, qs.qcodes(), idots)?;
         let mut rows = self.index.orig_cursor(sub);
         let bound = ScreenBound::new(&self.index.vquants()[sub as usize], qs);
 
@@ -1256,7 +1104,7 @@ impl ProMips {
         let (mut sub, mut sub_first, mut sub_end) = (0usize, 0u64, subparts[0].count as u64);
         let mut bound = ScreenBound::new(&vquants[0], qs);
         let mut reach = bound.threshold(top.kth_ip());
-        self.index.screen_column(&qs.qcodes, idots, |first, run| {
+        self.index.screen_column(qs.qcodes(), idots, |first, run| {
             checker.tick()?;
             work.scanned += run.len() as u64;
             let mut at = 0;

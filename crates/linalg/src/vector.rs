@@ -157,27 +157,6 @@ pub fn dot_col_i8(rows: &[u8], w: usize, q: &[i8], out: &mut [i32]) {
     (kernels().dot_col_i8)(rows, w, q, out)
 }
 
-/// Asks the CPU to start loading every cache line of `data` — a hint for a
-/// reader that knows which memory it will want a few hundred nanoseconds
-/// from now and whose next block the hardware prefetcher cannot guess (the
-/// next heap row of an overlay, at an address of its own). Never changes a
-/// result; does nothing off x86-64.
-#[inline]
-pub fn prefetch<T>(data: &[T]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let start = data.as_ptr().cast::<i8>();
-        for at in (0..std::mem::size_of_val(data)).step_by(64) {
-            // SAFETY: `at` lies inside `data`; a prefetch never faults, and
-            // SSE is baseline on x86-64.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(start.add(at)) };
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = data;
-}
-
 /// Element-wise difference `a − b` into a fresh vector.
 pub fn sub(a: &[f32], b: &[f32]) -> Vec<f32> {
     debug_assert_eq!(a.len(), b.len());

@@ -13,8 +13,9 @@
 //! time; writers keep appending past the freeze point. The commit splits
 //! the overlay at the freeze point: the frozen prefix is now inside the
 //! new generation, the suffix (everything that arrived during the build)
-//! stays as the new delta. A failed build leaves zero footprint — the old
-//! generation was never touched, so there is nothing to roll back.
+//! is re-sealed on chunk boundaries of its own as the new delta. A failed
+//! build leaves zero footprint — the old generation was never touched, so
+//! there is nothing to roll back.
 //!
 //! ## The generation/manifest protocol
 //!
@@ -78,7 +79,7 @@ use promips_storage::{AccessStats, FileStorage, Pager};
 use promips_wal::WalRecord;
 
 use crate::index::{
-    shard_seed, DeltaInsert, DeltaState, GenKind, ShardGeneration, ShardSnapshot, ShardedProMips,
+    shard_seed, DeltaState, GenKind, ShardGeneration, ShardSnapshot, ShardedProMips,
 };
 use crate::persist::shard_path;
 use crate::result::CompactionOutcome;
@@ -168,10 +169,10 @@ pub(crate) fn sort_rows_by_ids(ids: &mut [u64], rows: &mut Matrix) {
 fn live_rows(
     gen: &ShardGeneration,
     tombs: &HashSet<u64>,
-    delta: &[DeltaInsert],
+    delta: &DeltaState,
     d: usize,
 ) -> io::Result<(Vec<u64>, Matrix)> {
-    let live_delta = || delta.iter().filter(|e| !tombs.contains(&e.gid));
+    let live_delta = || delta.rows(d).filter(|(gid, _)| !tombs.contains(gid));
     let spare_rows = live_delta().count();
     let (mut gids, mut flat) = match &gen.kind {
         GenKind::Indexed(pm) => {
@@ -192,9 +193,9 @@ fn live_rows(
             (gids, flat)
         }
     };
-    for e in live_delta() {
-        gids.push(e.gid);
-        flat.extend_from_slice(&e.row);
+    for (gid, row) in live_delta() {
+        gids.push(gid);
+        flat.extend_from_slice(row);
     }
     let rows = Matrix::from_vec(gids.len(), d, flat);
     Ok((gids, rows))
@@ -285,9 +286,9 @@ impl ShardedProMips {
         let is_due = |si: usize| {
             let s = &self.shards[si];
             let delta = s.delta.read();
-            let stored = self.shards[si].generation.read().ids.len() + delta.inserts.len();
+            let stored = self.shards[si].generation.read().ids.len() + delta.len();
             let live = (stored - delta.tombstones.len()) as u64;
-            policy.due(live, delta.inserts.len(), delta.tombstones.len())
+            policy.due(live, delta.len(), delta.tombstones.len())
         };
         let mut report = CompactionReport::default();
         if !(0..self.shards.len()).any(is_due) {
@@ -363,25 +364,19 @@ impl ShardedProMips {
         let _compacting = shard.compact_lock.lock();
 
         // ---- Freeze: a point-in-time view of the overlay. ----------------
-        let (old_gen, frozen, frozen_tombs) = {
-            let delta = shard.delta.read();
-            if delta.inserts.is_empty() && delta.tombstones.is_empty() {
-                return Ok(false);
-            }
-            (
-                Arc::clone(&shard.generation.read()),
-                delta.inserts.clone(),
-                Arc::clone(&delta.tombstones),
-            )
-        };
-        let split = frozen.len();
+        let frozen = shard.snapshot();
+        if frozen.delta.len() == 0 && frozen.delta.tombstones.is_empty() {
+            return Ok(false);
+        }
+        let split = frozen.delta.len();
+        let frozen_tombs = &frozen.delta.tombstones;
 
         // ---- Shadow build: no locks held, readers and writers run free. --
-        let (gids, rows) = live_rows(&old_gen, &frozen_tombs, &frozen, self.d)?;
-        let new_gen = self.build_generation(si, gids, rows, old_gen.generation + 1)?;
+        let (gids, rows) = live_rows(&frozen.gen, frozen_tombs, &frozen.delta, self.d)?;
+        let new_gen = self.build_generation(si, gids, rows, frozen.gen.generation + 1)?;
 
         // ---- Commit: manifest swap, WAL rewrite, handle swap. ------------
-        self.commit_shard(si, &old_gen, new_gen, split, &frozen_tombs)?;
+        self.commit_shard(si, &frozen.gen, new_gen, split, frozen_tombs)?;
         Ok(true)
     }
 
@@ -413,68 +408,60 @@ impl ShardedProMips {
             }
         }
 
-        // 2. Rewrite the WAL down to the unfolded suffix: inserts that
-        //    arrived after the freeze (ascending gid — all larger than
-        //    anything in the new generation), then deletes that arrived
-        //    after the freeze (their targets all exist by then). The
-        //    rewrite is atomic (tmp + rename); if it fails the old log
-        //    survives intact, and replaying its folded prefix over the new
-        //    generation is a no-op by the staleness rules.
-        let mut rewrite_result = Ok(());
-        if let Some(w) = wal.as_mut() {
-            let suffix = {
-                let delta = shard.delta.read();
-                let mut recs: Vec<WalRecord> = delta.inserts[split..]
-                    .iter()
-                    .map(|e| WalRecord::Insert {
-                        id: e.gid,
-                        vector: e.row.to_vec(),
-                    })
-                    .collect();
-                let mut late_tombs: Vec<u64> = delta
-                    .tombstones
-                    .iter()
-                    .filter(|t| !frozen_tombs.contains(t))
-                    .copied()
-                    .collect();
-                late_tombs.sort_unstable();
-                recs.extend(late_tombs.into_iter().map(|id| WalRecord::Delete { id }));
-                recs
-            };
-            rewrite_result = w.rewrite(&suffix);
-        }
-
-        // 3. Swap the generation handle and split the overlay — under the
-        //    delta write lock so no reader ever pairs the new generation
-        //    with the old overlay (or vice versa). This happens regardless
-        //    of the rewrite outcome: the on-disk manifest already points
-        //    at the new generation.
-        {
-            let mut delta = shard.delta.write();
-            let mut gen_slot = shard.generation.write();
-            let remaining = delta.inserts.split_off(split);
+        // The unfolded suffix, the next overlay: the inserts after the
+        // freeze, re-sealed on chunk boundaries of their own (the norm bound
+        // re-tightened over them), and the tombstones set after it. Built
+        // under the read lock: the WAL mutex already keeps it still.
+        let next = {
+            let delta = shard.delta.read();
+            let mut next = DeltaState::empty(new_gen.built_max_norm);
+            for (gid, row) in delta.rows(self.d).skip(split) {
+                next.append(gid, row);
+            }
             let late_tombs: HashSet<u64> = delta
                 .tombstones
                 .iter()
                 .filter(|t| !frozen_tombs.contains(t))
                 .copied()
                 .collect();
-            let dead_base = late_tombs
+            next.dead_base = late_tombs
                 .iter()
                 .filter(|t| new_gen.ids.binary_search(t).is_ok())
                 .count();
-            let mut max_norm = new_gen.built_max_norm;
-            for e in &remaining {
-                if e.norm > max_norm {
-                    max_norm = e.norm;
-                }
-            }
-            *delta = DeltaState {
-                inserts: remaining,
-                tombstones: Arc::new(late_tombs),
-                max_norm,
-                dead_base,
-            };
+            next.tombstones = Arc::new(late_tombs);
+            next
+        };
+
+        // 2. Rewrite the WAL down to that suffix: its inserts, from the
+        //    slabs (ascending gid — all larger than anything in the new
+        //    generation), then its deletes (their targets all exist by
+        //    then). The rewrite is atomic (tmp + rename); if it fails the
+        //    old log survives intact, and replaying its folded prefix over
+        //    the new generation is a no-op by the staleness rules.
+        let mut rewrite_result = Ok(());
+        if let Some(w) = wal.as_mut() {
+            let mut late_tombs: Vec<u64> = next.tombstones.iter().copied().collect();
+            late_tombs.sort_unstable();
+            let suffix: Vec<WalRecord> = next
+                .rows(self.d)
+                .map(|(id, row)| WalRecord::Insert {
+                    id,
+                    vector: row.to_vec(),
+                })
+                .chain(late_tombs.into_iter().map(|id| WalRecord::Delete { id }))
+                .collect();
+            rewrite_result = w.rewrite(&suffix);
+        }
+
+        // 3. Swap the generation handle and the overlay — under the delta
+        //    write lock so no reader ever pairs the new generation with the
+        //    old overlay (or vice versa). This happens regardless of the
+        //    rewrite outcome: the on-disk manifest already points at the
+        //    new generation.
+        {
+            let mut delta = shard.delta.write();
+            let mut gen_slot = shard.generation.write();
+            *delta = next;
             *gen_slot = Arc::clone(&new_gen);
         }
         // The frozen prefix left the overlay: fold it out of the global
@@ -518,11 +505,14 @@ impl ShardedProMips {
 
         // All mutation state is frozen now; snapshot and gather live rows.
         let snaps: Vec<ShardSnapshot> = self.shards.iter().map(|s| s.snapshot()).collect();
-        let live_total: usize = snaps.iter().map(|s| s.stored() - s.tombstones.len()).sum();
+        let live_total: usize = snaps
+            .iter()
+            .map(|s| s.stored() - s.delta.tombstones.len())
+            .sum();
         let mut all_gids: Vec<u64> = Vec::with_capacity(live_total);
         let mut flat: Vec<f32> = Vec::with_capacity(live_total * self.d);
         for snap in &snaps {
-            let (gids, rows) = live_rows(&snap.gen, &snap.tombstones, &snap.inserts, self.d)?;
+            let (gids, rows) = live_rows(&snap.gen, &snap.delta.tombstones, &snap.delta, self.d)?;
             all_gids.extend(gids);
             flat.extend_from_slice(rows.as_slice());
         }
@@ -599,9 +589,9 @@ impl ShardedProMips {
             // contribution from the frozen snapshot counts.
             reg.counter(CounterId::GenerationSwaps).inc();
             reg.gauge(GaugeId::DeltaRows)
-                .sub(snaps[si].inserts.len() as i64);
+                .sub(snaps[si].delta.len() as i64);
             reg.gauge(GaugeId::Tombstones)
-                .sub(snaps[si].tombstones.len() as i64);
+                .sub(snaps[si].delta.tombstones.len() as i64);
             shard.note_generation_swap(CompactionOutcome::Repartitioned);
             recorder::emit(recorder::EventKind::GenerationSwap {
                 shard: si as u32,

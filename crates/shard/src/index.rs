@@ -13,15 +13,21 @@
 //!   poor man's arc-swap — the write lock is held only for the pointer
 //!   swap, never for IO).
 //! * `DeltaState` — everything since that build: appended rows, the
-//!   copy-on-write tombstone set, and the live norm bound. Guarded by a
-//!   per-shard `RwLock` that readers hold only long enough to clone the
-//!   overlay (rows are `Arc<[f32]>`, the tombstone set an `Arc<HashSet>`),
-//!   so a query owns a consistent snapshot without blocking writers.
+//!   copy-on-write tombstone set, and the live norm bound. Rows live in
+//!   the base column's shape: an append-only list of sealed chunks (an f32
+//!   slab plus its SQ8 codes) and one small open f32 tail, each behind an
+//!   `Arc`. Guarded by a per-shard `RwLock` that readers hold only long
+//!   enough to clone the overlay — a handful of `Arc`s, whatever the delta
+//!   holds — so a query owns a consistent snapshot without blocking
+//!   writers.
 //!
 //! A reader therefore **never blocks on a mutation**: inserts and deletes
-//! take the delta write lock for a few pointer pushes (their fsync happens
-//! *outside* any lock readers touch), and compaction builds the next
-//! generation entirely off to the side before swapping the handle.
+//! take the delta write lock for an append — one row copied, and on every
+//! `CHUNK_ROWS`-th the tail's seal, one `sq8_encode` of its rows (≈ 0.1 ms
+//! at d = 300: replaying `lf300_churn`'s 4 000-row WAL, 62 seals, takes
+//! 8 ms longer than pushing the rows did) — their fsync happens *outside*
+//! any lock readers touch, and compaction builds the next generation
+//! entirely off to the side before swapping the handle.
 //!
 //! Lock order (outer → inner): `mut_order` → `compact_lock` →
 //! `manifest_lock` → `wal` → `delta` → `gen`. Every code path acquires
@@ -35,6 +41,8 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 use promips_core::{ProMips, ProMipsConfig};
+use promips_idistance::build::sq8_encode;
+use promips_idistance::meta::OrigQuant;
 use promips_linalg::{sq_norm2, Matrix};
 use promips_storage::{AccessStatsSnapshot, Pager};
 use promips_wal::Wal;
@@ -100,23 +108,69 @@ impl ShardGeneration {
     }
 }
 
-/// One row appended since the shard's last rebuild. The row is `Arc`ed so
-/// query snapshots and compaction freezes share it without copying.
-#[derive(Clone)]
-pub(crate) struct DeltaInsert {
-    pub gid: u64,
-    pub row: Arc<[f32]>,
-    /// `‖row‖₂`, precomputed at insert time.
-    pub norm: f64,
+/// Rows per sealed delta chunk: the open tail is sealed — SQ8-encoded — when
+/// it reaches this many rows. Derived, not a knob. A shard holding `n` delta
+/// rows pays per query ≈ `(n/C)·o` for its chunks (bound, threshold, budget
+/// tick and kernel call: `o` ≈ 160 ns) plus ≈ `(C/2)·f` for its open tail
+/// (single-row f32 scoring of rows written since the last query: `f` ≈ 78
+/// ns a row, against 8.6 ns a screened row), least at `C = √(2·n·o/f)`:
+/// 70 for `lf300_churn`'s mean 1 150 rows a shard, 92 for its 2 000-row
+/// rounds. `o` and `f` are fitted to traced `core.verify_us` on
+/// `lf300_churn`, seed 1, five runs each — medians 71.4 µs at C = 32, 65.1
+/// at 64, 71.3 at 128; 64 the fastest of the three in each of the five
+/// rounds — and two runs 98.5–99.3 µs at 256, 126–146 at 512, 183–202 at
+/// 1 024 (4 096, every row in the tail, is the f32 scan this replaced:
+/// 245–361).
+pub(crate) const CHUNK_ROWS: usize = 64;
+
+/// A run of rows appended since the shard's last rebuild: their ascending
+/// global ids and one contiguous `n × d` f32 slab. A **sealed** chunk holds
+/// exactly [`CHUNK_ROWS`] rows plus their full-width SQ8 codes (`d` bytes a
+/// row) and quantizer, and is never mutated again; the open tail holds
+/// fewer, and no codes.
+#[derive(Clone, Default)]
+pub(crate) struct DeltaChunk {
+    pub gids: Vec<u64>,
+    pub rows: Vec<f32>,
+    pub codes: Vec<u8>,
+    /// `None` for the open tail, and for a chunk holding a non-finite
+    /// coordinate: no finite bound screens it, so its rows are scored like
+    /// the tail's.
+    pub quant: Option<OrigQuant>,
+}
+
+impl DeltaChunk {
+    /// `(gid, row)` in id order.
+    pub(crate) fn iter(&self, d: usize) -> impl Iterator<Item = (u64, &[f32])> {
+        self.gids.iter().copied().zip(self.rows.chunks_exact(d))
+    }
+
+    /// Encodes the slab with [`sq8_encode`] at full width — the `V = I` case
+    /// of the head bound, so the codes depend on no generation's basis and
+    /// serve exact and indexed generations alike.
+    fn seal(mut self, d: usize) -> Self {
+        let quant = sq8_encode(&self.rows, d, &mut self.codes);
+        let finite = [quant.scale, quant.min, quant.err, quant.xnorm]
+            .iter()
+            .all(|v| v.is_finite());
+        self.quant = finite.then_some(quant);
+        self
+    }
 }
 
 /// The mutable overlay on top of a [`ShardGeneration`]: everything a query
-/// must merge with the committed index to see the live state.
+/// must merge with the committed index to see the live state. Every field
+/// is an `Arc` or a scalar, so a clone — a query's snapshot — allocates
+/// nothing and costs the same at any delta size.
+#[derive(Clone)]
 pub(crate) struct DeltaState {
-    /// Rows appended since the last rebuild, ascending by global id
-    /// (global ids are assigned monotonically and per-shard WAL order
-    /// follows assignment order).
-    pub inserts: Vec<DeltaInsert>,
+    /// Sealed chunks, ascending by global id (global ids are assigned
+    /// monotonically and per-shard WAL order follows assignment order).
+    /// Copy-on-write: a seal clones the list of `Arc`s only when a reader
+    /// still holds it.
+    pub chunks: Arc<Vec<Arc<DeltaChunk>>>,
+    /// The open tail, past every sealed id; copy-on-write like the list.
+    pub tail: Arc<DeltaChunk>,
     /// Global ids tombstoned since the last rebuild — committed rows and
     /// delta rows alike. Copy-on-write: a query clones the `Arc`, a delete
     /// clones the set only when a reader still holds it.
@@ -133,30 +187,90 @@ pub(crate) struct DeltaState {
 impl DeltaState {
     pub(crate) fn empty(built_max_norm: f64) -> Self {
         Self {
-            inserts: Vec::new(),
-            tombstones: Arc::new(HashSet::new()),
+            chunks: Arc::default(),
+            tail: Arc::default(),
+            tombstones: Arc::default(),
             max_norm: built_max_norm,
             dead_base: 0,
+        }
+    }
+
+    /// Rows appended (live and tombstoned).
+    pub(crate) fn len(&self) -> usize {
+        self.chunks.len() * CHUNK_ROWS + self.tail.gids.len()
+    }
+
+    /// The sealed chunks, then the tail.
+    pub(crate) fn parts(&self) -> impl Iterator<Item = &DeltaChunk> {
+        self.chunks
+            .iter()
+            .map(|c| &**c)
+            .chain(std::iter::once(&*self.tail))
+    }
+
+    /// Every appended `(gid, row)`, in id order.
+    pub(crate) fn rows(&self, d: usize) -> impl Iterator<Item = (u64, &[f32])> {
+        self.parts().flat_map(move |c| c.iter(d))
+    }
+
+    /// Whether `gid` was appended here (live or tombstoned): the one lookup
+    /// over the delta — a binary search over the chunks' first ids, then one
+    /// inside the chunk.
+    pub(crate) fn holds(&self, gid: u64) -> bool {
+        let part = if self.tail.gids.first().is_some_and(|&first| first <= gid) {
+            &self.tail
+        } else {
+            match self.chunks.partition_point(|c| c.gids[0] <= gid) {
+                0 => return false,
+                at => &self.chunks[at - 1],
+            }
+        };
+        part.gids.binary_search(&gid).is_ok()
+    }
+
+    /// The largest id appended.
+    pub(crate) fn last_gid(&self) -> Option<u64> {
+        let last_chunk = || self.chunks.last().and_then(|c| c.gids.last());
+        self.tail.gids.last().or_else(last_chunk).copied()
+    }
+
+    /// Appends one row, whose id must exceed every id here, raises the norm
+    /// bound, and seals the tail once it holds [`CHUNK_ROWS`] rows — the one
+    /// append path of inserts, WAL replay and a compaction's commit.
+    pub(crate) fn append(&mut self, gid: u64, row: &[f32]) {
+        debug_assert!(
+            self.last_gid().is_none_or(|last| last < gid),
+            "the delta would lose its ascending gid order"
+        );
+        let norm = sq_norm2(row).sqrt();
+        if norm > self.max_norm {
+            self.max_norm = norm;
+        }
+        let tail = Arc::make_mut(&mut self.tail);
+        let room = CHUNK_ROWS - tail.gids.len();
+        tail.gids.reserve_exact(room);
+        tail.rows.reserve_exact(room * row.len());
+        tail.gids.push(gid);
+        tail.rows.extend_from_slice(row);
+        if tail.gids.len() == CHUNK_ROWS {
+            let sealed = std::mem::take(tail).seal(row.len());
+            Arc::make_mut(&mut self.chunks).push(Arc::new(sealed));
         }
     }
 }
 
 /// A consistent point-in-time view of one shard, owned by a query for its
 /// whole run: the generation `Arc` plus a clone of the overlay. Taking one
-/// holds the delta read lock for the duration of two `Arc` clones and a
-/// `Vec` clone of `Arc`ed rows.
+/// holds the delta read lock for the duration of four `Arc` clones.
 pub(crate) struct ShardSnapshot {
     pub gen: Arc<ShardGeneration>,
-    pub inserts: Vec<DeltaInsert>,
-    pub tombstones: Arc<HashSet<u64>>,
-    pub max_norm: f64,
-    pub dead_base: usize,
+    pub delta: DeltaState,
 }
 
 impl ShardSnapshot {
     /// Points stored (committed + delta, live + tombstoned).
     pub(crate) fn stored(&self) -> usize {
-        self.gen.ids.len() + self.inserts.len()
+        self.gen.ids.len() + self.delta.len()
     }
 }
 
@@ -219,17 +333,14 @@ impl Shard {
         let gen = Arc::clone(&self.generation.read());
         ShardSnapshot {
             gen,
-            inserts: delta.inserts.clone(),
-            tombstones: Arc::clone(&delta.tombstones),
-            max_norm: delta.max_norm,
-            dead_base: delta.dead_base,
+            delta: delta.clone(),
         }
     }
 
     /// Number of points stored in this shard (live + tombstoned).
     pub fn len(&self) -> u64 {
         let delta = self.delta.read();
-        (self.generation.read().ids.len() + delta.inserts.len()) as u64
+        (self.generation.read().ids.len() + delta.len()) as u64
     }
 
     /// True when the shard holds no points.
@@ -240,13 +351,14 @@ impl Shard {
     /// Number of live (non-tombstoned) points.
     pub fn live_len(&self) -> u64 {
         let delta = self.delta.read();
-        (self.generation.read().ids.len() + delta.inserts.len() - delta.tombstones.len()) as u64
+        (self.generation.read().ids.len() + delta.len() - delta.tombstones.len()) as u64
     }
 
     /// Points inserted since the shard's last (re)build — the in-memory
-    /// delta that queries verify exhaustively and compaction folds away.
+    /// delta (sealed SQ8-screened chunks plus an open f32 tail) that
+    /// queries score on top of the generation and compaction folds away.
     pub fn delta_len(&self) -> usize {
-        self.delta.read().inserts.len()
+        self.delta.read().len()
     }
 
     /// Tombstoned (deleted but not yet compacted) points.
@@ -276,7 +388,7 @@ impl Shard {
         let delta = self.delta.read();
         let gen = self.generation.read();
         let mut ids = gen.ids.clone();
-        ids.extend(delta.inserts.iter().map(|e| e.gid));
+        ids.extend(delta.parts().flat_map(|c| c.gids.iter().copied()));
         ids
     }
 
@@ -429,9 +541,9 @@ impl ShardedProMips {
                 let snap = s.snapshot();
                 crate::result::ShardMaintenance {
                     shard: si as u32,
-                    live: (snap.stored() - snap.tombstones.len()) as u64,
-                    delta_len: snap.inserts.len(),
-                    tombstones: snap.tombstones.len(),
+                    live: (snap.stored() - snap.delta.tombstones.len()) as u64,
+                    delta_len: snap.delta.len(),
+                    tombstones: snap.delta.tombstones.len(),
                     wal_bytes: self.wal_bytes(si),
                     generation: snap.gen.generation,
                     generation_age_ns: now.saturating_sub(s.gen_installed_ns.get() as u64),
@@ -530,9 +642,9 @@ impl ShardedProMips {
             let snap = s.snapshot();
             total += snap.stored() as u64 * 8;
             total += snap
-                .inserts
-                .iter()
-                .map(|e| e.row.len() as u64 * 4)
+                .delta
+                .parts()
+                .map(|c| (c.rows.len() * 4 + c.codes.len()) as u64)
                 .sum::<u64>();
             match &snap.gen.kind {
                 GenKind::Indexed(pm) => total += pm.index_size_bytes(),

@@ -70,308 +70,7 @@ pub use search::{ShardedQuery, ShardedScratch};
 // callers don't need a direct `promips_wal` dependency.
 pub use promips_wal::SyncPolicy;
 
+// The public-API tests, kept under `tests/` (see that file's header).
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use promips_core::{ProMips, ProMipsConfig};
-    use promips_linalg::Matrix;
-    use promips_stats::Xoshiro256pp;
-
-    fn random_data(n: usize, d: usize, seed: u64) -> Matrix {
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        Matrix::from_rows(
-            d,
-            (0..n).map(|_| (0..d).map(|_| rng.normal() as f32).collect::<Vec<f32>>()),
-        )
-    }
-
-    fn random_queries(nq: usize, d: usize, seed: u64) -> Vec<Vec<f32>> {
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        (0..nq)
-            .map(|_| (0..d).map(|_| rng.normal() as f32).collect())
-            .collect()
-    }
-
-    /// Exact top-k ids via the canonical ground-truth scanner (ties by
-    /// smaller id, same total order the shard merge uses).
-    fn exact_ids(data: &Matrix, q: &[f32], k: usize) -> Vec<u64> {
-        promips_data::exact_topk(data, q, k)
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect()
-    }
-
-    fn recall(got: &[u64], truth: &[u64]) -> f64 {
-        let hits = got.iter().filter(|id| truth.contains(id)).count();
-        hits as f64 / truth.len() as f64
-    }
-
-    #[test]
-    fn one_shard_matches_unsharded_bit_for_bit() {
-        let data = random_data(900, 24, 11);
-        let base = ProMipsConfig::builder().c(0.9).p(0.5).seed(42).build();
-        let unsharded = ProMips::build_in_memory(&data, base.clone()).unwrap();
-        let sharded = ShardedProMips::build_in_memory(
-            &data,
-            ShardedConfig::builder()
-                .shards(1)
-                .exact_threshold(0)
-                .base(base)
-                .build(),
-        )
-        .unwrap();
-        assert_eq!(sharded.shard_count(), 1);
-        assert!(!sharded.shards()[0].is_exact());
-        // The shard's pruning bound comes from the index build's own pass
-        // over the rows: the same maximum, the same root, the same bits.
-        let max_sq_norm = (data.iter_rows().map(promips_linalg::sq_norm2)).fold(0.0f64, f64::max);
-        assert_eq!(unsharded.max_sq_norm().to_bits(), max_sq_norm.to_bits());
-        assert_eq!(
-            sharded.shards()[0].max_norm().to_bits(),
-            max_sq_norm.sqrt().to_bits()
-        );
-
-        for q in random_queries(12, 24, 7) {
-            let a = unsharded.search(&q, 10).unwrap();
-            let b = sharded.search(&q, 10).unwrap();
-            assert_eq!(a.items, b.items, "one-shard results must be identical");
-            assert_eq!(a.verified, b.verified);
-            assert_eq!(a.screened, b.screened);
-        }
-    }
-
-    #[test]
-    fn pruning_never_changes_the_result() {
-        // The skewed workload (log-uniform norms over ~3 decades, the
-        // regime real MIPS embedding tables live in) is where the
-        // Cauchy–Schwarz bound has teeth; i.i.d. Gaussian rows concentrate
-        // all norms near `√d` and never prune.
-        for (data, label) in [
-            (random_data(1500, 20, 3), "gaussian"),
-            (promips_data::gen::norm_skewed(1500, 20, 3), "skewed"),
-        ] {
-            let mk = |prune: bool| {
-                ShardedProMips::build_in_memory(
-                    &data,
-                    ShardedConfig::builder()
-                        .shards(6)
-                        .prune(prune)
-                        .base(ProMipsConfig::builder().seed(9).build())
-                        .build(),
-                )
-                .unwrap()
-            };
-            let pruned = mk(true);
-            let full = mk(false);
-            let mut any_pruned = 0usize;
-            for q in random_queries(15, 20, 31) {
-                let a = pruned.search(&q, 8).unwrap();
-                let b = full.search(&q, 8).unwrap();
-                assert_eq!(a.items, b.items, "pruning must be exact ({label})");
-                any_pruned += a.shards_pruned();
-            }
-            if label == "skewed" {
-                // Under realistic norm skew the bound must actually fire,
-                // or the pruning path is dead code.
-                assert!(any_pruned > 0, "no shard was ever pruned on {label}");
-            }
-        }
-    }
-
-    #[test]
-    fn cross_shard_floor_verifies_no_more_and_stays_deterministic() {
-        let data = random_data(1600, 20, 119);
-        let mk = |floor: bool| {
-            ShardedProMips::build_in_memory(
-                &data,
-                ShardedConfig::builder()
-                    .shards(5)
-                    .cross_shard_floor(floor)
-                    .base(ProMipsConfig::builder().seed(6).build())
-                    .build(),
-            )
-            .unwrap()
-        };
-        let exact_mode = mk(false);
-        let floor_mode = mk(true);
-        let scratch = ShardedScratch::for_index(&floor_mode);
-        for q in random_queries(10, 20, 121) {
-            let a = exact_mode.search(&q, 8).unwrap();
-            let b = floor_mode.search(&q, 8).unwrap();
-            // The floor only ever *reduces* verification work, and every
-            // item it keeps already beat the seed shard's k-th product.
-            assert!(b.verified <= a.verified, "{} > {}", b.verified, a.verified);
-            assert!(!b.items.is_empty());
-            assert!(b.items.windows(2).all(|w| w[0].ip >= w[1].ip));
-            // Deterministic across thread counts, like the exact mode.
-            let c1 = floor_mode.search_threaded(&q, 8, 1, &scratch).unwrap();
-            let c4 = floor_mode.search_threaded(&q, 8, 4, &scratch).unwrap();
-            assert_eq!(c1.items, c4.items);
-            assert_eq!(c1.items, b.items);
-        }
-    }
-
-    #[test]
-    fn results_are_thread_count_invariant() {
-        let data = random_data(1200, 16, 5);
-        let idx = ShardedProMips::build_in_memory(
-            &data,
-            ShardedConfig::builder()
-                .shards(5)
-                .base(ProMipsConfig::builder().seed(2).build())
-                .build(),
-        )
-        .unwrap();
-        let scratch = ShardedScratch::for_index(&idx);
-        for q in random_queries(8, 16, 17) {
-            let base = idx.search_threaded(&q, 7, 1, &scratch).unwrap();
-            for threads in [2usize, 4, 16] {
-                let other = idx.search_threaded(&q, 7, threads, &scratch).unwrap();
-                assert_eq!(base.items, other.items, "threads={threads}");
-                assert_eq!(base.verified, other.verified, "threads={threads}");
-                for (a, b) in base.per_shard.iter().zip(&other.per_shard) {
-                    assert_eq!(a, b, "threads={threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn scratch_reuse_is_transparent() {
-        let data = random_data(800, 12, 23);
-        let idx =
-            ShardedProMips::build_in_memory(&data, ShardedConfig::builder().shards(3).build())
-                .unwrap();
-        let shared = ShardedScratch::for_index(&idx);
-        for q in random_queries(10, 12, 29) {
-            let (reused, _) = idx.execute(ShardedQuery::new(&q, 5), &shared).unwrap();
-            assert_eq!(reused, idx.search(&q, 5).unwrap());
-        }
-    }
-
-    #[test]
-    fn small_shards_fall_back_to_exact_scan() {
-        let data = random_data(300, 10, 41);
-        // Threshold larger than any shard: every shard is scan-backed.
-        let idx = ShardedProMips::build_in_memory(
-            &data,
-            ShardedConfig::builder()
-                .shards(4)
-                .exact_threshold(1_000)
-                .build(),
-        )
-        .unwrap();
-        assert!(idx.shards().iter().all(|s| s.is_exact()));
-        // All-exact sharding is a distributed exact scan: recall 1.0.
-        for q in random_queries(10, 10, 43) {
-            let res = idx.search(&q, 9).unwrap();
-            assert_eq!(res.ids(), exact_ids(&data, &q, 9));
-        }
-    }
-
-    #[test]
-    fn mixed_exact_and_indexed_shards_cover_all_points() {
-        // Norm-range shards are equal-count, so a threshold cannot split
-        // them into exact and indexed: threshold 0 indexes every one.
-        let data = random_data(700, 14, 51);
-        let idx = ShardedProMips::build_in_memory(
-            &data,
-            ShardedConfig::builder()
-                .shards(7)
-                .exact_threshold(0) // all indexed
-                .build(),
-        )
-        .unwrap();
-        assert!(idx.shards().iter().all(|s| !s.is_exact()));
-        assert_eq!(idx.shard_points().iter().sum::<u64>(), 700);
-        // Every global id appears exactly once across shard id maps.
-        let mut seen: Vec<u64> = idx.shards().iter().flat_map(|s| s.global_ids()).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..700u64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn norm_range_sharding_loses_no_recall_vs_unsharded() {
-        // The acceptance experiment: same base config (equal per-shard
-        // candidate budget rules), recall measured against brute force for
-        // the sharded (norm-range, pruning on) and unsharded paths.
-        let data = random_data(2000, 24, 61);
-        let base = ProMipsConfig::builder().c(0.9).p(0.5).seed(13).build();
-        let unsharded = ProMips::build_in_memory(&data, base.clone()).unwrap();
-        let sharded = ShardedProMips::build_in_memory(
-            &data,
-            ShardedConfig::builder().shards(4).base(base).build(),
-        )
-        .unwrap();
-
-        let queries = random_queries(25, 24, 67);
-        let k = 10;
-        let mut r_unsharded = 0.0;
-        let mut r_sharded = 0.0;
-        for q in &queries {
-            let truth = exact_ids(&data, q, k);
-            r_unsharded += recall(&unsharded.search(q, k).unwrap().ids(), &truth);
-            r_sharded += recall(&sharded.search(q, k).unwrap().ids(), &truth);
-        }
-        r_unsharded /= queries.len() as f64;
-        r_sharded /= queries.len() as f64;
-        // Sharding must not cost recall (smaller per-shard indexes are
-        // searched at least as accurately; pruning is exact). Allow a hair
-        // of cross-platform rounding slack.
-        assert!(
-            r_sharded >= r_unsharded - 0.02,
-            "sharded recall {r_sharded:.3} < unsharded {r_unsharded:.3}"
-        );
-    }
-
-    #[test]
-    fn k_larger_than_dataset_is_clamped() {
-        let data = random_data(40, 8, 71);
-        let idx =
-            ShardedProMips::build_in_memory(&data, ShardedConfig::builder().shards(3).build())
-                .unwrap();
-        let q = vec![0.3f32; 8];
-        let res = idx.search(&q, 100).unwrap();
-        assert_eq!(res.items.len(), 40);
-        let mut ids = res.ids();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 40, "duplicate or missing global ids");
-    }
-
-    #[test]
-    fn more_shards_than_points_leaves_empties_searchable() {
-        let data = random_data(5, 6, 81);
-        let idx =
-            ShardedProMips::build_in_memory(&data, ShardedConfig::builder().shards(8).build())
-                .unwrap();
-        assert_eq!(idx.shard_count(), 8);
-        assert_eq!(idx.shard_points().iter().sum::<u64>(), 5);
-        let q = vec![1.0f32; 6];
-        let res = idx.search(&q, 3).unwrap();
-        assert_eq!(res.ids(), exact_ids(&data, &q, 3));
-    }
-
-    #[test]
-    fn per_shard_stats_account_for_every_shard() {
-        let data = random_data(1000, 16, 91);
-        let idx =
-            ShardedProMips::build_in_memory(&data, ShardedConfig::builder().shards(4).build())
-                .unwrap();
-        let q = random_queries(1, 16, 97).pop().unwrap();
-        let res = idx.search(&q, 10).unwrap();
-        assert_eq!(res.per_shard.len(), 4);
-        assert_eq!(res.per_shard.iter().map(|s| s.points).sum::<u64>(), 1000u64);
-        assert_eq!(
-            res.verified,
-            res.per_shard.iter().map(|s| s.verified).sum::<usize>()
-        );
-        // A pruned shard verifies nothing.
-        for s in &res.per_shard {
-            if s.pruned {
-                assert_eq!(s.verified, 0);
-                assert_eq!(s.returned, 0);
-            }
-        }
-    }
-}
+#[path = "../tests/lib_api/mod.rs"]
+mod tests;

@@ -20,8 +20,9 @@
 //!    serializing fsyncs across shards;
 //! 3. append to the WAL (fsync per policy) while holding only the WAL
 //!    mutex — readers are never blocked on storage;
-//! 4. take the shard's delta **write** lock for the in-memory apply (a few
-//!    pointer pushes), then release everything.
+//! 4. take the shard's delta **write** lock for the in-memory apply (one
+//!    row appended to the open tail; every `CHUNK_ROWS`-th append seals
+//!    it), then release everything.
 //!
 //! Deletes re-validate liveness *after* acquiring the WAL mutex: the mutex
 //! freezes the shard's mutation state, so the WAL never carries a record
@@ -40,11 +41,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use promips_core::MutationError;
-use promips_linalg::sq_norm2;
 use promips_obs::{CounterId, GaugeId, Registry};
 use promips_wal::{Wal, WalConfig, WalRecord};
 
-use crate::index::{DeltaInsert, Shard, ShardedProMips};
+use crate::index::{Shard, ShardedProMips};
 use crate::persist::wal_path;
 
 impl ShardedProMips {
@@ -105,22 +105,7 @@ impl ShardedProMips {
             },
             sync_now,
         )?;
-        let norm = sq_norm2(point).sqrt();
-        {
-            let mut delta = shard.delta.write();
-            debug_assert!(
-                delta.inserts.last().is_none_or(|e| e.gid < gid),
-                "shard {si} delta would lose its ascending gid order"
-            );
-            delta.inserts.push(DeltaInsert {
-                gid,
-                row: Arc::from(point),
-                norm,
-            });
-            if norm > delta.max_norm {
-                delta.max_norm = norm;
-            }
-        }
+        shard.delta.write().append(gid, point);
         self.n_points.fetch_add(1, Ordering::AcqRel);
         let reg = Registry::global();
         reg.counter(CounterId::Inserts).inc();
@@ -179,19 +164,16 @@ impl ShardedProMips {
             if delta.tombstones.contains(&gid) {
                 return false;
             }
-            delta.inserts.binary_search_by_key(&gid, |e| e.gid).is_ok()
-                || s.generation.read().ids.binary_search(&gid).is_ok()
+            delta.holds(gid) || s.generation.read().ids.binary_search(&gid).is_ok()
         })
     }
 
     /// The shard storing `gid` (live or tombstoned), if any. Each shard's
-    /// committed id map and delta are both ascending, so this is two
+    /// committed id map and delta are both ascending, so this is a few
     /// binary searches per shard.
     pub(crate) fn owning_shard(&self, gid: u64) -> Option<usize> {
         self.shards.iter().position(|s| {
-            let delta = s.delta.read();
-            delta.inserts.binary_search_by_key(&gid, |e| e.gid).is_ok()
-                || s.generation.read().ids.binary_search(&gid).is_ok()
+            s.delta.read().holds(gid) || s.generation.read().ids.binary_search(&gid).is_ok()
         })
     }
 
@@ -274,24 +256,12 @@ impl ShardedProMips {
                 let stale = {
                     let delta = shard.delta.read();
                     let max_here = delta
-                        .inserts
-                        .last()
-                        .map(|e| e.gid)
+                        .last_gid()
                         .or_else(|| shard.generation.read().ids.last().copied());
                     max_here.is_some_and(|m| m >= id) || self.owning_shard(id).is_some()
                 };
                 if !stale {
-                    let norm = sq_norm2(&vector).sqrt();
-                    let mut delta = shard.delta.write();
-                    delta.inserts.push(DeltaInsert {
-                        gid: id,
-                        row: vector.into(),
-                        norm,
-                    });
-                    if norm > delta.max_norm {
-                        delta.max_norm = norm;
-                    }
-                    drop(delta);
+                    shard.delta.write().append(id, &vector);
                     self.n_points.fetch_add(1, Ordering::AcqRel);
                     // Replays re-grow the overlay, so the delta gauge must
                     // track them; the insert *counter* only counts fresh
@@ -313,8 +283,7 @@ impl ShardedProMips {
                 return; // already dead (torn-tail double delete)
             }
             let in_gen = shard.generation.read().ids.binary_search(&gid).is_ok();
-            let in_delta = delta.inserts.binary_search_by_key(&gid, |e| e.gid).is_ok();
-            if !in_gen && !in_delta {
+            if !in_gen && !delta.holds(gid) {
                 return; // stale: the point was folded away
             }
             in_gen
@@ -346,7 +315,7 @@ impl ShardedProMips {
             .iter()
             .map(|s| {
                 let delta = s.delta.read();
-                delta.inserts.len() + delta.tombstones.len()
+                delta.len() + delta.tombstones.len()
             })
             .sum()
     }

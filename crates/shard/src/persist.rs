@@ -208,7 +208,7 @@ impl ShardedProMips {
         let _manifest = self.manifest_lock.lock();
         let (delta, tombstones) = self.shards.iter().fold((0, 0), |(di, ti), s| {
             let d = s.delta.read();
-            (di + d.inserts.len(), ti + d.tombstones.len())
+            (di + d.len(), ti + d.tombstones.len())
         });
         if delta + tombstones > 0 {
             return Err(MutationError::PendingMutations { delta, tombstones }.into());

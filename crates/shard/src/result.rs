@@ -24,15 +24,16 @@ pub struct ShardQueryStats {
     /// (zero for pruned shards; for a failed shard, those verified before
     /// it failed).
     pub verified: usize,
-    /// Candidates the shard's SQ8 verification screen dropped without an
-    /// exact rescore (zero for pruned or exact-scan shards, and for shards
-    /// whose index file predates the verification tier).
+    /// Candidates the shard's SQ8 verification screens dropped without an
+    /// exact rescore: the generation's code column and the delta's sealed
+    /// chunks (zero for pruned shards).
     pub screened: usize,
     /// Items the shard contributed to the merge (before the global top-k
     /// cut).
     pub returned: usize,
-    /// Uncompacted delta inserts the query had to verify exhaustively —
-    /// when this grows, queries slow down and compaction is due.
+    /// Uncompacted delta inserts the query read: sealed chunks it screened
+    /// by their SQ8 codes plus the open tail it scored in f32 — when this
+    /// grows, queries slow down and compaction is due.
     pub delta_len: usize,
     /// Tombstoned points still occupying the shard's file.
     pub tombstones: usize,

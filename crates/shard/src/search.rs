@@ -3,8 +3,9 @@
 //! mutations.
 //!
 //! Before any scoring, the query takes a `ShardSnapshot` of every shard:
-//! the generation `Arc`, a clone of the delta overlay (`Arc`ed rows,
-//! copy-on-write tombstone set), and the live norm bound.
+//! the generation `Arc` and a clone of the delta overlay — its list of
+//! sealed chunks, its open tail and its tombstone set, each an `Arc`, and
+//! the live norm bound.
 //! Everything after — seed probe, pruning, fan-out, merge — runs against
 //! those frozen views, so a compaction swapping a generation mid-query or
 //! a writer appending to a delta is simply invisible to this query and
@@ -25,8 +26,10 @@
 //! Per shard, the committed generation is searched through
 //! [`promips_core::ProMips::execute`] with the snapshot's tombstone set as
 //! the request's dead mask (an exact generation runs a blocked scan), and
-//! the delta overlay is verified exhaustively — the same two-level read an
-//! LSM tree does, with the tombstone set filtering both levels.
+//! the delta overlay joins its running top-k: sealed chunks screened by
+//! their SQ8 codes against the running k-th, the survivors and the open
+//! tail scored exactly — the same two-level read an LSM tree does, with
+//! the tombstone set filtering both levels.
 //!
 //! Pruning is exact, never approximate: a pruned shard's best possible
 //! inner product is beaten by k already-verified points, so the merged
@@ -82,41 +85,32 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use parking_lot::Mutex;
+use promips_core::screen::{QueryScreen, ScreenBound};
 use promips_core::{Query, SearchItem, SearchScratch};
-use promips_linalg::{dot, prefetch, sq_norm2};
+use promips_linalg::{dot, dot_col_i8, sq_norm2};
 use promips_obs::{
     self as obs, budget_error, recorder, sampling, slow, BudgetChecker, BudgetExceeded, CounterId,
     HistoId, QueryBudget, QueryTrace, ShardSpan,
 };
 
 use crate::error::{DegradationPolicy, QueryError, ShardError, ShardErrorKind};
-use crate::index::{GenKind, ShardSnapshot, ShardedProMips};
+use crate::index::{GenKind, ShardSnapshot, ShardedProMips, CHUNK_ROWS};
 use crate::result::{ShardQueryStats, ShardedSearchResult};
 
-/// Rows per cooperative budget check in the exact-scan and delta-overlay
-/// loops (the indexed path checks per verified group inside the core).
-/// With the checker's default clock stride this reads the clock every few
-/// thousand rows — far below a page of verification work.
+/// Rows per cooperative budget check in the exact-scan loop (the indexed
+/// path checks per verified group inside the core, the overlay once per
+/// chunk). With the checker's default clock stride this reads the clock
+/// every few thousand rows — far below a page of verification work.
 const EXACT_TICK_ROWS: usize = 256;
 
-/// How many overlay rows ahead of the one being scored the next one is
-/// [`prefetch`]ed. Every appended row is a heap block of its own, so a query
-/// that finds them gone from the CPU's caches (they are written, then not
-/// touched until the next query) pays one load latency per row without the
-/// hint: 8 000 rows of d = 300 took 1.6 ms cold without it, 0.95 ms two
-/// rows ahead (no gain from four or eight), 0.5 ms warm either way.
-/// Re-measured once the base column had shrunk to 64-byte heads, on
-/// `lf300_churn` (eight alternating pairs): `query_p50_us` 2 409 with the
-/// hint against 2 463 without (better in 6 of 8), `query_p95_us` 3 622
-/// against 3 739 (7 of 8), its max − min spread 215 against 366 µs — kept.
-const DELTA_PREFETCH_ROWS: usize = 2;
-
-/// Reusable per-shard search buffers: one [`SearchScratch`] per shard,
-/// individually locked so fan-out workers (at most one per shard) take
-/// them without contention. Buffers grow to each shard's high-water mark
-/// and are reused across queries.
+/// Reusable search buffers: one [`SearchScratch`] per shard, individually
+/// locked so fan-out workers (at most one per shard) take them without
+/// contention, and the query side of the delta chunks' screen, shared by
+/// every shard of a query. Buffers grow to their high-water mark and are
+/// reused across queries.
 pub struct ShardedScratch {
     per_shard: Vec<Mutex<SearchScratch>>,
+    screen: Mutex<QueryScreen>,
 }
 
 impl ShardedScratch {
@@ -126,6 +120,7 @@ impl ShardedScratch {
             per_shard: (0..shards)
                 .map(|_| Mutex::new(SearchScratch::new()))
                 .collect(),
+            screen: Mutex::default(),
         }
     }
 
@@ -383,7 +378,8 @@ impl ShardedProMips {
         // releases the slot on every path out of this function.
         let _permit = self.admit()?;
         let ns = self.shards.len();
-        let q_norm = sq_norm2(q).sqrt();
+        let q_sq_norm = sq_norm2(q);
+        let q_norm = q_sq_norm.sqrt();
         if !q_norm.is_finite() {
             // No shard could order rows by a NaN: the pruning bound, every
             // screen and every score would be one.
@@ -397,6 +393,13 @@ impl ShardedProMips {
         // The query's isolation boundary: one consistent snapshot per
         // shard, taken up front. Everything below reads only these.
         let snaps: Vec<ShardSnapshot> = self.shards.iter().map(|s| s.snapshot()).collect();
+        // One full-width query screen for every shard's sealed delta chunks
+        // (their codes are not in any generation's head space).
+        let mut screen = scratch.screen.lock();
+        let screen = snaps.iter().any(|s| !s.delta.chunks.is_empty()).then(|| {
+            screen.rebuild(q, q_sq_norm, None);
+            &*screen
+        });
 
         // What each shard did (a pruned shard's span stays all zero) and,
         // for the shards that answered, their items under **global** ids,
@@ -430,6 +433,7 @@ impl ShardedProMips {
                     k,
                     floor,
                     &mut scratch.per_shard[si].lock(),
+                    screen,
                     budget,
                     &mut span,
                 )
@@ -454,7 +458,10 @@ impl ShardedProMips {
             let seed = snaps
                 .iter()
                 .enumerate()
-                .max_by(|(ia, a), (ib, b)| a.max_norm.total_cmp(&b.max_norm).then(ib.cmp(ia)))
+                .max_by(|(ia, a), (ib, b)| {
+                    let (a, b) = (a.delta.max_norm, b.delta.max_norm);
+                    a.total_cmp(&b).then(ib.cmp(ia))
+                })
                 .map(|(i, _)| i)
                 .expect("at least one shard");
             attempted += 1;
@@ -480,7 +487,7 @@ impl ShardedProMips {
                 if si == seed {
                     continue;
                 }
-                if q_norm * snap.max_norm < kth_floor {
+                if q_norm * snap.delta.max_norm < kth_floor {
                     spans[si].pruned = true; // cannot beat k verified points
                 } else {
                     fan_out.push(si);
@@ -613,8 +620,8 @@ impl ShardedProMips {
                 verified: span.verified as usize,
                 screened: span.screened as usize,
                 returned: found.as_ref().map_or(0, Vec::len),
-                delta_len: snap.inserts.len(),
-                tombstones: snap.tombstones.len(),
+                delta_len: snap.delta.len(),
+                tombstones: snap.delta.tombstones.len(),
                 wal_bytes: self.wal_bytes(span.shard),
             })
             .collect();
@@ -666,29 +673,44 @@ impl ShardedProMips {
 }
 
 /// Searches one shard snapshot with the given floor, returning its top-k
-/// under global ids. The committed generation is searched under the
-/// snapshot's tombstone mask; the delta overlay is verified exhaustively
-/// on top.
+/// under global ids. The committed generation is searched first, under
+/// the snapshot's tombstone mask (an exact generation by a blocked scan);
+/// its top-k seeds one running top-k that the delta overlay then joins —
+/// the same two-level read an LSM tree does, with the tombstone set
+/// filtering both levels.
+///
+/// The overlay in the base column's shape: each sealed chunk is screened
+/// like the column pass screens the code column — one [`dot_col_i8`] over
+/// the chunk's codes against `screen`, the chunk's [`ScreenBound`] turned
+/// into the least integer dot that can still reach the running k-th — and
+/// only the rows that pass it, plus the open tail, are scored by the
+/// single-row [`dot`]. A chunk is scored in full only while the k-th is
+/// not yet finite. Every live row is thus either proven strictly below
+/// the final k-th or scored exactly, so the result is what scoring every
+/// row would give, `ip` bits and all.
 ///
 /// A budget rides down into the indexed generation's scan/verify loops
-/// (checked per page block and verification group there); the exact-scan
-/// and delta-overlay loops here check it every [`EXACT_TICK_ROWS`] rows.
+/// (checked per page block and verification group there); the exact scan
+/// here checks it every [`EXACT_TICK_ROWS`] rows, the overlay once per
+/// chunk.
 ///
 /// Observability: `span` receives the work as it happens, so it is valid
 /// on the error path too. An indexed generation's stage breakdown comes
-/// from the core search; exact-scan and delta-overlay scoring book to
-/// `verify_ns` here (the core layer never sees those rows, so this layer
-/// also tops up the verified-row counter for them).
+/// from the core search; the exact scan and the overlay book to
+/// `verify_ns` here, and their verified and screened rows to the span and
+/// to the row counters (the core layer never sees those rows).
+#[allow(clippy::too_many_arguments)]
 fn search_snapshot(
     snap: &ShardSnapshot,
     q: &[f32],
     k: usize,
     floor: f64,
     scratch: &mut SearchScratch,
+    screen: Option<&QueryScreen>,
     budget: Option<&QueryBudget>,
     span: &mut ShardSpan,
 ) -> io::Result<Vec<SearchItem>> {
-    let dead = &snap.tombstones;
+    let dead = &snap.delta.tombstones;
     let gen_ids = &snap.gen.ids;
     let mut best = match &snap.gen.kind {
         GenKind::Indexed(pm) => {
@@ -696,7 +718,7 @@ fn search_snapshot(
             let mut res = pm.execute(
                 Query {
                     floor,
-                    mask: Some((&mask, snap.dead_base)),
+                    mask: Some((&mask, snap.delta.dead_base)),
                     budget,
                     span: Some(&mut *span),
                     ..Query::new(q, k)
@@ -720,13 +742,11 @@ fn search_snapshot(
             floor,
         },
     };
-    // Rows the core layer doesn't see: an exact generation's, then the
-    // delta overlay's — every live appended row is verified exhaustively
-    // (this is the drag compaction removes — see the bench's
-    // query_vs_delta section).
-    let core_verified = span.verified;
+    let (core_verified, core_screened) = (span.verified, span.screened);
     let tv = obs::now_ns();
     let mut checker = BudgetChecker::new(budget);
+    let d = q.len();
+    let mut idots = [0i32; CHUNK_ROWS];
     let mut score_rest = || -> io::Result<()> {
         if let GenKind::Exact(rows) = &snap.gen.kind {
             let n = rows.rows();
@@ -743,27 +763,41 @@ fn search_snapshot(
                 lo = hi;
             }
         }
-        for (i, e) in snap.inserts.iter().enumerate() {
-            if i % EXACT_TICK_ROWS == 0 {
-                checker.tick()?;
+        for part in snap.delta.parts() {
+            checker.tick()?;
+            let cut = best.cut();
+            let idots = &mut idots[..part.gids.len()];
+            let bound = match (&part.quant, screen) {
+                (Some(quant), Some(qs)) if cut > f64::NEG_INFINITY => {
+                    dot_col_i8(&part.codes, d, qs.qcodes(), idots);
+                    Some(ScreenBound::new(quant, qs))
+                }
+                _ => None,
+            };
+            // Without a bound every row passes.
+            let mut reach = bound.as_ref().map_or(i32::MIN, |b| b.threshold(cut));
+            for ((gid, row), &idot) in part.iter(d).zip(&*idots) {
+                if idot < reach {
+                    span.screened += 1;
+                } else if !dead.contains(&gid) {
+                    span.verified += 1;
+                    if best.push(gid, dot(q, row)) {
+                        if let Some(bound) = &bound {
+                            reach = bound.threshold(best.cut());
+                        }
+                    }
+                }
             }
-            if let Some(ahead) = snap.inserts.get(i + DELTA_PREFETCH_ROWS) {
-                prefetch(&ahead.row);
-            }
-            if dead.contains(&e.gid) {
-                continue;
-            }
-            span.verified += 1;
-            best.push(e.gid, dot(q, &e.row));
         }
         Ok(())
     };
     let scored = score_rest();
     span.stages.verify_ns += obs::now_ns().saturating_sub(tv);
-    let extra = span.verified - core_verified;
-    if extra > 0 {
-        obs::global().counter(CounterId::QueryVerified).add(extra);
-    }
+    let reg = obs::global();
+    reg.counter(CounterId::QueryVerified)
+        .add(span.verified - core_verified);
+    reg.counter(CounterId::QueryScreened)
+        .add(span.screened - core_screened);
     scored?;
     Ok(best.items)
 }
@@ -780,19 +814,27 @@ struct Best {
 }
 
 impl Best {
-    fn push(&mut self, id: u64, ip: f64) {
+    /// The least score a row must reach to enter: the k-th best once there
+    /// are `k`, the floor before.
+    fn cut(&self) -> f64 {
+        self.items.get(self.k - 1).map_or(self.floor, |kth| kth.ip)
+    }
+
+    /// Offers a scored row; true when it entered.
+    fn push(&mut self, id: u64, ip: f64) -> bool {
         if ip < self.floor || ip.is_nan() {
-            return;
+            return false;
         }
         let item = SearchItem { id, ip };
         if self.items.len() == self.k {
             if !ranks_before(&item, &self.items[self.k - 1]) {
-                return;
+                return false;
             }
             self.items.pop();
         }
         let at = self.items.partition_point(|it| ranks_before(it, &item));
         self.items.insert(at, item);
+        true
     }
 }
 

@@ -1,0 +1,384 @@
+//! The delta as a column, held to an exhaustive reference: a sharded
+//! search returns the exact top-k over the live rows — ids and `ip` bits —
+//! whatever the delta holds. The cases cover sealed chunks plus an open
+//! tail, tombstones in both, a chunk of one constant row repeated (the
+//! quantizer's degenerate `scale = 1.0`), one huge-norm row, exact ties at
+//! the k-th, `k` past the live count, exact and indexed generations, and
+//! all of it again after `open` replays the WAL; a second test lands
+//! inserts between a compaction's freeze and its commit. `PROMIPS_STRESS=1`
+//! runs more cases.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::PathBuf;
+
+use promips_core::ProMipsConfig;
+use promips_linalg::{dot, Matrix};
+use promips_shard::{ShardedConfig, ShardedProMips, ShardedQuery, ShardedScratch, SyncPolicy};
+use promips_stats::Xoshiro256pp;
+use proptest::prelude::*;
+
+/// Rows in a sealed chunk (`CHUNK_ROWS` in `crates/shard/src/index.rs`):
+/// what the constant run below must span twice to fill one chunk alone.
+const CHUNK_ROWS: usize = 64;
+
+fn stress() -> bool {
+    std::env::var_os("PROMIPS_STRESS").is_some()
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("promips-delta-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn gaussian(rng: &mut Xoshiro256pp, d: usize, scale: f64) -> Vec<f32> {
+    (0..d).map(|_| (rng.normal() * scale) as f32).collect()
+}
+
+/// What the index should hold: every row ever stored by id (a tombstoned
+/// row stays in its generation until a compaction), and the live ids.
+#[derive(Default)]
+struct Model {
+    rows: BTreeMap<u64, Vec<f32>>,
+    live: BTreeSet<u64>,
+}
+
+impl Model {
+    fn insert(&mut self, idx: &ShardedProMips, row: Vec<f32>) {
+        let gid = idx.insert(&row).unwrap();
+        self.rows.insert(gid, row);
+        self.live.insert(gid);
+    }
+
+    /// Deletes the `pick`-th live id.
+    fn delete(&mut self, idx: &ShardedProMips, pick: u64) {
+        if self.live.is_empty() {
+            return;
+        }
+        let gid = *self
+            .live
+            .iter()
+            .nth(pick as usize % self.live.len())
+            .unwrap();
+        idx.delete(gid).unwrap();
+        self.live.remove(&gid);
+    }
+
+    /// The exact top-k over the live rows, each scored by the kernel the
+    /// engine scores it with — an exact generation's rows by the blocked
+    /// [`Matrix::dot_rows`] over its committed rows in id order, every
+    /// other row by the single-row `dot` — ranked like the merge: ip
+    /// descending, ties to the smaller id. Also checks that the shards
+    /// store exactly the model's rows.
+    fn top_k(&self, idx: &ShardedProMips, q: &[f32], k: usize) -> Vec<(u64, u64)> {
+        let d = q.len();
+        let mut scored: Vec<(u64, f64)> = Vec::new();
+        let mut stored = BTreeSet::new();
+        for shard in idx.shards() {
+            let ids = shard.global_ids();
+            let (gen, delta) = ids.split_at(ids.len() - shard.delta_len());
+            stored.extend(ids.iter().copied());
+            if shard.is_exact() && !gen.is_empty() {
+                let rows = Matrix::from_rows(d, gen.iter().map(|id| self.rows[id].clone()));
+                rows.dot_rows(0, gen.len(), q, |i, ip| scored.push((gen[i], ip)));
+            } else {
+                scored.extend(gen.iter().map(|id| (*id, dot(&self.rows[id], q))));
+            }
+            scored.extend(delta.iter().map(|id| (*id, dot(q, &self.rows[id]))));
+        }
+        assert!(self.live.is_subset(&stored), "a live row is stored nowhere");
+        scored.retain(|(id, ip)| self.live.contains(id) && !ip.is_nan());
+        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        scored.truncate(k);
+        scored
+            .into_iter()
+            .map(|(id, ip)| (id, ip.to_bits()))
+            .collect()
+    }
+}
+
+/// Asserts the search equals the reference, unless an indexed shard
+/// answered by the annulus path (approximate by design; i.i.d. Gaussian
+/// generations almost always take the exact column pass). Returns whether
+/// the query was compared.
+fn assert_exact(idx: &ShardedProMips, model: &Model, q: &[f32], k: usize, label: &str) -> bool {
+    let scratch = ShardedScratch::for_index(idx);
+    let request = ShardedQuery {
+        threads: Some(1),
+        traced: true,
+        ..ShardedQuery::new(q, k)
+    };
+    let (res, trace) = idx.execute(request, &scratch).unwrap();
+    let approximate = trace
+        .unwrap()
+        .shards
+        .iter()
+        .zip(&res.per_shard)
+        .any(|(span, st)| !st.exact && !span.pruned && !span.column_pass);
+    if approximate {
+        return false;
+    }
+    let got: Vec<(u64, u64)> = res
+        .items
+        .iter()
+        .map(|it| (it.id, it.ip.to_bits()))
+        .collect();
+    assert_eq!(got, model.top_k(idx, q, k), "{label}: k = {k}");
+    true
+}
+
+/// One scripted case, decoded from the proptest inputs.
+#[derive(Debug, Clone)]
+struct Case {
+    d: usize,
+    shards: usize,
+    base: usize,
+    exact: bool,
+    inserts: usize,
+    deletes: usize,
+    constant_run: bool,
+    huge_row: bool,
+    ties: usize,
+    compact_midway: bool,
+    seed: u64,
+}
+
+fn run_case(c: &Case) {
+    let mut rng = Xoshiro256pp::seed_from_u64(c.seed);
+    let d = c.d;
+    // The tie vector: long enough to win against most rows, so its copies
+    // fill the top of a query aimed at it and tie at the k-th.
+    let winner = gaussian(&mut rng, d, 3.0);
+    let mut model = Model::default();
+    let base_rows: Vec<Vec<f32>> = (0..c.base)
+        .map(|i| {
+            if c.ties > 0 && i % 97 == 5 {
+                winner.clone()
+            } else {
+                gaussian(&mut rng, d, 1.0)
+            }
+        })
+        .collect();
+    for (i, row) in base_rows.iter().enumerate() {
+        model.rows.insert(i as u64, row.clone());
+        model.live.insert(i as u64);
+    }
+    let config = ShardedConfig::builder()
+        .shards(c.shards)
+        .exact_threshold(if c.exact { usize::MAX } else { 0 })
+        .wal_sync(SyncPolicy::Never)
+        .base(ProMipsConfig::builder().seed(c.seed ^ 0xB0).build())
+        .build();
+    let dir = temp_dir(&format!("case-{}", c.seed));
+    let idx = ShardedProMips::build_in_dir(
+        &Matrix::from_rows(d, base_rows.iter().cloned()),
+        config,
+        &dir,
+    )
+    .unwrap();
+
+    // Appends: Gaussian rows with the tie copies spread through them (so
+    // they land in sealed chunks and in the tail), a constant run filling
+    // at least one chunk alone, one huge-norm row.
+    let appends = |idx: &ShardedProMips, model: &mut Model, rng: &mut Xoshiro256pp, n: usize| {
+        let every = (n / (c.ties + 1)).max(1);
+        for i in 0..n {
+            let row = if c.ties > 0 && i % every == every / 2 {
+                winner.clone()
+            } else {
+                gaussian(rng, d, 1.0)
+            };
+            model.insert(idx, row);
+            if c.constant_run && i == n / 3 {
+                for _ in 0..2 * CHUNK_ROWS {
+                    model.insert(idx, vec![0.75; d]);
+                }
+            }
+            if c.huge_row && i == n / 2 {
+                model.insert(idx, gaussian(rng, d, 1e3));
+            }
+        }
+    };
+    appends(&idx, &mut model, &mut rng, c.inserts);
+    for _ in 0..c.deletes {
+        model.delete(&idx, rng.next_u64());
+    }
+    if c.compact_midway {
+        idx.compact_all().unwrap();
+        appends(&idx, &mut model, &mut rng, c.inserts / 2 + 1);
+        for _ in 0..c.deletes / 2 {
+            model.delete(&idx, rng.next_u64());
+        }
+    }
+
+    let live = model.live.len();
+    let mut queries: Vec<Vec<f32>> = (0..4).map(|_| gaussian(&mut rng, d, 1.0)).collect();
+    queries.push(winner.clone());
+    let ks = [1, 7, c.ties.max(1), live + 3];
+    let mut compared = 0;
+    let mut before = Vec::new();
+    for q in &queries {
+        for &k in &ks {
+            compared += usize::from(assert_exact(&idx, &model, q, k, "live"));
+            before.push(idx.search(q, k).unwrap().items);
+        }
+    }
+    assert!(compared > 0, "every query took the annulus path");
+
+    // Reopen: the WAL replays the delta into the same chunks and tail.
+    drop(idx);
+    let idx = ShardedProMips::open(&dir).unwrap();
+    let mut after = Vec::new();
+    for q in &queries {
+        for &k in &ks {
+            assert_exact(&idx, &model, q, k, "reopened");
+            after.push(idx.search(q, k).unwrap().items);
+        }
+    }
+    assert_eq!(before, after, "reopen changed a result");
+    drop(idx);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if stress() { 64 } else { 12 }))]
+
+    #[test]
+    fn sharded_search_is_the_exhaustive_top_k_over_live_rows(
+        d in 3usize..24,
+        shards in 1usize..4,
+        base in 40usize..400,
+        exact in 0u8..2,
+        inserts in 0usize..(4 * CHUNK_ROWS),
+        deletes in 0usize..60,
+        flags in 0u8..16,
+        ties in 0usize..14,
+        seed in 0u64..u64::MAX,
+    ) {
+        run_case(&Case {
+            d,
+            shards,
+            base,
+            exact: exact == 1,
+            inserts,
+            deletes,
+            constant_run: flags & 1 != 0,
+            huge_row: flags & 2 != 0,
+            ties,
+            compact_midway: flags & 4 != 0,
+            seed,
+        });
+    }
+}
+
+/// Inserts racing a compaction: those that land after its freeze stay in
+/// the delta, re-sealed at the commit and rewritten into the WAL from the
+/// slabs. Whatever the interleaving, every search equals the reference,
+/// before and after `open`; attempts repeat until some insert is seen to
+/// land inside the window (applied before the generation swap, left out of
+/// the new generation).
+#[test]
+fn inserts_between_a_compactions_freeze_and_commit_stay_in_the_delta() {
+    let d = 12;
+    let attempts = if stress() { 16 } else { 4 };
+    for attempt in 0..attempts {
+        let mut rng = Xoshiro256pp::seed_from_u64(0x00F2_EE2E + attempt);
+        let mut model = Model::default();
+        let base: Vec<Vec<f32>> = (0..3_000).map(|_| gaussian(&mut rng, d, 1.0)).collect();
+        for (i, row) in base.iter().enumerate() {
+            model.rows.insert(i as u64, row.clone());
+            model.live.insert(i as u64);
+        }
+        let dir = temp_dir(&format!("race-{attempt}"));
+        let config = ShardedConfig::builder()
+            .shards(1)
+            .exact_threshold(0)
+            .wal_sync(SyncPolicy::Never)
+            .build();
+        let idx = ShardedProMips::build_in_dir(&Matrix::from_rows(d, base), config, &dir).unwrap();
+        for _ in 0..3 * CHUNK_ROWS + 9 {
+            model.insert(&idx, gaussian(&mut rng, d, 1.0));
+        }
+        for _ in 0..40 {
+            model.delete(&idx, rng.next_u64());
+        }
+        let shard = &idx.shards()[0];
+        let old_generation = shard.generation_number();
+        // (gid, whether the generation was still the old one once applied)
+        let mut raced: Vec<(u64, bool)> = Vec::new();
+        std::thread::scope(|s| {
+            let compaction = s.spawn(|| idx.compact_all().unwrap());
+            while !compaction.is_finished() {
+                let row = gaussian(&mut rng, d, 1.0);
+                let gid = idx.insert(&row).unwrap();
+                raced.push((gid, shard.generation_number() == old_generation));
+                model.rows.insert(gid, row);
+                model.live.insert(gid);
+            }
+            compaction.join().unwrap();
+        });
+        let ids = shard.global_ids();
+        let committed: BTreeSet<u64> = ids[..ids.len() - shard.delta_len()]
+            .iter()
+            .copied()
+            .collect();
+        let in_window = raced
+            .iter()
+            .any(|&(gid, before_swap)| before_swap && !committed.contains(&gid));
+
+        let queries: Vec<Vec<f32>> = (0..6).map(|_| gaussian(&mut rng, d, 1.0)).collect();
+        for q in &queries {
+            for k in [1, 10, 50] {
+                assert_exact(&idx, &model, q, k, "after the race");
+            }
+        }
+        drop(idx);
+        let idx = ShardedProMips::open(&dir).unwrap();
+        for q in &queries {
+            for k in [1, 10, 50] {
+                assert_exact(&idx, &model, q, k, "reopened after the race");
+            }
+        }
+        drop(idx);
+        let _ = std::fs::remove_dir_all(&dir);
+        if in_window {
+            return;
+        }
+    }
+    eprintln!("no insert landed between the freeze and the commit in {attempts} attempts");
+}
+
+/// Inserts are not checked for finiteness, so a sealed chunk can hold a NaN
+/// or an infinite coordinate: no finite bound screens it, and its other
+/// rows are scored in full rather than dropped by a NaN threshold.
+#[test]
+fn a_chunk_with_a_non_finite_coordinate_is_scored_in_full() {
+    let d = 8;
+    let mut rng = Xoshiro256pp::seed_from_u64(0x00BA_D0F5);
+    let mut model = Model::default();
+    let base: Vec<Vec<f32>> = (0..300).map(|_| gaussian(&mut rng, d, 1.0)).collect();
+    for (i, row) in base.iter().enumerate() {
+        model.rows.insert(i as u64, row.clone());
+        model.live.insert(i as u64);
+    }
+    let config = ShardedConfig::builder()
+        .shards(1)
+        .exact_threshold(0)
+        .build();
+    let idx = ShardedProMips::build_in_memory(&Matrix::from_rows(d, base), config).unwrap();
+    for bad in [f32::NAN, f32::INFINITY] {
+        for i in 0..CHUNK_ROWS {
+            let mut row = gaussian(&mut rng, d, 2.0);
+            if i == 7 {
+                row[3] = bad;
+            }
+            model.insert(&idx, row);
+        }
+    }
+    for _ in 0..4 {
+        let q = gaussian(&mut rng, d, 1.0);
+        for k in [1, 10] {
+            assert!(assert_exact(&idx, &model, &q, k, "non-finite chunk"));
+        }
+    }
+}
