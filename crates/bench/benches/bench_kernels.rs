@@ -918,7 +918,6 @@ fn main() {
     let dd_clustered = promips_data::gen::clustered(40, dd_n / 40, dd_d, 141);
     let dd_annulus_cfg = ShardedConfig::builder()
         .shards(1)
-        .exact_threshold(0)
         .degradation(DegradationPolicy::BestEffort)
         .base(ProMipsConfig::builder().c(0.9).p(0.5).seed(137).build())
         .build();

@@ -68,7 +68,8 @@ impl ProMips {
     }
 
     /// Builds the index into the given pager (file-backed for the
-    /// disk-resident experiments).
+    /// disk-resident experiments). A row with a NaN or infinite coordinate
+    /// is `InvalidInput`.
     pub fn build_with_pager(
         data: &Matrix,
         config: ProMipsConfig,
@@ -97,16 +98,27 @@ impl ProMips {
         let proj = projection.project_all(data);
         let project_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-        // Stage 2: norms + binary codes for Quick-Probe.
+        // Stage 2: norms + binary codes for Quick-Probe. A row whose ‖o‖²
+        // is not finite is refused here: no bound covers it, no score
+        // ranks it.
         let t1 = std::time::Instant::now();
         let mut max_sq_norm = 0.0f64;
+        let mut finite = true;
         let norm1s: Vec<f64> = data
             .iter_rows()
             .map(|row| {
-                max_sq_norm = max_sq_norm.max(sq_norm2(row));
+                let sq = sq_norm2(row);
+                finite &= sq.is_finite();
+                max_sq_norm = max_sq_norm.max(sq);
                 norm1(row)
             })
             .collect();
+        if !finite {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a row's ‖o‖² is not finite: a NaN, infinite or overflowing coordinate",
+            ));
+        }
         let quickprobe = QuickProbe::build(m, (0..n).map(|i| (i as u64, proj.row(i))), |id| {
             norm1s[id as usize]
         });

@@ -183,7 +183,6 @@ proptest! {
                 &data,
                 ShardedConfig::builder()
                     .shards(shards)
-                    .exact_threshold(0)
                     .base(config(page_size, seed))
                     .build(),
             )

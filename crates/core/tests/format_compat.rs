@@ -235,11 +235,7 @@ fn a_damaged_footer_or_aux_blob_is_invalid_data_not_a_panic() {
 
     // The same files as a shard's: the sharded open surfaces the error.
     let sharded = dir.join("sharded");
-    let shard_cfg = ShardedConfig::builder()
-        .shards(1)
-        .exact_threshold(0)
-        .base(cfg)
-        .build();
+    let shard_cfg = ShardedConfig::builder().shards(1).base(cfg).build();
     drop(ShardedProMips::build_in_dir(&data, shard_cfg, &sharded).unwrap());
     let shard_file = sharded.join("shard_0000.pmx");
     assert_eq!(

@@ -57,7 +57,7 @@ pub struct ShardSpan {
     pub verified: u64,
     /// Input of the index-or-scan rule: rows held by the sub-partitions
     /// whose pivot sphere meets the Quick-Probe ball (0 when the rule did
-    /// not run: no verification tier, an exact generation, a pruned shard).
+    /// not run: no verification tier, a shard with no index, a pruned shard).
     pub covered_rows: u64,
     /// The rule's verdict: this search was answered by one sequential pass
     /// over the SQ8 code column (exact) instead of the annulus scan.

@@ -43,14 +43,13 @@
 //! defined as a no-op. Nothing acknowledged is ever lost, nothing is ever
 //! applied twice.
 //!
-//! ## What compaction re-decides
+//! ## What compaction re-takes
 //!
-//! Following "To Index or Not to Index" (arXiv:1706.01449), the
-//! exact-scan-vs-index decision is re-taken per shard at every compaction
-//! against [`crate::ShardedConfig::exact_threshold`]: a shard shrunk by
-//! deletes drops its ProMIPS index for a blocked scan, one grown past the
-//! threshold gains an index. The shard's norm bound is re-tightened over
-//! the live rows, undoing the conservative growth deletes leave behind.
+//! The new generation is a fresh ProMIPS index over the live rows — or
+//! nothing, when deletes left none: no index, no data file, a manifest
+//! count of 0, until a later compaction finds rows again. The shard's norm
+//! bound is re-tightened over those rows, undoing the conservative growth
+//! deletes leave behind.
 //!
 //! ## Re-partitioning
 //!
@@ -72,15 +71,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use promips_core::{ProMips, ProMipsConfig};
 use promips_linalg::Matrix;
 use promips_obs::{self as obs, recorder, CounterId, GaugeId, HistoId, Registry};
-use promips_storage::{AccessStats, FileStorage, Pager};
 use promips_wal::WalRecord;
 
-use crate::index::{
-    shard_seed, DeltaState, GenKind, ShardGeneration, ShardSnapshot, ShardedProMips,
-};
+use crate::index::{DeltaState, ShardGeneration, ShardSnapshot, ShardedProMips};
 use crate::persist::shard_path;
 use crate::result::CompactionOutcome;
 
@@ -174,24 +169,17 @@ fn live_rows(
 ) -> io::Result<(Vec<u64>, Matrix)> {
     let live_delta = || delta.rows(d).filter(|(gid, _)| !tombs.contains(gid));
     let spare_rows = live_delta().count();
-    let (mut gids, mut flat) = match &gen.kind {
-        GenKind::Indexed(pm) => {
+    let (mut gids, mut flat) = match &gen.index {
+        Some(pm) => {
             let dead = |l: u64| tombs.contains(&gen.ids[l as usize]);
             let (locals, rows) = pm.live_rows_snapshot(&dead, spare_rows)?;
             let gids: Vec<u64> = locals.iter().map(|&l| gen.ids[l as usize]).collect();
             (gids, rows.into_vec())
         }
-        GenKind::Exact(rows) => {
-            let mut gids: Vec<u64> = Vec::with_capacity(gen.ids.len() + spare_rows);
-            let mut flat: Vec<f32> = Vec::with_capacity((gen.ids.len() + spare_rows) * d);
-            for (i, &gid) in gen.ids.iter().enumerate() {
-                if !tombs.contains(&gid) {
-                    gids.push(gid);
-                    flat.extend_from_slice(rows.row(i));
-                }
-            }
-            (gids, flat)
-        }
+        None => (
+            Vec::with_capacity(spare_rows),
+            Vec::with_capacity(spare_rows * d),
+        ),
     };
     for (gid, row) in live_delta() {
         gids.push(gid);
@@ -328,8 +316,8 @@ impl ShardedProMips {
     /// docs), then commits. Returns `false` when the shard had no pending
     /// mutations. Queries are served throughout from the old generation +
     /// live overlay; mutations that land during the build survive as the
-    /// new delta. The exact-scan-vs-index decision and the shard's norm
-    /// bound are both re-taken over the live rows.
+    /// new delta. The index and the shard's norm bound are both rebuilt over
+    /// the live rows.
     pub fn compact_shard(&self, si: usize) -> io::Result<bool> {
         let t0 = obs::now_ns();
         let res = self.compact_shard_inner(si);
@@ -402,8 +390,7 @@ impl ShardedProMips {
         //    and the new file is deleted.
         if let Some(dir) = self.dir.clone() {
             if let Err(e) = self.write_manifest_with(&dir, &[(si, &new_gen)]) {
-                let _ =
-                    fs::remove_file(shard_path(&dir, si, new_gen.is_exact(), new_gen.generation));
+                let _ = fs::remove_file(shard_path(&dir, si, new_gen.generation));
                 return Err(e);
             }
         }
@@ -481,7 +468,7 @@ impl ShardedProMips {
         // 4. The superseded file is garbage now; removal is best-effort
         //    (a crash here merely leaks a file the manifest never names).
         if let Some(dir) = &self.dir {
-            let _ = fs::remove_file(shard_path(dir, si, old_gen.is_exact(), old_gen.generation));
+            let _ = fs::remove_file(shard_path(dir, si, old_gen.generation));
         }
         rewrite_result
     }
@@ -533,7 +520,7 @@ impl ShardedProMips {
         let discard = |gens: &[Arc<ShardGeneration>]| {
             if let Some(dir) = &self.dir {
                 for (ri, g) in gens.iter().enumerate() {
-                    let _ = fs::remove_file(shard_path(dir, ri, g.is_exact(), g.generation));
+                    let _ = fs::remove_file(shard_path(dir, ri, g.generation));
                 }
             }
         };
@@ -599,7 +586,7 @@ impl ShardedProMips {
             });
             if let Some(dir) = &self.dir {
                 let old = &snaps[si].gen;
-                let _ = fs::remove_file(shard_path(dir, si, old.is_exact(), old.generation));
+                let _ = fs::remove_file(shard_path(dir, si, old.generation));
             }
         }
         reg.counter(CounterId::Repartitions).inc();
@@ -608,63 +595,6 @@ impl ShardedProMips {
             Some(e) => Err(e),
             None => Ok(()),
         }
-    }
-
-    /// Builds a fresh generation over `rows` (ids ascending), re-deciding
-    /// exact-vs-indexed against the threshold. For durable indexes the new
-    /// generation's data file is written and fsynced here — the manifest
-    /// swap making it live is the caller's commit step. Pure shadow work:
-    /// on failure the partial file is removed and nothing else changed.
-    fn build_generation(
-        &self,
-        si: usize,
-        ids: Vec<u64>,
-        rows: Matrix,
-        generation: u64,
-    ) -> io::Result<ShardGeneration> {
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must ascend");
-        let n = rows.rows();
-        let kind = if n == 0 || n < self.config.exact_threshold {
-            if let Some(dir) = &self.dir {
-                crate::persist::write_exact_file(&shard_path(dir, si, true, generation), &rows, n)?;
-            }
-            GenKind::Exact(rows)
-        } else {
-            let mut cfg: ProMipsConfig = self.config.base.clone();
-            cfg.seed = shard_seed(self.config.base.seed, si);
-            let pager = match &self.dir {
-                Some(dir) => {
-                    let storage =
-                        FileStorage::create(shard_path(dir, si, false, generation), cfg.page_size)?;
-                    Arc::new(Pager::new(
-                        Arc::new(storage),
-                        cfg.pool_pages,
-                        AccessStats::new_shared(),
-                    ))
-                }
-                None => Arc::new(Pager::in_memory(cfg.page_size, cfg.pool_pages)),
-            };
-            // save() ends with a pager sync, completing step 1 of the
-            // crash protocol for durable builds.
-            let durable = self.dir.is_some();
-            let built = ProMips::build_with_pager(&rows, cfg, pager).and_then(|pm| {
-                if durable {
-                    pm.save().map(|()| pm)
-                } else {
-                    Ok(pm)
-                }
-            });
-            match built {
-                Ok(pm) => GenKind::Indexed(Box::new(pm)),
-                Err(e) => {
-                    if let Some(dir) = &self.dir {
-                        let _ = fs::remove_file(shard_path(dir, si, false, generation));
-                    }
-                    return Err(e);
-                }
-            }
-        };
-        Ok(ShardGeneration::new(ids, generation, kind))
     }
 }
 

@@ -14,12 +14,6 @@ pub struct ShardedConfig {
     /// Number of shards `N ≥ 1`: equal-count norm ranges, shard `N − 1`
     /// holding the largest norms.
     pub shards: usize,
-    /// Shards with fewer points than this skip index construction and fall
-    /// back to a blocked exact scan ("To Index or Not to Index", Abuzaid et
-    /// al., arXiv:1706.01449: below a size/selectivity threshold a scan
-    /// beats any index). `0` disables the fallback except for empty shards,
-    /// which are always scan-backed.
-    pub exact_threshold: usize,
     /// Whether the fan-out search prunes shards whose Cauchy–Schwarz bound
     /// `‖q‖ · max_norm(shard)` cannot beat the k-th inner product already
     /// verified in the seed shard. Pruning never changes the returned
@@ -59,7 +53,6 @@ impl Default for ShardedConfig {
     fn default() -> Self {
         Self {
             shards: 4,
-            exact_threshold: 128,
             prune: true,
             cross_shard_floor: false,
             wal_sync: SyncPolicy::Always,
@@ -103,12 +96,6 @@ impl ShardedConfigBuilder {
     /// Sets the shard count.
     pub fn shards(mut self, n: usize) -> Self {
         self.config.shards = n;
-        self
-    }
-
-    /// Sets the exact-scan fallback threshold (points).
-    pub fn exact_threshold(mut self, points: usize) -> Self {
-        self.config.exact_threshold = points;
         self
     }
 
@@ -176,13 +163,8 @@ mod tests {
 
     #[test]
     fn builder_sets_fields() {
-        let c = ShardedConfig::builder()
-            .shards(8)
-            .exact_threshold(10)
-            .prune(false)
-            .build();
+        let c = ShardedConfig::builder().shards(8).prune(false).build();
         assert_eq!(c.shards, 8);
-        assert_eq!(c.exact_threshold, 10);
         assert!(!c.prune);
     }
 

@@ -6,8 +6,9 @@
 //! Each [`Shard`] splits its state into an **immutable generation** and a
 //! small **mutable overlay**:
 //!
-//! * `ShardGeneration` — the index (or exact-scan matrix) as of the
-//!   shard's last (re)build, plus its committed id map and norm bound.
+//! * `ShardGeneration` — the ProMIPS index (none while the shard is empty)
+//!   as of the shard's last (re)build, plus its committed id map and norm
+//!   bound.
 //!   Generations are never mutated; they are *replaced*, wholesale, behind
 //!   an atomically swappable `RwLock<Arc<ShardGeneration>>` handle (the
 //!   poor man's arc-swap — the write lock is held only for the pointer
@@ -35,20 +36,23 @@
 //! writers, and the fan-out readers deadlock-free by construction.
 
 use std::collections::HashSet;
+use std::fs;
 use std::io;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
-use promips_core::{ProMips, ProMipsConfig};
+use promips_core::ProMips;
 use promips_idistance::build::sq8_encode;
 use promips_idistance::meta::OrigQuant;
 use promips_linalg::{sq_norm2, Matrix};
-use promips_storage::{AccessStatsSnapshot, Pager};
+use promips_storage::{AccessStats, AccessStatsSnapshot, FileStorage, Pager};
 use promips_wal::Wal;
 
 use crate::config::ShardedConfig;
 use crate::partition;
+use crate::persist::shard_path;
 
 /// Golden-ratio stride for deriving per-shard seeds; shard 0 keeps the base
 /// seed so a one-shard build reproduces the unsharded index exactly.
@@ -59,20 +63,8 @@ pub(crate) fn shard_seed(base: u64, si: usize) -> u64 {
     base ^ (si as u64).wrapping_mul(SEED_STRIDE)
 }
 
-/// What backs a generation's queries. (The indexed variant is boxed: a
-/// `ProMips` handle is hundreds of bytes, an exact generation a matrix.)
-pub(crate) enum GenKind {
-    /// A full ProMIPS index over the generation's rows (own pager, own
-    /// file). Built fresh at each compaction, so it carries no internal
-    /// delta or tombstones — the shard-level overlay is the only one.
-    Indexed(Box<ProMips>),
-    /// Blocked exact scan (small or empty generations), following the
-    /// small-shard regime of "To Index or Not to Index" (arXiv:1706.01449).
-    Exact(Matrix),
-}
-
 /// One immutable generation of a shard: its committed id map, the norm
-/// bound over those rows, and the query backend. Shared with readers as
+/// bound over those rows, and the index over them. Shared with readers as
 /// `Arc<ShardGeneration>`; replaced (never mutated) by compaction.
 pub(crate) struct ShardGeneration {
     /// Committed shard-local id → global id, ascending (so per-shard
@@ -83,28 +75,25 @@ pub(crate) struct ShardGeneration {
     pub built_max_norm: f64,
     /// Monotone rebuild counter; durable shards name their data file by it.
     pub generation: u64,
-    pub kind: GenKind,
+    /// The ProMIPS index over the committed rows (own pager, own file),
+    /// `None` exactly when there are none. Built fresh at each compaction,
+    /// so it carries no internal delta or tombstones — the shard-level
+    /// overlay is the only one. Whether a query scans the rows or prunes
+    /// them is the index's own per-query choice (its column pass).
+    pub index: Option<Box<ProMips>>,
 }
 
 impl ShardGeneration {
-    /// A freshly built generation. An indexed one takes its norm bound
-    /// from the index, which took `max ‖o‖²` over the same rows while it
-    /// was built; an exact one makes the pass here.
-    pub(crate) fn new(ids: Vec<u64>, generation: u64, kind: GenKind) -> Self {
-        let max_sq_norm = match &kind {
-            GenKind::Indexed(pm) => pm.max_sq_norm(),
-            GenKind::Exact(rows) => rows.iter_rows().map(sq_norm2).fold(0.0f64, f64::max),
-        };
+    /// A freshly built generation, whose norm bound is the index's: it took
+    /// `max ‖o‖²` over the same rows while it was built.
+    pub(crate) fn new(ids: Vec<u64>, generation: u64, index: Option<Box<ProMips>>) -> Self {
+        let max_sq_norm = index.as_ref().map_or(0.0, |pm| pm.max_sq_norm());
         Self {
             ids,
             built_max_norm: max_sq_norm.sqrt(),
             generation,
-            kind,
+            index,
         }
-    }
-
-    pub(crate) fn is_exact(&self) -> bool {
-        matches!(self.kind, GenKind::Exact(_))
     }
 }
 
@@ -133,9 +122,7 @@ pub(crate) struct DeltaChunk {
     pub gids: Vec<u64>,
     pub rows: Vec<f32>,
     pub codes: Vec<u8>,
-    /// `None` for the open tail, and for a chunk holding a non-finite
-    /// coordinate: no finite bound screens it, so its rows are scored like
-    /// the tail's.
+    /// `None` for the open tail.
     pub quant: Option<OrigQuant>,
 }
 
@@ -147,13 +134,9 @@ impl DeltaChunk {
 
     /// Encodes the slab with [`sq8_encode`] at full width — the `V = I` case
     /// of the head bound, so the codes depend on no generation's basis and
-    /// serve exact and indexed generations alike.
+    /// survive every compaction untouched.
     fn seal(mut self, d: usize) -> Self {
-        let quant = sq8_encode(&self.rows, d, &mut self.codes);
-        let finite = [quant.scale, quant.min, quant.err, quant.xnorm]
-            .iter()
-            .all(|v| v.is_finite());
-        self.quant = finite.then_some(quant);
+        self.quant = Some(sq8_encode(&self.rows, d, &mut self.codes));
         self
     }
 }
@@ -376,10 +359,11 @@ impl Shard {
         self.delta.read().max_norm
     }
 
-    /// True when the shard answers queries by exact scan instead of an
-    /// index.
+    /// True when the shard holds no index — its committed generation is
+    /// empty, and only its delta (if any) answers. Frozen by `benchmark/`,
+    /// which compiles against this name.
     pub fn is_exact(&self) -> bool {
-        self.generation.read().is_exact()
+        self.generation.read().index.is_none()
     }
 
     /// Global ids of the shard's points (committed generation first, then
@@ -399,9 +383,9 @@ impl Shard {
 }
 
 /// A sharded ProMIPS index: `N` shards, each owning its own storage
-/// (pager + file), its own ProMIPS/iDistance index (or an exact-scan
-/// fallback below [`ShardedConfig::exact_threshold`]), searched by a
-/// norm-bound-pruned parallel fan-out (see [`crate::search`]).
+/// (pager + file) and its own ProMIPS/iDistance index (none while the
+/// shard is empty), searched by a norm-bound-pruned parallel fan-out (see
+/// [`crate::search`]).
 ///
 /// All operations — including [`ShardedProMips::insert`],
 /// [`ShardedProMips::delete`], and [`ShardedProMips::compact`] — take
@@ -436,19 +420,17 @@ pub struct ShardedProMips {
 impl ShardedProMips {
     /// Builds the sharded index with one in-memory page device per shard.
     pub fn build_in_memory(data: &Matrix, config: ShardedConfig) -> io::Result<Self> {
-        let base = config.base.clone();
-        Self::build_impl(data, config, |_si| {
-            Ok(Arc::new(Pager::in_memory(base.page_size, base.pool_pages)))
-        })
+        Self::build_impl(data, config, None)
     }
 
-    /// Shared build path; `pager_for(si)` supplies the page device for each
-    /// *indexed* shard (exact-scan shards keep their rows in memory and
-    /// only touch disk at snapshot time).
+    /// Shared build path of [`ShardedProMips::build_in_memory`] and (with
+    /// its `dir`) [`ShardedProMips::build_in_dir`]: every shard's
+    /// generation 0 comes from [`ShardedProMips::build_generation`], the
+    /// builder compaction uses.
     pub(crate) fn build_impl(
         data: &Matrix,
         config: ShardedConfig,
-        mut pager_for: impl FnMut(usize) -> io::Result<Arc<Pager>>,
+        dir: Option<PathBuf>,
     ) -> io::Result<Self> {
         config.validate();
         assert!(
@@ -456,7 +438,6 @@ impl ShardedProMips {
             "cannot build a sharded index over an empty dataset"
         );
         let n = data.rows();
-        let d = data.cols();
         // Membership lists in ascending global-id order (the id-map order
         // every tie-break rule depends on).
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); config.shards];
@@ -464,35 +445,69 @@ impl ShardedProMips {
             members[s as usize].push(i);
         }
 
-        let mut shards = Vec::with_capacity(config.shards);
-        for (si, m) in members.iter().enumerate() {
-            let ids: Vec<u64> = m.iter().map(|&i| i as u64).collect();
-            let rows = data.gather(m);
-            let kind = if m.is_empty() || m.len() < config.exact_threshold {
-                GenKind::Exact(rows)
-            } else {
-                let mut cfg: ProMipsConfig = config.base.clone();
-                cfg.seed = shard_seed(config.base.seed, si);
-                GenKind::Indexed(Box::new(ProMips::build_with_pager(
-                    &rows,
-                    cfg,
-                    pager_for(si)?,
-                )?))
-            };
-            shards.push(Shard::new(ShardGeneration::new(ids, 0, kind)));
-        }
-
-        Ok(Self {
+        let mut index = Self {
             config,
-            shards,
-            d,
+            shards: Vec::with_capacity(members.len()),
+            d: data.cols(),
             n_points: AtomicU64::new(n as u64),
             next_global_id: AtomicU64::new(n as u64),
             mut_order: Mutex::new(()),
             manifest_lock: Mutex::new(()),
-            dir: None,
+            dir,
             in_flight: AtomicUsize::new(0),
-        })
+        };
+        for (si, m) in members.iter().enumerate() {
+            let ids: Vec<u64> = m.iter().map(|&i| i as u64).collect();
+            let generation = index.build_generation(si, ids, data.gather(m), 0)?;
+            index.shards.push(Shard::new(generation));
+        }
+        Ok(index)
+    }
+
+    /// Builds generation `generation` of shard `si` over `rows` (ids
+    /// ascending) — the one builder of the initial build, compaction and
+    /// re-partitioning. No rows, no index and no file. For a durable index
+    /// the generation's data file is written and fsynced here ([`ProMips::save`]
+    /// ends with a pager sync); the manifest swap making it live is the
+    /// caller's. Pure shadow work: on failure the partial file is removed
+    /// and nothing else changed.
+    pub(crate) fn build_generation(
+        &self,
+        si: usize,
+        ids: Vec<u64>,
+        rows: Matrix,
+        generation: u64,
+    ) -> io::Result<ShardGeneration> {
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must ascend");
+        if rows.is_empty() {
+            return Ok(ShardGeneration::new(ids, generation, None));
+        }
+        let mut cfg = self.config.base.clone();
+        cfg.seed = shard_seed(cfg.seed, si);
+        let path = self.dir.as_ref().map(|dir| shard_path(dir, si, generation));
+        let pager = match &path {
+            Some(path) => Arc::new(Pager::new(
+                Arc::new(FileStorage::create(path, cfg.page_size)?),
+                cfg.pool_pages,
+                AccessStats::new_shared(),
+            )),
+            None => Arc::new(Pager::in_memory(cfg.page_size, cfg.pool_pages)),
+        };
+        let built = ProMips::build_with_pager(&rows, cfg, pager).and_then(|pm| {
+            if path.is_some() {
+                pm.save()?;
+            }
+            Ok(pm)
+        });
+        match built {
+            Ok(pm) => Ok(ShardGeneration::new(ids, generation, Some(Box::new(pm)))),
+            Err(e) => {
+                if let Some(path) = &path {
+                    let _ = fs::remove_file(path);
+                }
+                Err(e)
+            }
+        }
     }
 
     /// Total number of live points across all shards.
@@ -600,12 +615,11 @@ impl ShardedProMips {
         self.config.max_in_flight = limit;
     }
 
-    /// Aggregated page-access counters over every indexed shard (exact
-    /// shards are memory-resident and never touch a pager).
+    /// Aggregated page-access counters over every shard's index.
     pub fn access_stats(&self) -> AccessStatsSnapshot {
         let mut total = AccessStatsSnapshot::default();
         for s in &self.shards {
-            if let GenKind::Indexed(pm) = &s.generation.read().kind {
+            if let Some(pm) = &s.generation.read().index {
                 let snap = pm.access_stats();
                 total.logical_reads += snap.logical_reads;
                 total.cache_hits += snap.cache_hits;
@@ -619,7 +633,7 @@ impl ShardedProMips {
     /// Resets every shard's page-access counters.
     pub fn reset_stats(&self) {
         for s in &self.shards {
-            if let GenKind::Indexed(pm) = &s.generation.read().kind {
+            if let Some(pm) = &s.generation.read().index {
                 pm.reset_stats();
             }
         }
@@ -628,14 +642,14 @@ impl ShardedProMips {
     /// Drops every shard's cached pages (cold-cache measurements).
     pub fn clear_cache(&self) {
         for s in &self.shards {
-            if let GenKind::Indexed(pm) = &s.generation.read().kind {
+            if let Some(pm) = &s.generation.read().index {
                 pm.clear_cache();
             }
         }
     }
 
-    /// Sum of the paper's Index Size metric over indexed shards, plus the
-    /// raw bytes of exact-scan shards, the delta overlays, and the id maps.
+    /// Sum of the paper's Index Size metric over the shards' indexes, plus
+    /// the raw bytes of the delta overlays and the id maps.
     pub fn index_size_bytes(&self) -> u64 {
         let mut total = 0u64;
         for s in &self.shards {
@@ -646,10 +660,11 @@ impl ShardedProMips {
                 .parts()
                 .map(|c| (c.rows.len() * 4 + c.codes.len()) as u64)
                 .sum::<u64>();
-            match &snap.gen.kind {
-                GenKind::Indexed(pm) => total += pm.index_size_bytes(),
-                GenKind::Exact(rows) => total += (rows.as_slice().len() * 4) as u64,
-            }
+            total += snap
+                .gen
+                .index
+                .as_ref()
+                .map_or(0, |pm| pm.index_size_bytes());
         }
         total
     }
@@ -658,9 +673,9 @@ impl ShardedProMips {
     pub fn file_size_bytes(&self) -> u64 {
         self.shards
             .iter()
-            .map(|s| match &s.generation.read().kind {
-                GenKind::Indexed(pm) => pm.file_size_bytes(),
-                GenKind::Exact(rows) => (rows.as_slice().len() * 4) as u64,
+            .map(|s| {
+                let gen = s.generation.read();
+                gen.index.as_ref().map_or(0, |pm| pm.file_size_bytes())
             })
             .sum()
     }

@@ -15,9 +15,11 @@
 //!   bound cannot beat the k-th inner product already verified — an exact
 //!   optimization that never changes the returned top-k.
 //! * **"To Index or Not to Index"** (Abuzaid et al., arXiv:1706.01449) —
-//!   below a size threshold a blocked exact scan beats any index, so small
-//!   (or empty) shards skip index construction entirely and answer queries
-//!   with a `dot4`-blocked scan.
+//!   where an index cannot prune, scan. Each shard's ProMIPS index makes
+//!   that choice per query: a query whose Quick-Probe ball covers enough
+//!   of the shard's rows is answered by one pass over its code column,
+//!   which is what a small shard's queries get — so a shard is an index or,
+//!   while it holds no rows, nothing.
 //!
 //! ```
 //! use promips_shard::{ShardedConfig, ShardedProMips};

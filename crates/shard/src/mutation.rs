@@ -41,11 +41,26 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use promips_core::MutationError;
+use promips_linalg::sq_norm2;
 use promips_obs::{CounterId, GaugeId, Registry};
 use promips_wal::{Wal, WalConfig, WalRecord};
 
 use crate::index::{Shard, ShardedProMips};
 use crate::persist::wal_path;
+
+/// `‖point‖₂`, or the refusal of a point with a NaN, infinite or
+/// overflowing coordinate — the check the query path makes on `‖q‖²`.
+fn finite_norm(point: &[f32]) -> io::Result<f64> {
+    let norm = sq_norm2(point).sqrt();
+    if norm.is_finite() {
+        Ok(norm)
+    } else {
+        Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "‖o‖² is not finite: a NaN, infinite or overflowing coordinate",
+        ))
+    }
+}
 
 impl ShardedProMips {
     /// Inserts a point, returning its global id. The point is routed to a
@@ -54,8 +69,13 @@ impl ShardedProMips {
     /// entered into the shard's in-memory delta — searchable immediately,
     /// folded into the shard's index file at the next compaction.
     /// Concurrent readers are never blocked.
+    ///
+    /// A point with a NaN or infinite coordinate is refused with
+    /// [`MutationError::Io`] of kind `InvalidInput` before anything is
+    /// logged: no norm bound covers it and no score ranks it.
     pub fn insert(&self, point: &[f32]) -> Result<u64, MutationError> {
-        self.insert_inner(point, true).map(|(gid, _)| gid)
+        self.insert_inner(point, finite_norm(point)?, true)
+            .map(|(gid, _)| gid)
     }
 
     /// Inserts a batch under **cross-shard group commit**: every record is
@@ -65,15 +85,21 @@ impl ShardedProMips {
     /// [`promips_wal::SyncPolicy::Always`], `points.len()` of them).
     /// Returns the assigned global ids, in order. The batch is durable
     /// when this returns; a crash mid-call can lose the (unacknowledged)
-    /// tail, never a prefix of an earlier acknowledged call.
+    /// tail, never a prefix of an earlier acknowledged call. Every point is
+    /// checked as [`ShardedProMips::insert`] checks it before any is
+    /// logged, so a refused batch writes nothing.
     pub fn insert_batch<'a, I>(&self, points: I) -> Result<Vec<u64>, MutationError>
     where
         I: IntoIterator<Item = &'a [f32]>,
     {
-        let mut gids = Vec::new();
+        let points = points
+            .into_iter()
+            .map(|p| Ok((p, finite_norm(p)?)))
+            .collect::<Result<Vec<_>, MutationError>>()?;
+        let mut gids = Vec::with_capacity(points.len());
         let mut touched = vec![false; self.shards.len()];
-        for point in points {
-            let (gid, si) = self.insert_inner(point, false)?;
+        for (point, norm) in points {
+            let (gid, si) = self.insert_inner(point, norm, false)?;
             gids.push(gid);
             touched[si] = true;
         }
@@ -88,11 +114,16 @@ impl ShardedProMips {
         Ok(gids)
     }
 
-    fn insert_inner(&self, point: &[f32], sync_now: bool) -> Result<(u64, usize), MutationError> {
+    fn insert_inner(
+        &self,
+        point: &[f32],
+        norm: f64,
+        sync_now: bool,
+    ) -> Result<(u64, usize), MutationError> {
         assert_eq!(point.len(), self.d, "insert dimensionality mismatch");
         let order = self.mut_order.lock();
         let gid = self.next_global_id.fetch_add(1, Ordering::AcqRel);
-        let si = self.route(point);
+        let si = self.route(norm);
         let shard = &self.shards[si];
         let mut wal = shard.wal.lock();
         drop(order); // WAL order for this shard is now fixed
@@ -177,15 +208,15 @@ impl ShardedProMips {
         })
     }
 
-    /// Routes a point by norm range, against the shards' current
-    /// (insert-raised) norm bounds.
-    fn route(&self, point: &[f32]) -> usize {
+    /// Routes a point of 2-norm `norm` by norm range, against the shards'
+    /// current (insert-raised) norm bounds.
+    fn route(&self, norm: f64) -> usize {
         let bounds: Vec<f64> = self
             .shards
             .iter()
             .map(|s| s.delta.read().max_norm)
             .collect();
-        crate::partition::route(point, &bounds) as usize
+        crate::partition::route(norm, &bounds) as usize
     }
 
     /// Appends a record to shard `si`'s WAL (no-op for in-memory indexes).
@@ -249,6 +280,12 @@ impl ShardedProMips {
                             vector.len(),
                             self.d
                         ),
+                    ));
+                }
+                if finite_norm(&vector).is_err() {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("WAL insert of id {id} holds a non-finite coordinate"),
                     ));
                 }
                 self.next_global_id.fetch_max(id + 1, Ordering::AcqRel);

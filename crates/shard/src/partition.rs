@@ -43,8 +43,8 @@ pub(crate) fn assign(data: &Matrix, n_shards: usize) -> Vec<u32> {
     assign
 }
 
-/// Routes a *single* freshly inserted point to a shard, given the current
-/// per-shard norm bounds (`max ‖o‖₂`, indexed by shard id) — the
+/// Routes a *single* freshly inserted point, of 2-norm `norm`, to a shard,
+/// given the current per-shard norm bounds (`max ‖o‖₂`, indexed by shard id) — the
 /// mutation-time counterpart of [`assign`]: bulk builds see the whole
 /// dataset and can rank it, inserts must be placed against the boundaries
 /// the build left behind.
@@ -55,8 +55,7 @@ pub(crate) fn assign(data: &Matrix, n_shards: usize) -> Vec<u32> {
 /// and routing there leaves every other shard's Cauchy–Schwarz bound
 /// untouched. A point above every bound extends the highest-norm shard
 /// (ties break toward the smaller shard id, so routing is deterministic).
-pub(crate) fn route(point: &[f32], shard_max_norms: &[f64]) -> u32 {
-    let norm = sq_norm2(point).sqrt();
+pub(crate) fn route(norm: f64, shard_max_norms: &[f64]) -> u32 {
     let mut best_cover: Option<(f64, usize)> = None; // tightest covering bound
     let mut best_any = (f64::NEG_INFINITY, 0usize); // highest bound overall
     for (si, &b) in shard_max_norms.iter().enumerate() {

@@ -6,18 +6,20 @@
 //!
 //! ```text
 //! <dir>/
-//!   MANIFEST.pms      config scalars, per-shard kind / generation / count /
-//!                     norm bound, and the shard-local → global id maps —
+//!   MANIFEST.pms      config scalars, per-shard count / norm bound /
+//!                     generation, and the shard-local → global id maps —
 //!                     always describing the last **compacted** state
-//!   shard_0000.pmx    indexed shard, generation 0: a full ProMIPS page file
+//!   shard_0000.pmx    shard 0, generation 0: a full ProMIPS page file
 //!                     (identical format to [`promips_core::ProMips::save`])
-//!   shard_0001.exact  exact-scan shard, generation 0: raw row blob
 //!   shard_0002.g3.pmx generation 3 of shard 2 (written by compaction; the
 //!                     manifest names the live generation)
 //!   shard_0000.wal    per-shard write-ahead log: every mutation since the
 //!                     shard's last compaction (see [`promips_wal`])
 //!   ...
 //! ```
+//!
+//! A shard whose generation holds no rows (manifest count 0) has no data
+//! file.
 //!
 //! The durability contract: the **manifest + named generation files** hold
 //! the compacted state, the **WALs** hold everything since. [`ShardedProMips::open`]
@@ -35,8 +37,8 @@
 //! [`crate::index::ShardedProMips`] manifest lock that serializes commits
 //! against each other.
 //!
-//! Each shard file is self-contained — an indexed shard's `.pmx` can even
-//! be opened directly with `ProMips::open` — so shards can later be placed
+//! Each shard file is self-contained — a shard's `.pmx` can even be opened
+//! directly with `ProMips::open` — so shards can later be placed
 //! on different devices or hosts without touching the format.
 
 use std::fs;
@@ -53,84 +55,26 @@ use promips_storage::{write_file_atomic, AccessStats, FileStorage, Pager, Storag
 use promips_wal::{SyncPolicy, Wal, WalConfig};
 
 use crate::config::ShardedConfig;
-use crate::index::{GenKind, Shard, ShardGeneration, ShardedProMips};
+use crate::index::{Shard, ShardGeneration, ShardedProMips};
 use crate::partition;
 
 const MANIFEST_MAGIC: u64 = 0x5AA2_D1CE_5059_0001;
-const MANIFEST_VERSION: u64 = 2;
-const EXACT_MAGIC: u64 = 0x5AA2_D1CE_E7AC_0001;
+const MANIFEST_VERSION: u64 = 3;
 const MANIFEST_NAME: &str = "MANIFEST.pms";
 
 /// Data-file path of shard `si` at `generation` (generation 0 keeps the
-/// original `shard_NNNN.pmx` / `.exact` names).
-pub(crate) fn shard_path(dir: &Path, si: usize, exact: bool, generation: u64) -> PathBuf {
-    let ext = if exact { "exact" } else { "pmx" };
+/// original `shard_NNNN.pmx` name).
+pub(crate) fn shard_path(dir: &Path, si: usize, generation: u64) -> PathBuf {
     if generation == 0 {
-        dir.join(format!("shard_{si:04}.{ext}"))
+        dir.join(format!("shard_{si:04}.pmx"))
     } else {
-        dir.join(format!("shard_{si:04}.g{generation}.{ext}"))
+        dir.join(format!("shard_{si:04}.g{generation}.pmx"))
     }
 }
 
 /// Write-ahead-log path of shard `si`.
 pub(crate) fn wal_path(dir: &Path, si: usize) -> PathBuf {
     dir.join(format!("shard_{si:04}.wal"))
-}
-
-fn exact_blob(rows: &Matrix, n_rows: usize) -> Vec<u8> {
-    let floats = n_rows * rows.cols();
-    let mut buf = Vec::with_capacity(24 + floats * 4);
-    enc::put_u64(&mut buf, EXACT_MAGIC);
-    enc::put_u64(&mut buf, n_rows as u64);
-    enc::put_u64(&mut buf, rows.cols() as u64);
-    enc::put_f32s(&mut buf, &rows.as_slice()[..floats]);
-    buf
-}
-
-/// Writes the first `n_rows` rows of an exact shard as a blob, atomically
-/// and fsynced (compaction publishes new generations through this before
-/// the manifest swap makes them live).
-pub(crate) fn write_exact_file(path: &Path, rows: &Matrix, n_rows: usize) -> io::Result<()> {
-    write_file_atomic(path, &exact_blob(rows, n_rows))
-}
-
-fn read_exact(path: &Path, expect_d: usize) -> io::Result<Matrix> {
-    promips_storage::faults::check(promips_storage::faults::IoOp::Read, path)?;
-    let buf = fs::read(path)?;
-    let mut pos = 0;
-    if buf.len() < 24 || enc::get_u64(&buf, &mut pos) != EXACT_MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bad exact-shard magic in {}", path.display()),
-        ));
-    }
-    let n = enc::get_u64(&buf, &mut pos) as usize;
-    let d = enc::get_u64(&buf, &mut pos) as usize;
-    if d != expect_d && n != 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("exact shard dimensionality {d} != manifest {expect_d}"),
-        ));
-    }
-    // Validate the header against the actual file length before decoding:
-    // a truncated file or bit-rotted n/d must surface as InvalidData, not
-    // a slice panic (or a capacity overflow) inside the readers.
-    let fits = n
-        .checked_mul(d)
-        .and_then(|floats| floats.checked_mul(4))
-        .is_some_and(|bytes| pos + bytes <= buf.len());
-    if !fits {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "corrupt exact shard {}: header claims {n}×{d} floats, file has {} payload bytes",
-                path.display(),
-                buf.len() - pos
-            ),
-        ));
-    }
-    let data = enc::get_f32s(&buf, &mut pos, n * d);
-    Ok(Matrix::from_vec(n, expect_d.max(d), data))
 }
 
 /// Encodes the WAL group-commit policy for the manifest.
@@ -151,11 +95,11 @@ fn sync_policy_from_tag(tag: u64) -> SyncPolicy {
 }
 
 impl ShardedProMips {
-    /// Builds the sharded index **directly into `dir`**: each indexed shard
-    /// gets its own file-backed page device (`shard_NNNN.pmx`), exact-scan
-    /// shards are written as row blobs, and the manifest is finalized — the
-    /// directory is immediately reopenable with [`ShardedProMips::open`],
-    /// with no page copying. The returned index is **durable**: subsequent
+    /// Builds the sharded index **directly into `dir`**: each shard's index
+    /// is built on its own file-backed page device (`shard_NNNN.pmx`) and
+    /// saved there, and the manifest is finalized — the directory is
+    /// immediately reopenable with [`ShardedProMips::open`], with no page
+    /// copying. The returned index is **durable**: subsequent
     /// [`ShardedProMips::insert`]/[`ShardedProMips::delete`] calls are
     /// logged to per-shard WALs inside `dir`.
     pub fn build_in_dir(
@@ -165,34 +109,16 @@ impl ShardedProMips {
     ) -> io::Result<Self> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
-        let base = config.base.clone();
-        let mut built = Self::build_impl(data, config, |si| {
-            let storage = Arc::new(FileStorage::create(
-                shard_path(dir, si, false, 0),
-                base.page_size,
-            )?);
-            Ok(Arc::new(Pager::new(
-                storage,
-                base.pool_pages,
-                AccessStats::new_shared(),
-            )))
-        })?;
-        for shard in &built.shards {
-            if let GenKind::Indexed(pm) = &shard.generation.read().kind {
-                pm.save()?; // aux + footer straight into the shard's file
-            }
-        }
-        built.dir = Some(dir.to_path_buf());
-        let ns = built.shards.len();
-        built.write_aux_and_manifest(dir, &vec![0; ns])?;
+        let built = Self::build_impl(data, config, Some(dir.to_path_buf()))?;
+        built.write_manifest_with(dir, &[])?;
         Ok(built)
     }
 
-    /// Snapshots the index into `dir`: indexed shards append their
-    /// persistence footer ([`ProMips::save`]) and have their pages copied
-    /// into per-shard files; exact shards and the manifest are written
-    /// alongside. Reopen with [`ShardedProMips::open`]. Mutations and
-    /// compactions are frozen for the duration (queries keep running).
+    /// Snapshots the index into `dir`: every shard's index appends its
+    /// persistence footer ([`ProMips::save`]) and has its pages copied into
+    /// a per-shard file, and the manifest is written alongside. Reopen with
+    /// [`ShardedProMips::open`]. Mutations and compactions are frozen for
+    /// the duration (queries keep running).
     ///
     /// The index must have no pending mutations (a snapshot carries no
     /// WAL, so an uncompacted delta would be silently dropped) — call
@@ -215,15 +141,19 @@ impl ShardedProMips {
         }
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
-        for (si, shard) in self.shards.iter().enumerate() {
-            let gen = Arc::clone(&shard.generation.read());
-            if let GenKind::Indexed(pm) = &gen.kind {
+        let gens: Vec<Arc<ShardGeneration>> = self
+            .shards
+            .iter()
+            .map(|s| Arc::clone(&s.generation.read()))
+            .collect();
+        for (si, gen) in gens.iter().enumerate() {
+            if let Some(pm) = &gen.index {
                 pm.save()?;
                 // Copy at the device level: going through Pager::read here
                 // would charge a logical read per page to the shard's
                 // access counters and churn its buffer pool.
                 let src = pm.idistance().pager().storage();
-                let dst = FileStorage::create(shard_path(dir, si, false, 0), src.page_size())?;
+                let dst = FileStorage::create(shard_path(dir, si, 0), src.page_size())?;
                 let mut page = vec![0u8; src.page_size()];
                 for pid in 0..src.num_pages() {
                     src.read_page(pid, &mut page)?;
@@ -235,45 +165,15 @@ impl ShardedProMips {
             }
         }
         // A snapshot starts a fresh lineage: everything at generation 0.
-        self.write_aux_and_manifest(dir, &vec![0; self.shards.len()])
-    }
-
-    /// Writes exact-shard blobs **and** the manifest, with every shard's
-    /// generation *forced* to `generations[si]` — the full-directory paths
-    /// ([`ShardedProMips::snapshot`], [`ShardedProMips::build_in_dir`]),
-    /// which start a fresh generation-0 lineage in the target directory.
-    /// The compaction commit calls [`ShardedProMips::write_manifest_with`]
-    /// instead: its new generation files (including exact blobs) were
-    /// already written and fsynced by the build step, and rewriting every
-    /// *unchanged* exact shard's blob per commit would make compaction
-    /// cost scale with total exact-shard bytes.
-    pub(crate) fn write_aux_and_manifest(&self, dir: &Path, generations: &[u64]) -> io::Result<()> {
-        let gens: Vec<Arc<ShardGeneration>> = self
-            .shards
-            .iter()
-            .map(|s| Arc::clone(&s.generation.read()))
-            .collect();
-        for (si, gen) in gens.iter().enumerate() {
-            if let GenKind::Exact(rows) = &gen.kind {
-                write_exact_file(
-                    &shard_path(dir, si, true, generations[si]),
-                    rows,
-                    gen.ids.len(),
-                )?;
-            }
-        }
-        self.encode_manifest(
-            dir,
-            &gens.iter().map(Arc::as_ref).collect::<Vec<_>>(),
-            generations,
-        )
+        self.encode_manifest(dir, &gens.iter().map(Arc::as_ref).collect::<Vec<_>>(), true)
     }
 
     /// Atomically replaces the manifest from the shards' **live generation
     /// handles**, with `overrides` substituting not-yet-swapped new
-    /// generations — the compaction/repartition commit point. Callers hold
-    /// the manifest lock; the generation read locks taken here are the
-    /// only shard state touched, so readers and writers keep running.
+    /// generations — the commit point of a build, a compaction and a
+    /// repartition. Callers hold the manifest lock (or own the index
+    /// outright); the generation read locks taken here are the only shard
+    /// state touched, so readers and writers keep running.
     pub(crate) fn write_manifest_with(
         &self,
         dir: &Path,
@@ -303,24 +203,23 @@ impl ShardedProMips {
                     .expect("override present for every None slot"),
             })
             .collect();
-        let generations: Vec<u64> = gens.iter().map(|g| g.generation).collect();
-        self.encode_manifest(dir, &gens, &generations)
+        self.encode_manifest(dir, &gens, false)
     }
 
     /// Serializes and atomically writes the manifest for the given
-    /// per-shard generation views. What is recorded is each shard's
-    /// **committed** state — the generation id maps and norm bounds; delta
-    /// rows and tombstones live only in the WALs, so the committed state
-    /// plus a replay reconstructs the live state without applying anything
-    /// twice.
+    /// per-shard generation views — with every generation number written as
+    /// 0 when `fresh_lineage` (a snapshot's files start over in their
+    /// directory). What is recorded is each shard's **committed** state —
+    /// the generation id maps and norm bounds; delta rows and tombstones
+    /// live only in the WALs, so the committed state plus a replay
+    /// reconstructs the live state without applying anything twice.
     fn encode_manifest(
         &self,
         dir: &Path,
         gens: &[&ShardGeneration],
-        generations: &[u64],
+        fresh_lineage: bool,
     ) -> io::Result<()> {
         debug_assert_eq!(gens.len(), self.shards.len());
-        debug_assert_eq!(generations.len(), self.shards.len());
         let committed_total: u64 = gens.iter().map(|g| g.ids.len() as u64).sum();
         let mut buf = Vec::new();
         enc::put_u64(&mut buf, MANIFEST_MAGIC);
@@ -328,7 +227,6 @@ impl ShardedProMips {
         enc::put_u64(&mut buf, self.shards.len() as u64);
         enc::put_u64(&mut buf, self.d as u64);
         enc::put_u64(&mut buf, committed_total);
-        enc::put_u64(&mut buf, self.config.exact_threshold as u64);
         enc::put_u64(&mut buf, u64::from(self.config.prune));
         enc::put_u64(&mut buf, u64::from(self.config.cross_shard_floor));
         enc::put_u64(&mut buf, partition::TAG);
@@ -342,11 +240,10 @@ impl ShardedProMips {
         enc::put_u64(&mut buf, sync_policy_tag(self.config.wal_sync));
         enc::put_u64(&mut buf, partition::NAME.len() as u64);
         buf.extend_from_slice(partition::NAME.as_bytes());
-        for (si, gen) in gens.iter().enumerate() {
-            enc::put_u64(&mut buf, u64::from(gen.is_exact()));
+        for gen in gens {
             enc::put_u64(&mut buf, gen.ids.len() as u64);
             enc::put_f64(&mut buf, gen.built_max_norm);
-            enc::put_u64(&mut buf, generations[si]);
+            enc::put_u64(&mut buf, if fresh_lineage { 0 } else { gen.generation });
             for &id in &gen.ids {
                 enc::put_u64(&mut buf, id);
             }
@@ -404,11 +301,10 @@ impl ShardedProMips {
         }
         // Fixed-size header: magic..seed, the next-id/wal-sync words, and
         // the partitioner-name length (little-endian 8-byte fields).
-        need(0, 18 * 8)?;
+        need(0, 17 * 8)?;
         let n_shards = enc::get_u64(&buf, &mut pos) as usize;
         let d = enc::get_u64(&buf, &mut pos) as usize;
         let n_points = enc::get_u64(&buf, &mut pos);
-        let exact_threshold = enc::get_u64(&buf, &mut pos) as usize;
         let prune = enc::get_u64(&buf, &mut pos) != 0;
         let cross_shard_floor = enc::get_u64(&buf, &mut pos) != 0;
         let tag = enc::get_u64(&buf, &mut pos);
@@ -436,7 +332,6 @@ impl ShardedProMips {
 
         let config = ShardedConfig {
             shards: n_shards,
-            exact_threshold,
             prune,
             cross_shard_floor,
             wal_sync,
@@ -456,9 +351,8 @@ impl ShardedProMips {
 
         let mut shards = Vec::with_capacity(n_shards.min(1 << 16));
         for si in 0..n_shards {
-            // kind + count + max_norm + generation.
-            need(pos, 32)?;
-            let exact = enc::get_u64(&buf, &mut pos) != 0;
+            // count + max_norm + generation.
+            need(pos, 24)?;
             let count = enc::get_u64(&buf, &mut pos) as usize;
             let max_norm = enc::get_f64(&buf, &mut pos);
             let generation = enc::get_u64(&buf, &mut pos);
@@ -467,21 +361,12 @@ impl ShardedProMips {
             if let Some(&max_id) = ids.last() {
                 next_global_id = next_global_id.max(max_id + 1);
             }
-            let kind = if exact {
-                let rows = read_exact(&shard_path(dir, si, true, generation), d)?;
-                if rows.rows() != count {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "exact shard {si} holds {} rows, manifest says {count}",
-                            rows.rows()
-                        ),
-                    ));
-                }
-                GenKind::Exact(rows)
+            // An empty generation has no file.
+            let index = if count == 0 {
+                None
             } else {
                 let storage = Arc::new(FileStorage::open(
-                    shard_path(dir, si, false, generation),
+                    shard_path(dir, si, generation),
                     page_size,
                 )?);
                 let pager = Arc::new(Pager::new(storage, pool_pages, AccessStats::new_shared()));
@@ -490,18 +375,18 @@ impl ShardedProMips {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!(
-                            "indexed shard {si} holds {} points, manifest says {count}",
+                            "shard {si} holds {} points, manifest says {count}",
                             pm.len()
                         ),
                     ));
                 }
-                GenKind::Indexed(Box::new(pm))
+                Some(Box::new(pm))
             };
             shards.push(Shard::new(ShardGeneration {
                 ids,
                 built_max_norm: max_norm,
                 generation,
-                kind,
+                index,
             }));
         }
 

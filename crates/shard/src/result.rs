@@ -17,9 +17,6 @@ pub struct ShardQueryStats {
     /// under [`crate::DegradationPolicy::BestEffort`]; fail-fast queries
     /// error instead of returning stats.
     pub failed: bool,
-    /// True when the shard ran the exact-scan fallback instead of its
-    /// ProMIPS index.
-    pub exact: bool,
     /// Candidates whose exact inner product was computed in this shard
     /// (zero for pruned shards; for a failed shard, those verified before
     /// it failed).
@@ -170,7 +167,6 @@ mod tests {
                     points: 10,
                     pruned: false,
                     failed: false,
-                    exact: false,
                     verified: 12,
                     screened: 8,
                     returned: 2,
@@ -183,7 +179,6 @@ mod tests {
                     points: 3,
                     pruned: true,
                     failed: true,
-                    exact: true,
                     verified: 0,
                     screened: 0,
                     returned: 0,

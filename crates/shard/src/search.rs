@@ -23,9 +23,10 @@
 //!    searched concurrently under `std::thread::scope`, each with its own
 //!    [`SearchScratch`].
 //!
-//! Per shard, the committed generation is searched through
+//! Per shard, the committed generation's index is searched through
 //! [`promips_core::ProMips::execute`] with the snapshot's tombstone set as
-//! the request's dead mask (an exact generation runs a blocked scan), and
+//! the request's dead mask (the index scans its whole code column when the
+//! query's ball covers enough of it — a small shard's usual answer), and
 //! the delta overlay joins its running top-k: sealed chunks screened by
 //! their SQ8 codes against the running k-th, the survivors and the open
 //! tail scored exactly — the same two-level read an LSM tree does, with
@@ -94,14 +95,8 @@ use promips_obs::{
 };
 
 use crate::error::{DegradationPolicy, QueryError, ShardError, ShardErrorKind};
-use crate::index::{GenKind, ShardSnapshot, ShardedProMips, CHUNK_ROWS};
+use crate::index::{ShardSnapshot, ShardedProMips, CHUNK_ROWS};
 use crate::result::{ShardQueryStats, ShardedSearchResult};
-
-/// Rows per cooperative budget check in the exact-scan loop (the indexed
-/// path checks per verified group inside the core, the overlay once per
-/// chunk). With the checker's default clock stride this reads the clock
-/// every few thousand rows — far below a page of verification work.
-const EXACT_TICK_ROWS: usize = 256;
 
 /// Reusable search buffers: one [`SearchScratch`] per shard, individually
 /// locked so fan-out workers (at most one per shard) take them without
@@ -616,7 +611,6 @@ impl ShardedProMips {
                 points: snap.stored() as u64,
                 pruned: span.pruned,
                 failed: span.failed,
-                exact: snap.gen.is_exact(),
                 verified: span.verified as usize,
                 screened: span.screened as usize,
                 returned: found.as_ref().map_or(0, Vec::len),
@@ -673,9 +667,9 @@ impl ShardedProMips {
 }
 
 /// Searches one shard snapshot with the given floor, returning its top-k
-/// under global ids. The committed generation is searched first, under
-/// the snapshot's tombstone mask (an exact generation by a blocked scan);
-/// its top-k seeds one running top-k that the delta overlay then joins —
+/// under global ids. The committed generation's index is searched first,
+/// under the snapshot's tombstone mask; its top-k seeds one running top-k
+/// that the delta overlay then joins —
 /// the same two-level read an LSM tree does, with the tombstone set
 /// filtering both levels.
 ///
@@ -689,16 +683,15 @@ impl ShardedProMips {
 /// the final k-th or scored exactly, so the result is what scoring every
 /// row would give, `ip` bits and all.
 ///
-/// A budget rides down into the indexed generation's scan/verify loops
-/// (checked per page block and verification group there); the exact scan
-/// here checks it every [`EXACT_TICK_ROWS`] rows, the overlay once per
-/// chunk.
+/// A budget rides down into the index's scan/verify loops (checked per
+/// page block and verification group there); the overlay checks it once
+/// per chunk.
 ///
 /// Observability: `span` receives the work as it happens, so it is valid
-/// on the error path too. An indexed generation's stage breakdown comes
-/// from the core search; the exact scan and the overlay book to
-/// `verify_ns` here, and their verified and screened rows to the span and
-/// to the row counters (the core layer never sees those rows).
+/// on the error path too. The index's stage breakdown comes from the core
+/// search; the overlay books to `verify_ns` here, and its verified and
+/// screened rows to the span and to the row counters (the core layer never
+/// sees those rows).
 #[allow(clippy::too_many_arguments)]
 fn search_snapshot(
     snap: &ShardSnapshot,
@@ -712,8 +705,8 @@ fn search_snapshot(
 ) -> io::Result<Vec<SearchItem>> {
     let dead = &snap.delta.tombstones;
     let gen_ids = &snap.gen.ids;
-    let mut best = match &snap.gen.kind {
-        GenKind::Indexed(pm) => {
+    let items = match &snap.gen.index {
+        Some(pm) => {
             let mask = |local: u64| dead.contains(&gen_ids[local as usize]);
             let mut res = pm.execute(
                 Query {
@@ -730,39 +723,17 @@ fn search_snapshot(
             for it in &mut res.items {
                 it.id = gen_ids[it.id as usize];
             }
-            Best {
-                items: res.items,
-                k,
-                floor,
-            }
+            res.items
         }
-        GenKind::Exact(_) => Best {
-            items: Vec::with_capacity(k.min(snap.stored())),
-            k,
-            floor,
-        },
+        None => Vec::new(),
     };
+    let mut best = Best { items, k, floor };
     let (core_verified, core_screened) = (span.verified, span.screened);
     let tv = obs::now_ns();
     let mut checker = BudgetChecker::new(budget);
     let d = q.len();
     let mut idots = [0i32; CHUNK_ROWS];
-    let mut score_rest = || -> io::Result<()> {
-        if let GenKind::Exact(rows) = &snap.gen.kind {
-            let n = rows.rows();
-            let mut lo = 0usize;
-            while lo < n {
-                checker.tick()?;
-                let hi = (lo + EXACT_TICK_ROWS).min(n);
-                rows.dot_rows(lo, hi, q, |i, ip| {
-                    if !dead.contains(&gen_ids[i]) {
-                        span.verified += 1;
-                        best.push(gen_ids[i], ip);
-                    }
-                });
-                lo = hi;
-            }
-        }
+    let mut score_delta = || -> io::Result<()> {
         for part in snap.delta.parts() {
             checker.tick()?;
             let cut = best.cut();
@@ -791,7 +762,7 @@ fn search_snapshot(
         }
         Ok(())
     };
-    let scored = score_rest();
+    let scored = score_delta();
     span.stages.verify_ns += obs::now_ns().saturating_sub(tv);
     let reg = obs::global();
     reg.counter(CounterId::QueryVerified)
@@ -888,26 +859,23 @@ mod tests {
         assert_eq!(idx.in_flight.load(Ordering::Acquire), 0);
     }
 
-    /// A query with a NaN or infinite coordinate used to come back as an
-    /// empty `DatasetExhausted` answer (indexed shards: every screen bound
-    /// NaN) or as items with NaN scores (exact shards); it is refused
-    /// before any shard is touched, and its admission slot returned.
+    /// A query with a NaN or infinite coordinate would make every screen
+    /// bound and every score NaN; it is refused before any shard is touched
+    /// — one holding an index or one holding none — and its admission slot
+    /// returned.
     #[test]
     fn a_non_finite_query_is_refused_on_indexed_and_exact_shards() {
         let mut rng = Xoshiro256pp::seed_from_u64(6);
-        let data = Matrix::from_rows(
-            8,
-            (0..400).map(|_| (0..8).map(|_| rng.normal() as f32).collect::<Vec<f32>>()),
-        );
-        for exact_threshold in [0, usize::MAX] {
-            let idx = ShardedProMips::build_in_memory(
-                &data,
-                ShardedConfig::builder()
-                    .shards(2)
-                    .exact_threshold(exact_threshold)
-                    .build(),
-            )
-            .unwrap();
+        // 400 rows fill both shards; one row leaves shard 1 without an index.
+        for n in [400, 1] {
+            let data = Matrix::from_rows(
+                8,
+                (0..n).map(|_| (0..8).map(|_| rng.normal() as f32).collect::<Vec<f32>>()),
+            );
+            let idx =
+                ShardedProMips::build_in_memory(&data, ShardedConfig::builder().shards(2).build())
+                    .unwrap();
+            assert_eq!(idx.shards()[1].is_exact(), n == 1);
             let scratch = ShardedScratch::for_index(&idx);
             for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
                 let mut q = vec![0.5f32; 8];
@@ -918,7 +886,7 @@ mod tests {
                 assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{bad}");
                 assert_eq!(idx.in_flight.load(Ordering::Acquire), 0);
             }
-            assert_eq!(idx.search(&[0.5; 8], 5).unwrap().items.len(), 5);
+            assert_eq!(idx.search(&[0.5; 8], 5).unwrap().items.len(), n.min(5));
         }
     }
 

@@ -98,7 +98,6 @@ fn torture_queries_race_mutations_and_background_compaction() {
     let dir = temp_dir("torture");
     let cfg = ShardedConfig::builder()
         .shards(3)
-        .exact_threshold(40)
         .wal_sync(SyncPolicy::EveryN(16))
         .compaction(CompactionPolicy {
             max_delta_fraction: 0.05,
@@ -287,13 +286,12 @@ struct FaultRig {
     live: BTreeSet<u64>,
 }
 
-fn fault_rig(tag: &str, exact_threshold: usize) -> FaultRig {
+fn fault_rig(tag: &str) -> FaultRig {
     let d = 8;
     let data = Matrix::from_rows(d, random_rows(150, d, 61, 1.0));
     let dir = temp_dir(tag);
     let cfg = ShardedConfig::builder()
         .shards(2)
-        .exact_threshold(exact_threshold)
         .base(ProMipsConfig::builder().seed(67).build())
         .build();
     let idx = ShardedProMips::build_in_dir(&data, cfg, &dir).unwrap();
@@ -358,9 +356,9 @@ impl FaultRig {
 #[test]
 fn fault_on_generation_build_write_aborts_cleanly() {
     let _serial = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // High threshold ⇒ exact generations, written as one blob (the indexed
-    // twin is `fault_on_indexed_generation_build_aborts_cleanly`).
-    let rig = fault_rig("genwrite", 10_000);
+    // The first write of the pass is shard 0's new page file (every IO
+    // step of that build: `fault_on_indexed_generation_build_aborts_cleanly`).
+    let rig = fault_rig("genwrite");
     let pending = rig.idx.pending_mutations();
     rig.arm(IoOp::Write, 1, "shard_");
     let err = rig.idx.compact_all().unwrap_err();
@@ -394,7 +392,7 @@ fn fault_on_indexed_generation_build_aborts_cleanly() {
         ("gensync", IoOp::Fsync, 1),
         ("gensync2", IoOp::Fsync, 2),
     ] {
-        let rig = fault_rig(tag, 40);
+        let rig = fault_rig(tag);
         let pending = rig.idx.pending_mutations();
         rig.arm(op, nth, "shard_0000.g1.pmx");
         let err = rig.idx.compact_all().unwrap_err();
@@ -427,7 +425,7 @@ fn fault_on_indexed_generation_build_aborts_cleanly() {
 #[test]
 fn fault_on_manifest_fsync_keeps_old_generation_authoritative() {
     let _serial = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let rig = fault_rig("manifsync", 40);
+    let rig = fault_rig("manifsync");
     rig.arm(IoOp::Fsync, 1, "MANIFEST");
     let err = rig.idx.compact_all().unwrap_err();
     assert!(faults::is_injected(&err), "unexpected error: {err}");
@@ -450,7 +448,7 @@ fn fault_on_manifest_fsync_keeps_old_generation_authoritative() {
 #[test]
 fn fault_on_manifest_rename_keeps_old_generation_authoritative() {
     let _serial = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let rig = fault_rig("manirename", 40);
+    let rig = fault_rig("manirename");
     rig.arm(IoOp::Rename, 1, "MANIFEST");
     let err = rig.idx.compact_all().unwrap_err();
     assert!(faults::is_injected(&err), "unexpected error: {err}");
@@ -474,7 +472,7 @@ fn fault_on_manifest_rename_keeps_old_generation_authoritative() {
 #[test]
 fn fault_on_wal_rewrite_after_manifest_swap_loses_nothing() {
     let _serial = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let rig = fault_rig("walrewrite", 40);
+    let rig = fault_rig("walrewrite");
     // Page files are written and fsynced through the shim but never
     // renamed, so this fails the WAL rewrite's rename into place — the
     // first shard-scoped rename of the commit.
@@ -502,7 +500,7 @@ fn fault_on_wal_rewrite_after_manifest_swap_loses_nothing() {
 #[test]
 fn fault_on_wal_append_fsync_refuses_the_write_only() {
     let _serial = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let rig = fault_rig("walappend", 40);
+    let rig = fault_rig("walappend");
     rig.arm(IoOp::Fsync, 1, "shard_");
     let err = match rig.idx.insert(&[0.5f32; 8]) {
         Err(MutationError::Io(e)) => e,
@@ -545,7 +543,7 @@ fn fault_on_wal_append_fsync_refuses_the_write_only() {
 #[test]
 fn fault_on_repartition_manifest_swap_aborts_wholesale() {
     let _serial = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let rig = fault_rig("repart", 40);
+    let rig = fault_rig("repart");
     rig.arm(IoOp::Rename, 1, "MANIFEST");
     let err = rig.idx.repartition().unwrap_err();
     assert!(faults::is_injected(&err), "unexpected error: {err}");
@@ -595,13 +593,11 @@ fn torture_best_effort_queries_survive_probabilistic_read_faults() {
 
     let dir = temp_dir("fault-torture");
     let tag = dir.file_name().unwrap().to_string_lossy().into_owned();
-    // exact_threshold(0): every shard is indexed, so queries do real page
-    // IO; a tiny pool keeps cache misses (and thus fault opportunities)
-    // coming for the whole run. Pruning stays on — a pruned shard just
+    // Every shard is paged, so queries do real page IO; a tiny pool keeps
+    // cache misses (and thus fault opportunities) coming for the whole run. Pruning stays on — a pruned shard just
     // dodges its fault chance, which is fine.
     let cfg = ShardedConfig::builder()
         .shards(3)
-        .exact_threshold(0)
         .degradation(DegradationPolicy::BestEffort)
         .wal_sync(SyncPolicy::EveryN(16))
         .base(ProMipsConfig::builder().seed(17).pool_pages(4).build())

@@ -72,11 +72,7 @@ fn a_warm_query_allocates_the_same_over_any_delta() {
     let base = Matrix::from_rows(d, gaussian_rows(4_000, d, &mut rng));
     let index = ShardedProMips::build_in_memory(
         &base,
-        ShardedConfig::builder()
-            .shards(2)
-            .exact_threshold(0)
-            .prune(false)
-            .build(),
+        ShardedConfig::builder().shards(2).prune(false).build(),
     )
     .unwrap();
     let scratch = ShardedScratch::for_index(&index);

@@ -3,18 +3,19 @@
 //! whatever the delta holds. The cases cover sealed chunks plus an open
 //! tail, tombstones in both, a chunk of one constant row repeated (the
 //! quantizer's degenerate `scale = 1.0`), one huge-norm row, exact ties at
-//! the k-th, `k` past the live count, exact and indexed generations, and
-//! all of it again after `open` replays the WAL; a second test lands
-//! inserts between a compaction's freeze and its commit. `PROMIPS_STRESS=1`
-//! runs more cases.
+//! the k-th, `k` past the live count, and all of it again after `open`
+//! replays the WAL; a second test lands inserts between a compaction's
+//! freeze and its commit, a third refuses non-finite rows at every entry
+//! point. `PROMIPS_STRESS=1` runs more cases.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
-use promips_core::ProMipsConfig;
+use promips_core::{MutationError, ProMips, ProMipsConfig};
 use promips_linalg::{dot, Matrix};
 use promips_shard::{ShardedConfig, ShardedProMips, ShardedQuery, ShardedScratch, SyncPolicy};
 use promips_stats::Xoshiro256pp;
+use promips_wal::{Wal, WalConfig, WalRecord};
 use proptest::prelude::*;
 
 /// Rows in a sealed chunk (`CHUNK_ROWS` in `crates/shard/src/index.rs`):
@@ -64,28 +65,17 @@ impl Model {
         self.live.remove(&gid);
     }
 
-    /// The exact top-k over the live rows, each scored by the kernel the
-    /// engine scores it with — an exact generation's rows by the blocked
-    /// [`Matrix::dot_rows`] over its committed rows in id order, every
-    /// other row by the single-row `dot` — ranked like the merge: ip
-    /// descending, ties to the smaller id. Also checks that the shards
-    /// store exactly the model's rows.
+    /// The exact top-k over the live rows, each scored by the single-row
+    /// `dot` the column pass and the overlay score it with, ranked like the
+    /// merge: ip descending, ties to the smaller id. Also checks that the
+    /// shards store exactly the model's rows.
     fn top_k(&self, idx: &ShardedProMips, q: &[f32], k: usize) -> Vec<(u64, u64)> {
-        let d = q.len();
         let mut scored: Vec<(u64, f64)> = Vec::new();
         let mut stored = BTreeSet::new();
         for shard in idx.shards() {
-            let ids = shard.global_ids();
-            let (gen, delta) = ids.split_at(ids.len() - shard.delta_len());
-            stored.extend(ids.iter().copied());
-            if shard.is_exact() && !gen.is_empty() {
-                let rows = Matrix::from_rows(d, gen.iter().map(|id| self.rows[id].clone()));
-                rows.dot_rows(0, gen.len(), q, |i, ip| scored.push((gen[i], ip)));
-            } else {
-                scored.extend(gen.iter().map(|id| (*id, dot(&self.rows[id], q))));
-            }
-            scored.extend(delta.iter().map(|id| (*id, dot(q, &self.rows[id]))));
+            stored.extend(shard.global_ids());
         }
+        scored.extend(stored.iter().map(|id| (*id, dot(q, &self.rows[id]))));
         assert!(self.live.is_subset(&stored), "a live row is stored nowhere");
         scored.retain(|(id, ip)| self.live.contains(id) && !ip.is_nan());
         scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -97,7 +87,7 @@ impl Model {
     }
 }
 
-/// Asserts the search equals the reference, unless an indexed shard
+/// Asserts the search equals the reference, unless a shard's index
 /// answered by the annulus path (approximate by design; i.i.d. Gaussian
 /// generations almost always take the exact column pass). Returns whether
 /// the query was compared.
@@ -113,8 +103,7 @@ fn assert_exact(idx: &ShardedProMips, model: &Model, q: &[f32], k: usize, label:
         .unwrap()
         .shards
         .iter()
-        .zip(&res.per_shard)
-        .any(|(span, st)| !st.exact && !span.pruned && !span.column_pass);
+        .any(|span| !span.pruned && !span.column_pass && !idx.shards()[span.shard].is_exact());
     if approximate {
         return false;
     }
@@ -133,7 +122,6 @@ struct Case {
     d: usize,
     shards: usize,
     base: usize,
-    exact: bool,
     inserts: usize,
     deletes: usize,
     constant_run: bool,
@@ -165,7 +153,6 @@ fn run_case(c: &Case) {
     }
     let config = ShardedConfig::builder()
         .shards(c.shards)
-        .exact_threshold(if c.exact { usize::MAX } else { 0 })
         .wal_sync(SyncPolicy::Never)
         .base(ProMipsConfig::builder().seed(c.seed ^ 0xB0).build())
         .build();
@@ -248,7 +235,6 @@ proptest! {
         d in 3usize..24,
         shards in 1usize..4,
         base in 40usize..400,
-        exact in 0u8..2,
         inserts in 0usize..(4 * CHUNK_ROWS),
         deletes in 0usize..60,
         flags in 0u8..16,
@@ -259,7 +245,6 @@ proptest! {
             d,
             shards,
             base,
-            exact: exact == 1,
             inserts,
             deletes,
             constant_run: flags & 1 != 0,
@@ -292,7 +277,6 @@ fn inserts_between_a_compactions_freeze_and_commit_stay_in_the_delta() {
         let dir = temp_dir(&format!("race-{attempt}"));
         let config = ShardedConfig::builder()
             .shards(1)
-            .exact_threshold(0)
             .wal_sync(SyncPolicy::Never)
             .build();
         let idx = ShardedProMips::build_in_dir(&Matrix::from_rows(d, base), config, &dir).unwrap();
@@ -348,37 +332,87 @@ fn inserts_between_a_compactions_freeze_and_commit_stay_in_the_delta() {
     eprintln!("no insert landed between the freeze and the commit in {attempts} attempts");
 }
 
-/// Inserts are not checked for finiteness, so a sealed chunk can hold a NaN
-/// or an infinite coordinate: no finite bound screens it, and its other
-/// rows are scored in full rather than dropped by a NaN threshold.
+/// A row with a NaN or infinite coordinate is refused at every entry point:
+/// a compaction building an index over one would rank it first with a NaN
+/// `ip` and push true hits out. `insert` and `insert_batch` refuse it with a
+/// typed `InvalidInput` before logging anything (no id burned, `len()`
+/// unchanged, a batch holding one writes nothing), WAL replay reads such a
+/// record as corruption, and every build refuses such a row; the answers
+/// stay exact through the delta and the compaction.
 #[test]
-fn a_chunk_with_a_non_finite_coordinate_is_scored_in_full() {
+fn a_non_finite_row_is_refused_before_the_wal_and_the_index() {
     let d = 8;
     let mut rng = Xoshiro256pp::seed_from_u64(0x00BA_D0F5);
     let mut model = Model::default();
-    let base: Vec<Vec<f32>> = (0..300).map(|_| gaussian(&mut rng, d, 1.0)).collect();
+    let base: Vec<Vec<f32>> = (0..2_000).map(|_| gaussian(&mut rng, d, 1.0)).collect();
     for (i, row) in base.iter().enumerate() {
         model.rows.insert(i as u64, row.clone());
         model.live.insert(i as u64);
     }
-    let config = ShardedConfig::builder()
-        .shards(1)
-        .exact_threshold(0)
-        .build();
-    let idx = ShardedProMips::build_in_memory(&Matrix::from_rows(d, base), config).unwrap();
-    for bad in [f32::NAN, f32::INFINITY] {
-        for i in 0..CHUNK_ROWS {
-            let mut row = gaussian(&mut rng, d, 2.0);
-            if i == 7 {
-                row[3] = bad;
-            }
-            model.insert(&idx, row);
+    let data = Matrix::from_rows(d, base);
+    let config = ShardedConfig::builder().shards(2).build();
+    let dir = temp_dir("non-finite");
+    let idx = ShardedProMips::build_in_dir(&data, config.clone(), &dir).unwrap();
+    for _ in 0..150 {
+        model.insert(&idx, gaussian(&mut rng, d, 1.0));
+    }
+    let state = |idx: &ShardedProMips| {
+        let wal: u64 = (0..idx.shard_count()).map(|si| idx.wal_bytes(si)).sum();
+        (wal, idx.len(), idx.next_global_id())
+    };
+    let before = state(&idx);
+    fn refused<T>(res: Result<T, MutationError>) {
+        match res {
+            Err(MutationError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+            Ok(_) => panic!("a non-finite row was accepted"),
+            Err(e) => panic!("wrong refusal: {e}"),
         }
     }
-    for _ in 0..4 {
-        let q = gaussian(&mut rng, d, 1.0);
-        for k in [1, 10] {
-            assert!(assert_exact(&idx, &model, &q, k, "non-finite chunk"));
-        }
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut row = gaussian(&mut rng, d, 1.0);
+        row[3] = bad;
+        refused(idx.insert(&row));
+        let good = gaussian(&mut rng, d, 1.0);
+        refused(idx.insert_batch([&good[..], &row[..], &good[..]]));
+        assert_eq!(state(&idx), before, "{bad}: a refused row left a trace");
+
+        let mut rows = data.clone().into_vec();
+        rows[5 * d + 1] = bad;
+        let poisoned = Matrix::from_vec(data.rows(), d, rows);
+        let invalid = Some(std::io::ErrorKind::InvalidInput);
+        let single = ProMips::build_in_memory(&poisoned, config.base.clone());
+        assert_eq!(single.err().map(|e| e.kind()), invalid);
+        let sharded = ShardedProMips::build_in_memory(&poisoned, config.clone());
+        assert_eq!(sharded.err().map(|e| e.kind()), invalid);
     }
+    for _ in 0..150 {
+        model.insert(&idx, gaussian(&mut rng, d, 1.0));
+    }
+    let queries: Vec<Vec<f32>> = (0..40).map(|_| gaussian(&mut rng, d, 1.0)).collect();
+    let check = |idx: &ShardedProMips, label: &str| {
+        let compared = queries
+            .iter()
+            .filter(|q| assert_exact(idx, &model, q, 10, label))
+            .count();
+        assert!(compared > 0, "{label}: every query took the annulus path");
+    };
+    check(&idx, "delta");
+    idx.compact_all().unwrap();
+    check(&idx, "compacted");
+    drop(idx);
+
+    // A logged non-finite insert can only be corruption: replay refuses it.
+    let mut wal =
+        Wal::open_streaming(dir.join("shard_0001.wal"), WalConfig::default(), |_| Ok(())).unwrap();
+    let mut row = vec![0.5f32; d];
+    row[0] = f32::NAN;
+    wal.append(&WalRecord::Insert {
+        id: 1 << 40,
+        vector: row,
+    })
+    .unwrap();
+    drop(wal);
+    let err = ShardedProMips::open(&dir).map(|_| ()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

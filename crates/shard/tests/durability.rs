@@ -137,7 +137,6 @@ proptest! {
         let data = random_data(220, d, data_seed);
         let cfg = ShardedConfig::builder()
             .shards(3)
-            .exact_threshold(50) // norm-range shards hold ~73: all indexed
             .base(ProMipsConfig::builder().seed(data_seed ^ 7).build())
             .build();
         let dir = temp_dir(&format!("kill-{data_seed}-{}", raw_ops.len()));
@@ -184,11 +183,7 @@ fn zero_mutation_open_is_bit_identical_to_readonly_path() {
     let dir = temp_dir("zero-mut");
     let built = ShardedProMips::build_in_dir(
         &data,
-        ShardedConfig::builder()
-            .shards(1)
-            .exact_threshold(0)
-            .base(base)
-            .build(),
+        ShardedConfig::builder().shards(1).base(base).build(),
         &dir,
     )
     .unwrap();
@@ -275,7 +270,6 @@ fn compaction_folds_truncates_and_preserves_results() {
     let dir = temp_dir("compact");
     let cfg = ShardedConfig::builder()
         .shards(2)
-        .exact_threshold(32)
         .base(ProMipsConfig::builder().seed(13).build())
         .build();
     let idx = ShardedProMips::build_in_dir(&data, cfg, &dir).unwrap();
@@ -330,10 +324,8 @@ fn compaction_folds_truncates_and_preserves_results() {
         );
         let st = &idx.maintenance_stats()[si];
         assert!(st.generation >= 1, "shard {si} generation not bumped");
-        let old_pmx = dir.join(format!("shard_{si:04}.pmx"));
-        let old_exact = dir.join(format!("shard_{si:04}.exact"));
         assert!(
-            !old_pmx.exists() && !old_exact.exists(),
+            !dir.join(format!("shard_{si:04}.pmx")).exists(),
             "shard {si}: superseded generation-0 file still present"
         );
     }
@@ -413,7 +405,6 @@ fn torn_wal_tail_recovers_complete_prefix() {
     let dir = temp_dir("torn");
     let cfg = ShardedConfig::builder()
         .shards(1)
-        .exact_threshold(0)
         .base(ProMipsConfig::builder().seed(43).build())
         .build();
     let idx = ShardedProMips::build_in_dir(&data, cfg.clone(), &dir).unwrap();
@@ -454,55 +445,6 @@ fn torn_wal_tail_recovers_complete_prefix() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Compaction re-decides exact-scan vs indexed per shard: growth past the
-/// threshold gains an index, shrinkage below it drops back to a scan.
-#[test]
-fn compaction_redecides_exact_threshold() {
-    let d = 6;
-    let data = random_data(120, d, 61);
-    let dir = temp_dir("redecide");
-    let cfg = ShardedConfig::builder()
-        .shards(2)
-        .exact_threshold(80) // both shards (~60 points) start exact
-        .base(ProMipsConfig::builder().seed(67).build())
-        .build();
-    let idx = ShardedProMips::build_in_dir(&data, cfg, &dir).unwrap();
-    assert!(idx.shards().iter().all(|s| s.is_exact()));
-
-    // Grow one norm range well past the threshold.
-    let mut rng = Xoshiro256pp::seed_from_u64(71);
-    for _ in 0..120 {
-        let v: Vec<f32> = (0..d).map(|_| (rng.normal() * 6.0) as f32).collect();
-        idx.insert(&v).unwrap();
-    }
-    idx.compact_all().unwrap();
-    assert!(
-        idx.shards().iter().any(|s| !s.is_exact()),
-        "a shard grown past the threshold must gain an index"
-    );
-    // Shrink everything: delete most points, compaction drops the index.
-    let next = idx.next_global_id();
-    for gid in 0..next {
-        let _ = idx.delete(gid % next); // dead ids refuse; that's the point
-    }
-    // Leave a handful alive by re-inserting.
-    for _ in 0..5 {
-        let v: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
-        idx.insert(&v).unwrap();
-    }
-    idx.compact_all().unwrap();
-    assert!(
-        idx.shards().iter().all(|s| s.is_exact()),
-        "shards shrunk below the threshold must drop their indexes"
-    );
-    assert_eq!(idx.len(), 5);
-    // And the emptied/rebuilt state still reopens cleanly.
-    drop(idx);
-    let reopened = ShardedProMips::open(&dir).unwrap();
-    assert_eq!(reopened.len(), 5);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
 /// Skewed inserts pile into the top norm shard; re-partitioning recuts
 /// the boundaries over the live distribution, restores balance, keeps
 /// global ids stable, and changes no search result.
@@ -513,7 +455,6 @@ fn repartition_rebalances_without_changing_results() {
     let dir = temp_dir("repart");
     let cfg = ShardedConfig::builder()
         .shards(3)
-        .exact_threshold(40)
         .base(ProMipsConfig::builder().seed(89).build())
         .build();
     let idx = ShardedProMips::build_in_dir(&data, cfg, &dir).unwrap();
@@ -643,7 +584,6 @@ fn failed_compaction_build_leaves_consistent_index() {
     let dir = temp_dir("fail-compact");
     let cfg = ShardedConfig::builder()
         .shards(2)
-        .exact_threshold(32)
         .base(ProMipsConfig::builder().seed(149).build())
         .build();
     let idx = ShardedProMips::build_in_dir(&data, cfg, &dir).unwrap();

@@ -1,5 +1,5 @@
 //! The crate's public-API tests: one shard against the unsharded index,
-//! pruning, thread counts, exact-scan shards, recall and per-shard stats.
+//! pruning, thread counts, empty shards, recall and per-shard stats.
 //! Compiled into the library's unit-test binary (`src/lib.rs` includes
 //! this file by path), so it sits outside the `src` line budget while the
 //! suite still names its tests `tests::…`. It uses only the public API.
@@ -45,11 +45,7 @@ fn one_shard_matches_unsharded_bit_for_bit() {
     let unsharded = ProMips::build_in_memory(&data, base.clone()).unwrap();
     let sharded = ShardedProMips::build_in_memory(
         &data,
-        ShardedConfig::builder()
-            .shards(1)
-            .exact_threshold(0)
-            .base(base)
-            .build(),
+        ShardedConfig::builder().shards(1).base(base).build(),
     )
     .unwrap();
     assert_eq!(sharded.shard_count(), 1);
@@ -181,44 +177,23 @@ fn scratch_reuse_is_transparent() {
 }
 
 #[test]
-fn small_shards_fall_back_to_exact_scan() {
-    let data = random_data(300, 10, 41);
-    // Threshold larger than any shard: every shard is scan-backed.
-    let idx = ShardedProMips::build_in_memory(
-        &data,
-        ShardedConfig::builder()
-            .shards(4)
-            .exact_threshold(1_000)
-            .build(),
-    )
-    .unwrap();
-    assert!(idx.shards().iter().all(|s| s.is_exact()));
-    // All-exact sharding is a distributed exact scan: recall 1.0.
-    for q in random_queries(10, 10, 43) {
-        let res = idx.search(&q, 9).unwrap();
-        assert_eq!(res.ids(), exact_ids(&data, &q, 9));
-    }
-}
-
-#[test]
 fn mixed_exact_and_indexed_shards_cover_all_points() {
-    // Norm-range shards are equal-count, so a threshold cannot split
-    // them into exact and indexed: threshold 0 indexes every one.
-    let data = random_data(700, 14, 51);
-    let idx = ShardedProMips::build_in_memory(
-        &data,
-        ShardedConfig::builder()
-            .shards(7)
-            .exact_threshold(0) // all indexed
-            .build(),
-    )
-    .unwrap();
-    assert!(idx.shards().iter().all(|s| !s.is_exact()));
-    assert_eq!(idx.shard_points().iter().sum::<u64>(), 700);
+    // Norm-range shards are equal-count, so only more shards than rows
+    // mixes them: 12 rows over 20 shards leave 8 shards holding no index
+    // (`is_exact`) beside 12 one-row indexes.
+    let data = random_data(12, 14, 51);
+    let idx = ShardedProMips::build_in_memory(&data, ShardedConfig::builder().shards(20).build())
+        .unwrap();
+    let empty = idx.shards().iter().filter(|s| s.is_exact()).count();
+    assert_eq!(empty, 8);
+    assert!(idx.shards().iter().all(|s| s.is_exact() == s.is_empty()));
+    assert_eq!(idx.shard_points().iter().sum::<u64>(), 12);
     // Every global id appears exactly once across shard id maps.
     let mut seen: Vec<u64> = idx.shards().iter().flat_map(|s| s.global_ids()).collect();
     seen.sort_unstable();
-    assert_eq!(seen, (0..700u64).collect::<Vec<_>>());
+    assert_eq!(seen, (0..12u64).collect::<Vec<_>>());
+    let q = random_queries(1, 14, 53).pop().unwrap();
+    assert_eq!(idx.search(&q, 5).unwrap().ids(), exact_ids(&data, &q, 5));
 }
 
 #[test]

@@ -203,7 +203,6 @@ fn degraded_best_effort_query_is_flagged_in_slow_log() {
     // pruned shard does no IO and would dodge the fault.
     let cfg = ShardedConfig::builder()
         .shards(3)
-        .exact_threshold(0)
         .prune(false)
         .degradation(DegradationPolicy::BestEffort)
         .base(ProMipsConfig::builder().seed(63).build())
@@ -382,9 +381,9 @@ fn traced_requests_bypass_the_sampler_and_untraced_ones_return_no_trace() {
     slow::clear();
 }
 
-/// Rows the core layer never sees — an exact generation's and the delta
-/// overlay's — are verified and booked by the shard layer: every span
-/// carries them, and the registry's verified-row counter moves by exactly
+/// The rows an exact column pass verifies are booked by the core, the delta
+/// overlay's — which the core never sees — by the shard layer: every span
+/// carries both, and the registry's verified-row counter moves by exactly
 /// the spans' total.
 #[test]
 fn exact_and_delta_rows_are_booked_once_and_carried_by_the_spans() {
@@ -408,24 +407,15 @@ fn exact_and_delta_rows_are_booked_once_and_carried_by_the_spans() {
     };
     let q = &random_rows(1, d, 83)[0];
 
-    // All-exact index, pruning off: every shard scans every row it holds.
+    // Pruning off, i.i.d. rows: every shard answers by its column pass.
     let data = Matrix::from_rows(d, random_rows(300, d, 81));
-    let cfg = ShardedConfig::builder()
-        .shards(3)
-        .exact_threshold(1_000)
-        .prune(false)
-        .build();
-    let exact = ShardedProMips::build_in_memory(&data, cfg).unwrap();
-    let trace = traced(&exact, q);
-    assert_eq!(trace.shards.iter().map(|s| s.verified).sum::<u64>(), 300);
-    assert!(trace.shards.iter().all(|s| s.scanned == 0));
-    assert!(trace.stages().verify_ns > 0);
-
-    // Indexed shards with a live delta: the overlay rows ride on top of
-    // whatever the core search verified.
-    let cfg = ShardedConfig::builder().shards(2).prune(false).build();
+    let cfg = ShardedConfig::builder().shards(3).prune(false).build();
     let idx = ShardedProMips::build_in_memory(&data, cfg).unwrap();
-    let base: u64 = traced(&idx, q).shards.iter().map(|s| s.verified).sum();
+    let trace = traced(&idx, q);
+    assert!(trace.shards.iter().all(|s| s.column_pass && s.verified > 0));
+    let base: u64 = trace.shards.iter().map(|s| s.verified).sum();
+
+    // A live delta: the overlay rows ride on top of what the core verified.
     for row in random_rows(25, d, 85) {
         idx.insert(&row).unwrap();
     }

@@ -35,7 +35,6 @@ fn snapshot_reload_is_bit_identical() {
     let data = random_data(1100, 18, 7);
     let cfg = ShardedConfig::builder()
         .shards(4)
-        .exact_threshold(64)
         .base(ProMipsConfig::builder().c(0.9).p(0.5).seed(21).build())
         .build();
     let built = ShardedProMips::build_in_memory(&data, cfg).unwrap();
@@ -106,11 +105,7 @@ fn one_shard_snapshot_matches_unsharded_index() {
     let unsharded = ProMips::build_in_memory(&data, base.clone()).unwrap();
     let sharded = ShardedProMips::build_in_memory(
         &data,
-        ShardedConfig::builder()
-            .shards(1)
-            .exact_threshold(0)
-            .base(base)
-            .build(),
+        ShardedConfig::builder().shards(1).base(base).build(),
     )
     .unwrap();
     assert_eq!(sharded.shard_points(), vec![800]);
@@ -130,7 +125,7 @@ fn one_shard_snapshot_matches_unsharded_index() {
 
 #[test]
 fn shard_files_carry_the_quantized_column() {
-    // Each indexed shard's self-contained .pmx file must persist the SQ8
+    // Each shard's self-contained .pmx file must persist the SQ8
     // quantized region: opened directly with `ProMips::open`,
     // the shard reports the tier active, and the reloaded sharded index
     // keeps returning bit-identical results through the two-level scan.
@@ -138,7 +133,6 @@ fn shard_files_carry_the_quantized_column() {
     let data = random_data(900, 16, 41);
     let cfg = ShardedConfig::builder()
         .shards(3)
-        .exact_threshold(0) // all shards indexed
         .base(ProMipsConfig::builder().c(0.9).p(0.5).seed(13).build())
         .build();
     let built = ShardedProMips::build_in_memory(&data, cfg).unwrap();
@@ -176,34 +170,6 @@ fn shard_files_carry_the_quantized_column() {
         assert_eq!(a.verified, b.verified);
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn exact_shards_survive_the_roundtrip() {
-    let dir = temp_dir("exact");
-    let data = random_data(150, 10, 41);
-    // Threshold above every shard size: all four shards are scan-backed.
-    let cfg = ShardedConfig::builder()
-        .shards(4)
-        .exact_threshold(1_000)
-        .build();
-    let built = ShardedProMips::build_in_memory(&data, cfg).unwrap();
-    assert!(built.shards().iter().all(|s| s.is_exact()));
-    built.snapshot(&dir).unwrap();
-    let queries = random_queries(6, 10, 43);
-    let before: Vec<_> = queries
-        .iter()
-        .map(|q| built.search(q, 5).unwrap())
-        .collect();
-    drop(built);
-
-    let reopened = ShardedProMips::open(&dir).unwrap();
-    assert!(reopened.shards().iter().all(|s| s.is_exact()));
-    assert_eq!(reopened.shard_points().iter().sum::<u64>(), 150);
-    for (q, b) in queries.iter().zip(&before) {
-        assert_eq!(reopened.search(q, 5).unwrap().items, b.items);
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -252,8 +218,8 @@ fn open_rejects_truncated_manifest() {
 }
 
 /// Snapshots a small 2-shard index, overwrites manifest word `word`
-/// (little-endian `u64`s: magic, version, shards, d, points, exact
-/// threshold, prune, floor, partitioner tag, …) with `value`, and returns
+/// (little-endian `u64`s: magic, version, shards, d, points, prune,
+/// floor, partitioner tag, …) with `value`, and returns
 /// what `open` makes of it.
 fn open_with_manifest_word(tag: &str, word: usize, value: u64) -> std::io::Error {
     let dir = temp_dir(tag);
@@ -280,7 +246,7 @@ fn open_with_manifest_word(tag: &str, word: usize, value: u64) -> std::io::Error
 #[test]
 fn open_rejects_an_unknown_partitioner_tag() {
     for tag in [1u64, 7] {
-        let err = open_with_manifest_word(&format!("tag{tag}"), 8, tag);
+        let err = open_with_manifest_word(&format!("tag{tag}"), 7, tag);
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         assert!(
             err.to_string().contains(&format!("partitioner tag {tag}")),
@@ -289,13 +255,14 @@ fn open_rejects_an_unknown_partitioner_tag() {
     }
 }
 
-/// Version 1 (no generations, no next-id word) is no longer read.
+/// Version 2 (an exact-scan threshold word and a per-shard kind word, with
+/// `.exact` row blobs beside the page files) is no longer read.
 #[test]
-fn open_rejects_manifest_version_1() {
-    let err = open_with_manifest_word("v1", 1, 1);
+fn open_rejects_manifest_version_2() {
+    let err = open_with_manifest_word("v2", 1, 2);
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     assert!(
-        err.to_string().contains("unsupported manifest version 1"),
+        err.to_string().contains("unsupported manifest version 2"),
         "{err}"
     );
 }

@@ -26,7 +26,7 @@
 //!
 //! ## Crash model
 //!
-//! [`Wal::open`] scans records sequentially and stops at the first
+//! [`Wal::open_streaming`] scans records sequentially and stops at the first
 //! *incomplete or corrupt* record: a torn tail (partial length prefix,
 //! partial payload, or a CRC mismatch from a half-flushed sector) is
 //! **truncated away** so the next append starts at a clean boundary. Replay

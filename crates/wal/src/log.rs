@@ -55,7 +55,7 @@ pub struct WalConfig {
 ///
 /// The in-memory state tracks the byte length of the *complete-record
 /// prefix*; appends go exactly there, so a previous torn tail (already
-/// truncated by [`Wal::open`]) can never resurface.
+/// truncated by [`Wal::open_streaming`]) can never resurface.
 #[derive(Debug)]
 pub struct Wal {
     file: File,
@@ -230,17 +230,6 @@ impl Wal {
         })
     }
 
-    /// [`Wal::open_streaming`] collecting the replayed records into a
-    /// `Vec` — convenient for tests and callers that want the whole log.
-    pub fn open(path: impl AsRef<Path>, config: WalConfig) -> io::Result<(Self, Vec<WalRecord>)> {
-        let mut records = Vec::new();
-        let wal = Self::open_streaming(path, config, |rec| {
-            records.push(rec);
-            Ok(())
-        })?;
-        Ok((wal, records))
-    }
-
     /// Opens `path` if it exists (streaming records into `apply`),
     /// otherwise creates a fresh log.
     pub fn open_or_create_streaming(
@@ -261,21 +250,6 @@ impl Wal {
         } else {
             Self::create(path, d, config)
         }
-    }
-
-    /// Opens `path` if it exists, otherwise creates a fresh log. The replay
-    /// vector is empty for a fresh log.
-    pub fn open_or_create(
-        path: impl AsRef<Path>,
-        d: usize,
-        config: WalConfig,
-    ) -> io::Result<(Self, Vec<WalRecord>)> {
-        let mut records = Vec::new();
-        let wal = Self::open_or_create_streaming(path, d, config, |rec| {
-            records.push(rec);
-            Ok(())
-        })?;
-        Ok((wal, records))
     }
 
     /// Appends one record, honouring the group-commit policy. The record is
@@ -536,6 +510,16 @@ mod tests {
         dir.join(format!("{tag}.wal"))
     }
 
+    /// [`Wal::open_streaming`] with a closure collecting the replay.
+    fn open_collect(path: &Path) -> io::Result<(Wal, Vec<WalRecord>)> {
+        let mut records = Vec::new();
+        let wal = Wal::open_streaming(path, WalConfig::default(), |rec| {
+            records.push(rec);
+            Ok(())
+        })?;
+        Ok((wal, records))
+    }
+
     fn sample_records(d: usize) -> Vec<WalRecord> {
         vec![
             WalRecord::Insert {
@@ -562,7 +546,7 @@ mod tests {
             }
             assert_eq!(wal.record_count(), 4);
         }
-        let (wal, replayed) = Wal::open(&path, WalConfig::default()).unwrap();
+        let (wal, replayed) = open_collect(&path).unwrap();
         assert_eq!(replayed, recs);
         assert_eq!(wal.record_count(), 4);
         assert_eq!(wal.d(), 6);
@@ -580,13 +564,13 @@ mod tests {
             }
         }
         {
-            let (mut wal, replayed) = Wal::open(&path, WalConfig::default()).unwrap();
+            let (mut wal, replayed) = open_collect(&path).unwrap();
             assert_eq!(replayed.len(), 2);
             for r in &recs[2..] {
                 wal.append(r).unwrap();
             }
         }
-        let (_, replayed) = Wal::open(&path, WalConfig::default()).unwrap();
+        let (_, replayed) = open_collect(&path).unwrap();
         assert_eq!(replayed, recs);
         std::fs::remove_file(&path).unwrap();
     }
@@ -617,7 +601,7 @@ mod tests {
         for cut in last_start..=full.len() {
             let torn = temp_path(&format!("torture-cut-{cut}"));
             std::fs::write(&torn, &full[..cut]).unwrap();
-            let (wal, replayed) = Wal::open(&torn, WalConfig::default()).unwrap();
+            let (wal, replayed) = open_collect(&torn).unwrap();
             let expect: &[WalRecord] = if cut == full.len() {
                 &recs
             } else {
@@ -632,7 +616,7 @@ mod tests {
                 "cut at byte {cut} left trailing garbage"
             );
             drop(wal);
-            let (_, again) = Wal::open(&torn, WalConfig::default()).unwrap();
+            let (_, again) = open_collect(&torn).unwrap();
             assert_eq!(again, expect, "cut at byte {cut} (second open)");
             std::fs::remove_file(&torn).unwrap();
         }
@@ -653,7 +637,7 @@ mod tests {
         let last = bytes.len() - 3;
         bytes[last] ^= 0x40; // flip a bit inside the final payload
         std::fs::write(&path, &bytes).unwrap();
-        let (_, replayed) = Wal::open(&path, WalConfig::default()).unwrap();
+        let (_, replayed) = open_collect(&path).unwrap();
         assert_eq!(replayed, recs[..recs.len() - 1]);
         std::fs::remove_file(&path).unwrap();
     }
@@ -678,7 +662,7 @@ mod tests {
         let off = HEADER_BYTES as usize + rec_len(&recs[0]) + RECORD_HEADER + 2;
         bytes[off] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
-        let (wal, replayed) = Wal::open(&path, WalConfig::default()).unwrap();
+        let (wal, replayed) = open_collect(&path).unwrap();
         assert_eq!(replayed, recs[..1]);
         assert_eq!(
             wal.size_bytes(),
@@ -776,7 +760,7 @@ mod tests {
         // Appends after truncation land cleanly.
         wal.append(&WalRecord::Delete { id: 3 }).unwrap();
         drop(wal);
-        let (_, replayed) = Wal::open(&path, WalConfig::default()).unwrap();
+        let (_, replayed) = open_collect(&path).unwrap();
         assert_eq!(replayed, vec![WalRecord::Delete { id: 3 }]);
         std::fs::remove_file(&path).unwrap();
     }
@@ -796,7 +780,7 @@ mod tests {
         assert_eq!(wal.record_count(), 2);
         wal.append(&WalRecord::Delete { id: 9 }).unwrap();
         drop(wal);
-        let (_, replayed) = Wal::open(&path, WalConfig::default()).unwrap();
+        let (_, replayed) = open_collect(&path).unwrap();
         assert_eq!(replayed.len(), 3);
         assert_eq!(replayed[..2], recs[2..]);
         assert_eq!(replayed[2], WalRecord::Delete { id: 9 });
@@ -818,7 +802,7 @@ mod tests {
         assert_eq!(wal.record_count(), 0);
         assert_eq!(wal.size_bytes(), HEADER_BYTES);
         drop(wal);
-        let (_, replayed) = Wal::open(&path, WalConfig::default()).unwrap();
+        let (_, replayed) = open_collect(&path).unwrap();
         assert!(replayed.is_empty());
         std::fs::remove_file(&path).unwrap();
     }
@@ -835,7 +819,7 @@ mod tests {
         wal.sync().unwrap();
         assert_eq!(wal.unsynced_appends(), 0);
         drop(wal);
-        let (_, replayed) = Wal::open(&path, WalConfig::default()).unwrap();
+        let (_, replayed) = open_collect(&path).unwrap();
         assert_eq!(replayed.len(), 2);
         std::fs::remove_file(&path).unwrap();
     }
@@ -868,13 +852,20 @@ mod tests {
     fn open_or_create_and_dimension_check() {
         let path = temp_path("ooc");
         let _ = std::fs::remove_file(&path);
-        let (mut wal, replayed) = Wal::open_or_create(&path, 3, WalConfig::default()).unwrap();
+        let open = |d: usize, replayed: &mut Vec<WalRecord>| {
+            Wal::open_or_create_streaming(&path, d, WalConfig::default(), |rec| {
+                replayed.push(rec);
+                Ok(())
+            })
+        };
+        let mut replayed = Vec::new();
+        let mut wal = open(3, &mut replayed).unwrap();
         assert!(replayed.is_empty());
         wal.append(&WalRecord::Delete { id: 5 }).unwrap();
         drop(wal);
-        let (_, replayed) = Wal::open_or_create(&path, 3, WalConfig::default()).unwrap();
-        assert_eq!(replayed.len(), 1);
-        assert!(Wal::open_or_create(&path, 7, WalConfig::default()).is_err());
+        drop(open(3, &mut replayed).unwrap());
+        assert_eq!(replayed, vec![WalRecord::Delete { id: 5 }]);
+        assert!(open(7, &mut Vec::new()).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -904,7 +895,7 @@ mod tests {
         assert_eq!(faults::counters().injected - before.injected, 1);
         assert_eq!(wal.record_count(), 1);
         drop(wal);
-        let (_, replayed) = Wal::open(&path, WalConfig::default()).unwrap();
+        let (_, replayed) = open_collect(&path).unwrap();
         assert_eq!(replayed, vec![WalRecord::Delete { id: 1 }]);
         std::fs::remove_file(&path).unwrap();
     }
@@ -927,10 +918,10 @@ mod tests {
             Recurrence::Once,
             io::ErrorKind::Other,
         );
-        let err = Wal::open(&path, WalConfig::default()).unwrap_err();
+        let err = open_collect(&path).unwrap_err();
         assert!(faults::is_injected(&err), "unexpected error: {err}");
         // The one-shot plan self-disarmed: the log opens intact.
-        let (_, replayed) = Wal::open(&path, WalConfig::default()).unwrap();
+        let (_, replayed) = open_collect(&path).unwrap();
         assert_eq!(replayed, vec![WalRecord::Delete { id: 4 }]);
         std::fs::remove_file(&path).unwrap();
     }

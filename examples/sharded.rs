@@ -79,12 +79,12 @@ fn main() {
     );
     for s in &res.per_shard {
         println!(
-            "  shard {} [{} pts, {}]: {}, verified {:3}, contributed {} items",
+            "  shard {} [{} pts]: {}, verified {:3}, screened {:4}, contributed {} items",
             s.shard,
             s.points,
-            if s.exact { "exact-scan" } else { "indexed" },
             if s.pruned { "pruned " } else { "searched" },
             s.verified,
+            s.screened,
             s.returned
         );
     }
