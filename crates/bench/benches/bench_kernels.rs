@@ -17,7 +17,9 @@ use promips_core::{ProMips, ProMipsConfig, SearchScratch};
 use promips_data::ground_truth::exact_topk_batch;
 use promips_idistance::{build_index, IDistanceConfig, ProjScratch, RangeCandidate};
 use promips_linalg::dispatch::available_backends;
-use promips_linalg::{active_backend, dot, norm1, scalar, sq_dist, sq_dist4_i8, sq_norm2, Matrix};
+use promips_linalg::{
+    active_backend, dist, dot, norm1, scalar, sq_dist, sq_dist4_i8, sq_norm2, Matrix,
+};
 use promips_shard::{
     DegradationPolicy, QueryBudget, QueryError, ShardedConfig, ShardedProMips, ShardedQuery,
     ShardedScratch, ShardedSearchResult,
@@ -565,32 +567,37 @@ fn main() {
     println!("  scan_arena (per record): {arena_scan_ns:.1} ns");
 
     // --- quantized two-level scan vs pure-f32 scan --------------------------
-    // The deployed annulus entry point (`range_candidates_into`) over two
-    // builds of the same data: the default quantized index (u8 filter tier,
-    // survivor blocks re-tested in f32) and a `quantize: false` twin (pure
-    // f32 scan — the pre-quantization deployed path). Identical layout and
-    // seeds, so both scan the same sub-partitions; the outputs are asserted
+    // The deployed annulus entry point (`range_candidates_into`: u8 filter
+    // tier, survivor blocks re-tested in f32) against the pure-f32 scan of
+    // the same sub-partitions through the public decode path — every
+    // sub-partition whose pivot sphere meets the annulus decoded whole
+    // (`read_subpart_proj_into` + `for_each_dist`). The outputs are asserted
     // identical, making the speedup an equal-output comparison. Page counts
     // are cold-cache logical reads for one query: the quantized pass reads
     // the m-byte code column and only surviving blocks' f32 records instead
     // of every (8 + 4m)-byte record.
-    let scan_cfg_f32 = IDistanceConfig {
-        quantize: false,
-        ..scan_cfg.clone()
+    let f32_scan = |w_lo: f64, w_hi: f64, out: &mut Vec<RangeCandidate>, proj: &mut ProjScratch| {
+        out.clear();
+        for (sub, sp) in (0..).zip(scan_idx.subparts()) {
+            let dp = dist(&scan_q, &sp.pivot);
+            if dp - sp.radius > w_hi || dp + sp.radius <= w_lo {
+                continue;
+            }
+            scan_idx.read_subpart_proj_into(sub, proj).unwrap();
+            proj.for_each_dist(&scan_q, |offset, id, pd| {
+                if pd > w_lo && pd <= w_hi {
+                    out.push(RangeCandidate {
+                        id,
+                        proj_dist: pd,
+                        subpart: sub,
+                        offset: offset as u32,
+                    });
+                }
+            });
+        }
     };
-    let scan_pager_f32 = Arc::new(Pager::in_memory(4096, 1 << 16));
-    let scan_idx_f32 =
-        build_index(scan_pager_f32, &scan_data, &scan_orig, &scan_cfg_f32).expect("f32 scan index");
-    assert!(scan_idx.quantized() && !scan_idx_f32.quantized());
     let mut out_q: Vec<RangeCandidate> = Vec::new();
     let mut out_f: Vec<RangeCandidate> = Vec::new();
-    scan_idx
-        .range_candidates_into(&scan_q, r_lo, r_hi, &mut out_q, &mut proj)
-        .unwrap();
-    scan_idx_f32
-        .range_candidates_into(&scan_q, r_lo, r_hi, &mut out_f, &mut proj)
-        .unwrap();
-    assert_eq!(out_q, out_f, "two-level scan must match the pure-f32 scan");
     // Two annulus regimes: `dense` (the `scan` section's window, ~5% of the
     // dataset in the annulus — a CPU-throughput stress where nearly every
     // 4-row block holds a survivor) and `selective` (~0.1%, the regime the
@@ -603,9 +610,7 @@ fn main() {
         scan_idx
             .range_candidates_into(&scan_q, w_lo, w_hi, &mut out_q, &mut proj)
             .unwrap();
-        scan_idx_f32
-            .range_candidates_into(&scan_q, w_lo, w_hi, &mut out_f, &mut proj)
-            .unwrap();
+        f32_scan(w_lo, w_hi, &mut out_f, &mut proj);
         assert_eq!(out_q, out_f, "two-level scan must match the pure-f32 scan");
         let cands = out_q.len();
         let quant_ns = per_record(ns_per_op(|| {
@@ -615,21 +620,21 @@ fn main() {
             out_q.len()
         }));
         let f32_ns = per_record(ns_per_op(|| {
-            scan_idx_f32
-                .range_candidates_into(&scan_q, w_lo, w_hi, &mut out_f, &mut proj)
-                .unwrap();
+            f32_scan(w_lo, w_hi, &mut out_f, &mut proj);
             out_f.len()
         }));
-        let mut cold_pages = |idx: &promips_idistance::IDistanceIndex,
-                              out: &mut Vec<RangeCandidate>| {
-            idx.pager().clear_cache();
-            idx.pager().stats().reset();
-            idx.range_candidates_into(&scan_q, w_lo, w_hi, out, &mut proj)
-                .unwrap();
-            idx.access_stats().logical_reads
+        let cold_pages = |scan: &mut dyn FnMut()| {
+            scan_idx.pager().clear_cache();
+            scan_idx.pager().stats().reset();
+            scan();
+            scan_idx.access_stats().logical_reads
         };
-        let quant_pages = cold_pages(&scan_idx, &mut out_q);
-        let f32_pages = cold_pages(&scan_idx_f32, &mut out_f);
+        let quant_pages = cold_pages(&mut || {
+            scan_idx
+                .range_candidates_into(&scan_q, w_lo, w_hi, &mut out_q, &mut proj)
+                .unwrap();
+        });
+        let f32_pages = cold_pages(&mut || f32_scan(w_lo, w_hi, &mut out_f, &mut proj));
         println!(
             "  scan_{window} ({cands} candidates): quantized {quant_ns:.1} ns/record \
              ({quant_pages} pages), f32 {f32_ns:.1} ns/record ({f32_pages} pages)"
@@ -765,11 +770,8 @@ fn main() {
     // The verification tier screens each candidate block with `dot4_i8`
     // against the running k-th inner product (padded by the exact
     // quantization error bound) and fetches + rescores only survivors in
-    // f32. Tier off vs on and `cross_shard_floor` off vs on (the seed
-    // shard's k-th inner product passed into every surviving shard as a
-    // termination floor — fewer verified candidates, but the searching
-    // conditions can fire early enough to cost recall), at 4 and 16
-    // shards: `verified_avg` is exact f32 rows read per query (the bytes
+    // f32. Tier off vs on, at 4 and 16 shards: `verified_avg` is exact f32
+    // rows read per query (the bytes
     // the screen exists to save), `screened_fraction` the share of
     // candidates the integer screen retired, `recall` against the exact
     // ground truth. A shard the tiered build answers by the annulus path
@@ -779,111 +781,96 @@ fn main() {
     let mut rescore_rows: Vec<(String, Json)> = Vec::new();
     let mut rescore_reductions: Vec<(String, Json)> = Vec::new();
     for &shards in &[4usize, 16] {
-        for &floor_on in &[false, true] {
-            let mut verified_by_tier = [0f64; 2];
-            let mut items_off: Vec<Vec<promips_core::SearchItem>> = Vec::new();
-            for (ti, &tier_on) in [false, true].iter().enumerate() {
-                let base = ProMipsConfig::builder()
-                    .c(0.9)
-                    .p(0.5)
-                    .seed(77)
-                    .idistance(IDistanceConfig {
-                        verify_quantize: tier_on,
-                        ..Default::default()
-                    })
-                    .build();
-                let cfg = ShardedConfig::builder()
-                    .shards(shards)
-                    .cross_shard_floor(floor_on)
-                    .base(base)
-                    .build();
-                let sharded =
-                    ShardedProMips::build_in_memory(&shard_data, cfg).expect("sharded build");
-                let scratch = ShardedScratch::for_index(&sharded);
-                let mut verified = 0usize;
-                let mut screened = 0usize;
-                let mut hits = 0usize;
-                for (i, truth) in gt.iter().enumerate() {
-                    let res = sharded_search(&sharded, shard_queries.row(i), k, &scratch);
-                    verified += res.verified;
-                    screened += res.screened;
-                    hits += res
-                        .items
-                        .iter()
-                        .filter(|it| truth.iter().any(|&(id, _)| id == it.id))
-                        .count();
-                    // The tier's contract: identical, or exact where the
-                    // pure-f32 index is approximate.
-                    if tier_on {
-                        assert_eq!(res.items.len(), items_off[i].len());
-                        assert!(
-                            res.items
-                                .iter()
-                                .zip(&items_off[i])
-                                // (to the last bits: the pass scores with
-                                // `dot`, the annulus path with `dot4`)
-                                .all(|(on, off)| on.ip >= off.ip - 1e-9 * off.ip.abs()),
-                            "screen+rescore fell behind pure-f32 verification"
-                        );
-                    } else {
-                        items_off.push(res.items);
-                    }
+        let mut verified_by_tier = [0f64; 2];
+        let mut items_off: Vec<Vec<promips_core::SearchItem>> = Vec::new();
+        for (ti, &tier_on) in [false, true].iter().enumerate() {
+            let base = ProMipsConfig::builder()
+                .c(0.9)
+                .p(0.5)
+                .seed(77)
+                .idistance(IDistanceConfig {
+                    verify_quantize: tier_on,
+                    ..Default::default()
+                })
+                .build();
+            let cfg = ShardedConfig::builder().shards(shards).base(base).build();
+            let sharded = ShardedProMips::build_in_memory(&shard_data, cfg).expect("sharded build");
+            let scratch = ShardedScratch::for_index(&sharded);
+            let mut verified = 0usize;
+            let mut screened = 0usize;
+            let mut hits = 0usize;
+            for (i, truth) in gt.iter().enumerate() {
+                let res = sharded_search(&sharded, shard_queries.row(i), k, &scratch);
+                verified += res.verified;
+                screened += res.screened;
+                hits += res
+                    .items
+                    .iter()
+                    .filter(|it| truth.iter().any(|&(id, _)| id == it.id))
+                    .count();
+                // The tier's contract: identical, or exact where the
+                // pure-f32 index is approximate.
+                if tier_on {
+                    assert_eq!(res.items.len(), items_off[i].len());
+                    assert!(
+                        res.items
+                            .iter()
+                            .zip(&items_off[i])
+                            // (to the last bits: the pass scores with
+                            // `dot`, the annulus path with `dot4`)
+                            .all(|(on, off)| on.ip >= off.ip - 1e-9 * off.ip.abs()),
+                        "screen+rescore fell behind pure-f32 verification"
+                    );
+                } else {
+                    items_off.push(res.items);
                 }
-                let query_ns = ns_per_op(|| {
-                    for i in 0..nq {
-                        std::hint::black_box(sharded_search(
-                            &sharded,
-                            shard_queries.row(i),
-                            k,
-                            &scratch,
-                        ));
-                    }
-                }) / nq as f64;
-                let recall = hits as f64 / (nq * k) as f64;
-                let verified_avg = verified as f64 / nq as f64;
-                let screened_avg = screened as f64 / nq as f64;
-                let candidates_avg = verified_avg + screened_avg;
-                let screened_fraction = screened_avg / candidates_avg;
-                verified_by_tier[ti] = verified_avg;
-                let label = format!(
-                    "shards_{shards}_floor_{}_tier_{}",
-                    if floor_on { "on" } else { "off" },
-                    if tier_on { "on" } else { "off" }
-                );
-                println!(
-                    "  verified_rescore {label}: {query_ns:.0} ns/query, \
-                     {verified_avg:.0} f32 rows verified, \
-                     {screened_fraction:.2} screened out, recall {recall:.4}"
-                );
-                rescore_rows.push((
-                    label,
-                    Json::obj(vec![
-                        ("shards", Json::Num(shards as f64)),
-                        (
-                            "cross_shard_floor",
-                            Json::Str(if floor_on { "on" } else { "off" }.into()),
-                        ),
-                        (
-                            "verify_tier",
-                            Json::Str(if tier_on { "on" } else { "off" }.into()),
-                        ),
-                        ("us_per_query", Json::Num(query_ns / 1e3)),
-                        ("recall", Json::Num(recall)),
-                        ("verified_avg", Json::Num(verified_avg)),
-                        ("screened_avg", Json::Num(screened_avg)),
-                        ("screened_fraction", Json::Num(screened_fraction)),
-                        ("ns_per_candidate", Json::Num(query_ns / candidates_avg)),
-                    ]),
-                ));
             }
-            let reduction = verified_by_tier[0] / verified_by_tier[1];
-            let rlabel = format!(
-                "shards_{shards}_floor_{}",
-                if floor_on { "on" } else { "off" }
+            let query_ns = ns_per_op(|| {
+                for i in 0..nq {
+                    std::hint::black_box(sharded_search(
+                        &sharded,
+                        shard_queries.row(i),
+                        k,
+                        &scratch,
+                    ));
+                }
+            }) / nq as f64;
+            let recall = hits as f64 / (nq * k) as f64;
+            let verified_avg = verified as f64 / nq as f64;
+            let screened_avg = screened as f64 / nq as f64;
+            let candidates_avg = verified_avg + screened_avg;
+            let screened_fraction = screened_avg / candidates_avg;
+            verified_by_tier[ti] = verified_avg;
+            let label = format!(
+                "shards_{shards}_tier_{}",
+                if tier_on { "on" } else { "off" }
             );
-            println!("  verified_rescore {rlabel}: {reduction:.2}x fewer f32 rows verified");
-            rescore_reductions.push((rlabel, Json::Num(reduction)));
+            println!(
+                "  verified_rescore {label}: {query_ns:.0} ns/query, \
+                 {verified_avg:.0} f32 rows verified, \
+                 {screened_fraction:.2} screened out, recall {recall:.4}"
+            );
+            rescore_rows.push((
+                label,
+                Json::obj(vec![
+                    ("shards", Json::Num(shards as f64)),
+                    (
+                        "verify_tier",
+                        Json::Str(if tier_on { "on" } else { "off" }.into()),
+                    ),
+                    ("us_per_query", Json::Num(query_ns / 1e3)),
+                    ("recall", Json::Num(recall)),
+                    ("verified_avg", Json::Num(verified_avg)),
+                    ("screened_avg", Json::Num(screened_avg)),
+                    ("screened_fraction", Json::Num(screened_fraction)),
+                    ("ns_per_candidate", Json::Num(query_ns / candidates_avg)),
+                ]),
+            ));
         }
+        let reduction = verified_by_tier[0] / verified_by_tier[1];
+        let rlabel = format!("shards_{shards}");
+        println!("  verified_rescore {rlabel}: {reduction:.2}x fewer f32 rows verified");
+        rescore_reductions.push((rlabel, Json::Num(reduction)));
     }
 
     // --- deadline degradation -----------------------------------------------

@@ -52,21 +52,26 @@ impl ProMipsConfig {
     /// Validates parameter domains.
     ///
     /// # Panics
-    /// Panics if `c` or `p` lies outside `(0, 1)` or `m == Some(0)` /
-    /// `m > 64` (binary codes are stored in a `u64`).
+    /// Panics with [`Self::check`]'s message when it fails.
     pub fn validate(&self) {
-        assert!(
-            self.c > 0.0 && self.c < 1.0,
-            "c must be in (0,1), got {}",
-            self.c
-        );
-        assert!(
-            self.p > 0.0 && self.p < 1.0,
-            "p must be in (0,1), got {}",
-            self.p
-        );
-        if let Some(m) = self.m {
-            assert!((1..=64).contains(&m), "m must be in 1..=64, got {m}");
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
+    }
+
+    /// The parameter domains: `c` and `p` in `(0, 1)`, `m` unset or in
+    /// `1..=64` (binary codes are stored in a `u64`). Fails with what is
+    /// out of range.
+    pub fn check(&self) -> Result<(), String> {
+        if !(self.c > 0.0 && self.c < 1.0) {
+            return Err(format!("c must be in (0,1), got {}", self.c));
+        }
+        if !(self.p > 0.0 && self.p < 1.0) {
+            return Err(format!("p must be in (0,1), got {}", self.p));
+        }
+        match self.m {
+            Some(m) if !(1..=64).contains(&m) => Err(format!("m must be in 1..=64, got {m}")),
+            _ => Ok(()),
         }
     }
 }

@@ -29,8 +29,8 @@
 //!    (compensation), guaranteeing the c-AMIP result with probability ≥ p.
 //!
 //! [`ProMips::execute`] is that search: one request value
-//! ([`Query`]: vector, `k`, and the floor / tombstone mask / budget / span
-//! a per-shard caller attaches) in, one [`SearchResult`] out.
+//! ([`Query`]: vector, `k`, and the tombstone mask / budget / span a
+//! per-shard caller attaches) in, one [`SearchResult`] out.
 //! [`ProMips::search`] and [`ProMips::search_with_scratch`] are its plain
 //! forms. [`ProMips::search_incremental`] implements the pre-Quick-Probe
 //! MIP-Search-I (Algorithm 1) for the ablation study.

@@ -31,8 +31,8 @@ pub struct SearchResult {
     pub probe_radius: Option<f64>,
     /// The final radius after optional compensation: every point within it
     /// was a candidate. `None` when no radius bounds what was searched — a
-    /// column pass (the whole index was), a floor that met Condition A
-    /// before it (nothing was), or [`crate::ProMips::search_incremental`].
+    /// column pass (the whole index was), or
+    /// [`crate::ProMips::search_incremental`].
     pub final_radius: Option<f64>,
     /// Whether the compensation extension `r → r'` was triggered.
     pub compensated: bool,
@@ -49,10 +49,10 @@ pub enum Termination {
     ConditionB,
     /// The (possibly compensated) range was exhausted.
     RangeExhausted,
-    /// Every live row was considered, so the items are the exact top-k
-    /// (over rows at or above the floor): the column pass of the
-    /// index-or-scan rule ([`crate::search`] module docs), a mask that
-    /// leaves no row alive, or an incremental search that ran dry.
+    /// Every live row was considered, so the items are the exact top-k:
+    /// the column pass of the index-or-scan rule ([`crate::search`] module
+    /// docs), a mask that leaves no row alive, or an incremental search
+    /// that ran dry.
     DatasetExhausted,
 }
 

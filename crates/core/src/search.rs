@@ -4,10 +4,10 @@
 //!
 //! The paper's one search procedure has one entry point here:
 //! [`ProMips::execute`] takes a [`Query`] — the vector and `k`, plus the
-//! options a per-shard caller attaches (inner-product floor, tombstone
-//! mask, budget, span) — and every other `search*` name is a one-line
-//! wrapper around it. [`ProMips::search_batch`] and
-//! [`ProMips::search_incremental`] are different operations, not options.
+//! options a per-shard caller attaches (tombstone mask, budget, span) —
+//! and every other `search*` name is a one-line wrapper around it.
+//! [`ProMips::search_batch`] and [`ProMips::search_incremental`] are
+//! different operations, not options.
 //!
 //! # Index or scan, decided per query
 //!
@@ -50,13 +50,12 @@
 //!   depends on where under 0.8 the constant is; it is a constant, not a
 //!   knob.
 //! * **What the caller sees.** A column pass returns the *exact* top-`k`
-//!   over the live rows at or above the floor — ties to the smaller id,
-//!   `ip` the single-row [`dot`] of the f32 row — so the (c, p) contract
+//!   over the live rows — ties to the smaller id, `ip` the single-row
+//!   [`dot`] of the f32 row — so the (c, p) contract
 //!   holds trivially. It reports [`Termination::DatasetExhausted`],
 //!   `probe_radius = Some(r)`, `final_radius = None`, `compensated = false`;
 //!   the request's span carries `covered_rows` and the `column_pass` flag,
-//!   and `promips_query_column_passes_total` counts the verdicts. A floor
-//!   no row can reach still ends by Condition A before any page is read.
+//!   and `promips_query_column_passes_total` counts the verdicts.
 //!
 //! # The head bound
 //!
@@ -208,20 +207,10 @@ impl SearchScratch {
 
 /// Bounded top-k collector over (inner product, id), deterministic under
 /// ties (larger ip wins; equal ips keep the smaller id).
-///
-/// An optional *floor* models a k-th best inner product already verified
-/// elsewhere (another shard of a [`ShardedProMips`]-style fan-out): items
-/// strictly below the floor are discarded on push — they could never enter
-/// the merged global top-k — and [`TopK::kth_ip`] never reports less than
-/// the floor, so the searching conditions fire as if those k external
-/// items were local. A floor of `-∞` reproduces the plain collector
-/// bit-for-bit.
 struct TopK {
     k: usize,
     /// Min-heap of (ip, Reverse(id)) so the weakest kept item is on top.
     heap: BinaryHeap<Reverse<(OrdF64, Reverse<u64>)>>,
-    /// Externally verified k-th best inner product (`-∞` when standalone).
-    floor: f64,
 }
 
 /// Total-ordered f64 wrapper.
@@ -237,21 +226,13 @@ impl Ord for OrdF64 {
 
 impl TopK {
     fn new(k: usize) -> Self {
-        Self::with_floor(k, f64::NEG_INFINITY)
-    }
-
-    fn with_floor(k: usize, floor: f64) -> Self {
         Self {
             k,
             heap: BinaryHeap::with_capacity(k + 1),
-            floor,
         }
     }
 
     fn push(&mut self, id: u64, ip: f64) {
-        if ip < self.floor {
-            return; // beaten by k externally verified items already
-        }
         self.heap.push(Reverse((OrdF64(ip), Reverse(id))));
         if self.heap.len() > self.k {
             self.heap.pop();
@@ -262,12 +243,11 @@ impl TopK {
         self.heap.len()
     }
 
-    /// The k-th best inner product so far (paper's `⟨ok_max, q⟩`), or the
-    /// floor (−∞ when standalone) while fewer than k candidates have been
-    /// verified.
+    /// The k-th best inner product so far (paper's `⟨ok_max, q⟩`), or −∞
+    /// while fewer than k candidates have been verified.
     fn kth_ip(&self) -> f64 {
         if self.heap.len() < self.k {
-            self.floor
+            f64::NEG_INFINITY
         } else {
             self.heap
                 .peek()
@@ -319,18 +299,6 @@ pub struct Query<'a> {
     pub q: &'a [f32],
     /// Result size; clamped to the number of live points.
     pub k: usize,
-    /// **Inner-product floor** (`-∞` = none): asserts that `k` points with
-    /// inner product at least `floor` have already been verified *outside*
-    /// this index — one shard of a fan-out where another shard already
-    /// produced a global top-k. Candidates strictly below the floor are
-    /// discarded, and the searching conditions (Theorems 1–2) treat the
-    /// floor as the current k-th best, so the search stops as soon as this
-    /// index cannot improve on it. The result may hold fewer than `k`
-    /// items, and a floored search never verifies more candidates than the
-    /// floor-less one (its running k-th is never smaller, so every
-    /// termination test fires no later, and the shortfall-extension loop
-    /// is skipped outright).
-    pub floor: f64,
     /// **Tombstone mask** `(dead, dead_count)` — the only source of
     /// deadness: ids for which `dead` returns true are never verified into
     /// the top-k, while the norm bounds they may define stay in force
@@ -356,12 +324,11 @@ pub struct Query<'a> {
 }
 
 impl<'a> Query<'a> {
-    /// The plain top-`k` search for `q`: no floor, mask, budget or span.
+    /// The plain top-`k` search for `q`: no mask, budget or span.
     pub fn new(q: &'a [f32], k: usize) -> Self {
         Self {
             q,
             k,
-            floor: f64::NEG_INFINITY,
             mask: None,
             budget: None,
             span: None,
@@ -393,9 +360,10 @@ impl ProMips {
         self.execute(Query::new(q, k), scratch)
     }
 
-    /// [`ProMips::execute`] with a floor, a mask and a span, spelled as
-    /// positional arguments. Frozen by `benchmark/`, which compiles against
-    /// this name; everything else builds a [`Query`].
+    /// [`ProMips::execute`] with a mask and a span, spelled as positional
+    /// arguments, keeping only the items at or above `ip_floor` (`-∞` keeps
+    /// them all). Frozen by `benchmark/`, which compiles against this name;
+    /// everything else builds a [`Query`].
     #[allow(clippy::too_many_arguments)]
     pub fn search_masked_traced(
         &self,
@@ -407,15 +375,16 @@ impl ProMips {
         scratch: &mut SearchScratch,
         span: &mut ShardSpan,
     ) -> io::Result<SearchResult> {
-        self.execute(
+        let mut res = self.execute(
             Query {
-                floor: ip_floor,
                 mask: Some((dead, dead_count)),
                 span: Some(span),
                 ..Query::new(q, k)
             },
             scratch,
-        )
+        )?;
+        res.items.retain(|it| it.ip >= ip_floor);
+        Ok(res)
     }
 
     /// The one search path: runs `query` and feeds the global metrics
@@ -483,13 +452,7 @@ impl ProMips {
         scratch: &mut SearchScratch,
         work: &mut ShardSpan,
     ) -> io::Result<SearchResult> {
-        let &Query {
-            q,
-            k,
-            floor: ip_floor,
-            budget,
-            ..
-        } = query;
+        let &Query { q, k, budget, .. } = query;
         let (mask, mask_dead_count) = query.mask.unzip();
         assert_eq!(q.len(), self.d, "query dimensionality mismatch");
         assert!(k >= 1, "k must be at least 1");
@@ -534,20 +497,9 @@ impl ProMips {
         work.stages.scan_ns += obs::now_ns().saturating_sub(t_scan);
         checker.tick()?;
 
-        let mut top = TopK::with_floor(k, ip_floor);
+        let mut top = TopK::new(k);
 
         if work.column_pass {
-            // A floor no row can reach ends the search before a page is read.
-            if ctx.condition_a(top.kth_ip()) {
-                return Ok(finish(
-                    top,
-                    work,
-                    Some(r),
-                    None,
-                    false,
-                    Termination::ConditionA,
-                ));
-            }
             let t_pass = obs::now_ns();
             let passed = self.column_pass(q, mask, &mut top, scratch, work, &mut checker);
             work.stages.screen_ns += obs::now_ns().saturating_sub(t_pass);
@@ -591,16 +543,10 @@ impl ProMips {
 
         // --- Rare shortfall: fewer than k candidates inside r. ------------
         // Pull further neighbours in distance order until k are verified so
-        // the conditions (which need the k-th best) become meaningful. With
-        // a floor this loop is skipped entirely: `kth_ip()` already reports
-        // the floor while the heap is short, so the conditions are
-        // meaningful without it — and running it would make the floored
-        // search verify *more* than the plain one (the plain search's full
-        // heap skips the loop), breaking the "a floor only ever reduces
-        // verification work" contract.
+        // the conditions (which need the k-th best) become meaningful.
         let mut r_final = r;
         let mut extended = false;
-        if top.len() < k && ip_floor == f64::NEG_INFINITY {
+        if top.len() < k {
             let t_short = obs::now_ns();
             let mut iter = self.index.nn_iter(&scratch.pq);
             let checker = &mut checker;
@@ -828,8 +774,8 @@ impl ProMips {
     /// block shape, and kernel as the plain path — so the returned top-k,
     /// radii, and termination cause are **bit-identical** tier on or off.
     /// While the collector still reports `-∞` (fewer than k finite
-    /// verifications, no floor), screening cannot drop anything and the
-    /// plain path runs.
+    /// verifications), screening cannot drop anything and the plain path
+    /// runs.
     /// Stage attribution: the whole screened call (code pages + integer
     /// screen + survivor rescore) books to `screen_ns` — that is the
     /// two-level verification tier as a unit — while the plain f32 path
@@ -1075,7 +1021,7 @@ impl ProMips {
     /// and scored by the single-row [`dot`]; both readers move forward only,
     /// so survivors sharing a page share its read. Every live row is either
     /// proven strictly below the final k-th best or scored exactly, so `top`
-    /// ends as the exact top-k over live rows at or above the floor.
+    /// ends as the exact top-k over live rows.
     ///
     /// Books as it goes (valid on the error path): `scanned` code rows read,
     /// `screened` rows ruled out, `verified` rows scored. One budget tick
@@ -1224,13 +1170,6 @@ mod tests {
         (idx, data)
     }
 
-    fn at_floor(q: &[f32], k: usize, floor: f64) -> Query<'_> {
-        Query {
-            floor,
-            ..Query::new(q, k)
-        }
-    }
-
     fn masked<'a>(
         q: &'a [f32],
         k: usize,
@@ -1277,46 +1216,6 @@ mod tests {
         assert!(res.items.windows(2).all(|w| w[0].ip >= w[1].ip));
         assert!(res.verified >= 10);
         assert!(res.probe_radius.is_some());
-    }
-
-    #[test]
-    fn quantized_tier_keeps_topk_bit_identical() {
-        // The SQ8 filter tier pads its radii by the quantization error
-        // bound and re-tests survivors through the same f32 kernels, so a
-        // search against a quantized index must return *exactly* what the
-        // pure-f32 index returns: same items, same inner-product bits,
-        // same verified count, same termination — across k and queries.
-        let data = random_data(900, 24, 67);
-        let mk = |quantize: bool| {
-            let id_cfg = promips_idistance::IDistanceConfig {
-                quantize,
-                ..Default::default()
-            };
-            let cfg = ProMipsConfig::builder()
-                .c(0.9)
-                .p(0.5)
-                .seed(67 ^ 0xABCD)
-                .idistance(id_cfg)
-                .build();
-            ProMips::build_in_memory(&data, cfg).unwrap()
-        };
-        let quant = mk(true);
-        let plain = mk(false);
-        assert!(quant.idistance().quantized());
-        assert!(!plain.idistance().quantized());
-        let mut rng = Xoshiro256pp::seed_from_u64(71);
-        let mut scratch = SearchScratch::new();
-        for round in 0..12 {
-            let k = 1 + round % 10;
-            let q: Vec<f32> = (0..24).map(|_| rng.normal() as f32).collect();
-            let a = quant.search_with_scratch(&q, k, &mut scratch).unwrap();
-            let b = plain.search(&q, k).unwrap();
-            assert_eq!(a.items, b.items, "k={k}");
-            assert_eq!(a.verified, b.verified, "k={k}");
-            assert_eq!(a.termination, b.termination, "k={k}");
-            assert_eq!(a.probe_radius, b.probe_radius, "k={k}");
-            assert_eq!(a.final_radius, b.final_radius, "k={k}");
-        }
     }
 
     #[test]
@@ -1432,13 +1331,13 @@ mod tests {
             let plain = idx.execute(Query::new(&q, 6), &mut scratch).unwrap();
             assert_eq!(idx.search(&q, 6).unwrap(), plain);
             assert_eq!(idx.search_with_scratch(&q, 6, &mut scratch).unwrap(), plain);
-            // The frozen positional name, with the options it can carry.
+            // The frozen positional name, with the options it can carry: a
+            // finite floor only cuts the answer.
             for floor in [f64::NEG_INFINITY, plain.items[2].ip] {
                 let mut want_span = ShardSpan::default();
-                let want = idx
+                let mut want = idx
                     .execute(
                         Query {
-                            floor,
                             mask: Some((&dead, dead_count)),
                             span: Some(&mut want_span),
                             ..Query::new(&q, 6)
@@ -1446,6 +1345,7 @@ mod tests {
                         &mut scratch,
                     )
                     .unwrap();
+                want.items.retain(|it| it.ip >= floor);
                 let mut span = ShardSpan::default();
                 let got = idx
                     .search_masked_traced(&q, 6, floor, &dead, dead_count, &mut scratch, &mut span)
@@ -1497,74 +1397,6 @@ mod tests {
         .unwrap_err();
         assert!(cut.scanned <= full.scanned, "span must be overwritten");
         assert!(cut.verified <= full.verified);
-    }
-
-    #[test]
-    fn floor_drops_weak_items_and_never_verifies_more() {
-        let (idx, _) = build(900, 16, 47, 0.9, 0.5);
-        let mut rng = Xoshiro256pp::seed_from_u64(93);
-        let mut scratch = SearchScratch::new();
-        for _ in 0..8 {
-            let q: Vec<f32> = (0..16).map(|_| rng.normal() as f32).collect();
-            let plain = idx.search(&q, 5).unwrap();
-            // Floor at the plain search's 3rd-best: at most 3 items can
-            // reach it, and all of them must sit at or above the floor.
-            let floor = plain.items[2].ip;
-            let floored = idx.execute(at_floor(&q, 5, floor), &mut scratch).unwrap();
-            assert!(floored.items.len() <= plain.items.len());
-            assert!(floored.items.iter().all(|it| it.ip >= floor));
-            assert!(
-                floored.verified <= plain.verified,
-                "floor must not verify more: {} > {}",
-                floored.verified,
-                plain.verified
-            );
-            // The floored search's survivors are a prefix-quality subset:
-            // its best item is at least as good as the floor.
-            assert!(floored.best_ip().unwrap_or(f64::NEG_INFINITY) >= floor);
-        }
-    }
-
-    #[test]
-    fn floor_above_everything_returns_empty_without_crawling() {
-        // Ten tight clusters, two of them near the origin for Quick-Probe
-        // to locate: the short query's ball meets few of them (the annulus
-        // side of the rule), the long one's most.
-        let data = promips_data::gen::clustered(10, 40, 12, 53);
-        let cfg = ProMipsConfig::builder().seed(53 ^ 0xABCD).build();
-        let idx = ProMips::build_in_memory(&data, cfg).unwrap();
-        let mut scratch = SearchScratch::new();
-        // The floor stands in for the k-th best, so Condition A ends the
-        // search instead of it crawling the whole dataset chasing items
-        // that can never beat the floor — at the first group boundary on
-        // the annulus path (the short query), before any page is read
-        // when the rule had picked the column pass (the long one).
-        let mut paths = [0, 0];
-        for len in [0.1f32, 40.0] {
-            let q = vec![len; 12];
-            let mut span = ShardSpan::default();
-            let request = Query {
-                span: Some(&mut span),
-                ..at_floor(&q, 5, 1e12)
-            };
-            idx.reset_stats();
-            let res = idx.execute(request, &mut scratch).unwrap();
-            assert!(res.items.is_empty());
-            assert_eq!(res.termination, Termination::ConditionA);
-            paths[span.column_pass as usize] += 1;
-            if span.column_pass {
-                assert_eq!((span.scanned, res.verified, res.screened), (0, 0, 0));
-                assert_eq!(res.final_radius, None);
-                assert_eq!(idx.access_stats().logical_reads, 0);
-            } else {
-                assert!(
-                    res.verified < 400,
-                    "floored search verified {} candidates",
-                    res.verified
-                );
-            }
-        }
-        assert_eq!(paths, [1, 1], "one query on each side of the rule");
     }
 
     /// A query with a NaN or infinite coordinate used to make the screen's

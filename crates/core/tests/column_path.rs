@@ -1,11 +1,11 @@
 //! The scan side of the index-or-scan rule (`promips_core::search` module
 //! docs): a query whose Quick-Probe ball covers most of the index is
 //! answered by one storage-order pass over the SQ8 code column, and that
-//! answer is the **exact** top-k over the live rows at or above the floor.
+//! answer is the **exact** top-k over the live rows.
 //!
 //! Checked here against `baselines::ExactScan` over random shapes — rows
 //! that straddle pages, sub-partitions that share pages, masks down to
-//! all-dead, `k` beyond the live rows, a finite floor, one shard and four —
+//! all-dead, `k` beyond the live rows, one shard and four —
 //! plus the pass's page accounting, a clustered dataset on which the
 //! rule keeps the annulus path because it reads less, and spectra on both
 //! sides of the width rule: code columns that are 64-byte heads and ones
@@ -49,15 +49,9 @@ fn build(data: &Matrix, page_size: usize, seed: u64) -> ProMips {
     ProMips::build_with_pager(data, config(page_size, seed), pager).unwrap()
 }
 
-/// `ExactScan` over the rows `dead` spares, cut at `floor`: `(id, ip)` with
-/// the ip recomputed by the single-row kernel the column pass scores with.
-fn exact(
-    data: &Matrix,
-    q: &[f32],
-    k: usize,
-    floor: f64,
-    dead: &dyn Fn(u64) -> bool,
-) -> Vec<(u64, f64)> {
+/// `ExactScan` over the rows `dead` spares: `(id, ip)` with the ip
+/// recomputed by the single-row kernel the column pass scores with.
+fn exact(data: &Matrix, q: &[f32], k: usize, dead: &dyn Fn(u64) -> bool) -> Vec<(u64, f64)> {
     let live: Vec<u64> = (0..data.rows() as u64).filter(|&id| !dead(id)).collect();
     if live.is_empty() {
         return Vec::new();
@@ -71,7 +65,6 @@ fn exact(
         .into_iter()
         .map(|nb| live[nb.id as usize])
         .map(|id| (id, dot(data.row(id as usize), q)))
-        .filter(|&(_, ip)| ip >= floor)
         .collect()
 }
 
@@ -105,7 +98,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Column-path results equal the exact scan over the live rows, for
-    /// every mask and floor, unsharded and through the shard layer.
+    /// every mask, unsharded and through the shard layer.
     #[test]
     fn column_pass_equals_exact_scan(
         n in 200usize..3_000,
@@ -152,24 +145,13 @@ proptest! {
                     continue;
                 }
                 on_column += 1;
-                let want = exact(&data, &q, k, f64::NEG_INFINITY, &dead);
-                prop_assert_eq!(pairs(&res.items), want.clone());
+                let want = exact(&data, &q, k, &dead);
+                prop_assert_eq!(pairs(&res.items), want);
                 prop_assert_eq!(res.final_radius, None);
                 prop_assert!(res.probe_radius.is_some() && !res.compensated);
                 prop_assert_eq!(span.scanned, n as u64);
                 prop_assert_eq!(res.screened as u64, span.screened);
                 prop_assert!(span.screened + span.verified <= span.scanned);
-
-                // A finite floor on one of the answer's own scores: the
-                // rows from there up, nothing else, never more work.
-                let Some(&(_, floor)) = want.get(want.len() / 2) else {
-                    continue;
-                };
-                let at_floor = Query { floor, mask, ..Query::new(&q, k) };
-                let (floored, fspan) = traced(&index, at_floor, &mut scratch);
-                prop_assert!(fspan.column_pass);
-                prop_assert_eq!(pairs(&floored.items), exact(&data, &q, k, floor, &dead));
-                prop_assert!(floored.verified <= res.verified);
             }
         }
         prop_assert!(on_column > 0, "no query of this case took the column path");
@@ -211,7 +193,7 @@ proptest! {
                     }
                     compared += 1;
                     let got = pairs(&got.items);
-                    let want = exact(&data, &q, 10, f64::NEG_INFINITY, &dead);
+                    let want = exact(&data, &q, 10, &dead);
                     prop_assert_eq!(got.clone(), want);
                     let masked = Query { mask, ..Query::new(&q, 10) };
                     let (single, span) = traced(&index, masked, &mut scratch);
@@ -388,7 +370,7 @@ fn head_and_full_width_columns_answer_exactly() {
                     continue;
                 }
                 on_column += 1;
-                let want = exact(&data, q, k, f64::NEG_INFINITY, &|_| false);
+                let want = exact(&data, q, k, &|_| false);
                 assert_eq!(pairs(&res.items), want, "{what}: query {qi}, k={k}");
                 assert_eq!(span.screened + span.verified, n as u64);
             }

@@ -52,20 +52,17 @@ pub fn short(q: &[f32]) -> Vec<f32> {
     q.iter().map(|x| 0.1 * x).collect()
 }
 
-/// The exact oracle: top-`k` over the rows `dead` spares whose inner
-/// product reaches `floor`, scored by the single-row kernel, ties to the
-/// smaller id.
+/// The exact oracle: top-`k` over the rows `dead` spares, scored by the
+/// single-row kernel, ties to the smaller id.
 pub fn oracle(
     data: &Matrix,
     q: &[f32],
     k: usize,
-    floor: f64,
     dead: Option<&dyn Fn(u64) -> bool>,
 ) -> Vec<(u64, f64)> {
     let mut all: Vec<(u64, f64)> = (0..data.rows() as u64)
         .filter(|&id| !dead.is_some_and(|dead| dead(id)))
         .map(|id| (id, dot(data.row(id as usize), q)))
-        .filter(|&(_, ip)| ip >= floor)
         .collect();
     all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     all.truncate(k);

@@ -115,7 +115,6 @@ fn instrumented_warm_search_does_not_allocate() {
         index
             .execute(
                 Query {
-                    floor: f64::MIN,
                     mask: Some((&|id| id == 0, 1)),
                     budget: Some(&budget),
                     span: Some(&mut span),

@@ -2,8 +2,8 @@
 //! index can answer a query by (`promips_core::search` module docs):
 //!
 //! * **column path** (`termination == DatasetExhausted`): the items are the
-//!   exact oracle's — the top-k over live rows at or above the floor, ids
-//!   *and* `ip == linalg::dot(row, q)` to the bit, ties to the smaller id;
+//!   exact oracle's — the top-k over live rows, ids *and*
+//!   `ip == linalg::dot(row, q)` to the bit, ties to the smaller id;
 //! * **annulus path** (anything else): the SQ8 screen+rescore must be
 //!   **bit-identical** to pure-f32 verification — same items (ids *and*
 //!   inner-product bits), same radii, same termination cause — and
@@ -11,9 +11,8 @@
 //!   computed.
 //!
 //! Both hold across page sizes that straddle record and field boundaries
-//! (down to one where every code row spans pages), floor mode on and off, a
-//! tombstone mask, the shortfall loop, and degenerate or near-boundary
-//! queries. The path is the index's own choice per query, so every test
+//! (down to one where every code row spans pages), a tombstone mask, the
+//! shortfall loop, and degenerate or near-boundary queries. The path is the index's own choice per query, so every test
 //! counts the queries it saw on each side and fails if either half of the
 //! contract went unexercised.
 
@@ -104,7 +103,7 @@ impl Sides {
         }
         self.column += 1;
         let dead = request.mask.map(|(dead, _)| dead);
-        let want = oracle(data, request.q, request.k, request.floor, dead);
+        let want = oracle(data, request.q, request.k, dead);
         let got: Vec<(u64, f64)> = a.items.iter().map(|it| (it.id, it.ip)).collect();
         assert_eq!(got, want, "{what}: column pass is not the exact top-k");
         assert_eq!(a.probe_radius, b.probe_radius, "{what}: probe radius");
@@ -170,19 +169,6 @@ fn screen_rescore_is_bit_identical() {
             let b = plain.search_with_scratch(&q, k, &mut sb).unwrap();
             let what = format!("n={n} d={d} ps={page_size} seed={seed}, query {qi}, k={k}");
             sides.check(&data, &Query::new(&q, k), &a, &b, &what);
-
-            // Floor mode: screen against an externally verified k-th best.
-            // A floor taken from the plain result's own items sits exactly
-            // on the screen threshold — the nastiest near-boundary case.
-            if let Some(mid) = b.items.get(b.items.len() / 2) {
-                let floored = || Query {
-                    floor: mid.ip,
-                    ..Query::new(&q, k)
-                };
-                let fa = tiered.execute(floored(), &mut sa).unwrap();
-                let fb = plain.execute(floored(), &mut sb).unwrap();
-                sides.check(&data, &floored(), &fa, &fb, &format!("floored: {what}"));
-            }
         }
     }
     sides.assert_both("random sweep");

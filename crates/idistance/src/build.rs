@@ -163,24 +163,20 @@ pub fn build_index(
     // true candidate. Codes are m bytes per record (no id column) in the same
     // record order as the projected region — the quantized filter touches a
     // quarter of the bytes the f32 scan would.
-    let mut quants: Vec<SubPartQuant> = Vec::new();
-    let mut quant_region = None;
+    let mut quants: Vec<SubPartQuant> = Vec::with_capacity(defs.len());
     let mut codes: Vec<u8> = Vec::new();
-    if config.quantize {
-        quants.reserve(defs.len());
-        let mut writer = RegionWriter::new(&pager);
-        for def in &defs {
-            let rows = proj.gather(&def.ids);
-            let q = sq8_encode(rows.as_slice(), m, &mut codes);
-            quants.push(SubPartQuant {
-                off: writer.append(&codes)?,
-                scale: q.scale,
-                min: q.min,
-                err: q.err,
-            });
-        }
-        quant_region = Some(writer.finish()?);
+    let mut writer = RegionWriter::new(&pager);
+    for def in &defs {
+        let rows = proj.gather(&def.ids);
+        let q = sq8_encode(rows.as_slice(), m, &mut codes);
+        quants.push(SubPartQuant {
+            off: writer.append(&codes)?,
+            scale: q.scale,
+            min: q.min,
+            err: q.err,
+        });
     }
+    let quant_region = writer.finish()?;
 
     // --- Packed SQ8 verification-quant region. ------------------------------
     // Same scheme over the **original** rows: one affine quantizer per

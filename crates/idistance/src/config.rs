@@ -14,23 +14,16 @@ pub struct IDistanceConfig {
     pub kmeans_iters: usize,
     /// Seed for the clustering RNG.
     pub seed: u64,
-    /// Whether to build the SQ8 quantized filter tier: a dense u8 code
-    /// column per sub-partition (1 byte per projected coordinate instead of
-    /// 4) that the annulus scan filters first, decoding only the surviving
-    /// runs of 4-row blocks through the exact f32 path. The quantized filter is
-    /// padded by the per-sub-partition quantization error bound, so scan
-    /// results are **bit-identical** with the tier on or off — `false` only
-    /// trades scan speed for a slightly smaller file.
-    pub quantize: bool,
     /// Whether to build the SQ8 verification tier: a dense u8 code column
     /// over the **original** d-dim vectors (one affine quantizer per
-    /// sub-partition, like `quantize`'s projected-space column) that the
-    /// verification path screens with integer kernels before fetching f32
-    /// rows — only candidate blocks whose quantized inner product plus the
-    /// exact error-bound padding can still reach the running top-k are
-    /// rescored exactly. Screening never drops a true top-k member, so
-    /// search results are **bit-identical** with the tier on or off;
-    /// `false` trades verification speed for a smaller file.
+    /// sub-partition, like the always-built scan tier's column over the
+    /// projected rows) that the verification path screens with integer
+    /// kernels before fetching f32 rows — only candidate blocks whose
+    /// quantized inner product plus the exact error-bound padding can still
+    /// reach the running top-k are rescored exactly. Screening never drops a
+    /// true top-k member, so annulus-path results are **bit-identical** with
+    /// the tier on or off. `false` stays because its pure-f32 annulus path is
+    /// the reference the tier is held to (`crates/core/tests/verify_parity.rs`).
     pub verify_quantize: bool,
 }
 
@@ -42,7 +35,6 @@ impl Default for IDistanceConfig {
             ksp: 10,
             kmeans_iters: 20,
             seed: 0x1D15_7A4C,
-            quantize: true,
             verify_quantize: true,
         }
     }

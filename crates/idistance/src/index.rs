@@ -20,9 +20,9 @@ pub type Region = (PageId, u64);
 /// original vectors and both per-sub-partition quantizer directories ride
 /// the directory blob, which ends — only when the verification codes are
 /// heads — with the [`HeadBasis`] (width `h`, defect `δ`, the `h·d` basis
-/// floats behind their count) and one residual bound per sub-partition. A tier that was not built
-/// ([`crate::IDistanceConfig::quantize`] /
-/// [`crate::IDistanceConfig::verify_quantize`] off) leaves
+/// floats behind their count) and one residual bound per sub-partition. A
+/// build without the verification tier
+/// ([`crate::IDistanceConfig::verify_quantize`] off) leaves
 /// [`REGION_ABSENT`] in its region slot; any other magic is rejected.
 const FOOTER_MAGIC: u64 = 0x1D15_7A4C_E01D_F009;
 
@@ -388,17 +388,15 @@ pub struct IDistanceIndex {
     ring_c: u64,
     proj_region: Region,
     orig_region: Region,
-    /// The packed SQ8 code region; `None` on `quantize: false` builds,
-    /// which scan through the f32 path alone.
-    quant_region: Option<Region>,
+    /// The packed SQ8 code region of the projected rows.
+    quant_region: Region,
     /// The packed SQ8 verification code region over original vectors;
     /// `None` on `verify_quantize: false` builds, which verify through the
     /// f32 path alone.
     vquant_region: Option<Region>,
     partitions: Vec<PartitionMeta>,
     subparts: Vec<SubPartMeta>,
-    /// Per-sub-partition quantizers, parallel to `subparts` (empty when
-    /// `quant_region` is `None`).
+    /// Per-sub-partition quantizers, parallel to `subparts`.
     quants: Vec<SubPartQuant>,
     /// Per-sub-partition verification quantizers, parallel to `subparts`
     /// (empty when `vquant_region` is `None`).
@@ -421,7 +419,7 @@ impl IDistanceIndex {
         ring_c: u64,
         proj_region: Region,
         orig_region: Region,
-        quant_region: Option<Region>,
+        quant_region: Region,
         vquant_region: Option<Region>,
         partitions: Vec<PartitionMeta>,
         subparts: Vec<SubPartMeta>,
@@ -430,12 +428,9 @@ impl IDistanceIndex {
         head: Option<HeadBasis>,
         n_points: u64,
     ) -> Self {
-        debug_assert!(
-            if quant_region.is_some() {
-                quants.len() == subparts.len()
-            } else {
-                quants.is_empty()
-            },
+        debug_assert_eq!(
+            quants.len(),
+            subparts.len(),
             "quantizer directory must parallel the sub-partition directory"
         );
         debug_assert!(
@@ -531,18 +526,12 @@ impl IDistanceIndex {
         self.orig_region
     }
 
-    /// The packed SQ8 code region, if the quantized filter tier is built.
-    pub fn quant_region(&self) -> Option<Region> {
+    /// The packed SQ8 code region of the projected rows.
+    pub fn quant_region(&self) -> Region {
         self.quant_region
     }
 
-    /// Whether the annulus scan runs the two-level quantized filter.
-    pub fn quantized(&self) -> bool {
-        self.quant_region.is_some()
-    }
-
-    /// Per-sub-partition quantizers (parallel to [`Self::subparts`]; empty
-    /// when the quantized tier is absent).
+    /// Per-sub-partition quantizers (parallel to [`Self::subparts`]).
     pub fn quants(&self) -> &[SubPartQuant] {
         &self.quants
     }
@@ -655,15 +644,15 @@ impl IDistanceIndex {
         Ok(())
     }
 
-    /// Scans one sub-partition, appending candidates in the annulus. With
-    /// the quantized tier present this is the two-level path (integer
-    /// filter over the code column, then exact f32 re-test of the surviving
-    /// runs of blocks); otherwise one arena decode of the whole
-    /// sub-partition. Both paths emit **identical** candidates: the
-    /// quantized filter is padded by the sub-partition's quantization error
-    /// bound so it never drops a true candidate, and survivors' distances
-    /// come from the same column kernel, whose per-row result does not
-    /// depend on which rows share the call.
+    /// Scans one sub-partition, appending candidates in the annulus: an
+    /// integer filter over the code column, then an exact f32 re-test of
+    /// the surviving runs of blocks. The candidates are those a decode of
+    /// the whole sub-partition ([`Self::read_subpart_proj_into`] +
+    /// [`ProjScratch::for_each_dist`]) finds, bit for bit: the quantized
+    /// filter is padded by the sub-partition's quantization error bound so
+    /// it never drops a true candidate, and survivors' distances come from
+    /// the same column kernel, whose per-row result does not depend on
+    /// which rows share the call.
     fn scan_subpart(
         &self,
         sub: u32,
@@ -683,12 +672,6 @@ impl IDistanceIndex {
                 });
             }
         };
-        if self.quant_region.is_none() {
-            self.read_subpart_proj_into(sub, scratch)?;
-            scratch.for_each_dist(pq, emit);
-            return Ok(());
-        }
-
         // Level 2 of the quantized scan: exact re-test of surviving runs.
         self.quantized_survivor_runs(sub, pq, r_lo, r_hi, scratch)?;
         let ProjScratch {
@@ -747,7 +730,7 @@ impl IDistanceIndex {
         let qt = &self.quants[sub as usize];
         let m = self.m;
         let count = self.subparts[sub as usize].count as usize;
-        let (quant_start, _) = self.quant_region.expect("quantized scan requires the tier");
+        let (quant_start, _) = self.quant_region;
         let ProjScratch {
             m: scratch_m,
             codes,
@@ -1080,23 +1063,6 @@ impl IDistanceIndex {
         Ok(arena)
     }
 
-    /// Reads a whole sub-partition's original blob in record order (used by
-    /// the scan-everything verification paths and tests).
-    pub fn read_subpart_orig(&self, sub: u32) -> io::Result<Vec<Vec<f32>>> {
-        let sp = &self.subparts[sub as usize];
-        let rec = 4 * self.d;
-        let blob = read_blob_range(
-            &self.pager,
-            self.orig_region.0,
-            sp.orig_off as usize,
-            sp.count as usize * rec,
-        )?;
-        let mut pos = 0;
-        Ok((0..sp.count)
-            .map(|_| enc::get_f32s(&blob, &mut pos, self.d))
-            .collect())
-    }
-
     // --- Incremental NN ----------------------------------------------------
 
     /// Exact incremental nearest-neighbour iteration in the projected space
@@ -1119,11 +1085,9 @@ impl IDistanceIndex {
         for s in &self.subparts {
             s.encode(&mut dir);
         }
-        if self.quant_region.is_some() {
-            enc::put_u32(&mut dir, self.quants.len() as u32);
-            for q in &self.quants {
-                q.encode(&mut dir);
-            }
+        enc::put_u32(&mut dir, self.quants.len() as u32);
+        for q in &self.quants {
+            q.encode(&mut dir);
         }
         let (vs, vl) = self.vquant_region.unwrap_or((REGION_ABSENT, 0));
         enc::put_u64(&mut dir, vs);
@@ -1155,9 +1119,8 @@ impl IDistanceIndex {
         enc::put_u64(&mut footer, self.proj_region.1);
         enc::put_u64(&mut footer, self.orig_region.0);
         enc::put_u64(&mut footer, self.orig_region.1);
-        let (qs, ql) = self.quant_region.unwrap_or((REGION_ABSENT, 0));
-        enc::put_u64(&mut footer, qs);
-        enc::put_u64(&mut footer, ql);
+        enc::put_u64(&mut footer, self.quant_region.0);
+        enc::put_u64(&mut footer, self.quant_region.1);
         enc::put_u64(&mut footer, dir_start);
         enc::put_u64(&mut footer, dir.len() as u64);
         enc::put_u64(&mut footer, self.tree.root());
@@ -1204,8 +1167,7 @@ impl IDistanceIndex {
         let ring_c = enc::get_u64(buf, &mut pos);
         let proj_region = (enc::get_u64(buf, &mut pos), enc::get_u64(buf, &mut pos));
         let orig_region = (enc::get_u64(buf, &mut pos), enc::get_u64(buf, &mut pos));
-        let region = |start: u64, len: u64| (start != REGION_ABSENT).then_some((start, len));
-        let quant_region = region(enc::get_u64(buf, &mut pos), enc::get_u64(buf, &mut pos));
+        let quant_region = (enc::get_u64(buf, &mut pos), enc::get_u64(buf, &mut pos));
         let dir_start = enc::get_u64(buf, &mut pos);
         let dir_len = enc::get_u64(buf, &mut pos) as usize;
         let tree_root = enc::get_u64(buf, &mut pos);
@@ -1223,20 +1185,17 @@ impl IDistanceIndex {
         let subparts: Vec<SubPartMeta> = (0..n_subs)
             .map(|_| SubPartMeta::decode(&dir, &mut dpos))
             .collect();
-        let quants: Vec<SubPartQuant> = if quant_region.is_some() {
-            let n_quants = enc::get_u32(&dir, &mut dpos) as usize;
-            if n_quants != n_subs {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "quantizer directory does not parallel the sub-partition directory",
-                ));
-            }
-            (0..n_quants)
-                .map(|_| SubPartQuant::decode(&dir, &mut dpos))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let n_quants = enc::get_u32(&dir, &mut dpos) as usize;
+        if quant_region.0 == REGION_ABSENT || n_quants != n_subs {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "quantizer directory does not parallel the sub-partition directory",
+            ));
+        }
+        let quants: Vec<SubPartQuant> = (0..n_quants)
+            .map(|_| SubPartQuant::decode(&dir, &mut dpos))
+            .collect();
+        let region = |start: u64, len: u64| (start != REGION_ABSENT).then_some((start, len));
         let vquant_region = region(enc::get_u64(&dir, &mut dpos), enc::get_u64(&dir, &mut dpos));
         let mut vquants: Vec<OrigQuant> = if vquant_region.is_some() {
             let n_vquants = enc::get_u32(&dir, &mut dpos) as usize;
@@ -1605,11 +1564,9 @@ mod tests {
         // Reopening a default build must restore both quantized regions
         // and their per-sub-partition quantizers exactly.
         let (idx, _, _) = build_small();
-        assert!(idx.quantized());
         assert!(idx.verify_quantized());
         let footer = idx.pager().num_pages() - footer_span_pages(idx.pager().page_size());
         let reopened = IDistanceIndex::open_at(Arc::clone(idx.pager()), footer).unwrap();
-        assert!(reopened.quantized());
         assert_eq!(reopened.quant_region(), idx.quant_region());
         assert_eq!(reopened.quants(), idx.quants());
         assert!(reopened.verify_quantized());
@@ -1643,7 +1600,6 @@ mod tests {
         let before = built.range_candidates(&pq, -1.0, 2.0).unwrap();
         let reopened = IDistanceIndex::open(pager).unwrap();
         assert_eq!(reopened.len(), 150);
-        assert!(reopened.quantized());
         assert_eq!(reopened.quants(), built.quants());
         assert!(reopened.verify_quantized());
         assert_eq!(reopened.vquants(), built.vquants());
@@ -1652,38 +1608,26 @@ mod tests {
 
     #[test]
     fn every_tier_combination_reopens_with_its_tiers() {
-        // The four (quantize, verify_quantize) builds share one format (an
-        // absent tier is a sentinel region); each must reopen with exactly
-        // its tiers and the same code fetches, and all four return the same
-        // candidates.
+        // The builds with and without the verification tier share one
+        // format (an absent tier is a sentinel region); each must reopen
+        // with exactly its tiers and the same code fetches, and both return
+        // the same candidates.
         let proj = random_matrix(300, 5, 41);
         let orig = random_matrix(300, 9, 42);
         let pq = vec![0.1f32; 5];
         let mut reference = None;
-        for (quantize, verify_quantize) in
-            [(false, false), (true, false), (false, true), (true, true)]
-        {
+        for verify_quantize in [false, true] {
             let cfg = IDistanceConfig {
                 kp: 3,
                 nkey: 6,
                 ksp: 2,
-                quantize,
                 verify_quantize,
                 ..Default::default()
             };
             let pager = Arc::new(Pager::in_memory(512, 1 << 16));
             let built = build_index(Arc::clone(&pager), &proj, &orig, &cfg).unwrap();
             let reopened = IDistanceIndex::open(pager).unwrap();
-            assert_eq!(
-                reopened.quantized(),
-                quantize,
-                "({quantize}, {verify_quantize})"
-            );
-            assert_eq!(
-                reopened.verify_quantized(),
-                verify_quantize,
-                "({quantize}, {verify_quantize})"
-            );
+            assert_eq!(reopened.verify_quantized(), verify_quantize);
             assert_eq!(reopened.quants(), built.quants());
             assert_eq!(reopened.vquants(), built.vquants());
             for &(r_lo, r_hi) in &[(-1.0, 2.0), (0.8, 2.5)] {
@@ -1691,7 +1635,7 @@ mod tests {
                 assert_eq!(got, built.range_candidates(&pq, r_lo, r_hi).unwrap());
                 if r_lo < 0.0 {
                     let want = reference.get_or_insert_with(|| got.clone());
-                    assert_eq!(&got, want, "({quantize}, {verify_quantize})");
+                    assert_eq!(&got, want, "verify_quantize = {verify_quantize}");
                 }
             }
             if verify_quantize {

@@ -9,7 +9,8 @@
 //!
 //! This file holds exactly one test on purpose: the counting allocator is
 //! process-global, and a sibling test running in another thread would
-//! pollute the counter. (`scan_alloc.rs` is the pure-f32 twin.)
+//! pollute the counter. (`scan_alloc.rs` holds the same scan to the
+//! per-record count.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,7 +75,6 @@ fn warm_quantized_scan_does_not_allocate() {
         ..Default::default()
     };
     let idx = build_index(pager, &proj, &orig, &cfg).unwrap();
-    assert!(idx.quantized(), "default build must carry the SQ8 tier");
 
     let pq: Vec<f32> = vec![0.1; m];
     let mut out = Vec::new();

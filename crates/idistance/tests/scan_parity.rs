@@ -1,11 +1,15 @@
 //! Property tests: the arena-based projected scan must agree exactly with
-//! an independent decode of the packed record bytes, across page sizes that
-//! force records — and individual ids/floats — to straddle page boundaries.
+//! an independent decode of the packed record bytes, and the two-level
+//! quantized range scan with a whole-sub-partition decode, across page
+//! sizes that force records — and individual ids/floats — to straddle page
+//! boundaries.
 
 use std::sync::Arc;
 
 use promips_idistance::layout::{enc, read_blob_range};
-use promips_idistance::{build_index, IDistanceConfig, IDistanceIndex, ProjScratch};
+use promips_idistance::{
+    build_index, IDistanceConfig, IDistanceIndex, ProjScratch, RangeCandidate,
+};
 use promips_linalg::{dist, Matrix};
 use promips_stats::Xoshiro256pp;
 use promips_storage::Pager;
@@ -25,10 +29,6 @@ fn random_matrix(n: usize, d: usize, seed: u64) -> Matrix {
 }
 
 fn build(n: usize, m: usize, page_size: usize, seed: u64) -> IDistanceIndex {
-    build_quant(n, m, page_size, seed, true)
-}
-
-fn build_quant(n: usize, m: usize, page_size: usize, seed: u64, quantize: bool) -> IDistanceIndex {
     let proj = random_matrix(n, m, seed);
     let orig = random_matrix(n, 6, seed ^ 0xFF);
     let pager = Arc::new(Pager::in_memory(page_size, 1 << 16));
@@ -36,10 +36,32 @@ fn build_quant(n: usize, m: usize, page_size: usize, seed: u64, quantize: bool) 
         kp: 3,
         nkey: 6,
         ksp: 2,
-        quantize,
         ..Default::default()
     };
     build_index(pager, &proj, &orig, &cfg).unwrap()
+}
+
+/// The annulus `r_lo < proj_dist ≤ r_hi` by whole-sub-partition decodes:
+/// every sub-partition in directory order through the public arena decode
+/// and the column kernel behind [`ProjScratch::for_each_dist`] — the scan
+/// the two-level filter skips blocks of.
+fn f32_annulus(idx: &IDistanceIndex, pq: &[f32], r_lo: f64, r_hi: f64) -> Vec<RangeCandidate> {
+    let mut scratch = ProjScratch::new();
+    let mut out = Vec::new();
+    for sub in 0..idx.subparts().len() as u32 {
+        idx.read_subpart_proj_into(sub, &mut scratch).unwrap();
+        scratch.for_each_dist(pq, |offset, id, pd| {
+            if pd > r_lo && pd <= r_hi {
+                out.push(RangeCandidate {
+                    id,
+                    proj_dist: pd,
+                    subpart: sub,
+                    offset: offset as u32,
+                });
+            }
+        });
+    }
+    out
 }
 
 /// The legacy decode the arena path replaced: one whole-blob read, then
@@ -141,8 +163,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The two-level quantized scan must return candidates **bit-identical**
-    /// to the pure-f32 scan — same ids, same offsets, same `proj_dist`
-    /// down to the last bit — across page sizes that force records to
+    /// to whole-sub-partition f32 decodes ([`f32_annulus`]) — same ids,
+    /// same offsets, same `proj_dist` down to the last bit, in the same
+    /// order — across page sizes that force records to
     /// straddle page boundaries (70, 130 are not multiples of 4) and
     /// across radius regimes:
     ///
@@ -155,8 +178,8 @@ proptest! {
     /// * an out-of-range query (scaled ×50) whose coordinates clamp in
     ///   code space, exercising the query-side error compensation.
     ///
-    /// The quantized scan re-tests arbitrary runs of blocks while the f32
-    /// scan sends the whole sub-partition through the kernel in one call,
+    /// The quantized scan re-tests arbitrary runs of blocks while the
+    /// reference sends the whole sub-partition through the kernel at once,
     /// so equality here also says a row's distance does not depend on its
     /// position in a kernel call — for every `m` in [`M_SHAPES`].
     #[test]
@@ -169,10 +192,7 @@ proptest! {
     ) {
         let m = M_SHAPES[m_pick];
         let page_size = [4096usize, 64, 70, 130][ps_pick];
-        let quant = build_quant(n, m, page_size, seed, true);
-        let f32_only = build_quant(n, m, page_size, seed, false);
-        prop_assert!(quant.quantized());
-        prop_assert!(!f32_only.quantized());
+        let quant = build(n, m, page_size, seed);
 
         let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xDEAD);
         let mut pq: Vec<f32> = (0..m).map(|_| rng.normal() as f32).collect();
@@ -198,15 +218,12 @@ proptest! {
 
         let mut scratch = ProjScratch::new();
         let mut got = Vec::new();
-        let mut want = Vec::new();
         quant
             .range_candidates_into(&pq, r_lo, r_hi, &mut got, &mut scratch)
             .unwrap();
-        f32_only
-            .range_candidates_into(&pq, r_lo, r_hi, &mut want, &mut scratch)
-            .unwrap();
         // RangeCandidate derives PartialEq over (id, proj_dist, subpart,
         // offset); equality here is bit-equality of the f64 distances.
+        let want = f32_annulus(&quant, &pq, r_lo, r_hi);
         prop_assert_eq!(got, want, "r_lo={} r_hi={}", r_lo, r_hi);
     }
 }

@@ -41,7 +41,8 @@ pub struct ShardSpan {
     /// Skipped entirely by the Cauchy–Schwarz norm bound; every timing
     /// and count field is zero.
     pub pruned: bool,
-    /// Searched in phase 1 to seed the cross-shard floor.
+    /// Searched in phase 1: its k-th inner product is the floor the other
+    /// shards' pruning bounds are tested against.
     pub seed: bool,
     /// The shard's search failed (IO fault, deadline, poisoned worker)
     /// and a best-effort merge excluded it; the timing and count fields

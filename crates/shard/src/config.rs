@@ -1,6 +1,6 @@
 //! Configuration for the sharded index: the shard count (placement is
-//! always by norm range), the fan-out's pruning and floor switches, and
-//! the durability, compaction, degradation and admission policies.
+//! always by norm range), the fan-out's pruning switch, and the
+//! durability, compaction, degradation and admission policies.
 
 use promips_core::ProMipsConfig;
 use promips_wal::SyncPolicy;
@@ -19,14 +19,6 @@ pub struct ShardedConfig {
     /// verified in the seed shard. Pruning never changes the returned
     /// top-k; disabling it is for measurement.
     pub prune: bool,
-    /// Whether surviving shards are searched with the seed shard's k-th
-    /// inner product as a termination floor
-    /// ([`promips_core::Query::floor`]): each shard then
-    /// stops verifying as soon as it cannot improve the global result.
-    /// **Approximate** — it can cost recall (the searching conditions fire
-    /// earlier), which is why it defaults to off; shard pruning alone is
-    /// exact. Turn it on for latency-bound fan-outs.
-    pub cross_shard_floor: bool,
     /// Group-commit policy of the per-shard write-ahead logs (directory-
     /// backed indexes only; in-memory indexes take mutations volatilely).
     pub wal_sync: SyncPolicy,
@@ -54,7 +46,6 @@ impl Default for ShardedConfig {
         Self {
             shards: 4,
             prune: true,
-            cross_shard_floor: false,
             wal_sync: SyncPolicy::Always,
             compaction: CompactionPolicy::default(),
             degradation: DegradationPolicy::FailFast,
@@ -75,14 +66,21 @@ impl ShardedConfig {
     /// Validates parameter domains (and the embedded base config).
     ///
     /// # Panics
-    /// Panics if `shards` is zero or absurdly large (> 65 536).
+    /// Panics if `shards` is zero or absurdly large (> 65 536), or the base
+    /// config is outside [`ProMipsConfig::check`]'s domain.
     pub fn validate(&self) {
-        assert!(
-            (1..=65_536).contains(&self.shards),
-            "shards must be in 1..=65536, got {}",
-            self.shards
-        );
-        self.base.validate();
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
+    }
+
+    /// The parameter domains: `shards` in `1..=65 536` and the base
+    /// config's ([`ProMipsConfig::check`]). Fails with what is out of range.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        if !(1..=65_536).contains(&self.shards) {
+            return Err(format!("shards must be in 1..=65536, got {}", self.shards));
+        }
+        self.base.check()
     }
 }
 
@@ -102,13 +100,6 @@ impl ShardedConfigBuilder {
     /// Enables or disables norm-bound shard pruning.
     pub fn prune(mut self, on: bool) -> Self {
         self.config.prune = on;
-        self
-    }
-
-    /// Enables the (approximate, latency-oriented) cross-shard termination
-    /// floor.
-    pub fn cross_shard_floor(mut self, on: bool) -> Self {
-        self.config.cross_shard_floor = on;
         self
     }
 

@@ -534,7 +534,8 @@ impl ShardedProMips {
     }
 
     /// Bytes in shard `si`'s write-ahead log (header included), or 0 when
-    /// the shard has no log yet.
+    /// the shard has no log yet. Takes the log's lock, so it waits for a
+    /// writer's append and fsync; the search path never calls it.
     pub fn wal_bytes(&self, si: usize) -> u64 {
         self.shards[si]
             .wal

@@ -59,7 +59,7 @@ use crate::index::{Shard, ShardGeneration, ShardedProMips};
 use crate::partition;
 
 const MANIFEST_MAGIC: u64 = 0x5AA2_D1CE_5059_0001;
-const MANIFEST_VERSION: u64 = 3;
+const MANIFEST_VERSION: u64 = 4;
 const MANIFEST_NAME: &str = "MANIFEST.pms";
 
 /// Data-file path of shard `si` at `generation` (generation 0 keeps the
@@ -228,7 +228,6 @@ impl ShardedProMips {
         enc::put_u64(&mut buf, self.d as u64);
         enc::put_u64(&mut buf, committed_total);
         enc::put_u64(&mut buf, u64::from(self.config.prune));
-        enc::put_u64(&mut buf, u64::from(self.config.cross_shard_floor));
         enc::put_u64(&mut buf, partition::TAG);
         enc::put_f64(&mut buf, self.config.base.c);
         enc::put_f64(&mut buf, self.config.base.p);
@@ -301,12 +300,11 @@ impl ShardedProMips {
         }
         // Fixed-size header: magic..seed, the next-id/wal-sync words, and
         // the partitioner-name length (little-endian 8-byte fields).
-        need(0, 17 * 8)?;
+        need(0, 16 * 8)?;
         let n_shards = enc::get_u64(&buf, &mut pos) as usize;
         let d = enc::get_u64(&buf, &mut pos) as usize;
         let n_points = enc::get_u64(&buf, &mut pos);
         let prune = enc::get_u64(&buf, &mut pos) != 0;
-        let cross_shard_floor = enc::get_u64(&buf, &mut pos) != 0;
         let tag = enc::get_u64(&buf, &mut pos);
         if tag != partition::TAG {
             return Err(io::Error::new(
@@ -333,7 +331,6 @@ impl ShardedProMips {
         let config = ShardedConfig {
             shards: n_shards,
             prune,
-            cross_shard_floor,
             wal_sync,
             compaction: Default::default(), // runtime policy, not persisted
             degradation: Default::default(), // runtime policy, not persisted
@@ -348,6 +345,11 @@ impl ShardedProMips {
                 seed,
             },
         };
+        // Everything past here (routing, compaction, every shard's build)
+        // trusts these domains.
+        config
+            .check()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("manifest: {e}")))?;
 
         let mut shards = Vec::with_capacity(n_shards.min(1 << 16));
         for si in 0..n_shards {
@@ -371,12 +373,13 @@ impl ShardedProMips {
                 )?);
                 let pager = Arc::new(Pager::new(storage, pool_pages, AccessStats::new_shared()));
                 let pm = ProMips::open(pager)?;
-                if pm.len() != count as u64 {
+                if pm.len() != count as u64 || pm.d() != d {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!(
-                            "shard {si} holds {} points, manifest says {count}",
-                            pm.len()
+                            "shard {si} holds {} points of d = {}, manifest says {count} of d = {d}",
+                            pm.len(),
+                            pm.d()
                         ),
                     ));
                 }

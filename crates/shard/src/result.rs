@@ -2,8 +2,10 @@
 
 use promips_core::SearchItem;
 
-/// Per-shard outcome of one fan-out query, including the maintenance
-/// counters operators watch to see compaction debt accumulate.
+/// Per-shard outcome of one fan-out query, including the delta and
+/// tombstone counts it read. The WAL size is in
+/// [`crate::ShardedProMips::maintenance_stats`]: a query never takes the
+/// log's lock, which writers hold across their IO.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardQueryStats {
     /// Shard id.
@@ -34,8 +36,6 @@ pub struct ShardQueryStats {
     pub delta_len: usize,
     /// Tombstoned points still occupying the shard's file.
     pub tombstones: usize,
-    /// Bytes in the shard's write-ahead log (0 for in-memory indexes).
-    pub wal_bytes: u64,
 }
 
 /// How the last maintenance pass that touched a shard ended (see
@@ -172,7 +172,6 @@ mod tests {
                     returned: 2,
                     delta_len: 0,
                     tombstones: 0,
-                    wal_bytes: 0,
                 },
                 ShardQueryStats {
                     shard: 1,
@@ -184,7 +183,6 @@ mod tests {
                     returned: 0,
                     delta_len: 1,
                     tombstones: 2,
-                    wal_bytes: 64,
                 },
             ],
             degraded: true,

@@ -34,11 +34,8 @@
 //!
 //! Pruning is exact, never approximate: a pruned shard's best possible
 //! inner product is beaten by k already-verified points, so the merged
-//! top-k is identical with pruning on or off. With
-//! [`crate::ShardedConfig::cross_shard_floor`] enabled, the floor is
-//! additionally passed down as each shard request's floor, letting it stop
-//! verifying as soon as it cannot improve the global result — a
-//! latency/recall trade that is therefore **off by default**.
+//! top-k is identical with pruning on or off; every shard that is searched
+//! is searched in full.
 //!
 //! The floor is fixed after phase 1 (workers never race to update it), so
 //! results are **deterministic**: the same query against the same snapshot
@@ -415,7 +412,7 @@ impl ShardedProMips {
         // lock-free or guarded by non-poisoning locks). The span is an
         // out-parameter of the search, so a failed shard still reports its
         // wall time and the work it did before failing.
-        let search_one = |si: usize, floor: f64| -> ShardOutcome {
+        let search_one = |si: usize| -> ShardOutcome {
             let mut span = ShardSpan {
                 shard: si,
                 ..ShardSpan::default()
@@ -426,7 +423,6 @@ impl ShardedProMips {
                     &snaps[si],
                     q,
                     k,
-                    floor,
                     &mut scratch.per_shard[si].lock(),
                     screen,
                     budget,
@@ -460,7 +456,7 @@ impl ShardedProMips {
                 .map(|(i, _)| i)
                 .expect("at least one shard");
             attempted += 1;
-            let (span, res) = search_one(seed, f64::NEG_INFINITY);
+            let (span, res) = search_one(seed);
             spans[seed] = ShardSpan { seed: true, ..span };
             match res {
                 Ok(found) => {
@@ -491,14 +487,6 @@ impl ShardedProMips {
         } else {
             fan_out.extend(0..ns);
         }
-        // Exact by construction: shard pruning only drops points strictly
-        // below k verified inner products. The in-shard floor is the
-        // opt-in approximate accelerator (see the module docs).
-        let floor = if self.config.cross_shard_floor {
-            kth_floor
-        } else {
-            f64::NEG_INFINITY
-        };
 
         // --- Phase 2: fan-out over surviving shards. ----------------------
         attempted += fan_out.len();
@@ -529,7 +517,7 @@ impl ShardedProMips {
             let worker = || {
                 let mut local: Vec<ShardOutcome> = Vec::new();
                 while let Some(&si) = fan_out.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    let outcome = search_one(si, floor);
+                    let outcome = search_one(si);
                     if outcome.1.is_err() && policy == DegradationPolicy::FailFast {
                         next.store(fan_out.len(), Ordering::Relaxed);
                     }
@@ -616,7 +604,6 @@ impl ShardedProMips {
                 returned: found.as_ref().map_or(0, Vec::len),
                 delta_len: snap.delta.len(),
                 tombstones: snap.delta.tombstones.len(),
-                wal_bytes: self.wal_bytes(span.shard),
             })
             .collect();
         // The merge span covers the top-k merge *and* result assembly, so
@@ -666,8 +653,7 @@ impl ShardedProMips {
     }
 }
 
-/// Searches one shard snapshot with the given floor, returning its top-k
-/// under global ids. The committed generation's index is searched first,
+/// Searches one shard snapshot, returning its top-k under global ids. The committed generation's index is searched first,
 /// under the snapshot's tombstone mask; its top-k seeds one running top-k
 /// that the delta overlay then joins —
 /// the same two-level read an LSM tree does, with the tombstone set
@@ -692,12 +678,10 @@ impl ShardedProMips {
 /// search; the overlay books to `verify_ns` here, and its verified and
 /// screened rows to the span and to the row counters (the core layer never
 /// sees those rows).
-#[allow(clippy::too_many_arguments)]
 fn search_snapshot(
     snap: &ShardSnapshot,
     q: &[f32],
     k: usize,
-    floor: f64,
     scratch: &mut SearchScratch,
     screen: Option<&QueryScreen>,
     budget: Option<&QueryBudget>,
@@ -710,7 +694,6 @@ fn search_snapshot(
             let mask = |local: u64| dead.contains(&gen_ids[local as usize]);
             let mut res = pm.execute(
                 Query {
-                    floor,
                     mask: Some((&mask, snap.delta.dead_base)),
                     budget,
                     span: Some(&mut *span),
@@ -718,8 +701,8 @@ fn search_snapshot(
                 },
                 scratch,
             )?;
-            // The core's top-k, already in the merge order and at or above
-            // the floor: it seeds the running top-k as it stands.
+            // The core's top-k, already in the merge order: it seeds the
+            // running top-k as it stands.
             for it in &mut res.items {
                 it.id = gen_ids[it.id as usize];
             }
@@ -727,7 +710,7 @@ fn search_snapshot(
         }
         None => Vec::new(),
     };
-    let mut best = Best { items, k, floor };
+    let mut best = Best { items, k };
     let (core_verified, core_screened) = (span.verified, span.screened);
     let tv = obs::now_ns();
     let mut checker = BudgetChecker::new(budget);
@@ -773,27 +756,28 @@ fn search_snapshot(
     Ok(best.items)
 }
 
-/// A shard's running top-k: at most `k` items at or above the floor, best
-/// first in the merge's order (ip descending, then id ascending). A row
+/// A shard's running top-k: at most `k` items, best first in the merge's
+/// order (ip descending, then id ascending). A row
 /// enters only by ranking before the k-th, so nothing below it is ever
 /// collected, and the items are the first `k` of every row pushed sorted
 /// in that order.
 struct Best {
     items: Vec<SearchItem>,
     k: usize,
-    floor: f64,
 }
 
 impl Best {
     /// The least score a row must reach to enter: the k-th best once there
-    /// are `k`, the floor before.
+    /// are `k`, −∞ before.
     fn cut(&self) -> f64 {
-        self.items.get(self.k - 1).map_or(self.floor, |kth| kth.ip)
+        self.items
+            .get(self.k - 1)
+            .map_or(f64::NEG_INFINITY, |kth| kth.ip)
     }
 
     /// Offers a scored row; true when it entered.
     fn push(&mut self, id: u64, ip: f64) -> bool {
-        if ip < self.floor || ip.is_nan() {
+        if ip.is_nan() {
             return false;
         }
         let item = SearchItem { id, ip };

@@ -240,10 +240,10 @@ fn mutations_survive_reopen_via_wal() {
     assert_eq!(idx.len(), 300); // +1 insert, −1 delete
 
     // Stats surface the debt, including WAL bytes on the mutated shard.
-    let stats = idx.search(&q, 3).unwrap();
-    let delta_total: usize = stats.per_shard.iter().map(|s| s.delta_len).sum();
-    let tomb_total: usize = stats.per_shard.iter().map(|s| s.tombstones).sum();
-    let wal_total: u64 = stats.per_shard.iter().map(|s| s.wal_bytes).sum();
+    let stats = idx.maintenance_stats();
+    let delta_total: usize = stats.iter().map(|s| s.delta_len).sum();
+    let tomb_total: usize = stats.iter().map(|s| s.tombstones).sum();
+    let wal_total: u64 = stats.iter().map(|s| s.wal_bytes).sum();
     assert_eq!(delta_total, 1);
     assert_eq!(tomb_total, 1);
     assert!(wal_total > 24, "WAL must hold the two records");

@@ -147,14 +147,12 @@ fn shard_files_carry_the_quantized_column() {
             promips_storage::AccessStats::new_shared(),
         ));
         let shard = ProMips::open(pager).unwrap();
-        assert!(
-            shard.idistance().quantized(),
-            "shard {si} file lost the quantized tier"
-        );
         assert_eq!(
             shard.idistance().quants().len(),
-            shard.idistance().subparts().len()
+            shard.idistance().subparts().len(),
+            "shard {si} file lost the quantized column"
         );
+        assert!(shard.idistance().quant_region().1 > 0);
     }
 
     let queries = random_queries(6, 16, 43);
@@ -217,10 +215,10 @@ fn open_rejects_truncated_manifest() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Snapshots a small 2-shard index, overwrites manifest word `word`
-/// (little-endian `u64`s: magic, version, shards, d, points, prune,
-/// floor, partitioner tag, …) with `value`, and returns
-/// what `open` makes of it.
+/// Snapshots a small 2-shard index of d = 8, overwrites manifest word
+/// `word` (little-endian 8-byte words: magic, version, shards, d, points,
+/// prune, partitioner tag, c, p, m, …) with `value`, and returns what
+/// `open` makes of it.
 fn open_with_manifest_word(tag: &str, word: usize, value: u64) -> std::io::Error {
     let dir = temp_dir(tag);
     let data = random_data(200, 8, 61);
@@ -246,7 +244,7 @@ fn open_with_manifest_word(tag: &str, word: usize, value: u64) -> std::io::Error
 #[test]
 fn open_rejects_an_unknown_partitioner_tag() {
     for tag in [1u64, 7] {
-        let err = open_with_manifest_word(&format!("tag{tag}"), 7, tag);
+        let err = open_with_manifest_word(&format!("tag{tag}"), 6, tag);
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         assert!(
             err.to_string().contains(&format!("partitioner tag {tag}")),
@@ -256,15 +254,49 @@ fn open_rejects_an_unknown_partitioner_tag() {
 }
 
 /// Version 2 (an exact-scan threshold word and a per-shard kind word, with
-/// `.exact` row blobs beside the page files) is no longer read.
+/// `.exact` row blobs beside the page files) and version 3 (a cross-shard
+/// floor word after `prune`) are no longer read.
 #[test]
 fn open_rejects_manifest_version_2() {
-    let err = open_with_manifest_word("v2", 1, 2);
+    for version in [2u64, 3] {
+        let err = open_with_manifest_word(&format!("v{version}"), 1, version);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(
+            err.to_string()
+                .contains(&format!("unsupported manifest version {version}")),
+            "{err}"
+        );
+    }
+}
+
+/// A header word outside the domain a build asserts is refused at open:
+/// zero shards used to open and panic on the first insert, a `c`, `p` or
+/// `m` no build accepts on the next compaction.
+#[test]
+fn open_rejects_a_header_outside_the_config_domain() {
+    let cases = [
+        ("shards0", 2, 0, "shards must be in"),
+        ("shards-many", 2, 65_537, "shards must be in"),
+        ("c1", 7, 1.0f64.to_bits(), "c must be in"),
+        ("cnan", 7, f64::NAN.to_bits(), "c must be in"),
+        ("p0", 8, 0.0f64.to_bits(), "p must be in"),
+        ("m0", 9, 0, "m must be in"),
+        ("m65", 9, 65, "m must be in"),
+    ];
+    for (tag, word, value, says) in cases {
+        let err = open_with_manifest_word(tag, word, value);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{tag}: {err}");
+        assert!(err.to_string().contains(says), "{tag}: {err}");
+    }
+}
+
+/// A shard file of another dimensionality than the manifest's is refused
+/// at open, not answered `Poisoned` by every query that reaches it.
+#[test]
+fn open_rejects_a_shard_of_another_dimensionality() {
+    let err = open_with_manifest_word("d9", 3, 9);
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-    assert!(
-        err.to_string().contains("unsupported manifest version 2"),
-        "{err}"
-    );
+    assert!(err.to_string().contains("of d = 8, manifest says"), "{err}");
 }
 
 #[test]

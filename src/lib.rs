@@ -53,8 +53,8 @@
 //!
 //! `search` is the plain form of the one search path, `execute`: a
 //! request value ([`core::Query`], [`shard::ShardedQuery`]) carries every
-//! option — floor, tombstone mask, budget, span; worker count, budget,
-//! trace — and each layer has one `execute` that runs it.
+//! option — tombstone mask, budget, span; worker count, budget, trace —
+//! and each layer has one `execute` that runs it.
 //!
 //! ## Scaling out
 //!
