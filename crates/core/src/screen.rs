@@ -3,7 +3,10 @@
 //! ([`ScreenBound`], one per sub-partition or code chunk). The column pass
 //! and the annulus groups of [`crate::search`] screen the index's code
 //! column with it, and the shard layer its sealed delta chunks — the
-//! full-width case below, which needs no head basis.
+//! full-width case below, which needs no head basis. The column pass and
+//! the delta chunks test a block's largest integer dot first and each row
+//! only when that passes ([`ScreenBound::may_reach`] is monotone in the
+//! dot).
 
 use promips_idistance::meta::OrigQuant;
 use promips_idistance::HeadBasis;
@@ -130,42 +133,12 @@ impl ScreenBound {
         }
     }
 
-    /// Whether a row with integer dot `idot` can still reach `kth`.
+    /// Whether a row with integer dot `idot` can still reach `kth`. The
+    /// test is monotone in `idot` (`step ≥ 0`, and every rounding in it is
+    /// monotone), so a block of rows whose largest dot fails it fails
+    /// whole: what lets a pass rule out a block with one test.
     #[inline]
     pub fn may_reach(&self, idot: i32, kth: f64) -> bool {
         self.base + self.step * idot as f64 + self.pad >= kth
-    }
-
-    /// The smallest integer dot that [`Self::may_reach`] `kth` —
-    /// `i32::MAX`, which no code row's dot attains, when none does. The
-    /// test is monotone in `idot` (`step > 0`, and every rounding in it is
-    /// monotone), so comparing a row's dot with this integer *is* the test,
-    /// to the bit: what lets a pass over a run of rows be one integer
-    /// compare per row.
-    #[inline]
-    pub fn threshold(&self, kth: f64) -> i32 {
-        // `as` saturates, and takes a NaN (opposite infinities) to 0.
-        let mut t = ((kth - self.pad - self.base) / self.step).ceil() as i32;
-        // The quotient is within a few roundings of the answer.
-        for _ in 0..4 {
-            if t > i32::MIN && self.may_reach(t - 1, kth) {
-                t -= 1;
-            } else if t < i32::MAX && !self.may_reach(t, kth) {
-                t += 1;
-            } else {
-                return t;
-            }
-        }
-        // Unless `step` all but vanishes against `base + pad`: bisect.
-        let (mut lo, mut hi) = (i32::MIN as i64, i32::MAX as i64);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.may_reach(mid as i32, kth) {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        lo as i32
     }
 }

@@ -23,9 +23,10 @@
 //!   sub-partitions) is booked to the scan stage.
 //! * **Rule.** If the index carries the SQ8 verification tier and
 //!   `covered ≥ COLUMN_PASS_MIN_COVERAGE · len()` (0.25), the query is
-//!   answered by the **column pass**: one cursor over the whole code
-//!   column in storage order, each row screened against the running k-th
-//!   best with its sub-partition's bound, the few survivors scored exactly
+//!   answered by the **column pass**: one sweep over the whole code column
+//!   in storage order for every row's integer dot, then a walk over the
+//!   sub-partitions screening each row against the running k-th best with
+//!   its sub-partition's bound, the few survivors scored exactly
 //!   (`ProMips::column_pass`). Otherwise — and always on an index without
 //!   the tier — the **annulus path** of Algorithm 3 runs: range scan, then
 //!   screen and rescore group by group under Conditions A and B, with the
@@ -35,17 +36,22 @@
 //!   rows it covers (decode and measure the projected row, fetch and dot
 //!   the code row in group order), the column pass's to `len()` (one
 //!   sequential read of the code column plus the kernel). Measured per row
-//!   on the two benchmark shapes (`--trace 1`, seed 1, two runs each side:
-//!   `scan + screen + verify` of this commit with the rule switched off
-//!   over its covered rows, against the pass of this commit over all
-//!   rows): **d = 300** (`lf300_hot`, 100 000 rows, 99 810 covered, 64-byte
-//!   head codes) 37.0 and 36.9 ns per covered row against 7.94 and 8.02 ns
-//!   per row, crossover at 0.215–0.217 of the rows; **d = 64**
-//!   (`skew64_shard4`, the 50 000-row shard every query searches, 47 555
-//!   covered, full-width codes — 64 bytes too) 53.6 and 55.4 against 7.34
-//!   and 6.99, crossover at 0.126–0.137. The constant sits at the larger
-//!   crossover, rounded up: the pass runs only where it wins on both
-//!   shapes. Every query of the four benchmark workloads covers ≥ 0.80 of its index
+//!   on the two benchmark shapes (`--trace 1`, seed 1, two runs each side,
+//!   alternated on a 2-core VM: `scan + screen + verify` of this commit
+//!   with the rule switched off over its covered rows, against the pass of
+//!   this commit over all rows): **d = 300** (`lf300_hot`, 100 000 rows,
+//!   99 810 covered, 64-byte head codes) 32.0 and 30.0 ns per covered row
+//!   against 5.04 and 4.84 ns per row, crossover at 0.158–0.162 of the
+//!   rows; **d = 64** (`skew64_shard4`, the 50 000-row shard every query
+//!   searches, 47 555 covered, full-width codes — 64 bytes too) 39.3 and
+//!   38.0 against 4.55 and 4.80, crossover at 0.116–0.127. The constant was
+//!   set at the larger crossover rounded up when the pass cost 7–8 ns a row
+//!   (crossovers 0.215–0.217 and 0.126–0.137), and stays 0.25 now that the
+//!   pass is cheaper: the pass still runs only where it wins on both shapes.
+//!   Lowering it would move the queries covering between ≈ 0.16 and 0.25
+//!   of their index to the exact pass, changing their answers; that is
+//!   ROADMAP item 6's decision, after item 2's audit of the annulus path.
+//!   Every query of the four benchmark workloads covers ≥ 0.80 of its index
 //!   (`lf300` mean 0.998, `skew64` 0.951), so nothing measured there
 //!   depends on where under 0.8 the constant is; it is a constant, not a
 //!   knob.
@@ -154,10 +160,11 @@ use crate::screen::{QueryScreen, ScreenBound};
 /// The index-or-scan rule's one constant (module docs): the column pass
 /// answers a query whose Quick-Probe ball covers at least this share of the
 /// index's rows. Derived from four measured per-row costs — annulus path
-/// 36.9–37.0 ns per covered row against 7.94–8.02 ns per row for the pass
-/// at d = 300 (crossover 0.215–0.217), 53.6–55.4 against 6.99–7.34 at
-/// d = 64 (crossover 0.126–0.137) — as the larger crossover rounded up; not
-/// a configuration field.
+/// 30.0–32.0 ns per covered row against 4.84–5.04 ns per row for the pass
+/// at d = 300 (crossover 0.158–0.162), 38.0–39.3 against 4.55–4.80 at
+/// d = 64 (crossover 0.116–0.127) — it sits above both crossovers, so the
+/// pass runs only where it wins; moving it changes answers (module docs).
+/// Not a configuration field.
 const COLUMN_PASS_MIN_COVERAGE: f64 = 0.25;
 
 /// Reusable per-query buffers. One scratch serves any number of sequential
@@ -191,8 +198,8 @@ struct FetchBuffers {
     /// inside the comparator.
     groups: Vec<(f64, usize, usize)>,
     /// Integer inner products `Σ codeⱼ·bⱼ` of the group being screened
-    /// (candidate `i` at `idots[i]`), computed by the index on the pinned
-    /// code pages.
+    /// (candidate `i` at `idots[i]`) or of the whole column (row `i`),
+    /// computed by the index on the pinned code pages.
     idots: Vec<i32>,
     /// The query side of the screen, rebuilt once per `execute`.
     screen: QueryScreen,
@@ -1009,23 +1016,24 @@ impl ProMips {
         Ok(())
     }
 
-    /// The scan side of the index-or-scan rule: one storage-order pass over
-    /// the SQ8 code column ([`promips_idistance::IDistanceIndex::screen_column`]),
-    /// every row tested against the running k-th best with its own
-    /// sub-partition's [`ScreenBound`] — the annulus path's screen, minus
-    /// the groups, and as one integer compare per row: the bound is turned
-    /// into the least dot that passes it ([`ScreenBound::threshold`]) once
-    /// per sub-partition and whenever the k-th best moves. A row the bound
-    /// cannot rule out has its id read from its
-    /// projected record and, unless the mask kills it, its f32 row decoded
-    /// and scored by the single-row [`dot`]; both readers move forward only,
-    /// so survivors sharing a page share its read. Every live row is either
-    /// proven strictly below the final k-th best or scored exactly, so `top`
-    /// ends as the exact top-k over live rows.
+    /// The scan side of the index-or-scan rule, in two phases. The
+    /// **sweep** computes every row's integer dot into `idots`, one kernel
+    /// call per page of the SQ8 code column, independent of the k-th best
+    /// ([`promips_idistance::IDistanceIndex::column_dots`]). The **walk**
+    /// visits the sub-partitions in directory order, each over its slice of
+    /// `idots`, with its own [`ScreenBound`] — the annulus path's screen,
+    /// minus the groups: a slice whose largest dot cannot reach the running
+    /// k-th best is ruled out whole, otherwise each row is tested. A row the
+    /// bound cannot rule out has its id read from its projected record and,
+    /// unless the mask kills it, its f32 row decoded and scored by the
+    /// single-row [`dot`]; both readers move forward only, so survivors
+    /// sharing a page share its read. Every live row is either proven
+    /// strictly below the final k-th best or scored exactly, so `top` ends
+    /// as the exact top-k over live rows.
     ///
     /// Books as it goes (valid on the error path): `scanned` code rows read,
-    /// `screened` rows ruled out, `verified` rows scored. One budget tick
-    /// per run of rows.
+    /// `screened` rows ruled out, `verified` rows scored. One budget tick per
+    /// page of the sweep and per sub-partition of the walk.
     fn column_pass(
         &self,
         q: &[f32],
@@ -1041,57 +1049,45 @@ impl ProMips {
             screen: qs,
             ..
         } = &mut scratch.fetch;
+        let swept = self
+            .index
+            .column_dots(qs.qcodes(), idots, || Ok(checker.tick()?));
+        work.scanned += idots.len() as u64;
+        swept?;
+
         let (subparts, vquants) = (self.index.subparts(), self.index.vquants());
         let mut ids = self.index.id_cursor();
         let mut rows = self.index.orig_cursor(0);
-        // The sub-partition holding the current row: its number, the
-        // storage-order numbers of its first row and of the row after its
-        // last, its bound, and the least integer dot that passes it.
-        let (mut sub, mut sub_first, mut sub_end) = (0usize, 0u64, subparts[0].count as u64);
-        let mut bound = ScreenBound::new(&vquants[0], qs);
-        let mut reach = bound.threshold(top.kth_ip());
-        self.index.screen_column(qs.qcodes(), idots, |first, run| {
+        let mut first = 0;
+        for (sub, (sp, vq)) in (0u32..).zip(subparts.iter().zip(vquants)) {
             checker.tick()?;
-            work.scanned += run.len() as u64;
-            let mut at = 0;
-            while at < run.len() {
-                let row = first + at as u64;
-                while row >= sub_end {
-                    sub += 1;
-                    sub_first = sub_end;
-                    sub_end += subparts[sub].count as u64;
-                    bound = ScreenBound::new(&vquants[sub], qs);
-                    reach = bound.threshold(top.kth_ip());
-                }
-                // The run's rows of this sub-partition: nearly always none
-                // of them passes, which one vectorized sweep settles.
-                let upto = run.len().min((sub_end - first) as usize);
-                let part = &run[at..upto];
-                if part.iter().all(|&idot| idot < reach) {
-                    work.screened += part.len() as u64;
-                    at = upto;
+            let dots = &idots[first..first + sp.count as usize];
+            first += dots.len();
+            let bound = ScreenBound::new(vq, qs);
+            let mut kth = top.kth_ip();
+            // Nearly always no row of the slice passes, which one
+            // branch-free fold settles.
+            if !bound.may_reach(dots.iter().fold(i32::MIN, |m, &idot| m.max(idot)), kth) {
+                work.screened += dots.len() as u64;
+                continue;
+            }
+            for (offset, &idot) in (0u32..).zip(dots) {
+                if !bound.may_reach(idot, kth) {
+                    work.screened += 1;
                     continue;
                 }
-                for (row, &idot) in (row..).zip(part) {
-                    if idot < reach {
-                        work.screened += 1;
-                        continue;
-                    }
-                    let offset = (row - sub_first) as u32;
-                    let id = ids.id(sub as u32, offset)?;
-                    if is_dead(id, mask) {
-                        continue;
-                    }
-                    rows.seek(sub as u32);
-                    rows.decode_into(&[offset], arena)?;
-                    top.push(id, dot(arena, q));
-                    work.verified += 1;
-                    reach = bound.threshold(top.kth_ip());
+                let id = ids.id(sub, offset)?;
+                if is_dead(id, mask) {
+                    continue;
                 }
-                at = upto;
+                rows.seek(sub);
+                rows.decode_into(&[offset], arena)?;
+                top.push(id, dot(arena, q));
+                work.verified += 1;
+                kth = top.kth_ip();
             }
-            Ok(())
-        })
+        }
+        Ok(())
     }
 }
 

@@ -300,21 +300,20 @@ impl OrigCursor<'_> {
     }
 }
 
-/// The verification screen's kernel loop over one *run* of SQ8 code rows,
-/// shared by [`IDistanceIndex::screen_dots`] (a group's candidate rows) and
-/// [`IDistanceIndex::screen_column`] (every row, in storage order): pushes
-/// `Σⱼ codeⱼ·qcodesⱼ` for the `w`-byte rows starting at region bytes
-/// `start_of(0)`, `start_of(1)`, … — as many of the `n` on offer as form one
-/// run — and returns how many that was (at least one).
+/// The verification screen's kernel loop over one *run* of a group's SQ8
+/// code rows ([`IDistanceIndex::screen_dots`]): pushes `Σⱼ codeⱼ·qcodesⱼ`
+/// for the `w`-byte rows starting at region bytes `start_of(0)`,
+/// `start_of(1)`, … — as many of the `n` on offer as form one run — and
+/// returns how many that was (at least one).
 ///
 /// A run is either the maximal prefix of rows lying inside the first row's
 /// page or, when the first row itself straddles a page boundary, that
 /// single row as the sum of its per-page partial [`dot_i8`]s (integer
 /// arithmetic, so exactly the whole row's dot). An in-page run whose rows
-/// are adjacent — every run of the column pass, and a group that asks for
-/// neighbouring records — is one [`dot_col_i8`] call on a slice of the
-/// pinned page; scattered rows go through [`dot4_i8`] four at a time and
-/// [`dot_i8`] for the last one to three.
+/// are adjacent — a group that asks for neighbouring records — is one
+/// [`dot_col_i8`] call on a slice of the pinned page; scattered rows go
+/// through [`dot4_i8`] four at a time and [`dot_i8`] for the last one to
+/// three.
 fn run_dots(
     pages: &mut PageCursor<'_>,
     w: usize,
@@ -1004,41 +1003,56 @@ impl IDistanceIndex {
         Ok(())
     }
 
-    /// One pass over the **whole** SQ8 verification code column in storage
+    /// One sweep over the **whole** SQ8 verification code column in storage
     /// order — the read path of a query whose ball covers most of the
     /// index, for which going through sub-partition groups only re-reads,
     /// in group order, what one sequential cursor reads once.
     ///
-    /// Rows are numbered as they are stored (sub-partitions in directory
-    /// order, records in sub-partition order; row `i` starts at region byte
-    /// `i·w`, `w` = [`Self::code_width`]). For each run of rows — those inside one page, or one row
-    /// straddling a page boundary; runs cross sub-partition boundaries
-    /// freely, because the integer dot depends on no quantizer — `visit`
-    /// gets the run's first row number and its integer dots
-    /// `Σⱼ codeⱼ·qcodesⱼ` (`dots` is the reused buffer they are computed
-    /// into). The kernel loop is [`Self::screen_dots`]' own; every page of
-    /// the region is read exactly once. An error from `visit` stops the
-    /// pass.
+    /// Clears `dots` and fills it with every row's integer dot
+    /// `Σⱼ codeⱼ·qcodesⱼ`, row `i` at `dots[i]`, rows numbered as they are
+    /// stored (sub-partitions in directory order, records in sub-partition
+    /// order; row `i` starts at region byte `i·w`, `w` =
+    /// [`Self::code_width`]). The rows inside a page are one [`dot_col_i8`]
+    /// call across sub-partition boundaries (the integer dot depends on no
+    /// quantizer); a row straddling pages is summed as in
+    /// [`Self::screen_dots`]. Every page of the region is read exactly once.
+    ///
+    /// `tick` is called before each page's rows and each straddling row; an
+    /// error from it stops the sweep and is returned, `dots` then holding
+    /// the rows computed so far.
     ///
     /// # Panics
     /// As [`Self::screen_dots`].
-    pub fn screen_column(
+    pub fn column_dots(
         &self,
         qcodes: &[i8],
         dots: &mut Vec<i32>,
-        mut visit: impl FnMut(u64, &[i32]) -> io::Result<()>,
+        mut tick: impl FnMut() -> io::Result<()>,
     ) -> io::Result<()> {
         let (vq_start, _) = self
             .vquant_region
-            .expect("screen_column requires the verification tier");
+            .expect("column_dots requires the verification tier");
         let (w, n) = (self.code_width(), self.n_points as usize);
         assert_eq!(qcodes.len(), w, "quantized query has wrong dimension");
+        dots.clear();
+        dots.reserve(n);
         let mut pages = PageCursor::new(&self.pager, vq_start);
+        let ps = pages.ps;
         let mut row = 0;
         while row < n {
-            dots.clear();
-            let run = run_dots(&mut pages, w, n - row, |j| (row + j) * w, qcodes, dots)?;
-            visit(row as u64, dots)?;
+            tick()?;
+            let start = row * w;
+            let page_lo = start / ps * ps;
+            let run = ((page_lo + ps - start) / w).min(n - row);
+            if run == 0 {
+                // A row straddling pages: the group loop's one-row case.
+                row += run_dots(&mut pages, w, 1, |_| start, qcodes, dots)?;
+                continue;
+            }
+            let page = pages.page((page_lo / ps) as u64)?;
+            dots.resize(row + run, 0);
+            let rows = &page[start - page_lo..][..run * w];
+            dot_col_i8(rows, w, qcodes, &mut dots[row..]);
             row += run;
         }
         Ok(())

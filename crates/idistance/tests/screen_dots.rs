@@ -3,10 +3,10 @@
 //! exactly `dot_i8` of that row's bytes read the slow way (a whole-blob
 //! copy), and must touch exactly the pages a cursor walking the rows in
 //! request order touches: rows inside a page, rows straddling one boundary
-//! and rows longer than several pages alike. `screen_column`, the same
-//! kernel loop run once over the whole column, must hand out the same dots
-//! in storage order, across sub-partition boundaries, reading every page
-//! of the region once. Code rows are [`IDistanceIndex::code_width`] bytes:
+//! and rows longer than several pages alike. `column_dots`, the sweep over
+//! the whole column, must fill its buffer with the same dots in storage
+//! order, across sub-partition boundaries, reading every page of the
+//! region once. Code rows are [`IDistanceIndex::code_width`] bytes:
 //! `d` for the isotropic rows most tests here build over, 64 for the
 //! low-rank ones of the head-column tests, whose rows fill 4 KB pages
 //! exactly.
@@ -28,6 +28,9 @@ const D_SHAPES: [usize; 6] = [1, 3, 13, 64, 300, 5_000];
 /// pages; 4 096 is the default geometry (300-byte rows: 1 in 13.65
 /// straddles).
 const PAGE_SIZES: [usize; 4] = [64, 100, 256, 4_096];
+/// The column sweep's: 70 and 130 make rows of most widths above straddle
+/// pages.
+const COLUMN_PAGE_SIZES: [usize; 4] = [4_096, 64, 70, 130];
 
 fn random_matrix(n: usize, d: usize, seed: u64) -> Matrix {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
@@ -80,6 +83,25 @@ fn naive_dot(row: &[u8], q: &[i8]) -> i32 {
     row.iter().zip(q).map(|(&a, &b)| a as i32 * b as i32).sum()
 }
 
+fn random_qcodes(w: usize, rng: &mut Xoshiro256pp) -> Vec<i8> {
+    (0..w).map(|_| rng.below(256) as u8 as i8).collect()
+}
+
+/// Every sub-partition's dense dots, the slow way, laid end to end: the
+/// whole column's in storage order.
+fn dense_dots(idx: &IDistanceIndex, qcodes: &[i8]) -> Vec<i32> {
+    let mut dots = Vec::new();
+    for sub in 0..idx.subparts().len() as u32 {
+        let codes = codes_the_slow_way(idx, sub);
+        dots.extend(
+            codes
+                .chunks_exact(idx.code_width())
+                .map(|row| naive_dot(row, qcodes)),
+        );
+    }
+    dots
+}
+
 /// The offset patterns of the issue: every row, a seeded sparse subset,
 /// the first row alone, the last row alone — and a descending request, the
 /// order no search issues but the contract allows.
@@ -111,13 +133,12 @@ proptest! {
         // large: what rank they have may fit a head.
         let d = idx.code_width();
         let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xD075);
-        let qcodes: Vec<i8> = (0..d).map(|_| rng.below(256) as u8 as i8).collect();
+        let qcodes = random_qcodes(d, &mut rng);
         let mut dots = vec![7; 3]; // stale content must be cleared
-        let mut column_want: Vec<i32> = Vec::new();
         for sub in 0..idx.subparts().len() as u32 {
             let codes = codes_the_slow_way(&idx, sub);
             let count = idx.subparts()[sub as usize].count;
-            for (pattern, offsets) in offset_patterns(count, &mut rng).into_iter().enumerate() {
+            for offsets in offset_patterns(count, &mut rng) {
                 idx.pager().stats().reset();
                 idx.screen_dots(sub, &offsets, &qcodes, &mut dots).unwrap();
                 let reads = idx.access_stats().logical_reads;
@@ -130,9 +151,6 @@ proptest! {
                     })
                     .collect();
                 prop_assert_eq!(&dots, &want, "d={} ps={} sub={}", d, page_size, sub);
-                if pattern == 0 {
-                    column_want.extend(&want); // the dense pattern: every row
-                }
                 prop_assert_eq!(
                     reads,
                     cursor_reads(&idx, sub, &offsets),
@@ -140,54 +158,78 @@ proptest! {
                 );
             }
         }
+    }
 
-        // The column pass: runs arrive in storage order without gaps, and
-        // together they are the sub-partitions' dense dots laid end to end.
-        let mut column: Vec<i32> = Vec::new();
+    #[test]
+    fn column_dots_are_the_dense_dots_end_to_end_and_read_each_page_once(
+        d_pick in 0usize..D_SHAPES.len(),
+        ps_pick in 0usize..COLUMN_PAGE_SIZES.len(),
+        seed in 0u64..1_000,
+    ) {
+        let (d, page_size) = (D_SHAPES[d_pick], COLUMN_PAGE_SIZES[ps_pick]);
+        let n = if d > 1_000 { 40 } else { 160 };
+        let idx = build(n, d, page_size, seed);
+        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xC01);
+        let qcodes = random_qcodes(idx.code_width(), &mut rng);
+        let want = dense_dots(&idx, &qcodes);
+        let pages = ((n * idx.code_width()) as u64).div_ceil(page_size as u64);
+
+        let mut dots = vec![7; 3]; // stale content must be cleared
         idx.pager().stats().reset();
-        idx.screen_column(&qcodes, &mut dots, |first, run| {
-            assert_eq!(first as usize, column.len(), "runs must be contiguous");
-            assert!(!run.is_empty());
-            column.extend(run);
+        idx.column_dots(&qcodes, &mut dots, || Ok(())).unwrap();
+        prop_assert_eq!(&dots, &want, "d={} ps={}", d, page_size);
+        prop_assert_eq!(
+            idx.access_stats().logical_reads,
+            pages,
+            "every page of the column exactly once"
+        );
+
+        // One tick a page, and one more a row that straddles pages: a
+        // straddling row is the last to start in its page.
+        let mut ticks = 0;
+        idx.column_dots(&qcodes, &mut dots, || {
+            ticks += 1;
             Ok(())
         })
         .unwrap();
-        prop_assert_eq!(&column, &column_want, "d={} ps={}", d, page_size);
-        prop_assert_eq!(
-            idx.access_stats().logical_reads,
-            ((n * d) as u64).div_ceil(page_size as u64),
-            "every page of the column exactly once"
-        );
-        // An error from the visitor stops the pass where it is.
-        let mut visits = 0;
-        let stopped = idx.screen_column(&qcodes, &mut dots, |_, _| {
-            visits += 1;
-            Err(std::io::Error::other("stop"))
+        prop_assert!(ticks <= 2 * pages, "{} ticks, {} pages", ticks, pages);
+        // An error from `tick` stops the sweep where it is and is returned;
+        // the dots computed before it stand.
+        let (stop_at, mut at) = (ticks.div_ceil(2), 0);
+        let stopped = idx.column_dots(&qcodes, &mut dots, || {
+            at += 1;
+            if at == stop_at {
+                return Err(std::io::Error::other("stop"));
+            }
+            Ok(())
         });
-        prop_assert!(stopped.is_err() && visits == 1);
-        // A pool holding only the start of the column — what a pass stopped
-        // a third of the way in reads into an emptied pool: the next pass
+        prop_assert!(stopped.is_err_and(|e| e.to_string() == "stop") && at == stop_at);
+        prop_assert!(dots.len() < n);
+        prop_assert_eq!(&dots[..], &want[..dots.len()]);
+
+        // A pool holding only the start of the column — what a sweep stopped
+        // a third of the way in reads into an emptied pool: the next sweep
         // hits, then misses — same dots, every page still once.
         idx.pager().clear_cache();
-        let _ = idx.screen_column(&qcodes, &mut dots, |first, _| {
-            if first as usize >= n / 3 {
+        let start = idx.access_stats();
+        let _ = idx.column_dots(&qcodes, &mut dots, || {
+            if idx.access_stats().delta_since(&start).logical_reads >= pages / 3 {
                 return Err(std::io::Error::other("stop"));
             }
             Ok(())
         });
         let before = idx.access_stats();
-        column.clear();
-        idx.screen_column(&qcodes, &mut dots, |_, run| {
-            column.extend(run);
-            Ok(())
-        })
-        .unwrap();
-        let reads = idx.access_stats().delta_since(&before);
-        prop_assert_eq!(&column, &column_want, "d={} ps={}", d, page_size);
-        prop_assert_eq!(
-            reads.logical_reads,
-            ((n * d) as u64).div_ceil(page_size as u64)
-        );
+        idx.column_dots(&qcodes, &mut dots, || Ok(())).unwrap();
+        prop_assert_eq!(&dots, &want, "d={} ps={}", d, page_size);
+        prop_assert_eq!(idx.access_stats().delta_since(&before).logical_reads, pages);
+
+        // The buffer of a longer column, reused for a shorter one: one dot
+        // per row of the shorter column, nothing left over.
+        let short = build(n / 2, d, page_size, seed ^ 1);
+        let qcodes = random_qcodes(short.code_width(), &mut rng);
+        short.column_dots(&qcodes, &mut dots, || Ok(())).unwrap();
+        prop_assert_eq!(dots.len(), n / 2);
+        prop_assert_eq!(&dots, &dense_dots(&short, &qcodes));
     }
 }
 
@@ -271,9 +313,10 @@ fn build_over(orig: &Matrix, page_size: usize, seed: u64) -> IDistanceIndex {
 }
 
 /// Page accounting at the head width: 64-byte rows fill a 4 KB page
-/// exactly, so no row straddles one, every run of the column pass is a
-/// whole page of 64 rows (the last one what is left), each region page is
-/// read once, and a group's dense request is one run per page.
+/// exactly, so no row straddles one, the column sweep ticks once a page
+/// (one kernel call on its 64 rows, the last page what is left), each
+/// region page is read once, and a group's dense request is one run per
+/// page.
 #[test]
 fn head_rows_fill_pages_exactly_and_each_page_is_read_once() {
     let (n, d) = (1_000usize, 300usize);
@@ -285,27 +328,18 @@ fn head_rows_fill_pages_exactly_and_each_page_is_read_once() {
     let pages = (n * 64).div_ceil(4_096) as u64;
 
     let mut rng = Xoshiro256pp::seed_from_u64(23);
-    let qcodes: Vec<i8> = (0..64).map(|_| rng.below(256) as u8 as i8).collect();
-    let mut want: Vec<i32> = Vec::new();
-    for sub in 0..idx.subparts().len() as u32 {
-        let codes = codes_the_slow_way(&idx, sub);
-        want.extend(codes.chunks_exact(64).map(|row| naive_dot(row, &qcodes)));
-    }
-    let (mut dots, mut column) = (Vec::new(), Vec::<i32>::new());
+    let qcodes = random_qcodes(64, &mut rng);
+    let want = dense_dots(&idx, &qcodes);
+    let (mut dots, mut ticks) = (Vec::new(), 0);
     idx.pager().stats().reset();
-    idx.screen_column(&qcodes, &mut dots, |first, run| {
-        assert_eq!(first % 64, 0, "a run starts on a page boundary");
-        assert_eq!(
-            run.len(),
-            (n - first as usize).min(64),
-            "and is the whole page"
-        );
-        column.extend(run);
+    idx.column_dots(&qcodes, &mut dots, || {
+        ticks += 1;
         Ok(())
     })
     .unwrap();
-    assert_eq!(column, want);
+    assert_eq!(dots, want);
     assert_eq!(idx.access_stats().logical_reads, pages);
+    assert_eq!(ticks, pages, "one kernel call a page");
 
     // A group asking for every record: the pages its rows sit on, once.
     for sub in 0..idx.subparts().len() as u32 {

@@ -660,14 +660,14 @@ impl ShardedProMips {
 /// filtering both levels.
 ///
 /// The overlay in the base column's shape: each sealed chunk is screened
-/// like the column pass screens the code column — one [`dot_col_i8`] over
-/// the chunk's codes against `screen`, the chunk's [`ScreenBound`] turned
-/// into the least integer dot that can still reach the running k-th — and
-/// only the rows that pass it, plus the open tail, are scored by the
-/// single-row [`dot`]. A chunk is scored in full only while the k-th is
-/// not yet finite. Every live row is thus either proven strictly below
-/// the final k-th or scored exactly, so the result is what scoring every
-/// row would give, `ip` bits and all.
+/// like the column pass walks a sub-partition — one [`dot_col_i8`] over
+/// the chunk's codes against `screen`, the chunk's largest integer dot
+/// tested against the running k-th with the chunk's [`ScreenBound`], and
+/// each row only when that passes — and only the rows that pass, plus the
+/// open tail, are scored by the single-row [`dot`]. A chunk is scored in
+/// full only while the k-th is not yet finite. Every live row is thus
+/// either proven strictly below the final k-th or scored exactly, so the
+/// result is what scoring every row would give, `ip` bits and all.
 ///
 /// A budget rides down into the index's scan/verify loops (checked per
 /// page block and verification group there); the overlay checks it once
@@ -719,7 +719,7 @@ fn search_snapshot(
     let mut score_delta = || -> io::Result<()> {
         for part in snap.delta.parts() {
             checker.tick()?;
-            let cut = best.cut();
+            let mut cut = best.cut();
             let idots = &mut idots[..part.gids.len()];
             let bound = match (&part.quant, screen) {
                 (Some(quant), Some(qs)) if cut > f64::NEG_INFINITY => {
@@ -729,16 +729,18 @@ fn search_snapshot(
                 _ => None,
             };
             // Without a bound every row passes.
-            let mut reach = bound.as_ref().map_or(i32::MIN, |b| b.threshold(cut));
+            let may_reach = |idot, cut| bound.as_ref().is_none_or(|b| b.may_reach(idot, cut));
+            if !may_reach(idots.iter().fold(i32::MIN, |m, &idot| m.max(idot)), cut) {
+                span.screened += idots.len() as u64;
+                continue;
+            }
             for ((gid, row), &idot) in part.iter(d).zip(&*idots) {
-                if idot < reach {
+                if !may_reach(idot, cut) {
                     span.screened += 1;
                 } else if !dead.contains(&gid) {
                     span.verified += 1;
                     if best.push(gid, dot(q, row)) {
-                        if let Some(bound) = &bound {
-                            reach = bound.threshold(best.cut());
-                        }
+                        cut = best.cut();
                     }
                 }
             }

@@ -181,15 +181,19 @@ fn cancelled_token_returns_typed_error() {
 
 /// Cancellation is cooperative to the unit of work on both of an index's
 /// query paths — one tick per sub-partition scanned and per group verified
-/// on the annulus path, one per run of code rows on the column pass — so a
-/// cancelled search stops within `DEFAULT_STRIDE` units of where it was,
-/// and its span keeps the rows it had been through. Deterministic: the
-/// token is cancelled before the call, or by the request's own mask at its
-/// fifth call (the mask sees the rows being scored, in order).
+/// on the annulus path; on the column pass one per page of its sweep over
+/// the code column and one per sub-partition of its walk — so a cancelled
+/// search stops within `DEFAULT_STRIDE` units of where it was, and its span
+/// keeps the rows it had been through. Deterministic: the token is
+/// cancelled before the call, by the request's own mask at its fifth call
+/// (the mask sees the rows being scored, in order), or — for the sweep,
+/// which scores nothing — by a second thread the fifth tick hands over to
+/// and waits for.
 #[test]
 fn cancellation_stops_either_path_within_a_stride_of_work() {
     use promips_obs::{budget_error, BudgetChecker, BudgetExceeded, ShardSpan};
     use std::cell::Cell;
+    use std::sync::mpsc;
 
     let (n, d, k) = (3_000usize, 24usize, 10usize);
     // Thirty tight clusters, two of them near the origin, so Quick-Probe
@@ -202,8 +206,7 @@ fn cancellation_stops_either_path_within_a_stride_of_work() {
     let short = &random_queries(1, d, 23)[0];
     let full: Vec<f32> = short.iter().zip(data.row(7)).map(|(x, r)| x + r).collect();
     let stride = BudgetChecker::DEFAULT_STRIDE as u64;
-    // The largest unit of work on each path, in rows.
-    let run_rows = idist.pager().page_size().div_ceil(d) as u64;
+    // The largest unit of work of the walks, in rows.
     let group_rows = idist.subparts().iter().map(|sp| sp.count).max().unwrap() as u64;
     let mut scratch = SearchScratch::new();
 
@@ -259,20 +262,67 @@ fn cancellation_stops_either_path_within_a_stride_of_work() {
             cut.verified >= 5 && seen < seen_whole,
             "{cut:?} vs {done:?}"
         );
+        // The sweep (column) or the range scan (annulus) had finished; the
+        // walk or the verification stops within a stride of sub-partitions
+        // or groups of the fifth scored row's. On the column pass every row
+        // passes while the k-th is −∞, so that row is among the first `k`.
+        assert!(seen <= stride * group_rows, "{cut:?}");
         if column {
-            // The fifth survivor sits in the first run: rows stop arriving
-            // within a stride of runs, and the rows of the runs read are
-            // booked — scanned, and screened or scored.
-            assert!(cut.scanned <= stride * run_rows, "{cut:?}");
-            assert!(cut.scanned < done.scanned && cut.screened > 0, "{cut:?}");
-            assert!(seen <= cut.scanned);
+            assert_eq!(cut.scanned, done.scanned, "{cut:?}");
         } else {
-            // The range scan had finished; verification stops within a
-            // stride of groups of the fifth scored candidate's.
             assert!(0 < cut.scanned && cut.scanned <= done.scanned);
-            assert!(seen <= stride * group_rows, "{cut:?}");
         }
     }
+
+    // The sweep alone, over a column of 282 pages (a 256-byte page holds 10
+    // rows and the start of an eleventh): it stops within a stride of pages of
+    // the tick that saw the token cancelled, or at its first tick when the
+    // deadline is already spent.
+    let small_pages = ProMips::build_in_memory(
+        &data,
+        ProMipsConfig::builder().seed(19).page_size(256).build(),
+    )
+    .unwrap();
+    let idist = small_pages.idistance();
+    let qcodes = vec![1i8; idist.code_width()];
+    let run_rows = 256usize.div_ceil(idist.code_width()) as u64;
+    let mut dots = Vec::new();
+    let token = CancelToken::new();
+    let budget = QueryBudget::unlimited().cancellable(token.clone());
+    let mut checker = BudgetChecker::new(Some(&budget));
+    let swept = std::thread::scope(|s| {
+        let (hand_over, handed) = mpsc::channel::<()>();
+        let (cancelled, wait) = mpsc::channel::<()>();
+        s.spawn(move || {
+            if handed.recv().is_ok() {
+                token.cancel();
+                cancelled.send(()).unwrap();
+            }
+        });
+        let mut ticks = 0;
+        idist.column_dots(&qcodes, &mut dots, || {
+            ticks += 1;
+            if ticks == 5 {
+                hand_over.send(()).unwrap();
+                wait.recv().unwrap();
+            }
+            Ok(checker.tick()?)
+        })
+    });
+    assert_eq!(
+        budget_error(&swept.unwrap_err()),
+        Some(BudgetExceeded::Cancelled)
+    );
+    assert!(dots.len() as u64 <= (5 + stride) * run_rows && dots.len() < n);
+
+    let spent = QueryBudget::with_deadline_at(0);
+    let mut checker = BudgetChecker::new(Some(&spent));
+    let swept = idist.column_dots(&qcodes, &mut dots, || Ok(checker.tick()?));
+    assert_eq!(
+        budget_error(&swept.unwrap_err()),
+        Some(BudgetExceeded::Deadline)
+    );
+    assert!(dots.is_empty());
 }
 
 /// The request's options are orthogonal — the combinations method names
