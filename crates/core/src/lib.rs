@@ -57,5 +57,5 @@ pub use config::{ProMipsConfig, ProMipsConfigBuilder};
 pub use error::MutationError;
 pub use index::ProMips;
 pub use optimize::optimized_projection_dim;
-pub use result::{SearchItem, SearchResult};
+pub use result::{SearchItem, SearchResult, TopK};
 pub use search::{Query, SearchScratch};

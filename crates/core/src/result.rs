@@ -9,6 +9,62 @@ pub struct SearchItem {
     pub ip: f64,
 }
 
+/// The running top-`k` behind Algorithm 3's k-th best `⟨o_k, q⟩`, and the
+/// one collector of the query path (both core paths, the shard's delta,
+/// the cross-shard merge): at most `k` items, best first — `ip` descending
+/// under `total_cmp`, ties to the smaller id. A row enters only by ranking
+/// before the k-th, so the items are the first `k` of every row pushed.
+#[derive(Debug, Clone)]
+pub struct TopK {
+    items: Vec<SearchItem>,
+    k: usize,
+}
+
+impl TopK {
+    /// An empty collector of at most `k` items (`k = 0` takes none).
+    pub fn new(k: usize) -> Self {
+        Self { k, items: vec![] }
+    }
+
+    /// Offers a scored row; true when it entered. A NaN score never does.
+    pub fn push(&mut self, id: u64, ip: f64) -> bool {
+        if ip.is_nan() {
+            return false;
+        }
+        let ranks_before =
+            |a: &SearchItem, b: &SearchItem| b.ip.total_cmp(&a.ip).then(a.id.cmp(&b.id)).is_lt();
+        let item = SearchItem { id, ip };
+        if self.is_full() {
+            match self.items.last() {
+                Some(kth) if ranks_before(&item, kth) => self.items.pop(),
+                _ => return false,
+            };
+        }
+        let at = self.items.partition_point(|it| ranks_before(it, &item));
+        self.items.insert(at, item);
+        true
+    }
+
+    /// Whether `k` items are held.
+    pub fn is_full(&self) -> bool {
+        self.items.len() == self.k
+    }
+
+    /// The k-th best inner product once `k` items are held — a row must rank
+    /// before it to enter — and −∞ before that (and always at `k = 0`).
+    pub fn kth_ip(&self) -> f64 {
+        match self.items.last() {
+            Some(kth) if self.is_full() => kth.ip,
+            _ => f64::NEG_INFINITY,
+        }
+    }
+
+    /// The items, best first.
+    pub fn into_items(self) -> Vec<SearchItem> {
+        self.items
+    }
+}
+
 /// Result of a c-k-AMIP search, plus diagnostics the experiment harness
 /// reports (candidate counts, radii, termination cause).
 #[derive(Debug, Clone, PartialEq)]

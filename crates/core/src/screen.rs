@@ -1,15 +1,20 @@
 //! The SQ8 verification screen, as one primitive: the query side
-//! ([`QueryScreen`], built once per query) and the per-quantizer test
-//! ([`ScreenBound`], one per sub-partition or code chunk). The column pass
-//! and the annulus groups of [`crate::search`] screen the index's code
-//! column with it, and the shard layer its sealed delta chunks — the
-//! full-width case below, which needs no head basis. The column pass and
-//! the delta chunks test a block's largest integer dot first and each row
-//! only when that passes ([`ScreenBound::may_reach`] is monotone in the
-//! dot).
+//! ([`QueryScreen`], built once per query), the per-quantizer test
+//! ([`ScreenBound`], one per sub-partition or code chunk) and the walk of
+//! one block of rows through it into a [`TopK`] ([`walk`]). The column pass
+//! of [`crate::search`] walks the index's code column one sub-partition at
+//! a time, and the shard layer its delta one chunk at a time — sealed
+//! chunks under their full-width codes (the case below that needs no head
+//! basis), the open tail unscreened. The annulus groups use the test
+//! directly, four rows at a time.
+
+use std::io;
 
 use promips_idistance::meta::OrigQuant;
 use promips_idistance::HeadBasis;
+use promips_obs::ShardSpan;
+
+use crate::result::TopK;
 
 /// Per-query pieces of the SQ8 verification screen, shared by every group
 /// and pass of the query. The codes live in the **coded space** — the
@@ -141,4 +146,49 @@ impl ScreenBound {
     pub fn may_reach(&self, idot: i32, kth: f64) -> bool {
         self.base + self.step * idot as f64 + self.pad >= kth
     }
+}
+
+/// Walks one block of `rows` rows into `top`. With `screen = Some((dots,
+/// bound))` (row `i`'s integer dot at `dots[i]`) a block whose largest dot
+/// cannot reach the running k-th is ruled out whole, otherwise each row is
+/// tested against the k-th, refreshed after every row that enters; without
+/// one every row is scored. `score(row)` gives a survivor's `(id, ip)`, or
+/// `None` for a row the caller's mask kills. So `top` ends as if every live
+/// row had been offered. Rows ruled out book to `span.screened`, rows
+/// scored to `span.verified`, as they go (valid when `score` fails).
+///
+/// Always inlined: the column pass calls it once per sub-partition (1 148
+/// times a query on `lf300_hot`), and nearly every call ends at the fold.
+#[inline(always)]
+pub fn walk<F>(
+    rows: usize,
+    screen: Option<(&[i32], &ScreenBound)>,
+    top: &mut TopK,
+    span: &mut ShardSpan,
+    mut score: F,
+) -> io::Result<()>
+where
+    F: FnMut(usize) -> io::Result<Option<(u64, f64)>>,
+{
+    let mut kth = top.kth_ip();
+    if let Some((dots, bound)) = screen {
+        debug_assert_eq!(dots.len(), rows);
+        // Nearly always no row of the block passes, which one branch-free
+        // fold settles.
+        if !bound.may_reach(dots.iter().fold(i32::MIN, |m, &idot| m.max(idot)), kth) {
+            span.screened += rows as u64;
+            return Ok(());
+        }
+    }
+    for row in 0..rows {
+        if screen.is_some_and(|(dots, bound)| !bound.may_reach(dots[row], kth)) {
+            span.screened += 1;
+        } else if let Some((id, ip)) = score(row)? {
+            span.verified += 1;
+            if top.push(id, ip) {
+                kth = top.kth_ip();
+            }
+        }
+    }
+    Ok(())
 }

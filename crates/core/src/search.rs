@@ -26,7 +26,8 @@
 //!   answered by the **column pass**: one sweep over the whole code column
 //!   in storage order for every row's integer dot, then a walk over the
 //!   sub-partitions screening each row against the running k-th best with
-//!   its sub-partition's bound, the few survivors scored exactly
+//!   its sub-partition's bound ([`crate::screen::walk`], shared with the
+//!   shard layer's delta), the few survivors scored exactly
 //!   (`ProMips::column_pass`). Otherwise — and always on an index without
 //!   the tier — the **annulus path** of Algorithm 3 runs: range scan, then
 //!   screen and rescore group by group under Conditions A and B, with the
@@ -141,8 +142,6 @@
 //! [`ProMips::search_batch`] fans a query batch across scoped worker
 //! threads, one scratch per worker.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -154,8 +153,8 @@ use promips_obs::{
 
 use crate::conditions::ConditionContext;
 use crate::index::ProMips;
-use crate::result::{SearchItem, SearchResult, Termination};
-use crate::screen::{QueryScreen, ScreenBound};
+use crate::result::{SearchResult, Termination, TopK};
+use crate::screen::{self, QueryScreen, ScreenBound};
 
 /// The index-or-scan rule's one constant (module docs): the column pass
 /// answers a query whose Quick-Probe ball covers at least this share of the
@@ -209,68 +208,6 @@ impl SearchScratch {
     /// A fresh scratch (buffers allocate lazily on first use).
     pub fn new() -> Self {
         Self::default()
-    }
-}
-
-/// Bounded top-k collector over (inner product, id), deterministic under
-/// ties (larger ip wins; equal ips keep the smaller id).
-struct TopK {
-    k: usize,
-    /// Min-heap of (ip, Reverse(id)) so the weakest kept item is on top.
-    heap: BinaryHeap<Reverse<(OrdF64, Reverse<u64>)>>,
-}
-
-/// Total-ordered f64 wrapper.
-#[derive(PartialEq, PartialOrd)]
-struct OrdF64(f64);
-impl Eq for OrdF64 {}
-#[allow(clippy::derive_ord_xor_partial_ord)]
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-impl TopK {
-    fn new(k: usize) -> Self {
-        Self {
-            k,
-            heap: BinaryHeap::with_capacity(k + 1),
-        }
-    }
-
-    fn push(&mut self, id: u64, ip: f64) {
-        self.heap.push(Reverse((OrdF64(ip), Reverse(id))));
-        if self.heap.len() > self.k {
-            self.heap.pop();
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// The k-th best inner product so far (paper's `⟨ok_max, q⟩`), or −∞
-    /// while fewer than k candidates have been verified.
-    fn kth_ip(&self) -> f64 {
-        if self.heap.len() < self.k {
-            f64::NEG_INFINITY
-        } else {
-            self.heap
-                .peek()
-                .map(|Reverse((OrdF64(ip), _))| *ip)
-                .unwrap()
-        }
-    }
-
-    fn into_sorted(self) -> Vec<SearchItem> {
-        let mut items: Vec<SearchItem> = self
-            .heap
-            .into_iter()
-            .map(|Reverse((OrdF64(ip), Reverse(id)))| SearchItem { id, ip })
-            .collect();
-        items.sort_by(|a, b| b.ip.total_cmp(&a.ip).then(a.id.cmp(&b.id)));
-        items
     }
 }
 
@@ -553,7 +490,7 @@ impl ProMips {
         // the conditions (which need the k-th best) become meaningful.
         let mut r_final = r;
         let mut extended = false;
-        if top.len() < k {
+        if !top.is_full() {
             let t_short = obs::now_ns();
             let mut iter = self.index.nn_iter(&scratch.pq);
             let checker = &mut checker;
@@ -572,7 +509,7 @@ impl ProMips {
                     work.verified += 1;
                     r_final = cand.proj_dist;
                     extended = true;
-                    if top.len() >= k {
+                    if top.is_full() {
                         break;
                     }
                 }
@@ -1020,16 +957,13 @@ impl ProMips {
     /// **sweep** computes every row's integer dot into `idots`, one kernel
     /// call per page of the SQ8 code column, independent of the k-th best
     /// ([`promips_idistance::IDistanceIndex::column_dots`]). The **walk**
-    /// visits the sub-partitions in directory order, each over its slice of
-    /// `idots`, with its own [`ScreenBound`] — the annulus path's screen,
-    /// minus the groups: a slice whose largest dot cannot reach the running
-    /// k-th best is ruled out whole, otherwise each row is tested. A row the
-    /// bound cannot rule out has its id read from its projected record and,
-    /// unless the mask kills it, its f32 row decoded and scored by the
-    /// single-row [`dot`]; both readers move forward only, so survivors
-    /// sharing a page share its read. Every live row is either proven
-    /// strictly below the final k-th best or scored exactly, so `top` ends
-    /// as the exact top-k over live rows.
+    /// is one [`screen::walk`] per sub-partition in directory order, over
+    /// its slice of `idots` with its own [`ScreenBound`] — the annulus
+    /// path's screen, minus the groups. A row the bound cannot rule out has
+    /// its id read from its projected record and, unless the mask kills it,
+    /// its f32 row decoded and scored by the single-row [`dot`]; both
+    /// readers move forward only, so survivors sharing a page share its
+    /// read. `top` ends as the exact top-k over live rows.
     ///
     /// Books as it goes (valid on the error path): `scanned` code rows read,
     /// `screened` rows ruled out, `verified` rows scored. One budget tick per
@@ -1064,28 +998,16 @@ impl ProMips {
             let dots = &idots[first..first + sp.count as usize];
             first += dots.len();
             let bound = ScreenBound::new(vq, qs);
-            let mut kth = top.kth_ip();
-            // Nearly always no row of the slice passes, which one
-            // branch-free fold settles.
-            if !bound.may_reach(dots.iter().fold(i32::MIN, |m, &idot| m.max(idot)), kth) {
-                work.screened += dots.len() as u64;
-                continue;
-            }
-            for (offset, &idot) in (0u32..).zip(dots) {
-                if !bound.may_reach(idot, kth) {
-                    work.screened += 1;
-                    continue;
-                }
+            screen::walk(dots.len(), Some((dots, &bound)), top, work, |row| {
+                let offset = row as u32;
                 let id = ids.id(sub, offset)?;
                 if is_dead(id, mask) {
-                    continue;
+                    return Ok(None);
                 }
                 rows.seek(sub);
                 rows.decode_into(&[offset], arena)?;
-                top.push(id, dot(arena, q));
-                work.verified += 1;
-                kth = top.kth_ip();
-            }
+                Ok(Some((id, dot(arena, q))))
+            })?;
         }
         Ok(())
     }
@@ -1120,7 +1042,7 @@ fn finish(
     termination: Termination,
 ) -> SearchResult {
     SearchResult {
-        items: top.into_sorted(),
+        items: top.into_items(),
         verified: work.verified as usize,
         screened: work.screened as usize,
         probe_radius,
@@ -1182,24 +1104,6 @@ mod tests {
             budget,
             ..Query::new(q, k)
         }
-    }
-
-    #[test]
-    fn topk_collector_behaviour() {
-        let mut t = TopK::new(3);
-        assert_eq!(t.kth_ip(), f64::NEG_INFINITY);
-        t.push(1, 5.0);
-        t.push(2, 7.0);
-        assert_eq!(t.kth_ip(), f64::NEG_INFINITY); // only 2 of 3
-        t.push(3, 3.0);
-        assert_eq!(t.kth_ip(), 3.0);
-        t.push(4, 6.0); // evicts 3.0
-        assert_eq!(t.kth_ip(), 5.0);
-        let items = t.into_sorted();
-        assert_eq!(
-            items.iter().map(|i| i.id).collect::<Vec<_>>(),
-            vec![2, 4, 1]
-        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! plain `u64` reads, so instrumentation must add **zero** allocations to
 //! a warm search, on the annulus path and on the column pass alike. A
 //! warm search still pays
-//! only the per-search constants (the `TopK` heap and the sorted result
-//! vector), exactly as before the observability layer landed.
+//! only the per-search constants (the `TopK` vector growing to `k` items,
+//! which is the result), exactly as without the observability layer.
 //!
 //! One test per file: the counting allocator is process-global (see
 //! `verify_alloc.rs`).
@@ -128,8 +128,8 @@ fn instrumented_warm_search_does_not_allocate() {
             "a fully optioned request allocates more than the plain one"
         );
         assert!(span.verified > 0);
-        // And it stays a tiny per-search constant (the `TopK` heap and the
-        // sorted result), not per-row — on either path.
+        // And it stays a tiny per-search constant (the `TopK` vector that
+        // is the result), not per-row — on either path.
         assert!(
             timed * 16 < rows,
             "{timed} warm allocations against {rows} rows — the instrumented \

@@ -5,9 +5,9 @@
 //! quantized query) live in `SearchScratch` like the f32 fetch arena, grow
 //! once to their high-water mark, and must never allocate again: a warm
 //! search performs only the per-*search* constant allocations every search
-//! pays (the `TopK` heap and the sorted result vector) — **zero**
-//! allocations per screened or rescored candidate on the annulus path, and
-//! zero per row on the column pass.
+//! pays (the `TopK` vector growing to `k` items, which is the result) —
+//! **zero** allocations per screened or rescored candidate on the annulus
+//! path, and zero per row on the column pass.
 //!
 //! This file holds exactly one test on purpose: the counting allocator is
 //! process-global, and a sibling test running in another thread would
@@ -123,7 +123,8 @@ fn warm_screen_rescore_does_not_allocate_per_candidate() {
     );
     // The screen machinery itself is allocation-free: with the tier off
     // the same query on the same scratch pays the same per-search
-    // constants (TopK heap + result vector), nothing more or less.
+    // constants (the `TopK` vector that becomes the result), nothing more
+    // or less.
     let (plain_allocs, plain_verified, _) = warm_search_allocs(&plain, &q, k, &mut scratch);
     assert_eq!(
         tier_allocs, plain_allocs,

@@ -131,8 +131,11 @@ impl QueryTrace {
         self.shards.iter().filter(|s| s.failed).count()
     }
 
+    /// Shards neither pruned nor failed, as `promips_shards_searched_total`
+    /// counts them: searched + pruned + failed is the shard count.
     pub fn shards_searched(&self) -> usize {
-        self.shards.len() - self.shards_pruned()
+        let answered = |s: &&ShardSpan| !s.pruned && !s.failed;
+        self.shards.iter().filter(answered).count()
     }
 
     /// Compact one-line-per-shard rendering for logs and examples.

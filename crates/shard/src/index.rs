@@ -99,9 +99,10 @@ impl ShardGeneration {
 
 /// Rows per sealed delta chunk: the open tail is sealed — SQ8-encoded — when
 /// it reaches this many rows. Derived, not a knob. A shard holding `n` delta
-/// rows pays per query ≈ `(n/C)·o` for its chunks (bound, threshold, budget
-/// tick and kernel call: `o` ≈ 160 ns) plus ≈ `(C/2)·f` for its open tail
-/// (single-row f32 scoring of rows written since the last query: `f` ≈ 78
+/// rows pays per query ≈ `(n/C)·o` for its chunks (bound, max fold, budget
+/// tick and kernel call: `o` ≈ 160 ns, fitted before the fold replaced a
+/// threshold) plus ≈ `(C/2)·f` for its open tail (single-row f32 scoring
+/// of rows written since the last query: `f` ≈ 78
 /// ns a row, against 8.6 ns a screened row), least at `C = √(2·n·o/f)`:
 /// 70 for `lf300_churn`'s mean 1 150 rows a shard, 92 for its 2 000-row
 /// rounds. `o` and `f` are fitted to traced `core.verify_us` on

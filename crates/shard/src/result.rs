@@ -134,11 +134,6 @@ impl ShardedSearchResult {
         self.items.iter().map(|i| i.id).collect()
     }
 
-    /// Number of shards actually searched.
-    pub fn shards_searched(&self) -> usize {
-        self.per_shard.iter().filter(|s| !s.pruned).count()
-    }
-
     /// Number of shards pruned by the norm bound.
     pub fn shards_pruned(&self) -> usize {
         self.per_shard.iter().filter(|s| s.pruned).count()
@@ -189,7 +184,6 @@ mod tests {
         };
         assert_eq!(r.best_ip(), Some(4.0));
         assert_eq!(r.ids(), vec![9, 2]);
-        assert_eq!(r.shards_searched(), 1);
         assert_eq!(r.shards_pruned(), 1);
         assert_eq!(r.shards_failed(), 1);
         assert!(r.degraded);

@@ -30,7 +30,10 @@
 //! the delta overlay joins its running top-k: sealed chunks screened by
 //! their SQ8 codes against the running k-th, the survivors and the open
 //! tail scored exactly — the same two-level read an LSM tree does, with
-//! the tombstone set filtering both levels.
+//! the tombstone set filtering both levels. The chunks are walked by the
+//! column pass's own [`screen::walk`] into the core's [`TopK`], and the
+//! cross-shard merge is one more `TopK`, every answering shard's items
+//! pushed into it.
 //!
 //! Pruning is exact, never approximate: a pruned shard's best possible
 //! inner product is beaten by k already-verified points, so the merged
@@ -83,8 +86,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use parking_lot::Mutex;
-use promips_core::screen::{QueryScreen, ScreenBound};
-use promips_core::{Query, SearchItem, SearchScratch};
+use promips_core::screen::{self, QueryScreen, ScreenBound};
+use promips_core::{Query, SearchItem, SearchScratch, TopK};
 use promips_linalg::{dot, dot_col_i8, sq_norm2};
 use promips_obs::{
     self as obs, budget_error, recorder, sampling, slow, BudgetChecker, BudgetExceeded, CounterId,
@@ -586,9 +589,10 @@ impl ShardedProMips {
 
         // --- Merge: one global top-k over every contributed item. ---------
         let t_merge = obs::now_ns();
-        let mut merged: Vec<SearchItem> = items.iter().flatten().flatten().copied().collect();
-        merged.sort_by(|a, b| b.ip.total_cmp(&a.ip).then(a.id.cmp(&b.id)));
-        merged.truncate(k);
+        let mut merged = TopK::new(k);
+        for it in items.iter().flatten().flatten() {
+            merged.push(it.id, it.ip);
+        }
 
         let per_shard: Vec<ShardQueryStats> = spans
             .iter()
@@ -631,7 +635,7 @@ impl ShardedProMips {
             reg.histogram(HistoId::BudgetRemainingNs).record(rem);
         }
         let result = ShardedSearchResult {
-            items: merged,
+            items: merged.into_items(),
             verified: per_shard.iter().map(|s| s.verified).sum(),
             screened: per_shard.iter().map(|s| s.screened).sum(),
             per_shard,
@@ -653,21 +657,20 @@ impl ShardedProMips {
     }
 }
 
-/// Searches one shard snapshot, returning its top-k under global ids. The committed generation's index is searched first,
-/// under the snapshot's tombstone mask; its top-k seeds one running top-k
-/// that the delta overlay then joins —
+/// Searches one shard snapshot, returning its top-k under global ids.
+///
+/// The committed generation's index is searched first, under the
+/// snapshot's tombstone mask, and its answer, remapped to global ids, is
+/// pushed into one running [`TopK`] that the delta overlay then joins —
 /// the same two-level read an LSM tree does, with the tombstone set
 /// filtering both levels.
 ///
-/// The overlay in the base column's shape: each sealed chunk is screened
-/// like the column pass walks a sub-partition — one [`dot_col_i8`] over
-/// the chunk's codes against `screen`, the chunk's largest integer dot
-/// tested against the running k-th with the chunk's [`ScreenBound`], and
-/// each row only when that passes — and only the rows that pass, plus the
-/// open tail, are scored by the single-row [`dot`]. A chunk is scored in
-/// full only while the k-th is not yet finite. Every live row is thus
-/// either proven strictly below the final k-th or scored exactly, so the
-/// result is what scoring every row would give, `ip` bits and all.
+/// The overlay is walked like the base column, one [`screen::walk`] per
+/// part: a sealed chunk under its [`ScreenBound`] and one [`dot_col_i8`]
+/// over its codes against `screen`; the open tail, and any chunk while the
+/// k-th is not yet finite, unscreened. Survivors are scored by the
+/// single-row [`dot`], so the result is what scoring every row would give,
+/// `ip` bits and all.
 ///
 /// A budget rides down into the index's scan/verify loops (checked per
 /// page block and verification group there); the overlay checks it once
@@ -689,28 +692,22 @@ fn search_snapshot(
 ) -> io::Result<Vec<SearchItem>> {
     let dead = &snap.delta.tombstones;
     let gen_ids = &snap.gen.ids;
-    let items = match &snap.gen.index {
-        Some(pm) => {
-            let mask = |local: u64| dead.contains(&gen_ids[local as usize]);
-            let mut res = pm.execute(
-                Query {
-                    mask: Some((&mask, snap.delta.dead_base)),
-                    budget,
-                    span: Some(&mut *span),
-                    ..Query::new(q, k)
-                },
-                scratch,
-            )?;
-            // The core's top-k, already in the merge order: it seeds the
-            // running top-k as it stands.
-            for it in &mut res.items {
-                it.id = gen_ids[it.id as usize];
-            }
-            res.items
+    let mut top = TopK::new(k);
+    if let Some(pm) = &snap.gen.index {
+        let mask = |local: u64| dead.contains(&gen_ids[local as usize]);
+        let res = pm.execute(
+            Query {
+                mask: Some((&mask, snap.delta.dead_base)),
+                budget,
+                span: Some(&mut *span),
+                ..Query::new(q, k)
+            },
+            scratch,
+        )?;
+        for it in res.items {
+            top.push(gen_ids[it.id as usize], it.ip);
         }
-        None => Vec::new(),
-    };
-    let mut best = Best { items, k };
+    }
     let (core_verified, core_screened) = (span.verified, span.screened);
     let tv = obs::now_ns();
     let mut checker = BudgetChecker::new(budget);
@@ -719,31 +716,19 @@ fn search_snapshot(
     let mut score_delta = || -> io::Result<()> {
         for part in snap.delta.parts() {
             checker.tick()?;
-            let mut cut = best.cut();
             let idots = &mut idots[..part.gids.len()];
             let bound = match (&part.quant, screen) {
-                (Some(quant), Some(qs)) if cut > f64::NEG_INFINITY => {
+                (Some(quant), Some(qs)) if top.kth_ip() > f64::NEG_INFINITY => {
                     dot_col_i8(&part.codes, d, qs.qcodes(), idots);
                     Some(ScreenBound::new(quant, qs))
                 }
                 _ => None,
             };
-            // Without a bound every row passes.
-            let may_reach = |idot, cut| bound.as_ref().is_none_or(|b| b.may_reach(idot, cut));
-            if !may_reach(idots.iter().fold(i32::MIN, |m, &idot| m.max(idot)), cut) {
-                span.screened += idots.len() as u64;
-                continue;
-            }
-            for ((gid, row), &idot) in part.iter(d).zip(&*idots) {
-                if !may_reach(idot, cut) {
-                    span.screened += 1;
-                } else if !dead.contains(&gid) {
-                    span.verified += 1;
-                    if best.push(gid, dot(q, row)) {
-                        cut = best.cut();
-                    }
-                }
-            }
+            let tested = bound.as_ref().map(|bound| (&*idots, bound));
+            screen::walk(part.gids.len(), tested, &mut top, span, |row| {
+                let gid = part.gids[row];
+                Ok((!dead.contains(&gid)).then(|| (gid, dot(q, &part.rows[row * d..][..d]))))
+            })?;
         }
         Ok(())
     };
@@ -755,49 +740,7 @@ fn search_snapshot(
     reg.counter(CounterId::QueryScreened)
         .add(span.screened - core_screened);
     scored?;
-    Ok(best.items)
-}
-
-/// A shard's running top-k: at most `k` items, best first in the merge's
-/// order (ip descending, then id ascending). A row
-/// enters only by ranking before the k-th, so nothing below it is ever
-/// collected, and the items are the first `k` of every row pushed sorted
-/// in that order.
-struct Best {
-    items: Vec<SearchItem>,
-    k: usize,
-}
-
-impl Best {
-    /// The least score a row must reach to enter: the k-th best once there
-    /// are `k`, −∞ before.
-    fn cut(&self) -> f64 {
-        self.items
-            .get(self.k - 1)
-            .map_or(f64::NEG_INFINITY, |kth| kth.ip)
-    }
-
-    /// Offers a scored row; true when it entered.
-    fn push(&mut self, id: u64, ip: f64) -> bool {
-        if ip.is_nan() {
-            return false;
-        }
-        let item = SearchItem { id, ip };
-        if self.items.len() == self.k {
-            if !ranks_before(&item, &self.items[self.k - 1]) {
-                return false;
-            }
-            self.items.pop();
-        }
-        let at = self.items.partition_point(|it| ranks_before(it, &item));
-        self.items.insert(at, item);
-        true
-    }
-}
-
-/// The merge order: ip descending under `total_cmp`, ties to the smaller id.
-fn ranks_before(a: &SearchItem, b: &SearchItem) -> bool {
-    b.ip.total_cmp(&a.ip).then(a.id.cmp(&b.id)).is_lt()
+    Ok(top.into_items())
 }
 
 #[cfg(test)]

@@ -665,6 +665,20 @@ fn read_fault_degrades_exactly_to_survivor_topk() {
             "degraded answer must be the exact survivor top-k"
         );
     }
+    // The trace counts shards as `promips_shards_searched_total` does: the
+    // failed shard is not searched, and every shard is in exactly one of
+    // the three counts.
+    let traced = ShardedQuery {
+        traced: true,
+        ..ShardedQuery::new(&queries[0], 10)
+    };
+    let trace = idx.execute(traced, &scratch).unwrap().1.unwrap();
+    assert_eq!(trace.shards_searched(), 2);
+    assert_eq!(trace.shards_failed(), 1);
+    assert_eq!(
+        trace.shards_searched() + trace.shards_pruned() + trace.shards_failed(),
+        3
+    );
     faults::disarm();
 
     // Healthy again: full answers, not degraded, identical to a fresh
