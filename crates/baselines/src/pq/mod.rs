@@ -11,7 +11,7 @@
 //! scans their code lists with asymmetric-distance (ADC) lookup tables,
 //! keeps the best candidates, and re-ranks them by exact inner product.
 //!
-//! Substitution note (DESIGN.md §3): LOPQ's per-cell rotation matrices are
+//! Substitution note: LOPQ's per-cell rotation matrices are
 //! replaced by plain per-cell residual PQ. The rotations improve recall a
 //! few percent at considerable training cost; index-size/page-access shapes
 //! — what Figs. 4 and 7 compare — are unaffected.

@@ -1,9 +1,9 @@
 //! Experiment harness for the ProMIPS reproduction.
 //!
 //! Every table and figure of the paper's Section VIII maps to one bench
-//! target in `benches/` (see DESIGN.md §4 for the index). This library
-//! holds the shared machinery: scaled workloads, method builders, accuracy
-//! metrics, the k-sweep runner, and table/CSV reporting.
+//! target in `benches/` named after it, beside three `ablation_*` targets.
+//! This library holds the shared machinery: scaled workloads, method
+//! builders, accuracy metrics, the k-sweep runner, and table/CSV reporting.
 //!
 //! ## Environment knobs
 //!
@@ -18,9 +18,7 @@
 pub mod config;
 pub mod methods;
 pub mod metrics;
-pub mod micro;
 pub mod report;
-pub mod schema;
 pub mod sweep;
 pub mod workload;
 

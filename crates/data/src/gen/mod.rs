@@ -1,9 +1,9 @@
-//! The three generator families, and two synthetic shapes for tests and
-//! microbenchmarks (low rank plus noise; tight clusters).
+//! The three generator families, and two synthetic shapes for tests (low
+//! rank plus noise; tight clusters).
 //!
 //! Each generator is deterministic in its seed and produces an
-//! `(n × d)` matrix. See DESIGN.md §3 for why each family is a faithful
-//! stand-in for its paper dataset.
+//! `(n × d)` matrix; each family's doc names the properties of its paper
+//! dataset it reproduces.
 
 use promips_linalg::Matrix;
 use promips_stats::Xoshiro256pp;
@@ -104,8 +104,8 @@ pub fn bio_feature(n: usize, d: usize, block: usize, seed: u64) -> Matrix {
 /// norm-aware methods (norm-range sharding, Cauchy–Schwarz shard pruning)
 /// look inert; real MIPS embedding tables have norm spreads of orders of
 /// magnitude. This generator is the standard workload for exercising the
-/// sharded fan-out's pruning path — shared by its tests, the
-/// `sharded_fanout` benchmark section, and `examples/sharded.rs`.
+/// sharded fan-out's pruning path — shared by its tests, `benchmark/`'s
+/// `skew64_shard4` workload and `examples/sharded.rs`.
 pub fn norm_skewed(n: usize, d: usize, seed: u64) -> Matrix {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     Matrix::from_rows(

@@ -6,7 +6,7 @@
 //! redistributable in this environment, so each is replaced by a seeded
 //! generator that reproduces the properties MIPS difficulty actually
 //! depends on — dimensionality, scale, and the norm/inner-product
-//! distribution shape (see DESIGN.md §3 for the substitution arguments):
+//! distribution shape:
 //!
 //! | paper dataset | n | d | generator |
 //! |---|---|---|---|

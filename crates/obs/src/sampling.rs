@@ -8,7 +8,7 @@
 //! every N-th arrival samples, whatever thread it lands on. The sampled
 //! query pays the normal tracing cost (one allocation, a handful of
 //! clock reads); the other N-1 pay a single atomic increment, which is
-//! why the default stays inside the `obs_overhead` 2% bar.
+//! why the default stays inside the 2% bar (`obs.trace_overhead_frac`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
