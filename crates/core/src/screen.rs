@@ -3,10 +3,10 @@
 //! ([`ScreenBound`], one per sub-partition or code chunk) and the walk of
 //! one block of rows through it into a [`TopK`] ([`walk`]). The column pass
 //! of [`crate::search`] walks the index's code column one sub-partition at
-//! a time, and the shard layer its delta one chunk at a time — sealed
-//! chunks under their full-width codes (the case below that needs no head
-//! basis), the open tail unscreened. The annulus groups use the test
-//! directly, four rows at a time.
+//! a time, best bound first, and the shard layer its delta one chunk at a
+//! time — sealed chunks under their full-width codes (the case below that
+//! needs no head basis), the open tail unscreened. The annulus groups use
+//! the test directly, four rows at a time.
 
 use std::io;
 
@@ -138,31 +138,49 @@ impl ScreenBound {
         }
     }
 
-    /// Whether a row with integer dot `idot` can still reach `kth`. The
-    /// test is monotone in `idot` (`step ≥ 0`, and every rounding in it is
-    /// monotone), so a block of rows whose largest dot fails it fails
-    /// whole: what lets a pass rule out a block with one test.
+    /// The upper bound on the inner product of a row with integer dot
+    /// `idot`. Monotone in `idot` (`step ≥ 0`, and every rounding in it is
+    /// monotone), so the bound of a block's largest dot bounds the whole
+    /// block: what lets a pass rule out a block with one test, and order
+    /// blocks by what they could hold.
     #[inline]
-    pub fn may_reach(&self, idot: i32, kth: f64) -> bool {
-        self.base + self.step * idot as f64 + self.pad >= kth
+    pub fn upper(&self, idot: i32) -> f64 {
+        self.base + self.step * idot as f64 + self.pad
+    }
+
+    /// Whether a row with integer dot `idot` can still reach `bar`.
+    #[inline]
+    pub fn may_reach(&self, idot: i32, bar: f64) -> bool {
+        self.upper(idot) >= bar
     }
 }
 
-/// Walks one block of `rows` rows into `top`. With `screen = Some((dots,
-/// bound))` (row `i`'s integer dot at `dots[i]`) a block whose largest dot
-/// cannot reach the running k-th is ruled out whole, otherwise each row is
-/// tested against the k-th, refreshed after every row that enters; without
-/// one every row is scored. `score(row)` gives a survivor's `(id, ip)`, or
-/// `None` for a row the caller's mask kills. So `top` ends as if every live
-/// row had been offered. Rows ruled out book to `span.screened`, rows
+/// The largest of a block's integer dots (`i32::MIN` for an empty block):
+/// one branch-free fold.
+#[inline(always)]
+pub fn max_dot(dots: &[i32]) -> i32 {
+    dots.iter().fold(i32::MIN, |m, &idot| m.max(idot))
+}
+
+/// Walks one block of `rows` rows into `top`, keeping only rows at or
+/// above `floor` (`-∞` keeps every row): a caller that already holds `k`
+/// rows at or above `floor` elsewhere loses nothing by it. The **bar** is
+/// `max(top.kth_ip(), floor)`. With `screen = Some((dots, bound))` (row
+/// `i`'s integer dot at `dots[i]`) a block whose largest dot cannot reach
+/// the bar is ruled out whole, otherwise each row is tested against it,
+/// refreshed after every row that enters; without one every row is scored.
+/// `score(row)` gives a survivor's `(id, ip)`, or `None` for a row the
+/// caller's mask kills. So `top` ends as if every live row at or above
+/// `floor` had been offered. Rows ruled out book to `span.screened`, rows
 /// scored to `span.verified`, as they go (valid when `score` fails).
 ///
-/// Always inlined: the column pass calls it once per sub-partition (1 148
-/// times a query on `lf300_hot`), and nearly every call ends at the fold.
+/// Always inlined: it runs once per sub-partition the column pass visits
+/// and once per delta chunk, and most calls end at the fold.
 #[inline(always)]
 pub fn walk<F>(
     rows: usize,
     screen: Option<(&[i32], &ScreenBound)>,
+    floor: f64,
     top: &mut TopK,
     span: &mut ShardSpan,
     mut score: F,
@@ -170,23 +188,21 @@ pub fn walk<F>(
 where
     F: FnMut(usize) -> io::Result<Option<(u64, f64)>>,
 {
-    let mut kth = top.kth_ip();
+    let mut bar = top.kth_ip().max(floor);
     if let Some((dots, bound)) = screen {
         debug_assert_eq!(dots.len(), rows);
-        // Nearly always no row of the block passes, which one branch-free
-        // fold settles.
-        if !bound.may_reach(dots.iter().fold(i32::MIN, |m, &idot| m.max(idot)), kth) {
+        if !bound.may_reach(max_dot(dots), bar) {
             span.screened += rows as u64;
             return Ok(());
         }
     }
     for row in 0..rows {
-        if screen.is_some_and(|(dots, bound)| !bound.may_reach(dots[row], kth)) {
+        if screen.is_some_and(|(dots, bound)| !bound.may_reach(dots[row], bar)) {
             span.screened += 1;
         } else if let Some((id, ip)) = score(row)? {
             span.verified += 1;
-            if top.push(id, ip) {
-                kth = top.kth_ip();
+            if ip >= floor && top.push(id, ip) {
+                bar = top.kth_ip().max(floor);
             }
         }
     }

@@ -25,9 +25,11 @@
 //!   `covered ≥ COLUMN_PASS_MIN_COVERAGE · len()` (0.25), the query is
 //!   answered by the **column pass**: one sweep over the whole code column
 //!   in storage order for every row's integer dot, then a walk over the
-//!   sub-partitions screening each row against the running k-th best with
-//!   its sub-partition's bound ([`crate::screen::walk`], shared with the
-//!   shard layer's delta), the few survivors scored exactly
+//!   sub-partitions best bound first, screening each row against the
+//!   running k-th best (or the request's [`Query::kth_floor`], if higher)
+//!   with its sub-partition's bound ([`crate::screen::walk`], shared with
+//!   the shard layer's delta) and stopping at the first sub-partition whose
+//!   bound falls below it, the few survivors scored exactly
 //!   (`ProMips::column_pass`). Otherwise — and always on an index without
 //!   the tier — the **annulus path** of Algorithm 3 runs: range scan, then
 //!   screen and rescore group by group under Conditions A and B, with the
@@ -57,10 +59,11 @@
 //!   depends on where under 0.8 the constant is; it is a constant, not a
 //!   knob.
 //! * **What the caller sees.** A column pass returns the *exact* top-`k`
-//!   over the live rows — ties to the smaller id, `ip` the single-row
-//!   [`dot`] of the f32 row — so the (c, p) contract
-//!   holds trivially. It reports [`Termination::DatasetExhausted`],
-//!   `probe_radius = Some(r)`, `final_radius = None`, `compensated = false`;
+//!   over the live rows at or above the request's floor — ties to the
+//!   smaller id, `ip` the single-row [`dot`] of the f32 row — so the
+//!   (c, p) contract holds trivially. It reports
+//!   [`Termination::DatasetExhausted`], `probe_radius = Some(r)`,
+//!   `final_radius = None`, `compensated = false`;
 //!   the request's span carries `covered_rows` and the `column_pass` flag,
 //!   and `promips_query_column_passes_total` counts the verdicts.
 //!
@@ -142,6 +145,8 @@
 //! [`ProMips::search_batch`] fans a query batch across scoped worker
 //! threads, one scratch per worker.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -200,6 +205,10 @@ struct FetchBuffers {
     /// (candidate `i` at `idots[i]`) or of the whole column (row `i`),
     /// computed by the index on the pinned code pages.
     idots: Vec<i32>,
+    /// The column pass's visiting order: one `(key(upper bound),
+    /// Reverse(sub-partition), first row)` per sub-partition, a max-heap
+    /// rebuilt in place per pass.
+    order: BinaryHeap<(u64, Reverse<u32>, usize)>,
     /// The query side of the screen, rebuilt once per `execute`.
     screen: QueryScreen,
 }
@@ -265,10 +274,20 @@ pub struct Query<'a> {
     /// error. The caller owns the span's identity fields (`shard`, `seed`,
     /// `elapsed_ns`).
     pub span: Option<&'a mut ShardSpan>,
+    /// **Floor** on the rows worth returning: the caller holds `k` rows at
+    /// or above this inner product elsewhere (the shard layer passes its
+    /// seed shard's k-th to every other shard it searches), so no row
+    /// below it can enter the caller's top-`k`. The column pass tests rows
+    /// against `max(k-th best, kth_floor)`, stops its walk at the first
+    /// sub-partition whose bound falls below that, and returns only items
+    /// at or above the floor. The annulus path ignores it: Conditions A
+    /// and B are statements about this index's own k-th. `-∞`
+    /// ([`Query::new`]) keeps every row.
+    pub kth_floor: f64,
 }
 
 impl<'a> Query<'a> {
-    /// The plain top-`k` search for `q`: no mask, budget or span.
+    /// The plain top-`k` search for `q`: no mask, budget, span or floor.
     pub fn new(q: &'a [f32], k: usize) -> Self {
         Self {
             q,
@@ -276,6 +295,7 @@ impl<'a> Query<'a> {
             mask: None,
             budget: None,
             span: None,
+            kth_floor: f64::NEG_INFINITY,
         }
     }
 }
@@ -445,7 +465,7 @@ impl ProMips {
 
         if work.column_pass {
             let t_pass = obs::now_ns();
-            let passed = self.column_pass(q, mask, &mut top, scratch, work, &mut checker);
+            let passed = self.column_pass(query, &mut top, scratch, work, &mut checker);
             work.stages.screen_ns += obs::now_ns().saturating_sub(t_pass);
             passed?;
             return Ok(finish(
@@ -957,29 +977,39 @@ impl ProMips {
     /// **sweep** computes every row's integer dot into `idots`, one kernel
     /// call per page of the SQ8 code column, independent of the k-th best
     /// ([`promips_idistance::IDistanceIndex::column_dots`]). The **walk**
-    /// is one [`screen::walk`] per sub-partition in directory order, over
-    /// its slice of `idots` with its own [`ScreenBound`] — the annulus
+    /// visits the sub-partitions best first, as LEMP-style bucket orders
+    /// do ("To Index or Not to Index", arXiv:1706.01449): each one's upper
+    /// bound — its [`ScreenBound`] at the largest dot of its slice of
+    /// `idots` — goes into a max-heap built in O(n) (ties to the lower
+    /// directory index), and the walk pops until the next bound falls below
+    /// the bar `max(k-th best, query.kth_floor)`. Every bound left is at
+    /// most that one, so their rows are ruled out unread. A visited
+    /// sub-partition is one [`screen::walk`] over its slice — the annulus
     /// path's screen, minus the groups. A row the bound cannot rule out has
     /// its id read from its projected record and, unless the mask kills it,
-    /// its f32 row decoded and scored by the single-row [`dot`]; both
-    /// readers move forward only, so survivors sharing a page share its
-    /// read. `top` ends as the exact top-k over live rows.
+    /// its f32 row decoded and scored by the single-row [`dot`]; the readers
+    /// keep their page pinned, so survivors of one sub-partition sharing a
+    /// page share its read. `top` ends as the exact top-k over live rows at
+    /// or above the floor.
     ///
     /// Books as it goes (valid on the error path): `scanned` code rows read,
-    /// `screened` rows ruled out, `verified` rows scored. One budget tick per
-    /// page of the sweep and per sub-partition of the walk.
+    /// `screened` rows ruled out, `verified` rows scored; the rows of the
+    /// sub-partitions never visited book to `screened` when the walk stops.
+    /// One budget tick per page of the sweep and per sub-partition visited.
     fn column_pass(
         &self,
-        q: &[f32],
-        mask: Option<&dyn Fn(u64) -> bool>,
+        query: &Query<'_>,
         top: &mut TopK,
         scratch: &mut SearchScratch,
         work: &mut ShardSpan,
         checker: &mut BudgetChecker<'_>,
     ) -> io::Result<()> {
+        let (q, floor) = (query.q, query.kth_floor);
+        let mask = query.mask.map(|(dead, _)| dead);
         let FetchBuffers {
             arena,
             idots,
+            order,
             screen: qs,
             ..
         } = &mut scratch.fetch;
@@ -990,15 +1020,31 @@ impl ProMips {
         swept?;
 
         let (subparts, vquants) = (self.index.subparts(), self.index.vquants());
-        let mut ids = self.index.id_cursor();
-        let mut rows = self.index.orig_cursor(0);
+        // The heap's buffer never leaves the scratch across a `?`.
+        let mut keys = std::mem::take(order).into_vec();
+        keys.clear();
         let mut first = 0;
         for (sub, (sp, vq)) in (0u32..).zip(subparts.iter().zip(vquants)) {
-            checker.tick()?;
             let dots = &idots[first..first + sp.count as usize];
+            let upper = ScreenBound::new(vq, qs).upper(screen::max_dot(dots));
+            keys.push((order_key(upper), Reverse(sub), first));
             first += dots.len();
+        }
+        *order = BinaryHeap::from(keys);
+
+        let mut ids = self.index.id_cursor();
+        let mut rows = self.index.orig_cursor(0);
+        let mut unvisited = idots.len() as u64;
+        while let Some((key, Reverse(sub), first)) = order.pop() {
+            if from_order_key(key) < top.kth_ip().max(floor) {
+                break;
+            }
+            checker.tick()?;
+            let (sp, vq) = (&subparts[sub as usize], &vquants[sub as usize]);
+            let dots = &idots[first..first + sp.count as usize];
+            unvisited -= dots.len() as u64;
             let bound = ScreenBound::new(vq, qs);
-            screen::walk(dots.len(), Some((dots, &bound)), top, work, |row| {
+            screen::walk(dots.len(), Some((dots, &bound)), floor, top, work, |row| {
                 let offset = row as u32;
                 let id = ids.id(sub, offset)?;
                 if is_dead(id, mask) {
@@ -1009,8 +1055,29 @@ impl ProMips {
                 Ok(Some((id, dot(arena, q))))
             })?;
         }
+        work.screened += unvisited;
         Ok(())
     }
+}
+
+/// An order-preserving `u64` of a finite `x` (`total_cmp` order): the
+/// sign bit set on non-negatives, every bit flipped on negatives.
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// The `x` of [`order_key`], bit for bit.
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
 }
 
 /// The searching radius: the projected distance from the Quick-Probe
@@ -1052,508 +1119,7 @@ fn finish(
     }
 }
 
+// The public-API tests, kept under `tests/` (see that file's header).
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::ProMipsConfig;
-    use promips_linalg::Matrix;
-    use promips_stats::Xoshiro256pp;
-
-    fn random_data(n: usize, d: usize, seed: u64) -> Matrix {
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        Matrix::from_rows(
-            d,
-            (0..n).map(|_| (0..d).map(|_| rng.normal() as f32).collect()),
-        )
-    }
-
-    /// Exact top-k MIP by brute force.
-    fn exact_topk(data: &Matrix, q: &[f32], k: usize) -> Vec<(u64, f64)> {
-        let mut ips: Vec<(u64, f64)> = (0..data.rows())
-            .map(|i| (i as u64, dot(data.row(i), q)))
-            .collect();
-        ips.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        ips.truncate(k);
-        ips
-    }
-
-    fn build(n: usize, d: usize, seed: u64, c: f64, p: f64) -> (ProMips, Matrix) {
-        let data = random_data(n, d, seed);
-        let cfg = ProMipsConfig::builder()
-            .c(c)
-            .p(p)
-            .seed(seed ^ 0xABCD)
-            .build();
-        let idx = ProMips::build_in_memory(&data, cfg).unwrap();
-        (idx, data)
-    }
-
-    fn masked<'a>(
-        q: &'a [f32],
-        k: usize,
-        mask: Option<(&'a dyn Fn(u64) -> bool, usize)>,
-    ) -> Query<'a> {
-        Query {
-            mask,
-            ..Query::new(q, k)
-        }
-    }
-
-    fn budgeted<'a>(q: &'a [f32], k: usize, budget: Option<&'a QueryBudget>) -> Query<'a> {
-        Query {
-            budget,
-            ..Query::new(q, k)
-        }
-    }
-
-    #[test]
-    fn search_returns_k_sorted_items() {
-        let (idx, _) = build(800, 24, 11, 0.9, 0.5);
-        let mut rng = Xoshiro256pp::seed_from_u64(99);
-        let q: Vec<f32> = (0..24).map(|_| rng.normal() as f32).collect();
-        let res = idx.search(&q, 10).unwrap();
-        assert_eq!(res.items.len(), 10);
-        assert!(res.items.windows(2).all(|w| w[0].ip >= w[1].ip));
-        assert!(res.verified >= 10);
-        assert!(res.probe_radius.is_some());
-    }
-
-    #[test]
-    fn masked_search_excludes_exactly_the_masked_ids() {
-        let (idx, data) = build(600, 20, 13, 0.9, 0.5);
-        let mut rng = Xoshiro256pp::seed_from_u64(57);
-        let mut scratch = SearchScratch::new();
-        // Kill a fixed slice of ids through the external mask only — the
-        // index itself holds no tombstones.
-        let dead = |id: u64| (50..80).contains(&id);
-        let dead_count = 30usize;
-        for _ in 0..6 {
-            let q: Vec<f32> = (0..20).map(|_| rng.normal() as f32).collect();
-            // Full-k forces exhaustive verification, so the result is the
-            // exact top-k over the unmasked points.
-            let k = 600 - dead_count;
-            let res = idx
-                .execute(masked(&q, k, Some((&dead, dead_count))), &mut scratch)
-                .unwrap();
-            assert_eq!(res.items.len(), k);
-            assert!(res.items.iter().all(|i| !dead(i.id)), "masked id returned");
-            let expect: Vec<(u64, f64)> = exact_topk(&data, &q, 600)
-                .into_iter()
-                .filter(|&(id, _)| !dead(id))
-                .collect();
-            for (item, (eid, eip)) in res.items.iter().zip(&expect) {
-                assert_eq!(item.id, *eid);
-                assert!((item.ip - eip).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn masked_search_with_empty_mask_is_bit_identical() {
-        let (idx, _) = build(500, 16, 29, 0.9, 0.5);
-        let mut rng = Xoshiro256pp::seed_from_u64(31);
-        let mut scratch = SearchScratch::new();
-        for _ in 0..6 {
-            let q: Vec<f32> = (0..16).map(|_| rng.normal() as f32).collect();
-            let plain = idx.search(&q, 5).unwrap();
-            let masked = idx
-                .execute(masked(&q, 5, Some((&|_| false, 0))), &mut scratch)
-                .unwrap();
-            assert_eq!(plain.items, masked.items);
-            assert_eq!(plain.verified, masked.verified);
-            assert_eq!(plain.termination, masked.termination);
-        }
-    }
-
-    #[test]
-    fn fully_masked_index_returns_empty() {
-        let (idx, _) = build(200, 16, 43, 0.9, 0.5);
-        let q = vec![1.0f32; 16];
-        let res = idx
-            .execute(
-                masked(&q, 5, Some((&|_| true, 200))),
-                &mut SearchScratch::new(),
-            )
-            .unwrap();
-        assert!(res.items.is_empty());
-        assert_eq!(res.verified, 0);
-    }
-
-    #[test]
-    fn k_clamps_to_the_points_the_mask_leaves_alive() {
-        // The mask is the only source of deadness: with all but three ids
-        // dead, any k returns exactly those three, exhaustively verified.
-        let (idx, data) = build(200, 16, 43, 0.9, 0.5);
-        let alive = [3u64, 77, 150];
-        let dead = |id: u64| !alive.contains(&id);
-        let q = vec![1.0f32; 16];
-        let res = idx
-            .execute(
-                masked(&q, 10, Some((&dead, 200 - alive.len()))),
-                &mut SearchScratch::new(),
-            )
-            .unwrap();
-        let mut want: Vec<(u64, f64)> = alive
-            .iter()
-            .map(|&id| (id, dot(data.row(id as usize), &q)))
-            .collect();
-        want.sort_by(|a, b| b.1.total_cmp(&a.1));
-        assert_eq!(res.ids(), want.iter().map(|w| w.0).collect::<Vec<_>>());
-        assert_eq!(res.verified, alive.len());
-    }
-
-    #[test]
-    fn scratch_reuse_is_transparent() {
-        // One scratch serving many queries must give the same results as a
-        // fresh scratch per query.
-        let (idx, _) = build(700, 20, 23, 0.9, 0.5);
-        let mut rng = Xoshiro256pp::seed_from_u64(41);
-        let mut shared = SearchScratch::new();
-        for _ in 0..10 {
-            let q: Vec<f32> = (0..20).map(|_| rng.normal() as f32).collect();
-            let reused = idx.search_with_scratch(&q, 7, &mut shared).unwrap();
-            let fresh = idx.search(&q, 7).unwrap();
-            assert_eq!(reused.items, fresh.items);
-            assert_eq!(reused.verified, fresh.verified);
-            assert_eq!(reused.termination, fresh.termination);
-        }
-    }
-
-    #[test]
-    fn every_wrapper_is_bit_identical_to_execute() {
-        let (idx, _) = build(700, 20, 37, 0.9, 0.5);
-        let mut rng = Xoshiro256pp::seed_from_u64(91);
-        let mut scratch = SearchScratch::new();
-        let dead = |id: u64| id.is_multiple_of(7);
-        let dead_count = 100;
-        for _ in 0..8 {
-            let q: Vec<f32> = (0..20).map(|_| rng.normal() as f32).collect();
-            let plain = idx.execute(Query::new(&q, 6), &mut scratch).unwrap();
-            assert_eq!(idx.search(&q, 6).unwrap(), plain);
-            assert_eq!(idx.search_with_scratch(&q, 6, &mut scratch).unwrap(), plain);
-            // The frozen positional name, with the options it can carry: a
-            // finite floor only cuts the answer.
-            for floor in [f64::NEG_INFINITY, plain.items[2].ip] {
-                let mut want_span = ShardSpan::default();
-                let mut want = idx
-                    .execute(
-                        Query {
-                            mask: Some((&dead, dead_count)),
-                            span: Some(&mut want_span),
-                            ..Query::new(&q, 6)
-                        },
-                        &mut scratch,
-                    )
-                    .unwrap();
-                want.items.retain(|it| it.ip >= floor);
-                let mut span = ShardSpan::default();
-                let got = idx
-                    .search_masked_traced(&q, 6, floor, &dead, dead_count, &mut scratch, &mut span)
-                    .unwrap();
-                assert_eq!(got, want);
-                assert_eq!(
-                    (span.scanned, span.screened, span.verified),
-                    (want_span.scanned, want_span.screened, want_span.verified)
-                );
-                assert_eq!(span.verified as usize, got.verified);
-                assert_eq!(span.screened as usize, got.screened);
-            }
-        }
-    }
-
-    #[test]
-    fn failed_search_reports_the_work_done_before_the_error() {
-        use promips_obs::QueryBudget;
-        let (idx, _) = build(600, 16, 59, 0.9, 0.5);
-        let q = vec![0.3f32; 16];
-        let mut scratch = SearchScratch::new();
-        // A full run for reference, then the same query cancelled by an
-        // expired deadline: the span is filled either way, and a failed
-        // search never reports more work than the finished one.
-        let mut full = ShardSpan::default();
-        idx.execute(
-            Query {
-                span: Some(&mut full),
-                ..Query::new(&q, 5)
-            },
-            &mut scratch,
-        )
-        .unwrap();
-        assert!(full.scanned > 0 && full.verified > 0);
-        let mut cut = ShardSpan {
-            scanned: u64::MAX,
-            verified: u64::MAX,
-            ..ShardSpan::default()
-        };
-        let expired = QueryBudget::with_deadline_at(0);
-        idx.execute(
-            Query {
-                budget: Some(&expired),
-                span: Some(&mut cut),
-                ..Query::new(&q, 5)
-            },
-            &mut scratch,
-        )
-        .unwrap_err();
-        assert!(cut.scanned <= full.scanned, "span must be overwritten");
-        assert!(cut.verified <= full.verified);
-    }
-
-    /// A query with a NaN or infinite coordinate used to make the screen's
-    /// bound NaN — the column pass then dropped every row and reported an
-    /// exhausted, empty dataset — or came back with NaN scores; both paths
-    /// refuse it.
-    #[test]
-    fn a_non_finite_query_is_invalid_input_on_both_paths() {
-        let data = random_data(300, 12, 61);
-        // With the verification tier Gaussian rows take the column pass,
-        // without it every query takes the annulus path.
-        for verify_quantize in [true, false] {
-            let cfg = ProMipsConfig::builder()
-                .seed(61)
-                .idistance(promips_idistance::IDistanceConfig {
-                    verify_quantize,
-                    ..Default::default()
-                })
-                .build();
-            let idx = ProMips::build_in_memory(&data, cfg).unwrap();
-            let mut scratch = SearchScratch::new();
-            let mut span = ShardSpan::default();
-            let finite = vec![0.5f32; 12];
-            let request = Query {
-                span: Some(&mut span),
-                ..Query::new(&finite, 5)
-            };
-            assert_eq!(idx.execute(request, &mut scratch).unwrap().items.len(), 5);
-            assert_eq!(span.column_pass, verify_quantize);
-            for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
-                let mut q = finite.clone();
-                q[3] = bad;
-                let err = idx.execute(Query::new(&q, 5), &mut scratch).unwrap_err();
-                assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{bad}");
-                let err = idx.search_incremental(&q, 5).unwrap_err();
-                assert_eq!(
-                    err.kind(),
-                    io::ErrorKind::InvalidInput,
-                    "{bad}, Algorithm 1"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn budgeted_search_honours_deadline_cancellation_and_identity() {
-        use promips_obs::{budget_error, BudgetExceeded, CancelToken, QueryBudget};
-        let (idx, _) = build(600, 16, 59, 0.9, 0.5);
-        let q = vec![0.3f32; 16];
-        let mut scratch = SearchScratch::new();
-
-        // Already-expired deadline: the first cooperative check fires and
-        // the typed cause survives the io::Error plumbing.
-        let expired = QueryBudget::with_deadline_at(0);
-        let err = idx
-            .execute(budgeted(&q, 5, Some(&expired)), &mut scratch)
-            .unwrap_err();
-        assert_eq!(budget_error(&err), Some(BudgetExceeded::Deadline));
-
-        // A pre-cancelled token stops the search the same way.
-        let tok = CancelToken::new();
-        tok.cancel();
-        let cancelled = QueryBudget::unlimited().cancellable(tok);
-        let err = idx
-            .execute(budgeted(&q, 5, Some(&cancelled)), &mut scratch)
-            .unwrap_err();
-        assert_eq!(budget_error(&err), Some(BudgetExceeded::Cancelled));
-
-        // An unlimited budget (and an un-fired generous one) is
-        // bit-identical to the plain search.
-        let plain = idx.search(&q, 5).unwrap();
-        for b in [
-            QueryBudget::unlimited(),
-            QueryBudget::with_deadline(std::time::Duration::from_secs(3600)),
-        ] {
-            let budgeted = idx
-                .execute(budgeted(&q, 5, Some(&b)), &mut scratch)
-                .unwrap();
-            assert_eq!(plain.items, budgeted.items);
-            assert_eq!(plain.verified, budgeted.verified);
-            assert_eq!(plain.termination, budgeted.termination);
-        }
-    }
-
-    #[test]
-    fn search_batch_matches_sequential_search() {
-        let (idx, _) = build(900, 28, 31, 0.9, 0.5);
-        let mut rng = Xoshiro256pp::seed_from_u64(77);
-        let queries: Vec<Vec<f32>> = (0..24)
-            .map(|_| (0..28).map(|_| rng.normal() as f32).collect())
-            .collect();
-        let query_refs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
-        for &threads in &[1usize, 2, 8] {
-            let batch = idx.search_batch_threaded(&query_refs, 5, threads).unwrap();
-            assert_eq!(batch.len(), queries.len());
-            for (q, b) in queries.iter().zip(&batch) {
-                let single = idx.search(q, 5).unwrap();
-                assert_eq!(single.items, b.items, "threads={threads}");
-                assert_eq!(single.verified, b.verified, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn search_batch_empty_and_single() {
-        let (idx, _) = build(100, 8, 5, 0.9, 0.5);
-        assert!(idx.search_batch(&[], 3).unwrap().is_empty());
-        let q = vec![0.5f32; 8];
-        let one = idx.search_batch(&[&q], 3).unwrap();
-        assert_eq!(one.len(), 1);
-        assert_eq!(one[0].items, idx.search(&q, 3).unwrap().items);
-    }
-
-    #[test]
-    fn search_satisfies_c_bound_overwhelmingly() {
-        // With p = 0.5, at least half the queries must return a c-AMIP
-        // point; empirically the rate is far higher. We check the overall
-        // ratio across queries stays above c (the paper's Fig. 5 behaviour).
-        let (idx, data) = build(1000, 32, 7, 0.9, 0.5);
-        let mut rng = Xoshiro256pp::seed_from_u64(5);
-        let mut ratios = Vec::new();
-        for _ in 0..30 {
-            let q: Vec<f32> = (0..32).map(|_| rng.normal() as f32).collect();
-            let res = idx.search(&q, 1).unwrap();
-            let exact = exact_topk(&data, &q, 1)[0].1;
-            if exact > 0.0 {
-                ratios.push(res.items[0].ip / exact);
-            }
-        }
-        let mean: f64 = ratios.iter().sum::<f64>() / ratios.len() as f64;
-        assert!(mean >= 0.9, "mean overall ratio {mean} below c");
-        let ok = ratios.iter().filter(|&&r| r >= 0.9).count();
-        assert!(
-            ok as f64 / ratios.len() as f64 >= 0.5,
-            "guarantee rate {ok}/{} below p",
-            ratios.len()
-        );
-    }
-
-    #[test]
-    fn incremental_matches_guarantee_too() {
-        let (idx, data) = build(600, 16, 3, 0.8, 0.5);
-        let mut rng = Xoshiro256pp::seed_from_u64(21);
-        let mut hold = 0;
-        let total = 20;
-        for _ in 0..total {
-            let q: Vec<f32> = (0..16).map(|_| rng.normal() as f32).collect();
-            let res = idx.search_incremental(&q, 1).unwrap();
-            let exact = exact_topk(&data, &q, 1)[0].1;
-            if res.items[0].ip >= 0.8 * exact {
-                hold += 1;
-            }
-        }
-        assert!(hold as f64 / total as f64 >= 0.5, "{hold}/{total}");
-    }
-
-    #[test]
-    #[should_panic(expected = "query dimensionality mismatch")]
-    fn a_query_of_the_wrong_dimension_is_refused() {
-        let (idx, _) = build(50, 8, 5, 0.9, 0.5);
-        let _ = idx.search(&[0.5f32; 7], 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "k must be at least 1")]
-    fn a_request_for_zero_results_is_refused() {
-        let (idx, _) = build(50, 8, 5, 0.9, 0.5);
-        let _ = idx.search(&[0.5f32; 8], 0);
-    }
-
-    #[test]
-    fn k_clamped_to_dataset_size() {
-        let (idx, _) = build(20, 8, 13, 0.9, 0.5);
-        let q = vec![0.5f32; 8];
-        let res = idx.search(&q, 50).unwrap();
-        assert_eq!(res.items.len(), 20);
-        // All distinct ids.
-        let mut ids = res.ids();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 20);
-    }
-
-    #[test]
-    fn no_duplicate_ids_in_results() {
-        let (idx, _) = build(500, 12, 17, 0.7, 0.9);
-        let mut rng = Xoshiro256pp::seed_from_u64(8);
-        for _ in 0..10 {
-            let q: Vec<f32> = (0..12).map(|_| rng.normal() as f32).collect();
-            let res = idx.search(&q, 15).unwrap();
-            let mut ids = res.ids();
-            ids.sort_unstable();
-            let before = ids.len();
-            ids.dedup();
-            assert_eq!(ids.len(), before, "duplicate ids returned");
-        }
-    }
-
-    #[test]
-    fn quickprobe_search_uses_fewer_pages_than_incremental() {
-        // Partition parameters scaled to the dataset so sub-partitions hold
-        // ~20 points (the paper's µ-selectivity intent); with degenerate
-        // 2-point sub-partitions the batched-read advantage disappears.
-        let data = random_data(1500, 24, 29);
-        let id_cfg = promips_idistance::IDistanceConfig {
-            kp: 3,
-            nkey: 8,
-            ksp: 3,
-            ..Default::default()
-        };
-        let cfg = ProMipsConfig::builder()
-            .c(0.9)
-            .p(0.5)
-            .seed(29 ^ 0xABCD)
-            .idistance(id_cfg)
-            .build();
-        let idx = ProMips::build_in_memory(&data, cfg).unwrap();
-        let mut rng = Xoshiro256pp::seed_from_u64(55);
-        let mut probe_total = 0u64;
-        let mut incr_total = 0u64;
-        for _ in 0..5 {
-            let q: Vec<f32> = (0..24).map(|_| rng.normal() as f32).collect();
-            idx.clear_cache();
-            idx.reset_stats();
-            let _ = idx.search(&q, 10).unwrap();
-            probe_total += idx.access_stats().logical_reads;
-
-            idx.clear_cache();
-            idx.reset_stats();
-            let _ = idx.search_incremental(&q, 10).unwrap();
-            incr_total += idx.access_stats().logical_reads;
-        }
-        // Quick-Probe's whole purpose (paper Section V): avoid the
-        // one-by-one NN fetches. It must not cost more pages.
-        assert!(
-            probe_total <= incr_total,
-            "quick-probe {probe_total} > incremental {incr_total}"
-        );
-    }
-
-    #[test]
-    fn higher_p_verifies_no_fewer_candidates() {
-        let data = random_data(900, 20, 41);
-        let mk = |p: f64| {
-            let cfg = ProMipsConfig::builder().c(0.9).p(p).seed(4).build();
-            ProMips::build_in_memory(&data, cfg).unwrap()
-        };
-        let low = mk(0.3);
-        let high = mk(0.9);
-        let mut rng = Xoshiro256pp::seed_from_u64(6);
-        let mut low_sum = 0usize;
-        let mut high_sum = 0usize;
-        for _ in 0..10 {
-            let q: Vec<f32> = (0..20).map(|_| rng.normal() as f32).collect();
-            low_sum += low.search(&q, 10).unwrap().verified;
-            high_sum += high.search(&q, 10).unwrap().verified;
-        }
-        assert!(high_sum >= low_sum, "p=0.9 {high_sum} < p=0.3 {low_sum}");
-    }
-}
+#[path = "../tests/search_api/mod.rs"]
+mod tests;

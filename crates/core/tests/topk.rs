@@ -1,6 +1,7 @@
 //! The query path's one collector and one screen walk, held to references:
 //! [`TopK`] against sorting every row pushed and truncating to `k`, and
-//! [`screen::walk`] against offering every row to a `TopK`.
+//! [`screen::walk`] against offering every row at or above its floor to a
+//! `TopK`.
 
 use std::collections::BTreeSet;
 use std::io;
@@ -129,66 +130,71 @@ impl Block {
     }
 }
 
-/// A bound that rules the block out never calls the closure and books
-/// every row screened.
+/// A block whose largest dot cannot reach the bar — a full `top`'s k-th, or
+/// a floor over an empty one — is ruled out whole: the closure is never
+/// called, every row books screened and `top` is left as it was.
 #[test]
 fn walk_rules_a_block_out_whole() {
     let block = Block::new(64, 12, 1);
-    let mut top = TopK::new(2);
-    top.push(1_000, 1e9);
-    top.push(1_001, 1e9);
-    let mut span = ShardSpan::default();
-    let mut calls = 0;
-    screen::walk(
-        64,
-        Some((&block.dots, &block.bound)),
-        &mut top,
-        &mut span,
-        |_| {
+    let mut full = TopK::new(2);
+    full.push(1_000, 1e9);
+    full.push(1_001, 1e9);
+    let above = block.bound.upper(screen::max_dot(&block.dots)) + 1e-6;
+    for (mut top, floor) in [(full, f64::NEG_INFINITY), (TopK::new(2), above)] {
+        let before = bits(&top.clone().into_items());
+        let mut span = ShardSpan::default();
+        let mut calls = 0;
+        let tested = Some((&block.dots[..], &block.bound));
+        screen::walk(64, tested, floor, &mut top, &mut span, |_| {
             calls += 1;
             Ok(None)
-        },
-    )
-    .unwrap();
-    assert_eq!((calls, span.screened, span.verified), (0, 64, 0));
+        })
+        .unwrap();
+        assert_eq!((calls, span.screened, span.verified), (0, 64, 0));
+        assert_eq!(bits(&top.into_items()), before, "floor {floor}");
+    }
 }
 
 /// Without a bound every row is scored; with one, the survivors are, and
-/// either way `top` ends as it does when every row is offered. Rows the
-/// closure masks are neither screened nor verified.
+/// either way `top` ends as it does when every live row at or above the
+/// floor is offered — with no floor, and with one at the third-best live
+/// row, which leaves `top` short of its `k = 4`. Rows the closure masks
+/// are neither screened nor verified.
 #[test]
 fn walk_ends_where_offering_every_row_ends() {
     let mut screened = 0;
     for seed in 0..20 {
         let block = Block::new(64, 12, seed);
         let dead = |row: usize| row % 5 == 3;
-        let mut want = TopK::new(4);
-        for row in (0..64).filter(|&row| !dead(row)) {
-            want.push(row as u64, block.ip(row));
-        }
-        let want = bits(&want.into_items());
-        for bounded in [false, true] {
-            let mut top = TopK::new(4);
-            let mut span = ShardSpan::default();
-            let (mut calls, mut live) = (0, 0);
-            let tested = bounded.then_some((&block.dots[..], &block.bound));
-            screen::walk(64, tested, &mut top, &mut span, |row| {
-                calls += 1;
-                live += u64::from(!dead(row));
-                Ok((!dead(row)).then(|| (row as u64, block.ip(row))))
-            })
-            .unwrap();
-            assert_eq!(
-                bits(&top.into_items()),
-                want,
-                "seed {seed}, bounded {bounded}"
-            );
-            assert_eq!(span.screened + calls, 64);
-            assert_eq!(span.verified, live);
-            if !bounded {
-                assert_eq!((calls, span.screened), (64, 0));
+        let live = || (0..64).filter(|&row| !dead(row));
+        let mut ips: Vec<f64> = live().map(|row| block.ip(row)).collect();
+        ips.sort_by(|a, b| b.total_cmp(a));
+        for floor in [f64::NEG_INFINITY, ips[2]] {
+            let mut want = TopK::new(4);
+            for row in live().filter(|&row| block.ip(row) >= floor) {
+                want.push(row as u64, block.ip(row));
             }
-            screened += span.screened;
+            let want = bits(&want.into_items());
+            for bounded in [false, true] {
+                let mut top = TopK::new(4);
+                let mut span = ShardSpan::default();
+                let (mut calls, mut scored) = (0, 0);
+                let tested = bounded.then_some((&block.dots[..], &block.bound));
+                screen::walk(64, tested, floor, &mut top, &mut span, |row| {
+                    calls += 1;
+                    scored += u64::from(!dead(row));
+                    Ok((!dead(row)).then(|| (row as u64, block.ip(row))))
+                })
+                .unwrap();
+                let what = format!("seed {seed}, floor {floor}, bounded {bounded}");
+                assert_eq!(bits(&top.into_items()), want, "{what}");
+                assert_eq!(span.screened + calls, 64, "{what}");
+                assert_eq!(span.verified, scored, "{what}");
+                if !bounded {
+                    assert_eq!((calls, span.screened), (64, 0), "{what}");
+                }
+                screened += span.screened;
+            }
         }
     }
     assert!(screened > 0, "the bound never ruled a row out");
@@ -200,7 +206,7 @@ fn walk_returns_a_scoring_error_with_the_counts_so_far() {
     let block = Block::new(64, 12, 7);
     let mut top = TopK::new(3);
     let mut span = ShardSpan::default();
-    let err = screen::walk(64, None, &mut top, &mut span, |row| {
+    let err = screen::walk(64, None, f64::NEG_INFINITY, &mut top, &mut span, |row| {
         if row == 5 {
             return Err(io::Error::other("page read failed"));
         }

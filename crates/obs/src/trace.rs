@@ -42,7 +42,8 @@ pub struct ShardSpan {
     /// and count field is zero.
     pub pruned: bool,
     /// Searched in phase 1: its k-th inner product is the floor the other
-    /// shards' pruning bounds are tested against.
+    /// shards' pruning bounds are tested against and their searches are
+    /// held to ([`QueryTrace::kth_floor`]).
     pub seed: bool,
     /// The shard's search failed (IO fault, deadline, poisoned worker)
     /// and a best-effort merge excluded it; the timing and count fields
@@ -81,6 +82,12 @@ pub struct QueryTrace {
     /// Remaining deadline budget when the search completed, if the query
     /// carried one (0 means the deadline fired).
     pub budget_remaining_ns: Option<u64>,
+    /// The seed shard's k-th inner product, when its probe returned `k`
+    /// rows: the bar every other searched shard was held to, and what each
+    /// pruned shard's Cauchy–Schwarz bound `‖q‖·max_norm` fell below (the
+    /// difference is its slack). `None` when there was no seed probe
+    /// (pruning off, one shard) or it failed or came back short.
+    pub kth_floor: Option<f64>,
     /// One span per shard, pruned shards included (with zero timings).
     pub shards: Vec<ShardSpan>,
 }
@@ -200,6 +207,7 @@ mod tests {
             merge_ns: 50,
             degraded: false,
             budget_remaining_ns: None,
+            kth_floor: None,
             shards: vec![
                 ShardSpan {
                     shard: 0,

@@ -16,8 +16,9 @@ pub struct ShardedConfig {
     pub shards: usize,
     /// Whether the fan-out search prunes shards whose Cauchy–Schwarz bound
     /// `‖q‖ · max_norm(shard)` cannot beat the k-th inner product already
-    /// verified in the seed shard. Pruning never changes the returned
-    /// top-k; disabling it is for measurement.
+    /// verified in the seed shard, and holds every other searched shard to
+    /// that k-th as its floor. Neither changes the returned top-k;
+    /// disabling both is for measurement.
     pub prune: bool,
     /// Group-commit policy of the per-shard write-ahead logs (directory-
     /// backed indexes only; in-memory indexes take mutations volatilely).

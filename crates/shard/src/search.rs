@@ -21,7 +21,12 @@
 //!    `‖q‖₂ · max_norm(shard)` falls strictly below the floor is pruned —
 //!    no point it holds can enter the global top-k. Surviving shards are
 //!    searched concurrently under `std::thread::scope`, each with its own
-//!    [`SearchScratch`].
+//!    [`SearchScratch`], and the floor rides into every one of them as the
+//!    request's [`Query::kth_floor`]: rows below it are neither collected
+//!    nor, where a bound rules them out, read — a column pass stops at its
+//!    first sub-partition whose bound falls below it, the delta overlay
+//!    screens its chunks against it. (The annulus path ignores it; its
+//!    Conditions A and B read the shard's own k-th.)
 //!
 //! Per shard, the committed generation's index is searched through
 //! [`promips_core::ProMips::execute`] with the snapshot's tombstone set as
@@ -35,10 +40,11 @@
 //! cross-shard merge is one more `TopK`, every answering shard's items
 //! pushed into it.
 //!
-//! Pruning is exact, never approximate: a pruned shard's best possible
-//! inner product is beaten by k already-verified points, so the merged
-//! top-k is identical with pruning on or off; every shard that is searched
-//! is searched in full.
+//! Pruning and the floor are exact, never approximate: a pruned shard's
+//! best possible inner product, and every row a searched shard leaves out,
+//! is below the seed's k-th and so beaten by k already-verified points
+//! (a row *at* it is kept: it may win the tie on its id), so the merged
+//! top-k is identical with pruning on or off.
 //!
 //! The floor is fixed after phase 1 (workers never race to update it), so
 //! results are **deterministic**: the same query against the same snapshot
@@ -415,20 +421,23 @@ impl ShardedProMips {
         // lock-free or guarded by non-poisoning locks). The span is an
         // out-parameter of the search, so a failed shard still reports its
         // wall time and the work it did before failing.
-        let search_one = |si: usize| -> ShardOutcome {
+        let search_one = |si: usize, kth_floor: f64| -> ShardOutcome {
             let mut span = ShardSpan {
                 shard: si,
                 ..ShardSpan::default()
+            };
+            let request = Query {
+                budget,
+                kth_floor,
+                ..Query::new(q, k)
             };
             let t0 = obs::now_ns();
             let res = catch_unwind(AssertUnwindSafe(|| {
                 search_snapshot(
                     &snaps[si],
-                    q,
-                    k,
+                    request,
                     &mut scratch.per_shard[si].lock(),
                     screen,
-                    budget,
                     &mut span,
                 )
             }));
@@ -459,12 +468,15 @@ impl ShardedProMips {
                 .map(|(i, _)| i)
                 .expect("at least one shard");
             attempted += 1;
-            let (span, res) = search_one(seed);
+            let (span, res) = search_one(seed, f64::NEG_INFINITY);
             spans[seed] = ShardSpan { seed: true, ..span };
             match res {
                 Ok(found) => {
                     if found.len() >= k {
                         kth_floor = found[k - 1].ip;
+                        if let Some(trace) = &mut trace {
+                            trace.kth_floor = Some(kth_floor);
+                        }
                     }
                     items[seed] = Some(found);
                 }
@@ -520,7 +532,7 @@ impl ShardedProMips {
             let worker = || {
                 let mut local: Vec<ShardOutcome> = Vec::new();
                 while let Some(&si) = fan_out.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    let outcome = search_one(si);
+                    let outcome = search_one(si, kth_floor);
                     if outcome.1.is_err() && policy == DegradationPolicy::FailFast {
                         next.store(fan_out.len(), Ordering::Relaxed);
                     }
@@ -657,20 +669,23 @@ impl ShardedProMips {
     }
 }
 
-/// Searches one shard snapshot, returning its top-k under global ids.
+/// Searches one shard snapshot, returning its top-k under global ids — of
+/// the rows at or above `request.kth_floor`, the seed shard's k-th (`-∞`
+/// for the seed itself): the seed holds `k` rows at or above it, so no row
+/// below it can enter the merged top-k.
 ///
-/// The committed generation's index is searched first, under the
-/// snapshot's tombstone mask, and its answer, remapped to global ids, is
-/// pushed into one running [`TopK`] that the delta overlay then joins —
-/// the same two-level read an LSM tree does, with the tombstone set
-/// filtering both levels.
+/// The committed generation's index is searched first with `request`
+/// (vector, `k`, budget and floor), under the snapshot's tombstone mask,
+/// and its answer, remapped to global ids, is pushed into one running
+/// [`TopK`] that the delta overlay then joins — the same two-level read an
+/// LSM tree does, with the tombstone set filtering both levels.
 ///
 /// The overlay is walked like the base column, one [`screen::walk`] per
-/// part: a sealed chunk under its [`ScreenBound`] and one [`dot_col_i8`]
-/// over its codes against `screen`; the open tail, and any chunk while the
-/// k-th is not yet finite, unscreened. Survivors are scored by the
-/// single-row [`dot`], so the result is what scoring every row would give,
-/// `ip` bits and all.
+/// part against the bar `max(k-th, floor)`: a sealed chunk under its
+/// [`ScreenBound`] and one [`dot_col_i8`] over its codes against `screen`;
+/// the open tail, and any chunk while the bar is not yet finite,
+/// unscreened. Survivors are scored by the single-row [`dot`], so the
+/// result is what scoring every row would give, `ip` bits and all.
 ///
 /// A budget rides down into the index's scan/verify loops (checked per
 /// page block and verification group there); the overlay checks it once
@@ -683,13 +698,18 @@ impl ShardedProMips {
 /// sees those rows).
 fn search_snapshot(
     snap: &ShardSnapshot,
-    q: &[f32],
-    k: usize,
+    request: Query<'_>,
     scratch: &mut SearchScratch,
     screen: Option<&QueryScreen>,
-    budget: Option<&QueryBudget>,
     span: &mut ShardSpan,
 ) -> io::Result<Vec<SearchItem>> {
+    let Query {
+        q,
+        k,
+        budget,
+        kth_floor,
+        ..
+    } = request;
     let dead = &snap.delta.tombstones;
     let gen_ids = &snap.gen.ids;
     let mut top = TopK::new(k);
@@ -698,9 +718,8 @@ fn search_snapshot(
         let res = pm.execute(
             Query {
                 mask: Some((&mask, snap.delta.dead_base)),
-                budget,
                 span: Some(&mut *span),
-                ..Query::new(q, k)
+                ..request
             },
             scratch,
         )?;
@@ -718,14 +737,14 @@ fn search_snapshot(
             checker.tick()?;
             let idots = &mut idots[..part.gids.len()];
             let bound = match (&part.quant, screen) {
-                (Some(quant), Some(qs)) if top.kth_ip() > f64::NEG_INFINITY => {
+                (Some(quant), Some(qs)) if top.kth_ip().max(kth_floor) > f64::NEG_INFINITY => {
                     dot_col_i8(&part.codes, d, qs.qcodes(), idots);
                     Some(ScreenBound::new(quant, qs))
                 }
                 _ => None,
             };
             let tested = bound.as_ref().map(|bound| (&*idots, bound));
-            screen::walk(part.gids.len(), tested, &mut top, span, |row| {
+            screen::walk(part.gids.len(), tested, kth_floor, &mut top, span, |row| {
                 let gid = part.gids[row];
                 Ok((!dead.contains(&gid)).then(|| (gid, dot(q, &part.rows[row * d..][..d]))))
             })?;

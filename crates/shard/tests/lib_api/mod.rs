@@ -131,6 +131,85 @@ fn results_are_thread_count_invariant() {
     }
 }
 
+/// The seed shard's k-th is a bar every other searched shard is held to,
+/// rows *at* it included: with the query `e₁` and every row's first
+/// coordinate 1.0 bar the four largest-norm rows' (3.0), the seed's k-th
+/// is 1.0 and ties with every row of every other shard — rows with
+/// smaller ids, which the merge prefers. The answer is brute force's and
+/// the unpruned index's, and every count is the same for any worker count.
+/// Where the seed holds fewer than `k` live rows there is no bar: nothing
+/// is pruned, and every shard does exactly the unpruned index's work.
+#[test]
+fn the_seed_floor_keeps_ties_with_smaller_ids_in_other_shards() {
+    let (n, d, k) = (400usize, 6usize, 10usize);
+    let mut rng = Xoshiro256pp::seed_from_u64(141);
+    // Norms grow with the id, so the norm-range seed shard holds the last
+    // ids and the others the smaller ones.
+    let data = Matrix::from_rows(
+        d,
+        (0..n).map(|i| {
+            let scale = 0.5 * 1.005f64.powi(i as i32);
+            let first = if i >= n - 4 { 3.0 } else { 1.0 };
+            std::iter::once(first)
+                .chain((1..d).map(|_| (scale * rng.normal()) as f32))
+                .collect::<Vec<f32>>()
+        }),
+    );
+    let mut q = vec![0.0f32; d];
+    q[0] = 1.0;
+    let mk = |prune: bool| {
+        let cfg = ShardedConfig::builder()
+            .shards(4)
+            .prune(prune)
+            .base(ProMipsConfig::builder().seed(7).build())
+            .build();
+        ShardedProMips::build_in_memory(&data, cfg).unwrap()
+    };
+    let (pruned, full) = (mk(true), mk(false));
+    let run = |idx: &ShardedProMips, threads: usize| {
+        let request = ShardedQuery {
+            threads: Some(threads),
+            traced: true,
+            ..ShardedQuery::new(&q, k)
+        };
+        let (res, trace) = idx
+            .execute(request, &ShardedScratch::for_index(idx))
+            .unwrap();
+        (res, trace.expect("a traced request returns its trace"))
+    };
+
+    let (res, trace) = run(&pruned, 1);
+    assert_eq!(trace.kth_floor, Some(1.0));
+    assert!(trace.shards.iter().all(|s| s.column_pass && !s.pruned));
+    let seed = trace.shards.iter().position(|s| s.seed).unwrap();
+    let want = exact_ids(&data, &q, k);
+    assert_eq!(res.ids(), want);
+    assert!(
+        want.iter()
+            .any(|&id| !pruned.shards()[seed].global_ids().contains(&id)),
+        "no tie was won outside the seed shard"
+    );
+    assert_eq!(res.items, full.search(&q, k).unwrap().items);
+    let (four, _) = run(&pruned, 4);
+    assert_eq!((&four.items, &four.per_shard), (&res.items, &res.per_shard));
+
+    // Leave the seed shard short of `k` live rows: no bar, and every shard,
+    // the seed included, does what it does unpruned.
+    for idx in [&pruned, &full] {
+        for &gid in &idx.shards()[seed].global_ids()[k / 2..] {
+            idx.delete(gid).unwrap();
+        }
+    }
+    let (res, trace) = run(&pruned, 1);
+    assert_eq!(trace.kth_floor, None);
+    assert_eq!(trace.shards_pruned(), 0);
+    let (unpruned, _) = run(&full, 1);
+    assert_eq!(
+        (&res.items, &res.per_shard),
+        (&unpruned.items, &unpruned.per_shard)
+    );
+}
+
 #[test]
 fn scratch_reuse_is_transparent() {
     let data = random_data(800, 12, 23);

@@ -83,6 +83,43 @@ fn trace_accounts_for_query_latency() {
     );
 }
 
+/// With pruning on, the trace explains every prune: it carries the seed
+/// shard's k-th — at most the merged k-th, since the seed's `k` rows are in
+/// the merge — and each pruned shard's Cauchy–Schwarz bound
+/// `‖q‖·max_norm` falls below it, by a slack the trace lets one read off.
+#[test]
+fn the_trace_carries_the_seed_floor_above_every_pruned_bound() {
+    let _guard = reg_lock();
+    let (d, k) = (16, 10);
+    let data = promips_data::gen::norm_skewed(2000, d, 7);
+    let cfg = ShardedConfig::builder()
+        .shards(4)
+        .base(ProMipsConfig::builder().seed(5).build())
+        .build();
+    let idx = ShardedProMips::build_in_memory(&data, cfg).unwrap();
+    let scratch = ShardedScratch::for_index(&idx);
+    let mut pruned = 0;
+    for q in random_rows(10, d, 89) {
+        let (res, trace) = idx.search_traced_threaded(&q, k, 1, &scratch).unwrap();
+        let floor = trace.kth_floor.expect("the seed probe found k rows");
+        assert!(
+            floor <= res.items[k - 1].ip,
+            "{floor} above the merged k-th"
+        );
+        let q_norm = promips_linalg::sq_norm2(&q).sqrt();
+        for span in trace.shards.iter().filter(|s| s.pruned) {
+            let bound = q_norm * idx.shards()[span.shard].max_norm();
+            assert!(
+                bound < floor,
+                "shard {} pruned at {bound} ≥ {floor}",
+                span.shard
+            );
+            pruned += 1;
+        }
+    }
+    assert!(pruned > 0, "no shard was pruned");
+}
+
 /// Traced and untraced searches return identical results — tracing only
 /// observes — and a kept trace lands in the slow-query log.
 #[test]
