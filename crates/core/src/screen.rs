@@ -3,10 +3,11 @@
 //! ([`ScreenBound`], one per sub-partition or code chunk) and the walk of
 //! one block of rows through it into a [`TopK`] ([`walk`]). The column pass
 //! of [`crate::search`] walks the index's code column one sub-partition at
-//! a time, best bound first, and the shard layer its delta one chunk at a
-//! time — sealed chunks under their full-width codes (the case below that
-//! needs no head basis), the open tail unscreened. The annulus groups use
-//! the test directly, four rows at a time.
+//! a time, best bound first, the annulus path its candidates one
+//! sub-partition group at a time (unscreened while its k-th best is `-∞`),
+//! and the shard layer its delta one chunk at a time — sealed chunks under
+//! their full-width codes (the case below that needs no head basis), the
+//! open tail unscreened.
 
 use std::io;
 
@@ -174,8 +175,8 @@ pub fn max_dot(dots: &[i32]) -> i32 {
 /// `floor` had been offered. Rows ruled out book to `span.screened`, rows
 /// scored to `span.verified`, as they go (valid when `score` fails).
 ///
-/// Always inlined: it runs once per sub-partition the column pass visits
-/// and once per delta chunk, and most calls end at the fold.
+/// Always inlined: it runs once per sub-partition the column pass visits,
+/// per annulus group and per delta chunk, and most calls end at the fold.
 #[inline(always)]
 pub fn walk<F>(
     rows: usize,

@@ -32,9 +32,9 @@
 //!   bound falls below it, the few survivors scored exactly
 //!   (`ProMips::column_pass`). Otherwise — and always on an index without
 //!   the tier — the **annulus path** of Algorithm 3 runs: range scan, then
-//!   screen and rescore group by group under Conditions A and B, with the
-//!   shortfall loop and the compensation radius, bit-identical tier on or
-//!   off.
+//!   one [`crate::screen::walk`] per sub-partition group under Conditions A
+//!   and B, with the shortfall loop and the compensation radius,
+//!   bit-identical tier on or off.
 //! * **Cost derivation.** The annulus path's time is proportional to the
 //!   rows it covers (decode and measure the projected row, fetch and dot
 //!   the code row in group order), the column pass's to `len()` (one
@@ -65,7 +65,8 @@
 //!   [`Termination::DatasetExhausted`], `probe_radius = Some(r)`,
 //!   `final_radius = None`, `compensated = false`;
 //!   the request's span carries `covered_rows` and the `column_pass` flag,
-//!   and `promips_query_column_passes_total` counts the verdicts.
+//!   and `promips_query_column_passes_total` counts the verdicts. On either
+//!   path every returned `ip` is that single-row [`dot`], to the bit.
 //!
 //! # The head bound
 //!
@@ -151,7 +152,7 @@ use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use promips_idistance::{ProjScratch, RangeCandidate};
-use promips_linalg::{dist, dot, dot4, norm1, sq_norm2};
+use promips_linalg::{dist, dot, norm1, sq_norm2};
 use promips_obs::{
     self as obs, BudgetChecker, CounterId, HistoId, QueryBudget, ShardSpan, StageNanos,
 };
@@ -186,15 +187,15 @@ pub struct SearchScratch {
     /// (code column, quantized query, surviving blocks) of the SQ8
     /// two-level filter.
     proj: ProjScratch,
-    /// Buffers for batched original-vector verification.
+    /// Buffers for screening and verification.
     fetch: FetchBuffers,
 }
 
 #[derive(Debug, Default)]
 struct FetchBuffers {
-    /// Record offsets of the group being verified.
+    /// Record offsets of the group being screened.
     offsets: Vec<u32>,
-    /// Flat decode arena: record `i` at `arena[i*d..(i+1)*d]`.
+    /// The f32 row being scored.
     arena: Vec<f32>,
     /// Per-group sort keys: `(min proj_dist, start, end)` into the
     /// candidate slice — precomputed once, so the group ordering pass is
@@ -513,6 +514,7 @@ impl ProMips {
         if !top.is_full() {
             let t_short = obs::now_ns();
             let mut iter = self.index.nn_iter(&scratch.pq);
+            let mut rows = self.index.orig_cursor(0);
             let checker = &mut checker;
             let mut shortfall = || -> io::Result<()> {
                 for cand in iter.by_ref() {
@@ -520,11 +522,8 @@ impl ProMips {
                     if cand.proj_dist <= r || is_dead(cand.id, mask) {
                         continue; // already verified by the range pass / deleted
                     }
-                    self.index.fetch_originals(
-                        cand.subpart,
-                        &[cand.offset],
-                        &mut scratch.fetch.arena,
-                    )?;
+                    rows.seek(cand.subpart);
+                    rows.decode_into(&[cand.offset], &mut scratch.fetch.arena)?;
                     top.push(cand.id, dot(&scratch.fetch.arena, q));
                     work.verified += 1;
                     r_final = cand.proj_dist;
@@ -692,9 +691,11 @@ impl ProMips {
         let mut termination = Termination::DatasetExhausted;
 
         let mut iter = self.index.nn_iter(&pq);
+        let (mut rows, mut arena) = (self.index.orig_cursor(0), Vec::with_capacity(self.d));
         for cand in iter.by_ref() {
-            let orig = self.index.fetch_original(&cand)?;
-            top.push(cand.id, dot(&orig, q));
+            rows.seek(cand.subpart);
+            rows.decode_into(&[cand.offset], &mut arena)?;
+            top.push(cand.id, dot(&arena, q));
             work.verified += 1;
             if ctx.condition_a(top.kth_ip()) {
                 termination = Termination::ConditionA;
@@ -711,9 +712,8 @@ impl ProMips {
         Ok(finish(top, &work, None, None, false, termination))
     }
 
-    /// Verifies candidates one sub-partition batch at a time (each batch is
-    /// one sequential original-blob read), testing the cheap Condition A
-    /// between batches as Algorithm 3 prescribes.
+    /// Verifies candidates one sub-partition batch at a time, testing the
+    /// cheap Condition A between batches as Algorithm 3 prescribes.
     ///
     /// Groups are processed in ascending order of their nearest member's
     /// projected distance, and Condition B is tested at every group
@@ -724,29 +724,27 @@ impl ProMips {
     /// termination of the incremental search — unverified groups are never
     /// fetched from disk.
     ///
-    /// When the index carries the SQ8 verification tier
+    /// A group is one [`screen::walk`], the column pass's: a row it does not
+    /// rule out is skipped if the mask kills it, else its f32 row is decoded
+    /// — through one cursor per group, so survivors sharing a page share its
+    /// read — and scored by the single-row [`dot`], the bits the column pass
+    /// gives. When the index carries the SQ8 verification tier
     /// ([`promips_idistance::IDistanceConfig::verify_quantize`]) and the
-    /// running k-th best is finite, each group runs through a **two-level**
-    /// path instead: the group's 1-byte code rows are dotted with the
-    /// quantized query where they sit, on their pinned pages, and every
-    /// 4-candidate block is *screened* on those integer dots — only blocks
-    /// whose quantized inner product plus the exact error-bound padding can
-    /// still reach the running k-th best get their f32 rows fetched and
-    /// rescored through the same `dot4` call the plain path
-    /// uses. A screened-out candidate is proven strictly below the k-th
-    /// best, and a surviving block is rescored with bitwise the same rows,
-    /// block shape, and kernel as the plain path — so the returned top-k,
-    /// radii, and termination cause are **bit-identical** tier on or off.
-    /// While the collector still reports `-∞` (fewer than k finite
-    /// verifications), screening cannot drop anything and the plain path
-    /// runs.
-    /// Stage attribution: the whole screened call (code pages + integer
-    /// screen + survivor rescore) books to `screen_ns` — that is the
-    /// two-level verification tier as a unit — while the plain f32 path
-    /// books to `verify_ns`. Timing at group granularity (two clock
-    /// reads per group) keeps the instrumentation off the per-block
-    /// kernel hot loop, where a clock read per 4-candidate block would
-    /// cost more than the i8 kernel itself.
+    /// running k-th best is finite, the walk screens each row on its integer
+    /// dot, computed on the group's pinned code pages
+    /// ([`promips_idistance::IDistanceIndex::screen_dots`]), under the
+    /// sub-partition's [`ScreenBound`]. A row ruled out is proven strictly
+    /// below the k-th best, so the returned top-k, radii and termination
+    /// cause are **bit-identical** tier on or off. While the collector still
+    /// reports `-∞` (fewer than k finite verifications), screening cannot
+    /// drop anything and the walk scores every row.
+    ///
+    /// Stage attribution: a screened group (code pages + integer screen +
+    /// survivor scoring) books to `screen_ns` — that is the verification
+    /// tier as a unit — while an unscreened one books to `verify_ns`.
+    /// Timing at group granularity keeps the instrumentation off the
+    /// per-row loop, where a clock read per row would cost more than the
+    /// i8 kernel itself.
     #[allow(clippy::too_many_arguments)]
     fn verify_groups(
         &self,
@@ -759,9 +757,17 @@ impl ProMips {
         work: &mut ShardSpan,
         checker: &mut BudgetChecker<'_>,
     ) -> io::Result<Option<Termination>> {
+        let FetchBuffers {
+            offsets,
+            arena,
+            groups,
+            idots,
+            screen: qs,
+            ..
+        } = buf;
         // Candidates arrive grouped by sub-partition (directory order);
         // compute each group's (min proj_dist, range) key in one pass.
-        buf.groups.clear();
+        groups.clear();
         let mut start = 0;
         while start < cands.len() {
             let subpart = cands[start].subpart;
@@ -771,10 +777,10 @@ impl ProMips {
                 min_pd = min_pd.min(cands[end].proj_dist);
                 end += 1;
             }
-            buf.groups.push((min_pd, start, end));
+            groups.push((min_pd, start, end));
             start = end;
         }
-        buf.groups.sort_by(|a, b| a.0.total_cmp(&b.0));
+        groups.sort_by(|a, b| a.0.total_cmp(&b.0));
 
         let tier = self.index.verify_quantized();
 
@@ -797,7 +803,7 @@ impl ProMips {
             *t_lap = now;
         };
         let mut outcome = Ok(None);
-        for gi in 0..buf.groups.len() {
+        for gi in 0..groups.len() {
             // One cooperative budget check per verified group: a group is
             // one bounded blob read + one bounded kernel pass, so deadline
             // overshoot is bounded by the checker's stride worth of
@@ -806,38 +812,39 @@ impl ProMips {
                 outcome = Err(exceeded.into());
                 break;
             }
-            let (_, s, e) = buf.groups[gi];
+            let (_, s, e) = groups[gi];
             let group = &cands[s..e];
-            buf.offsets.clear();
-            buf.offsets.extend(group.iter().map(|c| c.offset));
+            let sub = group[0].subpart;
             // Screening can only drop candidates proven below a finite
             // k-th best; with `-∞` it is a no-op, so skip the code
-            // fetch entirely and take the plain path.
+            // pages entirely and score every row.
             let screen_now = tier && top.kth_ip() > f64::NEG_INFINITY;
             if screen_now != lap_screened {
                 flush(lap_screened, &mut t_lap, &mut work.stages);
                 lap_screened = screen_now;
             }
-            let res = if screen_now {
-                self.verify_group_screened(
-                    group,
-                    q,
-                    mask,
-                    top,
-                    &mut work.verified,
-                    &mut work.screened,
-                    buf,
-                )
-            } else {
-                let res =
-                    self.index
-                        .fetch_originals(group[0].subpart, &buf.offsets, &mut buf.arena);
-                if res.is_ok() {
-                    self.rescore_group(group, q, mask, top, &mut work.verified, &buf.arena);
+            let bound = if screen_now {
+                offsets.clear();
+                offsets.extend(group.iter().map(|c| c.offset));
+                if let Err(e) = self.index.screen_dots(sub, offsets, qs.qcodes(), idots) {
+                    outcome = Err(e);
+                    break;
                 }
-                res
+                Some(ScreenBound::new(&self.index.vquants()[sub as usize], qs))
+            } else {
+                None
             };
-            if let Err(e) = res {
+            let screen = bound.as_ref().map(|bound| (&idots[..], bound));
+            let mut rows = self.index.orig_cursor(sub);
+            let walked = screen::walk(group.len(), screen, f64::NEG_INFINITY, top, work, |i| {
+                let cand = &group[i];
+                if is_dead(cand.id, mask) {
+                    return Ok(None);
+                }
+                rows.decode_into(&[cand.offset], arena)?;
+                Ok(Some((cand.id, dot(arena, q))))
+            });
+            if let Err(e) = walked {
                 outcome = Err(e);
                 break;
             }
@@ -845,7 +852,7 @@ impl ProMips {
                 outcome = Ok(Some(Termination::ConditionA));
                 break;
             }
-            if let Some(&(frontier, _, _)) = buf.groups.get(gi + 1) {
+            if let Some(&(frontier, _, _)) = groups.get(gi + 1) {
                 if ctx.condition_b(frontier * frontier, top.kth_ip()) {
                     outcome = Ok(Some(Termination::ConditionB));
                     break;
@@ -854,123 +861,6 @@ impl ProMips {
         }
         flush(lap_screened, &mut t_lap, &mut work.stages);
         outcome
-    }
-
-    /// Exact-f32 verification of `cands`, whose rows sit contiguously in
-    /// `arena` (row `i` is candidate `i`). Four candidates go through each
-    /// `dot4` call — the arena rows are contiguous, and the blocked kernel
-    /// converts/loads the query once per block instead of once per
-    /// candidate; a short tail uses single-row `dot`. The plain path passes
-    /// a whole group; the screened path passes one surviving 4-block at a
-    /// time, so both produce bitwise-identical kernel calls for any
-    /// candidate they share.
-    fn rescore_group(
-        &self,
-        cands: &[RangeCandidate],
-        q: &[f32],
-        mask: Option<&dyn Fn(u64) -> bool>,
-        top: &mut TopK,
-        verified: &mut u64,
-        arena: &[f32],
-    ) {
-        let d = self.d;
-        let mut slot = 0;
-        while slot + 4 <= cands.len() {
-            let rows = &arena[slot * d..(slot + 4) * d];
-            let ips = dot4(
-                &rows[..d],
-                &rows[d..2 * d],
-                &rows[2 * d..3 * d],
-                &rows[3 * d..],
-                q,
-            );
-            for (j, &ip) in ips.iter().enumerate() {
-                let cand = &cands[slot + j];
-                if !is_dead(cand.id, mask) {
-                    top.push(cand.id, ip);
-                    *verified += 1;
-                }
-            }
-            slot += 4;
-        }
-        for (cand, row) in cands[slot..].iter().zip(arena[slot * d..].chunks_exact(d)) {
-            if !is_dead(cand.id, mask) {
-                top.push(cand.id, dot(row, q));
-                *verified += 1;
-            }
-        }
-    }
-
-    /// The two-level screen+rescore for one sub-partition group (caller has
-    /// filled `buf.offsets` and guaranteed `top.kth_ip()` is finite).
-    ///
-    /// Level 1 has the index compute every candidate's integer dot on the
-    /// group's pinned SQ8 code pages (1 byte per coordinate — 4× fewer
-    /// pages than the f32 rows, and no row is copied out of them;
-    /// [`promips_idistance::IDistanceIndex::screen_dots`]) and estimates
-    /// each inner product with exact integer arithmetic:
-    /// `⟨x̂, q̂⟩ = sq·(min·Σb + scale·idot)`. A 4-candidate
-    /// block whose every member satisfies `⟨x̂, q̂⟩ + pad < kth` is dropped
-    /// whole (the sub-partition's [`ScreenBound`]), so no candidate whose
-    /// exact kernel inner product could reach the k-th best is ever dropped.
-    ///
-    /// Level 2 decodes only the surviving blocks' f32 rows — through one
-    /// cursor per group, so neighbouring survivors share their page read —
-    /// and rescores each at once through [`ProMips::rescore_group`]: the
-    /// same 4 rows per block, in the same order, through the same kernel
-    /// as the plain path. Screening against the *current* `kth` (which
-    /// only rises as blocks are pushed) keeps later blocks' thresholds
-    /// fresh.
-    #[allow(clippy::too_many_arguments)]
-    fn verify_group_screened(
-        &self,
-        group: &[RangeCandidate],
-        q: &[f32],
-        mask: Option<&dyn Fn(u64) -> bool>,
-        top: &mut TopK,
-        verified: &mut u64,
-        screened: &mut u64,
-        buf: &mut FetchBuffers,
-    ) -> io::Result<()> {
-        let FetchBuffers {
-            offsets,
-            arena,
-            idots,
-            screen: qs,
-            ..
-        } = buf;
-        let sub = group[0].subpart;
-        self.index.screen_dots(sub, offsets, qs.qcodes(), idots)?;
-        let mut rows = self.index.orig_cursor(sub);
-        let bound = ScreenBound::new(&self.index.vquants()[sub as usize], qs);
-
-        let d = self.d;
-        let mut slot = 0;
-        while slot + 4 <= group.len() {
-            let kth = top.kth_ip();
-            if idots[slot..slot + 4]
-                .iter()
-                .any(|&idot| bound.may_reach(idot, kth))
-            {
-                rows.decode_into(&offsets[slot..slot + 4], arena)?;
-                self.rescore_group(&group[slot..slot + 4], q, mask, top, verified, arena);
-            } else {
-                *screened += 4;
-            }
-            slot += 4;
-        }
-        for (at, cand) in (slot..).zip(&group[slot..]) {
-            if bound.may_reach(idots[at], top.kth_ip()) {
-                rows.decode_into(&offsets[at..at + 1], arena)?;
-                if !is_dead(cand.id, mask) {
-                    top.push(cand.id, dot(&arena[..d], q));
-                    *verified += 1;
-                }
-            } else {
-                *screened += 1;
-            }
-        }
-        Ok(())
     }
 
     /// The scan side of the index-or-scan rule, in two phases. The
@@ -984,8 +874,8 @@ impl ProMips {
     /// directory index), and the walk pops until the next bound falls below
     /// the bar `max(k-th best, query.kth_floor)`. Every bound left is at
     /// most that one, so their rows are ruled out unread. A visited
-    /// sub-partition is one [`screen::walk`] over its slice — the annulus
-    /// path's screen, minus the groups. A row the bound cannot rule out has
+    /// sub-partition is one [`screen::walk`] over its slice, as an annulus
+    /// group is. A row the bound cannot rule out has
     /// its id read from its projected record and, unless the mask kills it,
     /// its f32 row decoded and scored by the single-row [`dot`]; the readers
     /// keep their page pinned, so survivors of one sub-partition sharing a

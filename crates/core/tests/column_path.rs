@@ -281,10 +281,11 @@ fn the_pass_reads_the_column_once_plus_its_survivors() {
 /// sub-partitions for some clusters and most of them for others. The rule
 /// is the documented one — a quarter of the rows — and it prices rows in
 /// memory, not pages: where it keeps the annulus path, that path reads more
-/// pages than the best-first passes over the same index do (their
+/// pages (a mean of ≈ 106 a query, screening row by row as the pass does)
+/// than the best-first passes over the same index do (≈ 91, their
 /// survivors' rows included: the rows are of rank 24, so the column itself
 /// is a 64-byte head, 45 pages). A directory-order walk read more than
-/// either (a mean of ≈ 210 pages a pass against the annulus path's ≈ 106).
+/// either (a mean of ≈ 210 pages a pass).
 #[test]
 fn a_clustered_dataset_stays_on_the_annulus_path_though_the_pass_reads_less() {
     let (clusters, per, d) = (24usize, 120usize, 300usize);

@@ -6,9 +6,9 @@
 //!   `ip == linalg::dot(row, q)` to the bit, ties to the smaller id;
 //! * **annulus path** (anything else): the SQ8 screen+rescore must be
 //!   **bit-identical** to pure-f32 verification — same items (ids *and*
-//!   inner-product bits), same radii, same termination cause — and
-//!   screening may only ever *reduce* the number of exact inner products
-//!   computed.
+//!   inner-product bits, each `linalg::dot(row, q)`), same radii, same
+//!   termination cause — and screening may only ever *reduce* the number
+//!   of exact inner products computed.
 //!
 //! Both hold across page sizes that straddle record and field boundaries
 //! (down to one where every code row spans pages), a tombstone mask, the
@@ -25,7 +25,7 @@ use common::{clustered, oracle, random_data, short, without_head};
 use promips_core::result::Termination;
 use promips_core::{ProMips, ProMipsConfig, Query, SearchResult, SearchScratch};
 use promips_idistance::IDistanceConfig;
-use promips_linalg::Matrix;
+use promips_linalg::{dot, Matrix};
 use promips_stats::Xoshiro256pp;
 use promips_storage::Pager;
 
@@ -54,9 +54,9 @@ fn build_pair(data: &Matrix, page_size: usize, seed: u64) -> (ProMips, ProMips) 
     (tiered, plain)
 }
 
-/// `masked`: the request carried a tombstone mask. A dead candidate inside
-/// a screened-out block counts as screened but would not have counted as
-/// verified, so the screened + verified balance holds only without one.
+/// `masked`: the request carried a tombstone mask. A dead row the screen
+/// rules out counts as screened but would not have counted as verified, so
+/// the screened + verified balance holds only without one.
 fn assert_bit_identical(a: &SearchResult, b: &SearchResult, masked: bool, what: &str) {
     assert_eq!(a.items, b.items, "{what}: items diverged");
     assert_eq!(a.termination, b.termination, "{what}: termination diverged");
@@ -99,6 +99,10 @@ impl Sides {
     ) {
         if a.termination != Termination::DatasetExhausted {
             self.annulus += 1;
+            for it in &a.items {
+                let want = dot(data.row(it.id as usize), request.q);
+                assert_eq!(it.ip.to_bits(), want.to_bits(), "{what}: id {}", it.id);
+            }
             return assert_bit_identical(a, b, request.mask.is_some(), what);
         }
         self.column += 1;
@@ -219,8 +223,7 @@ fn boundary_queries_are_bit_identical() {
 /// Rows longer than a page (d = 70 on 64-byte pages): every code row's
 /// integer dot is a sum of per-page partial dots and every survivor's f32
 /// row is decoded across five pages — with a tombstone mask on top, whose
-/// dead candidates sit inside screened and rescored blocks alike (annulus
-/// path) or survive the column pass's screen only to be skipped by id.
+/// dead candidates are screened out or skipped by id alike on both paths.
 #[test]
 fn rows_spanning_pages_under_a_mask_are_bit_identical() {
     let (n, d) = (300usize, 70usize);

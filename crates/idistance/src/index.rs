@@ -1070,13 +1070,6 @@ impl IDistanceIndex {
             .sum()
     }
 
-    /// Fetches a single original vector.
-    pub fn fetch_original(&self, cand: &RangeCandidate) -> io::Result<Vec<f32>> {
-        let mut arena = Vec::with_capacity(self.d);
-        self.fetch_originals(cand.subpart, &[cand.offset], &mut arena)?;
-        Ok(arena)
-    }
-
     // --- Incremental NN ----------------------------------------------------
 
     /// Exact incremental nearest-neighbour iteration in the projected space
@@ -1431,13 +1424,11 @@ mod tests {
         let pq: Vec<f32> = vec![0.0; 6];
         let cands = idx.range_candidates(&pq, -1.0, 2.0).unwrap();
         assert!(!cands.is_empty());
-        for chunk in cands.chunks(5) {
-            // Group by subpart within the chunk.
-            for c in chunk {
-                let v = idx.fetch_original(c).unwrap();
-                let expected: Vec<f32> = orig.row(c.id as usize).to_vec();
-                assert_eq!(v, expected, "id {}", c.id);
-            }
+        let mut arena = Vec::new();
+        for c in &cands {
+            idx.fetch_originals(c.subpart, &[c.offset], &mut arena)
+                .unwrap();
+            assert_eq!(arena, orig.row(c.id as usize), "id {}", c.id);
         }
     }
 

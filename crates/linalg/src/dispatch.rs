@@ -27,7 +27,8 @@
 //! | projected space, `m ≤ 16` floats or codes  | `sq_dist_col` / `sq_dist_col_i8`: one call per sub-partition column — floats through the unrolled scalar body on every backend, codes with rows in the vector lanes |
 //! | screen, a run of contiguous `w`-code rows  | `dot_col_i8`: `w` = 64 or 128 on AVX-512 — sixteen rows per step and per store; otherwise `dot4_i8` over every four rows |
 //! | screen, scattered u8 × i8 code rows        | `dot4_i8` / `dot_i8`: 64 (VNNI), 32 (BW) or 16 (AVX2) codes per step, masked or overlapped tail |
-//! | verification, `d`-long f32 rows            | `dot4` / `dot`: widened `f64` FMA lanes |
+//! | verification, one `d`-long f32 row         | `dot`: widened `f64` FMA lanes |
+//! | `matvec_into`, exact scanners, f32 rows    | `dot4` over every four rows, `dot` for the rest |
 //! | build, rows × rows (`Matrix::gemm_nt`)     | `dot4x4`: sixteen `dot4`-identical sums per pass over eight rows |
 //!
 //! ## Numerical contract

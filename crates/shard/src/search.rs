@@ -812,7 +812,7 @@ mod tests {
     /// — one holding an index or one holding none — and its admission slot
     /// returned.
     #[test]
-    fn a_non_finite_query_is_refused_on_indexed_and_exact_shards() {
+    fn a_non_finite_query_is_refused_on_indexed_and_index_less_shards() {
         let mut rng = Xoshiro256pp::seed_from_u64(6);
         // 400 rows fill both shards; one row leaves shard 1 without an index.
         for n in [400, 1] {

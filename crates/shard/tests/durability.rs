@@ -92,10 +92,7 @@ fn assert_same_search(a: &ShardedProMips, b: &ShardedProMips, d: usize, qseed: u
 /// Every live point with its exact inner product: a search with `k` = live
 /// count clamps nowhere and exhaustively verifies, so this is
 /// **structure-independent** ground truth — compaction and re-partitioning
-/// rearrange the index but must preserve it (ips compared with a small
-/// tolerance because delta entries are verified through the single-row
-/// `dot` kernel and compacted rows through the blocked `dot4`, which may
-/// round differently in the last ulp).
+/// rearrange the index but must preserve it.
 fn full_search_map(idx: &ShardedProMips, q: &[f32]) -> std::collections::BTreeMap<u64, f64> {
     let res = idx.search(q, idx.len() as usize).unwrap();
     res.items.iter().map(|it| (it.id, it.ip)).collect()
@@ -111,8 +108,9 @@ fn assert_equivalent_full(
     assert_eq!(ka, kb, "{label}: live id sets differ");
     for (id, ip_a) in a {
         let ip_b = b[id];
-        assert!(
-            (ip_a - ip_b).abs() <= 1e-6 * ip_a.abs().max(1.0),
+        assert_eq!(
+            ip_a.to_bits(),
+            ip_b.to_bits(),
             "{label}: id {id} ip {ip_a} vs {ip_b}"
         );
     }

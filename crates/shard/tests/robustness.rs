@@ -561,7 +561,7 @@ proptest! {
             for it in &bounded.items {
                 let want = dot(&q, data.row(it.id as usize));
                 prop_assert!(
-                    (it.ip - want).abs() <= 1e-6 * want.abs().max(1.0),
+                    it.ip.to_bits() == want.to_bits(),
                     "fabricated ip for id {}: {} vs {}", it.id, it.ip, want
                 );
             }
