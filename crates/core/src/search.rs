@@ -65,7 +65,7 @@
 //!   [`Termination::DatasetExhausted`], `probe_radius = Some(r)`,
 //!   `final_radius = None`, `compensated = false`;
 //!   the request's span carries `covered_rows` and the `column_pass` flag,
-//!   and `promips_query_column_passes_total` counts the verdicts. On either
+//!   and [`CounterId::QueryColumnPasses`] counts the verdicts. On either
 //!   path every returned `ip` is that single-row [`dot`], to the bit.
 //!
 //! # The head bound
@@ -356,7 +356,7 @@ impl ProMips {
     /// registry (row counters and stage histograms) and the request's
     /// span with the work done — whether the search finished or an IO
     /// fault or the budget stopped it.
-    /// Query-level metrics (`promips_queries_total`, end-to-end latency)
+    /// Query-level metrics ([`CounterId::Queries`], end-to-end latency)
     /// are owned by the sharded layer so a fan-out is counted once, not
     /// once per shard.
     pub fn execute(

@@ -11,7 +11,8 @@
 //! Deadlines are absolute [`now_ns`] values, so a budget can be handed to
 //! worker threads without re-anchoring, and the remaining budget at
 //! completion is a plain subtraction (recorded to the
-//! `promips_budget_remaining_ns` histogram by the sharded layer).
+//! [`HistoId::BudgetRemainingNs`](crate::HistoId::BudgetRemainingNs)
+//! histogram by the sharded layer).
 //!
 //! A [`BudgetExceeded`] converts into `io::Error` (and back, via
 //! [`budget_error`]) so it can ride the existing `io::Result` plumbing of

@@ -7,13 +7,13 @@
 //!
 //! - [`Registry`]: fixed, enum-indexed arrays of atomic counters, gauges
 //!   and log2-bucketed histograms. The hot path is a single relaxed
-//!   `fetch_add` — no hashing, no locking, no allocation. Snapshots are
-//!   plain values that merge associatively, and render to Prometheus
-//!   text format or JSON.
+//!   `fetch_add` — no hashing, no locking, no allocation. A snapshot is a
+//!   plain value; two of them diff into the activity between
+//!   ([`RegistrySnapshot::saturating_diff`]).
 //! - [`trace::QueryTrace`]: an opt-in per-query breakdown of where time
 //!   went (scan → screen → verify → merge, with per-shard fan-out spans
-//!   and prune decisions). Enabled per call; near-zero cost when off.
-//! - [`slow`]: a bounded log retaining the N worst queries past a
+//!   and prune decisions). Built only when the request asks for it.
+//! - [`slow`]: a bounded log retaining the N worst traced queries past a
 //!   configurable latency threshold, each with its trace, lifecycle
 //!   verdict, and a flight-recorder excerpt.
 //!
@@ -24,10 +24,6 @@
 //! - [`recorder`]: a lock-light bounded flight recorder of structured
 //!   lifecycle events (compactions, WAL replay, faults, shed/degraded
 //!   queries, generation swaps).
-//! - [`sampling`]: deterministic counter-based 1-in-N sampling that
-//!   routes ordinary searches through the trace machinery.
-//! - [`promcheck`]: a small Prometheus text-format checker, the oracle
-//!   of the one exposition [`RegistrySnapshot::render_prometheus`] emits.
 //!
 //! Stage timing is always on: a query pays a handful of clock reads and
 //! histogram records (`obs.trace_overhead_frac` in `benchmark/` is the
@@ -35,16 +31,13 @@
 
 pub mod budget;
 mod metrics;
-pub mod promcheck;
 pub mod recorder;
 mod registry;
-mod render;
-pub mod sampling;
 pub mod slow;
 pub mod trace;
 
 pub use budget::{budget_error, BudgetChecker, BudgetExceeded, CancelToken, QueryBudget};
-pub use metrics::{bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{CounterId, GaugeId, HistoId, Registry, RegistrySnapshot};
 pub use trace::{QueryTrace, ShardSpan, StageNanos};
 

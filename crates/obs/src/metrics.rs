@@ -1,6 +1,6 @@
 //! Lock-free metric primitives: counters, gauges, and log2-bucketed
 //! histograms. Every mutation is a single relaxed atomic RMW; snapshots
-//! are plain values that merge associatively.
+//! are plain values.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -102,21 +102,6 @@ fn bucket_of(v: u64) -> usize {
     }
 }
 
-/// Largest sample value bucket `b` can hold: 0 for the zero bucket,
-/// otherwise `2^b - 1` (bucket `b` covers `[2^(b-1), 2^b)` and samples
-/// are integers). These are the `le` bounds of the cumulative-`_bucket`
-/// Prometheus exposition.
-#[inline]
-pub fn bucket_upper_bound(b: usize) -> u64 {
-    if b == 0 {
-        0
-    } else if b >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << b) - 1
-    }
-}
-
 /// Lock-free histogram over `u64` samples (latencies in ns, batch
 /// sizes) with log2 bucketing. Recording is two relaxed `fetch_add`s.
 ///
@@ -171,8 +156,8 @@ impl Default for Histogram {
     }
 }
 
-/// Plain-value copy of a [`Histogram`]; merges element-wise (and is
-/// therefore associative and commutative), estimates quantiles.
+/// Plain-value copy of a [`Histogram`]; diffs against an earlier copy,
+/// estimates quantiles.
 #[derive(Clone, Copy, Debug)]
 pub struct HistogramSnapshot {
     pub buckets: [u64; BUCKETS],
@@ -187,24 +172,6 @@ impl HistogramSnapshot {
 
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
-    }
-
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum as f64 / n as f64
-        }
-    }
-
-    /// Element-wise accumulate: `self` becomes the histogram of the
-    /// union of both sample sets.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (dst, src) in self.buckets.iter_mut().zip(&other.buckets) {
-            *dst += src;
-        }
-        self.sum += other.sum;
     }
 
     /// Per-bucket difference against an `earlier` snapshot of the same
@@ -303,7 +270,7 @@ mod tests {
         assert!((50.0..=200.0).contains(&med), "median estimate {med}");
         let max = s.quantile(1.0); // exact max is 40_000
         assert!((20_000.0..=80_000.0).contains(&max), "max estimate {max}");
-        assert!((s.mean() - 42_704.0 / 7.0).abs() < 1e-9);
+        assert_eq!(s.sum, 42_704);
     }
 
     #[test]
@@ -323,34 +290,5 @@ mod tests {
         let wrong = before.saturating_diff(&after);
         assert_eq!(wrong.count(), 0);
         assert_eq!(wrong.sum, 0);
-    }
-
-    #[test]
-    fn bucket_upper_bounds_cover_their_buckets() {
-        assert_eq!(bucket_upper_bound(0), 0);
-        assert_eq!(bucket_upper_bound(1), 1);
-        assert_eq!(bucket_upper_bound(2), 3);
-        assert_eq!(bucket_upper_bound(64), u64::MAX);
-        for v in [0u64, 1, 2, 3, 4, 1000, u64::MAX] {
-            let b = bucket_of(v);
-            assert!(v <= bucket_upper_bound(b));
-            if b > 0 {
-                assert!(v > bucket_upper_bound(b - 1));
-            }
-        }
-    }
-
-    #[test]
-    fn merge_is_elementwise() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record(5);
-        a.record(9);
-        b.record(5);
-        let mut sa = a.snapshot();
-        let sb = b.snapshot();
-        sa.merge(&sb);
-        assert_eq!(sa.count(), 3);
-        assert_eq!(sa.sum, 19);
     }
 }

@@ -12,9 +12,7 @@
 //! what they describe; the structure exists so a dump taken *during* a
 //! storm still sees every writer make progress.
 //!
-//! Dumps are taken automatically: the slow-query log attaches the
-//! current ring to every entry it keeps, and a query that aborts with
-//! an error captures an [`ErrorDump`] via [`capture_error`].
+//! The slow-query log attaches the current ring to every entry it keeps.
 
 use crate::registry::{CounterId, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,9 +22,6 @@ use std::sync::Mutex;
 /// maintenance/fault context leading up to a bad query, small enough
 /// that a dump clones in microseconds.
 pub const CAPACITY: usize = 128;
-
-/// Error dumps retained (newest-N) by [`capture_error`].
-pub const ERROR_DUMPS: usize = 8;
 
 /// What happened, with the structured context each event type carries.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -120,8 +115,7 @@ fn slot_lock(i: usize) -> std::sync::MutexGuard<'static, Option<Event>> {
 }
 
 /// Record one event. Lock-light: one relaxed `fetch_add` to claim a
-/// slot, one per-slot store. Also ticks
-/// `promips_recorder_events_total`.
+/// slot, one per-slot store. Also ticks [`CounterId::RecorderEvents`].
 pub fn emit(kind: EventKind) {
     let seq = NEXT_SEQ.fetch_add(1, Ordering::Relaxed);
     let event = Event {
@@ -165,49 +159,6 @@ pub fn clear() {
     for i in 0..CAPACITY {
         *slot_lock(i) = None;
     }
-}
-
-/// The flight-recorder ring captured at the moment a query aborted.
-#[derive(Clone, Debug)]
-pub struct ErrorDump {
-    pub at_ns: u64,
-    /// Display form of the error that triggered the capture.
-    pub error: String,
-    /// The ring at capture time, oldest first.
-    pub events: Vec<Event>,
-}
-
-static ERRORS: Mutex<Vec<ErrorDump>> = Mutex::new(Vec::new());
-
-fn errors_lock() -> std::sync::MutexGuard<'static, Vec<ErrorDump>> {
-    ERRORS.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Automatic postmortem: snapshot the ring against `error`, retaining
-/// the newest [`ERROR_DUMPS`] captures. Called by the query path when a
-/// search aborts with an error.
-pub fn capture_error(error: &dyn std::fmt::Display) {
-    let dump = ErrorDump {
-        at_ns: crate::now_ns(),
-        error: error.to_string(),
-        events: dump(),
-    };
-    let mut g = errors_lock();
-    g.push(dump);
-    let overflow = g.len().saturating_sub(ERROR_DUMPS);
-    if overflow > 0 {
-        g.drain(..overflow);
-    }
-}
-
-/// Retained error captures, oldest first.
-pub fn error_dumps() -> Vec<ErrorDump> {
-    errors_lock().clone()
-}
-
-/// Drop all retained error captures.
-pub fn clear_error_dumps() {
-    errors_lock().clear();
 }
 
 // The ring is process-global; every unit test in this crate that emits
@@ -256,28 +207,5 @@ mod tests {
         let text = render_dump();
         assert!(text.contains("query degraded: 1/3"), "got: {text}");
         clear();
-    }
-
-    #[test]
-    fn error_dumps_snapshot_the_ring_and_stay_bounded() {
-        let _g = test_lock();
-        clear();
-        clear_error_dumps();
-        emit(EventKind::FaultInjected { op: "read" });
-        for i in 0..(ERROR_DUMPS + 3) {
-            capture_error(&format!("boom {i}"));
-        }
-        let dumps = error_dumps();
-        assert_eq!(dumps.len(), ERROR_DUMPS, "error captures are bounded");
-        assert!(
-            dumps[0].error.contains("boom 3"),
-            "oldest surviving capture"
-        );
-        assert!(dumps.iter().all(|d| d
-            .events
-            .iter()
-            .any(|e| e.kind == EventKind::FaultInjected { op: "read" })));
-        clear();
-        clear_error_dumps();
     }
 }

@@ -4,13 +4,10 @@
 //! verdict (degraded? how many shards failed? budget left?), and a
 //! flight-recorder excerpt captured at retention time.
 //!
-//! Entries arrive from two paths: explicitly traced requests and the
-//! 1-in-N exemplars the always-on sampler promotes out of the ordinary
-//! search path ([`crate::sampling`]); the untraced hot path never touches
-//! this module's mutex. Keeping the
-//! worst-N (rather than the latest-N) means a burst of mildly-slow
-//! queries cannot evict the one pathological trace you actually want
-//! to inspect.
+//! Entries arrive only from explicitly traced requests; an untraced query
+//! never touches this module's mutex. Keeping the worst-N (rather than
+//! the latest-N) means a burst of mildly-slow queries cannot evict the
+//! one pathological trace you actually want to inspect.
 
 use crate::recorder;
 use crate::registry::{CounterId, Registry};
@@ -33,9 +30,6 @@ pub struct SlowQueryEntry {
     /// Deadline budget left at completion (`None` for unbudgeted
     /// queries).
     pub budget_remaining_ns: Option<u64>,
-    /// `true` when this entry is a 1-in-N sampler exemplar rather than
-    /// an explicitly traced query.
-    pub sampled: bool,
     /// Flight-recorder ring at retention time, oldest first — the
     /// maintenance/fault context surrounding the slow query.
     pub events: Vec<recorder::Event>,
@@ -53,9 +47,6 @@ impl SlowQueryEntry {
     /// flight-recorder excerpt.
     pub fn render(&self) -> String {
         let mut out = self.trace.render();
-        if self.sampled {
-            out.push_str("  (sampled exemplar)\n");
-        }
         if self.degraded {
             out.push_str(&format!(
                 "  DEGRADED: {} shard(s) excluded by failure\n",
@@ -109,22 +100,11 @@ pub fn threshold_ns() -> u64 {
     with_log(|log| log.threshold_ns)
 }
 
-/// Offer an explicitly requested trace for retention (see
-/// [`offer_sampled`] for the sampler's exemplars). Returns `true` if it
-/// was kept: it crossed the threshold and ranked among the worst N by
-/// total latency. Kept entries bump `promips_slow_queries_total` and
-/// capture the flight-recorder ring.
+/// Offer a traced query for retention. Returns `true` if it was kept: it
+/// crossed the threshold and ranked among the worst N by total latency.
+/// Kept entries bump [`CounterId::SlowQueries`] and capture the
+/// flight-recorder ring.
 pub fn offer(trace: &QueryTrace) -> bool {
-    offer_with(trace, false)
-}
-
-/// [`offer`] for the 1-in-N sampler: the kept entry is flagged as an
-/// exemplar.
-pub fn offer_sampled(trace: &QueryTrace) -> bool {
-    offer_with(trace, true)
-}
-
-fn offer_with(trace: &QueryTrace, sampled: bool) -> bool {
     // Cheap pre-checks under the lock; the recorder dump (slot scan +
     // clone) happens only for traces that will actually be kept.
     let admitted = with_log(|log| {
@@ -141,7 +121,6 @@ fn offer_with(trace: &QueryTrace, sampled: bool) -> bool {
         degraded: trace.degraded,
         shards_failed: trace.shards.iter().filter(|s| s.failed).count(),
         budget_remaining_ns: trace.budget_remaining_ns,
-        sampled,
         events: recorder::dump(),
         trace: trace.clone(),
     };
@@ -221,7 +200,7 @@ mod tests {
         configure(0, DEFAULT_CAPACITY);
 
         // Entries carry the lifecycle fields first-class and the
-        // recorder excerpt; sampled offers are flagged.
+        // recorder excerpt.
         let mut t = trace(1_000);
         t.degraded = true;
         t.budget_remaining_ns = Some(42);
@@ -242,13 +221,12 @@ mod tests {
             failed_shards: 1,
             attempted: 2,
         });
-        assert!(offer_sampled(&t));
+        assert!(offer(&t));
         let kept = snapshot();
         let entry = &kept[0];
         assert!(entry.degraded);
         assert_eq!(entry.shards_failed, 1);
         assert_eq!(entry.budget_remaining_ns, Some(42));
-        assert!(entry.sampled);
         assert!(entry
             .events
             .iter()
@@ -258,7 +236,6 @@ mod tests {
             text.contains("DEGRADED"),
             "render flags degradation: {text}"
         );
-        assert!(text.contains("sampled exemplar"));
         // The entry explains each shard's path: the index-or-scan rule's
         // input on every searched shard, its verdict where it was "scan".
         assert!(text.contains("covered=0\n") && text.contains("covered=900 [column pass]"));

@@ -138,7 +138,8 @@ impl QueryTrace {
         self.shards.iter().filter(|s| s.failed).count()
     }
 
-    /// Shards neither pruned nor failed, as `promips_shards_searched_total`
+    /// Shards neither pruned nor failed, as
+    /// [`CounterId::ShardsSearched`](crate::CounterId::ShardsSearched)
     /// counts them: searched + pruned + failed is the shard count.
     pub fn shards_searched(&self) -> usize {
         let answered = |s: &&ShardSpan| !s.pruned && !s.failed;

@@ -1,6 +1,5 @@
-//! Property tests for the log2 histogram: quantile estimates against
-//! exact sorted percentiles (bounded relative error per bucket) and
-//! associativity/commutativity of snapshot merging.
+//! Property test for the log2 histogram: quantile estimates against
+//! exact sorted percentiles (bounded relative error per bucket).
 
 use promips_obs::{Histogram, HistogramSnapshot};
 use proptest::prelude::*;
@@ -52,40 +51,6 @@ proptest! {
                     q, exact, est, ratio
                 );
             }
-        }
-    }
-
-    /// Merging snapshots equals snapshotting the concatenated samples,
-    /// in any association/order: (a+b)+c == a+(b+c) == (c+b)+a.
-    #[test]
-    fn merge_is_associative_and_commutative(
-        a in proptest::collection::vec(0u64..1_000_000, 0..60),
-        b in proptest::collection::vec(0u64..1_000_000, 0..60),
-        c in proptest::collection::vec(0u64..1_000_000, 0..60),
-    ) {
-        let (sa, sb, sc) = (snapshot_of(&a), snapshot_of(&b), snapshot_of(&c));
-
-        let mut left = sa; // (a + b) + c
-        left.merge(&sb);
-        left.merge(&sc);
-
-        let mut right = sb; // a + (b + c)
-        right.merge(&sc);
-        let mut right_total = sa;
-        right_total.merge(&right);
-
-        let mut rev = sc; // (c + b) + a
-        rev.merge(&sb);
-        rev.merge(&sa);
-
-        let mut concat = a.clone();
-        concat.extend_from_slice(&b);
-        concat.extend_from_slice(&c);
-        let direct = snapshot_of(&concat);
-
-        for other in [&right_total, &rev, &direct] {
-            prop_assert_eq!(&left.buckets[..], &other.buckets[..]);
-            prop_assert_eq!(left.sum, other.sum);
         }
     }
 }

@@ -66,7 +66,7 @@
 //! * **Admission** — [`crate::ShardedConfig::max_in_flight`] bounds the
 //!   searches running concurrently against the index; the excess is
 //!   refused up front with [`QueryError::Overloaded`] instead of piling
-//!   onto a saturated box (counted by `promips_queries_shed_total`).
+//!   onto a saturated box (counted by [`CounterId::QueriesShed`]).
 //! * **Budgets** — a request's [`ShardedQuery::budget`] carries a
 //!   [`QueryBudget`] (deadline and/or cancellation token) down into every
 //!   shard's scan and verify loops, which check it cooperatively once per
@@ -82,7 +82,7 @@
 //!   `BestEffort` drops the failed shard from the merge and returns the
 //!   exact top-k over the survivors with
 //!   [`crate::ShardedSearchResult::degraded`] set (counted by
-//!   `promips_partial_results_total`, visible per shard in traces, where
+//!   [`CounterId::PartialResults`], visible per shard in traces, where
 //!   the failed shard's span keeps its wall time and the work it did
 //!   before failing).
 
@@ -96,8 +96,8 @@ use promips_core::screen::{self, QueryScreen, ScreenBound};
 use promips_core::{Query, SearchItem, SearchScratch, TopK};
 use promips_linalg::{dot, dot_col_i8, sq_norm2};
 use promips_obs::{
-    self as obs, budget_error, recorder, sampling, slow, BudgetChecker, BudgetExceeded, CounterId,
-    HistoId, QueryBudget, QueryTrace, ShardSpan,
+    self as obs, budget_error, recorder, slow, BudgetChecker, BudgetExceeded, CounterId, HistoId,
+    QueryBudget, QueryTrace, ShardSpan,
 };
 
 use crate::error::{DegradationPolicy, QueryError, ShardError, ShardErrorKind};
@@ -163,8 +163,7 @@ fn classify_shard_error(si: usize, e: io::Error) -> ShardError {
 }
 
 /// Books the query-level counters for a failure that aborts the whole
-/// query, leaves the postmortem trail (a flight-recorder event plus an
-/// automatic [`recorder::ErrorDump`] of the ring), then promotes it.
+/// query, leaves a flight-recorder event, then promotes it.
 fn fail_query(se: ShardError) -> QueryError {
     let reg = obs::global();
     match se.kind {
@@ -183,9 +182,7 @@ fn fail_query(se: ShardError) -> QueryError {
         shard: se.shard,
         kind,
     });
-    let qe = QueryError::from(se);
-    recorder::capture_error(&qe);
-    qe
+    QueryError::from(se)
 }
 
 /// One sharded search request: the query vector and `k`, plus the
@@ -242,10 +239,9 @@ pub struct ShardedQuery<'a> {
     /// decision, the remaining budget and every failed shard with the work
     /// it did before failing. The trace is also offered to the
     /// process-global slow-query log ([`promips_obs::slow`]). It costs one
-    /// small allocation and a handful of clock reads. Untraced requests
-    /// are still traced 1-in-N (deterministic arrival counting, see
-    /// [`promips_obs::sampling`]) and offered to the slow log as exemplars;
-    /// results never depend on tracing — it only observes.
+    /// small allocation and a handful of clock reads. An untraced request
+    /// builds no trace and never touches the slow log. Results never
+    /// depend on tracing — it only observes.
     pub traced: bool,
 }
 
@@ -353,14 +349,7 @@ impl ShardedProMips {
             budget,
             traced,
         } = query;
-        // The one sampling decision: every N-th untraced arrival is traced
-        // anyway and its trace kept as a slow-log exemplar (the counter
-        // makes the exemplar rate itself observable).
-        let sampled = !traced && sampling::should_sample();
-        if sampled {
-            obs::global().counter(CounterId::QueriesSampled).inc();
-        }
-        let mut trace = (traced || sampled).then(|| QueryTrace {
+        let mut trace = traced.then(|| QueryTrace {
             k,
             started_at_ns: obs::now_ns(),
             ..QueryTrace::default()
@@ -659,13 +648,9 @@ impl ShardedProMips {
             trace.budget_remaining_ns = budget_remaining_ns;
             trace.shards = spans;
             trace.total_ns = obs::now_ns().saturating_sub(trace.started_at_ns);
-            if sampled {
-                slow::offer_sampled(trace);
-            } else {
-                slow::offer(trace);
-            }
+            slow::offer(trace);
         }
-        Ok((result, trace.filter(|_| traced)))
+        Ok((result, trace))
     }
 }
 

@@ -77,9 +77,7 @@ fn a_warm_query_allocates_the_same_over_any_delta() {
     .unwrap();
     let scratch = ShardedScratch::for_index(&index);
     let q = gaussian_rows(1, d, &mut rng).pop().unwrap();
-    // A sampled query carries a trace; one-time lazy initialisations must
-    // not charge a measured query either.
-    promips_obs::sampling::set_sample_every(0);
+    // One-time lazy initialisations must not charge a measured query.
     let _ = promips_obs::now_ns();
     let _ = promips_obs::global().snapshot();
 

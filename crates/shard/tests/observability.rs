@@ -1,7 +1,7 @@
 //! End-to-end checks of the unified observability layer at the sharded
 //! level: per-query stage traces must account for the measured latency,
-//! the Prometheus exposition must carry the query/WAL/maintenance series,
-//! and the registry gauges must track the real overlay state through
+//! the registry must book the query/WAL/maintenance activity of a
+//! workload, and its gauges must track the real overlay state through
 //! mutations, compaction, and re-partitioning.
 //!
 //! The registry and the slow-query log are process-global; every test here holds [`REG_LOCK`] so their
@@ -13,7 +13,7 @@ use std::sync::Mutex;
 
 use promips_core::ProMipsConfig;
 use promips_linalg::Matrix;
-use promips_obs::{self as obs, recorder, sampling, slow, CounterId, GaugeId, HistoId};
+use promips_obs::{self as obs, recorder, slow, CounterId, GaugeId, HistoId};
 use promips_shard::{
     CompactionOutcome, DegradationPolicy, ShardedConfig, ShardedProMips, ShardedQuery,
     ShardedScratch, SyncPolicy,
@@ -164,14 +164,17 @@ fn tracing_is_pure_observation_and_feeds_slow_log() {
     slow::clear();
 }
 
-/// A sharded workload's Prometheus exposition carries the query-stage
-/// histograms, WAL/compaction counters, and the overlay gauges — the
-/// acceptance list of the observability issue.
+/// A durable sharded workload books every layer to the registry: the
+/// snapshot diff over it moves by exactly what the workload fixes —
+/// 80 inserts, 20 deletes, 4 queries — and moves at all for what it only
+/// implies (WAL appends, compactions, generation swaps, per-shard stage
+/// samples), while the overlay gauges rise with the mutations and fall
+/// back to their baseline once compaction folds the overlay away.
 #[test]
-fn prometheus_exposition_covers_the_pipeline() {
+fn the_registry_books_the_pipeline() {
     let _guard = reg_lock();
     let d = 12;
-    let dir = temp_dir("prom");
+    let dir = temp_dir("pipeline");
     let data = Matrix::from_rows(d, random_rows(1500, d, 21));
     let cfg = ShardedConfig::builder()
         .shards(2)
@@ -180,9 +183,10 @@ fn prometheus_exposition_covers_the_pipeline() {
         .build();
     let idx = ShardedProMips::build_in_dir(&data, cfg, &dir).unwrap();
     let scratch = ShardedScratch::for_index(&idx);
+    let before = obs::global().snapshot();
 
-    // Mutate (WAL counters), query (latency + stage histograms), compact
-    // (compaction counters) — then render.
+    // Mutate (WAL counters, overlay gauges), query (latency + stage
+    // histograms), compact (compaction counters, gauges folded back).
     let mut gids = Vec::new();
     for row in random_rows(80, d, 22) {
         gids.push(idx.insert(&row).unwrap());
@@ -193,32 +197,31 @@ fn prometheus_exposition_covers_the_pipeline() {
     for q in random_rows(4, d, 23) {
         idx.search_threaded(&q, 5, 1, &scratch).unwrap();
     }
+    let mutated = obs::global().snapshot();
     idx.compact_all().unwrap();
+    let after = obs::global().snapshot();
+    let booked = after.saturating_diff(&before);
 
-    let text = obs::global().snapshot().render_prometheus();
-    for series in [
-        "promips_queries_total",
-        "promips_query_latency_ns_bucket{le=\"+Inf\"} ",
-        "promips_stage_scan_ns_bucket{le=\"+Inf\"} ",
-        "promips_stage_verify_ns_count",
-        "promips_shard_search_ns_sum",
-        "promips_wal_appends_total",
-        "promips_wal_syncs_total",
-        "promips_compactions_total",
-        "promips_generation_swaps_total",
-        "promips_delta_rows",
-        "promips_tombstones",
-        "# TYPE promips_query_latency_ns histogram",
+    assert_eq!(booked.counter(CounterId::Inserts), 80);
+    assert_eq!(booked.counter(CounterId::Deletes), 20);
+    assert_eq!(booked.counter(CounterId::Queries), 4);
+    assert_eq!(booked.histogram(HistoId::QueryLatencyNs).count(), 4);
+    for id in [
+        CounterId::WalAppends,
+        CounterId::Compactions,
+        CounterId::GenerationSwaps,
     ] {
-        assert!(
-            text.contains(series),
-            "exposition missing {series}:\n{text}"
-        );
+        assert!(booked.counter(id) > 0, "{id:?} did not move");
     }
-    // The JSON view renders the same snapshot without panicking and is
-    // non-trivial.
-    let json = obs::global().snapshot().render_json();
-    assert!(json.contains("\"promips_query_latency_ns\""));
+    for id in [HistoId::StageScanNs, HistoId::ShardSearchNs] {
+        assert!(booked.histogram(id).count() > 0, "{id:?} did not move");
+    }
+    let rose = |id| mutated.gauge(id) - before.gauge(id);
+    assert_eq!(rose(GaugeId::DeltaRows), 80);
+    assert_eq!(rose(GaugeId::Tombstones), 20);
+    for id in [GaugeId::DeltaRows, GaugeId::Tombstones] {
+        assert_eq!(after.gauge(id), before.gauge(id), "{id:?} not folded back");
+    }
 
     drop(idx);
     let _ = std::fs::remove_dir_all(&dir);
@@ -309,7 +312,6 @@ fn degraded_best_effort_query_is_flagged_in_slow_log() {
         .find(|e| e.degraded)
         .expect("degraded query must be retained and flagged");
     assert_eq!(entry.shards_failed, 1, "exactly shard 0 was excluded");
-    assert!(!entry.sampled, "an explicit trace is not an exemplar");
     assert!(
         entry
             .events
@@ -341,10 +343,11 @@ fn degraded_best_effort_query_is_flagged_in_slow_log() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The always-on sampler promotes ordinary (untraced) searches into the
-/// slow log as exemplars at its deterministic 1-in-N cadence.
+/// Only a traced request builds a trace: it returns it and offers it to
+/// the slow log, while an untraced one returns `None` and leaves the log
+/// untouched.
 #[test]
-fn sampler_promotes_plain_searches_into_the_slow_log() {
+fn untraced_requests_return_no_trace_and_skip_the_slow_log() {
     let _guard = reg_lock();
     let d = 12;
     let idx = build_index(1200, d, 2);
@@ -352,67 +355,23 @@ fn sampler_promotes_plain_searches_into_the_slow_log() {
 
     slow::configure(0, 32);
     slow::clear();
-    sampling::set_sample_every(1); // sample every arrival: deterministic
-    let sampled0 = obs::global().counter(CounterId::QueriesSampled).get();
-    for q in random_rows(5, d, 71) {
-        let plain = idx.search_threaded(&q, 7, 1, &scratch).unwrap();
-        assert_eq!(plain.items.len(), 7);
+    for q in random_rows(3, d, 79) {
+        let (_, trace) = idx.execute(ShardedQuery::new(&q, 7), &scratch).unwrap();
+        assert!(trace.is_none(), "an untraced request returns no trace");
     }
-    sampling::set_sample_every(sampling::DEFAULT_SAMPLE_EVERY);
-
-    assert_eq!(
-        obs::global().counter(CounterId::QueriesSampled).get() - sampled0,
-        5,
-        "1-in-1 sampling traces every query"
-    );
-    let kept = slow::snapshot();
-    let exemplars = kept.iter().filter(|e| e.sampled).count();
     assert!(
-        exemplars >= 5,
-        "all five sampled queries are retained as exemplars, got {exemplars}"
+        slow::snapshot().is_empty(),
+        "untraced queries are never logged"
     );
-    for e in kept.iter().filter(|e| e.sampled) {
-        assert_eq!(e.trace.k, 7);
-        assert!(e.trace.total_ns > 0, "exemplars carry real timings");
-        assert!(e.render().contains("sampled exemplar"));
-    }
-
-    slow::configure(0, 16);
-    slow::clear();
-}
-
-/// The one sampling decision: a traced request bypasses the sampler (it
-/// neither consumes an arrival nor is flagged an exemplar), an untraced
-/// one is sampled at the cadence yet never hands its trace back.
-#[test]
-fn traced_requests_bypass_the_sampler_and_untraced_ones_return_no_trace() {
-    let _guard = reg_lock();
-    let d = 12;
-    let idx = build_index(1200, d, 2);
-    let scratch = ShardedScratch::for_index(&idx);
-    let sampled = || obs::global().counter(CounterId::QueriesSampled).get();
-
-    slow::configure(0, 32);
-    slow::clear();
-    sampling::set_sample_every(1);
-    let before = sampled();
     for q in random_rows(3, d, 73) {
         let traced = ShardedQuery {
             traced: true,
             ..ShardedQuery::new(&q, 7)
         };
         let (_, trace) = idx.execute(traced, &scratch).unwrap();
-        assert!(trace.is_some());
+        assert_eq!(trace.expect("a traced request returns its trace").k, 7);
     }
-    assert_eq!(sampled() - before, 0, "traced requests are not arrivals");
-    assert!(slow::snapshot().iter().all(|e| !e.sampled));
-    for q in random_rows(3, d, 79) {
-        let (_, trace) = idx.execute(ShardedQuery::new(&q, 7), &scratch).unwrap();
-        assert!(trace.is_none(), "sampling never changes what is returned");
-    }
-    sampling::set_sample_every(sampling::DEFAULT_SAMPLE_EVERY);
-    assert_eq!(sampled() - before, 3);
-    assert_eq!(slow::snapshot().iter().filter(|e| e.sampled).count(), 3);
+    assert_eq!(slow::snapshot().len(), 3, "every traced query is logged");
 
     slow::configure(0, 16);
     slow::clear();

@@ -665,7 +665,7 @@ fn read_fault_degrades_exactly_to_survivor_topk() {
             "degraded answer must be the exact survivor top-k"
         );
     }
-    // The trace counts shards as `promips_shards_searched_total` does: the
+    // The trace counts shards as `CounterId::ShardsSearched` does: the
     // failed shard is not searched, and every shard is in exactly one of
     // the three counts.
     let traced = ShardedQuery {

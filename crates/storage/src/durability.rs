@@ -166,10 +166,12 @@ pub mod faults {
     /// process start; diff two snapshots to meter a workload (e.g. fsyncs
     /// per 1 000 inserts under group commit).
     ///
-    /// Since the observability PR these are *views over the global
-    /// metrics registry* (`promips_io_*_total`), so the fault shim and
-    /// `Registry::render_prometheus()` report the same numbers from one
-    /// source of truth.
+    /// These are *views over the global metrics registry*
+    /// ([`CounterId::IoFsyncs`], [`CounterId::IoRenames`],
+    /// [`CounterId::IoWrites`], [`CounterId::IoReads`],
+    /// [`CounterId::IoFaultsInjected`]), so the fault shim and a
+    /// [`Registry::snapshot`] report the same numbers from one source of
+    /// truth.
     #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
     pub struct IoCounters {
         pub fsyncs: u64,
@@ -334,7 +336,8 @@ pub mod faults {
 /// crash-safety tests still observe their fault on the first call.
 ///
 /// Used by the WAL append path (before the record is acknowledged) and
-/// the manifest-swap path; each retry ticks `promips_io_retries_total`.
+/// the manifest-swap path; each retry ticks
+/// [`CounterId::IoRetries`](promips_obs::CounterId::IoRetries).
 pub mod retry {
     use promips_obs::{recorder, CounterId, Registry};
     use std::io;

@@ -2,9 +2,10 @@
 //!
 //! Each pager carries its own [`AccessStats`] (resettable, per-instance —
 //! the per-query view the bench harness diffs); every record additionally
-//! feeds the process-global metrics registry (`promips_page_*_total`), so
-//! aggregate page traffic shows up in `Registry::render_prometheus()`
-//! without touching the per-pager API.
+//! feeds the process-global metrics registry ([`CounterId::PageReads`],
+//! [`CounterId::PageCacheMisses`], [`CounterId::PageWrites`]), so
+//! aggregate page traffic shows up in a [`Registry::snapshot`] without
+//! touching the per-pager API.
 
 use promips_obs::{CounterId, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};

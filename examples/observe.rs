@@ -1,17 +1,18 @@
 //! The observability stack on a sharded workload: the global metrics
-//! registry, sampled and explicit query traces, the slow-query log and the
-//! flight recorder.
+//! registry, explicit query traces, the slow-query log and the flight
+//! recorder.
 //!
 //! ```sh
 //! cargo run --release --example observe
 //! ```
 //!
-//! CI runs this example and it self-checks: the Prometheus exposition is
-//! piped through the in-repo format checker ([`promips::obs::promcheck`])
-//! and the process exits non-zero if it fails.
+//! CI runs this example and it self-checks: the registry's
+//! [`CounterId::QueryColumnPasses`](promips::obs::CounterId::QueryColumnPasses)
+//! must move by exactly the number of traced shard spans the column pass
+//! answered, or the process exits non-zero.
 
 use promips::linalg::Matrix;
-use promips::obs::{self, recorder, sampling, slow};
+use promips::obs::{self, recorder, slow, CounterId, GaugeId, HistoId};
 use promips::shard::{ShardedConfig, ShardedProMips, ShardedQuery, ShardedScratch, SyncPolicy};
 use promips::stats::Xoshiro256pp;
 
@@ -35,13 +36,12 @@ fn main() -> std::io::Result<()> {
     let index = ShardedProMips::build_in_dir(&data, config, &dir)?;
     let scratch = ShardedScratch::for_index(&index);
 
-    // Keep the 8 slowest traces, whatever their latency; sample 1 in 4
-    // ordinary searches through the trace machinery so the slow log and
-    // exemplars fill even without explicit tracing.
+    // Keep the 8 slowest traces, whatever their latency.
     slow::configure(0, 8);
-    sampling::set_sample_every(4);
+    let before = obs::global().snapshot();
 
-    // A mixed workload: inserts, deletes, queries, one compaction pass.
+    // A mixed workload: inserts, deletes, traced queries, one compaction
+    // pass.
     for _ in 0..300 {
         let v: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
         index.insert(&v)?;
@@ -49,26 +49,51 @@ fn main() -> std::io::Result<()> {
     for gid in (0..600).step_by(4) {
         index.delete(gid)?;
     }
-    let queries: Vec<Vec<f32>> = (0..32)
-        .map(|_| (0..d).map(|_| rng.normal() as f32).collect())
-        .collect();
-    let sequential = |q| ShardedQuery {
-        threads: Some(1),
-        ..ShardedQuery::new(q, 10)
-    };
-    for q in &queries {
-        index.execute(sequential(q), &scratch)?;
+    let mut first = None;
+    let mut column_pass_spans = 0u64;
+    for _ in 0..32 {
+        let q: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
+        let traced = ShardedQuery {
+            threads: Some(1),
+            traced: true,
+            ..ShardedQuery::new(&q, 10)
+        };
+        let (res, trace) = index.execute(traced, &scratch)?;
+        let trace = trace.expect("a traced request returns its trace");
+        column_pass_spans += trace.shards.iter().filter(|s| s.column_pass).count() as u64;
+        first.get_or_insert((res.items[0].ip, trace));
     }
     index.compact_all()?;
+    let booked = obs::global().snapshot().saturating_diff(&before);
+
+    // What the workload booked: counters and histograms as the activity
+    // between the two snapshots, gauges as their level at the end.
+    println!("--- registry over the workload ---");
+    for &id in CounterId::ALL {
+        let n = booked.counter(id);
+        if n > 0 {
+            println!("  {:<22} {n}", format!("{id:?}"));
+        }
+    }
+    for &id in GaugeId::ALL {
+        println!("  {:<22} {} (level)", format!("{id:?}"), booked.gauge(id));
+    }
+    for &id in HistoId::ALL {
+        let h = booked.histogram(id);
+        if h.count() > 0 {
+            println!(
+                "  {:<22} n={} p50≈{:.0} p99≈{:.0}",
+                format!("{id:?}"),
+                h.count(),
+                h.quantile(0.5),
+                h.quantile(0.99)
+            );
+        }
+    }
 
     // Per-query stage trace: where did this one search spend its time?
-    let traced = ShardedQuery {
-        traced: true,
-        ..sequential(&queries[0])
-    };
-    let (res, trace) = index.execute(traced, &scratch)?;
-    let trace = trace.expect("a traced request returns its trace");
-    println!("--- one traced query (top ip {:.3}) ---", res.items[0].ip);
+    let (top_ip, trace) = first.expect("the workload ran queries");
+    println!("\n--- one traced query (top ip {top_ip:.3}) ---");
     print!("{}", trace.render());
 
     // The slow-query log retains the worst entries seen so far, each
@@ -80,12 +105,11 @@ fn main() -> std::io::Result<()> {
     );
     for t in worst.iter().take(3) {
         println!(
-            "  {:>7} us  k={}  searched {}/{} shards{}{}",
+            "  {:>7} us  k={}  searched {}/{} shards{}",
             t.total_ns() / 1_000,
             t.trace.k,
             t.trace.shards_searched(),
             t.trace.shards.len(),
-            if t.sampled { "  [sampled]" } else { "" },
             if t.degraded { "  [DEGRADED]" } else { "" },
         );
     }
@@ -99,51 +123,18 @@ fn main() -> std::io::Result<()> {
         println!("{line}");
     }
 
-    // The Prometheus exposition must pass the in-repo format checker:
-    // TYPE<->sample agreement, label escaping, cumulative buckets ending
-    // in +Inf. CI runs this example for exactly this.
-    let snap = obs::global().snapshot();
-    let text = snap.render_prometheus();
-    if let Err(errors) = obs::promcheck::check_exposition(&text) {
-        eprintln!("exposition failed format check:");
-        for e in errors {
-            eprintln!("  {e}");
-        }
+    // The registry and the traces are two views of the same searches: the
+    // index-or-scan rule's counter moves once per span whose verdict was
+    // the column pass.
+    let column_passes = booked.counter(CounterId::QueryColumnPasses);
+    if column_passes != column_pass_spans {
+        eprintln!(
+            "QueryColumnPasses moved by {column_passes}, \
+             but {column_pass_spans} traced spans took the column pass"
+        );
         std::process::exit(1);
     }
-    // The index-or-scan rule's counter rides the same checked exposition:
-    // how many per-shard searches the column pass answered (the traced
-    // query above prints the rule's input and verdict per shard).
-    let column_passes = snap.counter(obs::CounterId::QueryColumnPasses);
-    let series = format!("promips_query_column_passes_total {column_passes}");
-    if !text.lines().any(|l| l == series) {
-        eprintln!("exposition lacks `{series}`");
-        std::process::exit(1);
-    }
-    println!("\n--- prometheus exposition: passes promcheck ---");
-    for line in text
-        .lines()
-        .filter(|l| !l.starts_with('#'))
-        .filter(|l| {
-            [
-                "queries_total",
-                "query_column_passes",
-                "query_latency_ns_bucket",
-                "wal_appends",
-                "compactions",
-                "delta_rows",
-            ]
-            .iter()
-            .any(|k| l.contains(k))
-        })
-        .take(16)
-    {
-        println!("{line}");
-    }
-
-    // ...and to JSON for programmatic scraping.
-    let json = snap.render_json();
-    println!("\n--- json view: {} bytes ---", json.len());
+    println!("\nQueryColumnPasses = {column_passes} = traced column-pass spans");
 
     std::fs::remove_dir_all(&dir)?;
     Ok(())
