@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use promips_btree::BTree;
 use promips_linalg::{dist, dot4_i8, dot_col_i8, dot_i8, sq_dist_col, sq_dist_col_i8};
-use promips_storage::{AccessStatsSnapshot, PageBuf, PageId, Pager};
+use promips_storage::{AccessStatsSnapshot, PageBuf, PageId, Pager, DEFAULT_SHARDS};
 
 use crate::head::HeadBasis;
 use crate::knn::NnIter;
@@ -185,15 +185,25 @@ fn le_f32(c: &[u8]) -> f32 {
 }
 
 /// A cursor over one packed byte region: fetches covering pages on demand,
-/// keeps the current page pinned across ranges, and hands the caller maximal
-/// in-page byte chunks. Every record reader — the projected-record decoder,
-/// [`OrigCursor`] and [`IDistanceIndex::screen_dots`] — walks its ranges
-/// through this, so the page-boundary discipline lives in one place.
+/// keeps the pages it fetched last pinned across ranges, and hands the
+/// caller maximal in-page byte chunks. Every record reader — the
+/// projected-record decoder, [`OrigCursor`] and
+/// [`IDistanceIndex::screen_dots`] — walks its ranges through this one page
+/// at a time, so the page-boundary discipline lives in one place. The
+/// column sweep's cursor ([`PageCursor::sweep`]) fetches a window of
+/// consecutive pages per [`Pager::read_run`] instead.
 struct PageCursor<'a> {
     pager: &'a Pager,
     region_start: PageId,
     ps: usize,
-    cur: Option<(u64, Arc<PageBuf>)>,
+    /// Region pages a fetch takes, at most: 1, or the pool's stripe count.
+    window: usize,
+    /// Region pages; a window never passes the region's end.
+    region_pages: u64,
+    /// The pinned window: `len` pages from region page `first` on.
+    pages: [Option<Arc<PageBuf>>; DEFAULT_SHARDS],
+    first: u64,
+    len: usize,
 }
 
 impl<'a> PageCursor<'a> {
@@ -202,17 +212,39 @@ impl<'a> PageCursor<'a> {
             pager,
             region_start,
             ps: pager.page_size(),
-            cur: None,
+            window: 1,
+            region_pages: u64::MAX,
+            pages: Default::default(),
+            first: 0,
+            len: 0,
         }
     }
 
-    /// The bytes of region page `pid`, pinned until another page is asked
-    /// for: one logical read, none when it already is the current page.
-    fn page(&mut self, pid: u64) -> io::Result<&[u8]> {
-        if self.cur.as_ref().map(|c| c.0) != Some(pid) {
-            self.cur = Some((pid, self.pager.read(self.region_start + pid)?));
+    /// A cursor that reads `region` front to back, fetching as many pages
+    /// at a time as the pool has stripes: each stripe then sees the reads
+    /// one page at a time would show it, with a device read per run of
+    /// misses instead of one a page.
+    fn sweep(pager: &'a Pager, (start, bytes): Region) -> Self {
+        Self {
+            window: pager.stripes().min(DEFAULT_SHARDS),
+            region_pages: bytes.div_ceil(pager.page_size() as u64),
+            ..Self::new(pager, start)
         }
-        Ok(self.cur.as_ref().expect("page just loaded").1.as_slice())
+    }
+
+    /// The bytes of region page `pid`, pinned until a page outside the
+    /// window is asked for: one logical read, none when it is pinned.
+    fn page(&mut self, pid: u64) -> io::Result<&[u8]> {
+        let mut at = pid.wrapping_sub(self.first) as usize;
+        if at >= self.len {
+            let n = self.window.min((self.region_pages - pid) as usize);
+            let old = std::mem::take(&mut self.len);
+            self.pages[n.min(old)..old].fill(None);
+            self.pager
+                .read_run(self.region_start + pid, &mut self.pages[..n])?;
+            (self.first, self.len, at) = (pid, n, 0);
+        }
+        Ok(self.pages[at].as_deref().expect("window page").as_slice())
     }
 
     /// Calls `f` with each maximal in-page chunk of region bytes
@@ -1015,7 +1047,11 @@ impl IDistanceIndex {
     /// [`Self::code_width`]). The rows inside a page are one [`dot_col_i8`]
     /// call across sub-partition boundaries (the integer dot depends on no
     /// quantizer); a row straddling pages is summed as in
-    /// [`Self::screen_dots`]. Every page of the region is read exactly once.
+    /// [`Self::screen_dots`]. Every page of the region is read exactly once,
+    /// up to the pool's stripe count of them per [`Pager::read_run`]: a
+    /// cold sweep makes one device read per run of missing pages in a
+    /// window, with the logical reads, hits, misses and pool state of
+    /// reading the pages one by one.
     ///
     /// `tick` is called before each page's rows and each straddling row; an
     /// error from it stops the sweep and is returned, `dots` then holding
@@ -1029,14 +1065,14 @@ impl IDistanceIndex {
         dots: &mut Vec<i32>,
         mut tick: impl FnMut() -> io::Result<()>,
     ) -> io::Result<()> {
-        let (vq_start, _) = self
+        let region = self
             .vquant_region
             .expect("column_dots requires the verification tier");
         let (w, n) = (self.code_width(), self.n_points as usize);
         assert_eq!(qcodes.len(), w, "quantized query has wrong dimension");
         dots.clear();
         dots.reserve(n);
-        let mut pages = PageCursor::new(&self.pager, vq_start);
+        let mut pages = PageCursor::sweep(&self.pager, region);
         let ps = pages.ps;
         let mut row = 0;
         while row < n {

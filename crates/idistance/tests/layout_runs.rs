@@ -19,7 +19,7 @@ use promips_storage::{AccessStats, FileStorage, MemStorage, PageId, Pager, Stora
 use proptest::prelude::*;
 
 /// `MemStorage`, except that a run is written the way every page used to
-/// be: allocated, then written, one at a time.
+/// be — allocated, then written, one at a time — and read a page at a time.
 struct PageAtATime(MemStorage);
 
 impl Storage for PageAtATime {
@@ -29,8 +29,11 @@ impl Storage for PageAtATime {
     fn num_pages(&self) -> u64 {
         self.0.num_pages()
     }
-    fn read_page(&self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
-        self.0.read_page(id, buf)
+    fn read_pages(&self, first: PageId, buf: &mut [u8]) -> io::Result<()> {
+        for (id, page) in (first..).zip(buf.chunks_exact_mut(self.page_size())) {
+            self.0.read_pages(id, page)?;
+        }
+        Ok(())
     }
     fn write_page(&self, id: PageId, buf: &[u8]) -> io::Result<()> {
         self.0.write_page(id, buf)
@@ -64,13 +67,10 @@ fn build(storage: Arc<dyn Storage>, orig: &Matrix) -> (bool, u64) {
 }
 
 fn pages(storage: &dyn Storage) -> Vec<Vec<u8>> {
-    (0..storage.num_pages())
-        .map(|id| {
-            let mut page = vec![0u8; storage.page_size()];
-            storage.read_page(id, &mut page).unwrap();
-            page
-        })
-        .collect()
+    let ps = storage.page_size();
+    let mut file = vec![0u8; storage.num_pages() as usize * ps];
+    storage.read_pages(0, &mut file).unwrap();
+    file.chunks_exact(ps).map(<[u8]>::to_vec).collect()
 }
 
 fn assert_same_file_on_every_device(tag: &str, orig: &Matrix, page_size: usize, head: bool) {

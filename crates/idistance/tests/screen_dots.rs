@@ -9,8 +9,11 @@
 //! region once. Code rows are [`IDistanceIndex::code_width`] bytes:
 //! `d` for the isotropic rows most tests here build over, 64 for the
 //! low-rank ones of the head-column tests, whose rows fill 4 KB pages
-//! exactly.
+//! exactly. A cold sweep reads its pages a window at a time: one device
+//! read per window, as many logical reads as pages.
 
+use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use promips_data::gen::low_rank;
@@ -18,7 +21,7 @@ use promips_idistance::layout::read_blob_range;
 use promips_idistance::{build_index, IDistanceConfig, IDistanceIndex, ProjScratch};
 use promips_linalg::{dot_i8, Matrix};
 use promips_stats::Xoshiro256pp;
-use promips_storage::Pager;
+use promips_storage::{AccessStats, MemStorage, PageId, Pager, Storage};
 use proptest::prelude::*;
 
 /// Code-row lengths: one byte, shorter than a kernel step, odd, one VNNI
@@ -404,4 +407,89 @@ fn head_codes_dequantize_to_projected_rows_within_bounds() {
         }
     }
     assert!(tails_used > 0, "the recorded tails are far from any row's");
+}
+
+/// `MemStorage` that counts the device reads made of it — per instance,
+/// where the process-global `IoReads` would count every test's.
+struct CountingReads(MemStorage, AtomicU64);
+
+impl Storage for CountingReads {
+    fn page_size(&self) -> usize {
+        self.0.page_size()
+    }
+    fn num_pages(&self) -> u64 {
+        self.0.num_pages()
+    }
+    fn read_pages(&self, first: PageId, buf: &mut [u8]) -> io::Result<()> {
+        self.1.fetch_add(1, Ordering::Relaxed);
+        self.0.read_pages(first, buf)
+    }
+    fn write_page(&self, id: PageId, buf: &[u8]) -> io::Result<()> {
+        self.0.write_page(id, buf)
+    }
+    fn allocate(&self) -> io::Result<PageId> {
+        self.0.allocate()
+    }
+    fn append_pages(&self, bytes: &[u8]) -> io::Result<PageId> {
+        self.0.append_pages(bytes)
+    }
+    fn sync(&self) -> io::Result<()> {
+        self.0.sync()
+    }
+}
+
+/// A cold sweep of a `P`-page column through a pool of `S` stripes makes
+/// ⌈P/S⌉ device reads and `P` logical reads, every one a miss, whether
+/// the pool holds the column or not — with 64-byte head rows at 4 KB pages
+/// (no row straddles a page) and with 300-byte full-width rows at
+/// 1 000-byte pages (most windows end inside a row). A warm sweep makes
+/// none.
+#[test]
+fn a_cold_sweep_makes_one_device_read_a_window() {
+    let shapes = [
+        (low_rank(1_000, 300, 48, 0.0, 21), 4_096, 64),
+        (random_matrix(600, 300, 41), 1_000, 300),
+    ];
+    for (orig, ps, width) in shapes {
+        for capacity in [1 << 10, 6] {
+            let device = Arc::new(CountingReads(MemStorage::new(ps), AtomicU64::new(0)));
+            let stats = AccessStats::new_shared();
+            let pager = Arc::new(Pager::new(Arc::clone(&device) as _, capacity, stats));
+            let proj = random_matrix(orig.rows(), 4, 42);
+            let cfg = IDistanceConfig {
+                kp: 2,
+                nkey: 3,
+                ksp: 2,
+                ..Default::default()
+            };
+            let idx = build_index(pager, &proj, &orig, &cfg).unwrap();
+            assert_eq!(idx.code_width(), width);
+            let (_, bytes) = idx.vquant_region().unwrap();
+            let pages = bytes.div_ceil(ps as u64);
+            let stripes = idx.pager().stripes() as u64;
+            assert_eq!(stripes, capacity.min(16) as u64);
+            let tag = format!("{width}-byte rows, {ps}-byte pages, pool {capacity}");
+
+            let qcodes = random_qcodes(width, &mut Xoshiro256pp::seed_from_u64(43));
+            let mut dots = Vec::new();
+            for cold in [true, false] {
+                if cold {
+                    idx.pager().clear_cache();
+                }
+                idx.pager().stats().reset();
+                let before = device.1.load(Ordering::Relaxed);
+                idx.column_dots(&qcodes, &mut dots, || Ok(())).unwrap();
+                let device_reads = device.1.load(Ordering::Relaxed) - before;
+                let snap = idx.access_stats();
+                assert_eq!(snap.logical_reads, pages, "{tag}");
+                if cold {
+                    assert_eq!(device_reads, pages.div_ceil(stripes), "{tag}");
+                    assert_eq!(snap.cache_misses, pages, "{tag}");
+                } else if capacity as u64 >= pages {
+                    assert_eq!((device_reads, snap.cache_misses), (0, 0), "{tag}");
+                }
+            }
+            assert_eq!(dots, dense_dots(&idx, &qcodes), "{tag}");
+        }
+    }
 }

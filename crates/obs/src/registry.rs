@@ -80,7 +80,9 @@ metric_ids! {
         GenerationSwaps,
         /// Traces accepted by the slow-query log.
         SlowQueries,
-        /// Durable read calls through `storage::durability`.
+        /// Device reads through `storage::durability`: a page file's
+        /// `read_pages` is one, however many pages its run holds — a
+        /// device read, not a logical page read (`PageReads`).
         IoReads,
         /// Transient IO failures retried by `storage::durability::retry`.
         IoRetries,

@@ -49,7 +49,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use promips_core::{MutationError, ProMips};
-use promips_idistance::layout::enc;
+use promips_idistance::layout::{enc, RUN_BYTES};
 use promips_linalg::Matrix;
 use promips_storage::{write_file_atomic, AccessStats, FileStorage, Pager, Storage};
 use promips_wal::{SyncPolicy, Wal, WalConfig};
@@ -149,17 +149,19 @@ impl ShardedProMips {
         for (si, gen) in gens.iter().enumerate() {
             if let Some(pm) = &gen.index {
                 pm.save()?;
-                // Copy at the device level: going through Pager::read here
-                // would charge a logical read per page to the shard's
-                // access counters and churn its buffer pool.
+                // Copy at the device level, a run of about RUN_BYTES at a
+                // time: going through Pager::read here would charge a
+                // logical read per page to the shard's access counters and
+                // churn its buffer pool.
                 let src = pm.idistance().pager().storage();
                 let dst = FileStorage::create(shard_path(dir, si, 0), src.page_size())?;
-                let mut page = vec![0u8; src.page_size()];
-                for pid in 0..src.num_pages() {
-                    src.read_page(pid, &mut page)?;
-                    let id = dst.allocate()?;
-                    debug_assert_eq!(id, pid, "copied pages must stay dense");
-                    dst.write_page(id, &page)?;
+                let run = (RUN_BYTES / src.page_size()).max(1) as u64;
+                let mut buf = Vec::new();
+                for first in (0..src.num_pages()).step_by(run as usize) {
+                    let n = run.min(src.num_pages() - first) as usize;
+                    buf.resize(n * src.page_size(), 0);
+                    src.read_pages(first, &mut buf)?;
+                    dst.append_pages(&buf)?;
                 }
                 dst.sync()?;
             }

@@ -14,8 +14,8 @@
 //! a hot stripe while a cold one has room, the standard trade of a striped
 //! cache.
 //!
-//! **Why second chance and not LRU.** A query is a few thousand pool
-//! *hits* (`lf300_hot`: ≈ 11.8 k reads, none missing), so the hit is the
+//! **Why second chance and not LRU.** A query is about two thousand pool
+//! *hits* (`lf300_hot`: ≈ 1 656 reads, none missing), so the hit is the
 //! path that must be cheap. The LRU pool paid SipHash over a
 //! `HashMap<PageId, usize>` and a four-slot relink of a doubly-linked chain
 //! on every hit — 110–155 ns with the pager's counters. Here a hit is one
@@ -27,8 +27,13 @@
 //! the first frame not touched since its last visit. No single one of these
 //! removals paid on its own (each moved the screen stage by < 4 %); the
 //! cost was their sum. Second chance approximates LRU closely enough that
-//! `lf300_cold` (4 MB pool, ≈ 75 % misses) misses within 0.1 % of what it
-//! did under exact LRU.
+//! `lf300_cold` (4 MB pool, every read a miss) misses within 0.1 % of what
+//! it did under exact LRU.
+//!
+//! **The miss insert copies.** [`BufferPool::insert`] takes the page's
+//! bytes, not a buffer: they are copied into the buffer of the frame the
+//! hand evicts when no reader still holds its page, so a full pool serves a
+//! stream of misses without allocating or freeing.
 
 use std::sync::Arc;
 
@@ -67,6 +72,16 @@ struct Stripe {
     /// Next frame the eviction sweep examines.
     hand: usize,
     capacity: usize,
+}
+
+/// Makes `page` a copy of `bytes`: in place when no one else holds it,
+/// in a new buffer otherwise. Returns a handle to it.
+fn refill(page: &mut Arc<PageBuf>, bytes: &[u8]) -> Arc<PageBuf> {
+    match Arc::get_mut(page) {
+        Some(buf) if buf.len() == bytes.len() => buf.as_mut_slice().copy_from_slice(bytes),
+        _ => *page = Arc::new(PageBuf::from_vec(bytes.to_vec())),
+    }
+    Arc::clone(page)
 }
 
 impl Stripe {
@@ -111,8 +126,8 @@ impl BufferPool {
 
     /// Creates a pool with an explicit stripe count (clamped to
     /// `1..=capacity`). `with_shards(capacity, 1)` is one stripe — one
-    /// mutex, one global clock; tests and the contention benchmark use it
-    /// as the unstriped baseline.
+    /// mutex, one global clock; the pool's model tests use it as the
+    /// unstriped baseline.
     pub fn with_shards(capacity: usize, shards: usize) -> Self {
         let capacity = capacity.max(1);
         let shards = shards.clamp(1, capacity);
@@ -165,40 +180,47 @@ impl BufferPool {
         Some(Arc::clone(&frame.page))
     }
 
-    /// Inserts (or replaces) a page. A full stripe evicts by second chance:
+    /// Caches a copy of `bytes` as page `id` (replacing any cached copy)
+    /// and returns the cached page. A full stripe evicts by second chance:
     /// a frame referenced since the hand last passed it is spared once. A
     /// new page starts unreferenced — a page read once by a scan leaves at
-    /// the hand's next visit, one that is read again stays.
-    pub fn insert(&self, id: PageId, page: Arc<PageBuf>) {
+    /// the hand's next visit, one that is read again stays. The bytes are
+    /// copied into the buffer of the frame they take over when no reader
+    /// holds its page; a new buffer is allocated otherwise, so a held page
+    /// never changes.
+    pub fn insert(&self, id: PageId, bytes: &[u8]) -> Arc<PageBuf> {
         let (stripe, slot) = self.locate(id);
         let mut stripe = stripe.lock();
         let stripe = &mut *stripe;
         if let Some(frame) = stripe.frame_mut(slot) {
-            frame.page = page;
             frame.referenced = true;
-            return;
+            return refill(&mut frame.page, bytes);
         }
+        let fresh = || Arc::new(PageBuf::from_vec(bytes.to_vec()));
         if slot >= MAX_TABLE_SLOTS {
-            return;
+            return fresh();
         }
-        let frame = Frame {
-            slot,
-            page,
-            referenced: false,
-        };
         let at = if stripe.frames.len() < stripe.capacity {
-            stripe.frames.push(frame);
+            stripe.frames.push(Frame {
+                slot,
+                page: fresh(),
+                referenced: false,
+            });
             stripe.frames.len() - 1
         } else {
+            // The victim's referenced bit is already clear.
             let at = stripe.victim();
-            let old = std::mem::replace(&mut stripe.frames[at], frame);
-            stripe.table[old.slot] = ABSENT;
+            let frame = &mut stripe.frames[at];
+            stripe.table[frame.slot] = ABSENT;
+            frame.slot = slot;
+            refill(&mut frame.page, bytes);
             at
         };
         if slot >= stripe.table.len() {
             stripe.table.resize(slot + 1, ABSENT);
         }
         stripe.table[slot] = at as u32;
+        Arc::clone(&stripe.frames[at].page)
     }
 
     /// Number of cached pages (sums the stripes; not atomic across them).
@@ -223,164 +245,7 @@ impl BufferPool {
     }
 }
 
+// The unit tests, kept under `tests/` (see that file's header).
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn page(tag: u8) -> Arc<PageBuf> {
-        let mut p = PageBuf::zeroed(8);
-        p.as_mut_slice()[0] = tag;
-        Arc::new(p)
-    }
-
-    #[test]
-    fn insert_and_get() {
-        let pool = BufferPool::new(4);
-        pool.insert(1, page(1));
-        pool.insert(2, page(2));
-        assert_eq!(pool.get(1).unwrap().as_slice()[0], 1);
-        assert_eq!(pool.get(2).unwrap().as_slice()[0], 2);
-        assert!(pool.get(3).is_none());
-        assert_eq!(pool.len(), 2);
-    }
-
-    #[test]
-    fn referenced_frame_is_spared_once_single_stripe() {
-        // One stripe: one global clock.
-        let pool = BufferPool::with_shards(2, 1);
-        pool.insert(1, page(1));
-        pool.insert(2, page(2));
-        // Touch 1: the sweep clears its bit and takes the untouched 2.
-        pool.get(1).unwrap();
-        pool.insert(3, page(3));
-        assert!(pool.get(2).is_none(), "2 should have been evicted");
-        // 1 was spared once; untouched since, it is the next to go, while
-        // the re-read 3 stays.
-        pool.get(3).unwrap();
-        pool.insert(4, page(4));
-        assert!(pool.get(1).is_none(), "1's second chance is spent");
-        assert!(pool.get(3).is_some());
-        assert!(pool.get(4).is_some());
-    }
-
-    #[test]
-    fn eviction_stays_within_a_stripe() {
-        // Ids that are congruent mod num_shards share a stripe and evict
-        // each other exactly as in the unstriped pool.
-        let pool = BufferPool::new(16);
-        let n = pool.num_shards() as u64;
-        assert_eq!(pool.capacity() / pool.num_shards(), 1);
-        pool.insert(0, page(1)); // stripe 0, fills its single frame
-        pool.insert(n, page(2)); // stripe 0 again → evicts 0
-        assert!(pool.get(0).is_none(), "0 should have been evicted");
-        assert_eq!(pool.get(n).unwrap().as_slice()[0], 2);
-        // A different stripe is untouched by stripe 0's churn.
-        pool.insert(1, page(3));
-        pool.insert(2 * n, page(4)); // stripe 0 churns again
-        assert!(pool.get(1).is_some(), "stripe 1 must be unaffected");
-    }
-
-    #[test]
-    fn absurd_ids_miss_without_growing_the_table() {
-        let pool = BufferPool::new(4);
-        assert!(pool.get(u64::MAX).is_none());
-        pool.insert(u64::MAX, page(7)); // beyond MAX_TABLE_SLOTS: uncached
-        assert!(pool.get(u64::MAX).is_none());
-        assert!(pool.is_empty());
-        assert!(pool.shards.iter().all(|s| s.lock().table.is_empty()));
-    }
-
-    #[test]
-    fn capacity_splits_exactly_across_shards() {
-        for cap in [1usize, 2, 5, 16, 17, 100] {
-            let pool = BufferPool::new(cap);
-            assert_eq!(pool.capacity(), cap);
-            assert!(pool.num_shards() <= cap.max(1));
-            // Overfill every stripe; the pool must never exceed capacity.
-            for id in 0..(cap as u64 * 4) {
-                pool.insert(id, page((id % 251) as u8));
-            }
-            assert!(
-                pool.len() <= cap,
-                "cap {cap}: len {} exceeds capacity",
-                pool.len()
-            );
-        }
-    }
-
-    #[test]
-    fn replace_existing_key() {
-        let pool = BufferPool::new(2);
-        pool.insert(1, page(1));
-        pool.insert(1, page(9));
-        assert_eq!(pool.get(1).unwrap().as_slice()[0], 9);
-        assert_eq!(pool.len(), 1);
-    }
-
-    #[test]
-    fn clear_empties_pool() {
-        let pool = BufferPool::new(4);
-        pool.insert(1, page(1));
-        pool.insert(2, page(2));
-        pool.clear();
-        assert!(pool.is_empty());
-        assert!(pool.get(1).is_none());
-        // Pool must remain usable after clear.
-        pool.insert(2, page(2));
-        assert!(pool.get(2).is_some());
-    }
-
-    #[test]
-    fn capacity_one_pool() {
-        let pool = BufferPool::new(1);
-        assert_eq!(pool.num_shards(), 1);
-        for i in 0..10u8 {
-            pool.insert(i as PageId, page(i));
-            assert_eq!(pool.get(i as PageId).unwrap().as_slice()[0], i);
-            assert_eq!(pool.len(), 1);
-        }
-    }
-
-    #[test]
-    fn heavy_churn_consistency() {
-        let pool = BufferPool::new(16);
-        for round in 0..1000u64 {
-            let id = round % 40;
-            pool.insert(id, page((id % 256) as u8));
-            if let Some(p) = pool.get(id) {
-                assert_eq!(p.as_slice()[0], (id % 256) as u8);
-            }
-        }
-        assert!(pool.len() <= 16);
-    }
-
-    #[test]
-    fn concurrent_readers_and_writers_stay_consistent() {
-        // Multi-threaded stress: every thread inserts and reads tagged pages
-        // over a shared striped pool. A get must either miss or return the
-        // exact page content for that id, and the pool must never exceed its
-        // total capacity.
-        let pool = Arc::new(BufferPool::new(32));
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let pool = Arc::clone(&pool);
-                s.spawn(move || {
-                    for round in 0..2_000u64 {
-                        let id = (round * 7 + t * 13) % 96;
-                        pool.insert(id, page((id % 251) as u8));
-                        let probe = (round * 11 + t) % 96;
-                        if let Some(p) = pool.get(probe) {
-                            assert_eq!(
-                                p.as_slice()[0],
-                                (probe % 251) as u8,
-                                "stale or cross-wired page for id {probe}"
-                            );
-                        }
-                        assert!(pool.len() <= 32, "capacity exceeded");
-                    }
-                });
-            }
-        });
-        assert!(pool.len() <= 32);
-    }
-}
+#[path = "../tests/buffer_unit/mod.rs"]
+mod tests;

@@ -118,7 +118,7 @@ pub mod faults {
         Rename,
         /// A data write (`write_all` of a record or blob).
         Write,
-        /// A data read (page fetch, WAL replay, file slurp).
+        /// A data read (a run of pages, a WAL replay, a file slurp).
         Read,
     }
 
@@ -129,6 +129,9 @@ pub mod faults {
     #[derive(Clone, Debug)]
     pub struct FaultPlan {
         pub op: IoOp,
+        /// Counts device operations: a run of pages read by one
+        /// `Storage::read_pages` (or written by one `append_pages`) is
+        /// one, however many pages it holds.
         pub nth: u64,
         pub path_contains: Option<String>,
     }

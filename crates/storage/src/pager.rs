@@ -1,6 +1,7 @@
 //! The [`Storage`] trait (raw page device) and the [`Pager`] (the metered,
 //! cached access path every index component uses).
 
+use std::cell::RefCell;
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
@@ -22,8 +23,9 @@ pub trait Storage: Send + Sync {
     fn page_size(&self) -> usize;
     /// Number of allocated pages.
     fn num_pages(&self) -> u64;
-    /// Reads page `id` into `buf` (`buf.len() == page_size`).
-    fn read_page(&self, id: PageId, buf: &mut [u8]) -> io::Result<()>;
+    /// Reads the consecutive pages from `first` on into `buf` — a
+    /// non-empty whole number of pages — in one device read.
+    fn read_pages(&self, first: PageId, buf: &mut [u8]) -> io::Result<()>;
     /// Writes page `id` from `buf`.
     fn write_page(&self, id: PageId, buf: &[u8]) -> io::Result<()>;
     /// Allocates a fresh zeroed page and returns its id.
@@ -63,12 +65,15 @@ impl Storage for MemStorage {
         self.pages.lock().len() as u64
     }
 
-    fn read_page(&self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
+    fn read_pages(&self, first: PageId, buf: &mut [u8]) -> io::Result<()> {
+        assert!(!buf.is_empty() && buf.len().is_multiple_of(self.page_size));
         let pages = self.pages.lock();
-        let page = pages.get(id as usize).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::NotFound, format!("page {id} not allocated"))
-        })?;
-        buf.copy_from_slice(page.as_slice());
+        for (id, out) in (first..).zip(buf.chunks_exact_mut(self.page_size)) {
+            let page = pages.get(id as usize).ok_or_else(|| {
+                io::Error::new(io::ErrorKind::NotFound, format!("page {id} not allocated"))
+            })?;
+            out.copy_from_slice(page.as_slice());
+        }
         Ok(())
     }
 
@@ -170,9 +175,10 @@ impl Storage for FileStorage {
         *self.num_pages.lock()
     }
 
-    fn read_page(&self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
+    fn read_pages(&self, first: PageId, buf: &mut [u8]) -> io::Result<()> {
+        assert!(!buf.is_empty() && buf.len().is_multiple_of(self.page_size));
         faults::check(IoOp::Read, &self.path)?;
-        self.file.read_exact_at(buf, id * self.page_size as u64)
+        self.file.read_exact_at(buf, first * self.page_size as u64)
     }
 
     fn write_page(&self, id: PageId, buf: &[u8]) -> io::Result<()> {
@@ -232,21 +238,6 @@ impl Pager {
         }
     }
 
-    /// As [`Pager::new`] with an explicit buffer-pool stripe count — `1`
-    /// is a single-mutex pool (the contention benchmark's baseline).
-    pub fn with_pool_shards(
-        storage: Arc<dyn Storage>,
-        capacity: usize,
-        shards: usize,
-        stats: Arc<AccessStats>,
-    ) -> Self {
-        Self {
-            storage,
-            pool: BufferPool::with_shards(capacity, shards),
-            stats,
-        }
-    }
-
     /// Convenience constructor: in-memory device, fresh counters.
     pub fn in_memory(page_size: usize, pool_capacity: usize) -> Self {
         Self::new(
@@ -285,19 +276,71 @@ impl Pager {
         &self.storage
     }
 
+    /// Buffer-pool stripes: the most pages a [`Pager::read_run`] can take
+    /// with each stripe seeing what single reads would show it.
+    pub fn stripes(&self) -> usize {
+        self.pool.num_shards()
+    }
+
     /// Fetches a page, counting one logical read; served from the buffer
-    /// pool when possible.
+    /// pool when possible. A one-page [`Pager::read_run`].
     pub fn read(&self, id: PageId) -> io::Result<Arc<PageBuf>> {
-        self.stats.record_read();
-        if let Some(page) = self.pool.get(id) {
-            return Ok(page);
+        let mut page = [None];
+        self.read_run(id, &mut page)?;
+        Ok(page[0].take().expect("a read run fills its slots"))
+    }
+
+    /// Fetches the `pages.len()` pages from `first` on into `pages`,
+    /// counting a logical read each. Every page is looked up in the pool
+    /// first; then each run of consecutive misses is one
+    /// [`Storage::read_pages`] call, its pages copied into the frames the
+    /// pool evicts for them. With at most [`Pager::stripes`] pages, each
+    /// stripe sees one `get` and at most one insert, so reads, hits, misses
+    /// and the pool's state are those of as many [`Pager::read`]s; only the
+    /// device calls are fewer. On an error no page of the failed device
+    /// read is cached.
+    pub fn read_run(&self, first: PageId, pages: &mut [Option<Arc<PageBuf>>]) -> io::Result<()> {
+        let mut missing = false;
+        for (id, slot) in (first..).zip(pages.iter_mut()) {
+            self.stats.record_read();
+            *slot = self.pool.get(id);
+            missing |= slot.is_none();
         }
-        self.stats.record_miss();
-        let mut buf = PageBuf::zeroed(self.storage.page_size());
-        self.storage.read_page(id, buf.as_mut_slice())?;
-        let page = Arc::new(buf);
-        self.pool.insert(id, Arc::clone(&page));
-        Ok(page)
+        if missing {
+            self.read_misses(first, pages)?;
+        }
+        Ok(())
+    }
+
+    /// The miss path of [`Pager::read_run`]: fills the `None` slots of
+    /// `pages`, one device read a run of them.
+    #[inline(never)]
+    fn read_misses(&self, first: PageId, pages: &mut [Option<Arc<PageBuf>>]) -> io::Result<()> {
+        thread_local! {
+            /// The bytes of one device read, reused across runs.
+            static RUN: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+        }
+        let ps = self.page_size();
+        RUN.with_borrow_mut(|buf| {
+            let mut at = 0;
+            while at < pages.len() {
+                let run = pages[at..].iter().take_while(|p| p.is_none()).count();
+                if run > 0 {
+                    (0..run).for_each(|_| self.stats.record_miss());
+                    if buf.len() < run * ps {
+                        buf.resize(run * ps, 0);
+                    }
+                    let bytes = &mut buf[..run * ps];
+                    self.storage.read_pages(first + at as u64, bytes)?;
+                    for (slot, page) in pages[at..].iter_mut().zip(bytes.chunks_exact(ps)) {
+                        *slot = Some(self.pool.insert(first + at as u64, page));
+                        at += 1;
+                    }
+                }
+                at += pages[at..].iter().take_while(|p| p.is_some()).count();
+            }
+            Ok(())
+        })
     }
 
     /// Writes a page through to storage (write-through; the cached copy is
@@ -306,7 +349,7 @@ impl Pager {
         assert_eq!(buf.len(), self.storage.page_size());
         self.stats.record_write();
         self.storage.write_page(id, buf.as_slice())?;
-        self.pool.insert(id, Arc::new(buf));
+        self.pool.insert(id, buf.as_slice());
         Ok(())
     }
 
@@ -330,8 +373,7 @@ impl Pager {
         let start = self.storage.append_pages(bytes)?;
         for (id, page) in (start..).zip(bytes.chunks_exact(self.page_size())) {
             self.stats.record_write();
-            self.pool
-                .insert(id, Arc::new(PageBuf::from_vec(page.to_vec())));
+            self.pool.insert(id, page);
         }
         Ok(start)
     }
@@ -347,134 +389,7 @@ impl Pager {
     }
 }
 
+// The unit tests, kept under `tests/` (see that file's header).
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn roundtrip(storage: Arc<dyn Storage>) {
-        let ps = storage.page_size();
-        let id0 = storage.allocate().unwrap();
-        let id1 = storage.allocate().unwrap();
-        assert_eq!((id0, id1), (0, 1));
-        let mut w = vec![0u8; ps];
-        w[0] = 0xAB;
-        w[ps - 1] = 0xCD;
-        storage.write_page(id1, &w).unwrap();
-        let mut r = vec![0u8; ps];
-        storage.read_page(id1, &mut r).unwrap();
-        assert_eq!(r, w);
-        storage.read_page(id0, &mut r).unwrap();
-        assert!(r.iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn mem_storage_roundtrip() {
-        roundtrip(Arc::new(MemStorage::new(256)));
-    }
-
-    #[test]
-    fn file_storage_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("promips-pager-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("pages.bin");
-        roundtrip(Arc::new(FileStorage::create(&path, 256).unwrap()));
-        // Re-open and confirm persistence.
-        let reopened = FileStorage::open(&path, 256).unwrap();
-        assert_eq!(reopened.num_pages(), 2);
-        let mut r = vec![0u8; 256];
-        reopened.read_page(1, &mut r).unwrap();
-        assert_eq!(r[0], 0xAB);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn mem_storage_missing_page_errors() {
-        let s = MemStorage::new(128);
-        let mut buf = vec![0u8; 128];
-        assert!(s.read_page(3, &mut buf).is_err());
-    }
-
-    #[test]
-    fn pager_counts_logical_reads_and_cache() {
-        let pager = Pager::in_memory(128, 8);
-        let id = pager.allocate().unwrap();
-        let mut page = PageBuf::zeroed(128);
-        page.as_mut_slice()[7] = 9;
-        pager.write(id, page).unwrap();
-
-        // First read after write: cache hit (write-through populated pool).
-        let p = pager.read(id).unwrap();
-        assert_eq!(p.as_slice()[7], 9);
-        let snap = pager.stats().snapshot();
-        assert_eq!(snap.logical_reads, 1);
-        assert_eq!(snap.cache_hits, 1);
-
-        pager.clear_cache();
-        let _ = pager.read(id).unwrap();
-        let snap = pager.stats().snapshot();
-        assert_eq!(snap.logical_reads, 2);
-        assert_eq!(snap.cache_misses, 1);
-    }
-
-    #[test]
-    fn concurrent_readers_get_correct_pages_within_capacity() {
-        // Stress the striped pool through the full pager path: many threads
-        // read a page set larger than the pool, so stripes churn constantly.
-        // Every read must return the page's own content, and the cache must
-        // never hold more pages than its total capacity.
-        for shards in [1usize, 4, 16] {
-            let storage = Arc::new(MemStorage::new(64));
-            let pool_pages = 24;
-            let pager = Arc::new(Pager::with_pool_shards(
-                storage,
-                pool_pages,
-                shards,
-                AccessStats::new_shared(),
-            ));
-            let n_pages = 200u64;
-            for i in 0..n_pages {
-                let mut b = PageBuf::zeroed(64);
-                b.as_mut_slice()[0] = (i % 251) as u8;
-                b.as_mut_slice()[63] = (i % 13) as u8;
-                pager.append(b).unwrap();
-            }
-            pager.clear_cache();
-            std::thread::scope(|s| {
-                for t in 0..4u64 {
-                    let pager = Arc::clone(&pager);
-                    s.spawn(move || {
-                        for round in 0..3_000u64 {
-                            let id = (round * 31 + t * 47) % n_pages;
-                            let p = pager.read(id).unwrap();
-                            assert_eq!(p.as_slice()[0], (id % 251) as u8, "page {id}");
-                            assert_eq!(p.as_slice()[63], (id % 13) as u8, "page {id}");
-                        }
-                    });
-                }
-            });
-            let cached = pager.pool.len();
-            assert!(
-                cached <= pool_pages,
-                "shards={shards}: {cached} cached pages exceed capacity {pool_pages}"
-            );
-            let snap = pager.stats().snapshot();
-            assert_eq!(snap.logical_reads, 4 * 3_000);
-            assert_eq!(snap.cache_hits + snap.cache_misses, snap.logical_reads);
-        }
-    }
-
-    #[test]
-    fn pager_eviction_still_correct() {
-        let pager = Pager::in_memory(64, 2); // tiny pool forces eviction
-        let ids: Vec<PageId> = (0..5)
-            .map(|i| {
-                let mut b = PageBuf::zeroed(64);
-                b.as_mut_slice()[0] = i as u8;
-                pager.append(b).unwrap()
-            })
-            .collect();
-        for (i, &id) in ids.iter().enumerate() {
-            assert_eq!(pager.read(id).unwrap().as_slice()[0], i as u8);
-        }
-    }
-}
+#[path = "../tests/pager_unit/mod.rs"]
+mod tests;

@@ -1,11 +1,15 @@
 //! `Storage::append_pages` / `Pager::append_run`: a run of whole pages in
 //! one device write — the same pages, counters and cache as that many
-//! single-page appends — and the page file's fault points.
+//! single-page appends — and the page file's fault points, a failed
+//! `Pager::read_run` among them.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use promips_storage::faults::{self, IoOp};
-use promips_storage::{FileStorage, MemStorage, Pager, Storage};
+use promips_storage::{AccessStats, FileStorage, MemStorage, PageBuf, Pager, Storage};
+
+/// Fault plans are process-global: the tests arming them take turns.
+static FAULTS: Mutex<()> = Mutex::new(());
 
 /// A run lands as consecutive pages after whatever was allocated
 /// before it, byte for byte, and single-page allocation carries on
@@ -17,14 +21,11 @@ fn append_run_roundtrip(storage: Arc<dyn Storage>) {
     assert_eq!(storage.append_pages(&run).unwrap(), 1);
     assert_eq!(storage.num_pages(), 4);
     assert_eq!(storage.allocate().unwrap(), 4);
-    let mut r = vec![0u8; ps];
-    for (id, want) in (1..).zip(run.chunks_exact(ps)) {
-        storage.read_page(id, &mut r).unwrap();
-        assert_eq!(r, want, "page {id}");
-    }
+    let mut r = vec![0u8; 5 * ps];
+    storage.read_pages(0, &mut r).unwrap();
+    assert_eq!(r[ps..4 * ps], run, "the run, read back in one read");
     for id in [0, 4] {
-        storage.read_page(id, &mut r).unwrap();
-        assert!(r.iter().all(|&b| b == 0), "page {id}");
+        assert!(r[id * ps..][..ps].iter().all(|&b| b == 0), "page {id}");
     }
 }
 
@@ -49,6 +50,7 @@ fn append_pages_rejects_partial_pages() {
 /// the fault shim; a failed run allocates nothing.
 #[test]
 fn file_storage_writes_and_sync_can_be_faulted() {
+    let _turn = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("promips-pager-fault-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let s = FileStorage::create(dir.join("pages.bin"), 128).unwrap();
@@ -89,4 +91,51 @@ fn pager_append_run_counts_and_caches_each_page() {
     }
     let snap = pager.stats().snapshot();
     assert_eq!((snap.logical_reads, snap.cache_misses), (3, 0));
+}
+
+/// A device read that fails caches none of its pages: the run before it
+/// in the same window stays cached, pages cached before it keep their
+/// bytes, and the retry reads the failed pages afresh.
+#[test]
+fn a_failed_run_caches_nothing() {
+    let _turn = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("promips-run-fault-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ps = 128;
+    let file: Vec<u8> = (0..8 * ps).map(|i| (i % 253) as u8).collect();
+    let storage = FileStorage::create(dir.join("pages.bin"), ps).unwrap();
+    storage.append_pages(&file).unwrap();
+    let pager = Pager::new(Arc::new(storage), 8, AccessStats::new_shared());
+    let bytes = |id: u64| &file[id as usize * ps..][..ps];
+    let misses = || pager.stats().snapshot().cache_misses;
+    let cached: Vec<Arc<PageBuf>> = [0, 3].map(|id| pager.read(id).unwrap()).into();
+
+    // Pages 0..6 with 0 and 3 cached: two device reads, 1–2 and 4–5. The
+    // second fails (were a run more than one read, page 2's would).
+    faults::arm(faults::FaultPlan {
+        op: IoOp::Read,
+        nth: 2,
+        path_contains: Some("promips-run-fault".into()),
+    });
+    let mut run = vec![None; 6];
+    let err = pager.read_run(0, &mut run).unwrap_err();
+    assert!(faults::is_injected(&err), "{err}");
+    assert!(!faults::disarm(), "the plan fired");
+
+    // 0–3 are cached with their bytes (a hit each); 4 and 5 are not.
+    let at = misses();
+    for id in 0..4 {
+        assert_eq!(pager.read(id).unwrap().as_slice(), bytes(id), "page {id}");
+    }
+    assert_eq!(misses(), at, "0–3 hit");
+    for (id, page) in [0, 3].into_iter().zip(&cached) {
+        assert_eq!(page.as_slice(), bytes(id), "held page {id}");
+    }
+    let mut retry = vec![None; 6];
+    pager.read_run(0, &mut retry).unwrap();
+    for (id, page) in (0..).zip(&retry) {
+        assert_eq!(page.as_ref().unwrap().as_slice(), bytes(id), "page {id}");
+    }
+    assert_eq!(misses(), at + 2, "only 4 and 5 came from the device");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,117 +1,158 @@
 //! Model-based property tests of the second-chance [`BufferPool`]: random
 //! `get` / `insert` / replace / `clear` traces run against a reference map
 //! (what was last written for each id) and a reference clock (which ids a
-//! second-chance cache of the same geometry holds), checked after every
-//! operation.
+//! second-chance cache of the same geometry holds, and which allocation
+//! each frame's page lives in), checked after every operation. The insert
+//! copies into the page it displaces exactly when no one holds that page.
+//! The same model then follows two pagers, one reading a run of pages
+//! with [`Pager::read_run`] where the other reads them one by one.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use promips_storage::{BufferPool, PageBuf, PageId};
+use promips_storage::{AccessStats, BufferPool, MemStorage, PageBuf, PageId, Pager, Storage};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
-fn page(tag: u64) -> Arc<PageBuf> {
-    let mut p = PageBuf::zeroed(8);
-    p.as_mut_slice().copy_from_slice(&tag.to_le_bytes());
-    Arc::new(p)
+fn page(tag: u64) -> [u8; 8] {
+    tag.to_le_bytes()
 }
 
 fn tag_of(p: &PageBuf) -> u64 {
     u64::from_le_bytes(p.as_slice().try_into().unwrap())
 }
 
+/// The allocation a page lives in: a frame refilled in place keeps it.
+fn addr(p: &Arc<PageBuf>) -> usize {
+    Arc::as_ptr(p) as usize
+}
+
 /// The policy, written the slow way: frames searched linearly, no page
-/// table. One per stripe.
-#[derive(Default)]
+/// table. One per stripe. A frame is `(id, referenced, buffer address)`;
+/// address 0 is a buffer the test never saw (a pager write's).
+#[derive(Default, PartialEq, Debug)]
 struct ModelStripe {
-    frames: Vec<(PageId, bool)>,
+    frames: Vec<(PageId, bool, usize)>,
     hand: usize,
     capacity: usize,
 }
 
 impl ModelStripe {
-    fn touch(&mut self, id: PageId) -> bool {
-        let frame = self.frames.iter_mut().find(|f| f.0 == id);
-        frame.map(|f| f.1 = true).is_some()
+    /// A hit: marks the frame referenced and returns its buffer address.
+    fn touch(&mut self, id: PageId) -> Option<usize> {
+        let frame = self.frames.iter_mut().find(|f| f.0 == id)?;
+        frame.1 = true;
+        Some(frame.2)
     }
 
-    fn insert(&mut self, id: PageId) {
-        if self.touch(id) {
-            return;
+    /// The copying insert: caches `id` in the frame second chance picks,
+    /// now holding the buffer at `at`, and returns the address that frame
+    /// held before (`None` for a frame of its own).
+    fn insert(&mut self, id: PageId, at: usize) -> Option<usize> {
+        if let Some(frame) = self.frames.iter_mut().find(|f| f.0 == id) {
+            frame.1 = true;
+            return Some(std::mem::replace(&mut frame.2, at));
         }
         if self.frames.len() < self.capacity {
-            return self.frames.push((id, false));
+            self.frames.push((id, false, at));
+            return None;
         }
         loop {
-            let at = self.hand;
-            self.hand = (at + 1) % self.frames.len();
-            if !std::mem::take(&mut self.frames[at].1) {
-                return self.frames[at] = (id, false);
+            let i = self.hand;
+            self.hand = (i + 1) % self.frames.len();
+            if !std::mem::take(&mut self.frames[i].1) {
+                return Some(std::mem::replace(&mut self.frames[i], (id, false, at)).2);
             }
         }
     }
 }
 
-fn model_of(pool: &BufferPool) -> Vec<ModelStripe> {
-    let (cap, n) = (pool.capacity(), pool.num_shards());
-    (0..n)
+/// A model stripe per pool stripe.
+fn model(capacity: usize, stripes: usize) -> Vec<ModelStripe> {
+    (0..stripes)
         .map(|i| ModelStripe {
-            capacity: cap / n + usize::from(i < cap % n),
+            capacity: capacity / stripes + usize::from(i < capacity % stripes),
             ..Default::default()
         })
         .collect()
 }
 
+fn model_of(pool: &BufferPool) -> Vec<ModelStripe> {
+    model(pool.capacity(), pool.num_shards())
+}
+
+/// Checks the page `got` an insert returned against the model: the frame
+/// it took over keeps its buffer exactly when the test holds none of it.
+fn check_insert(stripe: &mut ModelStripe, id: PageId, got: &Arc<PageBuf>, held: &[Arc<PageBuf>]) {
+    if let Some(old) = stripe.insert(id, addr(got)).filter(|&old| old != 0) {
+        let free = !held.iter().any(|p| addr(p) == old);
+        assert_eq!(
+            addr(got) == old,
+            free,
+            "page {id}: recycled a held buffer or skipped a free one"
+        );
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Get(PageId),
-    Insert(PageId),
+    Get(PageId, bool),
+    Insert(PageId, bool),
     Clear,
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
-    let op = (0u32..64, 0u64..48).prop_map(|(kind, id)| match kind {
-        0..=30 => Op::Get(id),
-        31..=61 => Op::Insert(id),
-        62 => Op::Get(u64::MAX - id),
+    let op = (0u32..64, 0u64..48, 0u32..2).prop_map(|(kind, id, keep)| match kind {
+        0..=30 => Op::Get(id, keep == 1),
+        31..=61 => Op::Insert(id, keep == 1),
+        62 => Op::Get(u64::MAX - id, false),
         _ => Op::Clear,
     });
     proptest::collection::vec(op, 1..400)
 }
 
 /// Runs `trace`, checking every step against the references, and returns
-/// the positions of the `get`s that missed.
+/// the positions of the `get`s that missed. A page the op marks is held
+/// to the end of the trace; the others are dropped at once, so their
+/// frames' buffers are free to be recycled.
 fn run(trace: &[Op], capacity: usize, stripes: usize) -> Vec<usize> {
     let pool = BufferPool::with_shards(capacity, stripes);
     let n = pool.num_shards() as u64;
     let mut model = model_of(&pool);
     let mut written: HashMap<PageId, u64> = HashMap::new();
-    // Every page handed out or in stays held to the end of the trace.
-    let mut held: Vec<(u64, Arc<PageBuf>)> = Vec::new();
+    let mut held: Vec<Arc<PageBuf>> = Vec::new();
+    let mut held_tags: Vec<u64> = Vec::new();
     let mut misses = Vec::new();
     for (step, &op) in trace.iter().enumerate() {
         match op {
-            Op::Get(id) => {
+            Op::Get(id, keep) => {
                 let got = pool.get(id);
                 let stripe = &mut model[(id % n) as usize];
-                assert_eq!(got.is_some(), stripe.touch(id), "step {step}: {op:?}");
+                let want = stripe.touch(id);
+                assert_eq!(got.as_ref().map(addr), want, "step {step}: {op:?}");
                 match got {
                     // A hit is the last page written for the id — never an
                     // earlier version, never another id's.
                     Some(p) => {
                         assert_eq!(tag_of(&p), written[&id], "step {step}: stale hit");
-                        held.push((written[&id], p));
+                        if keep {
+                            held_tags.push(written[&id]);
+                            held.push(p);
+                        }
                     }
                     None => misses.push(step),
                 }
             }
-            Op::Insert(id) => {
+            Op::Insert(id, keep) => {
                 let tag = step as u64 + 1;
-                let p = page(tag);
-                held.push((tag, Arc::clone(&p)));
-                pool.insert(id, p);
-                model[(id % n) as usize].insert(id);
+                let got = pool.insert(id, &page(tag));
+                assert_eq!(tag_of(&got), tag, "step {step}");
+                check_insert(&mut model[(id % n) as usize], id, &got, &held);
                 written.insert(id, tag);
+                if keep {
+                    held_tags.push(tag);
+                    held.push(got);
+                }
             }
             Op::Clear => {
                 pool.clear();
@@ -123,10 +164,95 @@ fn run(trace: &[Op], capacity: usize, stripes: usize) -> Vec<usize> {
         assert!(pool.len() <= capacity, "step {step}: capacity exceeded");
     }
     // Eviction, replacement and clear never touched a page someone holds.
-    for (tag, p) in &held {
+    for (p, tag) in held.iter().zip(&held_tags) {
         assert_eq!(tag_of(p), *tag, "a held page changed under its holder");
     }
     misses
+}
+
+/// A pager and the model of its pool, driven by logical page reads.
+struct Checked {
+    pager: Pager,
+    model: Vec<ModelStripe>,
+    held: Vec<Arc<PageBuf>>,
+}
+
+impl Checked {
+    fn new(file: &[u8], page_size: usize, capacity: usize) -> Self {
+        let storage = MemStorage::new(page_size);
+        storage.append_pages(file).unwrap();
+        let pager = Pager::new(Arc::new(storage), capacity, AccessStats::new_shared());
+        let model = model(capacity, pager.stripes());
+        Self {
+            pager,
+            model,
+            held: Vec::new(),
+        }
+    }
+
+    /// Books one logical read of `id` that returned `got` to the model:
+    /// a hit is the cached buffer, a miss lands in the frame the model
+    /// evicts. Returns whether it missed.
+    fn book(&mut self, id: PageId, got: &Arc<PageBuf>, keep: bool) -> bool {
+        let at = (id % self.model.len() as u64) as usize;
+        let stripe = &mut self.model[at];
+        let missed = match stripe.touch(id) {
+            Some(0) => {
+                stripe.frames.iter_mut().find(|f| f.0 == id).unwrap().2 = addr(got);
+                false
+            }
+            Some(at) => {
+                assert_eq!(addr(got), at, "page {id}: a hit must be the cached page");
+                false
+            }
+            None => {
+                check_insert(stripe, id, got, &self.held);
+                true
+            }
+        };
+        if keep {
+            self.held.push(Arc::clone(got));
+        }
+        missed
+    }
+
+    fn read(&mut self, id: PageId, keep: bool) -> Arc<PageBuf> {
+        let misses = self.pager.stats().snapshot().cache_misses;
+        let got = self.pager.read(id).unwrap();
+        let missed = self.book(id, &got, keep);
+        let now = self.pager.stats().snapshot().cache_misses;
+        assert_eq!(now - misses, u64::from(missed), "page {id}: hit or miss");
+        got
+    }
+
+    fn write(&mut self, id: PageId, bytes: &[u8]) {
+        self.pager
+            .write(id, PageBuf::from_vec(bytes.to_vec()))
+            .unwrap();
+        let at = (id % self.model.len() as u64) as usize;
+        let stripe = &mut self.model[at];
+        stripe.insert(id, 0);
+    }
+}
+
+/// One random step of the prelude or the postlude, applied alike to both
+/// pagers: a read (its page held or not) or a write of fresh bytes.
+fn step(rng: &mut TestRng, pagers: [&mut Checked; 2], file: &mut [u8], ps: usize, tag: u64) {
+    let pages = (file.len() / ps) as u64;
+    let id = rng.below(pages);
+    if rng.below(5) == 0 {
+        let bytes = &mut file[id as usize * ps..][..ps];
+        bytes
+            .iter_mut()
+            .enumerate()
+            .for_each(|(i, b)| *b = (tag as usize + i) as u8);
+        pagers.into_iter().for_each(|p| p.write(id, bytes));
+    } else {
+        let keep = rng.below(4) == 0;
+        for p in pagers {
+            assert_eq!(p.read(id, keep).as_slice(), &file[id as usize * ps..][..ps]);
+        }
+    }
 }
 
 proptest! {
@@ -154,14 +280,14 @@ proptest! {
     ) {
         let pool = BufferPool::with_shards(capacity as usize, 1);
         for id in 0..capacity {
-            pool.insert(id, page(id));
+            pool.insert(id, &page(id));
         }
         let read: Vec<u64> = (0..capacity).filter(|id| read_mask >> id & 1 == 1).collect();
         prop_assume!(read.len() < capacity as usize);
         for &id in &read {
             prop_assert!(pool.get(id).is_some());
         }
-        pool.insert(capacity, page(capacity));
+        pool.insert(capacity, &page(capacity));
         let victim = (0..capacity).find(|id| !read.contains(id)).unwrap();
         for id in 0..=capacity {
             prop_assert_eq!(pool.get(id).is_some(), id != victim, "page {}", id);
@@ -169,10 +295,70 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `read_run(first, n)` is `n` reads: two pagers over the same bytes
+    /// and pool geometry, driven through the same random reads and writes,
+    /// then one reads a run and the other the same pages one at a time —
+    /// same bytes, same counters, and the same pool: each pager matches
+    /// the model before, during and after, and so does a random postlude.
+    #[test]
+    fn a_read_run_is_as_many_reads(
+        ps_pick in 0usize..4,
+        capacity in 1usize..65,
+        seed in 0u64..1 << 32,
+    ) {
+        let ps = [64usize, 70, 130, 4_096][ps_pick];
+        let mut rng = TestRng::from_name(&format!("run-{seed}"));
+        let pages = 2 * capacity + 17;
+        let mut file: Vec<u8> = (0..pages * ps).map(|i| (i % 251) as u8).collect();
+        let mut runs = Checked::new(&file, ps, capacity);
+        let mut reads = Checked::new(&file, ps, capacity);
+        let stripes = runs.pager.stripes();
+        prop_assert_eq!(stripes, capacity.min(16));
+        for tag in 0..rng.below(3 * pages as u64) {
+            step(&mut rng, [&mut runs, &mut reads], &mut file, ps, tag);
+        }
+
+        let n = 1 + rng.below(stripes as u64) as usize;
+        let first = rng.below((pages - n + 1) as u64);
+        let keep = rng.below(2) == 0;
+        let mut run = vec![None; n];
+        let before = runs.pager.stats().snapshot();
+        runs.pager.read_run(first, &mut run).unwrap();
+        let run: Vec<Arc<PageBuf>> = run.into_iter().map(Option::unwrap).collect();
+        let mut missed = 0;
+        for (id, got) in (first..).zip(&run) {
+            missed += u64::from(runs.book(id, got, keep));
+        }
+        let single: Vec<Arc<PageBuf>> = (first..).take(n).map(|id| reads.read(id, keep)).collect();
+        for ((id, a), b) in (first..).zip(&run).zip(&single) {
+            prop_assert_eq!(a.as_slice(), b.as_slice(), "page {}", id);
+            prop_assert_eq!(a.as_slice(), &file[id as usize * ps..][..ps]);
+        }
+        let (a, b) = (runs.pager.stats().snapshot(), reads.pager.stats().snapshot());
+        prop_assert_eq!(a, b);
+        prop_assert_eq!(a.cache_misses - before.cache_misses, missed, "the run's misses");
+        let state = |m: &[ModelStripe]| -> Vec<(Vec<(PageId, bool)>, usize)> {
+            m.iter()
+                .map(|s| (s.frames.iter().map(|f| (f.0, f.1)).collect(), s.hand))
+                .collect()
+        };
+        prop_assert_eq!(state(&runs.model), state(&reads.model));
+        drop((run, single));
+
+        for tag in 0..pages as u64 {
+            step(&mut rng, [&mut runs, &mut reads], &mut file, ps, 1 << 20 | tag);
+        }
+        prop_assert_eq!(runs.pager.stats().snapshot(), reads.pager.stats().snapshot());
+    }
+}
+
 #[test]
 fn a_get_far_beyond_the_file_misses_without_allocating() {
     let pool = BufferPool::new(8);
-    pool.insert(3, page(3));
+    pool.insert(3, &page(3));
     assert!(pool.get(u64::MAX).is_none());
     assert!(pool.get(u64::MAX / 2).is_none());
     assert_eq!(pool.len(), 1);
