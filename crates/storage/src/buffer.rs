@@ -14,9 +14,9 @@
 //! a hot stripe while a cold one has room, the standard trade of a striped
 //! cache.
 //!
-//! **Why second chance and not LRU.** A query is about two thousand pool
-//! *hits* (`lf300_hot`: ≈ 1 656 reads, none missing), so the hit is the
-//! path that must be cheap. The LRU pool paid SipHash over a
+//! **Why second chance and not LRU.** A query is ≈ 1 656 pool *hits*
+//! (`lf300_hot`: every read hits), so the hit is the path that must be
+//! cheap. The LRU pool paid SipHash over a
 //! `HashMap<PageId, usize>` and a four-slot relink of a doubly-linked chain
 //! on every hit — 110–155 ns with the pager's counters. Here a hit is one
 //! index into a dense page table (ids come from `allocate()` and are dense,
