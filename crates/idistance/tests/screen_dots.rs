@@ -442,8 +442,8 @@ impl Storage for CountingReads {
 /// ⌈P/S⌉ device reads and `P` logical reads, every one a miss, whether
 /// the pool holds the column or not — with 64-byte head rows at 4 KB pages
 /// (no row straddles a page) and with 300-byte full-width rows at
-/// 1 000-byte pages (most windows end inside a row). A warm sweep makes
-/// none.
+/// 1 000-byte pages (most windows end inside a row). A warm sweep through
+/// a pool that holds the column makes none.
 #[test]
 fn a_cold_sweep_makes_one_device_read_a_window() {
     let shapes = [
