@@ -3,7 +3,9 @@
 //! ([`ScreenBound`], one per sub-partition or code chunk) and the walk of
 //! one block of rows through it into a [`TopK`] ([`walk`]). The column pass
 //! of [`crate::search`] walks the index's code column one sub-partition at
-//! a time, best bound first, the annulus path its candidates one
+//! a time, best bound first (for heads, the prefix bound picks the rows the
+//! walk then tests whole: [`ScreenBound::prefix`]), the annulus path its
+//! candidates one
 //! sub-partition group at a time (unscreened while its k-th best is `-∞`),
 //! and the shard layer its delta one chunk at a time — sealed chunks under
 //! their full-width codes (the case below that needs no head basis), the
@@ -13,6 +15,7 @@ use std::io;
 
 use promips_idistance::meta::OrigQuant;
 use promips_idistance::HeadBasis;
+use promips_linalg::sq_norm2;
 use promips_obs::ShardSpan;
 
 use crate::result::TopK;
@@ -27,8 +30,11 @@ use crate::result::TopK;
 /// `⟨x̂, q̂⟩ = sq·(min·Σbⱼ + scale·idot)`, and Cauchy–Schwarz bounds the
 /// coded-space inner product by
 /// `|⟨x, q⟩ − ⟨x̂, q̂⟩| ≤ err·‖q‖ + xnorm·‖q − q̂‖`. What a head leaves out
-/// is bounded by the last two fields (`crate::search`'s module docs, "The
-/// head bound").
+/// is bounded by the `q_tail` and `leak` scalars (`crate::search`'s module
+/// docs, "The head bound"). The quantizer's scalars are kept twice: over
+/// the whole coded row, and over the **prefix** the column sweep reads (a
+/// head's first `h/2` coordinates, whose rest `b_s` the prefix bound meets
+/// by its norm; the whole row again for full-width codes).
 #[derive(Debug, Default)]
 pub struct QueryScreen {
     /// The codes `bⱼ` (one per coded coordinate) — the integer kernels' i8
@@ -36,12 +42,13 @@ pub struct QueryScreen {
     qcodes: Vec<i8>,
     /// Query quantization step `max|qⱼ|/127` (1.0 for the zero query).
     sq: f64,
-    /// `Σ bⱼ` — exact, pairs with the data quantizer's `min`.
-    sum_b: i64,
-    /// `‖q − q̂‖` computed in f64 from the actual codes (not a bound).
-    q_err: f64,
-    /// `‖q‖` in the coded space.
-    q_norm: f64,
+    /// The quantizer's scalars over the whole coded row.
+    whole: Span,
+    /// The quantizer's scalars over the prefix: `whole` without a basis.
+    prefix: Span,
+    /// `‖b_s‖`, the norm of the head's coordinates past the prefix; 0
+    /// without a basis.
+    suffix_norm: f64,
     /// The query's head `Vq` (unused without a basis).
     head: Vec<f32>,
     /// Upper bound on the original query's residual `‖q − Vᵀ(Vq)‖`; 0
@@ -52,24 +59,38 @@ pub struct QueryScreen {
     leak: f64,
 }
 
+/// The query's quantizer scalars over a span of the coded coordinates.
+#[derive(Debug, Default, Clone, Copy)]
+struct Span {
+    /// `Σ bⱼ` — exact, pairs with the data quantizer's `min`.
+    sum_b: i64,
+    /// `‖q − q̂‖` computed in f64 from the actual codes (not a bound).
+    q_err: f64,
+    /// `‖q‖` in the coded space.
+    q_norm: f64,
+}
+
 impl QueryScreen {
     /// Takes `q` into the coded space, quantizes it symmetrically and
     /// gathers the bound scalars, reusing the buffers. `q_sq_norm` is the
     /// caller's already-computed `‖q‖²`; `basis` is `None` for full-width
     /// codes.
     pub fn rebuild(&mut self, q: &[f32], q_sq_norm: f64, basis: Option<&HeadBasis>) {
-        let (q, q_sq_norm) = match basis {
+        let (q, p, [prefix_sq_norm, q_sq_norm]) = match basis {
             Some(basis) => {
                 self.head.resize(basis.width(), 0.0);
                 let head_sq_norm = basis.project(q, &mut self.head);
+                let p = basis.prefix_width();
+                self.suffix_norm = sq_norm2(&self.head[p..]).sqrt();
                 self.q_tail = basis.residual_bound(q_sq_norm, head_sq_norm);
                 self.leak =
                     basis.defect() * (1.0 + basis.defect()) * q_sq_norm.max(head_sq_norm).sqrt();
-                (&self.head[..], head_sq_norm)
+                let prefix_sq_norm = sq_norm2(&self.head[..p]);
+                (&self.head[..], p, [prefix_sq_norm, head_sq_norm])
             }
             None => {
-                (self.q_tail, self.leak) = (0.0, 0.0);
-                (q, q_sq_norm)
+                (self.suffix_norm, self.q_tail, self.leak) = (0.0, 0.0, 0.0);
+                (q, q.len(), [q_sq_norm; 2])
             }
         };
         let mut amax = 0.0f32;
@@ -79,19 +100,26 @@ impl QueryScreen {
         let sq = if amax > 0.0 { amax as f64 / 127.0 } else { 1.0 };
         self.qcodes.clear();
         self.qcodes.reserve(q.len());
-        let mut sum_b = 0i64;
-        let mut q_err_sq = 0.0f64;
-        for &x in q {
-            let b = (x as f64 / sq).round().clamp(-127.0, 127.0);
-            self.qcodes.push(b as i8);
-            sum_b += b as i64;
-            let e = x as f64 - sq * b;
-            q_err_sq += e * e;
-        }
+        // `Σ bⱼ` and `‖q − q̂‖²`, accumulated in coordinate order through
+        // the prefix and on through the rest of the row.
+        let (mut sum_b, mut q_err_sq) = (0i64, 0.0f64);
+        let mut quantize = |span: &[f32]| {
+            for &x in span {
+                let b = (x as f64 / sq).round().clamp(-127.0, 127.0);
+                self.qcodes.push(b as i8);
+                sum_b += b as i64;
+                let e = x as f64 - sq * b;
+                q_err_sq += e * e;
+            }
+            (sum_b, q_err_sq)
+        };
+        let (prefix_sum_b, prefix_err_sq) = quantize(&q[..p]);
+        let (sum_b, q_err_sq) = quantize(&q[p..]);
         self.sq = sq;
-        self.sum_b = sum_b;
-        self.q_err = q_err_sq.sqrt();
-        self.q_norm = q_sq_norm.sqrt();
+        (self.prefix.sum_b, self.prefix.q_err) = (prefix_sum_b, prefix_err_sq.sqrt());
+        (self.whole.sum_b, self.whole.q_err) = (sum_b, q_err_sq.sqrt());
+        self.prefix.q_norm = prefix_sq_norm.sqrt();
+        self.whole.q_norm = q_sq_norm.sqrt();
     }
 
     /// The query's codes: the i8 operand of `dot_col_i8` and its kin.
@@ -115,6 +143,11 @@ impl QueryScreen {
 /// for the stored basis' defect and the rounding of the projections, both
 /// absent for full-width codes — so no row whose exact kernel inner
 /// product could reach the k-th best is ever dropped.
+///
+/// [`Self::prefix`] is the same test on a row's dot over the prefix
+/// column alone: the quantizer terms over the prefix (the whole row's `err`
+/// and `xnorm` bound the prefix's), plus `suffix_norm·‖b_s‖` for the head
+/// coordinates past it.
 pub struct ScreenBound {
     base: f64,
     step: f64,
@@ -125,15 +158,31 @@ impl ScreenBound {
     /// The bound of the rows `vq` quantized, against the query `qs`.
     #[inline]
     pub fn new(vq: &OrigQuant, qs: &QueryScreen) -> Self {
+        Self::over(vq, qs, &qs.whole, 0.0)
+    }
+
+    /// The bound of the rows `vq` quantized given their dots over the
+    /// prefix column ([`promips_idistance::IDistanceIndex::column_dots`]):
+    /// for full-width codes, whose prefix is the whole row, [`Self::new`]
+    /// to the bit.
+    #[inline]
+    pub fn prefix(vq: &OrigQuant, qs: &QueryScreen) -> Self {
+        Self::over(vq, qs, &qs.prefix, vq.suffix_norm as f64 * qs.suffix_norm)
+    }
+
+    /// The bound over the coordinates of `span`, `rest` bounding the head
+    /// coordinates past them.
+    #[inline]
+    fn over(vq: &OrigQuant, qs: &QueryScreen, span: &Span, rest: f64) -> Self {
         let (err, xnorm, tail) = (vq.err as f64, vq.xnorm as f64, vq.tail as f64);
-        let mut pad =
-            (err * qs.q_norm + xnorm * qs.q_err) * (1.0 + 1e-9) + 1e-12 * (xnorm * qs.q_norm);
+        let mut pad = (err * span.q_norm + xnorm * span.q_err) * (1.0 + 1e-9)
+            + 1e-12 * (xnorm * qs.whole.q_norm);
         // Positive exactly for a non-zero query against head codes.
         if qs.leak > 0.0 {
-            pad += tail * qs.q_tail + (xnorm + err + tail) * qs.leak;
+            pad += rest + tail * qs.q_tail + (xnorm + err + tail) * qs.leak;
         }
         Self {
-            base: qs.sq * vq.min as f64 * qs.sum_b as f64,
+            base: qs.sq * vq.min as f64 * span.sum_b as f64,
             step: qs.sq * vq.scale as f64,
             pad,
         }
@@ -147,6 +196,13 @@ impl ScreenBound {
     #[inline]
     pub fn upper(&self, idot: i32) -> f64 {
         self.base + self.step * idot as f64 + self.pad
+    }
+
+    /// The lower bound on the inner product of a row with integer dot
+    /// `idot`: every term of the pad bounds a difference in both directions.
+    #[inline]
+    pub fn lower(&self, idot: i32) -> f64 {
+        self.base + self.step * idot as f64 - self.pad
     }
 
     /// Whether a row with integer dot `idot` can still reach `bar`.

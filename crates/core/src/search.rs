@@ -53,7 +53,7 @@
 //!   pass is cheaper: the pass still runs only where it wins on both shapes.
 //!   Lowering it would move the queries covering between ≈ 0.16 and 0.25
 //!   of their index to the exact pass, changing their answers; that is
-//!   ROADMAP item 6's decision, after item 2's audit of the annulus path.
+//!   ROADMAP item 5's decision, after item 2's audit of the annulus path.
 //!   Every query of the four benchmark workloads covers ≥ 0.80 of its index
 //!   (`lf300` mean 0.998, `skew64` 0.951), so nothing measured there
 //!   depends on where under 0.8 the constant is; it is a constant, not a
@@ -105,6 +105,46 @@
 //! keeps the bound exact; a poor one only makes `tail` large. Full-width
 //! codes are the case `V = I`: `tail = δ = 0` and `pad` is what it was, to
 //! the bit.
+//!
+//! **The prefix bound.** A head's codes are two columns of `h/2`-byte rows
+//! (the prefix `a_p`, codes `0..h/2`, and the suffix `a_s`), and the pass
+//! sweeps the prefix column alone. A row's prefix dot bounds it by
+//!
+//! ```text
+//! ⟨o, q⟩ ≤ base_p + step·idot_p + pad_p,
+//! pad_p = err·‖b_p‖ + xnorm·‖b_p − b̂_p‖        (the quantizer, over the prefix)
+//!       + suffix_norm·‖b_s‖                      (the head past the prefix)
+//!       + tail·‖q − Vᵀ(Vq)‖ + δ(1 + δ)·(xnorm + err + tail)·max(‖q‖, ‖Vq‖)
+//! ```
+//!
+//! Proof sketch. `⟨a, b⟩ = ⟨a_p, b_p⟩ + ⟨a_s, b_s⟩` exactly, so the head
+//! bound's steps hold with `⟨a, b⟩` split in two. The prefix codes are the
+//! first `h/2` codes of the row under its sub-partition's one quantizer, so
+//! `‖a_p − â_p‖ ≤ ‖a − â‖ ≤ err` and `‖â_p‖ ≤ ‖â‖ ≤ xnorm`, and the
+//! quantizer's Cauchy–Schwarz step over the prefix coordinates gives the
+//! first line with the query's prefix scalars (`Σb` and `b̂` over the
+//! prefix). Cauchy–Schwarz again gives `⟨a_s, b_s⟩ ≤ ‖a_s‖·‖b_s‖`, and the
+//! sub-partition stores `suffix_norm ≥ max ‖a_s‖` over its rows' heads as
+//! coded. The last line is the whole head's, unchanged. Prefix dot plus
+//! suffix dot is the whole row's integer dot, so a row the prefix bound
+//! leaves in is then tested by the head bound itself. For full-width codes
+//! the prefix is the whole row, `suffix_norm = 0`, and the two bounds are
+//! one, to the bit.
+//!
+//! The pass keys its best-first walk by the prefix bound and reads a
+//! suffix only for a row of a visited sub-partition that the prefix bound
+//! leaves in (`ProMips::column_pass`). On `lf300` (seed-1 queries, in
+//! memory, `staged_screen_replay.rs`) that is 184 of 1 148 sub-partitions,
+//! 661 rows and 233 suffix pages a query (means; p95 388, 1 453, 513); the
+//! sweep reads 782 pages where the whole column is 1 563. A visit costs
+//! ≈ 1 µs (its suffix page through the pool, the prefix filter, the heap),
+//! a sweep of the suffix column ≈ 200 µs, so a query whose walk would be
+//! long sweeps the suffixes instead and walks by the head bound. It decides
+//! before the walk, from the prefix bounds alone: the `k`-th largest of the
+//! sub-partitions' lower bounds on their best rows is at most the final
+//! `k`-th, and when more than [`SUFFIX_SWEEP_SHARE`] of the keys reach it
+//! the walk would be long — 60 of the 200 `lf300` queries, those the staged
+//! walk would visit ≈ 200 or more sub-partitions in.
 //!
 //! **Width.** `h` is the smallest multiple of 64 up to `min(d/2, 256)`
 //! whose tail energy (the share of a 1 024-row sample's `‖X‖_F²` outside
@@ -203,9 +243,15 @@ struct FetchBuffers {
     /// inside the comparator.
     groups: Vec<(f64, usize, usize)>,
     /// Integer inner products `Σ codeⱼ·bⱼ` of the group being screened
-    /// (candidate `i` at `idots[i]`) or of the whole column (row `i`),
-    /// computed by the index on the pinned code pages.
+    /// (candidate `i` at `idots[i]`) or of the whole swept column (row
+    /// `i`), computed by the index on the pinned code pages.
     idots: Vec<i32>,
+    /// The column pass's whole-row dots of one sub-partition's rows that
+    /// the prefix bound left in (at `offsets`), for head codes; or every
+    /// row's suffix dot when the pass sweeps the suffix column.
+    rows_dots: Vec<i32>,
+    /// Per sub-partition, the prefix bound's lower bound on its best row.
+    lowers: Vec<f64>,
     /// The column pass's visiting order: one `(key(upper bound),
     /// Reverse(sub-partition), first row)` per sub-partition, a max-heap
     /// rebuilt in place per pass.
@@ -309,8 +355,8 @@ impl ProMips {
     /// satisfies `⟨oᵢ,q⟩ ≥ c·⟨o*ᵢ,q⟩`.
     ///
     /// Allocates a fresh [`SearchScratch`]; callers issuing many queries
-    /// should hold one and use [`ProMips::search_with_scratch`], or batch
-    /// through [`ProMips::search_batch`].
+    /// should hold one and use [`ProMips::execute`], or batch through
+    /// [`ProMips::search_batch`].
     pub fn search(&self, q: &[f32], k: usize) -> io::Result<SearchResult> {
         self.execute(Query::new(q, k), &mut SearchScratch::new())
     }
@@ -864,28 +910,40 @@ impl ProMips {
     }
 
     /// The scan side of the index-or-scan rule, in two phases. The
-    /// **sweep** computes every row's integer dot into `idots`, one kernel
-    /// call per page of the SQ8 code column, independent of the k-th best
-    /// ([`promips_idistance::IDistanceIndex::column_dots`]). The **walk**
-    /// visits the sub-partitions best first, as LEMP-style bucket orders
-    /// do ("To Index or Not to Index", arXiv:1706.01449): each one's upper
-    /// bound — its [`ScreenBound`] at the largest dot of its slice of
-    /// `idots` — goes into a max-heap built in O(n) (ties to the lower
-    /// directory index), and the walk pops until the next bound falls below
-    /// the bar `max(k-th best, query.kth_floor)`. Every bound left is at
-    /// most that one, so their rows are ruled out unread. A visited
-    /// sub-partition is one [`screen::walk`] over its slice, as an annulus
-    /// group is. A row the bound cannot rule out has
-    /// its id read from its projected record and, unless the mask kills it,
-    /// its f32 row decoded and scored by the single-row [`dot`]; the readers
-    /// keep their page pinned, so survivors of one sub-partition sharing a
-    /// page share its read. `top` ends as the exact top-k over live rows at
-    /// or above the floor.
+    /// **sweep** computes every row's integer dot over the prefix column
+    /// into `idots` — the whole row for full-width codes, a head's first
+    /// half for heads — one kernel call per page, independent of the k-th
+    /// best ([`promips_idistance::IDistanceIndex::column_dots`]). The
+    /// **walk** visits the sub-partitions best first, as LEMP-style bucket
+    /// orders do ("To Index or Not to Index", arXiv:1706.01449): each one's
+    /// upper bound — its [`ScreenBound::prefix`] at the largest dot of its
+    /// slice of `idots` — goes into a max-heap built in O(n) (ties to the
+    /// lower directory index), and the walk pops until the next bound falls
+    /// below the bar `max(k-th best, query.kth_floor)`. Every bound left is
+    /// at most that one, so their rows are ruled out unread. In a visited
+    /// sub-partition of a head index, each row the prefix bound cannot rule
+    /// out at the bar gets its suffix dot
+    /// ([`promips_idistance::SuffixCursor`]): prefix plus
+    /// suffix is the row's whole integer dot. The sub-partition's rows (for
+    /// heads, those rows) are then one [`screen::walk`] under its
+    /// [`ScreenBound`], as an annulus group is. A row the bound cannot rule
+    /// out has its id read from its projected record and, unless the mask
+    /// kills it, its f32 row decoded and scored by the single-row [`dot`];
+    /// the readers keep their page pinned, so survivors of one
+    /// sub-partition sharing a page share its read. `top` ends as the exact
+    /// top-k over live rows at or above the floor.
     ///
-    /// Books as it goes (valid on the error path): `scanned` code rows read,
-    /// `screened` rows ruled out, `verified` rows scored; the rows of the
-    /// sub-partitions never visited book to `screened` when the walk stops.
-    /// One budget tick per page of the sweep and per sub-partition visited.
+    /// When the prefix bounds say the staged walk would be long
+    /// ([`SUFFIX_SWEEP_SHARE`]), the pass sweeps the suffix column too
+    /// ([`promips_idistance::IDistanceIndex::suffix_column_dots`]), adds each
+    /// row's suffix dot to its prefix dot and keys the walk by the head bound
+    /// at each sub-partition's largest whole dot, as for full-width codes.
+    ///
+    /// Books as it goes (valid on the error path): `scanned` code rows
+    /// swept, `screened` rows ruled out (by the prefix or the whole row),
+    /// `verified` rows scored; the rows of the sub-partitions never visited
+    /// book to `screened` when the walk stops. One budget tick per page of
+    /// the sweep and per sub-partition visited.
     fn column_pass(
         &self,
         query: &Query<'_>,
@@ -897,8 +955,11 @@ impl ProMips {
         let (q, floor) = (query.q, query.kth_floor);
         let mask = query.mask.map(|(dead, _)| dead);
         let FetchBuffers {
+            offsets,
             arena,
             idots,
+            rows_dots,
+            lowers,
             order,
             screen: qs,
             ..
@@ -910,32 +971,77 @@ impl ProMips {
         swept?;
 
         let (subparts, vquants) = (self.index.subparts(), self.index.vquants());
+        let mut split = self.index.prefix_width() < self.index.code_width();
         // The heap's buffer never leaves the scratch across a `?`.
         let mut keys = std::mem::take(order).into_vec();
         keys.clear();
+        lowers.clear();
         let mut first = 0;
         for (sub, (sp, vq)) in (0u32..).zip(subparts.iter().zip(vquants)) {
             let dots = &idots[first..first + sp.count as usize];
-            let upper = ScreenBound::new(vq, qs).upper(screen::max_dot(dots));
-            keys.push((order_key(upper), Reverse(sub), first));
+            let (bound, best) = (ScreenBound::prefix(vq, qs), screen::max_dot(dots));
+            keys.push((order_key(bound.upper(best)), Reverse(sub), first));
+            lowers.push(bound.lower(best));
             first += dots.len();
         }
         *order = BinaryHeap::from(keys);
+        if split && walk_is_long(order, lowers, query.k, floor) {
+            // Sweep the suffixes too: every row's dot becomes its whole
+            // row's, and the walk is keyed by the head bound.
+            let swept = self
+                .index
+                .suffix_column_dots(qs.qcodes(), rows_dots, || Ok(checker.tick()?));
+            swept?;
+            let mut keys = std::mem::take(order).into_vec();
+            for (key, Reverse(sub), first) in &mut keys {
+                let rows = *first..*first + subparts[*sub as usize].count as usize;
+                let mut best = i32::MIN;
+                for (idot, suffix) in idots[rows.clone()].iter_mut().zip(&rows_dots[rows]) {
+                    *idot += suffix;
+                    best = best.max(*idot);
+                }
+                let bound = ScreenBound::new(&vquants[*sub as usize], qs);
+                *key = order_key(bound.upper(best));
+            }
+            *order = BinaryHeap::from(keys);
+            split = false;
+        }
 
         let mut ids = self.index.id_cursor();
         let mut rows = self.index.orig_cursor(0);
+        let mut suffixes = self.index.suffix_cursor();
         let mut unvisited = idots.len() as u64;
         while let Some((key, Reverse(sub), first)) = order.pop() {
-            if from_order_key(key) < top.kth_ip().max(floor) {
+            let bar = top.kth_ip().max(floor);
+            if from_order_key(key) < bar {
                 break;
             }
             checker.tick()?;
             let (sp, vq) = (&subparts[sub as usize], &vquants[sub as usize]);
             let dots = &idots[first..first + sp.count as usize];
             unvisited -= dots.len() as u64;
+            let dots = if split {
+                // The bar only rises, so a row the prefix rules out now
+                // stays out; the rest get their suffix.
+                let prefix = ScreenBound::prefix(vq, qs);
+                offsets.clear();
+                let reaching = (0u32..)
+                    .zip(dots)
+                    .filter(|&(_, &idot)| prefix.may_reach(idot, bar));
+                offsets.extend(reaching.map(|(row, _)| row));
+                work.screened += (dots.len() - offsets.len()) as u64;
+                rows_dots.clear();
+                for &row in offsets.iter() {
+                    let suffix = suffixes.dot(sub, row, qs.qcodes())?;
+                    rows_dots.push(dots[row as usize] + suffix);
+                }
+                &rows_dots[..]
+            } else {
+                dots
+            };
             let bound = ScreenBound::new(vq, qs);
-            screen::walk(dots.len(), Some((dots, &bound)), floor, top, work, |row| {
-                let offset = row as u32;
+            screen::walk(dots.len(), Some((dots, &bound)), floor, top, work, |i| {
+                let offset = if split { offsets[i] } else { i as u32 };
                 let id = ids.id(sub, offset)?;
                 if is_dead(id, mask) {
                     return Ok(None);
@@ -948,6 +1054,36 @@ impl ProMips {
         work.screened += unvisited;
         Ok(())
     }
+}
+
+/// The share of sub-partitions past which the staged walk would cost more
+/// than a sweep of the suffix column (module docs, "The prefix bound").
+/// Measured on `lf300` (100 000 rows, 64-byte heads, 1 148 sub-partitions;
+/// 2-core VM): a staged query costs ≈ 300 µs plus ≈ 1 µs a visited
+/// sub-partition, the suffix sweep with its rekeying ≈ 250 µs, so the walk
+/// pays up to ≈ 200–250 visits. The sub-partitions whose prefix bound
+/// reaches the k-th largest lower bound on their best rows are 3–5 times
+/// the ones the walk visits; past this share it would visit ≈ 200 or more.
+/// Alternating `lf300_hot` pairs put `query_p95_us` at +13 to +16 % over
+/// one column with 0.65, +21 % with 0.75. Not a configuration field.
+pub const SUFFIX_SWEEP_SHARE: f64 = 0.65;
+
+/// Whether the staged walk would visit more than [`SUFFIX_SWEEP_SHARE`] of
+/// the sub-partitions, judged before it starts: `lowers` (reordered) holds
+/// each one's lower bound on its best row, so the k-th largest bounds the
+/// k-th best row from below — nothing is scored — and every key at or
+/// above it (or above `floor`) may be visited.
+fn walk_is_long(
+    order: &BinaryHeap<(u64, Reverse<u32>, usize)>,
+    lowers: &mut [f64],
+    k: usize,
+    floor: f64,
+) -> bool {
+    let at = k.clamp(1, lowers.len()) - 1;
+    let (_, &mut kth, _) = lowers.select_nth_unstable_by(at, |a, b| b.total_cmp(a));
+    let bar = kth.max(floor);
+    let above = order.iter().filter(|e| from_order_key(e.0) >= bar).count();
+    above as f64 > SUFFIX_SWEEP_SHARE * order.len() as f64
 }
 
 /// An order-preserving `u64` of a finite `x` (`total_cmp` order): the

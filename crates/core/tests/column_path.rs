@@ -337,6 +337,67 @@ fn a_clustered_dataset_stays_on_the_annulus_path_though_the_pass_reads_less() {
     );
 }
 
+/// A head column is swept by its 32-byte prefixes; the suffixes are read
+/// only for the rows of the visited sub-partitions that the prefix bound
+/// leaves in. Items are the exact top-k unmasked, masked and at a floor at
+/// the exact k-th, and a whole pass — its scored rows' ids and f32 rows
+/// included — reads fewer pages than the code column alone used to.
+#[test]
+fn a_head_pass_sweeps_the_prefixes_and_stays_exact() {
+    let (n, d, page_size) = (20_000usize, 160usize, 4096usize);
+    let data = low_rank(n, d, 20, 0.0, 71);
+    let index = build(&data, page_size, 71);
+    let idist = index.idistance();
+    assert_eq!((idist.code_width(), idist.prefix_width()), (64, 32));
+    let whole_pages = (n * 64).div_ceil(page_size) as u64;
+
+    let mut rng = Xoshiro256pp::seed_from_u64(72);
+    let mut scratch = SearchScratch::new();
+    let third = |id: u64| id % 3 == 1;
+    let masked: Mask<'_> = Some((&third, (0..n as u64).filter(|&id| third(id)).count()));
+    let mut on_column = 0;
+    for _ in 0..12 {
+        let row = data.row(rng.below(n as u64) as usize);
+        let q: Vec<f32> = row.iter().map(|x| x + 0.1 * rng.normal() as f32).collect();
+        for mask in [None, masked] {
+            let dead = |id: u64| mask.is_some_and(|(dead, _)| dead(id));
+            index.clear_cache();
+            let before = index.access_stats();
+            let (res, span) = traced(
+                &index,
+                Query {
+                    mask,
+                    ..Query::new(&q, 10)
+                },
+                &mut scratch,
+            );
+            let reads = index.access_stats().delta_since(&before).logical_reads;
+            if !span.column_pass {
+                continue;
+            }
+            on_column += 1;
+            let want = exact(&data, &q, 10, &dead);
+            assert_eq!(pairs(&res.items), want);
+            assert!(
+                reads < whole_pages,
+                "{reads} pages, the column is {whole_pages}"
+            );
+            if mask.is_none() {
+                assert_eq!(span.screened + span.verified, n as u64);
+            }
+            let floored = Query {
+                mask,
+                kth_floor: want[9].1,
+                ..Query::new(&q, 10)
+            };
+            let (again, again_span) = traced(&index, floored, &mut scratch);
+            assert_eq!(pairs(&again.items), want);
+            assert!(again_span.verified <= span.verified);
+        }
+    }
+    assert!(on_column >= 12, "{on_column} column-path queries");
+}
+
 /// Whatever the spectrum makes of the code column — a 64-byte head (rows
 /// exactly low-rank, or with noise just under the width rule's ε, or with
 /// heavy-residual rows in otherwise low-rank sub-partitions) or full-width codes (noise

@@ -245,6 +245,43 @@ fn a_damaged_footer_or_aux_blob_is_invalid_data_not_a_panic() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The iDistance footer's magic for codes that are not heads: the format
+/// of every file before heads were split into two columns, and still of
+/// every file without a head.
+const FULL_WIDTH_MAGIC: [u8; 8] = 0x1D15_7A4C_E01D_F009u64.to_le_bytes();
+/// The magic of a head split into a prefix and a suffix column.
+const HEAD_MAGIC: [u8; 8] = 0x1D15_7A4C_E01D_F00Au64.to_le_bytes();
+
+/// A build without a head basis keeps the one column and the magic it had
+/// before heads were split — its bytes are the previous format's — and a
+/// file that claims a split head column without carrying a basis is
+/// refused.
+#[test]
+fn a_full_width_build_keeps_the_previous_format() {
+    let (n, d) = (700, 18);
+    let data = clustered(14, n / 14, d, 59);
+    let dir = std::env::temp_dir().join(format!("promips-fmt-full-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfg = config_for(true);
+    let page_size = cfg.page_size;
+    let idx = save_reopen(&data, &dir, "full.pmx", cfg);
+    let idist = idx.idistance();
+    assert!(idist.head().is_none());
+    assert_eq!((idist.code_width(), idist.prefix_width()), (d, d));
+    assert_eq!(idist.vquant_region().unwrap().1, (n * d) as u64);
+    assert!(idist.vquants().iter().all(|vq| vq.suffix_norm == 0.0));
+    drop(idx);
+
+    let path = dir.join("full.pmx");
+    let bytes = std::fs::read(&path).unwrap();
+    let holds = |magic: &[u8]| bytes.windows(8).any(|w| w == magic);
+    assert!(holds(&FULL_WIDTH_MAGIC) && !holds(&HEAD_MAGIC));
+    let claimed = patched(&path, &FULL_WIDTH_MAGIC, &HEAD_MAGIC);
+    let err = open_error(&dir.join("bad.pmx"), claimed, page_size);
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn a_head_column_roundtrips_bit_for_bit_and_a_wrong_shape_is_refused() {
     let d = 160;
@@ -270,6 +307,16 @@ fn a_head_column_roundtrips_bit_for_bit_and_a_wrong_shape_is_refused() {
     assert_eq!(bits(restored.rows()), bits(basis.rows()));
     assert_eq!(got.vquants(), built.vquants(), "quantizers and tails");
     assert!(got.vquants().iter().any(|vq| vq.tail > 0.0));
+    // The suffix norms the prefix bound reads, to the bit.
+    let norms = |idx: &promips_idistance::IDistanceIndex| {
+        idx.vquants()
+            .iter()
+            .map(|vq| vq.suffix_norm.to_bits())
+            .collect::<Vec<u32>>()
+    };
+    assert_eq!(norms(got), norms(built));
+    assert!(got.vquants().iter().all(|vq| vq.suffix_norm > 0.0));
+    assert_eq!(got.prefix_width(), 32);
 
     // Both sides of the rule answer as the fresh build does.
     let mut rng = Xoshiro256pp::seed_from_u64(58);
@@ -315,6 +362,11 @@ fn a_head_column_roundtrips_bit_for_bit_and_a_wrong_shape_is_refused() {
     for (what, bytes) in [
         ("basis length", patched(&path, &header, &wrong_basis)),
         ("region length", patched(&path, &region, &wrong_region)),
+        // A head under the magic of one interleaved head column.
+        (
+            "the parent's magic",
+            patched(&path, &HEAD_MAGIC, &FULL_WIDTH_MAGIC),
+        ),
     ] {
         let err = open_error(&dir.join("bad.pmx"), bytes, page_size);
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");

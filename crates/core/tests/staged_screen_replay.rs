@@ -1,159 +1,293 @@
-//! The replay behind ROADMAP item 3's "measure first": on the `lf300`
-//! shape, how many rows would a staged screen — a prefix of each row's
-//! head read first, the rest only for the rows the prefix cannot rule
-//! out — still have to read in full? No engine code runs past the build;
-//! every bound is recomputed here.
+//! A replay of the column pass's staged best-first walk on the `lf300`
+//! shape, next to the sub-partition skips that read no code at all.
 //!
 //! Shape: `latent_factor(100 000, 300, rank 48, σ 0.25, seed 1)`, the
-//! benchmark's `lf300` matrix, built at the default config (64-byte heads
-//! over the index's own basis `V`); 100 queries, each a seeded data row plus
-//! 0.1·N(0,1) per coordinate; `k` = 10 and `kth` the exact top-10's last
-//! inner product. For each row `o`, with heads `a = Vo` and `b = Vq` in
-//! `f64` (no SQ8 rounding, no pad), the prefix bound
+//! benchmark's `lf300` matrix, built at the default config (64-byte heads:
+//! a 32-byte prefix column the sweep reads, a 32-byte suffix column), and
+//! the benchmark's seed-1 queries: 200 seeded data rows plus 0.1·N(0,1) per
+//! coordinate, `k` = 10. Every query takes the column pass.
 //!
-//! ```text
-//! ⟨a_p, b_p⟩ + tail_p·‖q − V_pᵀb_p‖,   tail_p ≥ ‖o − V_pᵀa_p‖
-//! ```
+//! **The staged walk.** Per query the replay sweeps the prefix column
+//! (`IDistanceIndex::column_dots`), orders the sub-partitions by their
+//! prefix bound at their largest prefix dot (`ScreenBound::prefix`), and
+//! visits them best first until the next bound falls below the running
+//! k-th. In a visited sub-partition the rows the prefix bound leaves in get
+//! their suffix dot (one `IDistanceIndex::suffix_cursor` a query, whose
+//! logical page reads are counted here), and the whole dots go through
+//! `screen::walk` under the sub-partition's `ScreenBound`, survivors scored
+//! by the single-row `dot`. That is the engine's pass step for step: the
+//! replay's items must equal `execute`'s, and so must `verified` and
+//! `screened` on every query the engine walks staged. It also makes the
+//! engine's choice before the walk (`SUFFIX_SWEEP_SHARE`): a query whose
+//! walk would be long sweeps the suffix column instead. It prints how many
+//! do, and, per query, the sub-partitions the staged walk visits, the rows
+//! given their suffix and the suffix pages read.
 //!
-//! is tested against `kth`, `tail_p` either the row's own residual or the
-//! largest of its sub-partition's. A row survives when its bound reaches
-//! `kth`; a block of 16 rows in storage order survives when any of its rows
-//! does. The test prints the share of rows and of blocks that survive at
-//! each prefix.
+//! **Skips that read no code.** For each sub-partition, three upper bounds
+//! on `⟨o, q⟩` that need no code byte of the query's: the **norm**
+//! (`max ‖o‖·‖q‖`), the **head ball** (`⟨c, Vq⟩ + R·‖Vq‖ + tail·‖q − Vᵀ(Vq)‖`,
+//! `c` the heads' centroid and `R` their largest distance from it) and the
+//! **code box** (`Σⱼ max(loⱼ·bⱼ, hiⱼ·bⱼ) + tail·‖q − Vᵀ(Vq)‖` over the
+//! per-coordinate range `[loⱼ, hiⱼ]` of the heads). A sub-partition whose
+//! bound reaches the query's final k-th cannot be skipped unread; the
+//! replay prints the share of rows such sub-partitions hold, against the
+//! share the staged walk visits.
 //!
 //! ```text
 //! cargo test --release -p promips_core --test staged_screen_replay -- --ignored --nocapture
 //! ```
 
-use promips_core::{ProMips, ProMipsConfig};
+use promips_core::screen::{self, QueryScreen, ScreenBound};
+use promips_core::search::SUFFIX_SWEEP_SHARE;
+use promips_core::{ProMips, ProMipsConfig, Query, SearchScratch, TopK};
 use promips_data::gen::latent_factor;
 use promips_idistance::ProjScratch;
-use promips_linalg::{dot, Matrix};
+use promips_linalg::{dot, sq_norm2};
+use promips_obs::ShardSpan;
 use promips_stats::Xoshiro256pp;
 
-const PREFIXES: [usize; 5] = [8, 16, 24, 32, 64];
-const BLOCK: usize = 16;
 const K: usize = 10;
-const QUERIES: usize = 100;
+const QUERIES: usize = 200;
+/// The benchmark's query stream at seed 1 (`benchmark/src/inputs.rs`).
+const QUERY_SEED: u64 = 1 ^ 0x5EED_0F0A_11CE_0001;
 
-/// The head `Vx` in `f64`, and the residual norm `‖x − V_pᵀ(V_p x)‖` at
-/// each of [`PREFIXES`], the residual formed coordinate by coordinate.
-fn head_and_tails(v: &Matrix, x: &[f32]) -> (Vec<f64>, [f64; PREFIXES.len()]) {
-    let mut rest: Vec<f64> = x.iter().map(|&c| c as f64).collect();
-    let mut head = Vec::with_capacity(v.rows());
-    let mut tails = [0.0; PREFIXES.len()];
-    let mut from = 0;
-    for (tail, &p) in tails.iter_mut().zip(&PREFIXES) {
-        for j in from..p {
-            let dir = v.row(j);
-            let a: f64 = dir.iter().zip(x).map(|(&u, &c)| u as f64 * c as f64).sum();
-            for (r, &u) in rest.iter_mut().zip(dir) {
-                *r -= a * u as f64;
+/// What a sub-partition's rows give the code-free bounds.
+struct SubBounds {
+    rows: usize,
+    max_norm: f64,
+    centroid: Vec<f64>,
+    radius: f64,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    tail: f64,
+}
+
+impl SubBounds {
+    fn of(heads: &[Vec<f32>], norms: &[f64], tail: f64) -> Self {
+        let h = heads[0].len();
+        let mut centroid = vec![0.0; h];
+        let (mut lo, mut hi) = (vec![f64::INFINITY; h], vec![f64::NEG_INFINITY; h]);
+        for a in heads {
+            for (j, &x) in a.iter().enumerate() {
+                centroid[j] += x as f64 / heads.len() as f64;
+                lo[j] = lo[j].min(x as f64);
+                hi[j] = hi[j].max(x as f64);
             }
-            head.push(a);
         }
-        *tail = rest.iter().map(|r| r * r).sum::<f64>().sqrt();
-        from = p;
+        let radius = heads
+            .iter()
+            .map(|a| {
+                let sq: f64 = a
+                    .iter()
+                    .zip(&centroid)
+                    .map(|(&x, c)| (x as f64 - c).powi(2))
+                    .sum();
+                sq.sqrt()
+            })
+            .fold(0.0, f64::max);
+        Self {
+            rows: heads.len(),
+            max_norm: norms.iter().copied().fold(0.0, f64::max),
+            centroid,
+            radius,
+            lo,
+            hi,
+            tail,
+        }
     }
-    (head, tails)
+
+    /// The norm, head-ball and code-box bounds against the query `q` with
+    /// head `b` and head residual bound `q_tail`.
+    fn bounds(&self, q_norm: f64, b: &[f32], q_tail: f64) -> [f64; 3] {
+        let b_norm = sq_norm2(b).sqrt();
+        let rest = self.tail * q_tail;
+        let centre: f64 = self
+            .centroid
+            .iter()
+            .zip(b)
+            .map(|(c, &y)| c * y as f64)
+            .sum();
+        let corner: f64 = (self.lo.iter().zip(&self.hi).zip(b))
+            .map(|((lo, hi), &y)| (lo * y as f64).max(hi * y as f64))
+            .sum();
+        [
+            self.max_norm * q_norm,
+            centre + self.radius * b_norm + rest,
+            corner + rest,
+        ]
+    }
+}
+
+fn percentile(values: &mut [u64], p: f64) -> u64 {
+    values.sort_unstable();
+    values[((values.len() - 1) as f64 * p).round() as usize]
 }
 
 #[test]
-#[ignore = "a measurement, not a check: ≈ 10 s in release"]
-fn staged_screen_survivors_on_the_lf300_shape() {
+#[ignore = "a measurement, not a check: ≈ 15 s in release"]
+fn staged_walk_and_code_free_skips_on_the_lf300_shape() {
     let (n, d, rank) = (100_000, 300, 48);
     let data = latent_factor(n, d, rank, 0.25, 1);
     let index = ProMips::build_in_memory(&data, ProMipsConfig::default()).unwrap();
     let idist = index.idistance();
-    let v = idist.head().expect("the lf300 shape gets a head").rows();
-    assert_eq!(v.rows(), *PREFIXES.last().unwrap());
+    let basis = idist.head().expect("the lf300 shape gets a head");
+    assert_eq!((idist.code_width(), idist.prefix_width()), (64, 32));
+    let (subparts, vquants) = (idist.subparts(), idist.vquants());
 
-    // Storage order: every row's id and sub-partition.
-    let (mut order, mut sub_of) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    // Storage order: every row's id, and each sub-partition's code-free
+    // bounds from its rows' heads.
+    let (mut ids, mut subs) = (Vec::with_capacity(n), Vec::with_capacity(subparts.len()));
     let mut scratch = ProjScratch::new();
-    for sub in 0..idist.subparts().len() {
+    for (sub, vq) in vquants.iter().enumerate() {
         idist
             .read_subpart_proj_into(sub as u32, &mut scratch)
             .unwrap();
-        order.extend(scratch.ids().iter().map(|&id| id as usize));
-        sub_of.extend(std::iter::repeat_n(sub, scratch.len()));
-    }
-    let (mut heads, mut tails) = (Vec::with_capacity(n * v.rows()), Vec::with_capacity(n));
-    for &id in &order {
-        let (head, tail) = head_and_tails(v, data.row(id));
-        heads.extend(head);
-        tails.push(tail);
-    }
-    let mut sub_tails = vec![[0.0f64; PREFIXES.len()]; idist.subparts().len()];
-    for (tail, &sub) in tails.iter().zip(&sub_of) {
-        for (max, &t) in sub_tails[sub].iter_mut().zip(tail) {
-            *max = max.max(t);
+        let mut heads = Vec::with_capacity(scratch.len());
+        let mut norms = Vec::with_capacity(scratch.len());
+        let mut tail = 0.0f64;
+        for &id in scratch.ids() {
+            let o = data.row(id as usize);
+            let mut a = vec![0.0f32; basis.width()];
+            let head_sq = basis.project(o, &mut a);
+            tail = tail.max(basis.residual_bound(sq_norm2(o), head_sq));
+            norms.push(sq_norm2(o).sqrt());
+            heads.push(a);
         }
+        assert!(tail <= vq.tail as f64);
+        subs.push(SubBounds::of(&heads, &norms, tail));
+        ids.extend_from_slice(scratch.ids());
     }
 
-    // Survivors per prefix, per tail (0: the row's, 1: its sub-partition's).
-    let mut rows_alive = [[0u64; 2]; PREFIXES.len()];
-    let mut blocks_alive = [[0u64; 2]; PREFIXES.len()];
-    let mut rng = Xoshiro256pp::seed_from_u64(1);
+    let mut rng = Xoshiro256pp::seed_from_u64(QUERY_SEED);
+    let (mut visited, mut suffix_rows, mut suffix_pages) = (vec![], vec![], vec![]);
+    let (mut visited_rows, mut kept_rows, mut swept) = (0usize, [0usize; 3], 0);
+    let (mut qs, mut search) = (QueryScreen::default(), SearchScratch::new());
+    let (mut prefix, mut suffix, mut offsets) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..QUERIES {
         let near = data.row(rng.below(n as u64) as usize);
         let q: Vec<f32> = near
             .iter()
             .map(|&x| x + 0.1 * rng.normal() as f32)
             .collect();
-        let mut ips: Vec<f64> = (0..n).map(|i| dot(data.row(i), &q)).collect();
-        let kth = *ips.select_nth_unstable_by(K - 1, |a, b| b.total_cmp(a)).1;
-        let (b, q_tails) = head_and_tails(v, &q);
-        let mut block_hit = [[false; 2]; PREFIXES.len()];
-        for (i, a) in heads.chunks_exact(v.rows()).enumerate() {
-            let (mut acc, mut from) = (0.0, 0);
-            for (pi, &p) in PREFIXES.iter().enumerate() {
-                acc += a[from..p]
-                    .iter()
-                    .zip(&b[from..p])
-                    .map(|(x, y)| x * y)
-                    .sum::<f64>();
-                from = p;
-                for (kind, tail) in [tails[i][pi], sub_tails[sub_of[i]][pi]]
-                    .into_iter()
-                    .enumerate()
-                {
-                    if acc + tail * q_tails[pi] >= kth {
-                        rows_alive[pi][kind] += 1;
-                        block_hit[pi][kind] = true;
-                    }
-                }
+        let mut engine = ShardSpan::default();
+        let request = Query {
+            span: Some(&mut engine),
+            ..Query::new(&q, K)
+        };
+        let res = index.execute(request, &mut search).unwrap();
+        assert!(engine.column_pass);
+
+        // The staged best-first walk.
+        qs.rebuild(&q, sq_norm2(&q), Some(basis));
+        idist
+            .column_dots(qs.qcodes(), &mut prefix, || Ok(()))
+            .unwrap();
+        let (mut order, mut lowers) = (Vec::new(), Vec::new());
+        let mut first = 0;
+        for (sub, (sp, vq)) in subparts.iter().zip(vquants).enumerate() {
+            let dots = &prefix[first..first + sp.count as usize];
+            let (bound, best) = (ScreenBound::prefix(vq, &qs), screen::max_dot(dots));
+            order.push((bound.upper(best), sub, first));
+            lowers.push(bound.lower(best));
+            first += dots.len();
+        }
+        // The engine's choice: the k-th largest lower bound against the keys.
+        lowers.sort_by(|a, b| b.total_cmp(a));
+        let reaching = order.iter().filter(|o| o.0 >= lowers[K - 1]).count();
+        let sweeps_suffixes = reaching as f64 > SUFFIX_SWEEP_SHARE * order.len() as f64;
+        swept += sweeps_suffixes as usize;
+        order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        let (mut top, mut span) = (TopK::new(K), ShardSpan::default());
+        let (mut subs_seen, mut rows_seen, mut rows_suffixed, mut pages) = (0, 0, 0, 0);
+        let mut suffixes = idist.suffix_cursor();
+        for &(upper, sub, first) in &order {
+            let bar = top.kth_ip();
+            if upper < bar {
+                break;
             }
-            if (i + 1) % BLOCK == 0 || i + 1 == n {
-                for (alive, hit) in blocks_alive.iter_mut().zip(&mut block_hit) {
-                    for kind in 0..2 {
-                        alive[kind] += hit[kind] as u64;
-                        hit[kind] = false;
-                    }
-                }
+            let vq = &vquants[sub];
+            let dots = &prefix[first..first + subparts[sub].count as usize];
+            let bound = ScreenBound::prefix(vq, &qs);
+            offsets.clear();
+            offsets.extend(
+                (0u32..)
+                    .zip(dots)
+                    .filter(|&(_, &p)| bound.may_reach(p, bar))
+                    .map(|(o, _)| o),
+            );
+            span.screened += (dots.len() - offsets.len()) as u64;
+            let before = idist.access_stats();
+            suffix.clear();
+            for &o in &offsets {
+                suffix.push(dots[o as usize] + suffixes.dot(sub as u32, o, qs.qcodes()).unwrap());
+            }
+            pages += idist.access_stats().delta_since(&before).logical_reads;
+            let whole = ScreenBound::new(vq, &qs);
+            screen::walk(
+                offsets.len(),
+                Some((&suffix, &whole)),
+                f64::NEG_INFINITY,
+                &mut top,
+                &mut span,
+                |i| {
+                    let id = ids[first + offsets[i] as usize];
+                    Ok(Some((id, dot(data.row(id as usize), &q))))
+                },
+            )
+            .unwrap();
+            (subs_seen, rows_seen) = (subs_seen + 1, rows_seen + dots.len());
+            rows_suffixed += offsets.len();
+        }
+        span.screened += (n - rows_seen) as u64;
+        assert_eq!(
+            top.into_items(),
+            res.items,
+            "the replay is the engine's pass"
+        );
+        if !sweeps_suffixes {
+            assert_eq!(
+                (span.verified, span.screened),
+                (res.verified as u64, res.screened as u64)
+            );
+        }
+        visited.push(subs_seen as u64);
+        suffix_rows.push(rows_suffixed as u64);
+        suffix_pages.push(pages);
+        visited_rows += rows_seen;
+
+        // The skips that read no code, against the final k-th.
+        let kth = res.items[K - 1].ip;
+        let mut b = vec![0.0f32; basis.width()];
+        let head_sq = basis.project(&q, &mut b);
+        let q_tail = basis.residual_bound(sq_norm2(&q), head_sq);
+        for sub in &subs {
+            let bounds = sub.bounds(sq_norm2(&q).sqrt(), &b, q_tail);
+            for (kept, bound) in kept_rows.iter_mut().zip(bounds) {
+                *kept += sub.rows * (bound >= kth) as usize;
             }
         }
     }
 
-    let share = |count: u64, of: usize| 100.0 * count as f64 / (of * QUERIES) as f64;
-    let blocks = n.div_ceil(BLOCK);
+    let share = |rows: usize| 100.0 * rows as f64 / (n * QUERIES) as f64;
     println!(
-        "prefix | per-row tail, rows | per-sub-partition tail, rows | \
-         per-row tail, {BLOCK}-row blocks | per-sub-partition tail, {BLOCK}-row blocks"
+        "{swept} of {QUERIES} queries sweep the suffix column instead; the staged walk \
+         would have, per query (p50 / p95 / mean over all {QUERIES}):"
     );
-    for (pi, &p) in PREFIXES.iter().enumerate() {
-        let [row, sub] = rows_alive[pi];
-        let [row_b, sub_b] = blocks_alive[pi];
-        println!(
-            "{p} | {:.2} % | {:.2} % | {:.1} % | {:.1} %",
-            share(row, n),
-            share(sub, n),
-            share(row_b, blocks),
-            share(sub_b, blocks)
-        );
-        // A sub-partition's tail is at least each of its rows', and a
-        // surviving row keeps its block.
-        assert!(row <= sub && row_b <= sub_b);
-        assert!(row_b * BLOCK as u64 >= row && sub_b * BLOCK as u64 >= sub);
+    for (what, values) in [
+        ("sub-partitions visited", &mut visited),
+        ("rows given their suffix", &mut suffix_rows),
+        ("suffix pages read", &mut suffix_pages),
+    ] {
+        let mean = values.iter().sum::<u64>() as f64 / QUERIES as f64;
+        let (p50, p95) = (percentile(values, 0.5), percentile(values, 0.95));
+        println!("  {what:<24} {p50:>6} / {p95:>6} / {mean:>8.1}");
     }
+    println!(
+        "rows in visited sub-partitions: {:.2} %; rows a code-free skip keeps: \
+         norm {:.2} %, head ball {:.2} %, code box {:.2} %",
+        share(visited_rows),
+        share(kept_rows[0]),
+        share(kept_rows[1]),
+        share(kept_rows[2])
+    );
 }

@@ -160,4 +160,18 @@ fn warm_screen_rescore_does_not_allocate_per_candidate() {
         "the column pass allocates more ({column_allocs}) than the annulus path \
          ({tier_allocs})"
     );
+
+    // A head column: the staged pass's buffers (the rows the prefix bound
+    // leaves in and their whole dots) grow once like the rest, and its
+    // suffix reads allocate nothing.
+    let low = common::low_rank(n, 160, 20, 0.3, 65);
+    let head = ProMips::build_in_memory(&low, ProMipsConfig::builder().seed(17).build()).unwrap();
+    assert_eq!(head.idistance().prefix_width(), 32);
+    let near: Vec<f32> = low.row(7).iter().map(|x| x + 0.05).collect();
+    assert!(head.search(&near, k).unwrap().final_radius.is_none());
+    let (head_allocs, verified, screened) = warm_search_allocs(&head, &near, k, &mut scratch);
+    assert!(verified >= k && verified + screened == n);
+    let (again, _, _) = warm_search_allocs(&head, &near, k, &mut scratch);
+    assert_eq!(head_allocs, again, "warm head pass is not in steady state");
+    assert!(head_allocs <= tier_allocs, "{head_allocs} > {tier_allocs}");
 }

@@ -184,27 +184,54 @@ pub fn build_index(
     // the rows' energy sits in few directions the coded row is the `h`-dim
     // head `Vo` ([`HeadBasis`]), else the d-dim row itself. The screen needs
     // the bounds of [`OrigQuant`] per sub-partition — max ‖x − x̂‖, max ‖x̂‖
-    // over the coded rows `x`, and max ‖o − Vᵀ(Vo)‖ for a head. Heads are
-    // projected one sub-partition at a time, as one blocked `rows · Vᵀ`: the
-    // only transients are that sub-partition's rows and heads.
+    // over the coded rows `x`, and for a head max ‖o − Vᵀ(Vo)‖ and the
+    // largest norm of a head's suffix. Heads are projected one sub-partition at a time, as one
+    // blocked `rows · Vᵀ`: the only transients are that sub-partition's rows
+    // and heads. A head's codes are two columns, every row's prefix then
+    // every row's suffix ([`IDistanceIndex`]'s layout): the prefixes stream
+    // out as they are coded, the suffixes wait in memory — `h/2` bytes a
+    // row — and follow them.
     let mut vquants: Vec<OrigQuant> = Vec::new();
     let mut vquant_region = None;
     if config.verify_quantize {
         vquants.reserve(defs.len());
         let mut writer = RegionWriter::new(&pager);
+        let mut suffixes = Vec::with_capacity(
+            head.as_ref()
+                .map_or(0, |basis| n * (basis.width() - basis.prefix_width())),
+        );
         for def in &defs {
             let rows = orig.gather(&def.ids);
-            let (coded, tail_max) = match &head {
+            let (coded, bounds) = match &head {
                 Some(basis) => basis.project_rows(&rows),
-                None => (rows, 0.0),
+                None => (rows, [0.0; 2]),
             };
-            let q = sq8_encode(coded.as_slice(), coded.cols(), &mut codes);
+            let w = coded.cols();
+            let q = sq8_encode(coded.as_slice(), w, &mut codes);
+            let off = match &head {
+                Some(basis) => {
+                    let p = basis.prefix_width();
+                    let off = writer.position();
+                    for row in codes.chunks_exact(w) {
+                        writer.append(&row[..p])?;
+                        suffixes.extend_from_slice(&row[p..]);
+                    }
+                    off
+                }
+                None => writer.append(&codes)?,
+            };
+            // Rounded up into f32 like the bounds of `sq8_encode`.
+            let [tail, suffix_norm] = bounds.map(|t| (t * (1.0 + 1e-6)) as f32);
             vquants.push(OrigQuant {
-                off: writer.append(&codes)?,
-                // Rounded up into f32 like the bounds of `sq8_encode`.
-                tail: (tail_max * (1.0 + 1e-6)) as f32,
+                off,
+                tail,
+                suffix_norm,
                 ..q
             });
+        }
+        // A page at a time, so the writer's buffer stays one run long.
+        for page in suffixes.chunks(pager.page_size()) {
+            writer.append(page)?;
         }
         vquant_region = Some(writer.finish()?);
     }
@@ -256,8 +283,8 @@ pub fn build_index(
 /// sub-partition's whole code column, ready for one region append.
 /// Returns the quantizer and its `err` and `xnorm` bounds, computed in f64
 /// from the codes as written and rounded up into f32 (1e-6 relative dwarfs
-/// the f32 epsilon) so they stay upper bounds; `off` and `tail` are the
-/// caller's to fill.
+/// the f32 epsilon) so they stay upper bounds; `off`, `tail` and
+/// `suffix_norm` are the caller's to fill.
 pub fn sq8_encode(rows: &[f32], w: usize, codes: &mut Vec<u8>) -> OrigQuant {
     let mut lo = f32::INFINITY;
     let mut hi = f32::NEG_INFINITY;
@@ -303,6 +330,7 @@ pub fn sq8_encode(rows: &[f32], w: usize, codes: &mut Vec<u8>) -> OrigQuant {
         err: (err_sq_max.sqrt() * (1.0 + 1e-6)) as f32,
         xnorm: (xnorm_sq_max.sqrt() * (1.0 + 1e-6)) as f32,
         tail: 0.0,
+        suffix_norm: 0.0,
     }
 }
 

@@ -30,6 +30,12 @@
 //! ([`HeadBasis::residual_bound`]). *Any* `V` keeps all of this exact — a
 //! poor basis only makes `tail` large.
 //!
+//! The column sweep reads the codes of the **prefix** `a_p`, the first
+//! `h/2` head coordinates ([`HeadBasis::prefix_width`]), alone. What they
+//! leave out of `⟨a, b⟩` is `⟨a_s, b_s⟩ ≤ ‖a_s‖·‖b_s‖` over the suffix
+//! coordinates, so a sub-partition also stores the largest `‖a_s‖`, and
+//! the rest of the bound is the head's own.
+//!
 //! # Choosing the width
 //!
 //! `h` is the smallest multiple of 64 (a code row is then whole cache
@@ -133,6 +139,12 @@ impl HeadBasis {
         self.v.rows()
     }
 
+    /// Width `h/2` of the **prefix**: the first, highest-energy half of the
+    /// head, whose codes the column sweep reads on their own (module docs).
+    pub fn prefix_width(&self) -> usize {
+        self.width() / 2
+    }
+
     /// The basis, one direction per row (`h × d`).
     pub fn rows(&self) -> &Matrix {
         &self.v
@@ -152,15 +164,22 @@ impl HeadBasis {
 
     /// [`Self::project`] for every row of `rows` in one blocked `rows · Vᵀ`
     /// — each head to the bit what `project` writes for that row — beside
-    /// the largest [`Self::residual_bound`] among the rows (0 for none).
-    pub fn project_rows(&self, rows: &Matrix) -> (Matrix, f64) {
+    /// the largest [`Self::residual_bound`] among the rows and the largest
+    /// norm of a head's suffix, its coordinates past
+    /// [`Self::prefix_width`] (0 for none).
+    pub fn project_rows(&self, rows: &Matrix) -> (Matrix, [f64; 2]) {
         let heads = rows.gemm_nt(&self.v);
-        let tail = rows
-            .iter_rows()
-            .zip(heads.iter_rows())
-            .map(|(x, a)| self.residual_bound(sq_norm2(x), sq_norm2(a)))
-            .fold(0.0, f64::max);
-        (heads, tail)
+        let p = self.prefix_width();
+        let bounds =
+            rows.iter_rows()
+                .zip(heads.iter_rows())
+                .fold([0.0f64; 2], |[tail, suffix], (x, a)| {
+                    [
+                        tail.max(self.residual_bound(sq_norm2(x), sq_norm2(a))),
+                        suffix.max(sq_norm2(&a[p..]).sqrt()),
+                    ]
+                });
+        (heads, bounds)
     }
 
     /// An upper bound on `‖x − Vᵀa‖` given `‖x‖²` and `‖a‖²`, where `a` is

@@ -15,16 +15,24 @@ use crate::meta::{OrigQuant, PartitionMeta, SubPartMeta, SubPartQuant};
 /// A packed byte region: `(start_page, byte_len)`; pages are consecutive.
 pub type Region = (PageId, u64);
 
-/// The one on-disk format. The footer has 17 fixed fields, among them the
-/// SQ8 scan-code region; the SQ8 **verification** code region over the
-/// original vectors and both per-sub-partition quantizer directories ride
-/// the directory blob, which ends — only when the verification codes are
-/// heads — with the [`HeadBasis`] (width `h`, defect `δ`, the `h·d` basis
-/// floats behind their count) and one residual bound per sub-partition. A
-/// build without the verification tier
+/// The on-disk format's magic, for a file whose verification codes are not
+/// heads. The footer has 17 fixed fields, among them the SQ8 scan-code
+/// region; the SQ8 **verification** code region over the original vectors
+/// and both per-sub-partition quantizer directories ride the directory
+/// blob. A build without the verification tier
 /// ([`crate::IDistanceConfig::verify_quantize`] off) leaves
 /// [`REGION_ABSENT`] in its region slot; any other magic is rejected.
 const FOOTER_MAGIC: u64 = 0x1D15_7A4C_E01D_F009;
+
+/// The magic of a file whose verification codes are heads: the same
+/// footer, and a directory blob that ends with the [`HeadBasis`] (width
+/// `h`, defect `δ`, the `h·d` basis floats behind their count) and two
+/// bounds per sub-partition, `tail` and `suffix_norm`. The code region
+/// is two columns of `h/2`-byte rows, each in storage order: every row's
+/// prefix (codes `0..h/2`), then every row's suffix (`h/2..h`). A head
+/// under [`FOOTER_MAGIC`] — one column of whole heads, no suffix norms — is
+/// refused, as is this magic without a head.
+const HEAD_FOOTER_MAGIC: u64 = 0x1D15_7A4C_E01D_F00A;
 
 /// Sentinel start-page marking an absent region (a real region can never
 /// start there: the file would exceed every address space).
@@ -409,6 +417,50 @@ impl IdCursor<'_> {
     }
 }
 
+/// A reader of a head index's **suffix** code rows — codes `h/2..h` of
+/// each head, the column [`IDistanceIndex::column_dots`] leaves unread —
+/// that keeps its current page pinned between calls, so rows read in
+/// ascending order read each covering page once, and a row on the page the
+/// last call read reads none.
+pub struct SuffixCursor<'a> {
+    pages: PageCursor<'a>,
+    index: &'a IDistanceIndex,
+}
+
+impl SuffixCursor<'_> {
+    /// The integer dot `Σⱼ codeⱼ·qcodesⱼ` over `j ∈ h/2..h` of the row at
+    /// `offset` in sub-partition `sub` (`qcodes` is the whole coded query,
+    /// [`IDistanceIndex::code_width`] long): what the row's prefix dot from
+    /// the sweep lacks of its whole row's. A row straddling pages is the sum
+    /// of its per-page partial [`dot_i8`]s. Full-width codes have no suffix:
+    /// 0, no page read.
+    ///
+    /// # Panics
+    /// If `qcodes` is not [`IDistanceIndex::code_width`] long.
+    pub fn dot(&mut self, sub: u32, offset: u32, qcodes: &[i8]) -> io::Result<i32> {
+        let index = self.index;
+        assert_eq!(
+            qcodes.len(),
+            index.code_width(),
+            "quantized query has wrong dimension"
+        );
+        debug_assert!(
+            offset < index.subparts[sub as usize].count,
+            "offset out of range"
+        );
+        let p = index.prefix_width();
+        let q = &qcodes[p..];
+        let row = index.vquants[sub as usize].off as usize / p + offset as usize;
+        let (mut dot, mut at) = (0, 0);
+        self.pages
+            .walk(index.suffix_base() + row * q.len(), q.len(), |chunk| {
+                dot += dot_i8(chunk, &q[at..at + chunk.len()]);
+                at += chunk.len();
+            })?;
+        Ok(dot)
+    }
+}
+
 /// iDistance index handle (see the crate docs for the structure).
 pub struct IDistanceIndex {
     pager: Arc<Pager>,
@@ -593,6 +645,14 @@ impl IDistanceIndex {
     /// [`HeadBasis`], else `d`.
     pub fn code_width(&self) -> usize {
         self.head.as_ref().map_or(self.d, HeadBasis::width)
+    }
+
+    /// Bytes per row of the code column [`Self::column_dots`] sweeps: the
+    /// head's prefix `h/2` under a [`HeadBasis`], else the whole row `d`.
+    /// Where it is less than [`Self::code_width`] the rest of each row is
+    /// the suffix column, read by [`Self::suffix_cursor`].
+    pub fn prefix_width(&self) -> usize {
+        self.head.as_ref().map_or(self.d, HeadBasis::prefix_width)
     }
 
     // --- Range search ----------------------------------------------------
@@ -968,6 +1028,21 @@ impl IDistanceIndex {
         }
     }
 
+    /// A pinned-page reader of the suffix code rows (the second half of
+    /// [`Self::screen_dots`], a row at a time).
+    ///
+    /// # Panics
+    /// If the index has no verification tier.
+    pub fn suffix_cursor(&self) -> SuffixCursor<'_> {
+        let (start, _) = self
+            .vquant_region
+            .expect("suffix_cursor requires the verification tier");
+        SuffixCursor {
+            pages: PageCursor::new(&self.pager, start),
+            index: self,
+        }
+    }
+
     /// Fetches the original vectors at the given record offsets of one
     /// sub-partition through a fresh [`OrigCursor`] (see
     /// [`OrigCursor::decode_into`] for the arena layout and page counts).
@@ -984,7 +1059,8 @@ impl IDistanceIndex {
     /// the rows sit: clears `dots` and pushes `Σⱼ codeⱼ·qcodesⱼ` for the SQ8
     /// verification code row at each of `offsets` in sub-partition `sub`,
     /// in request order (`qcodes` is the quantized query in the coded
-    /// space, [`Self::code_width`] long).
+    /// space, [`Self::code_width`] long). A head's row is its prefix's dot
+    /// plus its suffix's — integer arithmetic, so exactly the whole row's.
     ///
     /// No code byte is copied. The rows of the request that lie inside one
     /// page go through the integer kernels as slices of the pinned page
@@ -994,7 +1070,8 @@ impl IDistanceIndex {
     /// whole row's dot exactly, whichever kernel or grouping produced it.
     ///
     /// Page reads are those of one cursor walking the rows in request
-    /// order: ascending offsets read each covering page exactly once.
+    /// order through each column: ascending offsets read each covering page
+    /// exactly once.
     ///
     /// # Panics
     /// In every build: if the index has no verification tier
@@ -1007,19 +1084,50 @@ impl IDistanceIndex {
         qcodes: &[i8],
         dots: &mut Vec<i32>,
     ) -> io::Result<()> {
-        let (vq_start, _) = self
+        let region = self
             .vquant_region
             .expect("screen_dots requires the verification tier");
         let w = self.code_width();
         assert_eq!(qcodes.len(), w, "quantized query has wrong dimension");
-        let base = self.vquants[sub as usize].off as usize;
+        let (p, n) = (self.prefix_width(), offsets.len());
+        dots.clear();
+        self.rows_dots(region, sub, 0, offsets, &qcodes[..p], dots)?;
+        if p < w {
+            // The suffixes land behind the prefixes, then fold into them.
+            let suffix = self.suffix_base();
+            self.rows_dots(region, sub, suffix, offsets, &qcodes[p..], dots)?;
+            let (whole, suffix) = dots.split_at_mut(n);
+            whole.iter_mut().zip(&*suffix).for_each(|(d, s)| *d += s);
+            dots.truncate(n);
+        }
+        Ok(())
+    }
+
+    /// Region byte where the suffix column starts: past every row's prefix.
+    fn suffix_base(&self) -> usize {
+        self.n_points as usize * self.prefix_width()
+    }
+
+    /// Pushes the dots of the rows at `offsets` in sub-partition `sub` of
+    /// the code column that starts at region byte `column` and holds
+    /// `qcodes.len()` bytes a row: one cursor, one [`run_dots`] per run.
+    fn rows_dots(
+        &self,
+        (start, _): Region,
+        sub: u32,
+        column: usize,
+        offsets: &[u32],
+        qcodes: &[i8],
+        dots: &mut Vec<i32>,
+    ) -> io::Result<()> {
+        let w = qcodes.len();
+        let first_row = self.vquants[sub as usize].off as usize / self.prefix_width();
         let row_start = |o: u32| {
             debug_assert!(o < self.subparts[sub as usize].count, "offset out of range");
-            base + o as usize * w
+            column + (first_row + o as usize) * w
         };
-        dots.clear();
         dots.reserve(offsets.len());
-        let mut pages = PageCursor::new(&self.pager, vq_start);
+        let mut pages = PageCursor::new(&self.pager, start);
         let mut i = 0;
         while i < offsets.len() {
             let rest = &offsets[i..];
@@ -1038,16 +1146,18 @@ impl IDistanceIndex {
     /// One sweep over the **whole** SQ8 verification code column in storage
     /// order — the read path of a query whose ball covers most of the
     /// index, for which going through sub-partition groups only re-reads,
-    /// in group order, what one sequential cursor reads once.
+    /// in group order, what one sequential cursor reads once. For heads the
+    /// swept column is the prefixes': half the bytes, the high-energy half.
     ///
     /// Clears `dots` and fills it with every row's integer dot
-    /// `Σⱼ codeⱼ·qcodesⱼ`, row `i` at `dots[i]`, rows numbered as they are
-    /// stored (sub-partitions in directory order, records in sub-partition
-    /// order; row `i` starts at region byte `i·w`, `w` =
-    /// [`Self::code_width`]). The rows inside a page are one [`dot_col_i8`]
-    /// call across sub-partition boundaries (the integer dot depends on no
-    /// quantizer); a row straddling pages is summed as in
-    /// [`Self::screen_dots`]. Every page of the region is read exactly once,
+    /// `Σⱼ codeⱼ·qcodesⱼ` over its first `w` = [`Self::prefix_width`] codes,
+    /// row `i` at `dots[i]`, rows numbered as they are stored
+    /// (sub-partitions in directory order, records in sub-partition order;
+    /// row `i` starts at region byte `i·w`); `qcodes` is the whole coded
+    /// query, [`Self::code_width`] long. The rows inside a page are one
+    /// [`dot_col_i8`] call across sub-partition boundaries (the integer dot
+    /// depends on no quantizer); a row straddling pages is summed as in
+    /// [`Self::screen_dots`]. Every page of the column is read exactly once,
     /// up to the pool's stripe count of them per [`Pager::read_run`]: a
     /// cold sweep makes one device read per run of missing pages in a
     /// window, with the logical reads, hits, misses and pool state of
@@ -1063,21 +1173,56 @@ impl IDistanceIndex {
         &self,
         qcodes: &[i8],
         dots: &mut Vec<i32>,
+        tick: impl FnMut() -> io::Result<()>,
+    ) -> io::Result<()> {
+        assert_eq!(
+            qcodes.len(),
+            self.code_width(),
+            "quantized query has wrong dimension"
+        );
+        self.sweep(0, &qcodes[..self.prefix_width()], dots, tick)
+    }
+
+    /// [`Self::column_dots`] over a head's suffix column: every row's dot
+    /// over codes `h/2..h` against `qcodes[h/2..]`, which with the prefix
+    /// sweep's makes the whole row's. The pass takes it in place of its
+    /// staged walk's single suffix reads when those would cost more.
+    ///
+    /// # Panics
+    /// As [`Self::column_dots`], and if the codes are not heads.
+    pub fn suffix_column_dots(
+        &self,
+        qcodes: &[i8],
+        dots: &mut Vec<i32>,
+        tick: impl FnMut() -> io::Result<()>,
+    ) -> io::Result<()> {
+        let (w, p) = (self.code_width(), self.prefix_width());
+        assert_eq!(qcodes.len(), w, "quantized query has wrong dimension");
+        assert!(p < w, "suffix_column_dots requires head codes");
+        self.sweep(self.suffix_base(), &qcodes[p..], dots, tick)
+    }
+
+    /// The sweep of the code column that starts at region byte `column`,
+    /// its rows `qcodes.len()` bytes ([`Self::column_dots`]).
+    fn sweep(
+        &self,
+        column: usize,
+        qcodes: &[i8],
+        dots: &mut Vec<i32>,
         mut tick: impl FnMut() -> io::Result<()>,
     ) -> io::Result<()> {
-        let region = self
+        let (start, _) = self
             .vquant_region
             .expect("column_dots requires the verification tier");
-        let (w, n) = (self.code_width(), self.n_points as usize);
-        assert_eq!(qcodes.len(), w, "quantized query has wrong dimension");
+        let (w, n) = (qcodes.len(), self.n_points as usize);
         dots.clear();
         dots.reserve(n);
-        let mut pages = PageCursor::sweep(&self.pager, region);
+        let mut pages = PageCursor::sweep(&self.pager, (start, (column + n * w) as u64));
         let ps = pages.ps;
         let mut row = 0;
         while row < n {
             tick()?;
-            let start = row * w;
+            let start = column + row * w;
             let page_lo = start / ps * ps;
             let run = ((page_lo + ps - start) / w).min(n - row);
             if run == 0 {
@@ -1142,18 +1287,23 @@ impl IDistanceIndex {
             }
         }
         // Only a head column has anything past here: the basis, then each
-        // sub-partition's residual bound.
+        // sub-partition's `tail` and suffix norm.
         if let Some(head) = &self.head {
             head.encode(&mut dir);
             for q in &self.vquants {
                 enc::put_f32(&mut dir, q.tail);
+                enc::put_f32(&mut dir, q.suffix_norm);
             }
         }
         let dir_start = write_blob(&self.pager, &dir)?;
 
         let ps = self.pager.page_size();
         let mut footer = Vec::with_capacity(ps);
-        enc::put_u64(&mut footer, FOOTER_MAGIC);
+        let magic = match self.head {
+            Some(_) => HEAD_FOOTER_MAGIC,
+            None => FOOTER_MAGIC,
+        };
+        enc::put_u64(&mut footer, magic);
         enc::put_u64(&mut footer, self.m as u64);
         enc::put_u64(&mut footer, self.d as u64);
         enc::put_f64(&mut footer, self.epsilon);
@@ -1198,7 +1348,8 @@ impl IDistanceIndex {
         let buf = read_blob_range(&pager, footer_page, 0, FOOTER_BYTES)?;
         let buf = &buf[..];
         let mut pos = 0;
-        if enc::get_u64(buf, &mut pos) != FOOTER_MAGIC {
+        let magic = enc::get_u64(buf, &mut pos);
+        if magic != FOOTER_MAGIC && magic != HEAD_FOOTER_MAGIC {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "bad iDistance footer magic",
@@ -1258,16 +1409,22 @@ impl IDistanceIndex {
         let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
         let head = if vquant_region.is_some() && dpos < dir.len() {
             let head = HeadBasis::decode(&dir, &mut dpos, d)?;
-            if (dir.len() - dpos) / 4 < vquants.len() {
-                return Err(bad("head residual bounds are truncated"));
+            if (dir.len() - dpos) / 8 < vquants.len() {
+                return Err(bad("head bounds are truncated"));
             }
             for q in &mut vquants {
                 q.tail = enc::get_f32(&dir, &mut dpos);
+                q.suffix_norm = enc::get_f32(&dir, &mut dpos);
             }
             Some(head)
         } else {
             None
         };
+        if head.is_some() != (magic == HEAD_FOOTER_MAGIC) {
+            return Err(bad(
+                "the footer magic and the directory disagree on a head column",
+            ));
+        }
         let width = head.as_ref().map_or(d, HeadBasis::width) as u64;
         if vquant_region.is_some_and(|(_, len)| len != n_points * width) {
             return Err(bad("verification code region length disagrees with n·h"));

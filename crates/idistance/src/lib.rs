@@ -40,17 +40,23 @@
 //! a sample's energy outside its span (64-byte rows: a 4 KB page holds 64
 //! of them and none straddles a page). Each sub-partition's [`meta::OrigQuant`]
 //! then also carries `tail`, the largest `‖o − Vᵀ(Vo)‖` among its rows,
-//! which is what lets the screen bound the coordinates it never reads.
+//! which is what lets the screen bound the coordinates it never reads, and
+//! `suffix_norm`, the largest norm of a head's second half. A head's codes
+//! are two columns of `h/2`-byte rows in the one region: every row's
+//! prefix (codes `0..h/2`), then every row's suffix — the column pass
+//! sweeps the first and reads the second only where its walk looks.
 //!
 //! The directory blob holds the partition and sub-partition metadata, the
 //! scan quantizers, the verification region `(start page, byte length)`
 //! and its quantizers `(off, scale, min, err, xnorm)`, and — only for head
 //! codes, so that any other index's file is byte for byte what it was
 //! before heads existed — `h: u32`, the basis defect `δ: f32`, the basis
-//! length `h·d: u32`, the `h·d` basis floats, and one `tail: f32` per
-//! sub-partition. [`IDistanceIndex::open`] refuses a basis whose length
-//! disagrees with `d·h` and a code region whose length disagrees with
-//! `n·w`.
+//! length `h·d: u32`, the `h·d` basis floats, and `tail: f32` and
+//! `suffix_norm: f32` per sub-partition; the footer's magic says which
+//! ([`IDistanceIndex::open`] refuses a head under the magic of the one
+//! interleaved head column that came before). `open` refuses a basis whose
+//! length disagrees with `d·h` and a code region whose length disagrees
+//! with `n·w`.
 //!
 //! Two search primitives are exposed:
 //! * [`IDistanceIndex::range_candidates`] — annulus range search in the
@@ -71,5 +77,6 @@ pub use config::IDistanceConfig;
 pub use head::HeadBasis;
 pub use index::{
     footer_span_pages, IDistanceIndex, IdCursor, OrigCursor, ProjScratch, RangeCandidate,
+    SuffixCursor,
 };
 pub use knn::NnIter;

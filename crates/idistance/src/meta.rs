@@ -105,9 +105,11 @@ impl SubPartQuant {
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrigQuant {
     /// Byte offset of this sub-partition's code rows inside the packed
-    /// verification-quant region (`count` rows of
-    /// [`crate::IDistanceIndex::code_width`] bytes each, same record order
-    /// as the original region).
+    /// verification-quant region's first column (`count` rows of
+    /// [`crate::IDistanceIndex::prefix_width`] bytes each, same record
+    /// order as the original region): the whole rows for full-width codes,
+    /// the prefixes for heads, whose suffixes lie as far past the region's
+    /// middle.
     pub off: u64,
     /// Quantization step (`> 0`; degenerate single-value sub-partitions
     /// store 1.0 with all codes 0).
@@ -126,6 +128,11 @@ pub struct OrigQuant {
     /// with the head basis, not by [`Self::encode`]: a directory without a
     /// basis is byte for byte what it was before heads existed.
     pub tail: f32,
+    /// Upper bound on any member's **suffix norm** `‖(Vo)_{h/2..h}‖`, the
+    /// head coordinates past its prefix ([`crate::HeadBasis::prefix_width`]),
+    /// stored and rounded like `tail`: with `tail` it bounds what the prefix
+    /// column leaves out; 0 for full-width codes.
+    pub suffix_norm: f32,
 }
 
 impl OrigQuant {
@@ -152,6 +159,7 @@ impl OrigQuant {
             err,
             xnorm,
             tail: 0.0,
+            suffix_norm: 0.0,
         }
     }
 }
@@ -270,6 +278,7 @@ mod tests {
             err: 0.031,
             xnorm: 12.75,
             tail: 0.0,
+            suffix_norm: 0.0,
         };
         let mut buf = Vec::new();
         q.encode(&mut buf);

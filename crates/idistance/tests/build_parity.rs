@@ -18,16 +18,18 @@ fn project_rows_equals_project_row_by_row() {
     let mut a = vec![0.0f32; basis.width()];
     for n in 0..10 {
         let rows = data.gather(&(0..n).map(|i| i * 5 + 1).collect::<Vec<_>>());
-        let (heads, tail) = basis.project_rows(&rows);
+        let (heads, tails) = basis.project_rows(&rows);
         assert_eq!((heads.rows(), heads.cols()), (n, basis.width()));
-        let mut want_tail = 0.0f64;
+        let p = basis.prefix_width();
+        let mut want = [0.0f64; 2];
         for (x, got) in rows.iter_rows().zip(heads.iter_rows()) {
             let head_sq = basis.project(x, &mut a);
-            want_tail = want_tail.max(basis.residual_bound(sq_norm2(x), head_sq));
+            want[0] = want[0].max(basis.residual_bound(sq_norm2(x), head_sq));
+            want[1] = want[1].max(sq_norm2(&a[p..]).sqrt());
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(got), bits(&a), "{n} rows");
         }
-        assert_eq!(tail.to_bits(), want_tail.to_bits(), "{n} rows");
+        assert_eq!(tails.map(f64::to_bits), want.map(f64::to_bits), "{n} rows");
     }
 }
 

@@ -8,9 +8,11 @@
 //! order, across sub-partition boundaries, reading every page of the
 //! region once. Code rows are [`IDistanceIndex::code_width`] bytes:
 //! `d` for the isotropic rows most tests here build over, 64 for the
-//! low-rank ones of the head-column tests, whose rows fill 4 KB pages
-//! exactly. A cold sweep reads its pages a window at a time: one device
-//! read per window, as many logical reads as pages.
+//! low-rank ones of the head-column tests — two columns of 32-byte halves,
+//! which fill 4 KB pages exactly; the sweep reads the first, and a head's
+//! prefix dot plus its suffix dot is its whole row's. A cold sweep reads
+//! its pages a window at a time: one device read per window, as many
+//! logical reads as pages.
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,23 +59,59 @@ fn build(n: usize, d: usize, page_size: usize, seed: u64) -> IDistanceIndex {
     build_index(pager, &proj, &orig, &cfg).unwrap()
 }
 
-/// The sub-partition's whole code column, copied out page by page.
+/// Region bytes where each code column's rows of sub-partition `sub`
+/// start, and its row width: the one column of full-width codes, or a
+/// head's prefix column and, past every row's prefix, its suffix column.
+fn column_bases(idx: &IDistanceIndex, sub: u32) -> Vec<(usize, usize)> {
+    let p = idx.prefix_width();
+    let off = idx.vquants()[sub as usize].off as usize;
+    let mut bases = vec![(off, p)];
+    if p < idx.code_width() {
+        bases.push((idx.len() as usize * p + off, idx.code_width() - p));
+    }
+    bases
+}
+
+/// The sub-partition's whole code rows, copied out page by page and, for
+/// heads, put back together from the prefix and the suffix column.
 fn codes_the_slow_way(idx: &IDistanceIndex, sub: u32) -> Vec<u8> {
     let count = idx.subparts()[sub as usize].count as usize;
     let (start, _) = idx.vquant_region().expect("default builds carry the tier");
-    let off = idx.vquants()[sub as usize].off as usize;
-    read_blob_range(idx.pager(), start, off, count * idx.code_width()).unwrap()
+    let columns: Vec<(Vec<u8>, usize)> = column_bases(idx, sub)
+        .into_iter()
+        .map(|(base, w)| {
+            (
+                read_blob_range(idx.pager(), start, base, count * w).unwrap(),
+                w,
+            )
+        })
+        .collect();
+    (0..count)
+        .flat_map(|r| {
+            columns
+                .iter()
+                .flat_map(move |(codes, w)| &codes[r * w..][..*w])
+        })
+        .copied()
+        .collect()
 }
 
-/// Logical reads of the cursor `fetch_codes` used to walk the same rows
-/// with: one per page change along the rows' bytes, in request order.
+/// Logical reads of a cursor per column walking the same rows: one per
+/// page change along the rows' bytes, in request order, in each column.
 fn cursor_reads(idx: &IDistanceIndex, sub: u32, offsets: &[u32]) -> u64 {
-    let (d, ps) = (idx.code_width(), idx.pager().page_size());
-    let base = idx.vquants()[sub as usize].off as usize;
+    column_bases(idx, sub)
+        .into_iter()
+        .map(|(base, w)| column_reads(idx, base, w, offsets))
+        .sum()
+}
+
+/// [`cursor_reads`] in the one column whose sub-partition starts at `base`.
+fn column_reads(idx: &IDistanceIndex, base: usize, w: usize, offsets: &[u32]) -> u64 {
+    let ps = idx.pager().page_size();
     let (mut cur, mut reads) = (None, 0);
     for &o in offsets {
-        let start = base + o as usize * d;
-        for page in start / ps..=(start + d - 1) / ps {
+        let start = base + o as usize * w;
+        for page in start / ps..=(start + w - 1) / ps {
             if cur != Some(page) {
                 (cur, reads) = (Some(page), reads + 1);
             }
@@ -90,19 +128,26 @@ fn random_qcodes(w: usize, rng: &mut Xoshiro256pp) -> Vec<i8> {
     (0..w).map(|_| rng.below(256) as u8 as i8).collect()
 }
 
-/// Every sub-partition's dense dots, the slow way, laid end to end: the
-/// whole column's in storage order.
+/// Every sub-partition's dense dots over the first `p` =
+/// `prefix_width` codes of each row, the slow way, laid end to end: what
+/// the sweep of the whole prefix column gives, in storage order.
 fn dense_dots(idx: &IDistanceIndex, qcodes: &[i8]) -> Vec<i32> {
+    let p = idx.prefix_width();
     let mut dots = Vec::new();
     for sub in 0..idx.subparts().len() as u32 {
         let codes = codes_the_slow_way(idx, sub);
         dots.extend(
             codes
                 .chunks_exact(idx.code_width())
-                .map(|row| naive_dot(row, qcodes)),
+                .map(|row| naive_dot(&row[..p], &qcodes[..p])),
         );
     }
     dots
+}
+
+/// Pages of the column the sweep reads.
+fn prefix_pages(idx: &IDistanceIndex) -> u64 {
+    (idx.len() * idx.prefix_width() as u64).div_ceil(idx.pager().page_size() as u64)
 }
 
 /// The offset patterns of the issue: every row, a seeded sparse subset,
@@ -175,7 +220,7 @@ proptest! {
         let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xC01);
         let qcodes = random_qcodes(idx.code_width(), &mut rng);
         let want = dense_dots(&idx, &qcodes);
-        let pages = ((n * idx.code_width()) as u64).div_ceil(page_size as u64);
+        let pages = prefix_pages(&idx);
 
         let mut dots = vec![7; 3]; // stale content must be cleared
         idx.pager().stats().reset();
@@ -315,20 +360,22 @@ fn build_over(orig: &Matrix, page_size: usize, seed: u64) -> IDistanceIndex {
     .unwrap()
 }
 
-/// Page accounting at the head width: 64-byte rows fill a 4 KB page
-/// exactly, so no row straddles one, the column sweep ticks once a page
-/// (one kernel call on its 64 rows, the last page what is left), each
-/// region page is read once, and a group's dense request is one run per
-/// page.
+/// Page accounting at the head width: a 64-byte head is a 32-byte prefix
+/// and a 32-byte suffix, which fill 4 KB pages exactly, so no row straddles
+/// one, the column sweep ticks once a page of prefixes (one kernel call on
+/// its 128 rows, the last page what is left), each page of the prefix
+/// column is read once and no suffix page at all, and a group's dense
+/// request is one run per page of each column.
 #[test]
 fn head_rows_fill_pages_exactly_and_each_page_is_read_once() {
     let (n, d) = (1_000usize, 300usize);
     let idx = build_over(&low_rank(n, d, 48, 0.0, 21), 4_096, 22);
-    assert_eq!(idx.code_width(), 64);
+    assert_eq!((idx.code_width(), idx.prefix_width()), (64, 32));
     assert_eq!(idx.head().map(|basis| basis.rows().cols()), Some(d));
     let (_, region_bytes) = idx.vquant_region().unwrap();
     assert_eq!(region_bytes, (n * 64) as u64);
-    let pages = (n * 64).div_ceil(4_096) as u64;
+    let pages = (n * 32).div_ceil(4_096) as u64;
+    assert_eq!(prefix_pages(&idx), pages);
 
     let mut rng = Xoshiro256pp::seed_from_u64(23);
     let qcodes = random_qcodes(64, &mut rng);
@@ -344,24 +391,76 @@ fn head_rows_fill_pages_exactly_and_each_page_is_read_once() {
     assert_eq!(idx.access_stats().logical_reads, pages);
     assert_eq!(ticks, pages, "one kernel call a page");
 
-    // A group asking for every record: the pages its rows sit on, once.
+    // A group asking for every record: the pages its rows sit on in each
+    // column, once.
     for sub in 0..idx.subparts().len() as u32 {
-        let count = idx.subparts()[sub as usize].count;
-        let offsets: Vec<u32> = (0..count).collect();
+        let count = idx.subparts()[sub as usize].count as usize;
+        let offsets: Vec<u32> = (0..count as u32).collect();
         idx.pager().stats().reset();
         idx.screen_dots(sub, &offsets, &qcodes, &mut dots).unwrap();
-        let first_byte = idx.vquants()[sub as usize].off as usize;
-        let last_byte = first_byte + count as usize * 64 - 1;
-        assert_eq!(
-            idx.access_stats().logical_reads,
+        let pages_of = |(first_byte, w): (usize, usize)| {
+            let last_byte = first_byte + count * w - 1;
             (last_byte / 4_096 - first_byte / 4_096 + 1) as u64
-        );
+        };
+        let want: u64 = column_bases(&idx, sub).into_iter().map(pages_of).sum();
+        assert_eq!(idx.access_stats().logical_reads, want);
+    }
+}
+
+/// A head row's prefix dot — the sweep's — plus its suffix dot is the dot
+/// of the whole row, which is what `screen_dots` returns; a suffix cursor
+/// reads each page of the suffix column its rows sit on once. At 4 KB
+/// pages no row straddles one; at 64, 70 and 130 bytes most do.
+#[test]
+fn prefix_plus_suffix_is_the_whole_row_and_each_suffix_page_is_read_once() {
+    let orig = low_rank(700, 160, 20, 0.3, 51);
+    for page_size in COLUMN_PAGE_SIZES {
+        let idx = build_over(&orig, page_size, 52);
+        assert_eq!((idx.code_width(), idx.prefix_width()), (64, 32));
+        let mut rng = Xoshiro256pp::seed_from_u64(53 ^ page_size as u64);
+        let qcodes = random_qcodes(64, &mut rng);
+        let mut prefix = Vec::new();
+        idx.column_dots(&qcodes, &mut prefix, || Ok(())).unwrap();
+        let mut whole = Vec::new();
+        let mut first = 0;
+        for sub in 0..idx.subparts().len() as u32 {
+            let codes = codes_the_slow_way(&idx, sub);
+            let count = idx.subparts()[sub as usize].count;
+            for offsets in offset_patterns(count, &mut rng) {
+                idx.pager().stats().reset();
+                let mut suffixes = idx.suffix_cursor();
+                let suffix: Vec<i32> = offsets
+                    .iter()
+                    .map(|&o| suffixes.dot(sub, o, &qcodes).unwrap())
+                    .collect();
+                let (base, w) = column_bases(&idx, sub)[1];
+                assert_eq!(
+                    idx.access_stats().logical_reads,
+                    column_reads(&idx, base, w, &offsets),
+                    "ps={page_size} sub={sub} offsets={offsets:?}"
+                );
+                idx.screen_dots(sub, &offsets, &qcodes, &mut whole).unwrap();
+                let summed: Vec<i32> = offsets
+                    .iter()
+                    .zip(&suffix)
+                    .map(|(&o, s)| prefix[first + o as usize] + s)
+                    .collect();
+                let want: Vec<i32> = offsets
+                    .iter()
+                    .map(|&o| naive_dot(&codes[o as usize * 64..][..64], &qcodes))
+                    .collect();
+                assert_eq!(summed, want, "ps={page_size} sub={sub}");
+                assert_eq!(whole, want, "ps={page_size} sub={sub}");
+            }
+            first += count as usize;
+        }
     }
 }
 
 /// Head codes dequantize to the rows' heads `Vo` within the sub-partition's
-/// recorded bounds, and what the head leaves out of a row — computed the
-/// long way, `o − Vᵀ(Vo)` — is within the recorded `tail`: the three
+/// recorded bounds, what the head leaves out of a row — computed the long
+/// way, `o − Vᵀ(Vo)` — is within the recorded `tail`, and the head's
+/// coordinates past its prefix are within the recorded `suffix_norm`: the
 /// inequalities the head screen's padding rests on. With noise, so that
 /// the tails are the data's and not rounding.
 #[test]
@@ -394,6 +493,12 @@ fn head_codes_dequantize_to_projected_rows_within_bounds() {
             assert!(
                 xnorm_sq.sqrt() <= vq.xnorm as f64,
                 "sub {sub} slot {slot}: xnorm"
+            );
+            let suffix = head[w / 2..].iter().map(|&a| a as f64 * a as f64);
+            let suffix_norm = suffix.sum::<f64>().sqrt();
+            assert!(
+                suffix_norm <= vq.suffix_norm as f64,
+                "sub {sub} slot {slot}"
             );
             let mut rest: Vec<f64> = o.iter().map(|&x| x as f64).collect();
             for (j, &a) in head.iter().enumerate() {
@@ -438,12 +543,13 @@ impl Storage for CountingReads {
     }
 }
 
-/// A cold sweep of a `P`-page column through a pool of `S` stripes makes
-/// ⌈P/S⌉ device reads and `P` logical reads, every one a miss, whether
-/// the pool holds the column or not — with 64-byte head rows at 4 KB pages
-/// (no row straddles a page) and with 300-byte full-width rows at
-/// 1 000-byte pages (most windows end inside a row). A warm sweep through
-/// a pool that holds the column makes none.
+/// A cold sweep of a `P`-page prefix column through a pool of `S` stripes
+/// makes ⌈P/S⌉ device reads and `P` logical reads, every one a miss,
+/// whether the pool holds the column or not — with 64-byte heads (32-byte
+/// prefixes) at 4 KB pages (no row straddles a page) and with 300-byte
+/// full-width rows at 1 000-byte pages (the prefix is the whole row; most
+/// windows end inside one). A warm sweep through a pool that holds the
+/// column makes none.
 #[test]
 fn a_cold_sweep_makes_one_device_read_a_window() {
     let shapes = [
@@ -465,7 +571,9 @@ fn a_cold_sweep_makes_one_device_read_a_window() {
             let idx = build_index(pager, &proj, &orig, &cfg).unwrap();
             assert_eq!(idx.code_width(), width);
             let (_, bytes) = idx.vquant_region().unwrap();
-            let pages = bytes.div_ceil(ps as u64);
+            // The sweep reads half the bytes of a head's code region.
+            let prefix_bytes = bytes * idx.prefix_width() as u64 / width as u64;
+            let pages = prefix_bytes.div_ceil(ps as u64);
             let stripes = idx.pager().stripes() as u64;
             assert_eq!(stripes, capacity.min(16) as u64);
             let tag = format!("{width}-byte rows, {ps}-byte pages, pool {capacity}");

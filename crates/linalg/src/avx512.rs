@@ -536,20 +536,42 @@ unsafe fn dot_i8_vnni_body(a: &[u8], b: &[i8]) -> i32 {
 
 // --- The screen's column kernel ----------------------------------------------
 //
-// Code rows of one or two whole cache lines need no tail handling at all:
+// Code rows of half, one or two cache lines need no tail handling at all:
 // sixteen rows go through each step with one load of the query's 64 (VNNI)
 // or 32 (BW) codes, and their sixteen accumulators are summed across lanes
 // *together* — one transposing reduction and one store per sixteen rows,
 // where the blocked kernel pays a reduction, a return through memory and a
-// dispatch per four. Wider rows amortize those over more codes and run
-// sixteen strided streams poorly: measured on this tier, the blocked loop
-// is level at 192 codes and ahead at 320 (8.3 against 9.7 ns per row with
-// VNNI, 10.9 against 15.2 without), so it keeps them.
+// dispatch per four. Half-line rows (the prefix column of a 64-byte head)
+// go two to a VNNI load against the query loaded twice, so sixteen rows
+// cost eight `vpdpbusd`s and half a reduction. Wider rows amortize those
+// over more codes and run sixteen strided streams poorly: measured on this
+// tier, the blocked loop is level at 192 codes and ahead at 320 (8.3
+// against 9.7 ns per row with VNNI, 10.9 against 15.2 without), so it
+// keeps them.
 
-/// Widths the sixteen-row bodies take: one or two cache lines.
+/// Widths the sixteen-row bodies take: half, one or two cache lines.
 #[inline]
 fn col_lines(w: usize) -> bool {
-    w == 64 || w == 128
+    w == 32 || w == 64 || w == 128
+}
+
+/// Sums each 128-bit lane of four i32 accumulators: lane `l` of the result
+/// holds, in dword `r`, the total of `a[r]`'s four dwords in lane `l`.
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn quad_epi32(a: &[__m512i]) -> __m512i {
+    let t01 = _mm512_add_epi32(
+        _mm512_unpacklo_epi32(a[0], a[1]),
+        _mm512_unpackhi_epi32(a[0], a[1]),
+    );
+    let t23 = _mm512_add_epi32(
+        _mm512_unpacklo_epi32(a[2], a[3]),
+        _mm512_unpackhi_epi32(a[2], a[3]),
+    );
+    _mm512_add_epi32(
+        _mm512_unpacklo_epi64(t01, t23),
+        _mm512_unpackhi_epi64(t01, t23),
+    )
 }
 
 /// Sums each of sixteen i32 accumulators across its lanes: lane `r` of the
@@ -560,21 +582,7 @@ fn col_lines(w: usize) -> bool {
 unsafe fn reduce16_epi32(acc: &[__m512i; 16]) -> __m512i {
     // Each 128-bit lane of `quad(g)` holds that lane's partial sums of
     // accumulators 4g .. 4g + 3.
-    let quad = |g: usize| {
-        let a = &acc[4 * g..4 * g + 4];
-        let t01 = _mm512_add_epi32(
-            _mm512_unpacklo_epi32(a[0], a[1]),
-            _mm512_unpackhi_epi32(a[0], a[1]),
-        );
-        let t23 = _mm512_add_epi32(
-            _mm512_unpacklo_epi32(a[2], a[3]),
-            _mm512_unpackhi_epi32(a[2], a[3]),
-        );
-        _mm512_add_epi32(
-            _mm512_unpacklo_epi64(t01, t23),
-            _mm512_unpackhi_epi64(t01, t23),
-        )
-    };
+    let quad = |g: usize| quad_epi32(&acc[4 * g..4 * g + 4]);
     // Lanes (x0 + x2, x1 + x3, y0 + y2, y1 + y3) of two quads x, y.
     let fold = |x: __m512i, y: __m512i| {
         _mm512_add_epi32(
@@ -634,6 +642,50 @@ unsafe fn dot_col_i8_body(rows: &[u8], w: usize, q: &[i8], out: &mut [i32]) {
         let vb = _mm512_cvtepi8_epi16(_mm256_loadu_si256(q as *const __m256i));
         _mm512_add_epi32(acc, _mm512_madd_epi16(va, vb))
     })
+}
+
+/// The VNNI column body for 32-code rows: each 64-byte load holds rows
+/// `2j` and `2j + 1` of a sixteen-row block and meets the query in both
+/// halves, so pair `j`'s row `2j` sum sits in 128-bit lanes 0–1 of its
+/// accumulator and row `2j + 1`'s in lanes 2–3.
+///
+/// # Safety
+/// Requires avx512f, avx512bw and avx512vnni, `q.len() == 32` and
+/// `rows.len() == out.len() * 32` (checked by the safe wrapper).
+#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+unsafe fn dot_col_i8_vnni_halves(rows: &[u8], q: &[i8], out: &mut [i32]) {
+    let qq = _mm512_broadcast_i64x4(_mm256_loadu_si256(q.as_ptr() as *const __m256i));
+    // The folded sums hold rows 0, 2, 4, 6, 1, 3, 5, 7, 8, 10, … in dword
+    // order; `order` gathers row `r` into dword `r`.
+    let order = _mm512_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7, 8, 12, 9, 13, 10, 14, 11, 15);
+    let n = out.len();
+    let mut i = 0;
+    while i < n {
+        let live = (n - i).min(16);
+        // SAFETY: the block's live rows are the `32·live` bytes at `32·i`,
+        // inside `rows`; a pair past them is masked to its live bytes (none
+        // at all past the last, whose address is never dereferenced).
+        let base = rows.as_ptr().add(i * 32);
+        let mut acc = [_mm512_setzero_si512(); 8];
+        for (j, slot) in acc.iter_mut().enumerate() {
+            let bytes = (32 * live).saturating_sub(64 * j);
+            *slot = _mm512_dpbusd_epi32(*slot, load64(base.wrapping_add(64 * j), bytes), qq);
+        }
+        // Lane l of `x` (`y`) holds in dword r the lane-l sum of pair r
+        // (4 + r); lanes (x0 + x1, x2 + x3, y0 + y1, y2 + y3) are the even
+        // rows 0–6, odd rows 1–7, even rows 8–14 and odd rows 9–15.
+        let (x, y) = (quad_epi32(&acc[..4]), quad_epi32(&acc[4..]));
+        let sums = _mm512_add_epi32(
+            _mm512_shuffle_i32x4::<0x88>(x, y),
+            _mm512_shuffle_i32x4::<0xDD>(x, y),
+        );
+        _mm512_mask_storeu_epi32(
+            out.as_mut_ptr().add(i),
+            lane_mask(live),
+            _mm512_permutexvar_epi32(order, sums),
+        );
+        i += 16;
+    }
 }
 
 #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
@@ -718,8 +770,8 @@ pub(crate) fn sq_dist_col_i8(rows: &[u8], m: usize, q: &[u8], out: &mut [u32]) {
     }
 }
 
-/// The screen's column kernel on AVX-512BW: rows of one or two cache lines
-/// take the sixteen-row body, any other width the blocked loop.
+/// The screen's column kernel on AVX-512BW: rows of half, one or two cache
+/// lines take the sixteen-row body, any other width the blocked loop.
 pub(crate) fn dot_col_i8(rows: &[u8], w: usize, q: &[i8], out: &mut [i32]) {
     check_col_shape(rows.len(), w, q.len(), out.len());
     if col_lines(w) {
@@ -733,10 +785,11 @@ pub(crate) fn dot_col_i8(rows: &[u8], w: usize, q: &[i8], out: &mut [i32]) {
 /// [`dot_col_i8`] with the VNNI bodies.
 pub(crate) fn dot_col_i8_vnni(rows: &[u8], w: usize, q: &[i8], out: &mut [i32]) {
     check_col_shape(rows.len(), w, q.len(), out.len());
-    if col_lines(w) {
+    match w {
+        // SAFETY: shape checked above, two rows to a 64-code step.
+        32 => unsafe { dot_col_i8_vnni_halves(rows, q, out) },
         // SAFETY: shape checked above, w a multiple of the 64-code step.
-        unsafe { dot_col_i8_vnni_body(rows, w, q, out) }
-    } else {
-        col_long(rows, w, q, out, dot4_i8_vnni)
+        _ if col_lines(w) => unsafe { dot_col_i8_vnni_body(rows, w, q, out) },
+        _ => col_long(rows, w, q, out, dot4_i8_vnni),
     }
 }

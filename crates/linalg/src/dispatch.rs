@@ -25,7 +25,7 @@
 //! | operands                                   | kernel                          |
 //! |--------------------------------------------|---------------------------------|
 //! | projected space, `m ≤ 16` floats or codes  | `sq_dist_col` / `sq_dist_col_i8`: one call per sub-partition column — floats through the unrolled scalar body on every backend, codes with rows in the vector lanes |
-//! | screen, a run of contiguous `w`-code rows  | `dot_col_i8`: `w` = 64 or 128 on AVX-512 — sixteen rows per step and per store; otherwise `dot4_i8` over every four rows |
+//! | screen, a run of contiguous `w`-code rows  | `dot_col_i8`: `w` = 32, 64 or 128 on AVX-512 — sixteen rows per step and per store, 32-code rows two to a VNNI load; otherwise (and on AVX2 at every `w`) `dot4_i8` over every four rows |
 //! | screen, scattered u8 × i8 code rows        | `dot4_i8` / `dot_i8`: 64 (VNNI), 32 (BW) or 16 (AVX2) codes per step, masked or overlapped tail |
 //! | verification, one `d`-long f32 row         | `dot`: widened `f64` FMA lanes |
 //! | `matvec_into`, exact scanners, f32 rows    | `dot4` over every four rows, `dot` for the rest |

@@ -141,11 +141,12 @@ pub fn dot_i8(a: &[u8], b: &[i8]) -> i32 {
 /// Quantized inner products `Σⱼ rowᵢⱼ·qⱼ` of every `w`-code row of the u8
 /// code column `rows` against the i8 query `q` into `out` — the
 /// verification screen's kernel over a run of contiguous code rows, one
-/// dispatch per run. When `w` is 64 or 128 (rows are one or two whole cache
-/// lines — the widths of a head column) the AVX-512 tiers take sixteen rows
-/// per step, each step's query codes loaded once, and reduce the sixteen
-/// sums in one transposing pass with one store; any other width is
-/// [`dot4_i8`] over every four rows.
+/// dispatch per run. When `w` is 32, 64 or 128 (rows are half, one or two
+/// cache lines — the widths of a head column's prefix and of a head) the
+/// AVX-512 tiers take sixteen rows per step, each step's query codes loaded
+/// once (VNNI takes 32-code rows two to a load), and reduce the sixteen
+/// sums in one transposing pass with one store; any other width, and every
+/// width on AVX2, is [`dot4_i8`] over every four rows.
 ///
 /// Exact integer arithmetic: every backend returns [`dot_i8`]'s sums. Same
 /// length bound as [`sq_dist4_i8`].
@@ -474,18 +475,18 @@ mod tests {
             }
 
             /// The screen's column kernel is exact on every backend: widths
-            /// that are whole cache lines (the sixteen-row bodies) and
+            /// of half, one or two cache lines (the sixteen-row bodies) and
             /// widths that are not (the blocked loop), row counts covering
             /// every remainder of sixteen and of four, and the extreme
             /// codes a saturating multiply-add gets wrong.
             #[test]
             fn dot_col_i8_parity(
-                w_pick in 0usize..5,
+                w_pick in 0usize..6,
                 n in 0usize..70,
                 seed in 0u64..1 << 32,
                 extreme in 0usize..3,
             ) {
-                let w = [64usize, 128, 192, 300, 5][w_pick];
+                let w = [32usize, 64, 128, 192, 300, 5][w_pick];
                 let mut rng = proptest::test_runner::TestRng::from_name(&format!("dotcol-{seed}"));
                 let mut code = |signed: bool| -> u8 {
                     let r = rng.below(256) as u8;

@@ -1,6 +1,6 @@
 //! The rate of the screen's column kernel, `dot_col_i8`, on every table
-//! the host can run (`available_backends()`): ns a row at `w` ∈ {64, 128,
-//! 320} code bytes. This is the number the AVX-512 keep/delete decision
+//! the host can run (`available_backends()`): ns a row at `w` ∈ {32, 64,
+//! 128, 320} code bytes. This is the number the AVX-512 keep/delete decision
 //! reads; `benchmark/` times only the dispatched `dot4_i8`.
 //!
 //! Shape: 768 rows of random u8 codes per width against one random i8
@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use promips_linalg::dispatch::{available_backends, Kernels};
 use proptest::test_runner::TestRng;
 
-const WIDTHS: [usize; 3] = [64, 128, 320];
+const WIDTHS: [usize; 4] = [32, 64, 128, 320];
 const RUN: usize = 64;
 const ROWS: usize = 12 * RUN;
 const REPS: usize = 9;
