@@ -3,9 +3,9 @@
 //! ([`ScreenBound`], one per sub-partition or code chunk) and the walk of
 //! one block of rows through it into a [`TopK`] ([`walk`]). The column pass
 //! of [`crate::search`] walks the index's code column one sub-partition at
-//! a time, best bound first (for heads, the prefix bound picks the rows the
-//! walk then tests whole: [`ScreenBound::prefix`]), the annulus path its
-//! candidates one
+//! a time, best bound first (for heads, each row's own prefix bound keys
+//! the walk and picks the rows it then tests whole: [`PrefixBound`]), the
+//! annulus path its candidates one
 //! sub-partition group at a time (unscreened while its k-th best is `-∞`),
 //! and the shard layer its delta one chunk at a time — sealed chunks under
 //! their full-width codes (the case below that needs no head basis), the
@@ -15,7 +15,7 @@ use std::io;
 
 use promips_idistance::meta::OrigQuant;
 use promips_idistance::HeadBasis;
-use promips_linalg::sq_norm2;
+use promips_linalg::{max_i32, max_scaled_sum, sq_norm2};
 use promips_obs::ShardSpan;
 
 use crate::result::TopK;
@@ -144,10 +144,8 @@ impl QueryScreen {
 /// absent for full-width codes — so no row whose exact kernel inner
 /// product could reach the k-th best is ever dropped.
 ///
-/// [`Self::prefix`] is the same test on a row's dot over the prefix
-/// column alone: the quantizer terms over the prefix (the whole row's `err`
-/// and `xnorm` bound the prefix's), plus `suffix_norm·‖b_s‖` for the head
-/// coordinates past it.
+/// [`PrefixBound`] is the same test on a head row's dot over the prefix
+/// column alone.
 pub struct ScreenBound {
     base: f64,
     step: f64,
@@ -158,28 +156,19 @@ impl ScreenBound {
     /// The bound of the rows `vq` quantized, against the query `qs`.
     #[inline]
     pub fn new(vq: &OrigQuant, qs: &QueryScreen) -> Self {
-        Self::over(vq, qs, &qs.whole, 0.0)
+        Self::over(vq, qs, &qs.whole)
     }
 
-    /// The bound of the rows `vq` quantized given their dots over the
-    /// prefix column ([`promips_idistance::IDistanceIndex::column_dots`]):
-    /// for full-width codes, whose prefix is the whole row, [`Self::new`]
-    /// to the bit.
+    /// The bound over the coordinates of `span`; past them, for a prefix,
+    /// [`PrefixBound`] adds each row's suffix term.
     #[inline]
-    pub fn prefix(vq: &OrigQuant, qs: &QueryScreen) -> Self {
-        Self::over(vq, qs, &qs.prefix, vq.suffix_norm as f64 * qs.suffix_norm)
-    }
-
-    /// The bound over the coordinates of `span`, `rest` bounding the head
-    /// coordinates past them.
-    #[inline]
-    fn over(vq: &OrigQuant, qs: &QueryScreen, span: &Span, rest: f64) -> Self {
+    fn over(vq: &OrigQuant, qs: &QueryScreen, span: &Span) -> Self {
         let (err, xnorm, tail) = (vq.err as f64, vq.xnorm as f64, vq.tail as f64);
         let mut pad = (err * span.q_norm + xnorm * span.q_err) * (1.0 + 1e-9)
             + 1e-12 * (xnorm * qs.whole.q_norm);
         // Positive exactly for a non-zero query against head codes.
         if qs.leak > 0.0 {
-            pad += rest + tail * qs.q_tail + (xnorm + err + tail) * qs.leak;
+            pad += tail * qs.q_tail + (xnorm + err + tail) * qs.leak;
         }
         Self {
             base: qs.sq * vq.min as f64 * span.sum_b as f64,
@@ -198,13 +187,6 @@ impl ScreenBound {
         self.base + self.step * idot as f64 + self.pad
     }
 
-    /// The lower bound on the inner product of a row with integer dot
-    /// `idot`: every term of the pad bounds a difference in both directions.
-    #[inline]
-    pub fn lower(&self, idot: i32) -> f64 {
-        self.base + self.step * idot as f64 - self.pad
-    }
-
     /// Whether a row with integer dot `idot` can still reach `bar`.
     #[inline]
     pub fn may_reach(&self, idot: i32, bar: f64) -> bool {
@@ -212,11 +194,67 @@ impl ScreenBound {
     }
 }
 
-/// The largest of a block's integer dots (`i32::MIN` for an empty block):
-/// one branch-free fold.
-#[inline(always)]
-pub fn max_dot(dots: &[i32]) -> i32 {
-    dots.iter().fold(i32::MIN, |m, &idot| m.max(idot))
+/// The prefix bound of one sub-partition's head rows, **per row**: a row
+/// with prefix dot `idot` (its dot over the prefix column,
+/// [`promips_idistance::IDistanceIndex::column_dots`]) and suffix-norm code
+/// `code` ([`promips_idistance::head::suffix_code`]) has an inner product
+/// of at most `base + (step·idot + c·code) + pad`. `base`, `step` and `pad`
+/// are [`ScreenBound`]'s over the prefix coordinates (the whole row's `err`
+/// and `xnorm` bound the prefix's), with no term for the head past them;
+/// that is `c·code ≥ ‖a_s‖·‖b_s‖`, `c = suffix_norm·‖b_s‖/255` inflated by
+/// the pad's relative `1e-9` ([`crate::search`]'s module docs, "The prefix
+/// bound").
+///
+/// Every rounding in it is monotone and `code ≤ 255`, so the bound at a
+/// sub-partition's largest prefix dot and code 255 ([`Self::upper`]) is at
+/// least every row's, and [`Self::best`] is the largest row's to the bit.
+pub struct PrefixBound {
+    bound: ScreenBound,
+    c: f64,
+}
+
+impl PrefixBound {
+    /// The bound of the rows `vq` quantized, against the query `qs`.
+    #[inline]
+    pub fn new(vq: &OrigQuant, qs: &QueryScreen) -> Self {
+        Self {
+            bound: ScreenBound::over(vq, qs, &qs.prefix),
+            c: vq.suffix_norm as f64 * qs.suffix_norm / 255.0 * (1.0 + 1e-9),
+        }
+    }
+
+    /// The upper bound on the inner product of a row with prefix dot
+    /// `idot` and suffix-norm code `code`.
+    #[inline]
+    pub fn upper(&self, idot: i32, code: u8) -> f64 {
+        let b = &self.bound;
+        b.base + (b.step * idot as f64 + self.c * code as f64) + b.pad
+    }
+
+    /// The lower bound on the inner product of a row with prefix dot
+    /// `idot` and suffix-norm code `code`: every term of the pad bounds a
+    /// difference in both directions.
+    #[inline]
+    pub fn lower(&self, idot: i32, code: u8) -> f64 {
+        let b = &self.bound;
+        b.base + (b.step * idot as f64 - self.c * code as f64) - b.pad
+    }
+
+    /// Whether a row with prefix dot `idot` and code `code` can still reach
+    /// `bar`.
+    #[inline]
+    pub fn may_reach(&self, idot: i32, code: u8, bar: f64) -> bool {
+        self.upper(idot, code) >= bar
+    }
+
+    /// The largest [`Self::upper`] over a block's rows, prefix dot `dots[i]`
+    /// beside code `codes[i]` (`-∞` for none): one pass of the dispatched
+    /// [`max_scaled_sum`].
+    #[inline]
+    pub fn best(&self, dots: &[i32], codes: &[u8]) -> f64 {
+        let b = &self.bound;
+        b.base + max_scaled_sum(dots, codes, b.step, self.c) + b.pad
+    }
 }
 
 /// Walks one block of `rows` rows into `top`, keeping only rows at or
@@ -248,7 +286,7 @@ where
     let mut bar = top.kth_ip().max(floor);
     if let Some((dots, bound)) = screen {
         debug_assert_eq!(dots.len(), rows);
-        if !bound.may_reach(max_dot(dots), bar) {
+        if !bound.may_reach(max_i32(dots), bar) {
             span.screened += rows as u64;
             return Ok(());
         }

@@ -107,13 +107,13 @@
 //! the bit.
 //!
 //! **The prefix bound.** A head's codes are two columns of `h/2`-byte rows
-//! (the prefix `a_p`, codes `0..h/2`, and the suffix `a_s`), and the pass
-//! sweeps the prefix column alone. A row's prefix dot bounds it by
+//! (the prefix `a_p`, codes `0..h/2`, and the suffix `a_s`) and a byte a
+//! row, its suffix-norm code, and the pass sweeps the prefix column alone.
+//! A row's prefix dot and code bound it by
 //!
 //! ```text
-//! ⟨o, q⟩ ≤ base_p + step·idot_p + pad_p,
+//! ⟨o, q⟩ ≤ base_p + step·idot_p + code·c + pad_p,   c = suffix_norm·‖b_s‖/255
 //! pad_p = err·‖b_p‖ + xnorm·‖b_p − b̂_p‖        (the quantizer, over the prefix)
-//!       + suffix_norm·‖b_s‖                      (the head past the prefix)
 //!       + tail·‖q − Vᵀ(Vq)‖ + δ(1 + δ)·(xnorm + err + tail)·max(‖q‖, ‖Vq‖)
 //! ```
 //!
@@ -123,28 +123,33 @@
 //! `‖a_p − â_p‖ ≤ ‖a − â‖ ≤ err` and `‖â_p‖ ≤ ‖â‖ ≤ xnorm`, and the
 //! quantizer's Cauchy–Schwarz step over the prefix coordinates gives the
 //! first line with the query's prefix scalars (`Σb` and `b̂` over the
-//! prefix). Cauchy–Schwarz again gives `⟨a_s, b_s⟩ ≤ ‖a_s‖·‖b_s‖`, and the
-//! sub-partition stores `suffix_norm ≥ max ‖a_s‖` over its rows' heads as
-//! coded. The last line is the whole head's, unchanged. Prefix dot plus
-//! suffix dot is the whole row's integer dot, so a row the prefix bound
-//! leaves in is then tested by the head bound itself. For full-width codes
-//! the prefix is the whole row, `suffix_norm = 0`, and the two bounds are
-//! one, to the bit.
+//! prefix). Cauchy–Schwarz again, and the build's check of each row's code
+//! in `f64`, give
+//! `⟨a_s, b_s⟩ ≤ ‖a_s‖·‖b_s‖ ≤ code·(suffix_norm/255)·‖b_s‖`, with
+//! `suffix_norm ≥ max ‖a_s‖` the sub-partition's stored bound over its
+//! rows' heads as coded; `c` carries the pad's relative `1e-9` for the
+//! rounding of the product. The last line is the whole head's, unchanged.
+//! Prefix dot plus suffix dot is the whole row's integer dot, so a row the
+//! prefix bound leaves in is then tested by the head bound itself. For
+//! full-width codes the prefix is the whole row, there are no codes, and
+//! the pass runs on the head bound alone, as it did before heads existed.
 //!
-//! The pass keys its best-first walk by the prefix bound and reads a
-//! suffix only for a row of a visited sub-partition that the prefix bound
-//! leaves in (`ProMips::column_pass`). On `lf300` (seed-1 queries, in
-//! memory, `staged_screen_replay.rs`) that is 184 of 1 148 sub-partitions,
-//! 661 rows and 233 suffix pages a query (means; p95 388, 1 453, 513); the
-//! sweep reads 782 pages where the whole column is 1 563. A visit costs
-//! ≈ 1 µs (its suffix page through the pool, the prefix filter, the heap),
-//! a sweep of the suffix column ≈ 200 µs, so a query whose walk would be
-//! long sweeps the suffixes instead and walks by the head bound. It decides
-//! before the walk, from the prefix bounds alone: the `k`-th largest of the
-//! sub-partitions' lower bounds on their best rows is at most the final
-//! `k`-th, and when more than [`SUFFIX_SWEEP_SHARE`] of the keys reach it
-//! the walk would be long — 60 of the 200 `lf300` queries, those the staged
-//! walk would visit ≈ 200 or more sub-partitions in.
+//! `code ≤ 255`, so a sub-partition's bound at its largest prefix dot and
+//! code 255 is at least each of its rows' ([`PrefixBound`]): that keys the
+//! best-first walk. The first time a sub-partition is popped it is keyed
+//! again by its best row's own bound — one branch-free pass over its dots
+//! and codes ([`promips_linalg::max_scaled_sum`]) — and visited only if
+//! that still reaches the bar and heads the heap; in a visit each row's own
+//! bound picks the rows whose suffix is read (`ProMips::column_pass`). A
+//! row's suffix norm is typically 0.6 of its sub-partition's largest, so
+//! the refined keys cut the visits themselves. On `lf300` (seed-1
+//! queries, in memory, `staged_screen_replay.rs`) a query visits 83.5 of
+//! 1 148 sub-partitions and refines 184 (means; p50 70 and 152, p95 173
+//! and 388), gives 314 rows their suffix and reads 97 suffix pages (p95
+//! 531 and 201); the sweep reads 782 prefix pages and 25 of codes. Keyed by
+//! the sub-partition's largest suffix norm the walk visited 184 and read
+//! 233 suffix pages, and a rule sent 60 of the 200 queries to a 782-page
+//! sweep of the suffix column instead.
 //!
 //! **Width.** `h` is the smallest multiple of 64 up to `min(d/2, 256)`
 //! whose tail energy (the share of a 1 024-row sample's `‖X‖_F²` outside
@@ -192,7 +197,7 @@ use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use promips_idistance::{ProjScratch, RangeCandidate};
-use promips_linalg::{dist, dot, norm1, sq_norm2};
+use promips_linalg::{dist, dot, max_i32, norm1, sq_norm2};
 use promips_obs::{
     self as obs, BudgetChecker, CounterId, HistoId, QueryBudget, ShardSpan, StageNanos,
 };
@@ -200,7 +205,7 @@ use promips_obs::{
 use crate::conditions::ConditionContext;
 use crate::index::ProMips;
 use crate::result::{SearchResult, Termination, TopK};
-use crate::screen::{self, QueryScreen, ScreenBound};
+use crate::screen::{self, PrefixBound, QueryScreen, ScreenBound};
 
 /// The index-or-scan rule's one constant (module docs): the column pass
 /// answers a query whose Quick-Probe ball covers at least this share of the
@@ -247,15 +252,14 @@ struct FetchBuffers {
     /// `i`), computed by the index on the pinned code pages.
     idots: Vec<i32>,
     /// The column pass's whole-row dots of one sub-partition's rows that
-    /// the prefix bound left in (at `offsets`), for head codes; or every
-    /// row's suffix dot when the pass sweeps the suffix column.
+    /// the prefix bound left in (at `offsets`), for head codes.
     rows_dots: Vec<i32>,
-    /// Per sub-partition, the prefix bound's lower bound on its best row.
-    lowers: Vec<f64>,
+    /// Every row's suffix-norm code, for head codes (row `i` at `i`).
+    norm_codes: Vec<u8>,
     /// The column pass's visiting order: one `(key(upper bound),
-    /// Reverse(sub-partition), first row)` per sub-partition, a max-heap
-    /// rebuilt in place per pass.
-    order: BinaryHeap<(u64, Reverse<u32>, usize)>,
+    /// Reverse(sub-partition), first row, refined)` per sub-partition, a
+    /// max-heap rebuilt in place per pass.
+    order: BinaryHeap<(u64, Reverse<u32>, usize, bool)>,
     /// The query side of the screen, rebuilt once per `execute`.
     screen: QueryScreen,
 }
@@ -913,37 +917,37 @@ impl ProMips {
     /// **sweep** computes every row's integer dot over the prefix column
     /// into `idots` — the whole row for full-width codes, a head's first
     /// half for heads — one kernel call per page, independent of the k-th
-    /// best ([`promips_idistance::IDistanceIndex::column_dots`]). The
+    /// best ([`promips_idistance::IDistanceIndex::column_dots`]); a head
+    /// index then reads its suffix-norm codes, one byte a row
+    /// ([`promips_idistance::IDistanceIndex::suffix_norm_codes`]). The
     /// **walk** visits the sub-partitions best first, as LEMP-style bucket
     /// orders do ("To Index or Not to Index", arXiv:1706.01449): each one's
-    /// upper bound — its [`ScreenBound::prefix`] at the largest dot of its
-    /// slice of `idots` — goes into a max-heap built in O(n) (ties to the
-    /// lower directory index), and the walk pops until the next bound falls
-    /// below the bar `max(k-th best, query.kth_floor)`. Every bound left is
-    /// at most that one, so their rows are ruled out unread. In a visited
-    /// sub-partition of a head index, each row the prefix bound cannot rule
-    /// out at the bar gets its suffix dot
-    /// ([`promips_idistance::SuffixCursor`]): prefix plus
-    /// suffix is the row's whole integer dot. The sub-partition's rows (for
-    /// heads, those rows) are then one [`screen::walk`] under its
-    /// [`ScreenBound`], as an annulus group is. A row the bound cannot rule
-    /// out has its id read from its projected record and, unless the mask
-    /// kills it, its f32 row decoded and scored by the single-row [`dot`];
-    /// the readers keep their page pinned, so survivors of one
-    /// sub-partition sharing a page share its read. `top` ends as the exact
-    /// top-k over live rows at or above the floor.
-    ///
-    /// When the prefix bounds say the staged walk would be long
-    /// ([`SUFFIX_SWEEP_SHARE`]), the pass sweeps the suffix column too
-    /// ([`promips_idistance::IDistanceIndex::suffix_column_dots`]), adds each
-    /// row's suffix dot to its prefix dot and keys the walk by the head bound
-    /// at each sub-partition's largest whole dot, as for full-width codes.
+    /// upper bound at the largest dot of its slice of `idots` — its
+    /// [`ScreenBound`], or for heads its [`PrefixBound`] at code 255 — goes
+    /// into a max-heap built in O(n) (ties to the lower directory index),
+    /// and the walk pops until the next bound falls below the bar
+    /// `max(k-th best, query.kth_floor)`. Every bound left is at most that
+    /// one, so their rows are ruled out unread. A head sub-partition popped
+    /// the first time is keyed again by its best row's own bound
+    /// ([`PrefixBound::best`], never above the first key) and visited only
+    /// if that still reaches the bar and heads the heap; otherwise it goes
+    /// back in. In a visited sub-partition of a head index, each row its
+    /// own prefix bound cannot rule out at the bar gets its suffix dot
+    /// ([`promips_idistance::SuffixCursor`]): prefix plus suffix is the
+    /// row's whole integer dot. The sub-partition's rows (for heads, those
+    /// rows) are then one [`screen::walk`] under its [`ScreenBound`], as an
+    /// annulus group is. A row the bound cannot rule out has its id read
+    /// from its projected record and, unless the mask kills it, its f32 row
+    /// decoded and scored by the single-row [`dot`]; the readers keep their
+    /// page pinned, so survivors of one sub-partition sharing a page share
+    /// its read. `top` ends as the exact top-k over live rows at or above
+    /// the floor.
     ///
     /// Books as it goes (valid on the error path): `scanned` code rows
     /// swept, `screened` rows ruled out (by the prefix or the whole row),
     /// `verified` rows scored; the rows of the sub-partitions never visited
     /// book to `screened` when the walk stops. One budget tick per page of
-    /// the sweep and per sub-partition visited.
+    /// the sweep, before the norm codes and per sub-partition visited.
     fn column_pass(
         &self,
         query: &Query<'_>,
@@ -959,7 +963,7 @@ impl ProMips {
             arena,
             idots,
             rows_dots,
-            lowers,
+            norm_codes,
             order,
             screen: qs,
             ..
@@ -969,75 +973,71 @@ impl ProMips {
             .column_dots(qs.qcodes(), idots, || Ok(checker.tick()?));
         work.scanned += idots.len() as u64;
         swept?;
+        let split = self.index.prefix_width() < self.index.code_width();
+        if split {
+            checker.tick()?;
+            self.index.suffix_norm_codes(norm_codes)?;
+        }
 
         let (subparts, vquants) = (self.index.subparts(), self.index.vquants());
-        let mut split = self.index.prefix_width() < self.index.code_width();
         // The heap's buffer never leaves the scratch across a `?`.
         let mut keys = std::mem::take(order).into_vec();
         keys.clear();
-        lowers.clear();
         let mut first = 0;
         for (sub, (sp, vq)) in (0u32..).zip(subparts.iter().zip(vquants)) {
             let dots = &idots[first..first + sp.count as usize];
-            let (bound, best) = (ScreenBound::prefix(vq, qs), screen::max_dot(dots));
-            keys.push((order_key(bound.upper(best)), Reverse(sub), first));
-            lowers.push(bound.lower(best));
+            let best = max_i32(dots);
+            let upper = if split {
+                PrefixBound::new(vq, qs).upper(best, u8::MAX)
+            } else {
+                ScreenBound::new(vq, qs).upper(best)
+            };
+            keys.push((order_key(upper), Reverse(sub), first, !split));
             first += dots.len();
         }
         *order = BinaryHeap::from(keys);
-        if split && walk_is_long(order, lowers, query.k, floor) {
-            // Sweep the suffixes too: every row's dot becomes its whole
-            // row's, and the walk is keyed by the head bound.
-            let swept = self
-                .index
-                .suffix_column_dots(qs.qcodes(), rows_dots, || Ok(checker.tick()?));
-            swept?;
-            let mut keys = std::mem::take(order).into_vec();
-            for (key, Reverse(sub), first) in &mut keys {
-                let rows = *first..*first + subparts[*sub as usize].count as usize;
-                let mut best = i32::MIN;
-                for (idot, suffix) in idots[rows.clone()].iter_mut().zip(&rows_dots[rows]) {
-                    *idot += suffix;
-                    best = best.max(*idot);
-                }
-                let bound = ScreenBound::new(&vquants[*sub as usize], qs);
-                *key = order_key(bound.upper(best));
-            }
-            *order = BinaryHeap::from(keys);
-            split = false;
-        }
 
         let mut ids = self.index.id_cursor();
         let mut rows = self.index.orig_cursor(0);
         let mut suffixes = self.index.suffix_cursor();
         let mut unvisited = idots.len() as u64;
-        while let Some((key, Reverse(sub), first)) = order.pop() {
+        while let Some((key, Reverse(sub), first, refined)) = order.pop() {
             let bar = top.kth_ip().max(floor);
             if from_order_key(key) < bar {
                 break;
             }
-            checker.tick()?;
             let (sp, vq) = (&subparts[sub as usize], &vquants[sub as usize]);
-            let dots = &idots[first..first + sp.count as usize];
-            unvisited -= dots.len() as u64;
-            let dots = if split {
-                // The bar only rises, so a row the prefix rules out now
-                // stays out; the rest get their suffix.
-                let prefix = ScreenBound::prefix(vq, qs);
-                offsets.clear();
-                let reaching = (0u32..)
-                    .zip(dots)
-                    .filter(|&(_, &idot)| prefix.may_reach(idot, bar));
-                offsets.extend(reaching.map(|(row, _)| row));
-                work.screened += (dots.len() - offsets.len()) as u64;
-                rows_dots.clear();
-                for &row in offsets.iter() {
-                    let suffix = suffixes.dot(sub, row, qs.qcodes())?;
-                    rows_dots.push(dots[row as usize] + suffix);
+            let span = first..first + sp.count as usize;
+            let dots = &idots[span.clone()];
+            let prefix = split.then(|| (PrefixBound::new(vq, qs), &norm_codes[span]));
+            if let (Some((prefix, codes)), false) = (&prefix, refined) {
+                let key = order_key(prefix.best(dots, codes));
+                let entry = (key, Reverse(sub), first, true);
+                if from_order_key(key) < bar || order.peek().is_some_and(|e| *e > entry) {
+                    order.push(entry);
+                    continue;
                 }
-                &rows_dots[..]
-            } else {
-                dots
+            }
+            checker.tick()?;
+            unvisited -= dots.len() as u64;
+            let dots = match prefix {
+                Some((prefix, codes)) => {
+                    // The bar only rises, so a row its prefix bound rules
+                    // out now stays out; the rest get their suffix.
+                    offsets.clear();
+                    let reaching = (0u32..)
+                        .zip(dots.iter().zip(codes))
+                        .filter(|&(_, (&idot, &code))| prefix.may_reach(idot, code, bar));
+                    offsets.extend(reaching.map(|(row, _)| row));
+                    work.screened += (dots.len() - offsets.len()) as u64;
+                    rows_dots.clear();
+                    for &row in offsets.iter() {
+                        let suffix = suffixes.dot(sub, row, qs.qcodes())?;
+                        rows_dots.push(dots[row as usize] + suffix);
+                    }
+                    &rows_dots[..]
+                }
+                None => dots,
             };
             let bound = ScreenBound::new(vq, qs);
             screen::walk(dots.len(), Some((dots, &bound)), floor, top, work, |i| {
@@ -1054,36 +1054,6 @@ impl ProMips {
         work.screened += unvisited;
         Ok(())
     }
-}
-
-/// The share of sub-partitions past which the staged walk would cost more
-/// than a sweep of the suffix column (module docs, "The prefix bound").
-/// Measured on `lf300` (100 000 rows, 64-byte heads, 1 148 sub-partitions;
-/// 2-core VM): a staged query costs ≈ 300 µs plus ≈ 1 µs a visited
-/// sub-partition, the suffix sweep with its rekeying ≈ 250 µs, so the walk
-/// pays up to ≈ 200–250 visits. The sub-partitions whose prefix bound
-/// reaches the k-th largest lower bound on their best rows are 3–5 times
-/// the ones the walk visits; past this share it would visit ≈ 200 or more.
-/// Alternating `lf300_hot` pairs put `query_p95_us` at +13 to +16 % over
-/// one column with 0.65, +21 % with 0.75. Not a configuration field.
-pub const SUFFIX_SWEEP_SHARE: f64 = 0.65;
-
-/// Whether the staged walk would visit more than [`SUFFIX_SWEEP_SHARE`] of
-/// the sub-partitions, judged before it starts: `lowers` (reordered) holds
-/// each one's lower bound on its best row, so the k-th largest bounds the
-/// k-th best row from below — nothing is scored — and every key at or
-/// above it (or above `floor`) may be visited.
-fn walk_is_long(
-    order: &BinaryHeap<(u64, Reverse<u32>, usize)>,
-    lowers: &mut [f64],
-    k: usize,
-    floor: f64,
-) -> bool {
-    let at = k.clamp(1, lowers.len()) - 1;
-    let (_, &mut kth, _) = lowers.select_nth_unstable_by(at, |a, b| b.total_cmp(a));
-    let bar = kth.max(floor);
-    let above = order.iter().filter(|e| from_order_key(e.0) >= bar).count();
-    above as f64 > SUFFIX_SWEEP_SHARE * order.len() as f64
 }
 
 /// An order-preserving `u64` of a finite `x` (`total_cmp` order): the

@@ -338,8 +338,8 @@ fn a_clustered_dataset_stays_on_the_annulus_path_though_the_pass_reads_less() {
 }
 
 /// A head column is swept by its 32-byte prefixes; the suffixes are read
-/// only for the rows of the visited sub-partitions that the prefix bound
-/// leaves in. Items are the exact top-k unmasked, masked and at a floor at
+/// only for the rows of the visited sub-partitions that their own prefix
+/// bound (prefix dot and suffix-norm code) leaves in. Items are the exact top-k unmasked, masked and at a floor at
 /// the exact k-th, and a whole pass — its scored rows' ids and f32 rows
 /// included — reads fewer pages than the code column alone used to.
 #[test]
@@ -430,7 +430,9 @@ fn head_and_full_width_columns_answer_exactly() {
         assert_eq!(idist.head().is_some(), head, "{what}");
         let width = if head { 64 } else { d };
         assert_eq!(idist.code_width(), width, "{what}");
-        assert_eq!(idist.vquant_region().unwrap().1, (n * width) as u64);
+        // A head's row is its codes and its suffix-norm code.
+        let row_bytes = width + head as usize;
+        assert_eq!(idist.vquant_region().unwrap().1, (n * row_bytes) as u64);
         if what == "heavy-residual rows" {
             let tails = idist.vquants().iter().map(|vq| vq.tail);
             assert!(tails.clone().any(|t| t > 5.0), "{what}: none left outside");

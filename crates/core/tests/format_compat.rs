@@ -249,8 +249,12 @@ fn a_damaged_footer_or_aux_blob_is_invalid_data_not_a_panic() {
 /// of every file before heads were split into two columns, and still of
 /// every file without a head.
 const FULL_WIDTH_MAGIC: [u8; 8] = 0x1D15_7A4C_E01D_F009u64.to_le_bytes();
-/// The magic of a head split into a prefix and a suffix column.
-const HEAD_MAGIC: [u8; 8] = 0x1D15_7A4C_E01D_F00Au64.to_le_bytes();
+/// The magic of a head split into a prefix, a suffix and a suffix-norm
+/// code column.
+const HEAD_MAGIC: [u8; 8] = 0x1D15_7A4C_E01D_F00Bu64.to_le_bytes();
+/// The magic of the format before it: a prefix and a suffix column, no
+/// suffix-norm codes.
+const TWO_COLUMN_HEAD_MAGIC: [u8; 8] = 0x1D15_7A4C_E01D_F00Au64.to_le_bytes();
 
 /// A build without a head basis keeps the one column and the magic it had
 /// before heads were split — its bytes are the previous format's — and a
@@ -275,7 +279,7 @@ fn a_full_width_build_keeps_the_previous_format() {
     let path = dir.join("full.pmx");
     let bytes = std::fs::read(&path).unwrap();
     let holds = |magic: &[u8]| bytes.windows(8).any(|w| w == magic);
-    assert!(holds(&FULL_WIDTH_MAGIC) && !holds(&HEAD_MAGIC));
+    assert!(holds(&FULL_WIDTH_MAGIC) && !holds(&HEAD_MAGIC) && !holds(&TWO_COLUMN_HEAD_MAGIC));
     let claimed = patched(&path, &FULL_WIDTH_MAGIC, &HEAD_MAGIC);
     let err = open_error(&dir.join("bad.pmx"), claimed, page_size);
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
@@ -317,6 +321,14 @@ fn a_head_column_roundtrips_bit_for_bit_and_a_wrong_shape_is_refused() {
     assert_eq!(norms(got), norms(built));
     assert!(got.vquants().iter().all(|vq| vq.suffix_norm > 0.0));
     assert_eq!(got.prefix_width(), 32);
+    // Three columns, and the suffix-norm codes read back as built.
+    assert_eq!(got.vquant_region().unwrap().1, (data.rows() * 65) as u64);
+    let codes = |idx: &promips_idistance::IDistanceIndex| {
+        let mut codes = Vec::new();
+        idx.suffix_norm_codes(&mut codes).unwrap();
+        codes
+    };
+    assert_eq!(codes(got), codes(built));
 
     // Both sides of the rule answer as the fresh build does.
     let mut rng = Xoshiro256pp::seed_from_u64(58);
@@ -364,8 +376,13 @@ fn a_head_column_roundtrips_bit_for_bit_and_a_wrong_shape_is_refused() {
         ("region length", patched(&path, &region, &wrong_region)),
         // A head under the magic of one interleaved head column.
         (
-            "the parent's magic",
+            "the full-width magic",
             patched(&path, &HEAD_MAGIC, &FULL_WIDTH_MAGIC),
+        ),
+        // A head under the magic of two columns without norm codes.
+        (
+            "the two-column magic",
+            patched(&path, &HEAD_MAGIC, &TWO_COLUMN_HEAD_MAGIC),
         ),
     ] {
         let err = open_error(&dir.join("bad.pmx"), bytes, page_size);

@@ -8,20 +8,25 @@
 //! coordinate, `k` = 10. Every query takes the column pass.
 //!
 //! **The staged walk.** Per query the replay sweeps the prefix column
-//! (`IDistanceIndex::column_dots`), orders the sub-partitions by their
-//! prefix bound at their largest prefix dot (`ScreenBound::prefix`), and
-//! visits them best first until the next bound falls below the running
-//! k-th. In a visited sub-partition the rows the prefix bound leaves in get
-//! their suffix dot (one `IDistanceIndex::suffix_cursor` a query, whose
-//! logical page reads are counted here), and the whole dots go through
-//! `screen::walk` under the sub-partition's `ScreenBound`, survivors scored
-//! by the single-row `dot`. That is the engine's pass step for step: the
-//! replay's items must equal `execute`'s, and so must `verified` and
-//! `screened` on every query the engine walks staged. It also makes the
-//! engine's choice before the walk (`SUFFIX_SWEEP_SHARE`): a query whose
-//! walk would be long sweeps the suffix column instead. It prints how many
-//! do, and, per query, the sub-partitions the staged walk visits, the rows
-//! given their suffix and the suffix pages read.
+//! (`IDistanceIndex::column_dots`), reads the suffix-norm codes
+//! (`IDistanceIndex::suffix_norm_codes`), keys each sub-partition by its
+//! prefix bound at its largest prefix dot and code 255
+//! (`PrefixBound::upper`), and pops best first until the next key falls
+//! below the running k-th. A sub-partition popped the first time is
+//! **refined**: keyed again by its best row's own bound (`PrefixBound::best`)
+//! and visited only if that still reaches the k-th and heads the heap,
+//! else pushed back. In a visited sub-partition the rows whose own prefix
+//! bound reaches the k-th get their suffix dot (one
+//! `IDistanceIndex::suffix_cursor` a query, whose logical page reads are
+//! counted here), and the whole dots go through `screen::walk` under the
+//! sub-partition's `ScreenBound`, survivors scored by the single-row `dot`.
+//! That is the engine's pass step for step: the replay's items, `verified`
+//! and `screened` must equal `execute`'s on every query. It prints, per
+//! query, the sub-partitions visited, the refinements, the rows given their
+//! suffix and the suffix pages read; and how many queries the rule this
+//! walk replaced would have sent to a sweep of the suffix column (more
+//! than 0.65 of the keys, at code 255, reaching the `k`-th largest lower
+//! bound on a sub-partition's best row).
 //!
 //! **Skips that read no code.** For each sub-partition, three upper bounds
 //! on `⟨o, q⟩` that need no code byte of the query's: the **norm**
@@ -37,12 +42,14 @@
 //! cargo test --release -p promips_core --test staged_screen_replay -- --ignored --nocapture
 //! ```
 
-use promips_core::screen::{self, QueryScreen, ScreenBound};
-use promips_core::search::SUFFIX_SWEEP_SHARE;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use promips_core::screen::{self, PrefixBound, QueryScreen, ScreenBound};
 use promips_core::{ProMips, ProMipsConfig, Query, SearchScratch, TopK};
 use promips_data::gen::latent_factor;
 use promips_idistance::ProjScratch;
-use promips_linalg::{dot, sq_norm2};
+use promips_linalg::{dot, max_i32, sq_norm2};
 use promips_obs::ShardSpan;
 use promips_stats::Xoshiro256pp;
 
@@ -118,6 +125,29 @@ impl SubBounds {
     }
 }
 
+/// The share of keys past which the rule this walk replaced swept the
+/// suffix column.
+const OLD_SWEEP_SHARE: f64 = 0.65;
+
+/// The engine's heap key: an order-preserving `u64` of `x`.
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// The `x` of [`order_key`].
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
 fn percentile(values: &mut [u64], p: f64) -> u64 {
     values.sort_unstable();
     values[((values.len() - 1) as f64 * p).round() as usize]
@@ -159,10 +189,12 @@ fn staged_walk_and_code_free_skips_on_the_lf300_shape() {
     }
 
     let mut rng = Xoshiro256pp::seed_from_u64(QUERY_SEED);
-    let (mut visited, mut suffix_rows, mut suffix_pages) = (vec![], vec![], vec![]);
+    let (mut visited, mut refined, mut suffix_rows, mut suffix_pages) =
+        (vec![], vec![], vec![], vec![]);
     let (mut visited_rows, mut kept_rows, mut swept) = (0usize, [0usize; 3], 0);
     let (mut qs, mut search) = (QueryScreen::default(), SearchScratch::new());
-    let (mut prefix, mut suffix, mut offsets) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut prefix, mut codes, mut suffix, mut offsets) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for _ in 0..QUERIES {
         let near = data.row(rng.below(n as u64) as usize);
         let q: Vec<f32> = near
@@ -182,44 +214,67 @@ fn staged_walk_and_code_free_skips_on_the_lf300_shape() {
         idist
             .column_dots(qs.qcodes(), &mut prefix, || Ok(()))
             .unwrap();
+        idist.suffix_norm_codes(&mut codes).unwrap();
         let (mut order, mut lowers) = (Vec::new(), Vec::new());
         let mut first = 0;
-        for (sub, (sp, vq)) in subparts.iter().zip(vquants).enumerate() {
+        for (sub, (sp, vq)) in (0u32..).zip(subparts.iter().zip(vquants)) {
             let dots = &prefix[first..first + sp.count as usize];
-            let (bound, best) = (ScreenBound::prefix(vq, &qs), screen::max_dot(dots));
-            order.push((bound.upper(best), sub, first));
-            lowers.push(bound.lower(best));
+            let (bound, best) = (PrefixBound::new(vq, &qs), max_i32(dots));
+            order.push((
+                order_key(bound.upper(best, u8::MAX)),
+                Reverse(sub),
+                first,
+                false,
+            ));
+            lowers.push(bound.lower(best, u8::MAX));
             first += dots.len();
         }
-        // The engine's choice: the k-th largest lower bound against the keys.
+        // The replaced rule: the k-th largest lower bound against the keys.
         lowers.sort_by(|a, b| b.total_cmp(a));
-        let reaching = order.iter().filter(|o| o.0 >= lowers[K - 1]).count();
-        let sweeps_suffixes = reaching as f64 > SUFFIX_SWEEP_SHARE * order.len() as f64;
-        swept += sweeps_suffixes as usize;
-        order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        let reaching = order
+            .iter()
+            .filter(|o| from_order_key(o.0) >= lowers[K - 1])
+            .count();
+        swept += (reaching as f64 > OLD_SWEEP_SHARE * order.len() as f64) as usize;
+        let mut order = BinaryHeap::from(order);
         let (mut top, mut span) = (TopK::new(K), ShardSpan::default());
-        let (mut subs_seen, mut rows_seen, mut rows_suffixed, mut pages) = (0, 0, 0, 0);
+        let (mut subs_seen, mut refinements, mut rows_seen) = (0, 0, 0);
+        let (mut rows_suffixed, mut pages) = (0, 0);
         let mut suffixes = idist.suffix_cursor();
-        for &(upper, sub, first) in &order {
+        while let Some((key, Reverse(sub), first, is_refined)) = order.pop() {
             let bar = top.kth_ip();
-            if upper < bar {
+            if from_order_key(key) < bar {
                 break;
             }
-            let vq = &vquants[sub];
-            let dots = &prefix[first..first + subparts[sub].count as usize];
-            let bound = ScreenBound::prefix(vq, &qs);
+            let vq = &vquants[sub as usize];
+            let rows = first..first + subparts[sub as usize].count as usize;
+            let (dots, codes) = (&prefix[rows.clone()], &codes[rows]);
+            let bound = PrefixBound::new(vq, &qs);
+            if !is_refined {
+                refinements += 1;
+                let entry = (
+                    order_key(bound.best(dots, codes)),
+                    Reverse(sub),
+                    first,
+                    true,
+                );
+                if from_order_key(entry.0) < bar || order.peek().is_some_and(|e| *e > entry) {
+                    order.push(entry);
+                    continue;
+                }
+            }
             offsets.clear();
             offsets.extend(
                 (0u32..)
-                    .zip(dots)
-                    .filter(|&(_, &p)| bound.may_reach(p, bar))
+                    .zip(dots.iter().zip(codes))
+                    .filter(|&(_, (&p, &c))| bound.may_reach(p, c, bar))
                     .map(|(o, _)| o),
             );
             span.screened += (dots.len() - offsets.len()) as u64;
             let before = idist.access_stats();
             suffix.clear();
             for &o in &offsets {
-                suffix.push(dots[o as usize] + suffixes.dot(sub as u32, o, qs.qcodes()).unwrap());
+                suffix.push(dots[o as usize] + suffixes.dot(sub, o, qs.qcodes()).unwrap());
             }
             pages += idist.access_stats().delta_since(&before).logical_reads;
             let whole = ScreenBound::new(vq, &qs);
@@ -244,13 +299,12 @@ fn staged_walk_and_code_free_skips_on_the_lf300_shape() {
             res.items,
             "the replay is the engine's pass"
         );
-        if !sweeps_suffixes {
-            assert_eq!(
-                (span.verified, span.screened),
-                (res.verified as u64, res.screened as u64)
-            );
-        }
+        assert_eq!(
+            (span.verified, span.screened),
+            (res.verified as u64, res.screened as u64)
+        );
         visited.push(subs_seen as u64);
+        refined.push(refinements as u64);
         suffix_rows.push(rows_suffixed as u64);
         suffix_pages.push(pages);
         visited_rows += rows_seen;
@@ -270,11 +324,12 @@ fn staged_walk_and_code_free_skips_on_the_lf300_shape() {
 
     let share = |rows: usize| 100.0 * rows as f64 / (n * QUERIES) as f64;
     println!(
-        "{swept} of {QUERIES} queries sweep the suffix column instead; the staged walk \
-         would have, per query (p50 / p95 / mean over all {QUERIES}):"
+        "{swept} of {QUERIES} queries the replaced rule would have sent to a suffix sweep; \
+         the staged walk, per query (p50 / p95 / mean over all {QUERIES}):"
     );
     for (what, values) in [
         ("sub-partitions visited", &mut visited),
+        ("sub-partitions refined", &mut refined),
         ("rows given their suffix", &mut suffix_rows),
         ("suffix pages read", &mut suffix_pages),
     ] {

@@ -9,7 +9,7 @@ use std::io;
 use promips_core::screen::{self, QueryScreen, ScreenBound};
 use promips_core::{SearchItem, TopK};
 use promips_idistance::build::sq8_encode;
-use promips_linalg::{dot, dot_col_i8, sq_norm2};
+use promips_linalg::{dot, dot_col_i8, max_i32, sq_norm2};
 use promips_obs::ShardSpan;
 use promips_stats::Xoshiro256pp;
 use proptest::prelude::*;
@@ -139,7 +139,7 @@ fn walk_rules_a_block_out_whole() {
     let mut full = TopK::new(2);
     full.push(1_000, 1e9);
     full.push(1_001, 1e9);
-    let above = block.bound.upper(screen::max_dot(&block.dots)) + 1e-6;
+    let above = block.bound.upper(max_i32(&block.dots)) + 1e-6;
     for (mut top, floor) in [(full, f64::NEG_INFINITY), (TopK::new(2), above)] {
         let before = bits(&top.clone().into_items());
         let mut span = ShardSpan::default();

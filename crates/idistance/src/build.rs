@@ -13,11 +13,11 @@ use std::sync::Arc;
 
 use promips_btree::BTree;
 use promips_cluster::{kmeans, KMeansConfig};
-use promips_linalg::{dist, Matrix};
+use promips_linalg::{dist, sq_norm2, Matrix};
 use promips_storage::Pager;
 
 use crate::config::IDistanceConfig;
-use crate::head::HeadBasis;
+use crate::head::{suffix_code, HeadBasis};
 use crate::index::IDistanceIndex;
 use crate::layout::RegionWriter;
 use crate::meta::{OrigQuant, PartitionMeta, SubPartMeta, SubPartQuant};
@@ -187,10 +187,11 @@ pub fn build_index(
     // over the coded rows `x`, and for a head max ‖o − Vᵀ(Vo)‖ and the
     // largest norm of a head's suffix. Heads are projected one sub-partition at a time, as one
     // blocked `rows · Vᵀ`: the only transients are that sub-partition's rows
-    // and heads. A head's codes are two columns, every row's prefix then
-    // every row's suffix ([`IDistanceIndex`]'s layout): the prefixes stream
-    // out as they are coded, the suffixes wait in memory — `h/2` bytes a
-    // row — and follow them.
+    // and heads. A head's codes are three columns ([`IDistanceIndex`]'s
+    // layout): every row's prefix, every row's suffix, then every row's
+    // suffix-norm code ([`suffix_code`], from the heads already projected).
+    // The prefixes stream out as they are coded; the suffixes and the
+    // norm codes wait in memory — `h/2 + 1` bytes a row — and follow them.
     let mut vquants: Vec<OrigQuant> = Vec::new();
     let mut vquant_region = None;
     if config.verify_quantize {
@@ -200,6 +201,7 @@ pub fn build_index(
             head.as_ref()
                 .map_or(0, |basis| n * (basis.width() - basis.prefix_width())),
         );
+        let mut norm_codes = Vec::with_capacity(if head.is_some() { n } else { 0 });
         for def in &defs {
             let rows = orig.gather(&def.ids);
             let (coded, bounds) = match &head {
@@ -208,20 +210,21 @@ pub fn build_index(
             };
             let w = coded.cols();
             let q = sq8_encode(coded.as_slice(), w, &mut codes);
+            // Rounded up into f32 like the bounds of `sq8_encode`.
+            let [tail, suffix_norm] = bounds.map(|t| (t * (1.0 + 1e-6)) as f32);
             let off = match &head {
                 Some(basis) => {
                     let p = basis.prefix_width();
                     let off = writer.position();
-                    for row in codes.chunks_exact(w) {
+                    for (row, a) in codes.chunks_exact(w).zip(coded.iter_rows()) {
                         writer.append(&row[..p])?;
                         suffixes.extend_from_slice(&row[p..]);
+                        norm_codes.push(suffix_code(sq_norm2(&a[p..]).sqrt(), suffix_norm));
                     }
                     off
                 }
                 None => writer.append(&codes)?,
             };
-            // Rounded up into f32 like the bounds of `sq8_encode`.
-            let [tail, suffix_norm] = bounds.map(|t| (t * (1.0 + 1e-6)) as f32);
             vquants.push(OrigQuant {
                 off,
                 tail,
@@ -230,7 +233,8 @@ pub fn build_index(
             });
         }
         // A page at a time, so the writer's buffer stays one run long.
-        for page in suffixes.chunks(pager.page_size()) {
+        let ps = pager.page_size();
+        for page in suffixes.chunks(ps).chain(norm_codes.chunks(ps)) {
             writer.append(page)?;
         }
         vquant_region = Some(writer.finish()?);

@@ -33,8 +33,10 @@
 //! The column sweep reads the codes of the **prefix** `a_p`, the first
 //! `h/2` head coordinates ([`HeadBasis::prefix_width`]), alone. What they
 //! leave out of `⟨a, b⟩` is `⟨a_s, b_s⟩ ≤ ‖a_s‖·‖b_s‖` over the suffix
-//! coordinates, so a sub-partition also stores the largest `‖a_s‖`, and
-//! the rest of the bound is the head's own.
+//! coordinates, so a sub-partition also stores the largest `‖a_s‖`,
+//! `suffix_norm`, and each row one byte, its **suffix-norm code**
+//! ([`suffix_code`]): `code·suffix_norm/255 ≥ ‖a_s‖`. The rest of the bound
+//! is the head's own.
 //!
 //! # Choosing the width
 //!
@@ -219,6 +221,25 @@ impl HeadBasis {
         let v = Matrix::from_vec(h, d, enc::get_f32s(buf, pos, len));
         Ok(Self { v, defect })
     }
+}
+
+/// A row's **suffix-norm code**: the smallest `code ≤ 255` with
+/// `code·suffix_norm/255 ≥ norm` in `f64`, where `norm` is the row's
+/// `‖a_s‖` and `suffix_norm` its sub-partition's stored bound (at least
+/// every row's `norm`, so code 255 always qualifies). The division's
+/// estimate is checked and stepped up, so the stored byte bounds the norm
+/// whatever the rounding of the estimate.
+pub fn suffix_code(norm: f64, suffix_norm: f32) -> u8 {
+    let bound = suffix_norm as f64;
+    debug_assert!(norm <= bound, "{norm} > {bound}");
+    if norm <= 0.0 {
+        return 0;
+    }
+    let mut code = (255.0 * norm / bound).ceil().min(255.0) as u8;
+    while code < u8::MAX && code as f64 * bound / 255.0 < norm {
+        code += 1;
+    }
+    code
 }
 
 #[cfg(test)]

@@ -28,11 +28,13 @@ const FOOTER_MAGIC: u64 = 0x1D15_7A4C_E01D_F009;
 /// footer, and a directory blob that ends with the [`HeadBasis`] (width
 /// `h`, defect `δ`, the `h·d` basis floats behind their count) and two
 /// bounds per sub-partition, `tail` and `suffix_norm`. The code region
-/// is two columns of `h/2`-byte rows, each in storage order: every row's
-/// prefix (codes `0..h/2`), then every row's suffix (`h/2..h`). A head
-/// under [`FOOTER_MAGIC`] — one column of whole heads, no suffix norms — is
-/// refused, as is this magic without a head.
-const HEAD_FOOTER_MAGIC: u64 = 0x1D15_7A4C_E01D_F00A;
+/// is three columns, each in storage order: every row's prefix (codes
+/// `0..h/2`), every row's suffix (`h/2..h`), then every row's one-byte
+/// suffix-norm code ([`crate::head::suffix_code`]) — `n·(h + 1)` bytes. A
+/// head under [`FOOTER_MAGIC`] — one column of whole heads, no suffix
+/// norms — is refused, as is this magic without a head; so is `…F00A`,
+/// the two columns without the norm codes, by being neither magic.
+const HEAD_FOOTER_MAGIC: u64 = 0x1D15_7A4C_E01D_F00B;
 
 /// Sentinel start-page marking an absent region (a real region can never
 /// start there: the file would exceed every address space).
@@ -1173,56 +1175,26 @@ impl IDistanceIndex {
         &self,
         qcodes: &[i8],
         dots: &mut Vec<i32>,
-        tick: impl FnMut() -> io::Result<()>,
-    ) -> io::Result<()> {
-        assert_eq!(
-            qcodes.len(),
-            self.code_width(),
-            "quantized query has wrong dimension"
-        );
-        self.sweep(0, &qcodes[..self.prefix_width()], dots, tick)
-    }
-
-    /// [`Self::column_dots`] over a head's suffix column: every row's dot
-    /// over codes `h/2..h` against `qcodes[h/2..]`, which with the prefix
-    /// sweep's makes the whole row's. The pass takes it in place of its
-    /// staged walk's single suffix reads when those would cost more.
-    ///
-    /// # Panics
-    /// As [`Self::column_dots`], and if the codes are not heads.
-    pub fn suffix_column_dots(
-        &self,
-        qcodes: &[i8],
-        dots: &mut Vec<i32>,
-        tick: impl FnMut() -> io::Result<()>,
-    ) -> io::Result<()> {
-        let (w, p) = (self.code_width(), self.prefix_width());
-        assert_eq!(qcodes.len(), w, "quantized query has wrong dimension");
-        assert!(p < w, "suffix_column_dots requires head codes");
-        self.sweep(self.suffix_base(), &qcodes[p..], dots, tick)
-    }
-
-    /// The sweep of the code column that starts at region byte `column`,
-    /// its rows `qcodes.len()` bytes ([`Self::column_dots`]).
-    fn sweep(
-        &self,
-        column: usize,
-        qcodes: &[i8],
-        dots: &mut Vec<i32>,
         mut tick: impl FnMut() -> io::Result<()>,
     ) -> io::Result<()> {
         let (start, _) = self
             .vquant_region
             .expect("column_dots requires the verification tier");
+        assert_eq!(
+            qcodes.len(),
+            self.code_width(),
+            "quantized query has wrong dimension"
+        );
+        let qcodes = &qcodes[..self.prefix_width()];
         let (w, n) = (qcodes.len(), self.n_points as usize);
         dots.clear();
         dots.reserve(n);
-        let mut pages = PageCursor::sweep(&self.pager, (start, (column + n * w) as u64));
+        let mut pages = PageCursor::sweep(&self.pager, (start, (n * w) as u64));
         let ps = pages.ps;
         let mut row = 0;
         while row < n {
             tick()?;
-            let start = column + row * w;
+            let start = row * w;
             let page_lo = start / ps * ps;
             let run = ((page_lo + ps - start) / w).min(n - row);
             if run == 0 {
@@ -1237,6 +1209,30 @@ impl IDistanceIndex {
             row += run;
         }
         Ok(())
+    }
+
+    /// Reads a head index's **suffix-norm code** column — one byte a row,
+    /// [`crate::head::suffix_code`], past the suffix column — into `codes`
+    /// (cleared first): row `i`'s code at `codes[i]`, rows numbered as
+    /// [`Self::column_dots`] numbers them. Read like the sweep, up to the
+    /// pool's stripe count of pages per [`Pager::read_run`], every page
+    /// once.
+    ///
+    /// # Panics
+    /// If the index has no verification tier or its codes are not heads.
+    pub fn suffix_norm_codes(&self, codes: &mut Vec<u8>) -> io::Result<()> {
+        let (start, _) = self
+            .vquant_region
+            .expect("suffix_norm_codes requires the verification tier");
+        assert!(
+            self.prefix_width() < self.code_width(),
+            "suffix_norm_codes requires head codes"
+        );
+        let n = self.n_points as usize;
+        let column = n * self.code_width();
+        codes.clear();
+        PageCursor::sweep(&self.pager, (start, (column + n) as u64))
+            .walk(column, n, |chunk| codes.extend_from_slice(chunk))
     }
 
     /// Rows held by the sub-partitions whose pivot sphere meets the ball of
@@ -1425,9 +1421,12 @@ impl IDistanceIndex {
                 "the footer magic and the directory disagree on a head column",
             ));
         }
-        let width = head.as_ref().map_or(d, HeadBasis::width) as u64;
+        // A head's row is its codes and its suffix-norm code.
+        let width = head.as_ref().map_or(d, |basis| basis.width() + 1) as u64;
         if vquant_region.is_some_and(|(_, len)| len != n_points * width) {
-            return Err(bad("verification code region length disagrees with n·h"));
+            return Err(bad(
+                "verification code region length disagrees with n·(h + 1)",
+            ));
         }
 
         let tree = BTree::open(Arc::clone(&pager), tree_root, tree_height, tree_len);

@@ -42,9 +42,12 @@
 //! then also carries `tail`, the largest `‖o − Vᵀ(Vo)‖` among its rows,
 //! which is what lets the screen bound the coordinates it never reads, and
 //! `suffix_norm`, the largest norm of a head's second half. A head's codes
-//! are two columns of `h/2`-byte rows in the one region: every row's
-//! prefix (codes `0..h/2`), then every row's suffix — the column pass
-//! sweeps the first and reads the second only where its walk looks.
+//! are three columns in the one region: every row's `h/2`-byte prefix
+//! (codes `0..h/2`), every row's `h/2`-byte suffix, then every row's
+//! one-byte **suffix-norm code** `⌈255·‖(Vo)_{h/2..h}‖/suffix_norm⌉`
+//! ([`head::suffix_code`]) — `n·(h + 1)` bytes. The column pass sweeps the
+//! prefixes, reads the norm codes whole to bound each row by its own
+//! suffix norm, and reads a suffix only where its walk looks.
 //!
 //! The directory blob holds the partition and sub-partition metadata, the
 //! scan quantizers, the verification region `(start page, byte length)`
@@ -54,9 +57,10 @@
 //! length `h·d: u32`, the `h·d` basis floats, and `tail: f32` and
 //! `suffix_norm: f32` per sub-partition; the footer's magic says which
 //! ([`IDistanceIndex::open`] refuses a head under the magic of the one
-//! interleaved head column that came before). `open` refuses a basis whose
-//! length disagrees with `d·h` and a code region whose length disagrees
-//! with `n·w`.
+//! interleaved head column that came before, and the magic of the two
+//! columns without norm codes). `open` refuses a basis whose length
+//! disagrees with `d·h` and a code region whose length disagrees with
+//! `n·d`, or `n·(h + 1)` for heads.
 //!
 //! Two search primitives are exposed:
 //! * [`IDistanceIndex::range_candidates`] — annulus range search in the

@@ -130,8 +130,9 @@ pub struct OrigQuant {
     pub tail: f32,
     /// Upper bound on any member's **suffix norm** `‖(Vo)_{h/2..h}‖`, the
     /// head coordinates past its prefix ([`crate::HeadBasis::prefix_width`]),
-    /// stored and rounded like `tail`: with `tail` it bounds what the prefix
-    /// column leaves out; 0 for full-width codes.
+    /// stored and rounded like `tail`: the unit of the rows' suffix-norm
+    /// codes ([`crate::head::suffix_code`]), which with `tail` bound what
+    /// the prefix column leaves out; 0 for full-width codes.
     pub suffix_norm: f32,
 }
 

@@ -372,8 +372,9 @@ fn head_rows_fill_pages_exactly_and_each_page_is_read_once() {
     let idx = build_over(&low_rank(n, d, 48, 0.0, 21), 4_096, 22);
     assert_eq!((idx.code_width(), idx.prefix_width()), (64, 32));
     assert_eq!(idx.head().map(|basis| basis.rows().cols()), Some(d));
+    // The two code columns, then a byte a row of suffix-norm codes.
     let (_, region_bytes) = idx.vquant_region().unwrap();
-    assert_eq!(region_bytes, (n * 64) as u64);
+    assert_eq!(region_bytes, (n * 65) as u64);
     let pages = (n * 32).div_ceil(4_096) as u64;
     assert_eq!(prefix_pages(&idx), pages);
 
@@ -454,6 +455,63 @@ fn prefix_plus_suffix_is_the_whole_row_and_each_suffix_page_is_read_once() {
             }
             first += count as usize;
         }
+    }
+}
+
+/// Each head row's suffix-norm code bounds its own suffix norm,
+/// `code·suffix_norm/255 ≥ ‖(Vo)_{h/2..h}‖` with the norm computed here from
+/// the row the long way, and is the smallest byte that does; the largest
+/// row of a sub-partition gets 255, most rows less. `suffix_norm_codes`
+/// returns the bytes of the column past the suffixes, reading each page it
+/// spans once: at 4 KB pages the column starts on a page boundary, at 64,
+/// 70 and 130 bytes mid-page.
+#[test]
+fn suffix_norm_codes_bound_each_row_and_are_read_once() {
+    let orig = low_rank(700, 160, 20, 0.3, 61);
+    for page_size in COLUMN_PAGE_SIZES {
+        let idx = build_over(&orig, page_size, 62);
+        let basis = idx.head().expect("rank-20 rows get a head");
+        let (n, w) = (idx.len() as usize, idx.code_width());
+        let (start, len) = idx.vquant_region().unwrap();
+        assert_eq!(len, (n * (w + 1)) as u64, "ps={page_size}");
+
+        idx.pager().stats().reset();
+        let mut codes = Vec::new();
+        idx.suffix_norm_codes(&mut codes).unwrap();
+        let pages = ((n * w + n - 1) / page_size - n * w / page_size + 1) as u64;
+        assert_eq!(idx.access_stats().logical_reads, pages, "ps={page_size}");
+        let slow = read_blob_range(idx.pager(), start, n * w, n).unwrap();
+        assert_eq!(codes, slow, "ps={page_size}");
+
+        let mut scratch = ProjScratch::new();
+        let mut head = vec![0.0f32; w];
+        let mut rows = codes.iter();
+        for sub in 0..idx.subparts().len() as u32 {
+            let unit = idx.vquants()[sub as usize].suffix_norm as f64 / 255.0;
+            idx.read_subpart_proj_into(sub, &mut scratch).unwrap();
+            let mut top = 0;
+            for &id in scratch.ids() {
+                basis.project(orig.row(id as usize), &mut head);
+                let suffix = head[w / 2..].iter().map(|&a| a as f64 * a as f64);
+                let norm = suffix.sum::<f64>().sqrt();
+                let code = *rows.next().unwrap();
+                assert!(
+                    code as f64 * unit >= norm,
+                    "ps={page_size} sub={sub} id={id}"
+                );
+                if code > 0 {
+                    let less = (code - 1) as f64 * unit;
+                    assert!(
+                        less < norm * (1.0 + 1e-9),
+                        "ps={page_size} id={id}: not the least"
+                    );
+                }
+                top = top.max(code);
+            }
+            assert_eq!(top, u8::MAX, "ps={page_size} sub={sub}");
+        }
+        let mean = codes.iter().map(|&c| c as f64).sum::<f64>() / n as f64;
+        assert!(mean < 200.0, "ps={page_size}: mean code {mean}");
     }
 }
 

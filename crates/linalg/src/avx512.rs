@@ -699,6 +699,29 @@ unsafe fn dot_col_i8_vnni_body(rows: &[u8], w: usize, q: &[i8], out: &mut [i32])
     })
 }
 
+/// # Safety
+/// Requires avx512f.
+#[target_feature(enable = "avx512f")]
+unsafe fn max_i32_body(v: &[i32]) -> i32 {
+    let (n, p) = (v.len(), v.as_ptr());
+    let load = |i: usize| _mm512_loadu_si512(p.add(i) as *const __m512i);
+    let (mut m0, mut m1) = (_mm512_set1_epi32(i32::MIN), _mm512_set1_epi32(i32::MIN));
+    let mut i = 0;
+    while i + 32 <= n {
+        m0 = _mm512_max_epi32(m0, load(i));
+        m1 = _mm512_max_epi32(m1, load(i + 16));
+        i += 32;
+    }
+    if i + 16 <= n {
+        m0 = _mm512_max_epi32(m0, load(i));
+        i += 16;
+    }
+    // The last one to fifteen under a mask; the masked-off lanes keep MIN.
+    let live = ((1u32 << (n - i)) - 1) as __mmask16;
+    m1 = _mm512_max_epi32(m1, _mm512_mask_loadu_epi32(m1, live, p.add(i)));
+    _mm512_reduce_max_epi32(_mm512_max_epi32(m0, m1))
+}
+
 // Safe wrappers installed into the dispatch table. Soundness: the table
 // selects these only after runtime detection of avx512f (see
 // `dispatch::select`); the i8 wrappers additionally require avx512bw and
@@ -792,4 +815,8 @@ pub(crate) fn dot_col_i8_vnni(rows: &[u8], w: usize, q: &[i8], out: &mut [i32]) 
         _ if col_lines(w) => unsafe { dot_col_i8_vnni_body(rows, w, q, out) },
         _ => col_long(rows, w, q, out, dot4_i8_vnni),
     }
+}
+
+pub(crate) fn max_i32(v: &[i32]) -> i32 {
+    unsafe { max_i32_body(v) }
 }

@@ -30,6 +30,8 @@
 //! | verification, one `d`-long f32 row         | `dot`: widened `f64` FMA lanes |
 //! | `matvec_into`, exact scanners, f32 rows    | `dot4` over every four rows, `dot` for the rest |
 //! | build, rows × rows (`Matrix::gemm_nt`)     | `dot4x4`: sixteen `dot4`-identical sums per pass over eight rows |
+//! | column pass, one sub-partition's i32 dots  | `max_i32`: `vpmaxsd` over 16 (AVX-512) or 8 (AVX2) lanes, exact |
+//! | column pass, its dots beside their u8 suffix-norm codes | `max_scaled_sum`: the largest `a·dot + b·code`, four `f64` lanes on both x86 tiers, rounded as the scalar body rounds it |
 //!
 //! ## Numerical contract
 //!
@@ -89,6 +91,10 @@ pub type SqDistColI8Fn = fn(&[u8], usize, &[u8], &mut [u32]);
 /// i8 query `q`.
 pub type DotColI8Fn = fn(&[u8], usize, &[i8], &mut [i32]);
 
+/// Signature of the refinement kernel (`max_scaled_sum`): `(x, y, a, b)` —
+/// the largest `a·xᵢ + b·yᵢ`, each product and the sum rounded once.
+pub type MaxScaledSumFn = fn(&[i32], &[u8], f64, f64) -> f64;
+
 /// The dispatch table: one entry per kernel.
 #[derive(Clone, Copy)]
 pub struct Kernels {
@@ -121,6 +127,10 @@ pub struct Kernels {
     pub sq_dist_col_i8: SqDistColI8Fn,
     /// Quantized inner products of a whole u8 code column (u8 × i8).
     pub dot_col_i8: DotColI8Fn,
+    /// The largest of a slice of integer dots.
+    pub max_i32: fn(&[i32]) -> i32,
+    /// The largest `a·xᵢ + b·yᵢ` over i32 × u8 pairs.
+    pub max_scaled_sum: MaxScaledSumFn,
 }
 
 /// The portable table (also the fallback backend).
@@ -139,6 +149,8 @@ pub static SCALAR: Kernels = Kernels {
     sq_dist_col: scalar::sq_dist_col,
     sq_dist_col_i8: scalar::sq_dist_col_i8,
     dot_col_i8: scalar::dot_col_i8,
+    max_i32: scalar::max_i32,
+    max_scaled_sum: scalar::max_scaled_sum,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -157,6 +169,8 @@ static AVX2: Kernels = Kernels {
     sq_dist_col: crate::x86::sq_dist_col,
     sq_dist_col_i8: crate::x86::sq_dist_col_i8,
     dot_col_i8: crate::x86::dot_col_i8,
+    max_i32: crate::x86::max_i32,
+    max_scaled_sum: crate::x86::max_scaled_sum,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -179,6 +193,9 @@ static AVX512: Kernels = Kernels {
     sq_dist_col: crate::avx512::sq_dist_col,
     sq_dist_col_i8: crate::x86::sq_dist_col_i8,
     dot_col_i8: crate::x86::dot_col_i8,
+    max_i32: crate::avx512::max_i32,
+    // Four f64 lanes already outrun the handful of rows it folds a call.
+    max_scaled_sum: crate::x86::max_scaled_sum,
 };
 
 /// The avx512 table with the widest i8 kernels the host supports — BW and

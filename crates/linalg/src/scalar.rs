@@ -351,3 +351,22 @@ pub fn dot_col_i8(rows: &[u8], w: usize, q: &[i8], out: &mut [i32]) {
     check_col_shape(rows.len(), w, q.len(), out.len());
     col_long(rows, w, q, out, dot4_i8)
 }
+
+/// The largest of `v` (`i32::MIN` for an empty slice): one branch-free
+/// fold.
+pub fn max_i32(v: &[i32]) -> i32 {
+    v.iter().fold(i32::MIN, |m, &x| m.max(x))
+}
+
+/// The largest `a·xᵢ + b·yᵢ` over the pairs of `x` and `y` (`-∞` for none),
+/// each product and the sum rounded once in `f64` (no fused multiply-add),
+/// so every backend's body returns the same number for finite `a` and `b`.
+///
+/// # Panics
+/// Panics unless `x.len() == y.len()`.
+pub fn max_scaled_sum(x: &[i32], y: &[u8], a: f64, b: f64) -> f64 {
+    assert_eq!(x.len(), y.len(), "max_scaled_sum: length mismatch");
+    x.iter().zip(y).fold(f64::NEG_INFINITY, |m, (&x, &y)| {
+        m.max(a * x as f64 + b * y as f64)
+    })
+}

@@ -158,6 +158,27 @@ pub fn dot_col_i8(rows: &[u8], w: usize, q: &[i8], out: &mut [i32]) {
     (kernels().dot_col_i8)(rows, w, q, out)
 }
 
+/// The largest of `v` (`i32::MIN` for an empty slice) — the column pass's
+/// fold of one sub-partition's integer dots, `vpmaxsd` on the x86 tiers.
+/// Exact: every backend returns the same number.
+#[inline]
+pub fn max_i32(v: &[i32]) -> i32 {
+    (kernels().max_i32)(v)
+}
+
+/// The largest `a·xᵢ + b·yᵢ` over the pairs of `x` and `y` (`-∞` for none):
+/// the column pass's per-row bound over one sub-partition, its prefix dots
+/// `x` beside their suffix-norm codes `y`. Each product and the sum are
+/// rounded once in `f64` — the bits of `a * x as f64 + b * y as f64` — so
+/// for finite `a` and `b` every backend returns the same number.
+///
+/// # Panics
+/// Panics unless `x.len() == y.len()`.
+#[inline]
+pub fn max_scaled_sum(x: &[i32], y: &[u8], a: f64, b: f64) -> f64 {
+    (kernels().max_scaled_sum)(x, y, a, b)
+}
+
 /// Element-wise difference `a − b` into a fresh vector.
 pub fn sub(a: &[f32], b: &[f32]) -> Vec<f32> {
     debug_assert_eq!(a.len(), b.len());

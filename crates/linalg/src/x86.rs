@@ -531,6 +531,67 @@ unsafe fn dot_i8_body(a: &[u8], b: &[i8]) -> i32 {
     hsum_epi32(acc)
 }
 
+/// # Safety
+/// Requires avx2.
+#[target_feature(enable = "avx2")]
+unsafe fn max_i32_body(v: &[i32]) -> i32 {
+    let n = v.len();
+    if n < 8 {
+        return scalar::max_i32(v);
+    }
+    let p = v.as_ptr();
+    let load = |i: usize| _mm256_loadu_si256(p.add(i) as *const __m256i);
+    let (mut m0, mut m1) = (load(0), load(n - 8));
+    let mut i = 8;
+    while i + 16 <= n {
+        m0 = _mm256_max_epi32(m0, load(i));
+        m1 = _mm256_max_epi32(m1, load(i + 8));
+        i += 16;
+    }
+    if i + 8 <= n {
+        m0 = _mm256_max_epi32(m0, load(i));
+    }
+    // The rest lies inside the last eight, already folded (a max does not
+    // mind seeing a lane twice).
+    let m = _mm256_max_epi32(m0, m1);
+    let m = _mm_max_epi32(_mm256_castsi256_si128(m), _mm256_extracti128_si256::<1>(m));
+    let m = _mm_max_epi32(m, _mm_shuffle_epi32::<0b01_00_11_10>(m));
+    let m = _mm_max_epi32(m, _mm_shuffle_epi32::<0b10_11_00_01>(m));
+    _mm_cvtsi128_si32(m)
+}
+
+/// # Safety
+/// Requires avx2 and `x.len() == y.len()` (checked by the safe wrapper).
+#[target_feature(enable = "avx2")]
+unsafe fn max_scaled_sum_body(x: &[i32], y: &[u8], a: f64, b: f64) -> f64 {
+    let n = x.len();
+    if n < 4 {
+        return scalar::max_scaled_sum(x, y, a, b);
+    }
+    let (va, vb) = (_mm256_set1_pd(a), _mm256_set1_pd(b));
+    // Lanes `i..i + 4`: the products and their sum rounded as the scalar
+    // body rounds them.
+    let at = |i: usize| {
+        let xs = _mm256_cvtepi32_pd(_mm_loadu_si128(x.as_ptr().add(i) as *const __m128i));
+        let word = (y.as_ptr().add(i) as *const i32).read_unaligned();
+        let ys = _mm256_cvtepi32_pd(_mm_cvtepu8_epi32(_mm_cvtsi32_si128(word)));
+        _mm256_add_pd(_mm256_mul_pd(va, xs), _mm256_mul_pd(vb, ys))
+    };
+    let (mut m0, mut m1) = (at(0), at(n - 4));
+    let mut i = 4;
+    while i + 8 <= n {
+        m0 = _mm256_max_pd(m0, at(i));
+        m1 = _mm256_max_pd(m1, at(i + 4));
+        i += 8;
+    }
+    if i + 4 <= n {
+        m0 = _mm256_max_pd(m0, at(i));
+    }
+    let m = _mm256_max_pd(m0, m1);
+    let m = _mm_max_pd(_mm256_castpd256_pd128(m), _mm256_extractf128_pd::<1>(m));
+    _mm_cvtsd_f64(_mm_max_sd(m, _mm_unpackhi_pd(m, m)))
+}
+
 // Safe wrappers installed into the dispatch table. Soundness: the table
 // selects these only after runtime detection of avx2+fma (see
 // `dispatch::select`), so the target-feature preconditions always hold.
@@ -597,4 +658,14 @@ pub(crate) fn sq_dist_col_i8(rows: &[u8], m: usize, q: &[u8], out: &mut [u32]) {
 pub(crate) fn dot_col_i8(rows: &[u8], w: usize, q: &[i8], out: &mut [i32]) {
     check_col_shape(rows.len(), w, q.len(), out.len());
     col_long(rows, w, q, out, dot4_i8)
+}
+
+pub(crate) fn max_i32(v: &[i32]) -> i32 {
+    unsafe { max_i32_body(v) }
+}
+
+pub(crate) fn max_scaled_sum(x: &[i32], y: &[u8], a: f64, b: f64) -> f64 {
+    assert_eq!(x.len(), y.len(), "max_scaled_sum: length mismatch");
+    // SAFETY: lengths checked above.
+    unsafe { max_scaled_sum_body(x, y, a, b) }
 }

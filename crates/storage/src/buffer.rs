@@ -14,7 +14,7 @@
 //! a hot stripe while a cold one has room, the standard trade of a striped
 //! cache.
 //!
-//! **Why second chance and not LRU.** A query is ≈ 1 656 pool *hits*
+//! **Why second chance and not LRU.** A query is ≈ 1 000 pool *hits*
 //! (`lf300_hot`: every read hits), so the hit is the path that must be
 //! cheap. The LRU pool paid SipHash over a
 //! `HashMap<PageId, usize>` and a four-slot relink of a doubly-linked chain
