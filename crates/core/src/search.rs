@@ -6,8 +6,8 @@
 //! [`ProMips::execute`] takes a [`Query`] — the vector and `k`, plus the
 //! options a per-shard caller attaches (tombstone mask, budget, span) —
 //! and every other `search*` name is a one-line wrapper around it.
-//! [`ProMips::search_batch`] and [`ProMips::search_incremental`] are
-//! different operations, not options.
+//! [`ProMips::search_incremental`] is a different operation, not an
+//! option.
 //!
 //! # Index or scan, decided per query
 //!
@@ -187,14 +187,12 @@
 //!
 //! The production path is allocation-lean: every per-query buffer (the
 //! projected query, the candidate list, the offset list, and the original
-//! vector arena) lives in a reusable [`SearchScratch`], and
-//! [`ProMips::search_batch`] fans a query batch across scoped worker
-//! threads, one scratch per worker.
+//! vector arena) lives in a reusable [`SearchScratch`]; concurrent queries
+//! on one index share it read-only, one scratch per thread.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use promips_idistance::{ProjScratch, RangeCandidate};
 use promips_linalg::{dist, dot, max_i32, norm1, sq_norm2};
@@ -218,9 +216,9 @@ use crate::screen::{self, PrefixBound, QueryScreen, ScreenBound};
 const COLUMN_PASS_MIN_COVERAGE: f64 = 0.25;
 
 /// Reusable per-query buffers. One scratch serves any number of sequential
-/// searches against any index; [`ProMips::search_batch`] keeps one per
-/// worker thread. All buffers grow to the high-water mark of the queries
-/// they serve and are never shrunk.
+/// searches against any index; concurrent queries keep one per thread.
+/// All buffers grow to the high-water mark of the queries they serve and
+/// are never shrunk.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     /// Projected query (length m).
@@ -359,8 +357,7 @@ impl ProMips {
     /// satisfies `⟨oᵢ,q⟩ ≥ c·⟨o*ᵢ,q⟩`.
     ///
     /// Allocates a fresh [`SearchScratch`]; callers issuing many queries
-    /// should hold one and use [`ProMips::execute`], or batch through
-    /// [`ProMips::search_batch`].
+    /// should hold one and use [`ProMips::execute`].
     pub fn search(&self, q: &[f32], k: usize) -> io::Result<SearchResult> {
         self.execute(Query::new(q, k), &mut SearchScratch::new())
     }
@@ -654,74 +651,6 @@ impl ProMips {
             extended,
             Termination::RangeExhausted,
         ))
-    }
-
-    /// Searches a batch of queries in parallel, using all available cores.
-    ///
-    /// Results are positionally aligned with `queries` and identical — item
-    /// for item — to calling [`ProMips::search`] on each query in turn: the
-    /// workers share the index read-only (page cache and counters behind
-    /// their mutex), and each query's computation is independent and
-    /// deterministic.
-    ///
-    /// Scaling note: the shared buffer pool is lock-striped (page id →
-    /// stripe), so workers only contend when they touch the same stripe;
-    /// verification arithmetic (the dominant CPU cost for in-memory
-    /// indexes) runs entirely outside any lock.
-    pub fn search_batch(&self, queries: &[&[f32]], k: usize) -> io::Result<Vec<SearchResult>> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.search_batch_threaded(queries, k, threads)
-    }
-
-    /// [`ProMips::search_batch`] with an explicit worker-thread count
-    /// (clamped to `1..=queries.len()`). Queries are claimed from a shared
-    /// atomic counter, so stragglers do not serialize the batch.
-    pub fn search_batch_threaded(
-        &self,
-        queries: &[&[f32]],
-        k: usize,
-        threads: usize,
-    ) -> io::Result<Vec<SearchResult>> {
-        let threads = threads.clamp(1, queries.len().max(1));
-        if threads == 1 {
-            let mut scratch = SearchScratch::new();
-            return queries
-                .iter()
-                .map(|q| self.search_with_scratch(q, k, &mut scratch))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots = std::thread::scope(|s| -> io::Result<Vec<Option<SearchResult>>> {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut scratch = SearchScratch::new();
-                        let mut local: Vec<(usize, io::Result<SearchResult>)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= queries.len() {
-                                break;
-                            }
-                            local.push((i, self.search_with_scratch(queries[i], k, &mut scratch)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            let mut slots: Vec<Option<SearchResult>> = (0..queries.len()).map(|_| None).collect();
-            for w in workers {
-                for (i, res) in w.join().expect("search worker panicked") {
-                    slots[i] = Some(res?);
-                }
-            }
-            Ok(slots)
-        })?;
-        Ok(slots
-            .into_iter()
-            .map(|r| r.expect("atomic work queue covers every query"))
-            .collect())
     }
 
     /// MIP-Search-I (Algorithm 1): incremental NN search testing the

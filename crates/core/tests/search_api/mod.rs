@@ -328,33 +328,31 @@ fn budgeted_search_honours_deadline_cancellation_and_identity() {
     }
 }
 
+/// A shared index read by 1, 2 and 8 threads at once, each calling
+/// `execute` with its own scratch, answers every query exactly as a
+/// sequential search does.
 #[test]
-fn search_batch_matches_sequential_search() {
+fn concurrent_queries_match_sequential_search() {
     let (idx, _) = build(900, 28, 31, 0.9, 0.5);
     let mut rng = Xoshiro256pp::seed_from_u64(77);
     let queries: Vec<Vec<f32>> = (0..24)
         .map(|_| (0..28).map(|_| rng.normal() as f32).collect())
         .collect();
-    let query_refs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
-    for &threads in &[1usize, 2, 8] {
-        let batch = idx.search_batch_threaded(&query_refs, 5, threads).unwrap();
-        assert_eq!(batch.len(), queries.len());
-        for (q, b) in queries.iter().zip(&batch) {
-            let single = idx.search(q, 5).unwrap();
-            assert_eq!(single.items, b.items, "threads={threads}");
-            assert_eq!(single.verified, b.verified, "threads={threads}");
-        }
+    let want: Vec<SearchResult> = queries.iter().map(|q| idx.search(q, 5).unwrap()).collect();
+    for threads in [1usize, 2, 8] {
+        std::thread::scope(|s| {
+            for w in 0..threads {
+                let (idx, queries, want) = (&idx, &queries, &want);
+                s.spawn(move || {
+                    let mut scratch = SearchScratch::new();
+                    for i in (w..queries.len()).step_by(threads) {
+                        let got = idx.execute(Query::new(&queries[i], 5), &mut scratch);
+                        assert_eq!(got.unwrap(), want[i], "threads={threads}, query {i}");
+                    }
+                });
+            }
+        });
     }
-}
-
-#[test]
-fn search_batch_empty_and_single() {
-    let (idx, _) = build(100, 8, 5, 0.9, 0.5);
-    assert!(idx.search_batch(&[], 3).unwrap().is_empty());
-    let q = vec![0.5f32; 8];
-    let one = idx.search_batch(&[&q], 3).unwrap();
-    assert_eq!(one.len(), 1);
-    assert_eq!(one[0].items, idx.search(&q, 3).unwrap().items);
 }
 
 #[test]

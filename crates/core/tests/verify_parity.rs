@@ -343,8 +343,9 @@ fn head_codes_keep_both_paths_contracts() {
     assert!(screened > 0, "the screen never fired — the tier is inert");
 }
 
-/// Batch search must equal sequential search item-for-item with the tier
-/// on (each worker screens independently with its own scratch).
+/// Concurrent queries on one tiered index must equal sequential search
+/// item for item, at 1, 2 and 8 threads (each worker screens independently
+/// with its own scratch).
 #[test]
 fn batched_screened_search_matches_sequential() {
     let d = 14;
@@ -354,13 +355,22 @@ fn batched_screened_search_matches_sequential() {
     let queries: Vec<Vec<f32>> = (0..12)
         .map(|_| (0..d).map(|_| rng.normal() as f32).collect())
         .collect();
-    let refs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
-    let batch = tiered.search_batch_threaded(&refs, 7, 4).unwrap();
-    let mut scratch = SearchScratch::new();
-    for (q, got) in refs.iter().zip(&batch) {
-        let want = tiered.search_with_scratch(q, 7, &mut scratch).unwrap();
-        assert_eq!(got.items, want.items);
-        assert_eq!(got.verified, want.verified);
-        assert_eq!(got.screened, want.screened);
+    let want: Vec<SearchResult> = queries
+        .iter()
+        .map(|q| tiered.search(q, 7).unwrap())
+        .collect();
+    for threads in [1usize, 2, 8] {
+        std::thread::scope(|s| {
+            for w in 0..threads {
+                let (tiered, queries, want) = (&tiered, &queries, &want);
+                s.spawn(move || {
+                    let mut scratch = SearchScratch::new();
+                    for i in (w..queries.len()).step_by(threads) {
+                        let got = tiered.execute(Query::new(&queries[i], 7), &mut scratch);
+                        assert_eq!(got.unwrap(), want[i], "threads={threads}, query {i}");
+                    }
+                });
+            }
+        });
     }
 }

@@ -1,9 +1,9 @@
 //! Unified observability layer: a process-global lock-free metrics
-//! registry, per-query stage tracing, and a slow-query log.
+//! registry and per-query stage tracing.
 //!
 //! The crate is dependency-free and sits *below* the storage/WAL/core/
 //! shard crates so every layer can feed the same registry without
-//! dependency cycles. Three pieces:
+//! dependency cycles. Two pieces:
 //!
 //! - [`Registry`]: fixed, enum-indexed arrays of atomic counters, gauges
 //!   and log2-bucketed histograms. The hot path is a single relaxed
@@ -12,18 +12,11 @@
 //!   ([`RegistrySnapshot::saturating_diff`]).
 //! - [`trace::QueryTrace`]: an opt-in per-query breakdown of where time
 //!   went (scan → screen → verify → merge, with per-shard fan-out spans
-//!   and prune decisions). Built only when the request asks for it.
-//! - [`slow`]: a bounded log retaining the N worst traced queries past a
-//!   configurable latency threshold, each with its trace, lifecycle
-//!   verdict, and a flight-recorder excerpt.
+//!   and prune decisions), returned to the caller with the result. Built
+//!   only when the request asks for it.
 //!
-//! Beside them, smaller pieces the layers above call:
-//!
-//! - [`budget`]: per-query deadlines and cancellation, checked
-//!   cooperatively inside the scan and verify loops.
-//! - [`recorder`]: a lock-light bounded flight recorder of structured
-//!   lifecycle events (compactions, WAL replay, faults, shed/degraded
-//!   queries, generation swaps).
+//! Beside them, [`budget`]: per-query deadlines and cancellation, checked
+//! cooperatively inside the scan and verify loops.
 //!
 //! Stage timing is always on: a query pays a handful of clock reads and
 //! histogram records (`obs.trace_overhead_frac` in `benchmark/` is the
@@ -31,9 +24,7 @@
 
 pub mod budget;
 mod metrics;
-pub mod recorder;
 mod registry;
-pub mod slow;
 pub mod trace;
 
 pub use budget::{budget_error, BudgetChecker, BudgetExceeded, CancelToken, QueryBudget};

@@ -78,8 +78,6 @@ metric_ids! {
         Repartitions,
         /// Shard generation handles atomically swapped.
         GenerationSwaps,
-        /// Traces accepted by the slow-query log.
-        SlowQueries,
         /// Device reads through `storage::durability`: a page file's
         /// `read_pages` is one, however many pages its run holds — a
         /// device read, not a logical page read (`PageReads`).
@@ -97,8 +95,6 @@ metric_ids! {
         PartialResults,
         /// Queries aborted by a shard failure, deadline, or cancellation.
         QueryFailures,
-        /// Structured events captured by the flight recorder.
-        RecorderEvents,
     }
 }
 

@@ -6,7 +6,7 @@
 //! The default configuration keeps `cargo test` quick; the CI stress
 //! job sets `PROMIPS_STRESS=1` to scale writers, readers, and ops up.
 
-use promips_obs::{recorder, CounterId, GaugeId, HistoId, Registry};
+use promips_obs::{CounterId, GaugeId, HistoId, Registry};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 
@@ -122,74 +122,5 @@ fn counts_conserved_under_concurrent_snapshots() {
         h.buckets[21..].iter().sum::<u64>(),
         0,
         "no sample can land above the 2^20 bucket"
-    );
-}
-
-/// Flight-recorder torture: concurrent emitters racing each other and
-/// concurrent dumpers. Every dump is sorted, bounded, and made of
-/// complete events; the final ring holds the newest CAPACITY sequences.
-#[test]
-fn recorder_dumps_stay_coherent_under_concurrent_emits() {
-    let t = config();
-    // Recorder events are rare in production; cap the op count so the
-    // per-slot lock traffic doesn't dominate the suite.
-    let ops_per_writer = t.ops_per_writer.min(20_000);
-    let done = AtomicBool::new(false);
-    let emitted = std::sync::atomic::AtomicU64::new(0);
-    let total = t.writers as u64 * ops_per_writer;
-
-    thread::scope(|s| {
-        for w in 0..t.writers {
-            let emitted = &emitted;
-            s.spawn(move || {
-                for i in 0..ops_per_writer {
-                    recorder::emit(recorder::EventKind::GenerationSwap {
-                        shard: w as u32,
-                        generation: i,
-                    });
-                    emitted.fetch_add(1, Ordering::Release);
-                }
-            });
-        }
-
-        for _ in 0..t.readers {
-            let done = &done;
-            s.spawn(move || {
-                // Dump first, test `done` after (see the snapshot readers).
-                loop {
-                    let events = recorder::dump();
-                    assert!(events.len() <= recorder::CAPACITY);
-                    assert!(
-                        events.windows(2).all(|p| p[0].seq < p[1].seq),
-                        "dump must be strictly ordered by sequence"
-                    );
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                }
-            });
-        }
-
-        let done = &done;
-        let emitted = &emitted;
-        s.spawn(move || {
-            while emitted.load(Ordering::Acquire) < total {
-                thread::yield_now();
-            }
-            done.store(true, Ordering::Release);
-        });
-    });
-
-    let events = recorder::dump();
-    assert_eq!(events.len(), recorder::CAPACITY.min(total as usize));
-    // The ring retains a suffix of the sequence space: the newest
-    // CAPACITY claims all landed (a racer can only lose its slot to a
-    // strictly newer event).
-    let min_seq = events.first().unwrap().seq;
-    let max_seq = events.last().unwrap().seq;
-    assert_eq!(
-        (max_seq - min_seq + 1) as usize,
-        events.len(),
-        "retained sequences are contiguous"
     );
 }

@@ -72,7 +72,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use promips_linalg::Matrix;
-use promips_obs::{self as obs, recorder, CounterId, GaugeId, HistoId, Registry};
+use promips_obs::{self as obs, CounterId, GaugeId, HistoId, Registry};
 use promips_wal::WalRecord;
 
 use crate::index::{DeltaState, ShardGeneration, ShardSnapshot, ShardedProMips};
@@ -327,11 +327,6 @@ impl ShardedProMips {
                 reg.counter(CounterId::Compactions).inc();
                 reg.histogram(HistoId::CompactionNs)
                     .record(obs::now_ns().saturating_sub(t0));
-                let generation = self.shards[si].generation.read().generation;
-                recorder::emit(recorder::EventKind::CompactionCompleted {
-                    shard: si as u32,
-                    generation,
-                });
             }
             Ok(false) => {}
             // Covers shadow-build and commit failures alike: even the
@@ -341,7 +336,6 @@ impl ShardedProMips {
                 self.shards[si]
                     .last_compaction
                     .set(CompactionOutcome::Failed.as_code());
-                recorder::emit(recorder::EventKind::CompactionFailed { shard: si as u32 });
             }
         }
         res
@@ -460,10 +454,6 @@ impl ShardedProMips {
         reg.gauge(GaugeId::Tombstones)
             .sub(frozen_tombs.len() as i64);
         shard.note_generation_swap(CompactionOutcome::Compacted);
-        recorder::emit(recorder::EventKind::GenerationSwap {
-            shard: si as u32,
-            generation: new_gen.generation,
-        });
 
         // 4. The superseded file is garbage now; removal is best-effort
         //    (a crash here merely leaks a file the manifest never names).
@@ -580,17 +570,12 @@ impl ShardedProMips {
             reg.gauge(GaugeId::Tombstones)
                 .sub(snaps[si].delta.tombstones.len() as i64);
             shard.note_generation_swap(CompactionOutcome::Repartitioned);
-            recorder::emit(recorder::EventKind::GenerationSwap {
-                shard: si as u32,
-                generation: new_gen.generation,
-            });
             if let Some(dir) = &self.dir {
                 let old = &snaps[si].gen;
                 let _ = fs::remove_file(shard_path(dir, si, old.generation));
             }
         }
         reg.counter(CounterId::Repartitions).inc();
-        recorder::emit(recorder::EventKind::Repartitioned { shards: ns as u32 });
         match first_err {
             Some(e) => Err(e),
             None => Ok(()),

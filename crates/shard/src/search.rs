@@ -96,8 +96,8 @@ use promips_core::screen::{self, QueryScreen, ScreenBound};
 use promips_core::{Query, SearchItem, SearchScratch, TopK};
 use promips_linalg::{dot, dot_col_i8, sq_norm2};
 use promips_obs::{
-    self as obs, budget_error, recorder, slow, BudgetChecker, BudgetExceeded, CounterId, HistoId,
-    QueryBudget, QueryTrace, ShardSpan,
+    self as obs, budget_error, BudgetChecker, BudgetExceeded, CounterId, HistoId, QueryBudget,
+    QueryTrace, ShardSpan,
 };
 
 use crate::error::{DegradationPolicy, QueryError, ShardError, ShardErrorKind};
@@ -163,7 +163,7 @@ fn classify_shard_error(si: usize, e: io::Error) -> ShardError {
 }
 
 /// Books the query-level counters for a failure that aborts the whole
-/// query, leaves a flight-recorder event, then promotes it.
+/// query, then promotes it.
 fn fail_query(se: ShardError) -> QueryError {
     let reg = obs::global();
     match se.kind {
@@ -172,16 +172,6 @@ fn fail_query(se: ShardError) -> QueryError {
         _ => {}
     }
     reg.counter(CounterId::QueryFailures).inc();
-    let kind = match se.kind {
-        ShardErrorKind::Io(_) => "io",
-        ShardErrorKind::DeadlineExceeded => "deadline",
-        ShardErrorKind::Cancelled => "cancelled",
-        ShardErrorKind::Poisoned => "poisoned",
-    };
-    recorder::emit(recorder::EventKind::QueryFailed {
-        shard: se.shard,
-        kind,
-    });
     QueryError::from(se)
 }
 
@@ -237,10 +227,8 @@ pub struct ShardedQuery<'a> {
     /// Return the per-query [`QueryTrace`]: stage wall time per shard
     /// (scan → screen → verify), the cross-shard merge, every prune
     /// decision, the remaining budget and every failed shard with the work
-    /// it did before failing. The trace is also offered to the
-    /// process-global slow-query log ([`promips_obs::slow`]). It costs one
-    /// small allocation and a handful of clock reads. An untraced request
-    /// builds no trace and never touches the slow log. Results never
+    /// it did before failing. It costs one small allocation and a handful
+    /// of clock reads; an untraced request builds no trace. Results never
     /// depend on tracing — it only observes.
     pub traced: bool,
 }
@@ -322,10 +310,6 @@ impl ShardedProMips {
         if limit != 0 && in_flight >= limit {
             self.in_flight.fetch_sub(1, Ordering::AcqRel);
             obs::global().counter(CounterId::QueriesShed).inc();
-            recorder::emit(recorder::EventKind::QueryShed {
-                in_flight: in_flight as u64,
-                limit: limit as u64,
-            });
             return Err(QueryError::Overloaded { in_flight, limit });
         }
         Ok(AdmissionPermit {
@@ -570,10 +554,6 @@ impl ShardedProMips {
             degraded = true;
             let reg = obs::global();
             reg.counter(CounterId::PartialResults).inc();
-            recorder::emit(recorder::EventKind::QueryDegraded {
-                failed_shards: failures.len() as u32,
-                attempted: attempted as u32,
-            });
             if failures
                 .iter()
                 .any(|e| matches!(e.kind, ShardErrorKind::DeadlineExceeded))
@@ -648,7 +628,6 @@ impl ShardedProMips {
             trace.budget_remaining_ns = budget_remaining_ns;
             trace.shards = spans;
             trace.total_ns = obs::now_ns().saturating_sub(trace.started_at_ns);
-            slow::offer(trace);
         }
         Ok((result, trace))
     }

@@ -4,8 +4,8 @@
 //! workload, and its gauges must track the real overlay state through
 //! mutations, compaction, and re-partitioning.
 //!
-//! The registry and the slow-query log are process-global; every test here holds [`REG_LOCK`] so their
-//! before/after deltas never interleave. (Each integration-test file is
+//! The registry and the fault plan are process-global; every test here
+//! holds [`REG_LOCK`] so their before/after deltas never interleave. (Each integration-test file is
 //! its own process, so no other suite shares the registry.)
 
 use std::io;
@@ -13,7 +13,7 @@ use std::sync::Mutex;
 
 use promips_core::ProMipsConfig;
 use promips_linalg::Matrix;
-use promips_obs::{self as obs, recorder, slow, CounterId, GaugeId, HistoId};
+use promips_obs::{self as obs, CounterId, GaugeId, HistoId};
 use promips_shard::{
     CompactionOutcome, DegradationPolicy, ShardedConfig, ShardedProMips, ShardedQuery,
     ShardedScratch, SyncPolicy,
@@ -121,16 +121,14 @@ fn the_trace_carries_the_seed_floor_above_every_pruned_bound() {
 }
 
 /// Traced and untraced searches return identical results — tracing only
-/// observes — and a kept trace lands in the slow-query log.
+/// observes.
 #[test]
-fn tracing_is_pure_observation_and_feeds_slow_log() {
+fn tracing_is_pure_observation() {
     let _guard = reg_lock();
     let d = 16;
     let idx = build_index(2500, d, 3);
     let scratch = ShardedScratch::for_index(&idx);
 
-    slow::configure(0, 4);
-    slow::clear();
     for (qi, q) in random_rows(5, d, 77).iter().enumerate() {
         let plain = idx.search_threaded(q, 7, 1, &scratch).unwrap();
         let (traced, trace) = idx.search_traced_threaded(q, 7, 1, &scratch).unwrap();
@@ -150,18 +148,6 @@ fn tracing_is_pure_observation_and_feeds_slow_log() {
         let text = trace.render();
         assert!(text.contains("shard"));
     }
-    let kept = slow::snapshot();
-    assert!(
-        !kept.is_empty() && kept.len() <= 4,
-        "threshold 0 keeps up to capacity traces, got {}",
-        kept.len()
-    );
-    assert!(
-        kept.windows(2).all(|w| w[0].total_ns() >= w[1].total_ns()),
-        "slow log is ordered worst-first"
-    );
-    slow::configure(0, 16);
-    slow::clear();
 }
 
 /// A durable sharded workload books every layer to the registry: the
@@ -227,15 +213,14 @@ fn the_registry_books_the_pipeline() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Satellite acceptance for the telemetry tier: a best-effort query
-/// degraded by an injected read fault lands in the slow-query log with
-/// the degradation flagged first-class — `degraded`, the failed-shard
-/// count — and the flight-recorder excerpt attached, showing both the
-/// injected fault and the degradation event that explain it. The failed
-/// shard's span keeps its wall time and whatever the core layer booked to
-/// the registry before the fault fired.
+/// A best-effort query degraded by an injected read fault returns a trace
+/// that flags the degradation first-class — `degraded`, the failed shard,
+/// both in `render()` — and the registry books the injected fault and the
+/// partial result that explain it. The failed shard's span keeps its wall
+/// time and whatever the core layer booked to the registry before the
+/// fault fired.
 #[test]
-fn degraded_best_effort_query_is_flagged_in_slow_log() {
+fn degraded_best_effort_query_is_flagged_in_its_trace() {
     let _guard = reg_lock();
     let d = 8;
     let data = Matrix::from_rows(d, random_rows(240, d, 61));
@@ -258,9 +243,6 @@ fn degraded_best_effort_query_is_flagged_in_slow_log() {
     let scratch = ShardedScratch::for_index(&idx);
     let q = &random_rows(1, d, 67)[0];
 
-    slow::configure(0, 8);
-    slow::clear();
-    recorder::clear();
     faults::arm_with(
         FaultPlan {
             op: IoOp::Read,
@@ -306,63 +288,35 @@ fn degraded_best_effort_query_is_flagged_in_slow_log() {
     );
     assert_eq!(res.per_shard[0].verified as u64, failed.verified);
 
-    let kept = slow::snapshot();
-    let entry = kept
-        .iter()
-        .find(|e| e.degraded)
-        .expect("degraded query must be retained and flagged");
-    assert_eq!(entry.shards_failed, 1, "exactly shard 0 was excluded");
+    assert!(booked.counter(CounterId::IoFaultsInjected) >= 1);
+    assert_eq!(booked.counter(CounterId::PartialResults), 1);
+    let text = trace.render();
     assert!(
-        entry
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, recorder::EventKind::FaultInjected { op: "read" })),
-        "the injected fault is in the attached flight recorder"
-    );
-    assert!(
-        entry.events.iter().any(|e| matches!(
-            e.kind,
-            recorder::EventKind::QueryDegraded {
-                failed_shards: 1,
-                ..
-            }
-        )),
-        "the degradation event is in the attached flight recorder"
-    );
-    let text = entry.render();
-    assert!(
-        text.contains("DEGRADED: 1 shard(s)"),
+        text.contains(" DEGRADED"),
         "render must flag the degradation:\n{text}"
     );
-    assert!(text.contains("flight recorder:"), "render attaches events");
+    assert!(
+        text.contains("FAILED (excluded from merge)"),
+        "render must flag the failed shard:\n{text}"
+    );
 
-    slow::configure(0, 16);
-    slow::clear();
-    recorder::clear();
     drop(idx);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Only a traced request builds a trace: it returns it and offers it to
-/// the slow log, while an untraced one returns `None` and leaves the log
-/// untouched.
+/// Only a traced request builds a trace and returns it; an untraced one
+/// returns `None`.
 #[test]
-fn untraced_requests_return_no_trace_and_skip_the_slow_log() {
+fn only_traced_requests_return_a_trace() {
     let _guard = reg_lock();
     let d = 12;
     let idx = build_index(1200, d, 2);
     let scratch = ShardedScratch::for_index(&idx);
 
-    slow::configure(0, 32);
-    slow::clear();
     for q in random_rows(3, d, 79) {
         let (_, trace) = idx.execute(ShardedQuery::new(&q, 7), &scratch).unwrap();
         assert!(trace.is_none(), "an untraced request returns no trace");
     }
-    assert!(
-        slow::snapshot().is_empty(),
-        "untraced queries are never logged"
-    );
     for q in random_rows(3, d, 73) {
         let traced = ShardedQuery {
             traced: true,
@@ -371,10 +325,6 @@ fn untraced_requests_return_no_trace_and_skip_the_slow_log() {
         let (_, trace) = idx.execute(traced, &scratch).unwrap();
         assert_eq!(trace.expect("a traced request returns its trace").k, 7);
     }
-    assert_eq!(slow::snapshot().len(), 3, "every traced query is logged");
-
-    slow::configure(0, 16);
-    slow::clear();
 }
 
 /// The rows an exact column pass verifies are booked by the core, the delta
@@ -514,4 +464,55 @@ fn maintenance_reports_generation_age_and_outcome() {
     for st in idx.maintenance_stats() {
         assert_eq!(st.last_compaction, CompactionOutcome::Repartitioned);
     }
+}
+
+/// A compaction whose shadow build fails is reported: `compact_shard`
+/// returns the error, `maintenance_stats()` records the pass as `Failed`,
+/// and the old generation keeps answering exactly as before.
+#[test]
+fn failed_compaction_is_recorded_and_keeps_the_old_generation() {
+    let _guard = reg_lock();
+    let d = 8;
+    let dir = temp_dir("failed-compaction");
+    let tag = dir.file_name().unwrap().to_string_lossy().into_owned();
+    let data = Matrix::from_rows(d, random_rows(400, d, 91));
+    let cfg = ShardedConfig::builder()
+        .shards(2)
+        .wal_sync(SyncPolicy::Never)
+        .base(ProMipsConfig::builder().seed(5).build())
+        .build();
+    let idx = ShardedProMips::build_in_dir(&data, cfg, &dir).unwrap();
+    let scratch = ShardedScratch::for_index(&idx);
+    for row in random_rows(40, d, 93) {
+        idx.insert(&row).unwrap();
+    }
+    let stats = idx.maintenance_stats();
+    let si = stats
+        .iter()
+        .position(|st| st.delta_len > 0)
+        .expect("the inserts landed in some shard");
+    let q = &random_rows(1, d, 95)[0];
+    let before = idx.search_threaded(q, 10, 1, &scratch).unwrap();
+
+    // The shadow build's first write is the new generation's page file.
+    faults::arm(FaultPlan {
+        op: IoOp::Write,
+        nth: 1,
+        path_contains: Some(format!("{tag}/shard_{si:04}.g1.pmx")),
+    });
+    let res = idx.compact_shard(si);
+    let fired = !faults::disarm();
+    let err = res.expect_err("the shadow build's write fails");
+    assert!(
+        fired && faults::is_injected(&err),
+        "unexpected error: {err}"
+    );
+
+    let after = idx.maintenance_stats();
+    assert_eq!(after[si].last_compaction, CompactionOutcome::Failed);
+    assert_eq!(after[si].generation, stats[si].generation);
+    assert_eq!(idx.search_threaded(q, 10, 1, &scratch).unwrap(), before);
+
+    drop(idx);
+    let _ = std::fs::remove_dir_all(&dir);
 }

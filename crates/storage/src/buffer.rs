@@ -8,7 +8,7 @@
 //! The pool is **striped**: page `id` lives in stripe `id % stripes`, each
 //! stripe owns an independent mutex, page table, frame array and clock
 //! hand, and the total capacity is split across stripes. Concurrent
-//! `search_batch` workers only contend when they touch the same stripe, and
+//! queries on one index only contend when they touch the same stripe, and
 //! consecutive page ids — the access pattern of blob scans — spread over
 //! every stripe. Eviction is *per stripe*: a skewed workload can evict from
 //! a hot stripe while a cold one has room, the standard trade of a striped
@@ -42,8 +42,8 @@ use parking_lot::Mutex;
 use crate::page::{PageBuf, PageId};
 
 /// Default stripe count for [`BufferPool::new`]. Sixteen stripes cost ~1 KB
-/// of mutexes and are enough to make same-stripe collisions rare at the
-/// worker counts `search_batch` spawns (one per core).
+/// of mutexes and are enough to make same-stripe collisions rare for
+/// concurrent queries on one index (one per core).
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// Page-table entry of an uncached page. Never a valid frame index (a

@@ -103,7 +103,7 @@ pub fn tmp_sibling(dst: &Path) -> std::path::PathBuf {
 /// The disarmed fast path is one relaxed atomic load, so production code
 /// pays nothing measurable.
 pub mod faults {
-    use promips_obs::{recorder, CounterId, Registry};
+    use promips_obs::{CounterId, Registry};
     use std::io;
     use std::path::Path;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -312,14 +312,6 @@ pub mod faults {
         }
         drop(g);
         reg.counter(CounterId::IoFaultsInjected).inc();
-        recorder::emit(recorder::EventKind::FaultInjected {
-            op: match op {
-                IoOp::Fsync => "fsync",
-                IoOp::Rename => "rename",
-                IoOp::Write => "write",
-                IoOp::Read => "read",
-            },
-        });
         let msg = format!("{INJECTED_MARKER}: {op:?} #{nth} on {}", path.display());
         Err(if kind == io::ErrorKind::Other {
             io::Error::other(msg)
@@ -342,7 +334,7 @@ pub mod faults {
 /// the manifest-swap path; each retry ticks
 /// [`CounterId::IoRetries`](promips_obs::CounterId::IoRetries).
 pub mod retry {
-    use promips_obs::{recorder, CounterId, Registry};
+    use promips_obs::{CounterId, Registry};
     use std::io;
     use std::time::Duration;
 
@@ -389,7 +381,6 @@ pub mod retry {
                 Ok(v) => return Ok(v),
                 Err(e) if attempt < attempts && is_transient(&e) => {
                     Registry::global().counter(CounterId::IoRetries).inc();
-                    recorder::emit(recorder::EventKind::IoRetried { attempt });
                     if !backoff.is_zero() {
                         std::thread::sleep(backoff);
                     }

@@ -6,7 +6,7 @@ use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-use promips_obs::{recorder, CounterId, HistoId, Registry};
+use promips_obs::{CounterId, HistoId, Registry};
 use promips_storage::durability::{
     faults::{self, IoOp},
     fsync_dir, rename,
@@ -210,13 +210,6 @@ impl Wal {
         Registry::global()
             .counter(CounterId::WalReplayedRecords)
             .add(records);
-        let torn_bytes = file_len - good_end;
-        if records > 0 || torn_bytes > 0 {
-            recorder::emit(recorder::EventKind::WalReplayed {
-                records,
-                torn_bytes,
-            });
-        }
 
         Ok(Self {
             file,

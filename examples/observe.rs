@@ -1,6 +1,5 @@
 //! The observability stack on a sharded workload: the global metrics
-//! registry, explicit query traces, the slow-query log and the flight
-//! recorder.
+//! registry and an explicit query trace.
 //!
 //! ```sh
 //! cargo run --release --example observe
@@ -12,7 +11,7 @@
 //! answered, or the process exits non-zero.
 
 use promips::linalg::Matrix;
-use promips::obs::{self, recorder, slow, CounterId, GaugeId, HistoId};
+use promips::obs::{self, CounterId, GaugeId, HistoId};
 use promips::shard::{ShardedConfig, ShardedProMips, ShardedQuery, ShardedScratch, SyncPolicy};
 use promips::stats::Xoshiro256pp;
 
@@ -36,8 +35,6 @@ fn main() -> std::io::Result<()> {
     let index = ShardedProMips::build_in_dir(&data, config, &dir)?;
     let scratch = ShardedScratch::for_index(&index);
 
-    // Keep the 8 slowest traces, whatever their latency.
-    slow::configure(0, 8);
     let before = obs::global().snapshot();
 
     // A mixed workload: inserts, deletes, traced queries, one compaction
@@ -95,33 +92,6 @@ fn main() -> std::io::Result<()> {
     let (top_ip, trace) = first.expect("the workload ran queries");
     println!("\n--- one traced query (top ip {top_ip:.3}) ---");
     print!("{}", trace.render());
-
-    // The slow-query log retains the worst entries seen so far, each
-    // carrying its trace, lifecycle verdict, and flight-recorder excerpt.
-    let worst = slow::snapshot();
-    println!(
-        "\n--- slow-query log ({} kept, worst first) ---",
-        worst.len()
-    );
-    for t in worst.iter().take(3) {
-        println!(
-            "  {:>7} us  k={}  searched {}/{} shards{}",
-            t.total_ns() / 1_000,
-            t.trace.k,
-            t.trace.shards_searched(),
-            t.trace.shards.len(),
-            if t.degraded { "  [DEGRADED]" } else { "" },
-        );
-    }
-
-    // The flight recorder holds the maintenance/lifecycle trail.
-    println!(
-        "\n--- flight recorder ({} events) ---",
-        recorder::dump().len()
-    );
-    for line in recorder::render_dump().lines().take(8) {
-        println!("{line}");
-    }
 
     // The registry and the traces are two views of the same searches: the
     // index-or-scan rule's counter moves once per span whose verdict was
