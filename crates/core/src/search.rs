@@ -196,9 +196,7 @@ use std::io;
 
 use promips_idistance::{ProjScratch, RangeCandidate};
 use promips_linalg::{dist, dot, max_i32, norm1, sq_norm2};
-use promips_obs::{
-    self as obs, BudgetChecker, CounterId, HistoId, QueryBudget, ShardSpan, StageNanos,
-};
+use promips_obs::{self as obs, BudgetChecker, CounterId, QueryBudget, ShardSpan, StageNanos};
 
 use crate::conditions::ConditionContext;
 use crate::index::ProMips;
@@ -400,12 +398,11 @@ impl ProMips {
     }
 
     /// The one search path: runs `query` and feeds the global metrics
-    /// registry (row counters and stage histograms) and the request's
-    /// span with the work done — whether the search finished or an IO
+    /// registry's row counters and the request's span (counts and stage
+    /// times) with the work done — whether the search finished or an IO
     /// fault or the budget stopped it.
-    /// Query-level metrics ([`CounterId::Queries`], end-to-end latency)
-    /// are owned by the sharded layer so a fan-out is counted once, not
-    /// once per shard.
+    /// Query-level counters ([`CounterId::Queries`]) are owned by the
+    /// sharded layer so a fan-out is counted once, not once per shard.
     pub fn execute(
         &self,
         mut query: Query<'_>,
@@ -419,12 +416,6 @@ impl ProMips {
         reg.counter(CounterId::QueryVerified).add(work.verified);
         reg.counter(CounterId::QueryColumnPasses)
             .add(work.column_pass as u64);
-        reg.histogram(HistoId::StageScanNs)
-            .record(work.stages.scan_ns);
-        reg.histogram(HistoId::StageScreenNs)
-            .record(work.stages.screen_ns);
-        reg.histogram(HistoId::StageVerifyNs)
-            .record(work.stages.verify_ns);
         if let Some(span) = query.span.take() {
             span.stages = work.stages;
             span.scanned = work.scanned;

@@ -10,9 +10,8 @@
 //!
 //! Deadlines are absolute [`now_ns`] values, so a budget can be handed to
 //! worker threads without re-anchoring, and the remaining budget at
-//! completion is a plain subtraction (recorded to the
-//! [`HistoId::BudgetRemainingNs`](crate::HistoId::BudgetRemainingNs)
-//! histogram by the sharded layer).
+//! completion is a plain subtraction (a traced request returns it as
+//! [`QueryTrace::budget_remaining_ns`](crate::QueryTrace::budget_remaining_ns)).
 //!
 //! A [`BudgetExceeded`] converts into `io::Error` (and back, via
 //! [`budget_error`]) so it can ride the existing `io::Result` plumbing of

@@ -1,15 +1,14 @@
-//! Unified observability layer: a process-global lock-free metrics
+//! Unified observability layer: a process-global lock-free counter
 //! registry and per-query stage tracing.
 //!
 //! The crate is dependency-free and sits *below* the storage/WAL/core/
 //! shard crates so every layer can feed the same registry without
 //! dependency cycles. Two pieces:
 //!
-//! - [`Registry`]: fixed, enum-indexed arrays of atomic counters, gauges
-//!   and log2-bucketed histograms. The hot path is a single relaxed
-//!   `fetch_add` — no hashing, no locking, no allocation. A snapshot is a
-//!   plain value; two of them diff into the activity between
-//!   ([`RegistrySnapshot::saturating_diff`]).
+//! - [`Registry`]: a fixed, enum-indexed array of atomic counters. The
+//!   hot path is a single relaxed `fetch_add` — no hashing, no locking,
+//!   no allocation. A snapshot is a plain value; two of them diff into
+//!   the activity between ([`RegistrySnapshot::saturating_diff`]).
 //! - [`trace::QueryTrace`]: an opt-in per-query breakdown of where time
 //!   went (scan → screen → verify → merge, with per-shard fan-out spans
 //!   and prune decisions), returned to the caller with the result. Built
@@ -18,9 +17,11 @@
 //! Beside them, [`budget`]: per-query deadlines and cancellation, checked
 //! cooperatively inside the scan and verify loops.
 //!
-//! Stage timing is always on: a query pays a handful of clock reads and
-//! histogram records (`obs.trace_overhead_frac` in `benchmark/` is the
-//! check at scale).
+//! Stage timing is always on: a query pays a handful of clock reads that
+//! fill its per-shard spans (`obs.trace_overhead_frac` in `benchmark/` is
+//! the check at scale). Times live only there — in the
+//! [`QueryTrace`] a traced request returns — and a shard's overlay debt
+//! in its `maintenance_stats()` ledger; the registry counts events.
 
 pub mod budget;
 mod metrics;
@@ -28,8 +29,8 @@ mod registry;
 pub mod trace;
 
 pub use budget::{budget_error, BudgetChecker, BudgetExceeded, CancelToken, QueryBudget};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
-pub use registry::{CounterId, GaugeId, HistoId, Registry, RegistrySnapshot};
+pub use metrics::Counter;
+pub use registry::{CounterId, Registry, RegistrySnapshot};
 pub use trace::{QueryTrace, ShardSpan, StageNanos};
 
 use std::sync::OnceLock;

@@ -1,12 +1,14 @@
-//! The process-global metrics registry.
+//! The process-global counter registry.
 //!
-//! Metric identity is a closed enum per kind, so the registry is a
-//! fixed array of atomics indexed by discriminant: registration is
-//! compile-time, lookup is an array index, and the hot path never
-//! hashes, locks, or allocates. New metrics are added by extending the
-//! `metric_ids!` lists below.
+//! It holds counters only. Counter identity is a closed enum, so the
+//! registry is a fixed array of atomics indexed by discriminant:
+//! registration is compile-time, lookup is an array index, and the hot
+//! path never hashes, locks, or allocates. New counters are added by
+//! extending the `metric_ids!` list below. What a query's time went to
+//! is the [`QueryTrace`](crate::QueryTrace) it returns, and a shard's
+//! overlay debt is its `maintenance_stats()` ledger.
 
-use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+use crate::metrics::Counter;
 
 /// Defines a metric-id enum plus `ALL` and `COUNT`.
 macro_rules! metric_ids {
@@ -98,57 +100,19 @@ metric_ids! {
     }
 }
 
-metric_ids! {
-    /// Signed level gauges.
-    pub enum GaugeId {
-        /// Rows living in unfrozen delta overlays across all shards.
-        DeltaRows,
-        /// Live tombstones awaiting compaction across all shards.
-        Tombstones,
-    }
-}
-
-metric_ids! {
-    /// Log2-bucketed histograms. An `Ns` suffix means nanosecond samples.
-    pub enum HistoId {
-        /// End-to-end sharded search latency.
-        QueryLatencyNs,
-        /// Per-shard projection + annulus range scan time.
-        StageScanNs,
-        /// Per-shard SQ8 screen+rescore verification time.
-        StageScreenNs,
-        /// Per-shard plain f32 verification + delta overlay time.
-        StageVerifyNs,
-        /// Cross-shard top-k merge + stats assembly time.
-        StageMergeNs,
-        /// Single-shard search time within fan-out.
-        ShardSearchNs,
-        /// Appends amortized per WAL sync.
-        WalGroupCommitBatch,
-        /// Per-shard compaction wall time.
-        CompactionNs,
-        /// Remaining deadline budget when a budgeted search completed.
-        BudgetRemainingNs,
-    }
-}
-
-/// Fixed-shape registry: one atomic slot per metric id.
+/// Fixed-shape registry: one atomic counter per [`CounterId`].
 ///
 /// Normally used through [`Registry::global`]; independent instances
 /// can be constructed for tests (`Registry::new()` is const).
 #[derive(Debug)]
 pub struct Registry {
     counters: [Counter; CounterId::COUNT],
-    gauges: [Gauge; GaugeId::COUNT],
-    histograms: [Histogram; HistoId::COUNT],
 }
 
 impl Registry {
     pub const fn new() -> Self {
         Registry {
             counters: [Counter::NEW; CounterId::COUNT],
-            gauges: [Gauge::NEW; GaugeId::COUNT],
-            histograms: [Histogram::NEW; HistoId::COUNT],
         }
     }
 
@@ -163,23 +127,11 @@ impl Registry {
         &self.counters[id as usize]
     }
 
-    #[inline]
-    pub fn gauge(&self, id: GaugeId) -> &Gauge {
-        &self.gauges[id as usize]
-    }
-
-    #[inline]
-    pub fn histogram(&self, id: HistoId) -> &Histogram {
-        &self.histograms[id as usize]
-    }
-
-    /// Point-in-time plain-value copy of every metric. Not atomic
-    /// across metrics (each slot is read individually).
+    /// Point-in-time plain-value copy of every counter. Not atomic
+    /// across counters (each slot is read individually).
     pub fn snapshot(&self) -> RegistrySnapshot {
         RegistrySnapshot {
             counters: core::array::from_fn(|i| self.counters[i].get()),
-            gauges: core::array::from_fn(|i| self.gauges[i].get()),
-            histograms: core::array::from_fn(|i| self.histograms[i].snapshot()),
         }
     }
 }
@@ -195,8 +147,6 @@ impl Default for Registry {
 #[derive(Clone, Debug)]
 pub struct RegistrySnapshot {
     pub counters: [u64; CounterId::COUNT],
-    pub gauges: [i64; GaugeId::COUNT],
-    pub histograms: [HistogramSnapshot; HistoId::COUNT],
 }
 
 impl RegistrySnapshot {
@@ -205,36 +155,17 @@ impl RegistrySnapshot {
         self.counters[id as usize]
     }
 
-    #[inline]
-    pub fn gauge(&self, id: GaugeId) -> i64 {
-        self.gauges[id as usize]
-    }
-
-    #[inline]
-    pub fn histogram(&self, id: HistoId) -> &HistogramSnapshot {
-        &self.histograms[id as usize]
-    }
-
     /// The activity between two snapshots of the *same* registry:
-    /// counters and histogram buckets subtract (they are monotonic, so
-    /// the difference is exactly the events recorded in between), while
-    /// gauges — levels, not flows — keep their value at `self`, the
-    /// later snapshot. Saturating subtraction guards against snapshot
+    /// counters are monotonic, so their difference is exactly the events
+    /// counted in between. Saturating subtraction guards against snapshot
     /// pairs torn by concurrent writers; genuinely ordered pairs never
     /// clamp.
     pub fn saturating_diff(&self, earlier: &RegistrySnapshot) -> RegistrySnapshot {
-        let mut out = self.clone();
-        for (dst, was) in out.counters.iter_mut().zip(&earlier.counters) {
-            *dst = dst.saturating_sub(*was);
+        RegistrySnapshot {
+            counters: core::array::from_fn(|i| {
+                self.counters[i].saturating_sub(earlier.counters[i])
+            }),
         }
-        for (dst, (now, was)) in out
-            .histograms
-            .iter_mut()
-            .zip(self.histograms.iter().zip(&earlier.histograms))
-        {
-            *dst = now.saturating_diff(was);
-        }
-        out
     }
 }
 
@@ -246,31 +177,26 @@ mod tests {
     fn local_registry_round_trip() {
         let r = Registry::new();
         r.counter(CounterId::Queries).add(3);
-        r.gauge(GaugeId::DeltaRows).add(5);
-        r.gauge(GaugeId::DeltaRows).sub(2);
-        r.histogram(HistoId::QueryLatencyNs).record(1000);
+        r.counter(CounterId::Inserts).inc();
         let s = r.snapshot();
         assert_eq!(s.counter(CounterId::Queries), 3);
-        assert_eq!(s.gauge(GaugeId::DeltaRows), 3);
-        assert_eq!(s.histogram(HistoId::QueryLatencyNs).count(), 1);
+        assert_eq!(s.counter(CounterId::Inserts), 1);
+        assert_eq!(s.counter(CounterId::Deletes), 0);
     }
 
     #[test]
     fn snapshot_diff_is_the_between_activity() {
         let r = Registry::new();
         r.counter(CounterId::Queries).add(3);
-        r.gauge(GaugeId::DeltaRows).add(10);
-        r.histogram(HistoId::QueryLatencyNs).record(100);
+        r.counter(CounterId::Inserts).add(10);
         let before = r.snapshot();
         r.counter(CounterId::Queries).add(4);
-        r.gauge(GaugeId::DeltaRows).sub(6);
-        r.histogram(HistoId::QueryLatencyNs).record(200);
         let after = r.snapshot();
         let delta = after.saturating_diff(&before);
         assert_eq!(delta.counter(CounterId::Queries), 4);
-        assert_eq!(delta.histogram(HistoId::QueryLatencyNs).count(), 1);
-        assert_eq!(delta.histogram(HistoId::QueryLatencyNs).sum, 200);
-        // Gauges are levels: the delta carries the later snapshot's value.
-        assert_eq!(delta.gauge(GaugeId::DeltaRows), 4);
+        assert_eq!(delta.counter(CounterId::Inserts), 0);
+        // Diffing in the wrong order saturates instead of wrapping.
+        let wrong = before.saturating_diff(&after);
+        assert_eq!(wrong.counter(CounterId::Queries), 0);
     }
 }

@@ -5,8 +5,8 @@
 //! cross-shard merge, and the fan-out decisions (which shards were
 //! pruned by the norm bound, which seeded the floor). Traces are plain
 //! data — the query path fills one in only when the caller asked for
-//! it, so the untraced path stays allocation- and clock-free apart from
-//! the always-on aggregate histograms.
+//! it, and it is the only place a query's times are kept: the registry
+//! counts events, it does not time them.
 
 /// Nanoseconds spent in each in-shard stage of one search.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -1,12 +1,12 @@
-//! Registry torture: writer threads hammering counters, gauges, and
-//! histograms while reader threads snapshot concurrently. Verifies that
-//! nothing is lost (counts conserved exactly at join) and that
-//! concurrent snapshots are sane (monotonic counters, bounded values).
+//! Registry torture: writer threads hammering counters while reader
+//! threads snapshot concurrently. Verifies that nothing is lost (counts
+//! conserved exactly at join) and that concurrent snapshots are sane
+//! (monotonic counters, bounded values).
 //!
 //! The default configuration keeps `cargo test` quick; the CI stress
 //! job sets `PROMIPS_STRESS=1` to scale writers, readers, and ops up.
 
-use promips_obs::{CounterId, GaugeId, HistoId, Registry};
+use promips_obs::{CounterId, Registry};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 
@@ -41,19 +41,12 @@ fn counts_conserved_under_concurrent_snapshots() {
     let done = AtomicBool::new(false);
 
     thread::scope(|s| {
-        for w in 0..t.writers {
+        for _ in 0..t.writers {
             let reg = &REG;
             s.spawn(move || {
-                for i in 0..t.ops_per_writer {
+                for _ in 0..t.ops_per_writer {
                     reg.counter(CounterId::Queries).inc();
                     reg.counter(CounterId::Inserts).add(2);
-                    // Net gauge effect per op is +1 via a transient +3/-2,
-                    // so readers can observe intermediate levels.
-                    reg.gauge(GaugeId::DeltaRows).add(3);
-                    reg.gauge(GaugeId::DeltaRows).sub(2);
-                    // Values spread across many log2 buckets.
-                    reg.histogram(HistoId::QueryLatencyNs)
-                        .record((i.wrapping_mul(2654435761) >> (w % 16)) % 1_000_000);
                 }
             });
         }
@@ -80,11 +73,7 @@ fn counts_conserved_under_concurrent_snapshots() {
                         0,
                         "inserts counted in indivisible twos"
                     );
-                    // Gauge transits through +3 before the -2 lands, so
-                    // any observed level stays within [0, ops + 3*writers].
-                    let delta = snap.gauge(GaugeId::DeltaRows);
-                    assert!(delta >= 0 && delta as u64 <= total_ops + 3 * t.writers as u64);
-                    assert!(snap.histogram(HistoId::QueryLatencyNs).count() <= total_ops);
+                    assert!(snap.counter(CounterId::Inserts) <= 2 * total_ops);
                     last_queries = queries;
                     if done.load(Ordering::Acquire) {
                         break;
@@ -112,15 +101,4 @@ fn counts_conserved_under_concurrent_snapshots() {
     let snap = REG.snapshot();
     assert_eq!(snap.counter(CounterId::Queries), total_ops);
     assert_eq!(snap.counter(CounterId::Inserts), 2 * total_ops);
-    assert_eq!(snap.gauge(GaugeId::DeltaRows), total_ops as i64);
-    let h = snap.histogram(HistoId::QueryLatencyNs);
-    assert_eq!(h.count(), total_ops, "every histogram record retained");
-    // All recorded values were < 1_000_000 < 2^20, and the estimate
-    // interpolates at most to its bucket's upper bound.
-    assert!(h.quantile(1.0) <= (1u64 << 20) as f64);
-    assert_eq!(
-        h.buckets[21..].iter().sum::<u64>(),
-        0,
-        "no sample can land above the 2^20 bucket"
-    );
 }

@@ -72,7 +72,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use promips_linalg::Matrix;
-use promips_obs::{self as obs, CounterId, GaugeId, HistoId, Registry};
+use promips_obs::{CounterId, Registry};
 use promips_wal::WalRecord;
 
 use crate::index::{DeltaState, ShardGeneration, ShardSnapshot, ShardedProMips};
@@ -319,24 +319,15 @@ impl ShardedProMips {
     /// new delta. The index and the shard's norm bound are both rebuilt over
     /// the live rows.
     pub fn compact_shard(&self, si: usize) -> io::Result<bool> {
-        let t0 = obs::now_ns();
         let res = self.compact_shard_inner(si);
         match &res {
-            Ok(true) => {
-                let reg = Registry::global();
-                reg.counter(CounterId::Compactions).inc();
-                reg.histogram(HistoId::CompactionNs)
-                    .record(obs::now_ns().saturating_sub(t0));
-            }
+            Ok(true) => Registry::global().counter(CounterId::Compactions).inc(),
             Ok(false) => {}
             // Covers shadow-build and commit failures alike: even the
             // swapped-but-WAL-rewrite-failed path reports Failed, since the
-            // pass needs operator attention either way.
-            Err(_) => {
-                self.shards[si]
-                    .last_compaction
-                    .set(CompactionOutcome::Failed.as_code());
-            }
+            // pass needs operator attention either way. The install time
+            // stays that of the generation still live.
+            Err(_) => self.shards[si].maintenance.lock().1 = CompactionOutcome::Failed,
         }
         res
     }
@@ -445,14 +436,7 @@ impl ShardedProMips {
             *delta = next;
             *gen_slot = Arc::clone(&new_gen);
         }
-        // The frozen prefix left the overlay: fold it out of the global
-        // gauges (strictly incremental — never recomputed from snapshots,
-        // so several live indexes in one process stay additive).
-        let reg = Registry::global();
-        reg.counter(CounterId::GenerationSwaps).inc();
-        reg.gauge(GaugeId::DeltaRows).sub(split as i64);
-        reg.gauge(GaugeId::Tombstones)
-            .sub(frozen_tombs.len() as i64);
+        Registry::global().counter(CounterId::GenerationSwaps).inc();
         shard.note_generation_swap(CompactionOutcome::Compacted);
 
         // 4. The superseded file is garbage now; removal is best-effort
@@ -562,13 +546,7 @@ impl ShardedProMips {
                 *delta = DeltaState::empty(new_gen.built_max_norm);
                 *gen_slot = Arc::clone(&new_gen);
             }
-            // Each shard's whole overlay was folded: undo its gauge
-            // contribution from the frozen snapshot counts.
             reg.counter(CounterId::GenerationSwaps).inc();
-            reg.gauge(GaugeId::DeltaRows)
-                .sub(snaps[si].delta.len() as i64);
-            reg.gauge(GaugeId::Tombstones)
-                .sub(snaps[si].delta.tombstones.len() as i64);
             shard.note_generation_swap(CompactionOutcome::Repartitioned);
             if let Some(dir) = &self.dir {
                 let old = &snaps[si].gen;

@@ -53,6 +53,7 @@ use promips_wal::Wal;
 use crate::config::ShardedConfig;
 use crate::partition;
 use crate::persist::shard_path;
+use crate::result::CompactionOutcome;
 
 /// Golden-ratio stride for deriving per-shard seeds; shard 0 keeps the base
 /// seed so a one-shard build reproduces the unsharded index exactly.
@@ -277,35 +278,30 @@ pub struct Shard {
     /// Held across one shard compaction (freeze → shadow build → commit);
     /// [`crate::ShardedProMips::repartition`] takes all of them.
     pub(crate) compact_lock: Mutex<()>,
+    /// The maintenance ledger, stored as one value so a reader never pairs
+    /// one pass's install time with another's outcome: the
     /// [`promips_obs::now_ns`] timestamp of the live generation's install
-    /// (build, open, or swap) — [`crate::ShardMaintenance`] reports the age.
-    pub(crate) gen_installed_ns: promips_obs::Gauge,
-    /// [`crate::CompactionOutcome`] code of the last maintenance pass that
-    /// touched this shard (a registry-style gauge, updated incrementally by
-    /// the compaction paths).
-    pub(crate) last_compaction: promips_obs::Gauge,
+    /// (build, open, or swap — [`crate::ShardMaintenance`] reports the age)
+    /// and how the last maintenance pass that touched this shard ended.
+    pub(crate) maintenance: Mutex<(u64, CompactionOutcome)>,
 }
 
 impl Shard {
     pub(crate) fn new(generation: ShardGeneration) -> Self {
         let delta = DeltaState::empty(generation.built_max_norm);
-        let shard = Self {
+        Self {
             generation: RwLock::new(Arc::new(generation)),
             delta: RwLock::new(delta),
             wal: Mutex::new(None),
             compact_lock: Mutex::new(()),
-            gen_installed_ns: promips_obs::Gauge::NEW,
-            last_compaction: promips_obs::Gauge::NEW,
-        };
-        shard.gen_installed_ns.set(promips_obs::now_ns() as i64);
-        shard
+            maintenance: Mutex::new((promips_obs::now_ns(), CompactionOutcome::Never)),
+        }
     }
 
     /// Records a generation swap for the maintenance ledger: stamps the
     /// install time and the outcome of the pass that produced it.
-    pub(crate) fn note_generation_swap(&self, outcome: crate::result::CompactionOutcome) {
-        self.gen_installed_ns.set(promips_obs::now_ns() as i64);
-        self.last_compaction.set(outcome.as_code());
+    pub(crate) fn note_generation_swap(&self, outcome: CompactionOutcome) {
+        *self.maintenance.lock() = (promips_obs::now_ns(), outcome);
     }
 
     /// A consistent snapshot of the shard (see [`ShardSnapshot`]). The
@@ -556,6 +552,7 @@ impl ShardedProMips {
             .enumerate()
             .map(|(si, s)| {
                 let snap = s.snapshot();
+                let (installed_ns, last_compaction) = *s.maintenance.lock();
                 crate::result::ShardMaintenance {
                     shard: si as u32,
                     live: (snap.stored() - snap.delta.tombstones.len()) as u64,
@@ -563,10 +560,8 @@ impl ShardedProMips {
                     tombstones: snap.delta.tombstones.len(),
                     wal_bytes: self.wal_bytes(si),
                     generation: snap.gen.generation,
-                    generation_age_ns: now.saturating_sub(s.gen_installed_ns.get() as u64),
-                    last_compaction: crate::result::CompactionOutcome::from_code(
-                        s.last_compaction.get(),
-                    ),
+                    generation_age_ns: now.saturating_sub(installed_ns),
+                    last_compaction,
                 }
             })
             .collect()

@@ -42,8 +42,8 @@ use std::sync::Arc;
 
 use promips_core::MutationError;
 use promips_linalg::sq_norm2;
-use promips_obs::{CounterId, GaugeId, Registry};
-use promips_wal::{Wal, WalConfig, WalRecord};
+use promips_obs::{CounterId, Registry};
+use promips_wal::{Wal, WalRecord};
 
 use crate::index::{Shard, ShardedProMips};
 use crate::persist::wal_path;
@@ -138,9 +138,7 @@ impl ShardedProMips {
         )?;
         shard.delta.write().append(gid, point);
         self.n_points.fetch_add(1, Ordering::AcqRel);
-        let reg = Registry::global();
-        reg.counter(CounterId::Inserts).inc();
-        reg.gauge(GaugeId::DeltaRows).add(1);
+        Registry::global().counter(CounterId::Inserts).inc();
         Ok((gid, si))
     }
 
@@ -182,9 +180,7 @@ impl ShardedProMips {
             }
         }
         self.n_points.fetch_sub(1, Ordering::AcqRel);
-        let reg = Registry::global();
-        reg.counter(CounterId::Deletes).inc();
-        reg.gauge(GaugeId::Tombstones).add(1);
+        Registry::global().counter(CounterId::Deletes).inc();
         Ok(())
     }
 
@@ -237,9 +233,7 @@ impl ShardedProMips {
             let wal = Wal::open_or_create_streaming(
                 wal_path(dir, si),
                 self.d,
-                WalConfig {
-                    sync: self.config.wal_sync,
-                },
+                self.config.wal_sync,
                 |_rec| {
                     debug_assert!(
                         false,
@@ -300,10 +294,6 @@ impl ShardedProMips {
                 if !stale {
                     shard.delta.write().append(id, &vector);
                     self.n_points.fetch_add(1, Ordering::AcqRel);
-                    // Replays re-grow the overlay, so the delta gauge must
-                    // track them; the insert *counter* only counts fresh
-                    // mutations (replays tick the WAL-replay counter).
-                    Registry::global().gauge(GaugeId::DeltaRows).add(1);
                 }
             }
             WalRecord::Delete { id } => {
@@ -332,7 +322,6 @@ impl ShardedProMips {
         }
         drop(delta);
         self.n_points.fetch_sub(1, Ordering::AcqRel);
-        Registry::global().gauge(GaugeId::Tombstones).add(1);
     }
 
     /// Forces every shard's WAL to durable media regardless of the

@@ -52,7 +52,7 @@ use promips_core::{MutationError, ProMips};
 use promips_idistance::layout::{enc, RUN_BYTES};
 use promips_linalg::Matrix;
 use promips_storage::{write_file_atomic, AccessStats, FileStorage, Pager, Storage};
-use promips_wal::{SyncPolicy, Wal, WalConfig};
+use promips_wal::{SyncPolicy, Wal};
 
 use crate::config::ShardedConfig;
 use crate::index::{Shard, ShardGeneration, ShardedProMips};
@@ -412,15 +412,14 @@ impl ShardedProMips {
         // window and applied one at a time, and torn tails are truncated
         // inside the open. Replay mutates only delta state, so the index
         // can be built first and the `Wal` handles attached after.
-        let wal_cfg = WalConfig {
-            sync: index.config.wal_sync,
-        };
         for si in 0..n_shards {
             let wp = wal_path(dir, si);
             if !wp.exists() {
                 continue;
             }
-            let wal = Wal::open_streaming(&wp, wal_cfg, |rec| index.apply_replayed(si, rec))?;
+            let wal = Wal::open_streaming(&wp, index.config.wal_sync, |rec| {
+                index.apply_replayed(si, rec)
+            })?;
             if wal.d() != d {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,

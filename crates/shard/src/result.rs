@@ -55,27 +55,6 @@ pub enum CompactionOutcome {
     Failed,
 }
 
-impl CompactionOutcome {
-    /// Stable numeric code for the registry gauge that backs this field.
-    pub(crate) fn as_code(self) -> i64 {
-        match self {
-            CompactionOutcome::Never => 0,
-            CompactionOutcome::Compacted => 1,
-            CompactionOutcome::Repartitioned => 2,
-            CompactionOutcome::Failed => 3,
-        }
-    }
-
-    pub(crate) fn from_code(code: i64) -> Self {
-        match code {
-            1 => CompactionOutcome::Compacted,
-            2 => CompactionOutcome::Repartitioned,
-            3 => CompactionOutcome::Failed,
-            _ => CompactionOutcome::Never,
-        }
-    }
-}
-
 /// One shard's maintenance ledger (see
 /// [`crate::ShardedProMips::maintenance_stats`]): how much uncompacted
 /// state it carries and how big its write-ahead log has grown — the

@@ -96,8 +96,8 @@ use promips_core::screen::{self, QueryScreen, ScreenBound};
 use promips_core::{Query, SearchItem, SearchScratch, TopK};
 use promips_linalg::{dot, dot_col_i8, sq_norm2};
 use promips_obs::{
-    self as obs, budget_error, BudgetChecker, BudgetExceeded, CounterId, HistoId, QueryBudget,
-    QueryTrace, ShardSpan,
+    self as obs, budget_error, BudgetChecker, BudgetExceeded, CounterId, QueryBudget, QueryTrace,
+    ShardSpan,
 };
 
 use crate::error::{DegradationPolicy, QueryError, ShardError, ShardErrorKind};
@@ -362,7 +362,6 @@ impl ShardedProMips {
             ));
         }
         let policy = self.config.degradation;
-        let t_query = obs::now_ns();
 
         // The query's isolation boundary: one consistent snapshot per
         // shard, taken up front. Everything below reads only these.
@@ -596,8 +595,8 @@ impl ShardedProMips {
         let merge_ns = obs::now_ns().saturating_sub(t_merge);
 
         // Aggregate accounting. The per-shard layer owns the query-level
-        // metrics; the core layer booked the in-shard stage histograms and
-        // row counters while the shards ran.
+        // counters; the core layer booked the in-shard row counters while
+        // the shards ran.
         let reg = obs::global();
         reg.counter(CounterId::Queries).inc();
         let answered = |s: &&ShardSpan| !s.pruned && !s.failed;
@@ -605,16 +604,6 @@ impl ShardedProMips {
             .add(spans.iter().filter(answered).count() as u64);
         reg.counter(CounterId::ShardsPruned)
             .add(spans.iter().filter(|s| s.pruned).count() as u64);
-        reg.histogram(HistoId::QueryLatencyNs)
-            .record(obs::now_ns().saturating_sub(t_query));
-        reg.histogram(HistoId::StageMergeNs).record(merge_ns);
-        for s in spans.iter().filter(answered) {
-            reg.histogram(HistoId::ShardSearchNs).record(s.elapsed_ns);
-        }
-        let budget_remaining_ns = budget.and_then(|b| b.remaining_ns());
-        if let Some(rem) = budget_remaining_ns {
-            reg.histogram(HistoId::BudgetRemainingNs).record(rem);
-        }
         let result = ShardedSearchResult {
             items: merged.into_items(),
             verified: per_shard.iter().map(|s| s.verified).sum(),
@@ -625,7 +614,7 @@ impl ShardedProMips {
         if let Some(trace) = &mut trace {
             trace.merge_ns = merge_ns;
             trace.degraded = degraded;
-            trace.budget_remaining_ns = budget_remaining_ns;
+            trace.budget_remaining_ns = budget.and_then(|b| b.remaining_ns());
             trace.shards = spans;
             trace.total_ns = obs::now_ns().saturating_sub(trace.started_at_ns);
         }

@@ -15,7 +15,7 @@ use promips_core::{MutationError, ProMips, ProMipsConfig};
 use promips_linalg::{dot, Matrix};
 use promips_shard::{ShardedConfig, ShardedProMips, ShardedQuery, ShardedScratch, SyncPolicy};
 use promips_stats::Xoshiro256pp;
-use promips_wal::{Wal, WalConfig, WalRecord};
+use promips_wal::{Wal, WalRecord};
 use proptest::prelude::*;
 
 /// Rows in a sealed chunk (`CHUNK_ROWS` in `crates/shard/src/index.rs`):
@@ -402,8 +402,12 @@ fn a_non_finite_row_is_refused_before_the_wal_and_the_index() {
     drop(idx);
 
     // A logged non-finite insert can only be corruption: replay refuses it.
-    let mut wal =
-        Wal::open_streaming(dir.join("shard_0001.wal"), WalConfig::default(), |_| Ok(())).unwrap();
+    let mut wal = Wal::open_streaming(
+        dir.join("shard_0001.wal"),
+        SyncPolicy::default(),
+        |_| Ok(()),
+    )
+    .unwrap();
     let mut row = vec![0.5f32; d];
     row[0] = f32::NAN;
     wal.append(&WalRecord::Insert {

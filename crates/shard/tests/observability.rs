@@ -1,8 +1,9 @@
 //! End-to-end checks of the unified observability layer at the sharded
 //! level: per-query stage traces must account for the measured latency,
 //! the registry must book the query/WAL/maintenance activity of a
-//! workload, and its gauges must track the real overlay state through
-//! mutations, compaction, and re-partitioning.
+//! workload, and each shard's maintenance ledger must track the real
+//! overlay state through mutations, compaction, re-partitioning and a
+//! reopen.
 //!
 //! The registry and the fault plan are process-global; every test here
 //! holds [`REG_LOCK`] so their before/after deltas never interleave. (Each integration-test file is
@@ -13,7 +14,7 @@ use std::sync::Mutex;
 
 use promips_core::ProMipsConfig;
 use promips_linalg::Matrix;
-use promips_obs::{self as obs, CounterId, GaugeId, HistoId};
+use promips_obs::{self as obs, CounterId};
 use promips_shard::{
     CompactionOutcome, DegradationPolicy, ShardedConfig, ShardedProMips, ShardedQuery,
     ShardedScratch, SyncPolicy,
@@ -152,10 +153,10 @@ fn tracing_is_pure_observation() {
 
 /// A durable sharded workload books every layer to the registry: the
 /// snapshot diff over it moves by exactly what the workload fixes —
-/// 80 inserts, 20 deletes, 4 queries — and moves at all for what it only
-/// implies (WAL appends, compactions, generation swaps, per-shard stage
-/// samples), while the overlay gauges rise with the mutations and fall
-/// back to their baseline once compaction folds the overlay away.
+/// 80 inserts, 20 deletes and their 100 WAL appends, 4 queries over 2
+/// shards each — and moves at all for what it only implies (compactions,
+/// generation swaps), while the shards' ledgers hold the overlay the
+/// mutations left and hold none once compaction folds it away.
 #[test]
 fn the_registry_books_the_pipeline() {
     let _guard = reg_lock();
@@ -171,8 +172,8 @@ fn the_registry_books_the_pipeline() {
     let scratch = ShardedScratch::for_index(&idx);
     let before = obs::global().snapshot();
 
-    // Mutate (WAL counters, overlay gauges), query (latency + stage
-    // histograms), compact (compaction counters, gauges folded back).
+    // Mutate (WAL counters, overlay ledger), query (query and shard
+    // counters), compact (compaction counters, ledger emptied).
     let mut gids = Vec::new();
     for row in random_rows(80, d, 22) {
         gids.push(idx.insert(&row).unwrap());
@@ -183,30 +184,33 @@ fn the_registry_books_the_pipeline() {
     for q in random_rows(4, d, 23) {
         idx.search_threaded(&q, 5, 1, &scratch).unwrap();
     }
-    let mutated = obs::global().snapshot();
+    let overlay = |idx: &ShardedProMips| -> (usize, usize) {
+        let stats = idx.maintenance_stats();
+        (
+            stats.iter().map(|s| s.delta_len).sum(),
+            stats.iter().map(|s| s.tombstones).sum(),
+        )
+    };
+    assert_eq!(overlay(&idx), (80, 20));
     idx.compact_all().unwrap();
-    let after = obs::global().snapshot();
-    let booked = after.saturating_diff(&before);
+    assert_eq!(overlay(&idx), (0, 0), "compaction folds the overlay away");
+    let booked = obs::global().snapshot().saturating_diff(&before);
 
     assert_eq!(booked.counter(CounterId::Inserts), 80);
     assert_eq!(booked.counter(CounterId::Deletes), 20);
+    assert_eq!(booked.counter(CounterId::WalAppends), 100);
     assert_eq!(booked.counter(CounterId::Queries), 4);
-    assert_eq!(booked.histogram(HistoId::QueryLatencyNs).count(), 4);
+    assert_eq!(
+        booked.counter(CounterId::ShardsSearched) + booked.counter(CounterId::ShardsPruned),
+        8,
+        "every query books each of the 2 shards once"
+    );
     for id in [
-        CounterId::WalAppends,
+        CounterId::QueryScanned,
         CounterId::Compactions,
         CounterId::GenerationSwaps,
     ] {
         assert!(booked.counter(id) > 0, "{id:?} did not move");
-    }
-    for id in [HistoId::StageScanNs, HistoId::ShardSearchNs] {
-        assert!(booked.histogram(id).count() > 0, "{id:?} did not move");
-    }
-    let rose = |id| mutated.gauge(id) - before.gauge(id);
-    assert_eq!(rose(GaugeId::DeltaRows), 80);
-    assert_eq!(rose(GaugeId::Tombstones), 20);
-    for id in [GaugeId::DeltaRows, GaugeId::Tombstones] {
-        assert_eq!(after.gauge(id), before.gauge(id), "{id:?} not folded back");
     }
 
     drop(idx);
@@ -263,20 +267,9 @@ fn degraded_best_effort_query_is_flagged_in_its_trace() {
     assert!(failed.failed && trace.shards_failed() == 1);
     assert!(failed.elapsed_ns > 0, "a failed shard still took wall time");
     assert!(trace.coverage() > 0.0);
-    // Every searched shard — the failed one included — booked one stage
-    // sample and its row counts, and the spans carry exactly those
-    // (`verify_ns` also holds this layer's overlay scoring, so it is not
-    // compared).
+    // Every searched shard — the failed one included — booked its row
+    // counts, and the spans carry exactly those.
     let sum = |f: &dyn Fn(&obs::ShardSpan) -> u64| trace.shards.iter().map(f).sum::<u64>();
-    assert_eq!(booked.histogram(HistoId::StageScanNs).count(), 3);
-    assert_eq!(
-        booked.histogram(HistoId::StageScanNs).sum,
-        trace.stages().scan_ns
-    );
-    assert_eq!(
-        booked.histogram(HistoId::StageScreenNs).sum,
-        trace.stages().screen_ns
-    );
     assert_eq!(booked.counter(CounterId::QueryScanned), sum(&|s| s.scanned));
     assert_eq!(
         booked.counter(CounterId::QueryScreened),
@@ -369,18 +362,28 @@ fn exact_and_delta_rows_are_booked_once_and_carried_by_the_spans() {
     assert_eq!(with_delta, base + 25);
 }
 
-/// The delta/tombstone gauges move strictly incrementally with the
-/// overlay: +1 per insert/delete, folded back out by compaction and
-/// re-partitioning — so their process-wide values stay consistent no
-/// matter how many indexes feed them.
+/// Each shard's maintenance ledger is its overlay: +1 per insert/delete,
+/// folded back out by compaction, and after a drop and reopen exactly
+/// what the write-ahead logs replay — per index, so a dropped index
+/// leaves nothing behind in another's numbers.
 #[test]
-fn overlay_gauges_track_mutations_and_compaction() {
+fn overlay_ledger_tracks_mutations_compaction_and_reopen() {
     let _guard = reg_lock();
     let d = 8;
-    let idx = build_index(400, d, 2);
+    let dir = temp_dir("ledger");
+    let data = Matrix::from_rows(d, random_rows(400, d, 29));
+    let cfg = ShardedConfig::builder()
+        .shards(2)
+        .wal_sync(SyncPolicy::Never)
+        .base(ProMipsConfig::builder().seed(5).build())
+        .build();
+    let idx = ShardedProMips::build_in_dir(&data, cfg, &dir).unwrap();
     let reg = obs::global();
-    let delta0 = reg.gauge(GaugeId::DeltaRows).get();
-    let tombs0 = reg.gauge(GaugeId::Tombstones).get();
+    let ledger = |idx: &ShardedProMips| -> Vec<(usize, usize)> {
+        let stats = idx.maintenance_stats();
+        stats.iter().map(|s| (s.delta_len, s.tombstones)).collect()
+    };
+    let total = |l: &[(usize, usize)]| l.iter().fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
     let inserts0 = reg.counter(CounterId::Inserts).get();
     let deletes0 = reg.counter(CounterId::Deletes).get();
 
@@ -391,31 +394,39 @@ fn overlay_gauges_track_mutations_and_compaction() {
     for gid in gids.iter().take(15) {
         idx.delete(*gid).unwrap();
     }
-    assert_eq!(reg.gauge(GaugeId::DeltaRows).get() - delta0, 60);
-    assert_eq!(reg.gauge(GaugeId::Tombstones).get() - tombs0, 15);
+    assert_eq!(total(&ledger(&idx)), (60, 15));
     assert_eq!(reg.counter(CounterId::Inserts).get() - inserts0, 60);
     assert_eq!(reg.counter(CounterId::Deletes).get() - deletes0, 15);
 
-    // The gauges agree with the maintenance ledger's overlay totals.
-    let stats = idx.maintenance_stats();
-    let ledger_delta: usize = stats.iter().map(|s| s.delta_len).sum();
-    let ledger_tombs: usize = stats.iter().map(|s| s.tombstones).sum();
-    assert_eq!(
-        ledger_delta as i64,
-        reg.gauge(GaugeId::DeltaRows).get() - delta0
-    );
-    assert_eq!(
-        ledger_tombs as i64,
-        reg.gauge(GaugeId::Tombstones).get() - tombs0
-    );
-
-    // Compaction folds the overlay away and the gauges return to their
-    // pre-test baseline.
+    // Compaction folds the overlay away.
     let compactions0 = reg.counter(CounterId::Compactions).get();
     idx.compact_all().unwrap();
-    assert_eq!(reg.gauge(GaugeId::DeltaRows).get(), delta0);
-    assert_eq!(reg.gauge(GaugeId::Tombstones).get(), tombs0);
+    assert!(ledger(&idx).iter().all(|&l| l == (0, 0)));
     assert!(reg.counter(CounterId::Compactions).get() > compactions0);
+
+    // A fresh overlay, then drop and reopen in this process: the reopened
+    // ledger is what the logs replay, shard by shard — not that plus the
+    // overlay of the dropped handle.
+    let mut gids = Vec::new();
+    for row in random_rows(40, d, 33) {
+        gids.push(idx.insert(&row).unwrap());
+    }
+    for gid in gids.iter().take(10) {
+        idx.delete(*gid).unwrap();
+    }
+    let dropped = ledger(&idx);
+    assert_eq!(total(&dropped), (40, 10));
+    drop(idx);
+    let replayed0 = reg.counter(CounterId::WalReplayedRecords).get();
+    let idx = ShardedProMips::open(&dir).unwrap();
+    assert_eq!(
+        reg.counter(CounterId::WalReplayedRecords).get() - replayed0,
+        50
+    );
+    assert_eq!(ledger(&idx), dropped);
+
+    drop(idx);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `maintenance_stats()` reports each generation's age and the outcome of

@@ -48,5 +48,5 @@ pub mod log;
 pub mod record;
 
 pub use crc::crc32;
-pub use log::{SyncPolicy, Wal, WalConfig};
+pub use log::{SyncPolicy, Wal};
 pub use record::WalRecord;

@@ -6,7 +6,7 @@ use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-use promips_obs::{CounterId, HistoId, Registry};
+use promips_obs::{CounterId, Registry};
 use promips_storage::durability::{
     faults::{self, IoOp},
     fsync_dir, rename,
@@ -44,13 +44,6 @@ pub enum SyncPolicy {
     Never,
 }
 
-/// Log configuration.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WalConfig {
-    /// Group-commit knob (see [`SyncPolicy`]).
-    pub sync: SyncPolicy,
-}
-
 /// An open write-ahead log for one shard.
 ///
 /// The in-memory state tracks the byte length of the *complete-record
@@ -61,7 +54,8 @@ pub struct Wal {
     file: File,
     path: PathBuf,
     d: usize,
-    config: WalConfig,
+    /// Group-commit knob (see [`SyncPolicy`]).
+    policy: SyncPolicy,
     /// End of the last complete record (file offset appends write at).
     len_bytes: u64,
     records: u64,
@@ -75,7 +69,7 @@ impl Wal {
     /// Creates a fresh (empty) log for vectors of dimensionality `d`,
     /// fsyncing the header and the parent directory so the file itself
     /// survives a crash.
-    pub fn create(path: impl AsRef<Path>, d: usize, config: WalConfig) -> io::Result<Self> {
+    pub fn create(path: impl AsRef<Path>, d: usize, policy: SyncPolicy) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new()
             .read(true)
@@ -99,7 +93,7 @@ impl Wal {
             file,
             path,
             d,
-            config,
+            policy,
             len_bytes: HEADER_BYTES,
             records: 0,
             unsynced: 0,
@@ -127,7 +121,7 @@ impl Wal {
     /// short by compaction, which bounds that exposure.
     pub fn open_streaming(
         path: impl AsRef<Path>,
-        config: WalConfig,
+        policy: SyncPolicy,
         mut apply: impl FnMut(WalRecord) -> io::Result<()>,
     ) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
@@ -215,7 +209,7 @@ impl Wal {
             file,
             path,
             d,
-            config,
+            policy,
             len_bytes: good_end,
             records,
             unsynced: 0,
@@ -228,11 +222,11 @@ impl Wal {
     pub fn open_or_create_streaming(
         path: impl AsRef<Path>,
         d: usize,
-        config: WalConfig,
+        policy: SyncPolicy,
         apply: impl FnMut(WalRecord) -> io::Result<()>,
     ) -> io::Result<Self> {
         if path.as_ref().exists() {
-            let wal = Self::open_streaming(path, config, apply)?;
+            let wal = Self::open_streaming(path, policy, apply)?;
             if wal.d != d {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -241,7 +235,7 @@ impl Wal {
             }
             Ok(wal)
         } else {
-            Self::create(path, d, config)
+            Self::create(path, d, policy)
         }
     }
 
@@ -288,7 +282,7 @@ impl Wal {
         self.unsynced += 1;
         Registry::global().counter(CounterId::WalAppends).inc();
         if sync_now {
-            match self.config.sync {
+            match self.policy {
                 SyncPolicy::Always => self.sync()?,
                 SyncPolicy::EveryN(n) => {
                     if self.unsynced >= n.max(1) {
@@ -307,14 +301,7 @@ impl Wal {
         retry::retry_io(&RetryPolicy::default(), || {
             sync_file_data(&self.file, &self.path)
         })?;
-        let reg = Registry::global();
-        reg.counter(CounterId::WalSyncs).inc();
-        if self.unsynced > 0 {
-            // Group-commit effectiveness: how many appends this sync
-            // point amortized (no-debt syncs would flood bucket 0).
-            reg.histogram(HistoId::WalGroupCommitBatch)
-                .record(self.unsynced as u64);
-        }
+        Registry::global().counter(CounterId::WalSyncs).inc();
         self.unsynced = 0;
         Ok(())
     }
@@ -506,7 +493,7 @@ mod tests {
     /// [`Wal::open_streaming`] with a closure collecting the replay.
     fn open_collect(path: &Path) -> io::Result<(Wal, Vec<WalRecord>)> {
         let mut records = Vec::new();
-        let wal = Wal::open_streaming(path, WalConfig::default(), |rec| {
+        let wal = Wal::open_streaming(path, SyncPolicy::default(), |rec| {
             records.push(rec);
             Ok(())
         })?;
@@ -533,7 +520,7 @@ mod tests {
         let path = temp_path("roundtrip");
         let recs = sample_records(6);
         {
-            let mut wal = Wal::create(&path, 6, WalConfig::default()).unwrap();
+            let mut wal = Wal::create(&path, 6, SyncPolicy::default()).unwrap();
             for r in &recs {
                 wal.append(r).unwrap();
             }
@@ -551,7 +538,7 @@ mod tests {
         let path = temp_path("continue");
         let recs = sample_records(3);
         {
-            let mut wal = Wal::create(&path, 3, WalConfig::default()).unwrap();
+            let mut wal = Wal::create(&path, 3, SyncPolicy::default()).unwrap();
             for r in &recs[..2] {
                 wal.append(r).unwrap();
             }
@@ -577,7 +564,7 @@ mod tests {
         let path = temp_path("torture");
         let recs = sample_records(5);
         {
-            let mut wal = Wal::create(&path, 5, WalConfig::default()).unwrap();
+            let mut wal = Wal::create(&path, 5, SyncPolicy::default()).unwrap();
             for r in &recs {
                 wal.append(r).unwrap();
             }
@@ -621,7 +608,7 @@ mod tests {
         let path = temp_path("crc");
         let recs = sample_records(4);
         {
-            let mut wal = Wal::create(&path, 4, WalConfig::default()).unwrap();
+            let mut wal = Wal::create(&path, 4, SyncPolicy::default()).unwrap();
             for r in &recs {
                 wal.append(r).unwrap();
             }
@@ -645,7 +632,7 @@ mod tests {
         let recs = sample_records(4);
         let rec_len = |r: &WalRecord| RECORD_HEADER + r.payload_len(4);
         {
-            let mut wal = Wal::create(&path, 4, WalConfig::default()).unwrap();
+            let mut wal = Wal::create(&path, 4, SyncPolicy::default()).unwrap();
             for r in &recs {
                 wal.append(r).unwrap();
             }
@@ -675,14 +662,7 @@ mod tests {
         let d = 48; // ~210 bytes per insert record
         let n = 4000u64; // ~840 KB of records ⇒ several 256 KiB windows
         {
-            let mut wal = Wal::create(
-                &path,
-                d,
-                WalConfig {
-                    sync: SyncPolicy::Never,
-                },
-            )
-            .unwrap();
+            let mut wal = Wal::create(&path, d, SyncPolicy::Never).unwrap();
             for id in 0..n {
                 wal.append(&WalRecord::Insert {
                     id,
@@ -697,7 +677,7 @@ mod tests {
         }
         let mut seen = 0u64;
         let mut next_insert = 0u64;
-        let wal = Wal::open_streaming(&path, WalConfig::default(), |rec| {
+        let wal = Wal::open_streaming(&path, SyncPolicy::default(), |rec| {
             match rec {
                 WalRecord::Insert { id, vector } => {
                     assert_eq!(id, next_insert);
@@ -720,13 +700,13 @@ mod tests {
     fn replay_apply_error_aborts_open() {
         let path = temp_path("abort");
         {
-            let mut wal = Wal::create(&path, 2, WalConfig::default()).unwrap();
+            let mut wal = Wal::create(&path, 2, SyncPolicy::default()).unwrap();
             for r in sample_records(2) {
                 wal.append(&r).unwrap();
             }
         }
         let mut calls = 0;
-        let err = Wal::open_streaming(&path, WalConfig::default(), |_| {
+        let err = Wal::open_streaming(&path, SyncPolicy::default(), |_| {
             calls += 1;
             if calls == 2 {
                 Err(io::Error::other("replay sink failed"))
@@ -743,7 +723,7 @@ mod tests {
     #[test]
     fn truncate_empties_the_log() {
         let path = temp_path("trunc");
-        let mut wal = Wal::create(&path, 2, WalConfig::default()).unwrap();
+        let mut wal = Wal::create(&path, 2, SyncPolicy::default()).unwrap();
         for r in sample_records(2) {
             wal.append(&r).unwrap();
         }
@@ -764,7 +744,7 @@ mod tests {
     fn rewrite_replaces_contents_atomically() {
         let path = temp_path("rewrite");
         let recs = sample_records(3);
-        let mut wal = Wal::create(&path, 3, WalConfig::default()).unwrap();
+        let mut wal = Wal::create(&path, 3, SyncPolicy::default()).unwrap();
         for r in &recs {
             wal.append(r).unwrap();
         }
@@ -787,7 +767,7 @@ mod tests {
     #[test]
     fn rewrite_to_empty_acts_as_crash_safe_truncate() {
         let path = temp_path("rewrite-empty");
-        let mut wal = Wal::create(&path, 2, WalConfig::default()).unwrap();
+        let mut wal = Wal::create(&path, 2, SyncPolicy::default()).unwrap();
         for r in sample_records(2) {
             wal.append(&r).unwrap();
         }
@@ -803,7 +783,7 @@ mod tests {
     #[test]
     fn deferred_append_then_explicit_sync() {
         let path = temp_path("deferred");
-        let mut wal = Wal::create(&path, 2, WalConfig::default()).unwrap();
+        let mut wal = Wal::create(&path, 2, SyncPolicy::default()).unwrap();
         let rec = WalRecord::Delete { id: 1 };
         // SyncPolicy::Always, but the group-commit path defers.
         wal.append_with_sync(&rec, false).unwrap();
@@ -820,14 +800,7 @@ mod tests {
     #[test]
     fn group_commit_tracks_sync_debt() {
         let path = temp_path("group");
-        let mut wal = Wal::create(
-            &path,
-            2,
-            WalConfig {
-                sync: SyncPolicy::EveryN(3),
-            },
-        )
-        .unwrap();
+        let mut wal = Wal::create(&path, 2, SyncPolicy::EveryN(3)).unwrap();
         let rec = WalRecord::Delete { id: 1 };
         wal.append(&rec).unwrap();
         wal.append(&rec).unwrap();
@@ -846,7 +819,7 @@ mod tests {
         let path = temp_path("ooc");
         let _ = std::fs::remove_file(&path);
         let open = |d: usize, replayed: &mut Vec<WalRecord>| {
-            Wal::open_or_create_streaming(&path, d, WalConfig::default(), |rec| {
+            Wal::open_or_create_streaming(&path, d, SyncPolicy::default(), |rec| {
                 replayed.push(rec);
                 Ok(())
             })
@@ -870,7 +843,7 @@ mod tests {
         use promips_storage::durability::faults::{FaultPlan, Recurrence};
         let _g = FAULT_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let path = temp_path("retry-append");
-        let mut wal = Wal::create(&path, 2, WalConfig::default()).unwrap();
+        let mut wal = Wal::create(&path, 2, SyncPolicy::default()).unwrap();
         let before = faults::counters();
         faults::arm_with(
             FaultPlan {
@@ -899,7 +872,7 @@ mod tests {
         let _g = FAULT_TESTS.lock().unwrap_or_else(|e| e.into_inner());
         let path = temp_path("read-fault");
         {
-            let mut wal = Wal::create(&path, 2, WalConfig::default()).unwrap();
+            let mut wal = Wal::create(&path, 2, SyncPolicy::default()).unwrap();
             wal.append(&WalRecord::Delete { id: 4 }).unwrap();
         }
         faults::arm_with(
@@ -922,7 +895,7 @@ mod tests {
     #[test]
     fn mismatched_insert_dimension_panics() {
         let path = temp_path("dim");
-        let mut wal = Wal::create(&path, 4, WalConfig::default()).unwrap();
+        let mut wal = Wal::create(&path, 4, SyncPolicy::default()).unwrap();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = wal.append(&WalRecord::Insert {
                 id: 0,

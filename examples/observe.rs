@@ -1,5 +1,5 @@
-//! The observability stack on a sharded workload: the global metrics
-//! registry and an explicit query trace.
+//! The observability stack on a sharded workload: the global counter
+//! registry, each shard's maintenance ledger and an explicit query trace.
 //!
 //! ```sh
 //! cargo run --release --example observe
@@ -11,7 +11,7 @@
 //! answered, or the process exits non-zero.
 
 use promips::linalg::Matrix;
-use promips::obs::{self, CounterId, GaugeId, HistoId};
+use promips::obs::{self, CounterId};
 use promips::shard::{ShardedConfig, ShardedProMips, ShardedQuery, ShardedScratch, SyncPolicy};
 use promips::stats::Xoshiro256pp;
 
@@ -60,11 +60,12 @@ fn main() -> std::io::Result<()> {
         column_pass_spans += trace.shards.iter().filter(|s| s.column_pass).count() as u64;
         first.get_or_insert((res.items[0].ip, trace));
     }
+    let debt = index.maintenance_stats();
     index.compact_all()?;
     let booked = obs::global().snapshot().saturating_diff(&before);
 
-    // What the workload booked: counters and histograms as the activity
-    // between the two snapshots, gauges as their level at the end.
+    // What the workload booked: the counters' activity between the two
+    // snapshots.
     println!("--- registry over the workload ---");
     for &id in CounterId::ALL {
         let n = booked.counter(id);
@@ -72,20 +73,25 @@ fn main() -> std::io::Result<()> {
             println!("  {:<22} {n}", format!("{id:?}"));
         }
     }
-    for &id in GaugeId::ALL {
-        println!("  {:<22} {} (level)", format!("{id:?}"), booked.gauge(id));
-    }
-    for &id in HistoId::ALL {
-        let h = booked.histogram(id);
-        if h.count() > 0 {
-            println!(
-                "  {:<22} n={} p50≈{:.0} p99≈{:.0}",
-                format!("{id:?}"),
-                h.count(),
-                h.quantile(0.5),
-                h.quantile(0.99)
-            );
-        }
+
+    // Each shard's ledger: the overlay debt the mutations left, then what
+    // the compaction pass made of it.
+    println!("\n--- maintenance ledger: before compaction, after ---");
+    for (was, now) in debt.iter().zip(index.maintenance_stats()) {
+        println!(
+            "  shard {}: delta {} tombstones {} wal {} B gen {} | \
+             delta {} tombstones {} wal {} B gen {} ({:?})",
+            was.shard,
+            was.delta_len,
+            was.tombstones,
+            was.wal_bytes,
+            was.generation,
+            now.delta_len,
+            now.tombstones,
+            now.wal_bytes,
+            now.generation,
+            now.last_compaction
+        );
     }
 
     // Per-query stage trace: where did this one search spend its time?

@@ -20,7 +20,7 @@
 //! * [`btree`], [`storage`] — the disk substrate (single B+-tree over a
 //!   paged file with access accounting).
 //! * [`obs`] — the unified observability layer: a process-global
-//!   lock-free metrics registry fed by every layer above, and per-query
+//!   lock-free counter registry fed by every layer above, and per-query
 //!   stage tracing.
 //! * [`baselines`] — H2-ALSH, Norm-Ranging LSH, PQ-based search and the
 //!   exact scanner used for ground truth.
