@@ -234,9 +234,10 @@ impl ProMips {
         self.index.pager().clear_cache();
     }
 
-    /// The paper's **Index Size** metric: everything except the raw
-    /// original vectors — i.e. the projected blobs + B+-tree + directory
-    /// pages up to the iDistance footer, plus the projection matrix and the
+    /// The paper's **Index Size** metric: every page of the iDistance file
+    /// up to its footer except the raw original vectors — the projected
+    /// records, the SQ8 verification codes (when built), the B+-tree, the
+    /// directory and the footer — plus the projection matrix and the
     /// Quick-Probe representatives. Those two are counted from memory and
     /// the pages [`ProMips::save`] appends for them are not, so the figure
     /// is the same before a save, after it and on a reopened handle.

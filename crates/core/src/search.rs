@@ -43,14 +43,15 @@
 //!   alternated on a 2-core VM: `scan + screen + verify` of this commit
 //!   with the rule switched off over its covered rows, against the pass of
 //!   this commit over all rows): **d = 300** (`lf300_hot`, 100 000 rows,
-//!   99 810 covered, 64-byte head codes) 32.0 and 30.0 ns per covered row
-//!   against 5.04 and 4.84 ns per row, crossover at 0.158–0.162 of the
+//!   99 810 covered, 64-byte head codes) 29.7 and 30.5 ns per covered row
+//!   against 3.69 and 5.73 ns per row, crossover at 0.121–0.193 of the
 //!   rows; **d = 64** (`skew64_shard4`, the 50 000-row shard every query
-//!   searches, 47 555 covered, full-width codes — 64 bytes too) 39.3 and
-//!   38.0 against 4.55 and 4.80, crossover at 0.116–0.127. The constant was
-//!   set at the larger crossover rounded up when the pass cost 7–8 ns a row
-//!   (crossovers 0.215–0.217 and 0.126–0.137), and stays 0.25 now that the
-//!   pass is cheaper: the pass still runs only where it wins on both shapes.
+//!   searches, 47 555 covered, full-width codes — 64 bytes too) 38.9 and
+//!   38.9 against 4.34 and 4.40, crossover at 0.112–0.113. The constant
+//!   was set at the larger crossover rounded up when the pass cost 7–8 ns a
+//!   row (crossovers 0.215–0.217 and 0.126–0.137), and stays 0.25 now that
+//!   the pass is cheaper: the pass still runs only where it wins on both
+//!   shapes.
 //!   Lowering it would move the queries covering between ≈ 0.16 and 0.25
 //!   of their index to the exact pass, changing their answers; that is
 //!   ROADMAP item 5's decision, after item 2's audit of the annulus path.
@@ -154,12 +155,11 @@
 //! **Width.** `h` is the smallest multiple of 64 up to `min(d/2, 256)`
 //! whose tail energy (the share of a 1 024-row sample's `‖X‖_F²` outside
 //! the span of a basis fitted to `8·h` other rows) is at most ε = 0.02;
-//! otherwise the
-//! index keeps full-width codes and its file is byte for byte what it was
-//! before heads existed. ε is derived like the coverage constant, from
-//! query times of one index per row (100 000 rows, k = 10, queries beside a
-//! data row, in-memory pager; full-width codes against a forced 64-byte
-//! head; `verified` = rows the screen let through):
+//! otherwise the index keeps full-width codes, one column of `d`-byte rows.
+//! ε is derived like the coverage constant, from query times of one index
+//! per row (100 000 rows, k = 10, queries beside a data row, in-memory
+//! pager; full-width codes against a forced 64-byte head; `verified` =
+//! rows the screen let through):
 //!
 //! | rows | tail energy at h = 64 | full-width p50, verified | 64-byte head p50, verified |
 //! |---|---|---|---|
@@ -223,10 +223,8 @@ pub struct SearchScratch {
     pq: Vec<f32>,
     /// Range-search candidates, grouped by sub-partition.
     cands: Vec<RangeCandidate>,
-    /// Projected-record decode arena for the annulus scan (id column +
-    /// flat `f32` rows), which also carries the quantized-stage buffers
-    /// (code column, quantized query, surviving blocks) of the SQ8
-    /// two-level filter.
+    /// Projected-record decode arena for the annulus scan: the id column
+    /// and flat `f32` rows of one covered sub-partition at a time.
     proj: ProjScratch,
     /// Buffers for screening and verification.
     fetch: FetchBuffers,

@@ -238,7 +238,7 @@ fn the_pass_reads_the_column_once_plus_its_survivors() {
     let data = gaussian(n, d, 31);
     let index = build(&data, page_size, 31);
     let idist = index.idistance();
-    let (_, column_bytes) = idist.vquant_region().expect("default build has the tier");
+    let (_, column_bytes) = idist.code_region().expect("default build has the tier");
     assert_eq!(column_bytes, (n * d) as u64);
     let column_pages = column_bytes.div_ceil(page_size as u64);
 
@@ -280,14 +280,18 @@ fn the_pass_reads_the_column_once_plus_its_survivors() {
 /// ball around a far cluster's row meets a small share of the
 /// sub-partitions for some clusters and most of them for others. The rule
 /// is the documented one — a quarter of the rows — and it prices rows in
-/// memory, not pages: where it keeps the annulus path, that path reads more
-/// pages (a mean of ≈ 106 a query, screening row by row as the pass does)
-/// than the best-first passes over the same index do (≈ 91, their
-/// survivors' rows included: the rows are of rank 24, so the column itself
-/// is a 64-byte head, 45 pages). A directory-order walk read more than
-/// either (a mean of ≈ 210 pages a pass).
+/// memory, not pages. Where it keeps the annulus path, that path reads each
+/// covered sub-partition's projected records once and screens row by row
+/// as the pass does: [46, 37, 103, 119, 62, 55, 94] pages on the seven
+/// annulus queries, a mean of ≈ 73.7, no more than the best-first passes
+/// over the same index (≈ 73.9, their survivors' rows included: the rows
+/// are of rank 24, so the column itself is a 64-byte head, 45 pages). With
+/// an SQ8 code filter read in front of the records the same seven queries
+/// read [76, 61, 139, 167, 109, 95, 119], a mean of ≈ 109.4. A
+/// directory-order walk read more than either (a mean of ≈ 210 pages a
+/// pass).
 #[test]
-fn a_clustered_dataset_stays_on_the_annulus_path_though_the_pass_reads_less() {
+fn a_clustered_dataset_stays_on_the_annulus_path_which_reads_no_more_than_the_pass() {
     let (clusters, per, d) = (24usize, 120usize, 300usize);
     let n = clusters * per;
     let data = clustered(clusters, per, d, 90);
@@ -332,7 +336,7 @@ fn a_clustered_dataset_stays_on_the_annulus_path_though_the_pass_reads_less() {
     );
     let mean = |reads: &[u64]| reads.iter().sum::<u64>() as f64 / reads.len() as f64;
     assert!(
-        mean(&column) < mean(&annulus),
+        mean(&annulus) <= mean(&column),
         "annulus path read {annulus:?} pages, the column pass {column:?}"
     );
 }
@@ -432,7 +436,7 @@ fn head_and_full_width_columns_answer_exactly() {
         assert_eq!(idist.code_width(), width, "{what}");
         // A head's row is its codes and its suffix-norm code.
         let row_bytes = width + head as usize;
-        assert_eq!(idist.vquant_region().unwrap().1, (n * row_bytes) as u64);
+        assert_eq!(idist.code_region().unwrap().1, (n * row_bytes) as u64);
         if what == "heavy-residual rows" {
             let tails = idist.vquants().iter().map(|vq| vq.tail);
             assert!(tails.clone().any(|t| t > 5.0), "{what}: none left outside");

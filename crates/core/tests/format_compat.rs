@@ -1,9 +1,9 @@
 //! The one on-disk format, with and without the verification tier.
 //!
-//! The SQ8 scan tier is always built; the SQ8 screen+rescore verification
-//! tier is optional at build time, and a file records it absent as a
-//! sentinel region. Both builds must round-trip through save/open with
-//! exactly their tiers and answer like a fresh build. The verification
+//! The file's only code region is the SQ8 screen+rescore verification
+//! tier's, optional at build time; a file records it absent as a sentinel
+//! region. Both builds must round-trip through save/open with exactly
+//! their tiers and answer like a fresh build. The verification
 //! tier changes an answer in one way only: an index that has it answers a
 //! query whose ball
 //! covers most of its rows by the column pass — the exact top-k — where an
@@ -18,7 +18,10 @@
 //!
 //! What `save` appends — footer page and aux blob — is read the same way:
 //! a length, a count or a magic the rest of the file does not back is
-//! `InvalidData` from `ProMips::open` and from `ShardedProMips::open`.
+//! `InvalidData` from `ProMips::open` and from `ShardedProMips::open`. So
+//! is a file of the format before this one, which also carried SQ8 codes of
+//! the projected rows: its iDistance footer magics are refused, not
+//! misread, under full-width codes and under a head.
 
 mod common;
 
@@ -80,8 +83,6 @@ fn every_tier_combination_roundtrips_and_agrees() {
             let name = format!("verify{verify}.pmx");
             let idx = save_reopen(&data, &dir, &name, config_for(verify));
             assert_eq!(idx.idistance().verify_quantized(), verify, "{name}");
-            let scan = idx.idistance().quants().len();
-            assert_eq!(scan, idx.idistance().subparts().len(), "{name}");
             idx
         })
         .collect();
@@ -211,6 +212,15 @@ fn a_damaged_footer_or_aux_blob_is_invalid_data_not_a_panic() {
         ),
         ("length past any file", footer_with(&with_len(u64::MAX))),
         ("the parent's magic", footer_with(&parent_magic)),
+        // The iDistance footer of the format with a scan-code region.
+        (
+            "the scan-code format's magic",
+            patched(&good, &FULL_WIDTH_MAGIC, &SCAN_CODE_MAGICS[0]),
+        ),
+        (
+            "the scan-code format's head magic",
+            patched(&good, &FULL_WIDTH_MAGIC, &SCAN_CODE_MAGICS[1]),
+        ),
         ("zero groups", patched(&good, qp_header, &with_groups(0))),
         (
             "more groups than codes",
@@ -245,21 +255,27 @@ fn a_damaged_footer_or_aux_blob_is_invalid_data_not_a_panic() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The iDistance footer's magic for codes that are not heads: the format
-/// of every file before heads were split into two columns, and still of
-/// every file without a head.
-const FULL_WIDTH_MAGIC: [u8; 8] = 0x1D15_7A4C_E01D_F009u64.to_le_bytes();
+/// The iDistance footer's magic for codes that are not heads: one column
+/// of whole rows.
+const FULL_WIDTH_MAGIC: [u8; 8] = 0x1D15_7A4C_E01D_F00Cu64.to_le_bytes();
 /// The magic of a head split into a prefix, a suffix and a suffix-norm
 /// code column.
-const HEAD_MAGIC: [u8; 8] = 0x1D15_7A4C_E01D_F00Bu64.to_le_bytes();
-/// The magic of the format before it: a prefix and a suffix column, no
+const HEAD_MAGIC: [u8; 8] = 0x1D15_7A4C_E01D_F00Du64.to_le_bytes();
+/// The magic of an older format: a prefix and a suffix column, no
 /// suffix-norm codes.
 const TWO_COLUMN_HEAD_MAGIC: [u8; 8] = 0x1D15_7A4C_E01D_F00Au64.to_le_bytes();
+/// The two magics of the format before this one, full-width and head: the
+/// same columns, and an SQ8 code region over the projected rows that the
+/// annulus scan filtered through (two more footer fields and a quantizer
+/// directory).
+const SCAN_CODE_MAGICS: [[u8; 8]; 2] = [
+    0x1D15_7A4C_E01D_F009u64.to_le_bytes(),
+    0x1D15_7A4C_E01D_F00Bu64.to_le_bytes(),
+];
 
-/// A build without a head basis keeps the one column and the magic it had
-/// before heads were split — its bytes are the previous format's — and a
-/// file that claims a split head column without carrying a basis is
-/// refused.
+/// A build without a head basis keeps the one column of whole rows under
+/// its own magic, and a file that claims a split head column without
+/// carrying a basis is refused.
 #[test]
 fn a_full_width_build_keeps_the_previous_format() {
     let (n, d) = (700, 18);
@@ -272,7 +288,7 @@ fn a_full_width_build_keeps_the_previous_format() {
     let idist = idx.idistance();
     assert!(idist.head().is_none());
     assert_eq!((idist.code_width(), idist.prefix_width()), (d, d));
-    assert_eq!(idist.vquant_region().unwrap().1, (n * d) as u64);
+    assert_eq!(idist.code_region().unwrap().1, (n * d) as u64);
     assert!(idist.vquants().iter().all(|vq| vq.suffix_norm == 0.0));
     drop(idx);
 
@@ -322,7 +338,7 @@ fn a_head_column_roundtrips_bit_for_bit_and_a_wrong_shape_is_refused() {
     assert!(got.vquants().iter().all(|vq| vq.suffix_norm > 0.0));
     assert_eq!(got.prefix_width(), 32);
     // Three columns, and the suffix-norm codes read back as built.
-    assert_eq!(got.vquant_region().unwrap().1, (data.rows() * 65) as u64);
+    assert_eq!(got.code_region().unwrap().1, (data.rows() * 65) as u64);
     let codes = |idx: &promips_idistance::IDistanceIndex| {
         let mut codes = Vec::new();
         idx.suffix_norm_codes(&mut codes).unwrap();
@@ -365,7 +381,7 @@ fn a_head_column_roundtrips_bit_for_bit_and_a_wrong_shape_is_refused() {
         .into_iter()
         .chain((64 * d as u32).to_le_bytes())
         .collect();
-    let (start, len) = got.vquant_region().unwrap();
+    let (start, len) = got.code_region().unwrap();
     let region: Vec<u8> = [start.to_le_bytes(), len.to_le_bytes()].concat();
     drop(reopened);
     let path = dir.join("head.pmx");
@@ -383,6 +399,15 @@ fn a_head_column_roundtrips_bit_for_bit_and_a_wrong_shape_is_refused() {
         (
             "the two-column magic",
             patched(&path, &HEAD_MAGIC, &TWO_COLUMN_HEAD_MAGIC),
+        ),
+        // A head under either magic of the format with a scan-code region.
+        (
+            "the scan-code format's head magic",
+            patched(&path, &HEAD_MAGIC, &SCAN_CODE_MAGICS[1]),
+        ),
+        (
+            "the scan-code format's magic",
+            patched(&path, &HEAD_MAGIC, &SCAN_CODE_MAGICS[0]),
         ),
     ] {
         let err = open_error(&dir.join("bad.pmx"), bytes, page_size);

@@ -3,8 +3,10 @@
 //! 1. Project-space `kp`-means → partitions;
 //! 2. ring width `ε = r_avg / Nkey`; key `I(p) = ⌊i·C + dis(p,Oi)/ε⌋`;
 //! 3. per-ring `ksp`-means → sub-partitions;
-//! 4. sequential disk layout (projected blob + original blob per
-//!    sub-partition), single bulk-loaded B+-tree over ring keys;
+//! 4. sequential disk layout — every sub-partition's projected records,
+//!    then every one's original records, then (with
+//!    [`IDistanceConfig::verify_quantize`]) the SQ8 verification codes of
+//!    the original rows — and a single bulk-loaded B+-tree over ring keys;
 //! 5. directory + footer written into the same paged file.
 
 use std::collections::BTreeMap;
@@ -20,7 +22,7 @@ use crate::config::IDistanceConfig;
 use crate::head::{suffix_code, HeadBasis};
 use crate::index::IDistanceIndex;
 use crate::layout::RegionWriter;
-use crate::meta::{OrigQuant, PartitionMeta, SubPartMeta, SubPartQuant};
+use crate::meta::{OrigQuant, PartitionMeta, SubPartMeta};
 
 /// Builds an [`IDistanceIndex`] over `proj` (n × m projected points) and
 /// `orig` (n × d original points) inside `pager`.
@@ -155,46 +157,25 @@ pub fn build_index(
     }
     let orig_region = writer.finish()?;
 
-    // --- Packed SQ8 quantized region. ---------------------------------------
-    // Each sub-partition's projected rows are scalar-quantized to u8 codes
-    // with one affine (min, scale) per sub-partition ([`sq8_encode`]); the
-    // exact dequantization error bound max ‖x − x̂‖ comes out of the same
-    // pass, so the two-level scan can pad the annulus radii and never drop a
-    // true candidate. Codes are m bytes per record (no id column) in the same
-    // record order as the projected region — the quantized filter touches a
-    // quarter of the bytes the f32 scan would.
-    let mut quants: Vec<SubPartQuant> = Vec::with_capacity(defs.len());
-    let mut codes: Vec<u8> = Vec::new();
-    let mut writer = RegionWriter::new(&pager);
-    for def in &defs {
-        let rows = proj.gather(&def.ids);
-        let q = sq8_encode(rows.as_slice(), m, &mut codes);
-        quants.push(SubPartQuant {
-            off: writer.append(&codes)?,
-            scale: q.scale,
-            min: q.min,
-            err: q.err,
-        });
-    }
-    let quant_region = writer.finish()?;
-
     // --- Packed SQ8 verification-quant region. ------------------------------
-    // Same scheme over the **original** rows: one affine quantizer per
-    // sub-partition, one code row per record in original-region order. When
-    // the rows' energy sits in few directions the coded row is the `h`-dim
-    // head `Vo` ([`HeadBasis`]), else the d-dim row itself. The screen needs
-    // the bounds of [`OrigQuant`] per sub-partition — max ‖x − x̂‖, max ‖x̂‖
-    // over the coded rows `x`, and for a head max ‖o − Vᵀ(Vo)‖ and the
-    // largest norm of a head's suffix. Heads are projected one sub-partition at a time, as one
-    // blocked `rows · Vᵀ`: the only transients are that sub-partition's rows
-    // and heads. A head's codes are three columns ([`IDistanceIndex`]'s
-    // layout): every row's prefix, every row's suffix, then every row's
-    // suffix-norm code ([`suffix_code`], from the heads already projected).
-    // The prefixes stream out as they are coded; the suffixes and the
-    // norm codes wait in memory — `h/2 + 1` bytes a row — and follow them.
+    // The original rows scalar-quantized to u8 codes ([`sq8_encode`]): one
+    // affine quantizer per sub-partition, one code row per record in
+    // original-region order. When the rows' energy sits in few directions
+    // the coded row is the `h`-dim head `Vo` ([`HeadBasis`]), else the
+    // d-dim row itself. The screen needs the bounds of [`OrigQuant`] per
+    // sub-partition — max ‖x − x̂‖, max ‖x̂‖ over the coded rows `x`, and for
+    // a head max ‖o − Vᵀ(Vo)‖ and the largest norm of a head's suffix. Heads
+    // are projected one sub-partition at a time, as one blocked `rows · Vᵀ`:
+    // the only transients are that sub-partition's rows and heads. A head's
+    // codes are three columns ([`IDistanceIndex`]'s layout): every row's
+    // prefix, every row's suffix, then every row's suffix-norm code
+    // ([`suffix_code`], from the heads already projected). The prefixes
+    // stream out as they are coded; the suffixes and the norm codes wait in
+    // memory — `h/2 + 1` bytes a row — and follow them.
     let mut vquants: Vec<OrigQuant> = Vec::new();
-    let mut vquant_region = None;
+    let mut code_region = None;
     if config.verify_quantize {
+        let mut codes: Vec<u8> = Vec::new();
         vquants.reserve(defs.len());
         let mut writer = RegionWriter::new(&pager);
         let mut suffixes = Vec::with_capacity(
@@ -237,7 +218,7 @@ pub fn build_index(
         for page in suffixes.chunks(ps).chain(norm_codes.chunks(ps)) {
             writer.append(page)?;
         }
-        vquant_region = Some(writer.finish()?);
+        code_region = Some(writer.finish()?);
     }
 
     let mut subparts: Vec<SubPartMeta> = Vec::with_capacity(defs.len());
@@ -268,11 +249,9 @@ pub fn build_index(
         ring_c,
         proj_region,
         orig_region,
-        quant_region,
-        vquant_region,
+        code_region,
         partitions,
         subparts,
-        quants,
         vquants,
         head,
         n as u64,

@@ -16,11 +16,11 @@ pub struct IDistanceConfig {
     pub seed: u64,
     /// Whether to build the SQ8 verification tier: a dense u8 code column
     /// over the **original** d-dim vectors (one affine quantizer per
-    /// sub-partition, like the always-built scan tier's column over the
-    /// projected rows) that the verification path screens with integer
-    /// kernels before fetching f32 rows — only candidate blocks whose
-    /// quantized inner product plus the exact error-bound padding can still
-    /// reach the running top-k are rescored exactly. Screening never drops a
+    /// sub-partition), the file's only code region, that the verification
+    /// path screens with integer kernels before fetching f32 rows — only
+    /// candidate blocks whose quantized inner product plus the exact
+    /// error-bound padding can still reach the running top-k are rescored
+    /// exactly. Screening never drops a
     /// true top-k member, so annulus-path results are **bit-identical** with
     /// the tier on or off. `false` stays because its pure-f32 annulus path is
     /// the reference the tier is held to (`crates/core/tests/verify_parity.rs`).

@@ -4,25 +4,27 @@ use std::io;
 use std::sync::Arc;
 
 use promips_btree::BTree;
-use promips_linalg::{dist, dot4_i8, dot_col_i8, dot_i8, sq_dist_col, sq_dist_col_i8};
+use promips_linalg::{dist, dot4_i8, dot_col_i8, dot_i8, sq_dist_col};
 use promips_storage::{AccessStatsSnapshot, PageBuf, PageId, Pager, DEFAULT_SHARDS};
 
 use crate::head::HeadBasis;
 use crate::knn::NnIter;
 use crate::layout::{enc, read_blob, read_blob_range, write_blob};
-use crate::meta::{OrigQuant, PartitionMeta, SubPartMeta, SubPartQuant};
+use crate::meta::{OrigQuant, PartitionMeta, SubPartMeta};
 
 /// A packed byte region: `(start_page, byte_len)`; pages are consecutive.
 pub type Region = (PageId, u64);
 
 /// The on-disk format's magic, for a file whose verification codes are not
-/// heads. The footer has 17 fixed fields, among them the SQ8 scan-code
-/// region; the SQ8 **verification** code region over the original vectors
-/// and both per-sub-partition quantizer directories ride the directory
-/// blob. A build without the verification tier
-/// ([`crate::IDistanceConfig::verify_quantize`] off) leaves
-/// [`REGION_ABSENT`] in its region slot; any other magic is rejected.
-const FOOTER_MAGIC: u64 = 0x1D15_7A4C_E01D_F009;
+/// heads. The footer has 15 fixed fields: the projected and original
+/// regions, the directory blob and the B+-tree. The SQ8 verification code
+/// region over the original vectors and its per-sub-partition quantizer
+/// directory ride the directory blob; a build without the verification
+/// tier ([`crate::IDistanceConfig::verify_quantize`] off) leaves
+/// [`REGION_ABSENT`] in its region slot. Any other magic is rejected —
+/// among them `…F009` and `…F00B`, the two magics of the format that also
+/// carried an SQ8 code region over the projected rows.
+const FOOTER_MAGIC: u64 = 0x1D15_7A4C_E01D_F00C;
 
 /// The magic of a file whose verification codes are heads: the same
 /// footer, and a directory blob that ends with the [`HeadBasis`] (width
@@ -34,17 +36,17 @@ const FOOTER_MAGIC: u64 = 0x1D15_7A4C_E01D_F009;
 /// head under [`FOOTER_MAGIC`] — one column of whole heads, no suffix
 /// norms — is refused, as is this magic without a head; so is `…F00A`,
 /// the two columns without the norm codes, by being neither magic.
-const HEAD_FOOTER_MAGIC: u64 = 0x1D15_7A4C_E01D_F00B;
+const HEAD_FOOTER_MAGIC: u64 = 0x1D15_7A4C_E01D_F00D;
 
 /// Sentinel start-page marking an absent region (a real region can never
 /// start there: the file would exceed every address space).
 const REGION_ABSENT: u64 = u64::MAX;
 
-/// Fixed on-disk footer length: its 17 8-byte fields. For any page size
-/// ≥ 136 this is one zero-padded page; smaller (test-only) page sizes
+/// Fixed on-disk footer length: its 15 8-byte fields. For any page size
+/// ≥ 120 this is one zero-padded page; smaller (test-only) page sizes
 /// spill onto consecutive pages instead of silently truncating (see
 /// [`footer_span_pages`]).
-const FOOTER_BYTES: usize = 17 * 8;
+const FOOTER_BYTES: usize = 15 * 8;
 
 /// Number of trailing pages the iDistance footer occupies for a given page
 /// size — the builder writes the footer as the file's last
@@ -82,49 +84,6 @@ pub struct ProjScratch {
     ids: Vec<u64>,
     rows: Vec<f32>,
     m: usize,
-    /// Quantized-stage buffers (SQ8 filter tier): the current
-    /// sub-partition's u8 code column (only when it straddles pages), the
-    /// query quantized into the sub-partition's code space, every row's
-    /// code-space squared distance, and the `(first_row, rows)` runs of
-    /// consecutive 4-row blocks that survived the integer filter. Like the
-    /// f32 arena, these grow to the largest sub-partition seen and are never
-    /// reallocated afterwards, so the quantized pass is allocation-free at
-    /// steady state.
-    codes: Vec<u8>,
-    qcodes: Vec<u8>,
-    code_d2: Vec<u32>,
-    runs: Vec<(u32, u32)>,
-}
-
-/// Rows per block of the two-level scan: the unit in which the integer
-/// filter's survivors are decoded and re-tested exactly.
-const BLOCK: usize = 4;
-
-/// The one distance-and-emit loop: calls `f(first + i, ids[i], proj_dist)`
-/// for every row of the flat arena `rows`, distances coming from the
-/// whole-column [`sq_dist_col`] kernel — one dispatch per `CHUNK` rows,
-/// through a stack buffer, so no caller needs a distance scratch. The
-/// kernel's per-row result does not depend on a row's position in the call,
-/// so every caller — full scan, quantized re-test of any run, incremental
-/// NN — computes bit-identical distances for the same point.
-fn emit_dists(
-    ids: &[u64],
-    rows: &[f32],
-    m: usize,
-    pq: &[f32],
-    first: usize,
-    f: &mut impl FnMut(usize, u64, f64),
-) {
-    const CHUNK: usize = 256;
-    let mut d2 = [0.0f64; CHUNK];
-    for (c, ids) in ids.chunks(CHUNK).enumerate() {
-        let at = c * CHUNK;
-        let d2 = &mut d2[..ids.len()];
-        sq_dist_col(&rows[at * m..(at + ids.len()) * m], m, pq, d2);
-        for (i, (&id, &v)) in ids.iter().zip(d2.iter()).enumerate() {
-            f(first + at + i, id, v.sqrt());
-        }
-    }
 }
 
 impl ProjScratch {
@@ -143,11 +102,6 @@ impl ProjScratch {
         self.ids.is_empty()
     }
 
-    /// Projected dimensionality of the decoded rows.
-    pub fn dim(&self) -> usize {
-        self.m
-    }
-
     /// The id column, in record order.
     pub fn ids(&self) -> &[u64] {
         &self.ids
@@ -163,11 +117,6 @@ impl ProjScratch {
         &self.rows[i * self.m..(i + 1) * self.m]
     }
 
-    /// The flat row arena (`len() * dim()` floats).
-    pub fn rows_flat(&self) -> &[f32] {
-        &self.rows
-    }
-
     fn reset(&mut self, m: usize, count: usize) {
         self.m = m;
         self.ids.clear();
@@ -178,14 +127,25 @@ impl ProjScratch {
 
     /// Calls `f(offset, id, proj_dist)` for every decoded record with its
     /// Euclidean distance to `pq`, the whole arena going through the
-    /// [`sq_dist_col`] column kernel.
+    /// [`sq_dist_col`] column kernel — one dispatch per `CHUNK` rows,
+    /// through a stack buffer, so no caller needs a distance scratch.
     ///
     /// A record's distance does not depend on its position in the arena,
     /// so repeated scans — and the range-search and incremental-NN paths,
     /// which both come through here — compute bit-identical distances for
     /// the same point.
     pub fn for_each_dist(&self, pq: &[f32], mut f: impl FnMut(usize, u64, f64)) {
-        emit_dists(&self.ids, &self.rows, self.m, pq, 0, &mut f);
+        const CHUNK: usize = 256;
+        let m = self.m;
+        let mut d2 = [0.0f64; CHUNK];
+        for (c, ids) in self.ids.chunks(CHUNK).enumerate() {
+            let at = c * CHUNK;
+            let d2 = &mut d2[..ids.len()];
+            sq_dist_col(&self.rows[at * m..(at + ids.len()) * m], m, pq, d2);
+            for (i, (&id, &v)) in ids.iter().zip(d2.iter()).enumerate() {
+                f(at + i, id, v.sqrt());
+            }
+        }
     }
 }
 
@@ -473,21 +433,17 @@ pub struct IDistanceIndex {
     ring_c: u64,
     proj_region: Region,
     orig_region: Region,
-    /// The packed SQ8 code region of the projected rows.
-    quant_region: Region,
     /// The packed SQ8 verification code region over original vectors;
     /// `None` on `verify_quantize: false` builds, which verify through the
     /// f32 path alone.
-    vquant_region: Option<Region>,
+    code_region: Option<Region>,
     partitions: Vec<PartitionMeta>,
     subparts: Vec<SubPartMeta>,
-    /// Per-sub-partition quantizers, parallel to `subparts`.
-    quants: Vec<SubPartQuant>,
     /// Per-sub-partition verification quantizers, parallel to `subparts`
-    /// (empty when `vquant_region` is `None`).
+    /// (empty when `code_region` is `None`).
     vquants: Vec<OrigQuant>,
     /// The basis the verification codes are heads under; `None` when they
-    /// cover all `d` coordinates (and always when `vquant_region` is).
+    /// cover all `d` coordinates (and always when `code_region` is).
     head: Option<HeadBasis>,
     n_points: u64,
 }
@@ -504,22 +460,15 @@ impl IDistanceIndex {
         ring_c: u64,
         proj_region: Region,
         orig_region: Region,
-        quant_region: Region,
-        vquant_region: Option<Region>,
+        code_region: Option<Region>,
         partitions: Vec<PartitionMeta>,
         subparts: Vec<SubPartMeta>,
-        quants: Vec<SubPartQuant>,
         vquants: Vec<OrigQuant>,
         head: Option<HeadBasis>,
         n_points: u64,
     ) -> Self {
-        debug_assert_eq!(
-            quants.len(),
-            subparts.len(),
-            "quantizer directory must parallel the sub-partition directory"
-        );
         debug_assert!(
-            if vquant_region.is_some() {
+            if code_region.is_some() {
                 vquants.len() == subparts.len()
             } else {
                 vquants.is_empty()
@@ -535,11 +484,9 @@ impl IDistanceIndex {
             ring_c,
             proj_region,
             orig_region,
-            quant_region,
-            vquant_region,
+            code_region,
             partitions,
             subparts,
-            quants,
             vquants,
             head,
             n_points,
@@ -611,25 +558,15 @@ impl IDistanceIndex {
         self.orig_region
     }
 
-    /// The packed SQ8 code region of the projected rows.
-    pub fn quant_region(&self) -> Region {
-        self.quant_region
-    }
-
-    /// Per-sub-partition quantizers (parallel to [`Self::subparts`]).
-    pub fn quants(&self) -> &[SubPartQuant] {
-        &self.quants
-    }
-
     /// The packed SQ8 verification code region over original vectors, if
     /// the verification tier is built.
-    pub fn vquant_region(&self) -> Option<Region> {
-        self.vquant_region
+    pub fn code_region(&self) -> Option<Region> {
+        self.code_region
     }
 
     /// Whether candidate verification can run the quantized screen.
     pub fn verify_quantized(&self) -> bool {
-        self.vquant_region.is_some()
+        self.code_region.is_some()
     }
 
     /// Per-sub-partition verification quantizers (parallel to
@@ -663,8 +600,9 @@ impl IDistanceIndex {
     /// `r_lo < proj_dist ≤ r_hi`, grouped by sub-partition in directory
     /// order. Pass `r_lo < 0` for a plain ball query.
     ///
-    /// Page accesses: B+-tree traversal + projected blobs of sub-partitions
-    /// whose pivot sphere intersects the annulus.
+    /// Page accesses: B+-tree traversal + the projected records of every
+    /// sub-partition whose pivot sphere intersects the annulus, each read
+    /// whole, once.
     pub fn range_candidates(
         &self,
         pq: &[f32],
@@ -731,165 +669,18 @@ impl IDistanceIndex {
                     continue;
                 }
                 tick()?;
-                self.scan_subpart(sub_id as u32, pq, r_lo, r_hi, out, scratch)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Scans one sub-partition, appending candidates in the annulus: an
-    /// integer filter over the code column, then an exact f32 re-test of
-    /// the surviving runs of blocks. The candidates are those a decode of
-    /// the whole sub-partition ([`Self::read_subpart_proj_into`] +
-    /// [`ProjScratch::for_each_dist`]) finds, bit for bit: the quantized
-    /// filter is padded by the sub-partition's quantization error bound so
-    /// it never drops a true candidate, and survivors' distances come from
-    /// the same column kernel, whose per-row result does not depend on
-    /// which rows share the call.
-    fn scan_subpart(
-        &self,
-        sub: u32,
-        pq: &[f32],
-        r_lo: f64,
-        r_hi: f64,
-        out: &mut Vec<RangeCandidate>,
-        scratch: &mut ProjScratch,
-    ) -> io::Result<()> {
-        let mut emit = |offset: usize, id: u64, pd: f64| {
-            if pd > r_lo && pd <= r_hi {
-                out.push(RangeCandidate {
-                    id,
-                    proj_dist: pd,
-                    subpart: sub,
-                    offset: offset as u32,
+                let sub = sub_id as u32;
+                self.read_subpart_proj_into(sub, scratch)?;
+                scratch.for_each_dist(pq, |offset, id, pd| {
+                    if pd > r_lo && pd <= r_hi {
+                        out.push(RangeCandidate {
+                            id,
+                            proj_dist: pd,
+                            subpart: sub,
+                            offset: offset as u32,
+                        });
+                    }
                 });
-            }
-        };
-        // Level 2 of the quantized scan: exact re-test of surviving runs.
-        self.quantized_survivor_runs(sub, pq, r_lo, r_hi, scratch)?;
-        let ProjScratch {
-            ids, rows, runs, ..
-        } = scratch;
-        let m = self.m;
-        let rec = 8 + 4 * m;
-        let proj_off = self.subparts[sub as usize].proj_off as usize;
-        let mut pages = PageCursor::new(&self.pager, self.proj_region.0);
-        for &(first, n) in runs.iter() {
-            let (first, n) = (first as usize, n as usize);
-            ids.clear();
-            rows.clear();
-            Self::decode_proj_fields(&mut pages, proj_off + first * rec, n, m, ids, rows)?;
-            emit_dists(ids, rows, m, pq, first, &mut emit);
-        }
-        Ok(())
-    }
-
-    /// Level 1 of the two-level quantized scan: fills `scratch.runs` with
-    /// the `(first_row, rows)` runs of consecutive blocks that may hold a
-    /// point of the annulus.
-    ///
-    /// The sub-partition's u8 code column (1 byte per coordinate — a
-    /// quarter of the f32 record bytes, and no id column) goes through the
-    /// whole-column [`sq_dist_col_i8`] kernel in one call against the query
-    /// quantized into the sub-partition's code space — straight off the
-    /// page when the column sits inside one, through a staging copy when it
-    /// straddles pages. A code-space distance `Dq = scale·√(Σ (aⱼ−bⱼ)²)` is
-    /// the exact distance between the *dequantized* row and the
-    /// *dequantized* query, so by two triangle inequalities the true
-    /// distance satisfies `|pd − Dq| ≤ err_total` where
-    /// `err_total = err_subpart + err_query` (the stored build-time
-    /// dequantization bound plus the query's own quantization error,
-    /// computed exactly per call — which also covers query coordinates
-    /// clamped outside the code range). Rows are kept when `Dq` falls in
-    /// the annulus **padded by `err_total`**, so no true candidate is ever
-    /// dropped; comparisons happen in the squared domain with a relative
-    /// 1e-9 inflation that swamps the few-ulp f64 rounding differences
-    /// between this filter and the exact kernel.
-    ///
-    /// Survival is per [`BLOCK`] of rows (the last block may be short): a
-    /// block with at least one surviving row is re-tested whole, and
-    /// consecutive surviving blocks merge into one run — one record decode
-    /// and one exact kernel call each. Quantized non-survivors inside a
-    /// surviving block are guaranteed by the bound to fail the exact test,
-    /// so re-testing them changes nothing.
-    fn quantized_survivor_runs(
-        &self,
-        sub: u32,
-        pq: &[f32],
-        r_lo: f64,
-        r_hi: f64,
-        scratch: &mut ProjScratch,
-    ) -> io::Result<()> {
-        let qt = &self.quants[sub as usize];
-        let m = self.m;
-        let count = self.subparts[sub as usize].count as usize;
-        let (quant_start, _) = self.quant_region;
-        let ProjScratch {
-            m: scratch_m,
-            codes,
-            qcodes,
-            code_d2,
-            runs,
-            ..
-        } = scratch;
-        *scratch_m = m;
-
-        // --- Quantize the query; measure its quantization error exactly. --
-        let scale = qt.scale as f64;
-        let min = qt.min as f64;
-        qcodes.clear();
-        qcodes.reserve(m);
-        let mut q_err_sq = 0.0f64;
-        for &x in pq {
-            let code = ((x as f64 - min) / scale).round().clamp(0.0, 255.0);
-            qcodes.push(code as u8);
-            let e = x as f64 - (min + scale * code);
-            q_err_sq += e * e;
-        }
-        let err_total = (qt.err as f64 + q_err_sq.sqrt()) * (1.0 + 1e-9);
-
-        // Padded squared thresholds in the code-distance domain: keep when
-        // lo2 < D²·scale² ≤ hi2 (lower test skipped for ball queries).
-        let scale2 = scale * scale;
-        let hi_thr = r_hi + err_total;
-        let hi2 = hi_thr * hi_thr * (1.0 + 1e-9);
-        let lo_thr = r_lo - err_total;
-        let lo2 = if lo_thr > 0.0 {
-            lo_thr * lo_thr * (1.0 - 1e-9)
-        } else {
-            -1.0
-        };
-        let in_window = |&d2_codes: &u32| {
-            let d2 = d2_codes as f64 * scale2;
-            d2 > lo2 && d2 <= hi2
-        };
-
-        // --- One kernel call over the code column. -------------------------
-        code_d2.resize(count, 0);
-        codes.clear();
-        let column_bytes = count * m;
-        let mut pages = PageCursor::new(&self.pager, quant_start);
-        pages.walk(qt.off as usize, column_bytes, |chunk| {
-            if chunk.len() == column_bytes {
-                sq_dist_col_i8(chunk, m, qcodes, code_d2);
-            } else {
-                codes.extend_from_slice(chunk);
-            }
-        })?;
-        if !codes.is_empty() {
-            sq_dist_col_i8(codes, m, qcodes, code_d2);
-        }
-
-        // --- Surviving blocks, merged into runs. ---------------------------
-        runs.clear();
-        for (b, block) in code_d2.chunks(BLOCK).enumerate() {
-            if !block.iter().any(in_window) {
-                continue;
-            }
-            let first = (b * BLOCK) as u32;
-            match runs.last_mut() {
-                Some((start, n)) if *start + *n == first => *n += block.len() as u32,
-                _ => runs.push((first, block.len() as u32)),
             }
         }
         Ok(())
@@ -910,36 +701,12 @@ impl IDistanceIndex {
         sp: &SubPartMeta,
         scratch: &mut ProjScratch,
     ) -> io::Result<()> {
-        scratch.reset(self.m, sp.count as usize);
-        let mut pages = PageCursor::new(&self.pager, self.proj_region.0);
-        Self::decode_proj_fields(
-            &mut pages,
-            sp.proj_off as usize,
-            sp.count as usize,
-            self.m,
-            &mut scratch.ids,
-            &mut scratch.rows,
-        )?;
-        debug_assert_eq!(scratch.ids.len(), sp.count as usize);
-        debug_assert_eq!(scratch.rows.len(), sp.count as usize * self.m);
-        Ok(())
-    }
-
-    /// Decodes `count` projected records at byte `start` through a
-    /// caller-held [`PageCursor`], appending to the id column and flat row
-    /// arena. The quantized scan decodes several disjoint record runs of
-    /// one sub-partition through a single cursor, so a page shared by two
-    /// surviving blocks is still read once. Fields (an 8-byte id, then `m`
-    /// 4-byte floats per record) may straddle page boundaries; a partial
-    /// field is staged in a small word buffer.
-    fn decode_proj_fields(
-        pages: &mut PageCursor<'_>,
-        start: usize,
-        count: usize,
-        m: usize,
-        ids: &mut Vec<u64>,
-        rows: &mut Vec<f32>,
-    ) -> io::Result<()> {
+        let (m, count) = (self.m, sp.count as usize);
+        scratch.reset(m, count);
+        let ProjScratch { ids, rows, .. } = scratch;
+        // Fields (an 8-byte id, then `m` 4-byte floats per record) may
+        // straddle page boundaries; a partial field is staged in a small
+        // word buffer.
         let rec = 8 + 4 * m;
         // Field currently being assembled: `need` is 8 while expecting an
         // id, 4 while expecting one of the record's `floats_left` floats.
@@ -947,7 +714,8 @@ impl IDistanceIndex {
         let mut have = 0usize;
         let mut need = 8usize;
         let mut floats_left = 0usize;
-        pages.walk(start, count * rec, |mut chunk| {
+        let mut pages = PageCursor::new(&self.pager, self.proj_region.0);
+        pages.walk(sp.proj_off as usize, count * rec, |mut chunk| {
             while !chunk.is_empty() {
                 // Bulk path: whole records straight off the page.
                 if have == 0 && need == 8 && chunk.len() >= rec {
@@ -1005,6 +773,8 @@ impl IDistanceIndex {
             }
         })?;
         debug_assert_eq!(have, 0, "record stream ends on a field boundary");
+        debug_assert_eq!(ids.len(), count);
+        debug_assert_eq!(rows.len(), count * m);
         Ok(())
     }
 
@@ -1037,7 +807,7 @@ impl IDistanceIndex {
     /// If the index has no verification tier.
     pub fn suffix_cursor(&self) -> SuffixCursor<'_> {
         let (start, _) = self
-            .vquant_region
+            .code_region
             .expect("suffix_cursor requires the verification tier");
         SuffixCursor {
             pages: PageCursor::new(&self.pager, start),
@@ -1087,7 +857,7 @@ impl IDistanceIndex {
         dots: &mut Vec<i32>,
     ) -> io::Result<()> {
         let region = self
-            .vquant_region
+            .code_region
             .expect("screen_dots requires the verification tier");
         let w = self.code_width();
         assert_eq!(qcodes.len(), w, "quantized query has wrong dimension");
@@ -1178,7 +948,7 @@ impl IDistanceIndex {
         mut tick: impl FnMut() -> io::Result<()>,
     ) -> io::Result<()> {
         let (start, _) = self
-            .vquant_region
+            .code_region
             .expect("column_dots requires the verification tier");
         assert_eq!(
             qcodes.len(),
@@ -1222,7 +992,7 @@ impl IDistanceIndex {
     /// If the index has no verification tier or its codes are not heads.
     pub fn suffix_norm_codes(&self, codes: &mut Vec<u8>) -> io::Result<()> {
         let (start, _) = self
-            .vquant_region
+            .code_region
             .expect("suffix_norm_codes requires the verification tier");
         assert!(
             self.prefix_width() < self.code_width(),
@@ -1269,14 +1039,10 @@ impl IDistanceIndex {
         for s in &self.subparts {
             s.encode(&mut dir);
         }
-        enc::put_u32(&mut dir, self.quants.len() as u32);
-        for q in &self.quants {
-            q.encode(&mut dir);
-        }
-        let (vs, vl) = self.vquant_region.unwrap_or((REGION_ABSENT, 0));
+        let (vs, vl) = self.code_region.unwrap_or((REGION_ABSENT, 0));
         enc::put_u64(&mut dir, vs);
         enc::put_u64(&mut dir, vl);
-        if self.vquant_region.is_some() {
+        if self.code_region.is_some() {
             enc::put_u32(&mut dir, self.vquants.len() as u32);
             for q in &self.vquants {
                 q.encode(&mut dir);
@@ -1308,8 +1074,6 @@ impl IDistanceIndex {
         enc::put_u64(&mut footer, self.proj_region.1);
         enc::put_u64(&mut footer, self.orig_region.0);
         enc::put_u64(&mut footer, self.orig_region.1);
-        enc::put_u64(&mut footer, self.quant_region.0);
-        enc::put_u64(&mut footer, self.quant_region.1);
         enc::put_u64(&mut footer, dir_start);
         enc::put_u64(&mut footer, dir.len() as u64);
         enc::put_u64(&mut footer, self.tree.root());
@@ -1357,7 +1121,6 @@ impl IDistanceIndex {
         let ring_c = enc::get_u64(buf, &mut pos);
         let proj_region = (enc::get_u64(buf, &mut pos), enc::get_u64(buf, &mut pos));
         let orig_region = (enc::get_u64(buf, &mut pos), enc::get_u64(buf, &mut pos));
-        let quant_region = (enc::get_u64(buf, &mut pos), enc::get_u64(buf, &mut pos));
         let dir_start = enc::get_u64(buf, &mut pos);
         let dir_len = enc::get_u64(buf, &mut pos) as usize;
         let tree_root = enc::get_u64(buf, &mut pos);
@@ -1375,19 +1138,9 @@ impl IDistanceIndex {
         let subparts: Vec<SubPartMeta> = (0..n_subs)
             .map(|_| SubPartMeta::decode(&dir, &mut dpos))
             .collect();
-        let n_quants = enc::get_u32(&dir, &mut dpos) as usize;
-        if quant_region.0 == REGION_ABSENT || n_quants != n_subs {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "quantizer directory does not parallel the sub-partition directory",
-            ));
-        }
-        let quants: Vec<SubPartQuant> = (0..n_quants)
-            .map(|_| SubPartQuant::decode(&dir, &mut dpos))
-            .collect();
         let region = |start: u64, len: u64| (start != REGION_ABSENT).then_some((start, len));
-        let vquant_region = region(enc::get_u64(&dir, &mut dpos), enc::get_u64(&dir, &mut dpos));
-        let mut vquants: Vec<OrigQuant> = if vquant_region.is_some() {
+        let code_region = region(enc::get_u64(&dir, &mut dpos), enc::get_u64(&dir, &mut dpos));
+        let mut vquants: Vec<OrigQuant> = if code_region.is_some() {
             let n_vquants = enc::get_u32(&dir, &mut dpos) as usize;
             if n_vquants != n_subs {
                 return Err(io::Error::new(
@@ -1403,7 +1156,7 @@ impl IDistanceIndex {
             Vec::new()
         };
         let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-        let head = if vquant_region.is_some() && dpos < dir.len() {
+        let head = if code_region.is_some() && dpos < dir.len() {
             let head = HeadBasis::decode(&dir, &mut dpos, d)?;
             if (dir.len() - dpos) / 8 < vquants.len() {
                 return Err(bad("head bounds are truncated"));
@@ -1423,7 +1176,7 @@ impl IDistanceIndex {
         }
         // A head's row is its codes and its suffix-norm code.
         let width = head.as_ref().map_or(d, |basis| basis.width() + 1) as u64;
-        if vquant_region.is_some_and(|(_, len)| len != n_points * width) {
+        if code_region.is_some_and(|(_, len)| len != n_points * width) {
             return Err(bad(
                 "verification code region length disagrees with n·(h + 1)",
             ));
@@ -1439,11 +1192,9 @@ impl IDistanceIndex {
             ring_c,
             proj_region,
             orig_region,
-            quant_region,
-            vquant_region,
+            code_region,
             partitions,
             subparts,
-            quants,
             vquants,
             head,
             n_points,
@@ -1758,16 +1509,14 @@ mod tests {
 
     #[test]
     fn persistence_roundtrip_keeps_quantized_tier() {
-        // Reopening a default build must restore both quantized regions
-        // and their per-sub-partition quantizers exactly.
+        // Reopening a default build must restore the verification code
+        // region and its per-sub-partition quantizers exactly.
         let (idx, _, _) = build_small();
         assert!(idx.verify_quantized());
         let footer = idx.pager().num_pages() - footer_span_pages(idx.pager().page_size());
         let reopened = IDistanceIndex::open_at(Arc::clone(idx.pager()), footer).unwrap();
-        assert_eq!(reopened.quant_region(), idx.quant_region());
-        assert_eq!(reopened.quants(), idx.quants());
         assert!(reopened.verify_quantized());
-        assert_eq!(reopened.vquant_region(), idx.vquant_region());
+        assert_eq!(reopened.code_region(), idx.code_region());
         assert_eq!(reopened.vquants(), idx.vquants());
         let pq = vec![0.2f32; 6];
         assert_eq!(
@@ -1778,14 +1527,14 @@ mod tests {
 
     #[test]
     fn footer_survives_pages_smaller_than_itself() {
-        // The 136-byte footer does not fit a 64-byte page; it must spill
+        // The 120-byte footer does not fit a 64-byte page; it must spill
         // onto consecutive pages (not silently truncate) and reopen
         // losslessly — the straddle-coverage page sizes the scan tests use
         // would otherwise build unreopenable files.
         let proj = random_matrix(150, 4, 91);
         let orig = random_matrix(150, 6, 92);
         let pager = Arc::new(Pager::in_memory(64, 1 << 16));
-        assert_eq!(footer_span_pages(64), 3);
+        assert_eq!(footer_span_pages(64), 2);
         let cfg = IDistanceConfig {
             kp: 2,
             nkey: 4,
@@ -1797,7 +1546,6 @@ mod tests {
         let before = built.range_candidates(&pq, -1.0, 2.0).unwrap();
         let reopened = IDistanceIndex::open(pager).unwrap();
         assert_eq!(reopened.len(), 150);
-        assert_eq!(reopened.quants(), built.quants());
         assert!(reopened.verify_quantized());
         assert_eq!(reopened.vquants(), built.vquants());
         assert_eq!(reopened.range_candidates(&pq, -1.0, 2.0).unwrap(), before);
@@ -1825,7 +1573,6 @@ mod tests {
             let built = build_index(Arc::clone(&pager), &proj, &orig, &cfg).unwrap();
             let reopened = IDistanceIndex::open(pager).unwrap();
             assert_eq!(reopened.verify_quantized(), verify_quantize);
-            assert_eq!(reopened.quants(), built.quants());
             assert_eq!(reopened.vquants(), built.vquants());
             for &(r_lo, r_hi) in &[(-1.0, 2.0), (0.8, 2.5)] {
                 let got = reopened.range_candidates(&pq, r_lo, r_hi).unwrap();
@@ -1857,15 +1604,24 @@ mod tests {
         let (idx, _, _) = build_small();
         let pager = Arc::clone(idx.pager());
         let footer = pager.num_pages() - footer_span_pages(pager.page_size());
-        let mut page = PageBuf::zeroed(pager.page_size());
-        page.as_mut_slice()
-            .copy_from_slice(pager.read(footer).unwrap().as_slice());
-        // The retired v1 magic: same family, one of the values no longer
-        // accepted.
-        page.as_mut_slice()[..8].copy_from_slice(&0x1D15_7A4C_E01D_F007u64.to_le_bytes());
-        pager.write(footer, page).unwrap();
-        let err = IDistanceIndex::open(pager).err().expect("must be rejected");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let good = pager.read(footer).unwrap();
+        // The retired v1 magic, and both magics of the format that carried
+        // an SQ8 code region over the projected rows: same family, values
+        // no longer accepted.
+        for magic in [
+            0x1D15_7A4C_E01D_F007u64,
+            0x1D15_7A4C_E01D_F009,
+            0x1D15_7A4C_E01D_F00B,
+        ] {
+            let mut page = PageBuf::zeroed(pager.page_size());
+            page.as_mut_slice().copy_from_slice(good.as_slice());
+            page.as_mut_slice()[..8].copy_from_slice(&magic.to_le_bytes());
+            pager.write(footer, page).unwrap();
+            let err = IDistanceIndex::open(Arc::clone(&pager))
+                .err()
+                .expect("must be rejected");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{magic:#x}");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!
 //! # File layout
 //!
-//! Four packed regions (records never page-aligned, so adjacent
+//! Three packed regions (records never page-aligned, so adjacent
 //! sub-partitions share pages), in sub-partition order, then the tree, the
 //! directory blob and the footer:
 //!
@@ -29,8 +29,11 @@
 //! |---|---|---|
 //! | projected | point id + projected vector | `8 + 4m` |
 //! | original | the f32 row | `4d` |
-//! | scan codes (optional) | SQ8 of the projected vector | `m` |
 //! | verification codes (optional) | SQ8 of the coded row | `w` |
+//!
+//! The annulus scan reads the projected records of every sub-partition the
+//! tree walk and the sphere filter keep, each whole and once; no code
+//! filters them first.
 //!
 //! The verification code width `w` ([`IDistanceIndex::code_width`]) is
 //! chosen per index at build time ([`head`]): `d`, the row itself, unless
@@ -50,15 +53,14 @@
 //! suffix norm, and reads a suffix only where its walk looks.
 //!
 //! The directory blob holds the partition and sub-partition metadata, the
-//! scan quantizers, the verification region `(start page, byte length)`
-//! and its quantizers `(off, scale, min, err, xnorm)`, and — only for head
-//! codes, so that any other index's file is byte for byte what it was
-//! before heads existed — `h: u32`, the basis defect `δ: f32`, the basis
-//! length `h·d: u32`, the `h·d` basis floats, and `tail: f32` and
-//! `suffix_norm: f32` per sub-partition; the footer's magic says which
-//! ([`IDistanceIndex::open`] refuses a head under the magic of the one
-//! interleaved head column that came before, and the magic of the two
-//! columns without norm codes). `open` refuses a basis whose length
+//! verification region `(start page, byte length)` and its quantizers
+//! `(off, scale, min, err, xnorm)`, and — only for head codes — `h: u32`,
+//! the basis defect `δ: f32`, the basis length `h·d: u32`, the `h·d` basis
+//! floats, and `tail: f32` and `suffix_norm: f32` per sub-partition; the
+//! footer's magic says which ([`IDistanceIndex::open`] refuses a head under
+//! the full-width magic, the magic of the two columns without norm codes,
+//! and both magics of the format that also carried SQ8 codes of the
+//! projected rows). `open` refuses a basis whose length
 //! disagrees with `d·h` and a code region whose length disagrees with
 //! `n·d`, or `n·(h + 1)` for heads.
 //!

@@ -37,56 +37,6 @@ pub struct SubPartMeta {
     pub orig_off: u64,
 }
 
-/// Per-sub-partition SQ8 quantizer: the sub-partition's
-/// projected rows are scalar-quantized to u8 codes
-/// (`code = round((x − min) / scale)`, one shared affine per sub-partition)
-/// and stored as a dense code column in the quantized region.
-///
-/// `err` is the exact dequantization bound computed at build time:
-/// `max over members of ‖x − x̂‖` where `x̂ⱼ = min + scale·codeⱼ`. By the
-/// triangle inequality, `|dis(x, q) − dis(x̂, q)| ≤ err` for every query
-/// `q`, which is what lets the quantized filter pad the annulus radii and
-/// never drop a true candidate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubPartQuant {
-    /// Byte offset of this sub-partition's code rows inside the packed
-    /// quantized region (`count` rows of `m` bytes each, same record order
-    /// as the projected region).
-    pub off: u64,
-    /// Quantization step (`> 0`; degenerate single-value sub-partitions
-    /// store 1.0 with all codes 0).
-    pub scale: f32,
-    /// Quantization origin (the sub-partition's coordinate minimum).
-    pub min: f32,
-    /// Upper bound on any member's dequantization distance ‖x − x̂‖
-    /// (rounded up when narrowed to f32).
-    pub err: f32,
-}
-
-impl SubPartQuant {
-    /// Serializes into `buf`.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        put_u64(buf, self.off);
-        put_f32(buf, self.scale);
-        put_f32(buf, self.min);
-        put_f32(buf, self.err);
-    }
-
-    /// Deserializes from `buf` at `pos`.
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Self {
-        let off = get_u64(buf, pos);
-        let scale = get_f32(buf, pos);
-        let min = get_f32(buf, pos);
-        let err = get_f32(buf, pos);
-        Self {
-            off,
-            scale,
-            min,
-            err,
-        }
-    }
-}
-
 /// Per-sub-partition SQ8 quantizer for **original** vectors: the
 /// sub-partition's coded rows `x` — the original d-dim rows, or their
 /// `h`-dim heads `Vo` when the index carries a [`crate::HeadBasis`] — are
@@ -252,21 +202,6 @@ mod tests {
         s.encode(&mut buf);
         let mut pos = 0;
         assert_eq!(SubPartMeta::decode(&buf, &mut pos), s);
-        assert_eq!(pos, buf.len());
-    }
-
-    #[test]
-    fn subpart_quant_roundtrip() {
-        let q = SubPartQuant {
-            off: 4096,
-            scale: 0.0321,
-            min: -4.75,
-            err: 0.064,
-        };
-        let mut buf = Vec::new();
-        q.encode(&mut buf);
-        let mut pos = 0;
-        assert_eq!(SubPartQuant::decode(&buf, &mut pos), q);
         assert_eq!(pos, buf.len());
     }
 

@@ -1,8 +1,8 @@
 //! Property tests: the arena-based projected scan must agree exactly with
-//! an independent decode of the packed record bytes, and the two-level
-//! quantized range scan with a whole-sub-partition decode, across page
-//! sizes that force records — and individual ids/floats — to straddle page
-//! boundaries.
+//! an independent decode of the packed record bytes, and the range scan —
+//! B+-tree walk and sphere filter in front of the decode — with a decode of
+//! every sub-partition, across page sizes that force records — and
+//! individual ids/floats — to straddle page boundaries.
 
 use std::sync::Arc;
 
@@ -43,8 +43,8 @@ fn build(n: usize, m: usize, page_size: usize, seed: u64) -> IDistanceIndex {
 
 /// The annulus `r_lo < proj_dist ≤ r_hi` by whole-sub-partition decodes:
 /// every sub-partition in directory order through the public arena decode
-/// and the column kernel behind [`ProjScratch::for_each_dist`] — the scan
-/// the two-level filter skips blocks of.
+/// and the column kernel behind [`ProjScratch::for_each_dist`], with no
+/// tree walk and no sphere filter in front.
 fn f32_annulus(idx: &IDistanceIndex, pq: &[f32], r_lo: f64, r_hi: f64) -> Vec<RangeCandidate> {
     let mut scratch = ProjScratch::new();
     let mut out = Vec::new();
@@ -108,7 +108,7 @@ proptest! {
             idx.read_subpart_proj_into(sub, &mut scratch).unwrap();
             let legacy = legacy_decode(&idx, sub);
             prop_assert_eq!(scratch.len(), legacy.len());
-            prop_assert_eq!(scratch.dim(), m);
+            prop_assert!((0..scratch.len()).all(|i| scratch.row(i).len() == m));
             for (i, (id, row)) in legacy.iter().enumerate() {
                 prop_assert_eq!(scratch.id(i), *id, "sub {} record {}", sub, i);
                 prop_assert_eq!(scratch.row(i), row.as_slice(), "sub {} record {}", sub, i);
@@ -162,28 +162,24 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The two-level quantized scan must return candidates **bit-identical**
-    /// to whole-sub-partition f32 decodes ([`f32_annulus`]) — same ids,
-    /// same offsets, same `proj_dist` down to the last bit, in the same
-    /// order — across page sizes that force records to
-    /// straddle page boundaries (70, 130 are not multiples of 4) and
-    /// across radius regimes:
+    /// The range scan must return candidates **bit-identical** to decodes
+    /// of every sub-partition ([`f32_annulus`]) — same ids, same offsets,
+    /// same `proj_dist` down to the last bit, in the same order: the
+    /// B+-tree walk and the sphere filter may skip only sub-partitions
+    /// without a point in the annulus. Checked across page sizes that
+    /// force records to straddle page boundaries (70, 130 are not
+    /// multiples of 4), for every `m` in [`M_SHAPES`], and across radius
+    /// regimes:
     ///
     /// * random radii;
     /// * **adversarial near-boundary radii**: `r_hi` set exactly to a
     ///   stored point's computed distance (the `pd ≤ r_hi` edge) and
     ///   `r_lo` to another's (the strict `pd > r_lo` edge) — the bit
-    ///   pattern where any discrepancy between the quantized filter's
-    ///   padding and the exact kernel would surface;
-    /// * an out-of-range query (scaled ×50) whose coordinates clamp in
-    ///   code space, exercising the query-side error compensation.
-    ///
-    /// The quantized scan re-tests arbitrary runs of blocks while the
-    /// reference sends the whole sub-partition through the kernel at once,
-    /// so equality here also says a row's distance does not depend on its
-    /// position in a kernel call — for every `m` in [`M_SHAPES`].
+    ///   pattern where a ring or sphere test that rounds the wrong way
+    ///   would drop a candidate;
+    /// * a far query (scaled ×50) outside every partition sphere.
     #[test]
-    fn quantized_scan_matches_f32_scan_bit_for_bit(
+    fn tree_walk_and_sphere_filter_match_a_decode_of_every_subpart(
         n in 40usize..220,
         m_pick in 0usize..M_SHAPES.len(),
         ps_pick in 0usize..4,
@@ -192,20 +188,20 @@ proptest! {
     ) {
         let m = M_SHAPES[m_pick];
         let page_size = [4096usize, 64, 70, 130][ps_pick];
-        let quant = build(n, m, page_size, seed);
+        let idx = build(n, m, page_size, seed);
 
         let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xDEAD);
         let mut pq: Vec<f32> = (0..m).map(|_| rng.normal() as f32).collect();
         if mode == 2 {
             for x in &mut pq {
-                *x *= 50.0; // far outside every sub-partition's code range
+                *x *= 50.0; // far outside every partition sphere
             }
         }
 
         let (r_lo, r_hi) = if mode == 1 {
             // Exact stored distances as radii: recompute through the same
             // scan the index uses, then query with those very bits.
-            let all = quant.range_candidates(&pq, -1.0, f64::INFINITY).unwrap();
+            let all = idx.range_candidates(&pq, -1.0, f64::INFINITY).unwrap();
             prop_assert!(!all.is_empty());
             let hi = all[rng.below(all.len() as u64) as usize].proj_dist;
             let lo = all[rng.below(all.len() as u64) as usize].proj_dist;
@@ -218,12 +214,12 @@ proptest! {
 
         let mut scratch = ProjScratch::new();
         let mut got = Vec::new();
-        quant
+        idx
             .range_candidates_into(&pq, r_lo, r_hi, &mut got, &mut scratch)
             .unwrap();
         // RangeCandidate derives PartialEq over (id, proj_dist, subpart,
         // offset); equality here is bit-equality of the f64 distances.
-        let want = f32_annulus(&quant, &pq, r_lo, r_hi);
+        let want = f32_annulus(&idx, &pq, r_lo, r_hi);
         prop_assert_eq!(got, want, "r_lo={} r_hi={}", r_lo, r_hi);
     }
 }

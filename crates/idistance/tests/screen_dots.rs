@@ -76,7 +76,7 @@ fn column_bases(idx: &IDistanceIndex, sub: u32) -> Vec<(usize, usize)> {
 /// heads, put back together from the prefix and the suffix column.
 fn codes_the_slow_way(idx: &IDistanceIndex, sub: u32) -> Vec<u8> {
     let count = idx.subparts()[sub as usize].count as usize;
-    let (start, _) = idx.vquant_region().expect("default builds carry the tier");
+    let (start, _) = idx.code_region().expect("default builds carry the tier");
     let columns: Vec<(Vec<u8>, usize)> = column_bases(idx, sub)
         .into_iter()
         .map(|(base, w)| {
@@ -373,7 +373,7 @@ fn head_rows_fill_pages_exactly_and_each_page_is_read_once() {
     assert_eq!((idx.code_width(), idx.prefix_width()), (64, 32));
     assert_eq!(idx.head().map(|basis| basis.rows().cols()), Some(d));
     // The two code columns, then a byte a row of suffix-norm codes.
-    let (_, region_bytes) = idx.vquant_region().unwrap();
+    let (_, region_bytes) = idx.code_region().unwrap();
     assert_eq!(region_bytes, (n * 65) as u64);
     let pages = (n * 32).div_ceil(4_096) as u64;
     assert_eq!(prefix_pages(&idx), pages);
@@ -472,7 +472,7 @@ fn suffix_norm_codes_bound_each_row_and_are_read_once() {
         let idx = build_over(&orig, page_size, 62);
         let basis = idx.head().expect("rank-20 rows get a head");
         let (n, w) = (idx.len() as usize, idx.code_width());
-        let (start, len) = idx.vquant_region().unwrap();
+        let (start, len) = idx.code_region().unwrap();
         assert_eq!(len, (n * (w + 1)) as u64, "ps={page_size}");
 
         idx.pager().stats().reset();
@@ -628,7 +628,7 @@ fn a_cold_sweep_makes_one_device_read_a_window() {
             };
             let idx = build_index(pager, &proj, &orig, &cfg).unwrap();
             assert_eq!(idx.code_width(), width);
-            let (_, bytes) = idx.vquant_region().unwrap();
+            let (_, bytes) = idx.code_region().unwrap();
             // The sweep reads half the bytes of a head's code region.
             let prefix_bytes = bytes * idx.prefix_width() as u64 / width as u64;
             let pages = prefix_bytes.div_ceil(ps as u64);

@@ -16,8 +16,8 @@
 
 use std::arch::x86_64::*;
 
-use crate::scalar::{self, check_col_shape, col_long, SHORT_MAX};
-use crate::x86::{min_len5, query_dwords};
+use crate::scalar::{self, check_col_shape, col_long};
+use crate::x86::min_len5;
 
 /// Widens 8 packed `f32`s to one 8-wide `f64` vector.
 #[inline]
@@ -273,86 +273,6 @@ unsafe fn sq_dist4_body(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32
     out
 }
 
-// --- Projected-space column kernels (short operands) -------------------------
-//
-// Rows of `m ≤ SHORT_MAX` codes are shorter than one vector, so the u8
-// column body puts *rows* in the lanes: a strided gather fetches four codes
-// of sixteen consecutive rows per dword lane. The f32 column has no body
-// here, as it has none in [`crate::x86`]: sixteen-lane float gathers took
-// 5.6 / 6.5 / 7.4 / 9.3 ns a row (m = 6 / 7 / 8 / 10) against 2.4 / 2.7 /
-// 3.2 / 3.9 for the scalar unrolled loop, at 48-row and at 100 000-row
-// columns alike, so short f32 columns take `scalar::sq_dist_col`.
-
-/// Lane `r` holds `r · stride`: row `r`'s offset from the first row of a
-/// sixteen-row block.
-#[inline]
-#[target_feature(enable = "avx512f")]
-unsafe fn row_offsets(stride: usize) -> __m512i {
-    _mm512_mullo_epi32(
-        _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
-        _mm512_set1_epi32(stride as i32),
-    )
-}
-
-/// Mask selecting the first `live` of sixteen lanes.
-#[inline]
-fn lane_mask(live: usize) -> __mmask16 {
-    if live >= 16 {
-        0xFFFF
-    } else {
-        (1u16 << live) - 1
-    }
-}
-
-/// Adds the four squared byte differences of each dword lane of `g` against
-/// `q` to the lane's i32 accumulator.
-#[inline]
-#[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn acc_sq_diff_bytes(acc: __m512i, g: __m512i, q: __m512i) -> __m512i {
-    let ad = _mm512_sub_epi8(_mm512_max_epu8(g, q), _mm512_min_epu8(g, q));
-    // |a − b| ≤ 255 sits in a u16 lane as a non-negative i16, so `vpmaddwd`
-    // squares and pair-sums it exactly.
-    let even = _mm512_and_si512(ad, _mm512_set1_epi16(0x00FF));
-    let odd = _mm512_srli_epi16::<8>(ad);
-    let acc = _mm512_add_epi32(acc, _mm512_madd_epi16(even, even));
-    _mm512_add_epi32(acc, _mm512_madd_epi16(odd, odd))
-}
-
-/// # Safety
-/// Requires avx512f+bw, `q.len() == m`, `4 ≤ m ≤ SHORT_MAX` and
-/// `rows.len() == out.len() * m` (checked by the safe wrapper).
-#[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn sq_dist_col_i8_short(rows: &[u8], m: usize, q: &[u8], out: &mut [u32]) {
-    let n = out.len();
-    let idx = row_offsets(m);
-    // The query four codes to a dword, like the gathered row dwords. A
-    // ragged last dword (m % 4 codes) is gathered from the row's *last*
-    // four bytes and shifted down, so no lane reads past its own row.
-    let full = m / 4;
-    let ragged = m % 4;
-    let qd = query_dwords(q).map(|w| _mm512_set1_epi32(w));
-    let shift = _mm_cvtsi32_si128(8 * (4 - ragged as i32));
-    let mut i = 0;
-    while i < n {
-        let k = lane_mask(n - i);
-        // SAFETY: lane r < live reads four bytes inside row i + r;
-        // masked-off lanes are not accessed.
-        let base = rows.as_ptr().add(i * m);
-        let zero = _mm512_setzero_si512();
-        let mut acc = zero;
-        for (c, &qc) in qd[..full].iter().enumerate() {
-            let g = _mm512_mask_i32gather_epi32::<1>(zero, k, idx, base.add(4 * c) as *const i32);
-            acc = acc_sq_diff_bytes(acc, g, qc);
-        }
-        if ragged != 0 {
-            let g = _mm512_mask_i32gather_epi32::<1>(zero, k, idx, base.add(m - 4) as *const i32);
-            acc = acc_sq_diff_bytes(acc, _mm512_srl_epi32(g, shift), qd[full]);
-        }
-        _mm512_mask_storeu_epi32(out.as_mut_ptr().add(i) as *mut i32, k, acc);
-        i += 16;
-    }
-}
-
 // --- 8-bit quantized (SQ8) kernels ------------------------------------------
 //
 // 512-bit versions of the integer tier in [`crate::x86`]. The BW bodies
@@ -365,6 +285,16 @@ unsafe fn sq_dist_col_i8_short(rows: &[u8], m: usize, q: &[u8], out: &mut [u32])
 // VNNI once at table-selection time and installs the widest bodies present
 // (the AVX2 ones without BW), so F-only silicon stays sound with zero
 // per-call cost.
+
+/// Mask selecting the first `live` of sixteen lanes.
+#[inline]
+fn lane_mask(live: usize) -> __mmask16 {
+    if live >= 16 {
+        0xFFFF
+    } else {
+        (1u16 << live) - 1
+    }
+}
 
 /// The next up-to-64 codes at `p`: a plain load while at least 64 remain,
 /// else a masked one — lanes past `live` read as zero and are not touched.
@@ -432,28 +362,6 @@ unsafe fn reduce4_epi32(acc: [__m512i; 4]) -> [i32; 4] {
     let mut out = [0i32; 4];
     _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, sums);
     out
-}
-
-#[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn sq_dist4_i8_body(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[u8]) -> [u32; 4] {
-    debug_assert!(
-        a0.len() == b.len() && a1.len() == b.len() && a2.len() == b.len() && a3.len() == b.len(),
-        "sq_dist4_i8: dimension mismatch"
-    );
-    let n = min_len5(a0, a1, a2, a3, b);
-    let bp = b.as_ptr();
-    let rows = [a0.as_ptr(), a1.as_ptr(), a2.as_ptr(), a3.as_ptr()];
-    let mut acc = [_mm512_setzero_si512(); 4];
-    let mut i = 0;
-    while i < n {
-        let vb = widen32_u8(bp.add(i), n - i);
-        for (r, &rp) in rows.iter().enumerate() {
-            let d = _mm512_sub_epi16(widen32_u8(rp.add(i), n - i), vb);
-            acc[r] = _mm512_add_epi32(acc[r], _mm512_madd_epi16(d, d));
-        }
-        i += 32;
-    }
-    reduce4_epi32(acc).map(|s| s as u32)
 }
 
 #[target_feature(enable = "avx512f,avx512bw")]
@@ -757,10 +665,6 @@ pub(crate) fn sq_dist4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]
     unsafe { sq_dist4_body(a0, a1, a2, a3, b) }
 }
 
-pub(crate) fn sq_dist4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[u8]) -> [u32; 4] {
-    unsafe { sq_dist4_i8_body(a0, a1, a2, a3, b) }
-}
-
 pub(crate) fn dot4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8]) -> [i32; 4] {
     unsafe { dot4_i8_body(a0, a1, a2, a3, b) }
 }
@@ -777,20 +681,14 @@ pub(crate) fn dot_i8_vnni(a: &[u8], b: &[i8]) -> i32 {
     unsafe { dot_i8_vnni_body(a, b) }
 }
 
+/// The f32 column has no body here, as it has none in [`crate::x86`]:
+/// sixteen-lane float gathers with rows in the lanes took 5.6 / 6.5 / 7.4 /
+/// 9.3 ns a row (m = 6 / 7 / 8 / 10) against 2.4 / 2.7 / 3.2 / 3.9 for the
+/// scalar unrolled loop, at 48-row and at 100 000-row columns alike, so
+/// short columns take the scalar body and long ones this tier's
+/// [`sq_dist4`].
 pub(crate) fn sq_dist_col(rows: &[f32], m: usize, q: &[f32], out: &mut [f64]) {
     scalar::sq_dist_col_with(sq_dist4, rows, m, q, out)
-}
-
-/// The u8 column kernel; needs avx512bw like the other i8 wrappers.
-pub(crate) fn sq_dist_col_i8(rows: &[u8], m: usize, q: &[u8], out: &mut [u32]) {
-    check_col_shape(rows.len(), m, q.len(), out.len());
-    match m {
-        // Rows shorter than one gathered dword: the unrolled scalar loop.
-        1..=3 => scalar::sq_dist_col_i8(rows, m, q, out),
-        // SAFETY: shape checked above, 4 ≤ m ≤ SHORT_MAX.
-        4..=SHORT_MAX => unsafe { sq_dist_col_i8_short(rows, m, q, out) },
-        _ => col_long(rows, m, q, out, sq_dist4_i8),
-    }
 }
 
 /// The screen's column kernel on AVX-512BW: rows of half, one or two cache

@@ -24,7 +24,7 @@
 //!
 //! | operands                                   | kernel                          |
 //! |--------------------------------------------|---------------------------------|
-//! | projected space, `m ≤ 16` floats or codes  | `sq_dist_col` / `sq_dist_col_i8`: one call per sub-partition column — floats through the unrolled scalar body on every backend, codes with rows in the vector lanes |
+//! | projected space, `m ≤ 16` floats           | `sq_dist_col`: one call per sub-partition column, through the unrolled scalar body on every backend |
 //! | screen, a run of contiguous `w`-code rows  | `dot_col_i8`: `w` = 32, 64 or 128 on AVX-512 — sixteen rows per step and per store, 32-code rows two to a VNNI load; otherwise (and on AVX2 at every `w`) `dot4_i8` over every four rows |
 //! | screen, scattered u8 × i8 code rows        | `dot4_i8` / `dot_i8`: 64 (VNNI), 32 (BW) or 16 (AVX2) codes per step, masked or overlapped tail |
 //! | verification, one `d`-long f32 row         | `dot`: widened `f64` FMA lanes |
@@ -61,30 +61,20 @@ pub type Dot4Fn = fn(&[f32], &[f32], &[f32], &[f32], &[f32]) -> [f64; 4];
 /// a[i])[j]` has.
 pub type Dot4x4Fn = fn([&[f32]; 4], [&[f32]; 4]) -> [[f64; 4]; 4];
 
-/// Signature of the blocked quantized squared-distance kernel
-/// (`sq_dist4_i8`): four u8 code rows against one shared u8 code query.
-/// Exact integer arithmetic — every backend returns identical sums (valid
-/// for lengths up to 2¹⁵; the quantized tier serves `m ≤ 64`).
-pub type SqDist4I8Fn = fn(&[u8], &[u8], &[u8], &[u8], &[u8]) -> [u32; 4];
-
 /// Signature of the blocked quantized inner-product kernel (`dot4_i8`):
-/// four u8 code rows against one shared i8 query. Exact integer arithmetic,
-/// same length bound as [`SqDist4I8Fn`].
+/// four u8 code rows against one shared i8 query. Exact integer arithmetic
+/// — every backend returns identical sums (valid for lengths up to 2¹⁵).
 pub type Dot4I8Fn = fn(&[u8], &[u8], &[u8], &[u8], &[i8]) -> [i32; 4];
 
 /// Signature of the single-row quantized inner-product kernel (`dot_i8`):
 /// one u8 code row against one i8 query — the tail shape of the quantized
 /// verification screen. Exact integer arithmetic, same length bound as
-/// [`SqDist4I8Fn`].
+/// [`Dot4I8Fn`].
 pub type DotI8Fn = fn(&[u8], &[i8]) -> i32;
 
 /// Signature of the f32 column kernel (`sq_dist_col`): `(rows, m, q, out)`
 /// — squared distances of every `m`-float row of a flat arena to `q`.
 pub type SqDistColFn = fn(&[f32], usize, &[f32], &mut [f64]);
-
-/// Signature of the u8 column kernel (`sq_dist_col_i8`): `(rows, m, q, out)`
-/// — exact quantized squared distances of every `m`-code row to `q`.
-pub type SqDistColI8Fn = fn(&[u8], usize, &[u8], &mut [u32]);
 
 /// Signature of the screen's column kernel (`dot_col_i8`): `(rows, w, q,
 /// out)` — exact quantized inner products of every `w`-code u8 row with the
@@ -115,16 +105,12 @@ pub struct Kernels {
     pub dot4x4: Dot4x4Fn,
     /// Four squared Euclidean distances against a shared right-hand side.
     pub sq_dist4: Dot4Fn,
-    /// Four quantized squared distances over u8 codes (SQ8 filter tier).
-    pub sq_dist4_i8: SqDist4I8Fn,
     /// Four quantized inner products (u8 code rows × i8 query).
     pub dot4_i8: Dot4I8Fn,
     /// One quantized inner product (u8 code row × i8 query).
     pub dot_i8: DotI8Fn,
     /// Squared distances of a whole column of projected rows.
     pub sq_dist_col: SqDistColFn,
-    /// Quantized squared distances of a whole u8 code column.
-    pub sq_dist_col_i8: SqDistColI8Fn,
     /// Quantized inner products of a whole u8 code column (u8 × i8).
     pub dot_col_i8: DotColI8Fn,
     /// The largest of a slice of integer dots.
@@ -143,11 +129,9 @@ pub static SCALAR: Kernels = Kernels {
     dot4: scalar::dot4,
     dot4x4: scalar::dot4x4,
     sq_dist4: scalar::sq_dist4,
-    sq_dist4_i8: scalar::sq_dist4_i8,
     dot4_i8: scalar::dot4_i8,
     dot_i8: scalar::dot_i8,
     sq_dist_col: scalar::sq_dist_col,
-    sq_dist_col_i8: scalar::sq_dist_col_i8,
     dot_col_i8: scalar::dot_col_i8,
     max_i32: scalar::max_i32,
     max_scaled_sum: scalar::max_scaled_sum,
@@ -163,11 +147,9 @@ static AVX2: Kernels = Kernels {
     dot4: crate::x86::dot4,
     dot4x4: crate::x86::dot4x4,
     sq_dist4: crate::x86::sq_dist4,
-    sq_dist4_i8: crate::x86::sq_dist4_i8,
     dot4_i8: crate::x86::dot4_i8,
     dot_i8: crate::x86::dot_i8,
     sq_dist_col: crate::x86::sq_dist_col,
-    sq_dist_col_i8: crate::x86::sq_dist_col_i8,
     dot_col_i8: crate::x86::dot_col_i8,
     max_i32: crate::x86::max_i32,
     max_scaled_sum: crate::x86::max_scaled_sum,
@@ -187,11 +169,9 @@ static AVX512: Kernels = Kernels {
     // AVX-512BW, which the `avx512f` gate does not imply, so the static
     // table carries the AVX2 bodies and `avx512_table()` swaps in the
     // 512-bit versions after a one-time BW / VNNI detection.
-    sq_dist4_i8: crate::x86::sq_dist4_i8,
     dot4_i8: crate::x86::dot4_i8,
     dot_i8: crate::x86::dot_i8,
     sq_dist_col: crate::avx512::sq_dist_col,
-    sq_dist_col_i8: crate::x86::sq_dist_col_i8,
     dot_col_i8: crate::x86::dot_col_i8,
     max_i32: crate::avx512::max_i32,
     // Four f64 lanes already outrun the handful of rows it folds a call.
@@ -205,10 +185,8 @@ static AVX512: Kernels = Kernels {
 fn avx512_table(vnni: bool) -> Kernels {
     let mut k = AVX512;
     if std::arch::is_x86_feature_detected!("avx512bw") {
-        k.sq_dist4_i8 = crate::avx512::sq_dist4_i8;
         k.dot4_i8 = crate::avx512::dot4_i8;
         k.dot_i8 = crate::avx512::dot_i8;
-        k.sq_dist_col_i8 = crate::avx512::sq_dist_col_i8;
         k.dot_col_i8 = crate::avx512::dot_col_i8;
         if vnni && std::arch::is_x86_feature_detected!("avx512vnni") {
             k.dot4_i8 = crate::avx512::dot4_i8_vnni;

@@ -107,44 +107,18 @@ pub fn sq_dist4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -> [f
 
 // --- 8-bit quantized (SQ8) kernels ------------------------------------------
 //
-// The quantized filter tier stores vectors as unsigned 8-bit codes
-// (`code = round((x − min) / scale)`), so its reductions are *exact integer
-// arithmetic*: every backend returns bit-identical sums, and the parity
-// contract for these kernels is equality, not a tolerance. Accumulation is
-// `u32`/`i32`, which is exact for lengths up to 2¹⁵ (the worst-case per-term
-// magnitude is 255² = 65 025) — far beyond the projected dimensionality
-// `m ≤ 64` these kernels serve.
-
-/// Squared Euclidean distance between two u8 code vectors,
-/// `Σ (aᵢ − bᵢ)²` with exact `u32` accumulation.
-pub fn sq_dist_i8(a: &[u8], b: &[u8]) -> u32 {
-    debug_assert_eq!(a.len(), b.len(), "sq_dist_i8: dimension mismatch");
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| {
-            let d = x as i32 - y as i32;
-            (d * d) as u32
-        })
-        .sum()
-}
+// The verification screen stores vectors as unsigned 8-bit codes
+// (`code = round((x − min) / scale)`) and the query as signed ones, so its
+// reductions are *exact integer arithmetic*: every backend returns
+// bit-identical sums, and the parity contract for these kernels is
+// equality, not a tolerance. Accumulation is `i32`, which is exact for
+// lengths up to 2¹⁵ (the worst-case per-term magnitude is 255·128).
 
 /// Inner product of a u8 code vector with an i8 code vector,
 /// `Σ aᵢ·bᵢ` with exact `i32` accumulation.
 pub fn dot_i8(a: &[u8], b: &[i8]) -> i32 {
     debug_assert_eq!(a.len(), b.len(), "dot_i8: dimension mismatch");
     a.iter().zip(b).map(|(&x, &y)| x as i32 * y as i32).sum()
-}
-
-/// Four simultaneous quantized squared distances `Σ (aᵢⱼ − bⱼ)²` — the
-/// blocked primitive [`sq_dist_col_i8`] runs over code rows longer than
-/// [`SHORT_MAX`]. All five slices must have equal length.
-pub fn sq_dist4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[u8]) -> [u32; 4] {
-    [
-        sq_dist_i8(a0, b),
-        sq_dist_i8(a1, b),
-        sq_dist_i8(a2, b),
-        sq_dist_i8(a3, b),
-    ]
 }
 
 /// Four simultaneous quantized inner products `Σ aᵢⱼ·bⱼ` against a shared
@@ -270,19 +244,6 @@ fn col_short<const M: usize>(rows: &[f32], q: &[f32], out: &mut [f64]) {
     }
 }
 
-/// [`sq_dist_i8`] over every `M`-code row, fully unrolled per row.
-fn col_short_i8<const M: usize>(rows: &[u8], q: &[u8], out: &mut [u32]) {
-    let q: [i32; M] = std::array::from_fn(|j| q[j] as i32);
-    for (row, o) in rows.chunks_exact(M).zip(out) {
-        let mut s = 0u32;
-        for j in 0..M {
-            let d = row[j] as i32 - q[j];
-            s += (d * d) as u32;
-        }
-        *o = s;
-    }
-}
-
 /// Long-operand column loop shared by the backends: four rows per call of
 /// the backend's blocked kernel `k4`, the last partial block padded by
 /// repeating its final row — so every row goes through `k4`'s per-row
@@ -324,21 +285,6 @@ pub(crate) fn sq_dist_col_with(
 ) {
     check_col_shape(rows.len(), m, q.len(), out.len());
     match_short_m!(m, col_short(rows, q, out), col_long(rows, m, q, out, k4))
-}
-
-/// Quantized squared distances `Σⱼ (rowᵢⱼ − qⱼ)²` of every `m`-code row of
-/// the u8 code column `rows` into `out` — one call per sub-partition
-/// column. Exact integer arithmetic.
-///
-/// # Panics
-/// Panics unless `q.len() == m > 0` and `rows.len() == out.len() * m`.
-pub fn sq_dist_col_i8(rows: &[u8], m: usize, q: &[u8], out: &mut [u32]) {
-    check_col_shape(rows.len(), m, q.len(), out.len());
-    match_short_m!(
-        m,
-        col_short_i8(rows, q, out),
-        col_long(rows, m, q, out, sq_dist4_i8)
-    )
 }
 
 /// Quantized inner products `Σⱼ rowᵢⱼ·qⱼ` of every `w`-code row of the u8

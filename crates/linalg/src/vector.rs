@@ -89,41 +89,14 @@ pub fn sq_dist_col(rows: &[f32], m: usize, q: &[f32], out: &mut [f64]) {
     (kernels().sq_dist_col)(rows, m, q, out)
 }
 
-/// Quantized squared distances `Σⱼ (rowᵢⱼ − qⱼ)²` of every `m`-code row of
-/// the u8 code column `rows` into `out` — the SQ8 annulus filter's kernel,
-/// one dispatch per sub-partition column.
-///
-/// Exact integer arithmetic: every backend returns identical sums. Valid
-/// for `m` up to 2¹⁵ (i32 lane accumulation bound).
-///
-/// # Panics
-/// Panics unless `q.len() == m > 0` and `rows.len() == out.len() * m`.
-#[inline]
-pub fn sq_dist_col_i8(rows: &[u8], m: usize, q: &[u8], out: &mut [u32]) {
-    (kernels().sq_dist_col_i8)(rows, m, q, out)
-}
-
-/// Four quantized squared distances `Σⱼ (aᵢⱼ − bⱼ)²` over u8 codes sharing
-/// one pass over `b` — the blocked form of [`sq_dist_col_i8`] for callers
-/// whose rows are not contiguous. Operands of up to [`SHORT_MAX`] codes
-/// skip the dispatched vector kernel.
-///
-/// Exact integer arithmetic: every backend returns identical sums. Valid
-/// for lengths up to 2¹⁵ (i32 lane accumulation bound).
-#[inline]
-pub fn sq_dist4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[u8]) -> [u32; 4] {
-    if b.len() <= SHORT_MAX {
-        return scalar::sq_dist4_i8(a0, a1, a2, a3, b);
-    }
-    (kernels().sq_dist4_i8)(a0, a1, a2, a3, b)
-}
-
 /// Four quantized inner products `Σⱼ aᵢⱼ·bⱼ` (u8 code rows × i8 query)
 /// sharing one pass over `b` — the verification screen's kernel over
 /// `d`-long code rows: each step of the widest tier multiplies 64 codes of
 /// every row against one load of the query (`vpdpbusd` on AVX-512VNNI
 /// hosts), and the ragged tail is one more masked step, not a scalar loop.
-/// Exact integer arithmetic, same length bound as [`sq_dist4_i8`].
+///
+/// Exact integer arithmetic: every backend returns identical sums. Valid
+/// for lengths up to 2¹⁵ (i32 lane accumulation bound).
 #[inline]
 pub fn dot4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8]) -> [i32; 4] {
     (kernels().dot4_i8)(a0, a1, a2, a3, b)
@@ -132,7 +105,7 @@ pub fn dot4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8]) -> [i32; 4]
 /// One quantized inner product `Σⱼ aⱼ·bⱼ` (u8 code row × i8 query) — the
 /// tail shape of the quantized verification screen, pairing with
 /// [`dot4_i8`] the way [`dot`] pairs with [`dot4`]. Exact integer
-/// arithmetic, same length bound as [`sq_dist4_i8`].
+/// arithmetic, same length bound as [`dot4_i8`].
 #[inline]
 pub fn dot_i8(a: &[u8], b: &[i8]) -> i32 {
     (kernels().dot_i8)(a, b)
@@ -149,7 +122,7 @@ pub fn dot_i8(a: &[u8], b: &[i8]) -> i32 {
 /// width on AVX2, is [`dot4_i8`] over every four rows.
 ///
 /// Exact integer arithmetic: every backend returns [`dot_i8`]'s sums. Same
-/// length bound as [`sq_dist4_i8`].
+/// length bound as [`dot4_i8`].
 ///
 /// # Panics
 /// Panics unless `q.len() == w > 0` and `rows.len() == out.len() * w`.
@@ -258,17 +231,11 @@ mod tests {
     fn quantized_kernels_basic() {
         // Length 5 exercises the SIMD tail path on every backend.
         let a: Vec<u8> = vec![0, 255, 10, 20, 30];
-        let b: Vec<u8> = vec![255, 0, 10, 25, 28];
-        let want: u32 = 255 * 255 + 255 * 255 + 25 + 4;
-        assert_eq!(sq_dist4_i8(&a, &a, &a, &a, &b), [want; 4]);
-        assert_eq!(sq_dist4_i8(&a, &b, &a, &b, &a), [0, want, 0, want]);
-
         let q: Vec<i8> = vec![-128, 127, 1, -1, 0];
         // a·q = 0·(−128) + 255·127 + 10·1 + 20·(−1) + 30·0
         let want_dot: i32 = 127 * 255 + 10 - 20;
         assert_eq!(dot4_i8(&a, &a, &a, &a, &q), [want_dot; 4]);
         assert_eq!(dot_i8(&a, &q), want_dot);
-        assert_eq!(sq_dist4_i8(&[], &[], &[], &[], &[]), [0; 4]);
         assert_eq!(dot4_i8(&[], &[], &[], &[], &[]), [0; 4]);
         assert_eq!(dot_i8(&[], &[]), 0);
     }
@@ -389,21 +356,6 @@ mod tests {
             /// (no tolerance), across lengths sweeping the 16/32-code
             /// unroll remainders and the full u8/i8 code ranges.
             #[test]
-            fn sq_dist4_i8_parity(v in proptest::collection::vec(
-                (0u16..256, 0u16..256, 0u16..256, 0u16..256, 0u16..256),
-                0..200,
-            )) {
-                let cols: Vec<Vec<u8>> = (0..5)
-                    .map(|c| v.iter().map(|t| [t.0, t.1, t.2, t.3, t.4][c] as u8).collect())
-                    .collect();
-                let want = scalar::sq_dist4_i8(&cols[0], &cols[1], &cols[2], &cols[3], &cols[4]);
-                for k in available_backends() {
-                    let got = (k.sq_dist4_i8)(&cols[0], &cols[1], &cols[2], &cols[3], &cols[4]);
-                    prop_assert_eq!(got, want, "backend {}", k.name);
-                }
-            }
-
-            #[test]
             fn dot4_i8_parity(v in proptest::collection::vec(
                 (0u16..256, 0u16..256, 0u16..256, 0u16..256, -128i16..128),
                 0..200,
@@ -456,15 +408,9 @@ mod tests {
                     }
                 };
                 let rows: Vec<Vec<u8>> = (0..4).map(|_| (0..len).map(|_| code(false)).collect()).collect();
-                let qu: Vec<u8> = (0..len).map(|_| code(false)).collect();
                 let qi: Vec<i8> = (0..len).map(|_| code(true) as i8).collect();
-                let want_sq = scalar::sq_dist4_i8(&rows[0], &rows[1], &rows[2], &rows[3], &qu);
                 let want_dot = scalar::dot4_i8(&rows[0], &rows[1], &rows[2], &rows[3], &qi);
                 for k in available_backends() {
-                    prop_assert_eq!(
-                        (k.sq_dist4_i8)(&rows[0], &rows[1], &rows[2], &rows[3], &qu),
-                        want_sq, "backend {} len {}", k.name, len
-                    );
                     prop_assert_eq!(
                         (k.dot4_i8)(&rows[0], &rows[1], &rows[2], &rows[3], &qi),
                         want_dot, "backend {} len {}", k.name, len
@@ -472,26 +418,6 @@ mod tests {
                     for r in 0..4 {
                         prop_assert_eq!((k.dot_i8)(&rows[r], &qi), want_dot[r], "backend {} len {}", k.name, len);
                     }
-                }
-            }
-
-            /// The u8 column kernel is exact on every backend, for every
-            /// short `m`, past `SHORT_MAX`, and for column lengths covering
-            /// every vector remainder.
-            #[test]
-            fn sq_dist_col_i8_parity(
-                m in 1usize..21,
-                n in 0usize..70,
-                seed in 0u64..1 << 32,
-            ) {
-                let mut rng = proptest::test_runner::TestRng::from_name(&format!("col8-{seed}"));
-                let rows: Vec<u8> = (0..n * m).map(|_| rng.below(256) as u8).collect();
-                let q: Vec<u8> = (0..m).map(|_| rng.below(256) as u8).collect();
-                let want: Vec<u32> = rows.chunks_exact(m).map(|r| scalar::sq_dist_i8(r, &q)).collect();
-                for k in available_backends() {
-                    let mut got = vec![u32::MAX; n];
-                    (k.sq_dist_col_i8)(&rows, m, &q, &mut got);
-                    prop_assert_eq!(&got, &want, "backend {} m {} n {}", k.name, m, n);
                 }
             }
 

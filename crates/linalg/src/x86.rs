@@ -16,7 +16,7 @@
 
 use std::arch::x86_64::*;
 
-use crate::scalar::{self, check_col_shape, col_long, SHORT_MAX};
+use crate::scalar::{self, check_col_shape, col_long};
 
 /// Horizontal sum of a 4-wide `f64` vector.
 #[inline]
@@ -258,109 +258,16 @@ unsafe fn sq_dist4_body(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32
     out
 }
 
-// --- Projected-space column kernels (short operands) -------------------------
-//
-// Rows of `m ≤ SHORT_MAX` codes are shorter than one vector, so the u8
-// column body puts *rows* in the lanes: a strided gather fetches four codes
-// of eight consecutive rows per dword lane. The f32 column has no AVX2 body:
-// eight-lane float gathers measured level with the scalar unrolled loop on
-// an AVX-512 host (2.4–3.7 vs 2.7–3.7 ns/row at m = 7, 3.6–4.4 vs 3.8–4.0
-// at m = 10) and are slower than that on AVX2-only parts, so short f32
-// columns take `scalar::sq_dist_col` here.
-
-/// Lane `r` holds `r · stride`: row `r`'s offset from the first row of an
-/// eight-row block.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn row_offsets(stride: usize) -> __m256i {
-    _mm256_mullo_epi32(
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-        _mm256_set1_epi32(stride as i32),
-    )
-}
-
-/// All-ones in the first `live` of eight dword lanes, zero in the rest.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn lane_mask(live: usize) -> __m256i {
-    _mm256_cmpgt_epi32(
-        _mm256_set1_epi32(live.min(8) as i32),
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-    )
-}
-
-/// The (up to 16) query codes of a short column packed four to a
-/// little-endian dword, zero-padded — the layout of a gathered row dword.
-pub(crate) fn query_dwords(q: &[u8]) -> [i32; 4] {
-    let mut dwords = [0i32; 4];
-    for (dword, codes) in dwords.iter_mut().zip(q.chunks(4)) {
-        let mut w = [0u8; 4];
-        w[..codes.len()].copy_from_slice(codes);
-        *dword = i32::from_le_bytes(w);
-    }
-    dwords
-}
-
-/// Adds the four squared byte differences of each dword lane of `g` against
-/// `q` to the lane's i32 accumulator.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn acc_sq_diff_bytes(acc: __m256i, g: __m256i, q: __m256i) -> __m256i {
-    let ad = _mm256_sub_epi8(_mm256_max_epu8(g, q), _mm256_min_epu8(g, q));
-    // |a − b| ≤ 255 sits in a u16 lane as a non-negative i16, so `vpmaddwd`
-    // squares and pair-sums it exactly.
-    let even = _mm256_and_si256(ad, _mm256_set1_epi16(0x00FF));
-    let odd = _mm256_srli_epi16::<8>(ad);
-    let acc = _mm256_add_epi32(acc, _mm256_madd_epi16(even, even));
-    _mm256_add_epi32(acc, _mm256_madd_epi16(odd, odd))
-}
-
-/// # Safety
-/// Requires avx2, `q.len() == m`, `4 ≤ m ≤ SHORT_MAX` and
-/// `rows.len() == out.len() * m` (checked by the safe wrapper).
-#[target_feature(enable = "avx2")]
-unsafe fn sq_dist_col_i8_short(rows: &[u8], m: usize, q: &[u8], out: &mut [u32]) {
-    let n = out.len();
-    let idx = row_offsets(m);
-    // The query four codes to a dword, like the gathered row dwords. A
-    // ragged last dword (m % 4 codes) is gathered from the row's *last*
-    // four bytes and shifted down, so no lane reads past its own row.
-    let full = m / 4;
-    let ragged = m % 4;
-    let qd = query_dwords(q).map(|w| _mm256_set1_epi32(w));
-    let shift = _mm_cvtsi32_si128(8 * (4 - ragged as i32));
-    let mut i = 0;
-    while i < n {
-        let k = lane_mask(n - i);
-        // SAFETY: lane r < live reads four bytes inside row i + r;
-        // masked-off lanes are not accessed.
-        let base = rows.as_ptr().add(i * m);
-        let zero = _mm256_setzero_si256();
-        let mut acc = zero;
-        for (c, &qc) in qd[..full].iter().enumerate() {
-            let g = _mm256_mask_i32gather_epi32::<1>(zero, base.add(4 * c) as *const i32, idx, k);
-            acc = acc_sq_diff_bytes(acc, g, qc);
-        }
-        if ragged != 0 {
-            let g = _mm256_mask_i32gather_epi32::<1>(zero, base.add(m - 4) as *const i32, idx, k);
-            acc = acc_sq_diff_bytes(acc, _mm256_srl_epi32(g, shift), qd[full]);
-        }
-        _mm256_maskstore_epi32(out.as_mut_ptr().add(i) as *mut i32, k, acc);
-        i += 8;
-    }
-}
-
 // --- 8-bit quantized (SQ8) kernels ------------------------------------------
 //
-// Integer kernels for the quantized filter tier: u8 codes are widened to
-// i16 (`vpmovzxbw`), differenced / paired with the query, and reduced with
+// Integer kernels for the verification screen: u8 codes are widened to
+// i16 (`vpmovzxbw`), paired with the sign-extended query, and reduced with
 // `vpmaddwd` (`_mm256_madd_epi16`), which multiplies i16 lanes and adds
 // adjacent pairs into i32 — *without saturation*. The tempting one-step
 // `vpmaddubsw` (`maddubs`, u8×i8) is NOT used: it saturates its i16 pair
 // sums (two products of up to 255·127 overflow i16), which would break the
 // exact-integer parity contract these kernels carry. Accumulation stays in
-// i32 lanes — exact for lengths up to 2¹⁵ at worst-case magnitudes, far
-// beyond the m ≤ 64 projected dimensionality served here.
+// i32 lanes — exact for lengths up to 2¹⁵ at worst-case magnitudes.
 //
 // A ragged tail of operands at least one chunk long is one more *overlapped*
 // chunk — the operands' last 16 codes, with the lanes already summed masked
@@ -435,13 +342,6 @@ macro_rules! for_chunks16 {
     }};
 }
 
-/// 16 u8 codes at `p`, masked by `keep`, widened to i16 lanes.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn widen16_u8(p: *const u8, keep: __m128i) -> __m256i {
-    _mm256_cvtepu8_epi16(_mm_and_si128(_mm_loadu_si128(p as *const __m128i), keep))
-}
-
 /// 16 i8 codes at `p`, masked by `keep`, sign-extended to i16 lanes.
 #[inline]
 #[target_feature(enable = "avx2")]
@@ -459,32 +359,6 @@ pub(crate) fn min_len5<T, U>(a0: &[T], a1: &[T], a2: &[T], a3: &[T], b: &[U]) ->
         .min(a1.len())
         .min(a2.len())
         .min(a3.len())
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn sq_dist4_i8_body(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[u8]) -> [u32; 4] {
-    debug_assert!(
-        a0.len() == b.len() && a1.len() == b.len() && a2.len() == b.len() && a3.len() == b.len(),
-        "sq_dist4_i8: dimension mismatch"
-    );
-    let n = min_len5(a0, a1, a2, a3, b);
-    if n < 16 {
-        return scalar::sq_dist4_i8(&a0[..n], &a1[..n], &a2[..n], &a3[..n], &b[..n]);
-    }
-    let bp = b.as_ptr();
-    let rows = [a0.as_ptr(), a1.as_ptr(), a2.as_ptr(), a3.as_ptr()];
-    // One widened load of `b` feeds four sub+madd chains, 16 codes each —
-    // the same register-blocking as the f32 sq_dist4, at a quarter of the
-    // memory traffic.
-    let mut acc = [_mm256_setzero_si256(); 4];
-    for_chunks16!(n, |off, keep| {
-        let vb = widen16_u8(bp.add(off), keep);
-        for (r, &rp) in rows.iter().enumerate() {
-            let d = _mm256_sub_epi16(widen16_u8(rp.add(off), keep), vb);
-            acc[r] = _mm256_add_epi32(acc[r], _mm256_madd_epi16(d, d));
-        }
-    });
-    reduce4_epi32(acc).map(|s| s as u32)
 }
 
 #[target_feature(enable = "avx2")]
@@ -626,10 +500,6 @@ pub(crate) fn sq_dist4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]
     unsafe { sq_dist4_body(a0, a1, a2, a3, b) }
 }
 
-pub(crate) fn sq_dist4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[u8]) -> [u32; 4] {
-    unsafe { sq_dist4_i8_body(a0, a1, a2, a3, b) }
-}
-
 pub(crate) fn dot4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8]) -> [i32; 4] {
     unsafe { dot4_i8_body(a0, a1, a2, a3, b) }
 }
@@ -638,19 +508,13 @@ pub(crate) fn dot_i8(a: &[u8], b: &[i8]) -> i32 {
     unsafe { dot_i8_body(a, b) }
 }
 
+/// The f32 column has no AVX2 body of its own: eight-lane float gathers
+/// with rows in the lanes measured level with the scalar unrolled loop on
+/// an AVX-512 host (2.4–3.7 vs 2.7–3.7 ns/row at m = 7, 3.6–4.4 vs 3.8–4.0
+/// at m = 10) and slower than that on AVX2-only parts, so short columns
+/// take the scalar body and long ones this tier's [`sq_dist4`].
 pub(crate) fn sq_dist_col(rows: &[f32], m: usize, q: &[f32], out: &mut [f64]) {
     scalar::sq_dist_col_with(sq_dist4, rows, m, q, out)
-}
-
-pub(crate) fn sq_dist_col_i8(rows: &[u8], m: usize, q: &[u8], out: &mut [u32]) {
-    check_col_shape(rows.len(), m, q.len(), out.len());
-    match m {
-        // Rows shorter than one gathered dword: the unrolled scalar loop.
-        1..=3 => scalar::sq_dist_col_i8(rows, m, q, out),
-        // SAFETY: shape checked above, 4 ≤ m ≤ SHORT_MAX.
-        4..=SHORT_MAX => unsafe { sq_dist_col_i8_short(rows, m, q, out) },
-        _ => col_long(rows, m, q, out, sq_dist4_i8),
-    }
 }
 
 /// The screen's column kernel: the blocked [`dot4_i8`] over every four rows

@@ -126,9 +126,9 @@ fn one_shard_snapshot_matches_unsharded_index() {
 #[test]
 fn shard_files_carry_the_quantized_column() {
     // Each shard's self-contained .pmx file must persist the SQ8
-    // quantized region: opened directly with `ProMips::open`,
-    // the shard reports the tier active, and the reloaded sharded index
-    // keeps returning bit-identical results through the two-level scan.
+    // verification column: opened directly with `ProMips::open`, the shard
+    // reports the tier active, and the reloaded sharded index keeps
+    // returning bit-identical results.
     let dir = temp_dir("quantcol");
     let data = random_data(900, 16, 41);
     let cfg = ShardedConfig::builder()
@@ -148,11 +148,14 @@ fn shard_files_carry_the_quantized_column() {
         ));
         let shard = ProMips::open(pager).unwrap();
         assert_eq!(
-            shard.idistance().quants().len(),
+            shard.idistance().vquants().len(),
             shard.idistance().subparts().len(),
             "shard {si} file lost the quantized column"
         );
-        assert!(shard.idistance().quant_region().1 > 0);
+        assert!(shard
+            .idistance()
+            .code_region()
+            .is_some_and(|(_, len)| len > 0));
     }
 
     let queries = random_queries(6, 16, 43);
