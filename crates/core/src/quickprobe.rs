@@ -9,10 +9,10 @@
 //! 2. groups are visited in ascending `LB`; in each group, the member with
 //!    the smallest `‖o‖₁` maximizes `LB² / (c·(‖o‖₁+‖q‖₁)²)` — a lower bound
 //!    of `dis²(P(o),P(q)) / (c·dis²(o,q))` (Theorems 3 + 4);
-//! 3. **Test A**: if `Ψm` of that value reaches `p`, the member is returned
-//!    immediately; otherwise the best value seen so far is remembered and
-//!    the scan continues. If no group passes, the best-recorded member is
-//!    returned.
+//! 3. **Test A** (`TestA`): if `Ψm` of that value reaches `p`, the member
+//!    is returned immediately; otherwise the best value seen so far is
+//!    remembered and the scan continues. If no group passes, the
+//!    best-recorded member is returned.
 //!
 //! The located point's *actual* projected distance to the query becomes the
 //! range-search radius.
@@ -33,6 +33,7 @@
 
 use std::collections::BTreeMap;
 use std::io;
+use std::sync::OnceLock;
 
 use promips_stats::chi2_cdf;
 
@@ -55,6 +56,50 @@ pub struct QuickProbe {
     groups: Vec<Representative>,
     /// `groups[i]`'s projected vector at `[i·m, (i+1)·m)`.
     projected: Vec<f32>,
+    /// Test A's bracket for the first `p` [`Self::locate`] was called with.
+    test_a: OnceLock<TestA>,
+}
+
+/// Test A, `chi2_cdf(m, x) >= p`: every `x` below `lo` fails, every
+/// finite `x` from `hi` on passes, and `chi2_cdf` decides the rest. The
+/// ends are a bisection on `chi2_cdf` itself to `2⁻⁴⁰` relative, widened by
+/// 10⁻⁶ relative — exact while `chi2_cdf`'s rounding (`~1e-15`) stays far
+/// below the margin's (`bracket_is_chi2_cdf`, m = 1..=40).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TestA {
+    m: u32,
+    p: f64,
+    lo: f64,
+    hi: f64,
+}
+
+impl TestA {
+    /// From `Ψm(0) = 0 < p`, doubles up to a passing end and bisects.
+    pub(crate) fn new(m: u32, p: f64) -> Self {
+        let passes = |x: f64| chi2_cdf(m, x) >= p;
+        let (mut lo, mut hi) = (f64::NEG_INFINITY, f64::INFINITY);
+        if p > 0.0 {
+            (lo, hi) = (0.0, m as f64);
+            while !passes(hi) && hi < f64::INFINITY {
+                (lo, hi) = (hi, 2.0 * hi);
+            }
+            while hi - lo > hi * 2f64.powi(-40) {
+                let mid = 0.5 * (lo + hi);
+                *(if passes(mid) { &mut hi } else { &mut lo }) = mid;
+            }
+            (lo, hi) = (lo * (1.0 - 1e-6), hi * (1.0 + 1e-6));
+        }
+        Self { m, p, lo, hi }
+    }
+
+    /// `chi2_cdf(m, x) >= p`.
+    #[inline]
+    pub(crate) fn passes(&self, x: f64) -> bool {
+        if x < self.lo {
+            return false;
+        }
+        (self.hi..=f64::MAX).contains(&x) || chi2_cdf(self.m, x) >= self.p
+    }
 }
 
 /// Outcome of a Quick-Probe location.
@@ -110,6 +155,7 @@ impl QuickProbe {
             m,
             groups,
             projected: flat,
+            test_a: OnceLock::new(),
         }
     }
 
@@ -180,6 +226,7 @@ impl QuickProbe {
             m,
             groups,
             projected,
+            test_a: OnceLock::new(),
         })
     }
 
@@ -193,39 +240,43 @@ impl QuickProbe {
         assert_eq!(pq.len(), self.m, "projected query dimension mismatch");
         assert!(!self.groups.is_empty(), "Quick-Probe over an empty index");
         let q_code = code_of(pq);
-        let q_abs: Vec<f64> = pq.iter().map(|&v| v.abs() as f64).collect();
+        let q_abs: [f64; 64] = std::array::from_fn(|i| pq.get(i).map_or(0.0, |v| v.abs() as f64));
+        let q_abs = &q_abs[..self.m];
+        let cached = self.test_a.get_or_init(|| TestA::new(self.m as u32, p));
+        let fresh = (cached.p.to_bits() != p.to_bits()).then(|| TestA::new(self.m as u32, p));
+        let test_a = fresh.as_ref().unwrap_or(cached);
 
         // Group lower bounds (2^m·(m+1) work — the term the optimized m
-        // balances against group size).
-        let mut order: Vec<(f64, usize)> = self
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(gi, g)| (theorem3_lower_bound(g.code, q_code, &q_abs), gi))
-            .collect();
-        order.sort_by(|a, b| a.0.total_cmp(&b.0));
-
+        // balances against group size), visited in ascending `(LB, index)`.
+        let n = self.groups.len();
+        let lb = |g: &Representative| theorem3_lower_bound(g.code, q_code, q_abs);
+        let at = |gi: usize| (lb(&self.groups[gi]), gi);
+        let before = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        let value = |(lb, gi): (f64, usize)| {
+            let denom = c * (self.groups[gi].norm1 + q_norm1).powi(2);
+            if denom > 0.0 {
+                (lb * lb) / denom
+            } else {
+                0.0
+            }
+        };
         let located = |gi: usize, test_a_passed, groups_probed| Located {
             id: self.groups[gi].id,
             test_a_passed,
             groups_probed,
             projected: &self.projected[gi * self.m..][..self.m],
         };
-        let mut best_value = f64::NEG_INFINITY;
-        let mut best_gi = order[0].1;
-        for (probed, &(lb, gi)) in order.iter().enumerate() {
-            let denom = c * (self.groups[gi].norm1 + q_norm1).powi(2);
-            let value = if denom > 0.0 { (lb * lb) / denom } else { 0.0 };
-            // Test A.
-            if chi2_cdf(self.m as u32, value) >= p {
-                return located(gi, true, probed + 1);
-            }
-            if value >= best_value {
-                best_value = value;
-                best_gi = gi;
-            }
+        let passed = (0..n).map(at).filter(|&g| test_a.passes(value(g)));
+        if let Some(first) = passed.min_by(before) {
+            let earlier = (0..n).map(at).filter(|g| before(g, &first).is_lt());
+            return located(first.1, true, earlier.count() + 1);
         }
-        located(best_gi, false, order.len())
+        // None passes: the last visited of the largest value, else the first.
+        let valued = (0..n).map(at).map(|g| (value(g), g));
+        let valued = valued.filter(|v| !v.0.is_nan());
+        let best = valued.max_by(|a, b| a.0.total_cmp(&b.0).then(before(&a.1, &b.1)));
+        let fallback = best.map_or_else(|| (0..n).map(at).min_by(before), |v| Some(v.1));
+        located(fallback.expect("groups are not empty").1, false, n)
     }
 }
 
@@ -381,6 +432,36 @@ mod tests {
                 prop_assert_eq!(got.projected, proj[got.id as usize].as_slice());
             }
         }
+    }
+
+    /// The bracketed Test A is `chi2_cdf(m, x) >= p`: at m = 1..=40 and the
+    /// `p`s a config takes, for `x` on a log grid from 1e-6 to 1e6, at
+    /// every 1e-8 relative step within ±1e-7 of the crossing (inside the
+    /// bracket, `chi2_cdf`'s to decide) and every 1e-7 step on to ±3e-6
+    /// (across the bracket's ends, where comparisons take over), and one
+    /// ulp either side of each end.
+    #[test]
+    fn bracket_is_chi2_cdf() {
+        for m in 1..=40u32 {
+            for p in [0.1, 0.5, 0.9, 0.99] {
+                let test_a = TestA::new(m, p);
+                let crossing = promips_stats::chi2_inv_cdf(m, p);
+                let grid = (-600..=600).map(|e| 10f64.powf(e as f64 / 100.0));
+                let near = (-10..=10).map(|t| crossing * (1.0 + t as f64 * 1e-8));
+                let across = (-30..=30).map(|t| crossing * (1.0 + t as f64 * 1e-7));
+                let ends = [test_a.lo, test_a.hi].map(|x| [x.next_down(), x, x.next_up()]);
+                for x in grid
+                    .chain(near)
+                    .chain(across)
+                    .chain(ends.into_iter().flatten())
+                {
+                    assert_eq!(test_a.passes(x), chi2_cdf(m, x) >= p, "m {m} p {p} x {x}");
+                }
+            }
+        }
+        // No finite value reaches p ≥ 1; p ≤ 0 passes every value.
+        assert!(!TestA::new(4, 1.5).passes(1e300));
+        assert!(TestA::new(4, 0.0).passes(0.0));
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!
 //! * **Input.** `covered` = the rows held by the sub-partitions whose pivot
 //!   sphere meets the ball `B(P(q), r)` — `Σ SubPartMeta::count` over the
-//!   directory ([`promips_idistance::IDistanceIndex::covered_rows`]). No
-//!   page is read; the rule's own time (≈ 10–30 µs for ~1 k
-//!   sub-partitions) is booked to the scan stage.
+//!   directory ([`promips_idistance::IDistanceIndex::covered_rows`], one
+//!   column-kernel call over the pivots). No page is read; the rule's own
+//!   time (≈ 5–7 µs for ~1 k sub-partitions, Quick-Probe's ≈ 1.5–3 µs
+//!   beside it) is booked to the scan stage.
 //! * **Rule.** If the index carries the SQ8 verification tier and
 //!   `covered ≥ COLUMN_PASS_MIN_COVERAGE · len()` (0.25), the query is
 //!   answered by the **column pass**: one sweep over the whole code column
@@ -195,7 +196,7 @@ use std::collections::BinaryHeap;
 use std::io;
 
 use promips_idistance::{ProjScratch, RangeCandidate};
-use promips_linalg::{dist, dot, max_i32, norm1, sq_norm2};
+use promips_linalg::{dist, dot, max_i32_runs, norm1, sq_norm2};
 use promips_obs::{self as obs, BudgetChecker, CounterId, QueryBudget, ShardSpan, StageNanos};
 
 use crate::conditions::ConditionContext;
@@ -223,6 +224,8 @@ pub struct SearchScratch {
     pq: Vec<f32>,
     /// Range-search candidates, grouped by sub-partition.
     cands: Vec<RangeCandidate>,
+    /// The projected query's squared distance to every pivot.
+    dists: Vec<f64>,
     /// Projected-record decode arena for the annulus scan: the id column
     /// and flat `f32` rows of one covered sub-partition at a time.
     proj: ProjScratch,
@@ -250,10 +253,12 @@ struct FetchBuffers {
     rows_dots: Vec<i32>,
     /// Every row's suffix-norm code, for head codes (row `i` at `i`).
     norm_codes: Vec<u8>,
+    /// The column pass's largest prefix dot of each sub-partition.
+    best_dots: Vec<i32>,
     /// The column pass's visiting order: one `(key(upper bound),
-    /// Reverse(sub-partition), first row, refined)` per sub-partition, a
-    /// max-heap rebuilt in place per pass.
-    order: BinaryHeap<(u64, Reverse<u32>, usize, bool)>,
+    /// Reverse(sub-partition), refined)` per sub-partition whose key
+    /// reaches the floor, a max-heap rebuilt in place per pass.
+    order: BinaryHeap<(u64, Reverse<u32>, bool)>,
     /// The query side of the screen, rebuilt once per `execute`.
     screen: QueryScreen,
 }
@@ -491,7 +496,7 @@ impl ProMips {
         let r = located_radius(located.projected, &scratch.pq);
         // --- Index or scan (module docs): directory only, no page read. ---
         if self.index.verify_quantized() {
-            work.covered_rows = self.index.covered_rows(&scratch.pq, r);
+            work.covered_rows = self.index.covered_rows(&scratch.pq, r, &mut scratch.dists);
             work.column_pass =
                 work.covered_rows as f64 >= COLUMN_PASS_MIN_COVERAGE * self.len() as f64;
         }
@@ -840,12 +845,13 @@ impl ProMips {
     /// ([`promips_idistance::IDistanceIndex::suffix_norm_codes`]). The
     /// **walk** visits the sub-partitions best first, as LEMP-style bucket
     /// orders do ("To Index or Not to Index", arXiv:1706.01449): each one's
-    /// upper bound at the largest dot of its slice of `idots` — its
-    /// [`ScreenBound`], or for heads its [`PrefixBound`] at code 255 — goes
-    /// into a max-heap built in O(n) (ties to the lower directory index),
-    /// and the walk pops until the next bound falls below the bar
-    /// `max(k-th best, query.kth_floor)`. Every bound left is at most that
-    /// one, so their rows are ruled out unread. A head sub-partition popped
+    /// upper bound at the largest dot of its slice of `idots` (one
+    /// [`max_i32_runs`] call over the column) — its [`ScreenBound`], or for
+    /// heads its [`PrefixBound`] at code 255 — goes into a max-heap built
+    /// in O(n) (ties to the lower directory index) unless it is already
+    /// below the floor, and the walk pops until the next bound falls below
+    /// the bar `max(k-th best, query.kth_floor)`. Every bound left is at
+    /// most that one, so their rows are ruled out unread. A head sub-partition popped
     /// the first time is keyed again by its best row's own bound
     /// ([`PrefixBound::best`], never above the first key) and visited only
     /// if that still reaches the bar and heads the heap; otherwise it goes
@@ -882,6 +888,7 @@ impl ProMips {
             idots,
             rows_dots,
             norm_codes,
+            best_dots,
             order,
             screen: qs,
             ..
@@ -897,21 +904,24 @@ impl ProMips {
             self.index.suffix_norm_codes(norm_codes)?;
         }
 
-        let (subparts, vquants) = (self.index.subparts(), self.index.vquants());
+        let (vquants, bounds) = (self.index.vquants(), self.index.row_bounds());
+        best_dots.resize(vquants.len(), 0);
+        max_i32_runs(idots, bounds, best_dots);
         // The heap's buffer never leaves the scratch across a `?`.
         let mut keys = std::mem::take(order).into_vec();
         keys.clear();
-        let mut first = 0;
-        for (sub, (sp, vq)) in (0u32..).zip(subparts.iter().zip(vquants)) {
-            let dots = &idots[first..first + sp.count as usize];
-            let best = max_i32(dots);
+        let bar = top.kth_ip().max(floor);
+        for (sub, (vq, &best)) in (0u32..).zip(vquants.iter().zip(best_dots.iter())) {
             let upper = if split {
                 PrefixBound::new(vq, qs).upper(best, u8::MAX)
             } else {
                 ScreenBound::new(vq, qs).upper(best)
             };
-            keys.push((order_key(upper), Reverse(sub), first, !split));
-            first += dots.len();
+            // A key under the bar could only end the walk: never pushed.
+            if upper < bar {
+                continue;
+            }
+            keys.push((order_key(upper), Reverse(sub), !split));
         }
         *order = BinaryHeap::from(keys);
 
@@ -919,18 +929,18 @@ impl ProMips {
         let mut rows = self.index.orig_cursor(0);
         let mut suffixes = self.index.suffix_cursor();
         let mut unvisited = idots.len() as u64;
-        while let Some((key, Reverse(sub), first, refined)) = order.pop() {
+        while let Some((key, Reverse(sub), refined)) = order.pop() {
             let bar = top.kth_ip().max(floor);
             if from_order_key(key) < bar {
                 break;
             }
-            let (sp, vq) = (&subparts[sub as usize], &vquants[sub as usize]);
-            let span = first..first + sp.count as usize;
+            let vq = &vquants[sub as usize];
+            let span = bounds[sub as usize]..bounds[sub as usize + 1];
             let dots = &idots[span.clone()];
             let prefix = split.then(|| (PrefixBound::new(vq, qs), &norm_codes[span]));
             if let (Some((prefix, codes)), false) = (&prefix, refined) {
                 let key = order_key(prefix.best(dots, codes));
-                let entry = (key, Reverse(sub), first, true);
+                let entry = (key, Reverse(sub), true);
                 if from_order_key(key) < bar || order.peek().is_some_and(|e| *e > entry) {
                     order.push(entry);
                     continue;

@@ -68,3 +68,23 @@ pub fn oracle(
     all.truncate(k);
     all
 }
+
+/// The column pass's heap key: an order-preserving `u64` of `x`
+/// (`total_cmp` order).
+pub fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// The `x` of [`order_key`], bit for bit.
+pub fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}

@@ -42,8 +42,12 @@
 //! cargo test --release -p promips_core --test staged_screen_replay -- --ignored --nocapture
 //! ```
 
+mod common;
+
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+use common::{from_order_key, order_key};
 
 use promips_core::screen::{self, PrefixBound, QueryScreen, ScreenBound};
 use promips_core::{ProMips, ProMipsConfig, Query, SearchScratch, TopK};
@@ -128,25 +132,6 @@ impl SubBounds {
 /// The share of keys past which the rule this walk replaced swept the
 /// suffix column.
 const OLD_SWEEP_SHARE: f64 = 0.65;
-
-/// The engine's heap key: an order-preserving `u64` of `x`.
-fn order_key(x: f64) -> u64 {
-    let bits = x.to_bits();
-    if bits >> 63 == 0 {
-        bits | 1 << 63
-    } else {
-        !bits
-    }
-}
-
-/// The `x` of [`order_key`].
-fn from_order_key(key: u64) -> f64 {
-    f64::from_bits(if key >> 63 == 1 {
-        key & !(1 << 63)
-    } else {
-        !key
-    })
-}
 
 fn percentile(values: &mut [u64], p: f64) -> u64 {
     values.sort_unstable();

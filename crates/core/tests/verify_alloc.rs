@@ -160,6 +160,9 @@ fn warm_screen_rescore_does_not_allocate_per_candidate() {
         "the column pass allocates more ({column_allocs}) than the annulus path \
          ({tier_allocs})"
     );
+    // Exactly: the per-search constants, with nothing from Quick-Probe's
+    // `locate` (which allocated two `Vec`s a call, five in all).
+    assert_eq!(column_allocs, 3, "warm column pass allocations");
 
     // A head column: the staged pass's buffers (the suffix-norm codes, the
     // rows their prefix bounds leave in and their whole dots) grow once

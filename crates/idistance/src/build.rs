@@ -222,11 +222,12 @@ pub fn build_index(
     }
 
     let mut subparts: Vec<SubPartMeta> = Vec::with_capacity(defs.len());
+    let mut pivots = Vec::with_capacity(defs.len() * m);
     let mut tree_entries: Vec<(u64, u64)> = Vec::with_capacity(defs.len());
     for (i, def) in defs.iter().enumerate() {
+        pivots.extend_from_slice(&def.pivot);
         subparts.push(SubPartMeta {
             key: def.key,
-            pivot: def.pivot.clone(),
             radius: def.radius,
             count: def.ids.len() as u32,
             proj_off: proj_offs[i],
@@ -252,6 +253,7 @@ pub fn build_index(
         code_region,
         partitions,
         subparts,
+        pivots,
         vquants,
         head,
         n as u64,
@@ -374,14 +376,13 @@ mod tests {
         let idx = build_index(pager, &proj, &orig, &cfg).unwrap();
 
         let mut scratch = crate::index::ProjScratch::new();
-        for sp in idx.subparts() {
+        for (sub, sp) in (0u32..).zip(idx.subparts()) {
             let part = (sp.key / idx.ring_c()) as usize;
             let ring = sp.key % idx.ring_c();
             assert!(part < idx.partitions().len());
             // Every member's ring index must equal the sub-partition ring.
             // (Reconstruct from the stored projected vectors.)
-            idx.read_subpart_proj_into_by_meta(sp, &mut scratch)
-                .unwrap();
+            idx.read_subpart_proj_into(sub, &mut scratch).unwrap();
             for i in 0..scratch.len() {
                 let dc = dist(scratch.row(i), &idx.partitions()[part].center);
                 assert_eq!((dc / idx.epsilon()).floor() as u64, ring);

@@ -439,6 +439,8 @@ pub struct IDistanceIndex {
     code_region: Option<Region>,
     partitions: Vec<PartitionMeta>,
     subparts: Vec<SubPartMeta>,
+    pivots: Vec<f32>,
+    row_bounds: Vec<usize>,
     /// Per-sub-partition verification quantizers, parallel to `subparts`
     /// (empty when `code_region` is `None`).
     vquants: Vec<OrigQuant>,
@@ -463,6 +465,7 @@ impl IDistanceIndex {
         code_region: Option<Region>,
         partitions: Vec<PartitionMeta>,
         subparts: Vec<SubPartMeta>,
+        pivots: Vec<f32>,
         vquants: Vec<OrigQuant>,
         head: Option<HeadBasis>,
         n_points: u64,
@@ -475,6 +478,10 @@ impl IDistanceIndex {
             },
             "verification-quantizer directory must parallel the sub-partition directory"
         );
+        let mut row_bounds = vec![0];
+        for sp in &subparts {
+            row_bounds.push(row_bounds[row_bounds.len() - 1] + sp.count as usize);
+        }
         Self {
             pager,
             tree,
@@ -485,8 +492,10 @@ impl IDistanceIndex {
             proj_region,
             orig_region,
             code_region,
+            row_bounds,
             partitions,
             subparts,
+            pivots,
             vquants,
             head,
             n_points,
@@ -531,6 +540,17 @@ impl IDistanceIndex {
     /// Sub-partition directory.
     pub fn subparts(&self) -> &[SubPartMeta] {
         &self.subparts
+    }
+
+    /// Sub-partition `sub`'s pivot: `m` floats of the flat pivot column.
+    pub fn pivot(&self, sub: u32) -> &[f32] {
+        &self.pivots[sub as usize * self.m..][..self.m]
+    }
+
+    /// Sub-partition `s` holds rows `row_bounds()[s]..row_bounds()[s + 1]`
+    /// of the storage order [`Self::column_dots`] numbers rows in.
+    pub fn row_bounds(&self) -> &[usize] {
+        &self.row_bounds
     }
 
     /// The backing pager (page-access counters live here).
@@ -662,7 +682,7 @@ impl IDistanceIndex {
             for entry in self.tree.range(key_lo, key_hi)? {
                 let (_key, sub_id) = entry?;
                 let sp = &self.subparts[sub_id as usize];
-                let dp = dist(pq, &sp.pivot);
+                let dp = dist(pq, self.pivot(sub_id as u32));
                 // Sphere filter (paper Fig. 3): skip sub-partitions that
                 // cannot contain a point in the annulus.
                 if dp - sp.radius > r_hi || dp + sp.radius <= r_lo {
@@ -691,16 +711,6 @@ impl IDistanceIndex {
     /// no intermediate blob, no per-record allocation.
     pub fn read_subpart_proj_into(&self, sub: u32, scratch: &mut ProjScratch) -> io::Result<()> {
         let sp = &self.subparts[sub as usize];
-        self.read_subpart_proj_into_by_meta(sp, scratch)
-    }
-
-    /// As [`Self::read_subpart_proj_into`] but from a metadata reference
-    /// (used during construction before `self.subparts` is final).
-    pub fn read_subpart_proj_into_by_meta(
-        &self,
-        sp: &SubPartMeta,
-        scratch: &mut ProjScratch,
-    ) -> io::Result<()> {
         let (m, count) = (self.m, sp.count as usize);
         scratch.reset(m, count);
         let ProjScratch { ids, rows, .. } = scratch;
@@ -1009,11 +1019,16 @@ impl IDistanceIndex {
     /// radius `r` around `pq` — the sphere filter of
     /// [`Self::range_candidates_into`] applied to the directory alone (no
     /// page is read), i.e. an upper bound on the rows a ball query decodes.
-    pub fn covered_rows(&self, pq: &[f32], r: f64) -> u64 {
-        self.subparts
-            .iter()
-            .filter(|sp| dist(pq, &sp.pivot) - sp.radius <= r)
-            .map(|sp| sp.count as u64)
+    /// One [`sq_dist_col`] call over the pivots into `sq_dists`: the
+    /// filter's `dist` to the bit for `m ≤`
+    /// [`promips_linalg::scalar::SHORT_MAX`], past it maybe not in the last
+    /// ulp (as `located_radius` in `promips_core` notes).
+    pub fn covered_rows(&self, pq: &[f32], r: f64, sq_dists: &mut Vec<f64>) -> u64 {
+        sq_dists.resize(self.subparts.len(), 0.0);
+        sq_dist_col(&self.pivots, self.m, pq, sq_dists);
+        (self.subparts.iter().zip(sq_dists.iter()))
+            .filter(|&(sp, d2)| d2.sqrt() - sp.radius <= r)
+            .map(|(sp, _)| sp.count as u64)
             .sum()
     }
 
@@ -1036,8 +1051,8 @@ impl IDistanceIndex {
             p.encode(&mut dir);
         }
         enc::put_u32(&mut dir, self.subparts.len() as u32);
-        for s in &self.subparts {
-            s.encode(&mut dir);
+        for (s, pivot) in self.subparts.iter().zip(self.pivots.chunks_exact(self.m)) {
+            s.encode(pivot, &mut dir);
         }
         let (vs, vl) = self.code_region.unwrap_or((REGION_ABSENT, 0));
         enc::put_u64(&mut dir, vs);
@@ -1135,8 +1150,9 @@ impl IDistanceIndex {
             .map(|_| PartitionMeta::decode(&dir, &mut dpos))
             .collect();
         let n_subs = enc::get_u32(&dir, &mut dpos) as usize;
+        let mut pivots = Vec::new();
         let subparts: Vec<SubPartMeta> = (0..n_subs)
-            .map(|_| SubPartMeta::decode(&dir, &mut dpos))
+            .map(|_| SubPartMeta::decode(&dir, &mut dpos, &mut pivots))
             .collect();
         let region = |start: u64, len: u64| (start != REGION_ABSENT).then_some((start, len));
         let code_region = region(enc::get_u64(&dir, &mut dpos), enc::get_u64(&dir, &mut dpos));
@@ -1156,6 +1172,9 @@ impl IDistanceIndex {
             Vec::new()
         };
         let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
+        if pivots.len() != n_subs * m {
+            return Err(bad("a sub-partition pivot is not m floats long"));
+        }
         let head = if code_region.is_some() && dpos < dir.len() {
             let head = HeadBasis::decode(&dir, &mut dpos, d)?;
             if (dir.len() - dpos) / 8 < vquants.len() {
@@ -1195,6 +1214,7 @@ impl IDistanceIndex {
             code_region,
             partitions,
             subparts,
+            pivots,
             vquants,
             head,
             n_points,
@@ -1317,17 +1337,70 @@ mod tests {
     fn covered_rows_bounds_what_a_ball_query_returns() {
         let (idx, _, _) = build_small();
         let mut rng = Xoshiro256pp::seed_from_u64(5);
-        let mut below_all = false;
+        let (mut below_all, mut sq_dists) = (false, Vec::new());
         for _ in 0..10 {
             let pq: Vec<f32> = (0..6).map(|_| rng.normal() as f32).collect();
             let r = rng.uniform_range(0.2, 3.0);
-            let covered = idx.covered_rows(&pq, r);
+            let covered = idx.covered_rows(&pq, r, &mut sq_dists);
             let found = idx.range_candidates(&pq, -1.0, r).unwrap().len() as u64;
             assert!(found <= covered && covered <= idx.len(), "r={r}");
             below_all |= covered < idx.len();
         }
         assert!(below_all, "every ball covered every sub-partition");
-        assert_eq!(idx.covered_rows(&[0.0; 6], 1e9), idx.len());
+        assert_eq!(idx.covered_rows(&[0.0; 6], 1e9, &mut sq_dists), idx.len());
+    }
+
+    /// `covered_rows` is the sphere filter's sum, `Σ count` over the
+    /// sub-partitions with `dist(pq, pivot) − radius <= r` by the
+    /// single-row `dist`, at every `m` up to `SHORT_MAX` — radii drawn at
+    /// random and set to a sub-partition's own `dist − radius`, where one
+    /// ulp decides; `row_bounds` are the running sums of the counts.
+    #[test]
+    fn covered_rows_is_the_single_row_sphere_filter() {
+        let mut rng = Xoshiro256pp::seed_from_u64(41);
+        let mut sq_dists = Vec::new();
+        for m in 1..=promips_linalg::scalar::SHORT_MAX {
+            let proj = random_matrix(400, m, 40 + m as u64);
+            let orig = random_matrix(400, 8, 60 + m as u64);
+            let pager = Arc::new(Pager::in_memory(1024, 1 << 14));
+            let cfg = IDistanceConfig {
+                kp: 4,
+                nkey: 6,
+                ksp: 4,
+                ..Default::default()
+            };
+            let idx = build_index(pager, &proj, &orig, &cfg).unwrap();
+            let subs = 0..idx.subparts().len() as u32;
+            let bounds = idx.row_bounds();
+            assert_eq!((bounds[0], bounds[subs.len()]), (0, idx.len() as usize));
+            for sub in subs.clone() {
+                let count = idx.subparts()[sub as usize].count as usize;
+                assert_eq!(bounds[sub as usize + 1] - bounds[sub as usize], count);
+            }
+            for _ in 0..6 {
+                let pq: Vec<f32> = (0..m).map(|_| 1.5 * rng.normal() as f32).collect();
+                let gaps: Vec<f64> = (subs.clone())
+                    .map(|sub| dist(&pq, idx.pivot(sub)) - idx.subparts()[sub as usize].radius)
+                    .collect();
+                let want = |r: f64| -> u64 {
+                    (gaps.iter().zip(idx.subparts()))
+                        .filter(|&(&gap, _)| gap <= r)
+                        .map(|(_, sp)| sp.count as u64)
+                        .sum()
+                };
+                let radii = [rng.uniform_range(0.0, 3.0), gaps[0], gaps[gaps.len() / 2]];
+                for r in radii
+                    .into_iter()
+                    .flat_map(|r| [r, r.next_down(), r.next_up()])
+                {
+                    assert_eq!(
+                        idx.covered_rows(&pq, r, &mut sq_dists),
+                        want(r),
+                        "m {m} r {r}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl<'a> NnIter<'a> {
         let mut heap = BinaryHeap::with_capacity(index.subparts().len());
         let mut seq = 0;
         for (sub_id, sp) in index.subparts().iter().enumerate() {
-            let bound = (dist(pq, &sp.pivot) - sp.radius).max(0.0);
+            let bound = (dist(pq, index.pivot(sub_id as u32)) - sp.radius).max(0.0);
             heap.push(HeapItem {
                 dist: bound,
                 seq,

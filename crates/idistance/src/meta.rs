@@ -17,14 +17,14 @@ pub struct PartitionMeta {
 }
 
 /// A sub-partition: one contiguous run of points on disk, filtered by a
-/// pivot/radius sphere during range search.
+/// pivot/radius sphere during range search. Its pivot (m-dim, projected
+/// space) is a row of the directory's one flat pivot column
+/// ([`crate::IDistanceIndex::pivot`]), encoded here beside the rest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubPartMeta {
     /// Ring key of Formula 6 this sub-partition belongs to.
     pub key: u64,
-    /// Sub-cluster pivot (m-dim, projected space).
-    pub pivot: Vec<f32>,
-    /// Max distance from a member to `pivot`.
+    /// Max distance from a member to the pivot.
     pub radius: f64,
     /// Number of points.
     pub count: u32,
@@ -139,29 +139,28 @@ impl PartitionMeta {
 }
 
 impl SubPartMeta {
-    /// Serializes into `buf`.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
+    /// Serializes into `buf`, with its `pivot`.
+    pub fn encode(&self, pivot: &[f32], buf: &mut Vec<u8>) {
         put_u64(buf, self.key);
-        put_u32(buf, self.pivot.len() as u32);
-        put_f32s(buf, &self.pivot);
+        put_u32(buf, pivot.len() as u32);
+        put_f32s(buf, pivot);
         put_f64(buf, self.radius);
         put_u32(buf, self.count);
         put_u64(buf, self.proj_off);
         put_u64(buf, self.orig_off);
     }
 
-    /// Deserializes from `buf` at `pos`.
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Self {
+    /// Deserializes from `buf` at `pos`, appending its pivot to `pivots`.
+    pub fn decode(buf: &[u8], pos: &mut usize, pivots: &mut Vec<f32>) -> Self {
         let key = get_u64(buf, pos);
         let m = get_u32(buf, pos) as usize;
-        let pivot = get_f32s(buf, pos, m);
+        pivots.extend(get_f32s(buf, pos, m));
         let radius = get_f64(buf, pos);
         let count = get_u32(buf, pos);
         let proj_off = get_u64(buf, pos);
         let orig_off = get_u64(buf, pos);
         Self {
             key,
-            pivot,
             radius,
             count,
             proj_off,
@@ -192,17 +191,19 @@ mod tests {
     fn subpart_roundtrip() {
         let s = SubPartMeta {
             key: 99,
-            pivot: vec![0.5; 6],
             radius: 1.125,
             count: 17,
             proj_off: 1234,
             orig_off: 5678,
         };
+        let pivot = [0.5, -1.0, 2.0, 0.0, 3.25, 7.0];
         let mut buf = Vec::new();
-        s.encode(&mut buf);
-        let mut pos = 0;
-        assert_eq!(SubPartMeta::decode(&buf, &mut pos), s);
+        s.encode(&pivot, &mut buf);
+        assert_eq!(buf.len(), 8 + 4 + 4 * 6 + 8 + 4 + 8 + 8);
+        let (mut pos, mut pivots) = (0, vec![9.0]);
+        assert_eq!(SubPartMeta::decode(&buf, &mut pos, &mut pivots), s);
         assert_eq!(pos, buf.len());
+        assert_eq!(pivots[1..], pivot);
     }
 
     #[test]

@@ -610,6 +610,15 @@ unsafe fn dot_col_i8_vnni_body(rows: &[u8], w: usize, q: &[i8], out: &mut [i32])
 /// # Safety
 /// Requires avx512f.
 #[target_feature(enable = "avx512f")]
+unsafe fn max_i32_runs_body(v: &[i32], bounds: &[usize], out: &mut [i32]) {
+    for (o, run) in out.iter_mut().zip(bounds.windows(2)) {
+        *o = max_i32_body(&v[run[0]..run[1]]);
+    }
+}
+
+/// # Safety
+/// Requires avx512f.
+#[target_feature(enable = "avx512f")]
 unsafe fn max_i32_body(v: &[i32]) -> i32 {
     let (n, p) = (v.len(), v.as_ptr());
     let load = |i: usize| _mm512_loadu_si512(p.add(i) as *const __m512i);
@@ -715,6 +724,8 @@ pub(crate) fn dot_col_i8_vnni(rows: &[u8], w: usize, q: &[i8], out: &mut [i32]) 
     }
 }
 
-pub(crate) fn max_i32(v: &[i32]) -> i32 {
-    unsafe { max_i32_body(v) }
+pub(crate) fn max_i32_runs(v: &[i32], bounds: &[usize], out: &mut [i32]) {
+    assert_eq!(bounds.len(), out.len() + 1, "one bound past the runs");
+    // SAFETY: installed only once avx512f is detected; runs are sliced, checked.
+    unsafe { max_i32_runs_body(v, bounds, out) }
 }

@@ -30,7 +30,7 @@
 //! | verification, one `d`-long f32 row         | `dot`: widened `f64` FMA lanes |
 //! | `matvec_into`, exact scanners, f32 rows    | `dot4` over every four rows, `dot` for the rest |
 //! | build, rows × rows (`Matrix::gemm_nt`)     | `dot4x4`: sixteen `dot4`-identical sums per pass over eight rows |
-//! | column pass, one sub-partition's i32 dots  | `max_i32`: `vpmaxsd` over 16 (AVX-512) or 8 (AVX2) lanes, exact |
+//! | column pass, every sub-partition's i32 dots | `max_i32_runs`: one call a pass, `vpmaxsd` over 16 (AVX-512) or 8 (AVX2) lanes per run, exact; `max_i32` is its one-run case |
 //! | column pass, its dots beside their u8 suffix-norm codes | `max_scaled_sum`: the largest `a·dot + b·code`, four `f64` lanes on both x86 tiers, rounded as the scalar body rounds it |
 //!
 //! ## Numerical contract
@@ -113,8 +113,8 @@ pub struct Kernels {
     pub sq_dist_col: SqDistColFn,
     /// Quantized inner products of a whole u8 code column (u8 × i8).
     pub dot_col_i8: DotColI8Fn,
-    /// The largest of a slice of integer dots.
-    pub max_i32: fn(&[i32]) -> i32,
+    /// The largest of each run of a slice of integer dots.
+    pub max_i32_runs: fn(&[i32], &[usize], &mut [i32]),
     /// The largest `a·xᵢ + b·yᵢ` over i32 × u8 pairs.
     pub max_scaled_sum: MaxScaledSumFn,
 }
@@ -133,7 +133,7 @@ pub static SCALAR: Kernels = Kernels {
     dot_i8: scalar::dot_i8,
     sq_dist_col: scalar::sq_dist_col,
     dot_col_i8: scalar::dot_col_i8,
-    max_i32: scalar::max_i32,
+    max_i32_runs: scalar::max_i32_runs,
     max_scaled_sum: scalar::max_scaled_sum,
 };
 
@@ -151,7 +151,7 @@ static AVX2: Kernels = Kernels {
     dot_i8: crate::x86::dot_i8,
     sq_dist_col: crate::x86::sq_dist_col,
     dot_col_i8: crate::x86::dot_col_i8,
-    max_i32: crate::x86::max_i32,
+    max_i32_runs: crate::x86::max_i32_runs,
     max_scaled_sum: crate::x86::max_scaled_sum,
 };
 
@@ -173,7 +173,7 @@ static AVX512: Kernels = Kernels {
     dot_i8: crate::x86::dot_i8,
     sq_dist_col: crate::avx512::sq_dist_col,
     dot_col_i8: crate::x86::dot_col_i8,
-    max_i32: crate::avx512::max_i32,
+    max_i32_runs: crate::avx512::max_i32_runs,
     // Four f64 lanes already outrun the handful of rows it folds a call.
     max_scaled_sum: crate::x86::max_scaled_sum,
 };

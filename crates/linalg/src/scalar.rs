@@ -304,6 +304,14 @@ pub fn max_i32(v: &[i32]) -> i32 {
     v.iter().fold(i32::MIN, |m, &x| m.max(x))
 }
 
+/// [`max_i32`] of each run `v[bounds[i]..bounds[i + 1]]` into `out[i]`.
+pub fn max_i32_runs(v: &[i32], bounds: &[usize], out: &mut [i32]) {
+    assert_eq!(bounds.len(), out.len() + 1, "one bound past the runs");
+    for (o, run) in out.iter_mut().zip(bounds.windows(2)) {
+        *o = max_i32(&v[run[0]..run[1]]);
+    }
+}
+
 /// The largest `a·xᵢ + b·yᵢ` over the pairs of `x` and `y` (`-∞` for none),
 /// each product and the sum rounded once in `f64` (no fused multiply-add),
 /// so every backend's body returns the same number for finite `a` and `b`.

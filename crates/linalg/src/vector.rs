@@ -131,12 +131,20 @@ pub fn dot_col_i8(rows: &[u8], w: usize, q: &[i8], out: &mut [i32]) {
     (kernels().dot_col_i8)(rows, w, q, out)
 }
 
-/// The largest of `v` (`i32::MIN` for an empty slice) — the column pass's
-/// fold of one sub-partition's integer dots, `vpmaxsd` on the x86 tiers.
-/// Exact: every backend returns the same number.
+/// The largest of `v` (`i32::MIN` for an empty slice) — a walked block's
+/// fold of its integer dots: [`max_i32_runs`] with one run.
 #[inline]
 pub fn max_i32(v: &[i32]) -> i32 {
-    (kernels().max_i32)(v)
+    let mut out = [0];
+    max_i32_runs(v, &[0, v.len()], &mut out);
+    out[0]
+}
+
+/// The largest of each run `v[bounds[i]..bounds[i + 1]]` (`i32::MIN` if
+/// empty) into `out[i]`, exact: the column pass's one fold a pass.
+#[inline]
+pub fn max_i32_runs(v: &[i32], bounds: &[usize], out: &mut [i32]) {
+    (kernels().max_i32_runs)(v, bounds, out)
 }
 
 /// The largest `a·xᵢ + b·yᵢ` over the pairs of `x` and `y` (`-∞` for none):

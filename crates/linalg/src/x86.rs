@@ -408,6 +408,15 @@ unsafe fn dot_i8_body(a: &[u8], b: &[i8]) -> i32 {
 /// # Safety
 /// Requires avx2.
 #[target_feature(enable = "avx2")]
+unsafe fn max_i32_runs_body(v: &[i32], bounds: &[usize], out: &mut [i32]) {
+    for (o, run) in out.iter_mut().zip(bounds.windows(2)) {
+        *o = max_i32_body(&v[run[0]..run[1]]);
+    }
+}
+
+/// # Safety
+/// Requires avx2.
+#[target_feature(enable = "avx2")]
 unsafe fn max_i32_body(v: &[i32]) -> i32 {
     let n = v.len();
     if n < 8 {
@@ -524,8 +533,10 @@ pub(crate) fn dot_col_i8(rows: &[u8], w: usize, q: &[i8], out: &mut [i32]) {
     col_long(rows, w, q, out, dot4_i8)
 }
 
-pub(crate) fn max_i32(v: &[i32]) -> i32 {
-    unsafe { max_i32_body(v) }
+pub(crate) fn max_i32_runs(v: &[i32], bounds: &[usize], out: &mut [i32]) {
+    assert_eq!(bounds.len(), out.len() + 1, "one bound past the runs");
+    // SAFETY: installed only once avx2 is detected; runs are sliced, checked.
+    unsafe { max_i32_runs_body(v, bounds, out) }
 }
 
 pub(crate) fn max_scaled_sum(x: &[i32], y: &[u8], a: f64, b: f64) -> f64 {
