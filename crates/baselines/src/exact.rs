@@ -57,11 +57,6 @@ impl<'a> ExactScan<'a> {
         });
         merge_topk(lists, k)
     }
-
-    /// Exact top-k for a batch of queries.
-    pub fn top_k_batch(&self, queries: &Matrix, k: usize) -> Vec<Vec<Neighbor>> {
-        queries.iter_rows().map(|q| self.top_k(q, k)).collect()
-    }
 }
 
 /// Rank order of the exact answer: inner product descending, ties by id

@@ -225,11 +225,6 @@ impl PqMips {
         })
     }
 
-    /// Number of coarse cells.
-    pub fn num_cells(&self) -> usize {
-        self.coarse.rows()
-    }
-
     fn search_impl(&self, q: &[f32], k: usize) -> io::Result<Vec<Neighbor>> {
         assert_eq!(q.len(), self.d);
         let subspaces = self.config.subspaces;

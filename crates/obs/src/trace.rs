@@ -6,7 +6,10 @@
 //! pruned by the norm bound, which seeded the floor). Traces are plain
 //! data — the query path fills one in only when the caller asked for
 //! it, and it is the only place a query's times are kept: the registry
-//! counts events, it does not time them.
+//! counts events, it does not time them. Its spans are also the only
+//! per-shard account of a query (the search result keeps the answer and
+//! the counts summed over the spans); whether the query degraded is read
+//! off them, [`QueryTrace::shards_failed`] `> 0`.
 
 /// Nanoseconds spent in each in-shard stage of one search.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -74,11 +77,8 @@ pub struct QueryTrace {
     pub started_at_ns: u64,
     /// End-to-end wall time of the sharded search call.
     pub total_ns: u64,
-    /// Cross-shard top-k merge and result assembly.
+    /// Cross-shard top-k merge.
     pub merge_ns: u64,
-    /// One or more shards failed and the result is a best-effort merge
-    /// over the survivors (`BestEffort` degradation policy).
-    pub degraded: bool,
     /// Remaining deadline budget when the search completed, if the query
     /// carried one (0 means the deadline fired).
     pub budget_remaining_ns: Option<u64>,
@@ -100,12 +100,6 @@ impl QueryTrace {
             agg.accumulate(&span.stages);
         }
         agg
-    }
-
-    /// Nanoseconds accounted to a named stage: scan/screen/verify sums
-    /// plus the merge.
-    pub fn stage_total_ns(&self) -> u64 {
-        self.stages().total() + self.merge_ns
     }
 
     /// Nanoseconds the trace accounts for: the measured wall time of
@@ -133,7 +127,8 @@ impl QueryTrace {
     }
 
     /// Shards whose search failed and were excluded by a best-effort
-    /// merge.
+    /// merge: the result is degraded exactly when this is non-zero (a
+    /// fail-fast failure returns an error and no trace).
     pub fn shards_failed(&self) -> usize {
         self.shards.iter().filter(|s| s.failed).count()
     }
@@ -161,7 +156,11 @@ impl QueryTrace {
             st.verify_ns / 1_000,
             self.merge_ns / 1_000,
             self.coverage() * 100.0,
-            if self.degraded { " DEGRADED" } else { "" },
+            if self.shards_failed() > 0 {
+                " DEGRADED"
+            } else {
+                ""
+            },
             match self.budget_remaining_ns {
                 Some(ns) => format!(" budget-left={}us", ns / 1_000),
                 None => String::new(),
@@ -206,7 +205,6 @@ mod tests {
             started_at_ns: 1,
             total_ns: 1_000,
             merge_ns: 50,
-            degraded: false,
             budget_remaining_ns: None,
             kth_floor: None,
             shards: vec![
@@ -255,7 +253,7 @@ mod tests {
         assert_eq!(st.scan_ns, 450);
         assert_eq!(st.screen_ns, 300);
         assert_eq!(st.verify_ns, 140);
-        assert_eq!(t.stage_total_ns(), 940);
+        assert_eq!(st.total(), 890);
         assert_eq!(t.accounted_ns(), 980);
         assert!((t.coverage() - 0.98).abs() < 1e-12);
         assert_eq!(t.shards_pruned(), 1);
@@ -273,5 +271,12 @@ mod tests {
         // verdict only where the column pass ran.
         assert!(text.contains("verified=10 covered=0\n"));
         assert!(text.contains("verified=8 covered=19 [column pass]"));
+        // The verdict is read off the spans: a failed shard degrades it.
+        assert!(!text.contains("DEGRADED"));
+        let mut t = sample_trace();
+        t.shards[2].failed = true;
+        let text = t.render();
+        assert!(text.contains(" DEGRADED"));
+        assert!(text.contains("FAILED (excluded from merge)"));
     }
 }

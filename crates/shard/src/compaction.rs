@@ -222,7 +222,7 @@ impl ShardedProMips {
     /// `total / shards`. 1.0 is perfectly balanced; an empty index reports
     /// 1.0.
     pub fn shard_skew(&self) -> f64 {
-        let live: Vec<u64> = self.shards.iter().map(|s| s.live_len()).collect();
+        let live: Vec<u64> = self.shards.iter().map(|s| s.snapshot().live()).collect();
         let total: u64 = live.iter().sum();
         if total == 0 || live.len() <= 1 {
             return 1.0;

@@ -257,6 +257,11 @@ impl ShardSnapshot {
     pub(crate) fn stored(&self) -> usize {
         self.gen.ids.len() + self.delta.len()
     }
+
+    /// Live (non-tombstoned) points.
+    pub(crate) fn live(&self) -> u64 {
+        (self.stored() - self.delta.tombstones.len()) as u64
+    }
 }
 
 /// One shard: an atomically swappable immutable generation, the mutable
@@ -328,22 +333,11 @@ impl Shard {
         self.len() == 0
     }
 
-    /// Number of live (non-tombstoned) points.
-    pub fn live_len(&self) -> u64 {
-        let delta = self.delta.read();
-        (self.generation.read().ids.len() + delta.len() - delta.tombstones.len()) as u64
-    }
-
     /// Points inserted since the shard's last (re)build — the in-memory
     /// delta (sealed SQ8-screened chunks plus an open f32 tail) that
     /// queries score on top of the generation and compaction folds away.
     pub fn delta_len(&self) -> usize {
         self.delta.read().len()
-    }
-
-    /// Tombstoned (deleted but not yet compacted) points.
-    pub fn tombstone_count(&self) -> usize {
-        self.delta.read().tombstones.len()
     }
 
     /// The shard's inner-product norm bound `max ‖o‖₂`, **including delta
@@ -371,11 +365,6 @@ impl Shard {
         let mut ids = gen.ids.clone();
         ids.extend(delta.parts().flat_map(|c| c.gids.iter().copied()));
         ids
-    }
-
-    /// Data-file generation (bumped by each compaction).
-    pub fn generation_number(&self) -> u64 {
-        self.generation.read().generation
     }
 }
 
@@ -555,7 +544,7 @@ impl ShardedProMips {
                 let (installed_ns, last_compaction) = *s.maintenance.lock();
                 crate::result::ShardMaintenance {
                     shard: si as u32,
-                    live: (snap.stored() - snap.delta.tombstones.len()) as u64,
+                    live: snap.live(),
                     delta_len: snap.delta.len(),
                     tombstones: snap.delta.tombstones.len(),
                     wal_bytes: self.wal_bytes(si),

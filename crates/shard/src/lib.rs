@@ -36,7 +36,7 @@
 //! let q: Vec<f32> = (0..16).map(|_| rng.normal() as f32).collect();
 //! let res = index.search(&q, 10).unwrap();
 //! assert_eq!(res.items.len(), 10);
-//! assert_eq!(res.per_shard.len(), 4);
+//! assert_eq!(index.maintenance_stats().len(), 4);
 //! ```
 //!
 //! A one-shard [`ShardedProMips`] returns **bit-identical** results to the
@@ -66,7 +66,7 @@ pub use promips_obs::{CancelToken, QueryBudget};
 // Mutations report typed refusals; re-export the error so callers don't
 // need a direct `promips_core` dependency to match on it.
 pub use promips_core::MutationError;
-pub use result::{CompactionOutcome, ShardMaintenance, ShardQueryStats, ShardedSearchResult};
+pub use result::{CompactionOutcome, ShardMaintenance, ShardedSearchResult};
 pub use search::{ShardedQuery, ShardedScratch};
 // The WAL group-commit knob appears in `ShardedConfig`; re-export it so
 // callers don't need a direct `promips_wal` dependency.

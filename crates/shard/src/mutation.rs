@@ -136,8 +136,7 @@ impl ShardedProMips {
             },
             sync_now,
         )?;
-        shard.delta.write().append(gid, point);
-        self.n_points.fetch_add(1, Ordering::AcqRel);
+        self.apply_insert(shard, gid, point);
         Registry::global().counter(CounterId::Inserts).inc();
         Ok((gid, si))
     }
@@ -172,14 +171,7 @@ impl ShardedProMips {
             shard.generation.read().ids.binary_search(&gid).is_ok()
         };
         self.wal_append(si, &mut wal, &WalRecord::Delete { id: gid }, true)?;
-        {
-            let mut delta = shard.delta.write();
-            Arc::make_mut(&mut delta.tombstones).insert(gid);
-            if in_gen {
-                delta.dead_base += 1;
-            }
-        }
-        self.n_points.fetch_sub(1, Ordering::AcqRel);
+        self.apply_delete(shard, gid, in_gen);
         Registry::global().counter(CounterId::Deletes).inc();
         Ok(())
     }
@@ -292,8 +284,7 @@ impl ShardedProMips {
                     max_here.is_some_and(|m| m >= id) || self.owning_shard(id).is_some()
                 };
                 if !stale {
-                    shard.delta.write().append(id, &vector);
-                    self.n_points.fetch_add(1, Ordering::AcqRel);
+                    self.apply_insert(shard, id, &vector);
                 }
             }
             WalRecord::Delete { id } => {
@@ -315,12 +306,27 @@ impl ShardedProMips {
             }
             in_gen
         };
-        let mut delta = shard.delta.write();
-        Arc::make_mut(&mut delta.tombstones).insert(gid);
-        if in_gen {
-            delta.dead_base += 1;
+        self.apply_delete(shard, gid, in_gen);
+    }
+
+    /// The in-memory half of an insert, logged or replayed: appends the row
+    /// to the shard's delta and counts it live.
+    fn apply_insert(&self, shard: &Shard, gid: u64, row: &[f32]) {
+        shard.delta.write().append(gid, row);
+        self.n_points.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// The in-memory half of a delete, logged or replayed: tombstones `gid`
+    /// — counted in `dead_base` when it names a committed row (`in_gen`) —
+    /// and counts it dead.
+    fn apply_delete(&self, shard: &Shard, gid: u64, in_gen: bool) {
+        {
+            let mut delta = shard.delta.write();
+            Arc::make_mut(&mut delta.tombstones).insert(gid);
+            if in_gen {
+                delta.dead_base += 1;
+            }
         }
-        drop(delta);
         self.n_points.fetch_sub(1, Ordering::AcqRel);
     }
 

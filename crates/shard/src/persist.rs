@@ -417,19 +417,9 @@ impl ShardedProMips {
             if !wp.exists() {
                 continue;
             }
-            let wal = Wal::open_streaming(&wp, index.config.wal_sync, |rec| {
+            let wal = Wal::open_streaming(&wp, d, index.config.wal_sync, |rec| {
                 index.apply_replayed(si, rec)
             })?;
-            if wal.d() != d {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "WAL {} dimensionality {} != index {d}",
-                        wp.display(),
-                        wal.d()
-                    ),
-                ));
-            }
             *index.shards[si].wal.lock() = Some(wal);
         }
         Ok(index)

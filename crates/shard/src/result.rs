@@ -1,42 +1,12 @@
-//! Results of a sharded fan-out search, with per-shard diagnostics.
+//! The answer of a sharded fan-out search, and each shard's maintenance
+//! ledger. What each shard did for one query — pruned, seed, failed, the
+//! rows it scanned, screened and verified — is in that query's trace
+//! ([`promips_obs::QueryTrace::shards`], returned to a request that sets
+//! [`crate::ShardedQuery::traced`]); what each shard holds — live rows,
+//! delta, tombstones, WAL size, generation — is in
+//! [`crate::ShardedProMips::maintenance_stats`].
 
 use promips_core::SearchItem;
-
-/// Per-shard outcome of one fan-out query, including the delta and
-/// tombstone counts it read. The WAL size is in
-/// [`crate::ShardedProMips::maintenance_stats`]: a query never takes the
-/// log's lock, which writers hold across their IO.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardQueryStats {
-    /// Shard id.
-    pub shard: u32,
-    /// Points stored in the shard (live + tombstoned).
-    pub points: u64,
-    /// True when the norm bound pruned the shard without searching it.
-    pub pruned: bool,
-    /// True when this shard's search failed (IO fault, deadline, panic)
-    /// and its contribution is missing from the merge — only ever set
-    /// under [`crate::DegradationPolicy::BestEffort`]; fail-fast queries
-    /// error instead of returning stats.
-    pub failed: bool,
-    /// Candidates whose exact inner product was computed in this shard
-    /// (zero for pruned shards; for a failed shard, those verified before
-    /// it failed).
-    pub verified: usize,
-    /// Candidates the shard's SQ8 verification screens dropped without an
-    /// exact rescore: the generation's code column and the delta's sealed
-    /// chunks (zero for pruned shards).
-    pub screened: usize,
-    /// Items the shard contributed to the merge (before the global top-k
-    /// cut).
-    pub returned: usize,
-    /// Uncompacted delta inserts the query read: sealed chunks it screened
-    /// by their SQ8 codes plus the open tail it scored in f32 — when this
-    /// grows, queries slow down and compaction is due.
-    pub delta_len: usize,
-    /// Tombstoned points still occupying the shard's file.
-    pub tombstones: usize,
-}
 
 /// How the last maintenance pass that touched a shard ended (see
 /// [`ShardMaintenance::last_compaction`]).
@@ -81,8 +51,8 @@ pub struct ShardMaintenance {
     pub last_compaction: CompactionOutcome,
 }
 
-/// Result of a sharded c-k-AMIP search: the merged global top-k plus what
-/// each shard did.
+/// Result of a sharded c-k-AMIP search: the merged global top-k and the
+/// work summed over the shards (per shard, see the query's trace).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedSearchResult {
     /// Top-k items by exact inner product, descending; ids are **global**
@@ -93,8 +63,6 @@ pub struct ShardedSearchResult {
     /// Total candidates screened out (skipped without an exact rescore) by
     /// the shards' SQ8 verification tiers.
     pub screened: usize,
-    /// Per-shard diagnostics, indexed by shard id.
-    pub per_shard: Vec<ShardQueryStats>,
     /// True when at least one shard failed and was excluded from the
     /// merge under [`crate::DegradationPolicy::BestEffort`]: the items
     /// are the exact top-k over the **surviving** shards only. Always
@@ -103,68 +71,8 @@ pub struct ShardedSearchResult {
 }
 
 impl ShardedSearchResult {
-    /// The best inner product found (None for an empty result).
-    pub fn best_ip(&self) -> Option<f64> {
-        self.items.first().map(|i| i.ip)
-    }
-
     /// The ids in rank order.
     pub fn ids(&self) -> Vec<u64> {
         self.items.iter().map(|i| i.id).collect()
-    }
-
-    /// Number of shards pruned by the norm bound.
-    pub fn shards_pruned(&self) -> usize {
-        self.per_shard.iter().filter(|s| s.pruned).count()
-    }
-
-    /// Number of shards whose search failed and was excluded from the
-    /// merge (non-zero only for degraded best-effort results).
-    pub fn shards_failed(&self) -> usize {
-        self.per_shard.iter().filter(|s| s.failed).count()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn accessors() {
-        let r = ShardedSearchResult {
-            items: vec![SearchItem { id: 9, ip: 4.0 }, SearchItem { id: 2, ip: 1.0 }],
-            verified: 12,
-            screened: 8,
-            per_shard: vec![
-                ShardQueryStats {
-                    shard: 0,
-                    points: 10,
-                    pruned: false,
-                    failed: false,
-                    verified: 12,
-                    screened: 8,
-                    returned: 2,
-                    delta_len: 0,
-                    tombstones: 0,
-                },
-                ShardQueryStats {
-                    shard: 1,
-                    points: 3,
-                    pruned: true,
-                    failed: true,
-                    verified: 0,
-                    screened: 0,
-                    returned: 0,
-                    delta_len: 1,
-                    tombstones: 2,
-                },
-            ],
-            degraded: true,
-        };
-        assert_eq!(r.best_ip(), Some(4.0));
-        assert_eq!(r.ids(), vec![9, 2]);
-        assert_eq!(r.shards_pruned(), 1);
-        assert_eq!(r.shards_failed(), 1);
-        assert!(r.degraded);
     }
 }

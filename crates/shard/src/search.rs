@@ -56,7 +56,11 @@
 //! [`ShardedProMips::execute`] takes a [`ShardedQuery`] — the vector and
 //! `k`, plus the fan-out's options (worker count, budget, whether to
 //! return the trace) — and is the only search body; every `search*` name
-//! is a one-line wrapper around it.
+//! is a one-line wrapper around it. The [`ShardedSearchResult`] holds the
+//! answer, its verified and screened counts summed over the shards and the
+//! degradation verdict; what each shard did — seed, pruned, failed, its
+//! scanned, screened and verified rows — is only in the trace's
+//! [`ShardSpan`]s, which a `traced` request gets back.
 //!
 //! ## Query lifecycle
 //!
@@ -102,7 +106,7 @@ use promips_obs::{
 
 use crate::error::{DegradationPolicy, QueryError, ShardError, ShardErrorKind};
 use crate::index::{ShardSnapshot, ShardedProMips, CHUNK_ROWS};
-use crate::result::{ShardQueryStats, ShardedSearchResult};
+use crate::result::ShardedSearchResult;
 
 /// Reusable search buffers: one [`SearchScratch`] per shard, individually
 /// locked so fan-out workers (at most one per shard) take them without
@@ -110,7 +114,7 @@ use crate::result::{ShardQueryStats, ShardedSearchResult};
 /// every shard of a query. Buffers grow to their high-water mark and are
 /// reused across queries.
 pub struct ShardedScratch {
-    per_shard: Vec<Mutex<SearchScratch>>,
+    shards: Vec<Mutex<SearchScratch>>,
     screen: Mutex<QueryScreen>,
 }
 
@@ -118,7 +122,7 @@ impl ShardedScratch {
     /// A fresh scratch set for `shards` shards.
     pub fn new(shards: usize) -> Self {
         Self {
-            per_shard: (0..shards)
+            shards: (0..shards)
                 .map(|_| Mutex::new(SearchScratch::new()))
                 .collect(),
             screen: Mutex::default(),
@@ -224,12 +228,13 @@ pub struct ShardedQuery<'a> {
     /// Under [`DegradationPolicy::BestEffort`] a budget that expires after
     /// some shards finished degrades the result instead of erroring.
     pub budget: Option<&'a QueryBudget>,
-    /// Return the per-query [`QueryTrace`]: stage wall time per shard
-    /// (scan → screen → verify), the cross-shard merge, every prune
-    /// decision, the remaining budget and every failed shard with the work
-    /// it did before failing. It costs one small allocation and a handful
-    /// of clock reads; an untraced request builds no trace. Results never
-    /// depend on tracing — it only observes.
+    /// Return the per-query [`QueryTrace`], the query's only per-shard
+    /// account: stage wall time and row counts per shard (scan → screen →
+    /// verify), the cross-shard merge, every prune decision, the remaining
+    /// budget and every failed shard with the work it did before failing.
+    /// It costs one small allocation and a handful of clock reads; an
+    /// untraced request builds no trace. Results never depend on tracing —
+    /// it only observes.
     pub traced: bool,
 }
 
@@ -341,10 +346,10 @@ impl ShardedProMips {
         assert_eq!(q.len(), self.d, "query dimensionality mismatch");
         assert!(k >= 1, "k must be at least 1");
         assert_eq!(
-            scratch.per_shard.len(),
+            scratch.shards.len(),
             self.shards.len(),
             "scratch sized for {} shards, index has {}",
-            scratch.per_shard.len(),
+            scratch.shards.len(),
             self.shards.len()
         );
         // Load shedding happens before any real work: a refused query
@@ -374,16 +379,16 @@ impl ShardedProMips {
             &*screen
         });
 
-        // What each shard did (a pruned shard's span stays all zero) and,
-        // for the shards that answered, their items under **global** ids,
-        // best first.
+        // What each shard did (a pruned shard's span stays all zero) and
+        // its items under **global** ids, best first (none unless it
+        // answered).
         let mut spans: Vec<ShardSpan> = (0..ns)
             .map(|shard| ShardSpan {
                 shard,
                 ..ShardSpan::default()
             })
             .collect();
-        let mut items: Vec<Option<Vec<SearchItem>>> = vec![None; ns];
+        let mut items: Vec<Vec<SearchItem>> = vec![Vec::new(); ns];
         let mut failures: Vec<ShardError> = Vec::new();
         let mut attempted = 0usize;
 
@@ -408,7 +413,7 @@ impl ShardedProMips {
                 search_snapshot(
                     &snaps[si],
                     request,
-                    &mut scratch.per_shard[si].lock(),
+                    &mut scratch.shards[si].lock(),
                     screen,
                     &mut span,
                 )
@@ -450,7 +455,7 @@ impl ShardedProMips {
                             trace.kth_floor = Some(kth_floor);
                         }
                     }
-                    items[seed] = Some(found);
+                    items[seed] = found;
                 }
                 Err(se) => {
                     if policy == DegradationPolicy::FailFast {
@@ -534,7 +539,7 @@ impl ShardedProMips {
             let si = span.shard;
             spans[si] = span;
             match res {
-                Ok(found) => items[si] = Some(found),
+                Ok(found) => items[si] = found,
                 Err(se) => failures.push(se),
             }
         }
@@ -570,28 +575,9 @@ impl ShardedProMips {
         // --- Merge: one global top-k over every contributed item. ---------
         let t_merge = obs::now_ns();
         let mut merged = TopK::new(k);
-        for it in items.iter().flatten().flatten() {
+        for it in items.iter().flatten() {
             merged.push(it.id, it.ip);
         }
-
-        let per_shard: Vec<ShardQueryStats> = spans
-            .iter()
-            .zip(&snaps)
-            .zip(&items)
-            .map(|((span, snap), found)| ShardQueryStats {
-                shard: span.shard as u32,
-                points: snap.stored() as u64,
-                pruned: span.pruned,
-                failed: span.failed,
-                verified: span.verified as usize,
-                screened: span.screened as usize,
-                returned: found.as_ref().map_or(0, Vec::len),
-                delta_len: snap.delta.len(),
-                tombstones: snap.delta.tombstones.len(),
-            })
-            .collect();
-        // The merge span covers the top-k merge *and* result assembly, so
-        // a sequential trace's stages sum to (nearly) the wall clock.
         let merge_ns = obs::now_ns().saturating_sub(t_merge);
 
         // Aggregate accounting. The per-shard layer owns the query-level
@@ -606,14 +592,12 @@ impl ShardedProMips {
             .add(spans.iter().filter(|s| s.pruned).count() as u64);
         let result = ShardedSearchResult {
             items: merged.into_items(),
-            verified: per_shard.iter().map(|s| s.verified).sum(),
-            screened: per_shard.iter().map(|s| s.screened).sum(),
-            per_shard,
+            verified: spans.iter().map(|s| s.verified as usize).sum(),
+            screened: spans.iter().map(|s| s.screened as usize).sum(),
             degraded,
         };
         if let Some(trace) = &mut trace {
             trace.merge_ns = merge_ns;
-            trace.degraded = degraded;
             trace.budget_remaining_ns = budget.and_then(|b| b.remaining_ns());
             trace.shards = spans;
             trace.total_ns = obs::now_ns().saturating_sub(trace.started_at_ns);

@@ -287,7 +287,8 @@ fn inserts_between_a_compactions_freeze_and_commit_stay_in_the_delta() {
             model.delete(&idx, rng.next_u64());
         }
         let shard = &idx.shards()[0];
-        let old_generation = shard.generation_number();
+        let generation = || idx.maintenance_stats()[0].generation;
+        let old_generation = generation();
         // (gid, whether the generation was still the old one once applied)
         let mut raced: Vec<(u64, bool)> = Vec::new();
         std::thread::scope(|s| {
@@ -295,7 +296,7 @@ fn inserts_between_a_compactions_freeze_and_commit_stay_in_the_delta() {
             while !compaction.is_finished() {
                 let row = gaussian(&mut rng, d, 1.0);
                 let gid = idx.insert(&row).unwrap();
-                raced.push((gid, shard.generation_number() == old_generation));
+                raced.push((gid, generation() == old_generation));
                 model.rows.insert(gid, row);
                 model.live.insert(gid);
             }
@@ -402,11 +403,9 @@ fn a_non_finite_row_is_refused_before_the_wal_and_the_index() {
     drop(idx);
 
     // A logged non-finite insert can only be corruption: replay refuses it.
-    let mut wal = Wal::open_streaming(
-        dir.join("shard_0001.wal"),
-        SyncPolicy::default(),
-        |_| Ok(()),
-    )
+    let mut wal = Wal::open_streaming(dir.join("shard_0001.wal"), d, SyncPolicy::default(), |_| {
+        Ok(())
+    })
     .unwrap();
     let mut row = vec![0.5f32; d];
     row[0] = f32::NAN;

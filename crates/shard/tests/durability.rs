@@ -443,6 +443,32 @@ fn torn_wal_tail_recovers_complete_prefix() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A shard log of another dimensionality is refused by `open` before it
+/// is replayed: no record reaches the index and its torn tail is not
+/// truncated.
+#[test]
+fn a_wal_of_another_dimension_is_refused_untouched() {
+    let d = 4;
+    let dir = temp_dir("wrong-d");
+    let cfg = ShardedConfig::builder().shards(1).build();
+    drop(ShardedProMips::build_in_dir(&random_data(100, d, 59), cfg, &dir).unwrap());
+    let wal = dir.join("shard_0000.wal");
+    {
+        let mut log =
+            promips_wal::Wal::create(&wal, d - 1, promips_wal::SyncPolicy::Always).unwrap();
+        log.append(&promips_wal::WalRecord::Delete { id: 7 })
+            .unwrap();
+    }
+    let mut bytes = std::fs::read(&wal).unwrap();
+    bytes.extend_from_slice(&[0xAB; 3]); // a torn tail
+    std::fs::write(&wal, &bytes).unwrap();
+
+    let err = ShardedProMips::open(&dir).map(|_| ()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert_eq!(std::fs::read(&wal).unwrap(), bytes, "the log was changed");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Skewed inserts pile into the top norm shard; re-partitioning recuts
 /// the boundaries over the live distribution, restores balance, keeps
 /// global ids stable, and changes no search result.

@@ -22,6 +22,9 @@ use promips_shard::{
 use promips_stats::Xoshiro256pp;
 use promips_storage::durability::faults::{self, FaultPlan, IoOp, Recurrence};
 
+mod common;
+use common::span_counts;
+
 static REG_LOCK: Mutex<()> = Mutex::new(());
 
 /// Poison-tolerant guard: a failed sibling test must not cascade.
@@ -139,12 +142,13 @@ fn tracing_is_pure_observation() {
         );
         assert_eq!(plain.verified, traced.verified);
         assert_eq!(plain.screened, traced.screened);
-        // The spans carry the same per-shard counts the stats report.
-        for (span, st) in trace.shards.iter().zip(&traced.per_shard) {
-            assert_eq!(span.verified as usize, st.verified);
-            assert_eq!(span.screened as usize, st.screened);
-            assert_eq!(span.pruned, st.pruned);
-        }
+        // The spans carry the counts the result sums, and a second traced
+        // run the same per-shard counts.
+        let spans = |f: fn(&obs::ShardSpan) -> u64| trace.shards.iter().map(f).sum::<u64>();
+        assert_eq!(spans(|s| s.verified), traced.verified as u64);
+        assert_eq!(spans(|s| s.screened), traced.screened as u64);
+        let (_, again) = idx.search_traced_threaded(q, 7, 1, &scratch).unwrap();
+        assert_eq!(span_counts(&trace), span_counts(&again));
         // render() never panics and names every shard.
         let text = trace.render();
         assert!(text.contains("shard"));
@@ -262,9 +266,11 @@ fn degraded_best_effort_query_is_flagged_in_its_trace() {
     let booked = obs::global().snapshot().saturating_diff(&before);
 
     assert!(res.degraded, "the injected fault must degrade the query");
-    assert!(trace.degraded, "the trace carries the verdict");
     let failed = &trace.shards[0];
-    assert!(failed.failed && trace.shards_failed() == 1);
+    assert!(
+        failed.failed && trace.shards_failed() == 1,
+        "the trace names it"
+    );
     assert!(failed.elapsed_ns > 0, "a failed shard still took wall time");
     assert!(trace.coverage() > 0.0);
     // Every searched shard — the failed one included — booked its row
@@ -279,7 +285,7 @@ fn degraded_best_effort_query_is_flagged_in_its_trace() {
         booked.counter(CounterId::QueryVerified),
         sum(&|s| s.verified)
     );
-    assert_eq!(res.per_shard[0].verified as u64, failed.verified);
+    assert_eq!(res.verified as u64, sum(&|s| s.verified));
 
     assert!(booked.counter(CounterId::IoFaultsInjected) >= 1);
     assert_eq!(booked.counter(CounterId::PartialResults), 1);

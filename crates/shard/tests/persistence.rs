@@ -5,8 +5,14 @@
 
 use promips_core::{ProMips, ProMipsConfig};
 use promips_linalg::Matrix;
-use promips_shard::{ShardedConfig, ShardedProMips};
+use promips_shard::{
+    ShardMaintenance, ShardedConfig, ShardedProMips, ShardedQuery, ShardedScratch,
+    ShardedSearchResult,
+};
 use promips_stats::Xoshiro256pp;
+
+mod common;
+use common::{span_counts, SpanCounts};
 
 fn random_data(n: usize, d: usize, seed: u64) -> Matrix {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
@@ -29,6 +35,27 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// Each shard's maintenance ledger, its age (a clock reading) left out.
+fn ledger(idx: &ShardedProMips) -> Vec<ShardMaintenance> {
+    let mut stats = idx.maintenance_stats();
+    for s in &mut stats {
+        s.generation_age_ns = 0;
+    }
+    stats
+}
+
+/// A traced top-10 search: the answer and each span's counts.
+fn traced(idx: &ShardedProMips, q: &[f32]) -> (ShardedSearchResult, Vec<SpanCounts>) {
+    let request = ShardedQuery {
+        traced: true,
+        ..ShardedQuery::new(q, 10)
+    };
+    let (res, trace) = idx
+        .execute(request, &ShardedScratch::for_index(idx))
+        .unwrap();
+    (res, span_counts(&trace.unwrap()))
+}
+
 #[test]
 fn snapshot_reload_is_bit_identical() {
     let dir = temp_dir("roundtrip");
@@ -41,11 +68,9 @@ fn snapshot_reload_is_bit_identical() {
     built.snapshot(&dir).unwrap();
 
     let queries = random_queries(10, 18, 11);
-    let before: Vec<_> = queries
-        .iter()
-        .map(|q| built.search(q, 10).unwrap())
-        .collect();
+    let before: Vec<_> = queries.iter().map(|q| traced(&built, q)).collect();
     let points_before = built.shard_points();
+    let ledger_before = ledger(&built);
     drop(built);
 
     let reopened = ShardedProMips::open(&dir).unwrap();
@@ -53,14 +78,14 @@ fn snapshot_reload_is_bit_identical() {
     assert_eq!(reopened.shard_count(), 4);
     assert_eq!(reopened.shard_points(), points_before);
     assert_eq!(reopened.partitioner_name(), "norm-range");
+    assert_eq!(ledger(&reopened), ledger_before);
 
     for (q, b) in queries.iter().zip(&before) {
-        let a = reopened.search(q, 10).unwrap();
-        assert_eq!(a.items, b.items, "reloaded top-k must be bit-identical");
-        assert_eq!(a.verified, b.verified);
-        for (x, y) in a.per_shard.iter().zip(&b.per_shard) {
-            assert_eq!(x, y, "per-shard stats must survive the roundtrip");
-        }
+        assert_eq!(
+            &traced(&reopened, q),
+            b,
+            "reloaded search must be bit-identical"
+        );
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -20,6 +20,9 @@ use promips_stats::Xoshiro256pp;
 use promips_storage::durability::faults::{self, FaultPlan, IoOp, Recurrence};
 use proptest::prelude::*;
 
+mod common;
+use common::span_counts;
+
 /// The fault shim is process-global; every test that arms a plan holds
 /// this for its whole body (plans are additionally path-scoped to the
 /// test's own directory, so non-fault tests can never consume one).
@@ -353,8 +356,8 @@ fn results_depend_on_neither_traced_nor_threads_nor_an_unfired_budget() {
         (Some(QueryBudget::with_deadline_at(1)), "expired", true),
     ];
     for q in random_queries(8, 14, 23) {
-        let plain = run(&idx, &q, 10, &scratch);
-        assert!(!plain.degraded && plain.shards_failed() == 0);
+        let (plain, plain_trace) = idx.search_traced_threaded(&q, 10, 1, &scratch).unwrap();
+        assert!(!plain.degraded && plain_trace.shards_failed() == 0);
         for (budget, label, fires) in &budgets {
             for traced in [false, true] {
                 for threads in [None, Some(1), Some(4)] {
@@ -381,6 +384,7 @@ fn results_depend_on_neither_traced_nor_threads_nor_an_unfired_budget() {
                     if let Some(trace) = trace {
                         let finite = budget.as_ref().is_some_and(|b| !b.is_unlimited());
                         assert_eq!(trace.budget_remaining_ns.is_some(), finite, "{case}");
+                        assert_eq!(span_counts(&trace), span_counts(&plain_trace), "{case}");
                     }
                 }
             }
@@ -409,7 +413,7 @@ fn traced_budgeted_search_carries_remaining_budget() {
         .unwrap();
     let trace = trace.expect("a traced request returns its trace");
     assert_eq!(res.items, idx.search(q, 6).unwrap().items);
-    assert!(!trace.degraded);
+    assert!(!res.degraded && trace.shards_failed() == 0);
     let remaining = trace.budget_remaining_ns.expect("deadline was set");
     assert!(remaining > 0 && remaining <= 300 * 1_000_000_000);
 }
@@ -585,8 +589,8 @@ proptest! {
 ///
 /// * `FailFast` (default): the query aborts with a typed error naming
 ///   shard 0, through the `io::Result` wrapper and through `execute`.
-/// * `BestEffort`: the query succeeds degraded — per-shard status flags
-///   shard 0, and the items equal twin B's items exactly (the merge over
+/// * `BestEffort`: the query succeeds degraded — its trace flags shard 0
+///   failed, and the items equal twin B's items exactly (the merge over
 ///   survivors is still the true top-k over every reachable point).
 #[test]
 fn read_fault_degrades_exactly_to_survivor_topk() {
@@ -651,43 +655,40 @@ fn read_fault_degrades_exactly_to_survivor_topk() {
     idx.set_degradation(DegradationPolicy::BestEffort);
     let twin_scratch = ShardedScratch::for_index(&twin);
     for q in &queries {
-        let res = run(&idx, q, 10, &scratch);
+        let traced = ShardedQuery {
+            traced: true,
+            ..ShardedQuery::new(q, 10)
+        };
+        let (res, trace) = idx.execute(traced, &scratch).unwrap();
+        let trace = trace.unwrap();
         assert!(res.degraded, "a shard failed: result must say so");
-        assert_eq!(res.shards_failed(), 1);
-        assert!(
-            res.per_shard[0].failed,
-            "per-shard status must flag shard 0"
+        assert!(trace.shards[0].failed, "the trace must flag shard 0");
+        // The trace counts shards as `CounterId::ShardsSearched` does: the
+        // failed shard is not searched, and every shard is in exactly one
+        // of the three counts.
+        assert_eq!(trace.shards_searched(), 2);
+        assert_eq!(trace.shards_failed(), 1);
+        assert_eq!(
+            trace.shards_searched() + trace.shards_pruned() + trace.shards_failed(),
+            3
         );
-        assert_eq!(res.per_shard[0].returned, 0);
         let want = run(&twin, q, 10, &twin_scratch);
         assert_eq!(
             res.items, want.items,
             "degraded answer must be the exact survivor top-k"
         );
     }
-    // The trace counts shards as `CounterId::ShardsSearched` does: the
-    // failed shard is not searched, and every shard is in exactly one of
-    // the three counts.
-    let traced = ShardedQuery {
-        traced: true,
-        ..ShardedQuery::new(&queries[0], 10)
-    };
-    let trace = idx.execute(traced, &scratch).unwrap().1.unwrap();
-    assert_eq!(trace.shards_searched(), 2);
-    assert_eq!(trace.shards_failed(), 1);
-    assert_eq!(
-        trace.shards_searched() + trace.shards_pruned() + trace.shards_failed(),
-        3
-    );
     faults::disarm();
 
     // Healthy again: full answers, not degraded, identical to a fresh
     // fault-free open of the same directory.
     let fresh = ShardedProMips::open(&dir_a).unwrap();
     let fresh_scratch = ShardedScratch::for_index(&fresh);
-    let res = run(&idx, &queries[0], 10, &scratch);
+    let (res, trace) = idx
+        .search_traced_threaded(&queries[0], 10, 1, &scratch)
+        .unwrap();
     assert!(!res.degraded);
-    assert_eq!(res.shards_failed(), 0);
+    assert_eq!(trace.shards_failed(), 0);
     assert_eq!(
         res.items,
         run(&fresh, &queries[0], 10, &fresh_scratch).items

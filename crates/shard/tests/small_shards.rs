@@ -131,11 +131,11 @@ fn shard_files(dir: &Path, si: usize) -> Vec<String> {
         .collect()
 }
 
-fn lifecycle(d: usize, per_shard: usize) {
-    let label = format!("d = {d}, {per_shard} rows a shard");
-    let mut rng = Xoshiro256pp::seed_from_u64((d * 1_000 + per_shard) as u64);
+fn lifecycle(d: usize, shard_rows: usize) {
+    let label = format!("d = {d}, {shard_rows} rows a shard");
+    let mut rng = Xoshiro256pp::seed_from_u64((d * 1_000 + shard_rows) as u64);
     let mut model = Model::default();
-    let base: Vec<Vec<f32>> = (0..SHARDS * per_shard)
+    let base: Vec<Vec<f32>> = (0..SHARDS * shard_rows)
         .map(|_| gaussian(&mut rng, d))
         .collect();
     for (i, row) in base.iter().enumerate() {
@@ -147,7 +147,7 @@ fn lifecycle(d: usize, per_shard: usize) {
         .wal_sync(SyncPolicy::Never)
         .base(ProMipsConfig::builder().seed(d as u64 ^ 0x5A11).build())
         .build();
-    let dir = temp_dir(&format!("{d}-{per_shard}"));
+    let dir = temp_dir(&format!("{d}-{shard_rows}"));
     let idx = ShardedProMips::build_in_dir(&Matrix::from_rows(d, base), config, &dir).unwrap();
     assert!(idx.shards().iter().all(|s| !s.is_exact()), "{label}");
     let queries: Vec<Vec<f32>> = (0..4).map(|_| gaussian(&mut rng, d)).collect();
@@ -170,7 +170,7 @@ fn lifecycle(d: usize, per_shard: usize) {
 
     // Refill: fresh rows land in the other shards; a zero row is the one
     // row the emptied shard's bound of 0 covers.
-    for _ in 0..per_shard {
+    for _ in 0..shard_rows {
         model.insert(&idx, gaussian(&mut rng, d));
     }
     model.insert(&idx, vec![0.0; d]);
@@ -198,8 +198,8 @@ fn small_shards_live_through_delete_compact_insert_and_reopen() {
         vec![1, 2, 7, 33, 64, 130]
     };
     for d in [1, 8, 70] {
-        for &per_shard in &sizes {
-            lifecycle(d, per_shard);
+        for &shard_rows in &sizes {
+            lifecycle(d, shard_rows);
         }
     }
 }

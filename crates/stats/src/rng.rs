@@ -121,12 +121,6 @@ impl Xoshiro256pp {
         r * theta.cos()
     }
 
-    /// Normal sample with the given mean and standard deviation.
-    #[inline]
-    pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.normal()
-    }
-
     /// Gamma(shape k, scale θ) sample via Marsaglia–Tsang (for the SIFT-like
     /// histogram generator). Requires `k > 0`.
     pub fn gamma(&mut self, shape: f64, scale: f64) -> f64 {

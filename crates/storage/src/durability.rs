@@ -35,12 +35,6 @@ pub fn sync_file_data(f: &File, path: &Path) -> io::Result<()> {
     f.sync_data()
 }
 
-/// Fsyncs an open file's data and metadata through the fault shim.
-pub fn sync_file_all(f: &File, path: &Path) -> io::Result<()> {
-    faults::check(IoOp::Fsync, path)?;
-    f.sync_all()
-}
-
 /// `std::fs::rename` routed through the fault shim (scoped on `dst`).
 pub fn rename(src: impl AsRef<Path>, dst: impl AsRef<Path>) -> io::Result<()> {
     let dst = dst.as_ref();

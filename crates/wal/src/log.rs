@@ -101,13 +101,16 @@ impl Wal {
         })
     }
 
-    /// Opens an existing log and streams its records, in append order, into
-    /// `apply` — one call per complete record, parsed out of a bounded
-    /// sliding window (`REPLAY_CHUNK` bytes) so replay memory does not grow
-    /// with log size. Everything from the first incomplete or corrupt
-    /// record onward — an incomplete length prefix, an incomplete payload,
-    /// or a CRC mismatch — is truncated off the file, so the log is clean
-    /// for subsequent appends. An error from `apply` aborts the open.
+    /// Opens an existing log of `d`-dimensional vectors and streams its
+    /// records, in append order, into `apply` — one call per complete
+    /// record, parsed out of a bounded sliding window (`REPLAY_CHUNK`
+    /// bytes) so replay memory does not grow with log size. Everything from
+    /// the first incomplete or corrupt record onward — an incomplete length
+    /// prefix, an incomplete payload, or a CRC mismatch — is truncated off
+    /// the file, so the log is clean for subsequent appends. An error from
+    /// `apply` aborts the open. A header naming another dimensionality is
+    /// `InvalidData`, refused before any record is read: `apply` never runs
+    /// and the file is not touched.
     ///
     /// This is **point-in-time recovery** (the same choice RocksDB's
     /// default WAL mode and SQLite's WAL replay make): recovery never
@@ -121,6 +124,7 @@ impl Wal {
     /// short by compaction, which bounds that exposure.
     pub fn open_streaming(
         path: impl AsRef<Path>,
+        d: usize,
         policy: SyncPolicy,
         mut apply: impl FnMut(WalRecord) -> io::Result<()>,
     ) -> io::Result<Self> {
@@ -142,7 +146,7 @@ impl Wal {
         file.read_exact_at(&mut header, 0)?;
         let magic = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
         let version = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-        let d = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes")) as usize;
+        let header_d = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
         if magic != WAL_MAGIC {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -153,6 +157,15 @@ impl Wal {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("unsupported WAL version {version}"),
+            ));
+        }
+        if header_d != d as u64 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "WAL {} dimensionality {header_d} != index {d}",
+                    path.display()
+                ),
             ));
         }
 
@@ -226,14 +239,7 @@ impl Wal {
         apply: impl FnMut(WalRecord) -> io::Result<()>,
     ) -> io::Result<Self> {
         if path.as_ref().exists() {
-            let wal = Self::open_streaming(path, policy, apply)?;
-            if wal.d != d {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("WAL dimensionality {} != index {d}", wal.d),
-                ));
-            }
-            Ok(wal)
+            Self::open_streaming(path, d, policy, apply)
         } else {
             Self::create(path, d, policy)
         }
@@ -491,9 +497,9 @@ mod tests {
     }
 
     /// [`Wal::open_streaming`] with a closure collecting the replay.
-    fn open_collect(path: &Path) -> io::Result<(Wal, Vec<WalRecord>)> {
+    fn open_collect(path: &Path, d: usize) -> io::Result<(Wal, Vec<WalRecord>)> {
         let mut records = Vec::new();
-        let wal = Wal::open_streaming(path, SyncPolicy::default(), |rec| {
+        let wal = Wal::open_streaming(path, d, SyncPolicy::default(), |rec| {
             records.push(rec);
             Ok(())
         })?;
@@ -526,7 +532,7 @@ mod tests {
             }
             assert_eq!(wal.record_count(), 4);
         }
-        let (wal, replayed) = open_collect(&path).unwrap();
+        let (wal, replayed) = open_collect(&path, 6).unwrap();
         assert_eq!(replayed, recs);
         assert_eq!(wal.record_count(), 4);
         assert_eq!(wal.d(), 6);
@@ -544,13 +550,13 @@ mod tests {
             }
         }
         {
-            let (mut wal, replayed) = open_collect(&path).unwrap();
+            let (mut wal, replayed) = open_collect(&path, 3).unwrap();
             assert_eq!(replayed.len(), 2);
             for r in &recs[2..] {
                 wal.append(r).unwrap();
             }
         }
-        let (_, replayed) = open_collect(&path).unwrap();
+        let (_, replayed) = open_collect(&path, 3).unwrap();
         assert_eq!(replayed, recs);
         std::fs::remove_file(&path).unwrap();
     }
@@ -581,7 +587,7 @@ mod tests {
         for cut in last_start..=full.len() {
             let torn = temp_path(&format!("torture-cut-{cut}"));
             std::fs::write(&torn, &full[..cut]).unwrap();
-            let (wal, replayed) = open_collect(&torn).unwrap();
+            let (wal, replayed) = open_collect(&torn, 5).unwrap();
             let expect: &[WalRecord] = if cut == full.len() {
                 &recs
             } else {
@@ -596,7 +602,7 @@ mod tests {
                 "cut at byte {cut} left trailing garbage"
             );
             drop(wal);
-            let (_, again) = open_collect(&torn).unwrap();
+            let (_, again) = open_collect(&torn, 5).unwrap();
             assert_eq!(again, expect, "cut at byte {cut} (second open)");
             std::fs::remove_file(&torn).unwrap();
         }
@@ -617,7 +623,7 @@ mod tests {
         let last = bytes.len() - 3;
         bytes[last] ^= 0x40; // flip a bit inside the final payload
         std::fs::write(&path, &bytes).unwrap();
-        let (_, replayed) = open_collect(&path).unwrap();
+        let (_, replayed) = open_collect(&path, 4).unwrap();
         assert_eq!(replayed, recs[..recs.len() - 1]);
         std::fs::remove_file(&path).unwrap();
     }
@@ -642,7 +648,7 @@ mod tests {
         let off = HEADER_BYTES as usize + rec_len(&recs[0]) + RECORD_HEADER + 2;
         bytes[off] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
-        let (wal, replayed) = open_collect(&path).unwrap();
+        let (wal, replayed) = open_collect(&path, 4).unwrap();
         assert_eq!(replayed, recs[..1]);
         assert_eq!(
             wal.size_bytes(),
@@ -677,7 +683,7 @@ mod tests {
         }
         let mut seen = 0u64;
         let mut next_insert = 0u64;
-        let wal = Wal::open_streaming(&path, SyncPolicy::default(), |rec| {
+        let wal = Wal::open_streaming(&path, d, SyncPolicy::default(), |rec| {
             match rec {
                 WalRecord::Insert { id, vector } => {
                     assert_eq!(id, next_insert);
@@ -706,7 +712,7 @@ mod tests {
             }
         }
         let mut calls = 0;
-        let err = Wal::open_streaming(&path, SyncPolicy::default(), |_| {
+        let err = Wal::open_streaming(&path, 2, SyncPolicy::default(), |_| {
             calls += 1;
             if calls == 2 {
                 Err(io::Error::other("replay sink failed"))
@@ -733,7 +739,7 @@ mod tests {
         // Appends after truncation land cleanly.
         wal.append(&WalRecord::Delete { id: 3 }).unwrap();
         drop(wal);
-        let (_, replayed) = open_collect(&path).unwrap();
+        let (_, replayed) = open_collect(&path, 2).unwrap();
         assert_eq!(replayed, vec![WalRecord::Delete { id: 3 }]);
         std::fs::remove_file(&path).unwrap();
     }
@@ -753,7 +759,7 @@ mod tests {
         assert_eq!(wal.record_count(), 2);
         wal.append(&WalRecord::Delete { id: 9 }).unwrap();
         drop(wal);
-        let (_, replayed) = open_collect(&path).unwrap();
+        let (_, replayed) = open_collect(&path, 3).unwrap();
         assert_eq!(replayed.len(), 3);
         assert_eq!(replayed[..2], recs[2..]);
         assert_eq!(replayed[2], WalRecord::Delete { id: 9 });
@@ -775,7 +781,7 @@ mod tests {
         assert_eq!(wal.record_count(), 0);
         assert_eq!(wal.size_bytes(), HEADER_BYTES);
         drop(wal);
-        let (_, replayed) = open_collect(&path).unwrap();
+        let (_, replayed) = open_collect(&path, 2).unwrap();
         assert!(replayed.is_empty());
         std::fs::remove_file(&path).unwrap();
     }
@@ -792,7 +798,7 @@ mod tests {
         wal.sync().unwrap();
         assert_eq!(wal.unsynced_appends(), 0);
         drop(wal);
-        let (_, replayed) = open_collect(&path).unwrap();
+        let (_, replayed) = open_collect(&path, 2).unwrap();
         assert_eq!(replayed.len(), 2);
         std::fs::remove_file(&path).unwrap();
     }
@@ -861,7 +867,7 @@ mod tests {
         assert_eq!(faults::counters().injected - before.injected, 1);
         assert_eq!(wal.record_count(), 1);
         drop(wal);
-        let (_, replayed) = open_collect(&path).unwrap();
+        let (_, replayed) = open_collect(&path, 2).unwrap();
         assert_eq!(replayed, vec![WalRecord::Delete { id: 1 }]);
         std::fs::remove_file(&path).unwrap();
     }
@@ -884,10 +890,10 @@ mod tests {
             Recurrence::Once,
             io::ErrorKind::Other,
         );
-        let err = open_collect(&path).unwrap_err();
+        let err = open_collect(&path, 2).unwrap_err();
         assert!(faults::is_injected(&err), "unexpected error: {err}");
         // The one-shot plan self-disarmed: the log opens intact.
-        let (_, replayed) = open_collect(&path).unwrap();
+        let (_, replayed) = open_collect(&path, 2).unwrap();
         assert_eq!(replayed, vec![WalRecord::Delete { id: 4 }]);
         std::fs::remove_file(&path).unwrap();
     }

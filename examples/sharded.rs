@@ -6,7 +6,7 @@
 
 use promips::core::{ProMips, ProMipsConfig};
 use promips::data::exact_topk;
-use promips::shard::{ShardedConfig, ShardedProMips};
+use promips::shard::{ShardedConfig, ShardedProMips, ShardedQuery, ShardedScratch};
 use promips::stats::Xoshiro256pp;
 
 fn recall(got: &[u64], truth: &[u64]) -> f64 {
@@ -47,6 +47,15 @@ fn main() {
 
     // 3. Fan-out search vs single-index search, recall measured against
     //    the exact answer.
+    let scratch = ShardedScratch::for_index(&sharded);
+    let traced = |q| {
+        let request = ShardedQuery {
+            traced: true,
+            ..ShardedQuery::new(q, k)
+        };
+        let (res, trace) = sharded.execute(request, &scratch).expect("sharded search");
+        (res, trace.expect("a traced request returns its trace"))
+    };
     let mut recall_single = 0.0;
     let mut recall_sharded = 0.0;
     let mut pruned_total = 0usize;
@@ -57,9 +66,9 @@ fn main() {
             .collect();
 
         recall_single += recall(&single.search(q, k).expect("search").ids(), &truth_ids);
-        let res = sharded.search(q, k).expect("sharded search");
+        let (res, trace) = traced(q);
         recall_sharded += recall(&res.ids(), &truth_ids);
-        pruned_total += res.shards_pruned();
+        pruned_total += trace.shards_pruned();
     }
     println!(
         "\nrecall@{k} over {n_queries} queries: single = {:.3}, sharded = {:.3}",
@@ -71,21 +80,11 @@ fn main() {
         n_queries * (sharded.shard_count() - 1)
     );
 
-    // 4. Per-shard anatomy of one query.
-    let res = sharded.search(&queries[0], k).expect("sharded search");
+    // 4. Per-shard anatomy of one query: its trace.
+    let (res, trace) = traced(&queries[0]);
     println!(
         "\nquery 0 anatomy (verified = {} candidates):",
         res.verified
     );
-    for s in &res.per_shard {
-        println!(
-            "  shard {} [{} pts]: {}, verified {:3}, screened {:4}, contributed {} items",
-            s.shard,
-            s.points,
-            if s.pruned { "pruned " } else { "searched" },
-            s.verified,
-            s.screened,
-            s.returned
-        );
-    }
+    print!("{}", trace.render());
 }

@@ -74,7 +74,7 @@
 //! let sharded = ShardedProMips::build_in_memory(&data, config).unwrap();
 //! let query: Vec<f32> = (0..32).map(|_| rng.normal() as f32).collect();
 //! let top10 = sharded.search(&query, 10).unwrap();
-//! assert_eq!(top10.per_shard.len(), 4);
+//! assert_eq!(top10.items.len(), 10);
 //! ```
 //!
 //! ## Mutating durably
