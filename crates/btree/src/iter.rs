@@ -10,11 +10,9 @@ use crate::node::{entry_at, NodeView, NIL_PAGE};
 /// Iterator over `(key, value)` pairs with `lo <= key <= hi`, in key order.
 ///
 /// The iterator holds the current leaf **page** and reads entries straight
-/// from it through a borrowed [`NodeView`] — no per-leaf `Vec` of decoded
-/// entries, so range scans allocate nothing once the pages are cached
-/// (asserted by the counting-allocator test in `promips_idistance`). Every
-/// leaf it touches is charged as a page access on the shared pager,
-/// mirroring how a disk scan would behave.
+/// from it — no per-leaf `Vec` of decoded entries, so range scans allocate
+/// nothing once the pages are cached. Every leaf it touches is charged as a
+/// page access on the shared pager, mirroring how a disk scan would behave.
 pub struct RangeIter {
     pager: Arc<Pager>,
     /// The current leaf page (`None` once the scan is exhausted). Holding
@@ -121,35 +119,37 @@ mod tests {
     use super::*;
     use crate::tree::BTree;
 
+    /// `pairs` bulk-loaded on 64-byte pages (two entries a leaf).
+    fn tiny_tree(pager: Arc<Pager>, pairs: impl IntoIterator<Item = (u64, u64)>) -> BTree {
+        BTree::bulk_load(pager, pairs).unwrap()
+    }
+
     #[test]
     fn iterates_across_many_leaves() {
-        let pager = Arc::new(Pager::in_memory(64, 1024)); // capacity 3
-        let mut t = BTree::create(Arc::clone(&pager)).unwrap();
-        for k in 0..64u64 {
-            t.insert(k, k).unwrap();
-        }
+        let t = tiny_tree(
+            Arc::new(Pager::in_memory(64, 1024)),
+            (0..64u64).map(|k| (k, k)),
+        );
         let all: Vec<u64> = t.scan_all().unwrap().map(|r| r.unwrap().0).collect();
         assert_eq!(all, (0..64).collect::<Vec<u64>>());
     }
 
     #[test]
     fn empty_range_yields_nothing() {
-        let pager = Arc::new(Pager::in_memory(64, 1024));
-        let mut t = BTree::create(Arc::clone(&pager)).unwrap();
-        for k in 0..10u64 {
-            t.insert(k * 10, k).unwrap();
-        }
+        let t = tiny_tree(
+            Arc::new(Pager::in_memory(64, 1024)),
+            (0..10u64).map(|k| (k * 10, k)),
+        );
         assert_eq!(t.range(91, 95).unwrap().count(), 0);
         assert_eq!(t.range(5, 4).unwrap().count(), 0); // inverted bounds
     }
 
     #[test]
     fn range_starting_past_last_key() {
-        let pager = Arc::new(Pager::in_memory(64, 1024));
-        let mut t = BTree::create(Arc::clone(&pager)).unwrap();
-        for k in 0..20u64 {
-            t.insert(k, k).unwrap();
-        }
+        let t = tiny_tree(
+            Arc::new(Pager::in_memory(64, 1024)),
+            (0..20u64).map(|k| (k, k)),
+        );
         assert_eq!(t.range(100, u64::MAX).unwrap().count(), 0);
     }
 
@@ -157,11 +157,10 @@ mod tests {
     fn iteration_survives_cache_eviction_mid_scan() {
         // A pool of 2 pages guarantees the current leaf is evicted while
         // the iterator still holds it; the held Arc must keep it readable.
-        let pager = Arc::new(Pager::in_memory(64, 2));
-        let mut t = BTree::create(Arc::clone(&pager)).unwrap();
-        for k in 0..128u64 {
-            t.insert(k, k * 2).unwrap();
-        }
+        let t = tiny_tree(
+            Arc::new(Pager::in_memory(64, 2)),
+            (0..128u64).map(|k| (k, k * 2)),
+        );
         let got: Vec<(u64, u64)> = t.scan_all().unwrap().map(|r| r.unwrap()).collect();
         assert_eq!(got.len(), 128);
         assert!(got

@@ -1,28 +1,26 @@
-//! A page-based disk B+-tree.
+//! A page-based disk B+-tree: the substrate of the H2-ALSH baseline, whose
+//! QALSH index keeps one bulk-loaded tree per hash function over
+//! real-valued hash keys (mapped to ordered `u64`s by [`f64_to_key`]).
 //!
-//! ProMIPS's pitch (Section I of the paper) is that one B+-tree — via the
-//! iDistance scheme — replaces the "heavyweight" structures of LSH-based
-//! competitors (hundreds of hash tables). This crate is that single tree.
-//! It is also reused by the H2-ALSH baseline, whose QALSH substrate keeps
-//! one B+-tree per hash function over real-valued hash keys (mapped to
-//! ordered `u64`s by [`codec::f64_to_key`]).
+//! ProMIPS's own iDistance index keys sub-partitions, not points, so its
+//! in-memory directory is already the sorted key column and it keeps no
+//! tree (see `promips_idistance`).
 //!
 //! Characteristics:
 //! * keys are `u64`, values are `u64`, duplicate keys allowed;
 //! * nodes are exactly one storage page; fan-out derives from the page size;
 //! * all reads go through a [`promips_storage::Pager`], so tree traversals
 //!   are charged to the paper's Page Access metric;
-//! * bottom-up bulk loading for index construction, plus standard top-down
-//!   inserts with node splits for incremental maintenance;
-//! * forward range scans over leaf chaining.
+//! * built once, bottom-up, from key-sorted pairs ([`BTree::bulk_load`]);
+//!   nothing is added after the load;
+//! * point lookups and forward range scans over leaf chaining.
 
-pub mod bulk;
-pub mod codec;
-pub mod iter;
-pub mod node;
-pub mod tree;
+mod bulk;
+mod codec;
+mod iter;
+mod node;
+mod tree;
 
-pub use codec::{f64_to_key, key_to_f64};
+pub use codec::f64_to_key;
 pub use iter::RangeIter;
-pub use node::{Node, NodeView, NIL_PAGE};
 pub use tree::BTree;

@@ -15,8 +15,8 @@
 //!                                separator)
 //! ```
 //!
-//! All integers are little-endian. The decoded form is an owned struct; the
-//! tree performs copy-on-write: read page → decode → mutate → encode → write.
+//! All integers are little-endian. Bulk loading encodes the owned [`Node`];
+//! reads go through the borrowed [`NodeView`].
 
 use std::io;
 
@@ -61,30 +61,12 @@ pub enum Node {
 }
 
 impl Node {
-    /// Creates an empty leaf.
-    pub fn empty_leaf() -> Self {
-        Node::Leaf {
-            entries: Vec::new(),
-            next: NIL_PAGE,
-        }
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         match self {
             Node::Leaf { entries, .. } => entries.len(),
             Node::Internal { entries, .. } => entries.len(),
         }
-    }
-
-    /// True when the node holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True for leaf nodes.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Leaf { .. })
     }
 
     /// Serializes into a fresh page buffer of `page_size` bytes.
@@ -165,13 +147,12 @@ pub(crate) fn entry_at(bytes: &[u8], i: usize) -> (u64, u64) {
 
 /// A borrowed, page-backed view of an encoded node.
 ///
-/// [`Node::decode`] materializes an owned `Vec` of entries — the right
-/// shape for copy-on-write *mutation*, but a heap allocation per node on
-/// the read path. `NodeView` borrows the page bytes instead: the header is
-/// parsed on construction, entries are decoded lazily straight from the
-/// page, and nothing is allocated. The B+-tree descend and the leaf-chain
-/// range scan (the whole projected-range-search read path) ride this view,
-/// which is what makes a warm annulus scan allocation-free end to end.
+/// [`Node::decode`] materializes an owned `Vec` of entries — a heap
+/// allocation per node. `NodeView` borrows the page bytes instead: the
+/// header is parsed on construction, entries are decoded lazily straight
+/// from the page, and nothing is allocated. The descend and the leaf-chain
+/// range scan ride this view, so a scan over cached pages allocates
+/// nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeView<'a> {
     bytes: &'a [u8],
@@ -233,11 +214,6 @@ impl<'a> NodeView<'a> {
         self.count
     }
 
-    /// True when the node holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Leaf: next-leaf page id ([`NIL_PAGE`] for the last leaf).
     /// Internal: leftmost child page id.
     pub fn link(&self) -> PageId {
@@ -268,21 +244,6 @@ impl<'a> NodeView<'a> {
         while lo < hi {
             let mid = (lo + hi) / 2;
             if self.key(mid) < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// Index of the first entry whose key is **greater than** `key` (the
-    /// number of keys `<= key`).
-    pub fn upper_bound(&self, key: u64) -> usize {
-        let (mut lo, mut hi) = (0usize, self.count);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.key(mid) <= key {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -331,12 +292,18 @@ mod tests {
 
     #[test]
     fn empty_leaf_roundtrip() {
-        let node = Node::empty_leaf();
+        // What bulk loading writes for an empty input.
+        let node = Node::Leaf {
+            entries: Vec::new(),
+            next: NIL_PAGE,
+        };
         let page = node.encode(256);
         let decoded = Node::decode(page.as_slice());
         assert_eq!(decoded, node);
-        assert!(decoded.is_empty());
-        assert!(decoded.is_leaf());
+        assert_eq!(decoded.len(), 0);
+        let view = NodeView::parse(page.as_slice()).unwrap();
+        assert!(view.is_leaf());
+        assert_eq!(view.len(), 0);
     }
 
     #[test]
@@ -395,11 +362,6 @@ mod tests {
                 view.lower_bound(probe),
                 entries.partition_point(|&(k, _)| k < probe),
                 "lower_bound({probe})"
-            );
-            assert_eq!(
-                view.upper_bound(probe),
-                entries.partition_point(|&(k, _)| k <= probe),
-                "upper_bound({probe})"
             );
         }
     }

@@ -1,4 +1,4 @@
-//! The B+-tree proper: lookups, range scans, and top-down inserts.
+//! The B+-tree proper: lookups and range scans.
 
 use std::io;
 use std::sync::Arc;
@@ -6,60 +6,34 @@ use std::sync::Arc;
 use promips_storage::{PageId, Pager};
 
 use crate::iter::RangeIter;
-use crate::node::{node_capacity, Node, NodeView};
+use crate::node::NodeView;
 
 /// A disk B+-tree rooted at a known page of a [`Pager`].
 ///
 /// The tree does not own the pager: several trees (e.g. QALSH's per-hash
-/// tables) can share one page file, and data pages can interleave with index
-/// pages as iDistance's sequential layout requires.
+/// tables) can share one page file.
 pub struct BTree {
     pager: Arc<Pager>,
     root: PageId,
-    height: u32,
     len: u64,
 }
 
 impl BTree {
-    /// Creates an empty tree (a single empty leaf) in `pager`.
-    pub fn create(pager: Arc<Pager>) -> io::Result<Self> {
-        let root = pager.append(Node::empty_leaf().encode(pager.page_size()))?;
-        Ok(Self {
-            pager,
-            root,
-            height: 1,
-            len: 0,
-        })
-    }
-
-    /// Reconstructs a handle from a persisted root (see [`BTree::root`],
-    /// [`BTree::height`], [`BTree::len`] for what to persist).
-    pub fn open(pager: Arc<Pager>, root: PageId, height: u32, len: u64) -> Self {
-        Self {
-            pager,
-            root,
-            height,
-            len,
-        }
+    /// A handle on the tree rooted at `root` holding `len` entries.
+    pub(crate) fn open(pager: Arc<Pager>, root: PageId, len: u64) -> Self {
+        Self { pager, root, len }
     }
 
     /// Builds a tree from `(key, value)` pairs **sorted by key** using
-    /// bottom-up bulk loading (see [`crate::bulk`]).
+    /// bottom-up bulk loading: a level at a time, full pages, no splits.
+    ///
+    /// # Panics
+    /// Panics if the input is not sorted by key (checked while streaming).
     pub fn bulk_load(
         pager: Arc<Pager>,
         sorted: impl IntoIterator<Item = (u64, u64)>,
     ) -> io::Result<Self> {
         crate::bulk::bulk_load(pager, sorted)
-    }
-
-    /// Root page id (persist this to reopen the tree).
-    pub fn root(&self) -> PageId {
-        self.root
-    }
-
-    /// Tree height in levels (1 = root is a leaf).
-    pub fn height(&self) -> u32 {
-        self.height
     }
 
     /// Number of stored entries.
@@ -72,22 +46,12 @@ impl BTree {
         self.len == 0
     }
 
-    /// The pager backing this tree.
-    pub fn pager(&self) -> &Arc<Pager> {
-        &self.pager
-    }
-
-    fn read_node(&self, id: PageId) -> io::Result<Node> {
-        Ok(Node::decode(self.pager.read(id)?.as_slice()))
-    }
-
     /// Descends to the leaf where a scan for `key` must start.
     ///
     /// Uses the strict `separator < key` rule so that duplicate runs that
-    /// straddle a split boundary are never skipped (the scan then walks the
-    /// leaf chain forward). Internal nodes are read through the borrowed
-    /// [`NodeView`] — the whole read path down to the leaf allocates
-    /// nothing.
+    /// straddle a leaf boundary are never skipped (the scan then walks the
+    /// leaf chain forward). Nodes are read through a borrowed view of the
+    /// page — the whole read path down to the leaf allocates nothing.
     fn descend_for_scan(&self, key: u64) -> io::Result<PageId> {
         let mut id = self.root;
         loop {
@@ -115,12 +79,8 @@ impl BTree {
         }
     }
 
-    /// Returns every value stored under `key`.
-    pub fn get_all(&self, key: u64) -> io::Result<Vec<u64>> {
-        self.range(key, key)?.map(|r| r.map(|(_, v)| v)).collect()
-    }
-
-    /// Iterates `(key, value)` pairs with `lo <= key <= hi` in key order.
+    /// Iterates `(key, value)` pairs with `lo <= key <= hi` in key order;
+    /// equal keys come back in the order they were loaded.
     pub fn range(&self, lo: u64, hi: u64) -> io::Result<RangeIter> {
         let leaf = self.descend_for_scan(lo)?;
         RangeIter::new(Arc::clone(&self.pager), leaf, lo, hi)
@@ -130,128 +90,30 @@ impl BTree {
     pub fn scan_all(&self) -> io::Result<RangeIter> {
         self.range(0, u64::MAX)
     }
-
-    /// Inserts a `(key, value)` pair (duplicates allowed).
-    pub fn insert(&mut self, key: u64, value: u64) -> io::Result<()> {
-        if let Some((sep, right)) = self.insert_rec(self.root, key, value)? {
-            // Root split: grow the tree by one level.
-            let new_root = Node::Internal {
-                leftmost: self.root,
-                entries: vec![(sep, right)],
-            };
-            self.root = self.pager.append(new_root.encode(self.pager.page_size()))?;
-            self.height += 1;
-        }
-        self.len += 1;
-        Ok(())
-    }
-
-    /// Recursive insert; returns `Some((separator, new_right_page))` when
-    /// the child split.
-    fn insert_rec(
-        &mut self,
-        id: PageId,
-        key: u64,
-        value: u64,
-    ) -> io::Result<Option<(u64, PageId)>> {
-        let page_size = self.pager.page_size();
-        let cap = node_capacity(page_size);
-        match self.read_node(id)? {
-            Node::Leaf { mut entries, next } => {
-                // Insert after any existing duplicates to keep insertion
-                // order stable among equal keys.
-                let pos = entries.partition_point(|&(k, _)| k <= key);
-                entries.insert(pos, (key, value));
-                if entries.len() <= cap {
-                    self.pager
-                        .write(id, Node::Leaf { entries, next }.encode(page_size))?;
-                    return Ok(None);
-                }
-                // Split: right half moves to a fresh page.
-                let mid = entries.len() / 2;
-                let right_entries = entries.split_off(mid);
-                let sep = right_entries[0].0;
-                let right_page = self.pager.append(
-                    Node::Leaf {
-                        entries: right_entries,
-                        next,
-                    }
-                    .encode(page_size),
-                )?;
-                self.pager.write(
-                    id,
-                    Node::Leaf {
-                        entries,
-                        next: right_page,
-                    }
-                    .encode(page_size),
-                )?;
-                Ok(Some((sep, right_page)))
-            }
-            Node::Internal {
-                leftmost,
-                mut entries,
-            } => {
-                let idx = entries.partition_point(|&(sep, _)| sep <= key);
-                let child = if idx == 0 {
-                    leftmost
-                } else {
-                    entries[idx - 1].1
-                };
-                let Some((sep, right)) = self.insert_rec(child, key, value)? else {
-                    return Ok(None);
-                };
-                entries.insert(idx, (sep, right));
-                if entries.len() <= cap {
-                    self.pager
-                        .write(id, Node::Internal { leftmost, entries }.encode(page_size))?;
-                    return Ok(None);
-                }
-                // Split the internal node: middle separator moves up.
-                let mid = entries.len() / 2;
-                let mut right_entries = entries.split_off(mid);
-                let (up_sep, right_leftmost) = right_entries.remove(0);
-                let right_page = self.pager.append(
-                    Node::Internal {
-                        leftmost: right_leftmost,
-                        entries: right_entries,
-                    }
-                    .encode(page_size),
-                )?;
-                self.pager
-                    .write(id, Node::Internal { leftmost, entries }.encode(page_size))?;
-                Ok(Some((up_sep, right_page)))
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny_tree() -> BTree {
-        // 64-byte pages → capacity 3 per node → lots of splits.
-        let pager = Arc::new(Pager::in_memory(64, 1024));
-        BTree::create(pager).unwrap()
+    /// A tree of `pairs` on 64-byte pages: capacity 3 per node, two
+    /// entries a leaf, so even small inputs build several levels.
+    fn tiny_tree(pairs: impl IntoIterator<Item = (u64, u64)>) -> BTree {
+        BTree::bulk_load(Arc::new(Pager::in_memory(64, 1024)), pairs).unwrap()
     }
 
     #[test]
     fn empty_tree_lookups() {
-        let t = tiny_tree();
+        let t = tiny_tree([]);
         assert!(t.is_empty());
         assert_eq!(t.get(5).unwrap(), None);
         assert_eq!(t.scan_all().unwrap().count(), 0);
     }
 
     #[test]
-    fn insert_and_get_sequential() {
-        let mut t = tiny_tree();
-        for k in 0..200u64 {
-            t.insert(k, k * 10).unwrap();
-        }
+    fn load_and_get_sequential() {
+        let t = tiny_tree((0..200u64).map(|k| (k, k * 10)));
         assert_eq!(t.len(), 200);
-        assert!(t.height() > 1, "splits must have happened");
         for k in 0..200u64 {
             assert_eq!(t.get(k).unwrap(), Some(k * 10), "key {k}");
         }
@@ -259,39 +121,22 @@ mod tests {
     }
 
     #[test]
-    fn insert_reverse_order() {
-        let mut t = tiny_tree();
-        for k in (0..150u64).rev() {
-            t.insert(k, k + 1).unwrap();
-        }
-        let collected: Vec<(u64, u64)> = t.scan_all().unwrap().map(|r| r.unwrap()).collect();
-        assert_eq!(collected.len(), 150);
-        assert!(collected.windows(2).all(|w| w[0].0 <= w[1].0));
-        assert_eq!(collected[0], (0, 1));
-        assert_eq!(collected[149], (149, 150));
-    }
-
-    #[test]
     fn duplicates_are_all_returned() {
-        let mut t = tiny_tree();
-        // Interleave duplicates with other keys to force straddling splits.
-        for i in 0..30u64 {
-            t.insert(42, 1000 + i).unwrap();
-            t.insert(i, i).unwrap();
-        }
-        let dups = t.get_all(42).unwrap();
-        assert_eq!(dups.len(), 30, "{dups:?}");
-        let mut sorted = dups.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (1000..1030).collect::<Vec<u64>>());
+        // 30 duplicates straddle many leaves between other keys; they come
+        // back in load order.
+        let mut pairs: Vec<(u64, u64)> = (0..30u64).map(|i| (42, 1000 + i)).collect();
+        pairs.extend((0..30u64).map(|i| (i, i)));
+        pairs.extend((43..60u64).map(|i| (i, i)));
+        pairs.sort_by_key(|&(k, _)| k);
+        let t = tiny_tree(pairs);
+        let dups: Vec<u64> = t.range(42, 42).unwrap().map(|r| r.unwrap().1).collect();
+        assert_eq!(dups, (1000..1030).collect::<Vec<u64>>());
+        assert_eq!(t.get(42).unwrap(), Some(1000));
     }
 
     #[test]
     fn range_scan_bounds_inclusive() {
-        let mut t = tiny_tree();
-        for k in (0..100u64).map(|k| k * 2) {
-            t.insert(k, k).unwrap();
-        }
+        let t = tiny_tree((0..100u64).map(|k| (k * 2, k * 2)));
         let got: Vec<u64> = t.range(10, 20).unwrap().map(|r| r.unwrap().0).collect();
         assert_eq!(got, vec![10, 12, 14, 16, 18, 20]);
         // Bounds not present in the tree.
@@ -303,28 +148,24 @@ mod tests {
 
     #[test]
     fn traversal_costs_page_reads() {
+        // 4 KB pages: 229 entries a leaf, so 10 000 keys fill 44 leaves
+        // under one internal root — a tree of height 2.
         let pager = Arc::new(Pager::in_memory(4096, 1024));
-        let mut t = BTree::create(Arc::clone(&pager)).unwrap();
-        for k in 0..10_000u64 {
-            t.insert(k, k).unwrap();
-        }
+        let t = BTree::bulk_load(Arc::clone(&pager), (0..10_000u64).map(|k| (k, k))).unwrap();
         pager.stats().reset();
-        let _ = t.get(5000).unwrap();
-        let reads = pager.stats().snapshot().logical_reads;
-        assert!(reads >= t.height() as u64, "reads={reads}");
-        assert!(reads <= t.height() as u64 + 2, "reads={reads}");
+        assert_eq!(t.get(5000).unwrap(), Some(5000));
+        // The root and the leaf on the way down, then the leaf the scan
+        // starts in.
+        assert_eq!(pager.stats().snapshot().logical_reads, 3);
     }
 
     #[test]
     fn reopen_from_persisted_root() {
         let pager = Arc::new(Pager::in_memory(128, 64));
-        let mut t = BTree::create(Arc::clone(&pager)).unwrap();
-        for k in 0..500u64 {
-            t.insert(k, k * 3).unwrap();
-        }
-        let (root, height, len) = (t.root(), t.height(), t.len());
+        let t = BTree::bulk_load(Arc::clone(&pager), (0..500u64).map(|k| (k, k * 3))).unwrap();
+        let (root, len) = (t.root, t.len());
         drop(t);
-        let t2 = BTree::open(pager, root, height, len);
+        let t2 = BTree::open(pager, root, len);
         assert_eq!(t2.get(321).unwrap(), Some(963));
         assert_eq!(t2.len(), 500);
     }

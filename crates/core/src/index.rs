@@ -21,7 +21,7 @@ pub struct BuildTimings {
     /// One pass over the rows for `‖o‖₁` and `max ‖o‖²`, then binary
     /// codes and one Quick-Probe representative per code group.
     pub quickprobe_ms: f64,
-    /// iDistance construction (clustering, layout, B+-tree).
+    /// iDistance construction (clustering, layout, directory).
     pub index_ms: f64,
 }
 
@@ -236,8 +236,8 @@ impl ProMips {
 
     /// The paper's **Index Size** metric: every page of the iDistance file
     /// up to its footer except the raw original vectors — the projected
-    /// records, the SQ8 verification codes (when built), the B+-tree, the
-    /// directory and the footer — plus the projection matrix and the
+    /// records, the SQ8 verification codes (when built), the directory and
+    /// the footer — plus the projection matrix and the
     /// Quick-Probe representatives. Those two are counted from memory and
     /// the pages [`ProMips::save`] appends for them are not, so the figure
     /// is the same before a save, after it and on a reopened handle.

@@ -4,7 +4,7 @@
 //! Layout (appended after the iDistance footer):
 //!
 //! ```text
-//! … iDistance regions + B+-tree + directory + iDistance footer …
+//! … iDistance regions + directory + iDistance footer …
 //! [aux blob]     c, p, seed, page size, pool pages, m, d   7 × 8 bytes
 //!                projection matrix                         4·m·d
 //!                max ‖o‖²                                  8

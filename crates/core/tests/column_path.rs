@@ -231,7 +231,7 @@ proptest! {
 /// plus at most the pages its survivors' ids and f32 rows sit on (the walk
 /// visits sub-partitions best first, so a survivor page may be read again
 /// by a later sub-partition) — and nothing else: no page for Quick-Probe's
-/// radius, no B+-tree, no projected scan.
+/// radius, no projected scan.
 #[test]
 fn the_pass_reads_the_column_once_plus_its_survivors() {
     let (n, d, page_size) = (2_500usize, 64usize, 1_000usize);

@@ -19,9 +19,12 @@
 //! What `save` appends — footer page and aux blob — is read the same way:
 //! a length, a count or a magic the rest of the file does not back is
 //! `InvalidData` from `ProMips::open` and from `ShardedProMips::open`. So
-//! is a file of the format before this one, which also carried SQ8 codes of
-//! the projected rows: its iDistance footer magics are refused, not
-//! misread, under full-width codes and under a head.
+//! are the files of the two formats before this one — one also carried a
+//! B+-tree over the sub-partition keys, the one before it also SQ8 codes of
+//! the projected rows: their iDistance footer magics are refused, not
+//! misread, under full-width codes and under a head. The directory is the
+//! index the annulus scan binary-searches, so one whose sub-partition keys
+//! are out of order is refused too.
 
 mod common;
 
@@ -33,7 +36,7 @@ use promips_core::projection::Projection;
 use promips_core::quickprobe::QuickProbe;
 use promips_core::result::Termination;
 use promips_core::{ProMips, ProMipsConfig, Query, SearchScratch};
-use promips_idistance::{IDistanceConfig, ProjScratch};
+use promips_idistance::{footer_span_pages, IDistanceConfig, IDistanceIndex, ProjScratch};
 use promips_linalg::{dist, norm1, Matrix};
 use promips_shard::{ShardedConfig, ShardedProMips};
 use promips_stats::Xoshiro256pp;
@@ -221,6 +224,15 @@ fn a_damaged_footer_or_aux_blob_is_invalid_data_not_a_panic() {
             "the scan-code format's head magic",
             patched(&good, &FULL_WIDTH_MAGIC, &SCAN_CODE_MAGICS[1]),
         ),
+        // The iDistance footer of the format with a B+-tree.
+        (
+            "the tree format's magic",
+            patched(&good, &FULL_WIDTH_MAGIC, &TREE_MAGICS[0]),
+        ),
+        (
+            "the tree format's head magic",
+            patched(&good, &FULL_WIDTH_MAGIC, &TREE_MAGICS[1]),
+        ),
         ("zero groups", patched(&good, qp_header, &with_groups(0))),
         (
             "more groups than codes",
@@ -255,16 +267,90 @@ fn a_damaged_footer_or_aux_blob_is_invalid_data_not_a_panic() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The annulus scan finds the sub-partitions of a key range by binary
+/// search over the directory's keys, so a directory whose keys are out of
+/// order is refused when it is read — by the iDistance layer alone, by
+/// `ProMips::open` and by `ShardedProMips::open` — not searched wrongly.
+#[test]
+fn a_directory_out_of_key_order_is_invalid_data() {
+    let data = clustered(8, 40, 18, 63);
+    let dir = std::env::temp_dir().join(format!("promips-fmt-order-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfg = ProMipsConfig::builder().seed(64).build();
+    let page_size = cfg.page_size;
+    let idx = save_reopen(&data, &dir, "good.pmx", cfg.clone());
+    // A sub-partition's record starts with its key, its pivot's length
+    // and the pivot: swap the first and the last one's keys.
+    let idist = idx.idistance();
+    let last = idist.subparts().len() - 1;
+    let record = |sub: usize, key: u64| -> Vec<u8> {
+        let pivot = idist.pivot(sub as u32);
+        let mut bytes = key.to_le_bytes().to_vec();
+        bytes.extend((pivot.len() as u32).to_le_bytes());
+        bytes.extend(pivot.iter().flat_map(|x| x.to_le_bytes()));
+        bytes
+    };
+    let (first_key, last_key) = (idist.subparts()[0].key, idist.subparts()[last].key);
+    assert!(first_key < last_key, "one key for the whole directory");
+    let (first, last) = (
+        (record(0, first_key), record(0, last_key)),
+        (record(last, last_key), record(last, first_key)),
+    );
+    drop(idx);
+    let good = dir.join("good.pmx");
+    std::fs::write(dir.join("half.pmx"), patched(&good, &first.0, &first.1)).unwrap();
+    let swapped = patched(&dir.join("half.pmx"), &last.0, &last.1);
+
+    let err = open_error(&dir.join("bad.pmx"), swapped.clone(), page_size);
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+
+    // The iDistance file alone: everything up to its footer, whose page the
+    // ProMIPS footer's second word holds.
+    let footer = &swapped[swapped.len() - page_size..];
+    let idist_footer = u64::from_le_bytes(footer[8..16].try_into().unwrap());
+    let end = (idist_footer + footer_span_pages(page_size)) as usize * page_size;
+    let alone = dir.join("idist.pmx");
+    std::fs::write(&alone, &swapped[..end]).unwrap();
+    let storage = Arc::new(FileStorage::open(alone, page_size).unwrap());
+    let pager = Arc::new(Pager::new(storage, 1024, AccessStats::new_shared()));
+    let err = IDistanceIndex::open(pager)
+        .err()
+        .expect("an unordered directory is refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+
+    let sharded = dir.join("sharded");
+    let shard_cfg = ShardedConfig::builder().shards(1).base(cfg).build();
+    drop(ShardedProMips::build_in_dir(&data, shard_cfg, &sharded).unwrap());
+    let shard_file = sharded.join("shard_0000.pmx");
+    assert_eq!(
+        std::fs::read(&shard_file).unwrap(),
+        std::fs::read(&good).unwrap()
+    );
+    std::fs::write(&shard_file, swapped).unwrap();
+    let err = ShardedProMips::open(&sharded)
+        .err()
+        .expect("a shard with an unordered directory is refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The iDistance footer's magic for codes that are not heads: one column
 /// of whole rows.
-const FULL_WIDTH_MAGIC: [u8; 8] = 0x1D15_7A4C_E01D_F00Cu64.to_le_bytes();
+const FULL_WIDTH_MAGIC: [u8; 8] = 0x1D15_7A4C_E01D_F00Eu64.to_le_bytes();
 /// The magic of a head split into a prefix, a suffix and a suffix-norm
 /// code column.
-const HEAD_MAGIC: [u8; 8] = 0x1D15_7A4C_E01D_F00Du64.to_le_bytes();
+const HEAD_MAGIC: [u8; 8] = 0x1D15_7A4C_E01D_F00Fu64.to_le_bytes();
+/// The two magics of the format before this one, full-width and head: the
+/// same regions and directory, and a B+-tree over the sub-partition keys
+/// (three more footer fields).
+const TREE_MAGICS: [[u8; 8]; 2] = [
+    0x1D15_7A4C_E01D_F00Cu64.to_le_bytes(),
+    0x1D15_7A4C_E01D_F00Du64.to_le_bytes(),
+];
 /// The magic of an older format: a prefix and a suffix column, no
 /// suffix-norm codes.
 const TWO_COLUMN_HEAD_MAGIC: [u8; 8] = 0x1D15_7A4C_E01D_F00Au64.to_le_bytes();
-/// The two magics of the format before this one, full-width and head: the
+/// The two magics of the format before that, full-width and head: the
 /// same columns, and an SQ8 code region over the projected rows that the
 /// annulus scan filtered through (two more footer fields and a quantizer
 /// directory).
@@ -408,6 +494,15 @@ fn a_head_column_roundtrips_bit_for_bit_and_a_wrong_shape_is_refused() {
         (
             "the scan-code format's magic",
             patched(&path, &HEAD_MAGIC, &SCAN_CODE_MAGICS[0]),
+        ),
+        // A head under either magic of the format with a B+-tree.
+        (
+            "the tree format's head magic",
+            patched(&path, &HEAD_MAGIC, &TREE_MAGICS[1]),
+        ),
+        (
+            "the tree format's magic",
+            patched(&path, &HEAD_MAGIC, &TREE_MAGICS[0]),
         ),
     ] {
         let err = open_error(&dir.join("bad.pmx"), bytes, page_size);

@@ -6,14 +6,14 @@
 //! 4. sequential disk layout — every sub-partition's projected records,
 //!    then every one's original records, then (with
 //!    [`IDistanceConfig::verify_quantize`]) the SQ8 verification codes of
-//!    the original rows — and a single bulk-loaded B+-tree over ring keys;
-//! 5. directory + footer written into the same paged file.
+//!    the original rows;
+//! 5. directory (sub-partitions in ring-key order: the annulus scan's
+//!    index) + footer written into the same paged file.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::sync::Arc;
 
-use promips_btree::BTree;
 use promips_cluster::{kmeans, KMeansConfig};
 use promips_linalg::{dist, sq_norm2, Matrix};
 use promips_storage::Pager;
@@ -223,7 +223,6 @@ pub fn build_index(
 
     let mut subparts: Vec<SubPartMeta> = Vec::with_capacity(defs.len());
     let mut pivots = Vec::with_capacity(defs.len() * m);
-    let mut tree_entries: Vec<(u64, u64)> = Vec::with_capacity(defs.len());
     for (i, def) in defs.iter().enumerate() {
         pivots.extend_from_slice(&def.pivot);
         subparts.push(SubPartMeta {
@@ -233,17 +232,18 @@ pub fn build_index(
             proj_off: proj_offs[i],
             orig_off: orig_offs[i],
         });
-        tree_entries.push((def.key, i as u64));
     }
 
     // Keys arrive sorted because BTreeMap iterates (partition, ring) in
-    // ascending order and key = part·C + ring is monotone in that order.
-    debug_assert!(tree_entries.windows(2).all(|w| w[0].0 <= w[1].0));
-    let tree = BTree::bulk_load(Arc::clone(&pager), tree_entries)?;
+    // ascending order and key = part·C + ring is monotone in that order;
+    // the annulus scan binary-searches them.
+    assert!(
+        subparts.windows(2).all(|w| w[0].key <= w[1].key),
+        "sub-partition keys out of order"
+    );
 
     let index = IDistanceIndex::assemble(
         pager,
-        tree,
         m,
         d,
         epsilon,

@@ -14,16 +14,23 @@ pub struct IDistanceConfig {
     pub kmeans_iters: usize,
     /// Seed for the clustering RNG.
     pub seed: u64,
-    /// Whether to build the SQ8 verification tier: a dense u8 code column
-    /// over the **original** d-dim vectors (one affine quantizer per
-    /// sub-partition), the file's only code region, that the verification
-    /// path screens with integer kernels before fetching f32 rows — only
-    /// candidate blocks whose quantized inner product plus the exact
-    /// error-bound padding can still reach the running top-k are rescored
-    /// exactly. Screening never drops a
-    /// true top-k member, so annulus-path results are **bit-identical** with
-    /// the tier on or off. `false` stays because its pure-f32 annulus path is
-    /// the reference the tier is held to (`crates/core/tests/verify_parity.rs`).
+    /// Whether to build the SQ8 verification tier: a u8 code column over
+    /// the **original** rows (one affine quantizer per sub-partition; `d`
+    /// bytes a row, or an `h`-byte head when the rows' energy sits in few
+    /// directions), the file's only code region. It feeds two readers:
+    ///
+    /// * the **column pass** — a query whose Quick-Probe ball covers at
+    ///   least a quarter of the rows sweeps the column in storage order and
+    ///   answers with the exact top-k, decoding the f32 row only of rows
+    ///   its integer bound cannot rule out;
+    /// * the **annulus path's screen** — each candidate row's integer dot
+    ///   and the exact error-bound padding rule it out before its f32 row
+    ///   is fetched when it cannot reach the running k-th best.
+    ///
+    /// The screen never drops a true top-k member, so annulus-path results
+    /// are **bit-identical** with the tier on or off. `false` stays because
+    /// its pure-f32 annulus path (every query takes it) is the reference the
+    /// tier is held to (`crates/core/tests/verify_parity.rs`).
     pub verify_quantize: bool,
 }
 

@@ -3,7 +3,6 @@
 use std::io;
 use std::sync::Arc;
 
-use promips_btree::BTree;
 use promips_linalg::{dist, dot4_i8, dot_col_i8, dot_i8, sq_dist_col};
 use promips_storage::{AccessStatsSnapshot, PageBuf, PageId, Pager, DEFAULT_SHARDS};
 
@@ -16,15 +15,17 @@ use crate::meta::{OrigQuant, PartitionMeta, SubPartMeta};
 pub type Region = (PageId, u64);
 
 /// The on-disk format's magic, for a file whose verification codes are not
-/// heads. The footer has 15 fixed fields: the projected and original
-/// regions, the directory blob and the B+-tree. The SQ8 verification code
-/// region over the original vectors and its per-sub-partition quantizer
-/// directory ride the directory blob; a build without the verification
-/// tier ([`crate::IDistanceConfig::verify_quantize`] off) leaves
+/// heads. The footer has 12 fixed fields: the projected and original
+/// regions and the directory blob. The SQ8 verification code region over
+/// the original vectors and its per-sub-partition quantizer directory ride
+/// the directory blob; a build without the verification tier
+/// ([`crate::IDistanceConfig::verify_quantize`] off) leaves
 /// [`REGION_ABSENT`] in its region slot. Any other magic is rejected —
 /// among them `…F009` and `…F00B`, the two magics of the format that also
-/// carried an SQ8 code region over the projected rows.
-const FOOTER_MAGIC: u64 = 0x1D15_7A4C_E01D_F00C;
+/// carried an SQ8 code region over the projected rows, and `…F00C` and
+/// `…F00D`, the two of the format that also carried a B+-tree over the
+/// sub-partition keys.
+const FOOTER_MAGIC: u64 = 0x1D15_7A4C_E01D_F00E;
 
 /// The magic of a file whose verification codes are heads: the same
 /// footer, and a directory blob that ends with the [`HeadBasis`] (width
@@ -36,17 +37,17 @@ const FOOTER_MAGIC: u64 = 0x1D15_7A4C_E01D_F00C;
 /// head under [`FOOTER_MAGIC`] — one column of whole heads, no suffix
 /// norms — is refused, as is this magic without a head; so is `…F00A`,
 /// the two columns without the norm codes, by being neither magic.
-const HEAD_FOOTER_MAGIC: u64 = 0x1D15_7A4C_E01D_F00D;
+const HEAD_FOOTER_MAGIC: u64 = 0x1D15_7A4C_E01D_F00F;
 
 /// Sentinel start-page marking an absent region (a real region can never
 /// start there: the file would exceed every address space).
 const REGION_ABSENT: u64 = u64::MAX;
 
-/// Fixed on-disk footer length: its 15 8-byte fields. For any page size
-/// ≥ 120 this is one zero-padded page; smaller (test-only) page sizes
+/// Fixed on-disk footer length: its 12 8-byte fields. For any page size
+/// ≥ 96 this is one zero-padded page; smaller (test-only) page sizes
 /// spill onto consecutive pages instead of silently truncating (see
 /// [`footer_span_pages`]).
-const FOOTER_BYTES: usize = 15 * 8;
+const FOOTER_BYTES: usize = 12 * 8;
 
 /// Number of trailing pages the iDistance footer occupies for a given page
 /// size — the builder writes the footer as the file's last
@@ -426,7 +427,6 @@ impl SuffixCursor<'_> {
 /// iDistance index handle (see the crate docs for the structure).
 pub struct IDistanceIndex {
     pager: Arc<Pager>,
-    tree: BTree,
     m: usize,
     d: usize,
     epsilon: f64,
@@ -455,7 +455,6 @@ impl IDistanceIndex {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         pager: Arc<Pager>,
-        tree: BTree,
         m: usize,
         d: usize,
         epsilon: f64,
@@ -484,7 +483,6 @@ impl IDistanceIndex {
         }
         Self {
             pager,
-            tree,
             m,
             d,
             epsilon,
@@ -620,9 +618,10 @@ impl IDistanceIndex {
     /// `r_lo < proj_dist ≤ r_hi`, grouped by sub-partition in directory
     /// order. Pass `r_lo < 0` for a plain ball query.
     ///
-    /// Page accesses: B+-tree traversal + the projected records of every
-    /// sub-partition whose pivot sphere intersects the annulus, each read
-    /// whole, once.
+    /// Page accesses: the projected records of every sub-partition whose
+    /// ring key falls in the annulus's key range and whose pivot sphere
+    /// intersects the annulus, each read whole, once. The key range is found
+    /// by binary search over the in-memory directory, which reads no page.
     pub fn range_candidates(
         &self,
         pq: &[f32],
@@ -679,17 +678,18 @@ impl IDistanceIndex {
             }
             let key_lo = part_idx as u64 * self.ring_c + ring_lo;
             let key_hi = part_idx as u64 * self.ring_c + ring_hi;
-            for entry in self.tree.range(key_lo, key_hi)? {
-                let (_key, sub_id) = entry?;
-                let sp = &self.subparts[sub_id as usize];
-                let dp = dist(pq, self.pivot(sub_id as u32));
+            // The directory is in key order (`open_at` refuses one that is
+            // not), so the keyed sub-partitions are one run of it.
+            let lo = self.subparts.partition_point(|sp| sp.key < key_lo);
+            let hi = self.subparts.partition_point(|sp| sp.key <= key_hi);
+            for (sub, sp) in (lo as u32..).zip(&self.subparts[lo..hi]) {
+                let dp = dist(pq, self.pivot(sub));
                 // Sphere filter (paper Fig. 3): skip sub-partitions that
                 // cannot contain a point in the annulus.
                 if dp - sp.radius > r_hi || dp + sp.radius <= r_lo {
                     continue;
                 }
                 tick()?;
-                let sub = sub_id as u32;
                 self.read_subpart_proj_into(sub, scratch)?;
                 scratch.for_each_dist(pq, |offset, id, pd| {
                     if pd > r_lo && pd <= r_hi {
@@ -1091,9 +1091,6 @@ impl IDistanceIndex {
         enc::put_u64(&mut footer, self.orig_region.1);
         enc::put_u64(&mut footer, dir_start);
         enc::put_u64(&mut footer, dir.len() as u64);
-        enc::put_u64(&mut footer, self.tree.root());
-        enc::put_u64(&mut footer, self.tree.height() as u64);
-        enc::put_u64(&mut footer, self.tree.len());
         enc::put_u64(&mut footer, self.n_points);
         debug_assert_eq!(footer.len(), FOOTER_BYTES);
         let start = write_blob(&self.pager, &footer)?;
@@ -1138,9 +1135,6 @@ impl IDistanceIndex {
         let orig_region = (enc::get_u64(buf, &mut pos), enc::get_u64(buf, &mut pos));
         let dir_start = enc::get_u64(buf, &mut pos);
         let dir_len = enc::get_u64(buf, &mut pos) as usize;
-        let tree_root = enc::get_u64(buf, &mut pos);
-        let tree_height = enc::get_u64(buf, &mut pos) as u32;
-        let tree_len = enc::get_u64(buf, &mut pos);
         let n_points = enc::get_u64(buf, &mut pos);
 
         let dir = read_blob(&pager, dir_start, dir_len)?;
@@ -1175,6 +1169,10 @@ impl IDistanceIndex {
         if pivots.len() != n_subs * m {
             return Err(bad("a sub-partition pivot is not m floats long"));
         }
+        // The annulus scan binary-searches the keys.
+        if subparts.windows(2).any(|w| w[0].key > w[1].key) {
+            return Err(bad("the sub-partition directory is not in key order"));
+        }
         let head = if code_region.is_some() && dpos < dir.len() {
             let head = HeadBasis::decode(&dir, &mut dpos, d)?;
             if (dir.len() - dpos) / 8 < vquants.len() {
@@ -1201,10 +1199,8 @@ impl IDistanceIndex {
             ));
         }
 
-        let tree = BTree::open(Arc::clone(&pager), tree_root, tree_height, tree_len);
         Ok(Self::assemble(
             pager,
-            tree,
             m,
             d,
             epsilon,
@@ -1600,7 +1596,7 @@ mod tests {
 
     #[test]
     fn footer_survives_pages_smaller_than_itself() {
-        // The 120-byte footer does not fit a 64-byte page; it must spill
+        // The 96-byte footer does not fit a 64-byte page; it must spill
         // onto consecutive pages (not silently truncate) and reopen
         // losslessly — the straddle-coverage page sizes the scan tests use
         // would otherwise build unreopenable files.
@@ -1678,13 +1674,15 @@ mod tests {
         let pager = Arc::clone(idx.pager());
         let footer = pager.num_pages() - footer_span_pages(pager.page_size());
         let good = pager.read(footer).unwrap();
-        // The retired v1 magic, and both magics of the format that carried
-        // an SQ8 code region over the projected rows: same family, values
-        // no longer accepted.
+        // The retired v1 magic, both magics of the format that carried an
+        // SQ8 code region over the projected rows, and both of the format
+        // that carried a B+-tree: same family, values no longer accepted.
         for magic in [
             0x1D15_7A4C_E01D_F007u64,
             0x1D15_7A4C_E01D_F009,
             0x1D15_7A4C_E01D_F00B,
+            0x1D15_7A4C_E01D_F00C,
+            0x1D15_7A4C_E01D_F00D,
         ] {
             let mut page = PageBuf::zeroed(pager.page_size());
             page.as_mut_slice().copy_from_slice(good.as_slice());

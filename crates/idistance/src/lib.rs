@@ -17,13 +17,21 @@
 //!
 //! The index stores the projected (m-dim) vectors and the original (d-dim)
 //! vectors in parallel blobs in sub-partition order, all inside one paged
-//! file together with the single B+-tree — the paper's "lightweight index".
+//! file together with the directory — the paper's "lightweight index".
+//!
+//! The paper keys every *point* and puts the keys in a B+-tree. Here a key
+//! belongs to a *sub-partition* (all of a ring's points share it), so there
+//! are only as many keys as sub-partitions — 1 148 on a 100 000-row index —
+//! and the in-memory directory, which lists the sub-partitions in key
+//! order, is already the sorted key column: a range query finds its keys
+//! with two binary searches over it and reads no index page.
+//! [`IDistanceIndex::open`] refuses a directory that is not in key order.
 //!
 //! # File layout
 //!
 //! Three packed regions (records never page-aligned, so adjacent
-//! sub-partitions share pages), in sub-partition order, then the tree, the
-//! directory blob and the footer:
+//! sub-partitions share pages), in sub-partition order, then the directory
+//! blob and the footer:
 //!
 //! | region | record | bytes |
 //! |---|---|---|
@@ -32,7 +40,7 @@
 //! | verification codes (optional) | SQ8 of the coded row | `w` |
 //!
 //! The annulus scan reads the projected records of every sub-partition the
-//! tree walk and the sphere filter keep, each whole and once; no code
+//! key range and the sphere filter keep, each whole and once; no code
 //! filters them first.
 //!
 //! The verification code width `w` ([`IDistanceIndex::code_width`]) is
@@ -59,8 +67,9 @@
 //! floats, and `tail: f32` and `suffix_norm: f32` per sub-partition; the
 //! footer's magic says which ([`IDistanceIndex::open`] refuses a head under
 //! the full-width magic, the magic of the two columns without norm codes,
-//! and both magics of the format that also carried SQ8 codes of the
-//! projected rows). `open` refuses a basis whose length
+//! both magics of the format that also carried SQ8 codes of the projected
+//! rows, and both of the format that also carried a B+-tree over the
+//! sub-partition keys). `open` refuses a basis whose length
 //! disagrees with `d·h` and a code region whose length disagrees with
 //! `n·d`, or `n·(h + 1)` for heads.
 //!

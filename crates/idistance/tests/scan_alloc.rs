@@ -4,9 +4,9 @@
 //! `Vec<f32>` — at least one heap allocation per record scanned. The arena
 //! path must do none of that: once the per-worker buffers have grown to
 //! their high-water mark, a warm `range_candidates_into` call performs no
-//! per-record allocation. With the B+-tree read path riding the borrowed
-//! `NodeView` (no `Vec` of entries per leaf or internal node), a warm scan
-//! performs **no heap allocation at all**.
+//! per-record allocation. The key range to scan is two binary searches over
+//! the in-memory directory, so a warm scan performs **no heap allocation at
+//! all**.
 //!
 //! This file holds exactly one test on purpose: the counting allocator is
 //! process-global, and a sibling test running in another thread would
@@ -97,9 +97,8 @@ fn warm_range_scan_does_not_allocate_per_record() {
 
     // The legacy decode would have cost ≥ n allocations here (one Vec per
     // record, plus the blob). The arena path must do none of that, and —
-    // now that B+-tree descends and leaf scans read through the borrowed
-    // `NodeView` instead of decoding a `Vec` of entries per node — the
-    // whole warm range-search path performs **zero** heap allocations.
+    // the key range being binary searches over the in-memory directory —
+    // the whole warm range-search path performs **zero** heap allocations.
     assert_eq!(
         warm, 0,
         "warm scan allocated {warm} times for {n} records — the range path \

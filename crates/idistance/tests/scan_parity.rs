@@ -1,8 +1,8 @@
 //! Property tests: the arena-based projected scan must agree exactly with
 //! an independent decode of the packed record bytes, and the range scan —
-//! B+-tree walk and sphere filter in front of the decode — with a decode of
-//! every sub-partition, across page sizes that force records — and
-//! individual ids/floats — to straddle page boundaries.
+//! the directory's key range and the sphere filter in front of the decode
+//! — with a decode of every sub-partition, across page sizes that force
+//! records — and individual ids/floats — to straddle page boundaries.
 
 use std::sync::Arc;
 
@@ -44,7 +44,7 @@ fn build(n: usize, m: usize, page_size: usize, seed: u64) -> IDistanceIndex {
 /// The annulus `r_lo < proj_dist ≤ r_hi` by whole-sub-partition decodes:
 /// every sub-partition in directory order through the public arena decode
 /// and the column kernel behind [`ProjScratch::for_each_dist`], with no
-/// tree walk and no sphere filter in front.
+/// key range and no sphere filter in front.
 fn f32_annulus(idx: &IDistanceIndex, pq: &[f32], r_lo: f64, r_hi: f64) -> Vec<RangeCandidate> {
     let mut scratch = ProjScratch::new();
     let mut out = Vec::new();
@@ -165,11 +165,11 @@ proptest! {
     /// The range scan must return candidates **bit-identical** to decodes
     /// of every sub-partition ([`f32_annulus`]) — same ids, same offsets,
     /// same `proj_dist` down to the last bit, in the same order: the
-    /// B+-tree walk and the sphere filter may skip only sub-partitions
-    /// without a point in the annulus. Checked across page sizes that
-    /// force records to straddle page boundaries (70, 130 are not
-    /// multiples of 4), for every `m` in [`M_SHAPES`], and across radius
-    /// regimes:
+    /// directory's key range and the sphere filter may skip only
+    /// sub-partitions without a point in the annulus. Checked across page
+    /// sizes that force records to straddle page boundaries (70, 130 are
+    /// not multiples of 4), for every `m` in [`M_SHAPES`], and across
+    /// radius regimes:
     ///
     /// * random radii;
     /// * **adversarial near-boundary radii**: `r_hi` set exactly to a

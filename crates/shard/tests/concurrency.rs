@@ -376,19 +376,19 @@ fn fault_on_generation_build_write_aborts_cleanly() {
 }
 
 /// Step 1 again, for the common case — an **indexed** shadow build, whose
-/// page file is written in runs and single pages and fsynced once the
-/// footer is in place. Failing a run write (the first write of the new
-/// generation's file), a later page write (the B+-tree's, past the packed
-/// regions) or a data fsync each abort the pass with zero footprint: the
-/// error is the injected one, the overlay is not drained, no generation
-/// advanced, the orphan file is gone, the old generation still answers,
-/// and a retry folds everything.
+/// page file is written in runs and fsynced once the footer is in place.
+/// Failing a run write (the first write of the new generation's file), a
+/// later single-page write (the directory blob's, the fourth write, past
+/// the three packed regions) or a data fsync each abort the pass with zero
+/// footprint: the error is the injected one, the overlay is not drained,
+/// no generation advanced, the orphan file is gone, the old generation
+/// still answers, and a retry folds everything.
 #[test]
 fn fault_on_indexed_generation_build_aborts_cleanly() {
     let _serial = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for (tag, op, nth) in [
         ("genrun", IoOp::Write, 1),
-        ("genpage", IoOp::Write, 6),
+        ("genpage", IoOp::Write, 4),
         ("gensync", IoOp::Fsync, 1),
         ("gensync2", IoOp::Fsync, 2),
     ] {

@@ -17,8 +17,9 @@
 //!   records, group commit, torn-tail recovery).
 //! * [`idistance`] — the lightweight iDistance index with the paper's ring
 //!   partition pattern.
-//! * [`btree`], [`storage`] — the disk substrate (single B+-tree over a
-//!   paged file with access accounting).
+//! * [`storage`] — the disk substrate (a paged file with access
+//!   accounting); [`btree`] — a disk B+-tree over it, the H2-ALSH
+//!   baseline's QALSH substrate.
 //! * [`obs`] — the unified observability layer: a process-global
 //!   lock-free counter registry fed by every layer above, and per-query
 //!   stage tracing.

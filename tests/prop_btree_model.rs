@@ -1,6 +1,6 @@
-//! Model-based property test: the disk B+-tree must behave exactly like an
-//! in-memory ordered multimap under arbitrary interleavings of inserts,
-//! point lookups and range scans.
+//! Model-based property test: a bulk-loaded disk B+-tree must answer point
+//! lookups and range scans exactly like an in-memory ordered multimap
+//! holding the same pairs — keys in order, equal keys in load order.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -9,96 +9,45 @@ use promips::btree::BTree;
 use promips::storage::Pager;
 use proptest::prelude::*;
 
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(u64, u64),
-    Get(u64),
-    Range(u64, u64),
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        3 => (0u64..200, 0u64..1000).prop_map(|(k, v)| Op::Insert(k, v)),
-        1 => (0u64..220).prop_map(Op::Get),
-        1 => (0u64..220, 0u64..220).prop_map(|(a, b)| Op::Range(a.min(b), a.max(b))),
-    ]
+/// Keys with long duplicate runs: a quarter of them land on one key, so a
+/// run straddles leaves at every page size.
+fn key_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![3 => 0u64..300, 1 => Just(150u64)]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn btree_matches_ordered_multimap(ops in proptest::collection::vec(op_strategy(), 1..120)) {
-        // Tiny pages force deep trees and frequent splits.
-        let pager = Arc::new(Pager::in_memory(64, 4096));
-        let mut tree = BTree::create(pager).unwrap();
-        let mut model: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-
-        for op in ops {
-            match op {
-                Op::Insert(k, v) => {
-                    tree.insert(k, v).unwrap();
-                    model.entry(k).or_default().push(v);
-                }
-                Op::Get(k) => {
-                    let mut got = tree.get_all(k).unwrap();
-                    got.sort_unstable();
-                    let mut want = model.get(&k).cloned().unwrap_or_default();
-                    want.sort_unstable();
-                    prop_assert_eq!(got, want, "get_all({})", k);
-                }
-                Op::Range(lo, hi) => {
-                    let mut got: Vec<(u64, u64)> = tree
-                        .range(lo, hi)
-                        .unwrap()
-                        .map(|r| r.unwrap())
-                        .collect();
-                    // Keys must come back sorted.
-                    prop_assert!(got.windows(2).all(|w| w[0].0 <= w[1].0));
-                    got.sort_unstable();
-                    let mut want: Vec<(u64, u64)> = model
-                        .range(lo..=hi)
-                        .flat_map(|(&k, vs)| vs.iter().map(move |&v| (k, v)))
-                        .collect();
-                    want.sort_unstable();
-                    prop_assert_eq!(got, want, "range({}, {})", lo, hi);
-                }
-            }
-        }
-
-        // Final invariants: full scan equals the model, length agrees.
-        let total: usize = model.values().map(|v| v.len()).sum();
-        prop_assert_eq!(tree.len() as usize, total);
-        let mut got: Vec<(u64, u64)> = tree.scan_all().unwrap().map(|r| r.unwrap()).collect();
-        prop_assert!(got.windows(2).all(|w| w[0].0 <= w[1].0));
-        got.sort_unstable();
-        let mut want: Vec<(u64, u64)> = model
-            .iter()
-            .flat_map(|(&k, vs)| vs.iter().map(move |&v| (k, v)))
-            .collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn bulk_load_equals_incremental_inserts(
-        mut pairs in proptest::collection::vec((0u64..500, 0u64..100), 0..300)
+    fn btree_matches_ordered_multimap(
+        page_size in prop_oneof![Just(64usize), Just(128), Just(4096)],
+        mut pairs in proptest::collection::vec((key_strategy(), 0u64..u64::MAX), 0..700),
+        probes in proptest::collection::vec((0u64..320, 0u64..320), 1..40),
     ) {
-        pairs.sort_unstable();
-        let bulk_pager = Arc::new(Pager::in_memory(128, 4096));
-        let bulk = BTree::bulk_load(bulk_pager, pairs.clone()).unwrap();
-
-        let inc_pager = Arc::new(Pager::in_memory(128, 4096));
-        let mut inc = BTree::create(inc_pager).unwrap();
+        // A stable sort keeps each key's values in generation order.
+        pairs.sort_by_key(|&(k, _)| k);
+        let mut model: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         for &(k, v) in &pairs {
-            inc.insert(k, v).unwrap();
+            model.entry(k).or_default().push(v);
+        }
+        let tree = BTree::bulk_load(Arc::new(Pager::in_memory(page_size, 4096)), pairs.clone())
+            .unwrap();
+        prop_assert_eq!(tree.len() as usize, pairs.len());
+
+        for (a, b) in probes {
+            // `a` and `b` need not be stored keys: absent bounds included.
+            let want = model.get(&a).map(|vs| vs[0]);
+            prop_assert_eq!(tree.get(a).unwrap(), want, "get({})", a);
+            let (lo, hi) = (a.min(b), a.max(b));
+            let got: Vec<(u64, u64)> = tree.range(lo, hi).unwrap().map(|r| r.unwrap()).collect();
+            let want: Vec<(u64, u64)> = model
+                .range(lo..=hi)
+                .flat_map(|(&k, vs)| vs.iter().map(move |&v| (k, v)))
+                .collect();
+            prop_assert_eq!(got, want, "range({}, {})", lo, hi);
         }
 
-        let mut a: Vec<(u64, u64)> = bulk.scan_all().unwrap().map(|r| r.unwrap()).collect();
-        let mut b: Vec<(u64, u64)> = inc.scan_all().unwrap().map(|r| r.unwrap()).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(bulk.len(), inc.len());
+        let got: Vec<(u64, u64)> = tree.scan_all().unwrap().map(|r| r.unwrap()).collect();
+        prop_assert_eq!(got, pairs);
     }
 }
