@@ -39,7 +39,7 @@
 //! * **Cost derivation.** The annulus path's time is proportional to the
 //!   rows it covers (decode and measure the projected row, fetch and dot
 //!   the code row in group order), the column pass's to `len()` (one
-//!   sequential read of the code column plus the kernel). Measured per row
+//!   sweep of the code column plus the kernel). Measured per row
 //!   on the two benchmark shapes (`--trace 1`, seed 1, two runs each side,
 //!   alternated on a 2-core VM: `scan + screen + verify` of this commit
 //!   with the rule switched off over its covered rows, against the pass of
@@ -52,7 +52,9 @@
 //!   was set at the larger crossover rounded up when the pass cost 7–8 ns a
 //!   row (crossovers 0.215–0.217 and 0.126–0.137), and stays 0.25 now that
 //!   the pass is cheaper: the pass still runs only where it wins on both
-//!   shapes.
+//!   shapes. These figures predate the two-core sweep
+//!   (`IDistanceIndex::column_dots`), which both shapes' 3.2 MB columns
+//!   take in a pool that holds the file; it only lowered the crossovers.
 //!   Lowering it would move the queries covering between ≈ 0.16 and 0.25
 //!   of their index to the exact pass, changing their answers; that is
 //!   ROADMAP item 5's decision, after item 2's audit of the annulus path.

@@ -10,6 +10,9 @@ use crate::head::HeadBasis;
 use crate::knn::NnIter;
 use crate::layout::{enc, read_blob, read_blob_range, write_blob};
 use crate::meta::{OrigQuant, PartitionMeta, SubPartMeta};
+use crate::sweep;
+use parking_lot::Mutex;
+use promips_obs::{global, CounterId};
 
 /// A packed byte region: `(start_page, byte_len)`; pages are consecutive.
 pub type Region = (PageId, u64);
@@ -356,6 +359,22 @@ fn run_dots(
     dots.extend((i..run).map(|i| dot_i8(row(i), qcodes)));
     Ok(run)
 }
+
+/// Column bytes from which [`IDistanceIndex::column_dots`] may split its
+/// sweep: the smallest size where the split won ≥ 9 of 10 alternating
+/// rounds in at least four of five runs of `split_sweep.rs`'s
+/// `split_sweep_rates` (64-byte rows, 4 KB pages, 2-core VM, 2 MB of L2 a
+/// core; a run's time is its median round's median sweep, ranges are over
+/// the runs).
+///
+/// | column | serial µs | split µs | split wins, run by run |
+/// |---|---|---|---|
+/// | 0.25 MB | 9.4–13.2 | 12.5–16.8 | 1, 0, 7, 2, 2 |
+/// | 0.5 MB | 18.8–26.5 | 21.2–26.1 | 6, 3, 9, 7, 3 |
+/// | 1 MB | 44.4–56.9 | 37.0–60.0 | 5, 10, 10, 9, 1 |
+/// | 2 MB | 108.8–135.1 | 64.5–136.3 | 10, 10, 10, 9, 1 |
+/// | 3.2 MB | 205.9–239.0 | 117.9–226.9 | 10, 10, 10, 8, 9 |
+const SPLIT_SWEEP_MIN_BYTES: usize = 2_000_000;
 
 /// A reader of point ids — the first 8 bytes of each projected record —
 /// that keeps its current page pinned between calls, so ascending
@@ -940,14 +959,24 @@ impl IDistanceIndex {
     /// [`dot_col_i8`] call across sub-partition boundaries (the integer dot
     /// depends on no quantizer); a row straddling pages is summed as in
     /// [`Self::screen_dots`]. Every page of the column is read exactly once,
-    /// up to the pool's stripe count of them per [`Pager::read_run`]: a
-    /// cold sweep makes one device read per run of missing pages in a
-    /// window, with the logical reads, hits, misses and pool state of
+    /// in windows of the pool's stripe count of pages, a [`Pager::read_run`]
+    /// each: a cold sweep makes one device read per run of missing pages in
+    /// a window, with the logical reads, hits, misses and pool state of
     /// reading the pages one by one.
     ///
-    /// `tick` is called before each page's rows and each straddling row; an
-    /// error from it stops the sweep and is returned, `dots` then holding
-    /// the rows computed so far.
+    /// **Two cores.** When `w` divides the page size, the column is at
+    /// least 2 MB (`SPLIT_SWEEP_MIN_BYTES`) and the pool can hold the file
+    /// (it never evicts, so no count depends on which thread reads a page
+    /// first), the process's one helper thread sweeps the second half of
+    /// the windows from the front while this thread sweeps the first, then
+    /// takes the helper's back from the end, a window at a time; the halves
+    /// stay on their cores' caches from pass to pass. Otherwise, or while
+    /// another sweep holds the helper, the sweep is serial.
+    ///
+    /// `tick` is called before each page this thread sweeps and each
+    /// straddling row; an error from it stops the sweep (the helper at its
+    /// next window) and is returned, as is a read error from either thread.
+    /// `dots` then holds a prefix of the rows' dots.
     ///
     /// # Panics
     /// As [`Self::screen_dots`].
@@ -967,10 +996,18 @@ impl IDistanceIndex {
         );
         let qcodes = &qcodes[..self.prefix_width()];
         let (w, n) = (qcodes.len(), self.n_points as usize);
+        let ps = self.pager.page_size();
+        if ps.is_multiple_of(w)
+            && n * w >= SPLIT_SWEEP_MIN_BYTES
+            && self.pager.pool_capacity() as u64 >= self.pager.num_pages()
+        {
+            if let Some(swept) = self.split_dots(start, qcodes, dots, &mut tick) {
+                return swept;
+            }
+        }
         dots.clear();
         dots.reserve(n);
         let mut pages = PageCursor::sweep(&self.pager, (start, (n * w) as u64));
-        let ps = pages.ps;
         let mut row = 0;
         while row < n {
             tick()?;
@@ -989,6 +1026,67 @@ impl IDistanceIndex {
             row += run;
         }
         Ok(())
+    }
+
+    /// [`Self::column_dots`] on two cores, for `w` dividing the page size;
+    /// `None`, having read nothing, if the helper is absent or busy (`dots`
+    /// then holds `n` stale values).
+    fn split_dots(
+        &self,
+        start: PageId,
+        qcodes: &[i8],
+        dots: &mut Vec<i32>,
+        tick: &mut impl FnMut() -> io::Result<()>,
+    ) -> Option<io::Result<()>> {
+        let (w, n) = (qcodes.len(), self.n_points as usize);
+        let (rows, column) = (self.pager.page_size() / w, (start, (n * w) as u64));
+        let window = self.pager.stripes().min(DEFAULT_SHARDS);
+        let span = window * rows; // a window's rows
+        let half = n.div_ceil(span).div_ceil(2);
+        dots.resize(n, 0); // no write at all when it holds the last sweep's
+        let (mine, theirs) = dots.split_at_mut((half * span).min(n));
+        // A helper window is claimed by taking its rows out of its slot.
+        let slots: Vec<_> = theirs.chunks_mut(span).map(Some).map(Mutex::new).collect();
+        // Window `k` into `out`: `tick` before each page, a kernel call a page.
+        let dots_of = |k, out: &mut [i32], at: &mut PageCursor, tick: &mut dyn FnMut() -> _| {
+            for (i, out) in out.chunks_mut(rows).enumerate() {
+                tick()?;
+                let page = at.page((k * window + i) as u64)?;
+                dot_col_i8(&page[..out.len() * w], w, qcodes, out);
+            }
+            Ok(())
+        };
+        let helper_part = || {
+            let mut at = PageCursor::sweep(&self.pager, column);
+            for (k, slot) in slots.iter().enumerate() {
+                let Some(out) = slot.lock().take() else { break };
+                dots_of(half + k, out, &mut at, &mut || Ok(()))?;
+            }
+            Ok(())
+        };
+        let mut front = 0;
+        let joined = sweep::join(&helper_part, || {
+            let mut at = PageCursor::sweep(&self.pager, column);
+            let mut swept = (mine.chunks_mut(span).enumerate())
+                .try_for_each(|(k, out)| dots_of(k, out, &mut at, tick).map(|()| front += 1));
+            let mut back = slots.iter().enumerate().rev();
+            while let (Ok(()), Some((k, slot))) = (&swept, back.next()) {
+                let Some(out) = slot.lock().take() else { break };
+                swept = dots_of(half + k, out, &mut at, tick);
+            }
+            if swept.is_err() {
+                slots.iter().for_each(|slot| *slot.lock() = None); // the helper stops
+            }
+            swept
+        });
+        drop(slots);
+        let (mine, theirs) = joined?;
+        global().counter(CounterId::SplitColumnSweeps).inc();
+        let swept = mine.and(theirs);
+        if swept.is_err() {
+            dots.truncate((front * span).min(n));
+        }
+        Some(swept)
     }
 
     /// Reads a head index's **suffix-norm code** column — one byte a row,

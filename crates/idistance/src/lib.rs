@@ -86,6 +86,7 @@ pub mod index;
 pub mod knn;
 pub mod layout;
 pub mod meta;
+mod sweep;
 
 pub use build::build_index;
 pub use config::IDistanceConfig;

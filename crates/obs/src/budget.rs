@@ -170,8 +170,9 @@ pub struct BudgetChecker<'a> {
 }
 
 impl<'a> BudgetChecker<'a> {
-    /// Clock-read stride of [`BudgetChecker::new`]: with per-group ticks
-    /// this bounds deadline overshoot to ~16 groups of verification.
+    /// Clock-read stride of [`BudgetChecker::new`]. A tick is a page the
+    /// calling thread sweeps or a sub-partition the walk visits (on the
+    /// annulus path, a sub-partition scanned or a group verified).
     pub const DEFAULT_STRIDE: u32 = 16;
 
     pub fn new(budget: Option<&'a QueryBudget>) -> Self {

@@ -44,6 +44,8 @@ metric_ids! {
         /// Per-index searches answered by the sequential SQ8 column pass
         /// instead of the annulus scan.
         QueryColumnPasses,
+        /// Column sweeps shared with the process's sweep helper thread.
+        SplitColumnSweeps,
         /// Shards actually searched during fan-out.
         ShardsSearched,
         /// Shards skipped by the Cauchy-Schwarz norm bound.

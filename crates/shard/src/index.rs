@@ -594,13 +594,6 @@ impl ShardedProMips {
         self.config.degradation = policy;
     }
 
-    /// Sets the admission-control limit on concurrently executing queries
-    /// (`0` = unlimited). Like the degradation policy, this is a runtime
-    /// knob and is not persisted.
-    pub fn set_max_in_flight(&mut self, limit: usize) {
-        self.config.max_in_flight = limit;
-    }
-
     /// Aggregated page-access counters over every shard's index.
     pub fn access_stats(&self) -> AccessStatsSnapshot {
         let mut total = AccessStatsSnapshot::default();

@@ -222,6 +222,9 @@ pub struct ShardedQuery<'a> {
     /// a trace are disjoint slices of the wall clock, so
     /// [`QueryTrace::coverage`] accounts for the end-to-end latency; with
     /// more, stage time is CPU time across threads and can exceed it.
+    /// Whatever the count, one large column sweep at a time may also use
+    /// the process's one sweep helper thread (see
+    /// [`promips_idistance::IDistanceIndex::column_dots`]).
     pub threads: Option<usize>,
     /// Deadline and/or cancellation token, checked cooperatively inside
     /// every shard's scan and verify loops; failures come back typed.

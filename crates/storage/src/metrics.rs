@@ -35,16 +35,20 @@ impl AccessStats {
         Arc::new(Self::default())
     }
 
+    /// Counts `n` logical reads with one add on each shared counter.
     #[inline]
-    pub(crate) fn record_read(&self) {
-        self.logical_reads.fetch_add(1, Ordering::Relaxed);
-        Registry::global().counter(CounterId::PageReads).inc();
+    pub(crate) fn record_reads(&self, n: u64) {
+        self.logical_reads.fetch_add(n, Ordering::Relaxed);
+        Registry::global().counter(CounterId::PageReads).add(n);
     }
 
+    /// Counts `n` cache misses, as [`Self::record_reads`] does reads.
     #[inline]
-    pub(crate) fn record_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        Registry::global().counter(CounterId::PageCacheMisses).inc();
+    pub(crate) fn record_misses(&self, n: u64) {
+        self.cache_misses.fetch_add(n, Ordering::Relaxed);
+        Registry::global()
+            .counter(CounterId::PageCacheMisses)
+            .add(n);
     }
 
     #[inline]
@@ -111,9 +115,8 @@ mod tests {
     #[test]
     fn counters_accumulate_and_reset() {
         let s = AccessStats::new_shared();
-        s.record_read();
-        s.record_read();
-        s.record_miss();
+        s.record_reads(2);
+        s.record_misses(1);
         s.record_write();
         let snap = s.snapshot();
         assert_eq!(snap.logical_reads, 2);
@@ -127,10 +130,9 @@ mod tests {
     #[test]
     fn delta_between_snapshots() {
         let s = AccessStats::new_shared();
-        s.record_read();
+        s.record_reads(1);
         let a = s.snapshot();
-        s.record_read();
-        s.record_read();
+        s.record_reads(2);
         let b = s.snapshot();
         assert_eq!(b.delta_since(&a).logical_reads, 2);
     }
@@ -143,7 +145,7 @@ mod tests {
                 let s = Arc::clone(&s);
                 scope.spawn(move || {
                     for _ in 0..1000 {
-                        s.record_read();
+                        s.record_reads(1);
                     }
                 });
             }

@@ -276,6 +276,11 @@ impl Pager {
         &self.storage
     }
 
+    /// Pages the buffer pool holds at most; with [`Pager::num_pages`] or more it never evicts.
+    pub fn pool_capacity(&self) -> usize {
+        self.pool.capacity()
+    }
+
     /// Buffer-pool stripes: the most pages a [`Pager::read_run`] can take
     /// with each stripe seeing what single reads would show it.
     pub fn stripes(&self) -> usize {
@@ -291,7 +296,7 @@ impl Pager {
     }
 
     /// Fetches the `pages.len()` pages from `first` on into `pages`,
-    /// counting a logical read each. Every page is looked up in the pool
+    /// counting a logical read each, in one add. Every page is looked up in the pool
     /// first; then each run of consecutive misses is one
     /// [`Storage::read_pages`] call, its pages copied into the frames the
     /// pool evicts for them. With at most [`Pager::stripes`] pages, each
@@ -300,9 +305,9 @@ impl Pager {
     /// device calls are fewer. On an error no page of the failed device
     /// read is cached.
     pub fn read_run(&self, first: PageId, pages: &mut [Option<Arc<PageBuf>>]) -> io::Result<()> {
+        self.stats.record_reads(pages.len() as u64);
         let mut missing = false;
         for (id, slot) in (first..).zip(pages.iter_mut()) {
-            self.stats.record_read();
             *slot = self.pool.get(id);
             missing |= slot.is_none();
         }
@@ -326,7 +331,7 @@ impl Pager {
             while at < pages.len() {
                 let run = pages[at..].iter().take_while(|p| p.is_none()).count();
                 if run > 0 {
-                    (0..run).for_each(|_| self.stats.record_miss());
+                    self.stats.record_misses(run as u64);
                     if buf.len() < run * ps {
                         buf.resize(run * ps, 0);
                     }
