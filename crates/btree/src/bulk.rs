@@ -2,14 +2,17 @@
 //!
 //! Every tree is built once from keys known in advance (QALSH sorts each
 //! hash function's values before loading them), so it is built a level at
-//! a time with full pages and no splits.
+//! a time with full pages and no splits, and written once, front to back:
+//! the leaves in key order, then each internal level, the root last. Every
+//! page is appended at the end of the file ([`Pager::append_run`]); none is
+//! read back or rewritten.
 
 use std::io;
 use std::sync::Arc;
 
-use promips_storage::Pager;
+use promips_storage::{PageId, Pager};
 
-use crate::node::{node_capacity, Node, NIL_PAGE};
+use crate::node::{encode, node_capacity, NIL_PAGE};
 use crate::tree::BTree;
 
 /// Leaf fill factor. QALSH's page counts and the benchmark's `btree.*`
@@ -19,7 +22,8 @@ const FILL: f64 = 0.9;
 /// Builds a [`BTree`] from key-sorted `(key, value)` pairs.
 ///
 /// # Panics
-/// Panics if the input is not sorted by key (checked while streaming).
+/// Panics if the input is not sorted by key (checked while streaming), or
+/// if another writer appends to the pager's file during the load.
 pub fn bulk_load(
     pager: Arc<Pager>,
     sorted: impl IntoIterator<Item = (u64, u64)>,
@@ -27,146 +31,64 @@ pub fn bulk_load(
     let page_size = pager.page_size();
     let cap = node_capacity(page_size);
     let per_leaf = ((cap as f64 * FILL) as usize).clamp(1, cap);
+    let mut page = vec![0u8; page_size];
 
-    // --- Level 0: write leaves, chaining `next` pointers. ---------------
-    // Leaves are written as soon as they fill, but each leaf needs its
-    // successor's page id; we allocate the next page id eagerly instead of
-    // buffering whole levels in memory.
-    let mut leaves: Vec<(u64, u64)> = Vec::new(); // (first_key, page_id)
-    let mut pending: Vec<(u64, u64)> = Vec::with_capacity(per_leaf);
-    let mut pending_page = pager.allocate()?;
+    // --- Level 0. A full leaf is held back until the next key shows that
+    // another leaf follows it, on the very next page. -------------------
+    let mut level: Vec<(u64, PageId)> = Vec::new(); // (first key, page id)
+    let mut leaf: Vec<(u64, u64)> = Vec::with_capacity(per_leaf);
     let mut total: u64 = 0;
     let mut last_key: Option<u64> = None;
-
     for (k, v) in sorted {
         if let Some(prev) = last_key {
             assert!(prev <= k, "bulk_load input not sorted: {prev} then {k}");
         }
         last_key = Some(k);
         total += 1;
-        pending.push((k, v));
-        if pending.len() == per_leaf {
-            let next_page = pager.allocate()?;
-            let first_key = pending[0].0;
-            let node = Node::Leaf {
-                entries: std::mem::take(&mut pending),
-                next: next_page,
-            };
-            pager.write(pending_page, node.encode(page_size))?;
-            leaves.push((first_key, pending_page));
-            pending_page = next_page;
+        if leaf.len() == per_leaf {
+            let id = append_node(&pager, &mut page, true, |id| id + 1, &leaf)?;
+            level.push((leaf[0].0, id));
+            leaf.clear();
         }
+        leaf.push((k, v));
     }
-    // Final leaf (possibly empty if the input size is a multiple of
-    // per_leaf, or the input was empty — an empty tree is a single leaf).
-    let first_key = pending.first().map(|e| e.0).unwrap_or(0);
-    let node = Node::Leaf {
-        entries: std::mem::take(&mut pending),
-        next: NIL_PAGE,
-    };
-    pager.write(pending_page, node.encode(page_size))?;
-    if leaves.is_empty() || node_has_entries(total, per_leaf) {
-        leaves.push((first_key, pending_page));
-    } else {
-        // The trailing empty leaf still terminates the chain; point the
-        // previous leaf at NIL instead to avoid an empty hop.
-        // (Cheapest fix: rewrite the previous leaf's next pointer.)
-        let &(_, prev_page) = leaves.last().unwrap();
-        let prev = pager.read(prev_page)?;
-        if let Node::Leaf { entries, .. } = Node::decode(prev.as_slice()) {
-            pager.write(
-                prev_page,
-                Node::Leaf {
-                    entries,
-                    next: NIL_PAGE,
-                }
-                .encode(page_size),
-            )?;
-        }
-    }
+    // The last leaf ends the chain (an empty input's tree is one empty leaf).
+    let id = append_node(&pager, &mut page, true, |_| NIL_PAGE, &leaf)?;
+    level.push((leaf.first().map_or(0, |e| e.0), id));
 
-    // --- Upper levels. ---------------------------------------------------
-    let mut level = leaves;
+    // --- Upper levels: up to cap + 1 children a node. -------------------
     while level.len() > 1 {
-        let mut next_level: Vec<(u64, u64)> = Vec::new();
-        // Each internal node takes up to cap+1 children.
-        for chunk in level.chunks(cap + 1) {
-            let leftmost = chunk[0].1;
-            let first_key = chunk[0].0;
-            let entries: Vec<(u64, u64)> = chunk[1..].iter().map(|&(k, p)| (k, p)).collect();
-            let page = pager.append(Node::Internal { leftmost, entries }.encode(page_size))?;
-            next_level.push((first_key, page));
-        }
-        level = next_level;
+        level = level
+            .chunks(cap + 1)
+            .map(|chunk| {
+                let (first_key, leftmost) = chunk[0];
+                let id = append_node(&pager, &mut page, false, |_| leftmost, &chunk[1..])?;
+                Ok((first_key, id))
+            })
+            .collect::<io::Result<_>>()?;
     }
 
     let root = level[0].1;
     Ok(BTree::open(pager, root, total))
 }
 
-/// Whether the final pending leaf actually received entries.
-fn node_has_entries(total: u64, per_leaf: usize) -> bool {
-    total == 0 || !total.is_multiple_of(per_leaf as u64)
+/// Appends one node at the end of the pager's file and returns its page
+/// id; `link` maps that id to the node's link (see [`encode`]).
+fn append_node(
+    pager: &Pager,
+    page: &mut [u8],
+    leaf: bool,
+    link: impl FnOnce(PageId) -> PageId,
+    entries: &[(u64, u64)],
+) -> io::Result<PageId> {
+    let id = pager.num_pages();
+    encode(page, leaf, link(id), entries);
+    let at = pager.append_run(page)?;
+    assert_eq!(at, id, "another writer appended to the file mid-load");
+    Ok(id)
 }
 
+// The unit tests, kept under `tests/` (see that file's header).
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use promips_storage::Pager;
-
-    fn check_tree(n: u64, page_size: usize) {
-        let pager = Arc::new(Pager::in_memory(page_size, 4096));
-        let pairs = (0..n).map(|k| (k * 2, k));
-        let tree = bulk_load(pager, pairs).unwrap();
-        assert_eq!(tree.len(), n);
-        // Every key resolvable.
-        for k in (0..n).step_by((n as usize / 17).max(1)) {
-            assert_eq!(tree.get(k * 2).unwrap(), Some(k), "n={n}, key={}", k * 2);
-        }
-        // Full scan is sorted and complete.
-        let all: Vec<(u64, u64)> = tree.scan_all().unwrap().map(|r| r.unwrap()).collect();
-        assert_eq!(all.len(), n as usize);
-        assert!(all.windows(2).all(|w| w[0].0 <= w[1].0));
-        // Odd keys are absent.
-        if n > 0 {
-            assert_eq!(tree.get(1).unwrap(), None);
-        }
-    }
-
-    #[test]
-    fn bulk_load_various_sizes() {
-        for &n in &[0u64, 1, 2, 3, 10, 100, 1000, 5000] {
-            check_tree(n, 64);
-        }
-        check_tree(10_000, 4096);
-    }
-
-    #[test]
-    fn bulk_load_exact_multiple_of_leaf_capacity() {
-        // per_leaf for 64-byte pages = floor(3 * 0.9) = 2.
-        for &n in &[2u64, 4, 8, 64] {
-            check_tree(n, 64);
-        }
-    }
-
-    #[test]
-    fn bulk_load_with_duplicates() {
-        let pager = Arc::new(Pager::in_memory(64, 4096));
-        let mut pairs: Vec<(u64, u64)> = Vec::new();
-        for i in 0..50u64 {
-            pairs.push((7, i)); // 50 duplicates of key 7
-        }
-        pairs.push((9, 999));
-        let tree = bulk_load(pager, pairs).unwrap();
-        assert_eq!(tree.range(7, 7).unwrap().count(), 50);
-        assert_eq!(tree.get(9).unwrap(), Some(999));
-        assert_eq!(tree.get(8).unwrap(), None);
-    }
-
-    #[test]
-    #[should_panic]
-    fn bulk_load_rejects_unsorted() {
-        let pager = Arc::new(Pager::in_memory(64, 4096));
-        let _ = bulk_load(pager, vec![(5, 0), (3, 0)]);
-    }
-}
+#[path = "../tests/bulk_unit/mod.rs"]
+mod tests;

@@ -11,8 +11,9 @@
 //! * nodes are exactly one storage page; fan-out derives from the page size;
 //! * all reads go through a [`promips_storage::Pager`], so tree traversals
 //!   are charged to the paper's Page Access metric;
-//! * built once, bottom-up, from key-sorted pairs ([`BTree::bulk_load`]);
-//!   nothing is added after the load;
+//! * built once, bottom-up, from key-sorted pairs ([`BTree::bulk_load`]),
+//!   and written once, front to back — leaves, then each internal level,
+//!   the root last; nothing is added or rewritten after the load;
 //! * point lookups and forward range scans over leaf chaining.
 
 mod bulk;

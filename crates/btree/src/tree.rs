@@ -14,7 +14,7 @@ use crate::node::NodeView;
 /// tables) can share one page file.
 pub struct BTree {
     pager: Arc<Pager>,
-    root: PageId,
+    pub(crate) root: PageId,
     len: u64,
 }
 
@@ -25,7 +25,8 @@ impl BTree {
     }
 
     /// Builds a tree from `(key, value)` pairs **sorted by key** using
-    /// bottom-up bulk loading: a level at a time, full pages, no splits.
+    /// bottom-up bulk loading: a level at a time, full pages, no splits,
+    /// every page appended once at the end of the pager's file.
     ///
     /// # Panics
     /// Panics if the input is not sorted by key (checked while streaming).

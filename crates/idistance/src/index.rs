@@ -1769,9 +1769,18 @@ mod tests {
     #[test]
     fn foreign_footer_magic_is_rejected() {
         let (idx, _, _) = build_small();
-        let pager = Arc::clone(idx.pager());
-        let footer = pager.num_pages() - footer_span_pages(pager.page_size());
-        let good = pager.read(footer).unwrap();
+        let ps = idx.pager().page_size();
+        let mut file = vec![0u8; idx.pager().num_pages() as usize * ps];
+        idx.pager().storage().read_pages(0, &mut file).unwrap();
+        let footer = file.len() - footer_span_pages(ps) as usize * ps;
+        // The file as written opens; a copy with its footer magic patched
+        // does not.
+        let copy = |file: &[u8]| {
+            let pager = Arc::new(Pager::in_memory(ps, 64));
+            pager.append_run(file).unwrap();
+            IDistanceIndex::open(pager)
+        };
+        copy(&file).unwrap();
         // The retired v1 magic, both magics of the format that carried an
         // SQ8 code region over the projected rows, and both of the format
         // that carried a B+-tree: same family, values no longer accepted.
@@ -1782,13 +1791,8 @@ mod tests {
             0x1D15_7A4C_E01D_F00C,
             0x1D15_7A4C_E01D_F00D,
         ] {
-            let mut page = PageBuf::zeroed(pager.page_size());
-            page.as_mut_slice().copy_from_slice(good.as_slice());
-            page.as_mut_slice()[..8].copy_from_slice(&magic.to_le_bytes());
-            pager.write(footer, page).unwrap();
-            let err = IDistanceIndex::open(Arc::clone(&pager))
-                .err()
-                .expect("must be rejected");
+            file[footer..footer + 8].copy_from_slice(&magic.to_le_bytes());
+            let err = copy(&file).err().expect("must be rejected");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{magic:#x}");
         }
     }

@@ -1,7 +1,7 @@
 //! The build hands the device whole runs ([`Storage::append_pages`]); the
 //! file must not be able to tell. Each build below runs three times — on a
-//! device whose `append_pages` is the allocate-then-write-each-page loop
-//! the region writer ran before there were runs, on `MemStorage` and on
+//! device whose `append_pages` writes one page at a time, as the region
+//! writer did before there were runs, on `MemStorage` and on
 //! `FileStorage` — and the three files are compared page by page: with a
 //! head column and with full-width codes, at 4 KB pages and at a page size
 //! that no record length divides, so every region straddles page and run
@@ -18,8 +18,8 @@ use promips_stats::Xoshiro256pp;
 use promips_storage::{AccessStats, FileStorage, MemStorage, PageId, Pager, Storage};
 use proptest::prelude::*;
 
-/// `MemStorage`, except that a run is written the way every page used to
-/// be — allocated, then written, one at a time — and read a page at a time.
+/// `MemStorage`, except that a run is written a page at a time, the way
+/// every page used to be, and read a page at a time.
 struct PageAtATime(MemStorage);
 
 impl Storage for PageAtATime {
@@ -35,17 +35,10 @@ impl Storage for PageAtATime {
         }
         Ok(())
     }
-    fn write_page(&self, id: PageId, buf: &[u8]) -> io::Result<()> {
-        self.0.write_page(id, buf)
-    }
-    fn allocate(&self) -> io::Result<PageId> {
-        self.0.allocate()
-    }
     fn append_pages(&self, bytes: &[u8]) -> io::Result<PageId> {
         let first = self.0.num_pages();
         for page in bytes.chunks_exact(self.page_size()) {
-            let id = self.0.allocate()?;
-            self.0.write_page(id, page)?;
+            self.0.append_pages(page)?;
         }
         Ok(first)
     }

@@ -587,12 +587,6 @@ impl Storage for CountingReads {
         self.1.fetch_add(1, Ordering::Relaxed);
         self.0.read_pages(first, buf)
     }
-    fn write_page(&self, id: PageId, buf: &[u8]) -> io::Result<()> {
-        self.0.write_page(id, buf)
-    }
-    fn allocate(&self) -> io::Result<PageId> {
-        self.0.allocate()
-    }
     fn append_pages(&self, bytes: &[u8]) -> io::Result<PageId> {
         self.0.append_pages(bytes)
     }

@@ -26,7 +26,9 @@
 //! `MANIFEST.pms.tmp`, fsync, rename, fsync the directory — see
 //! [`promips_storage::write_file_atomic`]). A commit therefore runs:
 //!
-//! 1. build generation `g+1` off-thread (new file, fsynced) — no locks;
+//! 1. build generation `g+1` off-thread (new file, fsynced) — holding
+//!    only the index's maintenance lock, which readers and writers never
+//!    take;
 //! 2. atomically swap the manifest to point at `g+1` — **the commit
 //!    point**;
 //! 3. atomically rewrite the shard's WAL down to the unfolded suffix
@@ -334,7 +336,7 @@ impl ShardedProMips {
 
     fn compact_shard_inner(&self, si: usize) -> io::Result<bool> {
         let shard = &self.shards[si];
-        let _compacting = shard.compact_lock.lock();
+        let _maintenance = self.maintenance.lock();
 
         // ---- Freeze: a point-in-time view of the overlay. ----------------
         let frozen = shard.snapshot();
@@ -344,7 +346,7 @@ impl ShardedProMips {
         let split = frozen.delta.len();
         let frozen_tombs = &frozen.delta.tombstones;
 
-        // ---- Shadow build: no locks held, readers and writers run free. --
+        // ---- Shadow build: readers and writers run free. ----------------
         let (gids, rows) = live_rows(&frozen.gen, frozen_tombs, &frozen.delta, self.d)?;
         let new_gen = self.build_generation(si, gids, rows, frozen.gen.generation + 1)?;
 
@@ -364,9 +366,9 @@ impl ShardedProMips {
         frozen_tombs: &HashSet<u64>,
     ) -> io::Result<()> {
         let shard = &self.shards[si];
-        let _manifest = self.manifest_lock.lock();
-        // The WAL mutex freezes this shard's mutation state for the whole
-        // commit; readers never take it.
+        // The caller holds the maintenance lock. The WAL mutex freezes this
+        // shard's mutation state for the whole commit; readers never take
+        // it.
         let mut wal = shard.wal.lock();
         let new_gen = Arc::new(new_gen);
 
@@ -457,11 +459,10 @@ impl ShardedProMips {
     /// resident in memory for the duration.
     pub fn repartition(&self) -> io::Result<()> {
         let ns = self.shards.len();
-        // Lock order: mut_order → all compact locks → manifest → all WALs
-        // (each group ascending by shard id).
+        // Lock order: mut_order → maintenance → all WALs (ascending by
+        // shard id).
         let _order = self.mut_order.lock();
-        let _compacting: Vec<_> = self.shards.iter().map(|s| s.compact_lock.lock()).collect();
-        let _manifest = self.manifest_lock.lock();
+        let _maintenance = self.maintenance.lock();
         let mut wals: Vec<_> = self.shards.iter().map(|s| s.wal.lock()).collect();
 
         // All mutation state is frozen now; snapshot and gather live rows.

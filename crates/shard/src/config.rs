@@ -8,7 +8,10 @@ use promips_wal::SyncPolicy;
 use crate::compaction::CompactionPolicy;
 use crate::error::DegradationPolicy;
 
-/// Build- and search-time parameters of a [`crate::ShardedProMips`].
+/// Build- and search-time parameters of a [`crate::ShardedProMips`]. A
+/// durable index's manifest records every field, so
+/// [`crate::ShardedProMips::open`] returns it with the config it was built
+/// with.
 #[derive(Debug, Clone)]
 pub struct ShardedConfig {
     /// Number of shards `N ≥ 1`: equal-count norm ranges, shard `N − 1`

@@ -30,10 +30,10 @@
 //! any lock readers touch, and compaction builds the next generation
 //! entirely off to the side before swapping the handle.
 //!
-//! Lock order (outer → inner): `mut_order` → `compact_lock` →
-//! `manifest_lock` → `wal` → `delta` → `gen`. Every code path acquires
-//! along this order, which is what makes the background compactor, the
-//! writers, and the fan-out readers deadlock-free by construction.
+//! Lock order (outer → inner): `mut_order` → `maintenance` → `wal` →
+//! `delta` → `gen`. Every code path acquires along this order, which is
+//! what makes the background compactor, the writers, and the fan-out
+//! readers deadlock-free by construction.
 
 use std::collections::HashSet;
 use std::fs;
@@ -265,8 +265,8 @@ impl ShardSnapshot {
 }
 
 /// One shard: an atomically swappable immutable generation, the mutable
-/// delta/tombstone overlay, the shard's write-ahead log, and the lock a
-/// compaction holds to keep rebuilds of the same shard from overlapping.
+/// delta/tombstone overlay, the shard's write-ahead log, and its
+/// maintenance ledger.
 pub struct Shard {
     /// The committed generation handle. Swapped (under a brief write lock)
     /// by compaction; read-locked only long enough to clone the `Arc`.
@@ -280,9 +280,6 @@ pub struct Shard {
     /// other mutators and against a compaction commit, which is what keeps
     /// the WAL byte order equal to the apply order.
     pub(crate) wal: Mutex<Option<Wal>>,
-    /// Held across one shard compaction (freeze → shadow build → commit);
-    /// [`crate::ShardedProMips::repartition`] takes all of them.
-    pub(crate) compact_lock: Mutex<()>,
     /// The maintenance ledger, stored as one value so a reader never pairs
     /// one pass's install time with another's outcome: the
     /// [`promips_obs::now_ns`] timestamp of the live generation's install
@@ -298,7 +295,6 @@ impl Shard {
             generation: RwLock::new(Arc::new(generation)),
             delta: RwLock::new(delta),
             wal: Mutex::new(None),
-            compact_lock: Mutex::new(()),
             maintenance: Mutex::new((promips_obs::now_ns(), CompactionOutcome::Never)),
         }
     }
@@ -393,8 +389,10 @@ pub struct ShardedProMips {
     /// order always equals global-id order. Re-partitioning holds it for
     /// its whole run (writes briefly block on writes; reads never do).
     pub(crate) mut_order: Mutex<()>,
-    /// Serializes manifest replacement across shard commits.
-    pub(crate) manifest_lock: Mutex<()>,
+    /// Held for the whole run of a shard compaction (freeze → shadow build
+    /// → commit), a re-partition and a snapshot, so no two of them overlap
+    /// and manifest replacements never race.
+    pub(crate) maintenance: Mutex<()>,
     /// Home directory of a durable index; `None` for in-memory builds,
     /// whose mutations are volatile.
     pub(crate) dir: Option<std::path::PathBuf>,
@@ -438,7 +436,7 @@ impl ShardedProMips {
             n_points: AtomicU64::new(n as u64),
             next_global_id: AtomicU64::new(n as u64),
             mut_order: Mutex::new(()),
-            manifest_lock: Mutex::new(()),
+            maintenance: Mutex::new(()),
             dir,
             in_flight: AtomicUsize::new(0),
         };
@@ -585,13 +583,6 @@ impl ShardedProMips {
     /// Name of the partitioner that built the shard assignment.
     pub fn partitioner_name(&self) -> &str {
         partition::NAME
-    }
-
-    /// Switches the shard-failure degradation policy at runtime. The policy
-    /// is not persisted: [`ShardedProMips::open`] always starts from the
-    /// default ([`crate::DegradationPolicy::FailFast`]).
-    pub fn set_degradation(&mut self, policy: crate::DegradationPolicy) {
-        self.config.degradation = policy;
     }
 
     /// Aggregated page-access counters over every shard's index.

@@ -208,9 +208,11 @@ impl ShardedProMips {
     }
 
     /// Appends a record to shard `si`'s WAL (no-op for in-memory indexes).
-    /// The log file is created on the shard's first mutation. `sync_now =
-    /// false` defers the fsync for group commit — the caller owns syncing
-    /// before acknowledging.
+    /// The log file is created on the shard's first mutation: a shard
+    /// without a log has none on disk either (`open` attaches every log it
+    /// finds, and a build or snapshot removes the ones it finds before its
+    /// manifest names the directory). `sync_now = false` defers the fsync
+    /// for group commit — the caller owns syncing before acknowledging.
     fn wal_append(
         &self,
         si: usize,
@@ -221,24 +223,15 @@ impl ShardedProMips {
         let Some(dir) = &self.dir else {
             return Ok(());
         };
-        if slot.is_none() {
-            let wal = Wal::open_or_create_streaming(
+        let wal = match slot {
+            Some(wal) => wal,
+            None => slot.insert(Wal::create(
                 wal_path(dir, si),
                 self.d,
                 self.config.wal_sync,
-                |_rec| {
-                    debug_assert!(
-                        false,
-                        "shard {si} WAL had unreplayed records outside open()"
-                    );
-                    Ok(())
-                },
-            )?;
-            *slot = Some(wal);
-        }
-        slot.as_mut()
-            .expect("just opened")
-            .append_with_sync(rec, sync_now)
+            )?),
+        };
+        wal.append_with_sync(rec, sync_now)
     }
 
     /// Replays one WAL record against shard `si` (used by

@@ -6,9 +6,9 @@
 //!
 //! ```text
 //! <dir>/
-//!   MANIFEST.pms      config scalars, per-shard count / norm bound /
-//!                     generation, and the shard-local → global id maps —
-//!                     always describing the last **compacted** state
+//!   MANIFEST.pms      the whole `ShardedConfig`, per-shard count / norm
+//!                     bound / generation, and the shard-local → global id
+//!                     maps — always describing the last **compacted** state
 //!   shard_0000.pmx    shard 0, generation 0: a full ProMIPS page file
 //!                     (identical format to [`promips_core::ProMips::save`])
 //!   shard_0002.g3.pmx generation 3 of shard 2 (written by compaction; the
@@ -34,8 +34,12 @@
 //! set (those are exactly what the WALs reconstruct). A compaction commit
 //! therefore writes the manifest while readers and writers keep running:
 //! it only needs the generation handles (under their read locks) plus the
-//! [`crate::index::ShardedProMips`] manifest lock that serializes commits
-//! against each other.
+//! [`crate::index::ShardedProMips`] maintenance lock, which a compaction,
+//! a re-partition or a snapshot holds for its whole run.
+//!
+//! A build or snapshot starts a directory afresh: before it writes the
+//! manifest it removes the WAL of every shard it names, so a log a previous
+//! index left there is never replayed into the new one.
 //!
 //! Each shard file is self-contained — a shard's `.pmx` can even be opened
 //! directly with `ProMips::open` — so shards can later be placed
@@ -50,16 +54,19 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use promips_core::{MutationError, ProMips};
 use promips_idistance::layout::{enc, RUN_BYTES};
+use promips_idistance::IDistanceConfig;
 use promips_linalg::Matrix;
-use promips_storage::{write_file_atomic, AccessStats, FileStorage, Pager, Storage};
+use promips_storage::{fsync_dir, write_file_atomic, AccessStats, FileStorage, Pager, Storage};
 use promips_wal::{SyncPolicy, Wal};
 
+use crate::compaction::CompactionPolicy;
 use crate::config::ShardedConfig;
+use crate::error::DegradationPolicy;
 use crate::index::{Shard, ShardGeneration, ShardedProMips};
 use crate::partition;
 
 const MANIFEST_MAGIC: u64 = 0x5AA2_D1CE_5059_0001;
-const MANIFEST_VERSION: u64 = 4;
+const MANIFEST_VERSION: u64 = 5;
 const MANIFEST_NAME: &str = "MANIFEST.pms";
 
 /// Data-file path of shard `si` at `generation` (generation 0 keeps the
@@ -94,6 +101,24 @@ fn sync_policy_from_tag(tag: u64) -> SyncPolicy {
     }
 }
 
+/// Removes the WALs of shards `0..shards` from `dir` — a fresh index's
+/// directory holds none — and, if one was there, fsyncs the directory so
+/// the removal is durable before a manifest names the directory.
+fn remove_wals(dir: &Path, shards: usize) -> io::Result<()> {
+    let mut removed = false;
+    for si in 0..shards {
+        match fs::remove_file(wal_path(dir, si)) {
+            Ok(()) => removed = true,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e),
+        }
+    }
+    if removed {
+        fsync_dir(dir)?;
+    }
+    Ok(())
+}
+
 impl ShardedProMips {
     /// Builds the sharded index **directly into `dir`**: each shard's index
     /// is built on its own file-backed page device (`shard_NNNN.pmx`) and
@@ -110,6 +135,7 @@ impl ShardedProMips {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
         let built = Self::build_impl(data, config, Some(dir.to_path_buf()))?;
+        remove_wals(dir, built.shards.len())?;
         built.write_manifest_with(dir, &[])?;
         Ok(built)
     }
@@ -128,10 +154,9 @@ impl ShardedProMips {
     /// wins on reopen, but the pages accumulate).
     pub fn snapshot(&self, dir: impl AsRef<Path>) -> io::Result<()> {
         // Freeze all mutation state (same order as repartition: mut_order →
-        // compact locks → manifest). Readers are unaffected.
+        // maintenance). Readers are unaffected.
         let _order = self.mut_order.lock();
-        let _compacting: Vec<_> = self.shards.iter().map(|s| s.compact_lock.lock()).collect();
-        let _manifest = self.manifest_lock.lock();
+        let _maintenance = self.maintenance.lock();
         let (delta, tombstones) = self.shards.iter().fold((0, 0), |(di, ti), s| {
             let d = s.delta.read();
             (di + d.len(), ti + d.tombstones.len())
@@ -167,13 +192,14 @@ impl ShardedProMips {
             }
         }
         // A snapshot starts a fresh lineage: everything at generation 0.
+        remove_wals(dir, self.shards.len())?;
         self.encode_manifest(dir, &gens.iter().map(Arc::as_ref).collect::<Vec<_>>(), true)
     }
 
     /// Atomically replaces the manifest from the shards' **live generation
     /// handles**, with `overrides` substituting not-yet-swapped new
     /// generations — the commit point of a build, a compaction and a
-    /// repartition. Callers hold the manifest lock (or own the index
+    /// repartition. Callers hold the maintenance lock (or own the index
     /// outright); the generation read locks taken here are the only shard
     /// state touched, so readers and writers keep running.
     pub(crate) fn write_manifest_with(
@@ -223,6 +249,7 @@ impl ShardedProMips {
     ) -> io::Result<()> {
         debug_assert_eq!(gens.len(), self.shards.len());
         let committed_total: u64 = gens.iter().map(|g| g.ids.len() as u64).sum();
+        let (ix, policy) = (&self.config.base.idistance, &self.config.compaction);
         let mut buf = Vec::new();
         enc::put_u64(&mut buf, MANIFEST_MAGIC);
         enc::put_u64(&mut buf, MANIFEST_VERSION);
@@ -239,6 +266,18 @@ impl ShardedProMips {
         enc::put_u64(&mut buf, self.config.base.seed);
         enc::put_u64(&mut buf, self.next_global_id.load(Ordering::Acquire));
         enc::put_u64(&mut buf, sync_policy_tag(self.config.wal_sync));
+        for word in [ix.kp, ix.nkey, ix.ksp, ix.kmeans_iters] {
+            enc::put_u64(&mut buf, word as u64);
+        }
+        enc::put_u64(&mut buf, ix.seed);
+        enc::put_u64(&mut buf, u64::from(ix.verify_quantize));
+        enc::put_f64(&mut buf, policy.max_delta_fraction);
+        enc::put_f64(&mut buf, policy.max_tombstone_fraction);
+        enc::put_u64(&mut buf, policy.min_mutations as u64);
+        enc::put_f64(&mut buf, policy.repartition_skew);
+        let best_effort = self.config.degradation == DegradationPolicy::BestEffort;
+        enc::put_u64(&mut buf, u64::from(best_effort));
+        enc::put_u64(&mut buf, self.config.max_in_flight as u64);
         enc::put_u64(&mut buf, partition::NAME.len() as u64);
         buf.extend_from_slice(partition::NAME.as_bytes());
         for gen in gens {
@@ -300,9 +339,10 @@ impl ShardedProMips {
                 format!("unsupported manifest version {version}"),
             ));
         }
-        // Fixed-size header: magic..seed, the next-id/wal-sync words, and
-        // the partitioner-name length (little-endian 8-byte fields).
-        need(0, 16 * 8)?;
+        // Fixed-size header: magic..seed, the next-id/wal-sync words, the
+        // iDistance, compaction, degradation and admission words, and the
+        // partitioner-name length (little-endian 8-byte fields).
+        need(0, 28 * 8)?;
         let n_shards = enc::get_u64(&buf, &mut pos) as usize;
         let d = enc::get_u64(&buf, &mut pos) as usize;
         let n_points = enc::get_u64(&buf, &mut pos);
@@ -325,6 +365,32 @@ impl ShardedProMips {
         let seed = enc::get_u64(&buf, &mut pos);
         let mut next_global_id = enc::get_u64(&buf, &mut pos);
         let wal_sync = sync_policy_from_tag(enc::get_u64(&buf, &mut pos));
+        let mut word = || enc::get_u64(&buf, &mut pos);
+        let idistance = IDistanceConfig {
+            kp: word() as usize,
+            nkey: word() as usize,
+            ksp: word() as usize,
+            kmeans_iters: word() as usize,
+            seed: word(),
+            verify_quantize: word() != 0,
+        };
+        let compaction = CompactionPolicy {
+            max_delta_fraction: f64::from_bits(word()),
+            max_tombstone_fraction: f64::from_bits(word()),
+            min_mutations: word() as usize,
+            repartition_skew: f64::from_bits(word()),
+        };
+        let degradation = match word() {
+            0 => DegradationPolicy::FailFast,
+            1 => DegradationPolicy::BestEffort,
+            tag => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("unknown degradation policy {tag} in sharded-index manifest"),
+                ))
+            }
+        };
+        let max_in_flight = word() as usize;
         // The partitioner's display name: the tag above is what decides.
         let name_len = enc::get_u64(&buf, &mut pos) as usize;
         need(pos, name_len)?;
@@ -334,14 +400,14 @@ impl ShardedProMips {
             shards: n_shards,
             prune,
             wal_sync,
-            compaction: Default::default(), // runtime policy, not persisted
-            degradation: Default::default(), // runtime policy, not persisted
-            max_in_flight: 0,               // runtime policy, not persisted
+            compaction,
+            degradation,
+            max_in_flight,
             base: promips_core::ProMipsConfig {
                 c,
                 p,
                 m,
-                idistance: Default::default(), // build-time only
+                idistance,
                 page_size,
                 pool_pages,
                 seed,
@@ -402,7 +468,7 @@ impl ShardedProMips {
             n_points: AtomicU64::new(n_points),
             next_global_id: AtomicU64::new(next_global_id),
             mut_order: Mutex::new(()),
-            manifest_lock: Mutex::new(()),
+            maintenance: Mutex::new(()),
             dir: Some(dir.to_path_buf()),
             in_flight: std::sync::atomic::AtomicUsize::new(0),
         };

@@ -658,3 +658,36 @@ fn in_memory_mutations_and_compaction_work() {
     assert_eq!(before.items, after.items);
     assert_eq!(idx.pending_mutations(), 0);
 }
+
+/// A build or a snapshot into a directory another index left its logs in
+/// starts from no log: the old index's insert and delete are not replayed
+/// into the new one, and the new one's first mutation starts a fresh log.
+#[test]
+fn a_fresh_index_never_replays_a_log_it_did_not_write() {
+    let dir = temp_dir("stale-wal");
+    let cfg = ShardedConfig::builder().shards(2).build();
+    let old = ShardedProMips::build_in_dir(&random_data(600, 8, 71), cfg.clone(), &dir).unwrap();
+    old.insert(&random_queries(1, 8, 73)[0]).unwrap();
+    old.delete(5).unwrap();
+    drop(old);
+
+    let data = random_data(600, 8, 75);
+    drop(ShardedProMips::build_in_dir(&data, cfg.clone(), &dir).unwrap());
+    let idx = ShardedProMips::open(&dir).unwrap();
+    assert_eq!(idx.len(), 600, "the old index's insert was replayed");
+    assert!(idx.contains(5), "the old index's delete was replayed");
+    assert_eq!(idx.pending_mutations(), 0);
+    let id = idx.insert(&random_queries(1, 8, 77)[0]).unwrap();
+    drop(idx);
+    let idx = ShardedProMips::open(&dir).unwrap();
+    assert_eq!((idx.len(), idx.pending_mutations()), (601, 1));
+    assert!(idx.contains(id));
+    drop(idx);
+
+    // A snapshot over the directory, which now holds that one-insert log.
+    let mem = ShardedProMips::build_in_memory(&data, cfg).unwrap();
+    mem.snapshot(&dir).unwrap();
+    let idx = ShardedProMips::open(&dir).unwrap();
+    assert_eq!((idx.len(), idx.pending_mutations()), (600, 0));
+    std::fs::remove_dir_all(&dir).unwrap();
+}

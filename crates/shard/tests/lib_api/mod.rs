@@ -378,11 +378,13 @@ fn trace_spans_account_for_every_shard_and_the_result() {
     // fails, so nothing is pruned and the other two shards answer.
     let dir = std::env::temp_dir().join(format!("promips-spans-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cfg = ShardedConfig::builder().shards(3).build();
+    let cfg = ShardedConfig::builder()
+        .shards(3)
+        .degradation(DegradationPolicy::BestEffort)
+        .build();
     drop(ShardedProMips::build_in_dir(&random_data(300, 8, 101), cfg, &dir).unwrap());
-    // Cold reopen (the pool holds no page), and the policy is per handle.
-    let mut idx = ShardedProMips::open(&dir).unwrap();
-    idx.set_degradation(DegradationPolicy::BestEffort);
+    // Cold reopen (the pool holds no page; the manifest keeps the policy).
+    let idx = ShardedProMips::open(&dir).unwrap();
     let scratch = ShardedScratch::for_index(&idx);
     let q = random_queries(1, 8, 103).pop().unwrap();
     let tag = dir.file_name().unwrap().to_string_lossy().into_owned();
@@ -424,9 +426,11 @@ fn trace_spans_account_for_every_shard_and_the_result() {
             .collect::<Vec<f32>>()
     };
     let data = Matrix::from_rows(d, [row(1.0), row(1.0)]);
-    let mut idx =
-        ShardedProMips::build_in_memory(&data, ShardedConfig::builder().shards(2).build()).unwrap();
-    idx.set_degradation(DegradationPolicy::BestEffort);
+    let cfg = ShardedConfig::builder()
+        .shards(2)
+        .degradation(DegradationPolicy::BestEffort)
+        .build();
+    let idx = ShardedProMips::build_in_memory(&data, cfg).unwrap();
     for _ in 0..63 {
         idx.insert(&row(4.0)).unwrap();
     }

@@ -244,10 +244,9 @@ fn degraded_best_effort_query_is_flagged_in_its_trace() {
     let tag = dir.file_name().unwrap().to_string_lossy().into_owned();
     drop(ShardedProMips::build_in_dir(&data, cfg, &dir).unwrap());
 
-    // Cold reopen (the policy is per-handle, not persisted), then every
-    // page read of shard 0 fails.
-    let mut idx = ShardedProMips::open(&dir).unwrap();
-    idx.set_degradation(DegradationPolicy::BestEffort);
+    // Cold reopen (the manifest keeps the policy), then every page read of
+    // shard 0 fails.
+    let idx = ShardedProMips::open(&dir).unwrap();
     let scratch = ShardedScratch::for_index(&idx);
     let q = &random_rows(1, d, 67)[0];
 

@@ -230,7 +230,15 @@ fn open_rejects_truncated_manifest() {
         ShardedProMips::build_in_memory(&data, ShardedConfig::builder().shards(2).build()).unwrap();
     built.snapshot(&dir).unwrap();
     let manifest = std::fs::read(dir.join("MANIFEST.pms")).unwrap();
-    for cut in [17, 64, 127, 130, manifest.len() - 9, manifest.len() - 1] {
+    for cut in [
+        17,
+        64,
+        127,
+        130,
+        223,
+        manifest.len() - 9,
+        manifest.len() - 1,
+    ] {
         std::fs::write(dir.join("MANIFEST.pms"), &manifest[..cut]).unwrap();
         assert!(
             ShardedProMips::open(&dir).is_err(),
@@ -282,11 +290,12 @@ fn open_rejects_an_unknown_partitioner_tag() {
 }
 
 /// Version 2 (an exact-scan threshold word and a per-shard kind word, with
-/// `.exact` row blobs beside the page files) and version 3 (a cross-shard
-/// floor word after `prune`) are no longer read.
+/// `.exact` row blobs beside the page files), version 3 (a cross-shard
+/// floor word after `prune`) and version 4 (no iDistance, compaction,
+/// degradation or admission words) are no longer read.
 #[test]
 fn open_rejects_manifest_version_2() {
-    for version in [2u64, 3] {
+    for version in [2u64, 3, 4] {
         let err = open_with_manifest_word(&format!("v{version}"), 1, version);
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         assert!(
@@ -310,6 +319,7 @@ fn open_rejects_a_header_outside_the_config_domain() {
         ("p0", 8, 0.0f64.to_bits(), "p must be in"),
         ("m0", 9, 0, "m must be in"),
         ("m65", 9, 65, "m must be in"),
+        ("degradation2", 25, 2, "unknown degradation policy 2"),
     ];
     for (tag, word, value, says) in cases {
         let err = open_with_manifest_word(tag, word, value);
@@ -340,4 +350,70 @@ fn open_rejects_garbage_manifest() {
 fn open_missing_dir_errors() {
     let dir = temp_dir("missing");
     assert!(ShardedProMips::open(&dir).is_err());
+}
+
+/// The manifest keeps the whole build config, so a reopened index searches
+/// and compacts as the built one did: a `verify_quantize: false` index
+/// reopens without the verification tier, and so does the generation its
+/// first compaction builds — no query takes the column pass.
+#[test]
+fn reopen_keeps_the_build_config() {
+    let dir = temp_dir("config");
+    let idistance = promips_idistance::IDistanceConfig {
+        kp: 3,
+        nkey: 12,
+        ksp: 4,
+        kmeans_iters: 7,
+        seed: 91,
+        verify_quantize: false,
+    };
+    let cfg = ShardedConfig::builder()
+        .shards(2)
+        .prune(false)
+        .wal_sync(promips_wal::SyncPolicy::EveryN(9))
+        .compaction(promips_shard::CompactionPolicy {
+            max_delta_fraction: 0.5,
+            max_tombstone_fraction: 0.125,
+            min_mutations: 3,
+            repartition_skew: f64::INFINITY,
+        })
+        .degradation(promips_shard::DegradationPolicy::BestEffort)
+        .max_in_flight(5)
+        .base(
+            ProMipsConfig::builder()
+                .m(5)
+                .idistance(idistance)
+                .page_size(1024)
+                .pool_pages(77)
+                .seed(93)
+                .build(),
+        )
+        .build();
+    let data = random_data(800, 8, 95);
+    drop(ShardedProMips::build_in_dir(&data, cfg.clone(), &dir).unwrap());
+    let idx = ShardedProMips::open(&dir).unwrap();
+    assert_eq!(format!("{:?}", idx.config()), format!("{cfg:?}"));
+
+    let no_column_pass = |idx: &ShardedProMips| {
+        let scratch = ShardedScratch::for_index(idx);
+        for q in random_queries(20, 8, 97) {
+            let traced = ShardedQuery {
+                traced: true,
+                ..ShardedQuery::new(&q, 10)
+            };
+            let (_, trace) = idx.execute(traced, &scratch).unwrap();
+            assert!(trace.unwrap().shards.iter().all(|s| !s.column_pass));
+        }
+    };
+    no_column_pass(&idx);
+    for q in random_queries(40, 8, 99) {
+        idx.insert(&q).unwrap();
+    }
+    assert!(!idx.compact_all().unwrap().is_empty());
+    no_column_pass(&idx);
+    drop(idx);
+    let idx = ShardedProMips::open(&dir).unwrap();
+    assert_eq!(format!("{:?}", idx.config()), format!("{cfg:?}"));
+    no_column_pass(&idx);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

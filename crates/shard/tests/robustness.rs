@@ -119,17 +119,7 @@ fn spent_budget_fails_alike_under_every_policy_and_thread_count() {
     // Three rows over four shards: shard 0 is empty.
     let sparse = random_data(3, 12, 213);
     for (data, label) in [(&skewed, "skewed"), (&sparse, "sparse")] {
-        let mut idx = ShardedProMips::build_in_memory(
-            data,
-            ShardedConfig::builder()
-                .shards(4)
-                .base(ProMipsConfig::builder().seed(215).build())
-                .build(),
-        )
-        .unwrap();
-        let scratch = ShardedScratch::for_index(&idx);
         let queries = random_queries(4, 12, 217);
-        let plain: Vec<_> = queries.iter().map(|q| run(&idx, q, 5, &scratch)).collect();
         let cancelled = CancelToken::new();
         cancelled.cancel();
         let spent = [
@@ -138,7 +128,17 @@ fn spent_budget_fails_alike_under_every_policy_and_thread_count() {
         ];
         let live = QueryBudget::with_deadline(Duration::from_secs(120));
         for policy in [DegradationPolicy::FailFast, DegradationPolicy::BestEffort] {
-            idx.set_degradation(policy);
+            let idx = ShardedProMips::build_in_memory(
+                data,
+                ShardedConfig::builder()
+                    .shards(4)
+                    .degradation(policy)
+                    .base(ProMipsConfig::builder().seed(215).build())
+                    .build(),
+            )
+            .unwrap();
+            let scratch = ShardedScratch::for_index(&idx);
+            let plain: Vec<_> = queries.iter().map(|q| run(&idx, q, 5, &scratch)).collect();
             for threads in [None, Some(1), Some(4)] {
                 let case = format!("{label}, {policy:?}, threads={threads:?}");
                 for (q, want) in queries.iter().zip(&plain) {
@@ -582,10 +582,11 @@ proptest! {
 // --- shard-failure degradation -------------------------------------------
 
 /// The heart of the degradation contract, pinned against a ground-truth
-/// twin. Two bit-identical durable indexes are built; in twin B every
+/// twin. Three bit-identical durable indexes are built; in twin B every
 /// point of shard 0 is deleted, so B's answer *is* the exact
-/// survivors-only answer. Index A is reopened cold with a recurring read
-/// fault on shard 0's pages:
+/// survivors-only answer. Index A (built `FailFast`) and index C (built
+/// `BestEffort`) are reopened cold with a recurring read fault on shard
+/// 0's pages:
 ///
 /// * `FailFast` (default): the query aborts with a typed error naming
 ///   shard 0, through the `io::Result` wrapper and through `execute`.
@@ -606,9 +607,27 @@ fn read_fault_degrades_exactly_to_survivor_topk() {
         .build();
     let dir_a = temp_dir("degrade-a");
     let dir_b = temp_dir("degrade-b");
-    let tag_a = dir_a.file_name().unwrap().to_string_lossy().into_owned();
+    let dir_c = temp_dir("degrade-c");
     drop(ShardedProMips::build_in_dir(&data, cfg.clone(), &dir_a).unwrap());
-    drop(ShardedProMips::build_in_dir(&data, cfg, &dir_b).unwrap());
+    drop(ShardedProMips::build_in_dir(&data, cfg.clone(), &dir_b).unwrap());
+    let best_effort = ShardedConfig {
+        degradation: DegradationPolicy::BestEffort,
+        ..cfg
+    };
+    drop(ShardedProMips::build_in_dir(&data, best_effort, &dir_c).unwrap());
+    // Every page read of the directory's shard 0 fails from now on.
+    let fault_shard_0 = |dir: &std::path::Path| {
+        let tag = dir.file_name().unwrap().to_string_lossy().into_owned();
+        faults::arm_with(
+            FaultPlan {
+                op: IoOp::Read,
+                nth: 1,
+                path_contains: Some(format!("{tag}/shard_0000")),
+            },
+            Recurrence::EveryNth(1),
+            io::ErrorKind::Other,
+        );
+    };
 
     // Twin B: delete everything shard 0 holds — its searches now return
     // the exact top-k over the surviving shards.
@@ -620,18 +639,10 @@ fn read_fault_degrades_exactly_to_survivor_topk() {
     }
 
     // Index A: cold reopen, then every page read of shard 0 fails.
-    let mut idx = ShardedProMips::open(&dir_a).unwrap();
+    let idx = ShardedProMips::open(&dir_a).unwrap();
     let scratch = ShardedScratch::for_index(&idx);
     let queries = random_queries(6, d, 47);
-    faults::arm_with(
-        FaultPlan {
-            op: IoOp::Read,
-            nth: 1,
-            path_contains: Some(format!("{tag_a}/shard_0000")),
-        },
-        Recurrence::EveryNth(1),
-        io::ErrorKind::Other,
-    );
+    fault_shard_0(&dir_a);
 
     // FailFast: typed abort naming the shard, injected marker intact.
     let err = idx.search(&queries[0], 10).unwrap_err();
@@ -651,8 +662,12 @@ fn read_fault_degrades_exactly_to_survivor_topk() {
         "got {err}"
     );
 
-    // BestEffort: degraded success, exactly the survivor top-k.
-    idx.set_degradation(DegradationPolicy::BestEffort);
+    // BestEffort (index C, the manifest keeps the policy): degraded
+    // success, exactly the survivor top-k.
+    faults::disarm();
+    let idx = ShardedProMips::open(&dir_c).unwrap();
+    let scratch = ShardedScratch::for_index(&idx);
+    fault_shard_0(&dir_c);
     let twin_scratch = ShardedScratch::for_index(&twin);
     for q in &queries {
         let traced = ShardedQuery {
@@ -682,7 +697,7 @@ fn read_fault_degrades_exactly_to_survivor_topk() {
 
     // Healthy again: full answers, not degraded, identical to a fresh
     // fault-free open of the same directory.
-    let fresh = ShardedProMips::open(&dir_a).unwrap();
+    let fresh = ShardedProMips::open(&dir_c).unwrap();
     let fresh_scratch = ShardedScratch::for_index(&fresh);
     let (res, trace) = idx
         .search_traced_threaded(&queries[0], 10, 1, &scratch)
@@ -694,8 +709,9 @@ fn read_fault_degrades_exactly_to_survivor_topk() {
         run(&fresh, &queries[0], 10, &fresh_scratch).items
     );
     drop(fresh);
-    std::fs::remove_dir_all(&dir_a).unwrap();
-    std::fs::remove_dir_all(&dir_b).unwrap();
+    for dir in [dir_a, dir_b, dir_c] {
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// All shards failing is not "degraded", it is failure: `BestEffort`

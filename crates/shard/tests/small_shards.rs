@@ -106,13 +106,13 @@ fn check(
 }
 
 /// Each shard's committed count as the manifest records it (format
-/// version 4: 16 header words, the partitioner name, then per shard count,
+/// version 5: 28 header words, the partitioner name, then per shard count,
 /// norm bound, generation and the count's ids).
 fn manifest_counts(dir: &Path) -> Vec<u64> {
     let buf = std::fs::read(dir.join("MANIFEST.pms")).unwrap();
     let word = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
-    assert_eq!(word(8), 4, "manifest version");
-    let mut pos = 16 * 8 + word(15 * 8) as usize;
+    assert_eq!(word(8), 5, "manifest version");
+    let mut pos = 28 * 8 + word(27 * 8) as usize;
     (0..word(2 * 8))
         .map(|_| {
             let count = word(pos);

@@ -19,9 +19,9 @@
 //! cheap. The LRU pool paid SipHash over a
 //! `HashMap<PageId, usize>` and a four-slot relink of a doubly-linked chain
 //! on every hit — 110–155 ns with the pager's counters. Here a hit is one
-//! index into a dense page table (ids come from `allocate()` and are dense,
-//! so the table is a `Vec<u32>` at 4 bytes per page of the file's stripe),
-//! one store to the frame's *referenced* bit and the `Arc` clone: ≈ 60 ns.
+//! index into a dense page table (a file's pages are appended front to
+//! back, so ids are dense, and the table is a `Vec<u32>` at 4 bytes per
+//! page of the file's stripe), one store to the frame's *referenced* bit and the `Arc` clone: ≈ 60 ns.
 //! All bookkeeping moved to the miss path, which already pays a device
 //! read: the hand sweeps the frame array, clears referenced bits and takes
 //! the first frame not touched since its last visit. No single one of these
@@ -53,7 +53,7 @@ const ABSENT: u32 = u32::MAX;
 
 /// Page-table slots a stripe will grow to (1 GB of table, a 16 TB file at
 /// the default geometry). Pages beyond it are served uncached, so an id
-/// that never came from `allocate()` cannot make the table swallow memory.
+/// far past the end of any file cannot make the table swallow memory.
 const MAX_TABLE_SLOTS: usize = 1 << 28;
 
 struct Frame {

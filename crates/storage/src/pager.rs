@@ -16,23 +16,20 @@ use crate::durability::sync_file_data;
 use crate::metrics::AccessStats;
 use crate::page::{PageBuf, PageId};
 
-/// A raw page device: fixed page size, random-access read/write, append-only
-/// allocation.
+/// A raw page device: fixed page size, random-access reads, and writes
+/// only at the end. A page file is written once, front to back, and read
+/// ever after; no page is overwritten.
 pub trait Storage: Send + Sync {
     /// Page size in bytes.
     fn page_size(&self) -> usize;
-    /// Number of allocated pages.
+    /// Number of pages written.
     fn num_pages(&self) -> u64;
     /// Reads the consecutive pages from `first` on into `buf` — a
     /// non-empty whole number of pages — in one device read.
     fn read_pages(&self, first: PageId, buf: &mut [u8]) -> io::Result<()>;
-    /// Writes page `id` from `buf`.
-    fn write_page(&self, id: PageId, buf: &[u8]) -> io::Result<()>;
-    /// Allocates a fresh zeroed page and returns its id.
-    fn allocate(&self) -> io::Result<PageId>;
     /// Appends `bytes` — a non-empty whole number of pages — as fresh
     /// consecutive pages in one device write and returns the first one's
-    /// id. On error no page was allocated.
+    /// id. On error no page was added.
     fn append_pages(&self, bytes: &[u8]) -> io::Result<PageId>;
     /// Flushes to durable media (no-op for memory).
     fn sync(&self) -> io::Result<()>;
@@ -70,27 +67,11 @@ impl Storage for MemStorage {
         let pages = self.pages.lock();
         for (id, out) in (first..).zip(buf.chunks_exact_mut(self.page_size)) {
             let page = pages.get(id as usize).ok_or_else(|| {
-                io::Error::new(io::ErrorKind::NotFound, format!("page {id} not allocated"))
+                io::Error::new(io::ErrorKind::NotFound, format!("page {id} not written"))
             })?;
             out.copy_from_slice(page.as_slice());
         }
         Ok(())
-    }
-
-    fn write_page(&self, id: PageId, buf: &[u8]) -> io::Result<()> {
-        assert_eq!(buf.len(), self.page_size);
-        let mut pages = self.pages.lock();
-        let page = pages.get_mut(id as usize).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::NotFound, format!("page {id} not allocated"))
-        })?;
-        page.as_mut_slice().copy_from_slice(buf);
-        Ok(())
-    }
-
-    fn allocate(&self) -> io::Result<PageId> {
-        let mut pages = self.pages.lock();
-        pages.push(PageBuf::zeroed(self.page_size));
-        Ok(pages.len() as u64 - 1)
     }
 
     fn append_pages(&self, bytes: &[u8]) -> io::Result<PageId> {
@@ -181,21 +162,6 @@ impl Storage for FileStorage {
         self.file.read_exact_at(buf, first * self.page_size as u64)
     }
 
-    fn write_page(&self, id: PageId, buf: &[u8]) -> io::Result<()> {
-        assert_eq!(buf.len(), self.page_size);
-        faults::check(IoOp::Write, &self.path)?;
-        self.file.write_all_at(buf, id * self.page_size as u64)
-    }
-
-    fn allocate(&self) -> io::Result<PageId> {
-        let mut n = self.num_pages.lock();
-        let id = *n;
-        // Extend the file eagerly so subsequent reads of the fresh page work.
-        self.file.set_len((id + 1) * self.page_size as u64)?;
-        *n += 1;
-        Ok(id)
-    }
-
     fn append_pages(&self, bytes: &[u8]) -> io::Result<PageId> {
         assert!(!bytes.is_empty() && bytes.len().is_multiple_of(self.page_size));
         let mut n = self.num_pages.lock();
@@ -205,7 +171,7 @@ impl Storage for FileStorage {
         self.file.set_len(at + bytes.len() as u64)?;
         self.file.write_all_at(bytes, at)?;
         // Only now do the pages exist: a failed write leaves the count
-        // where it was, and the next allocation cuts the file back to it.
+        // where it was, and the next append cuts the file back to it.
         *n += (bytes.len() / self.page_size) as u64;
         Ok(start)
     }
@@ -252,7 +218,7 @@ impl Pager {
         self.storage.page_size()
     }
 
-    /// Number of allocated pages.
+    /// Number of pages written.
     pub fn num_pages(&self) -> u64 {
         self.storage.num_pages()
     }
@@ -348,32 +314,10 @@ impl Pager {
         })
     }
 
-    /// Writes a page through to storage (write-through; the cached copy is
-    /// replaced so readers never observe stale data).
-    pub fn write(&self, id: PageId, buf: PageBuf) -> io::Result<()> {
-        assert_eq!(buf.len(), self.storage.page_size());
-        self.stats.record_write();
-        self.storage.write_page(id, buf.as_slice())?;
-        self.pool.insert(id, buf.as_slice());
-        Ok(())
-    }
-
-    /// Allocates a fresh zeroed page.
-    pub fn allocate(&self) -> io::Result<PageId> {
-        self.storage.allocate()
-    }
-
-    /// Allocates and immediately writes a page, returning its id.
-    pub fn append(&self, buf: PageBuf) -> io::Result<PageId> {
-        let id = self.allocate()?;
-        self.write(id, buf)?;
-        Ok(id)
-    }
-
     /// Appends `bytes` — a non-empty whole number of pages — as fresh
     /// consecutive pages through one [`Storage::append_pages`] call and
-    /// returns the first one's id. Counted and cached page by page, in
-    /// file order, exactly as that many [`Pager::append`] calls would be.
+    /// returns the first one's id: the one way a page gets into a file.
+    /// Each page counts one write and is cached, in file order.
     pub fn append_run(&self, bytes: &[u8]) -> io::Result<PageId> {
         let start = self.storage.append_pages(bytes)?;
         for (id, page) in (start..).zip(bytes.chunks_exact(self.page_size())) {

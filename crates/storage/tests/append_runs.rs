@@ -1,6 +1,6 @@
-//! `Storage::append_pages` / `Pager::append_run`: a run of whole pages in
-//! one device write — the same pages, counters and cache as that many
-//! single-page appends — and the page file's fault points, a failed
+//! `Storage::append_pages` / `Pager::append_run`, the only way a page gets
+//! into a file: a run of whole pages in one device write, each page
+//! counted and cached — and the page file's fault points, a failed
 //! `Pager::read_run` among them.
 
 use std::sync::{Arc, Mutex};
@@ -11,16 +11,16 @@ use promips_storage::{AccessStats, FileStorage, MemStorage, PageBuf, Pager, Stor
 /// Fault plans are process-global: the tests arming them take turns.
 static FAULTS: Mutex<()> = Mutex::new(());
 
-/// A run lands as consecutive pages after whatever was allocated
-/// before it, byte for byte, and single-page allocation carries on
-/// behind it.
+/// A run lands as consecutive pages after whatever was written before
+/// it, byte for byte, and the next append carries on behind it.
 fn append_run_roundtrip(storage: Arc<dyn Storage>) {
     let ps = storage.page_size();
-    assert_eq!(storage.allocate().unwrap(), 0);
+    let zero = vec![0u8; ps];
+    assert_eq!(storage.append_pages(&zero).unwrap(), 0);
     let run: Vec<u8> = (0..3 * ps).map(|i| (i % 251) as u8).collect();
     assert_eq!(storage.append_pages(&run).unwrap(), 1);
     assert_eq!(storage.num_pages(), 4);
-    assert_eq!(storage.allocate().unwrap(), 4);
+    assert_eq!(storage.append_pages(&zero).unwrap(), 4);
     let mut r = vec![0u8; 5 * ps];
     storage.read_pages(0, &mut r).unwrap();
     assert_eq!(r[ps..4 * ps], run, "the run, read back in one read");
@@ -46,8 +46,8 @@ fn append_pages_rejects_partial_pages() {
     let _ = MemStorage::new(128).append_pages(&[0u8; 200]);
 }
 
-/// Page writes, run writes and the data fsync of a page file all pass
-/// the fault shim; a failed run allocates nothing.
+/// Appends and the data fsync of a page file both pass the fault shim;
+/// a failed append adds no page.
 #[test]
 fn file_storage_writes_and_sync_can_be_faulted() {
     let _turn = FAULTS.lock().unwrap_or_else(|e| e.into_inner());
@@ -67,17 +67,13 @@ fn file_storage_writes_and_sync_can_be_faulted() {
     assert_eq!(s.num_pages(), 0);
     assert_eq!(s.append_pages(&[7u8; 256]).unwrap(), 0);
     assert_eq!(s.num_pages(), 2);
-    arm(IoOp::Write);
-    assert!(faults::is_injected(
-        &s.write_page(1, &[1u8; 128]).unwrap_err()
-    ));
     arm(IoOp::Fsync);
     assert!(faults::is_injected(&s.sync().unwrap_err()));
     s.sync().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// `append_run` counts and caches page by page, like `append`.
+/// `append_run` counts a write and caches a copy for each page.
 #[test]
 fn pager_append_run_counts_and_caches_each_page() {
     let pager = Pager::in_memory(64, 8);

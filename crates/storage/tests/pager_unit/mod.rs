@@ -7,13 +7,12 @@ use super::*;
 
 fn roundtrip(storage: Arc<dyn Storage>) {
     let ps = storage.page_size();
-    let id0 = storage.allocate().unwrap();
-    let id1 = storage.allocate().unwrap();
-    assert_eq!((id0, id1), (0, 1));
+    let id0 = storage.append_pages(&vec![0u8; ps]).unwrap();
     let mut w = vec![0u8; ps];
     w[0] = 0xAB;
     w[ps - 1] = 0xCD;
-    storage.write_page(id1, &w).unwrap();
+    let id1 = storage.append_pages(&w).unwrap();
+    assert_eq!((id0, id1), (0, 1));
     let mut r = vec![0u8; ps];
     storage.read_pages(id1, &mut r).unwrap();
     assert_eq!(r, w);
@@ -56,12 +55,11 @@ fn mem_storage_missing_page_errors() {
 #[test]
 fn pager_counts_logical_reads_and_cache() {
     let pager = Pager::in_memory(128, 8);
-    let id = pager.allocate().unwrap();
-    let mut page = PageBuf::zeroed(128);
-    page.as_mut_slice()[7] = 9;
-    pager.write(id, page).unwrap();
+    let mut page = [0u8; 128];
+    page[7] = 9;
+    let id = pager.append_run(&page).unwrap();
 
-    // First read after write: cache hit (write-through populated pool).
+    // First read after the append: cache hit (the append cached the page).
     let p = pager.read(id).unwrap();
     assert_eq!(p.as_slice()[7], 9);
     let snap = pager.stats().snapshot();
@@ -86,10 +84,10 @@ fn concurrent_readers_get_correct_pages_within_capacity() {
         assert_eq!(pager.stripes(), shards);
         let n_pages = 200u64;
         for i in 0..n_pages {
-            let mut b = PageBuf::zeroed(64);
-            b.as_mut_slice()[0] = (i % 251) as u8;
-            b.as_mut_slice()[63] = (i % 13) as u8;
-            pager.append(b).unwrap();
+            let mut b = [0u8; 64];
+            b[0] = (i % 251) as u8;
+            b[63] = (i % 13) as u8;
+            pager.append_run(&b).unwrap();
         }
         pager.clear_cache();
         std::thread::scope(|s| {
@@ -127,9 +125,9 @@ fn pager_eviction_still_correct() {
     let pager = Pager::in_memory(64, 2); // tiny pool forces eviction
     let ids: Vec<PageId> = (0..5)
         .map(|i| {
-            let mut b = PageBuf::zeroed(64);
-            b.as_mut_slice()[0] = i as u8;
-            pager.append(b).unwrap()
+            let mut b = [0u8; 64];
+            b[0] = i as u8;
+            pager.append_run(&b).unwrap()
         })
         .collect();
     for (i, &id) in ids.iter().enumerate() {

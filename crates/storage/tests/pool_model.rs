@@ -28,8 +28,7 @@ fn addr(p: &Arc<PageBuf>) -> usize {
 }
 
 /// The policy, written the slow way: frames searched linearly, no page
-/// table. One per stripe. A frame is `(id, referenced, buffer address)`;
-/// address 0 is a buffer the test never saw (a pager write's).
+/// table. One per stripe. A frame is `(id, referenced, buffer address)`.
 #[derive(Default, PartialEq, Debug)]
 struct ModelStripe {
     frames: Vec<(PageId, bool, usize)>,
@@ -84,7 +83,7 @@ fn model_of(pool: &BufferPool) -> Vec<ModelStripe> {
 /// Checks the page `got` an insert returned against the model: the frame
 /// it took over keeps its buffer exactly when the test holds none of it.
 fn check_insert(stripe: &mut ModelStripe, id: PageId, got: &Arc<PageBuf>, held: &[Arc<PageBuf>]) {
-    if let Some(old) = stripe.insert(id, addr(got)).filter(|&old| old != 0) {
+    if let Some(old) = stripe.insert(id, addr(got)) {
         let free = !held.iter().any(|p| addr(p) == old);
         assert_eq!(
             addr(got) == old,
@@ -197,10 +196,6 @@ impl Checked {
         let at = (id % self.model.len() as u64) as usize;
         let stripe = &mut self.model[at];
         let missed = match stripe.touch(id) {
-            Some(0) => {
-                stripe.frames.iter_mut().find(|f| f.0 == id).unwrap().2 = addr(got);
-                false
-            }
             Some(at) => {
                 assert_eq!(addr(got), at, "page {id}: a hit must be the cached page");
                 false
@@ -224,34 +219,15 @@ impl Checked {
         assert_eq!(now - misses, u64::from(missed), "page {id}: hit or miss");
         got
     }
-
-    fn write(&mut self, id: PageId, bytes: &[u8]) {
-        self.pager
-            .write(id, PageBuf::from_vec(bytes.to_vec()))
-            .unwrap();
-        let at = (id % self.model.len() as u64) as usize;
-        let stripe = &mut self.model[at];
-        stripe.insert(id, 0);
-    }
 }
 
 /// One random step of the prelude or the postlude, applied alike to both
-/// pagers: a read (its page held or not) or a write of fresh bytes.
-fn step(rng: &mut TestRng, pagers: [&mut Checked; 2], file: &mut [u8], ps: usize, tag: u64) {
-    let pages = (file.len() / ps) as u64;
-    let id = rng.below(pages);
-    if rng.below(5) == 0 {
-        let bytes = &mut file[id as usize * ps..][..ps];
-        bytes
-            .iter_mut()
-            .enumerate()
-            .for_each(|(i, b)| *b = (tag as usize + i) as u8);
-        pagers.into_iter().for_each(|p| p.write(id, bytes));
-    } else {
-        let keep = rng.below(4) == 0;
-        for p in pagers {
-            assert_eq!(p.read(id, keep).as_slice(), &file[id as usize * ps..][..ps]);
-        }
+/// pagers: a read, its page held or not.
+fn step(rng: &mut TestRng, pagers: [&mut Checked; 2], file: &[u8], ps: usize) {
+    let id = rng.below((file.len() / ps) as u64);
+    let keep = rng.below(4) == 0;
+    for p in pagers {
+        assert_eq!(p.read(id, keep).as_slice(), &file[id as usize * ps..][..ps]);
     }
 }
 
@@ -299,7 +275,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// `read_run(first, n)` is `n` reads: two pagers over the same bytes
-    /// and pool geometry, driven through the same random reads and writes,
+    /// and pool geometry, driven through the same random reads,
     /// then one reads a run and the other the same pages one at a time —
     /// same bytes, same counters, and the same pool: each pager matches
     /// the model before, during and after, and so does a random postlude.
@@ -312,13 +288,13 @@ proptest! {
         let ps = [64usize, 70, 130, 4_096][ps_pick];
         let mut rng = TestRng::from_name(&format!("run-{seed}"));
         let pages = 2 * capacity + 17;
-        let mut file: Vec<u8> = (0..pages * ps).map(|i| (i % 251) as u8).collect();
+        let file: Vec<u8> = (0..pages * ps).map(|i| (i % 251) as u8).collect();
         let mut runs = Checked::new(&file, ps, capacity);
         let mut reads = Checked::new(&file, ps, capacity);
         let stripes = runs.pager.stripes();
         prop_assert_eq!(stripes, capacity.min(16));
-        for tag in 0..rng.below(3 * pages as u64) {
-            step(&mut rng, [&mut runs, &mut reads], &mut file, ps, tag);
+        for _ in 0..rng.below(3 * pages as u64) {
+            step(&mut rng, [&mut runs, &mut reads], &file, ps);
         }
 
         let n = 1 + rng.below(stripes as u64) as usize;
@@ -348,8 +324,8 @@ proptest! {
         prop_assert_eq!(state(&runs.model), state(&reads.model));
         drop((run, single));
 
-        for tag in 0..pages as u64 {
-            step(&mut rng, [&mut runs, &mut reads], &mut file, ps, 1 << 20 | tag);
+        for _ in 0..pages {
+            step(&mut rng, [&mut runs, &mut reads], &file, ps);
         }
         prop_assert_eq!(runs.pager.stats().snapshot(), reads.pager.stats().snapshot());
     }
@@ -362,30 +338,4 @@ fn a_get_far_beyond_the_file_misses_without_allocating() {
     assert!(pool.get(u64::MAX).is_none());
     assert!(pool.get(u64::MAX / 2).is_none());
     assert_eq!(pool.len(), 1);
-}
-
-#[test]
-fn a_read_after_pager_write_never_sees_the_old_page() {
-    // Six pages through a four-page pool: writes replace cached copies and
-    // uncached ones alike, and every read — hit or miss — is the last
-    // version written.
-    let pager = promips_storage::Pager::in_memory(64, 4);
-    let versioned = |v: u8| {
-        let mut p = PageBuf::zeroed(64);
-        p.as_mut_slice()[0] = v;
-        p
-    };
-    let mut last = [0u8; 6];
-    for _ in 0..6 {
-        pager.append(versioned(0)).unwrap();
-    }
-    for round in 1..=200u64 {
-        let id = round * 5 % 6;
-        last[id as usize] = round as u8;
-        pager.write(id, versioned(round as u8)).unwrap();
-        for probe in [id, (id + round) % 6, (id + 3) % 6] {
-            let got = pager.read(probe).unwrap().as_slice()[0];
-            assert_eq!(got, last[probe as usize], "round {round}: page {probe}");
-        }
-    }
 }

@@ -230,21 +230,6 @@ impl Wal {
         })
     }
 
-    /// Opens `path` if it exists (streaming records into `apply`),
-    /// otherwise creates a fresh log.
-    pub fn open_or_create_streaming(
-        path: impl AsRef<Path>,
-        d: usize,
-        policy: SyncPolicy,
-        apply: impl FnMut(WalRecord) -> io::Result<()>,
-    ) -> io::Result<Self> {
-        if path.as_ref().exists() {
-            Self::open_streaming(path, d, policy, apply)
-        } else {
-            Self::create(path, d, policy)
-        }
-    }
-
     /// Appends one record, honouring the group-commit policy. The record is
     /// on disk (modulo the policy's sync debt) when this returns; apply it
     /// to in-memory state only afterwards — that ordering is what makes the
@@ -817,27 +802,6 @@ mod tests {
         assert_eq!(wal.unsynced_appends(), 1);
         wal.sync().unwrap();
         assert_eq!(wal.unsynced_appends(), 0);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn open_or_create_and_dimension_check() {
-        let path = temp_path("ooc");
-        let _ = std::fs::remove_file(&path);
-        let open = |d: usize, replayed: &mut Vec<WalRecord>| {
-            Wal::open_or_create_streaming(&path, d, SyncPolicy::default(), |rec| {
-                replayed.push(rec);
-                Ok(())
-            })
-        };
-        let mut replayed = Vec::new();
-        let mut wal = open(3, &mut replayed).unwrap();
-        assert!(replayed.is_empty());
-        wal.append(&WalRecord::Delete { id: 5 }).unwrap();
-        drop(wal);
-        drop(open(3, &mut replayed).unwrap());
-        assert_eq!(replayed, vec![WalRecord::Delete { id: 5 }]);
-        assert!(open(7, &mut Vec::new()).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -21,7 +21,7 @@ fn a_wrong_dimension_is_refused_before_replay_touches_anything() {
     std::fs::write(&path, &bytes).unwrap();
 
     let mut applied = 0;
-    let err = Wal::open_or_create_streaming(&path, 4, SyncPolicy::default(), |_| {
+    let err = Wal::open_streaming(&path, 4, SyncPolicy::default(), |_| {
         applied += 1;
         Ok(())
     })
@@ -32,7 +32,7 @@ fn a_wrong_dimension_is_refused_before_replay_touches_anything() {
 
     // At its own dimensionality the same log replays its one record and
     // drops the torn tail.
-    let wal = Wal::open_or_create_streaming(&path, 3, SyncPolicy::default(), |rec| {
+    let wal = Wal::open_streaming(&path, 3, SyncPolicy::default(), |rec| {
         assert_eq!(rec, WalRecord::Delete { id: 5 });
         applied += 1;
         Ok(())
