@@ -1,6 +1,7 @@
 //! Configuration for building a ProMIPS index.
 
-use promips_idistance::IDistanceConfig;
+use promips_idistance::{HeadBasis, IDistanceConfig};
+use promips_linalg::Matrix;
 use promips_storage::PAGE_SIZE_DEFAULT;
 
 /// Build-time and search-time parameters.
@@ -42,6 +43,25 @@ impl Default for ProMipsConfig {
 }
 
 impl ProMipsConfig {
+    /// The iDistance configuration a build runs: [`Self::idistance`] with
+    /// [`Self::seed`] xored into its seed.
+    pub(crate) fn index_config(&self) -> IDistanceConfig {
+        IDistanceConfig {
+            seed: self.idistance.seed ^ self.seed,
+            ..self.idistance.clone()
+        }
+    }
+
+    /// The basis [`crate::ProMips::build_with_pager`] codes `data` under:
+    /// [`HeadBasis::estimate`] with the build's seed, `None` without the
+    /// verification tier.
+    pub fn head_basis(&self, data: &Matrix) -> Option<HeadBasis> {
+        let cfg = self.index_config();
+        cfg.verify_quantize
+            .then(|| HeadBasis::estimate(data, cfg.seed))
+            .flatten()
+    }
+
     /// Starts a builder with the paper defaults.
     pub fn builder() -> ProMipsConfigBuilder {
         ProMipsConfigBuilder {

@@ -3,7 +3,7 @@
 use std::io;
 use std::sync::Arc;
 
-use promips_idistance::{build_index, footer_span_pages, IDistanceIndex};
+use promips_idistance::{build_index, footer_span_pages, HeadBasis, IDistanceIndex};
 use promips_linalg::{norm1, sq_norm2, Matrix};
 use promips_storage::{AccessStatsSnapshot, Pager};
 
@@ -68,12 +68,29 @@ impl ProMips {
     }
 
     /// Builds the index into the given pager (file-backed for the
-    /// disk-resident experiments). A row with a NaN or infinite coordinate
-    /// is `InvalidInput`.
+    /// disk-resident experiments), its verification codes under the basis
+    /// [`ProMipsConfig::head_basis`] estimates from `data`. A row with a
+    /// NaN or infinite coordinate is `InvalidInput`.
     pub fn build_with_pager(
         data: &Matrix,
         config: ProMipsConfig,
         pager: Arc<Pager>,
+    ) -> io::Result<Self> {
+        let head = (!data.is_empty())
+            .then(|| config.head_basis(data))
+            .flatten();
+        Self::build_with_head(data, config, pager, head)
+    }
+
+    /// [`ProMips::build_with_pager`] with the verification codes coded under
+    /// `head`, the caller's basis — the sharded index estimates one for all
+    /// of its shards and builds every generation under it. `None` codes
+    /// full-width rows; without the verification tier `head` is dropped.
+    pub fn build_with_head(
+        data: &Matrix,
+        config: ProMipsConfig,
+        pager: Arc<Pager>,
+        head: Option<HeadBasis>,
     ) -> io::Result<Self> {
         config.validate();
         assert!(
@@ -127,9 +144,13 @@ impl ProMips {
 
         // Stage 3: iDistance over the projected points, originals alongside.
         let t2 = std::time::Instant::now();
-        let mut id_cfg = config.idistance.clone();
-        id_cfg.seed ^= config.seed;
-        let index = build_index(Arc::clone(&pager), &proj, data, &id_cfg)?;
+        let index = build_index(
+            Arc::clone(&pager),
+            &proj,
+            data,
+            &config.index_config(),
+            head,
+        )?;
         // build_index ends by writing the iDistance footer as the file's
         // last pages (one page at any realistic page size).
         let idist_footer_page = pager.num_pages() - footer_span_pages(pager.page_size());

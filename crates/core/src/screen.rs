@@ -7,8 +7,8 @@
 //! the walk and picks the rows it then tests whole: [`PrefixBound`]), the
 //! annulus path its candidates one
 //! sub-partition group at a time (unscreened while its k-th best is `-∞`),
-//! and the shard layer its delta one chunk at a time — sealed chunks under
-//! their full-width codes (the case below that needs no head basis), the
+//! and the shard layer its delta one chunk at a time — sealed chunks coded
+//! under the index's one basis and screened by the query's one screen, the
 //! open tail unscreened.
 
 use std::io;
@@ -57,6 +57,9 @@ pub struct QueryScreen {
     /// `δ(1 + δ)·max(‖q‖, ‖Vq‖)`, the query's factor of the leak term; 0
     /// without a basis.
     leak: f64,
+    /// The frame the screen was built in: the query's length `d` (0 before
+    /// the first rebuild) and the fingerprint of its basis, if any.
+    frame: (usize, Option<u64>),
 }
 
 /// The query's quantizer scalars over a span of the coded coordinates.
@@ -76,6 +79,7 @@ impl QueryScreen {
     /// caller's already-computed `‖q‖²`; `basis` is `None` for full-width
     /// codes.
     pub fn rebuild(&mut self, q: &[f32], q_sq_norm: f64, basis: Option<&HeadBasis>) {
+        self.frame = (q.len(), basis.map(HeadBasis::fingerprint));
         let (q, p, [prefix_sq_norm, q_sq_norm]) = match basis {
             Some(basis) => {
                 self.head.resize(basis.width(), 0.0);
@@ -126,6 +130,14 @@ impl QueryScreen {
     #[inline]
     pub fn qcodes(&self) -> &[i8] {
         &self.qcodes
+    }
+
+    /// Whether the screen was built for a query of `d` coordinates under
+    /// `basis` (`None`: full-width codes) — whether codes taken under that
+    /// basis can be screened with it. Bases are told apart by
+    /// [`HeadBasis::fingerprint`].
+    pub fn fits(&self, d: usize, basis: Option<&HeadBasis>) -> bool {
+        self.frame == (d, basis.map(HeadBasis::fingerprint))
     }
 }
 

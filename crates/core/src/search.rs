@@ -78,8 +78,10 @@
 //! in few directions the code column holds `h`-byte **heads** in place of
 //! `d`-byte rows: the SQ8 codes of `Vo`, for an `h × d` basis `V` of
 //! top-energy directions estimated at build time
-//! ([`promips_idistance::HeadBasis`]). The query is taken into the same
-//! space once per `execute` (`d·h` multiply-adds), and the screen tests
+//! ([`promips_idistance::HeadBasis`]; a sharded index estimates one for all
+//! its shards). The query is taken into the same space once per `execute`
+//! (`d·h` multiply-adds), or once for all shards of a sharded query, which
+//! hands its screen in as [`Query::screen`], and the screen tests
 //!
 //! ```text
 //! ⟨o, q⟩ ≤ base + step·idot + pad,
@@ -233,6 +235,9 @@ pub struct SearchScratch {
     proj: ProjScratch,
     /// Buffers for screening and verification.
     fetch: FetchBuffers,
+    /// The query side of the screen, rebuilt once per `execute` unless the
+    /// request brings its own ([`Query::screen`]).
+    screen: QueryScreen,
 }
 
 #[derive(Debug, Default)]
@@ -261,8 +266,6 @@ struct FetchBuffers {
     /// Reverse(sub-partition), refined)` per sub-partition whose key
     /// reaches the floor, a max-heap rebuilt in place per pass.
     order: BinaryHeap<(u64, Reverse<u32>, bool)>,
-    /// The query side of the screen, rebuilt once per `execute`.
-    screen: QueryScreen,
 }
 
 impl SearchScratch {
@@ -336,6 +339,11 @@ pub struct Query<'a> {
     /// and B are statements about this index's own k-th. `-∞`
     /// ([`Query::new`]) keeps every row.
     pub kth_floor: f64,
+    /// The query side of the screen, built by the caller from `q` (a
+    /// sharded index builds one per query under the basis its shards
+    /// share); `None` ([`Query::new`]) builds it in the scratch. A screen
+    /// that does not [fit](QueryScreen::fits) this index is `InvalidInput`.
+    pub screen: Option<&'a QueryScreen>,
 }
 
 impl<'a> Query<'a> {
@@ -348,6 +356,7 @@ impl<'a> Query<'a> {
             budget: None,
             span: None,
             kth_floor: f64::NEG_INFINITY,
+            screen: None,
         }
     }
 }
@@ -460,10 +469,22 @@ impl ProMips {
         scratch: &mut SearchScratch,
         work: &mut ShardSpan,
     ) -> io::Result<SearchResult> {
-        let &Query { q, k, budget, .. } = query;
+        let &Query {
+            q,
+            k,
+            budget,
+            screen,
+            ..
+        } = query;
         let (mask, mask_dead_count) = query.mask.unzip();
         assert_eq!(q.len(), self.d, "query dimensionality mismatch");
         assert!(k >= 1, "k must be at least 1");
+        if screen.is_some_and(|qs| !qs.fits(self.d, self.index.head())) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "the query screen was not built under this index's head basis",
+            ));
+        }
         // Cooperative budget checker shared by every loop below. With no
         // budget this is one branch per tick site — the no-budget path
         // stays bit-identical.
@@ -484,12 +505,14 @@ impl ProMips {
         let t_scan = obs::now_ns();
         self.projection.project_into(q, &mut scratch.pq);
         let ctx = self.conditions(q)?;
-        if self.index.verify_quantized() {
-            scratch
-                .fetch
-                .screen
-                .rebuild(q, ctx.q_sq_norm, self.index.head());
-        }
+        let qs = match screen {
+            _ if !self.index.verify_quantized() => None,
+            Some(qs) => Some(qs),
+            None => {
+                scratch.screen.rebuild(q, ctx.q_sq_norm, self.index.head());
+                Some(&scratch.screen)
+            }
+        };
 
         // --- Quick-Probe: locate the range-defining point (Algorithm 2). --
         let located = self
@@ -507,9 +530,10 @@ impl ProMips {
 
         let mut top = TopK::new(k);
 
-        if work.column_pass {
+        if let Some(qs) = qs.filter(|_| work.column_pass) {
             let t_pass = obs::now_ns();
-            let passed = self.column_pass(query, &mut top, scratch, work, &mut checker);
+            let passed =
+                self.column_pass(query, qs, &mut top, &mut scratch.fetch, work, &mut checker);
             work.stages.screen_ns += obs::now_ns().saturating_sub(t_pass);
             passed?;
             return Ok(finish(
@@ -541,6 +565,7 @@ impl ProMips {
             q,
             &ctx,
             mask,
+            qs,
             &mut top,
             &mut scratch.fetch,
             work,
@@ -628,6 +653,7 @@ impl ProMips {
                     q,
                     &ctx,
                     mask,
+                    qs,
                     &mut top,
                     &mut scratch.fetch,
                     work,
@@ -727,6 +753,7 @@ impl ProMips {
         q: &[f32],
         ctx: &ConditionContext,
         mask: Option<&dyn Fn(u64) -> bool>,
+        qs: Option<&QueryScreen>,
         top: &mut TopK,
         buf: &mut FetchBuffers,
         work: &mut ShardSpan,
@@ -737,7 +764,6 @@ impl ProMips {
             arena,
             groups,
             idots,
-            screen: qs,
             ..
         } = buf;
         // Candidates arrive grouped by sub-partition (directory order);
@@ -756,8 +782,6 @@ impl ProMips {
             start = end;
         }
         groups.sort_by(|a, b| a.0.total_cmp(&b.0));
-
-        let tier = self.index.verify_quantized();
 
         // Lap-style stage timing: a query visits hundreds of tiny groups,
         // so reading the clock around every group would dominate the very
@@ -793,12 +817,12 @@ impl ProMips {
             // Screening can only drop candidates proven below a finite
             // k-th best; with `-∞` it is a no-op, so skip the code
             // pages entirely and score every row.
-            let screen_now = tier && top.kth_ip() > f64::NEG_INFINITY;
-            if screen_now != lap_screened {
+            let screen_now = qs.filter(|_| top.kth_ip() > f64::NEG_INFINITY);
+            if screen_now.is_some() != lap_screened {
                 flush(lap_screened, &mut t_lap, &mut work.stages);
-                lap_screened = screen_now;
+                lap_screened = screen_now.is_some();
             }
-            let bound = if screen_now {
+            let bound = if let Some(qs) = screen_now {
                 offsets.clear();
                 offsets.extend(group.iter().map(|c| c.offset));
                 if let Err(e) = self.index.screen_dots(sub, offsets, qs.qcodes(), idots) {
@@ -877,8 +901,9 @@ impl ProMips {
     fn column_pass(
         &self,
         query: &Query<'_>,
+        qs: &QueryScreen,
         top: &mut TopK,
-        scratch: &mut SearchScratch,
+        fetch: &mut FetchBuffers,
         work: &mut ShardSpan,
         checker: &mut BudgetChecker<'_>,
     ) -> io::Result<()> {
@@ -892,9 +917,8 @@ impl ProMips {
             norm_codes,
             best_dots,
             order,
-            screen: qs,
             ..
-        } = &mut scratch.fetch;
+        } = fetch;
         let swept = self
             .index
             .column_dots(qs.qcodes(), idots, || Ok(checker.tick()?));

@@ -9,7 +9,8 @@
 //! plus the pass's page accounting, a clustered dataset on which the
 //! rule keeps the annulus path because it reads less, and spectra on both
 //! sides of the width rule: code columns that are 64-byte heads and ones
-//! that stay full-width answer alike.
+//! that stay full-width answer alike, and a query screen handed in by the
+//! caller is used only by an index coded under its basis.
 
 mod common;
 
@@ -19,6 +20,7 @@ use common::{clustered, low_rank, without_head};
 
 use promips_baselines::ExactScan;
 use promips_core::result::Termination;
+use promips_core::screen::QueryScreen;
 use promips_core::{ProMips, ProMipsConfig, Query, SearchItem, SearchResult, SearchScratch};
 use promips_linalg::{dot, Matrix};
 use promips_obs::ShardSpan;
@@ -476,5 +478,64 @@ fn head_and_full_width_columns_answer_exactly() {
             }
         }
         assert!(on_column >= 12, "{what}: {on_column} column-path queries");
+    }
+}
+
+/// A caller's query screen ([`Query::screen`]) stands in for the one the
+/// search would build — same items, same counts — only on an index coded
+/// under the basis it was built under: a screen of another head basis, a
+/// full-width screen on a head index, a head screen on a full-width one and
+/// a screen never built are each `InvalidInput`, refused before any page
+/// is read.
+#[test]
+fn a_query_screen_of_another_basis_is_refused() {
+    let (n, d) = (1_500usize, 160usize);
+    let head_a = build(&low_rank(n, d, 20, 0.0, 81), 4096, 81);
+    let head_b = build(&low_rank(n, d, 20, 0.0, 82), 4096, 82);
+    let full = build(&gaussian(n, d, 83), 4096, 83);
+    let (basis_a, basis_b) = (head_a.idistance().head(), head_b.idistance().head());
+    assert!(basis_a.is_some() && basis_b.is_some() && full.idistance().head().is_none());
+    assert_ne!(
+        basis_a.unwrap().fingerprint(),
+        basis_b.unwrap().fingerprint()
+    );
+
+    let q: Vec<f32> = low_rank(1, d, 20, 0.0, 84).row(0).to_vec();
+    let q_sq_norm = q.iter().map(|&x| x as f64 * x as f64).sum::<f64>();
+    let screen_of = |index: &ProMips| {
+        let mut qs = QueryScreen::default();
+        qs.rebuild(&q, q_sq_norm, index.idistance().head());
+        qs
+    };
+    let mut scratch = SearchScratch::new();
+    for (index, fits) in [
+        (&head_a, [true, false, false]),
+        (&full, [false, false, true]),
+    ] {
+        let (want, want_span) = traced(index, Query::new(&q, 10), &mut scratch);
+        let screens = [screen_of(&head_a), screen_of(&head_b), screen_of(&full)];
+        for (qs, fits) in screens
+            .iter()
+            .chain([&QueryScreen::default()])
+            .zip(fits.into_iter().chain([false]))
+        {
+            let request = Query {
+                screen: Some(qs),
+                ..Query::new(&q, 10)
+            };
+            if fits {
+                let (got, span) = traced(index, request, &mut scratch);
+                assert_eq!(got, want);
+                assert_eq!(
+                    (span.screened, span.verified),
+                    (want_span.screened, want_span.verified)
+                );
+                continue;
+            }
+            index.reset_stats();
+            let err = index.execute(request, &mut scratch).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+            assert_eq!(index.access_stats().logical_reads, 0);
+        }
     }
 }

@@ -25,7 +25,11 @@ use crate::layout::RegionWriter;
 use crate::meta::{OrigQuant, PartitionMeta, SubPartMeta};
 
 /// Builds an [`IDistanceIndex`] over `proj` (n × m projected points) and
-/// `orig` (n × d original points) inside `pager`.
+/// `orig` (n × d original points) inside `pager`, its verification codes
+/// (with [`IDistanceConfig::verify_quantize`]) coded under `head` — heads
+/// `Vo` under a basis, the rows themselves under `None`. The basis is the
+/// caller's ([`HeadBasis::estimate`]; a sharded index passes the one it
+/// estimated for all its shards). Without the tier `head` is dropped.
 ///
 /// The row order of `proj` and `orig` must agree: row `i` of both matrices
 /// is the same logical point, whose id is `i`.
@@ -34,21 +38,17 @@ pub fn build_index(
     proj: &Matrix,
     orig: &Matrix,
     config: &IDistanceConfig,
+    head: Option<HeadBasis>,
 ) -> io::Result<IDistanceIndex> {
     assert_eq!(proj.rows(), orig.rows(), "proj/orig row mismatch");
     assert!(!proj.is_empty(), "cannot index an empty dataset");
     let n = proj.rows();
     let m = proj.cols();
     let d = orig.cols();
-
-    // The verification codes' head basis, if the rows have one. Estimated
-    // before anything else is allocated: its sample matrices are the
-    // build's largest transients after the inputs, and freed here they do
-    // not add to its peak.
-    let head = config
-        .verify_quantize
-        .then(|| HeadBasis::estimate(orig, config.seed))
-        .flatten();
+    let head = head.filter(|_| config.verify_quantize);
+    if let Some(basis) = &head {
+        assert_eq!(basis.rows().cols(), d, "head basis/rows dimension mismatch");
+    }
 
     // --- Stage 1: kp-means over the projected points. --------------------
     let all: Vec<usize> = (0..n).collect();
@@ -158,17 +158,13 @@ pub fn build_index(
     let orig_region = writer.finish()?;
 
     // --- Packed SQ8 verification-quant region. ------------------------------
-    // The original rows scalar-quantized to u8 codes ([`sq8_encode`]): one
-    // affine quantizer per sub-partition, one code row per record in
-    // original-region order. When the rows' energy sits in few directions
-    // the coded row is the `h`-dim head `Vo` ([`HeadBasis`]), else the
-    // d-dim row itself. The screen needs the bounds of [`OrigQuant`] per
-    // sub-partition — max ‖x − x̂‖, max ‖x̂‖ over the coded rows `x`, and for
-    // a head max ‖o − Vᵀ(Vo)‖ and the largest norm of a head's suffix. Heads
-    // are projected one sub-partition at a time, as one blocked `rows · Vᵀ`:
-    // the only transients are that sub-partition's rows and heads. A head's
-    // codes are three columns ([`IDistanceIndex`]'s layout): every row's
-    // prefix, every row's suffix, then every row's suffix-norm code
+    // The original rows scalar-quantized to u8 codes ([`sq8_code_rows`]):
+    // one affine quantizer per sub-partition, one code row per record in
+    // original-region order, heads `Vo` under a basis, else the d-dim rows
+    // themselves. Heads are projected one sub-partition at a time: the only
+    // transients are that sub-partition's rows and heads. A head's codes
+    // are three columns ([`IDistanceIndex`]'s layout): every row's prefix,
+    // every row's suffix, then every row's suffix-norm code
     // ([`suffix_code`], from the heads already projected). The prefixes
     // stream out as they are coded; the suffixes and the norm codes wait in
     // memory — `h/2 + 1` bytes a row — and follow them.
@@ -184,34 +180,21 @@ pub fn build_index(
         );
         let mut norm_codes = Vec::with_capacity(if head.is_some() { n } else { 0 });
         for def in &defs {
-            let rows = orig.gather(&def.ids);
-            let (coded, bounds) = match &head {
-                Some(basis) => basis.project_rows(&rows),
-                None => (rows, [0.0; 2]),
-            };
-            let w = coded.cols();
-            let q = sq8_encode(coded.as_slice(), w, &mut codes);
-            // Rounded up into f32 like the bounds of `sq8_encode`.
-            let [tail, suffix_norm] = bounds.map(|t| (t * (1.0 + 1e-6)) as f32);
-            let off = match &head {
-                Some(basis) => {
+            let (q, heads) = sq8_code_rows(&orig.gather(&def.ids), head.as_ref(), &mut codes);
+            let off = match (&head, heads) {
+                (Some(basis), Some(heads)) => {
                     let p = basis.prefix_width();
                     let off = writer.position();
-                    for (row, a) in codes.chunks_exact(w).zip(coded.iter_rows()) {
+                    for (row, a) in codes.chunks_exact(heads.cols()).zip(heads.iter_rows()) {
                         writer.append(&row[..p])?;
                         suffixes.extend_from_slice(&row[p..]);
-                        norm_codes.push(suffix_code(sq_norm2(&a[p..]).sqrt(), suffix_norm));
+                        norm_codes.push(suffix_code(sq_norm2(&a[p..]).sqrt(), q.suffix_norm));
                     }
                     off
                 }
-                None => writer.append(&codes)?,
+                _ => writer.append(&codes)?,
             };
-            vquants.push(OrigQuant {
-                off,
-                tail,
-                suffix_norm,
-                ..q
-            });
+            vquants.push(OrigQuant { off, ..q });
         }
         // A page at a time, so the writer's buffer stays one run long.
         let ps = pager.page_size();
@@ -260,6 +243,32 @@ pub fn build_index(
     );
     index.write_footer()?;
     Ok(index)
+}
+
+/// Codes the rows of one quantizer — a sub-partition of a build, a sealed
+/// chunk of a shard's delta — into `codes` (cleared first): under `head`
+/// the heads `Vo` of [`HeadBasis::project_rows`], `h` bytes a row, else
+/// the rows themselves, `d` bytes a row, by [`sq8_encode`]. Returns the
+/// quantizer, with a head's `tail` (the largest residual bound) and
+/// `suffix_norm` rounded up into f32 like the bounds of `sq8_encode` (0
+/// without one), and the heads it coded.
+pub fn sq8_code_rows(
+    rows: &Matrix,
+    head: Option<&HeadBasis>,
+    codes: &mut Vec<u8>,
+) -> (OrigQuant, Option<Matrix>) {
+    let Some(basis) = head else {
+        return (sq8_encode(rows.as_slice(), rows.cols(), codes), None);
+    };
+    let (heads, bounds) = basis.project_rows(rows);
+    let q = sq8_encode(heads.as_slice(), heads.cols(), codes);
+    let [tail, suffix_norm] = bounds.map(|t| (t * (1.0 + 1e-6)) as f32);
+    let q = OrigQuant {
+        tail,
+        suffix_norm,
+        ..q
+    };
+    (q, Some(heads))
 }
 
 /// Quantizes the `w`-float rows of `rows` to one u8 code per coordinate,
@@ -343,7 +352,7 @@ mod tests {
             ksp: 3,
             ..Default::default()
         };
-        let idx = build_index(pager, &proj, &orig, &cfg).unwrap();
+        let idx = build_index(pager, &proj, &orig, &cfg, None).unwrap();
 
         let total: u64 = idx.subparts().iter().map(|s| s.count as u64).sum();
         assert_eq!(total, 500);
@@ -373,7 +382,7 @@ mod tests {
             ksp: 2,
             ..Default::default()
         };
-        let idx = build_index(pager, &proj, &orig, &cfg).unwrap();
+        let idx = build_index(pager, &proj, &orig, &cfg, None).unwrap();
 
         let mut scratch = crate::index::ProjScratch::new();
         for (sub, sp) in (0u32..).zip(idx.subparts()) {
@@ -401,7 +410,7 @@ mod tests {
             ksp: 2,
             ..Default::default()
         };
-        let idx = build_index(pager, &proj, &orig, &cfg).unwrap();
+        let idx = build_index(pager, &proj, &orig, &cfg, None).unwrap();
         assert_eq!(idx.len(), 20);
         let total: u64 = idx.subparts().iter().map(|s| s.count as u64).sum();
         assert_eq!(total, 20);

@@ -104,6 +104,9 @@ const ROUNDING: f64 = 1.0 / (1u64 << 22) as f64;
 pub struct HeadBasis {
     v: Matrix,
     defect: f32,
+    /// A hash of the shape, `defect` and every basis float
+    /// ([`Self::fingerprint`]).
+    fingerprint: u64,
 }
 
 impl HeadBasis {
@@ -130,10 +133,32 @@ impl HeadBasis {
             if tail <= MAX_TAIL_ENERGY {
                 // Rounded up into f32 like every stored bound.
                 let defect = ((orthonormality_defect(&v) + ROUNDING) * (1.0 + 1e-6)) as f32;
-                return defect.is_finite().then_some(Self { v, defect });
+                return defect.is_finite().then(|| Self::new(v, defect));
             }
         }
         None
+    }
+
+    fn new(v: Matrix, defect: f32) -> Self {
+        // FNV-1a over 32-bit words: the shape, the defect, every float.
+        let shape = [v.rows() as u32, v.cols() as u32, defect.to_bits()];
+        let words = shape
+            .into_iter()
+            .chain(v.as_slice().iter().map(|x| x.to_bits()));
+        let fingerprint = words.fold(0xCBF2_9CE4_8422_2325u64, |h, w| {
+            (h ^ w as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+        Self {
+            v,
+            defect,
+            fingerprint,
+        }
+    }
+
+    /// A 64-bit hash of the basis as stored (shape, defect, every float):
+    /// what a query screen records to say which basis it was built under.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// Head width `h`: code bytes per row.
@@ -192,7 +217,7 @@ impl HeadBasis {
 
     /// Serializes into `buf`: width, defect, then the `h·d` basis floats
     /// behind their count.
-    pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
+    pub fn encode(&self, buf: &mut Vec<u8>) {
         enc::put_u32(buf, self.width() as u32);
         enc::put_f32(buf, self.defect);
         enc::put_u32(buf, self.v.as_slice().len() as u32);
@@ -201,7 +226,7 @@ impl HeadBasis {
 
     /// Deserializes from `buf` at `pos` for an index of dimension `d`,
     /// rejecting a basis whose shape disagrees with it.
-    pub(crate) fn decode(buf: &[u8], pos: &mut usize, d: usize) -> io::Result<Self> {
+    pub fn decode(buf: &[u8], pos: &mut usize, d: usize) -> io::Result<Self> {
         let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
         if buf.len() - *pos < 12 {
             return Err(bad("head basis header is truncated"));
@@ -219,7 +244,7 @@ impl HeadBasis {
             return Err(bad("head basis defect is not a finite bound"));
         }
         let v = Matrix::from_vec(h, d, enc::get_f32s(buf, pos, len));
-        Ok(Self { v, defect })
+        Ok(Self::new(v, defect))
     }
 }
 

@@ -1342,7 +1342,7 @@ mod tests {
             ksp: 3,
             ..Default::default()
         };
-        let idx = build_index(pager, &proj, &orig, &cfg).unwrap();
+        let idx = build_index(pager, &proj, &orig, &cfg, None).unwrap();
         (idx, proj, orig)
     }
 
@@ -1463,7 +1463,7 @@ mod tests {
                 ksp: 4,
                 ..Default::default()
             };
-            let idx = build_index(pager, &proj, &orig, &cfg).unwrap();
+            let idx = build_index(pager, &proj, &orig, &cfg, None).unwrap();
             let subs = 0..idx.subparts().len() as u32;
             let bounds = idx.row_bounds();
             assert_eq!((bounds[0], bounds[subs.len()]), (0, idx.len() as usize));
@@ -1611,7 +1611,7 @@ mod tests {
             ksp: 2,
             ..Default::default()
         };
-        let idx = build_index(pager, &proj, &orig, &cfg).unwrap();
+        let idx = build_index(pager, &proj, &orig, &cfg, None).unwrap();
         let mut arena = Vec::new();
         for sub in 0..idx.subparts().len() as u32 {
             let count = idx.subparts()[sub as usize].count;
@@ -1647,7 +1647,7 @@ mod tests {
             ksp: 2,
             ..Default::default()
         };
-        let built = build_index(pager, &proj, &orig, &cfg).unwrap();
+        let built = build_index(pager, &proj, &orig, &cfg, None).unwrap();
         let pq: Vec<f32> = vec![0.0; 5];
         let mut before: Vec<u64> = built
             .range_candidates(&pq, -1.0, 2.0)
@@ -1708,7 +1708,7 @@ mod tests {
             ksp: 2,
             ..Default::default()
         };
-        let built = build_index(Arc::clone(&pager), &proj, &orig, &cfg).unwrap();
+        let built = build_index(Arc::clone(&pager), &proj, &orig, &cfg, None).unwrap();
         let pq = vec![0.3f32; 4];
         let before = built.range_candidates(&pq, -1.0, 2.0).unwrap();
         let reopened = IDistanceIndex::open(pager).unwrap();
@@ -1737,7 +1737,7 @@ mod tests {
                 ..Default::default()
             };
             let pager = Arc::new(Pager::in_memory(512, 1 << 16));
-            let built = build_index(Arc::clone(&pager), &proj, &orig, &cfg).unwrap();
+            let built = build_index(Arc::clone(&pager), &proj, &orig, &cfg, None).unwrap();
             let reopened = IDistanceIndex::open(pager).unwrap();
             assert_eq!(reopened.verify_quantized(), verify_quantize);
             assert_eq!(reopened.vquants(), built.vquants());

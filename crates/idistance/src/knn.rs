@@ -171,7 +171,7 @@ mod tests {
             ksp: 3,
             ..Default::default()
         };
-        (build_index(pager, &proj, &orig, &cfg).unwrap(), proj)
+        (build_index(pager, &proj, &orig, &cfg, None).unwrap(), proj)
     }
 
     #[test]

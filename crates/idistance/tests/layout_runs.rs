@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use promips_data::gen::{low_rank, norm_skewed};
 use promips_idistance::layout::{read_blob, write_blob, RegionWriter, RUN_BYTES};
-use promips_idistance::{build_index, IDistanceConfig};
+use promips_idistance::{build_index, HeadBasis, IDistanceConfig};
 use promips_linalg::Matrix;
 use promips_stats::Xoshiro256pp;
 use promips_storage::{AccessStats, FileStorage, MemStorage, PageId, Pager, Storage};
@@ -55,7 +55,14 @@ fn build(storage: Arc<dyn Storage>, orig: &Matrix) -> (bool, u64) {
     let directions = Matrix::from_vec(7, d, (0..7 * d).map(|_| rng.normal() as f32).collect());
     let proj = orig.gemm_nt(&directions);
     let pager = Arc::new(Pager::new(storage, 64, AccessStats::new_shared()));
-    let index = build_index(pager, &proj, orig, &IDistanceConfig::default()).unwrap();
+    let index = build_index(
+        pager,
+        &proj,
+        orig,
+        &IDistanceConfig::default(),
+        HeadBasis::estimate(orig, IDistanceConfig::default().seed),
+    )
+    .unwrap();
     (index.head().is_some(), index.access_stats().writes)
 }
 

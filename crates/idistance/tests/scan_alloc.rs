@@ -16,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use promips_idistance::{build_index, IDistanceConfig, ProjScratch};
+use promips_idistance::{build_index, HeadBasis, IDistanceConfig, ProjScratch};
 use promips_linalg::Matrix;
 use promips_stats::Xoshiro256pp;
 use promips_storage::Pager;
@@ -74,7 +74,14 @@ fn warm_range_scan_does_not_allocate_per_record() {
         ksp: 3,
         ..Default::default()
     };
-    let idx = build_index(pager, &proj, &orig, &cfg).unwrap();
+    let idx = build_index(
+        pager,
+        &proj,
+        &orig,
+        &cfg,
+        HeadBasis::estimate(&orig, cfg.seed),
+    )
+    .unwrap();
 
     let pq: Vec<f32> = vec![0.1; m];
     let r = 1e6; // covers every point: the scan touches all n records

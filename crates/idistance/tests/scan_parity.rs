@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use promips_idistance::layout::{enc, read_blob_range};
 use promips_idistance::{
-    build_index, IDistanceConfig, IDistanceIndex, ProjScratch, RangeCandidate,
+    build_index, HeadBasis, IDistanceConfig, IDistanceIndex, ProjScratch, RangeCandidate,
 };
 use promips_linalg::{dist, Matrix};
 use promips_stats::Xoshiro256pp;
@@ -38,7 +38,14 @@ fn build(n: usize, m: usize, page_size: usize, seed: u64) -> IDistanceIndex {
         ksp: 2,
         ..Default::default()
     };
-    build_index(pager, &proj, &orig, &cfg).unwrap()
+    build_index(
+        pager,
+        &proj,
+        &orig,
+        &cfg,
+        HeadBasis::estimate(&orig, cfg.seed),
+    )
+    .unwrap()
 }
 
 /// The annulus `r_lo < proj_dist ≤ r_hi` by whole-sub-partition decodes:

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use promips_data::gen::low_rank;
 use promips_idistance::layout::read_blob_range;
-use promips_idistance::{build_index, IDistanceConfig, IDistanceIndex, ProjScratch};
+use promips_idistance::{build_index, HeadBasis, IDistanceConfig, IDistanceIndex, ProjScratch};
 use promips_linalg::{dot_i8, Matrix};
 use promips_stats::Xoshiro256pp;
 use promips_storage::{AccessStats, MemStorage, PageId, Pager, Storage};
@@ -56,7 +56,14 @@ fn build(n: usize, d: usize, page_size: usize, seed: u64) -> IDistanceIndex {
         ksp: 1,
         ..Default::default()
     };
-    build_index(pager, &proj, &orig, &cfg).unwrap()
+    build_index(
+        pager,
+        &proj,
+        &orig,
+        &cfg,
+        HeadBasis::estimate(&orig, cfg.seed),
+    )
+    .unwrap()
 }
 
 /// Region bytes where each code column's rows of sub-partition `sub`
@@ -293,7 +300,14 @@ fn screen_dots_without_the_tier_panics_in_every_build() {
         verify_quantize: false,
         ..Default::default()
     };
-    let idx = build_index(Arc::new(Pager::in_memory(256, 1 << 12)), &proj, &orig, &cfg).unwrap();
+    let idx = build_index(
+        Arc::new(Pager::in_memory(256, 1 << 12)),
+        &proj,
+        &orig,
+        &cfg,
+        HeadBasis::estimate(&orig, cfg.seed),
+    )
+    .unwrap();
     let _ = idx.screen_dots(0, &[0], &[0; 8], &mut Vec::new());
 }
 
@@ -316,6 +330,7 @@ fn stored_codes_dequantize_to_originals_within_bound() {
         &proj,
         &orig,
         &cfg,
+        HeadBasis::estimate(&orig, cfg.seed),
     )
     .unwrap();
     let mut scratch = ProjScratch::new();
@@ -356,6 +371,7 @@ fn build_over(orig: &Matrix, page_size: usize, seed: u64) -> IDistanceIndex {
         &proj,
         orig,
         &cfg,
+        HeadBasis::estimate(orig, cfg.seed),
     )
     .unwrap()
 }
@@ -620,7 +636,14 @@ fn a_cold_sweep_makes_one_device_read_a_window() {
                 ksp: 2,
                 ..Default::default()
             };
-            let idx = build_index(pager, &proj, &orig, &cfg).unwrap();
+            let idx = build_index(
+                pager,
+                &proj,
+                &orig,
+                &cfg,
+                HeadBasis::estimate(&orig, cfg.seed),
+            )
+            .unwrap();
             assert_eq!(idx.code_width(), width);
             let (_, bytes) = idx.code_region().unwrap();
             // The sweep reads half the bytes of a head's code region.

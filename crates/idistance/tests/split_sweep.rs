@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use promips_data::gen::low_rank;
 use promips_idistance::layout::read_blob_range;
-use promips_idistance::{build_index, IDistanceConfig, IDistanceIndex};
+use promips_idistance::{build_index, HeadBasis, IDistanceConfig, IDistanceIndex};
 use promips_linalg::Matrix;
 use promips_obs::CounterId;
 use promips_stats::Xoshiro256pp;
@@ -70,7 +70,14 @@ fn random_matrix(n: usize, d: usize, seed: u64) -> Matrix {
 fn build_on(storage: Arc<dyn Storage>, capacity: usize, orig: &Matrix) -> IDistanceIndex {
     let pager = Arc::new(Pager::new(storage, capacity, AccessStats::new_shared()));
     let proj = random_matrix(orig.rows(), 4, orig.rows() as u64);
-    build_index(pager, &proj, orig, &IDistanceConfig::default()).unwrap()
+    build_index(
+        pager,
+        &proj,
+        orig,
+        &IDistanceConfig::default(),
+        HeadBasis::estimate(orig, IDistanceConfig::default().seed),
+    )
+    .unwrap()
 }
 
 fn full_rows(n: usize) -> Matrix {

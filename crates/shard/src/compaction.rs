@@ -390,7 +390,7 @@ impl ShardedProMips {
             let delta = shard.delta.read();
             let mut next = DeltaState::empty(new_gen.built_max_norm);
             for (gid, row) in delta.rows(self.d).skip(split) {
-                next.append(gid, row);
+                next.append(gid, row, self.head.as_ref());
             }
             let late_tombs: HashSet<u64> = delta
                 .tombstones

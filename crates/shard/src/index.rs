@@ -24,9 +24,9 @@
 //!
 //! A reader therefore **never blocks on a mutation**: inserts and deletes
 //! take the delta write lock for an append — one row copied, and on every
-//! `CHUNK_ROWS`-th the tail's seal, one `sq8_encode` of its rows (≈ 0.1 ms
-//! at d = 300: replaying `lf300_churn`'s 4 000-row WAL, 62 seals, takes
-//! 8 ms longer than pushing the rows did) — their fsync happens *outside*
+//! `CHUNK_ROWS`-th the tail's seal, its rows projected onto the index's
+//! basis and coded (≈ 0.15 ms for 64 rows at d = 300 under a 64-wide head,
+//! hot-cache loop on a 2-core AVX-512 VM) — their fsync happens *outside*
 //! any lock readers touch, and compaction builds the next generation
 //! entirely off to the side before swapping the handle.
 //!
@@ -44,8 +44,9 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 use promips_core::ProMips;
-use promips_idistance::build::sq8_encode;
+use promips_idistance::build::sq8_code_rows;
 use promips_idistance::meta::OrigQuant;
+use promips_idistance::HeadBasis;
 use promips_linalg::{sq_norm2, Matrix};
 use promips_storage::{AccessStats, AccessStatsSnapshot, FileStorage, Pager};
 use promips_wal::Wal;
@@ -111,14 +112,19 @@ impl ShardGeneration {
 /// at 64, 71.3 at 128; 64 the fastest of the three in each of the five
 /// rounds — and two runs 98.5–99.3 µs at 256, 126–146 at 512, 183–202 at
 /// 1 024 (4 096, every row in the tail, is the f32 scan this replaced:
-/// 245–361).
+/// 245–361). Those were full-width chunks. Coded under a 64-wide head a
+/// chunk's kernel call is ≈ 4× cheaper (72 hot chunks: 8.9 µs at w = 64,
+/// 38 µs at w = 300), so `o` is smaller than fitted; it was not re-fitted,
+/// but five alternated runs per size still keep 64: medians 45.3 µs at
+/// C = 32, 42.1 at 64, 50.7 at 128, 64 the fastest in three rounds and 32
+/// in the other two.
 pub(crate) const CHUNK_ROWS: usize = 64;
 
 /// A run of rows appended since the shard's last rebuild: their ascending
 /// global ids and one contiguous `n × d` f32 slab. A **sealed** chunk holds
-/// exactly [`CHUNK_ROWS`] rows plus their full-width SQ8 codes (`d` bytes a
-/// row) and quantizer, and is never mutated again; the open tail holds
-/// fewer, and no codes.
+/// exactly [`CHUNK_ROWS`] rows plus their SQ8 codes under the index's one
+/// [`HeadBasis`] (`h` bytes a row, or `d` without one) and quantizer, and
+/// is never mutated again; the open tail holds fewer, and no codes.
 #[derive(Clone, Default)]
 pub(crate) struct DeltaChunk {
     pub gids: Vec<u64>,
@@ -134,11 +140,13 @@ impl DeltaChunk {
         self.gids.iter().copied().zip(self.rows.chunks_exact(d))
     }
 
-    /// Encodes the slab with [`sq8_encode`] at full width — the `V = I` case
-    /// of the head bound, so the codes depend on no generation's basis and
-    /// survive every compaction untouched.
-    fn seal(mut self, d: usize) -> Self {
-        self.quant = Some(sq8_encode(&self.rows, d, &mut self.codes));
+    /// Codes the slab under `basis` — the index's, which every generation
+    /// is coded under too, so one query screen serves both — with the
+    /// build's own encoder, [`sq8_code_rows`].
+    fn seal(mut self, d: usize, basis: Option<&HeadBasis>) -> Self {
+        let rows = Matrix::from_vec(self.gids.len(), d, std::mem::take(&mut self.rows));
+        self.quant = Some(sq8_code_rows(&rows, basis, &mut self.codes).0);
+        self.rows = rows.into_vec();
         self
     }
 }
@@ -220,9 +228,10 @@ impl DeltaState {
     }
 
     /// Appends one row, whose id must exceed every id here, raises the norm
-    /// bound, and seals the tail once it holds [`CHUNK_ROWS`] rows — the one
-    /// append path of inserts, WAL replay and a compaction's commit.
-    pub(crate) fn append(&mut self, gid: u64, row: &[f32]) {
+    /// bound, and seals the tail under `basis` (the index's) once it holds
+    /// [`CHUNK_ROWS`] rows — the one append path of inserts, WAL replay and
+    /// a compaction's commit.
+    pub(crate) fn append(&mut self, gid: u64, row: &[f32], basis: Option<&HeadBasis>) {
         debug_assert!(
             self.last_gid().is_none_or(|last| last < gid),
             "the delta would lose its ascending gid order"
@@ -238,7 +247,7 @@ impl DeltaState {
         tail.gids.push(gid);
         tail.rows.extend_from_slice(row);
         if tail.gids.len() == CHUNK_ROWS {
-            let sealed = std::mem::take(tail).seal(row.len());
+            let sealed = std::mem::take(tail).seal(row.len(), basis);
             Arc::make_mut(&mut self.chunks).push(Arc::new(sealed));
         }
     }
@@ -379,6 +388,13 @@ pub struct ShardedProMips {
     pub(crate) config: ShardedConfig,
     pub(crate) shards: Vec<Shard>,
     pub(crate) d: usize,
+    /// The one basis every generation's verification codes and every
+    /// sealed delta chunk are coded under: estimated once, from all rows,
+    /// at build time ([`promips_core::ProMipsConfig::head_basis`] with the
+    /// base seed, so one shard codes what the unsharded index does), kept
+    /// through every compaction and repartition, and recorded in the
+    /// manifest. `None` for full-width codes.
+    pub(crate) head: Option<HeadBasis>,
     /// Live (non-tombstoned) points across all shards.
     pub(crate) n_points: AtomicU64,
     /// Next global id handed out by [`ShardedProMips::insert`] (global ids
@@ -422,6 +438,7 @@ impl ShardedProMips {
             "cannot build a sharded index over an empty dataset"
         );
         let n = data.rows();
+        let head = config.base.head_basis(data);
         // Membership lists in ascending global-id order (the id-map order
         // every tie-break rule depends on).
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); config.shards];
@@ -433,6 +450,7 @@ impl ShardedProMips {
             config,
             shards: Vec::with_capacity(members.len()),
             d: data.cols(),
+            head,
             n_points: AtomicU64::new(n as u64),
             next_global_id: AtomicU64::new(n as u64),
             mut_order: Mutex::new(()),
@@ -449,8 +467,9 @@ impl ShardedProMips {
     }
 
     /// Builds generation `generation` of shard `si` over `rows` (ids
-    /// ascending) — the one builder of the initial build, compaction and
-    /// re-partitioning. No rows, no index and no file. For a durable index
+    /// ascending), its codes under the index's basis — the one builder of
+    /// the initial build, compaction and re-partitioning. No rows, no index
+    /// and no file. For a durable index
     /// the generation's data file is written and fsynced here ([`ProMips::save`]
     /// ends with a pager sync); the manifest swap making it live is the
     /// caller's. Pure shadow work: on failure the partial file is removed
@@ -477,7 +496,7 @@ impl ShardedProMips {
             )),
             None => Arc::new(Pager::in_memory(cfg.page_size, cfg.pool_pages)),
         };
-        let built = ProMips::build_with_pager(&rows, cfg, pager).and_then(|pm| {
+        let built = ProMips::build_with_head(&rows, cfg, pager, self.head.clone()).and_then(|pm| {
             if path.is_some() {
                 pm.save()?;
             }
@@ -578,6 +597,12 @@ impl ShardedProMips {
     /// The active configuration.
     pub fn config(&self) -> &ShardedConfig {
         &self.config
+    }
+
+    /// The basis every generation and every sealed delta chunk is coded
+    /// under (`None`: full-width codes), fixed at build time.
+    pub fn head_basis(&self) -> Option<&HeadBasis> {
+        self.head.as_ref()
     }
 
     /// Name of the partitioner that built the shard assignment.

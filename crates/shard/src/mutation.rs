@@ -305,7 +305,7 @@ impl ShardedProMips {
     /// The in-memory half of an insert, logged or replayed: appends the row
     /// to the shard's delta and counts it live.
     fn apply_insert(&self, shard: &Shard, gid: u64, row: &[f32]) {
-        shard.delta.write().append(gid, row);
+        shard.delta.write().append(gid, row, self.head.as_ref());
         self.n_points.fetch_add(1, Ordering::AcqRel);
     }
 

@@ -6,9 +6,10 @@
 //!
 //! ```text
 //! <dir>/
-//!   MANIFEST.pms      the whole `ShardedConfig`, per-shard count / norm
-//!                     bound / generation, and the shard-local → global id
-//!                     maps — always describing the last **compacted** state
+//!   MANIFEST.pms      the whole `ShardedConfig`, the head basis every
+//!                     shard is coded under, per-shard count / norm bound /
+//!                     generation, and the shard-local → global id maps —
+//!                     always describing the last **compacted** state
 //!   shard_0000.pmx    shard 0, generation 0: a full ProMIPS page file
 //!                     (identical format to [`promips_core::ProMips::save`])
 //!   shard_0002.g3.pmx generation 3 of shard 2 (written by compaction; the
@@ -54,7 +55,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use promips_core::{MutationError, ProMips};
 use promips_idistance::layout::{enc, RUN_BYTES};
-use promips_idistance::IDistanceConfig;
+use promips_idistance::{HeadBasis, IDistanceConfig};
 use promips_linalg::Matrix;
 use promips_storage::{fsync_dir, write_file_atomic, AccessStats, FileStorage, Pager, Storage};
 use promips_wal::{SyncPolicy, Wal};
@@ -66,7 +67,7 @@ use crate::index::{Shard, ShardGeneration, ShardedProMips};
 use crate::partition;
 
 const MANIFEST_MAGIC: u64 = 0x5AA2_D1CE_5059_0001;
-const MANIFEST_VERSION: u64 = 5;
+const MANIFEST_VERSION: u64 = 6;
 const MANIFEST_NAME: &str = "MANIFEST.pms";
 
 /// Data-file path of shard `si` at `generation` (generation 0 keeps the
@@ -152,7 +153,20 @@ impl ShardedProMips {
     /// index at most once per directory: each call appends a fresh
     /// persistence footer to the live shard pagers (the last one always
     /// wins on reopen, but the pages accumulate).
+    ///
+    /// A durable index's own directory is `InvalidInput`, refused before
+    /// any file is created or removed: its generation-0 shard files are
+    /// the very files the copy would truncate.
     pub fn snapshot(&self, dir: impl AsRef<Path>) -> io::Result<()> {
+        let dir = dir.as_ref();
+        if let (Some(own), Ok(target)) = (&self.dir, fs::canonicalize(dir)) {
+            if fs::canonicalize(own)? == target {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "cannot snapshot an index into its own directory",
+                ));
+            }
+        }
         // Freeze all mutation state (same order as repartition: mut_order →
         // maintenance). Readers are unaffected.
         let _order = self.mut_order.lock();
@@ -164,7 +178,6 @@ impl ShardedProMips {
         if delta + tombstones > 0 {
             return Err(MutationError::PendingMutations { delta, tombstones }.into());
         }
-        let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
         let gens: Vec<Arc<ShardGeneration>> = self
             .shards
@@ -280,6 +293,10 @@ impl ShardedProMips {
         enc::put_u64(&mut buf, self.config.max_in_flight as u64);
         enc::put_u64(&mut buf, partition::NAME.len() as u64);
         buf.extend_from_slice(partition::NAME.as_bytes());
+        enc::put_u64(&mut buf, u64::from(self.head.is_some()));
+        if let Some(basis) = &self.head {
+            basis.encode(&mut buf);
+        }
         for gen in gens {
             enc::put_u64(&mut buf, gen.ids.len() as u64);
             enc::put_f64(&mut buf, gen.built_max_norm);
@@ -395,6 +412,18 @@ impl ShardedProMips {
         let name_len = enc::get_u64(&buf, &mut pos) as usize;
         need(pos, name_len)?;
         pos += name_len;
+        // The basis every shard is coded under: a flag, then the basis.
+        need(pos, 8)?;
+        let head = match enc::get_u64(&buf, &mut pos) {
+            0 => None,
+            1 if idistance.verify_quantize => Some(HeadBasis::decode(&buf, &mut pos, d)?),
+            flag => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("bad head-basis flag {flag} in sharded-index manifest"),
+                ))
+            }
+        };
 
         let config = ShardedConfig {
             shards: n_shards,
@@ -451,6 +480,12 @@ impl ShardedProMips {
                         ),
                     ));
                 }
+                if pm.idistance().head() != head.as_ref() {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("shard {si} is coded under another head basis than the manifest's"),
+                    ));
+                }
                 Some(Box::new(pm))
             };
             shards.push(Shard::new(ShardGeneration {
@@ -465,6 +500,7 @@ impl ShardedProMips {
             config,
             shards,
             d,
+            head,
             n_points: AtomicU64::new(n_points),
             next_global_id: AtomicU64::new(next_global_id),
             mut_order: Mutex::new(()),
@@ -475,8 +511,8 @@ impl ShardedProMips {
 
         // Stream each shard's write-ahead log (where one exists) through
         // the replay path; records are decoded from a bounded sliding
-        // window and applied one at a time, and torn tails are truncated
-        // inside the open. Replay mutates only delta state, so the index
+        // window and applied one at a time (chunks sealed under the
+        // manifest's basis), and torn tails are truncated inside the open. Replay mutates only delta state, so the index
         // can be built first and the `Wal` handles attached after.
         for si in 0..n_shards {
             let wp = wal_path(dir, si);

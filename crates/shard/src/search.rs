@@ -28,17 +28,24 @@
 //!    screens its chunks against it. (The annulus path ignores it; its
 //!    Conditions A and B read the shard's own k-th.)
 //!
+//! One **query screen** serves the whole query: every generation's code
+//! column and every sealed delta chunk are coded under the index's one
+//! head basis (`h` bytes a row, or `d` without one), so the query is
+//! head-projected and quantized once, before phase 1, and the screen
+//! rides into every shard as the request's [`Query::screen`] — no shard
+//! rebuilds it.
+//!
 //! Per shard, the committed generation's index is searched through
 //! [`promips_core::ProMips::execute`] with the snapshot's tombstone set as
 //! the request's dead mask (the index scans its whole code column when the
 //! query's ball covers enough of it — a small shard's usual answer), and
 //! the delta overlay joins its running top-k: sealed chunks screened by
-//! their SQ8 codes against the running k-th, the survivors and the open
-//! tail scored exactly — the same two-level read an LSM tree does, with
-//! the tombstone set filtering both levels. The chunks are walked by the
-//! column pass's own [`screen::walk`] into the core's [`TopK`], and the
-//! cross-shard merge is one more `TopK`, every answering shard's items
-//! pushed into it.
+//! their SQ8 codes against the running k-th under the same screen, the
+//! survivors and the open tail scored exactly — the same two-level read an
+//! LSM tree does, with the tombstone set filtering both levels. The chunks
+//! are walked by the column pass's own [`screen::walk`] into the core's
+//! [`TopK`], and the cross-shard merge is one more `TopK`, every answering
+//! shard's items pushed into it.
 //!
 //! Pruning and the floor are exact, never approximate: a pruned shard's
 //! best possible inner product, and every row a searched shard leaves out,
@@ -110,9 +117,9 @@ use crate::result::ShardedSearchResult;
 
 /// Reusable search buffers: one [`SearchScratch`] per shard, individually
 /// locked so fan-out workers (at most one per shard) take them without
-/// contention, and the query side of the delta chunks' screen, shared by
-/// every shard of a query. Buffers grow to their high-water mark and are
-/// reused across queries.
+/// contention, and the query's one [`QueryScreen`], built under the
+/// index's basis and shared by every shard's column and delta chunks.
+/// Buffers grow to their high-water mark and are reused across queries.
 pub struct ShardedScratch {
     shards: Vec<Mutex<SearchScratch>>,
     screen: Mutex<QueryScreen>,
@@ -374,13 +381,10 @@ impl ShardedProMips {
         // The query's isolation boundary: one consistent snapshot per
         // shard, taken up front. Everything below reads only these.
         let snaps: Vec<ShardSnapshot> = self.shards.iter().map(|s| s.snapshot()).collect();
-        // One full-width query screen for every shard's sealed delta chunks
-        // (their codes are not in any generation's head space).
+        // One query screen under the index's one basis (module docs).
         let mut screen = scratch.screen.lock();
-        let screen = snaps.iter().any(|s| !s.delta.chunks.is_empty()).then(|| {
-            screen.rebuild(q, q_sq_norm, None);
-            &*screen
-        });
+        screen.rebuild(q, q_sq_norm, self.head.as_ref());
+        let screen = Some(&*screen);
 
         // What each shard did (a pruned shard's span stays all zero) and
         // its items under **global** ids, best first (none unless it
@@ -409,6 +413,7 @@ impl ShardedProMips {
             let request = Query {
                 budget,
                 kth_floor,
+                screen,
                 ..Query::new(q, k)
             };
             let t0 = obs::now_ns();
@@ -417,7 +422,6 @@ impl ShardedProMips {
                     &snaps[si],
                     request,
                     &mut scratch.shards[si].lock(),
-                    screen,
                     &mut span,
                 )
             }));
@@ -622,10 +626,11 @@ impl ShardedProMips {
 ///
 /// The overlay is walked like the base column, one [`screen::walk`] per
 /// part against the bar `max(k-th, floor)`: a sealed chunk under its
-/// [`ScreenBound`] and one [`dot_col_i8`] over its codes against `screen`;
-/// the open tail, and any chunk while the bar is not yet finite,
-/// unscreened. Survivors are scored by the single-row [`dot`], so the
-/// result is what scoring every row would give, `ip` bits and all.
+/// [`ScreenBound`] and one [`dot_col_i8`] over its codes — `h` bytes a row
+/// under the index's basis — against the request's screen, the one the
+/// index searched with; the open tail, and any chunk while the bar is not
+/// yet finite, unscreened. Survivors are scored by the single-row [`dot`],
+/// so the result is what scoring every row would give, `ip` bits and all.
 ///
 /// A budget rides down into the index's scan/verify loops (checked per
 /// page block and verification group there); the overlay checks it once
@@ -640,7 +645,6 @@ fn search_snapshot(
     snap: &ShardSnapshot,
     request: Query<'_>,
     scratch: &mut SearchScratch,
-    screen: Option<&QueryScreen>,
     span: &mut ShardSpan,
 ) -> io::Result<Vec<SearchItem>> {
     let Query {
@@ -648,6 +652,7 @@ fn search_snapshot(
         k,
         budget,
         kth_floor,
+        screen,
         ..
     } = request;
     let dead = &snap.delta.tombstones;
@@ -678,7 +683,7 @@ fn search_snapshot(
             let idots = &mut idots[..part.gids.len()];
             let bound = match (&part.quant, screen) {
                 (Some(quant), Some(qs)) if top.kth_ip().max(kth_floor) > f64::NEG_INFINITY => {
-                    dot_col_i8(&part.codes, d, qs.qcodes(), idots);
+                    dot_col_i8(&part.codes, qs.qcodes().len(), qs.qcodes(), idots);
                     Some(ScreenBound::new(quant, qs))
                 }
                 _ => None,

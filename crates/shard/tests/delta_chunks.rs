@@ -6,15 +6,24 @@
 //! the k-th, `k` past the live count, and all of it again after `open`
 //! replays the WAL; a second test lands inserts between a compaction's
 //! freeze and its commit, a third refuses non-finite rows at every entry
-//! point. `PROMIPS_STRESS=1` runs more cases.
+//! point, and a fourth holds low-rank rows — an index with a head basis,
+//! whose sealed chunks are coded under it — and rows far off its span to
+//! the same reference through a compaction, a repartition and a reopen.
+//! `PROMIPS_STRESS=1` runs more cases.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
+use std::path::Path;
+use std::sync::Arc;
+
 use promips_core::{MutationError, ProMips, ProMipsConfig};
+use promips_data::gen::low_rank;
+use promips_idistance::HeadBasis;
 use promips_linalg::{dot, Matrix};
 use promips_shard::{ShardedConfig, ShardedProMips, ShardedQuery, ShardedScratch, SyncPolicy};
 use promips_stats::Xoshiro256pp;
+use promips_storage::{AccessStats, FileStorage, Pager};
 use promips_wal::{Wal, WalRecord};
 use proptest::prelude::*;
 
@@ -417,5 +426,138 @@ fn a_non_finite_row_is_refused_before_the_wal_and_the_index() {
     drop(wal);
     let err = ShardedProMips::open(&dir).map(|_| ()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Asserts that the index and every generation it holds carry `basis` bit
+/// for bit: each shard's live data file, opened on its own, is coded under
+/// it.
+fn assert_one_basis(idx: &ShardedProMips, dir: &Path, basis: &HeadBasis, label: &str) {
+    assert_eq!(idx.head_basis(), Some(basis), "{label}: the index's basis");
+    let page_size = idx.config().base.page_size;
+    for (si, stats) in idx.maintenance_stats().iter().enumerate() {
+        if idx.shards()[si].is_exact() {
+            continue;
+        }
+        let name = match stats.generation {
+            0 => format!("shard_{si:04}.pmx"),
+            g => format!("shard_{si:04}.g{g}.pmx"),
+        };
+        let storage = Arc::new(FileStorage::open(dir.join(name), page_size).unwrap());
+        let pager = Arc::new(Pager::new(storage, 64, AccessStats::new_shared()));
+        let shard = ProMips::open(pager).unwrap();
+        assert_eq!(shard.idistance().head(), Some(basis), "{label}: shard {si}");
+    }
+}
+
+/// Low-rank rows give the index a 64-byte head, estimated once from all
+/// of them, and every chunk the delta seals is coded under it: the chunk
+/// screen then leans on the tail bound for the rows inserted far off the
+/// basis's span, which queries aimed at those rows make the winners. Every
+/// answer equals the exhaustive reference — with the delta live, after
+/// `compact_all`, after `repartition` and after a reopen whose WAL replay
+/// seals its chunks under the manifest's basis — and after each step every
+/// generation carries the index's basis bit for bit.
+#[test]
+fn head_coded_chunks_stay_exact_through_compaction_repartition_and_reopen() {
+    let (d, base, shards) = (160usize, 1_500usize, 3usize);
+    let mut rng = Xoshiro256pp::seed_from_u64(0x4EAD_C0DE);
+    // One span for the built rows and the on-span inserts.
+    let on_span = low_rank(base + 600, d, 20, 0.0, 0x4EAD);
+    let mut model = Model::default();
+    for i in 0..base {
+        model.rows.insert(i as u64, on_span.row(i).to_vec());
+        model.live.insert(i as u64);
+    }
+    let dir = temp_dir("head-chunks");
+    let config = ShardedConfig::builder()
+        .shards(shards)
+        .wal_sync(SyncPolicy::Never)
+        .build();
+    let built = Matrix::from_vec(base, d, on_span.as_slice()[..base * d].to_vec());
+    let idx = ShardedProMips::build_in_dir(&built, config, &dir).unwrap();
+    let basis = idx.head_basis().expect("low-rank rows have a head").clone();
+    assert_eq!(basis.width(), 64);
+    assert_one_basis(&idx, &dir, &basis, "built");
+
+    // Every fifth insert is an isotropic row about as long as the rest:
+    // most of it lies outside the span, in what the chunk's `tail` bounds.
+    let mut next_on_span = base;
+    let mut off_span: Vec<Vec<f32>> = Vec::new();
+    let mut appends =
+        |idx: &ShardedProMips, model: &mut Model, rng: &mut Xoshiro256pp, n: usize| {
+            for i in 0..n {
+                let row = if i % 5 == 2 {
+                    let row = gaussian(rng, d, 4.0);
+                    off_span.push(row.clone());
+                    row
+                } else {
+                    next_on_span += 1;
+                    on_span.row(next_on_span - 1).to_vec()
+                };
+                model.insert(idx, row);
+            }
+            off_span.clone()
+        };
+    let queries = |rng: &mut Xoshiro256pp, off_span: &[Vec<f32>]| {
+        let mut qs: Vec<Vec<f32>> = (0..3)
+            .map(|_| {
+                let row = on_span.row(rng.below(base as u64) as usize);
+                row.iter().map(|x| x + 0.1 * rng.normal() as f32).collect()
+            })
+            .collect();
+        qs.extend(off_span.iter().rev().take(3).cloned());
+        qs.push(gaussian(rng, d, 1.0));
+        qs
+    };
+    let mut compared = 0;
+    let mut check = |idx: &ShardedProMips, model: &Model, qs: &[Vec<f32>], label: &str| {
+        for q in qs {
+            for k in [1, 10] {
+                compared += usize::from(assert_exact(idx, model, q, k, label));
+            }
+        }
+    };
+
+    let off = appends(&idx, &mut model, &mut rng, 5 * CHUNK_ROWS + 9);
+    for _ in 0..30 {
+        model.delete(&idx, rng.next_u64());
+    }
+    let qs = queries(&mut rng, &off);
+    check(&idx, &model, &qs, "live delta");
+
+    idx.compact_all().unwrap();
+    assert_one_basis(&idx, &dir, &basis, "compacted");
+    check(&idx, &model, &qs, "compacted");
+    let off = appends(&idx, &mut model, &mut rng, 2 * CHUNK_ROWS + 5);
+    let qs = queries(&mut rng, &off);
+    check(&idx, &model, &qs, "delta over a compaction");
+
+    idx.repartition().unwrap();
+    assert_one_basis(&idx, &dir, &basis, "repartitioned");
+    check(&idx, &model, &qs, "repartitioned");
+    let off = appends(&idx, &mut model, &mut rng, 3 * CHUNK_ROWS + 1);
+    for _ in 0..20 {
+        model.delete(&idx, rng.next_u64());
+    }
+    let qs = queries(&mut rng, &off);
+    check(&idx, &model, &qs, "delta over a repartition");
+    let before: Vec<_> = qs
+        .iter()
+        .map(|q| idx.search(q, 10).unwrap().items)
+        .collect();
+
+    drop(idx);
+    let idx = ShardedProMips::open(&dir).unwrap();
+    assert!(idx.shards().iter().any(|s| s.delta_len() >= CHUNK_ROWS));
+    assert_one_basis(&idx, &dir, &basis, "reopened");
+    check(&idx, &model, &qs, "reopened");
+    let after: Vec<_> = qs
+        .iter()
+        .map(|q| idx.search(q, 10).unwrap().items)
+        .collect();
+    assert_eq!(before, after, "reopen changed a result");
+    assert!(compared > 0, "every query took the annulus path");
+    drop(idx);
     let _ = std::fs::remove_dir_all(&dir);
 }

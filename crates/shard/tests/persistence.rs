@@ -148,6 +148,137 @@ fn one_shard_snapshot_matches_unsharded_index() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The same pin where the rows have a head: the sharded index estimates its
+/// one basis from all rows with the base seed, which for one shard is what
+/// the unsharded build estimates, so the basis, the answers and the counts
+/// agree bit for bit — built, and snapshotted and reopened. Rows off the
+/// basis's span ride along, so the tail bound is exercised too.
+#[test]
+fn one_shard_head_index_matches_unsharded_index() {
+    let dir = temp_dir("one-shard-head");
+    let (n, d) = (1_200usize, 160usize);
+    let mut data = promips_data::gen::low_rank(n, d, 20, 0.0, 33);
+    let mut rng = Xoshiro256pp::seed_from_u64(34);
+    for i in (7..n).step_by(40) {
+        for x in data.row_mut(i) {
+            *x += 2.0 * rng.normal() as f32;
+        }
+    }
+    let base = ProMipsConfig::builder().seed(35).build();
+    let unsharded = ProMips::build_in_memory(&data, base.clone()).unwrap();
+    let sharded = ShardedProMips::build_in_memory(
+        &data,
+        ShardedConfig::builder().shards(1).base(base).build(),
+    )
+    .unwrap();
+    let basis = unsharded.idistance().head();
+    assert!(basis.is_some_and(|b| b.width() == 64));
+    assert_eq!(sharded.head_basis(), basis);
+    let mut queries = random_queries(8, d, 36);
+    queries.push(data.row(7).to_vec());
+    let check = |idx: &ShardedProMips, label: &str| {
+        for q in &queries {
+            let a = unsharded.search(q, 9).unwrap();
+            let b = idx.search(q, 9).unwrap();
+            assert_eq!(a.items, b.items, "{label}");
+            assert_eq!(
+                (a.verified, a.screened),
+                (b.verified, b.screened),
+                "{label}"
+            );
+        }
+    };
+    check(&sharded, "built");
+    sharded.snapshot(&dir).unwrap();
+    drop(sharded);
+    let reopened = ShardedProMips::open(&dir).unwrap();
+    assert_eq!(reopened.head_basis(), basis);
+    check(&reopened, "reopened");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A manifest whose basis is not the one its shard files are coded under
+/// is refused at open: one basis float changed in the manifest (its
+/// version-6 layout: 28 header words, the partitioner name, the flag word,
+/// then `h`, `δ`, `h·d` and the floats) is `InvalidData`.
+#[test]
+fn open_rejects_a_shard_coded_under_another_basis() {
+    let dir = temp_dir("other-basis");
+    let data = promips_data::gen::low_rank(900, 160, 20, 0.0, 37);
+    let built =
+        ShardedProMips::build_in_dir(&data, ShardedConfig::builder().shards(2).build(), &dir)
+            .unwrap();
+    assert!(built.head_basis().is_some());
+    drop(built);
+    let path = dir.join("MANIFEST.pms");
+    let mut manifest = std::fs::read(&path).unwrap();
+    let word = |buf: &[u8], at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
+    let flag_at = 28 * 8 + word(&manifest, 27 * 8) as usize;
+    assert_eq!(word(&manifest, flag_at), 1, "the manifest records a basis");
+    let first_float = flag_at + 8 + 12;
+    manifest[first_float] ^= 1;
+    std::fs::write(&path, &manifest).unwrap();
+    let err = match ShardedProMips::open(&dir) {
+        Ok(_) => panic!("a manifest of another basis was accepted"),
+        Err(e) => e,
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("another head basis"), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A snapshot into a durable index's own directory would truncate the
+/// generation-0 shard files it copies from: it is `InvalidInput` however
+/// the directory is spelled, refused before any file is touched, and the
+/// directory still opens with the same answers.
+#[test]
+fn a_snapshot_into_the_index_own_directory_is_refused() {
+    let dir = temp_dir("own-dir");
+    let data = random_data(600, 8, 39);
+    let built =
+        ShardedProMips::build_in_dir(&data, ShardedConfig::builder().shards(2).build(), &dir)
+            .unwrap();
+    let queries = random_queries(6, 8, 40);
+    let before: Vec<_> = queries
+        .iter()
+        .map(|q| built.search(q, 5).unwrap())
+        .collect();
+    let files = |dir: &std::path::Path| {
+        let mut listing: Vec<(String, u64)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .map(|e| {
+                (
+                    e.file_name().to_string_lossy().into_owned(),
+                    e.metadata().unwrap().len(),
+                )
+            })
+            .collect();
+        listing.sort();
+        listing
+    };
+    let listing = files(&dir);
+    for target in [
+        dir.clone(),
+        dir.join("."),
+        dir.join("..").join(dir.file_name().unwrap()),
+    ] {
+        let err = built.snapshot(&target).unwrap_err();
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidInput,
+            "{target:?}: {err}"
+        );
+        assert_eq!(files(&dir), listing, "{target:?}");
+    }
+    drop(built);
+    let reopened = ShardedProMips::open(&dir).unwrap();
+    for (q, b) in queries.iter().zip(&before) {
+        assert_eq!(reopened.search(q, 5).unwrap().items, b.items);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn shard_files_carry_the_quantized_column() {
     // Each shard's self-contained .pmx file must persist the SQ8
@@ -291,11 +422,12 @@ fn open_rejects_an_unknown_partitioner_tag() {
 
 /// Version 2 (an exact-scan threshold word and a per-shard kind word, with
 /// `.exact` row blobs beside the page files), version 3 (a cross-shard
-/// floor word after `prune`) and version 4 (no iDistance, compaction,
-/// degradation or admission words) are no longer read.
+/// floor word after `prune`), version 4 (no iDistance, compaction,
+/// degradation or admission words) and version 5 (no head basis: each
+/// shard estimated its own) are no longer read.
 #[test]
 fn open_rejects_manifest_version_2() {
-    for version in [2u64, 3, 4] {
+    for version in [2u64, 3, 4, 5] {
         let err = open_with_manifest_word(&format!("v{version}"), 1, version);
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         assert!(

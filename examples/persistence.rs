@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use promips::idistance::{build_index, IDistanceConfig, IDistanceIndex};
+use promips::idistance::{build_index, HeadBasis, IDistanceConfig, IDistanceIndex};
 use promips::linalg::Matrix;
 use promips::stats::Xoshiro256pp;
 use promips::storage::{AccessStats, FileStorage, Pager, PAGE_SIZE_DEFAULT};
@@ -39,7 +39,13 @@ fn main() -> std::io::Result<()> {
         ksp: 6,
         ..Default::default()
     };
-    let index = build_index(pager, &proj, &orig, &cfg)?;
+    let index = build_index(
+        pager,
+        &proj,
+        &orig,
+        &cfg,
+        HeadBasis::estimate(&orig, cfg.seed),
+    )?;
     println!(
         "  {} points, {} sub-partitions, file = {:.2} MB",
         index.len(),
