@@ -1,7 +1,7 @@
 //! Lloyd's algorithm with k-means++ seeding and empty-cluster repair.
 
 use promips_linalg::scalar::SHORT_MAX;
-use promips_linalg::{add_scaled, sq_dist, sq_dist_col, Matrix};
+use promips_linalg::{add_scaled, sq_dist, sq_dist_col, sweep, Matrix};
 use promips_stats::Xoshiro256pp;
 
 use crate::seed::kmeanspp_positions;
@@ -94,6 +94,35 @@ pub(crate) fn for_each_dist(
     }
 }
 
+/// The nearest centroid of every row of block `b` (rows `b·BLOCK_ROWS..`)
+/// of `points`, ties to the lowest centroid index.
+fn nearest_centroids(points: &Matrix, centroids: &Matrix, b: usize) -> Vec<u32> {
+    let m = points.cols().max(1);
+    let rows = points
+        .as_slice()
+        .chunks(BLOCK_ROWS * m)
+        .nth(b)
+        .unwrap_or(&[]);
+    let mut nearest = vec![0u32; rows.len() / m];
+    let mut nearest_d = [f64::INFINITY; BLOCK_ROWS];
+    let mut dists = [0.0f64; BLOCK_ROWS];
+    let dists = &mut dists[..nearest.len()];
+    for c in 0..centroids.rows() {
+        dists_to(rows, m, centroids.row(c), dists);
+        // Mask arithmetic, not `if`: which centroid is nearer is a coin
+        // toss for the first few, and the compiler turns a select on a
+        // stored value back into a branch — 3 ns a pair mispredicted,
+        // against 0.8 this way. `min` returns `dist` exactly when
+        // `dist < *best_d` (a NaN loses either way).
+        for ((best, best_d), &dist) in nearest.iter_mut().zip(&mut nearest_d).zip(&*dists) {
+            let nearer = ((dist < *best_d) as u32).wrapping_neg();
+            *best = (c as u32 & nearer) | (*best & !nearer);
+            *best_d = best_d.min(dist);
+        }
+    }
+    nearest
+}
+
 /// Runs k-means over `subset` (row indices into `data`).
 ///
 /// If `subset.len() < k`, the effective `k` is reduced to the subset size so
@@ -115,35 +144,21 @@ pub fn kmeans(data: &Matrix, subset: &[usize], config: &KMeansConfig) -> KMeansR
     let mut centroids = points.gather(&kmeanspp_positions(points, k, &mut rng));
 
     let mut assignment = vec![0u32; n];
-    // A block's nearest centroid so far, and its distance.
-    let mut nearest = [0u32; BLOCK_ROWS];
-    let mut nearest_d = [0.0f64; BLOCK_ROWS];
     let mut iterations = 0;
     for iter in 0..config.max_iters.max(1) {
         iterations = iter + 1;
-        // Assignment step.
+        // Assignment step: the blocks' nearest centroids, on both cores.
+        let nearest = |b: usize| nearest_centroids(points, &centroids, b);
         let mut changed = false;
-        for_each_dist(points, &centroids, |first, c, dists| {
-            if c == 0 {
-                nearest.fill(0);
-                nearest_d.fill(f64::INFINITY);
-            }
-            // Mask arithmetic, not `if`: which centroid is nearer is a coin
-            // toss for the first few, and the compiler turns a select on a
-            // stored value back into a branch — 3 ns a pair mispredicted,
-            // against 0.8 this way. `min` returns `dist` exactly when
-            // `dist < *best_d` (a NaN loses either way).
-            for ((best, best_d), &dist) in nearest.iter_mut().zip(&mut nearest_d).zip(dists) {
-                let nearer = ((dist < *best_d) as u32).wrapping_neg();
-                *best = (c as u32 & nearer) | (*best & !nearer);
-                *best_d = best_d.min(dist);
-            }
-            if c + 1 == k {
-                let block = &mut assignment[first..first + dists.len()];
-                changed |= *block != nearest[..dists.len()];
-                block.copy_from_slice(&nearest[..dists.len()]);
-            }
-        });
+        for (b, nearest) in sweep::map(points.rows().div_ceil(BLOCK_ROWS), nearest, || ())
+            .1
+            .iter()
+            .enumerate()
+        {
+            let block = &mut assignment[b * BLOCK_ROWS..][..nearest.len()];
+            changed |= *block != nearest[..];
+            block.copy_from_slice(nearest);
+        }
         if !changed && iter > 0 {
             break;
         }

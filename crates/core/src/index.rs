@@ -16,6 +16,11 @@ use crate::quickprobe::QuickProbe;
 /// Timing breakdown of the pre-processing phase (Fig. 4b of the paper).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BuildTimings {
+    /// Estimating the head basis the verification codes are coded under
+    /// ([`ProMipsConfig::head_basis`]); 0 when the caller brought its own
+    /// ([`ProMips::build_with_head`]: a sharded index estimates one for all
+    /// of its shards).
+    pub head_ms: f64,
     /// Projecting the dataset (2-stable random projections).
     pub project_ms: f64,
     /// One pass over the rows for `‖o‖₁` and `max ‖o‖²`, then binary
@@ -28,7 +33,7 @@ pub struct BuildTimings {
 impl BuildTimings {
     /// Total pre-processing time in milliseconds.
     pub fn total_ms(&self) -> f64 {
-        self.project_ms + self.quickprobe_ms + self.index_ms
+        self.head_ms + self.project_ms + self.quickprobe_ms + self.index_ms
     }
 }
 
@@ -76,10 +81,14 @@ impl ProMips {
         config: ProMipsConfig,
         pager: Arc<Pager>,
     ) -> io::Result<Self> {
+        let t = std::time::Instant::now();
         let head = (!data.is_empty())
             .then(|| config.head_basis(data))
             .flatten();
-        Self::build_with_head(data, config, pager, head)
+        let head_ms = t.elapsed().as_secs_f64() * 1e3;
+        let mut built = Self::build_with_head(data, config, pager, head)?;
+        built.timings.head_ms = head_ms;
+        Ok(built)
     }
 
     /// [`ProMips::build_with_pager`] with the verification codes coded under
@@ -157,6 +166,7 @@ impl ProMips {
         let index_ms = t2.elapsed().as_secs_f64() * 1e3;
 
         let timings = BuildTimings {
+            head_ms: 0.0,
             project_ms,
             quickprobe_ms,
             index_ms,

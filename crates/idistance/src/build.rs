@@ -9,13 +9,27 @@
 //!    the original rows;
 //! 5. directory (sub-partitions in ring-key order: the annulus scan's
 //!    index) + footer written into the same paged file.
+//!
+//! **Two cores.** Three steps share their items with the process's sweep
+//! helper thread through [`sweep::map`]: step 1's assignment blocks
+//! (inside [`kmeans()`]), step 3's (partition, ring) groups, and the SQ8
+//! codes, a sub-partition an item, which the helper computes while this
+//! thread writes the projected and original regions (the caller's
+//! projection, `Projection::project_all`, maps its row blocks the same
+//! way). The file cannot tell: every item is a pure function of its inputs
+//! — a group's k-means seed is a function of its place in key order —
+//! every f64 sum keeps its order inside its item, the results come back
+//! in item order, and the writes stay on this thread, in the order a
+//! one-core build makes them. With the helper absent or owned by another
+//! caller (a query's split sweep, another build) every item runs here.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use promips_cluster::{kmeans, KMeansConfig};
-use promips_linalg::{dist, sq_norm2, Matrix};
+use promips_linalg::{dist, sq_norm2, sweep, Matrix};
 use promips_storage::Pager;
 
 use crate::config::IDistanceConfig;
@@ -51,10 +65,9 @@ pub fn build_index(
     }
 
     // --- Stage 1: kp-means over the projected points. --------------------
-    let all: Vec<usize> = (0..n).collect();
     let mut km_cfg = KMeansConfig::new(config.kp, config.seed);
     km_cfg.max_iters = config.kmeans_iters;
-    let stage1 = kmeans(proj, &all, &km_cfg);
+    let stage1 = kmeans(proj, &(0..n).collect::<Vec<_>>(), &km_cfg);
     let kp = stage1.centroids.rows();
 
     let partitions: Vec<PartitionMeta> = (0..kp)
@@ -73,49 +86,50 @@ pub fn build_index(
         epsilon = 1.0;
     }
 
-    // Ring index of every point; C must exceed every ring index so partition
-    // key ranges never overlap (standard iDistance requirement).
-    let mut rings = vec![0u64; n];
+    // --- Group by (partition, ring); BTreeMap gives key-sorted layout. ---
+    // C must exceed every ring index so partition key ranges never overlap
+    // (standard iDistance requirement).
+    let mut groups: BTreeMap<(usize, u64), Vec<usize>> = BTreeMap::new();
     let mut max_ring = 0u64;
-    for (pos, &row) in all.iter().enumerate() {
-        let part = stage1.assignment[pos] as usize;
-        let dc = dist(proj.row(row), &partitions[part].center);
-        let ring = (dc / epsilon).floor() as u64;
-        rings[row] = ring;
+    for (row, &part) in stage1.assignment.iter().enumerate() {
+        let part = part as usize;
+        let ring = (dist(proj.row(row), &partitions[part].center) / epsilon).floor() as u64;
         max_ring = max_ring.max(ring);
+        groups.entry((part, ring)).or_default().push(row);
     }
     let ring_c = max_ring + 2;
+    drop(stage1);
 
-    // --- Group by (partition, ring); BTreeMap gives key-sorted layout. ---
-    let mut groups: BTreeMap<(usize, u64), Vec<usize>> = BTreeMap::new();
-    for (pos, &row) in all.iter().enumerate() {
-        let part = stage1.assignment[pos] as usize;
-        groups.entry((part, rings[row])).or_default().push(row);
-    }
-
-    // --- Stage 2: per-ring ksp-means. -------------------------------------
-    // First pass assembles the sub-partition definitions (in key order);
-    // the second pass lays them out as two *packed* regions — all projected
-    // records, then all original records — so adjacent sub-partitions share
-    // pages (the paper's sequential-disk organization).
+    // --- Stage 2: per-ring ksp-means, a (partition, ring) group an item. --
+    // Group `g`'s seed is the base seed stepped `g + 1` times, so its
+    // clustering is a function of its members and its place in key order
+    // alone, whichever core runs it. The sub-partition definitions come out
+    // in key order; the layout below packs them into regions — all
+    // projected records, then all original records — so adjacent
+    // sub-partitions share pages (the paper's sequential-disk organization).
     struct SubDef {
         key: u64,
         pivot: Vec<f32>,
         radius: f64,
         ids: Vec<usize>,
     }
-    let mut defs: Vec<SubDef> = Vec::new();
-    let mut sub_seed = config.seed ^ 0x5EED_5EED;
-    for (&(part, ring), members) in &groups {
-        sub_seed = sub_seed.wrapping_add(0x9E37_79B9);
+    let groups: Vec<_> = groups.into_iter().collect();
+    let cluster = |g: usize| {
+        let members = &groups[g].1;
+        let seed =
+            (config.seed ^ 0x5EED_5EED).wrapping_add((g as u64 + 1).wrapping_mul(0x9E37_79B9));
         // Cap the sub-partition count so thin rings are not shattered into
         // singleton sub-partitions: each sub-partition should hold enough
         // points to fill its disk pages (the µ-selectivity intent of the
         // paper's parameter analysis).
         let ksp = config.ksp.min(members.len().div_ceil(16)).max(1);
-        let mut km2 = KMeansConfig::new(ksp, sub_seed);
+        let mut km2 = KMeansConfig::new(ksp, seed);
         km2.max_iters = config.kmeans_iters;
-        let stage2 = kmeans(proj, members, &km2);
+        kmeans(proj, members, &km2)
+    };
+    let stage2 = sweep::map(groups.len(), cluster, || ()).1;
+    let mut defs: Vec<SubDef> = Vec::new();
+    for (((part, ring), members), stage2) in groups.into_iter().zip(stage2) {
         let key = part as u64 * ring_c + ring;
         for (c, positions) in stage2.members().into_iter().enumerate() {
             if positions.is_empty() {
@@ -134,75 +148,105 @@ pub fn build_index(
         }
     }
 
-    // --- Packed projected region. ------------------------------------------
-    let mut proj_offs = Vec::with_capacity(defs.len());
-    let mut writer = RegionWriter::new(&pager);
-    for def in &defs {
-        proj_offs.push(writer.position());
-        for &id in &def.ids {
-            writer.append(&(id as u64).to_le_bytes())?;
-            writer.append_f32s(proj.row(id))?;
-        }
-    }
-    let proj_region = writer.finish()?;
-
-    // --- Packed original region. -------------------------------------------
-    let mut orig_offs = Vec::with_capacity(defs.len());
-    let mut writer = RegionWriter::new(&pager);
-    for def in &defs {
-        orig_offs.push(writer.position());
-        for &id in &def.ids {
-            writer.append_f32s(orig.row(id))?;
-        }
-    }
-    let orig_region = writer.finish()?;
-
-    // --- Packed SQ8 verification-quant region. ------------------------------
+    // --- SQ8 verification codes, a sub-partition an item. -----------------
     // The original rows scalar-quantized to u8 codes ([`sq8_code_rows`]):
     // one affine quantizer per sub-partition, one code row per record in
     // original-region order, heads `Vo` under a basis, else the d-dim rows
-    // themselves. Heads are projected one sub-partition at a time: the only
-    // transients are that sub-partition's rows and heads. A head's codes
-    // are three columns ([`IDistanceIndex`]'s layout): every row's prefix,
-    // every row's suffix, then every row's suffix-norm code
-    // ([`suffix_code`], from the heads already projected). The prefixes
-    // stream out as they are coded; the suffixes and the norm codes wait in
-    // memory — `h/2 + 1` bytes a row — and follow them.
-    let mut vquants: Vec<OrigQuant> = Vec::new();
+    // themselves. A head's codes are three columns ([`IDistanceIndex`]'s
+    // layout): every row's prefix, every row's suffix, then every row's
+    // suffix-norm code ([`suffix_code`], from the heads just projected);
+    // full-width codes are the first column alone. Each sub-partition codes
+    // into its own slices of the columns, allocated here: what the helper
+    // allocates lives no longer than its item. The helper codes while this
+    // thread writes the projected and original regions; then this thread
+    // codes what is left.
+    let (w, p) = head
+        .as_ref()
+        .map_or((d, d), |basis| (basis.width(), basis.prefix_width()));
+    let coded = if config.verify_quantize { n } else { 0 };
+    let mut prefixes = vec![0u8; coded * p];
+    let mut suffixes = vec![0u8; coded * (w - p)];
+    let mut norm_codes = vec![0u8; if head.is_some() { n } else { 0 }];
+    let (mut prefix_rest, mut suffix_rest, mut norm_rest) =
+        (&mut prefixes[..], &mut suffixes[..], &mut norm_codes[..]);
+    let slots: Vec<_> = (defs.iter().filter(|_| config.verify_quantize))
+        .map(|def| {
+            let rows = def.ids.len();
+            let norm_rows = if head.is_some() { rows } else { 0 };
+            let pre = take_front(&mut prefix_rest, rows * p);
+            let suf = take_front(&mut suffix_rest, rows * (w - p));
+            Mutex::new(Some((pre, suf, take_front(&mut norm_rest, norm_rows))))
+        })
+        .collect();
+    let code = |s: usize| {
+        let (pre, suf, norms) = slots[s]
+            .lock()
+            .take()
+            .expect("a sub-partition is coded once");
+        let mut codes = Vec::new();
+        let (quant, heads) = sq8_code_rows(&orig.gather(&defs[s].ids), head.as_ref(), &mut codes);
+        for (i, row) in codes.chunks_exact(w.max(1)).enumerate() {
+            pre[i * p..][..p].copy_from_slice(&row[..p]);
+            suf[i * (w - p)..][..w - p].copy_from_slice(&row[p..]);
+        }
+        for (norm, a) in norms
+            .iter_mut()
+            .zip(heads.iter().flat_map(Matrix::iter_rows))
+        {
+            *norm = suffix_code(sq_norm2(&a[p..]).sqrt(), quant.suffix_norm);
+        }
+        quant
+    };
+    let write_records = || -> io::Result<_> {
+        // --- Packed projected region. --------------------------------------
+        let mut proj_offs = Vec::with_capacity(defs.len());
+        let mut writer = RegionWriter::new(&pager);
+        for def in &defs {
+            proj_offs.push(writer.position());
+            for &id in &def.ids {
+                writer.append(&(id as u64).to_le_bytes())?;
+                writer.append_f32s(proj.row(id))?;
+            }
+        }
+        let proj_region = writer.finish()?;
+
+        // --- Packed original region. ---------------------------------------
+        let mut orig_offs = Vec::with_capacity(defs.len());
+        let mut writer = RegionWriter::new(&pager);
+        for def in &defs {
+            orig_offs.push(writer.position());
+            for &id in &def.ids {
+                writer.append_f32s(orig.row(id))?;
+            }
+        }
+        Ok((proj_offs, proj_region, orig_offs, writer.finish()?))
+    };
+    let (records, quants) = sweep::map(slots.len(), code, write_records);
+    let (proj_offs, proj_region, orig_offs, orig_region) = records?;
+    drop(slots);
+
+    // --- Packed SQ8 verification-code region: the columns in order. -------
+    let mut vquants: Vec<OrigQuant> = Vec::with_capacity(quants.len());
     let mut code_region = None;
     if config.verify_quantize {
-        let mut codes: Vec<u8> = Vec::new();
-        vquants.reserve(defs.len());
-        let mut writer = RegionWriter::new(&pager);
-        let mut suffixes = Vec::with_capacity(
-            head.as_ref()
-                .map_or(0, |basis| n * (basis.width() - basis.prefix_width())),
-        );
-        let mut norm_codes = Vec::with_capacity(if head.is_some() { n } else { 0 });
-        for def in &defs {
-            let (q, heads) = sq8_code_rows(&orig.gather(&def.ids), head.as_ref(), &mut codes);
-            let off = match (&head, heads) {
-                (Some(basis), Some(heads)) => {
-                    let p = basis.prefix_width();
-                    let off = writer.position();
-                    for (row, a) in codes.chunks_exact(heads.cols()).zip(heads.iter_rows()) {
-                        writer.append(&row[..p])?;
-                        suffixes.extend_from_slice(&row[p..]);
-                        norm_codes.push(suffix_code(sq_norm2(&a[p..]).sqrt(), q.suffix_norm));
-                    }
-                    off
-                }
-                _ => writer.append(&codes)?,
-            };
-            vquants.push(OrigQuant { off, ..q });
+        let mut off = 0;
+        for (def, quant) in defs.iter().zip(quants) {
+            vquants.push(OrigQuant { off, ..quant });
+            off += (def.ids.len() * p) as u64;
         }
         // A page at a time, so the writer's buffer stays one run long.
         let ps = pager.page_size();
-        for page in suffixes.chunks(ps).chain(norm_codes.chunks(ps)) {
+        let mut writer = RegionWriter::new(&pager);
+        for page in prefixes
+            .chunks(ps)
+            .chain(suffixes.chunks(ps))
+            .chain(norm_codes.chunks(ps))
+        {
             writer.append(page)?;
         }
         code_region = Some(writer.finish()?);
     }
+    drop((prefixes, suffixes, norm_codes));
 
     let mut subparts: Vec<SubPartMeta> = Vec::with_capacity(defs.len());
     let mut pivots = Vec::with_capacity(defs.len() * m);
@@ -243,6 +287,13 @@ pub fn build_index(
     );
     index.write_footer()?;
     Ok(index)
+}
+
+/// Splits the first `len` bytes off `column`, leaving it the rest.
+fn take_front<'a>(column: &mut &'a mut [u8], len: usize) -> &'a mut [u8] {
+    let (front, rest) = std::mem::take(column).split_at_mut(len);
+    *column = rest;
+    front
 }
 
 /// Codes the rows of one quantizer — a sub-partition of a build, a sealed

@@ -3,14 +3,13 @@
 use std::io;
 use std::sync::Arc;
 
-use promips_linalg::{dist, dot4_i8, dot_col_i8, dot_i8, sq_dist_col};
+use promips_linalg::{dist, dot4_i8, dot_col_i8, dot_i8, sq_dist_col, sweep};
 use promips_storage::{AccessStatsSnapshot, PageBuf, PageId, Pager, DEFAULT_SHARDS};
 
 use crate::head::HeadBasis;
 use crate::knn::NnIter;
 use crate::layout::{enc, read_blob, read_blob_range, write_blob};
 use crate::meta::{OrigQuant, PartitionMeta, SubPartMeta};
-use crate::sweep;
 use parking_lot::Mutex;
 use promips_obs::{global, CounterId};
 

@@ -86,7 +86,6 @@ pub mod index;
 pub mod knn;
 pub mod layout;
 pub mod meta;
-mod sweep;
 
 pub use build::build_index;
 pub use config::IDistanceConfig;

@@ -11,8 +11,10 @@
 //!
 //! The tests run one at a time (`SERIAL`), in a process of their own, so
 //! every sweep here that may split does: each asserts the counter moved
-//! by exactly its sweeps on a host with two or more cores. Set
-//! `PROMIPS_STRESS=1` for more repetitions.
+//! by exactly its sweeps on a host with two or more cores. A build owns
+//! the same helper while it runs (its maps), and a sweep beside it would
+//! run serially, so every build here, the shared fixtures included, runs
+//! under the guard too. Set `PROMIPS_STRESS=1` for more repetitions.
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -17,6 +17,7 @@ pub mod dispatch;
 pub mod matrix;
 pub mod scalar;
 pub mod subspace;
+pub mod sweep;
 pub mod vector;
 
 #[cfg(target_arch = "x86_64")]

@@ -1,6 +1,8 @@
 //! Row-major dense matrix, used for datasets (n × d), projection matrices
 //! (m × d), and PQ codebooks.
 
+use std::ops::Range;
+
 use crate::dispatch::kernels;
 use crate::vector::{dot, dot4};
 
@@ -167,31 +169,44 @@ impl Matrix {
     /// columns and `n % 4` rows take [`dot`] and [`dot4`] as `matvec_into`
     /// does.
     pub fn gemm_nt(&self, other: &Matrix) -> Matrix {
+        Matrix::from_vec(
+            self.rows,
+            other.rows,
+            self.gemm_nt_rows(0..self.rows, other),
+        )
+    }
+
+    /// Rows `rows` of [`Self::gemm_nt`], flat (`rows.len() × m`), tiled from
+    /// `rows.start`: a row's products are the same bits whichever range
+    /// holds it and wherever its tile starts.
+    pub fn gemm_nt_rows(&self, rows: Range<usize>, other: &Matrix) -> Vec<f32> {
         assert_eq!(self.cols, other.cols, "gemm_nt: inner dimension mismatch");
-        let (n, m) = (self.rows, other.rows);
+        let m = other.rows;
         let dot4x4 = kernels().dot4x4;
-        let mut out = vec![0.0f32; n * m];
-        let blocked = (n / 4 * 4, m / 4 * 4);
-        for i in (0..blocked.0).step_by(4) {
+        let mut out = vec![0.0f32; rows.len() * m];
+        let tiled = (rows.start + rows.len() / 4 * 4, m / 4 * 4);
+        for i in (rows.start..tiled.0).step_by(4) {
             let a: [&[f32]; 4] = std::array::from_fn(|r| self.row(i + r));
-            for j in (0..blocked.1).step_by(4) {
+            let out = &mut out[(i - rows.start) * m..];
+            for j in (0..tiled.1).step_by(4) {
                 let tile = dot4x4(a, std::array::from_fn(|r| other.row(j + r)));
                 for (r, sums) in tile.iter().enumerate() {
                     for (c, &sum) in sums.iter().enumerate() {
-                        out[(i + r) * m + j + c] = sum as f32;
+                        out[r * m + j + c] = sum as f32;
                     }
                 }
             }
-            for j in blocked.1..m {
+            for j in tiled.1..m {
                 for (r, row) in a.iter().enumerate() {
-                    out[(i + r) * m + j] = dot(other.row(j), row) as f32;
+                    out[r * m + j] = dot(other.row(j), row) as f32;
                 }
             }
         }
-        for i in blocked.0..n {
-            other.matvec_into(self.row(i), &mut out[i * m..(i + 1) * m]);
+        for i in tiled.0..rows.end {
+            let at = (i - rows.start) * m;
+            other.matvec_into(self.row(i), &mut out[at..at + m]);
         }
-        Matrix::from_vec(n, m, out)
+        out
     }
 
     /// Appends a row. Must match the column count.

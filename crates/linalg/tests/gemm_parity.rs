@@ -38,6 +38,26 @@ proptest! {
         }
     }
 
+    /// Any row range of `gemm_nt_rows`, tiled from its own first row, is
+    /// those rows of the whole product to the bit: `project_all` splits
+    /// its rows into blocks and the file must not tell.
+    #[test]
+    fn gemm_nt_rows_is_a_slice_of_gemm_nt(
+        n in 0usize..14,
+        m in 0usize..10,
+        d in 0usize..45,
+        cut in (0usize..14, 0usize..14),
+        seed in 0u64..1 << 32,
+    ) {
+        let mut rng = proptest::test_runner::TestRng::from_name(&format!("rows-{seed}"));
+        let (a, b) = (matrix(&mut rng, n, d), matrix(&mut rng, m, d));
+        let (lo, hi) = (cut.0.min(cut.1).min(n), cut.0.max(cut.1).min(n));
+        let whole = a.gemm_nt(&b);
+        let part = a.gemm_nt_rows(lo..hi, &b);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&part), bits(&whole.as_slice()[lo * m..hi * m]));
+    }
+
     /// The dispatched `gemm_nt` against the unblocked loop, both operands
     /// running through row counts 0–9: whole tiles, both tails, the empty
     /// shapes. (CI runs this file under `PROMIPS_FORCE_SCALAR=1` as well.)
