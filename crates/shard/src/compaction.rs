@@ -135,28 +135,6 @@ pub struct CompactionReport {
     pub repartitioned: bool,
 }
 
-/// Sorts `ids` ascending and applies the same permutation (one gather
-/// pass) to the rows of `rows` — what a re-partition does to the rows of
-/// all shards laid end to end, each shard's ascending on its own.
-pub(crate) fn sort_rows_by_ids(ids: &mut [u64], rows: &mut Matrix) {
-    let n = ids.len();
-    debug_assert_eq!(rows.rows(), n);
-    if ids.windows(2).all(|w| w[0] < w[1]) {
-        return; // already ascending (one shard holds every row)
-    }
-    let mut perm: Vec<u32> = (0..n as u32).collect();
-    perm.sort_by_key(|&i| ids[i as usize]);
-    let d = rows.cols();
-    let mut flat: Vec<f32> = Vec::with_capacity(n * d);
-    let mut ids_sorted: Vec<u64> = Vec::with_capacity(n);
-    for &src in &perm {
-        ids_sorted.push(ids[src as usize]);
-        flat.extend_from_slice(rows.row(src as usize));
-    }
-    ids.copy_from_slice(&ids_sorted);
-    *rows = Matrix::from_vec(n, d, flat);
-}
-
 /// Copies out what a rebuild of `gen` keeps, without consuming anything —
 /// the read side of a shadow rebuild: the committed rows `tombs` does not
 /// kill, then the surviving rows of `delta`. Ids ascending (a generation's
@@ -455,8 +433,14 @@ impl ShardedProMips {
     /// manifest swap commits them all, and every WAL is truncated. Writers
     /// are frozen for the duration (ids move between shards, so the
     /// mutation-order lock is held throughout); **readers are not** — they
-    /// serve the old generations until the swap. The whole live dataset is
-    /// resident in memory for the duration.
+    /// serve the old generations until the swap.
+    ///
+    /// The live rows of every shard are copied out once, laid end to end,
+    /// and ranked by `(‖o‖², gid)` over one `‖o‖²` a row: the same
+    /// boundaries and tie-breaks a build over those rows in gid order
+    /// would draw. Each new shard then gathers its members, in gid order,
+    /// straight from that one copy — the live dataset plus one shard's
+    /// rows are resident for the duration.
     pub fn repartition(&self) -> io::Result<()> {
         let ns = self.shards.len();
         // Lock order: mut_order → maintenance → all WALs (ascending by
@@ -478,15 +462,12 @@ impl ShardedProMips {
             all_gids.extend(gids);
             flat.extend_from_slice(rows.as_slice());
         }
-        // Each shard's rows ascend; across shards they interleave.
-        let mut all_rows = Matrix::from_vec(all_gids.len(), self.d, flat);
-        sort_rows_by_ids(&mut all_gids, &mut all_rows);
-
-        // Fresh equal-count boundaries over the live distribution.
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); ns];
-        for (i, &s) in crate::partition::assign(&all_rows, ns).iter().enumerate() {
-            members[s as usize].push(i);
-        }
+        // Each shard's rows ascend; across shards they interleave. Each new
+        // shard's member indices come back in gid order, so its one gather
+        // below is already in id-map order.
+        let all_rows = Matrix::from_vec(all_gids.len(), self.d, flat);
+        let members =
+            crate::partition::assign(&crate::partition::sq_norms(&all_rows), |i| all_gids[i], ns);
 
         // Shadow-build every new generation before committing anything: a
         // failed build deletes its files and leaves the old index — disk
@@ -500,8 +481,6 @@ impl ShardedProMips {
             }
         };
         for (si, m) in members.iter().enumerate() {
-            // Members are ascending row indices over ascending-gid rows, so
-            // the per-shard id map stays ascending by construction.
             let gids: Vec<u64> = m.iter().map(|&i| all_gids[i]).collect();
             let rows = all_rows.gather(m);
             match self.build_generation(si, gids, rows, snaps[si].gen.generation + 1) {
@@ -565,7 +544,6 @@ impl ShardedProMips {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use promips_stats::Xoshiro256pp;
 
     #[test]
     fn policy_triggers_on_fractions_and_floor() {
@@ -585,37 +563,5 @@ mod tests {
         }
         .repartition_skew
         .is_infinite());
-    }
-
-    #[test]
-    fn sort_rows_by_ids_permutes_rows_with_ids() {
-        let mut rng = Xoshiro256pp::seed_from_u64(3);
-        for n in [0usize, 1, 2, 7, 64, 129] {
-            let d = 5;
-            let mut ids: Vec<u64> = (0..n as u64).map(|i| i * 3 + 1).collect();
-            // Shuffle ids (Fisher–Yates via the repo rng).
-            for i in (1..n).rev() {
-                let j = (rng.next_u64() % (i as u64 + 1)) as usize;
-                ids.swap(i, j);
-            }
-            // Row i's payload encodes its id so we can verify the pairing.
-            let mut rows = Matrix::from_rows(
-                d,
-                ids.iter().map(|&id| {
-                    (0..d)
-                        .map(|c| (id * 10 + c as u64) as f32)
-                        .collect::<Vec<_>>()
-                }),
-            );
-            let mut ids2 = ids.clone();
-            sort_rows_by_ids(&mut ids2, &mut rows);
-            let mut expect = ids;
-            expect.sort_unstable();
-            assert_eq!(ids2, expect);
-            for (i, &id) in ids2.iter().enumerate() {
-                assert_eq!(rows.row(i)[0], (id * 10) as f32, "row {i} mispaired");
-                assert_eq!(rows.row(i)[d - 1], (id * 10 + d as u64 - 1) as f32);
-            }
-        }
     }
 }

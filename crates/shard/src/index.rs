@@ -438,13 +438,21 @@ impl ShardedProMips {
             "cannot build a sharded index over an empty dataset"
         );
         let n = data.rows();
-        let head = config.base.head_basis(data);
-        // Membership lists in ascending global-id order (the id-map order
-        // every tie-break rule depends on).
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); config.shards];
-        for (i, &s) in partition::assign(data, config.shards).iter().enumerate() {
-            members[s as usize].push(i);
+        // The rank pass's norms are the finiteness check: a non-finite row
+        // is refused before the basis estimate and before any file of a
+        // directory that may hold another index is created or removed.
+        let sq_norms = partition::sq_norms(data);
+        if !sq_norms.iter().all(|sq| sq.is_finite()) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a row's ‖o‖² is not finite: a NaN, infinite or overflowing coordinate",
+            ));
         }
+        let head = config.base.head_basis(data);
+        // Membership lists in ascending global-id order (a row's id is its
+        // index).
+        let members = partition::assign(&sq_norms, |i| i as u64, config.shards);
+        drop(sq_norms);
 
         let mut index = Self {
             config,

@@ -8,10 +8,14 @@
 //! prune whole shards. It is the only partitioner: no other placement
 //! leaves a shard bound the fan-out can prune with.
 //!
-//! Both functions are deterministic in their inputs (the sharded index's
-//! reproducibility tests depend on it), and with one shard every row goes
-//! to shard 0, so a one-shard [`crate::ShardedProMips`] reproduces the
-//! unsharded index bit for bit.
+//! A bulk placement costs `O(n·d + n log n)`: [`sq_norms`] reads every row
+//! once, and [`assign`] sorts row indices by the key `(‖o‖², id)` over
+//! those `f64`s, never touching a row again. Ids are unique, so no two keys
+//! are equal and the unstable sort has one possible outcome: the placement
+//! is deterministic in its inputs (the sharded index's reproducibility
+//! tests depend on it). With one shard every row goes to shard 0 and
+//! nothing is ranked, so a one-shard [`crate::ShardedProMips`] reproduces
+//! the unsharded index bit for bit.
 
 use promips_linalg::{sq_norm2, Matrix};
 
@@ -23,24 +27,41 @@ pub(crate) const NAME: &str = "norm-range";
 /// [`crate::ShardedProMips::open`] accepts.
 pub(crate) const TAG: u64 = 0;
 
-/// One shard id in `0..n_shards` per row of `data`, by equal-count norm
-/// ranges: rows are ranked by 2-norm (ascending, ties by row id) and rank
-/// `r` of `n` goes to shard `r · n_shards / n`. Shard `n_shards − 1`
-/// therefore holds the largest norms — the shard the fan-out search probes
-/// first.
-pub(crate) fn assign(data: &Matrix, n_shards: usize) -> Vec<u32> {
-    let n = data.rows();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by(|&a, &b| {
-        sq_norm2(data.row(a as usize))
-            .total_cmp(&sq_norm2(data.row(b as usize)))
-            .then(a.cmp(&b))
-    });
-    let mut assign = vec![0u32; n];
-    for (rank, &row) in order.iter().enumerate() {
-        assign[row as usize] = (rank * n_shards / n) as u32;
+/// `‖o‖²` of every row of `data`, in row order: the first half of
+/// [`assign`]'s rank key, and the build's finiteness check (a row with a
+/// NaN or infinite coordinate has a non-finite entry).
+pub(crate) fn sq_norms(data: &Matrix) -> Vec<f64> {
+    data.iter_rows().map(sq_norm2).collect()
+}
+
+/// The rows of each of `n_shards` equal-count norm ranges, given every
+/// row's `‖o‖²` (`sq_norms[i]`) and a unique `id(i)`: rows are ranked by
+/// `(‖o‖², id)` ascending under `total_cmp`, and rank `r` of `n` goes to
+/// shard `r · n_shards / n`. Shard `n_shards − 1` therefore holds the
+/// largest norms — the shard the fan-out search probes first. Each shard's
+/// row indices come back in ascending id order, the id-map order every
+/// tie-break rule depends on.
+pub(crate) fn assign(
+    sq_norms: &[f64],
+    id: impl Fn(usize) -> u64,
+    n_shards: usize,
+) -> Vec<Vec<usize>> {
+    let n = sq_norms.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
+    if n_shards > 1 {
+        order
+            .sort_unstable_by(|&a, &b| sq_norms[a].total_cmp(&sq_norms[b]).then(id(a).cmp(&id(b))));
+        for (rank, &row) in order.iter().enumerate() {
+            members[rank * n_shards / n].push(row);
+        }
+    } else {
+        members[0] = order;
     }
-    assign
+    for m in &mut members {
+        m.sort_unstable_by_key(|&i| id(i));
+    }
+    members
 }
 
 /// Routes a *single* freshly inserted point, of 2-norm `norm`, to a shard,
@@ -69,60 +90,7 @@ pub(crate) fn route(norm: f64, shard_max_norms: &[f64]) -> u32 {
     best_cover.map_or(best_any.1, |(_, si)| si) as u32
 }
 
+// The unit tests, kept under `tests/` (see that file's header).
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use promips_stats::Xoshiro256pp;
-
-    fn random_data(n: usize, d: usize, seed: u64) -> Matrix {
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        Matrix::from_rows(
-            d,
-            (0..n).map(|_| (0..d).map(|_| rng.normal() as f32).collect::<Vec<f32>>()),
-        )
-    }
-
-    #[test]
-    fn norm_range_counts_are_balanced() {
-        let data = random_data(1003, 12, 1);
-        let assign = assign(&data, 4);
-        let mut counts = [0usize; 4];
-        for &s in &assign {
-            counts[s as usize] += 1;
-        }
-        // Equal-count ranks: shard sizes differ by at most one.
-        assert!(counts.iter().all(|&c| c == 250 || c == 251), "{counts:?}");
-    }
-
-    #[test]
-    fn norm_range_orders_shards_by_norm() {
-        let data = random_data(600, 8, 2);
-        let assign = assign(&data, 3);
-        // Every point in a higher shard has norm >= every point in a lower
-        // shard (up to rank ties, which equal norms make unobservable).
-        let max_per: Vec<f64> = (0..3)
-            .map(|s| {
-                (0..600)
-                    .filter(|&i| assign[i] == s)
-                    .map(|i| sq_norm2(data.row(i)))
-                    .fold(f64::NEG_INFINITY, f64::max)
-            })
-            .collect();
-        let min_per: Vec<f64> = (0..3)
-            .map(|s| {
-                (0..600)
-                    .filter(|&i| assign[i] == s)
-                    .map(|i| sq_norm2(data.row(i)))
-                    .fold(f64::INFINITY, f64::min)
-            })
-            .collect();
-        assert!(max_per[0] <= min_per[1]);
-        assert!(max_per[1] <= min_per[2]);
-    }
-
-    #[test]
-    fn single_shard_maps_everything_to_zero() {
-        let data = random_data(100, 6, 3);
-        assert!(assign(&data, 1).iter().all(|&s| s == 0));
-    }
-}
+#[path = "../tests/partition_unit/mod.rs"]
+mod tests;

@@ -347,8 +347,11 @@ fn inserts_between_a_compactions_freeze_and_commit_stay_in_the_delta() {
 /// `ip` and push true hits out. `insert` and `insert_batch` refuse it with a
 /// typed `InvalidInput` before logging anything (no id burned, `len()`
 /// unchanged, a batch holding one writes nothing), WAL replay reads such a
-/// record as corruption, and every build refuses such a row; the answers
-/// stay exact through the delta and the compaction.
+/// record as corruption, and every build refuses such a row — a
+/// `build_in_dir` aimed at another durable index's directory before it
+/// creates, rewrites or removes any file there, so that index reopens with
+/// the same answers; the answers stay exact through the delta and the
+/// compaction.
 #[test]
 fn a_non_finite_row_is_refused_before_the_wal_and_the_index() {
     let d = 8;
@@ -371,6 +374,38 @@ fn a_non_finite_row_is_refused_before_the_wal_and_the_index() {
         (wal, idx.len(), idx.next_global_id())
     };
     let before = state(&idx);
+
+    // A second durable index, WALs included, in the directory a poisoned
+    // build is aimed at.
+    let mut target_rng = Xoshiro256pp::seed_from_u64(0x7A46_E7D1);
+    let target_dir = temp_dir("non-finite-target");
+    let target_config = ShardedConfig::builder().shards(3).build();
+    let target = ShardedProMips::build_in_dir(&data, target_config, &target_dir).unwrap();
+    for _ in 0..20 {
+        target.insert(&gaussian(&mut target_rng, d, 1.0)).unwrap();
+    }
+    target.delete(7).unwrap();
+    let files = |dir: &Path| -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(e.path()).unwrap())
+            })
+            .collect()
+    };
+    let probes: Vec<Vec<f32>> = (0..10).map(|_| gaussian(&mut target_rng, d, 1.0)).collect();
+    let answers = |idx: &ShardedProMips| {
+        let scratch = ShardedScratch::for_index(idx);
+        probes
+            .iter()
+            .map(|q| idx.execute(ShardedQuery::new(q, 10), &scratch).unwrap().0)
+            .collect::<Vec<_>>()
+    };
+    let target_files = files(&target_dir);
+    let target_answers = answers(&target);
+
     fn refused<T>(res: Result<T, MutationError>) {
         match res {
             Err(MutationError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
@@ -394,7 +429,22 @@ fn a_non_finite_row_is_refused_before_the_wal_and_the_index() {
         assert_eq!(single.err().map(|e| e.kind()), invalid);
         let sharded = ShardedProMips::build_in_memory(&poisoned, config.clone());
         assert_eq!(sharded.err().map(|e| e.kind()), invalid);
+        let aimed = ShardedProMips::build_in_dir(&poisoned, config.clone(), &target_dir);
+        assert_eq!(aimed.err().map(|e| e.kind()), invalid);
+        assert!(
+            files(&target_dir) == target_files,
+            "{bad}: a refused build changed a file of the index in its directory"
+        );
     }
+    drop(target);
+    let target = ShardedProMips::open(&target_dir).unwrap();
+    assert_eq!(
+        answers(&target),
+        target_answers,
+        "the target index reopened"
+    );
+    drop(target);
+    let _ = std::fs::remove_dir_all(&target_dir);
     for _ in 0..150 {
         model.insert(&idx, gaussian(&mut rng, d, 1.0));
     }

@@ -471,7 +471,9 @@ fn a_wal_of_another_dimension_is_refused_untouched() {
 
 /// Skewed inserts pile into the top norm shard; re-partitioning recuts
 /// the boundaries over the live distribution, restores balance, keeps
-/// global ids stable, and changes no search result.
+/// global ids stable, and changes no search result. Copies of live rows
+/// put equal norms on both sides of each new boundary, and every shard's
+/// members are exactly what ranking the live rows by `(‖o‖², gid)` gives.
 #[test]
 fn repartition_rebalances_without_changing_results() {
     let d = 8;
@@ -482,12 +484,30 @@ fn repartition_rebalances_without_changing_results() {
         .base(ProMipsConfig::builder().seed(89).build())
         .build();
     let idx = ShardedProMips::build_in_dir(&data, cfg, &dir).unwrap();
+    let mut live: std::collections::BTreeMap<u64, Vec<f32>> = (0..data.rows())
+        .map(|i| (i as u64, data.row(i).to_vec()))
+        .collect();
 
     // A stream of very-high-norm inserts all routes to the top shard.
     let mut rng = Xoshiro256pp::seed_from_u64(97);
     for _ in 0..220 {
         let v: Vec<f32> = (0..d).map(|_| (rng.normal() * 10.0) as f32).collect();
-        idx.insert(&v).unwrap();
+        live.insert(idx.insert(&v).unwrap(), v);
+    }
+    // Forty copies each of the rows now at the live third and two thirds
+    // by norm: each run of equal norms then spans a boundary the
+    // re-partition draws, and only the gid decides a copy's side.
+    let mut by_norm: Vec<(f64, u64)> = live.iter().map(|(&g, r)| (sq_norm2(r), g)).collect();
+    by_norm.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    for rank in [by_norm.len() / 3, 2 * by_norm.len() / 3] {
+        let row = live[&by_norm[rank].1].clone();
+        for _ in 0..40 {
+            live.insert(idx.insert(&row).unwrap(), row.clone());
+        }
+    }
+    for gid in [5, 301, 555] {
+        idx.delete(gid).unwrap();
+        live.remove(&gid);
     }
     let skew_before = idx.shard_skew();
     assert!(skew_before > 1.5, "inserts should have skewed the shards");
@@ -503,6 +523,31 @@ fn repartition_rebalances_without_changing_results() {
     );
     for st in idx.maintenance_stats() {
         assert_eq!(st.delta_len + st.tombstones, 0);
+    }
+    // Membership is the oracle's: live rows ranked by (‖o‖², gid) under a
+    // stable sort that recomputes both norms per comparison, rank `r` of
+    // `n` to shard `r · 3 / n`, each shard's ids ascending.
+    let mut ranked: Vec<u64> = live.keys().copied().collect();
+    ranked.sort_by(|a, b| {
+        sq_norm2(&live[a])
+            .total_cmp(&sq_norm2(&live[b]))
+            .then(a.cmp(b))
+    });
+    let mut expect = vec![Vec::new(); 3];
+    for (rank, &gid) in ranked.iter().enumerate() {
+        expect[rank * 3 / ranked.len()].push(gid);
+    }
+    let split_ties = (1..ranked.len())
+        .filter(|&r| r * 3 / ranked.len() != (r - 1) * 3 / ranked.len())
+        .filter(|&r| sq_norm2(&live[&ranked[r]]) == sq_norm2(&live[&ranked[r - 1]]))
+        .count();
+    assert_eq!(
+        split_ties, 2,
+        "both boundaries must cut a run of equal norms"
+    );
+    for (si, ids) in expect.iter_mut().enumerate() {
+        ids.sort_unstable();
+        assert_eq!(&idx.shards()[si].global_ids(), ids, "shard {si}'s members");
     }
     for (q, b) in queries.iter().zip(&before) {
         assert_equivalent_full(&full_search_map(&idx, q), b, "repartition");
