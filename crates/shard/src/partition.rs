@@ -13,9 +13,9 @@
 //! those `f64`s, never touching a row again. Ids are unique, so no two keys
 //! are equal and the unstable sort has one possible outcome: the placement
 //! is deterministic in its inputs (the sharded index's reproducibility
-//! tests depend on it). With one shard every row goes to shard 0 and
-//! nothing is ranked, so a one-shard [`crate::ShardedProMips`] reproduces
-//! the unsharded index bit for bit.
+//! tests depend on it). With one shard every rank maps to shard 0 and the
+//! id sort restores row order, so a one-shard [`crate::ShardedProMips`]
+//! reproduces the unsharded index bit for bit.
 
 use promips_linalg::{sq_norm2, Matrix};
 
@@ -48,15 +48,10 @@ pub(crate) fn assign(
 ) -> Vec<Vec<usize>> {
     let n = sq_norms.len();
     let mut order: Vec<usize> = (0..n).collect();
+    order.sort_unstable_by(|&a, &b| sq_norms[a].total_cmp(&sq_norms[b]).then(id(a).cmp(&id(b))));
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-    if n_shards > 1 {
-        order
-            .sort_unstable_by(|&a, &b| sq_norms[a].total_cmp(&sq_norms[b]).then(id(a).cmp(&id(b))));
-        for (rank, &row) in order.iter().enumerate() {
-            members[rank * n_shards / n].push(row);
-        }
-    } else {
-        members[0] = order;
+    for (rank, &row) in order.iter().enumerate() {
+        members[rank * n_shards / n].push(row);
     }
     for m in &mut members {
         m.sort_unstable_by_key(|&i| id(i));
