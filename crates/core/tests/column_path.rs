@@ -205,7 +205,7 @@ proptest! {
                     let q: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
                     let request = ShardedQuery {
                         traced: true,
-                        threads: Some(1),
+                        serial: true,
                         ..ShardedQuery::new(&q, 10)
                     };
                     let (got, trace) = sharded.execute(request, &sscratch).unwrap();

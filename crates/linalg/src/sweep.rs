@@ -1,14 +1,15 @@
 //! The process's one helper thread, parked while idle, and the two ways to
 //! work beside it: [`join`] hands it one closure (`promips_idistance`'s
-//! split column sweep), [`map`] shares the items of `0..n` with it (the
-//! index build's stage-2 k-means groups and SQ8 code rows).
+//! split column sweep and `promips_shard`'s fan-out), [`map`] shares the
+//! items of `0..n` with it (the index build's stage-2 k-means groups and
+//! SQ8 code rows).
 //!
 //! One caller at a time owns the helper (`BUSY`). A call that finds it
-//! absent (one core) or owned — by a nested call from inside an item, by
-//! another thread's build or by a query's split sweep — runs everything on
-//! its caller. So a build that holds the helper makes a concurrent query's
-//! sweep serial, and a sweep that holds it makes a concurrent build serial;
-//! neither waits for the other.
+//! absent (one core) or owned — by a nested call from inside an item or a
+//! shard's search, by another thread's build, or by a query's split sweep
+//! or fan-out — runs everything on its caller. So a build that holds the
+//! helper makes a concurrent query's sweep serial, and a sweep that holds
+//! it makes a concurrent build serial; neither waits for the other.
 //!
 //! A job borrows the caller's stack. The owner posts its job's address in
 //! `JOB`; the helper, before it first touches the job, and the caller, its

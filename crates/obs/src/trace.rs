@@ -112,9 +112,9 @@ impl QueryTrace {
     }
 
     /// Fraction of the end-to-end wall time explained by the trace's
-    /// spans ([`QueryTrace::accounted_ns`]), in [0, 1] for a sequential
-    /// fan-out. (With a threaded fan-out, span time is CPU time across
-    /// workers and can exceed the wall clock.)
+    /// spans ([`QueryTrace::accounted_ns`]), in [0, 1] for a serial
+    /// fan-out. (A fan-out shared with the sweep helper sums span time over
+    /// both threads, which can exceed the wall clock.)
     pub fn coverage(&self) -> f64 {
         if self.total_ns == 0 {
             return 0.0;

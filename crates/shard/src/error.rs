@@ -27,7 +27,7 @@ pub enum DegradationPolicy {
     /// The first shard failure aborts the whole query with a
     /// [`QueryError`] naming the shard. Deterministic: when several
     /// shards fail in one query, the lowest shard index is reported
-    /// regardless of worker scheduling. The default — exact-or-error, no
+    /// however the fan-out is scheduled. The default — exact-or-error, no
     /// silent recall loss.
     #[default]
     FailFast,
@@ -48,7 +48,7 @@ pub enum ShardErrorKind {
     DeadlineExceeded,
     /// The query's cancellation token fired inside this shard.
     Cancelled,
-    /// The shard's search worker panicked. The shard's shared state is
+    /// The shard's search panicked. The shard's shared state is
     /// suspect; under [`DegradationPolicy::BestEffort`] it is excluded
     /// like any other failure, but an operator should look.
     Poisoned,

@@ -20,13 +20,14 @@
 //! 2. **Pruned fan-out.** Every other shard whose Cauchy–Schwarz bound
 //!    `‖q‖₂ · max_norm(shard)` falls strictly below the floor is pruned —
 //!    no point it holds can enter the global top-k. Surviving shards are
-//!    searched concurrently under `std::thread::scope`, each with its own
-//!    [`SearchScratch`], and the floor rides into every one of them as the
-//!    request's [`Query::kth_floor`]: rows below it are neither collected
-//!    nor, where a bound rules them out, read — a column pass stops at its
-//!    first sub-partition whose bound falls below it, the delta overlay
-//!    screens its chunks against it. (The annulus path ignores it; its
-//!    Conditions A and B read the shard's own k-th.)
+//!    searched by the calling thread and, when it is free, the sweep
+//!    helper ([`promips_linalg::sweep::join`]; no query starts a thread),
+//!    each with its own [`SearchScratch`], and the floor rides into every
+//!    one of them as the request's [`Query::kth_floor`]: rows below it are
+//!    neither collected nor, where a bound rules them out, read — a column
+//!    pass stops at its first sub-partition whose bound falls below it,
+//!    the delta overlay screens its chunks against it. (The annulus path
+//!    ignores it; its Conditions A and B read the shard's own k-th.)
 //!
 //! One **query screen** serves the whole query: every generation's code
 //! column and every sealed delta chunk are coded under the index's one
@@ -53,15 +54,15 @@
 //! (a row *at* it is kept: it may win the tie on its id), so the merged
 //! top-k is identical with pruning on or off.
 //!
-//! The floor is fixed after phase 1 (workers never race to update it), so
-//! results are **deterministic**: the same query against the same snapshot
-//! returns the same items, ranks, and per-shard counts regardless of
-//! thread count or scheduling.
+//! The floor is fixed after phase 1 (the two threads never race to update
+//! it), so results are **deterministic**: the same query against the same
+//! snapshot returns the same items, ranks, and per-shard counts whether the
+//! fan-out ran serially or beside the helper, and whatever the schedule.
 //!
 //! ## One entry point
 //!
 //! [`ShardedProMips::execute`] takes a [`ShardedQuery`] — the vector and
-//! `k`, plus the fan-out's options (worker count, budget, whether to
+//! `k`, plus the fan-out's options (serial or not, budget, whether to
 //! return the trace) — and is the only search body; every `search*` name
 //! is a one-line wrapper around it. The [`ShardedSearchResult`] holds the
 //! answer, its verified and screened counts summed over the shards and the
@@ -83,11 +84,11 @@
 //!   shard's scan and verify loops, which check it cooperatively once per
 //!   block of work, and the fan-out checks it once before it starts: a
 //!   budget the seed probe spent fails the remaining shards on the spot
-//!   instead of starting workers for them. An exceeded budget surfaces as
+//!   instead of searching them. An exceeded budget surfaces as
 //!   [`QueryError::DeadlineExceeded`] / [`QueryError::Cancelled`].
 //! * **Degradation** — [`crate::DegradationPolicy`] decides what one
 //!   shard's failure (injected or real IO fault, per-shard deadline
-//!   expiry, worker panic) does to the query: `FailFast` (default)
+//!   expiry, a panic in its search) does to the query: `FailFast` (default)
 //!   aborts with a typed [`ShardError`] naming the shard — reported
 //!   deterministically for the lowest failing shard index — while
 //!   `BestEffort` drops the failed shard from the merge and returns the
@@ -100,12 +101,11 @@
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 use promips_core::screen::{self, QueryScreen, ScreenBound};
 use promips_core::{Query, SearchItem, SearchScratch, TopK};
-use promips_linalg::{dot, dot_col_i8, sq_norm2};
+use promips_linalg::{dot, dot_col_i8, sq_norm2, sweep};
 use promips_obs::{
     self as obs, budget_error, BudgetChecker, BudgetExceeded, CounterId, QueryBudget, QueryTrace,
     ShardSpan,
@@ -116,8 +116,8 @@ use crate::index::{ShardSnapshot, ShardedProMips, CHUNK_ROWS};
 use crate::result::ShardedSearchResult;
 
 /// Reusable search buffers: one [`SearchScratch`] per shard, individually
-/// locked so fan-out workers (at most one per shard) take them without
-/// contention, and the query's one [`QueryScreen`], built under the
+/// locked so the fan-out's two threads (one per shard at a time) take them
+/// without contention, and the query's one [`QueryScreen`], built under the
 /// index's basis and shared by every shard's column and delta chunks.
 /// Buffers grow to their high-water mark and are reused across queries.
 pub struct ShardedScratch {
@@ -205,10 +205,10 @@ fn fail_query(se: ShardError) -> QueryError {
 /// let scratch = ShardedScratch::for_index(&index);
 /// let q = vec![0.5f32; 16];
 ///
-/// // Sequential fan-out, 50 ms deadline, and the per-stage trace back.
+/// // Serial fan-out, 50 ms deadline, and the per-stage trace back.
 /// let budget = QueryBudget::with_deadline(Duration::from_millis(50));
 /// let request = ShardedQuery {
-///     threads: Some(1),
+///     serial: true,
 ///     budget: Some(&budget),
 ///     traced: true,
 ///     ..ShardedQuery::new(&q, 10)
@@ -223,16 +223,14 @@ pub struct ShardedQuery<'a> {
     pub q: &'a [f32],
     /// Result size.
     pub k: usize,
-    /// Worker count of the fan-out phase; `None` uses every available
-    /// core. Results are identical for every thread count (see the module
-    /// docs on determinism). With one worker the per-shard stage times of
-    /// a trace are disjoint slices of the wall clock, so
-    /// [`QueryTrace::coverage`] accounts for the end-to-end latency; with
-    /// more, stage time is CPU time across threads and can exceed it.
-    /// Whatever the count, one large column sweep at a time may also use
-    /// the process's one sweep helper thread (see
-    /// [`promips_idistance::IDistanceIndex::column_dots`]).
-    pub threads: Option<usize>,
+    /// Search the fan-out's shards on the calling thread alone. Otherwise
+    /// (the default) two or more share them with the process's sweep
+    /// helper when nothing else holds it ([`promips_linalg::sweep::join`]);
+    /// results are identical either way (module docs). Serial, a trace's
+    /// per-shard stage times are disjoint slices of the wall clock, so
+    /// [`QueryTrace::coverage`] accounts for the end-to-end latency; on two
+    /// threads stage time is CPU time across both and can exceed it.
+    pub serial: bool,
     /// Deadline and/or cancellation token, checked cooperatively inside
     /// every shard's scan and verify loops; failures come back typed.
     /// Under [`DegradationPolicy::BestEffort`] a budget that expires after
@@ -249,23 +247,17 @@ pub struct ShardedQuery<'a> {
 }
 
 impl<'a> ShardedQuery<'a> {
-    /// The plain top-`k` search for `q`: all cores, no budget, untraced.
+    /// The plain top-`k` search for `q`: helper-shared fan-out, no budget,
+    /// untraced.
     pub fn new(q: &'a [f32], k: usize) -> Self {
         Self {
             q,
             k,
-            threads: None,
+            serial: false,
             budget: None,
             traced: false,
         }
     }
-}
-
-/// Worker count of a request that names none: every available core,
-/// resolved once per process (the lookup parses cgroup files).
-fn default_workers() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 impl ShardedProMips {
@@ -277,9 +269,9 @@ impl ShardedProMips {
         Ok(res)
     }
 
-    /// [`ShardedProMips::execute`] with an explicit worker count and
-    /// `io::Error` failures. Frozen by `benchmark/`, which compiles
-    /// against this name; everything else builds a [`ShardedQuery`].
+    /// [`ShardedProMips::execute`] with `io::Error` failures, serial when
+    /// `threads <= 1`. Frozen by `benchmark/`, which compiles against this
+    /// name; everything else builds a [`ShardedQuery`].
     pub fn search_threaded(
         &self,
         q: &[f32],
@@ -289,7 +281,7 @@ impl ShardedProMips {
     ) -> io::Result<ShardedSearchResult> {
         let (res, _) = self.execute(
             ShardedQuery {
-                threads: Some(threads),
+                serial: threads <= 1,
                 ..ShardedQuery::new(q, k)
             },
             scratch,
@@ -308,7 +300,7 @@ impl ShardedProMips {
     ) -> io::Result<(ShardedSearchResult, QueryTrace)> {
         let (res, trace) = self.execute(
             ShardedQuery {
-                threads: Some(threads),
+                serial: threads <= 1,
                 traced: true,
                 ..ShardedQuery::new(q, k)
             },
@@ -333,7 +325,7 @@ impl ShardedProMips {
     }
 
     /// The one search path: phases and results are identical whatever the
-    /// request's `threads`, `budget` and `traced` say — a `None` budget is
+    /// request's `serial`, `budget` and `traced` say — a `None` budget is
     /// the unbounded path bit for bit, and tracing only *observes*.
     /// Returns the trace exactly when the request asked for one.
     pub fn execute(
@@ -344,7 +336,7 @@ impl ShardedProMips {
         let ShardedQuery {
             q,
             k,
-            threads,
+            serial,
             budget,
             traced,
         } = query;
@@ -400,7 +392,7 @@ impl ShardedProMips {
         let mut attempted = 0usize;
 
         // One shard, fully contained: IO errors are re-typed, budget
-        // expiries recovered, and a panicking worker is caught here (the
+        // expiries recovered, and a panicking search is caught here (the
         // scratch and snapshot it held are query-local; shared state is
         // lock-free or guarded by non-poisoning locks). The span is an
         // out-parameter of the search, so a failed shard still reports its
@@ -493,8 +485,8 @@ impl ShardedProMips {
         {
             // Spent or cancelled before the fan-out (an expired seed probe
             // leaves no floor, so nothing was pruned): every shard still to
-            // search fails with that kind here — no worker is started to
-            // find it out on its first tick.
+            // search fails with that kind here — none is searched to find it
+            // out on its first tick.
             fan_out
                 .iter()
                 .map(|&si| {
@@ -507,11 +499,11 @@ impl ShardedProMips {
                 })
                 .collect()
         } else {
-            // One worker loop hands out `fan_out` in ascending shard order.
-            // A failure under fail-fast ends the hand-out: every lower
-            // shard is already taken, so the lowest failing shard is always
-            // among the outcomes and the reported error is the same for
-            // every worker count and schedule.
+            // One worker loop hands out `fan_out` in ascending shard order,
+            // run here and, when it is free, on the sweep helper. A failure
+            // under fail-fast ends the hand-out: every lower shard is already
+            // taken, so the lowest failing shard is always among the
+            // outcomes and the reported error is the same for any schedule.
             let next = AtomicUsize::new(0);
             let worker = || {
                 let mut local: Vec<ShardOutcome> = Vec::new();
@@ -524,23 +516,20 @@ impl ShardedProMips {
                 }
                 local
             };
-            // The default worker count is only worth resolving (cgroup
-            // files, ≈ 16 µs) when pruning left more than one shard.
-            let workers = match fan_out.len() {
-                0 | 1 => 1,
-                n => threads.unwrap_or_else(default_workers).clamp(1, n),
+            // `search_one` catches panics: the helper's side never unwinds.
+            let helpers = Mutex::new(Vec::new());
+            let theirs = || {
+                *helpers.lock() = worker();
+                Ok(())
             };
-            if workers == 1 {
-                worker()
-            } else {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..workers).map(|_| s.spawn(worker)).collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("shard fan-out worker panicked"))
-                        .collect()
-                })
-            }
+            // A lone shard leaves the helper to its own split sweep.
+            let joined = (!serial && fan_out.len() > 1).then(|| sweep::join(&theirs, worker));
+            let mut mine = match joined.flatten() {
+                Some((mine, _)) => mine,
+                None => worker(), // the helper is absent or owned
+            };
+            mine.append(&mut helpers.into_inner());
+            mine
         };
         for (span, res) in collected {
             let si = span.shard;
@@ -554,8 +543,8 @@ impl ShardedProMips {
         // --- Degradation decision. ------------------------------------------
         let mut degraded = false;
         if !failures.is_empty() {
-            // Workers finish in scheduling order; the lowest shard index is
-            // what is reported.
+            // The two threads finish in scheduling order; the lowest shard
+            // index is what is reported.
             failures.sort_by_key(|e| e.shard);
             if policy == DegradationPolicy::FailFast || failures.len() == attempted {
                 // Fail-fast, or nothing survived to merge — degrading to an

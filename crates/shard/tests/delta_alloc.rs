@@ -53,7 +53,7 @@ fn gaussian_rows(n: usize, d: usize, rng: &mut Xoshiro256pp) -> Vec<Vec<f32>> {
 /// further query and the rows its overlay scored or screened.
 fn warm_query_allocs(index: &ShardedProMips, q: &[f32], scratch: &ShardedScratch) -> (u64, usize) {
     let request = ShardedQuery {
-        threads: Some(1),
+        serial: true,
         ..ShardedQuery::new(q, 10)
     };
     for _ in 0..3 {

@@ -103,7 +103,7 @@ impl Model {
 fn assert_exact(idx: &ShardedProMips, model: &Model, q: &[f32], k: usize, label: &str) -> bool {
     let scratch = ShardedScratch::for_index(idx);
     let request = ShardedQuery {
-        threads: Some(1),
+        serial: true,
         traced: true,
         ..ShardedQuery::new(q, k)
     };

@@ -1,8 +1,9 @@
 //! The crate's public-API tests: one shard against the unsharded index,
-//! pruning, thread counts, empty shards, recall and the trace's spans.
-//! Compiled into the library's unit-test binary (`src/lib.rs` includes
-//! this file by path), so it sits outside the `src` line budget while the
-//! suite still names its tests `tests::…`. It uses only the public API.
+//! pruning, serial and helper-shared fan-outs, empty shards, recall and
+//! the trace's spans. Compiled into the library's unit-test binary
+//! (`src/lib.rs` includes this file by path), so it sits outside the `src`
+//! line budget while the suite still names its tests `tests::…`. It uses
+//! only the public API.
 
 use super::*;
 use promips_core::{ProMips, ProMipsConfig};
@@ -11,7 +12,7 @@ use promips_obs::QueryTrace;
 #[path = "../common/mod.rs"]
 mod common;
 use common::span_counts;
-use promips_linalg::Matrix;
+use promips_linalg::{sweep, Matrix};
 use promips_stats::Xoshiro256pp;
 
 fn random_data(n: usize, d: usize, seed: u64) -> Matrix {
@@ -116,6 +117,28 @@ fn pruning_never_changes_the_result() {
     }
 }
 
+/// Runs `f` on this thread while it owns the process's sweep helper, so
+/// any query inside finds the helper taken and fans out serially; on one
+/// core there is no helper and `f` runs as is.
+fn with_helper_owned<R>(f: impl Fn() -> R) -> R {
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+        return f();
+    }
+    loop {
+        // Another test's query or build may hold it.
+        match sweep::join(&|| Ok(()), &f) {
+            Some((r, theirs)) => {
+                theirs.unwrap();
+                return r;
+            }
+            None => std::thread::yield_now(),
+        }
+    }
+}
+
+/// The answer and every shard's counts are the same whether the fan-out
+/// runs serially, beside the helper, or with the helper already owned
+/// elsewhere (so the default request falls back to the serial loop).
 #[test]
 fn results_are_thread_count_invariant() {
     let data = random_data(1200, 16, 5);
@@ -128,20 +151,24 @@ fn results_are_thread_count_invariant() {
     )
     .unwrap();
     let scratch = ShardedScratch::for_index(&idx);
+    let run = |q: &[f32], serial: bool| {
+        let request = ShardedQuery {
+            serial,
+            traced: true,
+            ..ShardedQuery::new(q, 7)
+        };
+        let (res, trace) = idx.execute(request, &scratch).unwrap();
+        (res, span_counts(&trace.expect("traced")))
+    };
+    let mut wide_fan_outs = 0;
     for q in random_queries(8, 16, 17) {
-        let (base, base_trace) = idx.search_traced_threaded(&q, 7, 1, &scratch).unwrap();
-        for threads in [2usize, 4, 16] {
-            let (other, trace) = idx
-                .search_traced_threaded(&q, 7, threads, &scratch)
-                .unwrap();
-            assert_eq!(base, other, "threads={threads}");
-            assert_eq!(
-                span_counts(&base_trace),
-                span_counts(&trace),
-                "threads={threads}"
-            );
-        }
+        let want = run(&q, true);
+        let fanned = want.1.iter().filter(|s| !s.1 && !s.2).count();
+        wide_fan_outs += usize::from(fanned > 1);
+        assert_eq!(run(&q, false), want, "beside the helper");
+        assert_eq!(with_helper_owned(|| run(&q, false)), want, "helper owned");
     }
+    assert!(wide_fan_outs > 0, "no query fanned out to two shards");
 }
 
 /// The seed shard's k-th is a bar every other searched shard is held to,
@@ -149,7 +176,7 @@ fn results_are_thread_count_invariant() {
 /// coordinate 1.0 bar the four largest-norm rows' (3.0), the seed's k-th
 /// is 1.0 and ties with every row of every other shard — rows with
 /// smaller ids, which the merge prefers. The answer is brute force's and
-/// the unpruned index's, and every count is the same for any worker count.
+/// the unpruned index's, and every count is the same serial or not.
 /// Where the seed holds fewer than `k` live rows there is no bar: nothing
 /// is pruned, and every shard does exactly the unpruned index's work.
 #[test]
@@ -179,9 +206,9 @@ fn the_seed_floor_keeps_ties_with_smaller_ids_in_other_shards() {
         ShardedProMips::build_in_memory(&data, cfg).unwrap()
     };
     let (pruned, full) = (mk(true), mk(false));
-    let run = |idx: &ShardedProMips, threads: usize| {
+    let run = |idx: &ShardedProMips, serial: bool| {
         let request = ShardedQuery {
-            threads: Some(threads),
+            serial,
             traced: true,
             ..ShardedQuery::new(&q, k)
         };
@@ -191,7 +218,7 @@ fn the_seed_floor_keeps_ties_with_smaller_ids_in_other_shards() {
         (res, trace.expect("a traced request returns its trace"))
     };
 
-    let (res, trace) = run(&pruned, 1);
+    let (res, trace) = run(&pruned, true);
     assert_eq!(trace.kth_floor, Some(1.0));
     assert!(trace.shards.iter().all(|s| s.column_pass && !s.pruned));
     let seed = trace.shards.iter().position(|s| s.seed).unwrap();
@@ -203,9 +230,9 @@ fn the_seed_floor_keeps_ties_with_smaller_ids_in_other_shards() {
         "no tie was won outside the seed shard"
     );
     assert_eq!(res.items, full.search(&q, k).unwrap().items);
-    let (four, four_trace) = run(&pruned, 4);
-    assert_eq!(four, res);
-    assert_eq!(span_counts(&four_trace), span_counts(&trace));
+    let (beside, beside_trace) = run(&pruned, false);
+    assert_eq!(beside, res);
+    assert_eq!(span_counts(&beside_trace), span_counts(&trace));
 
     // Leave the seed shard short of `k` live rows: no bar, and every shard,
     // the seed included, does what it does unpruned.
@@ -214,10 +241,10 @@ fn the_seed_floor_keeps_ties_with_smaller_ids_in_other_shards() {
             idx.delete(gid).unwrap();
         }
     }
-    let (res, trace) = run(&pruned, 1);
+    let (res, trace) = run(&pruned, true);
     assert_eq!(trace.kth_floor, None);
     assert_eq!(trace.shards_pruned(), 0);
-    let (unpruned, unpruned_trace) = run(&full, 1);
+    let (unpruned, unpruned_trace) = run(&full, true);
     assert_eq!(res, unpruned);
     // The same counts, bar the seed's flag: the unpruned index probes none.
     let mut counts = span_counts(&trace);
@@ -445,7 +472,7 @@ fn trace_spans_account_for_every_shard_and_the_result() {
     for _ in 0..400 {
         let budget = QueryBudget::with_deadline(Duration::from_nanos(wait_ns));
         let request = ShardedQuery {
-            threads: Some(1),
+            serial: true,
             budget: Some(&budget),
             traced: true,
             ..ShardedQuery::new(&q, 100)

@@ -338,7 +338,7 @@ fn exact_and_delta_rows_are_booked_once_and_carried_by_the_spans() {
         let scratch = ShardedScratch::for_index(idx);
         let before = verified();
         let request = ShardedQuery {
-            threads: Some(1),
+            serial: true,
             traced: true,
             ..ShardedQuery::new(q, 5)
         };

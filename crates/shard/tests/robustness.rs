@@ -48,16 +48,11 @@ fn run(idx: &ShardedProMips, q: &[f32], k: usize, scratch: &ShardedScratch) -> S
     idx.execute(ShardedQuery::new(q, k), scratch).unwrap().0
 }
 
-/// `q` under `budget`, on the default worker count or `threads`.
-fn budgeted<'a>(
-    q: &'a [f32],
-    k: usize,
-    budget: &'a QueryBudget,
-    threads: Option<usize>,
-) -> ShardedQuery<'a> {
+/// `q` under `budget`, its fan-out `serial` or sharing the helper.
+fn budgeted<'a>(q: &'a [f32], k: usize, budget: &'a QueryBudget, serial: bool) -> ShardedQuery<'a> {
     ShardedQuery {
         budget: Some(budget),
-        threads,
+        serial,
         ..ShardedQuery::new(q, k)
     }
 }
@@ -92,21 +87,21 @@ fn expired_deadline_returns_typed_error_fast() {
     let whole = idx.access_stats().logical_reads;
     assert!(whole > 20, "the query itself reads {whole}");
 
-    // Default workers, then a threaded fan-out: classified identically.
+    // A serial fan-out, then one sharing the helper: classified identically.
     let expired = QueryBudget::with_deadline_at(1);
-    for threads in [None, Some(4)] {
+    for serial in [true, false] {
         idx.reset_stats();
         let err = idx
-            .execute(budgeted(q, 10, &expired, threads), &scratch)
+            .execute(budgeted(q, 10, &expired, serial), &scratch)
             .unwrap_err();
         assert!(matches!(err, QueryError::DeadlineExceeded));
         let reads = idx.access_stats().logical_reads;
-        assert_eq!(reads, 0, "threads={threads:?}");
+        assert_eq!(reads, 0, "serial={serial}");
     }
 }
 
 /// A budget that is already spent (or cancelled) gives the same typed
-/// error under either degradation policy and any worker count, having
+/// error under either degradation policy, serial or not, having
 /// started the seed shard only; a live one is invisible. An expired seed
 /// probe leaves no floor, so nothing is pruned: without the budget check
 /// before the fan-out, best effort starts every remaining shard only for
@@ -139,12 +134,12 @@ fn spent_budget_fails_alike_under_every_policy_and_thread_count() {
             .unwrap();
             let scratch = ShardedScratch::for_index(&idx);
             let plain: Vec<_> = queries.iter().map(|q| run(&idx, q, 5, &scratch)).collect();
-            for threads in [None, Some(1), Some(4)] {
-                let case = format!("{label}, {policy:?}, threads={threads:?}");
+            for serial in [true, false] {
+                let case = format!("{label}, {policy:?}, serial={serial}");
                 for (q, want) in queries.iter().zip(&plain) {
                     for (budget, is_cancel) in &spent {
                         idx.reset_stats();
-                        let out = idx.execute(budgeted(q, 5, budget, threads), &scratch);
+                        let out = idx.execute(budgeted(q, 5, budget, serial), &scratch);
                         match (out, is_cancel) {
                             (Err(QueryError::DeadlineExceeded), false) => {}
                             (Err(QueryError::Cancelled), true) => {}
@@ -154,7 +149,7 @@ fn spent_budget_fails_alike_under_every_policy_and_thread_count() {
                         assert_eq!(reads, 0, "{case}");
                     }
                     let (res, _) = idx
-                        .execute(budgeted(q, 5, &live, threads), &scratch)
+                        .execute(budgeted(q, 5, &live, serial), &scratch)
                         .unwrap();
                     assert_eq!(&res, want, "{case}: a live budget changed the answer");
                 }
@@ -177,7 +172,7 @@ fn cancelled_token_returns_typed_error() {
     token.cancel();
     let budget = QueryBudget::with_deadline(Duration::from_secs(60)).cancellable(token);
     let err = idx
-        .execute(budgeted(q, 5, &budget, None), &scratch)
+        .execute(budgeted(q, 5, &budget, false), &scratch)
         .unwrap_err();
     assert!(matches!(err, QueryError::Cancelled), "got {err}");
 }
@@ -331,8 +326,8 @@ fn cancellation_stops_either_path_within_a_stride_of_work() {
 /// The request's options are orthogonal — the combinations method names
 /// never reached included. A budget nobody exhausts is invisible (items,
 /// ranks and per-shard counters bit-identical to the un-budgeted request),
-/// an expired one is typed, and neither `traced` nor `threads` changes
-/// either outcome.
+/// an expired one is typed, and neither `traced` nor a serial fan-out
+/// changes either outcome.
 #[test]
 fn results_depend_on_neither_traced_nor_threads_nor_an_unfired_budget() {
     let data = promips_data::gen::norm_skewed(2500, 14, 17);
@@ -360,11 +355,11 @@ fn results_depend_on_neither_traced_nor_threads_nor_an_unfired_budget() {
         assert!(!plain.degraded && plain_trace.shards_failed() == 0);
         for (budget, label, fires) in &budgets {
             for traced in [false, true] {
-                for threads in [None, Some(1), Some(4)] {
-                    let case = format!("{label}, traced={traced}, threads={threads:?}");
+                for serial in [true, false] {
+                    let case = format!("{label}, traced={traced}, serial={serial}");
                     let out = idx.execute(
                         ShardedQuery {
-                            threads,
+                            serial,
                             budget: budget.as_ref(),
                             traced,
                             ..ShardedQuery::new(&q, 10)
@@ -406,7 +401,7 @@ fn traced_budgeted_search_carries_remaining_budget() {
         .execute(
             ShardedQuery {
                 traced: true,
-                ..budgeted(q, 6, &budget, None)
+                ..budgeted(q, 6, &budget, false)
             },
             &scratch,
         )
@@ -439,7 +434,7 @@ fn every_wrapper_is_bit_identical_to_execute() {
             assert_eq!(idx.search(&q, 8).unwrap(), plain);
             for threads in [1usize, 4] {
                 let request = ShardedQuery {
-                    threads: Some(threads),
+                    serial: threads <= 1,
                     ..ShardedQuery::new(&q, 8)
                 };
                 let (want, _) = idx.execute(request, &scratch).unwrap();
@@ -539,7 +534,7 @@ proptest! {
             let unlimited = QueryBudget::unlimited();
             let request = ShardedQuery {
                 traced: true,
-                ..budgeted(&q, k, &unlimited, None)
+                ..budgeted(&q, k, &unlimited, false)
             };
             let (bounded, trace) = idx.execute(request, &scratch).unwrap();
             prop_assert_eq!(&plain.items, &bounded.items);
@@ -572,7 +567,7 @@ proptest! {
 
             // Expired budget: typed, never a partial Ok.
             let err = idx
-                .execute(budgeted(&q, k, &QueryBudget::with_deadline_at(1), None), &scratch)
+                .execute(budgeted(&q, k, &QueryBudget::with_deadline_at(1), false), &scratch)
                 .unwrap_err();
             prop_assert!(matches!(err, QueryError::DeadlineExceeded));
         }
@@ -747,6 +742,79 @@ fn best_effort_with_every_shard_failed_is_an_error() {
     assert!(matches!(err, QueryError::Shard(_)), "got {err}");
     faults::disarm();
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// With more than one shard failing, fail-fast names the lowest of them
+/// however the fan-out is scheduled, and best effort drops the same shards
+/// serial or not. Twelve shards put the two faulted ones, 10 and 11, under
+/// one path pattern (`shard_001`) that no healthy shard's file matches.
+#[test]
+fn the_lowest_of_several_failing_shards_is_reported() {
+    let _serial = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let d = 8;
+    let data = random_data(600, d, 67);
+    let queries = random_queries(4, d, 71);
+    for policy in [DegradationPolicy::FailFast, DegradationPolicy::BestEffort] {
+        // prune(false): every shard is searched, so both faults fire.
+        let cfg = ShardedConfig::builder()
+            .shards(12)
+            .prune(false)
+            .degradation(policy)
+            .base(ProMipsConfig::builder().seed(73).build())
+            .build();
+        let dir = temp_dir(&format!("twofault-{policy:?}"));
+        let tag = dir.file_name().unwrap().to_string_lossy().into_owned();
+        drop(ShardedProMips::build_in_dir(&data, cfg, &dir).unwrap());
+        let idx = ShardedProMips::open(&dir).unwrap();
+        let scratch = ShardedScratch::for_index(&idx);
+        faults::arm_with(
+            FaultPlan {
+                op: IoOp::Read,
+                nth: 1,
+                path_contains: Some(format!("{tag}/shard_001")),
+            },
+            Recurrence::EveryNth(1),
+            io::ErrorKind::Other,
+        );
+        let run = |q: &[f32], serial: bool| {
+            let request = ShardedQuery {
+                serial,
+                traced: true,
+                ..ShardedQuery::new(q, 10)
+            };
+            idx.execute(request, &scratch)
+        };
+        for q in &queries {
+            if policy == DegradationPolicy::FailFast {
+                for rep in 0..20 {
+                    for serial in [true, false] {
+                        let err = run(q, serial).unwrap_err();
+                        assert!(
+                            matches!(&err, QueryError::Shard(se) if se.shard == 10),
+                            "rep {rep}, serial={serial}: {err}"
+                        );
+                    }
+                }
+                continue;
+            }
+            let (want, want_trace) = run(q, true).unwrap();
+            let want_trace = want_trace.unwrap();
+            assert!(want.degraded);
+            let failed: Vec<usize> = (want_trace.shards.iter())
+                .filter(|s| s.failed)
+                .map(|s| s.shard)
+                .collect();
+            assert_eq!(failed, [10, 11]);
+            for rep in 0..20 {
+                let (got, trace) = run(q, false).unwrap();
+                assert_eq!(got, want, "rep {rep}");
+                assert_eq!(span_counts(&trace.unwrap()), span_counts(&want_trace));
+            }
+        }
+        faults::disarm();
+        drop(idx);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 // --- transient-fault retry -----------------------------------------------

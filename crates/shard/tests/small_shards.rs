@@ -74,7 +74,7 @@ fn check(
     for q in queries {
         for k in [1, 5, live + 3] {
             let request = ShardedQuery {
-                threads: Some(1),
+                serial: true,
                 traced: true,
                 ..ShardedQuery::new(q, k)
             };

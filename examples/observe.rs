@@ -51,7 +51,7 @@ fn main() -> std::io::Result<()> {
     for _ in 0..32 {
         let q: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
         let traced = ShardedQuery {
-            threads: Some(1),
+            serial: true,
             traced: true,
             ..ShardedQuery::new(&q, 10)
         };

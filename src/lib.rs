@@ -54,7 +54,7 @@
 //!
 //! `search` is the plain form of the one search path, `execute`: a
 //! request value ([`core::Query`], [`shard::ShardedQuery`]) carries every
-//! option — tombstone mask, budget, span; worker count, budget, trace —
+//! option — tombstone mask, budget, span; serial fan-out, budget, trace —
 //! and each layer has one `execute` that runs it.
 //!
 //! ## Scaling out
