@@ -19,10 +19,13 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use promips_core::{ProMips, ProMipsConfig};
 use promips_data::gen::low_rank;
 use promips_idistance::IDistanceConfig;
-use promips_linalg::{sweep, Matrix};
+use promips_linalg::Matrix;
 use promips_shard::{ShardedConfig, ShardedProMips};
 use promips_stats::Xoshiro256pp;
 use promips_storage::{AccessStats, FileStorage, Pager};
+
+mod common;
+use common::with_helper_owned;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -35,24 +38,6 @@ fn temp_dir(tag: &str) -> PathBuf {
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-/// Runs `f` on this thread while it owns the helper, so no map inside can
-/// share its items; on one core there is no helper and `f` runs as is.
-fn one_core<R>(f: impl Fn() -> R) -> R {
-    if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
-        return f();
-    }
-    loop {
-        // Another owner (a shard's background compactor) may hold it.
-        match sweep::join(&|| Ok(()), &f) {
-            Some((r, theirs)) => {
-                theirs.unwrap();
-                return r;
-            }
-            None => std::thread::yield_now(),
-        }
-    }
 }
 
 /// Every file under `dir`, by name, with its bytes.
@@ -103,7 +88,7 @@ fn same_index_bytes(tag: &str, data: &Matrix, config: ProMipsConfig) -> ProMips 
         temp_dir(&format!("{tag}-one")),
     );
     let built = build_file(data, &config, &two);
-    one_core(|| build_file(data, &config, &one));
+    with_helper_owned(|| build_file(data, &config, &one));
     assert_same_files(&two, &one);
     let _ = (fs::remove_dir_all(&two), fs::remove_dir_all(&one));
     built
@@ -165,7 +150,7 @@ fn a_compacted_and_repartitioned_directory_is_the_same_bytes() {
     };
     let (two, one) = (temp_dir("dir-two"), temp_dir("dir-one"));
     churn(&two);
-    one_core(|| churn(&one));
+    with_helper_owned(|| churn(&one));
     assert_same_files(&two, &one);
     let _ = (fs::remove_dir_all(&two), fs::remove_dir_all(&one));
 }

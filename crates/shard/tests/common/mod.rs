@@ -1,5 +1,8 @@
-//! Helpers shared by the shard crate's test binaries.
+//! Helpers shared by the shard crate's test binaries; each binary uses
+//! some of them.
+#![allow(dead_code)]
 
+use promips_linalg::sweep;
 use promips_obs::QueryTrace;
 
 /// What a span says its shard did for the query, timings left out:
@@ -26,4 +29,23 @@ pub fn span_counts(trace: &QueryTrace) -> Vec<SpanCounts> {
             )
         })
         .collect()
+}
+
+/// Runs `f` on this thread while it owns the process's sweep helper, so
+/// every query, fan-out or build map inside finds the helper taken and runs
+/// serially; on one core there is no helper and `f` runs as is.
+pub fn with_helper_owned<R>(f: impl Fn() -> R) -> R {
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+        return f();
+    }
+    loop {
+        // Another owner (a test's query, build or compactor) may hold it.
+        match sweep::join(&|| Ok(()), &f) {
+            Some((r, theirs)) => {
+                theirs.unwrap();
+                return r;
+            }
+            None => std::thread::yield_now(),
+        }
+    }
 }

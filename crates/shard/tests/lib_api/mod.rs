@@ -1,9 +1,11 @@
 //! The crate's public-API tests: one shard against the unsharded index,
-//! pruning, serial and helper-shared fan-outs, empty shards, recall and
-//! the trace's spans. Compiled into the library's unit-test binary
+//! pruning, empty shards, recall, the trace's spans and the pages an
+//! in-memory build caches. Compiled into the library's unit-test binary
 //! (`src/lib.rs` includes this file by path), so it sits outside the `src`
 //! line budget while the suite still names its tests `tests::…`. It uses
-//! only the public API.
+//! only the public API, bar a shard's index, which the last test reads to
+//! reach its pager. The fan-out's serial/helper check is `fan_out.rs`, a
+//! binary of its own.
 
 use super::*;
 use promips_core::{ProMips, ProMipsConfig};
@@ -12,8 +14,9 @@ use promips_obs::QueryTrace;
 #[path = "../common/mod.rs"]
 mod common;
 use common::span_counts;
-use promips_linalg::{sweep, Matrix};
+use promips_linalg::Matrix;
 use promips_stats::Xoshiro256pp;
+use std::sync::Arc;
 
 fn random_data(n: usize, d: usize, seed: u64) -> Matrix {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
@@ -115,60 +118,6 @@ fn pruning_never_changes_the_result() {
             assert!(any_pruned > 0, "no shard was ever pruned on {label}");
         }
     }
-}
-
-/// Runs `f` on this thread while it owns the process's sweep helper, so
-/// any query inside finds the helper taken and fans out serially; on one
-/// core there is no helper and `f` runs as is.
-fn with_helper_owned<R>(f: impl Fn() -> R) -> R {
-    if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
-        return f();
-    }
-    loop {
-        // Another test's query or build may hold it.
-        match sweep::join(&|| Ok(()), &f) {
-            Some((r, theirs)) => {
-                theirs.unwrap();
-                return r;
-            }
-            None => std::thread::yield_now(),
-        }
-    }
-}
-
-/// The answer and every shard's counts are the same whether the fan-out
-/// runs serially, beside the helper, or with the helper already owned
-/// elsewhere (so the default request falls back to the serial loop).
-#[test]
-fn results_are_thread_count_invariant() {
-    let data = random_data(1200, 16, 5);
-    let idx = ShardedProMips::build_in_memory(
-        &data,
-        ShardedConfig::builder()
-            .shards(5)
-            .base(ProMipsConfig::builder().seed(2).build())
-            .build(),
-    )
-    .unwrap();
-    let scratch = ShardedScratch::for_index(&idx);
-    let run = |q: &[f32], serial: bool| {
-        let request = ShardedQuery {
-            serial,
-            traced: true,
-            ..ShardedQuery::new(q, 7)
-        };
-        let (res, trace) = idx.execute(request, &scratch).unwrap();
-        (res, span_counts(&trace.expect("traced")))
-    };
-    let mut wide_fan_outs = 0;
-    for q in random_queries(8, 16, 17) {
-        let want = run(&q, true);
-        let fanned = want.1.iter().filter(|s| !s.1 && !s.2).count();
-        wide_fan_outs += usize::from(fanned > 1);
-        assert_eq!(run(&q, false), want, "beside the helper");
-        assert_eq!(with_helper_owned(|| run(&q, false)), want, "helper owned");
-    }
-    assert!(wide_fan_outs > 0, "no query fanned out to two shards");
 }
 
 /// The seed shard's k-th is a bar every other searched shard is held to,
@@ -533,4 +482,47 @@ fn a_search_does_not_wait_for_a_held_wal_lock() {
         assert_eq!(got, want);
         drop(held);
     });
+}
+
+/// Reads back every page of `pager`'s file: each must be a pool hit, and
+/// each hit the very buffer the in-memory device holds, so the index's
+/// pages are held once rather than once on the device and again in the
+/// pool.
+fn assert_pool_holds_the_device_pages(pager: &promips_storage::Pager) {
+    assert!(pager.num_pages() > 0 && pager.num_pages() <= pager.pool_capacity() as u64);
+    let before = pager.stats().snapshot();
+    for id in 0..pager.num_pages() {
+        let cached = pager.read(id).unwrap();
+        let own = pager
+            .storage()
+            .page(id)
+            .expect("a memory device holds its pages");
+        assert!(Arc::ptr_eq(&cached, &own), "page {id} is cached as a copy");
+    }
+    let misses = pager.stats().snapshot().cache_misses - before.cache_misses;
+    assert_eq!(misses, 0, "the build left pages out of the pool");
+}
+
+/// After an in-memory build, unsharded or sharded, the pool caches the
+/// device's own page buffers and no copy of them.
+#[test]
+fn an_in_memory_build_caches_the_device_pages_themselves() {
+    let data = random_data(2000, 24, 141);
+    let base = ProMipsConfig::builder().seed(7).build();
+    let single = ProMips::build_in_memory(&data, base.clone()).unwrap();
+    assert_pool_holds_the_device_pages(single.idistance().pager());
+
+    let sharded = ShardedProMips::build_in_memory(
+        &data,
+        ShardedConfig::builder().shards(3).base(base).build(),
+    )
+    .unwrap();
+    let mut indexed = 0;
+    for shard in sharded.shards() {
+        if let Some(pm) = &shard.generation.read().index {
+            assert_pool_holds_the_device_pages(pm.idistance().pager());
+            indexed += 1;
+        }
+    }
+    assert_eq!(indexed, 3);
 }

@@ -30,10 +30,15 @@
 //! `lf300_cold` (4 MB pool, every read a miss) misses within 0.1 % of what
 //! it did under exact LRU.
 //!
-//! **The miss insert copies.** [`BufferPool::insert`] takes the page's
-//! bytes, not a buffer: they are copied into the buffer of the frame the
-//! hand evicts when no reader still holds its page, so a full pool serves a
-//! stream of misses without allocating or freeing.
+//! **A page enters a frame one of two ways.** [`BufferPool::insert`]
+//! takes the page's bytes, not a buffer: they are copied into the buffer of
+//! the frame the hand evicts when no reader still holds its page, so a full
+//! pool over a file serves a stream of misses without allocating or
+//! freeing. [`BufferPool::adopt`] takes a buffer the device already holds
+//! (a [`crate::MemStorage`] page) and caches that very `Arc`, so an
+//! in-memory index keeps each page once, not once on the device and again
+//! in the pool. Both take the frame the same way: one table lookup, one
+//! eviction sweep, the same referenced bits.
 
 use std::sync::Arc;
 
@@ -74,14 +79,35 @@ struct Stripe {
     capacity: usize,
 }
 
-/// Makes `page` a copy of `bytes`: in place when no one else holds it,
-/// in a new buffer otherwise. Returns a handle to it.
-fn refill(page: &mut Arc<PageBuf>, bytes: &[u8]) -> Arc<PageBuf> {
-    match Arc::get_mut(page) {
-        Some(buf) if buf.len() == bytes.len() => buf.as_mut_slice().copy_from_slice(bytes),
-        _ => *page = Arc::new(PageBuf::from_vec(bytes.to_vec())),
+/// What an insert puts in its frame: a copy of some bytes, or a buffer the
+/// device holds, shared as it is.
+enum Fill<'a> {
+    Copy(&'a [u8]),
+    Adopt(Arc<PageBuf>),
+}
+
+impl Fill<'_> {
+    /// The fill as a page of its own.
+    fn page(self) -> Arc<PageBuf> {
+        match self {
+            Fill::Copy(bytes) => Arc::new(PageBuf::from_vec(bytes.to_vec())),
+            Fill::Adopt(page) => page,
+        }
     }
-    Arc::clone(page)
+
+    /// Makes `page` the fill: a copy goes into `page`'s buffer in place
+    /// when no one else holds it, and into a new buffer otherwise. Returns
+    /// a handle to it.
+    fn put_in(self, page: &mut Arc<PageBuf>) -> Arc<PageBuf> {
+        match self {
+            Fill::Copy(bytes) => match Arc::get_mut(page) {
+                Some(buf) if buf.len() == bytes.len() => buf.as_mut_slice().copy_from_slice(bytes),
+                _ => *page = Fill::Copy(bytes).page(),
+            },
+            Fill::Adopt(shared) => *page = shared,
+        }
+        Arc::clone(page)
+    }
 }
 
 impl Stripe {
@@ -189,21 +215,33 @@ impl BufferPool {
     /// holds its page; a new buffer is allocated otherwise, so a held page
     /// never changes.
     pub fn insert(&self, id: PageId, bytes: &[u8]) -> Arc<PageBuf> {
+        self.place(id, Fill::Copy(bytes))
+    }
+
+    /// Caches `page` itself as page `id` — no copy, no allocation — in the
+    /// frame [`BufferPool::insert`] would take, with the same eviction and
+    /// referenced bits, and returns it.
+    pub fn adopt(&self, id: PageId, page: Arc<PageBuf>) -> Arc<PageBuf> {
+        self.place(id, Fill::Adopt(page))
+    }
+
+    /// The one way into a frame: `id`'s own frame if it is cached, else a
+    /// free frame, else the second-chance victim.
+    fn place(&self, id: PageId, fill: Fill<'_>) -> Arc<PageBuf> {
         let (stripe, slot) = self.locate(id);
         let mut stripe = stripe.lock();
         let stripe = &mut *stripe;
         if let Some(frame) = stripe.frame_mut(slot) {
             frame.referenced = true;
-            return refill(&mut frame.page, bytes);
+            return fill.put_in(&mut frame.page);
         }
-        let fresh = || Arc::new(PageBuf::from_vec(bytes.to_vec()));
         if slot >= MAX_TABLE_SLOTS {
-            return fresh();
+            return fill.page();
         }
         let at = if stripe.frames.len() < stripe.capacity {
             stripe.frames.push(Frame {
                 slot,
-                page: fresh(),
+                page: fill.page(),
                 referenced: false,
             });
             stripe.frames.len() - 1
@@ -213,7 +251,7 @@ impl BufferPool {
             let frame = &mut stripe.frames[at];
             stripe.table[frame.slot] = ABSENT;
             frame.slot = slot;
-            refill(&mut frame.page, bytes);
+            fill.put_in(&mut frame.page);
             at
         };
         if slot >= stripe.table.len() {

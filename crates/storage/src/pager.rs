@@ -31,15 +31,24 @@ pub trait Storage: Send + Sync {
     /// consecutive pages in one device write and returns the first one's
     /// id. On error no page was added.
     fn append_pages(&self, bytes: &[u8]) -> io::Result<PageId>;
+    /// Page `id`'s own buffer, for a device that holds its pages in
+    /// memory: the pager caches it as it is instead of a copy. `None` for a
+    /// device that does not (the default) and for a page not written.
+    fn page(&self, _id: PageId) -> Option<Arc<PageBuf>> {
+        None
+    }
     /// Flushes to durable media (no-op for memory).
     fn sync(&self) -> io::Result<()>;
 }
 
-/// In-memory page device. Used by unit tests and by experiments that only
-/// care about logical page-access counts.
+/// In-memory page device. Used by unit tests, by experiments that only
+/// care about logical page-access counts and by every `build_in_memory`
+/// index. Each page is one shared buffer: [`Storage::page`] hands it out,
+/// and the pager's pool caches that buffer, not a copy, so the index's
+/// pages are held once.
 pub struct MemStorage {
     page_size: usize,
-    pages: Mutex<Vec<PageBuf>>,
+    pages: Mutex<Vec<Arc<PageBuf>>>,
 }
 
 impl MemStorage {
@@ -81,9 +90,13 @@ impl Storage for MemStorage {
         pages.extend(
             bytes
                 .chunks_exact(self.page_size)
-                .map(|page| PageBuf::from_vec(page.to_vec())),
+                .map(|page| Arc::new(PageBuf::from_vec(page.to_vec()))),
         );
         Ok(start)
+    }
+
+    fn page(&self, id: PageId) -> Option<Arc<PageBuf>> {
+        self.pages.lock().get(usize::try_from(id).ok()?).cloned()
     }
 
     fn sync(&self) -> io::Result<()> {
@@ -263,8 +276,9 @@ impl Pager {
 
     /// Fetches the `pages.len()` pages from `first` on into `pages`,
     /// counting a logical read each, in one add. Every page is looked up in the pool
-    /// first; then each run of consecutive misses is one
-    /// [`Storage::read_pages`] call, its pages copied into the frames the
+    /// first; then each run of consecutive misses is cached as the device's
+    /// own buffers when it holds them ([`Storage::page`]), and otherwise is
+    /// one [`Storage::read_pages`] call, its pages copied into the frames the
     /// pool evicts for them. With at most [`Pager::stripes`] pages, each
     /// stripe sees one `get` and at most one insert, so reads, hits, misses
     /// and the pool's state are those of as many [`Pager::read`]s; only the
@@ -298,14 +312,18 @@ impl Pager {
                 let run = pages[at..].iter().take_while(|p| p.is_none()).count();
                 if run > 0 {
                     self.stats.record_misses(run as u64);
+                    let (id, slots) = (first + at as u64, &mut pages[at..at + run]);
+                    at += run;
+                    if self.adopt_run(id, slots) {
+                        continue;
+                    }
                     if buf.len() < run * ps {
                         buf.resize(run * ps, 0);
                     }
                     let bytes = &mut buf[..run * ps];
-                    self.storage.read_pages(first + at as u64, bytes)?;
-                    for (slot, page) in pages[at..].iter_mut().zip(bytes.chunks_exact(ps)) {
-                        *slot = Some(self.pool.insert(first + at as u64, page));
-                        at += 1;
+                    self.storage.read_pages(id, bytes)?;
+                    for ((id, slot), page) in (id..).zip(slots).zip(bytes.chunks_exact(ps)) {
+                        *slot = Some(self.pool.insert(id, page));
                     }
                 }
                 at += pages[at..].iter().take_while(|p| p.is_some()).count();
@@ -314,15 +332,36 @@ impl Pager {
         })
     }
 
+    /// Caches the run of pages from `first` on into `slots` as the device's
+    /// own buffers if it holds every one of them; otherwise leaves `slots`
+    /// empty and returns false.
+    fn adopt_run(&self, first: PageId, slots: &mut [Option<Arc<PageBuf>>]) -> bool {
+        let held = (first..).zip(slots.iter_mut()).all(|(id, slot)| {
+            *slot = self.storage.page(id);
+            slot.is_some()
+        });
+        for (id, slot) in (first..).zip(slots) {
+            *slot = slot
+                .take()
+                .filter(|_| held)
+                .map(|page| self.pool.adopt(id, page));
+        }
+        held
+    }
+
     /// Appends `bytes` — a non-empty whole number of pages — as fresh
     /// consecutive pages through one [`Storage::append_pages`] call and
     /// returns the first one's id: the one way a page gets into a file.
-    /// Each page counts one write and is cached, in file order.
+    /// Each page counts one write and is cached, in file order: the
+    /// device's own buffer when it holds one, a copy of its bytes otherwise.
     pub fn append_run(&self, bytes: &[u8]) -> io::Result<PageId> {
         let start = self.storage.append_pages(bytes)?;
         for (id, page) in (start..).zip(bytes.chunks_exact(self.page_size())) {
             self.stats.record_write();
-            self.pool.insert(id, page);
+            match self.storage.page(id) {
+                Some(held) => self.pool.adopt(id, held),
+                None => self.pool.insert(id, page),
+            };
         }
         Ok(start)
     }

@@ -1,13 +1,18 @@
 //! Model-based property tests of the second-chance [`BufferPool`]: random
-//! `get` / `insert` / replace / `clear` traces run against a reference map
+//! `get` / `insert` / `adopt` / replace / `clear` traces run against a reference map
 //! (what was last written for each id) and a reference clock (which ids a
 //! second-chance cache of the same geometry holds, and which allocation
 //! each frame's page lives in), checked after every operation. The insert
-//! copies into the page it displaces exactly when no one holds that page.
-//! The same model then follows two pagers, one reading a run of pages
-//! with [`Pager::read_run`] where the other reads them one by one.
+//! copies into the page it displaces exactly when no one holds that page;
+//! the adopting insert takes the same frame and caches the buffer it is
+//! given. The same model then follows four pagers, two reading a run of pages
+//! with [`Pager::read_run`] where the other two read them one by one: one
+//! of each over a device that hides its pages, so every miss is copied
+//! into a frame as from a file, and one over a [`MemStorage`], whose pool
+//! adopts the device's own buffers.
 
 use std::collections::HashMap;
+use std::io;
 use std::sync::Arc;
 
 use promips_storage::{AccessStats, BufferPool, MemStorage, PageBuf, PageId, Pager, Storage};
@@ -44,7 +49,7 @@ impl ModelStripe {
         Some(frame.2)
     }
 
-    /// The copying insert: caches `id` in the frame second chance picks,
+    /// An insert: caches `id` in the frame second chance picks,
     /// now holding the buffer at `at`, and returns the address that frame
     /// held before (`None` for a frame of its own).
     fn insert(&mut self, id: PageId, at: usize) -> Option<usize> {
@@ -97,13 +102,15 @@ fn check_insert(stripe: &mut ModelStripe, id: PageId, got: &Arc<PageBuf>, held: 
 enum Op {
     Get(PageId, bool),
     Insert(PageId, bool),
+    Adopt(PageId, bool),
     Clear,
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
     let op = (0u32..64, 0u64..48, 0u32..2).prop_map(|(kind, id, keep)| match kind {
         0..=30 => Op::Get(id, keep == 1),
-        31..=61 => Op::Insert(id, keep == 1),
+        31..=50 => Op::Insert(id, keep == 1),
+        51..=61 => Op::Adopt(id, keep == 1),
         62 => Op::Get(u64::MAX - id, false),
         _ => Op::Clear,
     });
@@ -153,6 +160,18 @@ fn run(trace: &[Op], capacity: usize, stripes: usize) -> Vec<usize> {
                     held.push(got);
                 }
             }
+            Op::Adopt(id, keep) => {
+                let tag = step as u64 + 1;
+                let own = Arc::new(PageBuf::from_vec(page(tag).to_vec()));
+                let got = pool.adopt(id, Arc::clone(&own));
+                assert!(Arc::ptr_eq(&got, &own), "step {step}: adopted a copy");
+                model[(id % n) as usize].insert(id, addr(&got));
+                written.insert(id, tag);
+                if keep {
+                    held_tags.push(tag);
+                    held.push(got);
+                }
+            }
             Op::Clear => {
                 pool.clear();
                 model = model_of(&pool);
@@ -169,6 +188,28 @@ fn run(trace: &[Op], capacity: usize, stripes: usize) -> Vec<usize> {
     misses
 }
 
+/// A [`MemStorage`] that keeps its pages to itself ([`Storage::page`] is
+/// `None`), so its pager copies each miss into a frame as a file's does.
+struct Hidden(MemStorage);
+
+impl Storage for Hidden {
+    fn page_size(&self) -> usize {
+        self.0.page_size()
+    }
+    fn num_pages(&self) -> u64 {
+        self.0.num_pages()
+    }
+    fn read_pages(&self, first: PageId, buf: &mut [u8]) -> io::Result<()> {
+        self.0.read_pages(first, buf)
+    }
+    fn append_pages(&self, bytes: &[u8]) -> io::Result<PageId> {
+        self.0.append_pages(bytes)
+    }
+    fn sync(&self) -> io::Result<()> {
+        self.0.sync()
+    }
+}
+
 /// A pager and the model of its pool, driven by logical page reads.
 struct Checked {
     pager: Pager,
@@ -177,10 +218,16 @@ struct Checked {
 }
 
 impl Checked {
-    fn new(file: &[u8], page_size: usize, capacity: usize) -> Self {
+    /// A pager over `file` whose pool adopts the device's buffers, or
+    /// copies them when `adopt` is false.
+    fn new(file: &[u8], page_size: usize, capacity: usize, adopt: bool) -> Self {
         let storage = MemStorage::new(page_size);
         storage.append_pages(file).unwrap();
-        let pager = Pager::new(Arc::new(storage), capacity, AccessStats::new_shared());
+        let device: Arc<dyn Storage> = match adopt {
+            true => Arc::new(storage),
+            false => Arc::new(Hidden(storage)),
+        };
+        let pager = Pager::new(device, capacity, AccessStats::new_shared());
         let model = model(capacity, pager.stripes());
         Self {
             pager,
@@ -191,14 +238,23 @@ impl Checked {
 
     /// Books one logical read of `id` that returned `got` to the model:
     /// a hit is the cached buffer, a miss lands in the frame the model
-    /// evicts. Returns whether it missed.
+    /// evicts, and a device that holds its pages is served its own buffer.
+    /// Returns whether it missed.
     fn book(&mut self, id: PageId, got: &Arc<PageBuf>, keep: bool) -> bool {
+        let own = self.pager.storage().page(id);
+        if let Some(own) = &own {
+            assert!(Arc::ptr_eq(got, own), "page {id}: not the device's buffer");
+        }
         let at = (id % self.model.len() as u64) as usize;
         let stripe = &mut self.model[at];
         let missed = match stripe.touch(id) {
             Some(at) => {
                 assert_eq!(addr(got), at, "page {id}: a hit must be the cached page");
                 false
+            }
+            None if own.is_some() => {
+                stripe.insert(id, addr(got));
+                true
             }
             None => {
                 check_insert(stripe, id, got, &self.held);
@@ -221,9 +277,9 @@ impl Checked {
     }
 }
 
-/// One random step of the prelude or the postlude, applied alike to both
-/// pagers: a read, its page held or not.
-fn step(rng: &mut TestRng, pagers: [&mut Checked; 2], file: &[u8], ps: usize) {
+/// One random step of the prelude or the postlude, applied alike to every
+/// pager: a read, its page held or not.
+fn step(rng: &mut TestRng, pagers: &mut [Checked], file: &[u8], ps: usize) {
     let id = rng.below((file.len() / ps) as u64);
     let keep = rng.below(4) == 0;
     for p in pagers {
@@ -274,11 +330,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// `read_run(first, n)` is `n` reads: two pagers over the same bytes
-    /// and pool geometry, driven through the same random reads,
-    /// then one reads a run and the other the same pages one at a time —
-    /// same bytes, same counters, and the same pool: each pager matches
-    /// the model before, during and after, and so does a random postlude.
+    /// `read_run(first, n)` is `n` reads, whether the pool copies pages or
+    /// adopts the device's: four pagers over the same bytes and pool
+    /// geometry, driven through the same random reads, then the first of
+    /// each pair (copying, adopting) reads a run and the second the same
+    /// pages one at a time — same bytes, same counters, and the same pool:
+    /// each pager matches the model before, during and after, and so does a
+    /// random postlude; the adopting pagers hold no page but the device's.
     #[test]
     fn a_read_run_is_as_many_reads(
         ps_pick in 0usize..4,
@@ -289,45 +347,54 @@ proptest! {
         let mut rng = TestRng::from_name(&format!("run-{seed}"));
         let pages = 2 * capacity + 17;
         let file: Vec<u8> = (0..pages * ps).map(|i| (i % 251) as u8).collect();
-        let mut runs = Checked::new(&file, ps, capacity);
-        let mut reads = Checked::new(&file, ps, capacity);
-        let stripes = runs.pager.stripes();
+        let mut pagers = [false, false, true, true].map(|adopt| Checked::new(&file, ps, capacity, adopt));
+        let stripes = pagers[0].pager.stripes();
         prop_assert_eq!(stripes, capacity.min(16));
         for _ in 0..rng.below(3 * pages as u64) {
-            step(&mut rng, [&mut runs, &mut reads], &file, ps);
+            step(&mut rng, &mut pagers, &file, ps);
         }
 
         let n = 1 + rng.below(stripes as u64) as usize;
         let first = rng.below((pages - n + 1) as u64);
         let keep = rng.below(2) == 0;
-        let mut run = vec![None; n];
-        let before = runs.pager.stats().snapshot();
-        runs.pager.read_run(first, &mut run).unwrap();
-        let run: Vec<Arc<PageBuf>> = run.into_iter().map(Option::unwrap).collect();
-        let mut missed = 0;
-        for (id, got) in (first..).zip(&run) {
-            missed += u64::from(runs.book(id, got, keep));
+        let mut read = Vec::new();
+        for (i, p) in pagers.iter_mut().enumerate() {
+            let pages: Vec<Arc<PageBuf>> = if i % 2 == 0 {
+                let mut run = vec![None; n];
+                let before = p.pager.stats().snapshot();
+                p.pager.read_run(first, &mut run).unwrap();
+                let run: Vec<Arc<PageBuf>> = run.into_iter().map(Option::unwrap).collect();
+                let mut missed = 0;
+                for (id, got) in (first..).zip(&run) {
+                    missed += u64::from(p.book(id, got, keep));
+                }
+                let misses = p.pager.stats().snapshot().cache_misses - before.cache_misses;
+                prop_assert_eq!(misses, missed, "the run's misses");
+                run
+            } else {
+                (first..).take(n).map(|id| p.read(id, keep)).collect()
+            };
+            for (id, got) in (first..).zip(&pages) {
+                prop_assert_eq!(got.as_slice(), &file[id as usize * ps..][..ps], "page {}", id);
+            }
+            read.push(pages);
         }
-        let single: Vec<Arc<PageBuf>> = (first..).take(n).map(|id| reads.read(id, keep)).collect();
-        for ((id, a), b) in (first..).zip(&run).zip(&single) {
-            prop_assert_eq!(a.as_slice(), b.as_slice(), "page {}", id);
-            prop_assert_eq!(a.as_slice(), &file[id as usize * ps..][..ps]);
-        }
-        let (a, b) = (runs.pager.stats().snapshot(), reads.pager.stats().snapshot());
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(a.cache_misses - before.cache_misses, missed, "the run's misses");
+        let stats = pagers.each_ref().map(|p| p.pager.stats().snapshot());
+        prop_assert!(stats.iter().all(|s| *s == stats[0]), "{:?}", stats);
         let state = |m: &[ModelStripe]| -> Vec<(Vec<(PageId, bool)>, usize)> {
             m.iter()
                 .map(|s| (s.frames.iter().map(|f| (f.0, f.1)).collect(), s.hand))
                 .collect()
         };
-        prop_assert_eq!(state(&runs.model), state(&reads.model));
-        drop((run, single));
+        let states = pagers.each_ref().map(|p| state(&p.model));
+        prop_assert!(states.iter().all(|s| *s == states[0]), "{:?}", states);
+        drop(read);
 
         for _ in 0..pages {
-            step(&mut rng, [&mut runs, &mut reads], &file, ps);
+            step(&mut rng, &mut pagers, &file, ps);
         }
-        prop_assert_eq!(runs.pager.stats().snapshot(), reads.pager.stats().snapshot());
+        let stats = pagers.each_ref().map(|p| p.pager.stats().snapshot());
+        prop_assert!(stats.iter().all(|s| *s == stats[0]), "{:?}", stats);
     }
 }
 
