@@ -1,7 +1,7 @@
 //! Lloyd's algorithm with k-means++ seeding and empty-cluster repair.
 
-use promips_linalg::scalar::SHORT_MAX;
-use promips_linalg::{add_scaled, sq_dist, sq_dist_col, sweep, Matrix};
+use promips_linalg::scalar::{add_rows_col, SHORT_MAX};
+use promips_linalg::{nearest_col, sq_dist, sweep, Matrix};
 use promips_stats::Xoshiro256pp;
 
 use crate::seed::kmeanspp_positions;
@@ -13,7 +13,8 @@ pub struct KMeansConfig {
     pub k: usize,
     /// Maximum Lloyd iterations.
     pub max_iters: usize,
-    /// Stop when no assignment changes (always also honoured).
+    /// Seeds the k-means++ draws: the first centroid and each later one's
+    /// D²-weighted pick (a run stops early once no assignment changes).
     pub seed: u64,
 }
 
@@ -56,71 +57,141 @@ impl KMeansResult {
     }
 }
 
-/// Rows per block of [`for_each_dist`]: a block of short rows and its
-/// distances stay in L1 while every centroid passes over them.
-const BLOCK_ROWS: usize = 1024;
+/// Rows per block of [`Points`]: a block's columns, its labels and its
+/// running distances stay in L1 while every centroid passes over them.
+pub(crate) const BLOCK_ROWS: usize = 1024;
 
-/// `dis²(rowᵢ, center)` for every row of `rows` (flat, `m` floats each).
-/// Up to [`SHORT_MAX`] floats — every index this workspace builds — the
-/// column kernel computes [`sq_dist`]'s own sum at a third of its per-pair
-/// cost; longer rows (PQ codebooks) have no column body that does.
-fn dists_to(rows: &[f32], m: usize, center: &[f32], out: &mut [f64]) {
-    if (1..=SHORT_MAX).contains(&m) {
-        sq_dist_col(rows, m, center, out);
-    } else {
-        for (row, o) in rows.chunks_exact(m.max(1)).zip(out) {
-            *o = sq_dist(row, center);
+/// The subset given to [`kmeans`]. Rows of up to [`SHORT_MAX`] floats —
+/// every index this workspace builds — are gathered once, column-major a
+/// block of [`BLOCK_ROWS`] rows at a time (the block's `m` columns one
+/// after another), the layout [`nearest_col`] scores eight rows a step
+/// on; longer rows (PQ codebooks) are read where they are and scored a row
+/// at a time by [`sq_dist`].
+pub(crate) struct Points<'a> {
+    data: &'a Matrix,
+    subset: &'a [usize],
+    cols: Vec<f32>,
+}
+
+impl<'a> Points<'a> {
+    pub(crate) fn gather(data: &'a Matrix, subset: &'a [usize]) -> Self {
+        let m = data.cols();
+        let mut cols = Vec::new();
+        if columns(m) {
+            cols.reserve_exact(subset.len() * m);
+            for ids in subset.chunks(BLOCK_ROWS) {
+                for j in 0..m {
+                    cols.extend(ids.iter().map(|&i| data.row(i)[j]));
+                }
+            }
+        }
+        Self { data, subset, cols }
+    }
+
+    pub(crate) fn rows(&self) -> usize {
+        self.subset.len()
+    }
+
+    /// Row `i`'s coordinates.
+    pub(crate) fn row(&self, i: usize) -> &'a [f32] {
+        self.data.row(self.subset[i])
+    }
+
+    /// Block `b`'s row count and, for short rows, its columns.
+    fn block(&self, b: usize) -> (usize, &[f32]) {
+        let first = b * BLOCK_ROWS;
+        let rows = (self.rows() - first).min(BLOCK_ROWS);
+        let m = self.data.cols();
+        (
+            rows,
+            self.cols.get(first * m..(first + rows) * m).unwrap_or(&[]),
+        )
+    }
+
+    /// Folds centroid `c` at `center` into the running nearest centroid of
+    /// block `b`'s rows — `best` and `best_d` start at the block's first
+    /// row — as [`nearest_col`] does: a row whose distance is below its
+    /// `best_d` takes `c` and that distance.
+    pub(crate) fn fold(
+        &self,
+        b: usize,
+        center: &[f32],
+        c: u32,
+        best: &mut [u32],
+        best_d: &mut [f64],
+    ) {
+        let (rows, block) = self.block(b);
+        let (best, best_d) = (&mut best[..rows], &mut best_d[..rows]);
+        if columns(center.len()) {
+            return nearest_col(block, center.len(), center, c, best, best_d);
+        }
+        let mut dists = [0.0f64; BLOCK_ROWS];
+        for (i, d) in dists[..rows].iter_mut().enumerate() {
+            *d = sq_dist(self.row(b * BLOCK_ROWS + i), center);
+        }
+        for ((best, best_d), &d) in best.iter_mut().zip(best_d).zip(&dists) {
+            // Mask arithmetic, not `if`: a branch on which centroid is
+            // nearer mispredicts. `min` is the `<` select, `best_d` never
+            // being NaN.
+            let nearer = ((d < *best_d) as u32).wrapping_neg();
+            *best = (c & nearer) | (*best & !nearer);
+            *best_d = best_d.min(d);
+        }
+    }
+
+    /// Adds every row to its cluster's `f64` sums (`sums[c·d + j]`, `d` the
+    /// row width) and counts, in row order.
+    fn add_to(&self, labels: &[u32], sums: &mut [f64], counts: &mut [usize]) {
+        let d = self.data.cols();
+        for &c in labels {
+            counts[c as usize] += 1;
+        }
+        for (b, labels) in labels.chunks(BLOCK_ROWS).enumerate() {
+            if columns(d) {
+                add_rows_col(self.block(b).1, d, labels, sums);
+                continue;
+            }
+            for (i, &c) in labels.iter().enumerate() {
+                let sums = &mut sums[c as usize * d..][..d];
+                for (s, &x) in sums.iter_mut().zip(self.row(b * BLOCK_ROWS + i)) {
+                    *s += x as f64;
+                }
+            }
+        }
+    }
+
+    /// Calls `f(i, d)` for every row `i` in order, `d` its [`sq_dist`] to
+    /// its own centroid `centroids.row(labels[i])`; short rows sum their
+    /// terms a column at a time, in [`sq_dist`]'s order.
+    fn own_dists(&self, labels: &[u32], centroids: &Matrix, mut f: impl FnMut(usize, f64)) {
+        let d = self.data.cols();
+        if !columns(d) {
+            for (i, &c) in labels.iter().enumerate() {
+                f(i, sq_dist(self.row(i), centroids.row(c as usize)));
+            }
+            return;
+        }
+        let centers = centroids.as_slice();
+        let mut sums = [0.0f64; BLOCK_ROWS];
+        for (b, labels) in labels.chunks(BLOCK_ROWS).enumerate() {
+            let sums = &mut sums[..labels.len()];
+            sums.fill(0.0);
+            for (j, col) in self.block(b).1.chunks_exact(labels.len()).enumerate() {
+                for ((s, &c), &x) in sums.iter_mut().zip(labels).zip(col) {
+                    let t = x as f64 - centers[c as usize * d + j] as f64;
+                    *s += t * t;
+                }
+            }
+            for (r, &s) in sums.iter().enumerate() {
+                f(b * BLOCK_ROWS + r, s);
+            }
         }
     }
 }
 
-/// Calls `f(first, c, dists)` for every block of up to [`BLOCK_ROWS`]
-/// points and every centroid `c` (ascending within a block): `dists[i]` is
-/// `dis²(points.row(first + i), centroids.row(c))`.
-pub(crate) fn for_each_dist(
-    points: &Matrix,
-    centroids: &Matrix,
-    mut f: impl FnMut(usize, usize, &[f64]),
-) {
-    let m = points.cols();
-    let mut dist = [0.0f64; BLOCK_ROWS];
-    let blocks = points.as_slice().chunks(BLOCK_ROWS * m.max(1));
-    for (block, rows) in blocks.enumerate() {
-        let dist = &mut dist[..rows.len() / m.max(1)];
-        for c in 0..centroids.rows() {
-            dists_to(rows, m, centroids.row(c), dist);
-            f(block * BLOCK_ROWS, c, dist);
-        }
-    }
-}
-
-/// The nearest centroid of every row of block `b` (rows `b·BLOCK_ROWS..`)
-/// of `points`, ties to the lowest centroid index.
-fn nearest_centroids(points: &Matrix, centroids: &Matrix, b: usize) -> Vec<u32> {
-    let m = points.cols().max(1);
-    let rows = points
-        .as_slice()
-        .chunks(BLOCK_ROWS * m)
-        .nth(b)
-        .unwrap_or(&[]);
-    let mut nearest = vec![0u32; rows.len() / m];
-    let mut nearest_d = [f64::INFINITY; BLOCK_ROWS];
-    let mut dists = [0.0f64; BLOCK_ROWS];
-    let dists = &mut dists[..nearest.len()];
-    for c in 0..centroids.rows() {
-        dists_to(rows, m, centroids.row(c), dists);
-        // Mask arithmetic, not `if`: which centroid is nearer is a coin
-        // toss for the first few, and the compiler turns a select on a
-        // stored value back into a branch — 3 ns a pair mispredicted,
-        // against 0.8 this way. `min` returns `dist` exactly when
-        // `dist < *best_d` (a NaN loses either way).
-        for ((best, best_d), &dist) in nearest.iter_mut().zip(&mut nearest_d).zip(&*dists) {
-            let nearer = ((dist < *best_d) as u32).wrapping_neg();
-            *best = (c as u32 & nearer) | (*best & !nearer);
-            *best_d = best_d.min(dist);
-        }
-    }
-    nearest
+/// Whether rows of `m` floats are gathered column-major.
+fn columns(m: usize) -> bool {
+    (1..=SHORT_MAX).contains(&m)
 }
 
 /// Runs k-means over `subset` (row indices into `data`).
@@ -129,28 +200,43 @@ fn nearest_centroids(points: &Matrix, centroids: &Matrix, b: usize) -> Vec<u32> 
 /// every centroid is a real point — this happens routinely for tiny rings in
 /// iDistance's second clustering stage.
 ///
-/// The subset is gathered into one contiguous block up front: seeding,
-/// assignment and the radii then run one distance pass per centroid over
-/// it, a block of rows at a time, ties going to the lowest centroid index.
+/// The subset is gathered once — rows of up to [`SHORT_MAX`] floats
+/// column-major, a block of 1 024 rows at a time. Seeding and every Lloyd
+/// assignment fold one centroid at a time into each block's running
+/// nearest centroid ([`nearest_col`], eight rows a step on AVX2), ties
+/// going to the lowest centroid index; the assignment's blocks are shared
+/// with the sweep helper ([`sweep::map`]). The update sums each cluster's
+/// members in `f64`, in row order ([`add_rows_col`]), and the radii and
+/// the empty-cluster repair take each row's distance to its own centroid,
+/// summed a column at a time. Every output is what a per-pair loop over
+/// [`sq_dist`] computes, to the bit, on every backend.
 pub fn kmeans(data: &Matrix, subset: &[usize], config: &KMeansConfig) -> KMeansResult {
     assert!(!subset.is_empty(), "kmeans on empty subset");
     let k = config.k.min(subset.len()).max(1);
     let d = data.cols();
     let mut rng = Xoshiro256pp::seed_from_u64(config.seed);
-    let points = &data.gather(subset);
+    let points = &Points::gather(data, subset);
     let n = points.rows();
 
     // Seed with k-means++ and materialize centroid vectors.
-    let mut centroids = points.gather(&kmeanspp_positions(points, k, &mut rng));
+    let seeds = kmeanspp_positions(points, k, &mut rng);
+    let mut centroids = data.gather(&seeds.iter().map(|&p| subset[p]).collect::<Vec<_>>());
 
     let mut assignment = vec![0u32; n];
     let mut iterations = 0;
     for iter in 0..config.max_iters.max(1) {
         iterations = iter + 1;
         // Assignment step: the blocks' nearest centroids, on both cores.
-        let nearest = |b: usize| nearest_centroids(points, &centroids, b);
+        let nearest = |b: usize| {
+            let mut best = vec![0u32; (n - b * BLOCK_ROWS).min(BLOCK_ROWS)];
+            let mut best_d = [f64::INFINITY; BLOCK_ROWS];
+            for (c, center) in centroids.iter_rows().enumerate() {
+                points.fold(b, center, c as u32, &mut best, &mut best_d);
+            }
+            best
+        };
         let mut changed = false;
-        for (b, nearest) in sweep::map(points.rows().div_ceil(BLOCK_ROWS), nearest, || ())
+        for (b, nearest) in sweep::map(n.div_ceil(BLOCK_ROWS), nearest, || ())
             .1
             .iter()
             .enumerate()
@@ -166,22 +252,17 @@ pub fn kmeans(data: &Matrix, subset: &[usize], config: &KMeansConfig) -> KMeansR
         // Update step with f64 accumulators.
         let mut sums = vec![0.0f64; k * d];
         let mut counts = vec![0usize; k];
-        for (row, &c) in points.iter_rows().zip(&assignment) {
-            let c = c as usize;
-            add_scaled(&mut sums[c * d..(c + 1) * d], 1.0, row);
-            counts[c] += 1;
-        }
+        points.add_to(&assignment, &mut sums, &mut counts);
         for c in 0..k {
             if counts[c] == 0 {
                 // Empty-cluster repair: re-seed from the point farthest from
-                // its assigned centroid.
-                let (far_pos, _) = points
-                    .iter_rows()
-                    .zip(&assignment)
-                    .map(|(row, &a)| sq_dist(row, centroids.row(a as usize)))
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(&b.1))
-                    .expect("subset non-empty");
+                // its assigned centroid (the last one on a tie).
+                let (mut far_pos, mut far) = (0, f64::NEG_INFINITY);
+                points.own_dists(&assignment, &centroids, |i, d| {
+                    if i == 0 || d.total_cmp(&far).is_ge() {
+                        (far_pos, far) = (i, d);
+                    }
+                });
                 centroids.row_mut(c).copy_from_slice(points.row(far_pos));
                 assignment[far_pos] = c as u32;
             } else {
@@ -195,16 +276,11 @@ pub fn kmeans(data: &Matrix, subset: &[usize], config: &KMeansConfig) -> KMeansR
 
     // Final statistics.
     let mut sizes = vec![0usize; k];
-    for &c in &assignment {
-        sizes[c as usize] += 1;
-    }
     let mut radii = vec![0.0f64; k];
-    for_each_dist(points, &centroids, |first, c, dists| {
-        for (&a, &dist) in assignment[first..].iter().zip(dists) {
-            if a as usize == c {
-                radii[c] = radii[c].max(dist.sqrt());
-            }
-        }
+    points.own_dists(&assignment, &centroids, |i, d| {
+        let c = assignment[i] as usize;
+        sizes[c] += 1;
+        radii[c] = radii[c].max(d.sqrt());
     });
 
     KMeansResult {

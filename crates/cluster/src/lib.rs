@@ -7,6 +7,6 @@
 //! same Lloyd iterations for its coarse quantizer and sub-space codebooks.
 
 pub mod kmeans;
-pub mod seed;
+mod seed;
 
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};

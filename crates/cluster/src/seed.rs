@@ -1,16 +1,16 @@
 //! k-means++ seeding (Arthur & Vassilvitskii, 2007).
 
-use promips_linalg::Matrix;
 use promips_stats::Xoshiro256pp;
 
-use crate::kmeans::for_each_dist;
+use crate::kmeans::{Points, BLOCK_ROWS};
 
 /// Picks `k` initial centroids among the rows of `points` with the
 /// k-means++ D² weighting: the first centroid is uniform, each subsequent
 /// one is drawn with probability proportional to its squared distance from
 /// the nearest centroid chosen so far. Returns their row positions
-/// (distinct), one distance pass over `points` per pick.
-pub fn kmeanspp_positions(points: &Matrix, k: usize, rng: &mut Xoshiro256pp) -> Vec<usize> {
+/// (distinct), one distance pass over `points` per pick, folded into the
+/// running nearest distances a block at a time.
+pub(crate) fn kmeanspp_positions(points: &Points, k: usize, rng: &mut Xoshiro256pp) -> Vec<usize> {
     let n = points.rows();
     assert!(k >= 1, "k must be >= 1");
     assert!(n >= k, "cannot pick {k} centroids from {n} points");
@@ -20,14 +20,11 @@ pub fn kmeanspp_positions(points: &Matrix, k: usize, rng: &mut Xoshiro256pp) -> 
 
     // d2[i] = squared distance of row i to the nearest chosen centroid.
     let mut d2 = vec![f64::INFINITY; n];
-    let fold_in = |center: usize, d2: &mut [f64]| {
-        for_each_dist(points, &points.gather(&[center]), |first, _, dists| {
-            for (near, &d) in d2[first..].iter_mut().zip(dists) {
-                if d < *near {
-                    *near = d;
-                }
-            }
-        })
+    let mut labels = [0u32; BLOCK_ROWS];
+    let mut fold_in = |center: usize, d2: &mut [f64]| {
+        for (b, d2) in d2.chunks_mut(BLOCK_ROWS).enumerate() {
+            points.fold(b, points.row(center), 0, &mut labels, d2);
+        }
     };
     fold_in(first, &mut d2);
 
@@ -59,6 +56,19 @@ pub fn kmeanspp_positions(points: &Matrix, k: usize, rng: &mut Xoshiro256pp) -> 
 mod tests {
     use super::*;
 
+    use promips_linalg::Matrix;
+
+    /// `k` picks among the rows `subset` of `data`, gathered as `kmeans`
+    /// gathers them.
+    fn picks(data: &Matrix, subset: &[usize], k: usize, seed: u64) -> Vec<usize> {
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        kmeanspp_positions(&Points::gather(data, subset), k, &mut rng)
+    }
+
+    fn all(data: &Matrix) -> Vec<usize> {
+        (0..data.rows()).collect()
+    }
+
     fn grid_data() -> Matrix {
         // 3 well-separated blobs on a line.
         let mut rows = Vec::new();
@@ -73,8 +83,7 @@ mod tests {
     #[test]
     fn picks_k_distinct_rows() {
         let data = grid_data();
-        let mut rng = Xoshiro256pp::seed_from_u64(5);
-        let picks = kmeanspp_positions(&data, 3, &mut rng);
+        let picks = picks(&data, &all(&data), 3, 5);
         assert_eq!(picks.len(), 3);
         let mut sorted = picks.clone();
         sorted.sort_unstable();
@@ -85,8 +94,7 @@ mod tests {
     #[test]
     fn spreads_across_blobs() {
         let data = grid_data();
-        let mut rng = Xoshiro256pp::seed_from_u64(9);
-        let picks = kmeanspp_positions(&data, 3, &mut rng);
+        let picks = picks(&data, &all(&data), 3, 9);
         // One pick per blob, overwhelmingly likely given the separation.
         let mut blobs: Vec<usize> = picks.iter().map(|&i| i / 20).collect();
         blobs.sort_unstable();
@@ -96,8 +104,7 @@ mod tests {
     #[test]
     fn handles_duplicate_points() {
         let data = Matrix::from_rows(1, (0..10).map(|_| vec![1.0f32]));
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
-        let picks = kmeanspp_positions(&data, 3, &mut rng);
+        let picks = picks(&data, &all(&data), 3, 1);
         assert_eq!(picks.len(), 3);
     }
 
@@ -105,9 +112,7 @@ mod tests {
     fn works_on_subset() {
         let data = grid_data();
         // First blob only: positions are into the gathered rows.
-        let subset = data.gather(&(0..20).collect::<Vec<_>>());
-        let mut rng = Xoshiro256pp::seed_from_u64(2);
-        let picks = kmeanspp_positions(&subset, 2, &mut rng);
+        let picks = picks(&data, &(0..20).collect::<Vec<_>>(), 2, 2);
         assert!(picks.iter().all(|&i| i < 20));
     }
 }

@@ -1,10 +1,11 @@
 //! `kmeans` against the per-pair implementation it replaced, kept here as
 //! the reference: point-major loops, one `sq_dist` per (point, centroid)
 //! pair, rows read through the subset's indices. For rows of up to
-//! `SHORT_MAX` floats the column kernel computes `sq_dist`'s own sum, so
-//! every output — assignment, centroids, radii, iteration count — must be
-//! equal, not close: the index files built on top are compared byte for
-//! byte.
+//! `SHORT_MAX` floats the column kernel (`nearest_col`, over the subset's
+//! column-major copy) computes `sq_dist`'s own sum, so every output —
+//! assignment, centroids, radii, iteration count — must be equal, not
+//! close: the index files built on top are compared byte for byte. CI runs
+//! this again under `PROMIPS_FORCE_SCALAR=1`.
 
 use promips_cluster::{kmeans, KMeansConfig, KMeansResult};
 use promips_linalg::{sq_dist, Matrix};
@@ -180,6 +181,92 @@ proptest! {
         let want = reference_kmeans(&data, &subset, &config);
         assert_same(&got, &want, &format!("n {n} m {m} k {k} levels {levels}"));
     }
+}
+
+/// `count` rows of `m` floats of one of three kinds: on a coarse grid
+/// (ties are common), copies of a handful of distinct grid points
+/// (duplicates everywhere, so clusters starve and the repair runs), or
+/// small multiples of ±2³⁰, ±1 and ±2⁻³⁰ — `2³⁰ + 2⁻³⁰ − 2³⁰` is 0 in
+/// `f64` and `2³⁰ − 2³⁰ + 2⁻³⁰` is not, so a cluster's mean depends on
+/// the order its sum runs in.
+fn rows(rng: &mut Xoshiro256pp, count: usize, m: usize, levels: u64, kind: usize) -> Matrix {
+    const SCALES: [f32; 6] = [
+        1073741824.0,
+        -1073741824.0,
+        1.0,
+        -1.0,
+        9.313226e-10,
+        -9.313226e-10,
+    ];
+    let coord = |rng: &mut Xoshiro256pp| match kind {
+        2 => SCALES[rng.below(6) as usize] * (1 + rng.below(3)) as f32,
+        _ => rng.below(levels) as f32 * 0.75 - 3.0,
+    };
+    let distinct: Vec<Vec<f32>> = (0..2 + rng.below(3))
+        .map(|_| (0..m).map(|_| coord(rng)).collect())
+        .collect();
+    Matrix::from_rows(
+        m,
+        (0..count).map(|_| match kind {
+            1 => distinct[rng.below(distinct.len() as u64) as usize].clone(),
+            _ => (0..m).map(|_| coord(rng)).collect(),
+        }),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Subsets of up to ≈ 2 600 rows — several 1 024-row blocks, so the
+    /// assignment shares them with the sweep helper when it is free, and a
+    /// ragged last one — at widths on both sides of the kernels' 4- and
+    /// 8-lane steps and of `SHORT_MAX` (17 floats take the row-major
+    /// path), over each kind of [`rows`].
+    #[test]
+    fn kmeans_across_blocks_equals_the_per_pair_reference(
+        n in 1usize..2600,
+        m_pick in 0usize..6,
+        k in 1usize..24,
+        levels in 2u64..40,
+        kind in 0usize..3,
+        max_iters in 1usize..10,
+        seed in 0u64..1 << 32,
+    ) {
+        let m = [1, 6, 7, 8, 16, 17][m_pick];
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let data = rows(&mut rng, n + 40, m, levels, kind);
+        let mut subset: Vec<usize> = (0..n + 40).collect();
+        for i in (1..subset.len()).rev() {
+            subset.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        subset.truncate(n);
+        let mut config = KMeansConfig::new(k, seed ^ 0xB10C);
+        config.max_iters = max_iters;
+        let got = kmeans(&data, &subset, &config);
+        let want = reference_kmeans(&data, &subset, &config);
+        assert_same(&got, &want, &format!("n {n} m {m} k {k} levels {levels} kind {kind}"));
+    }
+}
+
+/// Several blocks of copies of two to four points and more centroids than
+/// points: seeding picks duplicates, every iteration starts with starved
+/// clusters, and the repair must pick the reference's row across blocks.
+#[test]
+fn empty_cluster_repair_across_blocks_equals_the_reference() {
+    let mut repaired = 0;
+    for seed in 0..18u64 {
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let n = 1025 + rng.below(1600) as usize;
+        let m = [1, 6, 7, 8, 16, 17][seed as usize % 6];
+        let data = rows(&mut rng, n, m, 9, 1);
+        let subset: Vec<usize> = (0..n).collect();
+        let config = KMeansConfig::new(5 + rng.below(4) as usize, seed);
+        let got = kmeans(&data, &subset, &config);
+        let want = reference_kmeans(&data, &subset, &config);
+        assert_same(&got, &want, &format!("seed {seed} n {n} m {m}"));
+        repaired += usize::from(want.sizes.iter().any(|&s| s <= 1));
+    }
+    assert!(repaired > 0, "no case exercised a starved cluster");
 }
 
 /// Two tight far-apart pairs and three centroids: whichever way the seeds

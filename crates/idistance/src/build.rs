@@ -11,17 +11,20 @@
 //!    index) + footer written into the same paged file.
 //!
 //! **Two cores.** Three steps share their items with the process's sweep
-//! helper thread through [`sweep::map`]: step 1's assignment blocks
-//! (inside [`kmeans()`]), step 3's (partition, ring) groups, and the SQ8
-//! codes, a sub-partition an item, which the helper computes while this
-//! thread writes the projected and original regions (the caller's
-//! projection, `Projection::project_all`, maps its row blocks the same
-//! way). The file cannot tell: every item is a pure function of its inputs
-//! — a group's k-means seed is a function of its place in key order —
-//! every f64 sum keeps its order inside its item, the results come back
-//! in item order, and the writes stay on this thread, in the order a
-//! one-core build makes them. With the helper absent or owned by another
-//! caller (a query's split sweep, another build) every item runs here.
+//! helper thread through [`sweep::map`]: step 1's Lloyd assignment blocks
+//! (inside [`kmeans()`], which scores a column-major copy of the projected
+//! rows eight to a vector; its seeding, update and radii stay on this
+//! thread), step 3's (partition, ring) groups — each group's k-means runs
+//! whole on the core that claimed it — and the SQ8 codes, a sub-partition
+//! an item, which the helper computes while this thread writes the
+//! projected and original regions (the caller's projection,
+//! `Projection::project_all`, maps its row blocks the same way). The file
+//! cannot tell: every item is a pure function of its inputs — a group's
+//! k-means seed is a function of its place in key order — every f64 sum
+//! keeps its order inside its item, the results come back in item order,
+//! and the writes stay on this thread, in the order a one-core build makes
+//! them. With the helper absent or owned by another caller (a query's
+//! split sweep, another build) every item runs here.
 
 use std::collections::BTreeMap;
 use std::io;

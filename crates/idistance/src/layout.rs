@@ -34,21 +34,32 @@ pub fn read_blob(pager: &Pager, start: PageId, len: usize) -> io::Result<Vec<u8>
 }
 
 /// Reads bytes `[offset, offset + len)` of a blob, touching only the
-/// covering pages.
+/// covering pages. A range that ends past the file's last page is
+/// [`io::ErrorKind::InvalidData`] — a length read from a damaged file is
+/// refused before anything is allocated for it.
 pub fn read_blob_range(
     pager: &Pager,
     start: PageId,
     offset: usize,
     len: usize,
 ) -> io::Result<Vec<u8>> {
-    let ps = pager.page_size();
-    let mut out = Vec::with_capacity(len);
     if len == 0 {
-        return Ok(out);
+        return Ok(Vec::new());
     }
-    let first_page = offset / ps;
-    let last_page = (offset + len - 1) / ps;
-    for p in first_page..=last_page {
+    let (ps, pages) = (pager.page_size(), pager.num_pages());
+    let Some(last_page) = offset
+        .checked_add(len - 1)
+        .map(|end| end / ps)
+        .filter(|&last| start.checked_add(last as u64).is_some_and(|p| p < pages))
+    else {
+        let what = format!(
+            "{len} bytes at byte {offset} of the blob at page {start} end past the file's \
+             {pages} pages"
+        );
+        return Err(io::Error::new(io::ErrorKind::InvalidData, what));
+    };
+    let mut out = Vec::with_capacity(len);
+    for p in offset / ps..=last_page {
         let page = pager.read(start + p as u64)?;
         let page_lo = p * ps;
         let lo = offset.max(page_lo) - page_lo;

@@ -25,6 +25,7 @@
 //! | operands                                   | kernel                          |
 //! |--------------------------------------------|---------------------------------|
 //! | projected space, `m ≤ 16` floats           | `sq_dist_col`: one call per sub-partition column, through the unrolled scalar body on every backend |
+//! | k-means, a column-major block of `m ≤ 16`-float rows | `nearest_col`: one call per centroid and block, a row a lane — eight rows a step as two AVX2 vectors (on AVX-512 too), `sq_dist_seq`'s bits and its `<` select on every backend |
 //! | screen, a run of contiguous `w`-code rows  | `dot_col_i8`: `w` = 32, 64 or 128 on AVX-512 — sixteen rows per step and per store, 32-code rows two to a VNNI load; otherwise (and on AVX2 at every `w`) `dot4_i8` over every four rows |
 //! | screen, scattered u8 × i8 code rows        | `dot4_i8` / `dot_i8`: 64 (VNNI), 32 (BW) or 16 (AVX2) codes per step, masked or overlapped tail |
 //! | verification, one `d`-long f32 row         | `dot`: widened `f64` FMA lanes |
@@ -76,6 +77,11 @@ pub type DotI8Fn = fn(&[u8], &[i8]) -> i32;
 /// — squared distances of every `m`-float row of a flat arena to `q`.
 pub type SqDistColFn = fn(&[f32], usize, &[f32], &mut [f64]);
 
+/// Signature of the nearest-centroid column kernel (`nearest_col`): `(cols,
+/// m, q, c, best, best_d)` — folds centroid `c` at `q` into the running
+/// nearest centroid of every row of a column-major block.
+pub type NearestColFn = fn(&[f32], usize, &[f32], u32, &mut [u32], &mut [f64]);
+
 /// Signature of the screen's column kernel (`dot_col_i8`): `(rows, w, q,
 /// out)` — exact quantized inner products of every `w`-code u8 row with the
 /// i8 query `q`.
@@ -111,6 +117,8 @@ pub struct Kernels {
     pub dot_i8: DotI8Fn,
     /// Squared distances of a whole column of projected rows.
     pub sq_dist_col: SqDistColFn,
+    /// Nearest-centroid fold over a column-major block of short rows.
+    pub nearest_col: NearestColFn,
     /// Quantized inner products of a whole u8 code column (u8 × i8).
     pub dot_col_i8: DotColI8Fn,
     /// The largest of each run of a slice of integer dots.
@@ -132,6 +140,7 @@ pub static SCALAR: Kernels = Kernels {
     dot4_i8: scalar::dot4_i8,
     dot_i8: scalar::dot_i8,
     sq_dist_col: scalar::sq_dist_col,
+    nearest_col: scalar::nearest_col,
     dot_col_i8: scalar::dot_col_i8,
     max_i32_runs: scalar::max_i32_runs,
     max_scaled_sum: scalar::max_scaled_sum,
@@ -150,6 +159,7 @@ static AVX2: Kernels = Kernels {
     dot4_i8: crate::x86::dot4_i8,
     dot_i8: crate::x86::dot_i8,
     sq_dist_col: crate::x86::sq_dist_col,
+    nearest_col: crate::x86::nearest_col,
     dot_col_i8: crate::x86::dot_col_i8,
     max_i32_runs: crate::x86::max_i32_runs,
     max_scaled_sum: crate::x86::max_scaled_sum,
@@ -172,6 +182,8 @@ static AVX512: Kernels = Kernels {
     dot4_i8: crate::x86::dot4_i8,
     dot_i8: crate::x86::dot_i8,
     sq_dist_col: crate::avx512::sq_dist_col,
+    // Eight rows a 512-bit step measured no faster than two 256-bit ones.
+    nearest_col: crate::x86::nearest_col,
     dot_col_i8: crate::x86::dot_col_i8,
     max_i32_runs: crate::avx512::max_i32_runs,
     // Four f64 lanes already outrun the handful of rows it folds a call.

@@ -28,6 +28,6 @@ mod x86;
 pub use dispatch::{active_backend, kernels, Kernels};
 pub use matrix::Matrix;
 pub use vector::{
-    add_scaled, dist, dot, dot4, dot4_i8, dot_col_i8, dot_i8, max_i32, max_i32_runs,
-    max_scaled_sum, norm1, norm2, sq_dist, sq_dist4, sq_dist_col, sq_norm2, sub,
+    dist, dot, dot4, dot4_i8, dot_col_i8, dot_i8, max_i32, max_i32_runs, max_scaled_sum,
+    nearest_col, norm1, norm2, sq_dist, sq_dist4, sq_dist_col, sq_norm2, sub,
 };

@@ -193,6 +193,7 @@ macro_rules! match_short_m {
         }
     };
 }
+pub(crate) use match_short_m;
 
 /// [`sq_dist_seq`] of one `M`-float row against a pre-widened `b`, fully
 /// unrolled.
@@ -285,6 +286,97 @@ pub(crate) fn sq_dist_col_with(
 ) {
     check_col_shape(rows.len(), m, q.len(), out.len());
     match_short_m!(m, col_short(rows, q, out), col_long(rows, m, q, out, k4))
+}
+
+/// Panics unless `cols` holds `m ∈ 1..=`[`SHORT_MAX`] columns of
+/// `best.len() == best_d.len()` floats each and `q.len() == m`.
+#[inline]
+pub(crate) fn check_nearest_shape(cols: usize, m: usize, q: usize, best: usize, best_d: usize) {
+    assert!(m <= SHORT_MAX, "nearest_col: rows longer than SHORT_MAX");
+    assert_eq!(
+        best, best_d,
+        "nearest_col: best and best_d differ in length"
+    );
+    check_col_shape(cols, m, q, best);
+}
+
+/// Folds the centroid `q`, numbered `c`, into a running nearest-centroid
+/// search over a column-major block of `n = best.len()` rows of `m` floats
+/// (coordinate `j` of row `i` at `cols[j·n + i]`): for every row, with
+/// `d` = [`sq_dist_seq`] of the row and `q`, if `d < best_d[i]` then
+/// `best_d[i] = d` and `best[i] = c`.
+///
+/// # Panics
+/// Panics unless `q.len() == m`, `1 ≤ m ≤` [`SHORT_MAX`],
+/// `best.len() == best_d.len()` and `cols.len() == best.len() · m`.
+pub fn nearest_col(
+    cols: &[f32],
+    m: usize,
+    q: &[f32],
+    c: u32,
+    best: &mut [u32],
+    best_d: &mut [f64],
+) {
+    check_nearest_shape(cols.len(), m, q.len(), best.len(), best_d.len());
+    match_short_m!(m, nearest_rows(cols, q, c, best, best_d, 0), unreachable!())
+}
+
+/// [`nearest_col`] over rows `from..` of the block, one row at a time: the
+/// whole block on this backend, the rows past the last full vector on the
+/// others.
+#[inline(always)]
+pub(crate) fn nearest_rows<const M: usize>(
+    cols: &[f32],
+    q: &[f32],
+    c: u32,
+    best: &mut [u32],
+    best_d: &mut [f64],
+    from: usize,
+) {
+    let n = best.len();
+    let q = widen::<M>(q);
+    let cols: [&[f32]; M] = std::array::from_fn(|j| &cols[j * n..(j + 1) * n]);
+    for i in from..n {
+        let mut s = 0.0f64;
+        for j in 0..M {
+            let d = cols[j][i] as f64 - q[j];
+            s += d * d;
+        }
+        // Mask arithmetic, not `if`: which centroid is nearer is a coin
+        // toss for the first few, and a branch on it mispredicts.
+        let nearer = ((s < best_d[i]) as u64).wrapping_neg();
+        best[i] = (c & nearer as u32) | (best[i] & !nearer as u32);
+        best_d[i] = f64::from_bits((s.to_bits() & nearer) | (best_d[i].to_bits() & !nearer));
+    }
+}
+
+/// Adds every row of a column-major block of `n = labels.len()` rows of `m`
+/// floats (coordinate `j` of row `i` at `cols[j·n + i]`) to its cluster's
+/// `f64` sums, `sums[labels[i]·m + j] += cols[j·n + i]`, in row order —
+/// k-means' update step, through a fixed-width copy of each row.
+///
+/// # Panics
+/// Panics unless `1 ≤ m ≤` [`SHORT_MAX`], `cols.len() == labels.len() · m`
+/// and every label's `m` sums lie inside `sums`.
+pub fn add_rows_col(cols: &[f32], m: usize, labels: &[u32], sums: &mut [f64]) {
+    assert!(m <= SHORT_MAX, "add_rows_col: rows longer than SHORT_MAX");
+    assert_eq!(
+        cols.len(),
+        labels.len() * m,
+        "add_rows_col: cols is not labels.len() × m"
+    );
+    match_short_m!(m, add_rows(cols, labels, sums), unreachable!())
+}
+
+fn add_rows<const M: usize>(cols: &[f32], labels: &[u32], sums: &mut [f64]) {
+    let n = labels.len();
+    let cols: [&[f32]; M] = std::array::from_fn(|j| &cols[j * n..][..n]);
+    for (i, &c) in labels.iter().enumerate() {
+        let row: [f32; M] = std::array::from_fn(|j| cols[j][i]);
+        for (s, &x) in sums[c as usize * M..][..M].iter_mut().zip(&row) {
+            *s += x as f64;
+        }
+    }
 }
 
 /// Quantized inner products `Σⱼ rowᵢⱼ·qⱼ` of every `w`-code row of the u8

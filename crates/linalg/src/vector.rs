@@ -78,15 +78,39 @@ pub fn sq_dist4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -> [f
 
 /// Squared distances `dis²(rowᵢ, q)` of every `m`-float row of the flat
 /// arena `rows` into `out` — the projected-space scan kernel, one dispatch
-/// per sub-partition column (and per centroid of a k-means pass). For
-/// `m ≤` [`SHORT_MAX`] each row gets [`sq_dist`]'s bits, whatever its
-/// position in the column; longer rows get [`sq_dist4`]'s.
+/// per sub-partition column. For `m ≤` [`SHORT_MAX`] each row gets
+/// [`sq_dist`]'s bits, whatever its position in the column; longer rows
+/// get [`sq_dist4`]'s.
 ///
 /// # Panics
 /// Panics unless `q.len() == m > 0` and `rows.len() == out.len() * m`.
 #[inline]
 pub fn sq_dist_col(rows: &[f32], m: usize, q: &[f32], out: &mut [f64]) {
     (kernels().sq_dist_col)(rows, m, q, out)
+}
+
+/// Folds the centroid `q`, numbered `c`, into a running nearest-centroid
+/// search over a **column-major** block of `n = best.len()` rows of `m`
+/// floats (coordinate `j` of row `i` at `cols[j·n + i]`): every row whose
+/// [`sq_dist`] to `q` is below `best_d[i]` takes `c` and that distance —
+/// k-means' seeding and assignment, one call per centroid and block. Each
+/// lane holds a row, so a step loads `m` contiguous coordinate vectors;
+/// every backend computes [`sq_dist`]'s bits for the row (left to right,
+/// one rounding per subtract, multiply and add) and the same `<` select.
+///
+/// # Panics
+/// Panics unless `q.len() == m`, `1 ≤ m ≤` [`SHORT_MAX`],
+/// `best.len() == best_d.len()` and `cols.len() == best.len() · m`.
+#[inline]
+pub fn nearest_col(
+    cols: &[f32],
+    m: usize,
+    q: &[f32],
+    c: u32,
+    best: &mut [u32],
+    best_d: &mut [f64],
+) {
+    (kernels().nearest_col)(cols, m, q, c, best, best_d)
 }
 
 /// Four quantized inner products `Σⱼ aᵢⱼ·bⱼ` (u8 code rows × i8 query)
@@ -166,16 +190,6 @@ pub fn sub(a: &[f32], b: &[f32]) -> Vec<f32> {
     a.iter().zip(b).map(|(&x, &y)| x - y).collect()
 }
 
-/// `out += alpha * x` (the BLAS `axpy`), used by k-means centroid updates
-/// — once per point per iteration on 6–10 floats, so inlined.
-#[inline]
-pub fn add_scaled(out: &mut [f64], alpha: f64, x: &[f32]) {
-    debug_assert_eq!(out.len(), x.len());
-    for (o, &v) in out.iter_mut().zip(x) {
-        *o += alpha * v as f64;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,11 +263,8 @@ mod tests {
     }
 
     #[test]
-    fn sub_and_axpy() {
+    fn sub_basic() {
         assert_eq!(sub(&[3.0, 2.0], &[1.0, 5.0]), vec![2.0, -3.0]);
-        let mut acc = vec![1.0f64, 1.0];
-        add_scaled(&mut acc, 2.0, &[3.0, -1.0]);
-        assert_eq!(acc, vec![7.0, -1.0]);
     }
 
     proptest! {

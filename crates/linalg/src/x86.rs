@@ -526,6 +526,72 @@ pub(crate) fn sq_dist_col(rows: &[f32], m: usize, q: &[f32], out: &mut [f64]) {
     scalar::sq_dist_col_with(sq_dist4, rows, m, q, out)
 }
 
+/// The nearest-centroid fold, eight rows a step: two 4-lane `f64` sums of
+/// [`scalar::sq_dist_seq`]'s terms in its order (no FMA), their `<` masks
+/// narrowed to the eight 32-bit label lanes; the last `n mod 8` rows take
+/// the scalar body.
+pub(crate) fn nearest_col(
+    cols: &[f32],
+    m: usize,
+    q: &[f32],
+    c: u32,
+    best: &mut [u32],
+    best_d: &mut [f64],
+) {
+    scalar::check_nearest_shape(cols.len(), m, q.len(), best.len(), best_d.len());
+    // SAFETY: installed only once avx2 and fma are detected; shape checked.
+    unsafe {
+        scalar::match_short_m!(
+            m,
+            nearest_col_body(cols, q, c, best, best_d),
+            unreachable!()
+        )
+    }
+}
+
+/// # Safety
+/// The CPU has AVX2 and FMA, `q.len() == M`, `best_d.len() == best.len()` and
+/// `cols` holds `M` columns of `best.len()` floats ([`nearest_col`]'s
+/// shape check).
+#[target_feature(enable = "avx2,fma")]
+unsafe fn nearest_col_body<const M: usize>(
+    cols: &[f32],
+    q: &[f32],
+    c: u32,
+    best: &mut [u32],
+    best_d: &mut [f64],
+) {
+    let n = best.len();
+    let p = cols.as_ptr();
+    let (bp, dp) = (best.as_mut_ptr(), best_d.as_mut_ptr());
+    let qv: [__m256d; M] = std::array::from_fn(|j| _mm256_set1_pd(q[j] as f64));
+    let cv = _mm256_castsi256_ps(_mm256_set1_epi32(c as i32));
+    let mut i = 0;
+    while i + 8 <= n {
+        let mut s = [_mm256_setzero_pd(); 2];
+        for (j, &qj) in qv.iter().enumerate() {
+            let (lo, hi) = widen8(p.add(j * n + i));
+            let (lo, hi) = (_mm256_sub_pd(lo, qj), _mm256_sub_pd(hi, qj));
+            s[0] = _mm256_add_pd(s[0], _mm256_mul_pd(lo, lo));
+            s[1] = _mm256_add_pd(s[1], _mm256_mul_pd(hi, hi));
+        }
+        let bd = [_mm256_loadu_pd(dp.add(i)), _mm256_loadu_pd(dp.add(i + 4))];
+        let k0 = _mm256_cmp_pd::<_CMP_LT_OQ>(s[0], bd[0]);
+        let k1 = _mm256_cmp_pd::<_CMP_LT_OQ>(s[1], bd[1]);
+        _mm256_storeu_pd(dp.add(i), _mm256_blendv_pd(bd[0], s[0], k0));
+        _mm256_storeu_pd(dp.add(i + 4), _mm256_blendv_pd(bd[1], s[1], k1));
+        // The low halves of the eight 64-bit masks, rows 0 1 4 5 | 2 3 6 7,
+        // then the middle quarters swapped: rows 0..8.
+        let k = _mm256_shuffle_ps::<0b10_00_10_00>(_mm256_castpd_ps(k0), _mm256_castpd_ps(k1));
+        let k = _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(_mm256_castps_pd(k)));
+        let at = bp.add(i).cast::<__m256i>();
+        let labels = _mm256_castsi256_ps(_mm256_loadu_si256(at));
+        _mm256_storeu_si256(at, _mm256_castps_si256(_mm256_blendv_ps(labels, cv, k)));
+        i += 8;
+    }
+    scalar::nearest_rows::<M>(cols, q, c, best, best_d, i);
+}
+
 /// The screen's column kernel: the blocked [`dot4_i8`] over every four rows
 /// — the 256-bit tier has no wider reduction to offer a whole column.
 pub(crate) fn dot_col_i8(rows: &[u8], w: usize, q: &[i8], out: &mut [i32]) {
