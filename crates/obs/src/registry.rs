@@ -93,10 +93,6 @@ metric_ids! {
         DeadlinesExceeded,
         /// Queries stopped by a cancellation token.
         QueriesCancelled,
-        /// Queries refused by the admission gate (`Overloaded`).
-        QueriesShed,
-        /// Best-effort searches that returned a degraded result.
-        PartialResults,
         /// Queries aborted by a shard failure, deadline, or cancellation.
         QueryFailures,
     }

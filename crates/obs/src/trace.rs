@@ -8,8 +8,8 @@
 //! it, and it is the only place a query's times are kept: the registry
 //! counts events, it does not time them. Its spans are also the only
 //! per-shard account of a query (the search result keeps the answer and
-//! the counts summed over the spans); whether the query degraded is read
-//! off them, [`QueryTrace::shards_failed`] `> 0`.
+//! the counts summed over the spans). A query that fails returns an error
+//! and no trace.
 
 /// Nanoseconds spent in each in-shard stage of one search.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -48,10 +48,6 @@ pub struct ShardSpan {
     /// shards' pruning bounds are tested against and their searches are
     /// held to ([`QueryTrace::kth_floor`]).
     pub seed: bool,
-    /// The shard's search failed (IO fault, deadline, poisoned worker)
-    /// and a best-effort merge excluded it; the timing and count fields
-    /// cover the work done before the failure was detected.
-    pub failed: bool,
     /// Wall time of this shard's search call.
     pub elapsed_ns: u64,
     pub stages: StageNanos,
@@ -86,7 +82,7 @@ pub struct QueryTrace {
     /// rows: the bar every other searched shard was held to, and what each
     /// pruned shard's Cauchy–Schwarz bound `‖q‖·max_norm` fell below (the
     /// difference is its slack). `None` when there was no seed probe
-    /// (pruning off, one shard) or it failed or came back short.
+    /// (pruning off, one shard) or it came back short.
     pub kth_floor: Option<f64>,
     /// One span per shard, pruned shards included (with zero timings).
     pub shards: Vec<ShardSpan>,
@@ -126,19 +122,11 @@ impl QueryTrace {
         self.shards.iter().filter(|s| s.pruned).count()
     }
 
-    /// Shards whose search failed and were excluded by a best-effort
-    /// merge: the result is degraded exactly when this is non-zero (a
-    /// fail-fast failure returns an error and no trace).
-    pub fn shards_failed(&self) -> usize {
-        self.shards.iter().filter(|s| s.failed).count()
-    }
-
-    /// Shards neither pruned nor failed, as
+    /// Shards searched — every shard not pruned — as
     /// [`CounterId::ShardsSearched`](crate::CounterId::ShardsSearched)
-    /// counts them: searched + pruned + failed is the shard count.
+    /// counts them: searched + pruned is the shard count.
     pub fn shards_searched(&self) -> usize {
-        let answered = |s: &&ShardSpan| !s.pruned && !s.failed;
-        self.shards.iter().filter(answered).count()
+        self.shards.iter().filter(|s| !s.pruned).count()
     }
 
     /// Compact one-line-per-shard rendering for logs and examples.
@@ -148,7 +136,7 @@ impl QueryTrace {
         let st = self.stages();
         writeln!(
             out,
-            "query k={} total={}us (scan={}us screen={}us verify={}us merge={}us, coverage={:.1}%){}{}",
+            "query k={} total={}us (scan={}us screen={}us verify={}us merge={}us, coverage={:.1}%){}",
             self.k,
             self.total_ns / 1_000,
             st.scan_ns / 1_000,
@@ -156,11 +144,6 @@ impl QueryTrace {
             st.verify_ns / 1_000,
             self.merge_ns / 1_000,
             self.coverage() * 100.0,
-            if self.shards_failed() > 0 {
-                " DEGRADED"
-            } else {
-                ""
-            },
             match self.budget_remaining_ns {
                 Some(ns) => format!(" budget-left={}us", ns / 1_000),
                 None => String::new(),
@@ -173,15 +156,10 @@ impl QueryTrace {
             } else {
                 writeln!(
                     out,
-                    "  shard {:>3}: {}us{}{} scanned={} screened={} verified={} covered={}{}",
+                    "  shard {:>3}: {}us{} scanned={} screened={} verified={} covered={}{}",
                     s.shard,
                     s.elapsed_ns / 1_000,
                     if s.seed { " [seed]" } else { "" },
-                    if s.failed {
-                        " FAILED (excluded from merge)"
-                    } else {
-                        ""
-                    },
                     s.scanned,
                     s.screened,
                     s.verified,
@@ -271,12 +249,5 @@ mod tests {
         // verdict only where the column pass ran.
         assert!(text.contains("verified=10 covered=0\n"));
         assert!(text.contains("verified=8 covered=19 [column pass]"));
-        // The verdict is read off the spans: a failed shard degrades it.
-        assert!(!text.contains("DEGRADED"));
-        let mut t = sample_trace();
-        t.shards[2].failed = true;
-        let text = t.render();
-        assert!(text.contains(" DEGRADED"));
-        assert!(text.contains("FAILED (excluded from merge)"));
     }
 }

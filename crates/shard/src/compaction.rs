@@ -3,6 +3,10 @@
 //! serving, and re-partitioning the whole index when the live norm
 //! distribution has drifted off the shard boundaries.
 //!
+//! Compaction runs on the thread that calls it: a caller that wants it in
+//! the background calls [`ShardedProMips::compact`] in a loop on a thread
+//! of its own.
+//!
 //! ## Shadow build
 //!
 //! Compaction never drains the live shard. It **freezes** a snapshot of
@@ -69,9 +73,7 @@
 use std::collections::HashSet;
 use std::fs;
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use promips_linalg::Matrix;
 use promips_obs::{CounterId, Registry};
@@ -169,34 +171,6 @@ fn live_rows(
     Ok((gids, rows))
 }
 
-/// Handle to the background compaction thread: wakes every `interval`,
-/// runs one policy pass ([`ShardedProMips::compact`]), and exits when
-/// stopped or dropped. Queries and writers keep running throughout — the
-/// thread only ever holds the same short locks a foreground compaction
-/// does.
-pub struct Compactor {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<Option<io::Error>>>,
-}
-
-impl Compactor {
-    /// Signals the thread, joins it, and returns the last compaction error
-    /// it hit (if any) — transient errors don't kill the loop.
-    pub fn stop(mut self) -> Option<io::Error> {
-        self.stop.store(true, Ordering::Release);
-        self.handle.take().and_then(|h| h.join().unwrap_or(None))
-    }
-}
-
-impl Drop for Compactor {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 impl ShardedProMips {
     /// Imbalance of live points across shards: `max / ideal` where ideal is
     /// `total / shards`. 1.0 is perfectly balanced; an empty index reports
@@ -209,40 +183,6 @@ impl ShardedProMips {
         }
         let max = live.iter().max().copied().unwrap_or(0);
         max as f64 * live.len() as f64 / total as f64
-    }
-
-    /// Spawns a background thread that runs [`ShardedProMips::compact`]
-    /// every `interval`. Readers and writers are never blocked by it (see
-    /// the module docs); stop it with [`Compactor::stop`] or by dropping
-    /// the handle. Errs only when the OS refuses the thread (resource
-    /// exhaustion) — a survivable condition the caller can back off from.
-    pub fn start_compactor(self: &Arc<Self>, interval: Duration) -> io::Result<Compactor> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let index = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name("promips-compactor".into())
-            .spawn(move || {
-                let mut last_err = None;
-                while !flag.load(Ordering::Acquire) {
-                    if let Err(e) = index.compact() {
-                        last_err = Some(e);
-                    }
-                    // Sleep in short slices so stop() returns promptly.
-                    let mut slept = Duration::ZERO;
-                    let slice =
-                        Duration::from_millis(5).min(interval.max(Duration::from_micros(1)));
-                    while slept < interval && !flag.load(Ordering::Acquire) {
-                        std::thread::sleep(slice);
-                        slept += slice;
-                    }
-                }
-                last_err
-            })?;
-        Ok(Compactor {
-            stop,
-            handle: Some(handle),
-        })
     }
 
     /// One policy-driven maintenance pass: re-partitions if the live skew

@@ -1,12 +1,11 @@
 //! Configuration for the sharded index: the shard count (placement is
 //! always by norm range), the fan-out's pruning switch, and the
-//! durability, compaction, degradation and admission policies.
+//! durability and compaction policies.
 
 use promips_core::ProMipsConfig;
 use promips_wal::SyncPolicy;
 
 use crate::compaction::CompactionPolicy;
-use crate::error::DegradationPolicy;
 
 /// Build- and search-time parameters of a [`crate::ShardedProMips`]. A
 /// durable index's manifest records every field, so
@@ -29,16 +28,6 @@ pub struct ShardedConfig {
     /// When [`crate::ShardedProMips::compact`] folds a shard's delta and
     /// tombstones into a fresh generation, and when it re-partitions.
     pub compaction: CompactionPolicy,
-    /// What a shard failure mid-query does to the whole query:
-    /// [`DegradationPolicy::FailFast`] (default) aborts with a typed
-    /// error; [`DegradationPolicy::BestEffort`] returns the top-k over
-    /// surviving shards, flagged degraded.
-    pub degradation: DegradationPolicy,
-    /// Admission limit: at most this many searches may run concurrently
-    /// against the index; the excess is refused with
-    /// [`crate::QueryError::Overloaded`] instead of queueing. `0` means
-    /// unlimited (the default — no admission gate).
-    pub max_in_flight: usize,
     /// Per-shard ProMIPS parameters. Shard `i` builds with
     /// `seed ⊕ (i · φ₆₄)`, so shard 0 of a one-shard config reproduces the
     /// unsharded index exactly.
@@ -52,8 +41,6 @@ impl Default for ShardedConfig {
             prune: true,
             wal_sync: SyncPolicy::Always,
             compaction: CompactionPolicy::default(),
-            degradation: DegradationPolicy::FailFast,
-            max_in_flight: 0,
             base: ProMipsConfig::default(),
         }
     }
@@ -119,18 +106,6 @@ impl ShardedConfigBuilder {
         self
     }
 
-    /// Sets the shard-failure degradation policy.
-    pub fn degradation(mut self, policy: DegradationPolicy) -> Self {
-        self.config.degradation = policy;
-        self
-    }
-
-    /// Sets the admission limit (`0` = unlimited).
-    pub fn max_in_flight(mut self, limit: usize) -> Self {
-        self.config.max_in_flight = limit;
-        self
-    }
-
     /// Sets the per-shard ProMIPS configuration.
     pub fn base(mut self, base: ProMipsConfig) -> Self {
         self.config.base = base;
@@ -167,18 +142,5 @@ mod tests {
     #[should_panic]
     fn rejects_zero_shards() {
         ShardedConfig::builder().shards(0).build();
-    }
-
-    #[test]
-    fn robustness_knobs_default_off() {
-        let c = ShardedConfig::default();
-        assert_eq!(c.degradation, DegradationPolicy::FailFast);
-        assert_eq!(c.max_in_flight, 0);
-        let c = ShardedConfig::builder()
-            .degradation(DegradationPolicy::BestEffort)
-            .max_in_flight(32)
-            .build();
-        assert_eq!(c.degradation, DegradationPolicy::BestEffort);
-        assert_eq!(c.max_in_flight, 32);
     }
 }

@@ -1,43 +1,17 @@
 //! Typed query-lifecycle errors for the sharded fan-out.
 //!
-//! The fan-out used to ride plain `io::Result`: the first shard failure
-//! aborted the whole query with whatever `io::Error` the shard produced,
-//! and there was no way to tell a storage fault from an expired deadline,
-//! a cancelled query, or a crashed worker. [`QueryError`] names the
-//! ways a sharded search can refuse to answer — and [`ShardError`] pins a
-//! shard-level failure to the shard that produced it — so a serving layer
-//! can route each one differently: retry elsewhere on
-//! [`ShardErrorKind::Io`], shed load on [`QueryError::Overloaded`], and
-//! simply report [`QueryError::DeadlineExceeded`] to the client that set
-//! the budget.
-//!
-//! [`DegradationPolicy`] decides what a shard failure does to the query:
-//! [`DegradationPolicy::FailFast`] (the default) aborts with a typed
-//! error naming the shard, exactly like the historical behavior;
-//! [`DegradationPolicy::BestEffort`] excludes the failed shard from the
-//! merge and returns the top-k over the survivors with
-//! [`crate::ShardedSearchResult::degraded`] set.
+//! [`QueryError`] names the ways a sharded search can refuse to answer,
+//! and [`ShardError`] pins a shard-level failure to the shard that
+//! produced it, so a caller can route each one differently: retry on
+//! [`ShardErrorKind::Io`], report [`QueryError::DeadlineExceeded`] to the
+//! client that set the budget, look at a [`ShardErrorKind::Poisoned`]
+//! shard. A query is fail-fast: the first shard failure aborts it, and
+//! the error names the lowest failing shard however the fan-out was
+//! scheduled. A query returns the top-k over the whole index or an error,
+//! never an answer over part of it.
 
 use std::fmt;
 use std::io;
-
-/// What the fan-out does when one shard's search fails mid-query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DegradationPolicy {
-    /// The first shard failure aborts the whole query with a
-    /// [`QueryError`] naming the shard. Deterministic: when several
-    /// shards fail in one query, the lowest shard index is reported
-    /// however the fan-out is scheduled. The default — exact-or-error, no
-    /// silent recall loss.
-    #[default]
-    FailFast,
-    /// Failed shards are dropped from the merge; the query returns the
-    /// best-effort top-k over surviving shards with
-    /// [`crate::ShardedSearchResult::degraded`] set and the failed shards
-    /// flagged in the per-shard stats. Only a query that loses **every**
-    /// shard (or is refused by the admission gate) still errors.
-    BestEffort,
-}
 
 /// Why one shard's search failed.
 #[derive(Debug)]
@@ -49,8 +23,7 @@ pub enum ShardErrorKind {
     /// The query's cancellation token fired inside this shard.
     Cancelled,
     /// The shard's search panicked. The shard's shared state is
-    /// suspect; under [`DegradationPolicy::BestEffort`] it is excluded
-    /// like any other failure, but an operator should look.
+    /// suspect: an operator should look.
     Poisoned,
 }
 
@@ -92,22 +65,15 @@ impl std::error::Error for ShardError {
 /// Why a sharded search returned no result.
 #[derive(Debug)]
 pub enum QueryError {
-    /// The query's [`promips_obs::QueryBudget`] deadline expired (under
-    /// [`DegradationPolicy::BestEffort`], only when no shard finished in
-    /// time — a partial expiry degrades instead).
+    /// The query's [`promips_obs::QueryBudget`] deadline expired.
     DeadlineExceeded,
     /// The query's cancellation token fired.
     Cancelled,
-    /// The admission gate refused the query: `in_flight` searches were
-    /// already running against a limit of `limit`. Purely a load
-    /// condition — retrying after backoff is reasonable.
-    Overloaded { in_flight: usize, limit: usize },
     /// The request itself cannot be answered: a query vector whose `‖q‖²`
     /// is not finite (a NaN, infinite or overflowing coordinate) has no
     /// inner-product order to return.
     InvalidInput(&'static str),
-    /// A shard failed and the policy said not to degrade (or every shard
-    /// failed).
+    /// A shard failed: the lowest failing shard, with what went wrong.
     Shard(ShardError),
 }
 
@@ -116,10 +82,6 @@ impl fmt::Display for QueryError {
         match self {
             Self::DeadlineExceeded => write!(f, "query budget deadline exceeded"),
             Self::Cancelled => write!(f, "query cancelled"),
-            Self::Overloaded { in_flight, limit } => write!(
-                f,
-                "query shed by admission control: {in_flight} in flight, limit {limit}"
-            ),
             Self::InvalidInput(why) => write!(f, "invalid query: {why}"),
             Self::Shard(e) => write!(f, "{e}"),
         }
@@ -150,15 +112,14 @@ impl From<ShardError> for QueryError {
 
 impl From<QueryError> for io::Error {
     /// Kind mapping for callers on the plain `io::Result` search paths:
-    /// deadline → `TimedOut`, overload → `WouldBlock` (both retryable
-    /// conditions under [`promips_storage::retry`]'s transiency rules), a
-    /// refused request → `InvalidInput`, shard IO keeps the underlying kind. The typed error stays
-    /// downcastable via [`io::Error::get_ref`].
+    /// deadline → `TimedOut` (retryable under [`promips_storage::retry`]'s
+    /// transiency rules), a refused request → `InvalidInput`, shard IO keeps
+    /// the underlying kind. The typed error stays downcastable via
+    /// [`io::Error::get_ref`].
     fn from(e: QueryError) -> Self {
         let kind = match &e {
             QueryError::DeadlineExceeded => io::ErrorKind::TimedOut,
             QueryError::Cancelled => io::ErrorKind::Other,
-            QueryError::Overloaded { .. } => io::ErrorKind::WouldBlock,
             QueryError::InvalidInput(_) => io::ErrorKind::InvalidInput,
             QueryError::Shard(se) => match &se.kind {
                 ShardErrorKind::Io(inner) => inner.kind(),
@@ -211,13 +172,6 @@ mod tests {
     fn io_conversion_maps_kinds_and_stays_downcastable() {
         let e: io::Error = QueryError::DeadlineExceeded.into();
         assert_eq!(e.kind(), io::ErrorKind::TimedOut);
-        let e: io::Error = QueryError::Overloaded {
-            in_flight: 9,
-            limit: 8,
-        }
-        .into();
-        assert_eq!(e.kind(), io::ErrorKind::WouldBlock);
-        assert!(e.to_string().contains("9 in flight"));
         let inner = io::Error::new(io::ErrorKind::PermissionDenied, "disk");
         let e: io::Error = QueryError::Shard(ShardError {
             shard: 0,

@@ -32,14 +32,14 @@
 //!
 //! Lock order (outer → inner): `mut_order` → `maintenance` → `wal` →
 //! `delta` → `gen`. Every code path acquires along this order, which is
-//! what makes the background compactor, the writers, and the fan-out
-//! readers deadlock-free by construction.
+//! what makes compaction, the writers, and the fan-out readers
+//! deadlock-free by construction.
 
 use std::collections::HashSet;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -412,9 +412,6 @@ pub struct ShardedProMips {
     /// Home directory of a durable index; `None` for in-memory builds,
     /// whose mutations are volatile.
     pub(crate) dir: Option<std::path::PathBuf>,
-    /// Searches currently running (admission-control gauge; see
-    /// [`ShardedConfig::max_in_flight`]).
-    pub(crate) in_flight: AtomicUsize,
 }
 
 impl ShardedProMips {
@@ -464,7 +461,6 @@ impl ShardedProMips {
             mut_order: Mutex::new(()),
             maintenance: Mutex::new(()),
             dir,
-            in_flight: AtomicUsize::new(0),
         };
         for (si, m) in members.iter().enumerate() {
             let ids: Vec<u64> = m.iter().map(|&i| i as u64).collect();
@@ -611,11 +607,6 @@ impl ShardedProMips {
     /// under (`None`: full-width codes), fixed at build time.
     pub fn head_basis(&self) -> Option<&HeadBasis> {
         self.head.as_ref()
-    }
-
-    /// Name of the partitioner that built the shard assignment.
-    pub fn partitioner_name(&self) -> &str {
-        partition::NAME
     }
 
     /// Aggregated page-access counters over every shard's index.

@@ -56,9 +56,9 @@ pub mod persist;
 pub mod result;
 pub mod search;
 
-pub use compaction::{CompactionPolicy, CompactionReport, Compactor};
+pub use compaction::{CompactionPolicy, CompactionReport};
 pub use config::{ShardedConfig, ShardedConfigBuilder};
-pub use error::{DegradationPolicy, QueryError, ShardError, ShardErrorKind};
+pub use error::{QueryError, ShardError, ShardErrorKind};
 pub use index::{Shard, ShardedProMips};
 // Budgets are built by callers and attached to a `ShardedQuery`; re-export
 // them so callers don't need a direct `promips_obs` dependency.

@@ -19,14 +19,6 @@
 
 use promips_linalg::{sq_norm2, Matrix};
 
-/// Display name, recorded in the manifest and reported by
-/// [`crate::ShardedProMips::partitioner_name`].
-pub(crate) const NAME: &str = "norm-range";
-
-/// Manifest tag of norm-range partitioning — the only one
-/// [`crate::ShardedProMips::open`] accepts.
-pub(crate) const TAG: u64 = 0;
-
 /// `‖o‖²` of every row of `data`, in row order: the first half of
 /// [`assign`]'s rank key, and the build's finiteness check (a row with a
 /// NaN or infinite coordinate has a non-finite entry).

@@ -9,7 +9,8 @@
 //!   MANIFEST.pms      the whole `ShardedConfig`, the head basis every
 //!                     shard is coded under, per-shard count / norm bound /
 //!                     generation, and the shard-local → global id maps —
-//!                     always describing the last **compacted** state
+//!                     always describing the last **compacted** state —
+//!                     then a CRC32 of all of it
 //!   shard_0000.pmx    shard 0, generation 0: a full ProMIPS page file
 //!                     (identical format to [`promips_core::ProMips::save`])
 //!   shard_0002.g3.pmx generation 3 of shard 2 (written by compaction; the
@@ -29,6 +30,12 @@
 //! replacement goes through [`promips_storage::write_file_atomic`]
 //! (`MANIFEST.pms.tmp` → fsync → rename → directory fsync), which is what
 //! makes a compaction's generation swap atomic.
+//!
+//! The manifest (version 7) ends with the [`promips_wal::crc32`] of the
+//! bytes before it, and [`ShardedProMips::open`] checks it before it
+//! decodes a word: a flipped or torn manifest is `InvalidData`, never a
+//! different index. Every count is checked against the bytes that remain
+//! before anything is allocated. Shard data pages carry no checksum.
 //!
 //! The manifest serializes only **generation** state — each shard's
 //! committed id map and norm bound, never the delta overlay or tombstone
@@ -58,16 +65,14 @@ use promips_idistance::layout::{enc, RUN_BYTES};
 use promips_idistance::{HeadBasis, IDistanceConfig};
 use promips_linalg::Matrix;
 use promips_storage::{fsync_dir, write_file_atomic, AccessStats, FileStorage, Pager, Storage};
-use promips_wal::{SyncPolicy, Wal};
+use promips_wal::{crc32, SyncPolicy, Wal};
 
 use crate::compaction::CompactionPolicy;
 use crate::config::ShardedConfig;
-use crate::error::DegradationPolicy;
 use crate::index::{Shard, ShardGeneration, ShardedProMips};
-use crate::partition;
 
 const MANIFEST_MAGIC: u64 = 0x5AA2_D1CE_5059_0001;
-const MANIFEST_VERSION: u64 = 6;
+const MANIFEST_VERSION: u64 = 7;
 const MANIFEST_NAME: &str = "MANIFEST.pms";
 
 /// Data-file path of shard `si` at `generation` (generation 0 keeps the
@@ -270,7 +275,6 @@ impl ShardedProMips {
         enc::put_u64(&mut buf, self.d as u64);
         enc::put_u64(&mut buf, committed_total);
         enc::put_u64(&mut buf, u64::from(self.config.prune));
-        enc::put_u64(&mut buf, partition::TAG);
         enc::put_f64(&mut buf, self.config.base.c);
         enc::put_f64(&mut buf, self.config.base.p);
         enc::put_u64(&mut buf, self.config.base.m.map_or(u64::MAX, |m| m as u64));
@@ -288,11 +292,6 @@ impl ShardedProMips {
         enc::put_f64(&mut buf, policy.max_tombstone_fraction);
         enc::put_u64(&mut buf, policy.min_mutations as u64);
         enc::put_f64(&mut buf, policy.repartition_skew);
-        let best_effort = self.config.degradation == DegradationPolicy::BestEffort;
-        enc::put_u64(&mut buf, u64::from(best_effort));
-        enc::put_u64(&mut buf, self.config.max_in_flight as u64);
-        enc::put_u64(&mut buf, partition::NAME.len() as u64);
-        buf.extend_from_slice(partition::NAME.as_bytes());
         enc::put_u64(&mut buf, u64::from(self.head.is_some()));
         if let Some(basis) = &self.head {
             basis.encode(&mut buf);
@@ -305,6 +304,8 @@ impl ShardedProMips {
                 enc::put_u64(&mut buf, id);
             }
         }
+        let crc = crc32(&buf);
+        buf.extend_from_slice(&crc.to_le_bytes());
         // The swap is the commit point of every build, snapshot, and
         // compaction; a transient stall here (EINTR, a briefly saturated
         // device) should not abort an otherwise healthy commit. Re-running
@@ -326,63 +327,55 @@ impl ShardedProMips {
     /// saved.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
         let dir = dir.as_ref();
-        let buf = fs::read(dir.join(MANIFEST_NAME))?;
-        // Truncation guard: a partially written manifest must surface as
-        // InvalidData, not a slice panic inside the `enc` readers.
+        let file = fs::read(dir.join(MANIFEST_NAME))?;
+        let invalid = |why: String| io::Error::new(io::ErrorKind::InvalidData, why);
+        // The checksum first: nothing below decodes a byte it has not
+        // vouched for.
+        let Some((buf, crc)) = file.split_last_chunk::<4>() else {
+            return Err(invalid("truncated sharded-index manifest".into()));
+        };
+        if crc32(buf) != u32::from_le_bytes(*crc) {
+            return Err(invalid("sharded-index manifest checksum mismatch".into()));
+        }
+        // Every read is bounded by what remains: a count the checksum
+        // covers can still be wild, and must surface as InvalidData, not as
+        // an overflow or a slice panic inside the `enc` readers.
         let need = |pos: usize, bytes: usize| -> io::Result<()> {
-            if pos + bytes > buf.len() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "truncated sharded-index manifest: need {} bytes at offset {pos}, have {}",
-                        bytes,
-                        buf.len()
-                    ),
-                ));
+            if pos.checked_add(bytes).is_none_or(|end| end > buf.len()) {
+                return Err(invalid(format!(
+                    "truncated sharded-index manifest: need {bytes} bytes at offset {pos}, have {}",
+                    buf.len()
+                )));
             }
             Ok(())
         };
         let mut pos = 0;
-        if buf.len() < 16 || enc::get_u64(&buf, &mut pos) != MANIFEST_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bad sharded-index manifest magic",
-            ));
+        if buf.len() < 16 || enc::get_u64(buf, &mut pos) != MANIFEST_MAGIC {
+            return Err(invalid("bad sharded-index manifest magic".into()));
         }
-        let version = enc::get_u64(&buf, &mut pos);
+        let version = enc::get_u64(buf, &mut pos);
         if version != MANIFEST_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unsupported manifest version {version}"),
-            ));
+            return Err(invalid(format!("unsupported manifest version {version}")));
         }
-        // Fixed-size header: magic..seed, the next-id/wal-sync words, the
-        // iDistance, compaction, degradation and admission words, and the
-        // partitioner-name length (little-endian 8-byte fields).
-        need(0, 28 * 8)?;
-        let n_shards = enc::get_u64(&buf, &mut pos) as usize;
-        let d = enc::get_u64(&buf, &mut pos) as usize;
-        let n_points = enc::get_u64(&buf, &mut pos);
-        let prune = enc::get_u64(&buf, &mut pos) != 0;
-        let tag = enc::get_u64(&buf, &mut pos);
-        if tag != partition::TAG {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown partitioner tag {tag} in sharded-index manifest"),
-            ));
-        }
-        let c = enc::get_f64(&buf, &mut pos);
-        let p = enc::get_f64(&buf, &mut pos);
-        let m = match enc::get_u64(&buf, &mut pos) {
+        // Fixed-size header: magic..seed, the next-id/wal-sync words and
+        // the iDistance and compaction words (little-endian 8-byte fields).
+        need(0, 24 * 8)?;
+        let n_shards = enc::get_u64(buf, &mut pos) as usize;
+        let d = enc::get_u64(buf, &mut pos) as usize;
+        let n_points = enc::get_u64(buf, &mut pos);
+        let prune = enc::get_u64(buf, &mut pos) != 0;
+        let c = enc::get_f64(buf, &mut pos);
+        let p = enc::get_f64(buf, &mut pos);
+        let m = match enc::get_u64(buf, &mut pos) {
             u64::MAX => None,
             m => Some(m as usize),
         };
-        let page_size = enc::get_u64(&buf, &mut pos) as usize;
-        let pool_pages = enc::get_u64(&buf, &mut pos) as usize;
-        let seed = enc::get_u64(&buf, &mut pos);
-        let mut next_global_id = enc::get_u64(&buf, &mut pos);
-        let wal_sync = sync_policy_from_tag(enc::get_u64(&buf, &mut pos));
-        let mut word = || enc::get_u64(&buf, &mut pos);
+        let page_size = enc::get_u64(buf, &mut pos) as usize;
+        let pool_pages = enc::get_u64(buf, &mut pos) as usize;
+        let seed = enc::get_u64(buf, &mut pos);
+        let mut next_global_id = enc::get_u64(buf, &mut pos);
+        let wal_sync = sync_policy_from_tag(enc::get_u64(buf, &mut pos));
+        let mut word = || enc::get_u64(buf, &mut pos);
         let idistance = IDistanceConfig {
             kp: word() as usize,
             nkey: word() as usize,
@@ -397,31 +390,15 @@ impl ShardedProMips {
             min_mutations: word() as usize,
             repartition_skew: f64::from_bits(word()),
         };
-        let degradation = match word() {
-            0 => DegradationPolicy::FailFast,
-            1 => DegradationPolicy::BestEffort,
-            tag => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unknown degradation policy {tag} in sharded-index manifest"),
-                ))
-            }
-        };
-        let max_in_flight = word() as usize;
-        // The partitioner's display name: the tag above is what decides.
-        let name_len = enc::get_u64(&buf, &mut pos) as usize;
-        need(pos, name_len)?;
-        pos += name_len;
         // The basis every shard is coded under: a flag, then the basis.
         need(pos, 8)?;
-        let head = match enc::get_u64(&buf, &mut pos) {
+        let head = match enc::get_u64(buf, &mut pos) {
             0 => None,
-            1 if idistance.verify_quantize => Some(HeadBasis::decode(&buf, &mut pos, d)?),
+            1 if idistance.verify_quantize => Some(HeadBasis::decode(buf, &mut pos, d)?),
             flag => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad head-basis flag {flag} in sharded-index manifest"),
-                ))
+                return Err(invalid(format!(
+                    "bad head-basis flag {flag} in sharded-index manifest"
+                )))
             }
         };
 
@@ -430,8 +407,6 @@ impl ShardedProMips {
             prune,
             wal_sync,
             compaction,
-            degradation,
-            max_in_flight,
             base: promips_core::ProMipsConfig {
                 c,
                 p,
@@ -446,19 +421,19 @@ impl ShardedProMips {
         // trusts these domains.
         config
             .check()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("manifest: {e}")))?;
+            .map_err(|e| invalid(format!("manifest: {e}")))?;
 
         let mut shards = Vec::with_capacity(n_shards.min(1 << 16));
         for si in 0..n_shards {
             // count + max_norm + generation.
             need(pos, 24)?;
-            let count = enc::get_u64(&buf, &mut pos) as usize;
-            let max_norm = enc::get_f64(&buf, &mut pos);
-            let generation = enc::get_u64(&buf, &mut pos);
+            let count = enc::get_u64(buf, &mut pos) as usize;
+            let max_norm = enc::get_f64(buf, &mut pos);
+            let generation = enc::get_u64(buf, &mut pos);
             need(pos, count.saturating_mul(8))?;
-            let ids: Vec<u64> = (0..count).map(|_| enc::get_u64(&buf, &mut pos)).collect();
+            let ids: Vec<u64> = (0..count).map(|_| enc::get_u64(buf, &mut pos)).collect();
             if let Some(&max_id) = ids.last() {
-                next_global_id = next_global_id.max(max_id + 1);
+                next_global_id = next_global_id.max(max_id.saturating_add(1));
             }
             // An empty generation has no file.
             let index = if count == 0 {
@@ -471,20 +446,16 @@ impl ShardedProMips {
                 let pager = Arc::new(Pager::new(storage, pool_pages, AccessStats::new_shared()));
                 let pm = ProMips::open(pager)?;
                 if pm.len() != count as u64 || pm.d() != d {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "shard {si} holds {} points of d = {}, manifest says {count} of d = {d}",
-                            pm.len(),
-                            pm.d()
-                        ),
-                    ));
+                    return Err(invalid(format!(
+                        "shard {si} holds {} points of d = {}, manifest says {count} of d = {d}",
+                        pm.len(),
+                        pm.d()
+                    )));
                 }
                 if pm.idistance().head() != head.as_ref() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("shard {si} is coded under another head basis than the manifest's"),
-                    ));
+                    return Err(invalid(format!(
+                        "shard {si} is coded under another head basis than the manifest's"
+                    )));
                 }
                 Some(Box::new(pm))
             };
@@ -506,7 +477,6 @@ impl ShardedProMips {
             mut_order: Mutex::new(()),
             maintenance: Mutex::new(()),
             dir: Some(dir.to_path_buf()),
-            in_flight: std::sync::atomic::AtomicUsize::new(0),
         };
 
         // Stream each shard's write-ahead log (where one exists) through

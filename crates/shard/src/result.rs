@@ -1,5 +1,5 @@
 //! The answer of a sharded fan-out search, and each shard's maintenance
-//! ledger. What each shard did for one query — pruned, seed, failed, the
+//! ledger. What each shard did for one query — pruned, seed, the
 //! rows it scanned, screened and verified — is in that query's trace
 //! ([`promips_obs::QueryTrace::shards`], returned to a request that sets
 //! [`crate::ShardedQuery::traced`]); what each shard holds — live rows,
@@ -63,11 +63,6 @@ pub struct ShardedSearchResult {
     /// Total candidates screened out (skipped without an exact rescore) by
     /// the shards' SQ8 verification tiers.
     pub screened: usize,
-    /// True when at least one shard failed and was excluded from the
-    /// merge under [`crate::DegradationPolicy::BestEffort`]: the items
-    /// are the exact top-k over the **surviving** shards only. Always
-    /// false for fail-fast (and healthy) queries.
-    pub degraded: bool,
 }
 
 impl ShardedSearchResult {

@@ -65,38 +65,27 @@
 //! `k`, plus the fan-out's options (serial or not, budget, whether to
 //! return the trace) — and is the only search body; every `search*` name
 //! is a one-line wrapper around it. The [`ShardedSearchResult`] holds the
-//! answer, its verified and screened counts summed over the shards and the
-//! degradation verdict; what each shard did — seed, pruned, failed, its
-//! scanned, screened and verified rows — is only in the trace's
-//! [`ShardSpan`]s, which a `traced` request gets back.
+//! answer and its verified and screened counts summed over the shards;
+//! what each shard did — seed or pruned, its scanned, screened and
+//! verified rows — is only in the trace's [`ShardSpan`]s, which a
+//! `traced` request gets back.
 //!
 //! ## Query lifecycle
 //!
-//! Three lifecycle controls wrap the two phases (all off by default, all
-//! zero-cost when off):
+//! A query answers over every shard or fails with a typed [`QueryError`]:
 //!
-//! * **Admission** — [`crate::ShardedConfig::max_in_flight`] bounds the
-//!   searches running concurrently against the index; the excess is
-//!   refused up front with [`QueryError::Overloaded`] instead of piling
-//!   onto a saturated box (counted by [`CounterId::QueriesShed`]).
 //! * **Budgets** — a request's [`ShardedQuery::budget`] carries a
 //!   [`QueryBudget`] (deadline and/or cancellation token) down into every
 //!   shard's scan and verify loops, which check it cooperatively once per
 //!   block of work, and the fan-out checks it once before it starts: a
-//!   budget the seed probe spent fails the remaining shards on the spot
-//!   instead of searching them. An exceeded budget surfaces as
+//!   budget the seed probe spent fails the query there instead of
+//!   searching the remaining shards. An exceeded budget surfaces as
 //!   [`QueryError::DeadlineExceeded`] / [`QueryError::Cancelled`].
-//! * **Degradation** — [`crate::DegradationPolicy`] decides what one
-//!   shard's failure (injected or real IO fault, per-shard deadline
-//!   expiry, a panic in its search) does to the query: `FailFast` (default)
-//!   aborts with a typed [`ShardError`] naming the shard — reported
-//!   deterministically for the lowest failing shard index — while
-//!   `BestEffort` drops the failed shard from the merge and returns the
-//!   exact top-k over the survivors with
-//!   [`crate::ShardedSearchResult::degraded`] set (counted by
-//!   [`CounterId::PartialResults`], visible per shard in traces, where
-//!   the failed shard's span keeps its wall time and the work it did
-//!   before failing).
+//! * **Fail-fast** — one shard's failure (an IO fault, a per-shard deadline
+//!   expiry, a panic in its search, caught and typed
+//!   [`ShardErrorKind::Poisoned`]) aborts the query with a [`ShardError`]
+//!   naming the shard: the lowest failing shard index, whatever the
+//!   fan-out's schedule.
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -111,7 +100,7 @@ use promips_obs::{
     ShardSpan,
 };
 
-use crate::error::{DegradationPolicy, QueryError, ShardError, ShardErrorKind};
+use crate::error::{QueryError, ShardError, ShardErrorKind};
 use crate::index::{ShardSnapshot, ShardedProMips, CHUNK_ROWS};
 use crate::result::ShardedSearchResult;
 
@@ -145,18 +134,6 @@ impl ShardedScratch {
 /// What one searched shard did — its span, filled whether or not the
 /// search finished — and its top-k under **global** ids, or why it failed.
 type ShardOutcome = (ShardSpan, Result<Vec<SearchItem>, ShardError>);
-
-/// RAII admission permit: holds one slot of the index's in-flight gauge
-/// and releases it on every exit path (success, error, panic unwind).
-struct AdmissionPermit<'a> {
-    gauge: &'a AtomicUsize,
-}
-
-impl Drop for AdmissionPermit<'_> {
-    fn drop(&mut self) {
-        self.gauge.fetch_sub(1, Ordering::AcqRel);
-    }
-}
 
 /// Re-types a shard-level `io::Error`: budget expiries (riding the
 /// `io::Result` plumbing from the core loops) are recovered into their
@@ -233,16 +210,13 @@ pub struct ShardedQuery<'a> {
     pub serial: bool,
     /// Deadline and/or cancellation token, checked cooperatively inside
     /// every shard's scan and verify loops; failures come back typed.
-    /// Under [`DegradationPolicy::BestEffort`] a budget that expires after
-    /// some shards finished degrades the result instead of erroring.
     pub budget: Option<&'a QueryBudget>,
     /// Return the per-query [`QueryTrace`], the query's only per-shard
     /// account: stage wall time and row counts per shard (scan → screen →
-    /// verify), the cross-shard merge, every prune decision, the remaining
-    /// budget and every failed shard with the work it did before failing.
-    /// It costs one small allocation and a handful of clock reads; an
-    /// untraced request builds no trace. Results never depend on tracing —
-    /// it only observes.
+    /// verify), the cross-shard merge, every prune decision and the
+    /// remaining budget. It costs one small allocation and a handful of
+    /// clock reads; an untraced request builds no trace. Results never
+    /// depend on tracing — it only observes.
     pub traced: bool,
 }
 
@@ -309,21 +283,6 @@ impl ShardedProMips {
         Ok((res, trace.expect("a traced request returns its trace")))
     }
 
-    /// Takes an admission slot, or sheds the query when the configured
-    /// limit is saturated.
-    fn admit(&self) -> Result<AdmissionPermit<'_>, QueryError> {
-        let in_flight = self.in_flight.fetch_add(1, Ordering::AcqRel);
-        let limit = self.config.max_in_flight;
-        if limit != 0 && in_flight >= limit {
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
-            obs::global().counter(CounterId::QueriesShed).inc();
-            return Err(QueryError::Overloaded { in_flight, limit });
-        }
-        Ok(AdmissionPermit {
-            gauge: &self.in_flight,
-        })
-    }
-
     /// The one search path: phases and results are identical whatever the
     /// request's `serial`, `budget` and `traced` say — a `None` budget is
     /// the unbounded path bit for bit, and tracing only *observes*.
@@ -354,10 +313,6 @@ impl ShardedProMips {
             scratch.shards.len(),
             self.shards.len()
         );
-        // Load shedding happens before any real work: a refused query
-        // costs two atomic ops and a counter bump. The permit's Drop
-        // releases the slot on every path out of this function.
-        let _permit = self.admit()?;
         let ns = self.shards.len();
         let q_sq_norm = sq_norm2(q);
         let q_norm = q_sq_norm.sqrt();
@@ -368,7 +323,6 @@ impl ShardedProMips {
                 "‖q‖² is not finite: a NaN, infinite or overflowing query coordinate",
             ));
         }
-        let policy = self.config.degradation;
 
         // The query's isolation boundary: one consistent snapshot per
         // shard, taken up front. Everything below reads only these.
@@ -379,8 +333,8 @@ impl ShardedProMips {
         let screen = Some(&*screen);
 
         // What each shard did (a pruned shard's span stays all zero) and
-        // its items under **global** ids, best first (none unless it
-        // answered).
+        // its items under **global** ids, best first (none unless it was
+        // searched).
         let mut spans: Vec<ShardSpan> = (0..ns)
             .map(|shard| ShardSpan {
                 shard,
@@ -388,15 +342,11 @@ impl ShardedProMips {
             })
             .collect();
         let mut items: Vec<Vec<SearchItem>> = vec![Vec::new(); ns];
-        let mut failures: Vec<ShardError> = Vec::new();
-        let mut attempted = 0usize;
 
         // One shard, fully contained: IO errors are re-typed, budget
         // expiries recovered, and a panicking search is caught here (the
         // scratch and snapshot it held are query-local; shared state is
-        // lock-free or guarded by non-poisoning locks). The span is an
-        // out-parameter of the search, so a failed shard still reports its
-        // wall time and the work it did before failing.
+        // lock-free or guarded by non-poisoning locks).
         let search_one = |si: usize, kth_floor: f64| -> ShardOutcome {
             let mut span = ShardSpan {
                 shard: si,
@@ -426,7 +376,6 @@ impl ShardedProMips {
                     kind: ShardErrorKind::Poisoned,
                 }),
             };
-            span.failed = res.is_err();
             (span, res)
         };
 
@@ -443,28 +392,16 @@ impl ShardedProMips {
                 })
                 .map(|(i, _)| i)
                 .expect("at least one shard");
-            attempted += 1;
             let (span, res) = search_one(seed, f64::NEG_INFINITY);
             spans[seed] = ShardSpan { seed: true, ..span };
-            match res {
-                Ok(found) => {
-                    if found.len() >= k {
-                        kth_floor = found[k - 1].ip;
-                        if let Some(trace) = &mut trace {
-                            trace.kth_floor = Some(kth_floor);
-                        }
-                    }
-                    items[seed] = found;
-                }
-                Err(se) => {
-                    if policy == DegradationPolicy::FailFast {
-                        return Err(fail_query(se));
-                    }
-                    // Degraded probe: no floor, so nothing is pruned and
-                    // every other shard gets its chance to contribute.
-                    failures.push(se);
+            let found = res.map_err(fail_query)?;
+            if found.len() >= k {
+                kth_floor = found[k - 1].ip;
+                if let Some(trace) = &mut trace {
+                    trace.kth_floor = Some(kth_floor);
                 }
             }
+            items[seed] = found;
             for (si, snap) in snaps.iter().enumerate() {
                 if si == seed {
                     continue;
@@ -480,57 +417,44 @@ impl ShardedProMips {
         }
 
         // --- Phase 2: fan-out over surviving shards. ----------------------
-        attempted += fan_out.len();
-        let collected: Vec<ShardOutcome> = if let Some(Err(spent)) = budget.map(QueryBudget::check)
+        if let (Some(&first), Some(Err(spent))) = (fan_out.first(), budget.map(QueryBudget::check))
         {
-            // Spent or cancelled before the fan-out (an expired seed probe
-            // leaves no floor, so nothing was pruned): every shard still to
-            // search fails with that kind here — none is searched to find it
-            // out on its first tick.
-            fan_out
-                .iter()
-                .map(|&si| {
-                    let span = ShardSpan {
-                        shard: si,
-                        failed: true,
-                        ..ShardSpan::default()
-                    };
-                    (span, Err(classify_shard_error(si, spent.into())))
-                })
-                .collect()
-        } else {
-            // One worker loop hands out `fan_out` in ascending shard order,
-            // run here and, when it is free, on the sweep helper. A failure
-            // under fail-fast ends the hand-out: every lower shard is already
-            // taken, so the lowest failing shard is always among the
-            // outcomes and the reported error is the same for any schedule.
-            let next = AtomicUsize::new(0);
-            let worker = || {
-                let mut local: Vec<ShardOutcome> = Vec::new();
-                while let Some(&si) = fan_out.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    let outcome = search_one(si, kth_floor);
-                    if outcome.1.is_err() && policy == DegradationPolicy::FailFast {
-                        next.store(fan_out.len(), Ordering::Relaxed);
-                    }
-                    local.push(outcome);
+            // Spent or cancelled before the fan-out: the query fails with
+            // that kind here — no shard is searched to find it out on its
+            // first tick.
+            return Err(fail_query(classify_shard_error(first, spent.into())));
+        }
+        // One worker loop hands out `fan_out` in ascending shard order, run
+        // here and, when it is free, on the sweep helper. A failure ends
+        // the hand-out: every lower shard is already taken, so the lowest
+        // failing shard is always among the outcomes and the reported error
+        // is the same for any schedule.
+        let next = AtomicUsize::new(0);
+        let worker = || {
+            let mut local: Vec<ShardOutcome> = Vec::new();
+            while let Some(&si) = fan_out.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let outcome = search_one(si, kth_floor);
+                if outcome.1.is_err() {
+                    next.store(fan_out.len(), Ordering::Relaxed);
                 }
-                local
-            };
-            // `search_one` catches panics: the helper's side never unwinds.
-            let helpers = Mutex::new(Vec::new());
-            let theirs = || {
-                *helpers.lock() = worker();
-                Ok(())
-            };
-            // A lone shard leaves the helper to its own split sweep.
-            let joined = (!serial && fan_out.len() > 1).then(|| sweep::join(&theirs, worker));
-            let mut mine = match joined.flatten() {
-                Some((mine, _)) => mine,
-                None => worker(), // the helper is absent or owned
-            };
-            mine.append(&mut helpers.into_inner());
-            mine
+                local.push(outcome);
+            }
+            local
         };
+        // `search_one` catches panics: the helper's side never unwinds.
+        let helpers = Mutex::new(Vec::new());
+        let theirs = || {
+            *helpers.lock() = worker();
+            Ok(())
+        };
+        // A lone shard leaves the helper to its own split sweep.
+        let joined = (!serial && fan_out.len() > 1).then(|| sweep::join(&theirs, worker));
+        let mut collected = match joined.flatten() {
+            Some((mine, _)) => mine,
+            None => worker(), // the helper is absent or owned
+        };
+        collected.append(&mut helpers.into_inner());
+        let mut failures = Vec::new();
         for (span, res) in collected {
             let si = span.shard;
             spans[si] = span;
@@ -539,33 +463,10 @@ impl ShardedProMips {
                 Err(se) => failures.push(se),
             }
         }
-
-        // --- Degradation decision. ------------------------------------------
-        let mut degraded = false;
-        if !failures.is_empty() {
-            // The two threads finish in scheduling order; the lowest shard
-            // index is what is reported.
-            failures.sort_by_key(|e| e.shard);
-            if policy == DegradationPolicy::FailFast || failures.len() == attempted {
-                // Fail-fast, or nothing survived to merge — degrading to an
-                // empty answer would hide a total outage.
-                return Err(fail_query(failures.swap_remove(0)));
-            }
-            degraded = true;
-            let reg = obs::global();
-            reg.counter(CounterId::PartialResults).inc();
-            if failures
-                .iter()
-                .any(|e| matches!(e.kind, ShardErrorKind::DeadlineExceeded))
-            {
-                reg.counter(CounterId::DeadlinesExceeded).inc();
-            }
-            if failures
-                .iter()
-                .any(|e| matches!(e.kind, ShardErrorKind::Cancelled))
-            {
-                reg.counter(CounterId::QueriesCancelled).inc();
-            }
+        // The two threads finish in scheduling order; the lowest failing
+        // shard is what is reported.
+        if let Some(se) = failures.into_iter().min_by_key(|e| e.shard) {
+            return Err(fail_query(se));
         }
 
         // --- Merge: one global top-k over every contributed item. ---------
@@ -581,16 +482,14 @@ impl ShardedProMips {
         // the shards ran.
         let reg = obs::global();
         reg.counter(CounterId::Queries).inc();
-        let answered = |s: &&ShardSpan| !s.pruned && !s.failed;
+        let pruned = spans.iter().filter(|s| s.pruned).count();
         reg.counter(CounterId::ShardsSearched)
-            .add(spans.iter().filter(answered).count() as u64);
-        reg.counter(CounterId::ShardsPruned)
-            .add(spans.iter().filter(|s| s.pruned).count() as u64);
+            .add((ns - pruned) as u64);
+        reg.counter(CounterId::ShardsPruned).add(pruned as u64);
         let result = ShardedSearchResult {
             items: merged.into_items(),
             verified: spans.iter().map(|s| s.verified as usize).sum(),
             screened: spans.iter().map(|s| s.screened as usize).sum(),
-            degraded,
         };
         if let Some(trace) = &mut trace {
             trace.merge_ns = merge_ns;
@@ -703,48 +602,18 @@ mod tests {
     use promips_linalg::Matrix;
     use promips_stats::Xoshiro256pp;
 
-    fn tiny_index(max_in_flight: usize) -> ShardedProMips {
+    fn tiny_index() -> ShardedProMips {
         let mut rng = Xoshiro256pp::seed_from_u64(5);
         let data = Matrix::from_rows(
             8,
             (0..64).map(|_| (0..8).map(|_| rng.normal() as f32).collect::<Vec<f32>>()),
         );
-        ShardedProMips::build_in_memory(
-            &data,
-            ShardedConfig::builder()
-                .shards(2)
-                .max_in_flight(max_in_flight)
-                .build(),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn admission_sheds_at_the_limit_and_recovers() {
-        let idx = tiny_index(2);
-        let a = idx.admit().unwrap();
-        let b = idx.admit().unwrap();
-        match idx.admit() {
-            Err(QueryError::Overloaded { in_flight, limit }) => {
-                assert_eq!(in_flight, 2);
-                assert_eq!(limit, 2);
-            }
-            Ok(_) => panic!("expected Overloaded, got an admission"),
-            Err(other) => panic!("expected Overloaded, got {other:?}"),
-        }
-        // A shed attempt must not leak a slot: the gauge still reads 2.
-        assert_eq!(idx.in_flight.load(Ordering::Acquire), 2);
-        drop(a);
-        let c = idx.admit().expect("slot freed by drop");
-        drop(b);
-        drop(c);
-        assert_eq!(idx.in_flight.load(Ordering::Acquire), 0);
+        ShardedProMips::build_in_memory(&data, ShardedConfig::builder().shards(2).build()).unwrap()
     }
 
     /// A query with a NaN or infinite coordinate would make every screen
     /// bound and every score NaN; it is refused before any shard is touched
-    /// — one holding an index or one holding none — and its admission slot
-    /// returned.
+    /// — one holding an index or one holding none.
     #[test]
     fn a_non_finite_query_is_refused_on_indexed_and_index_less_shards() {
         let mut rng = Xoshiro256pp::seed_from_u64(6);
@@ -766,33 +635,15 @@ mod tests {
                 assert!(matches!(err, QueryError::InvalidInput(_)), "{bad}: {err:?}");
                 let err = idx.search(&q, 5).unwrap_err();
                 assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{bad}");
-                assert_eq!(idx.in_flight.load(Ordering::Acquire), 0);
             }
             assert_eq!(idx.search(&[0.5; 8], 5).unwrap().items.len(), n.min(5));
         }
     }
 
     #[test]
-    fn search_succeeds_while_permits_are_held_below_the_limit() {
-        let idx = tiny_index(2);
-        let _held = idx.admit().unwrap();
-        let q: Vec<f32> = (0..8).map(|i| (i as f32).sin()).collect();
-        let res = idx.search(&q, 3).unwrap();
-        assert_eq!(res.items.len(), 3);
-        // And at the limit the search itself is shed with a typed error.
-        let _held2 = idx.admit().unwrap();
-        let scratch = ShardedScratch::for_index(&idx);
-        let err = idx.execute(ShardedQuery::new(&q, 3), &scratch).unwrap_err();
-        assert!(matches!(err, QueryError::Overloaded { .. }));
-        // The io::Result entry points surface the shed as WouldBlock.
-        let ioerr = idx.search(&q, 3).unwrap_err();
-        assert_eq!(ioerr.kind(), io::ErrorKind::WouldBlock);
-    }
-
-    #[test]
     #[should_panic(expected = "scratch sized for 3 shards, index has 2")]
     fn execute_rejects_a_scratch_set_sized_for_another_index() {
-        let idx = tiny_index(0);
+        let idx = tiny_index();
         let q = [0.5f32; 8];
         let _ = idx.execute(ShardedQuery::new(&q, 3), &ShardedScratch::new(3));
     }
@@ -800,15 +651,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "query dimensionality mismatch")]
     fn execute_rejects_a_query_of_the_wrong_dimension() {
-        let idx = tiny_index(0);
+        let idx = tiny_index();
         let _ = idx.search(&[0.5f32; 7], 3);
-    }
-
-    #[test]
-    fn unlimited_admission_never_sheds() {
-        let idx = tiny_index(0);
-        let permits: Vec<_> = (0..64).map(|_| idx.admit().unwrap()).collect();
-        drop(permits);
-        assert_eq!(idx.in_flight.load(Ordering::Acquire), 0);
     }
 }

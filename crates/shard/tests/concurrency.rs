@@ -1,5 +1,5 @@
 //! Concurrency and fault-injection torture for the MVCC-lite sharded
-//! index: queries racing writers and the background compactor must keep
+//! index: queries racing writers and a background compaction loop must keep
 //! every isolation invariant, and an injected IO failure at **any** step
 //! of the compaction commit protocol must leave the index consistent,
 //! reopenable, and missing no acknowledged write.
@@ -8,8 +8,9 @@
 //! reader threads) — the CI stress job runs that configuration.
 
 use std::collections::BTreeSet;
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use promips_core::ProMipsConfig;
@@ -45,6 +46,20 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// The background compaction loop a caller runs on a thread of its own:
+/// [`ShardedProMips::compact`] every `interval` until `stop` is set.
+/// Returns the last error a pass hit (a failed pass does not end the loop).
+fn compact_until(idx: &ShardedProMips, stop: &AtomicBool, interval: Duration) -> Option<io::Error> {
+    let mut last_err = None;
+    while !stop.load(Ordering::Acquire) {
+        if let Err(e) = idx.compact() {
+            last_err = Some(e);
+        }
+        std::thread::sleep(interval);
+    }
+    last_err
+}
+
 fn stress() -> bool {
     std::env::var("PROMIPS_STRESS").is_ok_and(|v| !v.is_empty() && v != "0")
 }
@@ -56,8 +71,8 @@ fn stress() -> bool {
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 /// The torture test: reader threads running full-time queries against an
-/// index being mutated by a writer thread while the background compactor
-/// folds generations underneath them all.
+/// index being mutated by a writer thread while a compaction loop on a
+/// thread of its own folds generations underneath them all.
 ///
 /// Invariants checked on every single query, mid-churn:
 /// * results are sorted by inner product, global ids unique;
@@ -70,7 +85,7 @@ static FAULT_LOCK: Mutex<()> = Mutex::new(());
 ///
 /// Afterwards: liveness bookkeeping matches the writer's ledger exactly,
 /// and a drop + reopen (WAL replay over whatever generation mix the
-/// compactor left) reproduces the same live id set.
+/// compaction loop left) reproduces the same live id set.
 #[test]
 fn torture_queries_race_mutations_and_background_compaction() {
     let d = 10;
@@ -107,12 +122,12 @@ fn torture_queries_race_mutations_and_background_compaction() {
         })
         .base(ProMipsConfig::builder().seed(7).build())
         .build();
-    let idx = Arc::new(ShardedProMips::build_in_dir(&data, cfg, &dir).unwrap());
-    let compactor = idx.start_compactor(Duration::from_millis(3)).unwrap();
+    let idx = ShardedProMips::build_in_dir(&data, cfg, &dir).unwrap();
 
     let stop = AtomicBool::new(false);
     let scratch = ShardedScratch::for_index(&idx);
-    let live = std::thread::scope(|s| {
+    let (live, compact_err) = std::thread::scope(|s| {
+        let compactor = s.spawn(|| compact_until(&idx, &stop, Duration::from_millis(3)));
         // Readers: hammer queries until the writer finishes.
         for r in 0..n_readers {
             let idx = &idx;
@@ -190,13 +205,10 @@ fn torture_queries_race_mutations_and_background_compaction() {
             live.insert(gid);
         }
         stop.store(true, Ordering::Release);
-        live
+        (live, compactor.join().unwrap())
     });
 
-    assert!(
-        compactor.stop().is_none(),
-        "background compactor hit an IO error"
-    );
+    assert!(compact_err.is_none(), "the compaction loop hit an IO error");
     idx.sync_wal().unwrap();
     assert_eq!(idx.len(), live.len() as u64, "liveness ledger diverged");
     let gens: Vec<u64> = idx
@@ -206,7 +218,7 @@ fn torture_queries_race_mutations_and_background_compaction() {
         .collect();
     assert!(
         gens.iter().any(|&g| g > 0),
-        "the background compactor never folded anything: {gens:?}"
+        "the compaction loop never folded anything: {gens:?}"
     );
 
     // The quiesced live id set matches the ledger exactly.
@@ -217,7 +229,7 @@ fn torture_queries_race_mutations_and_background_compaction() {
     assert_eq!(got, live, "live id set diverged from the writer's ledger");
 
     // Crash-reopen: every acknowledged mutation survives the WAL + the
-    // compactor's generation mix.
+    // compaction loop's generation mix.
     drop(all);
     drop(idx);
     let reopened = ShardedProMips::open(&dir).unwrap();
@@ -233,8 +245,8 @@ fn torture_queries_race_mutations_and_background_compaction() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The background compactor alone (no foreground compact calls) must
-/// drain accumulated mutation debt to zero once writers go quiet.
+/// A compaction loop alone, on a thread of its own, drains accumulated
+/// mutation debt to zero once writers go quiet.
 #[test]
 fn background_compactor_drains_debt_when_quiescent() {
     let d = 8;
@@ -250,7 +262,7 @@ fn background_compactor_drains_debt_when_quiescent() {
         })
         .base(ProMipsConfig::builder().seed(53).build())
         .build();
-    let idx = Arc::new(ShardedProMips::build_in_dir(&data, cfg, &dir).unwrap());
+    let idx = ShardedProMips::build_in_dir(&data, cfg, &dir).unwrap();
     for v in random_rows(60, d, 57, 1.0) {
         idx.insert(&v).unwrap();
     }
@@ -259,17 +271,18 @@ fn background_compactor_drains_debt_when_quiescent() {
     }
     assert!(idx.pending_mutations() > 0);
 
-    let compactor = idx.start_compactor(Duration::from_millis(2)).unwrap();
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while idx.pending_mutations() > 0 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "compactor failed to drain {} pending mutations",
-            idx.pending_mutations()
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(compactor.stop().is_none());
+    let stop = AtomicBool::new(false);
+    let compact_err = std::thread::scope(|s| {
+        let compactor = s.spawn(|| compact_until(&idx, &stop, Duration::from_millis(2)));
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while idx.pending_mutations() > 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        stop.store(true, Ordering::Release);
+        compactor.join().unwrap()
+    });
+    assert!(compact_err.is_none());
+    assert_eq!(idx.pending_mutations(), 0, "the loop left debt behind");
     assert_eq!(idx.len(), 200 + 60 - 40);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -561,17 +574,16 @@ fn fault_on_repartition_manifest_swap_aborts_wholesale() {
     rig.assert_intact_and_reopenable();
 }
 
-/// Degraded-mode torture: readers hammer a `BestEffort` index whose page
-/// reads fail *probabilistically* (a recurring seeded plan, ~5% of reads)
-/// while a writer mutates underneath. No query may panic; every Ok answer
-/// — degraded or not — keeps the isolation invariants; every Err is the
-/// injected fault, typed, never a torn result. Afterwards (faults
-/// disarmed) the acknowledged-write ledger must hold exactly, live and
-/// across a reopen.
+/// Fault torture: readers hammer an index whose page reads fail
+/// *probabilistically* (a recurring seeded plan, 1 % of reads) while a
+/// writer mutates underneath. No query may panic; every Ok answer keeps the
+/// isolation invariants; every Err is a typed `ShardError` carrying the
+/// injected fault, never a torn result. Afterwards (faults disarmed) the
+/// acknowledged-write ledger must hold exactly, live and across a reopen.
 #[test]
-fn torture_best_effort_queries_survive_probabilistic_read_faults() {
+fn torture_fail_fast_queries_survive_probabilistic_read_faults() {
     let _serial = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    use promips_shard::DegradationPolicy;
+    use promips_shard::ShardErrorKind;
 
     let d = 10;
     // Enough committed pages per shard that the tiny pool below keeps
@@ -598,11 +610,10 @@ fn torture_best_effort_queries_survive_probabilistic_read_faults() {
     // dodges its fault chance, which is fine.
     let cfg = ShardedConfig::builder()
         .shards(3)
-        .degradation(DegradationPolicy::BestEffort)
         .wal_sync(SyncPolicy::EveryN(16))
         .base(ProMipsConfig::builder().seed(17).pool_pages(4).build())
         .build();
-    let idx = Arc::new(ShardedProMips::build_in_dir(&data, cfg, &dir).unwrap());
+    let idx = ShardedProMips::build_in_dir(&data, cfg, &dir).unwrap();
     // Cold cache + a probabilistic read fault on THIS test's pages only.
     idx.clear_cache();
     faults::arm_with(
@@ -620,7 +631,7 @@ fn torture_best_effort_queries_survive_probabilistic_read_faults() {
 
     let stop = AtomicBool::new(false);
     let scratch = ShardedScratch::for_index(&idx);
-    let (live, degraded_seen, refused_seen) = std::thread::scope(|s| {
+    let (live, answered_seen, refused_seen) = std::thread::scope(|s| {
         let mut readers = Vec::new();
         for r in 0..n_readers {
             let idx = &idx;
@@ -628,12 +639,12 @@ fn torture_best_effort_queries_survive_probabilistic_read_faults() {
             let scratch = &scratch;
             readers.push(s.spawn(move || {
                 let mut rng = Xoshiro256pp::seed_from_u64(200 + r as u64);
-                let (mut degraded, mut refused) = (0u64, 0u64);
+                let (mut answered, mut refused) = (0u64, 0u64);
                 while !stop.load(Ordering::Acquire) {
                     let q: Vec<f32> = (0..d).map(|_| rng.normal() as f32).collect();
                     match run(idx, &q, 10, scratch) {
                         Ok(res) => {
-                            degraded += u64::from(res.degraded);
+                            answered += 1;
                             let q_norm = sq_norm2(&q).sqrt();
                             let mut seen = BTreeSet::new();
                             for w in res.items.windows(2) {
@@ -648,17 +659,20 @@ fn torture_best_effort_queries_survive_probabilistic_read_faults() {
                                 );
                             }
                         }
-                        // Every shard the query needed failed: the typed
-                        // refusal must carry the injected marker — never
-                        // a panic, never a fabricated answer.
-                        Err(e) => {
-                            let e = std::io::Error::from(e);
-                            assert!(faults::is_injected(&e), "unexpected error: {e}");
+                        // A shard the query searched failed: the typed
+                        // refusal names it and carries the injected marker —
+                        // never a panic, never a fabricated answer.
+                        Err(QueryError::Shard(se)) => {
+                            let ShardErrorKind::Io(e) = &se.kind else {
+                                panic!("unexpected shard error: {se}");
+                            };
+                            assert!(faults::is_injected(e), "unexpected error: {e}");
                             refused += 1;
                         }
+                        Err(other) => panic!("unexpected error: {other}"),
                     }
                 }
-                (degraded, refused)
+                (answered, refused)
             }));
         }
 
@@ -678,16 +692,16 @@ fn torture_best_effort_queries_survive_probabilistic_read_faults() {
             }
         }
         stop.store(true, Ordering::Release);
-        let (mut degraded, mut refused) = (0u64, 0u64);
+        let (mut answered, mut refused) = (0u64, 0u64);
         for h in readers {
-            let (dg, rf) = h.join().unwrap();
-            degraded += dg;
+            let (an, rf) = h.join().unwrap();
+            answered += an;
             refused += rf;
         }
-        (live, degraded, refused)
+        (live, answered, refused)
     });
     faults::disarm();
-    println!("fault torture: {degraded_seen} degraded answers, {refused_seen} typed refusals");
+    println!("fault torture: {answered_seen} answers, {refused_seen} typed refusals");
 
     // Faults off: the acknowledged ledger holds exactly, live and across
     // a crash-reopen.

@@ -9,7 +9,6 @@
 
 use super::*;
 use promips_core::{ProMips, ProMipsConfig};
-use promips_obs::QueryTrace;
 
 #[path = "../common/mod.rs"]
 mod common;
@@ -294,44 +293,12 @@ fn more_shards_than_points_leaves_empties_searchable() {
     assert_eq!(res.ids(), exact_ids(&data, &q, 3));
 }
 
-/// Checks that `trace` is the whole per-shard account of `res`: one span
-/// per shard, summing to the result's verified and screened counts;
-/// every shard searched, pruned or failed, exactly one of the three; and
-/// the result degraded exactly when a span failed.
-fn assert_spans_account_for(res: &ShardedSearchResult, trace: &QueryTrace, shards: usize) {
-    assert_eq!(trace.shards.len(), shards);
-    let sum = |f: fn(&promips_obs::ShardSpan) -> u64| trace.shards.iter().map(f).sum::<u64>();
-    assert_eq!(sum(|s| s.verified), res.verified as u64);
-    assert_eq!(sum(|s| s.screened), res.screened as u64);
-    for s in &trace.shards {
-        assert!(
-            !(s.pruned && s.failed),
-            "shard {} pruned and failed",
-            s.shard
-        );
-        if s.pruned {
-            assert_eq!((s.scanned, s.screened, s.verified), (0, 0, 0));
-        }
-    }
-    let (searched, pruned, failed) = (
-        trace.shards_searched(),
-        trace.shards_pruned(),
-        trace.shards_failed(),
-    );
-    assert_eq!(searched + pruned + failed, shards);
-    assert_eq!(res.degraded, failed > 0);
-}
-
-/// The trace's spans account for every shard and for the result, in a
-/// healthy query, a best-effort query whose seed shard's reads all fail,
-/// and a best-effort query whose budget runs out between the seed probe
-/// and the fan-out.
+/// The trace's spans account for every shard and for the result: one span
+/// per shard, summing to the result's verified and screened counts, and
+/// every shard searched or pruned — a pruned one having done nothing.
 #[test]
 fn trace_spans_account_for_every_shard_and_the_result() {
-    use promips_storage::durability::faults::{self, FaultPlan, IoOp, Recurrence};
-    use std::time::Duration;
-
-    // Healthy, on norm-skewed rows so that shards are pruned too.
+    // Norm-skewed rows, so that shards are pruned too.
     let data = promips_data::gen::norm_skewed(1000, 16, 91);
     let idx =
         ShardedProMips::build_in_memory(&data, ShardedConfig::builder().shards(4).build()).unwrap();
@@ -344,121 +311,17 @@ fn trace_spans_account_for_every_shard_and_the_result() {
         };
         let (res, trace) = idx.execute(traced, &scratch).unwrap();
         let trace = trace.unwrap();
-        assert_spans_account_for(&res, &trace, 4);
-        assert!(!res.degraded);
+        assert_eq!(trace.shards.len(), 4);
+        let sum = |f: fn(&promips_obs::ShardSpan) -> u64| trace.shards.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|s| s.verified), res.verified as u64);
+        assert_eq!(sum(|s| s.screened), res.screened as u64);
+        for s in trace.shards.iter().filter(|s| s.pruned) {
+            assert_eq!((s.scanned, s.screened, s.verified), (0, 0, 0));
+        }
+        assert_eq!(trace.shards_searched() + trace.shards_pruned(), 4);
         pruned += trace.shards_pruned();
     }
     assert!(pruned > 0, "no shard was pruned");
-
-    // Best effort, every read of the seed shard's file failing: the seed
-    // fails, so nothing is pruned and the other two shards answer.
-    let dir = std::env::temp_dir().join(format!("promips-spans-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cfg = ShardedConfig::builder()
-        .shards(3)
-        .degradation(DegradationPolicy::BestEffort)
-        .build();
-    drop(ShardedProMips::build_in_dir(&random_data(300, 8, 101), cfg, &dir).unwrap());
-    // Cold reopen (the pool holds no page; the manifest keeps the policy).
-    let idx = ShardedProMips::open(&dir).unwrap();
-    let scratch = ShardedScratch::for_index(&idx);
-    let q = random_queries(1, 8, 103).pop().unwrap();
-    let tag = dir.file_name().unwrap().to_string_lossy().into_owned();
-    faults::arm_with(
-        FaultPlan {
-            op: IoOp::Read,
-            nth: 1,
-            path_contains: Some(format!("{tag}/shard_0002")),
-        },
-        Recurrence::EveryNth(1),
-        std::io::ErrorKind::Other,
-    );
-    let traced = ShardedQuery {
-        traced: true,
-        ..ShardedQuery::new(&q, 10)
-    };
-    let out = idx.execute(traced, &scratch);
-    faults::disarm();
-    let (res, trace) = out.unwrap();
-    let trace = trace.unwrap();
-    assert_spans_account_for(&res, &trace, 3);
-    let seed = &trace.shards[2];
-    assert!(seed.seed && seed.failed && res.degraded);
-    assert_eq!(trace.shards_searched(), 2);
-    drop(idx);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Best effort, a deadline that the seed probe's one clock read sees
-    // unspent and the check before the fan-out sees spent: the seed holds
-    // one indexed row and 63 rows in its delta's open tail, scored after
-    // the delta's only clock read; `k` above its 64 rows leaves no floor,
-    // so shard 0 is left to the fan-out, which fails it without a search.
-    // Where the deadline falls is found by bisecting its length.
-    let d = 4096;
-    let mut rng = Xoshiro256pp::seed_from_u64(107);
-    let mut row = |scale: f64| {
-        (0..d)
-            .map(|_| (scale * rng.normal()) as f32)
-            .collect::<Vec<f32>>()
-    };
-    let data = Matrix::from_rows(d, [row(1.0), row(1.0)]);
-    let cfg = ShardedConfig::builder()
-        .shards(2)
-        .degradation(DegradationPolicy::BestEffort)
-        .build();
-    let idx = ShardedProMips::build_in_memory(&data, cfg).unwrap();
-    for _ in 0..63 {
-        idx.insert(&row(4.0)).unwrap();
-    }
-    assert_eq!(idx.maintenance_stats()[1].delta_len, 63);
-    let scratch = ShardedScratch::for_index(&idx);
-    let q = row(1.0);
-    // Deadline lengths known to fall inside the seed probe / after the
-    // fan-out started (or never to fire), bisected between.
-    let (mut early, mut late) = (0u64, u64::MAX);
-    let mut wait_ns = 100_000u64;
-    let mut spent_before_fan_out = false;
-    for _ in 0..400 {
-        let budget = QueryBudget::with_deadline(Duration::from_nanos(wait_ns));
-        let request = ShardedQuery {
-            serial: true,
-            budget: Some(&budget),
-            traced: true,
-            ..ShardedQuery::new(&q, 100)
-        };
-        match idx.execute(request, &scratch) {
-            Err(QueryError::DeadlineExceeded) => {
-                early = wait_ns;
-                if late <= early {
-                    late = u64::MAX;
-                }
-            }
-            Ok((res, trace)) => {
-                let trace = trace.unwrap();
-                assert_spans_account_for(&res, &trace, 2);
-                let fanned = &trace.shards[0];
-                if fanned.failed && fanned.elapsed_ns == 0 {
-                    assert_eq!((fanned.scanned, fanned.verified), (0, 0));
-                    assert_eq!(res.items.len(), 64);
-                    spent_before_fan_out = true;
-                    break;
-                }
-                late = wait_ns;
-                if early >= late {
-                    early = 0;
-                }
-            }
-            Err(other) => panic!("unexpected error {other:?}"),
-        }
-        wait_ns = match late {
-            u64::MAX => 2 * early.max(1_000),
-            _ => (early + late) / 2,
-        };
-    }
-    assert!(
-        spent_before_fan_out,
-        "no deadline fell between the seed and the fan-out"
-    );
 }
 
 /// A query reads no WAL: a writer holds a shard's log lock across its

@@ -16,8 +16,8 @@ use promips_core::ProMipsConfig;
 use promips_linalg::Matrix;
 use promips_obs::{self as obs, CounterId};
 use promips_shard::{
-    CompactionOutcome, DegradationPolicy, ShardedConfig, ShardedProMips, ShardedQuery,
-    ShardedScratch, SyncPolicy,
+    CompactionOutcome, QueryError, ShardedConfig, ShardedProMips, ShardedQuery, ShardedScratch,
+    SyncPolicy,
 };
 use promips_stats::Xoshiro256pp;
 use promips_storage::durability::faults::{self, FaultPlan, IoOp, Recurrence};
@@ -221,14 +221,11 @@ fn the_registry_books_the_pipeline() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A best-effort query degraded by an injected read fault returns a trace
-/// that flags the degradation first-class — `degraded`, the failed shard,
-/// both in `render()` — and the registry books the injected fault and the
-/// partial result that explain it. The failed shard's span keeps its wall
-/// time and whatever the core layer booked to the registry before the
-/// fault fired.
+/// A query failed by an injected read fault returns the typed error and no
+/// trace, and the registry books the fault and the failed query — not a
+/// served one.
 #[test]
-fn degraded_best_effort_query_is_flagged_in_its_trace() {
+fn a_failed_query_is_booked_in_the_registry() {
     let _guard = reg_lock();
     let d = 8;
     let data = Matrix::from_rows(d, random_rows(240, d, 61));
@@ -237,19 +234,16 @@ fn degraded_best_effort_query_is_flagged_in_its_trace() {
     let cfg = ShardedConfig::builder()
         .shards(3)
         .prune(false)
-        .degradation(DegradationPolicy::BestEffort)
         .base(ProMipsConfig::builder().seed(63).build())
         .build();
-    let dir = temp_dir("degraded-slow");
+    let dir = temp_dir("failed-query");
     let tag = dir.file_name().unwrap().to_string_lossy().into_owned();
     drop(ShardedProMips::build_in_dir(&data, cfg, &dir).unwrap());
 
-    // Cold reopen (the manifest keeps the policy), then every page read of
-    // shard 0 fails.
+    // Cold reopen, then every page read of shard 0 fails.
     let idx = ShardedProMips::open(&dir).unwrap();
     let scratch = ShardedScratch::for_index(&idx);
     let q = &random_rows(1, d, 67)[0];
-
     faults::arm_with(
         FaultPlan {
             op: IoOp::Read,
@@ -260,44 +254,18 @@ fn degraded_best_effort_query_is_flagged_in_its_trace() {
         io::ErrorKind::Other,
     );
     let before = obs::global().snapshot();
-    let (res, trace) = idx.search_traced_threaded(q, 10, 1, &scratch).unwrap();
+    let traced = ShardedQuery {
+        traced: true,
+        ..ShardedQuery::new(q, 10)
+    };
+    let out = idx.execute(traced, &scratch);
     faults::disarm();
     let booked = obs::global().snapshot().saturating_diff(&before);
 
-    assert!(res.degraded, "the injected fault must degrade the query");
-    let failed = &trace.shards[0];
-    assert!(
-        failed.failed && trace.shards_failed() == 1,
-        "the trace names it"
-    );
-    assert!(failed.elapsed_ns > 0, "a failed shard still took wall time");
-    assert!(trace.coverage() > 0.0);
-    // Every searched shard — the failed one included — booked its row
-    // counts, and the spans carry exactly those.
-    let sum = |f: &dyn Fn(&obs::ShardSpan) -> u64| trace.shards.iter().map(f).sum::<u64>();
-    assert_eq!(booked.counter(CounterId::QueryScanned), sum(&|s| s.scanned));
-    assert_eq!(
-        booked.counter(CounterId::QueryScreened),
-        sum(&|s| s.screened)
-    );
-    assert_eq!(
-        booked.counter(CounterId::QueryVerified),
-        sum(&|s| s.verified)
-    );
-    assert_eq!(res.verified as u64, sum(&|s| s.verified));
-
+    assert!(matches!(&out, Err(QueryError::Shard(se)) if se.shard == 0));
     assert!(booked.counter(CounterId::IoFaultsInjected) >= 1);
-    assert_eq!(booked.counter(CounterId::PartialResults), 1);
-    let text = trace.render();
-    assert!(
-        text.contains(" DEGRADED"),
-        "render must flag the degradation:\n{text}"
-    );
-    assert!(
-        text.contains("FAILED (excluded from merge)"),
-        "render must flag the failed shard:\n{text}"
-    );
-
+    assert_eq!(booked.counter(CounterId::QueryFailures), 1);
+    assert_eq!(booked.counter(CounterId::Queries), 0);
     drop(idx);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -29,6 +29,13 @@ fn random_queries(nq: usize, d: usize, seed: u64) -> Vec<Vec<f32>> {
         .collect()
 }
 
+/// Rewrites the manifest's trailing CRC32 over the bytes before it, so a
+/// deliberately edited word reaches the decoder behind the checksum.
+fn reseal(manifest: &mut [u8]) {
+    let (body, crc) = manifest.split_at_mut(manifest.len() - 4);
+    crc.copy_from_slice(&promips_wal::crc32(body).to_le_bytes());
+}
+
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("promips-shard-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -77,7 +84,6 @@ fn snapshot_reload_is_bit_identical() {
     assert_eq!(reopened.len(), 1100);
     assert_eq!(reopened.shard_count(), 4);
     assert_eq!(reopened.shard_points(), points_before);
-    assert_eq!(reopened.partitioner_name(), "norm-range");
     assert_eq!(ledger(&reopened), ledger_before);
 
     for (q, b) in queries.iter().zip(&before) {
@@ -213,10 +219,11 @@ fn open_rejects_a_shard_coded_under_another_basis() {
     let path = dir.join("MANIFEST.pms");
     let mut manifest = std::fs::read(&path).unwrap();
     let word = |buf: &[u8], at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
-    let flag_at = 28 * 8 + word(&manifest, 27 * 8) as usize;
+    let flag_at = 24 * 8;
     assert_eq!(word(&manifest, flag_at), 1, "the manifest records a basis");
     let first_float = flag_at + 8 + 12;
     manifest[first_float] ^= 1;
+    reseal(&mut manifest);
     std::fs::write(&path, &manifest).unwrap();
     let err = match ShardedProMips::open(&dir) {
         Ok(_) => panic!("a manifest of another basis was accepted"),
@@ -384,7 +391,7 @@ fn open_rejects_truncated_manifest() {
 
 /// Snapshots a small 2-shard index of d = 8, overwrites manifest word
 /// `word` (little-endian 8-byte words: magic, version, shards, d, points,
-/// prune, partitioner tag, c, p, m, …) with `value`, and returns what
+/// prune, c, p, m, …) with `value`, reseals the checksum, and returns what
 /// `open` makes of it.
 fn open_with_manifest_word(tag: &str, word: usize, value: u64) -> std::io::Error {
     let dir = temp_dir(tag);
@@ -395,6 +402,7 @@ fn open_with_manifest_word(tag: &str, word: usize, value: u64) -> std::io::Error
     let path = dir.join("MANIFEST.pms");
     let mut manifest = std::fs::read(&path).unwrap();
     manifest[word * 8..word * 8 + 8].copy_from_slice(&value.to_le_bytes());
+    reseal(&mut manifest);
     std::fs::write(&path, &manifest).unwrap();
     let err = match ShardedProMips::open(&dir) {
         Ok(_) => panic!("manifest word {word} = {value} was accepted"),
@@ -404,30 +412,15 @@ fn open_with_manifest_word(tag: &str, word: usize, value: u64) -> std::io::Error
     err
 }
 
-/// The partitioner tag is checked, not guessed: 1 (the deleted hash
-/// spread) and a tag nobody ever wrote are both refused by name instead of
-/// being opened as norm-range shards, whose pruning bound their rows would
-/// not obey.
-#[test]
-fn open_rejects_an_unknown_partitioner_tag() {
-    for tag in [1u64, 7] {
-        let err = open_with_manifest_word(&format!("tag{tag}"), 6, tag);
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-        assert!(
-            err.to_string().contains(&format!("partitioner tag {tag}")),
-            "{err}"
-        );
-    }
-}
-
 /// Version 2 (an exact-scan threshold word and a per-shard kind word, with
 /// `.exact` row blobs beside the page files), version 3 (a cross-shard
 /// floor word after `prune`), version 4 (no iDistance, compaction,
-/// degradation or admission words) and version 5 (no head basis: each
-/// shard estimated its own) are no longer read.
+/// degradation or admission words), version 5 (no head basis: each
+/// shard estimated its own) and version 6 (a partitioner tag and name,
+/// degradation and admission words, no checksum) are no longer read.
 #[test]
 fn open_rejects_manifest_version_2() {
-    for version in [2u64, 3, 4, 5] {
+    for version in [2u64, 3, 4, 5, 6] {
         let err = open_with_manifest_word(&format!("v{version}"), 1, version);
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
         assert!(
@@ -446,12 +439,11 @@ fn open_rejects_a_header_outside_the_config_domain() {
     let cases = [
         ("shards0", 2, 0, "shards must be in"),
         ("shards-many", 2, 65_537, "shards must be in"),
-        ("c1", 7, 1.0f64.to_bits(), "c must be in"),
-        ("cnan", 7, f64::NAN.to_bits(), "c must be in"),
-        ("p0", 8, 0.0f64.to_bits(), "p must be in"),
-        ("m0", 9, 0, "m must be in"),
-        ("m65", 9, 65, "m must be in"),
-        ("degradation2", 25, 2, "unknown degradation policy 2"),
+        ("c1", 6, 1.0f64.to_bits(), "c must be in"),
+        ("cnan", 6, f64::NAN.to_bits(), "c must be in"),
+        ("p0", 7, 0.0f64.to_bits(), "p must be in"),
+        ("m0", 8, 0, "m must be in"),
+        ("m65", 8, 65, "m must be in"),
     ];
     for (tag, word, value, says) in cases {
         let err = open_with_manifest_word(tag, word, value);
@@ -467,6 +459,65 @@ fn open_rejects_a_shard_of_another_dimensionality() {
     let err = open_with_manifest_word("d9", 3, 9);
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     assert!(err.to_string().contains("of d = 8, manifest says"), "{err}");
+}
+
+/// One flipped byte anywhere in the manifest — XOR 0xFF, 0x01 or 0x80,
+/// checksum bytes included — is refused as `InvalidData`, never opened as
+/// a different index (another id or norm bound) that then answers.
+#[test]
+fn open_rejects_every_flipped_manifest_byte() {
+    let dir = temp_dir("flips");
+    let data = random_data(200, 8, 63);
+    drop(
+        ShardedProMips::build_in_dir(&data, ShardedConfig::builder().shards(2).build(), &dir)
+            .unwrap(),
+    );
+    let path = dir.join("MANIFEST.pms");
+    let manifest = std::fs::read(&path).unwrap();
+    for at in 0..manifest.len() {
+        for mask in [0xFFu8, 0x01, 0x80] {
+            let mut flipped = manifest.clone();
+            flipped[at] ^= mask;
+            std::fs::write(&path, &flipped).unwrap();
+            match ShardedProMips::open(&dir) {
+                Ok(_) => panic!("byte {at} ^ {mask:#04x} opened"),
+                Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{at}: {e}"),
+            }
+        }
+    }
+    std::fs::write(&path, &manifest).unwrap();
+    assert!(ShardedProMips::open(&dir).is_ok());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A shard count of `u64::MAX` under a valid checksum is `InvalidData`,
+/// not an overflow in the bound check on its ids (a panic in a debug
+/// build, a `capacity overflow` panic in a release one). The count is the
+/// word 24 bytes before shard 0's id list.
+#[test]
+fn open_rejects_a_wild_shard_count() {
+    let dir = temp_dir("wild-count");
+    let data = random_data(200, 8, 65);
+    let built =
+        ShardedProMips::build_in_dir(&data, ShardedConfig::builder().shards(2).build(), &dir)
+            .unwrap();
+    let ids: Vec<u8> = (built.shards()[0].global_ids().iter())
+        .flat_map(|id| id.to_le_bytes())
+        .collect();
+    drop(built);
+    let path = dir.join("MANIFEST.pms");
+    let mut manifest = std::fs::read(&path).unwrap();
+    let at = manifest.windows(ids.len()).position(|w| w == ids).unwrap() - 24;
+    assert_eq!(manifest[at..at + 8], (ids.len() as u64 / 8).to_le_bytes());
+    manifest[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    reseal(&mut manifest);
+    std::fs::write(&path, &manifest).unwrap();
+    let err = match ShardedProMips::open(&dir) {
+        Ok(_) => panic!("a shard count of u64::MAX was accepted"),
+        Err(e) => e,
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -509,8 +560,6 @@ fn reopen_keeps_the_build_config() {
             min_mutations: 3,
             repartition_skew: f64::INFINITY,
         })
-        .degradation(promips_shard::DegradationPolicy::BestEffort)
-        .max_in_flight(5)
         .base(
             ProMipsConfig::builder()
                 .m(5)

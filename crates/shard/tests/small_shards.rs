@@ -106,16 +106,14 @@ fn check(
 }
 
 /// Each shard's committed count as the manifest records it (format
-/// version 6: 28 header words, the partitioner name, the head-basis flag
-/// word and the basis if it is 1 — `h: u32`, `δ: f32`, `h·d: u32` and the
-/// `h·d` floats — then per shard count, norm bound, generation and the
-/// count's ids).
+/// version 7: 24 header words, the head-basis flag word and the basis if it
+/// is 1 — `h: u32`, `δ: f32`, `h·d: u32` and the `h·d` floats — then per
+/// shard count, norm bound, generation and the count's ids, and a CRC32).
 fn manifest_counts(dir: &Path) -> Vec<u64> {
     let buf = std::fs::read(dir.join("MANIFEST.pms")).unwrap();
     let word = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
-    assert_eq!(word(8), 6, "manifest version");
-    let mut pos = 28 * 8 + word(27 * 8) as usize;
-    pos += 8;
+    assert_eq!(word(8), 7, "manifest version");
+    let mut pos = 24 * 8 + 8;
     if word(pos - 8) == 1 {
         let len = u32::from_le_bytes(buf[pos + 8..pos + 12].try_into().unwrap());
         pos += 12 + 4 * len as usize;

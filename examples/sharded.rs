@@ -39,10 +39,9 @@ fn main() {
     let cfg = ShardedConfig::builder().shards(4).base(base).build();
     let sharded = ShardedProMips::build_in_memory(&data, cfg).expect("sharded build");
     println!(
-        "sharded index: {} shards with {:?} points, partitioner = {}",
+        "sharded index: {} norm-range shards with {:?} points",
         sharded.shard_count(),
-        sharded.shard_points(),
-        sharded.partitioner_name()
+        sharded.shard_points()
     );
 
     // 3. Fan-out search vs single-index search, recall measured against
