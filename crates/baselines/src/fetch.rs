@@ -9,6 +9,7 @@ use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
 
+use promips_idistance::layout::enc;
 use promips_storage::{PageBuf, PageId, Pager};
 
 /// Fetches `rec_floats`-float records at the given record offsets from the
@@ -49,11 +50,7 @@ pub fn fetch_f32_records(
             bytes.extend_from_slice(&cache[&page_idx].as_slice()[in_page..in_page + take]);
             cursor += take;
         }
-        let mut v = Vec::with_capacity(rec_floats);
-        for chunk in bytes.chunks_exact(4) {
-            v.push(f32::from_le_bytes(chunk.try_into().unwrap()));
-        }
-        out.push(v);
+        out.push(enc::Reader::new(&bytes).f32s(rec_floats)?);
     }
     Ok(out)
 }
@@ -61,7 +58,7 @@ pub fn fetch_f32_records(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use promips_idistance::layout::{enc, write_blob};
+    use promips_idistance::layout::write_blob;
 
     #[test]
     fn fetches_correct_records() {

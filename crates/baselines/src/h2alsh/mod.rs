@@ -147,8 +147,7 @@ impl H2Alsh {
     fn fetch_orig(&self, subset: &Subset, local: u32) -> io::Result<Vec<f32>> {
         let rec = 4 * self.d;
         let bytes = read_blob_range(&self.pager, subset.orig_start, local as usize * rec, rec)?;
-        let mut pos = 0;
-        Ok(enc::get_f32s(&bytes, &mut pos, self.d))
+        enc::Reader::new(&bytes).f32s(self.d)
     }
 
     fn search_impl(&self, q: &[f32], k: usize) -> io::Result<Vec<Neighbor>> {
@@ -177,9 +176,9 @@ impl H2Alsh {
                     let rec = 4 * self.d;
                     let blob =
                         read_blob_range(&self.pager, subset.orig_start, 0, subset.ids.len() * rec)?;
-                    let mut pos = 0;
+                    let mut r = enc::Reader::new(&blob);
                     for &id in &subset.ids {
-                        let o = enc::get_f32s(&blob, &mut pos, self.d);
+                        let o = r.f32s(self.d)?;
                         push(&mut top, Neighbor { id, ip: dot(&o, q) });
                     }
                 }

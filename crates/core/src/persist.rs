@@ -16,10 +16,11 @@
 //! Nothing in the blob has one entry per row: its length is fixed by `m`,
 //! `d` and the number of non-empty sign codes (≤ 2^m) — about 15 KB at
 //! m = 7, d = 300. [`ProMips::open`] reads the last page, checks that the
-//! blob lies inside the file and is exactly as long as its own header says,
-//! opens the iDistance footer and reassembles the handle; anything that
-//! disagrees is `InvalidData`. All content addressing is page-relative, so
-//! the file can be copied or memory-mapped freely.
+//! blob lies inside the file and ends where its contents do, checks the
+//! saved config as a build does, opens the iDistance footer and reassembles
+//! the handle; anything cut short or that disagrees is `InvalidData`. All
+//! content addressing is page-relative, so the file can be copied or
+//! memory-mapped freely.
 
 use std::io;
 use std::sync::Arc;
@@ -37,9 +38,6 @@ use crate::quickprobe::QuickProbe;
 /// Footer magic of the layout above. The one before it (`…1E00`, whose
 /// blob held 40 bytes a row) is refused as any other unknown value is.
 const PROMIPS_MAGIC: u64 = 0x9120_6D19_50F1_1E01;
-
-/// Bytes of the aux blob's leading scalars (`c` … `d`).
-const AUX_SCALARS: usize = 7 * 8;
 
 fn bad(what: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what)
@@ -79,9 +77,9 @@ impl ProMips {
     }
 
     /// Reopens a fully persisted index (see [`ProMips::save`]). A file
-    /// whose footer, aux blob or iDistance directory disagree with one
-    /// another or with the file's length is refused with
-    /// [`io::ErrorKind::InvalidData`] naming what disagreed.
+    /// whose footer, aux blob or iDistance directory is cut short or
+    /// disagrees with one another, the file's length or the config domain
+    /// is refused with [`io::ErrorKind::InvalidData`] naming what disagreed.
     pub fn open(pager: Arc<Pager>) -> io::Result<Self> {
         let last = pager
             .num_pages()
@@ -89,16 +87,13 @@ impl ProMips {
             .ok_or_else(|| bad("empty ProMIPS file".into()))?;
         let ps = pager.page_size();
         let page = pager.read(last)?;
-        let buf = page.as_slice();
-        let mut pos = 0;
-        if buf.len() < 32 || enc::get_u64(buf, &mut pos) != PROMIPS_MAGIC {
+        let mut r = enc::Reader::new(page.as_slice());
+        if r.u64()? != PROMIPS_MAGIC {
             return Err(bad(
                 "bad ProMIPS footer magic (no save(), or another format?)".into(),
             ));
         }
-        let idist_footer = enc::get_u64(buf, &mut pos);
-        let aux_start = enc::get_u64(buf, &mut pos);
-        let aux_len = enc::get_u64(buf, &mut pos);
+        let (idist_footer, aux_start, aux_len) = (r.u64()?, r.u64()?, r.u64()?);
         // The blob sits between the iDistance footer and this page: bound
         // its length by the file before allocating for it.
         let aux_end = aux_start.checked_add(aux_len.div_ceil(ps as u64).max(1));
@@ -110,38 +105,34 @@ impl ProMips {
         }
         let aux = read_blob(&pager, aux_start, aux_len as usize)?;
 
-        if aux.len() < AUX_SCALARS {
-            return Err(bad(format!(
-                "aux blob of {aux_len} bytes has no room for its header"
-            )));
+        let mut r = enc::Reader::new(&aux);
+        let (c, p, seed) = (r.f64()?, r.f64()?, r.u64()?);
+        let (page_size, pool_pages) = (r.u64()? as usize, r.u64()? as usize);
+        let (m, d) = (r.u64()? as usize, r.u64()? as usize);
+        let config = ProMipsConfig {
+            c,
+            p,
+            m: Some(m),
+            idistance: Default::default(), // build-time only; not needed to search
+            page_size,
+            pool_pages,
+            seed,
+        };
+        // A `c` or `p` outside (0, 1) would open, then answer or panic.
+        config
+            .check()
+            .map_err(|e| bad(format!("saved config: {e}")))?;
+        if d == 0 {
+            return Err(bad("saved d is 0".into()));
         }
-        let mut pos = 0;
-        let c = enc::get_f64(&aux, &mut pos);
-        let p = enc::get_f64(&aux, &mut pos);
-        let seed = enc::get_u64(&aux, &mut pos);
-        let page_size = enc::get_u64(&aux, &mut pos) as usize;
-        let pool_pages = enc::get_u64(&aux, &mut pos) as usize;
-        let m = enc::get_u64(&aux, &mut pos);
-        let d = enc::get_u64(&aux, &mut pos);
-        // The projection and `max ‖o‖²` must fit what is left; the
-        // Quick-Probe directory checks its own share.
-        let fixed = m
-            .checked_mul(d)
-            .and_then(|md| md.checked_mul(4))
-            .and_then(|bytes| bytes.checked_add(8));
-        if !(1..=64).contains(&m) || d == 0 || fixed.is_none_or(|f| f > (aux.len() - pos) as u64) {
-            return Err(bad(format!(
-                "aux blob of {aux_len} bytes cannot hold a {m} × {d} projection (1 ≤ m ≤ 64, d ≥ 1)"
-            )));
-        }
-        let (m, d) = (m as usize, d as usize);
-        let proj_data = enc::get_f32s(&aux, &mut pos, m * d);
+        let proj_data = r.f32s(m.saturating_mul(d))?;
         let projection = Projection::from_matrix(Matrix::from_vec(m, d, proj_data));
-        let max_sq_norm = enc::get_f64(&aux, &mut pos);
-        let quickprobe = QuickProbe::decode(&aux, &mut pos)?;
-        if pos != aux.len() {
+        let max_sq_norm = r.f64()?;
+        let quickprobe = QuickProbe::decode(&mut r)?;
+        if r.remaining() != 0 {
+            let past = r.remaining();
             return Err(bad(format!(
-                "aux blob is {aux_len} bytes, its contents end at {pos}"
+                "aux blob holds {past} bytes past its contents"
             )));
         }
 
@@ -156,15 +147,6 @@ impl ProMips {
                 index.orig_dim()
             )));
         }
-        let config = ProMipsConfig {
-            c,
-            p,
-            m: Some(m),
-            idistance: Default::default(), // build-time only; not needed to search
-            page_size,
-            pool_pages,
-            seed,
-        };
         Ok(ProMips::reassemble(
             config,
             projection,

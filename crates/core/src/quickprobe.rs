@@ -35,6 +35,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::sync::OnceLock;
 
+use promips_idistance::layout::enc::{put_f32s, put_f64, put_u32, put_u64, Reader};
 use promips_stats::chi2_cdf;
 
 use crate::binary::{code_of, theorem3_lower_bound, BinaryCode};
@@ -177,7 +178,6 @@ impl QuickProbe {
 
     /// Serializes the directory (for full-index persistence).
     pub fn encode(&self, buf: &mut Vec<u8>) {
-        use promips_idistance::layout::enc::*;
         put_u64(buf, self.m as u64);
         put_u32(buf, self.groups.len() as u32);
         for (g, pv) in self.groups.iter().zip(self.projected.chunks_exact(self.m)) {
@@ -191,37 +191,29 @@ impl QuickProbe {
     /// Deserializes a directory written by [`QuickProbe::encode`], refusing
     /// one whose header and the bytes behind it disagree: `1 ≤ m ≤ 64`,
     /// `1 ≤ groups ≤ 2^m`, every group present in full.
-    pub fn decode(buf: &[u8], pos: &mut usize) -> io::Result<Self> {
-        use promips_idistance::layout::enc::*;
-        let bad = |what: String| Err(io::Error::new(io::ErrorKind::InvalidData, what));
-        if buf.len().saturating_sub(*pos) < 12 {
-            return bad("Quick-Probe directory is cut short of its 12-byte header".into());
+    pub fn decode(r: &mut Reader) -> io::Result<Self> {
+        let bad = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
+        let m = r.u64()?;
+        if !(1..=64).contains(&m) {
+            return Err(bad(format!("Quick-Probe m = {m} is not in 1..=64")));
         }
-        let m = get_u64(buf, pos) as usize;
-        let n_groups = get_u32(buf, pos) as usize;
-        let rest = buf.len() - *pos;
-        if !(1..=64).contains(&m)
-            || n_groups == 0
-            || (m < 32 && n_groups > 1 << m)
-            || rest / entry_bytes(m) < n_groups
-        {
-            return bad(format!(
-                "Quick-Probe directory claims m = {m} (1..=64) and {n_groups} groups (1..=2^m) \
-                 of 24 + 4m bytes each, with {rest} bytes behind it"
-            ));
+        let m = m as usize;
+        let n_groups = r.count(entry_bytes(m))?;
+        if n_groups == 0 || (m < 32 && n_groups > 1 << m) {
+            return Err(bad(format!("{n_groups} Quick-Probe groups, not 1..=2^{m}")));
         }
         let mut projected = Vec::with_capacity(n_groups * m);
         let groups = (0..n_groups)
             .map(|_| {
                 let rep = Representative {
-                    code: get_u64(buf, pos),
-                    norm1: get_f64(buf, pos),
-                    id: get_u64(buf, pos),
+                    code: r.u64()?,
+                    norm1: r.f64()?,
+                    id: r.u64()?,
                 };
-                projected.extend(get_f32s(buf, pos, m));
-                rep
+                projected.extend(r.f32s(m)?);
+                Ok(rep)
             })
-            .collect();
+            .collect::<io::Result<_>>()?;
         Ok(Self {
             m,
             groups,
@@ -423,7 +415,7 @@ mod tests {
             let mut bytes = Vec::new();
             qp.encode(&mut bytes);
             prop_assert_eq!(bytes.len(), 12 + qp.size_bytes());
-            let reopened = QuickProbe::decode(&bytes, &mut 0).unwrap();
+            let reopened = QuickProbe::decode(&mut Reader::new(&bytes)).unwrap();
 
             let want = SortedMembers::build(&proj, &norms).locate(&pq[..m], q_norm1, c, p);
             for qp in [&qp, &reopened] {

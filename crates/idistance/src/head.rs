@@ -224,27 +224,20 @@ impl HeadBasis {
         enc::put_f32s(buf, self.v.as_slice());
     }
 
-    /// Deserializes from `buf` at `pos` for an index of dimension `d`,
-    /// rejecting a basis whose shape disagrees with it.
-    pub fn decode(buf: &[u8], pos: &mut usize, d: usize) -> io::Result<Self> {
+    /// Deserializes what [`Self::encode`] wrote for an index of dimension
+    /// `d`, rejecting a basis whose shape disagrees with it.
+    pub fn decode(r: &mut enc::Reader, d: usize) -> io::Result<Self> {
         let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-        if buf.len() - *pos < 12 {
-            return Err(bad("head basis header is truncated"));
-        }
-        let h = enc::get_u32(buf, pos) as usize;
-        let defect = enc::get_f32(buf, pos);
-        let len = enc::get_u32(buf, pos) as usize;
-        if h == 0 || h >= d || len != h * d {
+        let h = r.u32()? as usize;
+        let defect = r.f32()?;
+        let len = r.u32()? as usize;
+        if h == 0 || h >= d || Some(len) != h.checked_mul(d) {
             return Err(bad("head basis length disagrees with d·h"));
-        }
-        if (buf.len() - *pos) / 4 < len {
-            return Err(bad("head basis is truncated"));
         }
         if !(defect.is_finite() && defect >= 0.0) {
             return Err(bad("head basis defect is not a finite bound"));
         }
-        let v = Matrix::from_vec(h, d, enc::get_f32s(buf, pos, len));
-        Ok(Self::new(v, defect))
+        Ok(Self::new(Matrix::from_vec(h, d, r.f32s(len)?), defect))
     }
 }
 
@@ -315,14 +308,14 @@ mod tests {
         let basis = HeadBasis::estimate(&low_rank(300, 128, 10, 0.0, 5), 3).unwrap();
         let mut buf = Vec::new();
         basis.encode(&mut buf);
-        let mut pos = 0;
-        assert_eq!(HeadBasis::decode(&buf, &mut pos, 128).unwrap(), basis);
-        assert_eq!(pos, buf.len());
+        let mut r = enc::Reader::new(&buf);
+        assert_eq!(HeadBasis::decode(&mut r, 128).unwrap(), basis);
+        assert_eq!(r.remaining(), 0);
         for d in [127, 129, 64] {
-            let err = HeadBasis::decode(&buf, &mut 0, d).unwrap_err();
+            let err = HeadBasis::decode(&mut enc::Reader::new(&buf), d).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "d = {d}");
         }
-        let err = HeadBasis::decode(&buf[..buf.len() - 4], &mut 0, 128).unwrap_err();
+        let err = HeadBasis::decode(&mut enc::Reader::new(&buf[..buf.len() - 4]), 128).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -1212,72 +1212,59 @@ impl IDistanceIndex {
 
     /// Reopens an index whose footer starts at a known page (used when
     /// other layers — e.g. the full ProMIPS persistence — append their own
-    /// data after the iDistance footer).
+    /// data after the iDistance footer). A directory cut short, a wild
+    /// count, unsorted keys or row counts that miss `n` are `InvalidData`.
     pub fn open_at(pager: Arc<Pager>, footer_page: PageId) -> io::Result<Self> {
-        let buf = read_blob_range(&pager, footer_page, 0, FOOTER_BYTES)?;
-        let buf = &buf[..];
-        let mut pos = 0;
-        let magic = enc::get_u64(buf, &mut pos);
+        let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
+        let footer = read_blob_range(&pager, footer_page, 0, FOOTER_BYTES)?;
+        let mut r = enc::Reader::new(&footer);
+        let magic = r.u64()?;
         if magic != FOOTER_MAGIC && magic != HEAD_FOOTER_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bad iDistance footer magic",
-            ));
+            return Err(bad("bad iDistance footer magic"));
         }
-        let m = enc::get_u64(buf, &mut pos) as usize;
-        let d = enc::get_u64(buf, &mut pos) as usize;
-        let epsilon = enc::get_f64(buf, &mut pos);
-        let ring_c = enc::get_u64(buf, &mut pos);
-        let proj_region = (enc::get_u64(buf, &mut pos), enc::get_u64(buf, &mut pos));
-        let orig_region = (enc::get_u64(buf, &mut pos), enc::get_u64(buf, &mut pos));
-        let dir_start = enc::get_u64(buf, &mut pos);
-        let dir_len = enc::get_u64(buf, &mut pos) as usize;
-        let n_points = enc::get_u64(buf, &mut pos);
+        let (m, d) = (r.u64()? as usize, r.u64()? as usize);
+        let (epsilon, ring_c) = (r.f64()?, r.u64()?);
+        let (proj_region, orig_region) = ((r.u64()?, r.u64()?), (r.u64()?, r.u64()?));
+        let (dir_start, dir_len, n_points) = (r.u64()?, r.u64()? as usize, r.u64()?);
 
         let dir = read_blob(&pager, dir_start, dir_len)?;
-        let mut dpos = 0;
-        let n_parts = enc::get_u32(&dir, &mut dpos) as usize;
-        let partitions: Vec<PartitionMeta> = (0..n_parts)
-            .map(|_| PartitionMeta::decode(&dir, &mut dpos))
-            .collect();
-        let n_subs = enc::get_u32(&dir, &mut dpos) as usize;
+        let mut r = enc::Reader::new(&dir);
+        let partitions = (0..r.count(PartitionMeta::MIN_BYTES)?)
+            .map(|_| PartitionMeta::decode(&mut r))
+            .collect::<io::Result<Vec<_>>>()?;
+        let n_subs = r.count(SubPartMeta::MIN_BYTES)?;
         let mut pivots = Vec::new();
-        let subparts: Vec<SubPartMeta> = (0..n_subs)
-            .map(|_| SubPartMeta::decode(&dir, &mut dpos, &mut pivots))
-            .collect();
-        let region = |start: u64, len: u64| (start != REGION_ABSENT).then_some((start, len));
-        let code_region = region(enc::get_u64(&dir, &mut dpos), enc::get_u64(&dir, &mut dpos));
-        let mut vquants: Vec<OrigQuant> = if code_region.is_some() {
-            let n_vquants = enc::get_u32(&dir, &mut dpos) as usize;
-            if n_vquants != n_subs {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "verification-quantizer directory does not parallel the sub-partition \
-                     directory",
+        let subparts = (0..n_subs)
+            .map(|_| SubPartMeta::decode(&mut r, &mut pivots))
+            .collect::<io::Result<Vec<_>>>()?;
+        let code_region = Some((r.u64()?, r.u64()?)).filter(|&(start, _)| start != REGION_ABSENT);
+        let mut vquants = Vec::new();
+        if code_region.is_some() {
+            if r.count(OrigQuant::BYTES)? != n_subs {
+                return Err(bad(
+                    "quantizers do not parallel the sub-partition directory",
                 ));
             }
-            (0..n_vquants)
-                .map(|_| OrigQuant::decode(&dir, &mut dpos))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-        if pivots.len() != n_subs * m {
+            vquants = (0..n_subs)
+                .map(|_| OrigQuant::decode(&mut r))
+                .collect::<io::Result<_>>()?;
+        }
+        if Some(pivots.len()) != n_subs.checked_mul(m) {
             return Err(bad("a sub-partition pivot is not m floats long"));
         }
         // The annulus scan binary-searches the keys.
         if subparts.windows(2).any(|w| w[0].key > w[1].key) {
             return Err(bad("the sub-partition directory is not in key order"));
         }
-        let head = if code_region.is_some() && dpos < dir.len() {
-            let head = HeadBasis::decode(&dir, &mut dpos, d)?;
-            if (dir.len() - dpos) / 8 < vquants.len() {
-                return Err(bad("head bounds are truncated"));
-            }
+        // The column pass slices its codes by the row counts.
+        if subparts.iter().map(|sp| u64::from(sp.count)).sum::<u64>() != n_points {
+            return Err(bad("the sub-partition row counts do not sum to n"));
+        }
+        let head = if code_region.is_some() && r.remaining() > 0 {
+            let head = HeadBasis::decode(&mut r, d)?;
             for q in &mut vquants {
-                q.tail = enc::get_f32(&dir, &mut dpos);
-                q.suffix_norm = enc::get_f32(&dir, &mut dpos);
+                q.tail = r.f32()?;
+                q.suffix_norm = r.f32()?;
             }
             Some(head)
         } else {

@@ -158,8 +158,13 @@ impl<'a> RegionWriter<'a> {
     }
 }
 
-/// Little-endian typed append helpers used by the record codecs.
 pub mod enc {
+    //! The little-endian codec of every index file's metadata: the `put_*`
+    //! writers append to a `Vec<u8>`, and one bounded [`Reader`] reads them
+    //! back, so a damaged file decodes to `InvalidData`, never a panic.
+
+    use std::io;
+
     /// Appends a `u32`.
     pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
         buf.extend_from_slice(&v.to_le_bytes());
@@ -181,38 +186,85 @@ pub mod enc {
         buf.extend(vs.iter().flat_map(|v| v.to_le_bytes()));
     }
 
-    /// Reads a `u32` at `*pos`, advancing it.
-    pub fn get_u32(buf: &[u8], pos: &mut usize) -> u32 {
-        let v = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().unwrap());
-        *pos += 4;
-        v
+    /// Reads what the `put_*` writers wrote, front to back. A read that
+    /// runs past the end is [`io::ErrorKind::InvalidData`], and a count is
+    /// checked against the bytes that remain before anything is allocated
+    /// for it.
+    #[derive(Debug, Clone)]
+    pub struct Reader<'a> {
+        rest: &'a [u8],
     }
-    /// Reads a `u64` at `*pos`, advancing it.
-    pub fn get_u64(buf: &[u8], pos: &mut usize) -> u64 {
-        let v = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
-        *pos += 8;
-        v
-    }
-    /// Reads an `f64` at `*pos`, advancing it.
-    pub fn get_f64(buf: &[u8], pos: &mut usize) -> f64 {
-        let v = f64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
-        *pos += 8;
-        v
-    }
-    /// Reads an `f32` at `*pos`, advancing it.
-    pub fn get_f32(buf: &[u8], pos: &mut usize) -> f32 {
-        let v = f32::from_le_bytes(buf[*pos..*pos + 4].try_into().unwrap());
-        *pos += 4;
-        v
-    }
-    /// Reads `n` `f32`s at `*pos`, advancing it.
-    pub fn get_f32s(buf: &[u8], pos: &mut usize, n: usize) -> Vec<f32> {
-        let bytes = &buf[*pos..*pos + 4 * n];
-        *pos += 4 * n;
-        bytes
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
-            .collect()
+
+    impl<'a> Reader<'a> {
+        /// A reader at the start of `buf`.
+        pub fn new(buf: &'a [u8]) -> Self {
+            Self { rest: buf }
+        }
+
+        /// Bytes not yet read.
+        pub fn remaining(&self) -> usize {
+            self.rest.len()
+        }
+
+        /// Refuses `n` records of `each` bytes that the rest cannot hold.
+        fn fits(&self, n: usize, each: usize) -> io::Result<()> {
+            if n.saturating_mul(each) <= self.rest.len() {
+                return Ok(());
+            }
+            let left = self.rest.len();
+            let why = format!("record cut short: {n} × {each} bytes wanted, {left} left");
+            Err(io::Error::new(io::ErrorKind::InvalidData, why))
+        }
+
+        fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
+            self.fits(n, 1)?;
+            let (head, rest) = self.rest.split_at(n);
+            self.rest = rest;
+            Ok(head)
+        }
+
+        fn array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+            Ok(self.take(N)?.try_into().expect("took N bytes"))
+        }
+
+        /// Reads a `u32`.
+        pub fn u32(&mut self) -> io::Result<u32> {
+            self.array().map(u32::from_le_bytes)
+        }
+        /// Reads a `u64`.
+        pub fn u64(&mut self) -> io::Result<u64> {
+            self.array().map(u64::from_le_bytes)
+        }
+        /// Reads an `f64`.
+        pub fn f64(&mut self) -> io::Result<f64> {
+            self.array().map(f64::from_le_bytes)
+        }
+        /// Reads an `f32`.
+        pub fn f32(&mut self) -> io::Result<f32> {
+            self.array().map(f32::from_le_bytes)
+        }
+        /// Reads `n` `f32`s.
+        pub fn f32s(&mut self, n: usize) -> io::Result<Vec<f32>> {
+            self.many(n, f32::from_le_bytes)
+        }
+        /// Reads `n` `u64`s.
+        pub fn u64s(&mut self, n: usize) -> io::Result<Vec<u64>> {
+            self.many(n, u64::from_le_bytes)
+        }
+
+        fn many<const N: usize, T>(&mut self, n: usize, f: fn([u8; N]) -> T) -> io::Result<Vec<T>> {
+            let bytes = self.take(n.saturating_mul(N))?.chunks_exact(N);
+            Ok(bytes
+                .map(|b| f(b.try_into().expect("N-byte chunk")))
+                .collect())
+        }
+
+        /// Reads a `u32` count of records at least `each` bytes long,
+        /// refused when the bytes left cannot hold that many.
+        pub fn count(&mut self, each: usize) -> io::Result<usize> {
+            let n = self.u32()? as usize;
+            self.fits(n, each).map(|()| n)
+        }
     }
 }
 
@@ -313,15 +365,35 @@ mod tests {
     fn enc_roundtrip() {
         use enc::*;
         let mut buf = Vec::new();
-        put_u32(&mut buf, 7);
+        put_u32(&mut buf, 2);
         put_u64(&mut buf, u64::MAX - 3);
         put_f64(&mut buf, -1.5);
+        put_f32(&mut buf, 0.25);
         put_f32s(&mut buf, &[1.0, 2.5, -3.25]);
-        let mut pos = 0;
-        assert_eq!(get_u32(&buf, &mut pos), 7);
-        assert_eq!(get_u64(&buf, &mut pos), u64::MAX - 3);
-        assert_eq!(get_f64(&buf, &mut pos), -1.5);
-        assert_eq!(get_f32s(&buf, &mut pos, 3), vec![1.0, 2.5, -3.25]);
-        assert_eq!(pos, buf.len());
+        put_u64(&mut buf, 9);
+        put_u64(&mut buf, 10);
+        let read = |buf: &[u8]| -> std::io::Result<_> {
+            let mut r = Reader::new(buf);
+            let n = r.count(8)?;
+            let v = (r.u64()?, r.f64()?, r.f32()?, r.f32s(3)?, r.u64s(n)?);
+            Ok((v, r.remaining()))
+        };
+        let want = (u64::MAX - 3, -1.5, 0.25, vec![1.0, 2.5, -3.25], vec![9, 10]);
+        assert_eq!(read(&buf).unwrap(), (want, 0));
+        // Every cut is an error, whichever read it lands in.
+        for cut in 0..buf.len() {
+            let err = read(&buf[..cut]).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "cut at {cut}");
+        }
+        // A wild count is refused before anything is allocated for it (an
+        // allocation of 2^32 · 16 bytes or 2^64 floats would abort).
+        let mut wild = Vec::new();
+        put_u32(&mut wild, u32::MAX);
+        put_f32s(&mut wild, &[0.0; 8]);
+        let mut r = Reader::new(&wild);
+        assert!(r.count(16).is_err());
+        assert!(r.f32s(usize::MAX).is_err());
+        assert!(r.u64s(usize::MAX / 4).is_err());
+        assert_eq!(r.remaining(), 32, "a refused bulk read consumes nothing");
     }
 }

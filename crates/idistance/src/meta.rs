@@ -2,6 +2,8 @@
 //! codec so the directory itself lives in the paged file (it is part of the
 //! paper's Index Size measurement).
 
+use std::io;
+
 use crate::layout::enc::*;
 
 /// A first-stage partition: k-means center and covering radius in the
@@ -96,22 +98,20 @@ impl OrigQuant {
         put_f32(buf, self.xnorm);
     }
 
-    /// Deserializes from `buf` at `pos`.
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Self {
-        let off = get_u64(buf, pos);
-        let scale = get_f32(buf, pos);
-        let min = get_f32(buf, pos);
-        let err = get_f32(buf, pos);
-        let xnorm = get_f32(buf, pos);
-        Self {
-            off,
-            scale,
-            min,
-            err,
-            xnorm,
+    /// Encoded bytes of one quantizer.
+    pub const BYTES: usize = 24;
+
+    /// Deserializes what [`Self::encode`] wrote.
+    pub fn decode(r: &mut Reader) -> io::Result<Self> {
+        Ok(Self {
+            off: r.u64()?,
+            scale: r.f32()?,
+            min: r.f32()?,
+            err: r.f32()?,
+            xnorm: r.f32()?,
             tail: 0.0,
             suffix_norm: 0.0,
-        }
+        })
     }
 }
 
@@ -124,17 +124,17 @@ impl PartitionMeta {
         put_u64(buf, self.count);
     }
 
-    /// Deserializes from `buf` at `pos`.
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Self {
-        let m = get_u32(buf, pos) as usize;
-        let center = get_f32s(buf, pos, m);
-        let radius = get_f64(buf, pos);
-        let count = get_u64(buf, pos);
-        Self {
-            center,
-            radius,
-            count,
-        }
+    /// Encoded bytes of a partition with an empty center.
+    pub const MIN_BYTES: usize = 20;
+
+    /// Deserializes what [`Self::encode`] wrote.
+    pub fn decode(r: &mut Reader) -> io::Result<Self> {
+        let m = r.u32()? as usize;
+        Ok(Self {
+            center: r.f32s(m)?,
+            radius: r.f64()?,
+            count: r.u64()?,
+        })
     }
 }
 
@@ -150,22 +150,22 @@ impl SubPartMeta {
         put_u64(buf, self.orig_off);
     }
 
-    /// Deserializes from `buf` at `pos`, appending its pivot to `pivots`.
-    pub fn decode(buf: &[u8], pos: &mut usize, pivots: &mut Vec<f32>) -> Self {
-        let key = get_u64(buf, pos);
-        let m = get_u32(buf, pos) as usize;
-        pivots.extend(get_f32s(buf, pos, m));
-        let radius = get_f64(buf, pos);
-        let count = get_u32(buf, pos);
-        let proj_off = get_u64(buf, pos);
-        let orig_off = get_u64(buf, pos);
-        Self {
+    /// Encoded bytes of a sub-partition with an empty pivot.
+    pub const MIN_BYTES: usize = 40;
+
+    /// Deserializes what [`Self::encode`] wrote, appending its pivot to
+    /// `pivots`.
+    pub fn decode(r: &mut Reader, pivots: &mut Vec<f32>) -> io::Result<Self> {
+        let key = r.u64()?;
+        let m = r.u32()? as usize;
+        pivots.extend(r.f32s(m)?);
+        Ok(Self {
             key,
-            radius,
-            count,
-            proj_off,
-            orig_off,
-        }
+            radius: r.f64()?,
+            count: r.u32()?,
+            proj_off: r.u64()?,
+            orig_off: r.u64()?,
+        })
     }
 }
 
@@ -182,9 +182,9 @@ mod tests {
         };
         let mut buf = Vec::new();
         p.encode(&mut buf);
-        let mut pos = 0;
-        assert_eq!(PartitionMeta::decode(&buf, &mut pos), p);
-        assert_eq!(pos, buf.len());
+        let mut r = Reader::new(&buf);
+        assert_eq!(PartitionMeta::decode(&mut r).unwrap(), p);
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -200,9 +200,9 @@ mod tests {
         let mut buf = Vec::new();
         s.encode(&pivot, &mut buf);
         assert_eq!(buf.len(), 8 + 4 + 4 * 6 + 8 + 4 + 8 + 8);
-        let (mut pos, mut pivots) = (0, vec![9.0]);
-        assert_eq!(SubPartMeta::decode(&buf, &mut pos, &mut pivots), s);
-        assert_eq!(pos, buf.len());
+        let (mut r, mut pivots) = (Reader::new(&buf), vec![9.0]);
+        assert_eq!(SubPartMeta::decode(&mut r, &mut pivots).unwrap(), s);
+        assert_eq!(r.remaining(), 0);
         assert_eq!(pivots[1..], pivot);
     }
 
@@ -219,9 +219,9 @@ mod tests {
         };
         let mut buf = Vec::new();
         q.encode(&mut buf);
-        let mut pos = 0;
-        assert_eq!(OrigQuant::decode(&buf, &mut pos), q);
-        assert_eq!(pos, buf.len());
+        let mut r = Reader::new(&buf);
+        assert_eq!(OrigQuant::decode(&mut r).unwrap(), q);
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -237,9 +237,9 @@ mod tests {
         for p in &parts {
             p.encode(&mut buf);
         }
-        let mut pos = 0;
+        let mut r = Reader::new(&buf);
         let decoded: Vec<PartitionMeta> = (0..5)
-            .map(|_| PartitionMeta::decode(&buf, &mut pos))
+            .map(|_| PartitionMeta::decode(&mut r).unwrap())
             .collect();
         assert_eq!(decoded, parts);
     }

@@ -85,12 +85,9 @@ fn legacy_decode(idx: &IDistanceIndex, sub: u32) -> Vec<(u64, Vec<f32>)> {
         sp.count as usize * rec,
     )
     .unwrap();
-    let mut pos = 0;
+    let mut r = enc::Reader::new(&blob);
     (0..sp.count)
-        .map(|_| {
-            let id = enc::get_u64(&blob, &mut pos);
-            (id, enc::get_f32s(&blob, &mut pos, m))
-        })
+        .map(|_| (r.u64().unwrap(), r.f32s(m).unwrap()))
         .collect()
 }
 

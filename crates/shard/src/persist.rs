@@ -337,64 +337,42 @@ impl ShardedProMips {
         if crc32(buf) != u32::from_le_bytes(*crc) {
             return Err(invalid("sharded-index manifest checksum mismatch".into()));
         }
-        // Every read is bounded by what remains: a count the checksum
-        // covers can still be wild, and must surface as InvalidData, not as
-        // an overflow or a slice panic inside the `enc` readers.
-        let need = |pos: usize, bytes: usize| -> io::Result<()> {
-            if pos.checked_add(bytes).is_none_or(|end| end > buf.len()) {
-                return Err(invalid(format!(
-                    "truncated sharded-index manifest: need {bytes} bytes at offset {pos}, have {}",
-                    buf.len()
-                )));
-            }
-            Ok(())
-        };
-        let mut pos = 0;
-        if buf.len() < 16 || enc::get_u64(buf, &mut pos) != MANIFEST_MAGIC {
+        // A count the checksum covers can still be wild: the reader bounds
+        // every read by what remains.
+        let mut r = enc::Reader::new(buf);
+        if r.u64()? != MANIFEST_MAGIC {
             return Err(invalid("bad sharded-index manifest magic".into()));
         }
-        let version = enc::get_u64(buf, &mut pos);
+        let version = r.u64()?;
         if version != MANIFEST_VERSION {
             return Err(invalid(format!("unsupported manifest version {version}")));
         }
-        // Fixed-size header: magic..seed, the next-id/wal-sync words and
-        // the iDistance and compaction words (little-endian 8-byte fields).
-        need(0, 24 * 8)?;
-        let n_shards = enc::get_u64(buf, &mut pos) as usize;
-        let d = enc::get_u64(buf, &mut pos) as usize;
-        let n_points = enc::get_u64(buf, &mut pos);
-        let prune = enc::get_u64(buf, &mut pos) != 0;
-        let c = enc::get_f64(buf, &mut pos);
-        let p = enc::get_f64(buf, &mut pos);
-        let m = match enc::get_u64(buf, &mut pos) {
-            u64::MAX => None,
-            m => Some(m as usize),
-        };
-        let page_size = enc::get_u64(buf, &mut pos) as usize;
-        let pool_pages = enc::get_u64(buf, &mut pos) as usize;
-        let seed = enc::get_u64(buf, &mut pos);
-        let mut next_global_id = enc::get_u64(buf, &mut pos);
-        let wal_sync = sync_policy_from_tag(enc::get_u64(buf, &mut pos));
-        let mut word = || enc::get_u64(buf, &mut pos);
+        let (n_shards, d) = (r.u64()? as usize, r.u64()? as usize);
+        let (n_points, prune) = (r.u64()?, r.u64()? != 0);
+        let (c, p) = (r.f64()?, r.f64()?);
+        let m = Some(r.u64()? as usize).filter(|&m| m != usize::MAX);
+        let (page_size, pool_pages) = (r.u64()? as usize, r.u64()? as usize);
+        let (seed, mut next_global_id) = (r.u64()?, r.u64()?);
+        let wal_sync = sync_policy_from_tag(r.u64()?);
+        let mut word = || r.u64();
         let idistance = IDistanceConfig {
-            kp: word() as usize,
-            nkey: word() as usize,
-            ksp: word() as usize,
-            kmeans_iters: word() as usize,
-            seed: word(),
-            verify_quantize: word() != 0,
+            kp: word()? as usize,
+            nkey: word()? as usize,
+            ksp: word()? as usize,
+            kmeans_iters: word()? as usize,
+            seed: word()?,
+            verify_quantize: word()? != 0,
         };
         let compaction = CompactionPolicy {
-            max_delta_fraction: f64::from_bits(word()),
-            max_tombstone_fraction: f64::from_bits(word()),
-            min_mutations: word() as usize,
-            repartition_skew: f64::from_bits(word()),
+            max_delta_fraction: f64::from_bits(word()?),
+            max_tombstone_fraction: f64::from_bits(word()?),
+            min_mutations: word()? as usize,
+            repartition_skew: f64::from_bits(word()?),
         };
         // The basis every shard is coded under: a flag, then the basis.
-        need(pos, 8)?;
-        let head = match enc::get_u64(buf, &mut pos) {
+        let head = match r.u64()? {
             0 => None,
-            1 if idistance.verify_quantize => Some(HeadBasis::decode(buf, &mut pos, d)?),
+            1 if idistance.verify_quantize => Some(HeadBasis::decode(&mut r, d)?),
             flag => {
                 return Err(invalid(format!(
                     "bad head-basis flag {flag} in sharded-index manifest"
@@ -425,13 +403,8 @@ impl ShardedProMips {
 
         let mut shards = Vec::with_capacity(n_shards.min(1 << 16));
         for si in 0..n_shards {
-            // count + max_norm + generation.
-            need(pos, 24)?;
-            let count = enc::get_u64(buf, &mut pos) as usize;
-            let max_norm = enc::get_f64(buf, &mut pos);
-            let generation = enc::get_u64(buf, &mut pos);
-            need(pos, count.saturating_mul(8))?;
-            let ids: Vec<u64> = (0..count).map(|_| enc::get_u64(buf, &mut pos)).collect();
+            let (count, max_norm, generation) = (r.u64()? as usize, r.f64()?, r.u64()?);
+            let ids = r.u64s(count)?;
             if let Some(&max_id) = ids.last() {
                 next_global_id = next_global_id.max(max_id.saturating_add(1));
             }
