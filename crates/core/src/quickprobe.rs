@@ -198,6 +198,7 @@ impl QuickProbe {
             return Err(bad(format!("Quick-Probe m = {m} is not in 1..=64")));
         }
         let m = m as usize;
+        // Bounded by the bytes left, since `projected` is reserved from it.
         let n_groups = r.count(entry_bytes(m))?;
         if n_groups == 0 || (m < 32 && n_groups > 1 << m) {
             return Err(bad(format!("{n_groups} Quick-Probe groups, not 1..=2^{m}")));

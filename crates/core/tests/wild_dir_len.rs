@@ -19,6 +19,15 @@ use promips_storage::{AccessStats, MemStorage, Pager, Storage};
 /// directory's start page.
 const DIR_LEN_AT: usize = 80;
 
+/// Opens `bytes` as a saved index, through the same storage and pager
+/// for the unmodified copy and every altered one.
+fn open(bytes: &[u8], page_size: usize) -> io::Result<ProMips> {
+    let storage = MemStorage::new(page_size);
+    storage.append_pages(bytes).unwrap();
+    let pager = Pager::new(Arc::new(storage), 256, AccessStats::new_shared());
+    ProMips::open(Arc::new(pager))
+}
+
 /// A saved index's bytes, and the byte offsets `open` finds in them.
 struct Saved {
     bytes: Vec<u8>,
@@ -40,6 +49,15 @@ impl Saved {
         built.save().unwrap();
         let mut bytes = vec![0; pager.size_bytes() as usize];
         pager.storage().read_pages(0, &mut bytes).unwrap();
+        // The copy opens and answers as the built index does, so each
+        // refusal below is owed to the one value a test writes into it.
+        let opened = open(&bytes, page_size).expect("the unmodified copy opens");
+        assert_eq!(opened.len(), built.len());
+        let ids = |index: &ProMips| -> Vec<u64> {
+            let found = index.search(data.row(0), 10).unwrap().items;
+            found.iter().map(|item| item.id).collect()
+        };
+        assert_eq!(ids(&opened), ids(&built));
         let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
         // `save`'s last page names the iDistance footer's page and the blob.
         let last = bytes.len() - page_size;
@@ -66,10 +84,7 @@ impl Saved {
     fn refused(&self, what: &str, at: usize, value: &[u8]) -> io::Error {
         let mut bytes = self.bytes.clone();
         bytes[at..at + value.len()].copy_from_slice(value);
-        let storage = MemStorage::new(self.page_size);
-        storage.append_pages(&bytes).unwrap();
-        let pager = Pager::new(Arc::new(storage), 256, AccessStats::new_shared());
-        let Err(err) = ProMips::open(Arc::new(pager)) else {
+        let Err(err) = open(&bytes, self.page_size) else {
             panic!("{what} was accepted");
         };
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");

@@ -1228,11 +1228,13 @@ impl IDistanceIndex {
         let (dir_start, dir_len, n_points) = (r.u64()?, r.u64()? as usize, r.u64()?);
 
         let dir = read_blob(&pager, dir_start, dir_len)?;
+        // A wild count allocates nothing ahead: its records are read one
+        // at a time, and the first read past the end is `InvalidData`.
         let mut r = enc::Reader::new(&dir);
-        let partitions = (0..r.count(PartitionMeta::MIN_BYTES)?)
+        let partitions = (0..r.u32()?)
             .map(|_| PartitionMeta::decode(&mut r))
             .collect::<io::Result<Vec<_>>>()?;
-        let n_subs = r.count(SubPartMeta::MIN_BYTES)?;
+        let n_subs = r.u32()? as usize;
         let mut pivots = Vec::new();
         let subparts = (0..n_subs)
             .map(|_| SubPartMeta::decode(&mut r, &mut pivots))
@@ -1240,7 +1242,7 @@ impl IDistanceIndex {
         let code_region = Some((r.u64()?, r.u64()?)).filter(|&(start, _)| start != REGION_ABSENT);
         let mut vquants = Vec::new();
         if code_region.is_some() {
-            if r.count(OrigQuant::BYTES)? != n_subs {
+            if r.u32()? as usize != n_subs {
                 return Err(bad(
                     "quantizers do not parallel the sub-partition directory",
                 ));

@@ -98,9 +98,6 @@ impl OrigQuant {
         put_f32(buf, self.xnorm);
     }
 
-    /// Encoded bytes of one quantizer.
-    pub const BYTES: usize = 24;
-
     /// Deserializes what [`Self::encode`] wrote.
     pub fn decode(r: &mut Reader) -> io::Result<Self> {
         Ok(Self {
@@ -124,9 +121,6 @@ impl PartitionMeta {
         put_u64(buf, self.count);
     }
 
-    /// Encoded bytes of a partition with an empty center.
-    pub const MIN_BYTES: usize = 20;
-
     /// Deserializes what [`Self::encode`] wrote.
     pub fn decode(r: &mut Reader) -> io::Result<Self> {
         let m = r.u32()? as usize;
@@ -149,9 +143,6 @@ impl SubPartMeta {
         put_u64(buf, self.proj_off);
         put_u64(buf, self.orig_off);
     }
-
-    /// Encoded bytes of a sub-partition with an empty pivot.
-    pub const MIN_BYTES: usize = 40;
 
     /// Deserializes what [`Self::encode`] wrote, appending its pivot to
     /// `pivots`.
