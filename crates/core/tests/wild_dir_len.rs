@@ -235,3 +235,96 @@ fn row_counts_that_miss_the_index_length_are_invalid_data() {
         saved.refused(&format!("{extra} rows more"), at, &rows.to_le_bytes());
     }
 }
+
+/// Bytes 40.., 56.. of the iDistance footer: the projected and the
+/// original region, each as its start page and byte length.
+const PROJ_REGION_AT: usize = 40;
+const ORIG_REGION_AT: usize = 56;
+
+impl Saved {
+    fn u64_at(&self, at: usize) -> u64 {
+        u64::from_le_bytes(self.bytes[at..at + 8].try_into().unwrap())
+    }
+
+    /// `m`, and the byte offset of the second sub-partition's record.
+    fn second_subpart(&self) -> (usize, usize) {
+        let subs = self.counts()[2].1;
+        let m = self.u32_at(subs + 12) as usize;
+        (m, subs + 4 + 40 + 4 * m)
+    }
+}
+
+/// The build writes a sub-partition's projected, original and code rows
+/// where the rows before it end. Any other offset once opened, and a
+/// query then read another sub-partition's rows (other ids) in its place.
+#[test]
+fn an_offset_that_is_not_the_rows_before_it_is_invalid_data() {
+    for saved in [isotropic(), with_head()] {
+        let (m, rec) = saved.second_subpart();
+        let quants = saved.counts()[4].1;
+        let offsets = [
+            ("the projected offset", rec + 24 + 4 * m),
+            ("the original offset", rec + 32 + 4 * m),
+            ("the code offset", quants + 4 + 24),
+        ];
+        for (what, at) in offsets {
+            let off = saved.u64_at(at);
+            assert!(off > 0, "{what}: the first sub-partition holds rows");
+            for value in [0, off + 4, off - 1] {
+                saved.refused(
+                    &format!("{what} {value} of {off}"),
+                    at,
+                    &value.to_le_bytes(),
+                );
+            }
+        }
+    }
+}
+
+/// A record region is `n` records: `n·(8 + 4m)` projected bytes, `n·4d`
+/// original ones.
+#[test]
+fn a_region_length_that_is_not_n_records_is_invalid_data() {
+    let saved = isotropic();
+    let (m, _) = saved.second_subpart();
+    let d = saved.u64_at(saved.footer + 16);
+    let regions = [
+        ("the projected region", PROJ_REGION_AT, 8 + 4 * m as u64),
+        ("the original region", ORIG_REGION_AT, 4 * d),
+    ];
+    for (what, at, record) in regions {
+        let at = saved.footer + at + 8;
+        let len = saved.u64_at(at);
+        for value in [len + record, len - record, len + 1, 0] {
+            saved.refused(
+                &format!("{what} {value} bytes of {len}"),
+                at,
+                &value.to_le_bytes(),
+            );
+        }
+    }
+}
+
+/// Every region's last page lies within the file.
+#[test]
+fn a_region_past_the_last_page_is_invalid_data() {
+    for saved in [isotropic(), with_head()] {
+        let pages = (saved.bytes.len() / saved.page_size) as u64;
+        // The code region, just before the quantizer count.
+        let code_at = saved.counts()[4].1 - 16;
+        let starts = [
+            ("the projected region", saved.footer + PROJ_REGION_AT),
+            ("the original region", saved.footer + ORIG_REGION_AT),
+            ("the code region", code_at),
+        ];
+        for (what, at) in starts {
+            let start = saved.u64_at(at);
+            let span = saved.u64_at(at + 8).div_ceil(saved.page_size as u64).max(1);
+            assert!(start + span <= pages, "{what} ends within the file");
+            // One page past the end, wholly past it, and past `u64`.
+            for value in [pages + 1 - span, pages, u64::MAX - 1] {
+                saved.refused(&format!("{what} at page {value}"), at, &value.to_le_bytes());
+            }
+        }
+    }
+}

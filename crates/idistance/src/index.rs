@@ -1277,12 +1277,58 @@ impl IDistanceIndex {
                 "the footer magic and the directory disagree on a head column",
             ));
         }
+        // `rows · width` bytes, `None` past `u64`.
+        let bytes = |rows: u64, width: u64| rows.checked_mul(width);
         // A head's row is its codes and its suffix-norm code.
         let width = head.as_ref().map_or(d, |basis| basis.width() + 1) as u64;
-        if code_region.is_some_and(|(_, len)| len != n_points * width) {
+        if code_region.is_some_and(|(_, len)| Some(len) != bytes(n_points, width)) {
             return Err(bad(
                 "verification code region length disagrees with n·(h + 1)",
             ));
+        }
+        // The build writes each region a sub-partition at a time: a region
+        // is `n` records, and a sub-partition's records start where the
+        // rows before it end.
+        let floats = |n: usize| {
+            (n as u64)
+                .checked_mul(4)
+                .ok_or_else(|| bad("m or d is too large for a record"))
+        };
+        let (proj_rec, orig_rec) = (floats(m)?.saturating_add(8), floats(d)?);
+        if bytes(n_points, proj_rec) != Some(proj_region.1)
+            || bytes(n_points, orig_rec) != Some(orig_region.1)
+        {
+            return Err(bad("a record region's length is not n records"));
+        }
+        let code_rec = head.as_ref().map_or(d, HeadBasis::prefix_width) as u64;
+        let mut before = 0;
+        for (i, sp) in subparts.iter().enumerate() {
+            if Some(sp.proj_off) != bytes(before, proj_rec)
+                || Some(sp.orig_off) != bytes(before, orig_rec)
+                || vquants
+                    .get(i)
+                    .is_some_and(|q| Some(q.off) != bytes(before, code_rec))
+            {
+                return Err(bad(
+                    "a sub-partition's records do not start where the rows before it end",
+                ));
+            }
+            before += u64::from(sp.count);
+        }
+        let (ps, pages) = (pager.page_size() as u64, pager.num_pages());
+        // A region holds at least one page, even when it is empty.
+        let within = |(start, len): Region| {
+            len.div_ceil(ps)
+                .max(1)
+                .checked_add(start)
+                .is_some_and(|end| end <= pages)
+        };
+        if ![proj_region, orig_region]
+            .into_iter()
+            .chain(code_region)
+            .all(within)
+        {
+            return Err(bad("a region ends past the file's last page"));
         }
 
         Ok(Self::assemble(

@@ -1,22 +1,32 @@
-//! AVX-512F kernels for x86-64.
+//! AVX-512 kernels for x86-64: only the bodies that measure ahead of
+//! [`crate::x86`]'s AVX2 ones.
 //!
-//! Same structure and numerical contract as [`crate::x86`] (exact `f32 →
-//! f64` widening, `f64` FMA accumulation), but with 8-wide `f64` vectors:
-//! one `vcvtps2pd zmm, ymm` widens 8 floats at a time, halving the
-//! conversion µop count that bounds the AVX2 path. Horizontal reduction
-//! uses `_mm512_reduce_add_pd` (a shuffle tree, order fixed per width), so
+//! The f32 bodies — `sq_norm2`, `norm1`, `dot4` and its `dot4x4` tile —
+//! keep the AVX2 numerical contract (exact `f32 → f64` widening, `f64` FMA
+//! accumulation) with 8-wide `f64` vectors: one `vcvtps2pd zmm, ymm`
+//! widens 8 floats at a time. Horizontal reduction uses
+//! `_mm512_reduce_add_pd` (a shuffle tree, order fixed per width), so
 //! results can differ from the other backends by O(ε) — covered by the
-//! tolerance contract in [`crate::dispatch`].
+//! tolerance contract in [`crate::dispatch`]. `dot4` is 3–10 % ahead of
+//! AVX2; it stays because `dot4x4`, 1.8–2× ahead, is defined as its bits.
+//! `dot`, `sq_dist` and `sq_dist4` have no body here, and the avx512 table
+//! carries the AVX2 ones, as it does for `nearest_col` and
+//! `max_scaled_sum`: 8-wide `dot` and `sq_dist` measured level with AVX2
+//! or slower at d = 64, 128 and 300, and `sq_dist4`, 12 % ahead at d = 64
+//! and 4 % at 300, serves only `sq_dist_col`'s rows past 16 floats, which
+//! projected rows reach only when `m` is set past the default
+//! (`tests/col_kernel_rates.rs`).
 //!
-//! Safety: reachable only through the dispatch table, which installs these
-//! kernels strictly after `is_x86_feature_detected!("avx512f")` and
-//! `("fma")` both succeed.
+//! Safety: reachable only through the dispatch table, which installs the
+//! avx512 table strictly after `is_x86_feature_detected!` succeeds for
+//! `avx512f`, `avx2` and `fma` — the last two for the AVX2 bodies the
+//! table shares — and the BW and VNNI bodies after their own checks.
 
 #![cfg(target_arch = "x86_64")]
 
 use std::arch::x86_64::*;
 
-use crate::scalar::{self, check_col_shape, col_long};
+use crate::scalar::{check_col_shape, col_long};
 use crate::x86::min_len5;
 
 /// Widens 8 packed `f32`s to one 8-wide `f64` vector.
@@ -24,39 +34,6 @@ use crate::x86::min_len5;
 #[target_feature(enable = "avx512f")]
 unsafe fn widen8(p: *const f32) -> __m512d {
     _mm512_cvtps_pd(_mm256_loadu_ps(p))
-}
-
-#[target_feature(enable = "avx512f")]
-unsafe fn dot_body(a: &[f32], b: &[f32]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dot: dimension mismatch");
-    // Soundness: these bodies do raw pointer reads, so never trust one
-    // slice's length for the other — clamp to the shorter operand (defined
-    // truncation, like the scalar fallback) instead of reading out of
-    // bounds if a caller slips past the debug assert in release builds.
-    let n = a.len().min(b.len());
-    let (ap, bp) = (a.as_ptr(), b.as_ptr());
-    let mut acc = [_mm512_setzero_pd(); 4];
-    let blocks = n / 32;
-    for i in 0..blocks {
-        let base = i * 32;
-        for (lane, slot) in acc.iter_mut().enumerate() {
-            let off = base + lane * 8;
-            *slot = _mm512_fmadd_pd(widen8(ap.add(off)), widen8(bp.add(off)), *slot);
-        }
-    }
-    let mut i = blocks * 32;
-    while i + 8 <= n {
-        acc[0] = _mm512_fmadd_pd(widen8(ap.add(i)), widen8(bp.add(i)), acc[0]);
-        i += 8;
-    }
-    let mut sum = _mm512_reduce_add_pd(_mm512_add_pd(
-        _mm512_add_pd(acc[0], acc[1]),
-        _mm512_add_pd(acc[2], acc[3]),
-    ));
-    for j in i..n {
-        sum += *ap.add(j) as f64 * *bp.add(j) as f64;
-    }
-    sum
 }
 
 #[target_feature(enable = "avx512f")]
@@ -85,42 +62,6 @@ unsafe fn sq_norm2_body(a: &[f32]) -> f64 {
     for j in i..n {
         let x = *ap.add(j) as f64;
         sum += x * x;
-    }
-    sum
-}
-
-#[target_feature(enable = "avx512f")]
-unsafe fn sq_dist_body(a: &[f32], b: &[f32]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "sq_dist: dimension mismatch");
-    // Soundness: these bodies do raw pointer reads, so never trust one
-    // slice's length for the other — clamp to the shorter operand (defined
-    // truncation, like the scalar fallback) instead of reading out of
-    // bounds if a caller slips past the debug assert in release builds.
-    let n = a.len().min(b.len());
-    let (ap, bp) = (a.as_ptr(), b.as_ptr());
-    let mut acc = [_mm512_setzero_pd(); 4];
-    let blocks = n / 32;
-    for i in 0..blocks {
-        let base = i * 32;
-        for (lane, slot) in acc.iter_mut().enumerate() {
-            let off = base + lane * 8;
-            let d = _mm512_sub_pd(widen8(ap.add(off)), widen8(bp.add(off)));
-            *slot = _mm512_fmadd_pd(d, d, *slot);
-        }
-    }
-    let mut i = blocks * 32;
-    while i + 8 <= n {
-        let d = _mm512_sub_pd(widen8(ap.add(i)), widen8(bp.add(i)));
-        acc[0] = _mm512_fmadd_pd(d, d, acc[0]);
-        i += 8;
-    }
-    let mut sum = _mm512_reduce_add_pd(_mm512_add_pd(
-        _mm512_add_pd(acc[0], acc[1]),
-        _mm512_add_pd(acc[2], acc[3]),
-    ));
-    for j in i..n {
-        let d = *ap.add(j) as f64 - *bp.add(j) as f64;
-        sum += d * d;
     }
     sum
 }
@@ -200,7 +141,10 @@ unsafe fn dot4x4_body(a: [&[f32]; 4], b: [&[f32]; 4]) -> [[f64; 4]; 4] {
         a.iter().chain(&b).all(|r| r.len() == a[0].len()),
         "dot4x4: dimension mismatch"
     );
-    // Soundness: clamp to the shortest operand (see dot_body).
+    // Soundness: these bodies do raw pointer reads, so never trust one
+    // slice's length for another — clamp to the shortest operand (defined
+    // truncation, like the scalar fallback) instead of reading out of
+    // bounds if a caller slips past the debug assert in release builds.
     let n = a.iter().chain(&b).map(|r| r.len()).min().unwrap_or(0);
     let (ap, bp) = (a.map(<[f32]>::as_ptr), b.map(<[f32]>::as_ptr));
     let mut acc = [[_mm512_setzero_pd(); 4]; 4];
@@ -233,41 +177,6 @@ unsafe fn dot4x4_body(a: [&[f32]; 4], b: [&[f32]; 4]) -> [[f64; 4]; 4] {
             for j in 0..4 {
                 out[i][j] += *bp[j].add(t) as f64 * x;
             }
-        }
-    }
-    out
-}
-
-#[target_feature(enable = "avx512f")]
-unsafe fn sq_dist4_body(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -> [f64; 4] {
-    debug_assert!(
-        a0.len() == b.len() && a1.len() == b.len() && a2.len() == b.len() && a3.len() == b.len(),
-        "sq_dist4: dimension mismatch"
-    );
-    let n = min_len5(a0, a1, a2, a3, b);
-    let bp = b.as_ptr();
-    let rows = [a0.as_ptr(), a1.as_ptr(), a2.as_ptr(), a3.as_ptr()];
-    // One widened load of `b` feeds four sub+FMA chains.
-    let mut acc = [_mm512_setzero_pd(); 4];
-    let chunks = n / 8;
-    for i in 0..chunks {
-        let vb = widen8(bp.add(i * 8));
-        for (r, &rp) in rows.iter().enumerate() {
-            let d = _mm512_sub_pd(widen8(rp.add(i * 8)), vb);
-            acc[r] = _mm512_fmadd_pd(d, d, acc[r]);
-        }
-    }
-    let mut out = [
-        _mm512_reduce_add_pd(acc[0]),
-        _mm512_reduce_add_pd(acc[1]),
-        _mm512_reduce_add_pd(acc[2]),
-        _mm512_reduce_add_pd(acc[3]),
-    ];
-    for i in chunks * 8..n {
-        let x = *bp.add(i) as f64;
-        for (r, &rp) in rows.iter().enumerate() {
-            let d = *rp.add(i) as f64 - x;
-            out[r] += d * d;
         }
     }
     out
@@ -389,7 +298,7 @@ unsafe fn dot4_i8_body(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8]) -> 
 #[target_feature(enable = "avx512f,avx512bw")]
 unsafe fn dot_i8_body(a: &[u8], b: &[i8]) -> i32 {
     debug_assert_eq!(a.len(), b.len(), "dot_i8: dimension mismatch");
-    // Soundness: clamp to the shortest operand (see dot_body).
+    // Soundness: clamp to the shortest operand (see dot4x4_body).
     let n = b.len().min(a.len());
     let ap = a.as_ptr();
     let bp = b.as_ptr();
@@ -428,7 +337,7 @@ unsafe fn dot4_i8_vnni_body(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8]
 #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
 unsafe fn dot_i8_vnni_body(a: &[u8], b: &[i8]) -> i32 {
     debug_assert_eq!(a.len(), b.len(), "dot_i8: dimension mismatch");
-    // Soundness: clamp to the shortest operand (see dot_body).
+    // Soundness: clamp to the shortest operand (see dot4x4_body).
     let n = b.len().min(a.len());
     let ap = a.as_ptr();
     let bp = b.as_ptr();
@@ -640,22 +549,14 @@ unsafe fn max_i32_body(v: &[i32]) -> i32 {
 }
 
 // Safe wrappers installed into the dispatch table. Soundness: the table
-// selects these only after runtime detection of avx512f (see
-// `dispatch::select`); the i8 wrappers additionally require avx512bw and
+// selects these only after runtime detection of avx512f, avx2 and fma
+// (see `dispatch::select`); the i8 wrappers additionally require avx512bw and
 // the `_vnni` ones avx512vnni, which `dispatch` verifies before installing
 // them (hosts without BW get the AVX2 bodies instead — the check happens
 // once at table selection, not per call).
 
-pub(crate) fn dot(a: &[f32], b: &[f32]) -> f64 {
-    unsafe { dot_body(a, b) }
-}
-
 pub(crate) fn sq_norm2(a: &[f32]) -> f64 {
     unsafe { sq_norm2_body(a) }
-}
-
-pub(crate) fn sq_dist(a: &[f32], b: &[f32]) -> f64 {
-    unsafe { sq_dist_body(a, b) }
 }
 
 pub(crate) fn norm1(a: &[f32]) -> f64 {
@@ -668,10 +569,6 @@ pub(crate) fn dot4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) ->
 
 pub(crate) fn dot4x4(a: [&[f32]; 4], b: [&[f32]; 4]) -> [[f64; 4]; 4] {
     unsafe { dot4x4_body(a, b) }
-}
-
-pub(crate) fn sq_dist4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -> [f64; 4] {
-    unsafe { sq_dist4_body(a0, a1, a2, a3, b) }
 }
 
 pub(crate) fn dot4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8]) -> [i32; 4] {
@@ -688,16 +585,6 @@ pub(crate) fn dot4_i8_vnni(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8])
 
 pub(crate) fn dot_i8_vnni(a: &[u8], b: &[i8]) -> i32 {
     unsafe { dot_i8_vnni_body(a, b) }
-}
-
-/// The f32 column has no body here, as it has none in [`crate::x86`]:
-/// sixteen-lane float gathers with rows in the lanes took 5.6 / 6.5 / 7.4 /
-/// 9.3 ns a row (m = 6 / 7 / 8 / 10) against 2.4 / 2.7 / 3.2 / 3.9 for the
-/// scalar unrolled loop, at 48-row and at 100 000-row columns alike, so
-/// short columns take the scalar body and long ones this tier's
-/// [`sq_dist4`].
-pub(crate) fn sq_dist_col(rows: &[f32], m: usize, q: &[f32], out: &mut [f64]) {
-    scalar::sq_dist_col_with(sq_dist4, rows, m, q, out)
 }
 
 /// The screen's column kernel on AVX-512BW: rows of half, one or two cache

@@ -9,45 +9,46 @@
 //!
 //! ## Backends
 //!
-//! | backend  | where                                          |
-//! |----------|------------------------------------------------|
-//! | `avx512` | x86-64 with runtime-detected AVX-512F          |
-//! | `avx2`   | x86-64 with runtime-detected AVX2 + FMA        |
-//! | `scalar` | everything else                                |
+//! | backend  | where                                                  | bodies |
+//! |----------|--------------------------------------------------------|--------|
+//! | `avx512` | x86-64 with runtime-detected AVX-512F, AVX2 and FMA    | its own 8-wide `sq_norm2`, `norm1`, `dot4`, `dot4x4`, 16-lane `max_i32_runs`, and the AVX-512VNNI `vpdpbusd` screen kernels, else the AVX-512BW ones, else the AVX2 ones; the AVX2 `dot`, `sq_dist`, `sq_dist4`, `nearest_col` and `max_scaled_sum`, whose 512-bit versions measured no faster on the rows the index hands them |
+//! | `avx2`   | x86-64 with runtime-detected AVX2 + FMA                | its own, every entry |
+//! | `scalar` | everything else                                        | the portable ones |
 //!
-//! The `avx512` table carries the widest integer bodies the host has: the
-//! AVX-512VNNI `vpdpbusd` screen kernels, else the AVX-512BW ones, else
-//! the AVX2 ones. Kernel choice is this one-time CPU detection plus, inside
-//! a kernel, the operand length — nothing else.
+//! Kernel choice is this one-time CPU detection plus, inside a kernel, the
+//! operand length — nothing else.
 //!
 //! ## Kernel shapes
 //!
-//! | operands                                   | kernel                          |
-//! |--------------------------------------------|---------------------------------|
-//! | projected space, `m ≤ 16` floats           | `sq_dist_col`: one call per sub-partition column, through the unrolled scalar body on every backend |
-//! | k-means, a column-major block of `m ≤ 16`-float rows | `nearest_col`: one call per centroid and block, a row a lane — eight rows a step as two AVX2 vectors (on AVX-512 too), `sq_dist_seq`'s bits and its `<` select on every backend |
-//! | screen, a run of contiguous `w`-code rows  | `dot_col_i8`: `w` = 32, 64 or 128 on AVX-512 — sixteen rows per step and per store, 32-code rows two to a VNNI load; otherwise (and on AVX2 at every `w`) `dot4_i8` over every four rows |
-//! | screen, scattered u8 × i8 code rows        | `dot4_i8` / `dot_i8`: 64 (VNNI), 32 (BW) or 16 (AVX2) codes per step, masked or overlapped tail |
-//! | verification, one `d`-long f32 row         | `dot`: widened `f64` FMA lanes |
-//! | `matvec_into`, exact scanners, f32 rows    | `dot4` over every four rows, `dot` for the rest |
-//! | build, rows × rows (`Matrix::gemm_nt`)     | `dot4x4`: sixteen `dot4`-identical sums per pass over eight rows |
-//! | column pass, every sub-partition's i32 dots | `max_i32_runs`: one call a pass, `vpmaxsd` over 16 (AVX-512) or 8 (AVX2) lanes per run, exact; `max_i32` is its one-run case |
-//! | column pass, its dots beside their u8 suffix-norm codes | `max_scaled_sum`: the largest `a·dot + b·code`, four `f64` lanes on both x86 tiers, rounded as the scalar body rounds it |
+//! | operands                                   | kernel                          | the `avx512` table's body |
+//! |--------------------------------------------|---------------------------------|---------------------------|
+//! | projected space, `m ≤ 16` floats           | `sq_dist_col` (no entry of its own): one call per sub-partition column, through the unrolled scalar body on every backend; longer rows four at a time through the table's `sq_dist4` | scalar; AVX2 past `m = 16` |
+//! | k-means, a column-major block of `m ≤ 16`-float rows | `nearest_col`: one call per centroid and block, a row a lane — eight rows a step as two AVX2 vectors, `sq_dist_seq`'s bits and its `<` select on every backend | AVX2 |
+//! | screen, a run of contiguous `w`-code rows  | `dot_col_i8`: `w` = 32, 64 or 128 — sixteen rows per step and per store, 32-code rows two to a VNNI load; otherwise (and on AVX2 at every `w`) `dot4_i8` over every four rows | VNNI, else BW, else AVX2 |
+//! | screen, scattered u8 × i8 code rows        | `dot4_i8` / `dot_i8`: 64 (VNNI), 32 (BW) or 16 (AVX2) codes per step, masked or overlapped tail | VNNI, else BW, else AVX2 |
+//! | verification, one `d`-long f32 row         | `dot`: widened `f64` FMA lanes | AVX2 |
+//! | distances and norms of `d`-long f32 rows   | `sq_dist` / `sq_dist4` (rows past `m = 16`); `sq_norm2`, `norm1` | AVX2; AVX-512 |
+//! | `matvec_into`, exact scanners, f32 rows    | `dot4` over every four rows, `dot` for the rest | AVX-512; AVX2 |
+//! | build, rows × rows (`Matrix::gemm_nt`)     | `dot4x4`: sixteen `dot4`-identical sums per pass over eight rows | AVX-512 |
+//! | column pass, every sub-partition's i32 dots | `max_i32_runs`: one call a pass, `vpmaxsd` over 16 (AVX-512) or 8 (AVX2) lanes per run, exact; `max_i32` is its one-run case | AVX-512 |
+//! | column pass, its dots beside their u8 suffix-norm codes | `max_scaled_sum`: the largest `a·dot + b·code`, four `f64` lanes, rounded as the scalar body rounds it | AVX2 |
 //!
 //! ## Numerical contract
 //!
 //! Every backend widens `f32` inputs to `f64` exactly and accumulates in
-//! `f64`; backends differ only in accumulation order and in the AVX2 path's
-//! use of fused multiply-add (one rounding instead of two per term). The
-//! cross-backend guarantee, asserted by this crate's property tests, is
+//! `f64`; backends differ only in accumulation order (4-wide `f64` lanes on
+//! AVX2, 8-wide in the AVX-512 bodies, each with its own reduction tree)
+//! and in the SIMD tiers' use of fused multiply-add (one rounding instead
+//! of two per term). The cross-backend guarantee, asserted by this crate's
+//! property tests, is
 //!
 //! ```text
 //! |simd − scalar| ≤ 1e-4 · max(1, |scalar|)
 //! ```
 //!
 //! In practice agreement is ~1e-12 relative for the d ≤ 10⁴ vectors this
-//! workspace handles; the loose documented bound leaves room for future
-//! backends with wider accumulators (e.g. AVX-512) without an API break.
+//! workspace handles. The integer kernels, `nearest_col`, `max_i32_runs`
+//! and `max_scaled_sum` are exact: every backend returns the scalar bits.
 
 use std::sync::OnceLock;
 
@@ -72,10 +73,6 @@ pub type Dot4I8Fn = fn(&[u8], &[u8], &[u8], &[u8], &[i8]) -> [i32; 4];
 /// verification screen. Exact integer arithmetic, same length bound as
 /// [`Dot4I8Fn`].
 pub type DotI8Fn = fn(&[u8], &[i8]) -> i32;
-
-/// Signature of the f32 column kernel (`sq_dist_col`): `(rows, m, q, out)`
-/// — squared distances of every `m`-float row of a flat arena to `q`.
-pub type SqDistColFn = fn(&[f32], usize, &[f32], &mut [f64]);
 
 /// Signature of the nearest-centroid column kernel (`nearest_col`): `(cols,
 /// m, q, c, best, best_d)` — folds centroid `c` at `q` into the running
@@ -115,8 +112,6 @@ pub struct Kernels {
     pub dot4_i8: Dot4I8Fn,
     /// One quantized inner product (u8 code row × i8 query).
     pub dot_i8: DotI8Fn,
-    /// Squared distances of a whole column of projected rows.
-    pub sq_dist_col: SqDistColFn,
     /// Nearest-centroid fold over a column-major block of short rows.
     pub nearest_col: NearestColFn,
     /// Quantized inner products of a whole u8 code column (u8 × i8).
@@ -139,7 +134,6 @@ pub static SCALAR: Kernels = Kernels {
     sq_dist4: scalar::sq_dist4,
     dot4_i8: scalar::dot4_i8,
     dot_i8: scalar::dot_i8,
-    sq_dist_col: scalar::sq_dist_col,
     nearest_col: scalar::nearest_col,
     dot_col_i8: scalar::dot_col_i8,
     max_i32_runs: scalar::max_i32_runs,
@@ -158,7 +152,6 @@ static AVX2: Kernels = Kernels {
     sq_dist4: crate::x86::sq_dist4,
     dot4_i8: crate::x86::dot4_i8,
     dot_i8: crate::x86::dot_i8,
-    sq_dist_col: crate::x86::sq_dist_col,
     nearest_col: crate::x86::nearest_col,
     dot_col_i8: crate::x86::dot_col_i8,
     max_i32_runs: crate::x86::max_i32_runs,
@@ -168,20 +161,22 @@ static AVX2: Kernels = Kernels {
 #[cfg(target_arch = "x86_64")]
 static AVX512: Kernels = Kernels {
     name: "avx512",
-    dot: crate::avx512::dot,
-    sq_dist: crate::avx512::sq_dist,
+    // 8-wide `dot` and `sq_dist` measured no faster than these; `sq_dist4`
+    // was 4–12 % ahead, on rows past 16 floats, which projected rows reach
+    // only when `m` is set past the default (`tests/col_kernel_rates.rs`).
+    dot: crate::x86::dot,
+    sq_dist: crate::x86::sq_dist,
     sq_norm2: crate::avx512::sq_norm2,
     norm1: crate::avx512::norm1,
     dot4: crate::avx512::dot4,
     dot4x4: crate::avx512::dot4x4,
-    sq_dist4: crate::avx512::sq_dist4,
+    sq_dist4: crate::x86::sq_dist4,
     // Sound default for the i8 entries: the 512-bit integer bodies need
     // AVX-512BW, which the `avx512f` gate does not imply, so the static
     // table carries the AVX2 bodies and `avx512_table()` swaps in the
     // 512-bit versions after a one-time BW / VNNI detection.
     dot4_i8: crate::x86::dot4_i8,
     dot_i8: crate::x86::dot_i8,
-    sq_dist_col: crate::avx512::sq_dist_col,
     // Eight rows a 512-bit step measured no faster than two 256-bit ones.
     nearest_col: crate::x86::nearest_col,
     dot_col_i8: crate::x86::dot_col_i8,
@@ -215,17 +210,27 @@ fn select() -> Kernels {
     }
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("fma")
-        {
+        if avx512_host() {
             return avx512_table(true);
         }
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
+        if avx2_host() {
             return AVX2;
         }
     }
     SCALAR
+}
+
+/// Whether the host runs the avx2 table: AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+fn avx2_host() -> bool {
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+}
+
+/// Whether the host runs the avx512 table: AVX-512F for its own bodies,
+/// AVX2 and FMA for the AVX2 bodies it shares.
+#[cfg(target_arch = "x86_64")]
+fn avx512_host() -> bool {
+    avx2_host() && std::arch::is_x86_feature_detected!("avx512f")
 }
 
 /// `PROMIPS_FORCE_SCALAR=1` pins the scalar backend for the whole process;
@@ -259,13 +264,10 @@ pub fn available_backends() -> Vec<Kernels> {
     let mut v: Vec<Kernels> = vec![SCALAR];
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
+        if avx2_host() {
             v.push(AVX2);
         }
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("fma")
-        {
+        if avx512_host() {
             if std::arch::is_x86_feature_detected!("avx512bw")
                 && std::arch::is_x86_feature_detected!("avx512vnni")
             {
@@ -300,8 +302,7 @@ mod tests {
     fn vnni_host_lists_avx512_with_and_without_vnni() {
         let names: Vec<&str> = available_backends().iter().map(|k| k.name).collect();
         assert_eq!(names[0], "scalar");
-        let vnni = std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("fma")
+        let vnni = avx512_host()
             && std::arch::is_x86_feature_detected!("avx512bw")
             && std::arch::is_x86_feature_detected!("avx512vnni");
         assert_eq!(names.contains(&"avx512-novnni"), vnni, "{names:?}");
@@ -322,13 +323,9 @@ mod tests {
         if std::env::var_os("PROMIPS_FORCE_SCALAR").is_some() {
             return;
         }
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("fma")
-        {
+        if avx512_host() {
             assert_eq!(active_backend(), "avx512");
-        } else if std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma")
-        {
+        } else if avx2_host() {
             assert_eq!(active_backend(), "avx2");
         }
     }

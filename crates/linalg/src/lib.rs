@@ -7,8 +7,9 @@
 //! precision.
 //!
 //! Kernels are **runtime-dispatched**: x86-64 hosts get the widest explicit
-//! SIMD tier they support (AVX-512F in `avx512`, else AVX2+FMA in
-//! `x86`); everywhere else the portable [`scalar`] versions run. The
+//! SIMD tier they support (AVX-512F with AVX2 and FMA — `avx512`'s bodies
+//! where they measure ahead, `x86`'s elsewhere — else AVX2+FMA in `x86`);
+//! everywhere else the portable [`scalar`] versions run. The
 //! choice is made once per process and cached ([`dispatch`]);
 //! `PROMIPS_FORCE_SCALAR=1` pins the fallback. See [`dispatch`] for the
 //! cross-backend numerical tolerance contract.

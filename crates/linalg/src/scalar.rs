@@ -266,17 +266,12 @@ pub(crate) fn col_long<T, Q, O: Copy>(
     }
 }
 
-/// Squared distances `dis²(rowᵢ, q)` of every `m`-float row of the flat
-/// arena `rows` into `out` — one call per sub-partition column.
+/// [`crate::vector::sq_dist_col`] with the blocked kernel `k4` for rows
+/// longer than [`SHORT_MAX`]; short ones take the unrolled body whatever
+/// `k4` is.
 ///
 /// # Panics
 /// Panics unless `q.len() == m > 0` and `rows.len() == out.len() * m`.
-pub fn sq_dist_col(rows: &[f32], m: usize, q: &[f32], out: &mut [f64]) {
-    sq_dist_col_with(sq_dist4, rows, m, q, out)
-}
-
-/// [`sq_dist_col`] with a backend's own blocked kernel `k4` for rows longer
-/// than [`SHORT_MAX`]; short ones take the unrolled body on every backend.
 pub(crate) fn sq_dist_col_with(
     k4: crate::dispatch::Dot4Fn,
     rows: &[f32],

@@ -1,9 +1,11 @@
 //! Vector kernels: inner product, norms, Euclidean distances.
 //!
 //! All kernels take `&[f32]` slices and accumulate in `f64`. Each call
-//! routes through the runtime-dispatched table in [`crate::dispatch`] —
-//! AVX2+FMA on x86-64 hosts that support it, the portable
-//! [`crate::scalar`] implementations elsewhere.
+//! routes through the runtime-dispatched table in [`crate::dispatch`] — the
+//! AVX-512 or AVX2+FMA tier on x86-64 hosts that run one, the portable
+//! [`crate::scalar`] implementations elsewhere; the AVX-512 table borrows
+//! the AVX2 body wherever its own does not measure ahead (the table there
+//! says which tier serves each entry).
 
 use crate::dispatch::kernels;
 use crate::scalar::{self, sq_dist_seq, SHORT_MAX};
@@ -77,16 +79,18 @@ pub fn sq_dist4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], b: &[f32]) -> [f
 }
 
 /// Squared distances `dis²(rowᵢ, q)` of every `m`-float row of the flat
-/// arena `rows` into `out` — the projected-space scan kernel, one dispatch
-/// per sub-partition column. For `m ≤` [`SHORT_MAX`] each row gets
-/// [`sq_dist`]'s bits, whatever its position in the column; longer rows
-/// get [`sq_dist4`]'s.
+/// arena `rows` into `out` — the projected-space scan kernel, one call per
+/// sub-partition column. For `m ≤` [`SHORT_MAX`] each row gets
+/// [`sq_dist`]'s bits, whatever its position in the column, from one
+/// unrolled loop on every backend (gather bodies with a row a lane measured
+/// level with it on AVX2 and 2.3× slower on AVX-512); longer rows go four
+/// at a time through the active [`sq_dist4`].
 ///
 /// # Panics
 /// Panics unless `q.len() == m > 0` and `rows.len() == out.len() * m`.
 #[inline]
 pub fn sq_dist_col(rows: &[f32], m: usize, q: &[f32], out: &mut [f64]) {
-    (kernels().sq_dist_col)(rows, m, q, out)
+    scalar::sq_dist_col_with(kernels().sq_dist4, rows, m, q, out)
 }
 
 /// Folds the centroid `q`, numbered `c`, into a running nearest-centroid
@@ -475,7 +479,7 @@ mod tests {
             }
 
             /// Up to `SHORT_MAX` coordinates a row's squared distance is one
-            /// number: the column kernel of every backend, the public
+            /// number: the column kernel over every backend's `sq_dist4`, the public
             /// `sq_dist4` in any of its four slots and the public `sq_dist`
             /// return the bits of the sequential reference, wherever the row
             /// sits in the column and whatever the column's length mod 4
@@ -494,7 +498,7 @@ mod tests {
                 let row = |i: usize| &rows[i * m..(i + 1) * m];
                 for k in available_backends() {
                     let mut got = vec![f64::NAN; n];
-                    (k.sq_dist_col)(&rows, m, &q, &mut got);
+                    scalar::sq_dist_col_with(k.sq_dist4, &rows, m, &q, &mut got);
                     for (i, got) in got.iter().enumerate() {
                         let filler = row((i + 1) % n);
                         let slot = i % 4;
@@ -517,7 +521,7 @@ mod tests {
                     // A row keeps its bits when the column around it changes.
                     let cut = n / 2;
                     let mut tail = vec![f64::NAN; n - cut];
-                    (k.sq_dist_col)(&rows[cut * m..], m, &q, &mut tail);
+                    scalar::sq_dist_col_with(k.sq_dist4, &rows[cut * m..], m, &q, &mut tail);
                     prop_assert!(tail.iter().zip(&got[cut..]).all(|(a, b)| a.to_bits() == b.to_bits()));
                 }
             }

@@ -9,7 +9,8 @@
 //! inside the 1e-4 relative tolerance documented in [`crate::dispatch`].
 //!
 //! Safety: each `#[target_feature]` function is only reachable through the
-//! dispatch table, which installs these kernels strictly after
+//! dispatch table, which installs these kernels — in the avx2 table and in
+//! the avx512 one, which shares many of them — strictly after
 //! `is_x86_feature_detected!("avx2")` and `("fma")` both succeed.
 
 #![cfg(target_arch = "x86_64")]
@@ -515,15 +516,6 @@ pub(crate) fn dot4_i8(a0: &[u8], a1: &[u8], a2: &[u8], a3: &[u8], b: &[i8]) -> [
 
 pub(crate) fn dot_i8(a: &[u8], b: &[i8]) -> i32 {
     unsafe { dot_i8_body(a, b) }
-}
-
-/// The f32 column has no AVX2 body of its own: eight-lane float gathers
-/// with rows in the lanes measured level with the scalar unrolled loop on
-/// an AVX-512 host (2.4–3.7 vs 2.7–3.7 ns/row at m = 7, 3.6–4.4 vs 3.8–4.0
-/// at m = 10) and slower than that on AVX2-only parts, so short columns
-/// take the scalar body and long ones this tier's [`sq_dist4`].
-pub(crate) fn sq_dist_col(rows: &[f32], m: usize, q: &[f32], out: &mut [f64]) {
-    scalar::sq_dist_col_with(sq_dist4, rows, m, q, out)
 }
 
 /// The nearest-centroid fold, eight rows a step: two 4-lane `f64` sums of

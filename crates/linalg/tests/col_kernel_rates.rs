@@ -9,13 +9,23 @@
 //!   10} — one 1 024-row column-major block, eight centroids folded into
 //!   it, one call a centroid — beside the row-major pass it replaced
 //!   (`sq_dist_col` into a distance buffer, then the nearest-centroid
-//!   select as mask arithmetic).
+//!   select as mask arithmetic);
+//! - every f32 entry of a table — `dot`, `sq_dist`, `sq_norm2`, `norm1`,
+//!   `dot4`, `sq_dist4` and `dot4x4` — in ns a result at `d` ∈ {64, 128,
+//!   300}, the widths of `skew64_shard4` and `lf300_*` and one between
+//!   (what the AVX-512 table keeps of its own bodies rests on it).
 //!
-//! A reading is the fastest of [`REPS`] timed reps of the same sweep count,
-//! calibrated so a rep takes at least [`MIN_REP`]. Every sweep's results
-//! are folded into an accumulator rather than passed through `black_box`
-//! one by one (which adds a store-forwarding stall), and each table's
-//! result must equal the scalar one: both kernels are exact.
+//! For the column kernels a reading is the fastest of [`REPS`] timed reps
+//! of the same sweep count, calibrated so a rep takes at least [`MIN_REP`].
+//! Every sweep's results are folded into an accumulator rather than passed
+//! through `black_box` one by one (which adds a store-forwarding stall),
+//! and each table's result must equal the scalar one: both kernels are
+//! exact. The f32 entries are read as medians over [`F32_ROUNDS`] rounds
+//! that alternate the order of the tables, the avx2 ÷ avx512 ratio as the
+//! median over pairs of rounds, one of each order (the timings of a pair
+//! share the host's load, and its two orders cancel what a table's place
+//! in the order costs), and each table's results must lie within the dispatch
+//! tolerance of the scalar ones.
 //!
 //! ```text
 //! cargo test --release -p promips_linalg --test col_kernel_rates -- --ignored --nocapture
@@ -141,5 +151,137 @@ fn nearest_col_ns_per_pair_on_every_backend() {
             line += &format!(" {} {ns:.2}", k.name);
         }
         println!("{line}");
+    }
+}
+
+const F32_ROWS: usize = 256;
+const F32_ROUNDS: usize = 20;
+const F32_ROUND: Duration = Duration::from_millis(2);
+
+/// The f32 entries timed, each as one pass over `F32_ROWS` rows.
+const F32_ENTRIES: [&str; 7] = [
+    "dot", "sq_dist", "sq_norm2", "norm1", "dot4", "sq_dist4", "dot4x4",
+];
+
+/// Every result of one pass of entry `e` over the `d`-float `rows` into
+/// `out`, and their count: against `q`, or (`dot4x4`) four rows at a time
+/// against the first four. Each result is stored, none summed, so no add
+/// chain is timed.
+fn f32_pass(k: &Kernels, e: usize, rows: &[f32], d: usize, q: &[f32], out: &mut [f64]) -> usize {
+    let row = |i: usize| &rows[i * d..(i + 1) * d];
+    let four = |i: usize| [row(i), row(i + 1), row(i + 2), row(i + 3)];
+    match e {
+        0 | 1 => {
+            let k2 = [k.dot, k.sq_dist][e];
+            for (i, o) in out[..F32_ROWS].iter_mut().enumerate() {
+                *o = k2(row(i), q);
+            }
+        }
+        2 | 3 => {
+            let k1 = [k.sq_norm2, k.norm1][e - 2];
+            for (i, o) in out[..F32_ROWS].iter_mut().enumerate() {
+                *o = k1(row(i));
+            }
+        }
+        4 | 5 => {
+            let k4 = [k.dot4, k.sq_dist4][e - 4];
+            for (i, o) in out[..F32_ROWS].chunks_exact_mut(4).enumerate() {
+                let [a0, a1, a2, a3] = four(4 * i);
+                o.copy_from_slice(&k4(a0, a1, a2, a3, q));
+            }
+        }
+        _ => {
+            for (i, o) in out.chunks_exact_mut(16).enumerate() {
+                let tile = (k.dot4x4)(four(4 * i), four(0));
+                o.copy_from_slice(tile.as_flattened());
+            }
+            return 4 * F32_ROWS;
+        }
+    }
+    F32_ROWS
+}
+
+/// ns a result of `passes` passes of entry `e`.
+fn f32_ns(k: &Kernels, e: usize, rows: &[f32], d: usize, q: &[f32], passes: u32) -> f64 {
+    let mut out = vec![0.0f64; 4 * F32_ROWS];
+    let start = Instant::now();
+    let mut results = 0;
+    for _ in 0..passes {
+        results += f32_pass(black_box(k), e, black_box(rows), d, q, &mut out);
+        black_box(&mut out);
+    }
+    start.elapsed().as_secs_f64() * 1e9 / results as f64
+}
+
+/// Median and quartiles of `v`.
+fn quartiles(mut v: Vec<f64>) -> [f64; 3] {
+    v.sort_by(f64::total_cmp);
+    [v.len() / 4, v.len() / 2, 3 * v.len() / 4].map(|i| v[i])
+}
+
+#[test]
+#[ignore = "a measurement, not a check: ≈ 5 s in release"]
+fn f32_kernels_ns_per_row_on_every_backend() {
+    let mut rng = TestRng::from_name("f32-kernel-rates");
+    let backends = available_backends();
+    let names: Vec<&str> = backends.iter().map(|k| k.name).collect();
+    let at = |name: &str| names.iter().position(|&n| n == name);
+    println!(
+        "f32 kernels ns/result ({F32_ROWS} rows, median of {F32_ROUNDS} rounds in alternating \
+         table order), and the median [quartiles] of each pair of rounds' avx2 ÷ avx512 time \
+         (> 1: the avx512 table is faster): {names:?}"
+    );
+    for d in [64, 128, 300] {
+        let mut coord = || (rng.unit_f64() * 2.0 - 1.0) as f32;
+        let rows: Vec<f32> = (0..F32_ROWS * d).map(|_| coord()).collect();
+        let q: Vec<f32> = (0..d).map(|_| coord()).collect();
+        for (e, entry) in F32_ENTRIES.iter().enumerate() {
+            let mut want = vec![0.0f64; 4 * F32_ROWS];
+            let len = f32_pass(&backends[0], e, &rows, d, &q, &mut want);
+            let mut got = vec![0.0f64; 4 * F32_ROWS];
+            for k in &backends {
+                f32_pass(k, e, &rows, d, &q, &mut got);
+                for (i, (&g, &w)) in got[..len].iter().zip(&want).enumerate() {
+                    let tol = 1e-4 * w.abs().max(1.0);
+                    assert!(
+                        (g - w).abs() <= tol,
+                        "{} {entry} d = {d} result {i}",
+                        k.name
+                    );
+                }
+            }
+            // Passes a round: enough for F32_ROUND on the slowest table.
+            let round_ns = |k: &Kernels, passes: u32| {
+                f32_ns(k, e, &rows, d, &q, passes) * (passes as usize * len) as f64
+            };
+            let mut passes = 1;
+            while backends
+                .iter()
+                .any(|k| round_ns(k, passes) < F32_ROUND.as_secs_f64() * 1e9)
+            {
+                passes *= 2;
+            }
+            let mut ns = vec![Vec::with_capacity(F32_ROUNDS); backends.len()];
+            for round in 0..F32_ROUNDS {
+                let mut order: Vec<usize> = (0..backends.len()).collect();
+                if round % 2 == 1 {
+                    order.reverse();
+                }
+                for t in order {
+                    ns[t].push(f32_ns(&backends[t], e, &rows, d, &q, passes));
+                }
+            }
+            let mut line = format!("  d={d:<4} {entry:<9}");
+            for (name, ns) in names.iter().zip(&ns) {
+                line += &format!(" {name} {:.2}", quartiles(ns.clone())[1]);
+            }
+            if let (Some(a), Some(b)) = (at("avx2"), at("avx512")) {
+                let sum = |t: &[f64]| t[0] + t[1];
+                let pairs = ns[a].chunks_exact(2).zip(ns[b].chunks_exact(2));
+                let [q1, med, q3] = quartiles(pairs.map(|(a, b)| sum(a) / sum(b)).collect());
+                line += &format!("  avx2/avx512 {med:.2} [{q1:.2}, {q3:.2}]");
+            }
+            println!("{line}");
+        }
     }
 }
